@@ -3,12 +3,12 @@
 // files without starting a system.
 //
 //	kflushctl segments <dir>       list segments (version, records, bloom, size)
-//	kflushctl levels <dir>         decode the leveled-tier manifest and
+//	kflushctl levels <dir>         decode the disk tier's manifest and
 //	                               print per-level occupancy, retired
 //	                               inputs, and unreferenced files
 //	kflushctl dump <segment-file>  print a segment's records as JSON lines
 //	kflushctl verify <dir>         read every record; fail on corruption
-//	kflushctl compact <dir> [n]    merge the n oldest segments (default all)
+//	kflushctl compact <dir>        merge every segment into one
 //	kflushctl probe <dir> <key> [k]  run one disk search and report the
 //	                               miss fast-path counters (Bloom skips,
 //	                               directory probes, cache hits)
@@ -74,13 +74,7 @@ func main() {
 	case "verify":
 		err = cmdVerify(args[1])
 	case "compact":
-		n := 1 << 30 // all
-		if len(args) > 2 {
-			if n, err = strconv.Atoi(args[2]); err != nil {
-				log.Fatalf("bad segment count %q", args[2])
-			}
-		}
-		err = disk.CompactDir(args[1], n)
+		err = disk.CompactDir(args[1])
 		if err == nil {
 			err = cmdSegments(args[1])
 		}
@@ -168,12 +162,12 @@ func cmdSegments(dir string) error {
 	return nil
 }
 
-// cmdLevels decodes a leveled tier's manifest and joins it against the
+// cmdLevels decodes a tier's manifest and joins it against the
 // segment files actually present: per-level occupancy (segments,
 // records, bytes), retired compaction inputs awaiting unlink, and files
 // the manifest does not reference (they would be adopted at the next
-// open). A missing manifest reports the directory as flat; a corrupt
-// one is surfaced but survivable — open falls back to adoption.
+// open). A missing or corrupt manifest is surfaced but survivable —
+// open falls back to adoption.
 func cmdLevels(dir string) error {
 	infos, err := disk.Inspect(dir)
 	if err != nil {
@@ -186,10 +180,10 @@ func cmdLevels(dir string) error {
 	m, err := disk.ReadManifest(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			fmt.Printf("no manifest: flat layout, %d segment(s)\n", len(infos))
+			fmt.Printf("no manifest: files will be adopted at the next open, %d segment(s)\n", len(infos))
 			return nil
 		}
-		return fmt.Errorf("%w (a leveled open would fall back to adopting all %d segment file(s))", err, len(infos))
+		return fmt.Errorf("%w (an open would fall back to adopting all %d segment file(s))", err, len(infos))
 	}
 	type levelSum struct {
 		segments, records int
@@ -754,7 +748,7 @@ usage:
   kflushctl levels <dir>
   kflushctl dump <segment-file>
   kflushctl verify <dir>
-  kflushctl compact <dir> [n]
+  kflushctl compact <dir>
   kflushctl probe <dir> <key> [k]
   kflushctl probe <base-url>
   kflushctl wal <wal-dir>

@@ -22,15 +22,30 @@ type Selector[K comparable] interface {
 type victim[K comparable] struct {
 	e  *index.Entry[K]
 	ts int64
-	fb int64
+	// tie is the entry's key hash. Timestamps tie routinely (one record
+	// creating two entries stamps both with the same arrival time), so
+	// victims are ordered by (ts, tie): a total order that depends on
+	// the keys alone, not on map iteration or goroutine scheduling.
+	// (Two tied keywords with colliding 64-bit FNV hashes would still
+	// fall back to scan order; integer and cell hashes are bijective.)
+	tie uint64
+	fb  int64
 }
 
-// victimHeap is a max-heap on timestamp: the most recent buffered victim
-// sits at the top, ready to be displaced by older candidates.
+// before reports whether v is evicted ahead of o.
+func (v victim[K]) before(o victim[K]) bool {
+	if v.ts != o.ts {
+		return v.ts < o.ts
+	}
+	return v.tie < o.tie
+}
+
+// victimHeap is a max-heap on eviction order: the last-to-evict buffered
+// victim sits at the top, ready to be displaced by earlier candidates.
 type victimHeap[K comparable] []victim[K]
 
 func (h victimHeap[K]) Len() int            { return len(h) }
-func (h victimHeap[K]) Less(i, j int) bool  { return h[i].ts > h[j].ts }
+func (h victimHeap[K]) Less(i, j int) bool  { return h[j].before(h[i]) }
 func (h victimHeap[K]) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *victimHeap[K]) Push(x interface{}) { *h = append(*h, x.(victim[K])) }
 func (h *victimHeap[K]) Pop() interface{} {
@@ -47,8 +62,10 @@ func (h *victimHeap[K]) Pop() interface{} {
 // — is fanned out over the index shards with a bounded worker pool of
 // min(GOMAXPROCS, shards) goroutines (or `workers`, when positive);
 // shards are handed out through an atomic cursor so uneven shards cannot
-// stall the pool. Candidate collection is order-insensitive: selection
-// itself stays sequential in the callers.
+// stall the pool. Each shard fills its own slot and the slots are
+// concatenated in shard order, so which worker scanned a shard never
+// shows in the result; the order inside a shard is map iteration order,
+// which the selectors remove by ordering victims totally (see victim).
 func scanVictims[K comparable](ix *index.Index[K], workers int, classify func(*index.Entry[K]) (int64, bool)) []victim[K] {
 	shards := ix.ShardCount()
 	if workers <= 0 {
@@ -57,47 +74,40 @@ func scanVictims[K comparable](ix *index.Index[K], workers int, classify func(*i
 	if workers > shards {
 		workers = shards
 	}
-	collect := func(shard int, out []victim[K]) []victim[K] {
-		ix.RangeShard(shard, func(e *index.Entry[K]) bool {
-			if ts, ok := classify(e); ok {
-				out = append(out, victim[K]{e: e, ts: ts, fb: e.FreeableBytes(ix.KeyLen(e.Key()))})
-			}
-			return true
-		})
-		return out
-	}
-	if workers <= 1 {
-		var all []victim[K]
-		for i := 0; i < shards; i++ {
-			all = collect(i, all)
-		}
-		return all
-	}
-	perWorker := make([][]victim[K], workers)
+	perShard := make([][]victim[K], shards)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var out []victim[K]
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= shards {
-					break
-				}
-				out = collect(i, out)
+	scan := func() {
+		defer wg.Done()
+		for {
+			i := int(cursor.Add(1)) - 1
+			if i >= shards {
+				return
 			}
-			perWorker[w] = out
-		}(w)
+			ix.RangeShard(i, func(e *index.Entry[K]) bool {
+				if ts, ok := classify(e); ok {
+					key := e.Key()
+					perShard[i] = append(perShard[i], victim[K]{
+						e: e, ts: ts, tie: ix.KeyHash(key), fb: e.FreeableBytes(ix.KeyLen(key)),
+					})
+				}
+				return true
+			})
+		}
 	}
+	// The caller is the first worker, so one worker spawns nothing.
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go scan()
+	}
+	scan()
 	wg.Wait()
 	var n int
-	for _, part := range perWorker {
+	for _, part := range perShard {
 		n += len(part)
 	}
 	all := make([]victim[K], 0, n)
-	for _, part := range perWorker {
+	for _, part := range perShard {
 		all = append(all, part...)
 	}
 	return all
@@ -105,14 +115,14 @@ func scanVictims[K comparable](ix *index.Index[K], workers int, classify func(*i
 
 // HeapSelector is the paper's single-pass O(n) victim selection: one
 // traversal over the candidate entries maintaining an on-the-go buffer
-// (a max-heap on recency) whose total memory consumption stays at or
-// just above the target, always holding the least recently used
-// candidates seen so far.
+// (a max-heap on eviction order) that always holds exactly the shortest
+// least-recent prefix of the candidates seen so far whose freeable bytes
+// reach the target. That invariant makes the result a function of the
+// candidate set alone — scan order does not matter.
 //
 // The candidate *scan* runs shard-parallel (see scanVictims); the heap
 // pass itself is kept sequential — it is O(n) with a heap bounded by the
-// target, and its shed-the-most-recent loop is inherently order
-// sensitive, so parallelizing it would buy little and cost correctness.
+// target, so parallelizing it would buy little.
 type HeapSelector[K comparable] struct {
 	// Workers caps the scan worker pool; 0 selects
 	// min(GOMAXPROCS, shards), 1 forces a sequential scan.
@@ -124,26 +134,23 @@ func (s HeapSelector[K]) Select(ix *index.Index[K], target int64, classify func(
 	var h victimHeap[K]
 	var total int64
 	for _, v := range scanVictims(ix, s.Workers, classify) {
-		switch {
-		case total < target:
-			// Still filling the buffer up to the target.
-			heap.Push(&h, v)
-			total += v.fb
-		case len(h) > 0 && v.ts < h[0].ts:
-			// Older than the most recent buffered victim: admit it,
-			// then shed the most recent victims while the buffer still
-			// meets the target without them.
-			heap.Push(&h, v)
-			total += v.fb
-			for len(h) > 0 && total-h[0].fb >= target {
-				total -= h[0].fb
-				heap.Pop(&h)
-			}
+		// A full buffer admits only candidates evicted before its last
+		// victim.
+		if total >= target && (len(h) == 0 || !v.before(h[0])) {
+			continue
+		}
+		heap.Push(&h, v)
+		total += v.fb
+		// Shed the last victims while the buffer meets the target
+		// without them.
+		for len(h) > 0 && total-h[0].fb >= target {
+			total -= h[0].fb
+			heap.Pop(&h)
 		}
 	}
 	out := make([]victim[K], len(h))
 	copy(out, h)
-	sort.Slice(out, func(i, j int) bool { return out[i].ts < out[j].ts })
+	sort.Slice(out, func(i, j int) bool { return out[i].before(out[j]) })
 	entries := make([]*index.Entry[K], len(out))
 	for i, v := range out {
 		entries[i] = v.e
@@ -165,7 +172,7 @@ type SortSelector[K comparable] struct {
 // Select implements Selector.
 func (s SortSelector[K]) Select(ix *index.Index[K], target int64, classify func(*index.Entry[K]) (int64, bool)) []*index.Entry[K] {
 	all := scanVictims(ix, s.Workers, classify)
-	sort.Slice(all, func(i, j int) bool { return all[i].ts < all[j].ts })
+	sort.Slice(all, func(i, j int) bool { return all[i].before(all[j]) })
 	var total int64
 	var out []*index.Entry[K]
 	for _, v := range all {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -255,6 +257,53 @@ func TestSelectorBudgetExactAtShardBoundary(t *testing.T) {
 		}
 		if sum != target {
 			t.Errorf("%s: freeable sum %d, want exactly %d", name, sum, target)
+		}
+	}
+}
+
+// TestSelectorTiesIndependentOfWorkers seeds an index where most entries
+// share their arrival timestamp with several others (what one record
+// creating several entries produces) and key lengths vary, so freeable
+// estimates differ. Selection must be a function of the candidate set
+// alone: a sequential scan, a 4-worker scan and the sort baseline return
+// the identical victim list at every target, whatever order map
+// iteration and scheduling delivered the candidates in. Run with
+// -count=20.
+func TestSelectorTiesIndependentOfWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	ix := index.New(index.Config[string]{
+		Hash:   attr.HashString,
+		KeyLen: attr.KeywordLen,
+		K:      5,
+	})
+	var totalAvail int64
+	for i := 0; i < 400; i++ {
+		ts := int64(rng.Intn(40) + 1) // ~10 entries per timestamp
+		key := fmt.Sprintf("k%d-%s", i, strings.Repeat("x", rng.Intn(24)))
+		mb := &types.Microblog{ID: types.ID(i + 1), Timestamp: types.Timestamp(ts), Keywords: []string{key}}
+		ix.Insert(key, store.NewRecord(mb, float64(ts)))
+		totalAvail += ix.Entry(key).FreeableBytes(ix.KeyLen(key))
+	}
+	for _, target := range []int64{1, totalAvail / 7, totalAvail / 2, totalAvail - 1, totalAvail * 2} {
+		want := HeapSelector[string]{Workers: 1}.Select(ix, target, classifyArrival)
+		if len(want) == 0 {
+			t.Fatalf("target %d: sequential scan selected nothing", target)
+		}
+		for name, sel := range map[string]Selector[string]{
+			"heap/workers=4": HeapSelector[string]{Workers: 4},
+			"heap/workers=1": HeapSelector[string]{Workers: 1}, // a second map-iteration order
+			"sort/workers=4": SortSelector[string]{Workers: 4},
+		} {
+			got := sel.Select(ix, target, classifyArrival)
+			if len(got) != len(want) {
+				t.Fatalf("target %d %s: %d victims, sequential %d", target, name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("target %d %s: victim %d is %q, sequential %q",
+						target, name, i, got[i].Key(), want[i].Key())
+				}
+			}
 		}
 	}
 }

@@ -29,14 +29,13 @@ import (
 // definition, and synchronous flushing so every run is deterministic.
 func childOptions() kflushing.Options {
 	return kflushing.Options{
-		Policy:          kflushing.PolicyKFlushing,
-		K:               2,
-		MemoryBudget:    24 << 10,
-		FlushFraction:   0.9,
-		SyncFlush:       true,
-		DiskMaxSegments: 3,
-		Durable:         true,
-		WALSyncEvery:    1,
+		Policy:        kflushing.PolicyKFlushing,
+		K:             2,
+		MemoryBudget:  24 << 10,
+		FlushFraction: 0.9,
+		SyncFlush:     true,
+		Durable:       true,
+		WALSyncEvery:  1,
 		// Adaptive memory runs clamped (min==max on every knob), which is
 		// provably bit-equivalent to the static configuration — but it
 		// makes the engine/tuner/apply site reachable: with Interval 1 on
@@ -277,7 +276,6 @@ func verifyCompactionPreservesDiskSet(t *testing.T, dataDir string) {
 		Dir:    dataDir,
 		KeysOf: attr.KeywordKeys,
 		Encode: attr.KeywordEncode,
-		Layout: disk.LayoutLeveled,
 	})
 	if err != nil {
 		t.Fatalf("direct tier open after recovery: %v", err)

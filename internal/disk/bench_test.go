@@ -9,13 +9,15 @@ import (
 	"kflushing/internal/types"
 )
 
-// benchTier builds a tier with several populated segments.
+// benchTier builds a tier with several populated segments; compaction
+// is off so the segment count is the one asked for.
 func benchTier(b *testing.B, segments, recsPerSeg int) *Tier[string] {
 	b.Helper()
 	tier, err := Open(Config[string]{
-		Dir:    b.TempDir(),
-		KeysOf: func(m *types.Microblog) []string { return m.Keywords },
-		Encode: func(s string) string { return s },
+		Dir:         b.TempDir(),
+		KeysOf:      func(m *types.Microblog) []string { return m.Keywords },
+		Encode:      func(s string) string { return s },
+		MaxSegments: -1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -140,7 +142,7 @@ func BenchmarkCompact(b *testing.B) {
 		b.StopTimer()
 		tier := benchTier(b, 8, 500)
 		b.StartTimer()
-		if err := tier.CompactOldest(8); err != nil {
+		if err := tier.CompactAll(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,102 +27,16 @@ var compactorLabels = pprof.Labels("kflushing", "background-compactor")
 // VictimBuffer.AddPartial), and its keys may appear across several
 // segments' directories.
 //
-// The flat layout merges the N oldest segments in place (the merged
-// file takes the newest input's name, so lexicographic recovery
-// ordering is preserved). The leveled layout merges a whole overflowing
-// level into one lvl-* segment at the next level and commits the swap
-// through the manifest: output renamed live → manifest commit (output
-// live, inputs retired) → inputs unlinked. A crash between any two of
-// those steps recovers cleanly (see openLeveled's rules).
+// A pass merges a whole overflowing level into one lvl-* segment at the
+// next level and commits the swap through the manifest: output renamed
+// live → manifest commit (output live, inputs retired) → inputs
+// unlinked. A crash between any two of those steps recovers cleanly (see
+// openLeveled's rules).
 
-// CompactOldest merges the n oldest flat-layout segments into one. It
-// is a no-op when fewer than two segments exist. Concurrent searches
-// keep working on the old segments until the swap, then see the merged
-// one.
-func (t *Tier[K]) CompactOldest(n int) error {
-	if n < 2 {
-		return nil
-	}
-	t.mu.Lock()
-	t.ensureLevels(1)
-	if len(t.levels[0]) < 2 {
-		t.mu.Unlock()
-		return nil
-	}
-	if n > len(t.levels[0]) {
-		n = len(t.levels[0])
-	}
-	inputs := append([]*segment(nil), t.levels[0][:n]...)
-	t.mu.Unlock()
-
-	passStart := time.Now()
-	merged, err := mergeSegmentsTo(inputs, inputs[len(inputs)-1].path)
-	if err != nil {
-		return err
-	}
-	t.compactions.Add(1)
-	t.cfg.Recorder.Record(blackbox.SubCompact, blackbox.EvCompactPass,
-		0, int64(len(inputs)), time.Since(passStart).Nanoseconds())
-	slog.Debug("disk: compacted segments",
-		"dir", t.cfg.Dir, "inputs", len(inputs), "merged", merged.name(),
-		"records", merged.count)
-
-	t.mu.Lock()
-	// The inputs are still the oldest prefix (only Flush appends and
-	// only compaction removes, and compactions are serialized by the
-	// caller); swap them for the merged segment.
-	t.levels[0] = append([]*segment{merged}, t.levels[0][n:]...)
-	t.mu.Unlock()
-
-	// Retire the inputs. Unlinking while readers still hold the file
-	// open is safe (the inode survives until the last close); the
-	// newest input's path was already replaced by the rename, so only
-	// the older paths are unlinked. File handles close when the last
-	// in-flight search releases its reference. A crash before the
-	// removals finish leaves duplicate records across the merged file
-	// and the surviving inputs — tolerated, because search deduplicates
-	// by record ID and the next compaction merges them away.
-	if err := failpoint.Eval(failpoint.DiskCompactRemove); err != nil {
-		for _, s := range inputs {
-			s.release()
-		}
-		return err
-	}
-	for i, s := range inputs {
-		if i != len(inputs)-1 {
-			if err := os.Remove(s.path); err != nil {
-				s.release()
-				return fmt.Errorf("disk: remove compacted input: %w", err)
-			}
-		}
-		s.release()
-	}
-	return nil
-}
-
-// AutoCompact merges the oldest half of the flat-layout segments
-// whenever more than maxSegments exist. Call after Flush; maxSegments
-// <= 1 disables.
-func (t *Tier[K]) AutoCompact(maxSegments int) error {
-	if maxSegments <= 1 {
-		return nil
-	}
-	t.mu.RLock()
-	n := 0
-	if len(t.levels) > 0 {
-		n = len(t.levels[0])
-	}
-	t.mu.RUnlock()
-	if n <= maxSegments {
-		return nil
-	}
-	return t.CompactOldest(n/2 + 1)
-}
-
-// compactor is the background compaction loop of a leveled tier: it
-// waits for a kick (sent after each flush install) and runs passes
-// until no level is over its fanout. One goroutine, one kick buffered —
-// repeated kicks during a pass coalesce.
+// compactor is the background compaction loop: it waits for a kick
+// (sent after each flush install) and runs passes until no level is
+// over its fanout. One goroutine, one kick buffered — repeated kicks
+// during a pass coalesce.
 func (t *Tier[K]) compactor() {
 	defer t.compactWG.Done()
 	// A compactor panic would silently kill background compaction; dump
@@ -177,17 +91,13 @@ func (t *Tier[K]) overflowLevel() int {
 }
 
 // CompactNow runs compaction passes until the tier is within bounds:
-// leveled, every overflowing level merges into the next (shallowest
-// first, so a cascade L0→L1→L2 resolves in one call); flat, the
-// MaxSegments auto-compaction rule applies. Passes serialize on an
+// every overflowing level merges into the next (shallowest first, so a
+// cascade L0→L1→L2 resolves in one call). Passes serialize on an
 // internal gate, so concurrent callers (background compactor, sync
 // flush, tooling) cannot double-merge.
 func (t *Tier[K]) CompactNow() error {
 	t.compactMu.Lock()
 	defer t.compactMu.Unlock()
-	if t.cfg.Layout != LayoutLeveled {
-		return t.AutoCompact(t.cfg.MaxSegments)
-	}
 	if !t.compactionEnabled() {
 		return nil
 	}
@@ -210,21 +120,12 @@ func (t *Tier[K]) CompactNow() error {
 	}
 }
 
-// CompactAll merges every live segment into a single one — the leveled
-// analogue of full compaction, used by tooling and by tests asserting
-// global ID uniqueness. Flat tiers merge the whole list in place.
+// CompactAll merges every live segment into a single one — full
+// compaction, used by tooling (it runs whether or not the tier compacts
+// on its own) and by tests asserting global ID uniqueness.
 func (t *Tier[K]) CompactAll() error {
 	t.compactMu.Lock()
 	defer t.compactMu.Unlock()
-	if t.cfg.Layout != LayoutLeveled {
-		t.mu.RLock()
-		n := 0
-		if len(t.levels) > 0 {
-			n = len(t.levels[0])
-		}
-		t.mu.RUnlock()
-		return t.CompactOldest(n)
-	}
 	// Fold the shallowest populated level into the next until one
 	// segment remains. Forced merges accept a single input (a plain
 	// rewrite one level down), so stragglers cascade into the bottom.
@@ -468,19 +369,16 @@ func mergeSegmentsTo(inputs []*segment, final string) (*segment, error) {
 		sort.Slice(ords, func(a, b int) bool { return ords[a] < ords[b] })
 	}
 
-	// Write to a temp path first for atomicity (flat merges rename over
-	// the newest input's name; leveled merges use a fresh lvl-* name).
-	// The output is always current-version: compaction upgrades
-	// pre-Bloom inputs to Bloom-bearing segments.
+	// Write to a temp path first for atomicity. The output is always
+	// current-version: compaction upgrades pre-Bloom inputs to
+	// Bloom-bearing segments.
 	tmp := final + ".compact"
 	merged, _, err := writeSegment(tmp, ranked, dir, nil)
 	if err != nil {
 		return nil, err
 	}
-	// Close the temp handle, rename over, and reopen under the final
-	// name. The rename is atomic on POSIX filesystems; when the target
-	// name is an existing input, its old inode lives on until the last
-	// reference closes.
+	// Close the temp handle, rename, and reopen under the final name.
+	// The rename is atomic on POSIX filesystems.
 	if err := merged.close(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -25,7 +26,10 @@ func TestCompactMergesAndPreservesAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tier.CompactOldest(3); err != nil {
+	if got := tier.Stats().Segments; got != 3 {
+		t.Fatalf("segments before compaction = %d, want 3 (below fanout)", got)
+	}
+	if err := tier.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
 	if got := tier.Stats().Segments; got != 1 {
@@ -55,7 +59,7 @@ func TestCompactDeduplicatesByID(t *testing.T) {
 	if err := tier.Flush([]FlushRecord{dup, fr(2, 2, "b")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tier.CompactOldest(2); err != nil {
+	if err := tier.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
 	items, err := tier.Search([]string{"a"}, query.OpSingle, 10)
@@ -76,34 +80,6 @@ func TestCompactDeduplicatesByID(t *testing.T) {
 	}
 }
 
-func TestAutoCompactBoundsSegments(t *testing.T) {
-	tier, err := Open(Config[string]{
-		Dir:         t.TempDir(),
-		KeysOf:      func(m *types.Microblog) []string { return m.Keywords },
-		Encode:      func(s string) string { return s },
-		MaxSegments: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tier.Close()
-	for i := 0; i < 20; i++ {
-		if err := tier.Flush([]FlushRecord{fr(uint64(i+1), float64(i+1), "k")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := tier.Stats().Segments; got > 4 {
-		t.Fatalf("segments = %d, want <= 4", got)
-	}
-	items, err := tier.Search([]string{"k"}, query.OpSingle, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(items) != 20 {
-		t.Fatalf("lost records: %d of 20", len(items))
-	}
-}
-
 func TestCompactionSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config[string]{
@@ -115,13 +91,15 @@ func TestCompactionSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The fifth flush overflows L0 (default fanout 4) and merges it into
+	// one L1 segment inline; the sixth starts a fresh L0.
 	for i := 0; i < 6; i++ {
 		if err := tier.Flush([]FlushRecord{fr(uint64(i+1), float64(i+1), "k")}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tier.CompactOldest(4); err != nil {
-		t.Fatal(err)
+	if st := tier.Stats(); st.Compactions != 1 {
+		t.Fatalf("compactions = %d, want 1", st.Compactions)
 	}
 	if err := tier.Close(); err != nil {
 		t.Fatal(err)
@@ -132,8 +110,11 @@ func TestCompactionSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := re.Stats().Segments; got != 3 {
-		t.Fatalf("recovered %d segments, want 3 (1 merged + 2)", got)
+	if got := re.Stats().Segments; got != 2 {
+		t.Fatalf("recovered %d segments, want 2 (1 merged + 1)", got)
+	}
+	if lv := re.Levels(); len(lv) != 2 || lv[0].Segments != 1 || lv[1].Segments != 1 || lv[1].Records != 5 {
+		t.Fatalf("recovered levels %+v, want L0 and L1 holding one segment each, 5 records merged", lv)
 	}
 	items, err := re.Search([]string{"k"}, query.OpSingle, 10)
 	if err != nil {
@@ -144,11 +125,11 @@ func TestCompactionSurvivesReopen(t *testing.T) {
 	}
 }
 
-// TestCompactionConcurrentWithSearch hammers searches while compactions
-// run; run with -race. Searches must never observe errors or lost
-// records.
+// TestCompactionConcurrentWithSearch hammers searches while flushes and
+// compactions run; run with -race. Searches must never observe errors,
+// lost records, or a record twice.
 func TestCompactionConcurrentWithSearch(t *testing.T) {
-	tier := testTier(t)
+	tier := fastTier(t, Config[string]{MaxSegments: -1})
 	for i := 0; i < 12; i++ {
 		if err := tier.Flush([]FlushRecord{fr(uint64(i+1), float64(i+1), "k")}); err != nil {
 			t.Fatal(err)
@@ -176,8 +157,15 @@ func TestCompactionConcurrentWithSearch(t *testing.T) {
 			}
 		}
 	}()
+	// Each round re-flushes a copy of an existing record (a new segment,
+	// no new ID) and folds the whole tier into one segment again, so
+	// level swaps keep happening under the searcher.
 	for i := 0; i < 5; i++ {
-		if err := tier.CompactOldest(3); err != nil {
+		if err := tier.Flush([]FlushRecord{fr(uint64(i+1), float64(i+1), "k")}); err != nil {
+			t.Error(err)
+			break
+		}
+		if err := tier.CompactAll(); err != nil {
 			t.Error(err)
 			break
 		}
@@ -189,9 +177,10 @@ func TestCompactionConcurrentWithSearch(t *testing.T) {
 func TestInspectAndVerify(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config[string]{
-		Dir:    dir,
-		KeysOf: func(m *types.Microblog) []string { return m.Keywords },
-		Encode: func(s string) string { return s },
+		Dir:         dir,
+		KeysOf:      func(m *types.Microblog) []string { return m.Keywords },
+		Encode:      func(s string) string { return s },
+		MaxSegments: -1,
 	}
 	tier, err := Open(cfg)
 	if err != nil {
@@ -221,43 +210,94 @@ func TestInspectAndVerify(t *testing.T) {
 	}
 }
 
+// TestCompactDirOffline runs the offline compaction entry point over an
+// uncompacted pile of L0 segments and over a multi-level tree. Either
+// way it must leave one segment, a manifest naming exactly that segment,
+// a directory disk.Verify reads clean, and unchanged answers.
 func TestCompactDirOffline(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config[string]{
-		Dir:    dir,
-		KeysOf: func(m *types.Microblog) []string { return m.Keywords },
-		Encode: func(s string) string { return s },
+	cases := []struct {
+		name       string
+		fanout     int
+		maxSegs    int
+		flushes    int
+		wantLevels int // populated levels before CompactDir
+	}{
+		{name: "uncompacted L0", maxSegs: -1, flushes: 5, wantLevels: 1},
+		{name: "multi-level", fanout: 2, flushes: 13, wantLevels: 3},
 	}
-	tier, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := tier.Flush([]FlushRecord{fr(uint64(i+1), float64(i+1), "k")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tier.Close()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config[string]{
+				Dir:         dir,
+				KeysOf:      func(m *types.Microblog) []string { return m.Keywords },
+				Encode:      func(s string) string { return s },
+				LevelFanout: tc.fanout,
+				MaxSegments: tc.maxSegs,
+			}
+			tier, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tc.flushes; i++ {
+				if err := tier.Flush([]FlushRecord{fr(uint64(i+1), float64(i+1), "k")}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			populated := 0
+			for _, lv := range tier.Levels() {
+				if lv.Segments > 0 {
+					populated++
+				}
+			}
+			if populated != tc.wantLevels {
+				t.Fatalf("fixture has %d populated levels, want %d: %+v", populated, tc.wantLevels, tier.Levels())
+			}
+			before, err := tier.Search([]string{"k"}, query.OpSingle, 2*tc.flushes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tier.Close()
 
-	if err := CompactDir(dir, 5); err != nil {
-		t.Fatal(err)
+			if err := CompactDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			infos, err := Inspect(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(infos) != 1 || infos[0].Records != tc.flushes {
+				t.Fatalf("after offline compaction: %+v", infos)
+			}
+			m, err := ReadManifest(dir)
+			if err != nil {
+				t.Fatalf("manifest after offline compaction: %v", err)
+			}
+			if len(m.Live) != 1 || m.Live[0].Name != infos[0].Path || len(m.Retired) != 0 {
+				t.Fatalf("manifest %+v does not name exactly %s", m, infos[0].Path)
+			}
+			if segs, recs, err := Verify(dir); err != nil || segs != 1 || recs != tc.flushes {
+				t.Fatalf("verify: segs=%d recs=%d err=%v", segs, recs, err)
+			}
+			// The merged directory still serves searches through a fresh tier.
+			re, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			after, err := re.Search([]string{"k"}, query.OpSingle, 2*tc.flushes)
+			if err != nil || len(after) != tc.flushes || len(after) != len(before) {
+				t.Fatalf("post-compaction search: %d items (before %d), err=%v", len(after), len(before), err)
+			}
+			for i := range after {
+				if after[i].MB.ID != before[i].MB.ID {
+					t.Fatalf("answer %d changed: ID %d, was %d", i, after[i].MB.ID, before[i].MB.ID)
+				}
+			}
+		})
 	}
-	infos, err := Inspect(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 1 || infos[0].Records != 5 {
-		t.Fatalf("after offline compaction: %+v", infos)
-	}
-	// The merged directory still serves searches through a fresh tier.
-	re, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	items, err := re.Search([]string{"k"}, query.OpSingle, 10)
-	if err != nil || len(items) != 5 {
-		t.Fatalf("post-compaction search: %d items, err=%v", len(items), err)
+	if err := CompactDir(filepath.Join(t.TempDir(), "no-such-dir")); err == nil {
+		t.Fatal("CompactDir created a missing directory instead of failing")
 	}
 }
 
@@ -287,7 +327,7 @@ func TestMergePreservesForeignDirectories(t *testing.T) {
 	if err := tier.Flush([]FlushRecord{mk(3, 1)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tier.CompactOldest(2); err != nil {
+	if err := tier.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
 	items, err := tier.Search([]uint64{1}, query.OpSingle, 10)

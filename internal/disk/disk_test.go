@@ -10,18 +10,12 @@ import (
 	"kflushing/internal/types"
 )
 
+// testTier opens the zero-value configuration: inline compaction at the
+// default fanout, the shape production runs minus the background
+// goroutine.
 func testTier(t *testing.T) *Tier[string] {
 	t.Helper()
-	tier, err := Open(Config[string]{
-		Dir:    t.TempDir(),
-		KeysOf: func(m *types.Microblog) []string { return m.Keywords },
-		Encode: func(s string) string { return s },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { tier.Close() })
-	return tier
+	return fastTier(t, Config[string]{})
 }
 
 func fr(id uint64, score float64, kws ...string) FlushRecord {
@@ -65,13 +59,16 @@ func TestFlushAndSingleSearch(t *testing.T) {
 }
 
 func TestSearchAcrossSegments(t *testing.T) {
-	tier := testTier(t)
+	tier := fastTier(t, Config[string]{MaxSegments: -1})
 	// Two segments; newer one holds higher scores.
 	if err := tier.Flush([]FlushRecord{fr(1, 1, "x"), fr(2, 2, "x")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tier.Flush([]FlushRecord{fr(3, 3, "x"), fr(4, 4, "x")}); err != nil {
 		t.Fatal(err)
+	}
+	if got := tier.Stats().Segments; got != 2 {
+		t.Fatalf("segments = %d, want 2", got)
 	}
 	items, err := tier.Search([]string{"x"}, query.OpSingle, 3)
 	if err != nil {
@@ -156,9 +153,10 @@ func TestRecordRoundTrip(t *testing.T) {
 func TestRecoverAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config[string]{
-		Dir:    dir,
-		KeysOf: func(m *types.Microblog) []string { return m.Keywords },
-		Encode: func(s string) string { return s },
+		Dir:         dir,
+		KeysOf:      func(m *types.Microblog) []string { return m.Keywords },
+		Encode:      func(s string) string { return s },
+		MaxSegments: -1,
 	}
 	tier, err := Open(cfg)
 	if err != nil {
@@ -193,6 +191,9 @@ func TestRecoverAcrossReopen(t *testing.T) {
 	}
 	if len(items) != 3 {
 		t.Fatalf("after new flush: %d items, want 3", len(items))
+	}
+	if got := re.Stats().Segments; got != 2 {
+		t.Fatalf("segments = %d, want 2 (one recovered, one new)", got)
 	}
 }
 

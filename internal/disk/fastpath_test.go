@@ -28,8 +28,10 @@ func fastTier(t *testing.T, cfg Config[string]) *Tier[string] {
 	return tier
 }
 
-// fillSegments flushes `segments` segments of `per` records each with a
-// per-record key and one shared "common" key.
+// fillSegments flushes `segments` batches of `per` records each with a
+// per-record key and one shared "common" key. Tests whose point is the
+// segment count open their tier with MaxSegments: -1 so every batch
+// stays its own segment.
 func fillSegments(t *testing.T, tier *Tier[string], segments, per int) {
 	t.Helper()
 	id := uint64(0)
@@ -49,8 +51,11 @@ func fillSegments(t *testing.T, tier *Tier[string], segments, per int) {
 // absent from every segment must skip at least 90% of the per-segment
 // directory probes via the Bloom filters.
 func TestBloomSkipsDirectoryProbes(t *testing.T) {
-	tier := fastTier(t, Config[string]{})
+	tier := fastTier(t, Config[string]{MaxSegments: -1})
 	fillSegments(t, tier, 16, 50)
+	if got := tier.Stats().Segments; got != 16 {
+		t.Fatalf("segments = %d, want 16", got)
+	}
 
 	for i := 0; i < 8; i++ {
 		items, err := tier.Search([]string{fmt.Sprintf("absent-%d", i)}, query.OpSingle, 10)
@@ -103,7 +108,9 @@ func TestBloomSkipsForAndOr(t *testing.T) {
 // TestRecordCacheServesHotKeys checks repeated misses for the same key
 // stop paying preads once the records are cached.
 func TestRecordCacheServesHotKeys(t *testing.T) {
-	tier := fastTier(t, Config[string]{})
+	// Sequential search: the parallel fan-out prunes segments by timing,
+	// so which records a repeat search reads (not what it answers) varies.
+	tier := fastTier(t, Config[string]{SearchParallelism: 1})
 	fillSegments(t, tier, 4, 25)
 
 	if _, err := tier.Search([]string{"common"}, query.OpSingle, 10); err != nil {
@@ -173,10 +180,13 @@ func TestCacheDisabled(t *testing.T) {
 // exactly the sequential answers for every operator.
 func TestParallelSearchMatchesSequential(t *testing.T) {
 	dir := t.TempDir()
-	seq := fastTier(t, Config[string]{Dir: dir, SearchParallelism: 1})
+	seq := fastTier(t, Config[string]{Dir: dir, SearchParallelism: 1, MaxSegments: -1})
 	fillSegments(t, seq, 12, 30)
 
-	par := fastTier(t, Config[string]{Dir: dir, SearchParallelism: 8})
+	par := fastTier(t, Config[string]{Dir: dir, SearchParallelism: 8, MaxSegments: -1})
+	if got := par.Stats().Segments; got != 12 {
+		t.Fatalf("segments = %d, want 12 to fan out over", got)
+	}
 
 	queries := []struct {
 		keys []string
@@ -213,7 +223,7 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 // TestParallelSearchConcurrent hammers the parallel path from many
 // goroutines; run with -race.
 func TestParallelSearchConcurrent(t *testing.T) {
-	tier := fastTier(t, Config[string]{SearchParallelism: 4})
+	tier := fastTier(t, Config[string]{SearchParallelism: 4, MaxSegments: -1})
 	fillSegments(t, tier, 10, 20)
 
 	var wg sync.WaitGroup

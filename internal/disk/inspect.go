@@ -5,7 +5,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"kflushing/internal/failpoint"
+	"kflushing/internal/types"
 )
 
 // SegmentInfo describes one on-disk segment for tooling.
@@ -109,56 +109,37 @@ func Verify(dir string) (segments, records int, err error) {
 	return segments, records, nil
 }
 
-// CompactDir merges the n oldest segments under dir into one, outside
-// any running Tier. Attribute-agnostic (directories are carried over).
-// The directory must not be in use by a live system. Any leveled
-// manifest is removed afterwards: the offline merge invalidates it, and
-// the next leveled open adopts the surviving files instead (seg-* at
-// L0, lvl-* at L1) — the adoption rules never lose data.
-func CompactDir(dir string, n int) error {
-	segPaths, lvlPaths, err := segmentGlobs(dir)
+// CompactDir merges every segment under dir into one, outside any
+// running system: it opens dir as a tier that does not compact on its
+// own and runs CompactAll, so offline and online compaction commit
+// through the same manifest protocol. Attribute-agnostic — merges carry
+// directories over and never extract keys — so the key type is
+// immaterial. The directory must not be in use by a live system.
+func CompactDir(dir string) error {
+	// Open would create a missing directory; a mistyped path must fail.
+	if _, err := os.Stat(dir); err != nil {
+		return err
+	}
+	t, err := Open(Config[string]{
+		Dir:         dir,
+		KeysOf:      func(*types.Microblog) []string { return nil },
+		Encode:      func(s string) string { return s },
+		MaxSegments: -1,
+		CacheBytes:  -1,
+	})
 	if err != nil {
 		return err
 	}
-	paths := append(segPaths, lvlPaths...)
-	sortBySeqOrder(paths)
-	if len(paths) < 2 {
-		return nil
+	err = t.CompactAll()
+	if err == nil {
+		// Commit once more so the manifest left behind stops listing the
+		// inputs just unlinked as retired.
+		t.manifestMu.Lock()
+		err = t.commitManifest()
+		t.manifestMu.Unlock()
 	}
-	if n > len(paths) {
-		n = len(paths)
+	if cerr := t.Close(); err == nil {
+		err = cerr // a compaction error is the one to surface
 	}
-	if n < 2 {
-		return nil
-	}
-	inputs := make([]*segment, 0, n)
-	for _, p := range paths[:n] {
-		s, err := openSegment(p)
-		if err != nil {
-			return err
-		}
-		inputs = append(inputs, s)
-	}
-	merged, err := mergeSegmentsTo(inputs, inputs[len(inputs)-1].path)
-	if err != nil {
-		return err
-	}
-	merged.release()
-	if err := failpoint.Eval(failpoint.DiskCompactDirRemove); err != nil {
-		return err
-	}
-	for i, s := range inputs {
-		if i != len(inputs)-1 {
-			if err := os.Remove(s.path); err != nil {
-				return err
-			}
-		}
-		s.release()
-	}
-	if mPath := filepath.Join(dir, manifestName); fileExists(mPath) {
-		if err := os.Remove(mPath); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }

@@ -8,20 +8,17 @@ import (
 	"kflushing/internal/types"
 )
 
-// layoutBenchTier builds a tier under the given layout from `segments`
-// flushes of recsPerSeg records each. Every record carries one shared
-// key, one modular key, and one unique key, so sparse lookups have
-// exactly one home segment for the Bloom filters to find. The flat tier
-// keeps all flushed segments (auto-compaction off); the leveled tier
-// compacts inline to its fanout-bounded shape — that difference is the
-// thing being measured.
-func layoutBenchTier(b *testing.B, layout Layout, segments, recsPerSeg int) *Tier[string] {
+// layoutBenchTier builds a tier from `segments` flushes of recsPerSeg
+// records each, compacting inline to its fanout-bounded shape. Every
+// record carries one shared key, one modular key, and one unique key, so
+// sparse lookups have exactly one home segment for the Bloom filters to
+// find.
+func layoutBenchTier(b *testing.B, segments, recsPerSeg int) *Tier[string] {
 	b.Helper()
 	tier, err := Open(Config[string]{
 		Dir:    b.TempDir(),
 		KeysOf: func(m *types.Microblog) []string { return m.Keywords },
 		Encode: func(s string) string { return s },
-		Layout: layout,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -43,45 +40,44 @@ func layoutBenchTier(b *testing.B, layout Layout, segments, recsPerSeg int) *Tie
 }
 
 // BenchmarkMissBySegmentCount measures the memory-miss query latency as
-// the number of flushed batches grows, flat versus leveled: the flat
-// layout's candidate set grows linearly with flush count, the leveled
-// layout's with its logarithmic level count. Three probe shapes per
-// point: a unique key living in exactly one segment, a key absent from
-// every segment (pure Bloom-scan cost), and the shared hot key
-// (early-termination path).
+// the number of flushed batches grows: the candidate set grows with the
+// logarithmic level count, not the flush count. (The flat-layout arm
+// this was first measured against is in results/pr6_leveled_bench.txt;
+// the sub-benchmark names keep that file's layout= prefix.) Three probe
+// shapes per point: a unique key living in exactly one segment, a key
+// absent from every segment (pure Bloom-scan cost), and the shared hot
+// key (early-termination path).
 func BenchmarkMissBySegmentCount(b *testing.B) {
 	const recsPerSeg = 100
-	for _, layout := range []Layout{LayoutFlat, LayoutLeveled} {
-		for _, segs := range []int{10, 100, 1000} {
-			b.Run(fmt.Sprintf("layout=%s/flushes=%d", layout, segs), func(b *testing.B) {
-				tier := layoutBenchTier(b, layout, segs, recsPerSeg)
-				nrec := uint64(segs * recsPerSeg)
-				b.Run("unique", func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						key := fmt.Sprintf("u%d", uint64(i)%nrec+1)
-						items, err := tier.Search([]string{key}, query.OpSingle, 10)
-						if err != nil || len(items) != 1 {
-							b.Fatalf("items=%d err=%v", len(items), err)
-						}
+	for _, segs := range []int{10, 100, 1000} {
+		b.Run(fmt.Sprintf("layout=leveled/flushes=%d", segs), func(b *testing.B) {
+			tier := layoutBenchTier(b, segs, recsPerSeg)
+			nrec := uint64(segs * recsPerSeg)
+			b.Run("unique", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					key := fmt.Sprintf("u%d", uint64(i)%nrec+1)
+					items, err := tier.Search([]string{key}, query.OpSingle, 10)
+					if err != nil || len(items) != 1 {
+						b.Fatalf("items=%d err=%v", len(items), err)
 					}
-				})
-				b.Run("absent", func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						items, err := tier.Search([]string{"nope"}, query.OpSingle, 10)
-						if err != nil || len(items) != 0 {
-							b.Fatalf("items=%d err=%v", len(items), err)
-						}
-					}
-				})
-				b.Run("hot", func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						items, err := tier.Search([]string{"common"}, query.OpSingle, 10)
-						if err != nil || len(items) != 10 {
-							b.Fatalf("items=%d err=%v", len(items), err)
-						}
-					}
-				})
+				}
 			})
-		}
+			b.Run("absent", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					items, err := tier.Search([]string{"nope"}, query.OpSingle, 10)
+					if err != nil || len(items) != 0 {
+						b.Fatalf("items=%d err=%v", len(items), err)
+					}
+				}
+			})
+			b.Run("hot", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					items, err := tier.Search([]string{"common"}, query.OpSingle, 10)
+					if err != nil || len(items) != 10 {
+						b.Fatalf("items=%d err=%v", len(items), err)
+					}
+				}
+			})
+		})
 	}
 }

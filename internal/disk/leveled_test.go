@@ -12,15 +12,14 @@ import (
 	"kflushing/internal/types"
 )
 
-// leveledTier opens a leveled tier with inline (foreground) compaction
-// so tests are deterministic.
+// leveledTier opens a tier with inline (foreground) compaction at the
+// given fanout so tests are deterministic.
 func leveledTier(t *testing.T, dir string, fanout int) *Tier[string] {
 	t.Helper()
 	tier, err := Open(Config[string]{
 		Dir:         dir,
 		KeysOf:      func(m *types.Microblog) []string { return m.Keywords },
 		Encode:      func(s string) string { return s },
-		Layout:      LayoutLeveled,
 		LevelFanout: fanout,
 	})
 	if err != nil {
@@ -30,8 +29,7 @@ func leveledTier(t *testing.T, dir string, fanout int) *Tier[string] {
 	return tier
 }
 
-// checkLevelInvariants asserts the structural invariants of a leveled
-// tier: every level at or below its fanout (compaction caught up), and
+// checkLevelInvariants asserts the structural invariants of a tier: every level at or below its fanout (compaction caught up), and
 // the manifest on disk naming exactly the live segments at their levels.
 func checkLevelInvariants(t *testing.T, tier *Tier[string], fanout int) {
 	t.Helper()
@@ -105,16 +103,19 @@ func TestLeveledStructureUnderFlushes(t *testing.T) {
 	}
 }
 
-// TestLeveledFlatEquivalence drives the identical seeded workload into a
-// flat tier and a leveled tier (inline compaction) and requires every
-// query answer to match item-for-item — leveling must be invisible to
+// TestLeveledUncompactedEquivalence drives the identical seeded workload
+// into a reference tier that never compacts — every flush stays its own
+// L0 segment, searched newest-first, the naive organization leveling
+// replaced — and a leveled tier (inline compaction), and requires every
+// query answer to match item-for-item: leveling must be invisible to
 // readers. The leveled tier is additionally searched sequentially and in
 // parallel, which must also agree.
-func TestLeveledFlatEquivalence(t *testing.T) {
+func TestLeveledUncompactedEquivalence(t *testing.T) {
 	flat, err := Open(Config[string]{
-		Dir:    t.TempDir(),
-		KeysOf: func(m *types.Microblog) []string { return m.Keywords },
-		Encode: func(s string) string { return s },
+		Dir:         t.TempDir(),
+		KeysOf:      func(m *types.Microblog) []string { return m.Keywords },
+		Encode:      func(s string) string { return s },
+		MaxSegments: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +126,6 @@ func TestLeveledFlatEquivalence(t *testing.T) {
 		Dir:               t.TempDir(),
 		KeysOf:            func(m *types.Microblog) []string { return m.Keywords },
 		Encode:            func(s string) string { return s },
-		Layout:            LayoutLeveled,
 		LevelFanout:       2,
 		SearchParallelism: 1,
 	})
@@ -154,6 +154,13 @@ func TestLeveledFlatEquivalence(t *testing.T) {
 		}
 	}
 
+	if got, want := flat.Stats(), 20; got.Segments != want || got.Compactions != 0 {
+		t.Fatalf("reference tier: %d segments, %d compactions; want %d uncompacted", got.Segments, got.Compactions, want)
+	}
+	if leveled.Stats().Compactions == 0 {
+		t.Fatal("leveled tier never compacted; the comparison is vacuous")
+	}
+
 	queries := []struct {
 		keys []string
 		op   query.Op
@@ -177,11 +184,11 @@ func TestLeveledFlatEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				if len(got) != len(want) {
-					t.Fatalf("%s %v/%v k=%d: %d items, flat %d", name, q.keys, q.op, k, len(got), len(want))
+					t.Fatalf("%s %v/%v k=%d: %d items, reference %d", name, q.keys, q.op, k, len(got), len(want))
 				}
 				for i := range want {
 					if got[i].MB.ID != want[i].MB.ID || got[i].Score != want[i].Score {
-						t.Fatalf("%s %v/%v k=%d item %d: got (ID %d, %g), flat (ID %d, %g)",
+						t.Fatalf("%s %v/%v k=%d item %d: got (ID %d, %g), reference (ID %d, %g)",
 							name, q.keys, q.op, k, i,
 							got[i].MB.ID, got[i].Score, want[i].MB.ID, want[i].Score)
 					}
@@ -279,6 +286,99 @@ func TestLeveledAdoptionRules(t *testing.T) {
 		// The heal-commit must leave a fresh valid manifest behind.
 		if _, err := ReadManifest(dir); err != nil {
 			t.Fatalf("no healed manifest after adoption open: %v", err)
+		}
+	})
+
+	// What the flat layout (deleted in PR 18) left on disk: one seg-*
+	// file per flush and no manifest.
+	t.Run("legacy manifest-less seg directory", func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := Config[string]{
+			Dir:         dir,
+			KeysOf:      func(m *types.Microblog) []string { return m.Keywords },
+			Encode:      func(s string) string { return s },
+			MaxSegments: -1,
+		}
+		writer, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(18))
+		keys := []string{"a", "b", "c"}
+		id := uint64(0)
+		for batch := 0; batch < 9; batch++ {
+			var recs []FlushRecord
+			for i := 0; i < 6; i++ {
+				id++
+				recs = append(recs, fr(id, float64(rng.Intn(100)), keys[rng.Intn(3)], keys[rng.Intn(3)]))
+			}
+			if err := writer.Flush(recs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		queries := []struct {
+			keys []string
+			op   query.Op
+		}{
+			{[]string{"a"}, query.OpSingle},
+			{[]string{"a", "b"}, query.OpOr},
+			{[]string{"b", "c"}, query.OpAnd},
+			{[]string{"nope"}, query.OpSingle},
+		}
+		answers := func(tier *Tier[string]) []string {
+			var out []string
+			for _, q := range queries {
+				for _, k := range []int{1, 7, 1000} {
+					items, err := tier.Search(q.keys, q.op, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					line := fmt.Sprintf("%v/%v/k=%d:", q.keys, q.op, k)
+					for _, it := range items {
+						line += fmt.Sprintf(" %d@%g", it.MB.ID, it.Score)
+					}
+					out = append(out, line)
+				}
+			}
+			return out
+		}
+		want := answers(writer)
+		if err := writer.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(filepath.Join(dir, "manifest.kfm")); err != nil {
+			t.Fatal(err)
+		}
+		if lvl, _ := filepath.Glob(filepath.Join(dir, "lvl-*")); len(lvl) != 0 {
+			t.Fatalf("fixture holds compaction outputs %v; a flat directory has none", lvl)
+		}
+
+		// Opened by the default configuration (compaction on), twice.
+		var segs []string
+		for round := 1; round <= 2; round++ {
+			reopened := leveledTier(t, dir, 0)
+			if round == 1 {
+				segs = reopened.Segments()
+			}
+			if got := reopened.Segments(); len(got) != 9 || fmt.Sprint(got) != fmt.Sprint(segs) {
+				t.Fatalf("reopen %d: segments %v, want the 9 adopted first (%v)", round, got, segs)
+			}
+			got := answers(reopened)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("reopen %d:\n got %s\nwant %s", round, got[i], want[i])
+				}
+			}
+			m, err := ReadManifest(dir)
+			if err != nil {
+				t.Fatalf("reopen %d: no healed manifest: %v", round, err)
+			}
+			if len(m.Live) != len(segs) {
+				t.Fatalf("reopen %d: healed manifest lists %d live segments, want %d", round, len(m.Live), len(segs))
+			}
+			if err := reopened.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 
@@ -492,7 +592,6 @@ func TestLeveledBackgroundCompactionConverges(t *testing.T) {
 		Dir:                  t.TempDir(),
 		KeysOf:               func(m *types.Microblog) []string { return m.Keywords },
 		Encode:               func(s string) string { return s },
-		Layout:               LayoutLeveled,
 		LevelFanout:          2,
 		BackgroundCompaction: true,
 	})

@@ -181,8 +181,8 @@ func decodeManifest(b []byte) (Manifest, error) {
 func DecodeManifest(b []byte) (Manifest, error) { return decodeManifest(b) }
 
 // ReadManifest loads and decodes dir's manifest. os.ErrNotExist when no
-// manifest file exists (flat layouts, or a leveled tier never yet
-// committed); ErrCorruptManifest when the file fails validation.
+// manifest file exists (a directory no tier has opened since PR 6);
+// ErrCorruptManifest when the file fails validation.
 func ReadManifest(dir string) (Manifest, error) {
 	b, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {

@@ -107,7 +107,7 @@ func TestMixedVersionTier(t *testing.T) {
 	}
 
 	// Compaction merges mixed-version inputs into v2 output.
-	if err := tier.CompactOldest(3); err != nil {
+	if err := tier.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
 	infos, err = Inspect(dir)

@@ -7,15 +7,20 @@
 // searches segments newest-first with a max-score bound for early
 // termination.
 //
-// Two layouts are supported. The flat layout (the original) keeps one
-// ever-growing list of segments with optional oldest-half compaction.
-// The leveled layout organizes segments into size-tiered levels — L0
-// holds fresh flushes, each deeper level holds geometrically larger
-// merged segments — with level membership committed in a small fsync'd
-// manifest (see manifest.go) and background compaction keeping every
-// level at or below its fanout. Leveling bounds memory-miss cost: the
-// segment count grows logarithmically in data size instead of linearly
-// in flush count.
+// Segments are organized into size-tiered levels — L0 holds fresh
+// flushes, each deeper level holds geometrically larger merged segments
+// — with level membership committed in a small fsync'd manifest (see
+// manifest.go) and compaction keeping every level at or below its
+// fanout. Leveling bounds memory-miss cost: the segment count grows
+// logarithmically in data size instead of linearly in flush count.
+//
+// History: until PR 6 the tier was one ever-growing flat list of seg-*
+// files with oldest-half compaction and no manifest; that layout shipped
+// beside this one behind a knob until PR 18 deleted it. Its measurements
+// are in results/pr6_leveled_bench.txt, its files still open (adoption
+// rule 4 of openLeveled), and a tier with compaction disabled searches
+// exactly as it did, which is what the equivalence tests use as their
+// reference.
 package disk
 
 import (
@@ -38,36 +43,15 @@ import (
 	"kflushing/internal/types"
 )
 
-// Layout selects the tier's on-disk organization.
+// Layout names the tier's on-disk organization. There is one.
 type Layout int
 
-const (
-	// LayoutFlat is a single list of segments with optional oldest-half
-	// compaction — the zero value, preserving the original format.
-	LayoutFlat Layout = iota
-	// LayoutLeveled organizes segments into size-tiered levels under a
-	// manifest, with per-level fanout compaction.
-	LayoutLeveled
-)
+// LayoutLeveled organizes segments into size-tiered levels under a
+// manifest, with per-level fanout compaction.
+const LayoutLeveled Layout = 0
 
 // String names the layout for stats and tooling.
-func (l Layout) String() string {
-	if l == LayoutLeveled {
-		return "leveled"
-	}
-	return "flat"
-}
-
-// ParseLayout maps a layout name to its constant.
-func ParseLayout(s string) (Layout, error) {
-	switch s {
-	case "flat":
-		return LayoutFlat, nil
-	case "leveled":
-		return LayoutLeveled, nil
-	}
-	return LayoutFlat, fmt.Errorf("disk: unknown layout %q (want flat or leveled)", s)
-}
+func (Layout) String() string { return "leveled" }
 
 // DefaultLevelFanout is the per-level segment bound when
 // Config.LevelFanout is zero: a level exceeding it merges into the next.
@@ -82,20 +66,20 @@ type Config[K comparable] struct {
 	KeysOf func(*types.Microblog) []K
 	// Encode renders a key for the on-disk directory. Required.
 	Encode func(K) string
-	// Layout selects flat (zero value) or leveled organization.
+	// Layout has one value and selects nothing. The frozen benchmark
+	// harness (bench/probes.go) names it; the next benchmark PR drops it.
 	Layout Layout
-	// MaxSegments (flat layout) triggers automatic compaction after a
-	// flush leaves more than this many segments; <= 1 disables. Under
-	// the leveled layout only the sign matters: negative disables
-	// compaction entirely (everything piles into L0).
+	// MaxSegments: only the sign matters. Negative disables compaction
+	// entirely (every flush piles into L0, searched newest-first);
+	// otherwise LevelFanout governs.
 	MaxSegments int
-	// LevelFanout (leveled layout) bounds a level's segment count; a
-	// level exceeding it merges into one segment at the next level.
-	// 0 selects DefaultLevelFanout; values below 2 are raised to 2.
+	// LevelFanout bounds a level's segment count; a level exceeding it
+	// merges into one segment at the next level. 0 selects
+	// DefaultLevelFanout; values below 2 are raised to 2.
 	LevelFanout int
-	// BackgroundCompaction (leveled layout) runs compaction on a
-	// dedicated goroutine kicked after each flush instead of inline on
-	// the flushing goroutine.
+	// BackgroundCompaction runs compaction on a dedicated goroutine
+	// kicked after each flush instead of inline on the flushing
+	// goroutine.
 	BackgroundCompaction bool
 	// CacheBytes bounds the decoded-record read cache; 0 selects the
 	// default (8 MiB), negative disables caching.
@@ -150,8 +134,7 @@ func (p RetryPolicy) DoCounted(f func() error) (int, error) {
 // is zero.
 const DefaultCacheBytes = 8 << 20
 
-// LevelStats summarizes one level of a leveled tier (flat tiers report
-// a single level 0).
+// LevelStats summarizes one level of the tier.
 type LevelStats struct {
 	Level    int   `json:"level"`
 	Segments int   `json:"segments"`
@@ -220,7 +203,7 @@ type Tier[K comparable] struct {
 	// for snapshots and list swaps — never across file I/O — so
 	// searches are not blocked while a segment is built or merged.
 	mu      sync.RWMutex
-	levels  [][]*segment // levels[i] oldest-first; flat uses levels[0]
+	levels  [][]*segment // levels[i] oldest-first
 	retired []string     // manifest-retired inputs not yet unlinked
 
 	// seq is the last assigned segment sequence number; never reused,
@@ -240,7 +223,7 @@ type Tier[K comparable] struct {
 	// compactMu serializes compaction passes.
 	compactMu sync.Mutex
 
-	// Background compactor plumbing (leveled layout only).
+	// Background compactor plumbing.
 	compactKick chan struct{}
 	compactStop chan struct{}
 	compactWG   sync.WaitGroup
@@ -276,7 +259,7 @@ func parseSeq(name string) (uint64, bool) {
 }
 
 // segmentGlobs returns dir's live segment file paths: flush outputs
-// (seg-*) and leveled compaction outputs (lvl-*).
+// (seg-*) and compaction outputs (lvl-*).
 func segmentGlobs(dir string) (segPaths, lvlPaths []string, err error) {
 	segPaths, err = filepath.Glob(filepath.Join(dir, "seg-*.kfs"))
 	if err != nil {
@@ -303,9 +286,9 @@ func sortBySeqOrder(paths []string) {
 }
 
 // Open creates a tier over cfg.Dir, recovering any segment files a
-// previous process left there. Leveled tiers recover level membership
-// from the manifest when one is present and valid, and fall back to
-// adopting the segment files found on disk otherwise (see openLeveled).
+// previous process left there: level membership comes from the manifest
+// when one is present and valid, and from adopting the segment files
+// found on disk otherwise (see openLeveled).
 func Open[K comparable](cfg Config[K]) (*Tier[K], error) {
 	if cfg.Dir == "" || cfg.KeysOf == nil || cfg.Encode == nil {
 		return nil, fmt.Errorf("disk: Dir, KeysOf and Encode are required")
@@ -354,16 +337,10 @@ func Open[K comparable](cfg Config[K]) (*Tier[K], error) {
 			}
 		}
 	}
-	var err error
-	if cfg.Layout == LayoutLeveled {
-		err = t.openLeveled()
-	} else {
-		err = t.openFlat()
-	}
-	if err != nil {
+	if err := t.openLeveled(); err != nil {
 		return nil, err
 	}
-	if cfg.Layout == LayoutLeveled && cfg.BackgroundCompaction && t.compactionEnabled() {
+	if cfg.BackgroundCompaction && t.compactionEnabled() {
 		t.compactKick = make(chan struct{}, 1)
 		t.compactStop = make(chan struct{})
 		t.compactWG.Add(1)
@@ -372,40 +349,8 @@ func Open[K comparable](cfg Config[K]) (*Tier[K], error) {
 	return t, nil
 }
 
-// openFlat recovers the flat layout: every seg-* (and, if a previously
-// leveled directory is opened flat, every lvl-*) file joins the single
-// list in sequence order. A stale manifest from a leveled past is
-// removed — it no longer tracks truth once flat flushes resume.
-func (t *Tier[K]) openFlat() error {
-	segPaths, lvlPaths, err := segmentGlobs(t.cfg.Dir)
-	if err != nil {
-		return err
-	}
-	paths := append(segPaths, lvlPaths...)
-	sortBySeqOrder(paths)
-	var maxSeq uint64
-	segs := make([]*segment, 0, len(paths))
-	for _, p := range paths {
-		s, err := openSegment(p)
-		if err != nil {
-			return fmt.Errorf("disk: recover %s: %w", p, err)
-		}
-		segs = append(segs, s)
-		if n, ok := parseSeq(p); ok && n > maxSeq {
-			maxSeq = n
-		}
-	}
-	t.levels = [][]*segment{segs}
-	t.seq.Store(maxSeq)
-	if mPath := filepath.Join(t.cfg.Dir, manifestName); fileExists(mPath) {
-		slog.Warn("disk: flat open of a leveled directory, removing stale manifest", "dir", t.cfg.Dir)
-		_ = os.Remove(mPath)
-	}
-	return nil
-}
-
-// openLeveled recovers the leveled layout. The recovery rules, in
-// order, are the crash-safety contract the crash matrix enforces:
+// openLeveled recovers the level lists. The recovery rules, in order,
+// are the crash-safety contract the crash matrix enforces:
 //
 //  1. A valid manifest is truth: files it lists retired are deleted,
 //     files it lists live open at their recorded level.
@@ -423,6 +368,8 @@ func (t *Tier[K]) openFlat() error {
 //     and lvl-* at L1. Retired-but-undeleted inputs resurface as
 //     duplicates; tolerated, because search deduplicates by ID and
 //     the next compaction merges them away. Nothing is ever lost.
+//     This is also how a directory written by the deleted flat
+//     layout (seg-* files, no manifest) opens.
 //
 // Afterwards a fresh manifest is committed so the next crash window
 // starts from a clean baseline, and the sequence counter resumes past
@@ -536,15 +483,9 @@ func fileExists(path string) bool {
 	return err == nil
 }
 
-// compactionEnabled reports whether this tier ever compacts: under the
-// leveled layout a negative MaxSegments disables it (everything piles
-// into L0); the flat layout keeps its MaxSegments > 1 contract.
-func (t *Tier[K]) compactionEnabled() bool {
-	if t.cfg.Layout == LayoutLeveled {
-		return t.cfg.MaxSegments >= 0
-	}
-	return t.cfg.MaxSegments > 1
-}
+// compactionEnabled reports whether this tier ever compacts on its own:
+// a negative MaxSegments disables it (everything piles into L0).
+func (t *Tier[K]) compactionEnabled() bool { return t.cfg.MaxSegments >= 0 }
 
 // ensureLevels grows the level list to at least n entries. Caller must
 // hold mu.
@@ -581,8 +522,8 @@ func (t *Tier[K]) Flush(recs []FlushRecord) error {
 // FlushStaged is Flush reporting per-stage timings. The flush runs in
 // two stages: build (sort, encode, staged write, fsync) touches no
 // shared segment state, so searches and installs proceed concurrently;
-// install (atomic rename, level append, manifest commit under the
-// leveled layout) holds the segment-list lock only for the append.
+// install (atomic rename, level append, manifest commit) holds the
+// segment-list lock only for the append.
 // Flushes serialize on an internal gate so the sort and encode scratch
 // buffers are reused across cycles.
 func (t *Tier[K]) FlushStaged(recs []FlushRecord) (FlushStats, error) {
@@ -658,21 +599,15 @@ func (t *Tier[K]) FlushStaged(recs []FlushRecord) (FlushStats, error) {
 	t.cfg.Recorder.Record(blackbox.SubFlush, blackbox.EvFlushInstall,
 		int64(n), s.size, fs.InstallNanos)
 
-	if t.cfg.Layout == LayoutLeveled {
-		if !t.compactionEnabled() {
-			return fs, nil
-		}
-		if t.compactKick != nil {
-			t.kickCompactor()
-			return fs, nil
-		}
-		return fs, t.CompactNow()
+	if t.compactKick != nil {
+		t.kickCompactor()
+		return fs, nil
 	}
-	return fs, t.AutoCompact(t.cfg.MaxSegments)
+	return fs, t.CompactNow()
 }
 
 // installFlushed makes a staged flush segment live: atomic rename, L0
-// append, and (leveled) manifest commit. On any failure the segment is
+// append, and manifest commit. On any failure the segment is
 // fully undone — file removed, level untouched — so the caller can roll
 // the eviction back; the commit point is the manifest rename.
 func (t *Tier[K]) installFlushed(st *stagedSegment) (*segment, error) {
@@ -682,28 +617,24 @@ func (t *Tier[K]) installFlushed(st *stagedSegment) (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t.cfg.Layout == LayoutLeveled {
-		// The crash window this site names: segment live on disk, not
-		// yet in a committed manifest. Recovery adopts it at L0.
-		if err := failpoint.Eval(failpoint.DiskLevelInstall); err != nil {
-			s.release()
-			_ = os.Remove(s.path)
-			return nil, err
-		}
+	// The crash window this site names: segment live on disk, not yet
+	// in a committed manifest. Recovery adopts it at L0.
+	if err := failpoint.Eval(failpoint.DiskLevelInstall); err != nil {
+		s.release()
+		_ = os.Remove(s.path)
+		return nil, err
 	}
 	t.mu.Lock()
 	t.ensureLevels(1)
 	t.levels[0] = append(t.levels[0], s)
 	t.mu.Unlock()
-	if t.cfg.Layout == LayoutLeveled {
-		if err := t.commitManifest(); err != nil {
-			t.mu.Lock()
-			t.levels[0] = removeSegment(t.levels[0], s)
-			t.mu.Unlock()
-			s.release()
-			_ = os.Remove(s.path)
-			return nil, err
-		}
+	if err := t.commitManifest(); err != nil {
+		t.mu.Lock()
+		t.levels[0] = removeSegment(t.levels[0], s)
+		t.mu.Unlock()
+		s.release()
+		_ = os.Remove(s.path)
+		return nil, err
 	}
 	return s, nil
 }
@@ -1110,11 +1041,7 @@ func (t *Tier[K]) CheckWritable() error {
 	return nil
 }
 
-// Layout reports the tier's on-disk layout.
-func (t *Tier[K]) Layout() Layout { return t.cfg.Layout }
-
-// Levels returns a per-level summary of the live segments. Flat tiers
-// report one level.
+// Levels returns a per-level summary of the live segments.
 func (t *Tier[K]) Levels() []LevelStats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -1134,10 +1061,10 @@ func (t *Tier[K]) levelStatsLocked() []LevelStats {
 	return out
 }
 
-// CompactionBacklog counts levels currently over their fanout; 0 for
-// flat tiers and whenever the compactor is caught up.
+// CompactionBacklog counts levels currently over their fanout; 0
+// whenever the compactor is caught up or disabled.
 func (t *Tier[K]) CompactionBacklog() int {
-	if t.cfg.Layout != LayoutLeveled || !t.compactionEnabled() {
+	if !t.compactionEnabled() {
 		return 0
 	}
 	t.mu.RLock()
@@ -1162,7 +1089,7 @@ func (t *Tier[K]) Stats() Stats {
 		n += ls.Segments
 	}
 	st := Stats{
-		Layout:             t.cfg.Layout.String(),
+		Layout:             LayoutLeveled.String(),
 		Segments:           n,
 		Levels:             levels,
 		RecordsWritten:     t.recordsWritten.Load(),

@@ -73,16 +73,12 @@ type Config[K comparable] struct {
 	Clock clock.Clock
 	// DiskDir is the disk tier directory.
 	DiskDir string
-	// DiskLayout selects the disk tier organization: "leveled" (the
-	// default, also selected by "") or "flat" (the original single
-	// segment list).
-	DiskLayout string
-	// DiskLevelFanout bounds a leveled tier's per-level segment count;
+	// DiskLevelFanout bounds the disk tier's per-level segment count;
 	// 0 selects the disk package default.
 	DiskLevelFanout int
-	// DiskMaxSegments bounds the number of disk segments via automatic
-	// compaction after flushes; 0 selects a default, negative disables.
-	// Under the leveled layout only the sign matters (fanout governs).
+	// DiskMaxSegments: only the sign matters. Negative disables disk
+	// compaction (every flush stays its own L0 segment); otherwise
+	// DiskLevelFanout governs.
 	DiskMaxSegments int
 	// FlushPipelineDepth bounds the flush pipeline queue: evicted
 	// batches whose segment build runs on a background worker instead
@@ -93,10 +89,6 @@ type Config[K comparable] struct {
 	// DiskCacheBytes bounds the disk tier's decoded-record read cache;
 	// 0 selects the tier default, negative disables caching.
 	DiskCacheBytes int64
-	// DiskSearchParallelism bounds the worker pool a memory-miss search
-	// fans candidate segments across; 0 selects the tier default, 1
-	// forces sequential search.
-	DiskSearchParallelism int
 	// DiskRetry bounds transient-disk-error retries: flush-cycle tier
 	// writes and memory-miss record reads are retried with backoff
 	// before failing (and, for writes, before the engine enters
@@ -276,30 +268,16 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		Shards:     cfg.Shards,
 		Pool:       alloc.NewSlicePool[*store.Record](cfg.AllocPolicy),
 	})
-	maxSegs := cfg.DiskMaxSegments
-	if maxSegs == 0 {
-		maxSegs = 48
-	}
-	layoutName := cfg.DiskLayout
-	if layoutName == "" {
-		layoutName = "leveled"
-	}
-	layout, err := disk.ParseLayout(layoutName)
-	if err != nil {
-		return nil, err
-	}
 	tier, err := disk.Open(disk.Config[K]{
 		Dir:    cfg.DiskDir,
 		KeysOf: cfg.KeysOf,
 		Encode: cfg.EncodeKey,
-		Layout: layout,
 		// Deterministic modes (SyncFlush) compact inline on the flushing
-		// goroutine; otherwise a leveled tier compacts in the background.
-		BackgroundCompaction: layout == disk.LayoutLeveled && !cfg.SyncFlush,
+		// goroutine; otherwise the tier compacts in the background.
+		BackgroundCompaction: !cfg.SyncFlush,
 		LevelFanout:          cfg.DiskLevelFanout,
-		MaxSegments:          maxSegs,
+		MaxSegments:          cfg.DiskMaxSegments,
 		CacheBytes:           cfg.DiskCacheBytes,
-		SearchParallelism:    cfg.DiskSearchParallelism,
 		Retry:                cfg.DiskRetry,
 		Recorder:             e.bbox,
 	})
@@ -984,16 +962,15 @@ type DiskHealth struct {
 // paths.
 func (e *Engine[K]) DiskHealth() DiskHealth {
 	return DiskHealth{
-		Layout:            e.tier.Layout().String(),
+		Layout:            disk.LayoutLeveled.String(),
 		Levels:            e.tier.Levels(),
 		CompactionBacklog: e.tier.CompactionBacklog(),
 		PipelineDepth:     e.pipe.depth(),
 	}
 }
 
-// CompactNow runs leveled compaction passes until no level exceeds its
-// fanout (one bounded merge pass under the flat layout). Searches stay
-// answerable throughout; answers are unchanged.
+// CompactNow runs compaction passes until no disk level exceeds its
+// fanout. Searches stay answerable throughout; answers are unchanged.
 func (e *Engine[K]) CompactNow() error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -1001,8 +978,8 @@ func (e *Engine[K]) CompactNow() error {
 	return e.tier.CompactNow()
 }
 
-// CompactAll merges every disk segment into a single one, regardless of
-// layout. Intended for maintenance windows and tests.
+// CompactAll merges every disk segment into a single one. Intended for
+// maintenance windows and tests.
 func (e *Engine[K]) CompactAll() error {
 	if e.closed.Load() {
 		return ErrClosed

@@ -250,7 +250,6 @@ func TestCloseDrainsPipeline(t *testing.T) {
 		Dir:    dir,
 		KeysOf: attr.KeywordKeys,
 		Encode: attr.KeywordEncode,
-		Layout: disk.LayoutLeveled,
 	})
 	if err != nil {
 		t.Fatal(err)

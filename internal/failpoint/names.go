@@ -86,21 +86,20 @@ const (
 
 	// Error-injection-only sites: fallible I/O that must surface (or
 	// tolerate) failure cleanly but where a process kill is either
-	// pre-durability, equivalent to an already-covered crash site, or
-	// offline tooling. They are deliberately NOT in CrashSites — adding
+	// pre-durability or equivalent to an already-covered crash site.
+	// They are deliberately NOT in CrashSites — adding
 	// them would grow the crash matrix without exercising any new
 	// recovery invariant — but the kfvet failpointcov analyzer requires
 	// every fallible I/O call to sit within reach of one, so error and
 	// enospc actions can interrupt it.
-	WALOpenMkdir         = "wal/open/mkdir"         // creating the log directory (no WAL exists yet)
-	WALRollbackTruncate  = "wal/rollback/truncate"  // rolling back a partial append; failure seals the file
-	WALReadySync         = "wal/ready/sync"         // the /readyz probe fsync; failure flips readiness
-	WALReplayTruncate    = "wal/replay/truncate"    // truncating a tolerated torn tail during replay
-	WALCloseSync         = "wal/close/sync"         // the final fsync in Close
-	DiskOpenMkdir        = "disk/open/mkdir"        // creating the tier directory (no segments exist yet)
-	DiskDirSync          = "disk/dir/sync"          // directory fsync after a rename (rename sites cover the crash)
-	DiskAdoptRemove      = "disk/adopt/remove"      // deleting retired inputs during manifest recovery (best-effort)
-	DiskCompactDirRemove = "disk/compactdir/remove" // offline CompactDir deleting merged inputs
+	WALOpenMkdir        = "wal/open/mkdir"        // creating the log directory (no WAL exists yet)
+	WALRollbackTruncate = "wal/rollback/truncate" // rolling back a partial append; failure seals the file
+	WALReadySync        = "wal/ready/sync"        // the /readyz probe fsync; failure flips readiness
+	WALReplayTruncate   = "wal/replay/truncate"   // truncating a tolerated torn tail during replay
+	WALCloseSync        = "wal/close/sync"        // the final fsync in Close
+	DiskOpenMkdir       = "disk/open/mkdir"       // creating the tier directory (no segments exist yet)
+	DiskDirSync         = "disk/dir/sync"         // directory fsync after a rename (rename sites cover the crash)
+	DiskAdoptRemove     = "disk/adopt/remove"     // deleting retired inputs during manifest recovery (best-effort)
 )
 
 // CrashSites returns every site at which a crash must be recoverable:

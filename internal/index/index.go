@@ -114,6 +114,11 @@ func (ix *Index[K]) TrackTopK() bool { return ix.cfg.TrackTopK }
 // bytes.
 func (ix *Index[K]) KeyLen(key K) int { return ix.cfg.KeyLen(key) }
 
+// KeyHash exposes the shard-selection hash: a value that depends on the
+// key alone, which victim selection uses to order entries whose
+// timestamps tie.
+func (ix *Index[K]) KeyHash(key K) uint64 { return ix.cfg.Hash(key) }
+
 func (ix *Index[K]) shardFor(key K) *shard[K] {
 	return &ix.shards[ix.cfg.Hash(key)&ix.mask]
 }

@@ -135,3 +135,90 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 		t.Fatal("degraded gauge did not return to 0 after recovery")
 	}
 }
+
+// TestIngestBatchPartialFailure pins Store.IngestBatch's documented
+// partial-failure contract: the attribute systems ingest in the order
+// keyword, spatial, user, and when one rejects the batch the earlier
+// ones keep what they ingested while the later ones never see it. Only
+// the spatial system is driven into degraded mode (geo-only posts under
+// a segment-write fault), then one post carrying all three attributes
+// must answer 503 naming what happened, be searchable by keyword, and be
+// absent from the user timeline.
+func TestIngestBatchPartialFailure(t *testing.T) {
+	failpoint.DisableAll()
+	t.Cleanup(failpoint.DisableAll)
+	st, err := OpenStore(t.TempDir(), kflushing.Options{
+		MemoryBudget: 24 << 10,
+		K:            2,
+		SyncFlush:    true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		failpoint.DisableAll()
+		if err := st.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	h := st.Handler()
+
+	if err := failpoint.Enable(failpoint.DiskSegmentWrite, "error"); err != nil {
+		t.Fatal(err)
+	}
+	degraded := false
+	for i := 0; i < 5000 && !degraded; i++ {
+		rw := do(t, h, http.MethodPost, "/microblogs", fmt.Sprintf(`{"lat":%g,"lon":-74.0}`, 30+float64(i%900)/100))
+		switch rw.Code {
+		case http.StatusOK:
+		case http.StatusServiceUnavailable:
+			degraded = true
+		default:
+			t.Fatalf("geo-only ingest %d answered %d: %s", i, rw.Code, rw.Body.String())
+		}
+	}
+	if !degraded {
+		t.Fatal("spatial system never entered degraded mode")
+	}
+	// The fault is gone; the spatial system stays read-only until a
+	// readiness probe, the keyword and user systems never noticed.
+	failpoint.Disable(failpoint.DiskSegmentWrite)
+
+	rw := do(t, h, http.MethodPost, "/microblogs",
+		`{"keywords":["partialwitness"],"text":"x","user_id":4242,"lat":40.0,"lon":-74.0}`)
+	if rw.Code != http.StatusServiceUnavailable {
+		t.Fatalf("three-attribute post answered %d, want 503: %s", rw.Code, rw.Body.String())
+	}
+	var rej struct {
+		Error    string `json:"error"`
+		Degraded bool   `json:"degraded"`
+	}
+	if err := json.Unmarshal(rw.Body.Bytes(), &rej); err != nil || !rej.Degraded {
+		t.Fatalf("503 body %q (err %v), want degraded=true", rw.Body.String(), err)
+	}
+	if !strings.Contains(rej.Error, "spatial attribute rejected the batch") ||
+		!strings.Contains(rej.Error, "already ingested it, not rolled back: [keyword]") {
+		t.Fatalf("503 error %q does not name the rejecting attribute and the partial ingest", rej.Error)
+	}
+
+	count := func(url string) int {
+		t.Helper()
+		rw := do(t, h, http.MethodGet, url, "")
+		if rw.Code != http.StatusOK {
+			t.Fatalf("GET %s answered %d", url, rw.Code)
+		}
+		var sr struct {
+			Items []json.RawMessage `json:"items"`
+		}
+		if err := json.Unmarshal(rw.Body.Bytes(), &sr); err != nil {
+			t.Fatal(err)
+		}
+		return len(sr.Items)
+	}
+	if n := count("/search/keywords?q=partialwitness&k=5"); n != 1 {
+		t.Fatalf("keyword search finds the rejected post %d times, want 1 (ingested before the rejection)", n)
+	}
+	if n := count("/search/user?id=4242&k=5"); n != 0 {
+		t.Fatalf("user timeline holds the rejected post %d times, want 0 (never offered)", n)
+	}
+}

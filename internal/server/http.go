@@ -158,6 +158,9 @@ func (s *Store) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	results, err := s.IngestBatch(mbs)
 	if err != nil {
+		// Either body carries err's text, which says whether attributes
+		// before the failing one already ingested the batch (see
+		// Store.IngestBatch: a failed POST is not all-or-nothing).
 		// Degraded read-only mode is an operational condition, not a bad
 		// request: answer 503 so clients and load balancers back off and
 		// retry elsewhere, with the cause in a JSON body.
@@ -553,8 +556,8 @@ func (s *Store) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			return 0
 		})
 
-	// Per-level occupancy of the leveled disk tier (flat tiers report a
-	// single level 0), one series per populated level.
+	// Per-level occupancy of the disk tier, one series per populated
+	// level.
 	emitLevel := func(name, help string, value func(kflushing.LevelStats) float64) {
 		fmt.Fprintf(w, "# HELP kflushing_%s %s\n", name, help)
 		fmt.Fprintf(w, "# TYPE kflushing_%s gauge\n", name)

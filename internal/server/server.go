@@ -104,7 +104,17 @@ func (s *Store) Ingest(mb *kflushing.Microblog) (IngestResult, error) {
 // of paid per record. Results are aligned with mbs. A record no
 // attribute can index rejects the whole batch with ErrNotIndexed before
 // anything is ingested (the batch is classified up front, so unlike the
-// single-record path the rejection is all-or-nothing).
+// single-record path that rejection is all-or-nothing).
+//
+// A failure inside an attribute system is NOT all-or-nothing. The
+// systems ingest in the fixed order keyword, spatial, user, each with
+// its own store and log: when one rejects its batch (degraded read-only
+// mode, a closed system), the attributes before it have already
+// ingested theirs and are not rolled back, the ones after it are never
+// offered theirs, and no IDs are returned. The error names the
+// rejecting attribute and the ones that had already ingested.
+// A client that retries the request re-ingests the records under the
+// attributes that had succeeded, as new records with new IDs.
 func (s *Store) IngestBatch(mbs []*kflushing.Microblog) ([]IngestResult, error) {
 	results := make([]IngestResult, len(mbs))
 	var kwBatch, spBatch, usBatch []*kflushing.Microblog
@@ -133,25 +143,28 @@ func (s *Store) IngestBatch(mbs []*kflushing.Microblog) ([]IngestResult, error) 
 			return nil, ErrNotIndexed
 		}
 	}
-	if ids, err := s.kw.IngestBatch(kwBatch); err != nil {
-		return nil, err
-	} else {
-		for j, id := range ids {
-			results[kwIdx[j]].KeywordID = id
+	var done []string // attributes that have ingested records of this batch
+	for _, a := range []struct {
+		name   string
+		ingest func([]*kflushing.Microblog) ([]kflushing.ID, error)
+		batch  []*kflushing.Microblog
+		idx    []int
+		slot   func(*IngestResult) *kflushing.ID
+	}{
+		{"keyword", s.kw.IngestBatch, kwBatch, kwIdx, func(r *IngestResult) *kflushing.ID { return &r.KeywordID }},
+		{"spatial", s.sp.IngestBatch, spBatch, spIdx, func(r *IngestResult) *kflushing.ID { return &r.SpatialID }},
+		{"user", s.us.IngestBatch, usBatch, usIdx, func(r *IngestResult) *kflushing.ID { return &r.UserID }},
+	} {
+		ids, err := a.ingest(a.batch)
+		if err != nil {
+			return nil, fmt.Errorf("%s attribute rejected the batch (attributes that already ingested it, not rolled back: %v): %w",
+				a.name, done, err)
 		}
-	}
-	if ids, err := s.sp.IngestBatch(spBatch); err != nil {
-		return nil, err
-	} else {
 		for j, id := range ids {
-			results[spIdx[j]].SpatialID = id
+			*a.slot(&results[a.idx[j]]) = id
 		}
-	}
-	if ids, err := s.us.IngestBatch(usBatch); err != nil {
-		return nil, err
-	} else {
-		for j, id := range ids {
-			results[usIdx[j]].UserID = id
+		if len(a.batch) > 0 {
+			done = append(done, a.name)
 		}
 	}
 	return results, nil

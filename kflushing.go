@@ -174,18 +174,13 @@ type Options struct {
 	// SyncFlush runs flushes inline with ingestion, for deterministic
 	// tests and experiments (default: background flushing thread).
 	SyncFlush bool
-	// DiskLayout selects the disk tier organization: "leveled" (the
-	// default, also selected by "") keeps segments in size-tiered levels
-	// under a manifest so memory-miss cost grows logarithmically;
-	// "flat" is the original single segment list.
-	DiskLayout string
-	// DiskLevelFanout bounds a leveled tier's per-level segment count
+	// DiskLevelFanout bounds the disk tier's per-level segment count
 	// before the level merges into the next (0 selects the default of 4).
 	DiskLevelFanout int
-	// DiskMaxSegments bounds the number of disk segments via automatic
-	// compaction (0 selects the default of 48; negative disables). Under
-	// the leveled layout only the sign matters: fanout governs when
-	// compaction runs.
+	// DiskMaxSegments: only the sign matters. Negative disables disk
+	// compaction, so every flush stays its own segment — the naive
+	// layout the equivalence tests and allocation benchmarks use as a
+	// reference; zero or positive leaves DiskLevelFanout in charge.
 	DiskMaxSegments int
 	// FlushPipelineDepth bounds the staged flush pipeline: evicted
 	// batches whose segment build runs on a background worker so
@@ -197,10 +192,6 @@ type Options struct {
 	// which spares hot memory-missing keys repeated file reads (0
 	// selects the default of 8 MiB; negative disables).
 	DiskCacheBytes int64
-	// DiskSearchParallelism bounds the worker pool a memory-miss search
-	// fans candidate disk segments across (0 selects the default of
-	// GOMAXPROCS capped at 8; 1 forces sequential search).
-	DiskSearchParallelism int
 	// DiskRetry bounds transient-disk-error retries with exponential
 	// backoff: flush-cycle segment writes and memory-miss record reads
 	// retry before failing (and, for writes, before the system enters
@@ -292,23 +283,53 @@ func newPolicy[K comparable](o Options) (policyChoice[K], error) {
 	}
 }
 
-// walDir returns the write-ahead-log directory for a system rooted at
-// dir, or empty when durability is off.
-func walDir(dir string, opt Options) string {
-	if !opt.Durable {
-		return ""
+// newEngine maps the facade options onto one attribute's engine — the
+// only place Options meets engine.Config. The four functions are the
+// attribute: key extraction, shard hash, key size, disk encoding.
+func newEngine[K comparable](dir string, opt Options,
+	keysOf func(*Microblog) []K, hash func(K) uint64, keyLen func(K) int, encode func(K) string,
+) (*engine.Engine[K], error) {
+	opt.fill()
+	pc, err := newPolicy[K](opt)
+	if err != nil {
+		return nil, err
 	}
-	return filepath.Join(dir, "wal")
-}
-
-// walOptions maps facade options onto the log's tuning knobs.
-func walOptions(opt Options) wal.Options {
-	return wal.Options{SyncEvery: opt.WALSyncEvery}
-}
-
-// allocPolicy parses the facade's allocation-policy knob.
-func allocPolicy(opt Options) (alloc.Policy, error) {
-	return alloc.ParsePolicy(opt.AllocPolicy)
+	ap, err := alloc.ParsePolicy(opt.AllocPolicy)
+	if err != nil {
+		return nil, err
+	}
+	walDir := "" // durability off: only flushed data is on disk
+	if opt.Durable {
+		walDir = filepath.Join(dir, "wal")
+	}
+	return engine.New(engine.Config[K]{
+		K:                  opt.K,
+		MemoryBudget:       opt.MemoryBudget,
+		FlushFraction:      opt.FlushFraction,
+		KeysOf:             keysOf,
+		KeyHash:            hash,
+		KeyLen:             keyLen,
+		EncodeKey:          encode,
+		Ranker:             opt.Ranker,
+		Clock:              opt.Clock,
+		DiskDir:            dir,
+		DiskLevelFanout:    opt.DiskLevelFanout,
+		DiskMaxSegments:    opt.DiskMaxSegments,
+		FlushPipelineDepth: opt.FlushPipelineDepth,
+		DiskCacheBytes:     opt.DiskCacheBytes,
+		DiskRetry:          opt.DiskRetry,
+		WALDir:             walDir,
+		WALOptions:         wal.Options{SyncEvery: opt.WALSyncEvery},
+		Policy:             pc.pol,
+		TrackTopK:          pc.trackTopK,
+		TrackOverK:         pc.trackOverK,
+		SyncFlush:          opt.SyncFlush,
+		AllocPolicy:        ap,
+		BlackboxEvents:     opt.BlackboxEvents,
+		SlowQueryNanos:     opt.SlowQueryNanos,
+		AdaptiveMemory:     opt.AdaptiveMemory,
+		TunerLimits:        opt.Tuner,
+	})
 }
 
 // System is a keyword-search microblogs store: the paper's primary
@@ -319,45 +340,7 @@ type System struct {
 
 // Open creates a keyword system whose disk tier lives under dir.
 func Open(dir string, opt Options) (*System, error) {
-	opt.fill()
-	pc, err := newPolicy[string](opt)
-	if err != nil {
-		return nil, err
-	}
-	ap, err := allocPolicy(opt)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := engine.New(engine.Config[string]{
-		K:                     opt.K,
-		MemoryBudget:          opt.MemoryBudget,
-		FlushFraction:         opt.FlushFraction,
-		KeysOf:                attr.KeywordKeys,
-		KeyHash:               attr.HashString,
-		KeyLen:                attr.KeywordLen,
-		EncodeKey:             attr.KeywordEncode,
-		Ranker:                opt.Ranker,
-		Clock:                 opt.Clock,
-		DiskDir:               dir,
-		DiskLayout:            opt.DiskLayout,
-		DiskLevelFanout:       opt.DiskLevelFanout,
-		DiskMaxSegments:       opt.DiskMaxSegments,
-		FlushPipelineDepth:    opt.FlushPipelineDepth,
-		DiskCacheBytes:        opt.DiskCacheBytes,
-		DiskSearchParallelism: opt.DiskSearchParallelism,
-		DiskRetry:             opt.DiskRetry,
-		WALDir:                walDir(dir, opt),
-		WALOptions:            walOptions(opt),
-		Policy:                pc.pol,
-		TrackTopK:             pc.trackTopK,
-		TrackOverK:            pc.trackOverK,
-		SyncFlush:             opt.SyncFlush,
-		AllocPolicy:           ap,
-		BlackboxEvents:        opt.BlackboxEvents,
-		SlowQueryNanos:        opt.SlowQueryNanos,
-		AdaptiveMemory:        opt.AdaptiveMemory,
-		TunerLimits:           opt.Tuner,
-	})
+	eng, err := newEngine(dir, opt, attr.KeywordKeys, attr.HashString, attr.KeywordLen, attr.KeywordEncode)
 	if err != nil {
 		return nil, err
 	}

@@ -10,10 +10,12 @@ import (
 )
 
 // TestLayoutEquivalence runs one seeded mixed workload through three
-// systems that differ only in how the disk tier is organized — the
-// original flat segment list, the leveled layout, and the leveled
-// layout with the asynchronous flush pipeline — and requires
-// byte-identical top-k answers (IDs and scores) for every query shape.
+// systems that differ only in how the disk tier ends up organized — an
+// uncompacted reference where every flush stays its own L0 segment
+// (the naive list the leveled tier replaced), the leveled tier
+// compacting inline, and the leveled tier behind the asynchronous flush
+// pipeline — and requires byte-identical top-k answers (IDs and scores)
+// for every query shape.
 // kFlushing is an exact policy: answers equal memory ∪ disk no matter
 // when flushes, compactions, or pipeline installs happen, so the layout
 // must be invisible to queries.
@@ -22,7 +24,7 @@ func TestLayoutEquivalence(t *testing.T) {
 }
 
 // runLayoutEquivalence is the TestLayoutEquivalence body, parameterized
-// over the allocator policy so the flat/leveled/pipelined identity also
+// over the allocator policy so the reference/leveled/pipelined identity also
 // holds with pooled posting arrays and recycled record wrappers.
 func runLayoutEquivalence(t *testing.T, ap string) {
 	base := kflushing.Options{
@@ -32,21 +34,19 @@ func runLayoutEquivalence(t *testing.T, ap string) {
 		SyncFlush:    true,
 		AllocPolicy:  ap,
 	}
-	flatOpt := base
-	flatOpt.DiskLayout = "flat"
+	refOpt := base
+	refOpt.DiskMaxSegments = -1 // never compact
 	levOpt := base
-	levOpt.DiskLayout = "leveled"
 	levOpt.DiskLevelFanout = 3
 	pipeOpt := base
-	pipeOpt.DiskLayout = "leveled"
 	pipeOpt.SyncFlush = false
 	pipeOpt.FlushPipelineDepth = 4
 
-	flat, err := kflushing.Open(t.TempDir(), flatOpt)
+	ref, err := kflushing.Open(t.TempDir(), refOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer flat.Close()
+	defer ref.Close()
 	leveled, err := kflushing.Open(t.TempDir(), levOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func runLayoutEquivalence(t *testing.T, ap string) {
 	systems := []struct {
 		name string
 		sys  *kflushing.System
-	}{{"flat", flat}, {"leveled", leveled}, {"pipelined", piped}}
+	}{{"reference", ref}, {"leveled", leveled}, {"pipelined", piped}}
 
 	rng := rand.New(rand.NewSource(20160516)) // the paper's conference date
 	const vocabSize = 30
@@ -116,24 +116,24 @@ func runLayoutEquivalence(t *testing.T, ap string) {
 				}
 			}
 			k := []int{1, 2, 4, 7, 20, 500}[rng.Intn(6)]
-			ref, err := flat.Search(keys, op, k)
+			want, err := ref.Search(keys, op, k)
 			if err != nil {
-				t.Fatalf("round %d: flat search %v %v k=%d: %v", round, keys, op, k, err)
+				t.Fatalf("round %d: reference search %v %v k=%d: %v", round, keys, op, k, err)
 			}
 			for _, s := range systems[1:] {
 				got, err := s.sys.Search(keys, op, k)
 				if err != nil {
 					t.Fatalf("round %d: %s search %v %v k=%d: %v", round, s.name, keys, op, k, err)
 				}
-				if len(got.Items) != len(ref.Items) {
-					t.Fatalf("round %d: query %v %v k=%d: flat %d items, %s %d",
-						round, keys, op, k, len(ref.Items), s.name, len(got.Items))
+				if len(got.Items) != len(want.Items) {
+					t.Fatalf("round %d: query %v %v k=%d: reference %d items, %s %d",
+						round, keys, op, k, len(want.Items), s.name, len(got.Items))
 				}
-				for i := range ref.Items {
-					if got.Items[i].MB.ID != ref.Items[i].MB.ID || got.Items[i].Score != ref.Items[i].Score {
-						t.Fatalf("round %d: query %v %v k=%d rank %d: flat (id %d, %g), %s (id %d, %g)",
+				for i := range want.Items {
+					if got.Items[i].MB.ID != want.Items[i].MB.ID || got.Items[i].Score != want.Items[i].Score {
+						t.Fatalf("round %d: query %v %v k=%d rank %d: reference (id %d, %g), %s (id %d, %g)",
 							round, keys, op, k, i,
-							ref.Items[i].MB.ID, ref.Items[i].Score,
+							want.Items[i].MB.ID, want.Items[i].Score,
 							s.name, got.Items[i].MB.ID, got.Items[i].Score)
 					}
 				}
@@ -160,8 +160,8 @@ func runLayoutEquivalence(t *testing.T, ap string) {
 					}
 				}
 			}
-			// Flush all three at the same stream positions so the flat and
-			// leveled tiers see identical segment contents.
+			// Flush all three at the same stream positions so the tiers see
+			// identical segment contents.
 			if b%5 == 4 {
 				for _, s := range systems {
 					if _, err := s.sys.FlushNow(); err != nil {
@@ -188,12 +188,13 @@ func runLayoutEquivalence(t *testing.T, ap string) {
 			t.Fatalf("%s: nothing flushed, equivalence vacuous", s.name)
 		}
 	}
-	// The layouts really did diverge structurally while agreeing on
-	// answers: the leveled system must report multiple levels by now.
+	// The tiers really did diverge structurally while agreeing on
+	// answers: the leveled system must report multiple levels by now, the
+	// reference one flat pile of L0 segments that was never merged.
 	if h := leveled.DiskHealth(); h.Layout != "leveled" || len(h.Levels) < 2 {
 		t.Fatalf("leveled system never built levels: %+v", h)
 	}
-	if h := flat.DiskHealth(); h.Layout != "flat" {
-		t.Fatalf("flat system layout = %q", h.Layout)
+	if st, h := ref.Stats().Disk, ref.DiskHealth(); st.Compactions != 0 || len(h.Levels) != 1 || h.Levels[0].Segments != st.Segments {
+		t.Fatalf("reference system compacted: %d compactions, levels %+v", st.Compactions, h.Levels)
 	}
 }

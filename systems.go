@@ -22,48 +22,10 @@ type SpatialSystem struct {
 // OpenSpatial creates a spatial system whose disk tier lives under dir.
 // A nil grid selects the default continental-US grid with 4 mi² tiles.
 func OpenSpatial(dir string, grid *spatial.Grid, opt Options) (*SpatialSystem, error) {
-	opt.fill()
 	if grid == nil {
 		grid = spatial.DefaultGrid()
 	}
-	pc, err := newPolicy[spatial.Cell](opt)
-	if err != nil {
-		return nil, err
-	}
-	ap, err := allocPolicy(opt)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := engine.New(engine.Config[spatial.Cell]{
-		K:                     opt.K,
-		MemoryBudget:          opt.MemoryBudget,
-		FlushFraction:         opt.FlushFraction,
-		KeysOf:                attr.SpatialKeys(grid),
-		KeyHash:               attr.HashCell,
-		KeyLen:                attr.CellLen,
-		EncodeKey:             attr.CellEncode,
-		Ranker:                opt.Ranker,
-		Clock:                 opt.Clock,
-		DiskDir:               dir,
-		DiskLayout:            opt.DiskLayout,
-		DiskLevelFanout:       opt.DiskLevelFanout,
-		DiskMaxSegments:       opt.DiskMaxSegments,
-		FlushPipelineDepth:    opt.FlushPipelineDepth,
-		DiskCacheBytes:        opt.DiskCacheBytes,
-		DiskSearchParallelism: opt.DiskSearchParallelism,
-		DiskRetry:             opt.DiskRetry,
-		WALDir:                walDir(dir, opt),
-		WALOptions:            walOptions(opt),
-		Policy:                pc.pol,
-		TrackTopK:             pc.trackTopK,
-		TrackOverK:            pc.trackOverK,
-		SyncFlush:             opt.SyncFlush,
-		AllocPolicy:           ap,
-		BlackboxEvents:        opt.BlackboxEvents,
-		SlowQueryNanos:        opt.SlowQueryNanos,
-		AdaptiveMemory:        opt.AdaptiveMemory,
-		TunerLimits:           opt.Tuner,
-	})
+	eng, err := newEngine(dir, opt, attr.SpatialKeys(grid), attr.HashCell, attr.CellLen, attr.CellEncode)
 	if err != nil {
 		return nil, err
 	}
@@ -160,45 +122,7 @@ type UserSystem struct {
 // OpenUser creates a user-timeline system whose disk tier lives under
 // dir.
 func OpenUser(dir string, opt Options) (*UserSystem, error) {
-	opt.fill()
-	pc, err := newPolicy[uint64](opt)
-	if err != nil {
-		return nil, err
-	}
-	ap, err := allocPolicy(opt)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := engine.New(engine.Config[uint64]{
-		K:                     opt.K,
-		MemoryBudget:          opt.MemoryBudget,
-		FlushFraction:         opt.FlushFraction,
-		KeysOf:                attr.UserKeys,
-		KeyHash:               attr.HashUint64,
-		KeyLen:                attr.UserLen,
-		EncodeKey:             attr.UserEncode,
-		Ranker:                opt.Ranker,
-		Clock:                 opt.Clock,
-		DiskDir:               dir,
-		DiskLayout:            opt.DiskLayout,
-		DiskLevelFanout:       opt.DiskLevelFanout,
-		DiskMaxSegments:       opt.DiskMaxSegments,
-		FlushPipelineDepth:    opt.FlushPipelineDepth,
-		DiskCacheBytes:        opt.DiskCacheBytes,
-		DiskSearchParallelism: opt.DiskSearchParallelism,
-		DiskRetry:             opt.DiskRetry,
-		WALDir:                walDir(dir, opt),
-		WALOptions:            walOptions(opt),
-		Policy:                pc.pol,
-		TrackTopK:             pc.trackTopK,
-		TrackOverK:            pc.trackOverK,
-		SyncFlush:             opt.SyncFlush,
-		AllocPolicy:           ap,
-		BlackboxEvents:        opt.BlackboxEvents,
-		SlowQueryNanos:        opt.SlowQueryNanos,
-		AdaptiveMemory:        opt.AdaptiveMemory,
-		TunerLimits:           opt.Tuner,
-	})
+	eng, err := newEngine(dir, opt, attr.UserKeys, attr.HashUint64, attr.UserLen, attr.UserEncode)
 	if err != nil {
 		return nil, err
 	}

@@ -23,9 +23,10 @@
 //	kflushctl tuner <base-url>     report the adaptive memory tuner's
 //	                               per-attribute targets, counters, and
 //	                               bounds (/debug/tuner)
-//	kflushctl probe <base-url>     report readiness and degraded
-//	                               read-only state (/readyz, /stats);
-//	                               exits non-zero when not ready
+//	kflushctl probe <base-url>     report readiness, degraded
+//	                               read-only state and the write-ahead
+//	                               log's size (/readyz, /stats); exits
+//	                               non-zero when not ready
 //	kflushctl top <base-url> [interval] [count]  live watch: scrape
 //	                               /metrics twice per refresh and render
 //	                               per-attribute ingest rate, QPS, memory
@@ -334,6 +335,14 @@ func cmdProbeServer(base string) error {
 	var stats map[string]struct {
 		Degraded       bool
 		DegradedReason string
+		MemoryBudget   int64
+		WAL            struct {
+			Bytes            int64
+			Files            int
+			LiveRecords      int64
+			RelocatedRecords int64
+			ReclaimedBytes   int64
+		}
 	}
 	if err := getJSON(base, "/stats", &stats); err != nil {
 		return err
@@ -349,6 +358,13 @@ func cmdProbeServer(base string) error {
 			fmt.Printf("%-8s DEGRADED read-only: %s\n", a, st.DegradedReason)
 		} else {
 			fmt.Printf("%-8s writable\n", a)
+		}
+		// The log is reclaimed online; its size against the memory
+		// budget shows whether reclaim keeps up.
+		if w := st.WAL; w.Files > 0 {
+			fmt.Printf("%-8s wal %d file(s) %d bytes (%.2fx budget) live=%d relocated=%d reclaimed_bytes=%d\n",
+				a, w.Files, w.Bytes, float64(w.Bytes)/float64(max(st.MemoryBudget, 1)),
+				w.LiveRecords, w.RelocatedRecords, w.ReclaimedBytes)
 		}
 	}
 	if !ready.Ready {

@@ -159,6 +159,8 @@ type Config struct {
 //	10 engine.Engine.flushMu
 //	11 tuner.Tuner.mu (controller state; ticked under flushMu)
 //	12 engine.flightGroup.mu
+//	13 engine.flushPipeline.mu (release ordering behind the queue; taken
+//	   under flushMu by the flushing goroutine, alone by the worker)
 //	15 policy.LRU.mu / policy.FIFO.mu
 //	20 index.Index.overMu
 //	22 index.shard.mu
@@ -170,29 +172,31 @@ type Config struct {
 //	60 disk.Tier.flushMu
 //	62 disk.Tier.mu
 //	64 disk.cacheShard.mu
-//	70 wal.Log.mu
+//	70 wal.Log.mu (appends, rotation and the claims table; file I/O runs
+//	   under it by design, so it is ranked but not a no-block lock)
 //	80 trace.Trace.mu / 81 trace.DiskProbe.mu
 func DefaultConfig() Config {
 	return Config{
 		LockRank: map[string]int{
-			"kflushing/internal/engine.Engine.flushMu":  10,
-			"kflushing/internal/tuner.Tuner.mu":         11,
-			"kflushing/internal/engine.flightGroup.mu":  12,
-			"kflushing/internal/policy.LRU.mu":          15,
-			"kflushing/internal/policy.FIFO.mu":         15,
-			"kflushing/internal/index.Index.overMu":     20,
-			"kflushing/internal/index.shard.mu":         22,
-			"kflushing/internal/index.Entry.mu":         30,
-			"kflushing/internal/alloc.SlicePool.mu":     35,
-			"kflushing/internal/alloc.Recycler.mu":      36,
-			"kflushing/internal/store.shard.mu":         40,
-			"kflushing/internal/policy.VictimBuffer.mu": 50,
-			"kflushing/internal/disk.Tier.flushMu":      60,
-			"kflushing/internal/disk.Tier.mu":           62,
-			"kflushing/internal/disk.cacheShard.mu":     64,
-			"kflushing/internal/wal.Log.mu":             70,
-			"kflushing/internal/trace.Trace.mu":         80,
-			"kflushing/internal/trace.DiskProbe.mu":     81,
+			"kflushing/internal/engine.Engine.flushMu":   10,
+			"kflushing/internal/tuner.Tuner.mu":          11,
+			"kflushing/internal/engine.flightGroup.mu":   12,
+			"kflushing/internal/engine.flushPipeline.mu": 13,
+			"kflushing/internal/policy.LRU.mu":           15,
+			"kflushing/internal/policy.FIFO.mu":          15,
+			"kflushing/internal/index.Index.overMu":      20,
+			"kflushing/internal/index.shard.mu":          22,
+			"kflushing/internal/index.Entry.mu":          30,
+			"kflushing/internal/alloc.SlicePool.mu":      35,
+			"kflushing/internal/alloc.Recycler.mu":       36,
+			"kflushing/internal/store.shard.mu":          40,
+			"kflushing/internal/policy.VictimBuffer.mu":  50,
+			"kflushing/internal/disk.Tier.flushMu":       60,
+			"kflushing/internal/disk.Tier.mu":            62,
+			"kflushing/internal/disk.cacheShard.mu":      64,
+			"kflushing/internal/wal.Log.mu":              70,
+			"kflushing/internal/trace.Trace.mu":          80,
+			"kflushing/internal/trace.DiskProbe.mu":      81,
 		},
 		NoBlockLocks: map[string]bool{
 			"kflushing/internal/index.Index.overMu":    true,

@@ -89,6 +89,7 @@ const (
 	EvWALAppend
 	EvWALSync
 	EvWALRotate
+	EvWALReclaim
 	EvFlushPrepare
 	EvFlushBuild
 	EvFlushInstall
@@ -110,6 +111,7 @@ var codeNames = [numCodes]string{
 	EvWALAppend:     "wal_append",
 	EvWALSync:       "wal_sync",
 	EvWALRotate:     "wal_rotate",
+	EvWALReclaim:    "wal_reclaim",
 	EvFlushPrepare:  "flush_prepare",
 	EvFlushBuild:    "flush_build",
 	EvFlushInstall:  "flush_install",
@@ -131,6 +133,7 @@ var codeArgNames = [numCodes][3]string{
 	EvWALAppend:     {"frames", "bytes", "nanos"},
 	EvWALSync:       {"frames", "file_bytes", "nanos"},
 	EvWALRotate:     {"file_seq", "rotated_bytes", "nanos"},
+	EvWALReclaim:    {"file_seq", "survivors", "nanos"},
 	EvFlushPrepare:  {"target_bytes", "freed_bytes", "nanos"},
 	EvFlushBuild:    {"records", "bytes", "nanos"},
 	EvFlushInstall:  {"records", "bytes", "nanos"},

@@ -79,6 +79,14 @@ func TestCrashChild(t *testing.T) {
 // closes it. Keywords give every record one hot key ("all"), one warm
 // key (8-way bucket) and one unique key, so flushes exercise both the
 // over-k trimming of Phase 1 and the under-filled eviction of Phase 2.
+//
+// Each session also opens with two "sticky" records under a key of
+// their own that is searched after every batch: a full entry (k=2), and
+// always the most recently queried, so Phase 3 evicts it last and the
+// pair outlives rotation after rotation of the 24 KiB log files. They
+// are the survivors that make the log's relocation path — and its crash
+// sites — reachable; everything else is flushed before its file is the
+// oldest.
 func ingestSession(t *testing.T, dir, ackPath string, session, n int) {
 	t.Helper()
 	sys, err := kflushing.Open(dir, childOptions())
@@ -91,8 +99,15 @@ func ingestSession(t *testing.T, dir, ackPath string, session, n int) {
 	}
 	defer ack.Close()
 	const batchSize = 8
+	sticky := "sticky" + strconv.Itoa(session)
 	for i := 0; i < n; i += batchSize {
-		mbs := make([]*kflushing.Microblog, 0, batchSize)
+		mbs := make([]*kflushing.Microblog, 0, batchSize+2)
+		for j := 0; i == 0 && j < 2; j++ {
+			mbs = append(mbs, &kflushing.Microblog{
+				Keywords: []string{"all", sticky},
+				Text:     strings.Repeat("s", 120),
+			})
+		}
 		for j := i; j < i+batchSize && j < n; j++ {
 			mbs = append(mbs, &kflushing.Microblog{
 				Keywords: []string{
@@ -118,6 +133,9 @@ func ingestSession(t *testing.T, dir, ackPath string, session, n int) {
 		}
 		if err := ack.Sync(); err != nil {
 			t.Fatalf("session %d: sync acks: %v", session, err)
+		}
+		if _, err := sys.SearchKeyword(sticky, 2); err != nil {
+			t.Fatalf("session %d: search %s: %v", session, sticky, err)
 		}
 	}
 	if err := sys.Close(); err != nil {

@@ -75,6 +75,12 @@ var ErrCorrupt = errors.New("disk: corrupt segment")
 type FlushRecord struct {
 	MB    *types.Microblog
 	Score float64
+	// LogSeq names the write-ahead-log file holding the record's newest
+	// frame (0 = the snapshot, or no log). The tier neither reads nor
+	// persists it: it rides along so the log can tell the engine where a
+	// frame landed (append, replay) and a failed flush can hand the
+	// record's claim on that file to the wrapper it restores.
+	LogSeq uint32
 }
 
 // segment is one immutable on-disk file plus its in-memory directory.

@@ -38,11 +38,15 @@ type flushSink[K comparable] struct {
 	// releaseDead hands durably-flushed dead records to the engine's
 	// recycler; nil under the heap alloc policy (wrappers drop to GC).
 	releaseDead func([]*store.Record)
+	// claims gives back the dead records' write-ahead-log claims; nil
+	// without a log.
+	claims func([]*store.Record)
 
-	mu     sync.Mutex
-	failed []disk.FlushRecord
-	wrote  bool
-	async  bool // current cycle may enqueue (set by beginCycle)
+	mu         sync.Mutex
+	failed     []disk.FlushRecord
+	failedDead []*store.Record
+	wrote      bool
+	async      bool // current cycle may enqueue (set by beginCycle)
 	// Per-cycle stage accounting for the synchronous path, read by
 	// flushCycle after the policy returns: build/install nanos from the
 	// tier, plus total wall time spent inside sink writes (so the cycle
@@ -74,19 +78,19 @@ func (s *flushSink[K]) Flush(recs []disk.FlushRecord) error {
 }
 
 // FlushDead implements policy.DeadSink: the flush batch plus the cycle's
-// dead records. The dead wrappers are recycled only once the segment is
-// durably installed; any failure drops them to the garbage collector
-// instead, which is always safe (a rolled-back eviction re-creates
-// fresh wrappers, never resurrects these).
+// dead records. The dead records are settled (release) only once the
+// segment is durably installed — and every batch enqueued before it; a
+// failed batch is stashed with its dead so the cycle can restore the
+// former and then settle the latter.
 func (s *flushSink[K]) FlushDead(recs []disk.FlushRecord, dead []*store.Record) error {
 	if len(recs) == 0 {
-		// Nothing to write: every dead record's payload already rode an
-		// earlier durable batch, so the wrappers are recyclable as-is.
-		s.release(dead)
+		// Nothing to write: every dead record's payload rode an earlier
+		// batch — which may still be queued or building.
+		s.releaseOrdered(dead, true)
 		return nil
 	}
 	if err := failpoint.Eval(failpoint.FlushAfterEvict); err != nil {
-		s.stash(recs)
+		s.stash(recs, dead)
 		return err
 	}
 	s.mu.Lock()
@@ -105,7 +109,7 @@ func (s *flushSink[K]) FlushDead(recs []disk.FlushRecord, dead []*store.Record) 
 		return werr
 	})
 	if err != nil {
-		s.stash(recs)
+		s.stash(recs, dead)
 		s.mu.Lock()
 		s.cycleWrite += time.Since(wstart).Nanoseconds()
 		s.mu.Unlock()
@@ -117,18 +121,44 @@ func (s *flushSink[K]) FlushDead(recs []disk.FlushRecord, dead []*store.Record) 
 	s.cycleInstall += fs.InstallNanos
 	s.cycleWrite += time.Since(wstart).Nanoseconds()
 	s.mu.Unlock()
-	// The segment is durably renamed: the dead wrappers can enter the
-	// recycler's quarantine.
-	s.release(dead)
+	// The segment is durably renamed; a dead record whose payload rode
+	// an earlier, still queued batch waits for that one too.
+	s.releaseOrdered(dead, true)
 	// A failure from here on is NOT stashed: the segment is durably
 	// renamed, so restoring the records to memory would duplicate them.
 	return failpoint.Eval(failpoint.FlushAfterWrite)
 }
 
-// release hands dead records to the engine's recycler, if any.
-func (s *flushSink[K]) release(dead []*store.Record) {
-	if len(dead) > 0 && s.releaseDead != nil {
+// release settles dead records nothing can bring back any more: their
+// log claims come down — each payload is in an installed segment, or
+// was restored to memory under a claim of its own — and, when the batch
+// installed, the wrappers enter the recycler's quarantine. After a
+// failure they are left to the garbage collector instead, which is
+// always safe (a rolled-back eviction re-creates fresh wrappers, never
+// resurrects these).
+func (s *flushSink[K]) release(dead []*store.Record, installed bool) {
+	if len(dead) == 0 {
+		return
+	}
+	if s.claims != nil {
+		s.claims(dead)
+	}
+	if installed && s.releaseDead != nil {
 		s.releaseDead(dead)
+	}
+}
+
+// releaseOrdered is release for dead records that did not ride the
+// pipeline themselves (a dead-only cycle, the queue-full fallback, a
+// failed synchronous batch): some of their payloads may sit in batches
+// still queued or building, so they are settled only after every batch
+// enqueued so far has completed.
+func (s *flushSink[K]) releaseOrdered(dead []*store.Record, installed bool) {
+	if len(dead) == 0 {
+		return
+	}
+	if s.pipe == nil || !s.pipe.deferRelease(dead, installed) {
+		s.release(dead, installed)
 	}
 }
 
@@ -152,19 +182,21 @@ func (s *flushSink[K]) writeStaged(recs []disk.FlushRecord) (fs disk.FlushStats,
 	return fs, true, failpoint.Eval(failpoint.FlushAfterWrite)
 }
 
-func (s *flushSink[K]) stash(recs []disk.FlushRecord) {
+func (s *flushSink[K]) stash(recs []disk.FlushRecord, dead []*store.Record) {
 	s.mu.Lock()
 	s.failed = append(s.failed, recs...)
+	s.failedDead = append(s.failedDead, dead...)
 	s.mu.Unlock()
 }
 
-// takeFailed returns and clears the batches that never reached the tier.
-func (s *flushSink[K]) takeFailed() []disk.FlushRecord {
+// takeFailed returns and clears the batches that never reached the
+// tier, with the dead records that rode them.
+func (s *flushSink[K]) takeFailed() ([]disk.FlushRecord, []*store.Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	recs := s.failed
-	s.failed = nil
-	return recs
+	recs, dead := s.failed, s.failedDead
+	s.failed, s.failedDead = nil, nil
+	return recs, dead
 }
 
 // tookWrite reports (and resets) whether a tier write succeeded since
@@ -179,16 +211,20 @@ func (s *flushSink[K]) tookWrite() bool {
 }
 
 // restoreEvicted rolls a failed eviction back into memory: records the
-// sink could not persist are re-stored and re-indexed (they are still
-// WAL-covered, so a crash loses nothing either way), and records that
+// sink could not persist are re-stored and re-indexed, and records that
 // stayed memory-resident (partial flushes) lose their on-disk mark so a
-// later flush writes them again. Callers must hold flushMu.
+// later flush writes them again. Every evicted record is still
+// WAL-covered — its dead wrapper's claim is not released before this
+// returns — and the wrapper re-created here takes a claim of its own on
+// the same log file, so a crash loses nothing either way. Callers must
+// hold flushMu.
 func (e *Engine[K]) restoreEvicted(failed []disk.FlushRecord) {
 	if len(failed) == 0 {
 		return
 	}
 	var recs []*store.Record
 	var recKeys [][]K
+	var claimed seqTally
 	unmarked := 0
 	for _, fr := range failed {
 		if rec := e.store.Get(fr.MB.ID); rec != nil {
@@ -201,13 +237,21 @@ func (e *Engine[K]) restoreEvicted(failed []disk.FlushRecord) {
 			continue
 		}
 		rec := e.newRecord(fr.MB, fr.Score)
+		rec.LogSeq = fr.LogSeq
+		claimed.add(fr.LogSeq)
+		rec.Ref(int32(len(keys))) // charged in full before the first link
 		e.store.Put(rec)
 		e.mem.AddData(rec.Bytes)
 		for _, key := range keys {
-			e.idx.Insert(key, rec)
+			e.idx.Link(key, rec)
 		}
 		recs = append(recs, rec)
 		recKeys = append(recKeys, keys)
+	}
+	if e.wal != nil {
+		for _, c := range claimed {
+			e.wal.Claim(c.seq, c.n)
+		}
 	}
 	if len(recs) > 0 {
 		e.pol.OnIngest(recs, recKeys)

@@ -168,6 +168,10 @@ type Engine[K comparable] struct {
 	slowlog *blackbox.SlowLog
 
 	wal *wal.Log
+	// recovering is set while New replays the log: files not yet
+	// replayed have no survivors in memory to relocate, so the reclaim
+	// at the end of a (recovery) flush cycle stands down.
+	recovering bool
 
 	// flights coalesces concurrent identical disk-fallback searches.
 	flights flightGroup
@@ -307,6 +311,11 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 	})
 	if cfg.WALDir != "" {
 		wopt := cfg.WALOptions
+		if wopt.MaxFileBytes <= 0 {
+			// A log file never outgrows the memory it covers, so small
+			// budgets rotate — and reclaim — as large ones do.
+			wopt.MaxFileBytes = min(wal.DefaultMaxFileBytes, cfg.MemoryBudget)
+		}
 		if cfg.AllocPolicy == alloc.PolicyPooled {
 			wopt.PooledBuffers = true
 		}
@@ -319,6 +328,7 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 			return nil, err
 		}
 		e.wal = w
+		e.fsink.claims = e.releaseClaims
 		if err := e.recoverFromWAL(); err != nil {
 			_ = w.Close()
 			_ = tier.Close()
@@ -361,37 +371,68 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 	return e, nil
 }
 
-// recoverFromWAL rebuilds memory contents from the snapshot and log,
-// deduplicating records that appear in both. Replayed records keep
-// their original IDs, timestamps and scores; the ID counter resumes
-// past the highest seen. A single flush runs afterwards if the replay
-// overfilled the budget.
+// recoverChunk bounds how many replayed records wait for the policy's
+// OnIngest: recovery hands them over in chunks so a flush cycle can run
+// between chunks.
+const recoverChunk = 4096
+
+// recoverFromWAL rebuilds memory contents from the snapshot and log.
+// Replayed records keep their original IDs, timestamps and scores, and
+// each holds the claim Replay took on the file its frame came from; a
+// record framed twice (snapshot/log overlap, a relocation the crash
+// caught before the source was unlinked) keeps one wrapper and moves
+// its claim to the newer frame. The ID counter resumes past the highest
+// ID seen. Memory stays bounded throughout: records reach the policy in
+// chunks, and whenever memory reaches the flush watermark a cycle runs
+// inline, under the gate, before the next frame is read — its releases
+// may unlink files already replayed.
 func (e *Engine[K]) recoverFromWAL() error {
+	e.recovering = true
+	defer func() { e.recovering = false }()
 	var maxID uint64
 	var recs []*store.Record
 	var recKeys [][]K
+	total := 0
+	handOver := func() {
+		// Replay preserves arrival order, so each chunk is one ingestion
+		// batch as far as the policy is concerned.
+		e.pol.OnIngest(recs, recKeys)
+		total += len(recs)
+		recs, recKeys = recs[:0], recKeys[:0]
+	}
 	err := e.wal.Replay(func(fr disk.FlushRecord) error {
 		if err := failpoint.Eval(failpoint.RecoverReplayRecord); err != nil {
 			return err
 		}
 		mb := fr.MB
-		if e.store.Get(mb.ID) != nil {
-			return nil // snapshot/log overlap
+		if uint64(mb.ID) > maxID {
+			maxID = uint64(mb.ID)
+		}
+		if held := e.store.Get(mb.ID); held != nil {
+			e.wal.Release(held.LogSeq, 1)
+			held.LogSeq = fr.LogSeq
+			return nil
 		}
 		keys := e.cfg.KeysOf(mb)
 		if len(keys) == 0 {
+			e.wal.Release(fr.LogSeq, 1)
 			return nil
 		}
 		rec := e.newRecord(mb, fr.Score)
+		rec.LogSeq = fr.LogSeq
+		rec.Ref(int32(len(keys))) // charged in full before the first link
 		e.store.Put(rec)
 		e.mem.AddData(rec.Bytes)
 		for _, key := range keys {
-			e.idx.Insert(key, rec)
+			e.idx.Link(key, rec)
 		}
 		recs = append(recs, rec)
 		recKeys = append(recKeys, keys)
-		if uint64(mb.ID) > maxID {
-			maxID = uint64(mb.ID)
+		if due := e.flushDue(); due || len(recs) == recoverChunk {
+			handOver()
+			if due {
+				e.recoveryFlush()
+			}
 		}
 		return nil
 	})
@@ -401,18 +442,25 @@ func (e *Engine[K]) recoverFromWAL() error {
 	if err := failpoint.Eval(failpoint.RecoverAfterReplay); err != nil {
 		return err
 	}
-	// Replay preserves arrival order, so the whole recovery is one
-	// ingestion batch as far as the policy is concerned.
-	e.pol.OnIngest(recs, recKeys)
+	handOver()
 	if maxID > e.ids.Load() {
 		e.ids.Store(maxID)
 	}
 	slog.Info("engine: wal recovery complete",
-		"records", len(recs), "max_id", maxID, "mem_used", e.mem.Used())
-	if e.mem.Used() >= e.cfg.MemoryBudget {
-		e.maybeFlush(flushlog.TriggerRecovery)
-	}
+		"records", total, "max_id", maxID, "mem_used", e.mem.Used())
 	return nil
+}
+
+// recoveryFlush runs one flush cycle inline during replay. A failing
+// tier puts the engine in degraded mode as it would at run time; replay
+// carries on so no logged record is dropped.
+func (e *Engine[K]) recoveryFlush() {
+	e.flushMu.Lock()
+	defer e.flushMu.Unlock()
+	if _, err := e.flushCycle(flushlog.TriggerRecovery); err != nil {
+		e.lastError.Store(err)
+		slog.Error("engine: recovery flush failed", "policy", e.pol.Name(), "error", err)
+	}
 }
 
 // Ingest digests one microblog: the engine takes ownership of mb,
@@ -503,10 +551,14 @@ func (e *Engine[K]) IngestBatch(mbs []*types.Microblog) ([]types.ID, error) {
 		}
 	}
 	for i, rec := range recs {
+		if e.wal != nil {
+			rec.LogSeq = frames[i].LogSeq // the claim AppendBatch took for it
+		}
+		rec.Ref(int32(len(recKeys[i]))) // charged in full before the first link
 		e.store.Put(rec)
 		e.mem.AddData(rec.Bytes)
 		for _, key := range recKeys[i] {
-			e.idx.Insert(key, rec)
+			e.idx.Link(key, rec)
 		}
 	}
 	e.pol.OnIngest(recs, recKeys)
@@ -546,12 +598,7 @@ func (e *Engine[K]) AllocStats() (alloc.SliceStats, alloc.RecyclerStats) {
 // 0.5% of the budget since the previous one ended.
 func (e *Engine[K]) maybeFlush(trigger string) {
 	e.maybeTune() // adaptive memory: tick rides the ingest path
-	used := e.mem.Used()
-	wm := e.watermarkBytes()
-	if used < wm {
-		return
-	}
-	if used < e.lastFlushUsed.Load()+wm/200 {
+	if !e.flushDue() {
 		return
 	}
 	if !e.flushMu.TryLock() {
@@ -562,6 +609,14 @@ func (e *Engine[K]) maybeFlush(trigger string) {
 		return
 	}
 	go e.runFlushLocked(trigger)
+}
+
+// flushDue reports whether memory has reached the flush watermark and
+// grown past the hysteresis margin since the last cycle ended.
+func (e *Engine[K]) flushDue() bool {
+	used := e.mem.Used()
+	wm := e.watermarkBytes()
+	return used >= wm && used >= e.lastFlushUsed.Load()+wm/200
 }
 
 // runFlushLocked executes one flush cycle; the caller must hold flushMu,
@@ -608,8 +663,11 @@ func (e *Engine[K]) flushCycle(trigger string) (int64, error) {
 		// not durably persist goes back into memory before anyone can
 		// observe the gap, then the engine stops accepting writes.
 		releaseStart := time.Now()
-		failed := e.fsink.takeFailed()
+		failed, dead := e.fsink.takeFailed()
 		e.restoreEvicted(failed)
+		// Restored records hold fresh claims; the wrappers they replace
+		// give theirs back (and are left to the garbage collector).
+		e.fsink.releaseOrdered(dead, false)
 		release := time.Since(releaseStart)
 		e.reg.ObserveStage(metrics.StageRelease, release)
 		e.journal.Stage("release", release.Nanoseconds())
@@ -648,7 +706,83 @@ func (e *Engine[K]) flushCycle(trigger string) (int64, error) {
 	slog.Debug("engine: flush cycle",
 		"policy", e.pol.Name(), "trigger", trigger,
 		"target", target, "freed", freed, "duration", d)
+	if err == nil {
+		e.reclaimWAL()
+	}
 	return freed, err
+}
+
+// reclaimWAL keeps the write-ahead log proportional to memory. Eviction
+// by usefulness never drains an old log file — a few long-lived records
+// pin it — so once the log has outgrown the memory budget the sealed
+// file with the fewest survivors has them re-logged (wal.Relocate) and
+// they take their claims with them; the file goes as soon as the
+// batches still in the flush pipeline have released theirs. One file
+// per flush cycle: cycles come several to a rotation, and the gate is
+// held for a bounded copy. Running at the end of a cycle, under
+// flushMu, means nothing is evicted or restored meanwhile, so the
+// survivor set cannot change; ingestion — which only ever claims the
+// active file — carries on.
+func (e *Engine[K]) reclaimWAL() {
+	if e.wal == nil || e.recovering {
+		return
+	}
+	seq, ok := e.wal.ReclaimCandidate(e.cfg.MemoryBudget)
+	if !ok {
+		return
+	}
+	var recs []*store.Record
+	e.store.Range(func(rec *store.Record) bool {
+		if rec.LogSeq == seq {
+			recs = append(recs, rec)
+		}
+		return true
+	})
+	frames := make([]disk.FlushRecord, len(recs))
+	for i, rec := range recs {
+		frames[i] = disk.FlushRecord{MB: rec.MB, Score: rec.Score}
+	}
+	if err := e.wal.Relocate(seq, frames); err != nil {
+		// The source keeps its claims; the next cycle tries again.
+		e.lastError.Store(err)
+		slog.Error("engine: wal reclaim failed", "file_seq", seq, "survivors", len(recs), "error", err)
+		return
+	}
+	for i, rec := range recs {
+		rec.LogSeq = frames[i].LogSeq
+	}
+}
+
+// releaseClaims gives back the log claims of records that left memory
+// for good: their payload is in an installed segment, or a restored
+// wrapper claimed it anew.
+func (e *Engine[K]) releaseClaims(dead []*store.Record) {
+	var t seqTally
+	for _, rec := range dead {
+		t.add(rec.LogSeq)
+	}
+	for _, c := range t {
+		e.wal.Release(c.seq, c.n)
+	}
+}
+
+// seqTally counts records per log file; a batch touches a handful of
+// files at most, so a linear scan beats a map.
+type seqTally []seqCount
+
+type seqCount struct {
+	seq uint32
+	n   int
+}
+
+func (t *seqTally) add(seq uint32) {
+	for i := range *t {
+		if (*t)[i].seq == seq {
+			(*t)[i].n++
+			return
+		}
+	}
+	*t = append(*t, seqCount{seq, 1})
 }
 
 // FlushNow synchronously runs one flush cycle regardless of memory
@@ -1008,6 +1142,9 @@ type Stats struct {
 	Census         index.Census
 	Metrics        metrics.Snapshot
 	Disk           disk.Stats
+	// WAL is the write-ahead log's footprint and reclaim counters (zero
+	// without durability).
+	WAL wal.Stats
 	// Degraded reports read-only mode (tier writes failing); the reason
 	// is the error that entered it.
 	Degraded       bool
@@ -1022,7 +1159,12 @@ type Stats struct {
 // calling it on latency-critical paths.
 func (e *Engine[K]) Stats() Stats {
 	degraded, reason := e.Degraded()
+	var walStats wal.Stats
+	if e.wal != nil {
+		walStats = e.wal.Stats()
+	}
 	return Stats{
+		WAL:            walStats,
 		Degraded:       degraded,
 		DegradedReason: reason,
 		Policy:         e.pol.Name(),

@@ -13,9 +13,14 @@ import (
 
 func newDurableEngine(t *testing.T, diskDir, walDir string) *Engine[string] {
 	t.Helper()
+	return newDurableEngineBudget(t, diskDir, walDir, 1<<20)
+}
+
+func newDurableEngineBudget(t *testing.T, diskDir, walDir string, budget int64) *Engine[string] {
+	t.Helper()
 	eng, err := New(Config[string]{
 		K:             5,
-		MemoryBudget:  1 << 20,
+		MemoryBudget:  budget,
 		FlushFraction: 0.2,
 		KeysOf:        attr.KeywordKeys,
 		KeyHash:       attr.HashString,
@@ -68,24 +73,26 @@ func TestWALRecoveryPreservesScoresAndOrder(t *testing.T) {
 func TestWALRecoveryTriggersFlushWhenOverBudget(t *testing.T) {
 	diskDir, walDir := t.TempDir(), t.TempDir()
 	eng := newDurableEngine(t, diskDir, walDir)
-	// Fill right up to (but not over) the budget: flushing happens
-	// during this loop; what's left in memory is under budget, but the
-	// full WAL (no snapshot without Close) replays everything.
+	// Flushing (and log reclaim) happens during this loop; what is left
+	// in the log is a bounded multiple of the budget.
 	for i := 1; i <= 9000; i++ {
 		ingest(t, eng, int64(i), fmt.Sprintf("k%d", i%31))
 	}
-	// Crash: skip Close (no snapshot, no WAL truncation).
-	_ = eng.Metrics().Flushes.Load()
+	// Crash: skip Close (no snapshot).
 
-	re := newDurableEngine(t, diskDir, walDir)
+	// Reopen with a quarter of the budget, so the log certainly replays
+	// more than memory may hold: recovery must flush as it goes, never
+	// not once at the end.
+	const budget = 256 << 10
+	re := newDurableEngineBudget(t, diskDir, walDir, budget)
 	defer re.Close()
-	// Replay loaded all 4000 records and must have flushed back under
-	// control.
-	if used := re.Mem().Used(); used > 2*(1<<20) {
-		t.Fatalf("recovered memory %d far above budget", used)
+	if used := re.Mem().Used(); used > budget {
+		t.Fatalf("recovered memory %d above the %d budget", used, budget)
 	}
-	if re.Metrics().Flushes.Load() == 0 {
-		t.Fatal("no flush after over-budget recovery")
+	// One cycle at the end of replay could not have done that: each
+	// frees a fifth of the budget, and the log held several budgets.
+	if n := re.Metrics().Flushes.Load(); n < 2 {
+		t.Fatalf("%d flush cycles during over-budget recovery, want several", n)
 	}
 }
 

@@ -29,9 +29,10 @@ var pipelineLabels = pprof.Labels("kflushing", "flush-pipeline-worker")
 // build instead of serializing behind it.
 //
 // Safety model: an enqueued batch is out of memory but not yet on disk.
-// It is still fully covered by the write-ahead log (the log is trimmed
-// only by the clean-shutdown snapshot), so a crash with batches queued
-// loses nothing — recovery replays them back into memory. A build or
+// It is still fully covered by the write-ahead log — its dead records
+// keep their claims on the log files holding them until the batch has
+// installed (flushSink.release) — so a crash with batches queued loses
+// nothing: recovery replays them back into memory. A build or
 // install FAILURE rolls the eviction back via restoreEvicted and puts
 // the engine in degraded read-only mode, exactly like a synchronous
 // flush failure. Close drains the queue before the shutdown snapshot is
@@ -46,6 +47,22 @@ type flushPipeline[K comparable] struct {
 	ch     chan pipeBatch
 	wg     sync.WaitGroup
 	closed atomic.Bool
+
+	// mu orders releases behind the queue: batches complete in enqueue
+	// order, so dead records deferred at a given enqueue count are
+	// settled when the completion count reaches it.
+	mu        sync.Mutex
+	enqueued  uint64
+	completed uint64
+	deferred  []deferredRelease
+}
+
+// deferredRelease is a dead list waiting for the batches enqueued
+// before it.
+type deferredRelease struct {
+	after     uint64 // settle once this many batches have completed
+	dead      []*store.Record
+	installed bool
 }
 
 // pipeBatch is one enqueued flush: the records to write plus the dead
@@ -77,8 +94,11 @@ func (p *flushPipeline[K]) tryEnqueue(recs []disk.FlushRecord, dead []*store.Rec
 		return false
 	}
 	batch := pipeBatch{recs: append([]disk.FlushRecord(nil), recs...), dead: dead}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	select {
 	case p.ch <- batch:
+		p.enqueued++
 		p.e.reg.PipelineEnqueued.Add(1)
 		depth := p.e.reg.PipelineDepth.Add(1)
 		p.e.bbox.Record(blackbox.SubFlush, blackbox.EvFlushEnqueue,
@@ -110,9 +130,41 @@ func (p *flushPipeline[K]) worker() {
 			rtrace.WithRegion(ctx, "pipeline-complete", func() {
 				p.e.completeAsync(batch.recs, batch.dead)
 			})
+			p.settleDeferred()
 			p.e.reg.PipelineDepth.Add(-1)
 		}
 	})
+}
+
+// deferRelease parks dead until every batch enqueued so far has
+// completed. False means nothing is in flight and the caller settles
+// them itself. Only the flushing goroutine enqueues, so "so far" cannot
+// move under the caller.
+func (p *flushPipeline[K]) deferRelease(dead []*store.Record, installed bool) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.completed == p.enqueued {
+		return false
+	}
+	p.deferred = append(p.deferred, deferredRelease{after: p.enqueued, dead: dead, installed: installed})
+	return true
+}
+
+// settleDeferred counts one completed batch and settles the dead lists
+// that were waiting for it.
+func (p *flushPipeline[K]) settleDeferred() {
+	p.mu.Lock()
+	p.completed++
+	n := 0
+	for n < len(p.deferred) && p.deferred[n].after <= p.completed {
+		n++
+	}
+	ready := p.deferred[:n:n]
+	p.deferred = p.deferred[n:]
+	p.mu.Unlock()
+	for _, d := range ready {
+		p.e.fsink.release(d.dead, d.installed)
+	}
 }
 
 // close stops intake and drains every queued batch through the worker.
@@ -142,10 +194,9 @@ func (e *Engine[K]) completeAsync(recs []disk.FlushRecord, dead []*store.Record)
 	start := time.Now()
 	fs, wrote, err := e.fsink.writeStaged(recs)
 	if wrote {
-		// The segment is durable; the dead wrappers enter the recycler's
-		// quarantine. On failure they drop to the garbage collector —
-		// restoreEvicted below re-creates fresh wrappers, never these.
-		e.fsink.release(dead)
+		// The segment is durable, and so is every batch enqueued before
+		// it: the worker is serial.
+		e.fsink.release(dead, true)
 	}
 	if fs.BuildNanos > 0 {
 		e.reg.ObserveStage(metrics.StageBuild, time.Duration(fs.BuildNanos))
@@ -159,8 +210,11 @@ func (e *Engine[K]) completeAsync(recs []disk.FlushRecord, dead []*store.Record)
 	e.journal.Stage("build", fs.BuildNanos)
 	e.journal.Stage("install", fs.InstallNanos)
 	if err != nil && !wrote {
-		// The segment never became durable: the eviction must come back.
+		// The segment never became durable: the eviction must come back,
+		// under fresh claims, before the wrappers it replaces give up
+		// theirs.
 		e.restoreEvicted(recs)
+		e.fsink.release(dead, false)
 	}
 	release := time.Since(releaseStart)
 	e.reg.ObserveStage(metrics.StageRelease, release)

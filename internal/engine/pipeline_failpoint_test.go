@@ -7,11 +7,13 @@ import (
 	"testing"
 	"time"
 
+	"kflushing/internal/alloc"
 	"kflushing/internal/attr"
 	"kflushing/internal/clock"
 	"kflushing/internal/core"
 	"kflushing/internal/disk"
 	"kflushing/internal/failpoint"
+	"kflushing/internal/store"
 	"kflushing/internal/types"
 )
 
@@ -144,5 +146,68 @@ func TestPipelineFailureAfterDurableWrite(t *testing.T) {
 	}
 	if degraded, _ := eng.Degraded(); degraded {
 		t.Fatal("still degraded after successful readiness probe")
+	}
+}
+
+// TestDeadOnlyCycleWaitsForQueuedBatch: a record partially flushed in
+// batch N and dying in cycle N+1 contributes no payload to N+1 — its
+// bytes ride N, which may still be building. Its log claim (and its
+// wrapper) must therefore not be released when the dead-only cycle
+// ends, only when N has installed: released early, the log file could
+// hit zero claims and be unlinked, and a crash before N installs would
+// lose an acknowledged record.
+func TestDeadOnlyCycleWaitsForQueuedBatch(t *testing.T) {
+	failpoint.DisableAll()
+	t.Cleanup(failpoint.DisableAll)
+	cfg := reclaimConfig(t.TempDir(), t.TempDir(), 1<<30, false, alloc.PolicyPooled)
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = eng.Close() })
+	if _, err := eng.IngestBatch(soakBatch(0, 20)); err != nil {
+		t.Fatal(err)
+	}
+	if live := eng.wal.Stats().LiveRecords; live != 20 {
+		t.Fatalf("claims after ingest = %d", live)
+	}
+	// Batch N: the payload of records 1..10; 1..9 die with it, record 10
+	// stays memory-resident (a partial flush).
+	var recs []disk.FlushRecord
+	var dead []*store.Record
+	for id := types.ID(1); id <= 10; id++ {
+		rec := eng.store.Get(id)
+		recs = append(recs, disk.FlushRecord{MB: rec.MB, Score: rec.Score, LogSeq: rec.LogSeq})
+		if id < 10 {
+			dead = append(dead, rec)
+		}
+	}
+	late := eng.store.Get(10)
+
+	mustEnable(t, failpoint.DiskSegmentWrite, "sleep(400)")
+	eng.fsink.beginCycle(true)
+	if err := eng.fsink.FlushDead(recs, dead); err != nil {
+		t.Fatal(err)
+	}
+	if eng.pipe.depth() != 1 {
+		t.Fatalf("batch N not in flight: depth=%d", eng.pipe.depth())
+	}
+	// Cycle N+1: record 10 dies, nothing to write.
+	eng.fsink.beginCycle(true)
+	if err := eng.fsink.FlushDead(nil, []*store.Record{late}); err != nil {
+		t.Fatal(err)
+	}
+	if live := eng.wal.Stats().LiveRecords; live != 20 {
+		t.Fatalf("claims = %d while batch N is still building, want all 20 held", live)
+	}
+	if frees := eng.recycler.Stats().Frees; frees != 0 {
+		t.Fatalf("%d wrappers recycled while batch N is still building", frees)
+	}
+	waitPipelineIdle(t, eng)
+	if live := eng.wal.Stats().LiveRecords; live != 10 {
+		t.Fatalf("claims = %d after batch N installed, want 10", live)
+	}
+	if frees := eng.recycler.Stats().Frees; frees != 10 {
+		t.Fatalf("%d wrappers recycled after batch N installed, want 10", frees)
 	}
 }

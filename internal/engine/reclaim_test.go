@@ -1,0 +1,321 @@
+package engine
+
+import (
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"kflushing/internal/alloc"
+	"kflushing/internal/attr"
+	"kflushing/internal/blackbox"
+	"kflushing/internal/clock"
+	"kflushing/internal/core"
+	"kflushing/internal/query"
+	"kflushing/internal/types"
+)
+
+// reclaimConfig is a durable keyword engine whose log rotates — and so
+// reclaims — every budget's worth of frames.
+func reclaimConfig(diskDir, walDir string, budget int64, syncFlush bool, ap alloc.Policy) Config[string] {
+	return Config[string]{
+		K:             3,
+		MemoryBudget:  budget,
+		FlushFraction: 0.25,
+		KeysOf:        attr.KeywordKeys,
+		KeyHash:       attr.HashString,
+		KeyLen:        attr.KeywordLen,
+		EncodeKey:     attr.KeywordEncode,
+		Clock:         clock.NewLogical(1, 1),
+		DiskDir:       diskDir,
+		WALDir:        walDir,
+		Policy:        core.New[string](),
+		TrackOverK:    true,
+		SyncFlush:     syncFlush,
+		AllocPolicy:   ap,
+	}
+}
+
+// soakText is the payload every soak record carries.
+const soakText = 400
+
+// soakBatch builds records i..i+n-1: every record carries the hot key
+// "all" (so one search enumerates everything), one of 16 warm keys, and
+// a key shared by a handful of neighbours, giving each flush phase work.
+func soakBatch(i, n int) []*types.Microblog {
+	mbs := make([]*types.Microblog, n)
+	for j := range mbs {
+		r := i + j
+		mbs[j] = &types.Microblog{
+			Keywords: []string{"all", fmt.Sprintf("w%d", r%16), fmt.Sprintf("u%d", r/3)},
+			Text:     strings.Repeat("x", soakText),
+		}
+	}
+	return mbs
+}
+
+func dirUsage(t *testing.T, dir string) (files int, bytes int64) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		files++
+		bytes += info.Size()
+	}
+	return files, bytes
+}
+
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if info.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		in, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer in.Close()
+		out, err := os.Create(filepath.Join(dst, rel))
+		if err != nil {
+			return err
+		}
+		if _, err := io.Copy(out, in); err != nil {
+			out.Close()
+			return err
+		}
+		return out.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkCrashCopy opens an engine on a copy of the directories — what a
+// kill -9 at this instant would leave — and requires every acknowledged
+// ID back, once.
+func checkCrashCopy(t *testing.T, cfg Config[string], acked int) {
+	t.Helper()
+	diskCopy, walCopy := t.TempDir(), t.TempDir()
+	copyTree(t, cfg.DiskDir, diskCopy)
+	copyTree(t, cfg.WALDir, walCopy)
+	cfg.DiskDir, cfg.WALDir = diskCopy, walCopy
+	cfg.Clock = clock.NewLogical(1, 1)
+	cfg.Policy = core.New[string]()
+	re, err := New(cfg)
+	if err != nil {
+		t.Fatalf("reopen on a mid-run copy: %v", err)
+	}
+	defer re.Close()
+	res, err := re.Search(query.Request[string]{Keys: []string{"all"}, K: acked + 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[types.ID]bool, len(res.Items))
+	for _, it := range res.Items {
+		if seen[it.MB.ID] {
+			t.Fatalf("record %d answered twice after recovery", it.MB.ID)
+		}
+		seen[it.MB.ID] = true
+	}
+	for id := 1; id <= acked; id++ {
+		if !seen[types.ID(id)] {
+			t.Fatalf("acked record %d lost (%d acked, %d recovered)", id, acked, len(seen))
+		}
+	}
+	if st := re.wal.Stats(); st.LiveRecords != re.store.Len() {
+		t.Fatalf("after recovery %d claims for %d memory-resident records", st.LiveRecords, re.store.Len())
+	}
+}
+
+// TestWALReclaimSoak ingests two hundred budgets' worth of payload
+// through a small, deterministic engine and checks, batch by batch,
+// that the log stays within three budgets, that the claims table and
+// the directory agree file for file (a claimed file is never missing,
+// an unclaimed sealed one never lingers), that claims equal memory, and
+// — on copies taken mid-run — that a crash loses nothing.
+func TestWALReclaimSoak(t *testing.T) {
+	for _, ap := range []alloc.Policy{alloc.PolicyPooled, alloc.PolicyHeap} {
+		ap := ap
+		t.Run("alloc="+ap.String(), func(t *testing.T) {
+			const (
+				budget = 24 << 10
+				batch  = 8
+			)
+			total := 200 * budget / soakText
+			if testing.Short() {
+				total /= 8
+			}
+			cfg := reclaimConfig(t.TempDir(), t.TempDir(), budget, true, ap)
+			eng, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			var peak int64
+			for i := 0; i < total; i += batch {
+				if _, err := eng.IngestBatch(soakBatch(i, batch)); err != nil {
+					t.Fatal(err)
+				}
+				files, bytes := dirUsage(t, cfg.WALDir)
+				peak = max(peak, bytes)
+				if bytes > 3*budget {
+					t.Fatalf("after %d records the log holds %d bytes in %d files, over 3x the %d budget",
+						i+batch, bytes, files, budget)
+				}
+				st := eng.wal.Stats()
+				if st.Files != files || st.Bytes != bytes {
+					t.Fatalf("after %d records the table says %d files / %d bytes, the directory %d / %d",
+						i+batch, st.Files, st.Bytes, files, bytes)
+				}
+				if st.LiveRecords != eng.store.Len() {
+					t.Fatalf("after %d records %d claims for %d memory-resident records",
+						i+batch, st.LiveRecords, eng.store.Len())
+				}
+				if n := i + batch; n == total/3/batch*batch || n == 2*total/3/batch*batch {
+					checkCrashCopy(t, cfg, n)
+				}
+			}
+			if err := eng.Err(); err != nil {
+				t.Fatal(err)
+			}
+			st := eng.wal.Stats()
+			if st.RelocatedRecords == 0 || st.ReclaimedBytes == 0 {
+				t.Fatalf("soak never reclaimed: %+v", st)
+			}
+			// Every reclaimed file leaves one wal_reclaim event naming it
+			// and the survivors relocated out of it.
+			reclaims := 0
+			for _, ev := range eng.Blackbox().EventsOf(blackbox.SubWAL) {
+				if ev.Event == "wal_reclaim" {
+					reclaims++
+					if ev.Args["file_seq"] < 0 || ev.Args["survivors"] < 0 {
+						t.Fatalf("malformed wal_reclaim event: %+v", ev)
+					}
+				}
+			}
+			if reclaims == 0 {
+				t.Fatal("no wal_reclaim event in the flight recorder")
+			}
+			t.Logf("records=%d peak_log=%d (%.2fx budget) relocated=%d reclaimed=%d",
+				total, peak, float64(peak)/budget, st.RelocatedRecords, st.ReclaimedBytes)
+			checkCrashCopy(t, cfg, total/batch*batch)
+		})
+	}
+}
+
+// TestWALReclaimConcurrent runs writers, readers and background
+// flushing through the pipeline while reclaim relocates and unlinks,
+// at 1, 2 and 4 Ps. Fault-injection and race builds turn a negative
+// claim count or an unsynchronized LogSeq into a failure on the spot;
+// at quiescence every claim must belong to a memory-resident record.
+func TestWALReclaimConcurrent(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		procs := procs
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			const (
+				budget  = 96 << 10
+				writers = 4
+				readers = 2
+				batch   = 16
+			)
+			perWriter := 3072
+			if testing.Short() {
+				perWriter = 1024
+			}
+			cfg := reclaimConfig(t.TempDir(), t.TempDir(), budget, false, alloc.PolicyPooled)
+			eng, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			var wg sync.WaitGroup
+			var stop atomic.Bool
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < perWriter; i += batch {
+						if _, err := eng.IngestBatch(soakBatch(w*perWriter+i, batch)); err != nil {
+							t.Errorf("writer %d: %v", w, err)
+							return
+						}
+						// Nothing slows a writer down by itself; without a
+						// pause flushing is outrun, everything logged stays
+						// live, and there is nothing to reclaim.
+						if i/batch%8 == 7 {
+							if _, err := eng.FlushNow(); err != nil {
+								t.Errorf("writer %d: FlushNow: %v", w, err)
+								return
+							}
+						}
+					}
+				}(w)
+			}
+			var rg sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				rg.Add(1)
+				go func(r int) {
+					defer rg.Done()
+					for i := 0; !stop.Load(); i++ {
+						key := fmt.Sprintf("w%d", (i+r)%16)
+						if _, err := eng.Search(query.Request[string]{Keys: []string{key}, K: 3}); err != nil {
+							t.Errorf("reader %d: %v", r, err)
+							return
+						}
+						if st := eng.wal.Stats(); st.LiveRecords < 0 {
+							t.Errorf("negative claim total %d", st.LiveRecords)
+							return
+						}
+					}
+				}(r)
+			}
+			wg.Wait()
+			stop.Store(true)
+			rg.Wait()
+
+			// Quiescence: one more cycle under the gate, then drain the
+			// pipeline; nothing is in flight afterwards.
+			if _, err := eng.FlushNow(); err != nil {
+				t.Fatal(err)
+			}
+			waitPipelineIdle(t, eng)
+			if err := eng.Err(); err != nil {
+				t.Fatal(err)
+			}
+			st := eng.wal.Stats()
+			if st.LiveRecords != eng.store.Len() {
+				t.Fatalf("at quiescence %d claims for %d memory-resident records", st.LiveRecords, eng.store.Len())
+			}
+			if st.ReclaimedBytes == 0 {
+				t.Fatalf("nothing reclaimed under load: %+v", st)
+			}
+			files, bytes := dirUsage(t, cfg.WALDir)
+			if st.Files != files || st.Bytes != bytes {
+				t.Fatalf("table says %d files / %d bytes, directory %d / %d", st.Files, st.Bytes, files, bytes)
+			}
+			// Background compaction unlinks segments as it goes; let it
+			// finish so the copy below is one consistent image.
+			if err := eng.CompactNow(); err != nil {
+				t.Fatal(err)
+			}
+			checkCrashCopy(t, cfg, writers*perWriter/batch*batch)
+		})
+	}
+}

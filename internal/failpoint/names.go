@@ -44,6 +44,9 @@ const (
 	WALSnapshotSync     = "wal/snapshot/sync"      // syncing the snapshot temp file
 	WALSnapshotRename   = "wal/snapshot/rename"    // temp file durable, rename not yet done
 	WALSnapshotCleanup  = "wal/snapshot/cleanup"   // snapshot renamed, old log files not yet deleted
+	WALRelocateAppended = "wal/relocate/appended"  // a sealed file's survivors re-appended, not yet fsynced
+	WALRelocateSynced   = "wal/relocate/synced"    // relocated frames durable, source file still claimed
+	WALReclaimUnlink    = "wal/reclaim/unlink"     // an unclaimed sealed file is about to be unlinked
 
 	// Disk-tier sites (internal/disk).
 	DiskSegmentCreate      = "disk/segment/create"       // creating the segment temp file
@@ -113,6 +116,7 @@ func CrashSites() []string {
 		WALSync,
 		WALRotateSeal, WALRotateCreate, WALRotateHeader,
 		WALSnapshotWrite, WALSnapshotSync, WALSnapshotRename, WALSnapshotCleanup,
+		WALRelocateAppended, WALRelocateSynced, WALReclaimUnlink,
 		DiskSegmentCreate, DiskSegmentWrite, DiskSegmentDirWrite,
 		DiskSegmentSync, DiskSegmentRename, DiskSegmentAfterRename,
 		DiskCompactRename, DiskCompactRemove,

@@ -127,6 +127,17 @@ func (ix *Index[K]) shardFor(key K) *shard[K] {
 // and increments rec's reference count. It retries transparently if the
 // entry is concurrently detached by a flush.
 func (ix *Index[K]) Insert(key K, rec *store.Record) {
+	rec.Ref(1)
+	ix.Link(key, rec)
+}
+
+// Link is Insert for a posting whose reference the caller has already
+// counted. A record indexed under several keys while flushing runs must
+// be charged for all of them before the first posting becomes visible
+// (rec.Ref(len(keys)), then Link per key): counted one key at a time, a
+// concurrent trim of the first posting would take the count to zero and
+// flush the record as dead while it is still being linked.
+func (ix *Index[K]) Link(key K, rec *store.Record) {
 	k := int(ix.k.Load())
 	for {
 		e := ix.getOrCreate(key)
@@ -134,7 +145,6 @@ func (ix *Index[K]) Insert(key K, rec *store.Record) {
 		if !ok {
 			continue // entry detached under us; re-create and retry
 		}
-		rec.Ref(1)
 		ix.postingCount.Add(1)
 		if ix.cfg.Tracker != nil {
 			ix.cfg.Tracker.AddIndex(memsize.PostingSize)

@@ -142,7 +142,7 @@ func (b *VictimBuffer) Add(rec *store.Record) {
 	b.mu.Lock()
 	b.dead = append(b.dead, rec)
 	if write {
-		b.recs = append(b.recs, disk.FlushRecord{MB: rec.MB, Score: rec.Score})
+		b.recs = append(b.recs, disk.FlushRecord{MB: rec.MB, Score: rec.Score, LogSeq: rec.LogSeq})
 		b.bytes += rec.Bytes
 	}
 	b.mu.Unlock()
@@ -165,7 +165,7 @@ func (b *VictimBuffer) AddPartial(rec *store.Record) {
 
 func (b *VictimBuffer) append(rec *store.Record) {
 	b.mu.Lock()
-	b.recs = append(b.recs, disk.FlushRecord{MB: rec.MB, Score: rec.Score})
+	b.recs = append(b.recs, disk.FlushRecord{MB: rec.MB, Score: rec.Score, LogSeq: rec.LogSeq})
 	b.bytes += rec.Bytes
 	b.mu.Unlock()
 	if b.chargeTemp && b.mem != nil {

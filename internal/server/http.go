@@ -531,6 +531,16 @@ func (s *Store) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(st kflushing.Stats) float64 { return float64(st.Disk.CacheEvictions) })
 	emit("disk_cache_bytes", "gauge", "bytes resident in the disk read cache",
 		func(st kflushing.Stats) float64 { return float64(st.Disk.CacheBytes) })
+	emit("wal_bytes", "gauge", "write-ahead log bytes on disk: snapshot, sealed files and the active file (0 without durability)",
+		func(st kflushing.Stats) float64 { return float64(st.WAL.Bytes) })
+	emit("wal_files", "gauge", "write-ahead log files on disk, the snapshot and the active file included",
+		func(st kflushing.Stats) float64 { return float64(st.WAL.Files) })
+	emit("wal_live_records", "gauge", "records whose newest log frame is still claimed: in memory, or in flight to a segment",
+		func(st kflushing.Stats) float64 { return float64(st.WAL.LiveRecords) })
+	emit("wal_relocated_records_total", "counter", "survivors re-logged out of a sealed log file so it could be reclaimed",
+		func(st kflushing.Stats) float64 { return float64(st.WAL.RelocatedRecords) })
+	emit("wal_reclaimed_bytes_total", "counter", "bytes of write-ahead log files unlinked once nothing claimed them",
+		func(st kflushing.Stats) float64 { return float64(st.WAL.ReclaimedBytes) })
 	emit("tuner_enabled", "gauge", "1 while the adaptive memory tuner is on for the attribute system",
 		func(st kflushing.Stats) float64 {
 			if st.TunerEnabled {

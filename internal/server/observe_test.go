@@ -82,6 +82,14 @@ func TestMetricsExpositionLints(t *testing.T) {
 		"# TYPE kflushing_tuner_cache_bytes gauge",
 		"# TYPE kflushing_tuner_adjustments_total counter",
 		"# TYPE kflushing_tuner_sign_flips_total counter",
+		// Online log reclaim (PR 19): the log's size against the budget,
+		// and the relocation and unlink work that keeps it there.
+		"# TYPE kflushing_wal_bytes gauge",
+		`kflushing_wal_bytes{attr="keyword"`,
+		"# TYPE kflushing_wal_files gauge",
+		"# TYPE kflushing_wal_live_records gauge",
+		"# TYPE kflushing_wal_relocated_records_total counter",
+		"# TYPE kflushing_wal_reclaimed_bytes_total counter",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)

@@ -45,6 +45,14 @@ type Record struct {
 	// serialized twice.
 	onDisk atomic.Bool
 
+	// LogSeq is the write-ahead-log file holding the record's newest
+	// frame: the record's claim keeps that file on disk until the record
+	// has left memory for a durably installed segment. Written before the
+	// record is published and, afterwards, only under the engine's flush
+	// gate (relocation, recovery); read under the gate or after the dead
+	// record was handed over by it.
+	LogSeq uint32
+
 	// LRUPrev and LRUNext are intrusive doubly-linked-list hooks owned
 	// exclusively by the LRU policy; nil under every other policy.
 	LRUPrev, LRUNext *Record
@@ -83,6 +91,7 @@ func ResetRecord(r *Record, m *types.Microblog, score float64) {
 	r.pcount.Store(0)
 	r.topk.Store(0)
 	r.onDisk.Store(false)
+	r.LogSeq = 0
 	r.LRUPrev, r.LRUNext = nil, nil
 }
 

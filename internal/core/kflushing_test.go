@@ -19,9 +19,8 @@ type memSink struct {
 	recs []disk.FlushRecord
 }
 
-func (s *memSink) Flush(recs []disk.FlushRecord) error {
+func (s *memSink) Flush(recs []disk.FlushRecord, _ []*store.Record) {
 	s.recs = append(s.recs, recs...)
-	return nil
 }
 
 // harness wires an index, store, and kFlushing policy without an engine,

@@ -3,16 +3,13 @@
 package engine
 
 import (
-	"errors"
 	"testing"
-	"time"
 
 	"kflushing/internal/attr"
 	"kflushing/internal/clock"
 	"kflushing/internal/core"
 	"kflushing/internal/disk"
 	"kflushing/internal/failpoint"
-	"kflushing/internal/flushlog"
 	"kflushing/internal/query"
 	"kflushing/internal/types"
 )
@@ -63,108 +60,6 @@ func searchIDs(t *testing.T, e *Engine[string], key string, k int) map[types.ID]
 		ids[it.MB.ID] = true
 	}
 	return ids
-}
-
-// TestTransientFlushErrorMaskedByRetry arms a segment-create fault that
-// fails twice and then clears; with DiskRetry allowing three retries the
-// flush must succeed with no visible error and no degraded transition.
-func TestTransientFlushErrorMaskedByRetry(t *testing.T) {
-	eng := newFaultEngine(t, disk.RetryPolicy{Attempts: 3, Backoff: time.Millisecond})
-	for i := 0; i < 50; i++ {
-		ingest(t, eng, int64(i+1), "a", "all")
-	}
-	mustEnable(t, failpoint.DiskSegmentCreate, "error(2)")
-	if _, err := eng.FlushNow(); err != nil {
-		t.Fatalf("flush with transient fault and retry: %v", err)
-	}
-	if hits := failpoint.Hits(failpoint.DiskSegmentCreate); hits < 3 {
-		t.Fatalf("segment create evaluated %d times, want >= 3 (2 failures + success)", hits)
-	}
-	if degraded, _ := eng.Degraded(); degraded {
-		t.Fatal("engine degraded after a retried transient fault")
-	}
-	if eng.Stats().Disk.Segments == 0 {
-		t.Fatal("no segment written: flush did not reach the tier")
-	}
-}
-
-// TestPersistentFlushFailureDegrades drives the full degraded-mode
-// lifecycle: a persistent segment-write fault fails the flush even with
-// retries, the eviction is rolled back (every record stays searchable),
-// ingestion is rejected with ErrDegraded, and once the fault clears a
-// readiness probe restores write service.
-func TestPersistentFlushFailureDegrades(t *testing.T) {
-	eng := newFaultEngine(t, disk.RetryPolicy{Attempts: 1})
-	var want []types.ID
-	for i := 0; i < 50; i++ {
-		want = append(want, ingest(t, eng, int64(i+1), "a", "all"))
-	}
-	mustEnable(t, failpoint.DiskSegmentWrite, "error")
-
-	if _, err := eng.FlushNow(); err == nil {
-		t.Fatal("flush succeeded despite persistent segment-write fault")
-	}
-	if degraded, reason := eng.Degraded(); !degraded || reason == "" {
-		t.Fatalf("degraded=%v reason=%q after persistent flush failure", degraded, reason)
-	}
-
-	// Atomic flush semantics: the failed eviction was rolled back, so
-	// every record is still answered from memory.
-	got := searchIDs(t, eng, "all", 100)
-	for _, id := range want {
-		if !got[id] {
-			t.Fatalf("record %d lost after failed flush (rollback broken)", id)
-		}
-	}
-
-	// Ingestion is read-only-rejected with the typed error…
-	if _, err := eng.Ingest(&types.Microblog{Keywords: []string{"b"}, Text: "t"}); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("degraded ingest error = %v, want ErrDegraded", err)
-	}
-	// …and surfaced by the readiness probe while the fault persists.
-	if err := eng.CheckReady(); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("CheckReady = %v, want ErrDegraded", err)
-	}
-	st := eng.Stats()
-	if !st.Degraded || st.DegradedReason == "" {
-		t.Fatalf("stats degraded=%v reason=%q", st.Degraded, st.DegradedReason)
-	}
-	// The transition is journaled.
-	evs := eng.Journal().Last(0)
-	found := false
-	for _, ev := range evs {
-		if ev.Trigger == flushlog.TriggerDegraded {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no degraded event in the flush journal")
-	}
-
-	// Fault clears: the next readiness probe provides the evidence and
-	// write service resumes.
-	failpoint.Disable(failpoint.DiskSegmentWrite)
-	if err := eng.CheckReady(); err != nil {
-		t.Fatalf("CheckReady after fault cleared: %v", err)
-	}
-	if degraded, _ := eng.Degraded(); degraded {
-		t.Fatal("still degraded after successful readiness probe")
-	}
-	if _, err := eng.Ingest(&types.Microblog{Keywords: []string{"b"}, Text: "t"}); err != nil {
-		t.Fatalf("ingest after recovery: %v", err)
-	}
-	if _, err := eng.FlushNow(); err != nil {
-		t.Fatalf("flush after recovery: %v", err)
-	}
-	clearEvent := false
-	for _, ev := range eng.Journal().Last(0) {
-		if ev.Trigger == flushlog.TriggerDegradedClear {
-			clearEvent = true
-		}
-	}
-	if !clearEvent {
-		t.Fatal("no degraded-clear event in the flush journal")
-	}
 }
 
 // TestEvictionRollbackSurvivesRestart checks the stronger durability

@@ -80,12 +80,6 @@ type Config[K comparable] struct {
 	// compaction (every flush stays its own L0 segment); otherwise
 	// DiskLevelFanout governs.
 	DiskMaxSegments int
-	// FlushPipelineDepth bounds the flush pipeline queue: evicted
-	// batches whose segment build runs on a background worker instead
-	// of under the flush gate. 0 selects a default, negative disables
-	// the pipeline (every flush writes synchronously). SyncFlush also
-	// disables it.
-	FlushPipelineDepth int
 	// DiskCacheBytes bounds the disk tier's decoded-record read cache;
 	// 0 selects the tier default, negative disables caching.
 	DiskCacheBytes int64
@@ -110,8 +104,9 @@ type Config[K comparable] struct {
 	// kFlushing variants; FIFO and LRU leave it off).
 	TrackOverK bool
 	// SyncFlush runs flushes inline on the ingesting goroutine instead
-	// of a background flushing thread. Deterministic; used by tests
-	// and experiments.
+	// of a background flushing thread, and every cycle completes its
+	// batch before it returns (no flush pipeline). Deterministic; used
+	// by tests and experiments.
 	SyncFlush bool
 	// Shards overrides the index shard count; 0 selects the default.
 	Shards int
@@ -185,12 +180,11 @@ type Engine[K comparable] struct {
 	lastError atomic.Value // error
 	closed    atomic.Bool
 
-	// fsink wraps the tier as the policies' flush sink: bounded retry
-	// plus failed-batch capture for eviction rollback.
-	fsink *flushSink[K]
-	// pipe is the staged flush pipeline (nil when disabled): evicted
-	// batches build their segments on a background worker so ingestion
-	// overlaps segment I/O.
+	// fsink is the policies' sink: it parks the batch a cycle evicted
+	// until flushCycle takes it.
+	fsink flushSink
+	// pipe queues budget-triggered cycles' batches for the background
+	// worker so ingestion overlaps segment I/O; nil under SyncFlush.
 	pipe *flushPipeline[K]
 	// degraded is the read-only mode entered when tier writes fail
 	// persistently; degradedReason holds the entering error's message.
@@ -289,21 +283,15 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		return nil, err
 	}
 	e.tier = tier
-	e.fsink = &flushSink[K]{tier: tier, retry: cfg.DiskRetry, releaseDead: e.recycler.Free}
-	if !cfg.SyncFlush && cfg.FlushPipelineDepth >= 0 {
-		depth := cfg.FlushPipelineDepth
-		if depth == 0 {
-			depth = defaultPipelineDepth
-		}
-		e.pipe = newFlushPipeline(e, depth)
-		e.fsink.pipe = e.pipe
+	if !cfg.SyncFlush {
+		e.pipe = newFlushPipeline(e)
 	}
 	e.pol = cfg.Policy
 	e.pol.Attach(&policy.Resources[K]{
 		Index:   e.idx,
 		Store:   e.store,
 		Mem:     &e.mem,
-		Sink:    e.fsink,
+		Sink:    &e.fsink,
 		KeysOf:  cfg.KeysOf,
 		Clock:   cfg.Clock,
 		Metrics: &e.reg,
@@ -328,7 +316,6 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 			return nil, err
 		}
 		e.wal = w
-		e.fsink.claims = e.releaseClaims
 		if err := e.recoverFromWAL(); err != nil {
 			_ = w.Close()
 			_ = tier.Close()
@@ -419,13 +406,7 @@ func (e *Engine[K]) recoverFromWAL() error {
 			return nil
 		}
 		rec := e.newRecord(mb, fr.Score)
-		rec.LogSeq = fr.LogSeq
-		rec.Ref(int32(len(keys))) // charged in full before the first link
-		e.store.Put(rec)
-		e.mem.AddData(rec.Bytes)
-		for _, key := range keys {
-			e.idx.Link(key, rec)
-		}
+		e.admit(rec, fr.LogSeq, keys)
 		recs = append(recs, rec)
 		recKeys = append(recKeys, keys)
 		if due := e.flushDue(); due || len(recs) == recoverChunk {
@@ -551,15 +532,11 @@ func (e *Engine[K]) IngestBatch(mbs []*types.Microblog) ([]types.ID, error) {
 		}
 	}
 	for i, rec := range recs {
+		var logSeq uint32
 		if e.wal != nil {
-			rec.LogSeq = frames[i].LogSeq // the claim AppendBatch took for it
+			logSeq = frames[i].LogSeq // the claim AppendBatch took for it
 		}
-		rec.Ref(int32(len(recKeys[i]))) // charged in full before the first link
-		e.store.Put(rec)
-		e.mem.AddData(rec.Bytes)
-		for _, key := range recKeys[i] {
-			e.idx.Link(key, rec)
-		}
+		e.admit(rec, logSeq, recKeys[i])
 	}
 	e.pol.OnIngest(recs, recKeys)
 	e.reg.Ingested.Add(int64(len(recs)))
@@ -578,6 +555,22 @@ func (e *Engine[K]) newRecord(m *types.Microblog, score float64) *store.Record {
 		return rec
 	}
 	return store.NewRecord(m, score)
+}
+
+// admit makes rec memory-resident: stored, charged to the budget and
+// linked under every key, holding the log claim logSeq names (0 without
+// a log). The references are charged in full before the first link, so
+// a concurrent flush unlinking an early key can never see the count
+// reach zero while later keys are still being linked. The caller
+// reports the record to the policy (OnIngest) once its batch is in.
+func (e *Engine[K]) admit(rec *store.Record, logSeq uint32, keys []K) {
+	rec.LogSeq = logSeq
+	rec.Ref(int32(len(keys)))
+	e.store.Put(rec)
+	e.mem.AddData(rec.Bytes)
+	for _, key := range keys {
+		e.idx.Link(key, rec)
+	}
 }
 
 // AllocStats reports the allocator layer's traffic: the posting slab
@@ -634,10 +627,11 @@ func (e *Engine[K]) runFlushLocked(trigger string) {
 	e.tuneTickLocked()
 }
 
-// flushCycle runs the policy once at the configured target, updates the
-// flush counters, and records the cycle in the audit journal (the
-// policy fills in its per-phase events between Begin and End). Callers
-// must hold flushMu.
+// flushCycle runs one flush cycle: the policy evicts at the configured
+// target (prepare), then the evicted batch is either handed to the
+// pipeline worker or completed here, and the cycle is counted and
+// recorded in the audit journal (the policy fills in its per-phase
+// events between Begin and End). Callers must hold flushMu.
 func (e *Engine[K]) flushCycle(trigger string) (int64, error) {
 	start := time.Now()
 	// A runtime/trace task per cycle: `go tool trace` groups the cycle's
@@ -646,10 +640,6 @@ func (e *Engine[K]) flushCycle(trigger string) (int64, error) {
 	defer task.End()
 	target := int64(e.flushFraction() * float64(e.cfg.MemoryBudget))
 	e.journal.Begin(e.pol.Name(), trigger, target, e.mem.Used(), start)
-	// Only budget-triggered background cycles may enqueue their batch to
-	// the pipeline: manual, recovery and degraded-probe cycles stay
-	// fully synchronous so their outcome is determined when they return.
-	e.fsink.beginCycle(trigger == flushlog.TriggerBudget)
 	var freed int64
 	err := failpoint.Eval(failpoint.FlushBegin)
 	if err == nil {
@@ -658,36 +648,27 @@ func (e *Engine[K]) flushCycle(trigger string) (int64, error) {
 		})
 	}
 	prepare := time.Since(start)
-	if err != nil {
-		// Atomic flush semantics: whatever the cycle evicted but could
-		// not durably persist goes back into memory before anyone can
-		// observe the gap, then the engine stops accepting writes.
-		releaseStart := time.Now()
-		failed, dead := e.fsink.takeFailed()
-		e.restoreEvicted(failed)
-		// Restored records hold fresh claims; the wrappers they replace
-		// give theirs back (and are left to the garbage collector).
-		e.fsink.releaseOrdered(dead, false)
-		release := time.Since(releaseStart)
-		e.reg.ObserveStage(metrics.StageRelease, release)
-		e.journal.Stage("release", release.Nanoseconds())
-		e.bbox.Record(blackbox.SubFlush, blackbox.EvFlushRelease,
-			int64(len(failed)), 0, release.Nanoseconds())
-	}
-	// Stage accounting: the prepare stage is the gate-held policy run
-	// minus the time the sink spent writing synchronously (enqueued
-	// batches report their build/install on the pipeline event instead).
-	build, install, write := e.fsink.cycleStats()
-	if p := prepare.Nanoseconds() - write; p > 0 {
-		e.reg.ObserveStage(metrics.StagePrepare, time.Duration(p))
-		e.journal.Stage("prepare", p)
-		e.bbox.Record(blackbox.SubFlush, blackbox.EvFlushPrepare, target, freed, p)
-	}
-	if build > 0 {
-		e.reg.ObserveStage(metrics.StageBuild, time.Duration(build))
-		e.reg.ObserveStage(metrics.StageInstall, time.Duration(install))
-		e.journal.Stage("build", build)
-		e.journal.Stage("install", install)
+	e.reg.ObserveStage(metrics.StagePrepare, prepare)
+	e.journal.Stage("prepare", prepare.Nanoseconds())
+	e.bbox.Record(blackbox.SubFlush, blackbox.EvFlushPrepare, target, freed, prepare.Nanoseconds())
+	// The policy only evicted: its batch is out of memory and not yet on
+	// disk. A budget-triggered cycle hands it to the pipeline worker and
+	// gives the gate back. Every other cycle is complete when it returns
+	// — as is one that finds the queue full, or whose policy failed after
+	// evicting: what it evicted is persisted before the error is reported
+	// — so the batch walks the same stages here, under the gate.
+	batch := e.fsink.take()
+	durable := false
+	switch {
+	case len(batch.recs) == 0 && len(batch.dead) == 0: // nothing was evicted
+	case err == nil && trigger == flushlog.TriggerBudget && e.pipe.tryEnqueue(batch):
+	default:
+		c := e.persist(batch, true)
+		e.conclude(c)
+		durable = c.durable
+		if c.err != nil {
+			err = c.err
+		}
 	}
 	d := time.Since(start)
 	e.reg.Flushes.Add(1)
@@ -696,13 +677,7 @@ func (e *Engine[K]) flushCycle(trigger string) (int64, error) {
 	used := e.mem.Used()
 	e.lastFlushUsed.Store(used)
 	e.journal.End(freed, used, d, err)
-	if err != nil {
-		_ = e.fsink.tookWrite() // reset the evidence bit; this cycle failed
-		e.enterDegraded(err)
-	} else if e.fsink.tookWrite() {
-		// Only a real, durable tier write is evidence the fault cleared.
-		e.exitDegraded("flush")
-	}
+	e.flushOutcome(err, durable, "flush")
 	slog.Debug("engine: flush cycle",
 		"policy", e.pol.Name(), "trigger", trigger,
 		"target", target, "freed", freed, "duration", d)

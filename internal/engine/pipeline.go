@@ -11,6 +11,7 @@ import (
 
 	"kflushing/internal/blackbox"
 	"kflushing/internal/disk"
+	"kflushing/internal/failpoint"
 	"kflushing/internal/flushlog"
 	"kflushing/internal/metrics"
 	"kflushing/internal/store"
@@ -20,31 +21,54 @@ import (
 // encode, fsync, manifest commits) to its subsystem in profiles.
 var pipelineLabels = pprof.Labels("kflushing", "flush-pipeline-worker")
 
-// flushPipeline decouples a flush cycle's prepare stage (victim
-// selection and eviction, which must run under the flush gate) from its
-// build and install stages (segment encode, staged write, rename,
-// manifest commit — all pure I/O): a budget-triggered cycle enqueues
-// its evicted batch here and returns, releasing the gate, so ingestion
-// and the NEXT cycle's prepare overlap the previous cycle's segment
-// build instead of serializing behind it.
+// flushBatch is what one flush cycle evicted: the payloads to persist
+// and the dead wrappers whose log claims come down — and which may be
+// recycled — once the payloads are durable. It is out of memory and not
+// yet on disk, but still fully covered by the write-ahead log: the dead
+// wrappers hold their claims until the batch has settled.
+type flushBatch struct {
+	recs []disk.FlushRecord
+	dead []*store.Record
+}
+
+// flushSink is the policies' sink: it parks the cycle's batch for
+// flushCycle to pick up when the policy returns. Eviction is the
+// policy's job and ends here; every step from here to durable (or back
+// into memory) is a flushCompletion. Only the flushing goroutine touches
+// it, under flushMu.
+type flushSink struct{ parked flushBatch }
+
+func (s *flushSink) Flush(recs []disk.FlushRecord, dead []*store.Record) {
+	s.parked = flushBatch{recs: recs, dead: dead}
+}
+
+// take returns the parked batch (empty when the policy evicted nothing).
+func (s *flushSink) take() flushBatch {
+	b := s.parked
+	s.parked = flushBatch{}
+	return b
+}
+
+// flushPipeline is the queue between the two goroutines that can run a
+// flushCompletion. A budget-triggered cycle enqueues its batch here and
+// returns, releasing the flush gate, so ingestion and the NEXT cycle's
+// prepare overlap this batch's segment build instead of serializing
+// behind it; the single worker walks each queued batch through the same
+// build → install → release stages the flusher runs inline for every
+// other cycle.
 //
-// Safety model: an enqueued batch is out of memory but not yet on disk.
-// It is still fully covered by the write-ahead log — its dead records
-// keep their claims on the log files holding them until the batch has
-// installed (flushSink.release) — so a crash with batches queued loses
-// nothing: recovery replays them back into memory. A build or
-// install FAILURE rolls the eviction back via restoreEvicted and puts
-// the engine in degraded read-only mode, exactly like a synchronous
-// flush failure. Close drains the queue before the shutdown snapshot is
-// cut, so queued batches always reach the tier or memory, never the
-// void.
+// A crash with batches queued loses nothing — recovery replays them
+// from the log — and a build or install FAILURE on the worker rolls the
+// eviction back and degrades the engine exactly as it does inline, just
+// later. Close drains the queue before the shutdown snapshot is cut, so
+// queued batches always reach the tier or memory, never the void.
 //
-// The queue is bounded; when it is full the flush sink falls back to
-// the synchronous write path (counted in PipelineFallbacks), so eviction
-// can never outrun the disk by more than depth batches.
+// The queue is bounded; a cycle that finds it full completes its batch
+// inline instead (counted in PipelineFallbacks), so eviction can never
+// outrun the disk by more than pipelineDepth batches.
 type flushPipeline[K comparable] struct {
 	e      *Engine[K]
-	ch     chan pipeBatch
+	ch     chan flushBatch
 	wg     sync.WaitGroup
 	closed atomic.Bool
 
@@ -65,49 +89,40 @@ type deferredRelease struct {
 	installed bool
 }
 
-// pipeBatch is one enqueued flush: the records to write plus the dead
-// wrappers recycled once the write durably installs.
-type pipeBatch struct {
-	recs []disk.FlushRecord
-	dead []*store.Record
-}
+// pipelineDepth bounds the queue: deep enough to absorb a flush burst,
+// shallow enough that at most a few batches sit outside both memory and
+// disk.
+const pipelineDepth = 4
 
-// defaultPipelineDepth bounds the queue when Config.FlushPipelineDepth
-// is zero: deep enough to absorb a flush burst, shallow enough that at
-// most a few batches sit outside both memory and disk.
-const defaultPipelineDepth = 4
-
-func newFlushPipeline[K comparable](e *Engine[K], depth int) *flushPipeline[K] {
-	p := &flushPipeline[K]{e: e, ch: make(chan pipeBatch, depth)}
+func newFlushPipeline[K comparable](e *Engine[K]) *flushPipeline[K] {
+	p := &flushPipeline[K]{e: e, ch: make(chan flushBatch, pipelineDepth)}
 	p.wg.Add(1)
 	go p.worker()
 	return p
 }
 
-// tryEnqueue hands an evicted batch to the background builder without
-// blocking. False means the caller must write synchronously (queue
-// full, or the pipeline shut down). The batch slice is copied — the
-// policy may reuse its buffer the moment Flush returns; ownership of
-// dead transfers to the pipeline.
-func (p *flushPipeline[K]) tryEnqueue(recs []disk.FlushRecord, dead []*store.Record) bool {
-	if p.closed.Load() {
+// tryEnqueue hands an evicted batch to the worker without blocking.
+// False means the caller completes it inline: there is no pipeline
+// (SyncFlush), the batch has nothing to build — its dead settle in
+// order on the flusher — or the queue is full or shut down.
+func (p *flushPipeline[K]) tryEnqueue(b flushBatch) bool {
+	if p == nil || len(b.recs) == 0 || p.closed.Load() {
 		return false
 	}
-	batch := pipeBatch{recs: append([]disk.FlushRecord(nil), recs...), dead: dead}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	select {
-	case p.ch <- batch:
+	case p.ch <- b:
 		p.enqueued++
 		p.e.reg.PipelineEnqueued.Add(1)
 		depth := p.e.reg.PipelineDepth.Add(1)
 		p.e.bbox.Record(blackbox.SubFlush, blackbox.EvFlushEnqueue,
-			int64(len(recs)), depth, 0)
+			int64(len(b.recs)), depth, 0)
 		return true
 	default:
 		p.e.reg.PipelineFallbacks.Add(1)
 		p.e.bbox.Record(blackbox.SubFlush, blackbox.EvFlushFallback,
-			int64(len(recs)), 0, 0)
+			int64(len(b.recs)), 0, 0)
 		return false
 	}
 }
@@ -128,7 +143,7 @@ func (p *flushPipeline[K]) worker() {
 	pprof.Do(context.Background(), pipelineLabels, func(ctx context.Context) {
 		for batch := range p.ch {
 			rtrace.WithRegion(ctx, "pipeline-complete", func() {
-				p.e.completeAsync(batch.recs, batch.dead)
+				p.complete(batch)
 			})
 			p.settleDeferred()
 			p.e.reg.PipelineDepth.Add(-1)
@@ -136,11 +151,30 @@ func (p *flushPipeline[K]) worker() {
 	})
 }
 
+// complete runs one queued batch's completion on the worker.
+func (p *flushPipeline[K]) complete(b flushBatch) {
+	e := p.e
+	c := e.persist(b, false)
+	e.flushMu.Lock()
+	defer e.flushMu.Unlock()
+	e.journal.Begin(e.pol.Name(), flushlog.TriggerPipeline, 0, e.mem.Used(), c.start)
+	e.conclude(c)
+	e.journal.End(int64(c.fs.Bytes), e.mem.Used(), time.Since(c.start), c.err)
+	e.flushOutcome(c.err, c.durable, "pipeline install")
+	if c.err != nil {
+		slog.Error("engine: pipelined flush failed",
+			"records", len(b.recs), "restored", !c.installed, "error", c.err)
+	}
+}
+
 // deferRelease parks dead until every batch enqueued so far has
-// completed. False means nothing is in flight and the caller settles
-// them itself. Only the flushing goroutine enqueues, so "so far" cannot
-// move under the caller.
+// completed. False means nothing is in flight (or there is no pipeline)
+// and the caller settles them itself. Only the flushing goroutine
+// enqueues, so "so far" cannot move under the caller.
 func (p *flushPipeline[K]) deferRelease(dead []*store.Record, installed bool) bool {
+	if p == nil {
+		return false
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.completed == p.enqueued {
@@ -163,7 +197,7 @@ func (p *flushPipeline[K]) settleDeferred() {
 	p.deferred = p.deferred[n:]
 	p.mu.Unlock()
 	for _, d := range ready {
-		p.e.fsink.release(d.dead, d.installed)
+		p.e.settle(d.dead, d.installed)
 	}
 }
 
@@ -185,51 +219,111 @@ func (p *flushPipeline[K]) depth() int {
 	return int(p.e.reg.PipelineDepth.Load())
 }
 
-// completeAsync runs the build, install, and release stages for one
-// pipelined batch. Success publishes the segment and journals a
-// "pipeline" event; failure rolls the eviction back into memory and
-// enters degraded mode — the same contract as a synchronous flush
-// failure, just later.
-func (e *Engine[K]) completeAsync(recs []disk.FlushRecord, dead []*store.Record) {
-	start := time.Now()
-	fs, wrote, err := e.fsink.writeStaged(recs)
-	if wrote {
-		// The segment is durable, and so is every batch enqueued before
-		// it: the worker is serial.
-		e.fsink.release(dead, true)
-	}
-	if fs.BuildNanos > 0 {
-		e.reg.ObserveStage(metrics.StageBuild, time.Duration(fs.BuildNanos))
-		e.reg.ObserveStage(metrics.StageInstall, time.Duration(fs.InstallNanos))
-	}
+// flushCompletion is one evicted batch's walk from "out of memory" to
+// "durable, claims released" or "restored": the build → install →
+// release stages every flush goes through after prepare. Two functions
+// run it, split where the flush gate becomes necessary: persist needs
+// none, conclude must hold it. The flusher calls both under the gate it
+// already holds, inside its cycle's open journal event; the pipeline
+// worker takes the gate between them and opens a "pipeline" event of
+// its own. Who runs a completion is the only thing that varies; gate
+// wait is booked to no stage.
+type flushCompletion struct {
+	batch flushBatch
+	// ordered: the dead additionally wait for every batch still queued,
+	// because some of their payloads may ride those. Not so on the
+	// worker, which is serial — every earlier batch has completed.
+	ordered bool
+	start   time.Time
+	fs      disk.FlushStats
+	// durable: this very completion installed a segment, the only
+	// evidence that clears degraded mode. A batch with nothing to write
+	// is installed without being durable.
+	durable, installed bool
+	err                error // fails the cycle
+	release            time.Duration
+}
 
-	releaseStart := time.Now()
-	e.flushMu.Lock()
-	defer e.flushMu.Unlock()
-	e.journal.Begin(e.pol.Name(), flushlog.TriggerPipeline, 0, e.mem.Used(), start)
-	e.journal.Stage("build", fs.BuildNanos)
-	e.journal.Stage("install", fs.InstallNanos)
-	if err != nil && !wrote {
-		// The segment never became durable: the eviction must come back,
-		// under fresh claims, before the wrappers it replaces give up
-		// theirs.
-		e.restoreEvicted(recs)
-		e.fsink.release(dead, false)
+// persist builds and installs the batch's segment and, once the payloads
+// are safe on disk (or there were none), releases its dead: nothing
+// re-enters memory, so no gate is needed.
+func (e *Engine[K]) persist(b flushBatch, ordered bool) *flushCompletion {
+	c := &flushCompletion{batch: b, ordered: ordered, start: time.Now()}
+	if len(b.recs) > 0 {
+		c.err = failpoint.Eval(failpoint.FlushAfterEvict)
+		if c.err == nil {
+			c.err = e.cfg.DiskRetry.Do(func() error {
+				var werr error
+				c.fs, werr = e.tier.FlushStaged(b.recs)
+				return werr
+			})
+			c.durable = c.err == nil
+		}
+		if c.durable {
+			// A failure from here on fails the cycle but restores
+			// nothing: the segment is live, and records brought back
+			// beside it would be answered twice.
+			c.err = failpoint.Eval(failpoint.FlushAfterWrite)
+		}
 	}
-	release := time.Since(releaseStart)
-	e.reg.ObserveStage(metrics.StageRelease, release)
-	e.journal.Stage("release", release.Nanoseconds())
+	c.installed = c.durable || len(b.recs) == 0
+	if c.installed {
+		e.release(c)
+	}
+	return c
+}
+
+// conclude finishes a completion under the flush gate: a batch that
+// never became durable comes back into memory, under fresh claims,
+// before the wrappers it replaces give theirs back (and are left to the
+// garbage collector); then the stages that ran are booked, once, to the
+// histograms and the open journal event.
+func (e *Engine[K]) conclude(c *flushCompletion) {
+	if !c.installed {
+		e.release(c)
+	}
+	if c.fs.BuildNanos > 0 {
+		e.reg.ObserveStage(metrics.StageBuild, time.Duration(c.fs.BuildNanos))
+		e.reg.ObserveStage(metrics.StageInstall, time.Duration(c.fs.InstallNanos))
+		e.journal.Stage("build", c.fs.BuildNanos)
+		e.journal.Stage("install", c.fs.InstallNanos)
+	}
+	e.reg.ObserveStage(metrics.StageRelease, c.release)
+	e.journal.Stage("release", c.release.Nanoseconds())
 	e.bbox.Record(blackbox.SubFlush, blackbox.EvFlushRelease,
-		int64(len(recs)), int64(fs.Bytes), release.Nanoseconds())
-	e.journal.End(int64(fs.Bytes), e.mem.Used(), time.Since(start), err)
-	if err != nil {
-		_ = e.fsink.tookWrite() // reset the evidence bit; this batch failed
-		e.enterDegraded(err)
-		slog.Error("engine: pipelined flush install failed",
-			"records", len(recs), "restored", !wrote, "error", err)
+		int64(len(c.batch.recs)), int64(c.fs.Bytes), c.release.Nanoseconds())
+}
+
+// release is the release stage, timed where it runs: a batch that never
+// became durable is restored first (the caller holds the flush gate),
+// then the dead are settled — behind the queue when they are ordered and
+// batches are still in flight.
+func (e *Engine[K]) release(c *flushCompletion) {
+	start := time.Now()
+	if !c.installed {
+		e.restoreEvicted(c.batch.recs)
+	}
+	if !c.ordered || !e.pipe.deferRelease(c.batch.dead, c.installed) {
+		e.settle(c.batch.dead, c.installed)
+	}
+	c.release = time.Since(start)
+}
+
+// settle finishes dead records nothing can bring back any more: their
+// log claims come down — each payload is in an installed segment, or
+// was restored to memory under a claim of its own — and, when the batch
+// installed, the wrappers enter the recycler's quarantine. After a
+// failure they are left to the garbage collector instead, which is
+// always safe (a rolled-back eviction re-creates fresh wrappers, never
+// resurrects these).
+func (e *Engine[K]) settle(dead []*store.Record, installed bool) {
+	if len(dead) == 0 {
 		return
 	}
-	if e.fsink.tookWrite() {
-		e.exitDegraded("pipeline install")
+	if e.wal != nil {
+		e.releaseClaims(dead)
+	}
+	if installed {
+		e.recycler.Free(dead)
 	}
 }

@@ -4,148 +4,251 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"kflushing/internal/alloc"
-	"kflushing/internal/attr"
-	"kflushing/internal/clock"
-	"kflushing/internal/core"
 	"kflushing/internal/disk"
 	"kflushing/internal/failpoint"
+	"kflushing/internal/flushlog"
+	"kflushing/internal/metrics"
+	"kflushing/internal/query"
 	"kflushing/internal/store"
 	"kflushing/internal/types"
 )
 
-// newPipelineFaultEngine builds a pipeline-enabled keyword engine with
-// the given retry policy, disarming every failpoint around the test.
-func newPipelineFaultEngine(t *testing.T, retry disk.RetryPolicy) *Engine[string] {
-	t.Helper()
-	failpoint.DisableAll()
-	t.Cleanup(failpoint.DisableAll)
-	eng, err := New(Config[string]{
-		K:                  5,
-		MemoryBudget:       1 << 30,
-		FlushFraction:      0.2,
-		KeysOf:             attr.KeywordKeys,
-		KeyHash:            attr.HashString,
-		KeyLen:             attr.KeywordLen,
-		EncodeKey:          attr.KeywordEncode,
-		Clock:              clock.NewLogical(1, 1),
-		DiskDir:            t.TempDir(),
-		DiskRetry:          retry,
-		Policy:             core.New[string](),
-		TrackOverK:         true,
-		FlushPipelineDepth: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestFlushCompletionMatrix drives the five ways a batch's completion
+// can end through the three ways a batch gets completed, on a durable
+// engine, and holds every cell to the same observables: there is one
+// completion routine, so who runs it must not show.
+func TestFlushCompletionMatrix(t *testing.T) {
+	outcomes := []struct {
+		name       string
+		retry      disk.RetryPolicy
+		site, spec string // armed for the batch under test only
+		minHits    int64
+		wrote      bool // the segment becomes durable
+		fails      bool // the completion errs: degraded mode
+		persists   bool // the fault outlives the batch: write probes fail too
+	}{
+		{name: "success", wrote: true},
+		{name: "transient-masked-by-retry", retry: disk.RetryPolicy{Attempts: 3, Backoff: time.Millisecond},
+			site: failpoint.DiskSegmentCreate, spec: "error(2)", minHits: 3, wrote: true},
+		{name: "persistent-write-failure", retry: disk.RetryPolicy{Attempts: 1},
+			site: failpoint.DiskSegmentWrite, spec: "error", fails: true, persists: true},
+		{name: "after-evict", site: failpoint.FlushAfterEvict, spec: "error(1)", fails: true},
+		{name: "after-write", site: failpoint.FlushAfterWrite, spec: "error(1)", wrote: true, fails: true},
 	}
-	t.Cleanup(func() { _ = eng.Close() })
-	return eng
-}
+	const (
+		inline    = "inline"    // SyncFlush engine, FlushNow
+		pipelined = "pipelined" // budget cycle enqueues, the worker completes
+		fallback  = "fallback"  // worker parked, queue full: budget cycle completes inline
+	)
+	for _, mode := range []string{inline, pipelined, fallback} {
+		for _, oc := range outcomes {
+			t.Run(mode+"/"+oc.name, func(t *testing.T) {
+				failpoint.DisableAll()
+				t.Cleanup(failpoint.DisableAll)
+				cfg := reclaimConfig(t.TempDir(), t.TempDir(), 1<<30, mode == inline, alloc.PolicyPooled)
+				cfg.DiskRetry = oc.retry
+				eng, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _ = eng.Close() })
+				acked := 0
+				load := func(n int) {
+					t.Helper()
+					if _, err := eng.IngestBatch(soakBatch(acked, n)); err != nil {
+						t.Fatal(err)
+					}
+					acked += n
+				}
+				// Every acked ID answers exactly once, and every log claim
+				// belongs to a memory-resident record.
+				checkQuiescent := func() {
+					t.Helper()
+					waitPipelineIdle(t, eng)
+					res, err := eng.Search(query.Request[string]{Keys: []string{"all"}, K: acked + 100})
+					if err != nil {
+						t.Fatal(err)
+					}
+					seen := make(map[types.ID]bool, len(res.Items))
+					for _, it := range res.Items {
+						if seen[it.MB.ID] {
+							t.Fatalf("record %d answered twice", it.MB.ID)
+						}
+						seen[it.MB.ID] = true
+					}
+					if len(seen) != acked {
+						t.Fatalf("%d of %d acked records answerable", len(seen), acked)
+					}
+					if live := eng.wal.Stats().LiveRecords; live != eng.store.Len() {
+						t.Fatalf("%d log claims for %d memory-resident records", live, eng.store.Len())
+					}
+				}
 
-func waitDegraded(t *testing.T, e *Engine[string]) string {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if degraded, reason := e.Degraded(); degraded {
-			return reason
+				// Every cycle below evicts all of memory (the budget dwarfs
+				// what is loaded), so each completes exactly one batch.
+				var batches int64
+				segments := 0
+				if mode == fallback {
+					// Park the worker: it needs the gate to journal its
+					// first batch. Once that batch's dead have settled it
+					// is past both failpoint sites and the write, so what
+					// is armed below can only hit the batch under test.
+					eng.flushMu.Lock()
+					for i := 0; i <= pipelineDepth; i++ {
+						load(8)
+						budgetCycleLocked(t, eng)
+						batches++
+						if i == 0 {
+							waitFor(t, "the worker to take the first batch", func() bool {
+								return eng.recycler.Stats().Frees > 0
+							})
+							segments = 1
+						}
+					}
+				}
+				if oc.site != "" {
+					mustEnable(t, oc.site, oc.spec)
+				}
+				const n = 20
+				load(n)
+				var cycleErr error
+				switch mode {
+				case inline:
+					_, cycleErr = eng.FlushNow()
+				case pipelined:
+					budgetCycle(t, eng)
+					waitPipelineIdle(t, eng)
+				case fallback:
+					_, cycleErr = eng.flushCycle(flushlog.TriggerBudget)
+				}
+				batches++
+				if (cycleErr != nil) != (oc.fails && mode != pipelined) {
+					t.Fatalf("cycle error = %v", cycleErr)
+				}
+				wantEnq, wantFall := int64(0), int64(0)
+				switch mode {
+				case pipelined:
+					wantEnq = 1
+				case fallback:
+					wantEnq, wantFall = pipelineDepth+1, 1
+				}
+				if enq, fall := eng.reg.PipelineEnqueued.Load(), eng.reg.PipelineFallbacks.Load(); enq != wantEnq || fall != wantFall {
+					t.Fatalf("enqueued=%d fallbacks=%d, want %d and %d", enq, fall, wantEnq, wantFall)
+				}
+				if hits := failpoint.Hits(oc.site); hits < oc.minHits {
+					t.Fatalf("%s evaluated %d times, want >= %d", oc.site, hits, oc.minHits)
+				}
+
+				// The batch is restored iff its segment never became
+				// durable; a post-write failure degrades without restoring.
+				if oc.wrote {
+					segments++
+				}
+				if got := eng.Stats().Disk.Segments; got != segments {
+					t.Fatalf("%d segments visible, want %d", got, segments)
+				}
+				wantResident := 0
+				if !oc.wrote {
+					wantResident = n
+				}
+				if got := eng.store.Len(); got != int64(wantResident) {
+					t.Fatalf("%d records memory-resident after the batch completed, want %d", got, wantResident)
+				}
+				degraded, reason := eng.Degraded()
+				if st := eng.Stats(); degraded != oc.fails || (reason == "") == oc.fails ||
+					st.Degraded != degraded || st.DegradedReason != reason {
+					t.Fatalf("degraded=%v reason=%q (stats %v %q), want degraded=%v", degraded, reason, st.Degraded, st.DegradedReason, oc.fails)
+				}
+				if oc.fails {
+					if _, err := eng.Ingest(&types.Microblog{Keywords: []string{"b"}, Text: "t"}); !errors.Is(err, ErrDegraded) {
+						t.Fatalf("degraded ingest error = %v, want ErrDegraded", err)
+					}
+				}
+				if oc.persists {
+					if err := eng.CheckReady(); !errors.Is(err, ErrDegraded) {
+						t.Fatalf("CheckReady = %v while the fault persists, want ErrDegraded", err)
+					}
+				}
+				failpoint.DisableAll()
+				if mode == fallback {
+					eng.flushMu.Unlock()
+				}
+				checkQuiescent()
+
+				// Each completed batch observed the release stage once, and
+				// no event books more stage time than it took. The batch
+				// under test carries the stages that ran, on one event when
+				// it completed inline, split across two when pipelined.
+				if runs := eng.reg.Snap().Stages[metrics.StageRelease].Runs; runs != batches {
+					t.Fatalf("release stage observed %d times over %d completed batches", runs, batches)
+				}
+				completion := []string{"release"}
+				if oc.wrote {
+					completion = []string{"build", "install", "release"}
+				}
+				want := map[string][]string{
+					flushlog.TriggerManual:   append([]string{"prepare"}, completion...),
+					flushlog.TriggerBudget:   append([]string{"prepare"}, completion...),
+					flushlog.TriggerPipeline: completion,
+				}
+				if mode == pipelined {
+					want[flushlog.TriggerBudget] = []string{"prepare"}
+				}
+				last := map[string][]string{}
+				sawDegraded := false
+				for _, ev := range eng.Journal().Last(0) {
+					var names []string
+					var sum int64
+					for _, st := range ev.Stages {
+						names = append(names, st.Name)
+						sum += st.Nanos
+					}
+					if sum > ev.Nanos {
+						t.Fatalf("%s event books %d ns of stages in %d ns of wall time", ev.Trigger, sum, ev.Nanos)
+					}
+					if mode != fallback || ev.Trigger == flushlog.TriggerBudget {
+						last[ev.Trigger] = names // fallback: the worker's events are the fillers'
+					}
+					sawDegraded = sawDegraded || ev.Trigger == flushlog.TriggerDegraded
+				}
+				for trigger, names := range last {
+					if w, ok := want[trigger]; ok && !slices.Equal(names, w) {
+						t.Fatalf("%s event stages = %v, want %v", trigger, names, w)
+					}
+				}
+				if sawDegraded != oc.fails {
+					t.Fatalf("degraded event journaled = %v, want %v", sawDegraded, oc.fails)
+				}
+
+				// The fault is gone: a readiness probe (or, in fallback
+				// mode, the fillers' durable installs) restores write
+				// service, and the restored records flush.
+				if err := eng.CheckReady(); err != nil {
+					t.Fatalf("CheckReady after the fault cleared: %v", err)
+				}
+				if degraded, _ := eng.Degraded(); degraded {
+					t.Fatal("still degraded after a successful readiness probe")
+				}
+				if oc.fails && !slices.ContainsFunc(eng.Journal().Last(0), func(ev flushlog.Event) bool {
+					return ev.Trigger == flushlog.TriggerDegradedClear
+				}) {
+					t.Fatal("no degraded-clear event in the flush journal")
+				}
+				load(5)
+				if _, err := eng.FlushNow(); err != nil {
+					t.Fatalf("flush after recovery: %v", err)
+				}
+				checkQuiescent()
+				if n := eng.store.Len(); n != 0 {
+					t.Fatalf("%d records left in memory by a flush on a healthy tier", n)
+				}
+			})
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("engine never entered degraded mode")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestPipelineInstallFailureRestoresAndDegrades: when an enqueued
-// batch's build/install fails on the worker, the eviction must roll
-// back into memory (no record loss) and the engine must enter degraded
-// read-only mode — the synchronous failure contract, delivered late.
-func TestPipelineInstallFailureRestoresAndDegrades(t *testing.T) {
-	eng := newPipelineFaultEngine(t, disk.RetryPolicy{Attempts: 1})
-	mustEnable(t, failpoint.DiskSegmentWrite, "error")
-
-	eng.fsink.beginCycle(true)
-	batch := pipelineBatch(5000, 20)
-	if err := eng.fsink.Flush(batch); err != nil {
-		t.Fatalf("enqueue must succeed (the failure surfaces async): %v", err)
-	}
-	if reason := waitDegraded(t, eng); reason == "" {
-		t.Fatal("degraded with empty reason")
-	}
-	waitPipelineIdle(t, eng)
-
-	// Rollback: every record of the failed batch is back in memory and
-	// searchable; none reached the tier.
-	for _, fr := range batch {
-		if eng.store.Get(fr.MB.ID) == nil {
-			t.Fatalf("record %d not restored after async install failure", fr.MB.ID)
-		}
-	}
-	got := searchIDs(t, eng, "p", 100)
-	for _, fr := range batch {
-		if !got[fr.MB.ID] {
-			t.Fatalf("record %d unsearchable after rollback", fr.MB.ID)
-		}
-	}
-	if eng.Stats().Disk.Segments != 0 {
-		t.Fatal("failed install left a visible segment")
-	}
-	if _, err := eng.Ingest(&types.Microblog{Keywords: []string{"b"}, Text: "t"}); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("degraded ingest error = %v, want ErrDegraded", err)
-	}
-
-	// Fault clears: a readiness probe restores write service and a
-	// manual flush persists the restored records.
-	failpoint.Disable(failpoint.DiskSegmentWrite)
-	if err := eng.CheckReady(); err != nil {
-		t.Fatalf("CheckReady after fault cleared: %v", err)
-	}
-	if degraded, _ := eng.Degraded(); degraded {
-		t.Fatal("still degraded after successful readiness probe")
-	}
-	if _, err := eng.FlushNow(); err != nil {
-		t.Fatalf("flush after recovery: %v", err)
-	}
-}
-
-// TestPipelineFailureAfterDurableWrite: a post-write fault fails the
-// batch AFTER its segment was durably renamed. The engine must degrade
-// but must NOT roll the eviction back — restoring records whose segment
-// is live would answer them twice.
-func TestPipelineFailureAfterDurableWrite(t *testing.T) {
-	eng := newPipelineFaultEngine(t, disk.RetryPolicy{})
-	mustEnable(t, failpoint.FlushAfterWrite, "error(1)")
-
-	eng.fsink.beginCycle(true)
-	batch := pipelineBatch(6000, 12)
-	if err := eng.fsink.Flush(batch); err != nil {
-		t.Fatalf("enqueue: %v", err)
-	}
-	waitDegraded(t, eng)
-	waitPipelineIdle(t, eng)
-
-	// No rollback: memory stays empty of the batch, the segment answers.
-	for _, fr := range batch {
-		if eng.store.Get(fr.MB.ID) != nil {
-			t.Fatalf("record %d restored despite durable segment (would duplicate)", fr.MB.ID)
-		}
-	}
-	got := searchIDs(t, eng, "p", 100)
-	if len(got) != len(batch) {
-		t.Fatalf("disk answers %d of %d records after post-write fault", len(got), len(batch))
-	}
-	if eng.Stats().Disk.Segments == 0 {
-		t.Fatal("durable segment not visible")
-	}
-
-	if err := eng.CheckReady(); err != nil {
-		t.Fatalf("CheckReady after one-shot fault: %v", err)
-	}
-	if degraded, _ := eng.Degraded(); degraded {
-		t.Fatal("still degraded after successful readiness probe")
 	}
 }
 
@@ -185,18 +288,13 @@ func TestDeadOnlyCycleWaitsForQueuedBatch(t *testing.T) {
 	late := eng.store.Get(10)
 
 	mustEnable(t, failpoint.DiskSegmentWrite, "sleep(400)")
-	eng.fsink.beginCycle(true)
-	if err := eng.fsink.FlushDead(recs, dead); err != nil {
-		t.Fatal(err)
-	}
-	if eng.pipe.depth() != 1 {
-		t.Fatalf("batch N not in flight: depth=%d", eng.pipe.depth())
+	eng.flushMu.Lock()
+	if !eng.pipe.tryEnqueue(flushBatch{recs: recs, dead: dead}) {
+		t.Fatal("batch N not enqueued")
 	}
 	// Cycle N+1: record 10 dies, nothing to write.
-	eng.fsink.beginCycle(true)
-	if err := eng.fsink.FlushDead(nil, []*store.Record{late}); err != nil {
-		t.Fatal(err)
-	}
+	eng.conclude(eng.persist(flushBatch{dead: []*store.Record{late}}, true))
+	eng.flushMu.Unlock()
 	if live := eng.wal.Stats().LiveRecords; live != 20 {
 		t.Fatalf("claims = %d while batch N is still building, want all 20 held", live)
 	}

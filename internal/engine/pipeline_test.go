@@ -11,26 +11,24 @@ import (
 	"kflushing/internal/flushlog"
 	"kflushing/internal/metrics"
 	"kflushing/internal/query"
-	"kflushing/internal/types"
 )
 
 // newPipelineEngine builds a keyword engine with the flush pipeline
-// enabled (SyncFlush off, bounded queue of the given depth).
-func newPipelineEngine(t *testing.T, budget int64, depth int) *Engine[string] {
+// enabled (SyncFlush off).
+func newPipelineEngine(t *testing.T, budget int64) *Engine[string] {
 	t.Helper()
 	eng, err := New(Config[string]{
-		K:                  5,
-		MemoryBudget:       budget,
-		FlushFraction:      0.2,
-		KeysOf:             attr.KeywordKeys,
-		KeyHash:            attr.HashString,
-		KeyLen:             attr.KeywordLen,
-		EncodeKey:          attr.KeywordEncode,
-		Clock:              clock.NewLogical(1, 1),
-		DiskDir:            t.TempDir(),
-		Policy:             core.New[string](),
-		TrackOverK:         true,
-		FlushPipelineDepth: depth,
+		K:             5,
+		MemoryBudget:  budget,
+		FlushFraction: 0.2,
+		KeysOf:        attr.KeywordKeys,
+		KeyHash:       attr.HashString,
+		KeyLen:        attr.KeywordLen,
+		EncodeKey:     attr.KeywordEncode,
+		Clock:         clock.NewLogical(1, 1),
+		DiskDir:       t.TempDir(),
+		Policy:        core.New[string](),
+		TrackOverK:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,55 +37,68 @@ func newPipelineEngine(t *testing.T, budget int64, depth int) *Engine[string] {
 	return eng
 }
 
-// pipelineBatch builds a flush batch of n records keyed "p", with IDs
-// starting at base — IDs deliberately absent from the engine's memory
-// store, the state of a record after prepare has evicted it.
-func pipelineBatch(base uint64, n int) []disk.FlushRecord {
-	recs := make([]disk.FlushRecord, 0, n)
-	for i := 0; i < n; i++ {
-		id := base + uint64(i)
-		recs = append(recs, disk.FlushRecord{
-			MB: &types.Microblog{
-				ID:        types.ID(id),
-				Timestamp: types.Timestamp(id),
-				Keywords:  []string{"p"},
-				Text:      "text",
-			},
-			Score: float64(id),
-		})
+// budgetCycleLocked runs one flush cycle as the background flusher
+// does on a budget trigger — the only kind that may enqueue its batch.
+// With a budget far above what the tests ingest, the cycle's target
+// evicts everything in memory. The caller holds flushMu.
+func budgetCycleLocked(t *testing.T, e *Engine[string]) {
+	t.Helper()
+	if _, err := e.flushCycle(flushlog.TriggerBudget); err != nil {
+		t.Fatalf("budget cycle: %v", err)
 	}
-	return recs
 }
 
-// waitPipelineIdle polls until every queued batch has completed.
-func waitPipelineIdle(t *testing.T, e *Engine[string]) {
+func budgetCycle(t *testing.T, e *Engine[string]) {
+	t.Helper()
+	e.flushMu.Lock()
+	defer e.flushMu.Unlock()
+	budgetCycleLocked(t, e)
+}
+
+// ingestP ingests n records keyed "p" with timestamps from base.
+func ingestP(t *testing.T, e *Engine[string], base, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		ingest(t, e, int64(base+i), "p")
+	}
+}
+
+// waitFor polls until cond holds.
+func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for e.pipe.depth() != 0 {
+	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatalf("pipeline never drained: depth=%d", e.pipe.depth())
+			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestPipelineEnqueueAndComplete drives one batch through the async
-// path exactly as a budget-triggered cycle would: the sink enqueues
-// instead of writing, the worker builds and installs the segment, and
-// the completion is journaled as a "pipeline" event with build, install
+// waitPipelineIdle polls until every queued batch has completed.
+func waitPipelineIdle(t *testing.T, e *Engine[string]) {
+	t.Helper()
+	waitFor(t, "the pipeline to drain", func() bool { return e.pipe.depth() == 0 })
+}
+
+// TestPipelineEnqueueAndComplete drives one batch through the pipeline
+// exactly as a budget-triggered cycle does: the cycle enqueues instead
+// of writing, the worker builds and installs the segment, and the
+// completion is journaled as a "pipeline" event with build, install
 // and release stage timings.
 func TestPipelineEnqueueAndComplete(t *testing.T) {
-	eng := newPipelineEngine(t, 1<<30, 4)
-	eng.fsink.beginCycle(true)
-	if err := eng.fsink.Flush(pipelineBatch(1000, 20)); err != nil {
-		t.Fatalf("async flush: %v", err)
-	}
+	eng := newPipelineEngine(t, 1<<30)
+	ingestP(t, eng, 1, 20)
+	budgetCycle(t, eng)
 	if got := eng.reg.PipelineEnqueued.Load(); got != 1 {
 		t.Fatalf("PipelineEnqueued = %d, want 1 (batch should have queued, not written inline)", got)
 	}
 	waitPipelineIdle(t, eng)
 
 	// The segment is durable and searchable through the normal path.
+	if n := eng.store.Len(); n != 0 {
+		t.Fatalf("%d records still in memory after a cycle that evicts everything", n)
+	}
 	res, err := eng.Search(query.Request[string]{Keys: []string{"p"}, K: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +106,8 @@ func TestPipelineEnqueueAndComplete(t *testing.T) {
 	if len(res.Items) != 5 {
 		t.Fatalf("search after pipelined flush: %d items, want 5", len(res.Items))
 	}
-	if res.Items[0].MB.ID != 1019 {
-		t.Fatalf("top item ID = %d, want 1019 (highest score)", res.Items[0].MB.ID)
+	if res.Items[0].MB.ID != 20 {
+		t.Fatalf("top item ID = %d, want 20 (highest score)", res.Items[0].MB.ID)
 	}
 	if degraded, reason := eng.Degraded(); degraded {
 		t.Fatalf("degraded after successful pipelined flush: %s", reason)
@@ -134,37 +145,38 @@ func TestPipelineEnqueueAndComplete(t *testing.T) {
 }
 
 // TestPipelineFallbackWhenFull proves the bounded-queue contract: with
-// the worker blocked on the flush gate and the queue full, the sink
-// falls back to the synchronous write path instead of blocking or
-// dropping, and every batch still reaches the tier.
+// the worker blocked on the flush gate and the queue full, a budget
+// cycle completes its batch inline instead of blocking or dropping, and
+// every batch still reaches the tier.
 func TestPipelineFallbackWhenFull(t *testing.T) {
-	eng := newPipelineEngine(t, 1<<30, 1)
+	eng := newPipelineEngine(t, 1<<30)
 
-	// The worker's release stage needs flushMu; holding it parks the
-	// worker after its first dequeue so the queue stays occupied.
+	// The worker needs flushMu to journal a completion; holding it parks
+	// the worker on its first batch, so the queue behind it stays full:
+	// one batch in the worker's hands, pipelineDepth queued, the rest
+	// must fall back.
 	eng.flushMu.Lock()
-	const batches = 4
-	for i := 0; i < batches; i++ {
-		eng.fsink.beginCycle(true)
-		if err := eng.fsink.Flush(pipelineBatch(uint64(2000+100*i), 10)); err != nil {
-			eng.flushMu.Unlock()
-			t.Fatalf("flush %d: %v", i, err)
-		}
+	const cycles = pipelineDepth + 3
+	for i := 0; i < cycles; i++ {
+		ingestP(t, eng, 1+10*i, 10)
+		budgetCycleLocked(t, eng)
 	}
 	fallbacks := eng.reg.PipelineFallbacks.Load()
+	enqueued := eng.reg.PipelineEnqueued.Load()
 	eng.flushMu.Unlock()
-	if fallbacks == 0 {
-		t.Fatal("queue of depth 1 absorbed 4 batches with no synchronous fallback")
+	if fallbacks == 0 || enqueued > pipelineDepth+1 || fallbacks+enqueued != cycles {
+		t.Fatalf("%d cycles against a parked worker: %d enqueued, %d fell back (queue depth %d)",
+			cycles, enqueued, fallbacks, pipelineDepth)
 	}
 	waitPipelineIdle(t, eng)
 
-	// No batch was lost to the full queue: all 40 records answer.
-	res, err := eng.Search(query.Request[string]{Keys: []string{"p"}, K: 100})
+	// No batch was lost to the full queue: every record answers.
+	res, err := eng.Search(query.Request[string]{Keys: []string{"p"}, K: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Items) != batches*10 {
-		t.Fatalf("%d records after fallback, want %d", len(res.Items), batches*10)
+	if len(res.Items) != cycles*10 {
+		t.Fatalf("%d records after fallback, want %d", len(res.Items), cycles*10)
 	}
 }
 
@@ -172,7 +184,7 @@ func TestPipelineFallbackWhenFull(t *testing.T) {
 // triggers must not enqueue — their outcome is determined when they
 // return, so the batch has to be durable before FlushNow comes back.
 func TestManualFlushStaysSynchronous(t *testing.T) {
-	eng := newPipelineEngine(t, 1<<30, 4)
+	eng := newPipelineEngine(t, 1<<30)
 	for i := 0; i < 40; i++ {
 		ingest(t, eng, int64(i+1), "q", "all")
 	}
@@ -185,10 +197,12 @@ func TestManualFlushStaysSynchronous(t *testing.T) {
 	if eng.Stats().Disk.Segments == 0 {
 		t.Fatal("manual flush wrote no segment")
 	}
-	// The synchronous path still reports its stage breakdown.
+	// An inline completion reports the same stage breakdown, once.
 	snap := eng.reg.Snap()
-	if snap.Stages[metrics.StagePrepare].Runs == 0 || snap.Stages[metrics.StageBuild].Runs == 0 {
-		t.Fatalf("sync flush recorded no prepare/build stages: %+v", snap.Stages)
+	for i, st := range snap.Stages {
+		if st.Runs != 1 {
+			t.Fatalf("stage %s ran %d times over one inline cycle: %+v", metrics.StageNames[i], st.Runs, snap.Stages)
+		}
 	}
 }
 
@@ -196,7 +210,7 @@ func TestManualFlushStaysSynchronous(t *testing.T) {
 // end: ingest past the budget on a pipeline-enabled engine and the
 // background cycle must enqueue its batch rather than write inline.
 func TestBudgetFlushUsesPipeline(t *testing.T) {
-	eng := newPipelineEngine(t, 64<<10, 4)
+	eng := newPipelineEngine(t, 64<<10)
 	deadline := time.Now().Add(10 * time.Second)
 	i := 0
 	for eng.reg.PipelineEnqueued.Load() == 0 {
@@ -221,25 +235,25 @@ func TestBudgetFlushUsesPipeline(t *testing.T) {
 func TestCloseDrainsPipeline(t *testing.T) {
 	dir := t.TempDir()
 	eng, err := New(Config[string]{
-		K:                  5,
-		MemoryBudget:       1 << 30,
-		FlushFraction:      0.2,
-		KeysOf:             attr.KeywordKeys,
-		KeyHash:            attr.HashString,
-		KeyLen:             attr.KeywordLen,
-		EncodeKey:          attr.KeywordEncode,
-		Clock:              clock.NewLogical(1, 1),
-		DiskDir:            dir,
-		Policy:             core.New[string](),
-		TrackOverK:         true,
-		FlushPipelineDepth: 4,
+		K:             5,
+		MemoryBudget:  1 << 30,
+		FlushFraction: 0.2,
+		KeysOf:        attr.KeywordKeys,
+		KeyHash:       attr.HashString,
+		KeyLen:        attr.KeywordLen,
+		EncodeKey:     attr.KeywordEncode,
+		Clock:         clock.NewLogical(1, 1),
+		DiskDir:       dir,
+		Policy:        core.New[string](),
+		TrackOverK:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.fsink.beginCycle(true)
-	if err := eng.fsink.Flush(pipelineBatch(3000, 15)); err != nil {
-		t.Fatal(err)
+	ingestP(t, eng, 1, 15)
+	budgetCycle(t, eng)
+	if got := eng.reg.PipelineEnqueued.Load(); got != 1 {
+		t.Fatalf("PipelineEnqueued = %d, want 1", got)
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatalf("close with queued batch: %v", err)

@@ -114,8 +114,9 @@ const FlushPhases = 3
 // FlushStages is the number of pipeline stages a flush passes through:
 // prepare (victim selection + eviction under the flush gate), build
 // (segment encode + staged write + fsync, off the gate), install
-// (atomic rename + manifest commit + level append), release (completion
-// bookkeeping, or eviction rollback on failure).
+// (atomic rename + manifest commit + level append), release (log claims
+// given back and wrappers recycled, or eviction rollback on failure;
+// never a wait for the gate).
 const FlushStages = 4
 
 // Stage indices for ObserveStage.

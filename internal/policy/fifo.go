@@ -108,14 +108,14 @@ func (f *FIFO[K]) Flush(target int64) (int64, error) {
 		freed += f.evictSegment(seg, buf)
 		victims++
 	}
-	err := buf.Close()
+	buf.Close()
 	f.r.Journal.Phase(flushlog.PhaseEvent{
 		Name:    "fifo-segments",
 		Victims: victims,
 		Freed:   freed,
 		Nanos:   time.Since(start).Nanoseconds(),
 	})
-	return freed, err
+	return freed, nil
 }
 
 // evictSegment unlinks every record of seg from the index and releases

@@ -116,14 +116,14 @@ func (l *LRU[K]) Flush(target int64) (int64, error) {
 		freed += l.evict(rec, buf)
 		victims++
 	}
-	err := buf.Close()
+	buf.Close()
 	l.r.Journal.Phase(flushlog.PhaseEvent{
 		Name:    "lru-tail",
 		Victims: victims,
 		Freed:   freed,
 		Nanos:   time.Since(start).Nanoseconds(),
 	})
-	return freed, err
+	return freed, nil
 }
 
 // evict removes every index posting of rec and releases it.

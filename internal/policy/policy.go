@@ -21,25 +21,19 @@ import (
 	"kflushing/internal/types"
 )
 
-// Sink receives flushed records; in production it is the disk tier.
+// Sink receives the one batch a flush cycle evicts. In production it is
+// the engine, which only parks the batch — the policy's part of a cycle
+// is choosing and unlinking victims; persisting them is the engine's.
 type Sink interface {
-	Flush([]disk.FlushRecord) error
-}
-
-// DeadSink is an optional Sink extension for record recycling: dead
-// records — fully released, off the store, memory already refunded —
-// ride alongside the flush batch so the sink can hand their wrappers to
-// the recycler once the batch is durably installed (and only then; a
-// failed batch drops them to the garbage collector, which is always
-// safe). Sinks that do not implement it simply let the collector take
-// the wrappers.
-type DeadSink interface {
-	Sink
-	// FlushDead behaves like Flush for recs and additionally receives
-	// the records that died during the cycle. dead may outnumber recs:
-	// a record whose payload an earlier partial flush already persisted
-	// dies without contributing a FlushRecord.
-	FlushDead(recs []disk.FlushRecord, dead []*store.Record) error
+	// Flush hands over the cycle's batch: recs are the payloads to
+	// persist, dead the records that died during the cycle — fully
+	// released, off the store, memory already refunded — whose wrappers
+	// may be recycled once recs are durable. dead may outnumber recs: a
+	// record whose payload an earlier partial flush already persisted
+	// dies without contributing a FlushRecord. Ownership of both slices
+	// transfers to the sink; the caller keeps no reference. Flush runs
+	// under the engine's flush gate and must not block.
+	Flush(recs []disk.FlushRecord, dead []*store.Record)
 }
 
 // Resources grants a policy access to the engine's shared structures. A
@@ -107,7 +101,7 @@ type Policy[K comparable] interface {
 }
 
 // VictimBuffer accumulates records whose last reference was trimmed,
-// then writes them to the sink in one batch — the paper's temporary
+// then hands them to the sink in one batch — the paper's temporary
 // main-memory buffer that reduces the number of I/O operations. When
 // chargeTemp is set its occupancy is charged to the tracker's temporary
 // gauge (FIFO flushes whole segments and needs no such buffer, so it
@@ -127,7 +121,8 @@ type VictimBuffer struct {
 	bytes int64
 }
 
-// NewVictimBuffer returns an empty buffer writing to sink on Close.
+// NewVictimBuffer returns an empty buffer handing its batch to sink on
+// Close.
 func NewVictimBuffer(mem *memsize.Tracker, sink Sink, chargeTemp bool) *VictimBuffer {
 	return &VictimBuffer{mem: mem, sink: sink, chargeTemp: chargeTemp}
 }
@@ -136,7 +131,7 @@ func NewVictimBuffer(mem *memsize.Tracker, sink Sink, chargeTemp bool) *VictimBu
 // already wrote the record's payload to disk, the buffer skips the
 // duplicate write; the memory was still freed either way. Either way
 // the record is dead — unreferenced and off the store — so it joins
-// the dead list handed to a DeadSink on Close.
+// the dead list handed to the sink on Close.
 func (b *VictimBuffer) Add(rec *store.Record) {
 	write := rec.MarkOnDisk()
 	b.mu.Lock()
@@ -187,23 +182,17 @@ func (b *VictimBuffer) Bytes() int64 {
 	return b.bytes
 }
 
-// Close writes the buffered records to the sink and releases the
-// temporary-buffer charge. A DeadSink additionally receives the cycle's
-// dead records so their wrappers can be recycled after the durable
-// install; other sinks leave them to the garbage collector.
-func (b *VictimBuffer) Close() error {
+// Close hands the buffered batch — and ownership of its slices — to the
+// sink and releases the temporary-buffer charge.
+func (b *VictimBuffer) Close() {
 	b.mu.Lock()
 	recs, bytes, dead := b.recs, b.bytes, b.dead
 	b.recs, b.bytes, b.dead = nil, 0, nil
 	b.mu.Unlock()
-	var err error
-	if ds, ok := b.sink.(DeadSink); ok && (len(recs) > 0 || len(dead) > 0) {
-		err = ds.FlushDead(recs, dead)
-	} else if len(recs) > 0 && b.sink != nil {
-		err = b.sink.Flush(recs)
+	if b.sink != nil && (len(recs) > 0 || len(dead) > 0) {
+		b.sink.Flush(recs, dead)
 	}
 	if b.chargeTemp && b.mem != nil {
 		b.mem.AddTemp(-bytes)
 	}
-	return err
 }

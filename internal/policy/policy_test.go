@@ -19,10 +19,9 @@ type memSink struct {
 	flushes int
 }
 
-func (s *memSink) Flush(recs []disk.FlushRecord) error {
+func (s *memSink) Flush(recs []disk.FlushRecord, _ []*store.Record) {
 	s.recs = append(s.recs, recs...)
 	s.flushes++
-	return nil
 }
 
 // rig wires an index, store and policy for direct flush testing.
@@ -217,9 +216,7 @@ func TestVictimBufferChargesAndReleasesTemp(t *testing.T) {
 	if mem.PeakTemp() != rec.Bytes {
 		t.Fatal("temp not charged")
 	}
-	if err := buf.Close(); err != nil {
-		t.Fatal(err)
-	}
+	buf.Close()
 	if sink.flushes != 1 || len(sink.recs) != 1 {
 		t.Fatal("sink not written")
 	}

@@ -171,8 +171,10 @@ type Options struct {
 	// Clock is the time source (default: auto-advancing logical
 	// clock; servers should pass WallClock()).
 	Clock Clock
-	// SyncFlush runs flushes inline with ingestion, for deterministic
-	// tests and experiments (default: background flushing thread).
+	// SyncFlush runs flushes inline with ingestion, each cycle durable
+	// before it returns, for deterministic tests and experiments
+	// (default: a background flushing thread whose segment writes
+	// overlap ingestion through a bounded pipeline).
 	SyncFlush bool
 	// DiskLevelFanout bounds the disk tier's per-level segment count
 	// before the level merges into the next (0 selects the default of 4).
@@ -182,12 +184,6 @@ type Options struct {
 	// layout the equivalence tests and allocation benchmarks use as a
 	// reference; zero or positive leaves DiskLevelFanout in charge.
 	DiskMaxSegments int
-	// FlushPipelineDepth bounds the staged flush pipeline: evicted
-	// batches whose segment build runs on a background worker so
-	// ingestion overlaps segment I/O (0 selects the default of 4;
-	// negative disables — every flush then writes synchronously).
-	// SyncFlush also disables the pipeline.
-	FlushPipelineDepth int
 	// DiskCacheBytes bounds the disk tier's decoded-record read cache,
 	// which spares hot memory-missing keys repeated file reads (0
 	// selects the default of 8 MiB; negative disables).
@@ -303,32 +299,31 @@ func newEngine[K comparable](dir string, opt Options,
 		walDir = filepath.Join(dir, "wal")
 	}
 	return engine.New(engine.Config[K]{
-		K:                  opt.K,
-		MemoryBudget:       opt.MemoryBudget,
-		FlushFraction:      opt.FlushFraction,
-		KeysOf:             keysOf,
-		KeyHash:            hash,
-		KeyLen:             keyLen,
-		EncodeKey:          encode,
-		Ranker:             opt.Ranker,
-		Clock:              opt.Clock,
-		DiskDir:            dir,
-		DiskLevelFanout:    opt.DiskLevelFanout,
-		DiskMaxSegments:    opt.DiskMaxSegments,
-		FlushPipelineDepth: opt.FlushPipelineDepth,
-		DiskCacheBytes:     opt.DiskCacheBytes,
-		DiskRetry:          opt.DiskRetry,
-		WALDir:             walDir,
-		WALOptions:         wal.Options{SyncEvery: opt.WALSyncEvery},
-		Policy:             pc.pol,
-		TrackTopK:          pc.trackTopK,
-		TrackOverK:         pc.trackOverK,
-		SyncFlush:          opt.SyncFlush,
-		AllocPolicy:        ap,
-		BlackboxEvents:     opt.BlackboxEvents,
-		SlowQueryNanos:     opt.SlowQueryNanos,
-		AdaptiveMemory:     opt.AdaptiveMemory,
-		TunerLimits:        opt.Tuner,
+		K:               opt.K,
+		MemoryBudget:    opt.MemoryBudget,
+		FlushFraction:   opt.FlushFraction,
+		KeysOf:          keysOf,
+		KeyHash:         hash,
+		KeyLen:          keyLen,
+		EncodeKey:       encode,
+		Ranker:          opt.Ranker,
+		Clock:           opt.Clock,
+		DiskDir:         dir,
+		DiskLevelFanout: opt.DiskLevelFanout,
+		DiskMaxSegments: opt.DiskMaxSegments,
+		DiskCacheBytes:  opt.DiskCacheBytes,
+		DiskRetry:       opt.DiskRetry,
+		WALDir:          walDir,
+		WALOptions:      wal.Options{SyncEvery: opt.WALSyncEvery},
+		Policy:          pc.pol,
+		TrackTopK:       pc.trackTopK,
+		TrackOverK:      pc.trackOverK,
+		SyncFlush:       opt.SyncFlush,
+		AllocPolicy:     ap,
+		BlackboxEvents:  opt.BlackboxEvents,
+		SlowQueryNanos:  opt.SlowQueryNanos,
+		AdaptiveMemory:  opt.AdaptiveMemory,
+		TunerLimits:     opt.Tuner,
 	})
 }
 

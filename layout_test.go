@@ -40,7 +40,6 @@ func runLayoutEquivalence(t *testing.T, ap string) {
 	levOpt.DiskLevelFanout = 3
 	pipeOpt := base
 	pipeOpt.SyncFlush = false
-	pipeOpt.FlushPipelineDepth = 4
 
 	ref, err := kflushing.Open(t.TempDir(), refOpt)
 	if err != nil {

@@ -12,6 +12,8 @@
 //	GET  /stats                       per-attribute snapshots (JSON)
 //	GET  /metrics                     Prometheus text format
 //	GET  /debug/flushlog              flush audit journal (JSON)
+//	GET  /debug/blackbox              flight-recorder merged timeline (JSON)
+//	GET  /debug/slowlog               auto-captured slow-query traces (JSON)
 //	GET  /debug/tuner                 adaptive memory tuner state (JSON)
 //	GET  /healthz                     liveness probe
 //	GET  /readyz                      readiness probe (disk + WAL writable)

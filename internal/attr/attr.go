@@ -2,7 +2,7 @@
 // attributes the paper evaluates (Section IV-A / V-D): keywords
 // (hashtags), spatial grid tiles, and user IDs. Each binding supplies
 // the key extractor, hash, size model, and disk encoding the generic
-// index and disk tier need.
+// index and disk tier need, bundled as a Spec.
 package attr
 
 import (
@@ -11,6 +11,41 @@ import (
 	"kflushing/internal/spatial"
 	"kflushing/internal/types"
 )
+
+// Spec is one search attribute: everything the layers above the generic
+// engine need to know about a key type. The facade, the server's
+// attribute table and the experiment harness all instantiate an engine
+// from a Spec, so an attribute is described in exactly one place.
+type Spec[K comparable] struct {
+	// Name labels the attribute ("keyword", "spatial", "user") in the
+	// server's directories, maps and metrics.
+	Name string
+	// KeysOf extracts the attribute's keys from a record; a record with
+	// no keys is not indexed under the attribute.
+	KeysOf func(*types.Microblog) []K
+	// Hash spreads keys across index shards.
+	Hash func(K) uint64
+	// Len is the memory-model size of a key beyond the entry header.
+	Len func(K) int
+	// Encode is the key's disk-directory encoding.
+	Encode func(K) string
+}
+
+// Keyword is the keyword (hashtag) attribute, the paper's primary
+// evaluation target.
+func Keyword() Spec[string] {
+	return Spec[string]{Name: "keyword", KeysOf: KeywordKeys, Hash: HashString, Len: KeywordLen, Encode: KeywordEncode}
+}
+
+// Spatial is the spatial attribute over g's tiles (Section V-D).
+func Spatial(g *spatial.Grid) Spec[spatial.Cell] {
+	return Spec[spatial.Cell]{Name: "spatial", KeysOf: SpatialKeys(g), Hash: HashCell, Len: CellLen, Encode: CellEncode}
+}
+
+// User is the user-timeline attribute (Section V-D).
+func User() Spec[uint64] {
+	return Spec[uint64]{Name: "user", KeysOf: UserKeys, Hash: HashUint64, Len: UserLen, Encode: UserEncode}
+}
 
 // HashString hashes a string key for index sharding (FNV-1a).
 // Deliberately deterministic across processes so experiment runs are
@@ -65,8 +100,15 @@ func KeywordLen(s string) int { return len(s) }
 // KeywordEncode is the disk-directory encoding of a keyword key.
 func KeywordEncode(s string) string { return s }
 
-// UserKeys extracts the user-timeline key of a microblog.
-func UserKeys(m *types.Microblog) []uint64 { return []uint64{m.UserID} }
+// UserKeys extracts the user-timeline key of a microblog. User 0 means
+// "no posting user": such a record carries no user key, so anonymous
+// posts are not filed under a phantom user-0 timeline.
+func UserKeys(m *types.Microblog) []uint64 {
+	if m.UserID == 0 {
+		return nil
+	}
+	return []uint64{m.UserID}
+}
 
 // UserLen is the memory-model size of a user key (fixed-size integer,
 // already covered by the entry header).

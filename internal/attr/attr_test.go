@@ -57,6 +57,9 @@ func TestUserKeys(t *testing.T) {
 	if len(got) != 1 || got[0] != 42 {
 		t.Fatalf("got %v", got)
 	}
+	if got := UserKeys(&types.Microblog{}); got != nil {
+		t.Fatalf("user 0 is no user, must carry no key; got %v", got)
+	}
 	if UserEncode(42) != "42" {
 		t.Fatal("UserEncode")
 	}
@@ -94,5 +97,30 @@ func TestHashCellDistinguishesRowCol(t *testing.T) {
 	b := HashCell(spatial.Cell{Row: 2, Col: 1})
 	if a == b {
 		t.Fatal("transposed cells hash identically")
+	}
+}
+
+// TestSpecsAgreeOnIndexability pins the rule the server's attribute
+// table asks each spec: a record is indexed under an attribute exactly
+// when the spec extracts at least one key from it.
+func TestSpecsAgreeOnIndexability(t *testing.T) {
+	kw, sp, us := Keyword(), Spatial(spatial.DefaultGrid()), User()
+	if kw.Name != "keyword" || sp.Name != "spatial" || us.Name != "user" {
+		t.Fatalf("spec names %q %q %q", kw.Name, sp.Name, us.Name)
+	}
+	for _, tc := range []struct {
+		mb         types.Microblog
+		kw, sp, us bool
+	}{
+		{types.Microblog{}, false, false, false},
+		{types.Microblog{Keywords: []string{"a"}}, true, false, false},
+		{types.Microblog{HasGeo: true, Lat: 40, Lon: -90}, false, true, false},
+		{types.Microblog{UserID: 7}, false, false, true},
+		{types.Microblog{Keywords: []string{"a", "a"}, HasGeo: true, UserID: 7}, true, true, true},
+	} {
+		got := [3]bool{len(kw.KeysOf(&tc.mb)) > 0, len(sp.KeysOf(&tc.mb)) > 0, len(us.KeysOf(&tc.mb)) > 0}
+		if want := [3]bool{tc.kw, tc.sp, tc.us}; got != want {
+			t.Errorf("%+v: indexed under keyword/spatial/user = %v, want %v", tc.mb, got, want)
+		}
 	}
 }

@@ -3,142 +3,99 @@ package bench
 import (
 	"kflushing/internal/attr"
 	"kflushing/internal/clock"
+	"kflushing/internal/core"
 	"kflushing/internal/engine"
 	"kflushing/internal/gen"
 	"kflushing/internal/spatial"
-	"kflushing/internal/types"
 	"kflushing/internal/workload"
 )
 
-// RunKeyword executes one steady-state run on the keyword attribute.
-func RunKeyword(rc RunConfig) RunResult {
-	rc = rc.Defaults()
-	dir, cleanup := tempDiskDir(rc)
-	defer cleanup()
-
-	pc := buildPolicy[string](rc)
+// newEngine builds the engine of one run: the only place RunConfig
+// meets engine.Config. The caller drives clk from the stream's
+// timestamps and closes the engine.
+func newEngine[K comparable](rc RunConfig, spec attr.Spec[K], dir string, syncFlush bool) (*engine.Engine[K], *clock.Logical) {
+	var opts []core.Option[K]
+	if rc.MaxPhase > 0 {
+		opts = append(opts, core.WithMaxPhase[K](rc.MaxPhase))
+	}
+	if rc.SortSelector {
+		opts = append(opts, core.WithSelector[K](core.SortSelector[K]{}))
+	}
+	pc, err := core.Choose(rc.Policy, int64(rc.FlushFrac*float64(rc.Budget)), opts...)
+	if err != nil {
+		panic("bench: " + err.Error())
+	}
 	clk := clock.NewLogical(1, 0)
-	eng, err := engine.New(engine.Config[string]{
+	eng, err := engine.New(engine.Config[K]{
 		K:             rc.K,
 		MemoryBudget:  rc.Budget,
 		FlushFraction: rc.FlushFrac,
-		KeysOf:        attr.KeywordKeys,
-		KeyHash:       attr.HashString,
-		KeyLen:        attr.KeywordLen,
-		EncodeKey:     attr.KeywordEncode,
+		KeysOf:        spec.KeysOf,
+		KeyHash:       spec.Hash,
+		KeyLen:        spec.Len,
+		EncodeKey:     spec.Encode,
 		Clock:         clk,
 		DiskDir:       dir,
-		Policy:        pc.pol,
-		TrackTopK:     pc.trackTopK,
-		TrackOverK:    pc.trackOverK,
-		SyncFlush:     true,
+		Policy:        pc.Policy,
+		TrackTopK:     pc.TrackTopK,
+		TrackOverK:    pc.TrackOverK,
+		SyncFlush:     syncFlush,
 	})
 	if err != nil {
 		panic(err)
 	}
+	return eng, clk
+}
+
+// sourceFunc builds a query workload over the run's stream config.
+type sourceFunc[K comparable] func(cfg gen.Config, seed int64) workload.Source[K]
+
+// runAttr executes one steady-state run on one attribute: spec names
+// the attribute, geoFraction is the share of the stream that carries a
+// location, and correlated/uniform build the attribute's two query
+// workloads (RunConfig.Correlated picks one).
+func runAttr[K comparable](rc RunConfig, spec attr.Spec[K], geoFraction float64, correlated, uniform sourceFunc[K]) RunResult {
+	rc = rc.Defaults()
+	dir, cleanup := tempDiskDir(rc)
+	defer cleanup()
+	eng, clk := newEngine(rc, spec, dir, true)
 	defer eng.Close()
 
 	streamCfg := rc.Stream
-	streamCfg.GeoFraction = 0 // keyword runs need no locations
-	g := gen.New(streamCfg)
-
-	var wl workload.Source[string]
+	streamCfg.GeoFraction = geoFraction
+	var wl workload.Source[K]
 	if !rc.NoQueries {
+		source := uniform
 		if rc.Correlated {
-			wl = workload.KeywordCorrelated(rc.Stream, rc.Seed+1000)
-		} else {
-			wl = workload.KeywordUniform(rc.Stream, rc.Seed+1000)
+			source = correlated
 		}
+		wl = source(rc.Stream, rc.Seed+1000)
 	}
-	return run(rc, eng, clk, func() *types.Microblog { return g.Next() }, wl)
+	return run(rc, eng, clk, gen.New(streamCfg).Next, wl)
+}
+
+// RunKeyword executes one steady-state run on the keyword attribute;
+// keyword runs need no locations.
+func RunKeyword(rc RunConfig) RunResult {
+	return runAttr(rc, attr.Keyword(), 0, workload.KeywordCorrelated, workload.KeywordUniform)
 }
 
 // RunSpatial executes one steady-state run on the spatial attribute
 // (Figure 11): the stream is fully geotagged and queries target grid
 // tiles.
 func RunSpatial(rc RunConfig) RunResult {
-	rc = rc.Defaults()
-	dir, cleanup := tempDiskDir(rc)
-	defer cleanup()
-
 	grid := spatial.DefaultGrid()
-	pc := buildPolicy[spatial.Cell](rc)
-	clk := clock.NewLogical(1, 0)
-	eng, err := engine.New(engine.Config[spatial.Cell]{
-		K:             rc.K,
-		MemoryBudget:  rc.Budget,
-		FlushFraction: rc.FlushFrac,
-		KeysOf:        attr.SpatialKeys(grid),
-		KeyHash:       attr.HashCell,
-		KeyLen:        attr.CellLen,
-		EncodeKey:     attr.CellEncode,
-		Clock:         clk,
-		DiskDir:       dir,
-		Policy:        pc.pol,
-		TrackTopK:     pc.trackTopK,
-		TrackOverK:    pc.trackOverK,
-		SyncFlush:     true,
-	})
-	if err != nil {
-		panic(err)
-	}
-	defer eng.Close()
-
-	streamCfg := rc.Stream
-	streamCfg.GeoFraction = 1
-	g := gen.New(streamCfg)
-
-	var wl workload.Source[spatial.Cell]
-	if !rc.NoQueries {
-		if rc.Correlated {
-			wl = workload.SpatialCorrelated(rc.Stream, grid, rc.Seed+1000)
-		} else {
-			wl = workload.SpatialUniform(rc.Stream, grid, rc.Seed+1000, 20_000)
-		}
-	}
-	return run(rc, eng, clk, func() *types.Microblog { return g.Next() }, wl)
+	return runAttr(rc, attr.Spatial(grid), 1,
+		func(cfg gen.Config, seed int64) workload.Source[spatial.Cell] {
+			return workload.SpatialCorrelated(cfg, grid, seed)
+		},
+		func(cfg gen.Config, seed int64) workload.Source[spatial.Cell] {
+			return workload.SpatialUniform(cfg, grid, seed, 20_000)
+		})
 }
 
 // RunUser executes one steady-state run on the user attribute
 // (Figure 12): queries are single-key user timelines.
 func RunUser(rc RunConfig) RunResult {
-	rc = rc.Defaults()
-	dir, cleanup := tempDiskDir(rc)
-	defer cleanup()
-
-	pc := buildPolicy[uint64](rc)
-	clk := clock.NewLogical(1, 0)
-	eng, err := engine.New(engine.Config[uint64]{
-		K:             rc.K,
-		MemoryBudget:  rc.Budget,
-		FlushFraction: rc.FlushFrac,
-		KeysOf:        attr.UserKeys,
-		KeyHash:       attr.HashUint64,
-		KeyLen:        attr.UserLen,
-		EncodeKey:     attr.UserEncode,
-		Clock:         clk,
-		DiskDir:       dir,
-		Policy:        pc.pol,
-		TrackTopK:     pc.trackTopK,
-		TrackOverK:    pc.trackOverK,
-		SyncFlush:     true,
-	})
-	if err != nil {
-		panic(err)
-	}
-	defer eng.Close()
-
-	streamCfg := rc.Stream
-	streamCfg.GeoFraction = 0
-	g := gen.New(streamCfg)
-
-	var wl workload.Source[uint64]
-	if !rc.NoQueries {
-		if rc.Correlated {
-			wl = workload.UserCorrelated(rc.Stream, rc.Seed+1000)
-		} else {
-			wl = workload.UserUniform(rc.Stream, rc.Seed+1000)
-		}
-	}
-	return run(rc, eng, clk, func() *types.Microblog { return g.Next() }, wl)
+	return runAttr(rc, attr.User(), 0, workload.UserCorrelated, workload.UserUniform)
 }

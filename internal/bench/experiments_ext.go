@@ -41,11 +41,11 @@ func Fig11a(s Scale) *Table {
 	)
 }
 
-// Fig11b regenerates Figure 11(b): spatial hit ratio vs memory for
-// both workloads.
-func Fig11b(s Scale) *Table {
+// extHitRatio is the (b) panel of both extensibility figures: hit ratio
+// vs memory for each policy under the uniform and the correlated load.
+func extHitRatio(title string, s Scale, runOne func(RunConfig) RunResult) *Table {
 	t := &Table{
-		Title:  "Figure 11(b): spatial hit ratio vs memory budget",
+		Title:  title,
 		Note:   "k=20; six series: each policy under uniform and correlated loads",
 		Header: []string{"memory", "fifo-uni", "kflush-uni", "lru-uni", "fifo-corr", "kflush-corr", "lru-corr"},
 	}
@@ -58,12 +58,18 @@ func Fig11b(s Scale) *Table {
 				rc.K = 20
 				rc.Budget = budget
 				rc.Correlated = correlated
-				row = append(row, fPct(RunSpatial(rc).HitRatio))
+				row = append(row, fPct(runOne(rc).HitRatio))
 			}
 		}
 		t.AddRow(row...)
 	}
 	return t
+}
+
+// Fig11b regenerates Figure 11(b): spatial hit ratio vs memory for
+// both workloads.
+func Fig11b(s Scale) *Table {
+	return extHitRatio("Figure 11(b): spatial hit ratio vs memory budget", s, RunSpatial)
 }
 
 // Fig12a regenerates Figure 12(a): k-filled user IDs vs memory.
@@ -79,26 +85,7 @@ func Fig12a(s Scale) *Table {
 // Fig12b regenerates Figure 12(b): user-timeline hit ratio vs memory
 // for both workloads.
 func Fig12b(s Scale) *Table {
-	t := &Table{
-		Title:  "Figure 12(b): user-timeline hit ratio vs memory budget",
-		Note:   "k=20; six series: each policy under uniform and correlated loads",
-		Header: []string{"memory", "fifo-uni", "kflush-uni", "lru-uni", "fifo-corr", "kflush-corr", "lru-corr"},
-	}
-	for _, budget := range s.Budgets {
-		row := []string{fMiB(budget)}
-		for _, correlated := range []bool{false, true} {
-			for _, pol := range extPolicies {
-				rc := s.baseRun()
-				rc.Policy = pol
-				rc.K = 20
-				rc.Budget = budget
-				rc.Correlated = correlated
-				row = append(row, fPct(RunUser(rc).HitRatio))
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return extHitRatio("Figure 12(b): user-timeline hit ratio vs memory budget", s, RunUser)
 }
 
 // Experiments maps experiment IDs (DESIGN.md per-experiment index) to

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"kflushing/internal/attr"
-	"kflushing/internal/clock"
 	"kflushing/internal/engine"
 	"kflushing/internal/gen"
 )
@@ -109,18 +108,7 @@ func Fig5(s Scale) *Table {
 		rc = rc.Defaults()
 
 		dir, cleanup := tempDiskDir(rc)
-		pc := buildPolicy[string](rc)
-		clk := clock.NewLogical(1, 0)
-		eng, err := engine.New(engine.Config[string]{
-			K: rc.K, MemoryBudget: rc.Budget, FlushFraction: rc.FlushFrac,
-			KeysOf: attr.KeywordKeys, KeyHash: attr.HashString,
-			KeyLen: attr.KeywordLen, EncodeKey: attr.KeywordEncode,
-			Clock: clk, DiskDir: dir, Policy: pc.pol,
-			TrackOverK: pc.trackOverK, SyncFlush: true,
-		})
-		if err != nil {
-			panic(err)
-		}
+		eng, clk := newEngine(rc, attr.Keyword(), dir, true)
 		streamCfg := rc.Stream
 		streamCfg.GeoFraction = 0
 		g := gen.New(streamCfg)

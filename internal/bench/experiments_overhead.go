@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"kflushing/internal/attr"
-	"kflushing/internal/clock"
 	"kflushing/internal/engine"
 	"kflushing/internal/gen"
 	"kflushing/internal/query"
@@ -71,19 +70,8 @@ func digestionRate(rc RunConfig) float64 {
 	dir, cleanup := tempDiskDir(rc)
 	defer cleanup()
 
-	pc := buildPolicy[string](rc)
-	clk := clock.NewLogical(1, 0)
-	eng, err := engine.New(engine.Config[string]{
-		K: rc.K, MemoryBudget: rc.Budget, FlushFraction: rc.FlushFrac,
-		KeysOf: attr.KeywordKeys, KeyHash: attr.HashString,
-		KeyLen: attr.KeywordLen, EncodeKey: attr.KeywordEncode,
-		Clock: clk, DiskDir: dir, Policy: pc.pol, TrackTopK: pc.trackTopK,
-		TrackOverK: pc.trackOverK,
-		SyncFlush:  false, // flushing on its own thread, as in the paper
-	})
-	if err != nil {
-		panic(err)
-	}
+	// Flushing on its own thread, as in the paper.
+	eng, clk := newEngine(rc, attr.Keyword(), dir, false)
 	defer eng.Close()
 
 	// Pre-generate the stream so generation cost is excluded.

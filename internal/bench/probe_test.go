@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"kflushing/internal/attr"
-	"kflushing/internal/clock"
 	"kflushing/internal/engine"
 	"kflushing/internal/gen"
 	"kflushing/internal/query"
@@ -26,18 +25,7 @@ func TestProbeBurstRetention(t *testing.T) {
 		rc := RunConfig{Policy: pol, K: 20, Budget: 30 << 20, Stream: cfg, Seed: 1}.Defaults()
 		dir, cleanup := tempDiskDir(rc)
 		defer cleanup()
-		pc := buildPolicy[string](rc)
-		clk := clock.NewLogical(1, 0)
-		eng, err := engine.New(engine.Config[string]{
-			K: rc.K, MemoryBudget: rc.Budget, FlushFraction: rc.FlushFrac,
-			KeysOf: attr.KeywordKeys, KeyHash: attr.HashString,
-			KeyLen: attr.KeywordLen, EncodeKey: attr.KeywordEncode,
-			Clock: clk, DiskDir: dir, Policy: pc.pol,
-			TrackOverK: pc.trackOverK, SyncFlush: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng, clk := newEngine(rc, attr.Keyword(), dir, true)
 		defer eng.Close()
 
 		g := gen.New(cfg)

@@ -8,7 +8,6 @@
 package bench
 
 import (
-	"fmt"
 	"os"
 	"time"
 
@@ -17,7 +16,6 @@ import (
 	"kflushing/internal/engine"
 	"kflushing/internal/gen"
 	"kflushing/internal/index"
-	"kflushing/internal/policy"
 	"kflushing/internal/query"
 	"kflushing/internal/types"
 	"kflushing/internal/workload"
@@ -25,10 +23,10 @@ import (
 
 // Policy names accepted by RunConfig.
 const (
-	PolFIFO        = "fifo"
-	PolLRU         = "lru"
-	PolKFlushing   = "kflushing"
-	PolKFlushingMK = "kflushing-mk"
+	PolFIFO        = core.NameFIFO
+	PolLRU         = core.NameLRU
+	PolKFlushing   = core.NameKFlushing
+	PolKFlushingMK = core.NameKFlushingMK
 )
 
 // AllPolicies lists the four evaluated policies in the paper's
@@ -143,37 +141,6 @@ type RunResult struct {
 	Elapsed time.Duration
 }
 
-// policyChoice carries a constructed policy plus the index features it
-// needs.
-type policyChoice[K comparable] struct {
-	pol        policy.Policy[K]
-	trackTopK  bool
-	trackOverK bool
-}
-
-// buildPolicy constructs the named policy for key type K.
-func buildPolicy[K comparable](rc RunConfig) policyChoice[K] {
-	var opts []core.Option[K]
-	if rc.MaxPhase > 0 {
-		opts = append(opts, core.WithMaxPhase[K](rc.MaxPhase))
-	}
-	if rc.SortSelector {
-		opts = append(opts, core.WithSelector[K](core.SortSelector[K]{}))
-	}
-	switch rc.Policy {
-	case PolFIFO:
-		return policyChoice[K]{pol: policy.NewFIFO[K](int64(rc.FlushFrac * float64(rc.Budget)))}
-	case PolLRU:
-		return policyChoice[K]{pol: policy.NewLRU[K]()}
-	case PolKFlushingMK:
-		return policyChoice[K]{pol: core.NewMK(opts...), trackTopK: true, trackOverK: true}
-	case PolKFlushing:
-		return policyChoice[K]{pol: core.New(opts...), trackOverK: true}
-	default:
-		panic(fmt.Sprintf("bench: unknown policy %q", rc.Policy))
-	}
-}
-
 // tempDiskDir returns the run's disk directory and a cleanup function.
 func tempDiskDir(rc RunConfig) (string, func()) {
 	if rc.DiskDir != "" {
@@ -194,24 +161,9 @@ func run[K comparable](rc RunConfig, eng *engine.Engine[K], clk *clock.Logical,
 
 	start := time.Now()
 	obs, _ := wl.(workload.Observer)
-	ingest := func() bool {
-		mb := next()
-		if mb == nil {
-			return false
-		}
-		clk.Set(mb.Timestamp)
-		_, err := eng.Ingest(mb)
-		if err != nil && err != engine.ErrNoKeys {
-			panic(err)
-		}
-		if obs != nil {
-			obs.Observe(mb)
-		}
-		return true
-	}
-	// ingestBatch digests up to n records as one batch (the
-	// high-throughput path), returning how many stream records it
-	// consumed. Stream records arrive pre-stamped, so advancing the
+	// ingestBatch digests up to n records as one batch, returning how
+	// many stream records it consumed; the measurement phase ingests
+	// batches of one. Stream records arrive pre-stamped, so advancing the
 	// clock to the last timestamp matches the sequential path.
 	ingestBatch := func(n int) int {
 		batch := make([]*types.Microblog, 0, n)
@@ -267,7 +219,7 @@ func run[K comparable](rc RunConfig, eng *engine.Engine[K], clk *clock.Logical,
 	if !rc.NoQueries && wl != nil {
 		issued := 0
 		for issued < rc.MeasureQueries {
-			ingest()
+			ingestBatch(1)
 			for j := 0; j < rc.QueriesPerIngest && issued < rc.MeasureQueries; j++ {
 				ask()
 				issued++
@@ -277,7 +229,7 @@ func run[K comparable](rc RunConfig, eng *engine.Engine[K], clk *clock.Logical,
 		// Census-only runs still push more stream through to stay in
 		// steady state a while.
 		for i := 0; i < rc.MeasureQueries; i++ {
-			ingest()
+			ingestBatch(1)
 		}
 	}
 	after := reg.Snap()

@@ -118,9 +118,9 @@ func NewMK[K comparable](opts ...Option[K]) *KFlushing[K] {
 // Name implements policy.Policy.
 func (f *KFlushing[K]) Name() string {
 	if f.mk {
-		return "kflushing-mk"
+		return NameKFlushingMK
 	}
-	return "kflushing"
+	return NameKFlushing
 }
 
 // MK reports whether the multiple-keyword extension is active.

@@ -2,10 +2,12 @@ package disk
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"kflushing/internal/query"
+	"kflushing/internal/trace"
 	"kflushing/internal/types"
 )
 
@@ -108,9 +110,7 @@ func TestBloomSkipsForAndOr(t *testing.T) {
 // TestRecordCacheServesHotKeys checks repeated misses for the same key
 // stop paying preads once the records are cached.
 func TestRecordCacheServesHotKeys(t *testing.T) {
-	// Sequential search: the parallel fan-out prunes segments by timing,
-	// so which records a repeat search reads (not what it answers) varies.
-	tier := fastTier(t, Config[string]{SearchParallelism: 1})
+	tier := fastTier(t, Config[string]{})
 	fillSegments(t, tier, 4, 25)
 
 	if _, err := tier.Search([]string{"common"}, query.OpSingle, 10); err != nil {
@@ -176,54 +176,11 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestParallelSearchMatchesSequential checks the fan-out path returns
-// exactly the sequential answers for every operator.
-func TestParallelSearchMatchesSequential(t *testing.T) {
-	dir := t.TempDir()
-	seq := fastTier(t, Config[string]{Dir: dir, SearchParallelism: 1, MaxSegments: -1})
-	fillSegments(t, seq, 12, 30)
-
-	par := fastTier(t, Config[string]{Dir: dir, SearchParallelism: 8, MaxSegments: -1})
-	if got := par.Stats().Segments; got != 12 {
-		t.Fatalf("segments = %d, want 12 to fan out over", got)
-	}
-
-	queries := []struct {
-		keys []string
-		op   query.Op
-		k    int
-	}{
-		{[]string{"common"}, query.OpSingle, 20},
-		{[]string{"k5"}, query.OpSingle, 5},
-		{[]string{"absent"}, query.OpSingle, 5},
-		{[]string{"k5", "k200", "absent"}, query.OpOr, 10},
-		{[]string{"common", "k17"}, query.OpAnd, 10},
-	}
-	for _, q := range queries {
-		want, err := seq.Search(q.keys, q.op, q.k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := par.Search(q.keys, q.op, q.k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%v %v: %d items parallel vs %d sequential", q.keys, q.op, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].MB.ID != want[i].MB.ID || got[i].Score != want[i].Score {
-				t.Fatalf("%v %v item %d: parallel (%d,%g) vs sequential (%d,%g)",
-					q.keys, q.op, i, got[i].MB.ID, got[i].Score, want[i].MB.ID, want[i].Score)
-			}
-		}
-	}
-}
-
-// TestParallelSearchConcurrent hammers the parallel path from many
-// goroutines; run with -race.
-func TestParallelSearchConcurrent(t *testing.T) {
-	tier := fastTier(t, Config[string]{SearchParallelism: 4, MaxSegments: -1})
+// TestSearchConcurrentCallers hammers Search from many goroutines over
+// one uncompacted tier (shared cache, counters and segment references);
+// run with -race.
+func TestSearchConcurrentCallers(t *testing.T) {
+	tier := fastTier(t, Config[string]{MaxSegments: -1})
 	fillSegments(t, tier, 10, 20)
 
 	var wg sync.WaitGroup
@@ -245,4 +202,83 @@ func TestParallelSearchConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestSearchTraceDeterministic pins the miss path's execution record: a
+// fixed query over a fixed segment list consults the segments newest
+// first, prunes exactly those whose best score cannot beat the kth
+// result in hand, and reads the same records — whatever GOMAXPROCS is
+// and however many callers search at once. (Under the parallel searcher
+// this test replaced, which segments were pruned and in what order they
+// were reported depended on goroutine scheduling.)
+func TestSearchTraceDeterministic(t *testing.T) {
+	// 12 segments of 8 records, scores rising with the ID, so the newest
+	// three segments fill a top-20 and every older one is pruned unread.
+	// The cache is off: every search pays its own record reads.
+	const segments, per, k = 12, 8, 20
+	type step struct {
+		Segment             string
+		Pruned, BloomPassed bool
+		DirProbes, Read     int
+	}
+	probe := func(tier *Tier[string]) ([]step, int) {
+		dp := &trace.DiskProbe{}
+		items, err := tier.SearchTraced([]string{"common"}, query.OpSingle, k, dp)
+		if err != nil {
+			t.Error(err)
+			return nil, 0
+		}
+		if len(items) != k || dp.Items != k {
+			t.Errorf("got %d items (probe says %d), want %d", len(items), dp.Items, k)
+		}
+		steps := make([]step, len(dp.Segments))
+		for i, sp := range dp.Segments {
+			steps[i] = step{sp.Segment, sp.Pruned, sp.BloomPassed, sp.DirProbes, sp.RecordsRead}
+		}
+		return steps, dp.RecordsRead
+	}
+
+	tier := fastTier(t, Config[string]{MaxSegments: -1, CacheBytes: -1})
+	fillSegments(t, tier, segments, per)
+	want, wantReads := probe(tier)
+	if len(want) != segments {
+		t.Fatalf("probe lists %d segments, want %d", len(want), segments)
+	}
+	for i, st := range want {
+		if i > 0 && st.Segment >= want[i-1].Segment {
+			t.Fatalf("probe %d (%s) is not older than probe %d (%s): not newest-first", i, st.Segment, i-1, want[i-1].Segment)
+		}
+		if unread := i >= 3; st.Pruned != unread || (st.Read > 0) == unread {
+			t.Fatalf("probe %d = %+v: the newest three segments are read, the rest pruned", i, st)
+		}
+	}
+	if wantReads != k+4 { // 8 + 8 + 8: the third segment is read whole before the merge cuts at k
+		t.Fatalf("records read = %d, want %d", wantReads, k+4)
+	}
+
+	// A second tier built the same way, and concurrent callers on the
+	// first, must produce the identical record.
+	twin := fastTier(t, Config[string]{MaxSegments: -1, CacheBytes: -1})
+	fillSegments(t, twin, segments, per)
+	before := tier.Stats().RecordReads
+	var wg sync.WaitGroup
+	const callers = 6
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			on := tier
+			if g == 0 {
+				on = twin
+			}
+			got, reads := probe(on)
+			if reads != wantReads || !reflect.DeepEqual(got, want) {
+				t.Errorf("caller %d: trace differs (reads %d vs %d):\n got %+v\nwant %+v", g, reads, wantReads, got, want)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := tier.Stats().RecordReads - before; got != int64((callers-1)*wantReads) {
+		t.Fatalf("tier counted %d record reads for %d searches of %d", got, callers-1, wantReads)
+	}
 }

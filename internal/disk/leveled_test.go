@@ -108,8 +108,7 @@ func TestLeveledStructureUnderFlushes(t *testing.T) {
 // L0 segment, searched newest-first, the naive organization leveling
 // replaced — and a leveled tier (inline compaction), and requires every
 // query answer to match item-for-item: leveling must be invisible to
-// readers. The leveled tier is additionally searched sequentially and in
-// parallel, which must also agree.
+// readers.
 func TestLeveledUncompactedEquivalence(t *testing.T) {
 	flat, err := Open(Config[string]{
 		Dir:         t.TempDir(),
@@ -122,17 +121,6 @@ func TestLeveledUncompactedEquivalence(t *testing.T) {
 	}
 	defer flat.Close()
 	leveled := leveledTier(t, t.TempDir(), 2)
-	seq, err := Open(Config[string]{
-		Dir:               t.TempDir(),
-		KeysOf:            func(m *types.Microblog) []string { return m.Keywords },
-		Encode:            func(s string) string { return s },
-		LevelFanout:       2,
-		SearchParallelism: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seq.Close()
 
 	rng := rand.New(rand.NewSource(61))
 	keys := []string{"a", "b", "c", "d", "e"}
@@ -147,7 +135,7 @@ func TestLeveledUncompactedEquivalence(t *testing.T) {
 			}
 			recs = append(recs, fr(id, float64(rng.Intn(1000)), kws...))
 		}
-		for _, tier := range []*Tier[string]{flat, leveled, seq} {
+		for _, tier := range []*Tier[string]{flat, leveled} {
 			if err := tier.Flush(recs); err != nil {
 				t.Fatal(err)
 			}
@@ -178,20 +166,18 @@ func TestLeveledUncompactedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, tier := range map[string]*Tier[string]{"leveled": leveled, "leveled-sequential": seq} {
-				got, err := tier.Search(q.keys, q.op, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s %v/%v k=%d: %d items, reference %d", name, q.keys, q.op, k, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].MB.ID != want[i].MB.ID || got[i].Score != want[i].Score {
-						t.Fatalf("%s %v/%v k=%d item %d: got (ID %d, %g), reference (ID %d, %g)",
-							name, q.keys, q.op, k, i,
-							got[i].MB.ID, got[i].Score, want[i].MB.ID, want[i].Score)
-					}
+			got, err := leveled.Search(q.keys, q.op, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("leveled %v/%v k=%d: %d items, reference %d", q.keys, q.op, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].MB.ID != want[i].MB.ID || got[i].Score != want[i].Score {
+					t.Fatalf("leveled %v/%v k=%d item %d: got (ID %d, %g), reference (ID %d, %g)",
+						q.keys, q.op, k, i,
+						got[i].MB.ID, got[i].Score, want[i].MB.ID, want[i].Score)
 				}
 			}
 		}

@@ -28,7 +28,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -84,10 +83,6 @@ type Config[K comparable] struct {
 	// CacheBytes bounds the decoded-record read cache; 0 selects the
 	// default (8 MiB), negative disables caching.
 	CacheBytes int64
-	// SearchParallelism bounds the worker pool fanning a search across
-	// candidate segments; 0 selects the default (GOMAXPROCS capped at
-	// 8), 1 forces sequential newest-first search.
-	SearchParallelism int
 	// Retry bounds transient-I/O retries on record reads; the zero
 	// value disables retrying.
 	Retry RetryPolicy
@@ -194,10 +189,9 @@ type FlushStats struct {
 // Tier is the disk storage for one attribute. Safe for concurrent use;
 // flushes serialize internally while searches proceed under a read lock.
 type Tier[K comparable] struct {
-	cfg         Config[K]
-	cache       *recordCache // nil when disabled
-	parallelism int
-	fanout      int
+	cfg    Config[K]
+	cache  *recordCache // nil when disabled
+	fanout int
 
 	// mu guards the level lists and the retired set. It is held only
 	// for snapshots and list swaps — never across file I/O — so
@@ -306,16 +300,6 @@ func Open[K comparable](cfg Config[K]) (*Tier[K], error) {
 	}
 	if cacheBytes > 0 {
 		t.cache = newRecordCache(cacheBytes, cfg.Recorder)
-	}
-	t.parallelism = cfg.SearchParallelism
-	if t.parallelism == 0 {
-		t.parallelism = runtime.GOMAXPROCS(0)
-		if t.parallelism > 8 {
-			t.parallelism = 8
-		}
-	}
-	if t.parallelism < 1 {
-		t.parallelism = 1
 	}
 	t.fanout = cfg.LevelFanout
 	if t.fanout == 0 {
@@ -662,12 +646,14 @@ func (t *Tier[K]) snapshotSegments() []*segment {
 	return segs
 }
 
-// Search returns the top-k records matching keys under op across all
-// segments, newest first, ranked by score. Per-segment Bloom filters
-// skip segments that provably lack every requested key; candidate
-// records are served from the record cache when hot, real file reads
-// otherwise. With parallelism > 1 candidate segments fan across a
-// bounded worker pool that shares the top-k pruning bound.
+// Search returns the top-k records matching keys under op, ranked by
+// score. Segments are consulted one after another, newest first, on the
+// calling goroutine: a segment whose best score cannot beat the kth
+// result in hand is pruned unread, per-segment Bloom filters skip
+// segments that provably lack every requested key, and candidate records
+// are served from the record cache when hot, real file reads otherwise.
+// The probe order is a function of the segment list alone, so a traced
+// search reads the same segments in the same order on every run.
 func (t *Tier[K]) Search(keys []K, op query.Op, k int) ([]query.Item, error) {
 	return t.SearchTraced(keys, op, k, nil)
 }
@@ -689,14 +675,6 @@ func (t *Tier[K]) SearchTraced(keys []K, op query.Op, k int, dp *trace.DiskProbe
 			s.release()
 		}
 	}()
-
-	if t.parallelism > 1 && len(segs) > 2 {
-		items, err := t.searchParallel(segs, enc, op, k, dp)
-		if dp != nil && err == nil {
-			dp.Items = len(items)
-		}
-		return items, err
-	}
 
 	var lists [][]query.Item
 	var have []query.Item
@@ -725,69 +703,6 @@ func (t *Tier[K]) SearchTraced(keys []K, op query.Op, k int, dp *trace.DiskProbe
 		dp.Items = len(out)
 	}
 	return out, nil
-}
-
-// searchParallel fans segs (newest first) across a bounded worker pool.
-// Workers claim segments in priority order and share the merged top-k,
-// so the sequential path's max-score pruning bound carries over: a
-// segment is skipped once k results strictly above its best score are
-// in hand. The result is identical to the sequential search — pruning
-// only ever discards segments that cannot alter the final top-k.
-func (t *Tier[K]) searchParallel(segs []*segment, enc []string, op query.Op, k int, dp *trace.DiskProbe) ([]query.Item, error) {
-	workers := t.parallelism
-	if workers > len(segs) {
-		workers = len(segs)
-	}
-	var (
-		mu       sync.Mutex
-		lists    [][]query.Item
-		have     []query.Item
-		firstErr error
-	)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(segs) {
-					return
-				}
-				s := segs[i]
-				mu.Lock()
-				if firstErr != nil {
-					mu.Unlock()
-					return
-				}
-				prune := len(have) >= k && have[k-1].Score > s.maxScore
-				mu.Unlock()
-				if prune {
-					if dp != nil {
-						dp.AddSegment(trace.SegmentProbe{Segment: s.name(), MaxScore: s.maxScore, Pruned: true})
-					}
-					continue
-				}
-				items, err := t.searchSegment(s, enc, op, k, dp)
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-				} else if len(items) > 0 {
-					lists = append(lists, items)
-					have = query.MergeTopK(lists, k)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return query.MergeTopK(lists, k), nil
 }
 
 // bloomFilterKeys applies s's Bloom filter to the encoded keys,

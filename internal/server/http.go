@@ -191,13 +191,31 @@ func parseK(r *http.Request) (int, error) {
 	return v, nil
 }
 
-// traceWanted reports whether the request opted into query tracing.
-func traceWanted(r *http.Request) bool {
-	return r.URL.Query().Get("trace") == "1"
-}
-
-// writeSearch emits a search response, attaching the trace when present.
-func writeSearch(w http.ResponseWriter, res kflushing.Result, tr *kflushing.Trace) {
+// finishSearch is the shared tail of the three search handlers, entered
+// once the attribute's own parameters are parsed: validate k, book the
+// parse stage to the attribute's registry, run the plain or (?trace=1)
+// the traced search, and write the answer with its trace when present.
+func finishSearch(w http.ResponseWriter, r *http.Request, reg *metrics.Registry, parseStart time.Time,
+	plain func(k int) (kflushing.Result, error),
+	traced func(k int) (kflushing.Result, *kflushing.Trace, error),
+) {
+	k, err := parseK(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	reg.ObserveQueryStage(metrics.QStageParse, time.Since(parseStart))
+	var res kflushing.Result
+	var tr *kflushing.Trace
+	if r.URL.Query().Get("trace") == "1" {
+		res, tr, err = traced(k)
+	} else {
+		res, err = plain(k)
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	body := map[string]any{"items": toItems(res), "memory_hit": res.MemoryHit}
 	if tr != nil {
 		body["trace"] = tr
@@ -229,24 +247,11 @@ func (s *Store) handleSearchKeywords(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "op must be single|and|or", http.StatusBadRequest)
 		return
 	}
-	k, err := parseK(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.kw.Engine().Metrics().ObserveQueryStage(metrics.QStageParse, time.Since(parseStart))
-	var res kflushing.Result
-	var tr *kflushing.Trace
-	if traceWanted(r) {
-		res, tr, err = s.SearchKeywordsTraced(keywords, op, k)
-	} else {
-		res, err = s.SearchKeywords(keywords, op, k)
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeSearch(w, res, tr)
+	finishSearch(w, r, s.kw.Engine().Metrics(), parseStart,
+		func(k int) (kflushing.Result, error) { return s.SearchKeywords(keywords, op, k) },
+		func(k int) (kflushing.Result, *kflushing.Trace, error) {
+			return s.SearchKeywordsTraced(keywords, op, k)
+		})
 }
 
 func (s *Store) handleSearchNearby(w http.ResponseWriter, r *http.Request) {
@@ -267,24 +272,11 @@ func (s *Store) handleSearchNearby(w http.ResponseWriter, r *http.Request) {
 		}
 		radius = v
 	}
-	k, err := parseK(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.sp.Engine().Metrics().ObserveQueryStage(metrics.QStageParse, time.Since(parseStart))
-	var res kflushing.Result
-	var tr *kflushing.Trace
-	if traceWanted(r) {
-		res, tr, err = s.SearchNearbyTraced(lat, lon, radius, k)
-	} else {
-		res, err = s.SearchNearby(lat, lon, radius, k)
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeSearch(w, res, tr)
+	finishSearch(w, r, s.sp.Engine().Metrics(), parseStart,
+		func(k int) (kflushing.Result, error) { return s.SearchNearby(lat, lon, radius, k) },
+		func(k int) (kflushing.Result, *kflushing.Trace, error) {
+			return s.SearchNearbyTraced(lat, lon, radius, k)
+		})
 }
 
 func (s *Store) handleSearchUser(w http.ResponseWriter, r *http.Request) {
@@ -294,53 +286,56 @@ func (s *Store) handleSearchUser(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "id must be a positive integer", http.StatusBadRequest)
 		return
 	}
-	k, err := parseK(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.us.Engine().Metrics().ObserveQueryStage(metrics.QStageParse, time.Since(parseStart))
-	var res kflushing.Result
-	var tr *kflushing.Trace
-	if traceWanted(r) {
-		res, tr, err = s.SearchUserTraced(id, k)
-	} else {
-		res, err = s.SearchUser(id, k)
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeSearch(w, res, tr)
+	finishSearch(w, r, s.us.Engine().Metrics(), parseStart,
+		func(k int) (kflushing.Result, error) { return s.SearchUser(id, k) },
+		func(k int) (kflushing.Result, *kflushing.Trace, error) { return s.SearchUserTraced(id, k) })
 }
 
 func (s *Store) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, s.Stats())
 }
 
+// parseN validates the n query parameter (def when absent), answering
+// 400 and returning false when it is malformed.
+func parseN(w http.ResponseWriter, r *http.Request, def int) (int, bool) {
+	ns := r.URL.Query().Get("n")
+	if ns == "" {
+		return def, true
+	}
+	v, err := strconv.Atoi(ns)
+	if err != nil || v < 1 || v > 100_000 {
+		http.Error(w, "n must be an integer in [1,100000]", http.StatusBadRequest)
+		return 0, false
+	}
+	return v, true
+}
+
+// onlyAttr narrows a per-attribute map to the attribute ?attr= names,
+// or returns it whole when the parameter is absent. An attribute the
+// Store's table does not hold answers 400 and returns false.
+func onlyAttr[V any](w http.ResponseWriter, r *http.Request, byAttr map[string]V) (map[string]V, bool) {
+	attr := r.URL.Query().Get("attr")
+	if attr == "" {
+		return byAttr, true
+	}
+	v, ok := byAttr[attr]
+	if !ok {
+		http.Error(w, "attr must be keyword|spatial|user", http.StatusBadRequest)
+		return nil, false
+	}
+	return map[string]V{attr: v}, true
+}
+
 // handleFlushLog serves the flush audit journal. ?n bounds the number of
 // cycles per attribute (default 50); ?attr restricts to one attribute.
 func (s *Store) handleFlushLog(w http.ResponseWriter, r *http.Request) {
-	n := 50
-	if ns := r.URL.Query().Get("n"); ns != "" {
-		v, err := strconv.Atoi(ns)
-		if err != nil || v < 1 || v > 100_000 {
-			http.Error(w, "n must be an integer in [1,100000]", http.StatusBadRequest)
-			return
-		}
-		n = v
-	}
-	logs := s.FlushLogs(n)
-	if attr := r.URL.Query().Get("attr"); attr != "" {
-		evs, ok := logs[attr]
-		if !ok {
-			http.Error(w, "attr must be keyword|spatial|user", http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, map[string]any{attr: evs})
+	n, ok := parseN(w, r, 50)
+	if !ok {
 		return
 	}
-	writeJSON(w, logs)
+	if logs, ok := onlyAttr(w, r, s.FlushLogs(n)); ok {
+		writeJSON(w, logs)
+	}
 }
 
 // handleBlackbox serves the flight recorder's merged timeline: every
@@ -350,26 +345,15 @@ func (s *Store) handleFlushLog(w http.ResponseWriter, r *http.Request) {
 // system; ?subsystem filters by subsystem name (see blackbox.Subsystems);
 // ?n bounds the response to the most recent n events (default 256).
 func (s *Store) handleBlackbox(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	n := 256
-	if ns := q.Get("n"); ns != "" {
-		v, err := strconv.Atoi(ns)
-		if err != nil || v < 1 || v > 100_000 {
-			http.Error(w, "n must be an integer in [1,100000]", http.StatusBadRequest)
-			return
-		}
-		n = v
+	n, ok := parseN(w, r, 256)
+	if !ok {
+		return
 	}
-	byAttr := s.BlackboxEvents()
-	if attr := q.Get("attr"); attr != "" {
-		evs, ok := byAttr[attr]
-		if !ok {
-			http.Error(w, "attr must be keyword|spatial|user", http.StatusBadRequest)
-			return
-		}
-		byAttr = map[string][]kflushing.BlackboxEvent{attr: evs}
+	byAttr, ok := onlyAttr(w, r, s.BlackboxEvents())
+	if !ok {
+		return
 	}
-	if sub := q.Get("subsystem"); sub != "" {
+	if sub := r.URL.Query().Get("subsystem"); sub != "" {
 		if _, ok := blackbox.ParseSubsystem(sub); !ok {
 			http.Error(w, "subsystem must be one of "+strings.Join(blackbox.Subsystems(), "|"),
 				http.StatusBadRequest)
@@ -399,17 +383,9 @@ func (s *Store) handleBlackbox(w http.ResponseWriter, r *http.Request) {
 // only when the server runs with a slow-query threshold). ?attr
 // restricts to one attribute system.
 func (s *Store) handleSlowLog(w http.ResponseWriter, r *http.Request) {
-	logs := s.SlowQueries()
-	if attr := r.URL.Query().Get("attr"); attr != "" {
-		evs, ok := logs[attr]
-		if !ok {
-			http.Error(w, "attr must be keyword|spatial|user", http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, map[string]any{attr: evs})
-		return
+	if logs, ok := onlyAttr(w, r, s.SlowQueries()); ok {
+		writeJSON(w, logs)
 	}
-	writeJSON(w, logs)
 }
 
 // handleTuner serves the adaptive memory tuner's per-attribute state:
@@ -418,17 +394,9 @@ func (s *Store) handleSlowLog(w http.ResponseWriter, r *http.Request) {
 // without the tuner report enabled=false. ?attr restricts to one
 // attribute system.
 func (s *Store) handleTuner(w http.ResponseWriter, r *http.Request) {
-	states := s.TunerStates()
-	if attr := r.URL.Query().Get("attr"); attr != "" {
-		st, ok := states[attr]
-		if !ok {
-			http.Error(w, "attr must be keyword|spatial|user", http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, map[string]any{attr: st})
-		return
+	if states, ok := onlyAttr(w, r, s.TunerStates()); ok {
+		writeJSON(w, states)
 	}
-	writeJSON(w, states)
 }
 
 // handleReady is the readiness probe: it verifies every attribute

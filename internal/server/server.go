@@ -19,33 +19,76 @@ import (
 // keywords, no location, no user).
 var ErrNotIndexed = errors.New("server: microblog not indexable under any attribute")
 
+// attrSystem is what the Store needs of an attribute system without
+// knowing its key type: the part of kflushing.AttrSystem[K] that does
+// not mention K.
+type attrSystem interface {
+	Attr() string
+	Indexes(*kflushing.Microblog) bool
+	IngestBatch([]*kflushing.Microblog) ([]kflushing.ID, error)
+	FlushLog(n int) []kflushing.FlushEvent
+	BlackboxEvents() []kflushing.BlackboxEvent
+	SlowQueries() []kflushing.SlowQuery
+	Ready() error
+	DiskHealth() kflushing.DiskHealth
+	SetK(k int)
+	TunerState() (kflushing.TunerState, bool)
+	Stats() kflushing.Stats
+	Close() error
+}
+
+// attribute is one row of the Store's attribute table.
+type attribute struct {
+	attrSystem
+	// slot picks the attribute's ID out of an IngestResult.
+	slot func(*IngestResult) *kflushing.ID
+}
+
 // Store bundles the three attribute systems over one logical stream.
+// Everything that treats the attributes alike walks attrs; the typed
+// handles exist for the searches, which speak each attribute's keys.
 type Store struct {
 	kw *kflushing.System
 	sp *kflushing.SpatialSystem
 	us *kflushing.UserSystem
+	// attrs is the attribute table in ingest order: keyword, spatial,
+	// user. The order is part of the IngestBatch contract.
+	attrs []attribute
 }
 
 // OpenStore opens (or recovers) the three attribute systems under dir.
 // opt applies per attribute: each system gets its own MemoryBudget and
 // policy instance.
-func OpenStore(dir string, opt kflushing.Options) (*Store, error) {
-	kw, err := kflushing.Open(filepath.Join(dir, "keyword"), opt)
-	if err != nil {
+func OpenStore(dir string, opt kflushing.Options) (_ *Store, err error) {
+	s := &Store{}
+	defer func() {
+		if err != nil {
+			s.Close() // the systems opened before the failing one
+		}
+	}()
+	if s.kw, err = kflushing.Open(filepath.Join(dir, "keyword"), opt); err != nil {
 		return nil, fmt.Errorf("open keyword system: %w", err)
 	}
-	sp, err := kflushing.OpenSpatial(filepath.Join(dir, "spatial"), nil, opt)
-	if err != nil {
-		kw.Close()
+	s.attrs = append(s.attrs, attribute{s.kw, func(r *IngestResult) *kflushing.ID { return &r.KeywordID }})
+	if s.sp, err = kflushing.OpenSpatial(filepath.Join(dir, "spatial"), nil, opt); err != nil {
 		return nil, fmt.Errorf("open spatial system: %w", err)
 	}
-	us, err := kflushing.OpenUser(filepath.Join(dir, "user"), opt)
-	if err != nil {
-		kw.Close()
-		sp.Close()
+	s.attrs = append(s.attrs, attribute{s.sp, func(r *IngestResult) *kflushing.ID { return &r.SpatialID }})
+	if s.us, err = kflushing.OpenUser(filepath.Join(dir, "user"), opt); err != nil {
 		return nil, fmt.Errorf("open user system: %w", err)
 	}
-	return &Store{kw: kw, sp: sp, us: us}, nil
+	s.attrs = append(s.attrs, attribute{s.us, func(r *IngestResult) *kflushing.ID { return &r.UserID }})
+	return s, nil
+}
+
+// perAttr builds the per-attribute map every fan-out method returns,
+// keyed by attribute name ("keyword", "spatial", "user").
+func perAttr[V any](s *Store, f func(attrSystem) V) map[string]V {
+	out := make(map[string]V, len(s.attrs))
+	for _, a := range s.attrs {
+		out[a.Attr()] = f(a.attrSystem)
+	}
+	return out
 }
 
 // IngestResult reports which attributes indexed a record.
@@ -55,56 +98,29 @@ type IngestResult struct {
 	UserID    kflushing.ID `json:"user_id,omitempty"`
 }
 
-// Ingest digests one microblog into every attribute that can index it:
-// keywords when hashtags are present, the spatial grid when geotagged,
-// and the posting user's timeline when a user is set. Records arriving
-// with raw text but no keywords get them extracted (hashtags first,
-// significant terms as fallback). Each system gets its own copy
-// (systems take ownership and assign attribute-local IDs).
+// Ingest digests one microblog into every attribute that can index it;
+// it is IngestBatch for a batch of one, with the same contract.
 func (s *Store) Ingest(mb *kflushing.Microblog) (IngestResult, error) {
-	if len(mb.Keywords) == 0 && mb.Text != "" {
-		mb.Keywords = textutil.Keywords(mb.Text, 5)
+	res, err := s.IngestBatch([]*kflushing.Microblog{mb})
+	if err != nil {
+		return IngestResult{}, err
 	}
-	var res IngestResult
-	indexed := false
-	if len(mb.Keywords) > 0 {
-		id, err := s.kw.Ingest(mb.Clone())
-		if err != nil {
-			return res, err
-		}
-		res.KeywordID = id
-		indexed = true
-	}
-	if mb.HasGeo {
-		id, err := s.sp.Ingest(mb.Clone())
-		if err != nil {
-			return res, err
-		}
-		res.SpatialID = id
-		indexed = true
-	}
-	if mb.UserID != 0 {
-		id, err := s.us.Ingest(mb.Clone())
-		if err != nil {
-			return res, err
-		}
-		res.UserID = id
-		indexed = true
-	}
-	if !indexed {
-		return res, ErrNotIndexed
-	}
-	return res, nil
+	return res[0], nil
 }
 
-// IngestBatch digests a batch of microblogs, grouping the records by the
-// attributes that can index them and handing each attribute system one
-// batch — so the per-attribute work (and the write-ahead log commit,
+// IngestBatch digests a batch of microblogs into every attribute that
+// can index them: keywords when hashtags are present, the spatial grid
+// when geotagged, and the posting user's timeline when a user is set.
+// Records arriving with raw text but no keywords get them extracted
+// (hashtags first, significant terms as fallback). The records are
+// grouped by attribute and each attribute system is handed one batch of
+// its own copies (systems take ownership and assign attribute-local
+// IDs) — so the per-attribute work (and the write-ahead log commit,
 // when durability is on) is amortized across the whole request instead
 // of paid per record. Results are aligned with mbs. A record no
 // attribute can index rejects the whole batch with ErrNotIndexed before
-// anything is ingested (the batch is classified up front, so unlike the
-// single-record path that rejection is all-or-nothing).
+// anything is ingested: the batch is classified up front, so that
+// rejection is all-or-nothing.
 //
 // A failure inside an attribute system is NOT all-or-nothing. The
 // systems ingest in the fixed order keyword, spatial, user, each with
@@ -116,55 +132,37 @@ func (s *Store) Ingest(mb *kflushing.Microblog) (IngestResult, error) {
 // A client that retries the request re-ingests the records under the
 // attributes that had succeeded, as new records with new IDs.
 func (s *Store) IngestBatch(mbs []*kflushing.Microblog) ([]IngestResult, error) {
-	results := make([]IngestResult, len(mbs))
-	var kwBatch, spBatch, usBatch []*kflushing.Microblog
-	var kwIdx, spIdx, usIdx []int
+	batches := make([][]*kflushing.Microblog, len(s.attrs))
+	idx := make([][]int, len(s.attrs)) // idx[a][j]: position in mbs of batches[a][j]
 	for i, mb := range mbs {
 		if len(mb.Keywords) == 0 && mb.Text != "" {
 			mb.Keywords = textutil.Keywords(mb.Text, 5)
 		}
 		indexed := false
-		if len(mb.Keywords) > 0 {
-			kwBatch = append(kwBatch, mb.Clone())
-			kwIdx = append(kwIdx, i)
-			indexed = true
-		}
-		if mb.HasGeo {
-			spBatch = append(spBatch, mb.Clone())
-			spIdx = append(spIdx, i)
-			indexed = true
-		}
-		if mb.UserID != 0 {
-			usBatch = append(usBatch, mb.Clone())
-			usIdx = append(usIdx, i)
-			indexed = true
+		for a, at := range s.attrs {
+			if at.Indexes(mb) {
+				batches[a] = append(batches[a], mb.Clone())
+				idx[a] = append(idx[a], i)
+				indexed = true
+			}
 		}
 		if !indexed {
 			return nil, ErrNotIndexed
 		}
 	}
+	results := make([]IngestResult, len(mbs))
 	var done []string // attributes that have ingested records of this batch
-	for _, a := range []struct {
-		name   string
-		ingest func([]*kflushing.Microblog) ([]kflushing.ID, error)
-		batch  []*kflushing.Microblog
-		idx    []int
-		slot   func(*IngestResult) *kflushing.ID
-	}{
-		{"keyword", s.kw.IngestBatch, kwBatch, kwIdx, func(r *IngestResult) *kflushing.ID { return &r.KeywordID }},
-		{"spatial", s.sp.IngestBatch, spBatch, spIdx, func(r *IngestResult) *kflushing.ID { return &r.SpatialID }},
-		{"user", s.us.IngestBatch, usBatch, usIdx, func(r *IngestResult) *kflushing.ID { return &r.UserID }},
-	} {
-		ids, err := a.ingest(a.batch)
+	for a, at := range s.attrs {
+		ids, err := at.IngestBatch(batches[a])
 		if err != nil {
 			return nil, fmt.Errorf("%s attribute rejected the batch (attributes that already ingested it, not rolled back: %v): %w",
-				a.name, done, err)
+				at.Attr(), done, err)
 		}
 		for j, id := range ids {
-			*a.slot(&results[a.idx[j]]) = id
+			*at.slot(&results[idx[a][j]]) = id
 		}
-		if len(a.batch) > 0 {
-			done = append(done, a.name)
+		if len(batches[a]) > 0 {
+			done = append(done, at.Attr())
 		}
 	}
 	return results, nil
@@ -181,30 +179,16 @@ func (s *Store) SearchKeywordsTraced(keywords []string, op kflushing.Op, k int) 
 	return s.kw.SearchTraced(keywords, op, k)
 }
 
-// nearbyCells resolves a nearby query to grid tiles and an operator.
-func (s *Store) nearbyCells(lat, lon, radiusMiles float64) ([]kflushing.Cell, kflushing.Op) {
-	if radiusMiles <= 0 {
-		return []kflushing.Cell{s.sp.Grid().CellOf(lat, lon)}, kflushing.OpSingle
-	}
-	cells := s.sp.Grid().CellsWithin(lat, lon, radiusMiles)
-	if len(cells) == 1 {
-		return cells, kflushing.OpSingle
-	}
-	return cells, kflushing.OpOr
-}
-
 // SearchNearby returns the most recent k posts near (lat, lon): within
 // the containing grid tile when radiusMiles <= 0, else within the given
 // radius (an OR query across the covered tiles).
 func (s *Store) SearchNearby(lat, lon, radiusMiles float64, k int) (kflushing.Result, error) {
-	cells, op := s.nearbyCells(lat, lon, radiusMiles)
-	return s.sp.SearchCells(cells, op, k)
+	return s.sp.SearchRadius(lat, lon, radiusMiles, k)
 }
 
 // SearchNearbyTraced is SearchNearby with an execution trace.
 func (s *Store) SearchNearbyTraced(lat, lon, radiusMiles float64, k int) (kflushing.Result, *kflushing.Trace, error) {
-	cells, op := s.nearbyCells(lat, lon, radiusMiles)
-	return s.sp.SearchCellsTraced(cells, op, k)
+	return s.sp.SearchRadiusTraced(lat, lon, radiusMiles, k)
 }
 
 // SearchUser returns the top-k timeline of one user.
@@ -220,11 +204,7 @@ func (s *Store) SearchUserTraced(id uint64, k int) (kflushing.Result, *kflushing
 // FlushLogs returns the most recent n audited flush cycles of every
 // attribute system, oldest-first (all retained cycles when n <= 0).
 func (s *Store) FlushLogs(n int) map[string][]kflushing.FlushEvent {
-	return map[string][]kflushing.FlushEvent{
-		"keyword": s.kw.FlushLog(n),
-		"spatial": s.sp.FlushLog(n),
-		"user":    s.us.FlushLog(n),
-	}
+	return perAttr(s, func(a attrSystem) []kflushing.FlushEvent { return a.FlushLog(n) })
 }
 
 // BlackboxEvents returns each attribute system's retained flight-recorder
@@ -232,21 +212,13 @@ func (s *Store) FlushLogs(n int) map[string][]kflushing.FlushEvent {
 // names ("keyword", "spatial", "user"); the /debug/blackbox handler
 // merges them into one timeline.
 func (s *Store) BlackboxEvents() map[string][]kflushing.BlackboxEvent {
-	return map[string][]kflushing.BlackboxEvent{
-		"keyword": s.kw.BlackboxEvents(),
-		"spatial": s.sp.BlackboxEvents(),
-		"user":    s.us.BlackboxEvents(),
-	}
+	return perAttr(s, attrSystem.BlackboxEvents)
 }
 
 // SlowQueries returns each attribute system's retained slow-query traces
 // oldest-first (empty unless Options.SlowQueryNanos is set).
 func (s *Store) SlowQueries() map[string][]kflushing.SlowQuery {
-	return map[string][]kflushing.SlowQuery{
-		"keyword": s.kw.SlowQueries(),
-		"spatial": s.sp.SlowQueries(),
-		"user":    s.us.SlowQueries(),
-	}
+	return perAttr(s, attrSystem.SlowQueries)
 }
 
 // Ready verifies every attribute system can serve writes (disk tier
@@ -254,14 +226,10 @@ func (s *Store) SlowQueries() map[string][]kflushing.SlowQuery {
 // failure reasons; an empty map means ready.
 func (s *Store) Ready() map[string]string {
 	out := map[string]string{}
-	if err := s.kw.Ready(); err != nil {
-		out["keyword"] = err.Error()
-	}
-	if err := s.sp.Ready(); err != nil {
-		out["spatial"] = err.Error()
-	}
-	if err := s.us.Ready(); err != nil {
-		out["user"] = err.Error()
+	for _, a := range s.attrs {
+		if err := a.Ready(); err != nil {
+			out[a.Attr()] = err.Error()
+		}
 	}
 	return out
 }
@@ -271,18 +239,14 @@ func (s *Store) Ready() map[string]string {
 // a persistently positive compaction backlog or a pinned queue depth
 // makes a wedged compactor or saturated pipeline visible.
 func (s *Store) DiskHealth() map[string]kflushing.DiskHealth {
-	return map[string]kflushing.DiskHealth{
-		"keyword": s.kw.DiskHealth(),
-		"spatial": s.sp.DiskHealth(),
-		"user":    s.us.DiskHealth(),
-	}
+	return perAttr(s, attrSystem.DiskHealth)
 }
 
 // SetK changes the default top-k threshold of all attribute systems.
 func (s *Store) SetK(k int) {
-	s.kw.SetK(k)
-	s.sp.SetK(k)
-	s.us.SetK(k)
+	for _, a := range s.attrs {
+		a.SetK(k)
+	}
 }
 
 // TunerStatus is one attribute system's adaptive-memory report.
@@ -294,30 +258,22 @@ type TunerStatus struct {
 // TunerStates reports the adaptive memory tuner per attribute; systems
 // running without the tuner report Enabled false and a zero state.
 func (s *Store) TunerStates() map[string]TunerStatus {
-	out := make(map[string]TunerStatus, 3)
-	kw, kwOK := s.kw.TunerState()
-	sp, spOK := s.sp.TunerState()
-	us, usOK := s.us.TunerState()
-	out["keyword"] = TunerStatus{Enabled: kwOK, State: kw}
-	out["spatial"] = TunerStatus{Enabled: spOK, State: sp}
-	out["user"] = TunerStatus{Enabled: usOK, State: us}
-	return out
+	return perAttr(s, func(a attrSystem) TunerStatus {
+		st, ok := a.TunerState()
+		return TunerStatus{Enabled: ok, State: st}
+	})
 }
 
 // Stats returns per-attribute snapshots.
 func (s *Store) Stats() map[string]kflushing.Stats {
-	return map[string]kflushing.Stats{
-		"keyword": s.kw.Stats(),
-		"spatial": s.sp.Stats(),
-		"user":    s.us.Stats(),
-	}
+	return perAttr(s, attrSystem.Stats)
 }
 
 // Close shuts down all attribute systems, returning the first error.
 func (s *Store) Close() error {
 	var first error
-	for _, c := range []func() error{s.kw.Close, s.sp.Close, s.us.Close} {
-		if err := c(); err != nil && first == nil {
+	for _, a := range s.attrs {
+		if err := a.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

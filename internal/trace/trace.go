@@ -17,14 +17,11 @@
 package trace
 
 import (
-	"sync"
 	"time"
 )
 
 // Trace accumulates the record of one query. Create with New; pass nil
-// to disable. The struct is safe for the concurrent appends a parallel
-// disk search performs (AddSegment locks internally); all other fields
-// are written by the single query goroutine.
+// to disable. Every field is written by the single query goroutine.
 type Trace struct {
 	// Op is the query operator ("single", "or", "and").
 	Op string `json:"op"`
@@ -49,8 +46,6 @@ type Trace struct {
 	// Stages are the nanosecond timings of each execution stage, in
 	// execution order ("memory", "disk", "total").
 	Stages []Stage `json:"stages"`
-
-	mu sync.Mutex
 }
 
 // New returns an enabled, empty trace.
@@ -113,9 +108,8 @@ type EntryProbe struct {
 
 // DiskProbe is the record of one disk-tier search.
 type DiskProbe struct {
-	// Segments are the per-segment outcomes, in the order the search
-	// completed them (newest-first priority order for the sequential
-	// path; completion order under parallel search).
+	// Segments are the per-segment outcomes in the order the search
+	// consulted them: newest first.
 	Segments []SegmentProbe `json:"segments"`
 	// CacheHits / CacheMisses / RecordsRead aggregate the record-read
 	// activity across all segments.
@@ -124,25 +118,20 @@ type DiskProbe struct {
 	RecordsRead int `json:"records_read"`
 	// Items is the number of candidates the disk search returned.
 	Items int `json:"items"`
-
-	mu sync.Mutex
 }
 
 // AddSegment appends one segment outcome and folds its read counters
-// into the probe totals. Safe for concurrent use (parallel segment
-// workers share one probe); nil-safe.
+// into the probe totals; nil-safe.
 //
 //kfvet:noalloc whennil
 func (d *DiskProbe) AddSegment(sp SegmentProbe) {
 	if d == nil {
 		return
 	}
-	d.mu.Lock()
 	d.Segments = append(d.Segments, sp)
 	d.CacheHits += sp.CacheHits
 	d.CacheMisses += sp.CacheMisses
 	d.RecordsRead += sp.RecordsRead
-	d.mu.Unlock()
 }
 
 // SegmentProbe is the outcome of consulting one disk segment.

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/json"
-	"sync"
 	"testing"
 	"time"
 )
@@ -37,15 +36,10 @@ func TestNilTraceAllocFree(t *testing.T) {
 func TestDiskProbeFoldsSegmentCounters(t *testing.T) {
 	tr := New()
 	dp := tr.BeginDisk()
-	var wg sync.WaitGroup
+	// One goroutine: the disk search that fills a probe is sequential.
 	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dp.AddSegment(SegmentProbe{Segment: "s", CacheHits: 1, CacheMisses: 2, RecordsRead: 3})
-		}()
+		dp.AddSegment(SegmentProbe{Segment: "s", CacheHits: 1, CacheMisses: 2, RecordsRead: 3})
 	}
-	wg.Wait()
 	if len(dp.Segments) != 8 {
 		t.Fatalf("segments = %d", len(dp.Segments))
 	}

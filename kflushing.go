@@ -39,7 +39,6 @@ import (
 	"kflushing/internal/disk"
 	"kflushing/internal/engine"
 	"kflushing/internal/flushlog"
-	"kflushing/internal/policy"
 	"kflushing/internal/query"
 	"kflushing/internal/ranking"
 	"kflushing/internal/trace"
@@ -144,10 +143,10 @@ type PolicyKind string
 
 // Available flushing policies.
 const (
-	PolicyKFlushing   PolicyKind = "kflushing"
-	PolicyKFlushingMK PolicyKind = "kflushing-mk"
-	PolicyFIFO        PolicyKind = "fifo"
-	PolicyLRU         PolicyKind = "lru"
+	PolicyKFlushing   PolicyKind = core.NameKFlushing
+	PolicyKFlushingMK PolicyKind = core.NameKFlushingMK
+	PolicyFIFO        PolicyKind = core.NameFIFO
+	PolicyLRU         PolicyKind = core.NameLRU
 )
 
 // Options configures a system. The zero value selects the paper's
@@ -163,9 +162,6 @@ type Options struct {
 	FlushFraction float64
 	// Policy selects the flushing policy (default PolicyKFlushing).
 	Policy PolicyKind
-	// MaxPhase caps kFlushing at phases 1..MaxPhase, for ablations
-	// (default 3; ignored by FIFO and LRU).
-	MaxPhase int
 	// Ranker scores records at arrival (default Temporal).
 	Ranker Ranker
 	// Clock is the time source (default: auto-advancing logical
@@ -246,66 +242,46 @@ func (o *Options) fill() {
 	if o.Policy == "" {
 		o.Policy = PolicyKFlushing
 	}
-	if o.MaxPhase == 0 {
-		o.MaxPhase = 3
-	}
 	if o.Ranker == nil {
 		o.Ranker = Temporal
 	}
 }
 
-// policyChoice carries a constructed policy with the index features it
-// needs.
-type policyChoice[K comparable] struct {
-	pol        policy.Policy[K]
-	trackTopK  bool
-	trackOverK bool
+// AttrSystem is the attribute-independent part of a system: everything
+// System, SpatialSystem and UserSystem share, defined once over the key
+// type K. The three embed it and add only their constructor and the
+// search methods that speak their attribute's vocabulary, so every
+// method below is part of each system's method set. All methods are
+// safe for concurrent use.
+type AttrSystem[K comparable] struct {
+	spec attr.Spec[K]
+	eng  *engine.Engine[K]
 }
 
-// newPolicy instantiates the configured policy for key type K.
-func newPolicy[K comparable](o Options) (policyChoice[K], error) {
-	switch o.Policy {
-	case PolicyKFlushing:
-		return policyChoice[K]{pol: core.New(core.WithMaxPhase[K](o.MaxPhase)), trackOverK: true}, nil
-	case PolicyKFlushingMK:
-		return policyChoice[K]{pol: core.NewMK(core.WithMaxPhase[K](o.MaxPhase)), trackTopK: true, trackOverK: true}, nil
-	case PolicyFIFO:
-		seg := int64(o.FlushFraction * float64(o.MemoryBudget))
-		return policyChoice[K]{pol: policy.NewFIFO[K](seg)}, nil
-	case PolicyLRU:
-		return policyChoice[K]{pol: policy.NewLRU[K]()}, nil
-	default:
-		return policyChoice[K]{}, fmt.Errorf("kflushing: unknown policy %q", o.Policy)
-	}
-}
-
-// newEngine maps the facade options onto one attribute's engine — the
-// only place Options meets engine.Config. The four functions are the
-// attribute: key extraction, shard hash, key size, disk encoding.
-func newEngine[K comparable](dir string, opt Options,
-	keysOf func(*Microblog) []K, hash func(K) uint64, keyLen func(K) int, encode func(K) string,
-) (*engine.Engine[K], error) {
+// open maps the facade options onto one attribute's engine — the only
+// place Options meets engine.Config.
+func open[K comparable](dir string, opt Options, spec attr.Spec[K]) (AttrSystem[K], error) {
 	opt.fill()
-	pc, err := newPolicy[K](opt)
+	pc, err := core.Choose[K](string(opt.Policy), int64(opt.FlushFraction*float64(opt.MemoryBudget)))
 	if err != nil {
-		return nil, err
+		return AttrSystem[K]{}, fmt.Errorf("kflushing: %w", err)
 	}
 	ap, err := alloc.ParsePolicy(opt.AllocPolicy)
 	if err != nil {
-		return nil, err
+		return AttrSystem[K]{}, err
 	}
 	walDir := "" // durability off: only flushed data is on disk
 	if opt.Durable {
 		walDir = filepath.Join(dir, "wal")
 	}
-	return engine.New(engine.Config[K]{
+	eng, err := engine.New(engine.Config[K]{
 		K:               opt.K,
 		MemoryBudget:    opt.MemoryBudget,
 		FlushFraction:   opt.FlushFraction,
-		KeysOf:          keysOf,
-		KeyHash:         hash,
-		KeyLen:          keyLen,
-		EncodeKey:       encode,
+		KeysOf:          spec.KeysOf,
+		KeyHash:         spec.Hash,
+		KeyLen:          spec.Len,
+		EncodeKey:       spec.Encode,
 		Ranker:          opt.Ranker,
 		Clock:           opt.Clock,
 		DiskDir:         dir,
@@ -315,9 +291,9 @@ func newEngine[K comparable](dir string, opt Options,
 		DiskRetry:       opt.DiskRetry,
 		WALDir:          walDir,
 		WALOptions:      wal.Options{SyncEvery: opt.WALSyncEvery},
-		Policy:          pc.pol,
-		TrackTopK:       pc.trackTopK,
-		TrackOverK:      pc.trackOverK,
+		Policy:          pc.Policy,
+		TrackTopK:       pc.TrackTopK,
+		TrackOverK:      pc.TrackOverK,
 		SyncFlush:       opt.SyncFlush,
 		AllocPolicy:     ap,
 		BlackboxEvents:  opt.BlackboxEvents,
@@ -325,104 +301,116 @@ func newEngine[K comparable](dir string, opt Options,
 		AdaptiveMemory:  opt.AdaptiveMemory,
 		TunerLimits:     opt.Tuner,
 	})
+	return AttrSystem[K]{spec: spec, eng: eng}, err
 }
 
-// System is a keyword-search microblogs store: the paper's primary
-// evaluation target. All methods are safe for concurrent use.
-type System struct {
-	eng *engine.Engine[string]
-}
+// Attr names the attribute the system indexes: "keyword", "spatial" or
+// "user".
+func (s *AttrSystem[K]) Attr() string { return s.spec.Name }
 
-// Open creates a keyword system whose disk tier lives under dir.
-func Open(dir string, opt Options) (*System, error) {
-	eng, err := newEngine(dir, opt, attr.KeywordKeys, attr.HashString, attr.KeywordLen, attr.KeywordEncode)
-	if err != nil {
-		return nil, err
-	}
-	return &System{eng: eng}, nil
-}
+// Indexes reports whether mb carries at least one key of this system's
+// attribute (a keyword, a location, a posting user). Ingest rejects and
+// IngestBatch skips a record for which it is false.
+func (s *AttrSystem[K]) Indexes(mb *Microblog) bool { return len(s.spec.KeysOf(mb)) > 0 }
 
-// Ingest digests one microblog, taking ownership of mb. Records without
-// keywords are rejected.
-func (s *System) Ingest(mb *Microblog) (ID, error) { return s.eng.Ingest(mb) }
+// Ingest digests one microblog, taking ownership of mb. A record the
+// attribute cannot index (see Indexes) is rejected.
+func (s *AttrSystem[K]) Ingest(mb *Microblog) (ID, error) { return s.eng.Ingest(mb) }
 
 // IngestBatch digests a batch of microblogs in arrival order, taking
 // ownership of every record. The write-ahead log (when durability is
 // on) receives the whole batch as one group commit, so batching is the
-// high-throughput ingestion path. Records without keywords are skipped
-// and reported by a zero ID in the returned slice, which is aligned
-// with mbs.
-func (s *System) IngestBatch(mbs []*Microblog) ([]ID, error) { return s.eng.IngestBatch(mbs) }
+// high-throughput ingestion path. Records the attribute cannot index
+// (no keyword, no location, no posting user) are skipped and reported
+// by a zero ID in the returned slice, which is aligned with mbs.
+func (s *AttrSystem[K]) IngestBatch(mbs []*Microblog) ([]ID, error) { return s.eng.IngestBatch(mbs) }
 
-// Search runs a top-k keyword query. k <= 0 selects the system default.
-func (s *System) Search(keywords []string, op Op, k int) (Result, error) {
-	return s.eng.Search(query.Request[string]{Keys: keywords, Op: op, K: k})
+// Search runs a top-k query over keys of the system's attribute.
+// k <= 0 selects the system default.
+func (s *AttrSystem[K]) Search(keys []K, op Op, k int) (Result, error) {
+	return s.eng.Search(query.Request[K]{Keys: keys, Op: op, K: k})
+}
+
+// SearchTraced runs a top-k query and returns the execution trace
+// alongside the result: which index entries were probed in memory, and
+// on a miss which disk segments were consulted, with Bloom filter and
+// read-cache outcomes and per-stage timings. Tracing allocates, so it
+// is for diagnostics, not the hot path.
+func (s *AttrSystem[K]) SearchTraced(keys []K, op Op, k int) (Result, *Trace, error) {
+	tr := trace.New()
+	res, err := s.eng.Search(query.Request[K]{Keys: keys, Op: op, K: k, Trace: tr})
+	return res, tr, err
+}
+
+// FlushLog returns the most recent n audited flush cycles oldest-first
+// (all retained cycles when n <= 0).
+func (s *AttrSystem[K]) FlushLog(n int) []FlushEvent { return s.eng.Journal().Last(n) }
+
+// BlackboxEvents returns the flight recorder's retained events across
+// every subsystem, merged in sequence order (empty when the recorder is
+// disabled). See the server's /debug/blackbox for the filtered view.
+func (s *AttrSystem[K]) BlackboxEvents() []BlackboxEvent { return s.eng.Blackbox().Events() }
+
+// SlowQueries returns the retained auto-captured slow-query traces
+// oldest-first (empty unless Options.SlowQueryNanos is set).
+func (s *AttrSystem[K]) SlowQueries() []SlowQuery { return s.eng.SlowLog().Snapshot() }
+
+// SetK changes the default top-k threshold at run time.
+func (s *AttrSystem[K]) SetK(k int) { s.eng.SetK(k) }
+
+// FlushNow forces one flush cycle, returning the bytes freed.
+func (s *AttrSystem[K]) FlushNow() (int64, error) { return s.eng.FlushNow() }
+
+// CompactNow runs leveled compaction passes until no disk level exceeds
+// its fanout. Answers are unchanged throughout.
+func (s *AttrSystem[K]) CompactNow() error { return s.eng.CompactNow() }
+
+// CompactAll merges every disk segment into one. Intended for
+// maintenance windows; answers are unchanged.
+func (s *AttrSystem[K]) CompactAll() error { return s.eng.CompactAll() }
+
+// Stats returns a snapshot of gauges, counters, and the index census.
+func (s *AttrSystem[K]) Stats() Stats { return s.eng.Stats() }
+
+// TunerState reports the adaptive memory tuner's snapshot; ok is false
+// when Options.AdaptiveMemory is off.
+func (s *AttrSystem[K]) TunerState() (TunerState, bool) { return s.eng.TunerState() }
+
+// Err returns the most recent background flush error, if any.
+func (s *AttrSystem[K]) Err() error { return s.eng.Err() }
+
+// Ready verifies the system can serve writes: the disk tier directory
+// is writable and, when durability is on, the write-ahead log accepts
+// appends. It is the backing check of the server's /readyz endpoint.
+func (s *AttrSystem[K]) Ready() error { return s.eng.CheckReady() }
+
+// DiskHealth reports the disk tier's per-level layout and the flush
+// pipeline queue depth without the cost of a full Stats census.
+func (s *AttrSystem[K]) DiskHealth() DiskHealth { return s.eng.DiskHealth() }
+
+// Close drains background work and releases the disk tier.
+func (s *AttrSystem[K]) Close() error { return s.eng.Close() }
+
+// Engine exposes the underlying generic engine for experiments.
+func (s *AttrSystem[K]) Engine() *engine.Engine[K] { return s.eng }
+
+// System is a keyword-search microblogs store: the paper's primary
+// evaluation target. Search and SearchTraced take keywords; the rest of
+// its methods are AttrSystem's.
+type System struct {
+	AttrSystem[string]
+}
+
+// Open creates a keyword system whose disk tier lives under dir.
+func Open(dir string, opt Options) (*System, error) {
+	as, err := open(dir, opt, attr.Keyword())
+	if err != nil {
+		return nil, err
+	}
+	return &System{as}, nil
 }
 
 // SearchKeyword runs a single-keyword top-k query.
 func (s *System) SearchKeyword(keyword string, k int) (Result, error) {
 	return s.Search([]string{keyword}, OpSingle, k)
 }
-
-// SearchTraced runs a top-k keyword query and returns the execution
-// trace alongside the result: which index entries were probed in
-// memory, and on a miss which disk segments were consulted, with Bloom
-// filter and read-cache outcomes and per-stage timings. Tracing
-// allocates, so it is for diagnostics, not the hot path.
-func (s *System) SearchTraced(keywords []string, op Op, k int) (Result, *Trace, error) {
-	tr := trace.New()
-	res, err := s.eng.Search(query.Request[string]{Keys: keywords, Op: op, K: k, Trace: tr})
-	return res, tr, err
-}
-
-// FlushLog returns the most recent n audited flush cycles oldest-first
-// (all retained cycles when n <= 0).
-func (s *System) FlushLog(n int) []FlushEvent { return s.eng.Journal().Last(n) }
-
-// BlackboxEvents returns the flight recorder's retained events across
-// every subsystem, merged in sequence order (empty when the recorder is
-// disabled). See the server's /debug/blackbox for the filtered view.
-func (s *System) BlackboxEvents() []BlackboxEvent { return s.eng.Blackbox().Events() }
-
-// SlowQueries returns the retained auto-captured slow-query traces
-// oldest-first (empty unless Options.SlowQueryNanos is set).
-func (s *System) SlowQueries() []SlowQuery { return s.eng.SlowLog().Snapshot() }
-
-// SetK changes the default top-k threshold at run time.
-func (s *System) SetK(k int) { s.eng.SetK(k) }
-
-// FlushNow forces one flush cycle, returning the bytes freed.
-func (s *System) FlushNow() (int64, error) { return s.eng.FlushNow() }
-
-// CompactNow runs leveled compaction passes until no disk level exceeds
-// its fanout. Answers are unchanged throughout.
-func (s *System) CompactNow() error { return s.eng.CompactNow() }
-
-// CompactAll merges every disk segment into one. Intended for
-// maintenance windows; answers are unchanged.
-func (s *System) CompactAll() error { return s.eng.CompactAll() }
-
-// Stats returns a snapshot of gauges, counters, and the index census.
-func (s *System) Stats() Stats { return s.eng.Stats() }
-
-// TunerState reports the adaptive memory tuner's snapshot; ok is false
-// when Options.AdaptiveMemory is off.
-func (s *System) TunerState() (TunerState, bool) { return s.eng.TunerState() }
-
-// Err returns the most recent background flush error, if any.
-func (s *System) Err() error { return s.eng.Err() }
-
-// Ready verifies the system can serve writes: the disk tier directory
-// is writable and, when durability is on, the write-ahead log accepts
-// appends. It is the backing check of the server's /readyz endpoint.
-func (s *System) Ready() error { return s.eng.CheckReady() }
-
-// DiskHealth reports the disk tier's per-level layout and the flush
-// pipeline queue depth without the cost of a full Stats census.
-func (s *System) DiskHealth() DiskHealth { return s.eng.DiskHealth() }
-
-// Close drains background work and releases the disk tier.
-func (s *System) Close() error { return s.eng.Close() }
-
-// Engine exposes the underlying generic engine for experiments.
-func (s *System) Engine() *engine.Engine[string] { return s.eng }

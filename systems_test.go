@@ -106,6 +106,42 @@ func TestUserSystemEndToEnd(t *testing.T) {
 	}
 }
 
+// TestUserSystemSkipsAnonymousPosts pins the documented contract: user 0
+// is "no posting user". Such a record is rejected by Ingest, skipped
+// (zero ID) by IngestBatch, and never files a user-0 timeline.
+func TestUserSystemSkipsAnonymousPosts(t *testing.T) {
+	sys, err := kflushing.OpenUser(t.TempDir(), kflushing.Options{K: 3, SyncFlush: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+
+	if id, err := sys.Ingest(&kflushing.Microblog{Text: "anonymous"}); err == nil {
+		t.Fatalf("Ingest accepted a record without a posting user (ID %d)", id)
+	}
+	ids, err := sys.IngestBatch([]*kflushing.Microblog{
+		{UserID: 5, Text: "signed"},
+		{Text: "anonymous"},
+		{UserID: 5, Text: "signed again"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 3 || ids[0] == 0 || ids[1] != 0 || ids[2] == 0 {
+		t.Fatalf("IngestBatch IDs = %v, want the anonymous record (index 1) skipped with a zero ID", ids)
+	}
+	if got := sys.Stats().StoreRecords; got != 2 {
+		t.Fatalf("store holds %d records, want 2", got)
+	}
+	res, err := sys.SearchUser(0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Items) != 0 {
+		t.Fatalf("user 0 has a timeline of %d items", len(res.Items))
+	}
+}
+
 // TestMKRaisesANDHits verifies the Section IV-D claim end to end: on
 // the same stream and the same AND queries, kFlushing-MK answers more
 // AND queries from memory than base kFlushing.

@@ -1,14 +1,21 @@
 // Command kflushctl is the offline administration tool for kflushing
-// data directories. It operates directly on segment and write-ahead-log
-// files without starting a system.
+// data directories. It operates directly on segment, record-block and
+// write-ahead-log files without starting a system.
 //
-//	kflushctl segments <dir>       list segments (version, records, bloom, size)
+//	kflushctl segments <dir>       list segments (version, records, bloom,
+//	                               directory size) and the record blocks
+//	                               each one names
 //	kflushctl levels <dir>         decode the disk tier's manifest and
 //	                               print per-level occupancy, retired
 //	                               inputs, and unreferenced files
-//	kflushctl dump <segment-file>  print a segment's records as JSON lines
-//	kflushctl verify <dir>         read every record; fail on corruption
-//	kflushctl compact <dir>        merge every segment into one
+//	kflushctl dump <file>          print the records of a blk-* block, or
+//	                               the live records of a seg-*/lvl-*
+//	                               directory, as JSON lines
+//	kflushctl verify <dir>         decode every record, resolve every
+//	                               posting, check every list's ranking;
+//	                               fail on corruption
+//	kflushctl compact <dir>        merge every segment's directory into
+//	                               one (record blocks are not rewritten)
 //	kflushctl probe <dir> <key> [k]  run one disk search and report the
 //	                               miss fast-path counters (Bloom skips,
 //	                               directory probes, cache hits)
@@ -45,6 +52,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -149,25 +157,55 @@ func cmdSegments(dir string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-20s %4s %10s %10s %10s %12s %8s\n",
-		"segment", "ver", "records", "keys", "postings", "bytes", "bloomB")
-	var recs, bytes int64
+	fmt.Printf("%-20s %4s %10s %10s %10s %12s %8s %7s %12s %10s\n",
+		"segment", "ver", "records", "keys", "postings", "dirBytes", "bloomB", "blocks", "blockBytes", "shadowedB")
+	var recs, bytes, shadowed int64
+	blocks := map[string]bool{}
 	for _, info := range infos {
-		fmt.Printf("%-20s %4d %10d %10d %10d %12d %8d\n",
+		fmt.Printf("%-20s %4d %10d %10d %10d %12d %8d %7d %12d %10d\n",
 			info.Path, info.Version, info.Records, info.Keys, info.Postings,
-			info.Bytes, info.BloomBytes)
+			info.Bytes, info.BloomBytes, len(info.Blocks), info.BlockBytes, info.ShadowedBytes)
 		recs += int64(info.Records)
 		bytes += info.Bytes
+		shadowed += info.ShadowedBytes
+		if info.BlockBytes == 0 {
+			continue // a legacy segment: its records are in its own file
+		}
+		fmt.Printf("  blocks: %s\n", strings.Join(info.Blocks, " "))
+		for _, name := range info.Blocks {
+			// A set: adoption can leave two directories naming one block.
+			blocks[name] = true
+		}
 	}
-	fmt.Printf("%d segments, %d records, %d bytes\n", len(infos), recs, bytes)
+	blockBytes, err := fileBytes(dir, blocks)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%d segments, %d records, %d directory bytes; %d record blocks, %d bytes (%d shadowed)\n",
+		len(infos), recs, bytes, len(blocks), blockBytes, shadowed)
 	return nil
+}
+
+// fileBytes totals the sizes of the named files under dir.
+func fileBytes(dir string, names map[string]bool) (int64, error) {
+	var total int64
+	for name := range names {
+		st, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			return 0, err
+		}
+		total += st.Size()
+	}
+	return total, nil
 }
 
 // cmdLevels decodes a tier's manifest and joins it against the
 // segment files actually present: per-level occupancy (segments,
-// records, bytes), retired compaction inputs awaiting unlink, and files
-// the manifest does not reference (they would be adopted at the next
-// open). A missing or corrupt manifest is surfaced but survivable —
+// records, bytes of the directories and the blocks they name), retired
+// compaction inputs awaiting unlink, and segment files the manifest does
+// not reference (they would be adopted at the next open). Record blocks
+// are not in the manifest; a legacy file a directory names as its block
+// is that, not an unreferenced segment. A missing or corrupt manifest is surfaced but survivable —
 // open falls back to adoption.
 func cmdLevels(dir string) error {
 	infos, err := disk.Inspect(dir)
@@ -211,7 +249,7 @@ func cmdLevels(dir string) error {
 		}
 		ls.segments++
 		ls.records += info.Records
-		ls.bytes += info.Bytes
+		ls.bytes += info.Bytes + info.BlockBytes
 	}
 	fmt.Printf("manifest: next_seq=%d live=%d retired=%d\n", m.NextSeq, len(m.Live), len(m.Retired))
 	fmt.Printf("%-6s %10s %10s %12s\n", "level", "segments", "records", "bytes")
@@ -762,7 +800,7 @@ func usage() {
 usage:
   kflushctl segments <dir>
   kflushctl levels <dir>
-  kflushctl dump <segment-file>
+  kflushctl dump <segment-or-block-file>
   kflushctl verify <dir>
   kflushctl compact <dir>
   kflushctl probe <dir> <key> [k]

@@ -245,7 +245,8 @@ func verifyRecovered(t *testing.T, dataDir, ackPath string) {
 		}
 		prev = ids
 	}
-	// The segment directory must parse and every record decode cleanly.
+	// Every directory must parse, every record of the blocks it names
+	// decode, every posting resolve and every list be rank-ordered.
 	if segs, recs, err := disk.Verify(dataDir); err != nil {
 		t.Fatalf("segment verification failed after %d segments / %d records: %v",
 			segs, recs, err)

@@ -9,7 +9,9 @@
 //   - answers carry no duplicates;
 //   - every index posting references a live store record with a positive
 //     posting count (the structural flush invariant);
-//   - the segment directory parses and every record is readable;
+//   - every directory parses, every record of every block it names
+//     decodes, every posting resolves and every per-key list is strictly
+//     rank-ordered (disk.Verify);
 //   - the leveled manifest healed by recovery decodes, references only
 //     files that exist, and never lists a file twice (live+retired, or
 //     on two levels);

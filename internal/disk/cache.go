@@ -9,11 +9,11 @@ import (
 )
 
 // recordCache is a bounded, sharded LRU over decoded FlushRecords keyed
-// by (segment ID, ordinal). Hot keys that repeatedly miss memory stop
-// paying a pread-plus-decode per query; eviction is by byte budget so
-// cached text bodies cannot grow without bound. Segment IDs are unique
-// per opened file (never reused across compactions), so entries for
-// retired segments simply age out of the LRU.
+// by (block ID, ordinal in the block). Hot keys that repeatedly miss
+// memory stop paying a pread-plus-decode per query; eviction is by byte
+// budget so cached text bodies cannot grow without bound. A block keeps
+// its ID for as long as it is open, whichever directories name it, so
+// compaction orphans nothing.
 type recordCache struct {
 	shards []cacheShard
 	rec    *blackbox.Recorder
@@ -32,7 +32,7 @@ const (
 )
 
 type cacheKey struct {
-	seg uint64
+	blk uint64
 	ord uint32
 }
 
@@ -69,8 +69,8 @@ func newRecordCache(budget int64, rec *blackbox.Recorder) *recordCache {
 }
 
 func (c *recordCache) shard(k cacheKey) *cacheShard {
-	// Mix the segment ID and ordinal so consecutive ordinals spread.
-	h := k.seg*0x9e3779b97f4a7c15 + uint64(k.ord)*0xbf58476d1ce4e5b9
+	// Mix the block ID and ordinal so consecutive ordinals spread.
+	h := k.blk*0x9e3779b97f4a7c15 + uint64(k.ord)*0xbf58476d1ce4e5b9
 	return &c.shards[(h>>56)%cacheShardCount]
 }
 

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
 	rtrace "runtime/trace"
-	"sort"
 	"time"
 
 	"kflushing/internal/blackbox"
@@ -22,14 +22,16 @@ var compactorLabels = pprof.Labels("kflushing", "background-compactor")
 // Compaction merges old segments into fewer, larger ones. Every flush
 // writes one segment, so segment counts grow without bound and each
 // memory miss pays one directory probe per segment; merging bounds that
-// cost. Compaction also deduplicates records: a record trimmed from one
-// entry while still memory-resident is persisted early (see
-// VictimBuffer.AddPartial), and its keys may appear across several
-// segments' directories.
+// cost. It merges directories only: microblogs are immutable and never
+// deleted, so a record block holds nothing a merge could reclaim, and
+// the output names its inputs' blocks instead of copying them. Merging
+// also deduplicates: a record stored in two blocks (a crash-recovery
+// replay re-flushes records an earlier segment already holds) is posted
+// once, from the newest.
 //
-// A pass merges a whole overflowing level into one lvl-* segment at the
-// next level and commits the swap through the manifest: output renamed
-// live → manifest commit (output live, inputs retired) → inputs
+// A pass merges a whole overflowing level into one lvl-* directory at
+// the next level and commits the swap through the manifest: output
+// renamed live → manifest commit (output live, inputs retired) → inputs
 // unlinked. A crash between any two of those steps recovers cleanly (see
 // openLeveled's rules).
 
@@ -127,8 +129,9 @@ func (t *Tier[K]) CompactAll() error {
 	t.compactMu.Lock()
 	defer t.compactMu.Unlock()
 	// Fold the shallowest populated level into the next until one
-	// segment remains. Forced merges accept a single input (a plain
-	// rewrite one level down), so stragglers cascade into the bottom.
+	// segment remains. Forced merges accept a single input (its
+	// directory rewritten one level down), so stragglers cascade into
+	// the bottom.
 	for {
 		t.mu.RLock()
 		total, shallowest := 0, -1
@@ -161,6 +164,11 @@ func (t *Tier[K]) CompactAll() error {
 //	                 inputs retired
 //	unlink inputs                             (crash: retired files
 //	                                           remain, deleted at open)
+//	unlink fully shadowed blocks              (crash: unnamed blk files
+//	                                           remain, deleted at open)
+//
+// No block is read-modify-written or unlinked before the commit, so
+// every window before it leaves the inputs exactly as they were.
 func (t *Tier[K]) compactLevel(lvl int, force bool) error {
 	t.mu.RLock()
 	if lvl >= len(t.levels) {
@@ -174,23 +182,40 @@ func (t *Tier[K]) compactLevel(lvl int, force bool) error {
 	}
 	passStart := time.Now()
 	seq := t.seq.Add(1)
-	final := filepath.Join(t.cfg.Dir, fmt.Sprintf("lvl-%08d.kfs", seq))
-	merged, err := mergeSegmentsTo(inputs, final)
+	merged, dropped, err := mergeSegments(inputs, filepath.Join(t.cfg.Dir, fmt.Sprintf("lvl-%08d.kfs", seq)))
 	if err != nil {
 		return err
 	}
-	// The crash window this site names: merged output live on disk, not
-	// yet in a committed manifest. Recovery deletes it (its content is a
-	// subset of the still-live inputs).
-	if err := failpoint.Eval(failpoint.DiskCompactInstall); err != nil {
+	st, err := stageFile(merged.path, mergedDir, merged.encode(nil))
+	if err != nil {
 		merged.release()
-		_ = os.Remove(final)
+		return err
+	}
+	merged.size = st.size
+	abandon := func() {
+		merged.release()
+		st.discard()
+	}
+	if err := st.install(); err != nil {
+		abandon()
+		return err
+	}
+	// The crash window this site names: merged output live on disk, not
+	// yet in a committed manifest. Recovery deletes it (every posting in
+	// it is still held by the live inputs).
+	if err := failpoint.Eval(failpoint.DiskCompactInstall); err != nil {
+		abandon()
 		return err
 	}
 
-	names := make([]string, len(inputs))
-	for i, s := range inputs {
-		names[i] = s.name()
+	// The input files the commit retires: all of them, except a legacy
+	// file the output still names as a block — that one stays, now
+	// reached through the output's block table alone.
+	var names []string
+	for _, in := range inputs {
+		if !(in.legacy() && merged.names(in.blocks[0])) {
+			names = append(names, in.name())
+		}
 	}
 	t.manifestMu.Lock()
 	t.mu.Lock()
@@ -209,8 +234,7 @@ func (t *Tier[K]) compactLevel(lvl int, force bool) error {
 		t.retired = t.retired[:len(t.retired)-len(names)]
 		t.mu.Unlock()
 		t.manifestMu.Unlock()
-		merged.release()
-		_ = os.Remove(final)
+		abandon()
 		return err
 	}
 	t.manifestMu.Unlock()
@@ -219,12 +243,12 @@ func (t *Tier[K]) compactLevel(lvl int, force bool) error {
 		int64(lvl), int64(len(inputs)), time.Since(passStart).Nanoseconds())
 	slog.Debug("disk: compacted level",
 		"dir", t.cfg.Dir, "level", lvl, "inputs", len(inputs),
-		"merged", merged.name(), "records", merged.count)
+		"merged", merged.name(), "records", merged.count, "blocks", len(merged.blocks))
 
-	// Unlink the inputs. The committed manifest already lists them
-	// retired, so a crash anywhere below just leaves files the next
-	// open deletes. Unlinking while readers still hold the files open
-	// is safe (the inode survives until the last close).
+	// Unlink the retired inputs. The committed manifest already lists
+	// them, so a crash anywhere below just leaves files the next open
+	// deletes. Unlinking while readers still hold the files open is safe
+	// (the inode survives until the last close).
 	if err := failpoint.Eval(failpoint.DiskCompactRemove); err != nil {
 		for _, s := range inputs {
 			s.release()
@@ -232,10 +256,12 @@ func (t *Tier[K]) compactLevel(lvl int, force bool) error {
 		return err
 	}
 	var firstErr error
-	for _, s := range inputs {
-		if err := os.Remove(s.path); err != nil && firstErr == nil {
+	for _, name := range names {
+		if err := os.Remove(filepath.Join(t.cfg.Dir, name)); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("disk: remove compacted input: %w", err)
 		}
+	}
+	for _, s := range inputs {
 		s.release()
 	}
 	if firstErr != nil {
@@ -246,7 +272,33 @@ func (t *Tier[K]) compactLevel(lvl int, force bool) error {
 	t.mu.Lock()
 	t.retired = removeNames(t.retired, names)
 	t.mu.Unlock()
+
+	// A block is unlinked only after every directory file naming it is
+	// gone: the inputs just were, and a directory outside this merge
+	// (adoption can leave two naming one block) keeps it.
+	for _, b := range dropped {
+		if t.namesBlock(b) {
+			continue
+		}
+		if err := os.Remove(b.path); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("disk: remove shadowed block: %w", err)
+		}
+	}
 	return nil
+}
+
+// namesBlock reports whether any live segment names b.
+func (t *Tier[K]) namesBlock(b *block) bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, lv := range t.levels {
+		for _, s := range lv {
+			if s.names(b) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // removeSegments returns segs minus the members of gone (pointer
@@ -296,107 +348,176 @@ func removeNames(names []string, gone []string) []string {
 	return out
 }
 
-// mergeSegmentsTo reads every record of the inputs, deduplicates by
-// record ID (copies are identical), and writes one merged segment at
-// final. The merged directory is the union of the input directories
-// with ordinals remapped — directories are carried over, not
-// recomputed, so the merge is attribute-agnostic and preserves whatever
-// keys the writer indexed.
-func mergeSegmentsTo(inputs []*segment, final string) (*segment, error) {
-	// Pass 1: collect unique records newest-input-first, remembering
-	// each input ordinal's record ID for the directory remap.
-	ids := make([][]uint64, len(inputs)) // per input: ordinal → record ID
-	seen := make(map[uint64]struct{})
-	var recs []FlushRecord
-	for i := len(inputs) - 1; i >= 0; i-- {
-		s := inputs[i]
-		ids[i] = make([]uint64, s.count)
-		for ord := uint32(0); ord < s.count; ord++ {
-			fr, err := s.readRecord(ord)
-			if err != nil {
-				return nil, fmt.Errorf("disk: compact read %s: %w", s.path, err)
+// mergeSegments builds the one directory that replaces inputs (oldest
+// first): its block table is the union of theirs, its keys the union of
+// theirs, and each key's postings their lists merged by rank. Keys and
+// postings are carried over, not recomputed, so the merge is
+// attribute-agnostic and preserves whatever keys the writer indexed. No
+// record is decoded: rank and identity come from two fixed-position
+// fields read in one sequential pass per block.
+//
+// A record ID stored in several blocks is posted from the newest only —
+// postings of the older copies are rewritten to it — and a block left
+// with no record of its own is not named by the output; those come back
+// as dropped. The returned segment holds its own block references and
+// is not yet on disk.
+func mergeSegments(inputs []*segment, path string) (merged *segment, dropped []*block, err error) {
+	var union []*block
+	at := make(map[*block]int) // block → index in union
+	for _, in := range inputs {
+		for _, b := range in.blocks {
+			if _, ok := at[b]; !ok {
+				at[b] = len(union)
+				union = append(union, b)
 			}
-			ids[i][ord] = uint64(fr.MB.ID)
-			if _, dup := seen[uint64(fr.MB.ID)]; dup {
-				continue
-			}
-			seen[uint64(fr.MB.ID)] = struct{}{}
-			recs = append(recs, fr)
 		}
 	}
-	// Rank the merged records best-score-first, fixing the mapping.
-	order := make([]int, len(recs))
-	for i := range order {
-		order[i] = i
+	ubase := make([]uint32, len(union)+1)
+	for i, b := range union {
+		ubase[i+1] = ubase[i] + b.count()
 	}
-	sort.Slice(order, func(a, b int) bool {
-		x, y := recs[order[a]], recs[order[b]]
-		if x.Score != y.Score {
-			return x.Score > y.Score
+	total := ubase[len(union)]
+	ids := make([]uint64, total)
+	scores := make([]float64, total)
+	for i, b := range union {
+		if err := b.scanRanks(ids[ubase[i]:ubase[i+1]], scores[ubase[i]:ubase[i+1]]); err != nil {
+			return nil, nil, fmt.Errorf("disk: compact: %w", err)
 		}
-		return x.MB.ID > y.MB.ID
-	})
-	ranked := make([]FlushRecord, len(recs))
-	finalOrd := make(map[uint64]uint32, len(recs))
-	for newPos, oldPos := range order {
-		ranked[newPos] = recs[oldPos]
-		finalOrd[uint64(recs[oldPos].MB.ID)] = uint32(newPos)
+	}
+	// canon[o] is the ordinal that stands for record o: the copy of its
+	// ID in the newest block (copies are identical).
+	canon := make([]uint32, total)
+	newest := make(map[uint64]uint32, total)
+	for o := total; o > 0; {
+		o--
+		if c, dup := newest[ids[o]]; dup {
+			canon[o] = c
+		} else {
+			newest[ids[o]] = o
+			canon[o] = o
+		}
+	}
+	// out[o] is canon[o] renumbered for the output's block table, which
+	// leaves out the blocks none of whose records stand for themselves.
+	var kept []*block
+	var live uint32
+	var shadowed int64
+	out := make([]uint32, total)
+	gone := uint32(0)
+	for i, b := range union {
+		n := uint32(0)
+		var dead int64
+		for o := ubase[i]; o < ubase[i+1]; o++ {
+			out[o] = o - gone
+			if canon[o] == o {
+				n++
+			} else {
+				dead += b.recordSize(o - ubase[i])
+			}
+		}
+		if n == 0 {
+			dropped = append(dropped, b)
+			gone += b.count()
+			continue
+		}
+		kept = append(kept, b)
+		live += n
+		shadowed += dead
+	}
+	for o, c := range canon {
+		out[o] = out[c]
 	}
 
-	// Pass 2: union the input directories under the remapped ordinals.
-	dir := make(map[string][]uint32)
-	seenKeyOrd := make(map[string]map[uint32]struct{})
-	for i := len(inputs) - 1; i >= 0; i-- {
-		s := inputs[i]
-		for key, ords := range s.dir {
-			ko := seenKeyOrd[key]
-			if ko == nil {
-				ko = make(map[uint32]struct{})
-				seenKeyOrd[key] = ko
+	for _, b := range kept {
+		b.acquire()
+	}
+	merged = newSegment(path, kept)
+	merged.count = live
+	merged.shadowed = shadowed
+	merged.maxScore = math.Inf(-1)
+	nkeys, nposts := 0, 0
+	// cursors[i] walks inputs[i]: its next key, and the translation of
+	// its postings (ordinals in its own block table) to the union
+	// ordinals that stand for them.
+	type cursor struct {
+		in      *segment
+		next    int
+		toCanon []uint32
+	}
+	cursors := make([]cursor, len(inputs))
+	for i, in := range inputs {
+		c := cursor{in: in, toCanon: make([]uint32, in.base[len(in.blocks)])}
+		for j, b := range in.blocks {
+			from := ubase[at[b]]
+			for q := in.base[j]; q < in.base[j+1]; q++ {
+				c.toCanon[q] = canon[from+q-in.base[j]]
 			}
-			for _, ord := range ords {
-				mapped := finalOrd[ids[i][ord]]
-				if _, dup := ko[mapped]; dup {
-					continue
+		}
+		cursors[i] = c
+		merged.maxScore = math.Max(merged.maxScore, in.maxScore)
+		nkeys = max(nkeys, len(in.keys))
+		nposts += len(in.posts)
+	}
+	better := func(a, b uint32) bool {
+		if scores[a] != scores[b] {
+			return scores[a] > scores[b]
+		}
+		return ids[a] > ids[b]
+	}
+	merged.keys = make([]string, 0, nkeys)
+	merged.start = make([]uint32, 1, nkeys+1)
+	merged.posts = make([]uint32, 0, nposts)
+	type list struct {
+		posts   []uint32 // the input's postings still to merge
+		toCanon []uint32
+	}
+	head := func(l list) uint32 { return l.toCanon[l.posts[0]] }
+	var lists []list
+	for {
+		// The smallest key any input has not yet given, and every
+		// input's list for it.
+		key, found := "", false
+		for _, c := range cursors {
+			if c.next < len(c.in.keys) && (!found || c.in.keys[c.next] < key) {
+				key, found = c.in.keys[c.next], true
+			}
+		}
+		if !found {
+			break
+		}
+		lists = lists[:0]
+		for i := range cursors {
+			c := &cursors[i]
+			if c.next < len(c.in.keys) && c.in.keys[c.next] == key {
+				lists = append(lists, list{c.in.posts[c.in.start[c.next]:c.in.start[c.next+1]], c.toCanon})
+				c.next++
+			}
+		}
+		// Merge by rank. Copies of one record map to one ordinal and
+		// rank equal, so they arrive back to back: post the first.
+		from := len(merged.posts)
+		for {
+			best := -1
+			for i, l := range lists {
+				if len(l.posts) > 0 && (best < 0 || better(head(l), head(lists[best]))) {
+					best = i
 				}
-				ko[mapped] = struct{}{}
-				dir[key] = append(dir[key], mapped)
+			}
+			if best < 0 {
+				break
+			}
+			o := out[head(lists[best])]
+			lists[best].posts = lists[best].posts[1:]
+			if n := len(merged.posts); n == from || merged.posts[n-1] != o {
+				merged.posts = append(merged.posts, o)
 			}
 		}
+		merged.keys = append(merged.keys, key)
+		merged.start = append(merged.start, uint32(len(merged.posts)))
 	}
-	for key := range dir {
-		ords := dir[key]
-		sort.Slice(ords, func(a, b int) bool { return ords[a] < ords[b] })
-	}
-
-	// Write to a temp path first for atomicity. The output is always
-	// current-version: compaction upgrades pre-Bloom inputs to
-	// Bloom-bearing segments.
-	tmp := final + ".compact"
-	merged, _, err := writeSegment(tmp, ranked, dir, nil)
-	if err != nil {
-		return nil, err
-	}
-	// Close the temp handle, rename, and reopen under the final name.
-	// The rename is atomic on POSIX filesystems.
-	if err := merged.close(); err != nil {
-		return nil, err
-	}
-	if err := failpoint.Eval(failpoint.DiskCompactRename); err != nil {
-		_ = os.Remove(tmp)
-		return nil, err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return nil, err
-	}
-	if err := syncDir(filepath.Dir(final)); err != nil {
-		return nil, err
-	}
-	reopened, err := openSegment(final)
-	if err != nil {
-		return nil, fmt.Errorf("disk: reopen merged segment: %w", err)
-	}
-	return reopened, nil
+	merged.sealKeys()
+	merged.bloom = newBloomFilter(merged.keys)
+	return merged, dropped, nil
 }
 
 // Segments returns the live segment names in priority order (L0

@@ -4,6 +4,7 @@ package disk
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -71,48 +72,66 @@ func TestPreadFaultSurfacesWithoutRetry(t *testing.T) {
 }
 
 // TestSegmentWriteLeavesNoPartialFiles verifies the atomic-write
-// protocol: a fault at any stage of the staged segment write leaves the
-// directory with no segment under its final name and only a temp file
-// that the next Open removes as an orphan.
+// protocol of the two-file flush: a fault at any stage — staging either
+// file, either rename, the window between them, the install — fails the
+// flush with neither a block nor a directory under a final name, and at
+// most staged temp files that the next Open removes as orphans. Torn
+// writes cut the block and the directory short independently.
 func TestSegmentWriteLeavesNoPartialFiles(t *testing.T) {
-	for _, site := range []string{
-		failpoint.DiskSegmentCreate,
-		failpoint.DiskSegmentWrite,
-		failpoint.DiskSegmentDirWrite,
-		failpoint.DiskSegmentSync,
-		failpoint.DiskSegmentRename,
+	cfg := func(dir string) Config[string] {
+		return Config[string]{
+			Dir:    dir,
+			KeysOf: func(m *types.Microblog) []string { return m.Keywords },
+			Encode: func(s string) string { return s },
+		}
+	}
+	for _, tc := range []struct{ site, action string }{
+		{failpoint.DiskSegmentCreate, "error"},
+		{failpoint.DiskSegmentCreate, "errevery(2)"}, // the directory's create, after the block staged
+		{failpoint.DiskSegmentWrite, "error"},
+		{failpoint.DiskSegmentWrite, "torn(40)"},
+		{failpoint.DiskSegmentDirWrite, "error"},
+		{failpoint.DiskSegmentDirWrite, "torn(40)"},
+		{failpoint.DiskSegmentSync, "error"},
+		{failpoint.DiskSegmentRename, "error"},
+		{failpoint.DiskSegmentRename, "errevery(2)"}, // the directory's rename, the block already live
+		{failpoint.DiskBlockAfterRename, "error"},
+		{failpoint.DiskSegmentAfterRename, "error"},
+		{failpoint.DiskLevelInstall, "error"},
+		{failpoint.DiskManifestRename, "error"},
 	} {
-		t.Run(filepath.Base(site), func(t *testing.T) {
+		t.Run(filepath.Base(tc.site)+"="+tc.action, func(t *testing.T) {
 			failpoint.DisableAll()
 			t.Cleanup(failpoint.DisableAll)
 			dir := t.TempDir()
-			tier, err := Open(Config[string]{
-				Dir:    dir,
-				KeysOf: func(m *types.Microblog) []string { return m.Keywords },
-				Encode: func(s string) string { return s },
-			})
+			tier, err := Open(cfg(dir))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := failpoint.Enable(site, "error"); err != nil {
+			if err := failpoint.Enable(tc.site, tc.action); err != nil {
 				t.Fatal(err)
 			}
 			if err := tier.Flush([]FlushRecord{fr(1, 1, "a")}); err == nil {
 				t.Fatal("flush succeeded despite injected fault")
 			}
+			if failpoint.Hits(tc.site) == 0 {
+				t.Fatalf("%s never evaluated", tc.site)
+			}
 			failpoint.DisableAll()
+			if got := tier.Stats(); got.Segments != 0 || got.Blocks != 0 {
+				t.Fatalf("failed flush left %d segments over %d blocks in the tier", got.Segments, got.Blocks)
+			}
 			if err := tier.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if segs, err := filepath.Glob(filepath.Join(dir, "seg-*.kfs")); err != nil || len(segs) != 0 {
-				t.Fatalf("failed flush left final-named segments %v (err %v)", segs, err)
+			for _, pattern := range []string{"blk-*.kfs", "seg-*.kfs"} {
+				if live, err := filepath.Glob(filepath.Join(dir, pattern)); err != nil || len(live) != 0 {
+					t.Fatalf("failed flush left final-named files %v (err %v)", live, err)
+				}
 			}
-			// A reopen clears any staged temp file left behind.
-			tier, err = Open(Config[string]{
-				Dir:    dir,
-				KeysOf: func(m *types.Microblog) []string { return m.Keywords },
-				Encode: func(s string) string { return s },
-			})
+			// A reopen clears any staged temp file left behind, and the
+			// tier takes the same flush cleanly.
+			tier, err = Open(cfg(dir))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,9 +141,65 @@ func TestSegmentWriteLeavesNoPartialFiles(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, e := range entries {
-				if matched, _ := filepath.Match("seg-*.kfs.*", e.Name()); matched {
-					t.Fatalf("orphaned temp file %s survived reopen", e.Name())
+				if e.Name() != manifestName {
+					t.Fatalf("file %s survived a failed flush and a reopen", e.Name())
 				}
+			}
+			if err := tier.Flush([]FlushRecord{fr(1, 1, "a")}); err != nil {
+				t.Fatal(err)
+			}
+			if items, err := tier.Search([]string{"a"}, query.OpSingle, 5); err != nil || len(items) != 1 {
+				t.Fatalf("search after the retried flush: %d items, err=%v", len(items), err)
+			}
+		})
+	}
+}
+
+// TestMergeFaultsLeaveInputsIntact is the merge's half of the staging
+// protocol: a fault anywhere before the manifest commit fails the pass
+// with the inputs still live and searchable, no lvl-* file under a final
+// name, the record blocks untouched, and the next pass succeeding.
+func TestMergeFaultsLeaveInputsIntact(t *testing.T) {
+	for _, tc := range []struct{ site, action string }{
+		{failpoint.DiskSegmentCreate, "error"},
+		{failpoint.DiskSegmentDirWrite, "torn(40)"},
+		{failpoint.DiskSegmentSync, "error"},
+		{failpoint.DiskCompactRename, "error"},
+		{failpoint.DiskDirSync, "error"},
+		{failpoint.DiskCompactInstall, "error"},
+		{failpoint.DiskManifestWrite, "torn(10)"},
+	} {
+		t.Run(filepath.Base(tc.site)+"="+tc.action, func(t *testing.T) {
+			failpoint.DisableAll()
+			t.Cleanup(failpoint.DisableAll)
+			dir := t.TempDir()
+			tier := fastTier(t, Config[string]{Dir: dir, MaxSegments: -1})
+			fillSegments(t, tier, 3, 10)
+			blocks := dirFiles(t, dir, "blk-*.kfs")
+			if err := failpoint.Enable(tc.site, tc.action); err != nil {
+				t.Fatal(err)
+			}
+			if err := tier.CompactAll(); err == nil {
+				t.Fatal("merge succeeded despite injected fault")
+			}
+			failpoint.DisableAll()
+			if got := tier.Stats(); got.Segments != 3 || got.Blocks != 3 || got.Compactions != 0 {
+				t.Fatalf("failed merge left %d segments over %d blocks, %d compactions", got.Segments, got.Blocks, got.Compactions)
+			}
+			for _, pattern := range []string{"lvl-*", "*.compact"} {
+				if left, _ := filepath.Glob(filepath.Join(dir, pattern)); len(left) != 0 {
+					t.Fatalf("failed merge left %v", left)
+				}
+			}
+			if got := dirFiles(t, dir, "blk-*.kfs"); fmt.Sprint(got) != fmt.Sprint(blocks) {
+				t.Fatalf("failed merge touched the blocks: %v, were %v", got, blocks)
+			}
+			if err := tier.CompactAll(); err != nil {
+				t.Fatal(err)
+			}
+			items, err := tier.Search([]string{"common"}, query.OpSingle, 100)
+			if err != nil || len(items) != 30 {
+				t.Fatalf("search after the retried merge: %d items, err=%v", len(items), err)
 			}
 		})
 	}

@@ -4,17 +4,21 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"kflushing/internal/types"
 )
 
-// SegmentInfo describes one on-disk segment for tooling.
+// SegmentInfo describes one on-disk segment — a directory and the
+// record blocks it names — for tooling.
 type SegmentInfo struct {
-	// Path is the file name (not the full path).
+	// Path is the directory's file name (not the full path).
 	Path string
-	// Version is the segment format version (1 = pre-Bloom, 2 = Bloom).
+	// Version is the format version: 3 = a directory over separate block
+	// files, 2 = a legacy file holding its one block itself.
 	Version int
-	// Records is the number of stored records.
+	// Records is the number of live records: stored in a named block and
+	// posted from it.
 	Records int
 	// Keys is the number of distinct directory keys.
 	Keys int
@@ -22,91 +26,215 @@ type SegmentInfo struct {
 	Postings int
 	// MaxScore is the best ranking score in the segment.
 	MaxScore float64
-	// Bytes is the file size.
+	// Bytes is the directory file's size.
 	Bytes int64
-	// BloomBytes is the serialized Bloom filter size; 0 for v1.
+	// BloomBytes is the serialized Bloom filter size.
 	BloomBytes int
+	// Blocks names the record block files the directory addresses, in
+	// table order (oldest first); a legacy segment names itself.
+	Blocks []string
+	// BlockBytes is the total size of those files, the segment's own
+	// excluded.
+	BlockBytes int64
+	// ShadowedBytes is the size of records in those blocks that a newer
+	// block also holds and that are therefore posted from there.
+	ShadowedBytes int64
 }
 
-// Inspect summarizes every segment under dir without constructing a
-// Tier — the admin tool's view. Attribute-agnostic: it reads the
-// directory as opaque keys.
-func Inspect(dir string) ([]SegmentInfo, error) {
+// openDir opens every segment under dir the way a tier would see it —
+// with a valid manifest, a legacy file that is not live and that a
+// directory names is that directory's block, not a segment of its own —
+// without changing anything on disk. The caller releases the segments.
+func openDir(dir string) (segs []*segment, err error) {
 	segPaths, lvlPaths, err := segmentGlobs(dir)
 	if err != nil {
 		return nil, err
 	}
 	paths := append(segPaths, lvlPaths...)
 	sortBySeqOrder(paths)
-	infos := make([]SegmentInfo, 0, len(paths))
-	for _, p := range paths {
-		s, err := openSegment(p)
+	bs := blockSet{}
+	defer bs.release()
+	defer func() {
 		if err != nil {
-			return nil, fmt.Errorf("disk: inspect %s: %w", filepath.Base(p), err)
+			releaseAll(segs)
 		}
-		postings := 0
-		for _, ords := range s.dir {
-			postings += len(ords)
+	}()
+	named := make(map[string]struct{})
+	for _, p := range paths {
+		s, err := openSegment(p, bs)
+		if err != nil {
+			return segs, fmt.Errorf("disk: inspect %s: %w", filepath.Base(p), err)
 		}
-		st, err := s.f.Stat()
-		size := int64(0)
-		if err == nil {
-			size = st.Size()
+		segs = append(segs, s)
+		if !s.legacy() {
+			for _, b := range s.blocks {
+				named[b.name()] = struct{}{}
+			}
 		}
-		bloomBytes := 0
-		if s.bloom != nil {
-			bloomBytes = s.bloom.encodedSize()
+	}
+	m, merr := ReadManifest(dir)
+	if merr != nil {
+		return segs, nil
+	}
+	live := make(map[string]struct{}, len(m.Live))
+	for _, e := range m.Live {
+		live[e.Name] = struct{}{}
+	}
+	kept := segs[:0]
+	for _, s := range segs {
+		_, isLive := live[s.name()]
+		if _, isBlock := named[s.name()]; isBlock && !isLive {
+			s.release()
+			continue
 		}
-		infos = append(infos, SegmentInfo{
-			Path:       filepath.Base(p),
-			Version:    int(s.version),
-			Records:    int(s.count),
-			Keys:       len(s.dir),
-			Postings:   postings,
-			MaxScore:   s.maxScore,
-			Bytes:      size,
-			BloomBytes: bloomBytes,
-		})
+		kept = append(kept, s)
+	}
+	return kept, nil
+}
+
+func releaseAll(segs []*segment) {
+	for _, s := range segs {
 		s.release()
+	}
+}
+
+// Inspect summarizes every segment under dir without constructing a
+// Tier — the admin tool's view. Attribute-agnostic: it reads the
+// directory as opaque keys.
+func Inspect(dir string) ([]SegmentInfo, error) {
+	segs, err := openDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	defer releaseAll(segs)
+	infos := make([]SegmentInfo, 0, len(segs))
+	for _, s := range segs {
+		info := SegmentInfo{
+			Path:          s.name(),
+			Version:       int(s.version),
+			Records:       int(s.count),
+			Keys:          len(s.keys),
+			Postings:      len(s.posts),
+			MaxScore:      s.maxScore,
+			Bytes:         s.size,
+			BloomBytes:    s.bloom.encodedSize(),
+			BlockBytes:    s.dataBytes() - s.size,
+			ShadowedBytes: s.shadowed,
+		}
+		for _, b := range s.blocks {
+			info.Blocks = append(info.Blocks, b.name())
+		}
+		infos = append(infos, info)
 	}
 	return infos, nil
 }
 
-// DumpSegment streams every record of one segment file to fn in stored
-// (ranked) order.
+// DumpSegment streams the records of one file to fn: every record of a
+// blk-* block in stored (ranked) order, or the live records of a
+// directory — those it posts — block by block in table order.
 func DumpSegment(path string, fn func(FlushRecord) error) error {
-	s, err := openSegment(path)
+	emit := func(b *block, posted func(ord uint32) bool) error {
+		return b.scan(func(ord uint32, rec []byte) error {
+			if !posted(ord) {
+				return nil
+			}
+			fr, _, err := decodeRecord(rec)
+			if err != nil {
+				return fmt.Errorf("disk: dump %s ordinal %d: %w", b.name(), ord, err)
+			}
+			return fn(fr)
+		})
+	}
+	if strings.HasPrefix(filepath.Base(path), "blk-") {
+		b, err := openBlock(path)
+		if err != nil {
+			return err
+		}
+		defer b.release()
+		return emit(b, func(uint32) bool { return true })
+	}
+	bs := blockSet{}
+	defer bs.release()
+	s, err := openSegment(path, bs)
 	if err != nil {
 		return err
 	}
 	defer s.release()
-	for ord := uint32(0); ord < s.count; ord++ {
-		fr, err := s.readRecord(ord)
-		if err != nil {
-			return fmt.Errorf("disk: dump %s ordinal %d: %w", filepath.Base(path), ord, err)
-		}
-		if err := fn(fr); err != nil {
+	posted := make([]bool, s.base[len(s.blocks)])
+	for _, p := range s.posts {
+		posted[p] = true
+	}
+	for i, b := range s.blocks {
+		base := s.base[i]
+		if err := emit(b, func(ord uint32) bool { return posted[base+ord] }); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Verify opens every segment under dir and reads every record and
-// directory entry, reporting totals. It fails on the first corruption.
+// Verify opens every segment under dir, decodes every record of every
+// block it names, and checks every posting resolves to one of them and
+// every per-key list is strictly rank-ordered (score descending, then ID
+// descending — which also rules out a record posted twice under one
+// key). It reports totals and fails on the first corruption.
 func Verify(dir string) (segments, records int, err error) {
-	infos, err := Inspect(dir)
+	segs, err := openDir(dir)
 	if err != nil {
 		return 0, 0, err
 	}
-	for _, info := range infos {
-		if err := DumpSegment(filepath.Join(dir, info.Path), func(FlushRecord) error { return nil }); err != nil {
-			return segments, records, err
+	defer releaseAll(segs)
+	for _, s := range segs {
+		if err := s.verify(); err != nil {
+			return segments, records, fmt.Errorf("disk: verify %s: %w", s.name(), err)
 		}
 		segments++
-		records += info.Records
+		records += int(s.count)
 	}
 	return segments, records, nil
+}
+
+func (s *segment) verify() error {
+	total := s.base[len(s.blocks)]
+	ids := make([]uint64, total)
+	scores := make([]float64, total)
+	for i, b := range s.blocks {
+		base := s.base[i]
+		err := b.scan(func(ord uint32, rec []byte) error {
+			fr, n, err := decodeRecord(rec)
+			if err != nil || n != len(rec) {
+				return fmt.Errorf("block %s ordinal %d: %w", b.name(), ord, ErrCorrupt)
+			}
+			ids[base+ord], scores[base+ord] = uint64(fr.MB.ID), fr.Score
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	posted := make(map[uint32]struct{}, s.count)
+	for i, key := range s.keys {
+		list := s.posts[s.start[i]:s.start[i+1]]
+		for j, p := range list {
+			posted[p] = struct{}{}
+			if j == 0 {
+				continue
+			}
+			q := list[j-1]
+			// Legacy files may post a record twice in a row under one key
+			// (written before flush dedup); searches skip the repeat.
+			if s.legacy() && p == q {
+				continue
+			}
+			if scores[q] < scores[p] || (scores[q] == scores[p] && ids[q] <= ids[p]) {
+				return fmt.Errorf("key %q: posting %d outranks posting %d before it: %w", key, p, q, ErrCorrupt)
+			}
+		}
+	}
+	if len(posted) > int(s.count) {
+		return fmt.Errorf("%d records posted, header says %d live: %w", len(posted), s.count, ErrCorrupt)
+	}
+	return nil
 }
 
 // CompactDir merges every segment under dir into one, outside any
@@ -114,7 +242,8 @@ func Verify(dir string) (segments, records int, err error) {
 // own and runs CompactAll, so offline and online compaction commit
 // through the same manifest protocol. Attribute-agnostic — merges carry
 // directories over and never extract keys — so the key type is
-// immaterial. The directory must not be in use by a live system.
+// immaterial. Only directory files are rewritten; record blocks stay as
+// they are. The directory must not be in use by a live system.
 func CompactDir(dir string) error {
 	// Open would create a missing directory; a mistyped path must fail.
 	if _, err := os.Stat(dir); err != nil {

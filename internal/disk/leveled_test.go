@@ -431,6 +431,176 @@ func TestLeveledAdoptionRules(t *testing.T) {
 		}
 	})
 
+	// The two-file flush's first window: the block renamed live, its
+	// directory not yet. Nothing names the block, its records are still
+	// in the WAL: open deletes it.
+	t.Run("orphan block deleted", func(t *testing.T) {
+		dir := t.TempDir()
+		tier := leveledTier(t, dir, 4)
+		if err := tier.Flush([]FlushRecord{fr(1, 1, "k")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tier.Close(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, "blk-00000001.kfs"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		orphan := filepath.Join(dir, "blk-00000002.kfs")
+		if err := os.WriteFile(orphan, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reopened := leveledTier(t, dir, 4)
+		if fileExists(orphan) {
+			t.Fatal("a block no directory names survived open")
+		}
+		if st := reopened.Stats(); st.Segments != 1 || st.Blocks != 1 {
+			t.Fatalf("%d segments over %d blocks, want 1 over 1", st.Segments, st.Blocks)
+		}
+		// The sequence number is not reused while the name might exist.
+		if err := reopened.Flush([]FlushRecord{fr(2, 2, "k")}); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(reopened.Segments()); got != "[seg-00000001.kfs seg-00000003.kfs]" {
+			t.Fatalf("segments after the next flush: %s", got)
+		}
+	})
+
+	// The second window: block and directory both live, the manifest not
+	// yet committed — the real thing, made by rewinding the manifest past
+	// a flush.
+	t.Run("uncommitted flush adopted with its block", func(t *testing.T) {
+		dir := t.TempDir()
+		tier := leveledTier(t, dir, 4)
+		if err := tier.Flush([]FlushRecord{fr(1, 1, "k")}); err != nil {
+			t.Fatal(err)
+		}
+		before, err := os.ReadFile(filepath.Join(dir, manifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tier.Flush([]FlushRecord{fr(2, 2, "k"), fr(3, 3, "k")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tier.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, manifestName), before, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reopened := leveledTier(t, dir, 4)
+		if st := reopened.Stats(); st.Segments != 2 || st.Blocks != 2 {
+			t.Fatalf("%d segments over %d blocks, want 2 over 2", st.Segments, st.Blocks)
+		}
+		items, err := reopened.Search([]string{"k"}, query.OpSingle, 10)
+		if err != nil || len(items) != 3 {
+			t.Fatalf("search: %d of 3 records, err=%v", len(items), err)
+		}
+		if m, err := ReadManifest(dir); err != nil || len(m.Live) != 2 {
+			t.Fatalf("healed manifest: %+v, err=%v", m, err)
+		}
+	})
+
+	// The merge's windows. Before the commit the merged directory is an
+	// unreferenced lvl-* file: open deletes it and the blocks it names
+	// stay, still named by the live inputs. After the commit the inputs
+	// are retired files: open deletes them and the blocks stay, now named
+	// by the merged directory.
+	t.Run("merge windows leave every block", func(t *testing.T) {
+		dir := t.TempDir()
+		tier, err := Open(Config[string]{
+			Dir:         dir,
+			KeysOf:      func(m *types.Microblog) []string { return m.Keywords },
+			Encode:      func(s string) string { return s },
+			MaxSegments: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := uint64(1); id <= 5; id++ {
+			if err := tier.Flush([]FlushRecord{fr(id, float64(id), "k")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		inputs := map[string][]byte{}
+		for _, name := range tier.Segments() {
+			if inputs[name], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		uncommitted, err := os.ReadFile(filepath.Join(dir, manifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tier.CompactAll(); err != nil {
+			t.Fatal(err)
+		}
+		merged := tier.Segments()
+		if len(merged) != 1 {
+			t.Fatalf("segments after CompactAll: %v", merged)
+		}
+		if err := tier.Close(); err != nil {
+			t.Fatal(err)
+		}
+		blocks := dirFiles(t, dir, "blk-*.kfs")
+		if len(blocks) != 5 {
+			t.Fatalf("%d blocks on disk", len(blocks))
+		}
+		restoreInputs := func() {
+			for name, b := range inputs {
+				if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		check := func(label string, wantSegments int, gone ...string) {
+			t.Helper()
+			reopened := leveledTier(t, dir, 0)
+			defer reopened.Close()
+			if st := reopened.Stats(); st.Segments != wantSegments || st.Blocks != 5 {
+				t.Fatalf("%s: %d segments over %d blocks, want %d over 5", label, st.Segments, st.Blocks, wantSegments)
+			}
+			for _, name := range gone {
+				if fileExists(filepath.Join(dir, name)) {
+					t.Fatalf("%s: %s survived open", label, name)
+				}
+			}
+			if got := dirFiles(t, dir, "blk-*.kfs"); fmt.Sprint(got) != fmt.Sprint(blocks) {
+				t.Fatalf("%s: blocks changed: %v, were %v", label, got, blocks)
+			}
+			items, err := reopened.Search([]string{"k"}, query.OpSingle, 10)
+			if err != nil || len(items) != 5 {
+				t.Fatalf("%s: %d of 5 records, err=%v", label, len(items), err)
+			}
+		}
+
+		// Inputs retired by the committed manifest, not yet unlinked.
+		mergedBytes, err := os.ReadFile(filepath.Join(dir, merged[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		restoreInputs()
+		retired := Manifest{NextSeq: 7, Live: []ManifestEntry{{Name: merged[0], Level: 1}}}
+		for name := range inputs {
+			retired.Retired = append(retired.Retired, name)
+		}
+		if err := writeManifest(dir, retired); err != nil {
+			t.Fatal(err)
+		}
+		check("inputs retired", 1, retired.Retired...)
+
+		// Merged directory live, manifest not committed.
+		restoreInputs()
+		if err := os.WriteFile(filepath.Join(dir, merged[0]), mergedBytes, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, manifestName), uncommitted, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		check("merge uncommitted", 5, merged[0])
+	})
+
 	t.Run("unreferenced lvl file deleted", func(t *testing.T) {
 		dir := t.TempDir()
 		tier := leveledTier(t, dir, 4)

@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync/atomic"
 
 	"kflushing/internal/failpoint"
@@ -33,39 +33,45 @@ func syncDir(dir string) error {
 	return d.Close()
 }
 
-// Segment file layout (all integers little-endian):
+// Directory file layout, format v3 (all integers little-endian):
 //
-//	header : magic "KFSG" | u16 version | u16 reserved | u32 count
-//	records: count serialized records, back to back, best score first
-//	offsets: count × u64 file offset of each record (ordinal order)
-//	dir    : u32 nkeys, then per key:
-//	         u16 keyLen | key bytes | u32 n | n × u32 record ordinals
-//	bloom  : (v2 only) serialized key Bloom filter, see bloom.go
-//	footer : v1: u64 offsetsPos | u64 dirPos | f64 maxScore | "KFND"
-//	         v2: u64 offsetsPos | u64 dirPos | u64 bloomPos
-//	             | f64 maxScore | "KFND"
+//	header : magic "KFSG" | u16 version | u16 reserved | u32 live records
+//	blocks : u32 nblocks, then per block:
+//	         u16 nameLen | block file name | u32 record count
+//	keys   : u32 nkeys, then per key, in ascending key order:
+//	         u16 keyLen | key bytes | u32 n | n × u32 posting
+//	bloom  : serialized key Bloom filter, see bloom.go
+//	footer : u64 keysPos | u64 bloomPos | u64 shadowedBytes
+//	         | f64 maxScore | "KFND"
 //
-// Records are written in descending score order, so every per-key
-// ordinal list is already ranked and a reader can stop after k hits.
+// A directory is the searchable half of the tier: sorted keys, each with
+// its postings ranked best first (score descending, then ID descending),
+// so a reader stops after k hits. A posting is an ordinal into the
+// concatenation of the block table — table entry i covers ordinals
+// [base[i], base[i]+count[i]) — which keeps it at four bytes however
+// many blocks a merged directory spans; the table is tens of entries, so
+// resolving a posting is a short binary search. A flush writes one block
+// and a seg-* directory over it; a level merge writes only a lvl-*
+// directory over the union of its inputs' blocks (compact.go).
 //
-// Version 2 adds the Bloom block: a filter over the directory keys that
-// lets a search skip segments provably lacking every requested key.
-// The format is backward compatible — the header version selects the
-// footer layout, so v1 files written before the Bloom block still open
-// and simply fall back to directory lookup (segment.bloom == nil).
+// A record ID stored in two blocks (a crash-recovery re-flush) is posted
+// from the newest block only; the older copy stays in its block as dead
+// weight, totalled in shadowedBytes.
+//
+// Legacy v2 files — records, offsets, an unsorted key section, Bloom and
+// footer in one file, written before PR 22 — still open, as a block and
+// a directory over it in one file, and are never rewritten:
+//
+//	v2 footer: u64 offsetsPos | u64 keysPos | u64 bloomPos
+//	           | f64 maxScore | "KFND"
 const (
-	segMagic     = "KFSG"
-	segEndMagic  = "KFND"
-	segVersionV1 = 1
-	segVersion   = 2 // current write version
-	footerSizeV1 = 8 + 8 + 8 + 4
-	footerSizeV2 = 8 + 8 + 8 + 8 + 4
+	segMagic      = "KFSG"
+	segEndMagic   = "KFND"
+	segVersionV2  = 2
+	segVersion    = 3 // the one write version
+	segHeaderSize = 4 + 2 + 2 + 4
+	segFooterSize = 8 + 8 + 8 + 8 + 4 // v2 and v3 alike
 )
-
-// nextSegmentID hands out process-unique segment identities, the record
-// cache's key namespace. IDs are never reused, so entries of a segment
-// retired by compaction can never alias a live one.
-var nextSegmentID atomic.Uint64
 
 // ErrCorrupt reports a malformed or truncated segment file.
 var ErrCorrupt = errors.New("disk: corrupt segment")
@@ -81,44 +87,6 @@ type FlushRecord struct {
 	// frame landed (append, replay) and a failed flush can hand the
 	// record's claim on that file to the wrapper it restores.
 	LogSeq uint32
-}
-
-// segment is one immutable on-disk file plus its in-memory directory.
-// Segments are reference counted: the tier holds one reference for a
-// live segment and every in-flight search holds one per snapshot
-// member, so compaction can retire a segment (unlink is safe while the
-// file is open) without yanking it from under concurrent readers.
-type segment struct {
-	id       uint64 // process-unique cache identity
-	version  uint16
-	path     string
-	f        *os.File
-	count    uint32
-	offsets  []uint64
-	dir      map[string][]uint32
-	bloom    *bloomFilter // nil for v1 segments
-	maxScore float64
-	end      uint64 // file offset just past the last record
-	size     int64  // whole-file byte length
-
-	refs atomic.Int32
-}
-
-// name returns the segment's file name, its identity in traces and
-// admin output.
-func (s *segment) name() string { return filepath.Base(s.path) }
-
-// acquire takes a reference for a reader.
-func (s *segment) acquire() { s.refs.Add(1) }
-
-// release drops a reference, closing the file handle when the last one
-// goes away.
-func (s *segment) release() {
-	if s.refs.Add(-1) == 0 {
-		// Read-only handle: a Close error cannot lose data, and the
-		// last reader has nowhere to report it.
-		_ = s.f.Close()
-	}
 }
 
 // EncodeRecord appends the binary encoding of fr to buf and returns the
@@ -221,129 +189,43 @@ func decodeRecord(b []byte) (FlushRecord, int, error) {
 	return fr, pos, nil
 }
 
-// writeSegment serializes recs (already sorted best score first) with
-// their directory to path at the current format version and returns the
-// opened segment. scratch, when non-nil, is reused as the encode buffer;
-// the (possibly grown) buffer is returned for the caller to keep.
-func writeSegment(path string, recs []FlushRecord, dir map[string][]uint32, scratch []byte) (*segment, []byte, error) {
-	return writeSegmentVersioned(path, recs, dir, segVersion, scratch)
+// stageKind says which of the tier's three written files a staged file
+// is, and with that its staging suffix and the failpoint sites its write
+// and rename pass through (sites must be compile-time constants, so they
+// are chosen here rather than passed in).
+type stageKind int
+
+const (
+	flushedBlock stageKind = iota // blk-N.kfs.tmp
+	flushedDir                    // seg-N.kfs.tmp
+	mergedDir                     // lvl-N.kfs.compact
+)
+
+// stagedFile is a fully written, fsynced file still at its staging path
+// — durable content, not yet visible to recovery. It becomes live via
+// install (the atomic rename) or is removed via discard. Open removes a
+// file left at a staging path as an orphan.
+type stagedFile struct {
+	kind    stageKind
+	tmpPath string
+	path    string
+	size    int64
 }
 
-// writeSegmentVersioned writes a segment at an explicit format version:
-// the build stage (encode + staged write + fsync) followed immediately
-// by the install stage (rename + directory fsync + reopen). The flush
-// pipeline calls the two stages separately so the build can run off the
-// tier's read lock; this wrapper serves compaction and tests.
-func writeSegmentVersioned(path string, recs []FlushRecord, dir map[string][]uint32, version uint16, scratch []byte) (*segment, []byte, error) {
-	st, scratch, err := stageSegment(path, recs, dir, version, scratch)
-	if err != nil {
-		return nil, scratch, err
-	}
-	s, err := st.install()
-	return s, scratch, err
-}
-
-// stagedSegment is a fully built, fsynced segment file still at its
-// temporary path — durable content, not yet visible to recovery. It
-// becomes live via install (the atomic rename) or is discarded via
-// abort.
-type stagedSegment struct {
-	tmpPath  string
-	path     string
-	version  uint16
-	count    uint32
-	offsets  []uint64
-	dir      map[string][]uint32
-	bloom    *bloomFilter
-	maxScore float64
-	end      uint64
-	size     int64
-}
-
-// stageSegment runs the build stage: encode recs and their directory,
-// write everything to path+".tmp", and fsync it. A crash or error here
-// leaves only a .tmp orphan (removed by Open), never a live segment.
-func stageSegment(path string, recs []FlushRecord, dir map[string][]uint32, version uint16, scratch []byte) (*stagedSegment, []byte, error) {
-	buf := scratch[:0]
-	if cap(buf) == 0 {
-		buf = make([]byte, 0, 64*len(recs)+64)
-	}
-	buf = append(buf, segMagic...)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint16(tmp[:2], version)
-	buf = append(buf, tmp[:2]...)
-	buf = append(buf, 0, 0)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(recs)))
-	buf = append(buf, tmp[:4]...)
-
-	offsets := make([]uint64, len(recs))
-	maxScore := math.Inf(-1)
-	for i, fr := range recs {
-		offsets[i] = uint64(len(buf))
-		buf = appendRecord(buf, fr)
-		if fr.Score > maxScore {
-			maxScore = fr.Score
-		}
-	}
-	end := uint64(len(buf))
-
-	offsetsPos := uint64(len(buf))
-	for _, off := range offsets {
-		binary.LittleEndian.PutUint64(tmp[:], off)
-		buf = append(buf, tmp[:8]...)
-	}
-
-	dirPos := uint64(len(buf))
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(dir)))
-	buf = append(buf, tmp[:4]...)
-	for key, ords := range dir {
-		binary.LittleEndian.PutUint16(tmp[:2], uint16(len(key)))
-		buf = append(buf, tmp[:2]...)
-		buf = append(buf, key...)
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(len(ords)))
-		buf = append(buf, tmp[:4]...)
-		for _, o := range ords {
-			binary.LittleEndian.PutUint32(tmp[:4], o)
-			buf = append(buf, tmp[:4]...)
-		}
-	}
-
-	var bloom *bloomFilter
-	var bloomPos uint64
-	if version >= 2 {
-		keys := make([]string, 0, len(dir))
-		for key := range dir {
-			keys = append(keys, key)
-		}
-		bloom = newBloomFilter(keys)
-		bloomPos = uint64(len(buf))
-		buf = bloom.encode(buf)
-	}
-
-	binary.LittleEndian.PutUint64(tmp[:], offsetsPos)
-	buf = append(buf, tmp[:8]...)
-	binary.LittleEndian.PutUint64(tmp[:], dirPos)
-	buf = append(buf, tmp[:8]...)
-	if version >= 2 {
-		binary.LittleEndian.PutUint64(tmp[:], bloomPos)
-		buf = append(buf, tmp[:8]...)
-	}
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(maxScore))
-	buf = append(buf, tmp[:8]...)
-	buf = append(buf, segEndMagic...)
-
-	// Stage at a temp path and sync. The install stage later renames
-	// into place and syncs the directory: a crash anywhere before the
-	// rename leaves only a .tmp orphan (removed by Open), never a
-	// half-written live segment, and a segment that HAS its final name
-	// is durably complete.
-	tmpPath := path + ".tmp"
+// stageFile writes data to path plus the kind's staging suffix and
+// fsyncs it. A crash or error here leaves at most a staged orphan, never
+// a file under its final name.
+func stageFile(path string, kind stageKind, data []byte) (*stagedFile, error) {
 	if err := failpoint.Eval(failpoint.DiskSegmentCreate); err != nil {
-		return nil, buf, fmt.Errorf("disk: create segment: %w", err)
+		return nil, fmt.Errorf("disk: create %s: %w", filepath.Base(path), err)
+	}
+	tmpPath := path + ".tmp"
+	if kind == mergedDir {
+		tmpPath = path + ".compact"
 	}
 	f, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return nil, buf, fmt.Errorf("disk: create segment: %w", err)
+		return nil, fmt.Errorf("disk: create %s: %w", filepath.Base(path), err)
 	}
 	// Until staging succeeds any failure removes the staged file; the
 	// original error is the one to surface, not the cleanup's.
@@ -354,220 +236,460 @@ func stageSegment(path string, recs []FlushRecord, dir map[string][]uint32, vers
 			_ = os.Remove(tmpPath)
 		}
 	}()
-	// The record block and the metadata block (offsets, directory,
-	// Bloom, footer) are written separately so fault injection can tear
-	// either independently.
-	recBlock, fperr := failpoint.EvalWrite(failpoint.DiskSegmentWrite, buf[:end])
-	if _, err := f.Write(recBlock); err != nil {
-		return nil, buf, fmt.Errorf("disk: write segment: %w", err)
+	// Records and directories are torn by separate sites, so fault
+	// injection can cut either file short independently.
+	var out []byte
+	var fperr error
+	if kind == flushedBlock {
+		out, fperr = failpoint.EvalWrite(failpoint.DiskSegmentWrite, data)
+	} else {
+		out, fperr = failpoint.EvalWrite(failpoint.DiskSegmentDirWrite, data)
+	}
+	if _, err := f.Write(out); err != nil {
+		return nil, fmt.Errorf("disk: write %s: %w", filepath.Base(path), err)
 	}
 	if fperr != nil {
-		return nil, buf, fperr
-	}
-	metaBlock, fperr := failpoint.EvalWrite(failpoint.DiskSegmentDirWrite, buf[end:])
-	if _, err := f.Write(metaBlock); err != nil {
-		return nil, buf, fmt.Errorf("disk: write segment directory: %w", err)
-	}
-	if fperr != nil {
-		return nil, buf, fperr
+		return nil, fperr
 	}
 	if err := failpoint.Eval(failpoint.DiskSegmentSync); err != nil {
-		return nil, buf, err
+		return nil, err
 	}
 	if err := f.Sync(); err != nil {
-		return nil, buf, fmt.Errorf("disk: sync segment: %w", err)
+		return nil, fmt.Errorf("disk: sync %s: %w", filepath.Base(path), err)
 	}
 	if err := f.Close(); err != nil {
-		return nil, buf, fmt.Errorf("disk: close staged segment: %w", err)
+		return nil, fmt.Errorf("disk: close staged %s: %w", filepath.Base(path), err)
 	}
 	staged = true
-	return &stagedSegment{
-		tmpPath: tmpPath, path: path, version: version,
-		count: uint32(len(recs)), offsets: offsets, dir: dir,
-		bloom: bloom, maxScore: maxScore, end: end, size: int64(len(buf)),
-	}, buf, nil
+	return &stagedFile{kind: kind, tmpPath: tmpPath, path: path, size: int64(len(data))}, nil
 }
 
-// install runs the install stage: atomically rename the staged file to
-// its final name, fsync the directory, and open the live segment. An
-// error before the rename leaves the staged file for abort to clean up;
-// an error after it leaves a complete live segment that recovery adopts.
-func (st *stagedSegment) install() (*segment, error) {
-	if err := failpoint.Eval(failpoint.DiskSegmentRename); err != nil {
-		return nil, err
+// install atomically renames the staged file to its final name and
+// fsyncs the directory, so a file that HAS its final name is durably
+// complete. After any error the caller discards.
+func (st *stagedFile) install() error {
+	var err error
+	if st.kind == mergedDir {
+		err = failpoint.Eval(failpoint.DiskCompactRename)
+	} else {
+		err = failpoint.Eval(failpoint.DiskSegmentRename)
+	}
+	if err != nil {
+		return err
 	}
 	if err := os.Rename(st.tmpPath, st.path); err != nil {
-		return nil, fmt.Errorf("disk: rename segment: %w", err)
+		return fmt.Errorf("disk: rename %s: %w", filepath.Base(st.path), err)
 	}
-	st.tmpPath = "" // renamed; abort must not unlink the live file
-	if err := syncDir(filepath.Dir(st.path)); err != nil {
-		return nil, err
-	}
-	if err := failpoint.Eval(failpoint.DiskSegmentAfterRename); err != nil {
-		return nil, err
-	}
-	f, err := os.Open(st.path)
-	if err != nil {
-		return nil, err
-	}
-	s := &segment{
-		id: nextSegmentID.Add(1), version: st.version,
-		path: st.path, f: f, count: st.count,
-		offsets: st.offsets, dir: st.dir, bloom: st.bloom,
-		maxScore: st.maxScore, end: st.end, size: st.size,
-	}
-	s.refs.Store(1) // the tier's reference
-	return s, nil
+	return syncDir(filepath.Dir(st.path))
 }
 
-// abort discards a staged segment that will not be installed. Safe to
-// call after a failed install: once the rename landed the file is live
-// and abort leaves it alone.
-func (st *stagedSegment) abort() {
-	if st.tmpPath != "" {
-		_ = os.Remove(st.tmpPath)
+// discard removes the file under whichever name it currently has.
+// Sequence numbers are never reused, so the final name can only be this
+// file's. Removal failures are harmless: Open sweeps staged orphans and
+// files no manifest or directory references.
+func (st *stagedFile) discard() {
+	_ = os.Remove(st.tmpPath)
+	_ = os.Remove(st.path)
+}
+
+// segment is one directory: the resident keys and postings of an
+// immutable seg-* or lvl-* file and the blocks they address. Segments
+// are reference counted: the tier holds one reference for a live
+// segment and every in-flight search holds one per snapshot member, so
+// compaction can retire a segment (unlink is safe while files are open)
+// without yanking it — or the blocks it holds references on — from
+// under concurrent readers.
+type segment struct {
+	path    string
+	version uint16
+	count   uint32 // live records: stored in a named block and posted from it
+
+	blocks []*block
+	base   []uint32 // base[i] = first ordinal of blocks[i]; base[len(blocks)] = total
+
+	keys  []string          // ascending
+	start []uint32          // postings of keys[i] are posts[start[i]:start[i+1]]
+	posts []uint32          // one backing array for every list
+	index map[string]uint32 // key → its position in keys
+
+	bloom    *bloomFilter
+	maxScore float64
+	shadowed int64 // bytes of records in the named blocks posted from a newer copy instead
+	size     int64 // the directory file's byte length
+
+	refs atomic.Int32
+}
+
+// newSegment assembles a directory over blocks the caller has already
+// taken one reference each on; the segment keeps them until its own last
+// reference goes. The caller owns the segment's first reference.
+func newSegment(path string, blocks []*block) *segment {
+	s := &segment{path: path, version: segVersion, blocks: blocks, base: make([]uint32, len(blocks)+1)}
+	for i, b := range blocks {
+		s.base[i+1] = s.base[i] + b.count()
+	}
+	s.refs.Store(1)
+	return s
+}
+
+// name returns the segment's file name, its identity in traces and
+// admin output.
+func (s *segment) name() string { return filepath.Base(s.path) }
+
+// legacy reports whether the directory lives in the same (v2) file as
+// its one block.
+func (s *segment) legacy() bool { return s.version == segVersionV2 }
+
+// acquire takes a reference for a reader.
+func (s *segment) acquire() { s.refs.Add(1) }
+
+// release drops a reference; the last one lets go of the blocks.
+func (s *segment) release() {
+	if s.refs.Add(-1) == 0 {
+		for _, b := range s.blocks {
+			b.release()
+		}
 	}
 }
 
-// openSegment reads back a segment's offsets table and directory,
-// supporting recovery of a disk tier across process restarts.
-func openSegment(path string) (*segment, error) {
+// names reports whether b is in the segment's block table.
+func (s *segment) names(b *block) bool {
+	for _, have := range s.blocks {
+		if have == b {
+			return true
+		}
+	}
+	return false
+}
+
+// dataBytes is the directory file plus every block it names.
+func (s *segment) dataBytes() int64 {
+	n := s.size
+	for _, b := range s.blocks {
+		if b.path != s.path {
+			n += b.size
+		}
+	}
+	return n
+}
+
+// setKeys installs a key → ranked postings map as the resident
+// directory, keys ascending, and builds the Bloom filter over them.
+func (s *segment) setKeys(dir map[string][]uint32) {
+	s.keys = make([]string, 0, len(dir))
+	n := 0
+	for key, posts := range dir {
+		s.keys = append(s.keys, key)
+		n += len(posts)
+	}
+	sort.Strings(s.keys)
+	s.start = make([]uint32, 1, len(dir)+1)
+	s.posts = make([]uint32, 0, n)
+	for _, key := range s.keys {
+		s.posts = append(s.posts, dir[key]...)
+		s.start = append(s.start, uint32(len(s.posts)))
+	}
+	s.sealKeys()
+	s.bloom = newBloomFilter(s.keys)
+}
+
+// sealKeys builds the lookup index once keys is final. The sorted slice
+// is what merges walk and files are written from; searches go through
+// the index, one hash probe instead of a cache-cold binary search over
+// tens of thousands of strings.
+func (s *segment) sealKeys() {
+	s.index = make(map[string]uint32, len(s.keys))
+	for i, key := range s.keys {
+		s.index[key] = uint32(i)
+	}
+}
+
+// postings returns key's ranked posting list, nil when absent.
+func (s *segment) postings(key string) []uint32 {
+	i, ok := s.index[key]
+	if !ok {
+		return nil
+	}
+	return s.posts[s.start[i]:s.start[i+1]]
+}
+
+// locate resolves a posting to its block and the ordinal inside it.
+func (s *segment) locate(p uint32) (*block, uint32) {
+	// The last i with base[i] <= p.
+	lo, hi := 0, len(s.blocks)-1
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if s.base[mid] <= p {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return s.blocks[lo], p - s.base[lo]
+}
+
+// encode appends the directory's file image to buf.
+func (s *segment) encode(buf []byte) []byte {
+	le := binary.LittleEndian
+	buf = append(buf, segMagic...)
+	buf = le.AppendUint16(buf, segVersion)
+	buf = append(buf, 0, 0)
+	buf = le.AppendUint32(buf, s.count)
+	buf = le.AppendUint32(buf, uint32(len(s.blocks)))
+	for _, b := range s.blocks {
+		name := b.name()
+		buf = le.AppendUint16(buf, uint16(len(name)))
+		buf = append(buf, name...)
+		buf = le.AppendUint32(buf, b.count())
+	}
+	keysPos := uint64(len(buf))
+	buf = le.AppendUint32(buf, uint32(len(s.keys)))
+	for i, key := range s.keys {
+		buf = le.AppendUint16(buf, uint16(len(key)))
+		buf = append(buf, key...)
+		posts := s.posts[s.start[i]:s.start[i+1]]
+		buf = le.AppendUint32(buf, uint32(len(posts)))
+		for _, p := range posts {
+			buf = le.AppendUint32(buf, p)
+		}
+	}
+	bloomPos := uint64(len(buf))
+	buf = s.bloom.encode(buf)
+	buf = le.AppendUint64(buf, keysPos)
+	buf = le.AppendUint64(buf, bloomPos)
+	buf = le.AppendUint64(buf, uint64(s.shadowed))
+	buf = le.AppendUint64(buf, math.Float64bits(s.maxScore))
+	return append(buf, segEndMagic...)
+}
+
+// decodeKeys parses a key section into resident form. Every posting
+// must be below limit; the parse is bounds-checked end to end because
+// Open feeds it whatever a crash or bit rot left on disk.
+func decodeKeys(b []byte, limit uint32) (keys []string, start, posts []uint32, err error) {
+	le := binary.LittleEndian
+	if len(b) < 4 {
+		return nil, nil, nil, ErrCorrupt
+	}
+	nkeys := int(le.Uint32(b))
+	pos := 4
+	// Each key takes at least 6 bytes: a count that cannot fit is a
+	// hostile length field, rejected before any allocation.
+	if nkeys > (len(b)-pos)/6 {
+		return nil, nil, nil, ErrCorrupt
+	}
+	start = make([]uint32, 1, nkeys+1)
+	posts = make([]uint32, 0, (len(b)-pos-6*nkeys)/4)
+	ends := make([]int, 0, nkeys)
+	var keyBytes []byte
+	for i := 0; i < nkeys; i++ {
+		if len(b)-pos < 2 {
+			return nil, nil, nil, ErrCorrupt
+		}
+		kl := int(le.Uint16(b[pos:]))
+		pos += 2
+		if len(b)-pos < kl+4 {
+			return nil, nil, nil, ErrCorrupt
+		}
+		keyBytes = append(keyBytes, b[pos:pos+kl]...)
+		ends = append(ends, len(keyBytes))
+		pos += kl
+		n := int(le.Uint32(b[pos:]))
+		pos += 4
+		if n > (len(b)-pos)/4 {
+			return nil, nil, nil, ErrCorrupt
+		}
+		for j := 0; j < n; j++ {
+			p := le.Uint32(b[pos:])
+			pos += 4
+			if p >= limit {
+				return nil, nil, nil, ErrCorrupt
+			}
+			posts = append(posts, p)
+		}
+		start = append(start, uint32(len(posts)))
+	}
+	// One backing string for every key: a directory holds tens of
+	// thousands, and Open decodes all of them.
+	all := string(keyBytes)
+	keys = make([]string, nkeys)
+	from := 0
+	for i, to := range ends {
+		keys[i] = all[from:to]
+		from = to
+	}
+	return keys, start, posts, nil
+}
+
+// sortKeys puts a legacy (unsorted) key section into ascending key
+// order, carrying each key's posting list along.
+func sortKeys(keys []string, start, posts []uint32) ([]string, []uint32, []uint32) {
+	if sort.StringsAreSorted(keys) {
+		return keys, start, posts
+	}
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	outKeys := make([]string, 0, len(keys))
+	outStart := make([]uint32, 1, len(start))
+	outPosts := make([]uint32, 0, len(posts))
+	for _, i := range order {
+		outKeys = append(outKeys, keys[i])
+		outPosts = append(outPosts, posts[start[i]:start[i+1]]...)
+		outStart = append(outStart, uint32(len(outPosts)))
+	}
+	return outKeys, outStart, outPosts
+}
+
+// blockSet shares one open block per file among the directories naming
+// it while a tier directory is being read. The set holds a reference of
+// its own on every block until release, so a block no directory claimed
+// closes then.
+type blockSet map[string]*block
+
+// get returns the named block file under dir with a reference for the
+// caller, opening it on first use.
+func (bs blockSet) get(dir, name string) (*block, error) {
+	b := bs[name]
+	if b == nil {
+		var err error
+		if b, err = openBlock(filepath.Join(dir, name)); err != nil {
+			return nil, fmt.Errorf("block %s: %w", name, err)
+		}
+		bs[name] = b
+	}
+	b.acquire()
+	return b, nil
+}
+
+func (bs blockSet) release() {
+	for _, b := range bs {
+		b.release()
+	}
+}
+
+// openSegment reads a directory file back into resident form, resolving
+// the blocks it names through bs. The caller owns the first reference.
+func openSegment(path string, bs blockSet) (*segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	// Every early return below must drop the handle; the segment owns
-	// it only once construction succeeds.
-	ok := false
-	defer func() {
-		if !ok {
-			_ = f.Close()
-		}
-	}()
+	defer f.Close() // read-only, and everything needed is resident on return
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	if st.Size() < 12 {
+	size := st.Size()
+	if size < segHeaderSize+segFooterSize {
 		return nil, ErrCorrupt
 	}
-	head := make([]byte, 12)
+	le := binary.LittleEndian
+	head := make([]byte, segHeaderSize)
+	foot := make([]byte, segFooterSize)
 	if _, err := f.ReadAt(head, 0); err != nil {
 		return nil, err
 	}
-	if string(head[:4]) != segMagic {
+	if _, err := f.ReadAt(foot, size-segFooterSize); err != nil {
+		return nil, err
+	}
+	if string(head[:4]) != segMagic || string(foot[segFooterSize-4:]) != segEndMagic {
 		return nil, ErrCorrupt
 	}
-	version := binary.LittleEndian.Uint16(head[4:])
-	count := binary.LittleEndian.Uint32(head[8:])
+	version := le.Uint16(head[4:])
+	maxScore := math.Float64frombits(le.Uint64(foot[24:]))
 
-	var footerSize int
+	// buf holds the file from bufPos up to the footer: all of a v3
+	// directory, only the key section and Bloom of a legacy file.
+	var bufPos, keysPos, bloomPos uint64
+	var shadowed int64
 	switch version {
-	case segVersionV1:
-		footerSize = footerSizeV1
+	case segVersionV2:
+		keysPos, bloomPos = le.Uint64(foot[8:]), le.Uint64(foot[16:])
+		bufPos = keysPos
 	case segVersion:
-		footerSize = footerSizeV2
+		keysPos, bloomPos = le.Uint64(foot[0:]), le.Uint64(foot[8:])
+		shadowed = int64(le.Uint64(foot[16:]))
+		bufPos = segHeaderSize
 	default:
 		return nil, ErrCorrupt
 	}
-	if st.Size() < int64(footerSize)+12 {
+	if keysPos < bufPos || keysPos > bloomPos || bloomPos > uint64(size-segFooterSize) {
 		return nil, ErrCorrupt
 	}
-	foot := make([]byte, footerSize)
-	if _, err := f.ReadAt(foot, st.Size()-int64(footerSize)); err != nil {
+	buf := make([]byte, uint64(size-segFooterSize)-bufPos)
+	if _, err := f.ReadAt(buf, int64(bufPos)); err != nil {
 		return nil, err
 	}
-	if string(foot[footerSize-4:]) != segEndMagic {
-		return nil, ErrCorrupt
-	}
-	offsetsPos := binary.LittleEndian.Uint64(foot[0:])
-	dirPos := binary.LittleEndian.Uint64(foot[8:])
-	var bloomPos uint64
-	if version >= 2 {
-		bloomPos = binary.LittleEndian.Uint64(foot[16:])
-	}
-	maxScore := math.Float64frombits(binary.LittleEndian.Uint64(foot[footerSize-12:]))
 
-	tailLen := st.Size() - int64(footerSize) - int64(offsetsPos)
-	if tailLen < 0 || dirPos < offsetsPos ||
-		(version >= 2 && bloomPos < dirPos) {
-		return nil, ErrCorrupt
-	}
-	tail := make([]byte, tailLen)
-	if _, err := f.ReadAt(tail, int64(offsetsPos)); err != nil {
-		return nil, err
-	}
-	offsets := make([]uint64, count)
-	for i := range offsets {
-		offsets[i] = binary.LittleEndian.Uint64(tail[i*8:])
-	}
-	db := tail[dirPos-offsetsPos:]
-	pos := 0
-	nkeys := int(binary.LittleEndian.Uint32(db[pos:]))
-	pos += 4
-	dir := make(map[string][]uint32, nkeys)
-	for i := 0; i < nkeys; i++ {
-		kl := int(binary.LittleEndian.Uint16(db[pos:]))
-		pos += 2
-		key := string(db[pos : pos+kl])
-		pos += kl
-		n := int(binary.LittleEndian.Uint32(db[pos:]))
-		pos += 4
-		ords := make([]uint32, n)
-		for j := 0; j < n; j++ {
-			ords[j] = binary.LittleEndian.Uint32(db[pos:])
-			pos += 4
+	var names []string
+	var counts []uint32
+	if version == segVersionV2 {
+		// The file is its own one block; the header count is the block's.
+		names, counts = []string{filepath.Base(path)}, []uint32{le.Uint32(head[8:])}
+	} else {
+		table := buf[:keysPos-bufPos]
+		if len(table) < 4 {
+			return nil, ErrCorrupt
 		}
-		dir[key] = ords
+		n := int(le.Uint32(table))
+		table = table[4:]
+		for i := 0; i < n; i++ {
+			if len(table) < 2 {
+				return nil, ErrCorrupt
+			}
+			nl := int(le.Uint16(table))
+			if nl > manifestMaxName || len(table) < 2+nl+4 {
+				return nil, ErrCorrupt
+			}
+			names = append(names, string(table[2:2+nl]))
+			counts = append(counts, le.Uint32(table[2+nl:]))
+			table = table[2+nl+4:]
+		}
 	}
-	var bloom *bloomFilter
-	if version >= 2 {
-		bloom, _, err = decodeBloom(tail[bloomPos-offsetsPos:])
+	dir := filepath.Dir(path)
+	blocks := make([]*block, 0, len(names))
+	ok := false
+	defer func() {
+		if !ok {
+			for _, b := range blocks {
+				b.release()
+			}
+		}
+	}()
+	for i, name := range names {
+		// A name is a file in this directory, never a path out of it.
+		if name != filepath.Base(name) {
+			return nil, ErrCorrupt
+		}
+		b, err := bs.get(dir, name)
 		if err != nil {
 			return nil, err
 		}
+		blocks = append(blocks, b)
+		if b.count() != counts[i] {
+			return nil, fmt.Errorf("block %s holds %d records, directory says %d: %w", name, b.count(), counts[i], ErrCorrupt)
+		}
 	}
-	s := &segment{
-		id: nextSegmentID.Add(1), version: version,
-		path: path, f: f, count: count,
-		offsets: offsets, dir: dir, bloom: bloom,
-		maxScore: maxScore, end: offsetsPos, size: st.Size(),
+	s := newSegment(path, blocks)
+	s.version = version
+	s.maxScore = maxScore
+	s.shadowed = shadowed
+	s.size = size
+	s.count = le.Uint32(head[8:])
+	if s.keys, s.start, s.posts, err = decodeKeys(buf[keysPos-bufPos:bloomPos-bufPos], s.base[len(blocks)]); err != nil {
+		return nil, err
 	}
-	s.refs.Store(1) // the tier's reference
+	if version == segVersionV2 {
+		s.keys, s.start, s.posts = sortKeys(s.keys, s.start, s.posts)
+	} else if !sort.StringsAreSorted(s.keys) {
+		return nil, ErrCorrupt
+	}
+	if s.bloom, _, err = decodeBloom(buf[bloomPos-bufPos:]); err != nil {
+		return nil, err
+	}
+	s.sealKeys()
 	ok = true
 	return s, nil
 }
-
-// recordSize returns the on-disk byte length of the record at ord.
-func (s *segment) recordSize(ord uint32) int64 {
-	start := s.offsets[ord]
-	if int(ord)+1 < len(s.offsets) {
-		return int64(s.offsets[ord+1] - start)
-	}
-	return int64(s.end - start)
-}
-
-// readRecord loads the record with the given ordinal.
-func (s *segment) readRecord(ord uint32) (FlushRecord, error) {
-	if int(ord) >= len(s.offsets) {
-		return FlushRecord{}, ErrCorrupt
-	}
-	start := s.offsets[ord]
-	var limit uint64
-	if int(ord)+1 < len(s.offsets) {
-		limit = s.offsets[ord+1]
-	} else {
-		limit = s.end
-	}
-	if err := failpoint.Eval(failpoint.DiskPread); err != nil {
-		return FlushRecord{}, err
-	}
-	b := make([]byte, limit-start)
-	if _, err := s.f.ReadAt(b, int64(start)); err != nil && err != io.EOF {
-		return FlushRecord{}, err
-	}
-	fr, _, err := decodeRecord(b)
-	return fr, err
-}
-
-func (s *segment) close() error { return s.f.Close() }

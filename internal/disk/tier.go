@@ -1,18 +1,20 @@
 // Package disk implements the disk tier microblogs are flushed to and
 // that memory misses fall back to (Figure 2).
 //
-// Every flush writes one immutable append-only segment file containing
-// the evicted records, ranked best-score-first, with a per-key directory
-// so disk search touches only the matching records. A memory miss
-// searches segments newest-first with a max-score bound for early
-// termination.
+// Every flush writes two immutable files: a record block holding the
+// evicted records, ranked best-score-first (block.go), and a segment — a
+// per-key directory of ranked postings into that block (segment.go) — so
+// disk search touches only the matching records. A memory miss searches
+// segments newest-first with a max-score bound for early termination.
 //
 // Segments are organized into size-tiered levels — L0 holds fresh
 // flushes, each deeper level holds geometrically larger merged segments
 // — with level membership committed in a small fsync'd manifest (see
 // manifest.go) and compaction keeping every level at or below its
 // fanout. Leveling bounds memory-miss cost: the segment count grows
-// logarithmically in data size instead of linearly in flush count.
+// logarithmically in data size instead of linearly in flush count. A
+// merge writes a directory over the union of its inputs' blocks and
+// nothing else (compact.go): a record is written to the tier once.
 //
 // History: until PR 6 the tier was one ever-growing flat list of seg-*
 // files with oldest-half compaction and no manifest; that layout shipped
@@ -139,14 +141,22 @@ type LevelStats struct {
 
 // Stats summarizes tier activity.
 type Stats struct {
-	Layout         string
-	Segments       int
+	Layout   string
+	Segments int
+	// Blocks counts the record block files the live segments name.
+	Blocks         int
 	Levels         []LevelStats
 	RecordsWritten int64
-	BytesWritten   int64
-	Searches       int64
-	RecordReads    int64 // real preads (cache misses included, hits not)
-	Compactions    int64
+	BytesWritten   int64 // bytes flushes wrote, block and directory
+	// ShadowedRecordBytes is the dead weight in live blocks: copies of
+	// records that a newer block also holds (a recovery replay re-flushed
+	// them) and that merged directories therefore no longer post. Blocks
+	// are never rewritten, so it is reclaimed only when a whole block is
+	// shadowed.
+	ShadowedRecordBytes int64
+	Searches            int64
+	RecordReads         int64 // real preads (cache misses included, hits not)
+	Compactions         int64
 
 	// CompactionBacklog counts levels currently over their fanout —
 	// work the compactor owes; a persistently positive value means it
@@ -236,8 +246,8 @@ type Tier[K comparable] struct {
 	dirProbes          atomic.Int64
 }
 
-// parseSeq extracts the numeric sequence from a segment file name like
-// "seg-00000007.kfs" or "lvl-00000012.kfs".
+// parseSeq extracts the numeric sequence from a tier file name like
+// "seg-00000007.kfs", "lvl-00000012.kfs" or "blk-00000007.kfs".
 func parseSeq(name string) (uint64, bool) {
 	name = filepath.Base(name)
 	i := strings.IndexByte(name, '-')
@@ -252,7 +262,7 @@ func parseSeq(name string) (uint64, bool) {
 	return n, true
 }
 
-// segmentGlobs returns dir's live segment file paths: flush outputs
+// segmentGlobs returns dir's live directory file paths: flush outputs
 // (seg-*) and compaction outputs (lvl-*).
 func segmentGlobs(dir string) (segPaths, lvlPaths []string, err error) {
 	segPaths, err = filepath.Glob(filepath.Join(dir, "seg-*.kfs"))
@@ -313,7 +323,7 @@ func Open[K comparable](cfg Config[K]) (*Tier[K], error) {
 	// nothing a recovered store needs (their records are still in the
 	// WAL or in the compaction inputs), so remove them. Removal
 	// failures are harmless — the names never collide with live files.
-	for _, pattern := range []string{"seg-*.kfs.*", "lvl-*.kfs.*", manifestName + ".tmp"} {
+	for _, pattern := range []string{"blk-*.kfs.*", "seg-*.kfs.*", "lvl-*.kfs.*", manifestName + ".tmp"} {
 		if orphans, err := filepath.Glob(filepath.Join(cfg.Dir, pattern)); err == nil {
 			for _, p := range orphans {
 				slog.Warn("disk: removing orphaned staged file", "path", p)
@@ -339,14 +349,15 @@ func Open[K comparable](cfg Config[K]) (*Tier[K], error) {
 //  1. A valid manifest is truth: files it lists retired are deleted,
 //     files it lists live open at their recorded level.
 //  2. A seg-* file the manifest does not reference is an uncommitted
-//     flush (crash between segment rename and manifest commit): adopt
-//     it at L0. Its records are also still in the WAL, and search
-//     deduplicates by record ID, so adoption can only add, never lose.
+//     flush (crash between directory rename and manifest commit): adopt
+//     it at L0. Its block went durably live before it did, its records
+//     are also still in the WAL, and search deduplicates by record ID,
+//     so adoption can only add, never lose.
 //  3. A lvl-* file the manifest does not reference is an uncommitted
-//     compaction output (crash before its commit): delete it. Its
-//     content is a subset of its inputs, which the manifest still
-//     lists live — deleting cannot lose data, keeping it would
-//     duplicate whole segments.
+//     compaction output (crash before its commit): delete it. It holds
+//     postings only, all of them still held by its inputs, which the
+//     manifest lists live — deleting cannot lose data, keeping it
+//     would duplicate whole segments. The blocks it names are untouched.
 //  4. No manifest, or a corrupt one (torn by bit rot — the atomic
 //     rewrite never tears it itself): adopt everything, seg-* at L0
 //     and lvl-* at L1. Retired-but-undeleted inputs resurface as
@@ -354,19 +365,36 @@ func Open[K comparable](cfg Config[K]) (*Tier[K], error) {
 //     the next compaction merges them away. Nothing is ever lost.
 //     This is also how a directory written by the deleted flat
 //     layout (seg-* files, no manifest) opens.
+//  5. Blocks are not in the manifest; they are whatever the live
+//     directories name. A legacy seg-*/lvl-* file a live directory
+//     names is a block, so rules 2 and 3 leave it alone. A blk-* file
+//     no directory names is an uncommitted flush's orphan (crash
+//     between the block's rename and its directory's) or a fully
+//     shadowed block whose unlink a crash cut short: delete it.
 //
 // Afterwards a fresh manifest is committed so the next crash window
 // starts from a clean baseline, and the sequence counter resumes past
 // every name seen (sequence numbers are never reused).
-func (t *Tier[K]) openLeveled() error {
+func (t *Tier[K]) openLeveled() (err error) {
+	defer func() {
+		if err != nil {
+			t.releaseLevels()
+		}
+	}()
 	segPaths, lvlPaths, err := segmentGlobs(t.cfg.Dir)
 	if err != nil {
 		return err
 	}
+	blkPaths, err := filepath.Glob(filepath.Join(t.cfg.Dir, "blk-*.kfs"))
+	if err != nil {
+		return err
+	}
 	var maxSeq uint64
-	for _, p := range append(append([]string(nil), segPaths...), lvlPaths...) {
-		if n, ok := parseSeq(p); ok && n > maxSeq {
-			maxSeq = n
+	for _, paths := range [][]string{segPaths, lvlPaths, blkPaths} {
+		for _, p := range paths {
+			if n, ok := parseSeq(p); ok && n > maxSeq {
+				maxSeq = n
+			}
 		}
 	}
 	m, merr := ReadManifest(t.cfg.Dir)
@@ -380,78 +408,96 @@ func (t *Tier[K]) openLeveled() error {
 	}
 	t.seq.Store(maxSeq)
 
-	byLevel := make(map[int][]string)
-	if valid {
-		live := make(map[string]int, len(m.Live))
-		for _, e := range m.Live {
-			live[e.Name] = e.Level
+	// Directories naming the same block share one open block.
+	bs := blockSet{}
+	defer bs.release()
+	t.levels = [][]*segment{nil}
+	named := make(map[string]struct{}) // block files the opened directories name
+	open := func(lvl int, p string) error {
+		s, err := openSegment(p, bs)
+		if err != nil {
+			return fmt.Errorf("disk: recover %s: %w", p, err)
 		}
-		retired := make(map[string]struct{}, len(m.Retired))
+		t.ensureLevels(lvl + 1)
+		t.levels[lvl] = append(t.levels[lvl], s)
+		for _, b := range s.blocks {
+			named[b.name()] = struct{}{}
+		}
+		return nil
+	}
+	sweepBlocks := true
+	if valid {
+		listed := make(map[string]struct{}, len(m.Live)+len(m.Retired))
 		for _, name := range m.Retired {
-			retired[name] = struct{}{}
-			// Removal is best-effort: an undeletable retired input is
+			listed[name] = struct{}{}
+			// Removal is best-effort: an undeletable retired input stays
 			// shadowed by the manifest, not adopted. The failpoint lets
 			// the recovery tests exercise exactly that tolerance.
+			p := filepath.Join(t.cfg.Dir, name)
 			if failpoint.Eval(failpoint.DiskAdoptRemove) == nil {
-				if err := os.Remove(filepath.Join(t.cfg.Dir, name)); err == nil {
+				if err := os.Remove(p); err == nil {
 					slog.Warn("disk: deleted retired compaction input", "name", name)
 				}
 			}
+			if fileExists(p) {
+				// It may be the last directory naming some block, and a
+				// block outlives every directory file that names it.
+				t.retired = append(t.retired, name)
+				sweepBlocks = false
+			}
 		}
 		for _, e := range m.Live {
+			listed[e.Name] = struct{}{}
 			p := filepath.Join(t.cfg.Dir, e.Name)
 			if !fileExists(p) {
 				return fmt.Errorf("disk: manifest references missing segment %s", e.Name)
 			}
-			byLevel[e.Level] = append(byLevel[e.Level], p)
+			if err := open(e.Level, p); err != nil {
+				return err
+			}
 		}
-		for _, p := range segPaths {
+		for _, p := range append(append([]string(nil), segPaths...), lvlPaths...) {
 			name := filepath.Base(p)
-			if _, isLive := live[name]; isLive {
+			if _, ok := listed[name]; ok {
 				continue
 			}
-			if _, isRetired := retired[name]; isRetired {
+			if _, isBlock := named[name]; isBlock {
 				continue
 			}
-			slog.Warn("disk: adopting uncommitted flushed segment at L0", "name", name)
-			byLevel[0] = append(byLevel[0], p)
-		}
-		for _, p := range lvlPaths {
-			name := filepath.Base(p)
-			if _, isLive := live[name]; isLive {
-				continue
-			}
-			if _, isRetired := retired[name]; isRetired {
+			if strings.HasPrefix(name, "seg-") {
+				slog.Warn("disk: adopting uncommitted flushed segment at L0", "name", name)
+				if err := open(0, p); err != nil {
+					return err
+				}
 				continue
 			}
 			slog.Warn("disk: deleting uncommitted compaction output", "name", name)
 			_ = os.Remove(p)
 		}
 	} else {
-		byLevel[0] = append(byLevel[0], segPaths...)
-		if len(lvlPaths) > 0 {
-			byLevel[1] = append(byLevel[1], lvlPaths...)
-		}
-	}
-
-	maxLevel := -1
-	for lvl := range byLevel {
-		if lvl > maxLevel {
-			maxLevel = lvl
-		}
-	}
-	t.levels = make([][]*segment, maxLevel+1)
-	if len(t.levels) == 0 {
-		t.levels = [][]*segment{nil}
-	}
-	for lvl, paths := range byLevel {
-		sortBySeqOrder(paths)
-		for _, p := range paths {
-			s, err := openSegment(p)
-			if err != nil {
-				return fmt.Errorf("disk: recover %s: %w", p, err)
+		for _, p := range segPaths {
+			if err := open(0, p); err != nil {
+				return err
 			}
-			t.levels[lvl] = append(t.levels[lvl], s)
+		}
+		for _, p := range lvlPaths {
+			if err := open(1, p); err != nil {
+				return err
+			}
+		}
+	}
+	// Oldest first within a level; adoption appended out of order.
+	for _, lv := range t.levels {
+		sort.SliceStable(lv, func(i, j int) bool {
+			a, _ := parseSeq(lv[i].path)
+			b, _ := parseSeq(lv[j].path)
+			return a < b
+		})
+	}
+	for _, p := range blkPaths {
+		if _, ok := named[filepath.Base(p)]; !ok && sweepBlocks {
+			slog.Warn("disk: removing unreferenced record block", "path", p)
+			_ = os.Remove(p)
 		}
 	}
 	// Commit the recovered state so unreferenced adoptions and retired
@@ -495,18 +541,19 @@ func (t *Tier[K]) commitManifest() error {
 	return writeManifest(t.cfg.Dir, m)
 }
 
-// Flush durably writes the evicted records as one new segment. The
-// input order is irrelevant; the tier ranks records by score before
-// writing. See FlushStaged for the stage structure.
+// Flush durably writes the evicted records as one new record block and
+// a segment over it. The input order is irrelevant; the tier ranks
+// records by score before writing. See FlushStaged for the stage
+// structure.
 func (t *Tier[K]) Flush(recs []FlushRecord) error {
 	_, err := t.FlushStaged(recs)
 	return err
 }
 
 // FlushStaged is Flush reporting per-stage timings. The flush runs in
-// two stages: build (sort, encode, staged write, fsync) touches no
+// two stages: build (sort, encode, staged writes, fsync) touches no
 // shared segment state, so searches and installs proceed concurrently;
-// install (atomic rename, level append, manifest commit) holds the
+// install (atomic renames, level append, manifest commit) holds the
 // segment-list lock only for the append.
 // Flushes serialize on an internal gate so the sort and encode scratch
 // buffers are reused across cycles.
@@ -525,6 +572,67 @@ func (t *Tier[K]) FlushStaged(recs []FlushRecord) (FlushStats, error) {
 		}
 		return sorted[i].MB.ID > sorted[j].MB.ID
 	})
+	// Build stage: everything up to two durable staged files, off mu.
+	fl, err := t.stageFlush(sorted)
+	// Drop the record pointers so the reusable buffer does not pin
+	// evicted microblogs in memory between flushes.
+	n := len(sorted)
+	for i := range sorted {
+		sorted[i] = FlushRecord{}
+	}
+	if err != nil {
+		t.flushMu.Unlock()
+		return fs, err
+	}
+	fs.BuildNanos = time.Since(buildStart).Nanoseconds()
+
+	// Install stage: rename live, publish to L0, commit the manifest.
+	installStart := time.Now()
+	if err := t.installFlushed(fl); err != nil {
+		fl.discard()
+		t.flushMu.Unlock()
+		return fs, err
+	}
+	fs.InstallNanos = time.Since(installStart).Nanoseconds()
+	t.flushMu.Unlock()
+
+	fs.Records = n
+	fs.Bytes = fl.blk.size + fl.dir.size
+	t.recordsWritten.Add(int64(n))
+	t.bytesWritten.Add(fs.Bytes)
+	t.buildNanos.Add(fs.BuildNanos)
+	t.installNanos.Add(fs.InstallNanos)
+	t.cfg.Recorder.Record(blackbox.SubFlush, blackbox.EvFlushBuild,
+		int64(n), fs.Bytes, fs.BuildNanos)
+	t.cfg.Recorder.Record(blackbox.SubFlush, blackbox.EvFlushInstall,
+		int64(n), fs.Bytes, fs.InstallNanos)
+
+	if t.compactKick != nil {
+		t.kickCompactor()
+		return fs, nil
+	}
+	return fs, t.CompactNow()
+}
+
+// stagedFlush is one flush between its two stages: a record block and
+// the directory over it, both durable at their staging paths, and the
+// segment they will be once live.
+type stagedFlush struct {
+	blk, dir *stagedFile
+	s        *segment // s.blocks[0] is the new block; install opens its handle
+}
+
+// stageFlush runs the build stage over records already in rank order:
+// encode the block and its directory, stage both files. Caller must
+// hold flushMu (it reuses the encode scratch).
+func (t *Tier[K]) stageFlush(sorted []FlushRecord) (*stagedFlush, error) {
+	seq := t.seq.Add(1)
+	blkBuf, offsets, end := encodeBlock(t.encScratch[:0], sorted)
+	t.encScratch = blkBuf
+	b := newBlock(filepath.Join(t.cfg.Dir, fmt.Sprintf("blk-%08d.kfs", seq)), nil, offsets, end, int64(len(blkBuf)))
+	s := newSegment(filepath.Join(t.cfg.Dir, fmt.Sprintf("seg-%08d.kfs", seq)), []*block{b})
+	s.count = uint32(len(sorted))
+	s.maxScore = sorted[0].Score
 	dir := make(map[string][]uint32)
 	for ord, fr := range sorted {
 		for _, key := range t.cfg.KeysOf(fr.MB) {
@@ -538,89 +646,83 @@ func (t *Tier[K]) FlushStaged(recs []FlushRecord) (FlushStats, error) {
 			dir[ek] = append(dir[ek], uint32(ord))
 		}
 	}
-	seq := t.seq.Add(1)
-	path := filepath.Join(t.cfg.Dir, fmt.Sprintf("seg-%08d.kfs", seq))
+	s.setKeys(dir)
+	dirBuf := s.encode(nil)
+	s.size = int64(len(dirBuf))
 
-	// Build stage: everything up to a durable staged file, off mu.
-	st, scratch, err := stageSegment(path, sorted, dir, segVersion, t.encScratch)
-	t.encScratch = scratch
-	clearSorted := func() {
-		// Drop the record pointers so the reusable buffer does not pin
-		// evicted microblogs in memory between flushes.
-		for i := range sorted {
-			sorted[i] = FlushRecord{}
-		}
+	fl := &stagedFlush{s: s}
+	var err error
+	if fl.blk, err = stageFile(b.path, flushedBlock, blkBuf); err != nil {
+		return nil, err
 	}
-	if err != nil {
-		clearSorted()
-		t.flushMu.Unlock()
-		return fs, err
+	if fl.dir, err = stageFile(s.path, flushedDir, dirBuf); err != nil {
+		fl.blk.discard()
+		return nil, err
 	}
-	fs.BuildNanos = time.Since(buildStart).Nanoseconds()
-
-	// Install stage: rename live, publish to L0, commit the manifest.
-	installStart := time.Now()
-	s, err := t.installFlushed(st)
-	if err != nil {
-		st.abort()
-		clearSorted()
-		t.flushMu.Unlock()
-		return fs, err
-	}
-	fs.InstallNanos = time.Since(installStart).Nanoseconds()
-	n := len(sorted)
-	clearSorted()
-	t.flushMu.Unlock()
-
-	fs.Records = n
-	fs.Bytes = s.size
-	t.recordsWritten.Add(int64(n))
-	t.bytesWritten.Add(s.size)
-	t.buildNanos.Add(fs.BuildNanos)
-	t.installNanos.Add(fs.InstallNanos)
-	t.cfg.Recorder.Record(blackbox.SubFlush, blackbox.EvFlushBuild,
-		int64(n), s.size, fs.BuildNanos)
-	t.cfg.Recorder.Record(blackbox.SubFlush, blackbox.EvFlushInstall,
-		int64(n), s.size, fs.InstallNanos)
-
-	if t.compactKick != nil {
-		t.kickCompactor()
-		return fs, nil
-	}
-	return fs, t.CompactNow()
+	return fl, nil
 }
 
-// installFlushed makes a staged flush segment live: atomic rename, L0
-// append, and manifest commit. On any failure the segment is
-// fully undone — file removed, level untouched — so the caller can roll
-// the eviction back; the commit point is the manifest rename.
-func (t *Tier[K]) installFlushed(st *stagedSegment) (*segment, error) {
+// install renames both files live, the block first and durably, so a
+// directory that has its final name always finds its block. After any
+// error the caller discards.
+func (fl *stagedFlush) install() error {
+	if err := fl.blk.install(); err != nil {
+		return err
+	}
+	// The crash window this site names: block live, its directory not.
+	// Recovery deletes the block as an orphan; the records are still in
+	// the WAL.
+	if err := failpoint.Eval(failpoint.DiskBlockAfterRename); err != nil {
+		return err
+	}
+	if err := fl.dir.install(); err != nil {
+		return err
+	}
+	if err := failpoint.Eval(failpoint.DiskSegmentAfterRename); err != nil {
+		return err
+	}
+	f, err := os.Open(fl.blk.path)
+	if err != nil {
+		return err
+	}
+	fl.s.blocks[0].f = f
+	return nil
+}
+
+// discard undoes a flush that will not be committed: both files go,
+// under whichever names they have, and the block's handle closes.
+func (fl *stagedFlush) discard() {
+	fl.blk.discard()
+	fl.dir.discard()
+	fl.s.release()
+}
+
+// installFlushed makes a staged flush live: atomic renames, L0 append,
+// and manifest commit — the commit point. On any failure the level is
+// left untouched and the caller discards the files, so the engine can
+// roll the eviction back.
+func (t *Tier[K]) installFlushed(fl *stagedFlush) error {
 	t.manifestMu.Lock()
 	defer t.manifestMu.Unlock()
-	s, err := st.install()
-	if err != nil {
-		return nil, err
+	if err := fl.install(); err != nil {
+		return err
 	}
-	// The crash window this site names: segment live on disk, not yet
-	// in a committed manifest. Recovery adopts it at L0.
+	// The crash window this site names: both files live on disk, not
+	// yet in a committed manifest. Recovery adopts the segment at L0.
 	if err := failpoint.Eval(failpoint.DiskLevelInstall); err != nil {
-		s.release()
-		_ = os.Remove(s.path)
-		return nil, err
+		return err
 	}
 	t.mu.Lock()
 	t.ensureLevels(1)
-	t.levels[0] = append(t.levels[0], s)
+	t.levels[0] = append(t.levels[0], fl.s)
 	t.mu.Unlock()
 	if err := t.commitManifest(); err != nil {
 		t.mu.Lock()
-		t.levels[0] = removeSegment(t.levels[0], s)
+		t.levels[0] = removeSegment(t.levels[0], fl.s)
 		t.mu.Unlock()
-		s.release()
-		_ = os.Remove(s.path)
-		return nil, err
+		return err
 	}
-	return s, nil
+	return nil
 }
 
 // snapshotSegments acquires a search-ordered snapshot of every live
@@ -707,14 +809,10 @@ func (t *Tier[K]) SearchTraced(keys []K, op query.Op, k int, dp *trace.DiskProbe
 
 // bloomFilterKeys applies s's Bloom filter to the encoded keys,
 // returning the keys whose directory entries must still be probed and
-// whether the segment can match at all. v1 segments pass everything
-// through. The counters feed Stats: every filter consultation is a
+// whether the segment can match at all. The counters feed Stats: every filter consultation is a
 // probe, every avoided directory lookup a skip. A non-nil sp receives
 // the same counts for this one segment.
 func (t *Tier[K]) bloomFilterKeys(s *segment, keys []string, op query.Op, sp *trace.SegmentProbe) ([]string, bool) {
-	if s.bloom == nil {
-		return keys, true
-	}
 	probe := func(n int64) {
 		t.bloomProbes.Add(n)
 		if sp != nil {
@@ -786,68 +884,73 @@ func (t *Tier[K]) searchSegment(s *segment, keys []string, op query.Op, k int, d
 			sp.DirProbes++
 		}
 	}
-	var ords []uint32
+	// Posting lists are ranked best-first, every list of one segment in
+	// the same total order (score, then ID), so the first k of a list
+	// are its top k.
+	var posts []uint32
 	switch op {
 	case query.OpSingle:
 		dirProbe()
-		ords = s.dir[keys[0]]
-		if len(ords) > k {
-			ords = ords[:k] // ordinal lists are ranked best-first
+		posts = s.postings(keys[0])
+		if len(posts) > k {
+			posts = posts[:k]
 		}
 	case query.OpOr:
 		seen := make(map[uint32]struct{})
 		for _, key := range keys {
 			dirProbe()
-			n := 0
-			for _, o := range s.dir[key] {
-				if n >= k {
-					break
-				}
-				n++
-				if _, dup := seen[o]; !dup {
-					seen[o] = struct{}{}
-					ords = append(ords, o)
+			list := s.postings(key)
+			if len(list) > k {
+				list = list[:k]
+			}
+			for _, p := range list {
+				if _, dup := seen[p]; !dup {
+					seen[p] = struct{}{}
+					posts = append(posts, p)
 				}
 			}
 		}
-		sort.Slice(ords, func(i, j int) bool { return ords[i] < ords[j] })
-		if len(ords) > k*len(keys) {
-			ords = ords[:k*len(keys)]
-		}
+		// Read in file order, whatever order the keys came in.
+		sort.Slice(posts, func(i, j int) bool { return posts[i] < posts[j] })
 	case query.OpAnd:
-		// Intersect the ordinal lists; they are short (per-key,
-		// per-segment) so a counting pass suffices. Ordinal lists are
-		// ascending, so a duplicate posting (a record naming one key
-		// twice, possible in segments written before flush dedup) is
-		// adjacent — count it once or the intersection false-positives.
+		// Intersect by counting; lists are short (per-key, per-segment).
+		// A duplicate posting (a record naming one key twice, possible
+		// in segments written before flush dedup) is adjacent — count it
+		// once or the intersection false-positives. Walking the first
+		// list keeps the survivors in rank order.
 		counts := make(map[uint32]int)
-		for _, key := range keys {
+		var first []uint32
+		for i, key := range keys {
 			dirProbe()
+			list := s.postings(key)
+			if i == 0 {
+				first = list
+			}
 			prev := int64(-1)
-			for _, o := range s.dir[key] {
-				if int64(o) == prev {
+			for _, p := range list {
+				if int64(p) == prev {
 					continue
 				}
-				prev = int64(o)
-				counts[o]++
+				prev = int64(p)
+				counts[p]++
 			}
 		}
-		for o, c := range counts {
-			if c == len(keys) {
-				ords = append(ords, o)
+		for _, p := range first {
+			if counts[p] == len(keys) {
+				counts[p] = 0 // a duplicate posting must not match twice
+				if posts = append(posts, p); len(posts) == k {
+					break
+				}
 			}
-		}
-		sort.Slice(ords, func(i, j int) bool { return ords[i] < ords[j] })
-		if len(ords) > k {
-			ords = ords[:k]
 		}
 	}
 	if sp != nil {
-		sp.Candidates = len(ords)
+		sp.Candidates = len(posts)
 	}
-	items := make([]query.Item, 0, len(ords))
-	for _, o := range ords {
-		fr, hit, err := t.readRecordCached(s, o)
+	items := make([]query.Item, 0, len(posts))
+	for _, p := range posts {
+		b, ord := s.locate(p)
+		fr, hit, err := t.readRecordCached(b, ord)
 		if err != nil {
 			return nil, err
 		}
@@ -869,23 +972,25 @@ func (t *Tier[K]) searchSegment(s *segment, keys []string, op query.Op, k int, d
 
 // readRecordCached serves a record from the read cache when present,
 // falling back to (and then caching) a real file read. hit reports
-// whether the cache supplied the record.
-func (t *Tier[K]) readRecordCached(s *segment, ord uint32) (FlushRecord, bool, error) {
+// whether the cache supplied the record. The cache is keyed by block,
+// not segment, so an entry survives every merge of the directories
+// above it.
+func (t *Tier[K]) readRecordCached(b *block, ord uint32) (FlushRecord, bool, error) {
 	if t.cache == nil {
 		t.recordReads.Add(1)
-		fr, err := t.readRecordRetry(s, ord)
+		fr, err := t.readRecordRetry(b, ord)
 		return fr, false, err
 	}
-	key := cacheKey{seg: s.id, ord: ord}
+	key := cacheKey{blk: b.id, ord: ord}
 	if fr, ok := t.cache.get(key); ok {
 		return fr, true, nil
 	}
 	t.recordReads.Add(1)
-	fr, err := t.readRecordRetry(s, ord)
+	fr, err := t.readRecordRetry(b, ord)
 	if err != nil {
 		return fr, false, err
 	}
-	t.cache.put(key, fr, s.recordSize(ord))
+	t.cache.put(key, fr, b.recordSize(ord))
 	return fr, false, nil
 }
 
@@ -893,11 +998,11 @@ func (t *Tier[K]) readRecordCached(s *segment, ord uint32) (FlushRecord, bool, e
 // policy: preads are idempotent, so a flaky read (EINTR-class faults,
 // overloaded storage) is retried with backoff instead of failing the
 // whole search.
-func (t *Tier[K]) readRecordRetry(s *segment, ord uint32) (FlushRecord, error) {
+func (t *Tier[K]) readRecordRetry(b *block, ord uint32) (FlushRecord, error) {
 	var fr FlushRecord
 	attempts, err := t.cfg.Retry.DoCounted(func() error {
 		var err error
-		fr, err = s.readRecord(ord)
+		fr, err = b.readRecord(ord)
 		return err
 	})
 	if attempts > 1 {
@@ -968,7 +1073,7 @@ func (t *Tier[K]) levelStatsLocked() []LevelStats {
 	for i, lv := range t.levels {
 		ls := LevelStats{Level: i, Segments: len(lv)}
 		for _, s := range lv {
-			ls.Bytes += s.size
+			ls.Bytes += s.dataBytes()
 			ls.Records += int64(s.count)
 		}
 		out[i] = ls
@@ -998,28 +1103,40 @@ func (t *Tier[K]) Stats() Stats {
 	t.mu.RLock()
 	levels := t.levelStatsLocked()
 	pendingRetired := len(t.retired)
+	blocks := make(map[*block]struct{})
+	var shadowed int64
+	for _, lv := range t.levels {
+		for _, s := range lv {
+			shadowed += s.shadowed
+			for _, b := range s.blocks {
+				blocks[b] = struct{}{}
+			}
+		}
+	}
 	t.mu.RUnlock()
 	n := 0
 	for _, ls := range levels {
 		n += ls.Segments
 	}
 	st := Stats{
-		Layout:             LayoutLeveled.String(),
-		Segments:           n,
-		Levels:             levels,
-		RecordsWritten:     t.recordsWritten.Load(),
-		BytesWritten:       t.bytesWritten.Load(),
-		Searches:           t.searches.Load(),
-		RecordReads:        t.recordReads.Load(),
-		Compactions:        t.compactions.Load(),
-		CompactionBacklog:  t.CompactionBacklog(),
-		CompactionFailures: t.compactionFailures.Load(),
-		PendingRetired:     pendingRetired,
-		BuildNanos:         t.buildNanos.Load(),
-		InstallNanos:       t.installNanos.Load(),
-		BloomProbes:        t.bloomProbes.Load(),
-		BloomSkips:         t.bloomSkips.Load(),
-		DirProbes:          t.dirProbes.Load(),
+		Layout:              LayoutLeveled.String(),
+		Segments:            n,
+		Blocks:              len(blocks),
+		Levels:              levels,
+		ShadowedRecordBytes: shadowed,
+		RecordsWritten:      t.recordsWritten.Load(),
+		BytesWritten:        t.bytesWritten.Load(),
+		Searches:            t.searches.Load(),
+		RecordReads:         t.recordReads.Load(),
+		Compactions:         t.compactions.Load(),
+		CompactionBacklog:   t.CompactionBacklog(),
+		CompactionFailures:  t.compactionFailures.Load(),
+		PendingRetired:      pendingRetired,
+		BuildNanos:          t.buildNanos.Load(),
+		InstallNanos:        t.installNanos.Load(),
+		BloomProbes:         t.bloomProbes.Load(),
+		BloomSkips:          t.bloomSkips.Load(),
+		DirProbes:           t.dirProbes.Load(),
 	}
 	if t.cache != nil {
 		st.CacheHits = t.cache.hits.Load()
@@ -1073,11 +1190,17 @@ func (t *Tier[K]) Close() error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.releaseLevels()
+	return nil
+}
+
+// releaseLevels drops the tier's reference on every live segment.
+// Caller must hold mu, or own the tier outright (a failed Open).
+func (t *Tier[K]) releaseLevels() {
 	for _, lv := range t.levels {
 		for _, s := range lv {
 			s.release()
 		}
 	}
 	t.levels = nil
-	return nil
 }

@@ -49,15 +49,16 @@ const (
 	WALReclaimUnlink    = "wal/reclaim/unlink"     // an unclaimed sealed file is about to be unlinked
 
 	// Disk-tier sites (internal/disk).
-	DiskSegmentCreate      = "disk/segment/create"       // creating the segment temp file
-	DiskSegmentWrite       = "disk/segment/write"        // writing the record block (torn-write capable)
-	DiskSegmentDirWrite    = "disk/segment/dir"          // writing offsets+directory+bloom+footer (torn-write capable)
-	DiskSegmentSync        = "disk/segment/sync"         // syncing the segment temp file
-	DiskSegmentRename      = "disk/segment/rename"       // temp file durable, rename not yet done
-	DiskSegmentAfterRename = "disk/segment/after-rename" // renamed, tier not yet updated
-	DiskPread              = "disk/pread"                // record read from a segment file
-	DiskCompactRename      = "disk/compact/rename"       // merged file written, rename not yet done
-	DiskCompactRemove      = "disk/compact/remove"       // merged file live, inputs not yet deleted
+	DiskSegmentCreate      = "disk/segment/create"       // creating a staged file (block, directory, merged directory)
+	DiskSegmentWrite       = "disk/segment/write"        // writing a flush's record block file (torn-write capable)
+	DiskSegmentDirWrite    = "disk/segment/dir"          // writing a directory file, flushed or merged (torn-write capable)
+	DiskSegmentSync        = "disk/segment/sync"         // syncing a staged file
+	DiskSegmentRename      = "disk/segment/rename"       // a flush's staged file durable, its rename not yet done (block first, then directory)
+	DiskBlockAfterRename   = "disk/block/after-rename"   // block renamed live, its directory not yet
+	DiskSegmentAfterRename = "disk/segment/after-rename" // block and directory renamed, tier not yet updated
+	DiskPread              = "disk/pread"                // record read from a block file
+	DiskCompactRename      = "disk/compact/rename"       // merged directory written, rename not yet done
+	DiskCompactRemove      = "disk/compact/remove"       // merged directory committed, inputs not yet deleted
 
 	// Leveled-tier sites (internal/disk): the manifest commit protocol
 	// and the points where a segment is live on disk but not yet
@@ -65,8 +66,8 @@ const (
 	DiskManifestWrite  = "disk/manifest/write"  // writing the manifest temp file (torn-write capable)
 	DiskManifestSync   = "disk/manifest/sync"   // syncing the manifest temp file
 	DiskManifestRename = "disk/manifest/rename" // temp manifest durable, rename not yet done
-	DiskLevelInstall   = "disk/level/install"   // flushed segment renamed live, manifest not yet committed
-	DiskCompactInstall = "disk/compact/install" // merged output renamed live, manifest not yet committed
+	DiskLevelInstall   = "disk/level/install"   // flushed block and directory renamed live, manifest not yet committed
+	DiskCompactInstall = "disk/compact/install" // merged directory renamed live, manifest not yet committed
 
 	// Flush-cycle sites (internal/engine, internal/core, internal/policy).
 	FlushBegin       = "flush/begin"        // flush cycle entered, nothing evicted yet
@@ -118,7 +119,7 @@ func CrashSites() []string {
 		WALSnapshotWrite, WALSnapshotSync, WALSnapshotRename, WALSnapshotCleanup,
 		WALRelocateAppended, WALRelocateSynced, WALReclaimUnlink,
 		DiskSegmentCreate, DiskSegmentWrite, DiskSegmentDirWrite,
-		DiskSegmentSync, DiskSegmentRename, DiskSegmentAfterRename,
+		DiskSegmentSync, DiskSegmentRename, DiskBlockAfterRename, DiskSegmentAfterRename,
 		DiskCompactRename, DiskCompactRemove,
 		DiskManifestWrite, DiskManifestSync, DiskManifestRename,
 		DiskLevelInstall, DiskCompactInstall,

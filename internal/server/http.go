@@ -465,6 +465,10 @@ func (s *Store) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(st kflushing.Stats) float64 { return float64(st.Metrics.IngestBatches) })
 	emit("disk_segments", "gauge", "live disk segments",
 		func(st kflushing.Stats) float64 { return float64(st.Disk.Segments) })
+	emit("disk_blocks", "gauge", "record block files the live disk segments name (written once by a flush, never merged)",
+		func(st kflushing.Stats) float64 { return float64(st.Disk.Blocks) })
+	emit("disk_shadowed_record_bytes", "gauge", "bytes of records in live blocks that a newer block also holds (dead copies compaction does not rewrite away)",
+		func(st kflushing.Stats) float64 { return float64(st.Disk.ShadowedRecordBytes) })
 	emit("disk_compactions_total", "counter", "segment merges completed",
 		func(st kflushing.Stats) float64 { return float64(st.Disk.Compactions) })
 	emit("disk_compaction_failures_total", "counter", "background compaction passes that failed",

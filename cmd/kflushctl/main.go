@@ -25,8 +25,10 @@
 //
 //	kflushctl trace <base-url> <q> [k]  run one traced keyword search
 //	                               (?trace=1) and pretty-print the trace
-//	kflushctl flushlog <base-url> [n]   summarize the flush audit journal
-//	                               (/debug/flushlog)
+//	kflushctl flushlog <base-url> [n]   fold the flight recorder's flush
+//	                               events into one line per cycle, with
+//	                               its phases and stages
+//	                               (/debug/blackbox?subsystem=flush)
 //	kflushctl tuner <base-url>     report the adaptive memory tuner's
 //	                               per-attribute targets, counters, and
 //	                               bounds (/debug/tuner)
@@ -59,6 +61,7 @@ import (
 	"time"
 
 	"kflushing"
+	"kflushing/internal/blackbox"
 	"kflushing/internal/disk"
 	"kflushing/internal/wal"
 )
@@ -527,21 +530,40 @@ func cmdTrace(base, q string, k int) error {
 	return nil
 }
 
-// cmdFlushLog fetches the flush audit journal from a running kflushd and
-// prints the most recent n cycles per attribute, one line per cycle with
-// its per-phase victim/freed breakdown.
+// cmdFlushLog fetches the flight recorder's flush events from a running
+// kflushd, folds them into cycles (blackbox.FlushCycles) and prints the
+// most recent n per attribute: one line per cycle — its stages on it,
+// the pipeline worker's marked * — then its per-phase victim/freed
+// breakdown. The policy column comes from /stats: the events do not
+// name it.
 func cmdFlushLog(base string, n int) error {
-	var logs map[string][]kflushing.FlushEvent
-	if err := getJSON(base, fmt.Sprintf("/debug/flushlog?n=%d", n), &logs); err != nil {
+	var timeline struct {
+		Epoch  int64                     `json:"epoch_unix_nanos"`
+		Events []kflushing.TimelineEvent `json:"events"`
+	}
+	// Every retained flush event: a cycle cut at the old end is dropped
+	// whole by the view, so asking for fewer would only lose cycles.
+	if err := getJSON(base, "/debug/blackbox?subsystem=flush&n=100000", &timeline); err != nil {
 		return err
 	}
-	attrs := make([]string, 0, len(logs))
-	for a := range logs {
+	var stats map[string]struct{ Policy string }
+	if err := getJSON(base, "/stats", &stats); err != nil {
+		return err
+	}
+	byAttr := map[string][]kflushing.BlackboxEvent{}
+	for _, ev := range timeline.Events {
+		byAttr[ev.Attr] = append(byAttr[ev.Attr], ev.Event)
+	}
+	attrs := make([]string, 0, len(stats))
+	for a := range stats {
 		attrs = append(attrs, a)
 	}
 	sort.Strings(attrs)
 	for _, a := range attrs {
-		evs := logs[a]
+		evs := blackbox.FlushCycles(byAttr[a], timeline.Epoch)
+		if len(evs) > n {
+			evs = evs[len(evs)-n:]
+		}
 		fmt.Printf("%s: %d cycles\n", a, len(evs))
 		for _, ev := range evs {
 			status := "satisfied"
@@ -551,9 +573,20 @@ func cmdFlushLog(base string, n int) error {
 			if ev.Err != "" {
 				status = "ERROR " + ev.Err
 			}
-			fmt.Printf("  #%-4d %-12s %-8s target=%-10d freed=%-10d mem %d->%d %s %s\n",
-				ev.Seq, ev.Policy, ev.Trigger, ev.Target, ev.Freed,
-				ev.MemBefore, ev.MemAfter, time.Duration(ev.Nanos), status)
+			if !ev.Complete {
+				status += " (completing)"
+			}
+			var stages []string
+			for _, st := range ev.Stages {
+				mark := ""
+				if st.Worker {
+					mark = "*"
+				}
+				stages = append(stages, fmt.Sprintf("%s%s=%s", st.Name, mark, time.Duration(st.Nanos)))
+			}
+			fmt.Printf("  #%-6d %-12s %-8s target=%-10d freed=%-10d mem %d->%d %s %s [%s]\n",
+				ev.ID, stats[a].Policy, ev.Trigger, ev.Target, ev.Freed,
+				ev.MemBefore, ev.MemAfter, time.Duration(ev.Nanos), status, strings.Join(stages, " "))
 			for _, ph := range ev.Phases {
 				line := fmt.Sprintf("    phase %d %-12s victims=%-8d freed=%-10d %s",
 					ph.Phase, ph.Name, ph.Victims, ph.Freed, time.Duration(ph.Nanos))

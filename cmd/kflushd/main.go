@@ -11,9 +11,9 @@
 //	GET  /search/user?id=42&k=20[&trace=1]
 //	GET  /stats                       per-attribute snapshots (JSON)
 //	GET  /metrics                     Prometheus text format
-//	GET  /debug/flushlog              flush audit journal (JSON)
-//	GET  /debug/blackbox              flight-recorder merged timeline (JSON)
-//	GET  /debug/slowlog               auto-captured slow-query traces (JSON)
+//	GET  /debug/blackbox              flight-recorder merged timeline (JSON):
+//	                                  flush cycles and slow queries are
+//	                                  its ID-stamped events (?id=)
 //	GET  /debug/tuner                 adaptive memory tuner state (JSON)
 //	GET  /healthz                     liveness probe
 //	GET  /readyz                      readiness probe (disk + WAL writable)
@@ -61,7 +61,7 @@ func main() {
 	flushFrac := flag.Float64("flush", 0.10, "flushing budget B as a fraction")
 	durable := flag.Bool("durable", false, "write-ahead log memory contents")
 	enablePprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-	slowQuery := flag.Duration("slow-query", 0, "auto-capture traces for searches slower than this (e.g. 50ms; 0 disables), served at /debug/slowlog")
+	slowQuery := flag.Duration("slow-query", 0, "record a query_slow event (timings, keys) for searches at least this slow (e.g. 50ms; 0 disables), served at /debug/blackbox?subsystem=query")
 	adaptive := flag.Bool("adaptive", false, "enable the adaptive memory tuner (feedback-controlled flush budget, watermark, and disk-cache size; /debug/tuner)")
 	logLevel := flag.String("log-level", "info", "diagnostic log level: debug|info|warn|error")
 	flag.Parse()

@@ -18,7 +18,7 @@
 //     guard every pointer-receiver method with a `receiver == nil`
 //     check before touching fields, enforcing the documented
 //     nil-receiver-safe contracts of internal/trace and
-//     internal/flushlog.
+//     internal/blackbox.
 //   - errlint: no discarded error from Write/Sync/Close in the
 //     durability-bearing packages (wal, disk, engine) — an unchecked
 //     Close is a silent torn segment.

@@ -122,6 +122,8 @@ func TestProtocolAnnotationsPresent(t *testing.T) {
 		"kflushing/internal/store.Store.Put",
 		"kflushing/internal/store.Store.Remove",
 		"kflushing/internal/blackbox.Recorder.Record",
+		"kflushing/internal/blackbox.Recorder.RecordID",
+		"kflushing/internal/blackbox.Recorder.record",
 		"kflushing/internal/trace.Trace.Stage (whennil)",
 		"kflushing/internal/trace.DiskProbe.AddSegment (whennil)",
 	} {
@@ -130,7 +132,7 @@ func TestProtocolAnnotationsPresent(t *testing.T) {
 		}
 	}
 	for _, entry := range []string{
-		"kflushing/internal/blackbox.Recorder.Record (writer)",
+		"kflushing/internal/blackbox.Recorder.record (writer)",
 		"kflushing/internal/blackbox.readSlot (reader)",
 	} {
 		if !has(cov.Seqlock, entry) {
@@ -164,7 +166,7 @@ func TestNilsafeMarkersPresent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("module-wide type-check is slow; skipped with -short")
 	}
-	pkgs, err := LoadModule("../..", []string{"./internal/trace", "./internal/flushlog", "./internal/blackbox"})
+	pkgs, err := LoadModule("../..", []string{"./internal/trace", "./internal/blackbox"})
 	if err != nil {
 		t.Fatal(err)
 	}

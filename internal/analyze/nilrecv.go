@@ -7,8 +7,8 @@ import (
 )
 
 // nilrecv enforces the nil-receiver-safe contract in packages that opt
-// in with a `//kfvet:nilsafe` marker comment: tracing and audit hooks
-// are designed so a nil *Trace or nil *Journal is the disabled state,
+// in with a `//kfvet:nilsafe` marker comment: tracing and recording hooks
+// are designed so a nil *Trace or nil *Recorder is the disabled state,
 // letting call sites skip nil checks entirely. That contract holds only
 // if every pointer-receiver method guards the receiver before touching
 // fields — one unguarded method turns "tracing disabled" into a panic

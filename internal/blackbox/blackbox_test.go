@@ -5,18 +5,27 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
-	"kflushing/internal/trace"
+	"kflushing/internal/query"
 )
 
+// newSized builds a recorder whose every ring has n slots, small enough
+// for a test to wrap.
+func newSized(n int) *Recorder { return newRecorder(n, n) }
+
 // TestNilRecorderSafe pins the disabled-recorder contract: every method
-// on a nil *Recorder (and nil *SlowLog) is a no-op, never a panic.
+// on a nil *Recorder is a no-op, never a panic, and the views of its
+// (nil) snapshot are empty.
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(SubIngest, EvIngestBatch, 1, 2, 3)
+	r.RecordID(SubFlush, EvFlushBegin, 7, 0, 1, 2, 3)
+	r.RecordNote(SubFlush, EvFlushEnd, 7, 0, 1, 2, 3, "boom")
+	r.RecordSlowQuery(query.OpOr, 5, 2, false, 1, 2, 3, 10, "a b")
 	if evs := r.Events(); evs != nil {
 		t.Fatalf("nil recorder Events = %v, want nil", evs)
 	}
@@ -26,37 +35,59 @@ func TestNilRecorderSafe(t *testing.T) {
 	if path, err := r.Dump(t.TempDir(), "test"); err != nil || path != "" {
 		t.Fatalf("nil recorder Dump = (%q, %v), want empty", path, err)
 	}
-	var l *SlowLog
-	l.Add(&trace.Trace{}, 1)
-	if s := l.Snapshot(); s != nil {
-		t.Fatalf("nil slowlog Snapshot = %v, want nil", s)
+	if c := FlushCycles(r.Events(), 0); len(c) != 0 {
+		t.Fatalf("nil recorder FlushCycles = %v, want none", c)
 	}
-	if l.Len() != 0 {
-		t.Fatalf("nil slowlog Len = %d, want 0", l.Len())
+	if q := SlowQueries(r.Events(), 0); len(q) != 0 {
+		t.Fatalf("nil recorder SlowQueries = %v, want none", q)
 	}
 }
 
 // TestRecordAllocs pins the hot-path contract the acceptance criteria
 // name: recording an event performs zero heap allocations.
 func TestRecordAllocs(t *testing.T) {
-	r := New(256)
+	r := newSized(256)
 	avg := testing.AllocsPerRun(1000, func() {
 		r.Record(SubIngest, EvIngestBatch, 16, 0, 1200)
 	})
 	if avg != 0 {
 		t.Fatalf("Record allocates %.2f objects/op, want 0", avg)
 	}
+	avg = testing.AllocsPerRun(1000, func() {
+		r.RecordID(SubFlush, EvFlushPhase, 42, PhaseRegular, 16, 4096, 1200)
+	})
+	if avg != 0 {
+		t.Fatalf("RecordID allocates %.2f objects/op, want 0", avg)
+	}
 }
 
 // TestEventDecoding checks that argument words come back under their
-// schema labels and unused words are omitted.
+// schema labels and unused words are omitted, and that an event's ID,
+// fourth argument and note survive the slot.
 func TestEventDecoding(t *testing.T) {
-	r := New(8)
+	r := newSized(8)
 	r.Record(SubWAL, EvWALAppend, 7, 4096, 1500)
 	r.Record(SubState, EvDegradedEnter, 0, 0, 0)
+	r.RecordID(SubFlush, EvFlushPhase, 99, PhaseForced, 12, 3400, 870)
+	r.RecordNote(SubFlush, EvFlushEnd, 99, 1, 3400, 60_000, 9000, "segment write: no space")
+	r.RecordNote(SubFlush, EvFlushEnd, 100, maxD, -1, 0, 0, "")
 	evs := r.Events()
-	if len(evs) != 2 {
-		t.Fatalf("Events len = %d, want 2", len(evs))
+	if len(evs) != 5 {
+		t.Fatalf("Events len = %d, want 5", len(evs))
+	}
+	phase, end, plain := evs[2], evs[3], evs[4]
+	if phase.ID != 99 || phase.Note != "" || !reflect.DeepEqual(phase.Args,
+		map[string]int64{"phase": PhaseForced, "victims": 12, "freed_bytes": 3400, "nanos": 870}) {
+		t.Errorf("flush_phase = %+v", phase)
+	}
+	if end.ID != 99 || end.Note != "segment write: no space" || end.Args["durable"] != 1 || end.Args["mem_after_bytes"] != 60_000 {
+		t.Errorf("flush_end = %+v", end)
+	}
+	if plain.ID != 100 || plain.Note != "" || plain.Args["durable"] != maxD || plain.Args["freed_bytes"] != -1 {
+		t.Errorf("flush_end at the fourth argument's limit = %+v", plain)
+	}
+	if evs[0].ID != 0 || evs[0].Note != "" {
+		t.Errorf("standalone event carries id %d note %q", evs[0].ID, evs[0].Note)
 	}
 	ap := evs[0]
 	if ap.Subsystem != "wal" || ap.Event != "wal_append" {
@@ -80,7 +111,7 @@ func TestEventDecoding(t *testing.T) {
 // newest size events survive, still in sequence order.
 func TestRingWrap(t *testing.T) {
 	const size = 16
-	r := New(size)
+	r := newSized(size)
 	for i := 0; i < 5*size; i++ {
 		r.Record(SubFlush, EvFlushBuild, int64(i), 0, 0)
 	}
@@ -107,7 +138,7 @@ func TestRingWrap(t *testing.T) {
 // proves the seqlock publish discipline; the assertions prove no torn
 // or duplicated sequence numbers are ever observed.
 func TestConcurrentWriters(t *testing.T) {
-	r := New(64)
+	r := newSized(64)
 	const writers = 8
 	const perWriter = 2000
 	var writeWG, readWG sync.WaitGroup
@@ -160,9 +191,9 @@ func TestConcurrentWriters(t *testing.T) {
 // subsequence of the merge.
 func TestMergedTimelineMonotonic(t *testing.T) {
 	recs := map[string]*Recorder{
-		"keyword": New(512),
-		"spatial": New(512),
-		"user":    New(512),
+		"keyword": newSized(512),
+		"spatial": newSized(512),
+		"user":    newSized(512),
 	}
 	names := []string{"keyword", "spatial", "user"}
 	for i := 0; i < 300; i++ {
@@ -206,9 +237,9 @@ func TestMergedTimelineMonotonic(t *testing.T) {
 // epoch anchor, and contains the recorded events in order.
 func TestDump(t *testing.T) {
 	dir := t.TempDir()
-	r := New(32)
+	r := newSized(32)
 	r.Record(SubWAL, EvWALAppend, 3, 256, 900)
-	r.Record(SubState, EvDegradedEnter, 0, 0, 0)
+	r.RecordNote(SubState, EvDegradedEnter, 41, 0, 0, 0, 0, "disk full")
 	path, err := r.Dump(dir, "degraded")
 	if err != nil {
 		t.Fatal(err)
@@ -230,13 +261,16 @@ func TestDump(t *testing.T) {
 	if len(df.Events) != 2 || df.Events[0].Event != "wal_append" || df.Events[1].Event != "degraded_enter" {
 		t.Fatalf("dump events = %+v", df.Events)
 	}
+	if enter := df.Events[1]; enter.ID != 41 || enter.Note != "disk full" {
+		t.Fatalf("dumped degraded_enter = %+v, want the failing cycle's ID and the cause", enter)
+	}
 }
 
 // TestDumperRegistry exercises the process-level registry the panic
 // path uses: registered recorders dump, unregistered ones do not.
 func TestDumperRegistry(t *testing.T) {
 	dir := t.TempDir()
-	r := New(16)
+	r := newSized(16)
 	r.Record(SubIngest, EvIngestBatch, 1, 0, 0)
 	name := fmt.Sprintf("test-%s", t.Name())
 	RegisterDumper(name, func(reason string) (string, error) {
@@ -260,36 +294,10 @@ func TestDumperRegistry(t *testing.T) {
 	}
 }
 
-// TestSlowLog exercises ring retention and ordering.
-func TestSlowLog(t *testing.T) {
-	l := NewSlowLog(4)
-	for i := 0; i < 10; i++ {
-		l.Add(&trace.Trace{K: i}, int64(1000+i))
-	}
-	snap := l.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("Snapshot len = %d, want 4", len(snap))
-	}
-	for i, q := range snap {
-		if want := int64(1000 + 6 + i); q.DurationNanos != want {
-			t.Errorf("entry %d duration = %d, want %d", i, q.DurationNanos, want)
-		}
-		if q.Trace == nil || q.Trace.K != 6+i {
-			t.Errorf("entry %d trace = %+v", i, q.Trace)
-		}
-		if i > 0 && snap[i].Seq <= snap[i-1].Seq {
-			t.Errorf("slowlog seq order broken at %d", i)
-		}
-	}
-	if l.Len() != 10 {
-		t.Errorf("Len = %d, want 10", l.Len())
-	}
-}
-
 // BenchmarkRecord measures the hot-path cost of one event; the CI bench
 // smoke runs it with -benchmem to keep the 0 allocs/op claim honest.
 func BenchmarkRecord(b *testing.B) {
-	r := New(DefaultRingSize)
+	r := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Record(SubIngest, EvIngestBatch, 16, 0, 1200)
@@ -299,7 +307,7 @@ func BenchmarkRecord(b *testing.B) {
 // BenchmarkRecordParallel measures contention on the global sequence
 // ticket under parallel writers.
 func BenchmarkRecordParallel(b *testing.B) {
-	r := New(DefaultRingSize)
+	r := New()
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {

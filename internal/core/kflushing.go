@@ -32,9 +32,8 @@ import (
 	"sync"
 	"time"
 
+	"kflushing/internal/blackbox"
 	"kflushing/internal/failpoint"
-
-	"kflushing/internal/flushlog"
 	"kflushing/internal/index"
 	"kflushing/internal/memsize"
 	"kflushing/internal/policy"
@@ -142,12 +141,13 @@ func (f *KFlushing[K]) OnAccess([]*store.Record) {}
 
 // Flush implements policy.Policy, running the phases in order until the
 // target is met. Each phase's duration and freed bytes are recorded in
-// the engine's metrics registry and flush audit journal when attached.
+// the engine's metrics registry and reported to its flight recorder when
+// attached.
 func (f *KFlushing[K]) Flush(target int64) (int64, error) {
 	k := f.r.Index.K()
 	buf := policy.NewVictimBuffer(f.r.Mem, f.r.Sink, true)
-	freed := f.timedPhase(1, "regular", func(pe *flushlog.PhaseEvent) int64 {
-		return f.phase1(k, buf, pe)
+	freed := f.timedPhase(blackbox.PhaseRegular, func(pr *phaseRun) int64 {
+		return f.phase1(k, buf, pr)
 	})
 	// The inter-phase failpoints model a failure (or crash) with the
 	// victim buffer partially filled: everything evicted so far must
@@ -158,8 +158,8 @@ func (f *KFlushing[K]) Flush(target int64) (int64, error) {
 		return freed, err
 	}
 	if freed < target && f.maxPhase >= 2 {
-		freed += f.timedPhase(2, "aggressive", func(pe *flushlog.PhaseEvent) int64 {
-			return f.phase2(k, target-freed, buf, pe)
+		freed += f.timedPhase(blackbox.PhaseAggressive, func(pr *phaseRun) int64 {
+			return f.phase2(k, target-freed, buf, pr)
 		})
 	}
 	if err := failpoint.Eval(failpoint.FlushAfterPhase2); err != nil {
@@ -167,29 +167,32 @@ func (f *KFlushing[K]) Flush(target int64) (int64, error) {
 		return freed, err
 	}
 	if freed < target && f.maxPhase >= 3 {
-		freed += f.timedPhase(3, "forced", func(pe *flushlog.PhaseEvent) int64 {
-			return f.phase3(k, target-freed, buf, pe)
+		freed += f.timedPhase(blackbox.PhaseForced, func(pr *phaseRun) int64 {
+			return f.phase3(k, target-freed, buf, pr)
 		})
 	}
 	buf.Close()
 	return freed, nil
 }
 
+// phaseRun is what a phase reports besides the bytes it freed: its
+// victim count and, when it ran in parallel, each worker's duration.
+type phaseRun struct {
+	victims     int64
+	workerNanos []int64
+}
+
 // timedPhase runs one phase, feeds its duration and freed bytes to the
-// per-phase histograms, and records the phase in the audit journal. The
-// phase fills in its own victim count (and shard timings when parallel)
-// through the event it receives.
-func (f *KFlushing[K]) timedPhase(phase int, name string, run func(*flushlog.PhaseEvent) int64) int64 {
+// per-phase histograms, and reports the phase to the engine.
+func (f *KFlushing[K]) timedPhase(phase int, run func(*phaseRun) int64) int64 {
 	start := time.Now()
-	pe := flushlog.PhaseEvent{Phase: phase, Name: name}
-	freed := run(&pe)
+	var pr phaseRun
+	freed := run(&pr)
 	d := time.Since(start)
 	if f.r.Metrics != nil {
 		f.r.Metrics.ObservePhase(phase, d, freed)
 	}
-	pe.Freed = freed
-	pe.Nanos = d.Nanoseconds()
-	f.r.Journal.Phase(pe)
+	f.r.Phase(phase, pr.victims, freed, d, pr.workerNanos)
 	return freed
 }
 
@@ -231,7 +234,7 @@ func (f *KFlushing[K]) workers(work int) int {
 // worker pool and the per-worker freed-byte counts are merged — this is
 // the digestion-side half of running flushing truly concurrently with a
 // multi-core ingest path.
-func (f *KFlushing[K]) phase1(k int, buf *policy.VictimBuffer, pe *flushlog.PhaseEvent) int64 {
+func (f *KFlushing[K]) phase1(k int, buf *policy.VictimBuffer, pr *phaseRun) int64 {
 	var keep func(*store.Record) bool
 	if f.mk {
 		// MK retention rule: a posting beyond this entry's top-k stays
@@ -239,7 +242,7 @@ func (f *KFlushing[K]) phase1(k int, buf *policy.VictimBuffer, pe *flushlog.Phas
 		keep = func(rec *store.Record) bool { return rec.TopKCount() > 0 }
 	}
 	entries := f.r.Index.TakeOverK()
-	pe.Victims = int64(len(entries))
+	pr.victims = int64(len(entries))
 	workers := f.workers(len(entries))
 	if workers <= 1 {
 		return f.trimEntries(entries, k, keep, buf)
@@ -265,7 +268,7 @@ func (f *KFlushing[K]) phase1(k int, buf *policy.VictimBuffer, pe *flushlog.Phas
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	pe.ShardNanos = shardNanos[:spawned]
+	pr.workerNanos = shardNanos[:spawned]
 	var freed int64
 	for _, n := range freedBy {
 		freed += n
@@ -303,7 +306,7 @@ func (f *KFlushing[K]) trimEntries(entries []*index.Entry[K], k int, keep func(*
 
 // phase2 evicts whole under-k entries, least recently arrived first,
 // until target bytes are freed.
-func (f *KFlushing[K]) phase2(k int, target int64, buf *policy.VictimBuffer, pe *flushlog.PhaseEvent) int64 {
+func (f *KFlushing[K]) phase2(k int, target int64, buf *policy.VictimBuffer, pr *phaseRun) int64 {
 	victims := f.selector.Select(f.r.Index, target, func(e *index.Entry[K]) (int64, bool) {
 		n := e.Len()
 		if n == 0 || n >= k {
@@ -316,7 +319,7 @@ func (f *KFlushing[K]) phase2(k int, target int64, buf *policy.VictimBuffer, pe 
 		if freed >= target {
 			break
 		}
-		pe.Victims++
+		pr.victims++
 		var keep func(*store.Record) bool
 		if f.mk {
 			// Extended rule: keep postings that also live in a
@@ -336,7 +339,7 @@ func (f *KFlushing[K]) phase2(k int, target int64, buf *policy.VictimBuffer, pe 
 // size. Per Section IV-D, Phase 3 is identical under MK: everything
 // still in memory could cause a hit, so victims are chosen purely by
 // query recency.
-func (f *KFlushing[K]) phase3(_ int, target int64, buf *policy.VictimBuffer, pe *flushlog.PhaseEvent) int64 {
+func (f *KFlushing[K]) phase3(_ int, target int64, buf *policy.VictimBuffer, pr *phaseRun) int64 {
 	victims := f.selector.Select(f.r.Index, target, func(e *index.Entry[K]) (int64, bool) {
 		if e.Len() == 0 {
 			return 0, false
@@ -348,7 +351,7 @@ func (f *KFlushing[K]) phase3(_ int, target int64, buf *policy.VictimBuffer, pe 
 		if freed >= target {
 			break
 		}
-		pe.Victims++
+		pr.victims++
 		freed += f.evictEntry(e, nil, buf)
 	}
 	return freed

@@ -88,8 +88,9 @@ type Config[K comparable] struct {
 	// Retry bounds transient-I/O retries on record reads; the zero
 	// value disables retrying.
 	Retry RetryPolicy
-	// Recorder, when non-nil, receives flush-stage, compaction, cache
-	// eviction and retry events on the engine's flight recorder.
+	// Recorder, when non-nil, receives compaction, cache eviction and
+	// retry events on the engine's flight recorder. (Flush stage events
+	// are the engine's: it has FlushStats and the cycle's ID.)
 	Recorder *blackbox.Recorder
 }
 
@@ -162,7 +163,8 @@ type Stats struct {
 	// work the compactor owes; a persistently positive value means it
 	// is wedged or cannot keep up.
 	CompactionBacklog int
-	// CompactionFailures counts background compaction errors.
+	// CompactionFailures counts failed compaction passes set off by a
+	// flush install (background, or inline without a compactor).
 	CompactionFailures int64
 	// PendingRetired counts compaction inputs superseded by a live
 	// merged segment but not yet unlinked.
@@ -602,16 +604,16 @@ func (t *Tier[K]) FlushStaged(recs []FlushRecord) (FlushStats, error) {
 	t.bytesWritten.Add(fs.Bytes)
 	t.buildNanos.Add(fs.BuildNanos)
 	t.installNanos.Add(fs.InstallNanos)
-	t.cfg.Recorder.Record(blackbox.SubFlush, blackbox.EvFlushBuild,
-		int64(n), fs.Bytes, fs.BuildNanos)
-	t.cfg.Recorder.Record(blackbox.SubFlush, blackbox.EvFlushInstall,
-		int64(n), fs.Bytes, fs.InstallNanos)
 
+	// The flush is done: its segment is installed. Compaction that
+	// follows — kicked in the background, or inline when there is no
+	// compactor — succeeds or fails on its own account.
 	if t.compactKick != nil {
 		t.kickCompactor()
-		return fs, nil
+	} else {
+		t.compactPass("inline")
 	}
-	return fs, t.CompactNow()
+	return fs, nil
 }
 
 // stagedFlush is one flush between its two stages: a record block and

@@ -67,4 +67,15 @@ func TestDegradedEntryDumpsBlackbox(t *testing.T) {
 			t.Errorf("dump missing %q event (events preceding the failure must be captured)", want)
 		}
 	}
+	// The dump names the failing cycle: its last event is the degraded
+	// entry, under the cycle's ID with the cause as its note, and the
+	// dump alone folds into that cycle's record.
+	enter := df.Events[len(df.Events)-1]
+	cycles := blackbox.FlushCycles(df.Events, df.EpochUnixNanos)
+	if len(cycles) != 1 {
+		t.Fatalf("dump folds into %d flush cycles, want the one that failed", len(cycles))
+	}
+	if c := cycles[0]; enter.Event != "degraded_enter" || enter.ID != c.ID || enter.Note == "" || enter.Note != c.Err || !c.Complete {
+		t.Fatalf("dump ends with %+v, the failed cycle is %+v", enter, c)
+	}
 }

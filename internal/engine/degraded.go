@@ -3,11 +3,9 @@ package engine
 import (
 	"errors"
 	"log/slog"
-	"time"
 
 	"kflushing/internal/blackbox"
 	"kflushing/internal/disk"
-	"kflushing/internal/flushlog"
 	"kflushing/internal/store"
 )
 
@@ -60,41 +58,37 @@ func (e *Engine[K]) restoreEvicted(failed []disk.FlushRecord) {
 
 // flushOutcome is where a flush decides the engine's write health: any
 // failure enters degraded mode, and only a segment made durable by that
-// very completion is evidence the fault cleared. Callers hold flushMu.
-func (e *Engine[K]) flushOutcome(err error, durable bool, via string) {
+// very completion is evidence the fault cleared. cycle is the ID of the
+// flush cycle whose batch it was. Callers hold flushMu.
+func (e *Engine[K]) flushOutcome(err error, durable bool, cycle uint64, via string) {
 	if err != nil {
-		e.enterDegraded(err)
+		e.enterDegraded(err, cycle)
 	} else if durable {
 		e.exitDegraded(via)
 	}
 }
 
-// enterDegraded flips the engine into degraded read-only mode and
-// journals the transition. On the transition edge the flight recorder
-// is dumped to the tier directory: the rings hold the WAL, flush and
-// disk events that led here, which is exactly the evidence an incident
-// review needs.
-func (e *Engine[K]) enterDegraded(cause error) {
+// enterDegraded flips the engine into degraded read-only mode. On the
+// transition edge it records a degraded_enter event — under the failing
+// cycle's ID, the cause as its note — and dumps the flight recorder to
+// the tier directory: the rings hold the WAL, flush and disk events
+// that led here, which is exactly the evidence an incident review
+// needs, and the dump's last event names the cycle to look for.
+func (e *Engine[K]) enterDegraded(cause error, cycle uint64) {
 	e.degradedReason.Store(cause.Error())
 	if e.degraded.CompareAndSwap(false, true) {
-		slog.Error("engine: entering degraded read-only mode", "cause", cause)
-		now := time.Now()
-		e.journal.Begin(e.pol.Name(), flushlog.TriggerDegraded, 0, e.mem.Used(), now)
-		e.journal.End(0, e.mem.Used(), 0, cause)
-		e.bbox.Record(blackbox.SubState, blackbox.EvDegradedEnter, 0, 0, 0)
+		slog.Error("engine: entering degraded read-only mode", "cause", cause, "cycle", cycle)
+		e.bbox.RecordNote(blackbox.SubState, blackbox.EvDegradedEnter, cycle, 0, 0, 0, 0, cause.Error())
 		e.dumpBlackbox("degraded")
 	}
 }
 
 // exitDegraded leaves degraded mode after evidence the tier accepts
 // writes again (a successful flush or readiness probe). Callers must
-// hold flushMu so the journal writes stay serialized.
+// hold flushMu, so the state cannot flip under a cycle deciding it.
 func (e *Engine[K]) exitDegraded(via string) {
 	if e.degraded.CompareAndSwap(true, false) {
 		slog.Info("engine: leaving degraded mode", "via", via)
-		now := time.Now()
-		e.journal.Begin(e.pol.Name(), flushlog.TriggerDegradedClear, 0, e.mem.Used(), now)
-		e.journal.End(0, e.mem.Used(), 0, nil)
 		e.bbox.Record(blackbox.SubState, blackbox.EvDegradedClear, 0, 0, 0)
 	}
 }

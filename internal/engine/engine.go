@@ -17,6 +17,7 @@ import (
 	"log/slog"
 	"math"
 	rtrace "runtime/trace"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,7 +27,6 @@ import (
 	"kflushing/internal/clock"
 	"kflushing/internal/disk"
 	"kflushing/internal/failpoint"
-	"kflushing/internal/flushlog"
 	"kflushing/internal/index"
 	"kflushing/internal/memsize"
 	"kflushing/internal/metrics"
@@ -115,15 +115,10 @@ type Config[K comparable] struct {
 	// wrappers and ingest scratch through slab pools; PolicyHeap
 	// allocates everything from the Go heap.
 	AllocPolicy alloc.Policy
-	// BlackboxEvents sizes the flight recorder's per-subsystem event
-	// rings: 0 selects blackbox.DefaultRingSize, negative disables the
-	// recorder entirely (benchmark baseline — production keeps it on).
-	BlackboxEvents int
-	// SlowQueryNanos enables the slow-query log: a Search whose wall
-	// time reaches this threshold has its full execution trace captured
-	// into a small ring (served at /debug/slowlog). 0 disables. Note
-	// that capture attaches a trace to every query while enabled, so
-	// misses bypass disk-search coalescing like any traced query.
+	// SlowQueryNanos is the slow-query threshold: a Search whose wall
+	// time reaches it records one query_slow event — stage timings and
+	// the encoded keys — in the flight recorder. 0 disables. A search
+	// below the threshold pays one comparison.
 	SlowQueryNanos int64
 	// AdaptiveMemory enables the feedback memory tuner: a deterministic
 	// controller that retunes the flush budget B, the flush trigger
@@ -150,17 +145,15 @@ type Engine[K comparable] struct {
 	reg   metrics.Registry
 	clk   clock.Clock
 
-	// journal is the flush audit ring: one structured event per flush
-	// cycle, served at /debug/flushlog.
-	journal *flushlog.Journal
-
-	// bbox is the always-on flight recorder (nil when disabled by a
-	// negative BlackboxEvents): per-subsystem event rings stamped with a
-	// global sequence, dumped to DiskDir on degraded entry and panic.
+	// bbox is the always-on flight recorder, the engine's only event
+	// store: per-subsystem event rings stamped with a global sequence,
+	// dumped to DiskDir on degraded entry and panic. The flush log and
+	// the slow-query log are views over it.
 	bbox *blackbox.Recorder
-	// slowlog retains queries that crossed SlowQueryNanos with their
-	// full traces; nil when the threshold is unset.
-	slowlog *blackbox.SlowLog
+	// cycle is the ID of the flush cycle in progress, stamped on every
+	// event the cycle emits. Only the flushing goroutine touches it,
+	// under flushMu.
+	cycle uint64
 
 	wal *wal.Log
 	// recovering is set while New replays the log: files not yet
@@ -244,14 +237,7 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.NewLogical(1, 1)
 	}
-	e := &Engine[K]{cfg: cfg, store: store.New(), clk: cfg.Clock,
-		journal: flushlog.New(flushlog.DefaultSize)}
-	if cfg.BlackboxEvents >= 0 {
-		e.bbox = blackbox.New(cfg.BlackboxEvents)
-	}
-	if cfg.SlowQueryNanos > 0 {
-		e.slowlog = blackbox.NewSlowLog(0)
-	}
+	e := &Engine[K]{cfg: cfg, store: store.New(), clk: cfg.Clock, bbox: blackbox.New()}
 	e.recycler = alloc.NewRecycler[*store.Record](cfg.AllocPolicy)
 	if cfg.AllocPolicy == alloc.PolicyPooled {
 		e.scratch = &sync.Pool{New: func() any { return &ingestScratch[K]{} }}
@@ -295,7 +281,7 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		KeysOf:  cfg.KeysOf,
 		Clock:   cfg.Clock,
 		Metrics: &e.reg,
-		Journal: e.journal,
+		OnPhase: e.recordPhase,
 	})
 	if cfg.WALDir != "" {
 		wopt := cfg.WALOptions
@@ -322,14 +308,12 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 			return nil, err
 		}
 	}
-	if e.bbox != nil {
-		// Join the process-level dump registry so a panic handler (or
-		// kflushctl-driven DumpAll) can snapshot this engine's rings.
-		// DiskDir is unique per engine, so it doubles as the key.
-		blackbox.RegisterDumper(cfg.DiskDir, func(reason string) (string, error) {
-			return e.bbox.Dump(cfg.DiskDir, reason)
-		})
-	}
+	// Join the process-level dump registry so a panic handler (or
+	// kflushctl-driven DumpAll) can snapshot this engine's rings.
+	// DiskDir is unique per engine, so it doubles as the key.
+	blackbox.RegisterDumper(cfg.DiskDir, func(reason string) (string, error) {
+		return e.bbox.Dump(cfg.DiskDir, reason)
+	})
 	if cfg.AdaptiveMemory {
 		// Anchor the controller at the effective static values (the
 		// disk package applies the cache default itself, so mirror it).
@@ -438,7 +422,7 @@ func (e *Engine[K]) recoverFromWAL() error {
 func (e *Engine[K]) recoveryFlush() {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
-	if _, err := e.flushCycle(flushlog.TriggerRecovery); err != nil {
+	if _, err := e.flushCycle(blackbox.TriggerRecovery); err != nil {
 		e.lastError.Store(err)
 		slog.Error("engine: recovery flush failed", "policy", e.pol.Name(), "error", err)
 	}
@@ -543,7 +527,7 @@ func (e *Engine[K]) IngestBatch(mbs []*types.Microblog) ([]types.ID, error) {
 	e.reg.IngestBatches.Add(1)
 	e.bbox.Record(blackbox.SubIngest, blackbox.EvIngestBatch,
 		int64(len(recs)), int64(len(mbs)-len(recs)), time.Since(batchStart).Nanoseconds())
-	e.maybeFlush(flushlog.TriggerBudget)
+	e.maybeFlush(blackbox.TriggerBudget)
 	return ids, nil
 }
 
@@ -589,7 +573,7 @@ func (e *Engine[K]) AllocStats() (alloc.SliceStats, alloc.RecyclerStats) {
 // every-few-seconds flushing the paper's Section II-C warns about. A
 // new flush is therefore allowed only after memory grew by at least
 // 0.5% of the budget since the previous one ended.
-func (e *Engine[K]) maybeFlush(trigger string) {
+func (e *Engine[K]) maybeFlush(trigger blackbox.Trigger) {
 	e.maybeTune() // adaptive memory: tick rides the ingest path
 	if !e.flushDue() {
 		return
@@ -614,7 +598,7 @@ func (e *Engine[K]) flushDue() bool {
 
 // runFlushLocked executes one flush cycle; the caller must hold flushMu,
 // which is released on return.
-func (e *Engine[K]) runFlushLocked(trigger string) {
+func (e *Engine[K]) runFlushLocked(trigger blackbox.Trigger) {
 	defer e.flushMu.Unlock()
 	_, err := e.flushCycle(trigger)
 	if err != nil {
@@ -629,17 +613,20 @@ func (e *Engine[K]) runFlushLocked(trigger string) {
 
 // flushCycle runs one flush cycle: the policy evicts at the configured
 // target (prepare), then the evicted batch is either handed to the
-// pipeline worker or completed here, and the cycle is counted and
-// recorded in the audit journal (the policy fills in its per-phase
-// events between Begin and End). Callers must hold flushMu.
-func (e *Engine[K]) flushCycle(trigger string) (int64, error) {
+// pipeline worker or completed here, and the cycle is counted. Every
+// event between flush_begin and flush_end — the policy's phases, the
+// stages, wherever they run — carries the cycle's ID, which rides on
+// the batch. Callers must hold flushMu.
+func (e *Engine[K]) flushCycle(trigger blackbox.Trigger) (int64, error) {
 	start := time.Now()
+	id := blackbox.NextSeq()
+	e.cycle = id
 	// A runtime/trace task per cycle: `go tool trace` groups the cycle's
 	// regions (and any GC or scheduler interference) under one span.
 	ctx, task := rtrace.NewTask(context.Background(), "flush-cycle")
 	defer task.End()
 	target := int64(e.flushFraction() * float64(e.cfg.MemoryBudget))
-	e.journal.Begin(e.pol.Name(), trigger, target, e.mem.Used(), start)
+	e.bbox.RecordID(blackbox.SubFlush, blackbox.EvFlushBegin, id, 0, int64(trigger), target, e.mem.Used())
 	var freed int64
 	err := failpoint.Eval(failpoint.FlushBegin)
 	if err == nil {
@@ -649,8 +636,7 @@ func (e *Engine[K]) flushCycle(trigger string) (int64, error) {
 	}
 	prepare := time.Since(start)
 	e.reg.ObserveStage(metrics.StagePrepare, prepare)
-	e.journal.Stage("prepare", prepare.Nanoseconds())
-	e.bbox.Record(blackbox.SubFlush, blackbox.EvFlushPrepare, target, freed, prepare.Nanoseconds())
+	e.bbox.RecordID(blackbox.SubFlush, blackbox.EvFlushPrepare, id, 0, target, freed, prepare.Nanoseconds())
 	// The policy only evicted: its batch is out of memory and not yet on
 	// disk. A budget-triggered cycle hands it to the pipeline worker and
 	// gives the gate back. Every other cycle is complete when it returns
@@ -658,10 +644,11 @@ func (e *Engine[K]) flushCycle(trigger string) (int64, error) {
 	// evicting: what it evicted is persisted before the error is reported
 	// — so the batch walks the same stages here, under the gate.
 	batch := e.fsink.take()
+	batch.cycle = id
 	durable := false
 	switch {
 	case len(batch.recs) == 0 && len(batch.dead) == 0: // nothing was evicted
-	case err == nil && trigger == flushlog.TriggerBudget && e.pipe.tryEnqueue(batch):
+	case err == nil && trigger == blackbox.TriggerBudget && e.pipe.tryEnqueue(batch):
 	default:
 		c := e.persist(batch, true)
 		e.conclude(c)
@@ -676,10 +663,11 @@ func (e *Engine[K]) flushCycle(trigger string) (int64, error) {
 	e.reg.FlushLatency.Observe(d)
 	used := e.mem.Used()
 	e.lastFlushUsed.Store(used)
-	e.journal.End(freed, used, d, err)
-	e.flushOutcome(err, durable, "flush")
+	e.bbox.RecordNote(blackbox.SubFlush, blackbox.EvFlushEnd, id, flag(durable),
+		freed, used, d.Nanoseconds(), errText(err))
+	e.flushOutcome(err, durable, id, "flush")
 	slog.Debug("engine: flush cycle",
-		"policy", e.pol.Name(), "trigger", trigger,
+		"policy", e.pol.Name(), "trigger", trigger, "id", id,
 		"target", target, "freed", freed, "duration", d)
 	if err == nil {
 		e.reclaimWAL()
@@ -771,7 +759,7 @@ func (e *Engine[K]) FlushNow() (int64, error) {
 	}
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
-	freed, err := e.flushCycle(flushlog.TriggerManual)
+	freed, err := e.flushCycle(blackbox.TriggerManual)
 	// Manual cycles retune like budget cycles do: between cycles, under
 	// the gate. Without this a FlushNow-driven workload that keeps the
 	// gate saturated would starve the controller entirely.
@@ -786,7 +774,9 @@ func (e *Engine[K]) FlushNow() (int64, error) {
 // When req.Trace is non-nil the execution is recorded into it: the
 // memory probe outcome per key, per-segment disk activity on a miss,
 // and stage timings. Every trace-related branch is guarded by a nil
-// check, so the disabled path adds no allocations.
+// check, so the disabled path adds no allocations. A search that takes
+// SlowQueryNanos or longer leaves a query_slow event in the flight
+// recorder, built from the timings the histograms are fed anyway.
 func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 	if e.closed.Load() {
 		return query.Result{}, ErrClosed
@@ -803,13 +793,6 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 		op = query.OpSingle
 	}
 	tr := req.Trace
-	// Slow-query capture: with a threshold configured and no caller
-	// trace, attach one speculatively — whether it is kept is decided by
-	// the query's final wall time.
-	slowCapture := tr == nil && e.slowlog != nil
-	if slowCapture {
-		tr = &trace.Trace{}
-	}
 	if tr != nil {
 		tr.Op = op.String()
 		tr.K = k
@@ -870,7 +853,8 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 		}
 	}
 	gatherEnd := time.Now()
-	e.reg.ObserveQueryStage(metrics.QStageIndex, gatherEnd.Sub(start))
+	indexD := gatherEnd.Sub(start)
+	e.reg.ObserveQueryStage(metrics.QStageIndex, indexD)
 
 	// Hit determination follows Section IV-D: a single-key query hits
 	// when its entry holds k postings; an OR query hits only when EVERY
@@ -894,7 +878,8 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 		mem = query.IntersectTopK(lists, k)
 		hit = len(mem) >= k
 	}
-	e.reg.ObserveQueryStage(metrics.QStageHeap, time.Since(gatherEnd))
+	heapD := time.Since(gatherEnd)
+	e.reg.ObserveQueryStage(metrics.QStageHeap, heapD)
 
 	if tr != nil {
 		tr.MemoryHit = hit
@@ -903,6 +888,7 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 	}
 
 	res := query.Result{Items: mem, MemoryHit: hit}
+	var diskD time.Duration
 	if !res.MemoryHit {
 		res.DiskChecked = true
 		diskStart := time.Now()
@@ -914,7 +900,8 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 			tr.Stage("disk", diskStart)
 		}
 		res.Items = query.MergeTopK([][]query.Item{mem, diskItems}, k)
-		e.reg.ObserveQueryStage(metrics.QStageDisk, time.Since(diskStart))
+		diskD = time.Since(diskStart)
+		e.reg.ObserveQueryStage(metrics.QStageDisk, diskD)
 	}
 
 	// Inform the policy which memory records the answer used (LRU
@@ -935,8 +922,13 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 		tr.Items = len(res.Items)
 		tr.Stage("total", start)
 	}
-	if slowCapture && elapsed.Nanoseconds() >= e.cfg.SlowQueryNanos {
-		e.slowlog.Add(tr, elapsed.Nanoseconds())
+	if thr := e.cfg.SlowQueryNanos; thr > 0 && elapsed.Nanoseconds() >= thr {
+		keys := make([]string, len(req.Keys))
+		for i, key := range req.Keys {
+			keys[i] = e.cfg.EncodeKey(key)
+		}
+		e.bbox.RecordSlowQuery(op, k, len(keys), hit, indexD.Nanoseconds(), heapD.Nanoseconds(),
+			diskD.Nanoseconds(), elapsed.Nanoseconds(), strings.Join(keys, " "))
 	}
 	return res, nil
 }
@@ -997,18 +989,37 @@ func (e *Engine[K]) Mem() *memsize.Tracker { return &e.mem }
 // Metrics exposes the counter registry.
 func (e *Engine[K]) Metrics() *metrics.Registry { return &e.reg }
 
-// Journal exposes the flush audit journal: one structured event per
-// completed flush cycle, newest DefaultSize retained.
-func (e *Engine[K]) Journal() *flushlog.Journal { return e.journal }
-
-// Blackbox exposes the flight recorder; nil when disabled. Its Events
-// snapshot merges every subsystem ring into one sequence-ordered
-// timeline.
+// Blackbox exposes the flight recorder. Its Events snapshot merges
+// every subsystem ring into one sequence-ordered timeline, which
+// blackbox.FlushCycles and blackbox.SlowQueries turn into the flush log
+// and the slow-query log.
 func (e *Engine[K]) Blackbox() *blackbox.Recorder { return e.bbox }
 
-// SlowLog exposes the slow-query ring; nil unless SlowQueryNanos is
-// configured.
-func (e *Engine[K]) SlowLog() *blackbox.SlowLog { return e.slowlog }
+// recordPhase is the policies' phase hook (policy.Resources.OnPhase):
+// one flush_phase event under the running cycle's ID, followed by one
+// flush_phase_worker per worker the phase fanned out over.
+func (e *Engine[K]) recordPhase(phase int, victims, freed, nanos int64, workerNanos []int64) {
+	e.bbox.RecordID(blackbox.SubFlush, blackbox.EvFlushPhase, e.cycle, int64(phase), victims, freed, nanos)
+	for w, n := range workerNanos {
+		e.bbox.RecordID(blackbox.SubFlush, blackbox.EvFlushPhaseWorker, e.cycle, 0, int64(phase), int64(w), n)
+	}
+}
+
+// flag and errText render a bool and an error as an event's argument
+// word and note.
+func flag(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
 
 // dumpBlackbox snapshots the flight recorder next to the disk tier. It
 // is called on degraded-mode entry and from panic recovery, so failures
@@ -1040,8 +1051,8 @@ func (e *Engine[K]) CheckReady() error {
 			return fmt.Errorf("%w: %s (probe: %v)", ErrDegraded, reason, probeErr)
 		}
 		// The write probes pass again: leave degraded mode so ingestion
-		// resumes. Serialize with flush cycles for the journal write; if
-		// a cycle is in flight it will decide the state itself.
+		// resumes. If a cycle is in flight it will decide the state
+		// itself.
 		if e.flushMu.TryLock() {
 			e.exitDegraded("readiness probe")
 			e.flushMu.Unlock()
@@ -1165,17 +1176,15 @@ func (e *Engine[K]) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	if e.bbox != nil {
-		blackbox.UnregisterDumper(e.cfg.DiskDir)
-	}
+	blackbox.UnregisterDumper(e.cfg.DiskDir)
 	if e.tunStop != nil {
 		close(e.tunStop)
 		e.tunWG.Wait()
 	}
 	// Drain any in-flight background flush first (closed is set, so no
 	// new cycle can start once the gate is observed free), then drain
-	// the pipeline WITHOUT holding the gate — completions take it for
-	// rollback and journal writes. Queued batches are out of memory, so
+	// the pipeline WITHOUT holding the gate — completions take it to
+	// conclude. Queued batches are out of memory, so
 	// they must reach the tier (or be restored) before the snapshot
 	// below is cut; otherwise the snapshot would be their only grave.
 	e.flushMu.Lock()

@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"kflushing/internal/attr"
+	"kflushing/internal/blackbox"
 	"kflushing/internal/clock"
 	"kflushing/internal/core"
-	"kflushing/internal/flushlog"
 	"kflushing/internal/policy"
 	"kflushing/internal/query"
 	"kflushing/internal/trace"
@@ -119,16 +119,13 @@ func TestJournalRecordsKFlushingCycle(t *testing.T) {
 	if _, err := eng.FlushNow(); err != nil {
 		t.Fatal(err)
 	}
-	evs := eng.Journal().Events()
+	evs := flushLog(t, eng)
 	if len(evs) == 0 {
 		t.Fatal("journal recorded no cycles")
 	}
 	ev := evs[len(evs)-1]
-	if ev.Policy != "kflushing" {
-		t.Fatalf("policy = %q", ev.Policy)
-	}
-	if ev.Trigger != flushlog.TriggerManual {
-		t.Fatalf("trigger = %q, want %q", ev.Trigger, flushlog.TriggerManual)
+	if ev.Trigger != blackbox.TriggerManual.String() {
+		t.Fatalf("trigger = %q, want %q", ev.Trigger, blackbox.TriggerManual)
 	}
 	if len(ev.Phases) == 0 {
 		t.Fatal("cycle has no phases")
@@ -149,7 +146,7 @@ func TestJournalRecordsKFlushingCycle(t *testing.T) {
 	if ev.Satisfied != (ev.Freed >= ev.Target) {
 		t.Fatalf("satisfied flag inconsistent: %+v", ev)
 	}
-	if ev.Seq == 0 || ev.Start == 0 {
+	if ev.ID == 0 || ev.Start == 0 || !ev.Complete {
 		t.Fatalf("unsealed event published: %+v", ev)
 	}
 }
@@ -160,8 +157,8 @@ func TestJournalRecordsBudgetTrigger(t *testing.T) {
 		ingest(t, eng, int64(i), fmt.Sprintf("k%d", i%11))
 	}
 	var sawBudget bool
-	for _, ev := range eng.Journal().Events() {
-		if ev.Trigger == flushlog.TriggerBudget {
+	for _, ev := range flushLog(t, eng) {
+		if ev.Trigger == blackbox.TriggerBudget.String() {
 			sawBudget = true
 		}
 	}
@@ -186,7 +183,7 @@ func TestJournalBaselinePhaseNames(t *testing.T) {
 		if _, err := eng.FlushNow(); err != nil {
 			t.Fatal(err)
 		}
-		evs := eng.Journal().Events()
+		evs := flushLog(t, eng)
 		if len(evs) == 0 {
 			t.Fatalf("%s: no journal events", tc.name)
 		}

@@ -12,7 +12,6 @@ import (
 	"kflushing/internal/blackbox"
 	"kflushing/internal/disk"
 	"kflushing/internal/failpoint"
-	"kflushing/internal/flushlog"
 	"kflushing/internal/metrics"
 	"kflushing/internal/store"
 )
@@ -25,10 +24,14 @@ var pipelineLabels = pprof.Labels("kflushing", "flush-pipeline-worker")
 // and the dead wrappers whose log claims come down — and which may be
 // recycled — once the payloads are durable. It is out of memory and not
 // yet on disk, but still fully covered by the write-ahead log: the dead
-// wrappers hold their claims until the batch has settled.
+// wrappers hold their claims until the batch has settled. cycle is the
+// ID of the flush cycle that evicted it: whoever completes the batch
+// stamps the stages with it, so a cycle's events share one ID whether
+// the flusher or the pipeline worker ran them.
 type flushBatch struct {
-	recs []disk.FlushRecord
-	dead []*store.Record
+	recs  []disk.FlushRecord
+	dead  []*store.Record
+	cycle uint64
 }
 
 // flushSink is the policies' sink: it parks the cycle's batch for
@@ -116,12 +119,12 @@ func (p *flushPipeline[K]) tryEnqueue(b flushBatch) bool {
 		p.enqueued++
 		p.e.reg.PipelineEnqueued.Add(1)
 		depth := p.e.reg.PipelineDepth.Add(1)
-		p.e.bbox.Record(blackbox.SubFlush, blackbox.EvFlushEnqueue,
+		p.e.bbox.RecordID(blackbox.SubFlush, blackbox.EvFlushEnqueue, b.cycle, 0,
 			int64(len(b.recs)), depth, 0)
 		return true
 	default:
 		p.e.reg.PipelineFallbacks.Add(1)
-		p.e.bbox.Record(blackbox.SubFlush, blackbox.EvFlushFallback,
+		p.e.bbox.RecordID(blackbox.SubFlush, blackbox.EvFlushFallback, b.cycle, 0,
 			int64(len(b.recs)), 0, 0)
 		return false
 	}
@@ -157,10 +160,8 @@ func (p *flushPipeline[K]) complete(b flushBatch) {
 	c := e.persist(b, false)
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
-	e.journal.Begin(e.pol.Name(), flushlog.TriggerPipeline, 0, e.mem.Used(), c.start)
 	e.conclude(c)
-	e.journal.End(int64(c.fs.Bytes), e.mem.Used(), time.Since(c.start), c.err)
-	e.flushOutcome(c.err, c.durable, "pipeline install")
+	e.flushOutcome(c.err, c.durable, b.cycle, "pipeline install")
 	if c.err != nil {
 		slog.Error("engine: pipelined flush failed",
 			"records", len(b.recs), "restored", !c.installed, "error", c.err)
@@ -202,8 +203,7 @@ func (p *flushPipeline[K]) settleDeferred() {
 }
 
 // close stops intake and drains every queued batch through the worker.
-// The caller must NOT hold flushMu: completions take it for rollback
-// and journal writes.
+// The caller must NOT hold flushMu: completions take it to conclude.
 func (p *flushPipeline[K]) close() {
 	if p.closed.CompareAndSwap(false, true) {
 		close(p.ch)
@@ -224,17 +224,16 @@ func (p *flushPipeline[K]) depth() int {
 // release stages every flush goes through after prepare. Two functions
 // run it, split where the flush gate becomes necessary: persist needs
 // none, conclude must hold it. The flusher calls both under the gate it
-// already holds, inside its cycle's open journal event; the pipeline
-// worker takes the gate between them and opens a "pipeline" event of
-// its own. Who runs a completion is the only thing that varies; gate
-// wait is booked to no stage.
+// already holds, before its cycle's flush_end; the pipeline worker
+// takes the gate between them, after it. Who runs a completion is the
+// only thing that varies — the stage events say which — and gate wait
+// is booked to no stage.
 type flushCompletion struct {
 	batch flushBatch
 	// ordered: the dead additionally wait for every batch still queued,
 	// because some of their payloads may ride those. Not so on the
 	// worker, which is serial — every earlier batch has completed.
 	ordered bool
-	start   time.Time
 	fs      disk.FlushStats
 	// durable: this very completion installed a segment, the only
 	// evidence that clears degraded mode. A batch with nothing to write
@@ -248,7 +247,7 @@ type flushCompletion struct {
 // are safe on disk (or there were none), releases its dead: nothing
 // re-enters memory, so no gate is needed.
 func (e *Engine[K]) persist(b flushBatch, ordered bool) *flushCompletion {
-	c := &flushCompletion{batch: b, ordered: ordered, start: time.Now()}
+	c := &flushCompletion{batch: b, ordered: ordered}
 	if len(b.recs) > 0 {
 		c.err = failpoint.Eval(failpoint.FlushAfterEvict)
 		if c.err == nil {
@@ -277,21 +276,25 @@ func (e *Engine[K]) persist(b flushBatch, ordered bool) *flushCompletion {
 // never became durable comes back into memory, under fresh claims,
 // before the wrappers it replaces give theirs back (and are left to the
 // garbage collector); then the stages that ran are booked, once, to the
-// histograms and the open journal event.
+// histograms and — under the evicting cycle's ID, marked inline or
+// worker — to the flight recorder. The release event of a failed
+// completion carries the error: on the worker it is the only event of
+// the cycle that can.
 func (e *Engine[K]) conclude(c *flushCompletion) {
 	if !c.installed {
 		e.release(c)
 	}
+	id, worker := c.batch.cycle, flag(!c.ordered)
+	recs, bytes := int64(len(c.batch.recs)), c.fs.Bytes
 	if c.fs.BuildNanos > 0 {
 		e.reg.ObserveStage(metrics.StageBuild, time.Duration(c.fs.BuildNanos))
 		e.reg.ObserveStage(metrics.StageInstall, time.Duration(c.fs.InstallNanos))
-		e.journal.Stage("build", c.fs.BuildNanos)
-		e.journal.Stage("install", c.fs.InstallNanos)
+		e.bbox.RecordID(blackbox.SubFlush, blackbox.EvFlushBuild, id, worker, recs, bytes, c.fs.BuildNanos)
+		e.bbox.RecordID(blackbox.SubFlush, blackbox.EvFlushInstall, id, worker, recs, bytes, c.fs.InstallNanos)
 	}
 	e.reg.ObserveStage(metrics.StageRelease, c.release)
-	e.journal.Stage("release", c.release.Nanoseconds())
-	e.bbox.Record(blackbox.SubFlush, blackbox.EvFlushRelease,
-		int64(len(c.batch.recs)), int64(c.fs.Bytes), c.release.Nanoseconds())
+	e.bbox.RecordNote(blackbox.SubFlush, blackbox.EvFlushRelease, id, worker,
+		recs, bytes, c.release.Nanoseconds(), errText(c.err))
 }
 
 // release is the release stage, timed where it runs: a batch that never

@@ -9,9 +9,9 @@ import (
 	"time"
 
 	"kflushing/internal/alloc"
+	"kflushing/internal/blackbox"
 	"kflushing/internal/disk"
 	"kflushing/internal/failpoint"
-	"kflushing/internal/flushlog"
 	"kflushing/internal/metrics"
 	"kflushing/internal/query"
 	"kflushing/internal/store"
@@ -94,7 +94,7 @@ func TestFlushCompletionMatrix(t *testing.T) {
 				var batches int64
 				segments := 0
 				if mode == fallback {
-					// Park the worker: it needs the gate to journal its
+					// Park the worker: it needs the gate to conclude its
 					// first batch. Once that batch's dead have settled it
 					// is past both failpoint sites and the write, so what
 					// is armed below can only hit the batch under test.
@@ -124,7 +124,7 @@ func TestFlushCompletionMatrix(t *testing.T) {
 					budgetCycle(t, eng)
 					waitPipelineIdle(t, eng)
 				case fallback:
-					_, cycleErr = eng.flushCycle(flushlog.TriggerBudget)
+					_, cycleErr = eng.flushCycle(blackbox.TriggerBudget)
 				}
 				batches++
 				if (cycleErr != nil) != (oc.fails && mode != pipelined) {
@@ -181,48 +181,53 @@ func TestFlushCompletionMatrix(t *testing.T) {
 				checkQuiescent()
 
 				// Each completed batch observed the release stage once, and
-				// no event books more stage time than it took. The batch
-				// under test carries the stages that ran, on one event when
-				// it completed inline, split across two when pipelined.
+				// no cycle books more inline stage time than it took
+				// (flushLog checks). The cycle under test — the last one
+				// begun so far — is one record carrying the stages that
+				// ran under its own ID: all inline, or, pipelined, prepare
+				// inline and the completion on the worker.
 				if runs := eng.reg.Snap().Stages[metrics.StageRelease].Runs; runs != batches {
 					t.Fatalf("release stage observed %d times over %d completed batches", runs, batches)
 				}
-				completion := []string{"release"}
+				want := []blackbox.FlushStage{{Name: "prepare"}}
 				if oc.wrote {
-					completion = []string{"build", "install", "release"}
+					want = append(want, blackbox.FlushStage{Name: "build"}, blackbox.FlushStage{Name: "install"})
 				}
-				want := map[string][]string{
-					flushlog.TriggerManual:   append([]string{"prepare"}, completion...),
-					flushlog.TriggerBudget:   append([]string{"prepare"}, completion...),
-					flushlog.TriggerPipeline: completion,
+				want = append(want, blackbox.FlushStage{Name: "release"})
+				for i := range want[1:] {
+					want[1+i].Worker = mode == pipelined
 				}
-				if mode == pipelined {
-					want[flushlog.TriggerBudget] = []string{"prepare"}
-				}
-				last := map[string][]string{}
-				sawDegraded := false
-				for _, ev := range eng.Journal().Last(0) {
-					var names []string
-					var sum int64
-					for _, st := range ev.Stages {
-						names = append(names, st.Name)
-						sum += st.Nanos
-					}
-					if sum > ev.Nanos {
-						t.Fatalf("%s event books %d ns of stages in %d ns of wall time", ev.Trigger, sum, ev.Nanos)
-					}
-					if mode != fallback || ev.Trigger == flushlog.TriggerBudget {
-						last[ev.Trigger] = names // fallback: the worker's events are the fillers'
-					}
-					sawDegraded = sawDegraded || ev.Trigger == flushlog.TriggerDegraded
-				}
-				for trigger, names := range last {
-					if w, ok := want[trigger]; ok && !slices.Equal(names, w) {
-						t.Fatalf("%s event stages = %v, want %v", trigger, names, w)
+				log := flushLog(t, eng)
+				for _, c := range log {
+					if !c.Complete {
+						t.Fatalf("cycle %d incomplete with the pipeline idle: %+v", c.ID, c)
 					}
 				}
-				if sawDegraded != oc.fails {
-					t.Fatalf("degraded event journaled = %v, want %v", sawDegraded, oc.fails)
+				cycle := log[len(log)-1]
+				got := slices.Clone(cycle.Stages)
+				for i := range got {
+					got[i].Nanos = 0
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("cycle %d stages = %+v, want %+v", cycle.ID, got, want)
+				}
+				if (cycle.Err != "") != oc.fails {
+					t.Fatalf("cycle %d error = %q, want one: %v", cycle.ID, cycle.Err, oc.fails)
+				}
+				// The completion's events are exactly the cycle's: every
+				// event under its ID, and — a failure — the degraded entry
+				// that names it and the cause.
+				var entered []blackbox.Event
+				for _, ev := range eng.Blackbox().Events() {
+					if ev.Event == "degraded_enter" {
+						entered = append(entered, ev)
+					}
+				}
+				if (len(entered) == 1) != oc.fails {
+					t.Fatalf("degraded_enter events = %+v, want one: %v", entered, oc.fails)
+				}
+				if oc.fails && (entered[0].ID != cycle.ID || entered[0].Note != cycle.Err) {
+					t.Fatalf("degraded_enter = %+v, want cycle %d and cause %q", entered[0], cycle.ID, cycle.Err)
 				}
 
 				// The fault is gone: a readiness probe (or, in fallback
@@ -234,10 +239,10 @@ func TestFlushCompletionMatrix(t *testing.T) {
 				if degraded, _ := eng.Degraded(); degraded {
 					t.Fatal("still degraded after a successful readiness probe")
 				}
-				if oc.fails && !slices.ContainsFunc(eng.Journal().Last(0), func(ev flushlog.Event) bool {
-					return ev.Trigger == flushlog.TriggerDegradedClear
+				if oc.fails && !slices.ContainsFunc(eng.Blackbox().Events(), func(ev blackbox.Event) bool {
+					return ev.Event == "degraded_clear"
 				}) {
-					t.Fatal("no degraded-clear event in the flush journal")
+					t.Fatal("no degraded_clear event in the flight recorder")
 				}
 				load(5)
 				if _, err := eng.FlushNow(); err != nil {

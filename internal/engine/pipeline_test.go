@@ -1,14 +1,15 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"kflushing/internal/attr"
+	"kflushing/internal/blackbox"
 	"kflushing/internal/clock"
 	"kflushing/internal/core"
 	"kflushing/internal/disk"
-	"kflushing/internal/flushlog"
 	"kflushing/internal/metrics"
 	"kflushing/internal/query"
 )
@@ -43,7 +44,7 @@ func newPipelineEngine(t *testing.T, budget int64) *Engine[string] {
 // evicts everything in memory. The caller holds flushMu.
 func budgetCycleLocked(t *testing.T, e *Engine[string]) {
 	t.Helper()
-	if _, err := e.flushCycle(flushlog.TriggerBudget); err != nil {
+	if _, err := e.flushCycle(blackbox.TriggerBudget); err != nil {
 		t.Fatalf("budget cycle: %v", err)
 	}
 }
@@ -84,8 +85,8 @@ func waitPipelineIdle(t *testing.T, e *Engine[string]) {
 // TestPipelineEnqueueAndComplete drives one batch through the pipeline
 // exactly as a budget-triggered cycle does: the cycle enqueues instead
 // of writing, the worker builds and installs the segment, and the
-// completion is journaled as a "pipeline" event with build, install
-// and release stage timings.
+// cycle's one record in the flush log holds prepare, run inline, and
+// build, install and release, run on the worker.
 func TestPipelineEnqueueAndComplete(t *testing.T) {
 	eng := newPipelineEngine(t, 1<<30)
 	ingestP(t, eng, 1, 20)
@@ -113,25 +114,20 @@ func TestPipelineEnqueueAndComplete(t *testing.T) {
 		t.Fatalf("degraded after successful pipelined flush: %s", reason)
 	}
 
-	// The completion is journaled with its stage timings.
-	var pipe *flushlog.Event
-	for _, ev := range eng.Journal().Last(0) {
-		if ev.Trigger == flushlog.TriggerPipeline {
-			e := ev
-			pipe = &e
+	// The completion is on the cycle's own record, with its timings.
+	log := flushLog(t, eng)
+	if len(log) != 1 || !log[0].Complete {
+		t.Fatalf("flush log after one drained cycle = %+v, want one complete cycle", log)
+	}
+	var stages []string
+	for _, st := range log[0].Stages {
+		if st.Worker != (st.Name != "prepare") || st.Nanos <= 0 {
+			t.Fatalf("stage %+v of a pipelined cycle: only prepare runs inline, and every stage takes time", st)
 		}
+		stages = append(stages, st.Name)
 	}
-	if pipe == nil {
-		t.Fatal("no pipeline event in the flush journal")
-	}
-	stages := map[string]bool{}
-	for _, st := range pipe.Stages {
-		stages[st.Name] = true
-	}
-	for _, want := range []string{"build", "install", "release"} {
-		if !stages[want] {
-			t.Fatalf("pipeline event missing stage %q: %+v", want, pipe.Stages)
-		}
+	if want := []string{"prepare", "build", "install", "release"}; !slices.Equal(stages, want) {
+		t.Fatalf("pipelined cycle's stages = %v, want %v", stages, want)
 	}
 
 	// Stage histograms observed the async build and install.
@@ -151,7 +147,7 @@ func TestPipelineEnqueueAndComplete(t *testing.T) {
 func TestPipelineFallbackWhenFull(t *testing.T) {
 	eng := newPipelineEngine(t, 1<<30)
 
-	// The worker needs flushMu to journal a completion; holding it parks
+	// The worker needs flushMu to conclude a completion; holding it parks
 	// the worker on its first batch, so the queue behind it stays full:
 	// one batch in the worker's hands, pipelineDepth queued, the rest
 	// must fall back.

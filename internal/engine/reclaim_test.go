@@ -212,6 +212,17 @@ func TestWALReclaimSoak(t *testing.T) {
 			if reclaims == 0 {
 				t.Fatal("no wal_reclaim event in the flight recorder")
 			}
+			// Hundreds of budget cycles, every one whole and its timings
+			// adding up (flushLog checks them).
+			log := flushLog(t, eng)
+			if len(log) < 100 {
+				t.Fatalf("flush log holds %d cycles after a %d-record soak", len(log), total)
+			}
+			for _, c := range log {
+				if !c.Complete || c.Trigger != "budget" || len(c.Phases) == 0 {
+					t.Fatalf("soak cycle %+v, want a complete budget cycle with its phases", c)
+				}
+			}
 			t.Logf("records=%d peak_log=%d (%.2fx budget) relocated=%d reclaimed=%d",
 				total, peak, float64(peak)/budget, st.RelocatedRecords, st.ReclaimedBytes)
 			checkCrashCopy(t, cfg, total/batch*batch)

@@ -7,7 +7,6 @@ import (
 
 	"kflushing/internal/blackbox"
 	"kflushing/internal/failpoint"
-	"kflushing/internal/flushlog"
 	"kflushing/internal/tuner"
 )
 
@@ -108,7 +107,6 @@ func (e *Engine[K]) tuneTickLocked() {
 	if !dec.Ticked || !changed {
 		return
 	}
-	start := time.Now()
 	e.tunedFraction.Store(math.Float64bits(dec.FlushFraction))
 	e.tunedWatermark.Store(dec.WatermarkBytes)
 	if dec.CacheBytes != e.tunedCache.Load() {
@@ -119,11 +117,7 @@ func (e *Engine[K]) tuneTickLocked() {
 	if ba, ok := e.pol.(budgetAware); ok {
 		ba.SetSegmentBytes(target)
 	}
-	// The adjustment is auditable like any state transition: one
-	// Begin/End pair in the flush journal (no flushing happens under
-	// this trigger) and one flight-recorder event.
-	e.journal.Begin(e.pol.Name(), flushlog.TriggerTuner, target, e.mem.Used(), start)
-	e.journal.End(0, e.mem.Used(), time.Since(start), nil)
+	// The adjustment is auditable like any state transition.
 	e.bbox.Record(blackbox.SubTuner, blackbox.EvTunerAdjust,
 		int64(dec.FlushFraction*10000), dec.WatermarkBytes, dec.CacheBytes)
 	slog.Debug("engine: tuner adjustment",

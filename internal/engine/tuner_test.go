@@ -243,7 +243,7 @@ func TestTunerFrozenWhileDegraded(t *testing.T) {
 		t.Fatal("controller never ticked before entering degraded mode")
 	}
 
-	eng.enterDegraded(errors.New("injected tier failure"))
+	eng.enterDegraded(errors.New("injected tier failure"), 0)
 	for i := 0; i < 5; i++ {
 		eng.maybeTune()
 	}

@@ -4,7 +4,7 @@ import (
 	"sync"
 	"time"
 
-	"kflushing/internal/flushlog"
+	"kflushing/internal/blackbox"
 	"kflushing/internal/memsize"
 	"kflushing/internal/store"
 )
@@ -87,8 +87,8 @@ func (f *FIFO[K]) OnIngest(recs []*store.Record, keys [][]K) {
 func (f *FIFO[K]) OnAccess([]*store.Record) {}
 
 // Flush drops the oldest segments until at least target bytes are freed
-// or no sealed data remains. The audit journal receives one phase event
-// counting the temporal segments dropped.
+// or no sealed data remains. The engine is told of one phase, counting
+// the temporal segments dropped.
 func (f *FIFO[K]) Flush(target int64) (int64, error) {
 	start := time.Now()
 	buf := NewVictimBuffer(f.r.Mem, f.r.Sink, false)
@@ -109,12 +109,7 @@ func (f *FIFO[K]) Flush(target int64) (int64, error) {
 		victims++
 	}
 	buf.Close()
-	f.r.Journal.Phase(flushlog.PhaseEvent{
-		Name:    "fifo-segments",
-		Victims: victims,
-		Freed:   freed,
-		Nanos:   time.Since(start).Nanoseconds(),
-	})
+	f.r.Phase(blackbox.PhaseFIFOSegments, victims, freed, time.Since(start), nil)
 	return freed, nil
 }
 

@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"kflushing/internal/flushlog"
+	"kflushing/internal/blackbox"
 	"kflushing/internal/memsize"
 	"kflushing/internal/store"
 )
@@ -97,8 +97,8 @@ func (l *LRU[K]) OnAccess(recs []*store.Record) {
 }
 
 // Flush evicts records from the list tail until at least target bytes
-// are freed or the list empties. The audit journal receives one phase
-// event counting the records evicted.
+// are freed or the list empties. The engine is told of one phase,
+// counting the records evicted.
 func (l *LRU[K]) Flush(target int64) (int64, error) {
 	start := time.Now()
 	buf := NewVictimBuffer(l.r.Mem, l.r.Sink, true)
@@ -117,12 +117,7 @@ func (l *LRU[K]) Flush(target int64) (int64, error) {
 		victims++
 	}
 	buf.Close()
-	l.r.Journal.Phase(flushlog.PhaseEvent{
-		Name:    "lru-tail",
-		Victims: victims,
-		Freed:   freed,
-		Nanos:   time.Since(start).Nanoseconds(),
-	})
+	l.r.Phase(blackbox.PhaseLRUTail, victims, freed, time.Since(start), nil)
 	return freed, nil
 }
 

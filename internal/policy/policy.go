@@ -10,10 +10,10 @@ package policy
 
 import (
 	"sync"
+	"time"
 
 	"kflushing/internal/clock"
 	"kflushing/internal/disk"
-	"kflushing/internal/flushlog"
 	"kflushing/internal/index"
 	"kflushing/internal/memsize"
 	"kflushing/internal/metrics"
@@ -54,10 +54,19 @@ type Resources[K comparable] struct {
 	// Metrics receives per-phase flushing instrumentation; may be nil
 	// (direct policy tests).
 	Metrics *metrics.Registry
-	// Journal receives the structured flush audit events; may be nil
-	// (all Journal methods are nil-safe, so policies record events
-	// unconditionally).
-	Journal *flushlog.Journal
+	// OnPhase receives each executed phase of a flush cycle — its
+	// blackbox.Phase* number, eviction units, bytes freed, duration and,
+	// when the phase fanned out over workers, each worker's duration —
+	// for the engine's flight recorder; may be nil (direct policy
+	// tests). Policies report through Phase.
+	OnPhase func(phase int, victims, freed, nanos int64, workerNanos []int64)
+}
+
+// Phase reports one executed flush phase to the engine, if one listens.
+func (r *Resources[K]) Phase(phase int, victims, freed int64, d time.Duration, workerNanos []int64) {
+	if r.OnPhase != nil {
+		r.OnPhase(phase, victims, freed, d.Nanoseconds(), workerNanos)
+	}
 }
 
 // Unref releases one index reference on rec. When the count reaches zero

@@ -21,9 +21,7 @@ type storeAPI interface {
 	SearchNearbyTraced(lat, lon, radiusMiles float64, k int) (kflushing.Result, *kflushing.Trace, error)
 	SearchUser(id uint64, k int) (kflushing.Result, error)
 	SearchUserTraced(id uint64, k int) (kflushing.Result, *kflushing.Trace, error)
-	FlushLogs(n int) map[string][]kflushing.FlushEvent
 	BlackboxEvents() map[string][]kflushing.BlackboxEvent
-	SlowQueries() map[string][]kflushing.SlowQuery
 	Ready() map[string]string
 	DiskHealth() map[string]kflushing.DiskHealth
 	SetK(k int)
@@ -59,9 +57,7 @@ func TestAttributeTable(t *testing.T) {
 		return keys
 	}
 	for name, m := range map[string]any{
-		"FlushLogs":      st.FlushLogs(0),
 		"BlackboxEvents": st.BlackboxEvents(),
-		"SlowQueries":    st.SlowQueries(),
 		"DiskHealth":     st.DiskHealth(),
 		"TunerStates":    st.TunerStates(),
 		"Stats":          st.Stats(),

@@ -4,22 +4,26 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"testing"
 
 	"kflushing"
+	"kflushing/internal/blackbox"
 )
 
 // timelineResp mirrors the /debug/blackbox JSON body.
 type timelineResp struct {
-	EpochUnixNanos int64 `json:"epoch_unix_nanos"`
-	Events         []struct {
-		Attr      string           `json:"attr"`
-		Seq       uint64           `json:"seq"`
-		Nanos     int64            `json:"nanos"`
-		Subsystem string           `json:"subsystem"`
-		Event     string           `json:"event"`
-		Args      map[string]int64 `json:"args"`
-	} `json:"events"`
+	EpochUnixNanos int64                     `json:"epoch_unix_nanos"`
+	Events         []kflushing.TimelineEvent `json:"events"`
+}
+
+// events strips the attribute labels, for the views.
+func (tl timelineResp) events() []kflushing.BlackboxEvent {
+	out := make([]kflushing.BlackboxEvent, len(tl.Events))
+	for i, ev := range tl.Events {
+		out[i] = ev.Event
+	}
+	return out
 }
 
 func getTimeline(t *testing.T, h http.Handler, path string) timelineResp {
@@ -99,8 +103,8 @@ func TestDebugBlackboxTimeline(t *testing.T) {
 		}
 		lastSeq = ev.Seq
 		attrs[ev.Attr] = true
-		if _, ok := firstOf[ev.Event]; !ok {
-			firstOf[ev.Event] = ev.Seq
+		if _, ok := firstOf[ev.Event.Event]; !ok {
+			firstOf[ev.Event.Event] = ev.Seq
 		}
 	}
 	// One flush cycle's cross-subsystem story must be present and causal:
@@ -163,25 +167,25 @@ func TestDebugBlackboxTimeline(t *testing.T) {
 		}
 	}
 
-	// The 1 ns threshold made every untraced search slow: /debug/slowlog
-	// serves the captured traces.
-	rw := do(t, h, http.MethodGet, "/debug/slowlog?attr=keyword", "")
-	if rw.Code != http.StatusOK {
-		t.Fatalf("/debug/slowlog status %d", rw.Code)
-	}
-	var slow map[string][]kflushing.SlowQuery
-	if err := json.Unmarshal(rw.Body.Bytes(), &slow); err != nil {
-		t.Fatal(err)
-	}
-	if len(slow["keyword"]) == 0 {
+	// The 1 ns threshold made every search slow: the query subsystem's
+	// events are the slow-query log, on the same timeline as the flush
+	// cycles, and the facade's view agrees with the endpoint's.
+	queries := getTimeline(t, h, "/debug/blackbox?attr=keyword&subsystem=query")
+	slow := blackbox.SlowQueries(queries.events(), queries.EpochUnixNanos)
+	if len(slow) == 0 {
 		t.Fatal("no slow queries captured despite 1 ns threshold")
 	}
-	for _, sq := range slow["keyword"] {
-		if sq.Trace == nil || sq.DurationNanos <= 0 || sq.Seq == 0 {
+	for _, sq := range slow {
+		if sq.Keys != "all" || sq.NumKeys != 1 || sq.DurationNanos <= 0 || sq.Seq == 0 || sq.ID == 0 ||
+			sq.IndexNanos+sq.HeapNanos+sq.DiskNanos > sq.DurationNanos || sq.UnixNanos < queries.EpochUnixNanos {
 			t.Fatalf("malformed slow query: %+v", sq)
 		}
 	}
-	if rw := do(t, h, http.MethodGet, "/debug/slowlog?attr=bogus", ""); rw.Code != http.StatusBadRequest {
-		t.Errorf("/debug/slowlog?attr=bogus status %d, want 400", rw.Code)
+	if local := st.kw.SlowQueries(); !reflect.DeepEqual(local, slow) {
+		t.Fatalf("SlowQueries() = %+v, the endpoint's events fold to %+v", local, slow)
+	}
+	byID := getTimeline(t, h, fmt.Sprintf("/debug/blackbox?id=%d", slow[0].ID))
+	if len(byID.Events) != 1 || byID.Events[0].Event.Event != "query_slow" || byID.Events[0].Note != "all" {
+		t.Fatalf("?id= of a slow query = %+v, want its one query_slow event", byID.Events)
 	}
 }

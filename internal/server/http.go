@@ -34,12 +34,14 @@ type HandlerOptions struct {
 //	GET  /search/user?id=42&k=20[&trace=1]
 //	GET  /stats                 per-attribute gauges and counters
 //	GET  /metrics               Prometheus text exposition
-//	GET  /debug/flushlog        flush audit journal (JSON)
-//	GET  /debug/blackbox        flight-recorder merged timeline
+//	GET  /debug/blackbox        flight-recorder merged timeline: every
+//	                            event, flush cycles and slow queries
+//	                            included (kflushctl folds the former
+//	                            into one line per cycle)
 //	                            [?attr=keyword|spatial|user]
-//	                            [&subsystem=ingest|wal|flush|...][&n=256]
-//	GET  /debug/slowlog         auto-captured slow-query traces
-//	                            [?attr=keyword|spatial|user]
+//	                            [&subsystem=ingest|wal|flush|...]
+//	                            [&id=<cycle or query ID>][&n=256]
+//	GET  /debug/tuner           adaptive memory tuner state
 //	GET  /healthz               liveness probe
 //	GET  /readyz                readiness probe (disk + WAL writable,
 //	                            plus per-level disk health and flush
@@ -61,9 +63,7 @@ func (s *Store) HandlerWithOptions(o HandlerOptions) http.Handler {
 	mux.HandleFunc("/search/user", s.handleSearchUser)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/flushlog", s.handleFlushLog)
 	mux.HandleFunc("/debug/blackbox", s.handleBlackbox)
-	mux.HandleFunc("/debug/slowlog", s.handleSlowLog)
 	mux.HandleFunc("/debug/tuner", s.handleTuner)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -326,43 +326,43 @@ func onlyAttr[V any](w http.ResponseWriter, r *http.Request, byAttr map[string]V
 	return map[string]V{attr: v}, true
 }
 
-// handleFlushLog serves the flush audit journal. ?n bounds the number of
-// cycles per attribute (default 50); ?attr restricts to one attribute.
-func (s *Store) handleFlushLog(w http.ResponseWriter, r *http.Request) {
-	n, ok := parseN(w, r, 50)
-	if !ok {
-		return
-	}
-	if logs, ok := onlyAttr(w, r, s.FlushLogs(n)); ok {
-		writeJSON(w, logs)
-	}
-}
-
 // handleBlackbox serves the flight recorder's merged timeline: every
 // attribute system's per-subsystem event rings interleaved in global
 // sequence order, so one flush cycle's WAL, pipeline-stage, and disk
 // events read as a single causal story. ?attr restricts to one attribute
 // system; ?subsystem filters by subsystem name (see blackbox.Subsystems);
-// ?n bounds the response to the most recent n events (default 256).
+// ?id keeps the events of one flush cycle or slow query, whichever
+// subsystem recorded them; ?n bounds the response to the most recent n
+// events (default 256). The filters compose.
 func (s *Store) handleBlackbox(w http.ResponseWriter, r *http.Request) {
 	n, ok := parseN(w, r, 256)
 	if !ok {
 		return
 	}
+	q := r.URL.Query()
+	sub := q.Get("subsystem")
+	if _, ok := blackbox.ParseSubsystem(sub); sub != "" && !ok {
+		http.Error(w, "subsystem must be one of "+strings.Join(blackbox.Subsystems(), "|"),
+			http.StatusBadRequest)
+		return
+	}
+	var id uint64
+	if ids := q.Get("id"); ids != "" {
+		var err error
+		if id, err = strconv.ParseUint(ids, 10, 64); err != nil || id == 0 {
+			http.Error(w, "id must be a positive integer", http.StatusBadRequest)
+			return
+		}
+	}
 	byAttr, ok := onlyAttr(w, r, s.BlackboxEvents())
 	if !ok {
 		return
 	}
-	if sub := r.URL.Query().Get("subsystem"); sub != "" {
-		if _, ok := blackbox.ParseSubsystem(sub); !ok {
-			http.Error(w, "subsystem must be one of "+strings.Join(blackbox.Subsystems(), "|"),
-				http.StatusBadRequest)
-			return
-		}
+	if sub != "" || id != 0 {
 		for a, evs := range byAttr {
 			kept := evs[:0]
 			for _, ev := range evs {
-				if ev.Subsystem == sub {
+				if (sub == "" || ev.Subsystem == sub) && (id == 0 || ev.ID == id) {
 					kept = append(kept, ev)
 				}
 			}
@@ -377,15 +377,6 @@ func (s *Store) handleBlackbox(w http.ResponseWriter, r *http.Request) {
 		"epoch_unix_nanos": blackbox.EpochUnixNanos(),
 		"events":           timeline,
 	})
-}
-
-// handleSlowLog serves the auto-captured slow-query traces (populated
-// only when the server runs with a slow-query threshold). ?attr
-// restricts to one attribute system.
-func (s *Store) handleSlowLog(w http.ResponseWriter, r *http.Request) {
-	if logs, ok := onlyAttr(w, r, s.SlowQueries()); ok {
-		writeJSON(w, logs)
-	}
 }
 
 // handleTuner serves the adaptive memory tuner's per-attribute state:

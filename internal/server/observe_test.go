@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
 	"kflushing"
+	"kflushing/internal/blackbox"
 	"kflushing/internal/promlint"
 )
 
@@ -167,8 +169,10 @@ func TestSearchTraceParam(t *testing.T) {
 	}
 }
 
-// TestFlushLogEndpoint verifies /debug/flushlog reports per-phase
-// victims and freed bytes for recent cycles.
+// TestFlushLogEndpoint verifies the flush log an operator gets over
+// HTTP: /debug/blackbox's flush events fold (as kflushctl folds them)
+// into cycles reporting per-phase victims and freed bytes,
+// and ?id= returns exactly one cycle's events.
 func TestFlushLogEndpoint(t *testing.T) {
 	st := newTestStore(t)
 	for i := 1; i <= 100; i++ {
@@ -180,20 +184,14 @@ func TestFlushLogEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := st.Handler()
-	rw := do(t, h, http.MethodGet, "/debug/flushlog", "")
-	if rw.Code != http.StatusOK {
-		t.Fatalf("/debug/flushlog status %d", rw.Code)
-	}
-	var logs map[string][]kflushing.FlushEvent
-	if err := json.Unmarshal(rw.Body.Bytes(), &logs); err != nil {
-		t.Fatal(err)
-	}
-	evs := logs["keyword"]
+	timeline := getTimeline(t, h, "/debug/blackbox?subsystem=flush&attr=keyword&n=100000")
+	flush, epoch := timeline.events(), timeline.EpochUnixNanos
+	evs := blackbox.FlushCycles(flush, epoch)
 	if len(evs) == 0 {
 		t.Fatal("keyword attribute has no flush cycles")
 	}
 	ev := evs[len(evs)-1]
-	if ev.Policy != "kflushing" || ev.Trigger == "" || len(ev.Phases) == 0 {
+	if ev.Trigger != "manual" || !ev.Complete || ev.Start < epoch || len(ev.Phases) == 0 {
 		t.Fatalf("cycle event incomplete: %+v", ev)
 	}
 	if ev.Phases[0].Name != "regular" {
@@ -206,21 +204,48 @@ func TestFlushLogEndpoint(t *testing.T) {
 	if victims == 0 {
 		t.Fatal("no victims recorded across phases")
 	}
+	// The facade serves the same cycle, and knows the policy.
+	if log := st.kw.FlushLog(1); len(log) != 1 || log[0].ID != ev.ID || log[0].Policy != "kflushing" ||
+		!reflect.DeepEqual(log[0].Phases, ev.Phases) {
+		t.Fatalf("FlushLog(1) = %+v, the endpoint's last cycle is %+v", log, ev)
+	}
 
-	// attr filter and validation.
-	rw = do(t, h, http.MethodGet, "/debug/flushlog?attr=keyword&n=1", "")
-	if rw.Code != http.StatusOK {
-		t.Fatalf("filtered flushlog status %d", rw.Code)
+	// ?id= is every event of that cycle and nothing else, whichever
+	// attribute and subsystem are (also) asked for.
+	var want []uint64
+	for _, e := range flush {
+		if e.ID == ev.ID {
+			want = append(want, e.Seq)
+		}
 	}
-	logs = nil
-	if err := json.Unmarshal(rw.Body.Bytes(), &logs); err != nil {
-		t.Fatal(err)
+	for _, q := range []string{"?id=%d", "?id=%d&attr=keyword", "?id=%d&subsystem=flush&n=1000"} {
+		byID := getTimeline(t, h, "/debug/blackbox"+fmt.Sprintf(q, ev.ID))
+		var got []uint64
+		for _, e := range byID.Events {
+			if e.ID != ev.ID || e.Attr != "keyword" {
+				t.Fatalf("%s returned %+v", q, e)
+			}
+			got = append(got, e.Seq)
+		}
+		if len(got) < 4 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s returned events %v, the cycle's are %v", q, got, want)
+		}
 	}
-	if len(logs) != 1 || len(logs["keyword"]) != 1 {
-		t.Fatalf("attr/n filter ignored: %v", logs)
+	if other := getTimeline(t, h, fmt.Sprintf("/debug/blackbox?id=%d&attr=spatial", ev.ID)); len(other.Events) != 0 {
+		t.Fatalf("a keyword cycle's ID matched spatial events: %+v", other.Events)
 	}
-	if rw = do(t, h, http.MethodGet, "/debug/flushlog?attr=bogus", ""); rw.Code != http.StatusBadRequest {
-		t.Fatalf("bogus attr accepted: %d", rw.Code)
+
+	// Validation: id like n, attr as everywhere.
+	for _, bad := range []string{"?id=abc", "?id=-1", "?id=0", "?id=1.5", "?attr=bogus", "?id=7&n=0"} {
+		if rw := do(t, h, http.MethodGet, "/debug/blackbox"+bad, ""); rw.Code != http.StatusBadRequest {
+			t.Fatalf("/debug/blackbox%s accepted: %d", bad, rw.Code)
+		}
+	}
+	// The journal's and the slow log's own endpoints are gone.
+	for _, gone := range []string{"/debug/flushlog", "/debug/slowlog"} {
+		if rw := do(t, h, http.MethodGet, gone, ""); rw.Code != http.StatusNotFound {
+			t.Fatalf("%s still served: %d", gone, rw.Code)
+		}
 	}
 }
 

@@ -26,9 +26,7 @@ type attrSystem interface {
 	Attr() string
 	Indexes(*kflushing.Microblog) bool
 	IngestBatch([]*kflushing.Microblog) ([]kflushing.ID, error)
-	FlushLog(n int) []kflushing.FlushEvent
 	BlackboxEvents() []kflushing.BlackboxEvent
-	SlowQueries() []kflushing.SlowQuery
 	Ready() error
 	DiskHealth() kflushing.DiskHealth
 	SetK(k int)
@@ -201,24 +199,13 @@ func (s *Store) SearchUserTraced(id uint64, k int) (kflushing.Result, *kflushing
 	return s.us.SearchUserTraced(id, k)
 }
 
-// FlushLogs returns the most recent n audited flush cycles of every
-// attribute system, oldest-first (all retained cycles when n <= 0).
-func (s *Store) FlushLogs(n int) map[string][]kflushing.FlushEvent {
-	return perAttr(s, func(a attrSystem) []kflushing.FlushEvent { return a.FlushLog(n) })
-}
-
 // BlackboxEvents returns each attribute system's retained flight-recorder
 // events, sequence-ordered within each attribute. Keys are the attribute
 // names ("keyword", "spatial", "user"); the /debug/blackbox handler
-// merges them into one timeline.
+// merges them into one timeline, from which blackbox.FlushCycles and
+// blackbox.SlowQueries derive the flush log and the slow-query log.
 func (s *Store) BlackboxEvents() map[string][]kflushing.BlackboxEvent {
 	return perAttr(s, attrSystem.BlackboxEvents)
-}
-
-// SlowQueries returns each attribute system's retained slow-query traces
-// oldest-first (empty unless Options.SlowQueryNanos is set).
-func (s *Store) SlowQueries() map[string][]kflushing.SlowQuery {
-	return perAttr(s, attrSystem.SlowQueries)
 }
 
 // Ready verifies every attribute system can serve writes (disk tier

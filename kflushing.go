@@ -38,7 +38,6 @@ import (
 	"kflushing/internal/core"
 	"kflushing/internal/disk"
 	"kflushing/internal/engine"
-	"kflushing/internal/flushlog"
 	"kflushing/internal/query"
 	"kflushing/internal/ranking"
 	"kflushing/internal/trace"
@@ -72,8 +71,10 @@ type (
 	// Trace is a per-query execution trace; see the *Traced search
 	// variants.
 	Trace = trace.Trace
-	// FlushEvent is one audited flush cycle from the flush journal.
-	FlushEvent = flushlog.Event
+	// FlushEvent is one flush cycle — trigger, phases, stages, outcome —
+	// reassembled from the flight-recorder events that carry its ID; see
+	// System.FlushLog.
+	FlushEvent = blackbox.FlushCycle
 	// RetryPolicy bounds retries around transient disk errors; see
 	// Options.DiskRetry.
 	RetryPolicy = disk.RetryPolicy
@@ -87,8 +88,8 @@ type (
 	// TimelineEvent is a flight-recorder event tagged with the attribute
 	// system it came from, for multi-system merged timelines.
 	TimelineEvent = blackbox.TimelineEvent
-	// SlowQuery is one auto-captured slow-query trace; see
-	// Options.SlowQueryNanos and System.SlowQueries.
+	// SlowQuery is one search that reached Options.SlowQueryNanos, with
+	// its stage timings and keys; see System.SlowQueries.
 	SlowQuery = blackbox.SlowQuery
 	// TunerLimits bounds the adaptive memory tuner; see
 	// Options.AdaptiveMemory.
@@ -197,17 +198,13 @@ type Options struct {
 	// WALSyncEvery fsyncs the write-ahead log after this many ingests
 	// when Durable is set; 0 relies on OS buffering.
 	WALSyncEvery int
-	// BlackboxEvents sizes the per-subsystem flight-recorder rings (0
-	// selects the default of 1024 events per subsystem; negative disables
-	// the recorder entirely). The recorder is always-on and lock-free —
-	// its hot-path cost is a few atomic stores — so disabling it is for
-	// measurement, not production.
-	BlackboxEvents int
-	// SlowQueryNanos auto-captures a full execution trace for any search
-	// slower than this many nanoseconds into an in-memory slow-query log
-	// (see SlowQueries and the server's /debug/slowlog). 0 disables.
-	// Tracing a query disables miss coalescing for it, so a traced miss
-	// pays its own disk search.
+	// SlowQueryNanos records a query_slow event in the flight recorder
+	// for any search that takes this many nanoseconds or longer: its
+	// index/heap/disk/total timings, op, k, hit or miss, and the encoded
+	// keys (see SlowQueries and the server's /debug/blackbox). 0
+	// disables. Searches below the threshold pay nothing, and the
+	// per-segment detail of a captured one is a re-run of its keys
+	// through a *Traced search away.
 	SlowQueryNanos int64
 	// AllocPolicy selects how the hot ingest path allocates: "pooled"
 	// (the default, also selected by "") recycles posting arrays,
@@ -296,7 +293,6 @@ func open[K comparable](dir string, opt Options, spec attr.Spec[K]) (AttrSystem[
 		TrackOverK:      pc.TrackOverK,
 		SyncFlush:       opt.SyncFlush,
 		AllocPolicy:     ap,
-		BlackboxEvents:  opt.BlackboxEvents,
 		SlowQueryNanos:  opt.SlowQueryNanos,
 		AdaptiveMemory:  opt.AdaptiveMemory,
 		TunerLimits:     opt.Tuner,
@@ -342,18 +338,35 @@ func (s *AttrSystem[K]) SearchTraced(keys []K, op Op, k int) (Result, *Trace, er
 	return res, tr, err
 }
 
-// FlushLog returns the most recent n audited flush cycles oldest-first
-// (all retained cycles when n <= 0).
-func (s *AttrSystem[K]) FlushLog(n int) []FlushEvent { return s.eng.Journal().Last(n) }
+// FlushLog returns the most recent n flush cycles the flight recorder
+// retains, oldest-first (all of them when n <= 0). It is a view over
+// BlackboxEvents: each cycle is its ID's events — phases, then prepare,
+// build, install and release wherever they ran — folded into one record;
+// a cycle whose batch the pipeline worker has not finished shows the
+// stages it has and Complete false.
+func (s *AttrSystem[K]) FlushLog(n int) []FlushEvent {
+	cycles := blackbox.FlushCycles(s.eng.Blackbox().EventsOf(blackbox.SubFlush), blackbox.EpochUnixNanos())
+	if n > 0 && len(cycles) > n {
+		cycles = cycles[len(cycles)-n:]
+	}
+	policy := s.eng.Policy().Name()
+	for i := range cycles {
+		cycles[i].Policy = policy
+	}
+	return cycles
+}
 
 // BlackboxEvents returns the flight recorder's retained events across
-// every subsystem, merged in sequence order (empty when the recorder is
-// disabled). See the server's /debug/blackbox for the filtered view.
+// every subsystem, merged in sequence order. See the server's
+// /debug/blackbox for the filtered view.
 func (s *AttrSystem[K]) BlackboxEvents() []BlackboxEvent { return s.eng.Blackbox().Events() }
 
-// SlowQueries returns the retained auto-captured slow-query traces
-// oldest-first (empty unless Options.SlowQueryNanos is set).
-func (s *AttrSystem[K]) SlowQueries() []SlowQuery { return s.eng.SlowLog().Snapshot() }
+// SlowQueries returns the retained slow queries oldest-first (empty
+// unless Options.SlowQueryNanos is set). Like FlushLog it is a view
+// over BlackboxEvents.
+func (s *AttrSystem[K]) SlowQueries() []SlowQuery {
+	return blackbox.SlowQueries(s.eng.Blackbox().EventsOf(blackbox.SubQuery), blackbox.EpochUnixNanos())
+}
 
 // SetK changes the default top-k threshold at run time.
 func (s *AttrSystem[K]) SetK(k int) { s.eng.SetK(k) }

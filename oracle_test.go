@@ -239,6 +239,20 @@ func TestRandomizedModelBased(t *testing.T) {
 				t.Fatalf("seed %d: nothing flushed, model test vacuous", seed)
 			}
 			checkFlushInvariants(t, sys)
+			// Every cycle of the run reads as one whole record whose
+			// timings add up, budget- and FlushNow-triggered alike.
+			log := sys.FlushLog(0)
+			if len(log) == 0 {
+				t.Fatalf("seed %d: empty flush log", seed)
+			}
+			for _, c := range log {
+				if err := c.CheckTimings(); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if !c.Complete || c.Policy != string(pol) || len(c.Phases) == 0 {
+					t.Fatalf("seed %d: cycle %+v, want a complete %s cycle with its phases", seed, c, pol)
+				}
+			}
 			for q := 0; q < 200; q++ {
 				checkQuery(t, sys, orc, rng, kw, vocabSize, pol, 4)
 			}

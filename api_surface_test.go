@@ -30,7 +30,6 @@ type systemAPI interface {
 	CompactNow() error
 	CompactAll() error
 	Stats() kflushing.Stats
-	TunerState() (kflushing.TunerState, bool)
 	Err() error
 	Ready() error
 	DiskHealth() kflushing.DiskHealth
@@ -54,7 +53,6 @@ type spatialSystemAPI interface {
 	SetK(k int)
 	FlushNow() (int64, error)
 	Stats() kflushing.Stats
-	TunerState() (kflushing.TunerState, bool)
 	Close() error
 	Engine() *engine.Engine[kflushing.Cell]
 }
@@ -72,7 +70,6 @@ type userSystemAPI interface {
 	SetK(k int)
 	FlushNow() (int64, error)
 	Stats() kflushing.Stats
-	TunerState() (kflushing.TunerState, bool)
 	Close() error
 	Engine() *engine.Engine[uint64]
 }
@@ -104,8 +101,8 @@ var (
 // attribute names, which are the keys of every per-attribute map the
 // server returns.
 func TestAPISurface(t *testing.T) {
-	if n := reflect.TypeOf(kflushing.Options{}).NumField(); n != 17 {
-		t.Errorf("Options has %d fields, want 17: an option was added or removed", n)
+	if n := reflect.TypeOf(kflushing.Options{}).NumField(); n != 14 {
+		t.Errorf("Options has %d fields, want 14: an option was added or removed", n)
 	}
 	opt := kflushing.Options{SyncFlush: true}
 	kw, err := kflushing.Open(t.TempDir(), opt)

@@ -143,18 +143,17 @@ func BenchmarkIngestPipeline(b *testing.B) {
 func BenchmarkIngestBatchAlloc(b *testing.B) {
 	for _, ap := range []string{"heap", "pooled"} {
 		b.Run("alloc="+ap, func(b *testing.B) {
-			sys, err := kflushing.Open(b.TempDir(), kflushing.Options{
+			// Compaction off: inline merges re-decode every stored
+			// record, and that storm — identical under both policies
+			// — is ~2/3 of the allocation budget and would bury the
+			// allocator comparison. Flushes still build and write a
+			// segment per cycle. BenchmarkSustainedIngestUnderQueries
+			// keeps the default tier for the end-to-end picture.
+			sys, err := kflushing.OpenNeverCompact(b.TempDir(), kflushing.Options{
 				Policy:       kflushing.PolicyKFlushing,
 				MemoryBudget: 4 << 20,
 				SyncFlush:    true,
-				// Compaction off: inline merges re-decode every stored
-				// record, and that storm — identical under both policies
-				// — is ~2/3 of the allocation budget and would bury the
-				// allocator comparison. Flushes still build and write a
-				// segment per cycle. BenchmarkSustainedIngestUnderQueries
-				// keeps the default tier for the end-to-end picture.
-				DiskMaxSegments: -1,
-				AllocPolicy:     ap,
+				AllocPolicy:  ap,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -29,9 +29,6 @@
 //	                               events into one line per cycle, with
 //	                               its phases and stages
 //	                               (/debug/blackbox?subsystem=flush)
-//	kflushctl tuner <base-url>     report the adaptive memory tuner's
-//	                               per-attribute targets, counters, and
-//	                               bounds (/debug/tuner)
 //	kflushctl probe <base-url>     report readiness, degraded
 //	                               read-only state and the write-ahead
 //	                               log's size (/readyz, /stats); exits
@@ -130,8 +127,6 @@ func main() {
 			}
 		}
 		err = cmdFlushLog(args[1], n)
-	case "tuner":
-		err = cmdTuner(args[1])
 	case "top":
 		interval := 2 * time.Second
 		if len(args) > 2 {
@@ -254,7 +249,7 @@ func cmdLevels(dir string) error {
 		ls.records += info.Records
 		ls.bytes += info.Bytes + info.BlockBytes
 	}
-	fmt.Printf("manifest: next_seq=%d live=%d retired=%d\n", m.NextSeq, len(m.Live), len(m.Retired))
+	fmt.Printf("manifest: next_seq=%d max_record_id=%d live=%d retired=%d\n", m.NextSeq, m.MaxRecordID, len(m.Live), len(m.Retired))
 	fmt.Printf("%-6s %10s %10s %12s\n", "level", "segments", "records", "bytes")
 	for lvl := 0; lvl <= maxLevel; lvl++ {
 		ls := levels[lvl]
@@ -600,50 +595,6 @@ func cmdFlushLog(base string, n int) error {
 	return nil
 }
 
-// cmdTuner fetches /debug/tuner from a running kflushd and prints each
-// attribute system's adaptive-memory report: the targets currently in
-// force, the controller's counters (ticks, adjustments, holds, sign
-// flips), its last pressure reading and direction, and the configured
-// bounds.
-func cmdTuner(base string) error {
-	var states map[string]struct {
-		Enabled bool                 `json:"enabled"`
-		State   kflushing.TunerState `json:"state"`
-	}
-	if err := getJSON(base, "/debug/tuner", &states); err != nil {
-		return err
-	}
-	attrs := make([]string, 0, len(states))
-	for a := range states {
-		attrs = append(attrs, a)
-	}
-	sort.Strings(attrs)
-	for _, a := range attrs {
-		ts := states[a]
-		if !ts.Enabled {
-			fmt.Printf("%-8s tuner off (static flush budget and cache)\n", a)
-			continue
-		}
-		st := ts.State
-		dir := "hold"
-		switch {
-		case st.Direction > 0:
-			dir = "write-heavy"
-		case st.Direction < 0:
-			dir = "read-heavy"
-		}
-		fmt.Printf("%-8s B=%.3f watermark=%d cache=%d\n", a, st.FlushFraction, st.WatermarkBytes, st.CacheBytes)
-		fmt.Printf("  ticks=%d adjusts=%d holds=%d sign_flips=%d pressure=%.3f direction=%s\n",
-			st.Ticks, st.Adjusts, st.Holds, st.SignFlips, st.LastPressure, dir)
-		l := st.Limits
-		fmt.Printf("  bounds: B [%.3f, %.3f]  watermark-frac [%.2f, %.2f]  cache [%d, %d]  step=%.3f deadband=%.3f interval=%d\n",
-			l.MinFlushFraction, l.MaxFlushFraction,
-			l.MinWatermarkFraction, l.MaxWatermarkFraction,
-			l.MinCacheBytes, l.MaxCacheBytes, l.Step, l.Deadband, l.Interval)
-	}
-	return nil
-}
-
 // scrapeMetrics fetches /metrics from a running kflushd and parses the
 // Prometheus text exposition into metric name -> attr label -> value.
 // Histogram bucket and per-level/phase/stage series are skipped — the
@@ -841,7 +792,6 @@ usage:
   kflushctl wal <wal-dir>
   kflushctl trace <base-url> <q> [k]
   kflushctl flushlog <base-url> [n]
-  kflushctl tuner <base-url>
   kflushctl top <base-url> [interval] [count]
 `)
 }

@@ -14,7 +14,6 @@
 //	GET  /debug/blackbox              flight-recorder merged timeline (JSON):
 //	                                  flush cycles and slow queries are
 //	                                  its ID-stamped events (?id=)
-//	GET  /debug/tuner                 adaptive memory tuner state (JSON)
 //	GET  /healthz                     liveness probe
 //	GET  /readyz                      readiness probe (disk + WAL writable)
 //
@@ -62,7 +61,6 @@ func main() {
 	durable := flag.Bool("durable", false, "write-ahead log memory contents")
 	enablePprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	slowQuery := flag.Duration("slow-query", 0, "record a query_slow event (timings, keys) for searches at least this slow (e.g. 50ms; 0 disables), served at /debug/blackbox?subsystem=query")
-	adaptive := flag.Bool("adaptive", false, "enable the adaptive memory tuner (feedback-controlled flush budget, watermark, and disk-cache size; /debug/tuner)")
 	logLevel := flag.String("log-level", "info", "diagnostic log level: debug|info|warn|error")
 	flag.Parse()
 
@@ -80,15 +78,14 @@ func main() {
 		Clock:          kflushing.WallClock(),
 		Durable:        *durable,
 		SlowQueryNanos: slowQuery.Nanoseconds(),
-		AdaptiveMemory: *adaptive,
 	})
 	if err != nil {
 		log.Fatalf("open store: %v", err)
 	}
 	defer store.Close()
 
-	log.Printf("kflushd listening on %s (policy=%s budget=%dMiB/attr k=%d durable=%v adaptive=%v pprof=%v)",
-		*addr, *policy, *budgetMiB, *k, *durable, *adaptive, *enablePprof)
+	log.Printf("kflushd listening on %s (policy=%s budget=%dMiB/attr k=%d durable=%v pprof=%v)",
+		*addr, *policy, *budgetMiB, *k, *durable, *enablePprof)
 	log.Fatal(http.ListenAndServe(*addr, store.HandlerWithOptions(server.HandlerOptions{
 		EnablePprof: *enablePprof,
 	})))

@@ -165,3 +165,69 @@ func TestDurableRecoveryAfterFlushesDeduplicates(t *testing.T) {
 		t.Fatalf("newest k1 record ts=%d, want %d", res.Items[0].MB.Timestamp, want)
 	}
 }
+
+// TestIDsNeverReusedAcrossReopen pins the ID high-water mark the disk
+// tier keeps in its manifest. The tier holds every evicted record and
+// search deduplicates memory ∪ disk by ID, so an ID handed out twice
+// makes one of the two records unreachable. Before the mark existed a
+// durable reopen resumed from the highest ID the log replayed — the
+// clean-shutdown snapshot holds only resident records, and under a
+// non-temporal ranking those are not the newest — and a non-durable
+// reopen resumed from zero.
+func TestIDsNeverReusedAcrossReopen(t *testing.T) {
+	rankers := map[string]kflushing.Ranker{"temporal": kflushing.Temporal, "popularity": kflushing.Popularity}
+	for _, durable := range []bool{true, false} {
+		for rname, ranker := range rankers {
+			for _, pol := range []kflushing.PolicyKind{
+				kflushing.PolicyKFlushing, kflushing.PolicyKFlushingMK, kflushing.PolicyFIFO, kflushing.PolicyLRU,
+			} {
+				t.Run(fmt.Sprintf("durable=%v/%s/%s", durable, rname, pol), func(t *testing.T) {
+					opt := kflushing.Options{
+						Policy: pol, K: 2, MemoryBudget: 8 << 10, FlushFraction: 1,
+						SyncFlush: true, Durable: durable, Ranker: ranker,
+					}
+					dir := t.TempDir()
+					sys, err := kflushing.Open(dir, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					const n = 500
+					var last kflushing.ID
+					for i := 1; i <= n; i++ {
+						m := mb(int64(i), fmt.Sprintf("k%d", i%7))
+						m.Followers = uint32(n - i) // the newest record ranks lowest by popularity
+						if last, err = sys.Ingest(m); err != nil {
+							t.Fatal(err)
+						}
+					}
+					// Evict what the policy will let go of, the newest records
+					// included; without a log nothing else survives the close.
+					for i := 0; i < 20 && sys.Stats().StoreRecords > 0; i++ {
+						if _, err := sys.FlushNow(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if resident := sys.Stats().StoreRecords; !durable && resident != 0 {
+						t.Fatalf("%d records still resident: the newest IDs may not be on disk", resident)
+					}
+					if err := sys.Close(); err != nil {
+						t.Fatal(err)
+					}
+
+					re, err := kflushing.Open(dir, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer re.Close()
+					id, err := re.Ingest(mb(n+1, "k1"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if id <= last {
+						t.Fatalf("ID %d handed out again after reopen (highest before: %d)", id, last)
+					}
+				})
+			}
+		}
+	}
+}

@@ -157,7 +157,6 @@ type Config struct {
 // The lock-order DAG (acquire downward only):
 //
 //	10 engine.Engine.flushMu
-//	11 tuner.Tuner.mu (controller state; ticked under flushMu)
 //	12 engine.flightGroup.mu
 //	13 engine.flushPipeline.mu (release ordering behind the queue; taken
 //	   under flushMu by the flushing goroutine, alone by the worker)
@@ -179,7 +178,6 @@ func DefaultConfig() Config {
 	return Config{
 		LockRank: map[string]int{
 			"kflushing/internal/engine.Engine.flushMu":   10,
-			"kflushing/internal/tuner.Tuner.mu":          11,
 			"kflushing/internal/engine.flightGroup.mu":   12,
 			"kflushing/internal/engine.flushPipeline.mu": 13,
 			"kflushing/internal/policy.LRU.mu":           15,

@@ -40,7 +40,6 @@ const (
 	SubCache
 	SubDisk
 	SubState
-	SubTuner
 	SubQuery
 
 	numSubsystems
@@ -54,7 +53,6 @@ var subsystemNames = [numSubsystems]string{
 	SubCache:   "cache",
 	SubDisk:    "disk",
 	SubState:   "state",
-	SubTuner:   "tuner",
 	SubQuery:   "query",
 }
 
@@ -62,7 +60,7 @@ var subsystemNames = [numSubsystems]string{
 // production rates. The flush ring is what FlushCycles reads, and a
 // cycle is about a dozen events (begin, up to three phases, prepare,
 // enqueue, build, install, release, end): 4096 slots retain upwards of
-// 256 cycles. ≈ 770 KiB per recorder.
+// 256 cycles. ≈ 700 KiB per recorder.
 const (
 	ringSize      = 1024
 	flushRingSize = 4096
@@ -119,7 +117,6 @@ const (
 	EvDiskRetry
 	EvDegradedEnter
 	EvDegradedClear
-	EvTunerAdjust
 	EvQuerySlow
 
 	numCodes
@@ -146,7 +143,6 @@ var codeNames = [numCodes]string{
 	EvDiskRetry:        "disk_retry",
 	EvDegradedEnter:    "degraded_enter",
 	EvDegradedClear:    "degraded_clear",
-	EvTunerAdjust:      "tuner_adjust",
 	EvQuerySlow:        "query_slow",
 }
 
@@ -173,7 +169,6 @@ var codeArgNames = [numCodes][4]string{
 	EvCompactPass:      {"level", "segments_in", "nanos"},
 	EvCacheEvict:       {"evicted", "resident_bytes"},
 	EvDiskRetry:        {"retries", "ordinal"},
-	EvTunerAdjust:      {"flush_frac_bp", "watermark_bytes", "cache_bytes"},
 }
 
 // String returns the code's wire name.

@@ -36,21 +36,6 @@ func childOptions() kflushing.Options {
 		SyncFlush:     true,
 		Durable:       true,
 		WALSyncEvery:  1,
-		// Adaptive memory runs clamped (min==max on every knob), which is
-		// provably bit-equivalent to the static configuration — but it
-		// makes the engine/tuner/apply site reachable: with Interval 1 on
-		// the wall clock every ingest batch is due for a tick, so run 1
-		// dies there and run 2 must recover every acknowledged record.
-		AdaptiveMemory: true,
-		Tuner: kflushing.TunerLimits{
-			Interval:             1,
-			MinFlushFraction:     0.9,
-			MaxFlushFraction:     0.9,
-			MinWatermarkFraction: 1.0,
-			MaxWatermarkFraction: 1.0,
-			MinCacheBytes:        8 << 20,
-			MaxCacheBytes:        8 << 20,
-		},
 	}
 }
 

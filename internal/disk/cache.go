@@ -16,7 +16,9 @@ import (
 // compaction orphans nothing.
 type recordCache struct {
 	shards []cacheShard
-	rec    *blackbox.Recorder
+	// shardBudget is each shard's byte budget, fixed at construction.
+	shardBudget int64
+	rec         *blackbox.Recorder
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -43,27 +45,22 @@ type cacheEntry struct {
 }
 
 type cacheShard struct {
-	mu     sync.Mutex
-	budget int64
-	used   int64
-	ll     *list.List // front = most recently used
-	m      map[cacheKey]*list.Element
+	mu   sync.Mutex
+	used int64
+	ll   *list.List // front = most recently used
+	m    map[cacheKey]*list.Element
 }
 
 // newRecordCache builds a cache holding at most budget bytes across all
 // shards. budget must be positive.
 func newRecordCache(budget int64, rec *blackbox.Recorder) *recordCache {
-	c := &recordCache{shards: make([]cacheShard, cacheShardCount), rec: rec}
-	per := budget / cacheShardCount
-	if per < 1 {
-		per = 1
+	c := &recordCache{
+		shards:      make([]cacheShard, cacheShardCount),
+		shardBudget: max(budget/cacheShardCount, 1),
+		rec:         rec,
 	}
 	for i := range c.shards {
-		c.shards[i] = cacheShard{
-			budget: per,
-			ll:     list.New(),
-			m:      make(map[cacheKey]*list.Element),
-		}
+		c.shards[i] = cacheShard{ll: list.New(), m: make(map[cacheKey]*list.Element)}
 	}
 	return c
 }
@@ -95,6 +92,9 @@ func (c *recordCache) get(k cacheKey) (FlushRecord, bool) {
 // shard fits its budget. diskSize is the record's on-disk length.
 func (c *recordCache) put(k cacheKey, fr FlushRecord, diskSize int64) {
 	size := diskSize + cacheEntryOverhead
+	if size > c.shardBudget {
+		return // larger than a whole shard: never admit
+	}
 	s := c.shard(k)
 	s.mu.Lock()
 	if el, ok := s.m[k]; ok { // racing fill; refresh recency only
@@ -102,14 +102,10 @@ func (c *recordCache) put(k cacheKey, fr FlushRecord, diskSize int64) {
 		s.mu.Unlock()
 		return
 	}
-	if size > s.budget {
-		s.mu.Unlock()
-		return // larger than the whole shard: never admit
-	}
 	s.m[k] = s.ll.PushFront(&cacheEntry{key: k, fr: fr, size: size})
 	s.used += size
 	var evicted int64
-	for s.used > s.budget {
+	for s.used > c.shardBudget {
 		back := s.ll.Back()
 		if back == nil {
 			break
@@ -126,55 +122,6 @@ func (c *recordCache) put(k cacheKey, fr FlushRecord, diskSize int64) {
 		c.evictions.Add(evicted)
 		c.rec.Record(blackbox.SubCache, blackbox.EvCacheEvict, evicted, used, 0)
 	}
-}
-
-// setBudget retunes the cache to a new total byte budget, dividing it
-// across shards as construction does and evicting least-recently-used
-// entries from any shard now over its share. Shard budgets are mutated
-// in place under each shard's lock — the *recordCache pointer readers
-// hold stays valid throughout — so a resize is safe concurrent with
-// get/put traffic. Returns the per-cache total actually applied.
-func (c *recordCache) setBudget(total int64) int64 {
-	per := total / cacheShardCount
-	if per < 1 {
-		per = 1
-	}
-	var evicted, used int64
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.budget = per
-		for s.used > s.budget {
-			back := s.ll.Back()
-			if back == nil {
-				break
-			}
-			en := back.Value.(*cacheEntry)
-			s.ll.Remove(back)
-			delete(s.m, en.key)
-			s.used -= en.size
-			evicted++
-		}
-		used += s.used
-		s.mu.Unlock()
-	}
-	if evicted > 0 {
-		c.evictions.Add(evicted)
-		c.rec.Record(blackbox.SubCache, blackbox.EvCacheEvict, evicted, used, 0)
-	}
-	return per * cacheShardCount
-}
-
-// budgetBytes returns the cache's current total byte budget.
-func (c *recordCache) budgetBytes() int64 {
-	var total int64
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		total += s.budget
-		s.mu.Unlock()
-	}
-	return total
 }
 
 // resident returns the current cached byte total across shards.

@@ -24,15 +24,21 @@ import (
 //
 // Manifest file layout (all integers little-endian):
 //
-//	header : magic "KFMF" | u16 version | u16 reserved | u64 nextSeq
+//	header : magic "KFMF" | u16 version | u16 reserved | u64 nextSeq |
+//	         u64 maxRecordID (version 2; absent in version 1)
 //	live   : u32 n, then per entry: u32 level | u16 nameLen | name
 //	retired: u32 n, then per entry: u16 nameLen | name
 //	footer : u32 crc32-IEEE of everything above | magic "KFMN"
+//
+// Version 1 manifests (written before the record-ID high-water mark was
+// persisted) still decode, with MaxRecordID zero; Open recomputes it
+// from the blocks and the next commit writes version 2.
 const (
-	manifestName     = "manifest.kfm"
-	manifestMagic    = "KFMF"
-	manifestEndMagic = "KFMN"
-	manifestVersion  = 1
+	manifestName      = "manifest.kfm"
+	manifestMagic     = "KFMF"
+	manifestEndMagic  = "KFMN"
+	manifestVersion   = 2
+	manifestVersionV1 = 1
 	// manifestMaxName bounds a decoded entry name; segment names are
 	// short ("seg-00000001.kfs"), so anything longer is corruption.
 	manifestMaxName = 255
@@ -59,6 +65,11 @@ type Manifest struct {
 	// NextSeq is the lowest sequence number the tier may assign next;
 	// sequence numbers are never reused across restarts.
 	NextSeq uint64
+	// MaxRecordID is the highest record ID any segment the tier ever
+	// installed holds, committed by the edit that installs the segment:
+	// the engine resumes its ID counter past it, so the ID of an evicted
+	// record is never handed out again. Zero in a version-1 manifest.
+	MaxRecordID uint64
 	// Live lists every committed segment with its level.
 	Live []ManifestEntry
 	// Retired lists compaction inputs superseded by a live merged
@@ -83,6 +94,8 @@ func encodeManifest(buf []byte, m Manifest) []byte {
 	put16(0)
 	binary.LittleEndian.PutUint64(tmp[:], m.NextSeq)
 	buf = append(buf, tmp[:8]...)
+	binary.LittleEndian.PutUint64(tmp[:], m.MaxRecordID)
+	buf = append(buf, tmp[:8]...)
 	put32(uint32(len(m.Live)))
 	for _, e := range m.Live {
 		put32(uint32(e.Level))
@@ -105,9 +118,9 @@ func encodeManifest(buf []byte, m Manifest) []byte {
 // crash (or FuzzManifestDecode) left on disk.
 func decodeManifest(b []byte) (Manifest, error) {
 	var m Manifest
-	const headerSize = 4 + 2 + 2 + 8
+	const headerSizeV1 = 4 + 2 + 2 + 8
 	const footerSize = 4 + 4
-	if len(b) < headerSize+4+4+footerSize {
+	if len(b) < headerSizeV1+4+4+footerSize {
 		return m, fmt.Errorf("%w: %d bytes is too short", ErrCorruptManifest, len(b))
 	}
 	if string(b[:4]) != manifestMagic {
@@ -120,12 +133,20 @@ func decodeManifest(b []byte) (Manifest, error) {
 	if got, want := crc32.ChecksumIEEE(b[:crcPos]), binary.LittleEndian.Uint32(b[crcPos:]); got != want {
 		return m, fmt.Errorf("%w: checksum mismatch (got %08x want %08x)", ErrCorruptManifest, got, want)
 	}
-	if v := binary.LittleEndian.Uint16(b[4:]); v != manifestVersion {
-		return m, fmt.Errorf("%w: unsupported version %d", ErrCorruptManifest, v)
-	}
 	m.NextSeq = binary.LittleEndian.Uint64(b[8:])
-	pos := headerSize
+	pos := headerSizeV1
 	need := func(n int) bool { return pos+n <= crcPos }
+	switch v := binary.LittleEndian.Uint16(b[4:]); v {
+	case manifestVersionV1:
+	case manifestVersion:
+		if !need(8) {
+			return Manifest{}, fmt.Errorf("%w: truncated header", ErrCorruptManifest)
+		}
+		m.MaxRecordID = binary.LittleEndian.Uint64(b[pos:])
+		pos += 8
+	default:
+		return Manifest{}, fmt.Errorf("%w: unsupported version %d", ErrCorruptManifest, v)
+	}
 	if !need(4) {
 		return Manifest{}, fmt.Errorf("%w: truncated live count", ErrCorruptManifest)
 	}

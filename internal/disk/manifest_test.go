@@ -2,7 +2,9 @@ package disk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,9 +17,10 @@ func TestManifestRoundTrip(t *testing.T) {
 	cases := []Manifest{
 		{},
 		{NextSeq: 1},
-		{NextSeq: 42, Live: []ManifestEntry{{Name: "seg-00000001.kfs", Level: 0}}},
+		{NextSeq: 42, MaxRecordID: 1 << 40, Live: []ManifestEntry{{Name: "seg-00000001.kfs", Level: 0}}},
 		{
-			NextSeq: 99,
+			NextSeq:     99,
+			MaxRecordID: 12345,
 			Live: []ManifestEntry{
 				{Name: "seg-00000007.kfs", Level: 0},
 				{Name: "lvl-00000005.kfs", Level: 1},
@@ -46,6 +49,71 @@ func normalizeManifest(m Manifest) Manifest {
 		m.Retired = nil
 	}
 	return m
+}
+
+// encodeManifestV1 renders m the way builds before the record-ID
+// high-water mark wrote it: version 1, no MaxRecordID word.
+func encodeManifestV1(m Manifest) []byte {
+	b := encodeManifest(nil, m)
+	const maxIDPos = 4 + 2 + 2 + 8
+	b = append(b[:maxIDPos:maxIDPos], b[maxIDPos+8:len(b)-8]...)
+	binary.LittleEndian.PutUint16(b[4:], manifestVersionV1)
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	return append(b, manifestEndMagic...)
+}
+
+// TestManifestV1Compat: a version-1 manifest decodes to the same levels
+// with no high-water mark, and a tier opened over one reads the mark
+// back from its blocks, answers as before and commits version 2.
+func TestManifestV1Compat(t *testing.T) {
+	m := Manifest{
+		NextSeq:     9,
+		MaxRecordID: 77,
+		Live:        []ManifestEntry{{Name: "seg-00000007.kfs", Level: 0}, {Name: "lvl-00000005.kfs", Level: 1}},
+		Retired:     []string{"seg-00000001.kfs"},
+	}
+	got, err := DecodeManifest(encodeManifestV1(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := m
+	want.MaxRecordID = 0
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("v1 decode = %+v, want %+v", got, want)
+	}
+
+	dir, intact, records := buildLeveledDir(t)
+	live, err := DecodeManifest(intact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.MaxRecordID != uint64(records) {
+		t.Fatalf("manifest MaxRecordID = %d, want %d", live.MaxRecordID, records)
+	}
+	for name, prepare := range map[string]func() error{
+		"v1 manifest": func() error {
+			return os.WriteFile(filepath.Join(dir, manifestName), encodeManifestV1(live), 0o644)
+		},
+		"no manifest": func() error { return os.Remove(filepath.Join(dir, manifestName)) },
+	} {
+		if err := prepare(); err != nil {
+			t.Fatal(err)
+		}
+		tier := leveledTier(t, dir, 2)
+		if got := tier.MaxRecordID(); got != uint64(records) {
+			t.Fatalf("%s: MaxRecordID = %d, want %d", name, got, records)
+		}
+		items, err := tier.Search([]string{"k"}, query.OpSingle, records+5)
+		if err != nil || len(items) != records {
+			t.Fatalf("%s: %d of %d records answered, err=%v", name, len(items), records, err)
+		}
+		if err := tier.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if re, err := ReadManifest(dir); err != nil || re.MaxRecordID != uint64(records) {
+			t.Fatalf("%s: recommitted manifest MaxRecordID = %d, err=%v", name, re.MaxRecordID, err)
+		}
+	}
 }
 
 // buildLeveledDir creates a leveled directory with enough flushes that
@@ -180,6 +248,8 @@ func FuzzManifestDecode(f *testing.F) {
 		Retired: []string{"seg-00000002.kfs"},
 	})
 	f.Add(full)
+	f.Add(encodeManifestV1(Manifest{NextSeq: 12, Live: []ManifestEntry{{Name: "lvl-00000008.kfs", Level: 1}}}))
+	f.Add(encodeManifest(nil, Manifest{NextSeq: 3, MaxRecordID: 1<<63 + 5, Live: []ManifestEntry{{Name: "seg-00000002.kfs", Level: 0}}}))
 	for cut := 0; cut < len(full); cut += 3 {
 		f.Add(full[:cut])
 	}

@@ -382,7 +382,7 @@ func TestSharedBlockOutlivesOneDirectory(t *testing.T) {
 	if !fileExists(filepath.Join(dir, "blk-00000001.kfs")) {
 		t.Fatal("a block still named by a live directory was unlinked")
 	}
-	tier.cache.setBudget(1) // evict: the next reads must come from the files
+	tier.cache = newRecordCache(DefaultCacheBytes, nil) // cold: the next reads must come from the files
 	items, err := tier.Search([]string{"k"}, query.OpSingle, 10)
 	if err != nil || len(items) != 2 {
 		t.Fatalf("search: %d items, err=%v", len(items), err)

@@ -216,6 +216,9 @@ type Tier[K comparable] struct {
 	// even across restarts (persisted via the manifest and re-derived
 	// from file names).
 	seq atomic.Uint64
+	// maxID is the highest record ID any installed segment holds (see
+	// MaxRecordID); raised by a flush install and committed with it.
+	maxID atomic.Uint64
 
 	// flushMu serializes flushes so the sort/encode scratch buffers can
 	// be reused across cycles instead of reallocated per flush.
@@ -428,6 +431,10 @@ func (t *Tier[K]) openLeveled() (err error) {
 		return nil
 	}
 	sweepBlocks := true
+	// The manifest's record-ID high-water mark covers the segments it
+	// lists; anything adopted beyond it (and everything, without a
+	// version-2 manifest) is read back from the blocks below.
+	rescanIDs := !valid || (m.MaxRecordID == 0 && len(m.Live) > 0)
 	if valid {
 		listed := make(map[string]struct{}, len(m.Live)+len(m.Retired))
 		for _, name := range m.Retired {
@@ -471,6 +478,7 @@ func (t *Tier[K]) openLeveled() (err error) {
 				if err := open(0, p); err != nil {
 					return err
 				}
+				rescanIDs = true
 				continue
 			}
 			slog.Warn("disk: deleting uncommitted compaction output", "name", name)
@@ -502,6 +510,19 @@ func (t *Tier[K]) openLeveled() (err error) {
 			_ = os.Remove(p)
 		}
 	}
+	maxID := m.MaxRecordID
+	if rescanIDs {
+		for _, b := range bs {
+			ids, scores := make([]uint64, b.count()), make([]float64, b.count())
+			if err := b.scanRanks(ids, scores); err != nil {
+				return err
+			}
+			for _, id := range ids {
+				maxID = max(maxID, id)
+			}
+		}
+	}
+	t.maxID.Store(maxID)
 	// Commit the recovered state so unreferenced adoptions and retired
 	// deletions are durable before any new flush builds on them.
 	t.manifestMu.Lock()
@@ -531,7 +552,7 @@ func (t *Tier[K]) ensureLevels(n int) {
 // level lists and retired set. Caller must hold manifestMu (it takes mu
 // itself, read-side).
 func (t *Tier[K]) commitManifest() error {
-	m := Manifest{NextSeq: t.seq.Load() + 1}
+	m := Manifest{NextSeq: t.seq.Load() + 1, MaxRecordID: t.maxID.Load()}
 	t.mu.RLock()
 	for lvl, segs := range t.levels {
 		for _, s := range segs {
@@ -622,6 +643,7 @@ func (t *Tier[K]) FlushStaged(recs []FlushRecord) (FlushStats, error) {
 type stagedFlush struct {
 	blk, dir *stagedFile
 	s        *segment // s.blocks[0] is the new block; install opens its handle
+	maxID    uint64   // highest record ID in the block
 }
 
 // stageFlush runs the build stage over records already in rank order:
@@ -636,7 +658,9 @@ func (t *Tier[K]) stageFlush(sorted []FlushRecord) (*stagedFlush, error) {
 	s.count = uint32(len(sorted))
 	s.maxScore = sorted[0].Score
 	dir := make(map[string][]uint32)
+	var maxID uint64
 	for ord, fr := range sorted {
+		maxID = max(maxID, uint64(fr.MB.ID))
 		for _, key := range t.cfg.KeysOf(fr.MB) {
 			ek := t.cfg.Encode(key)
 			// A record naming the same key twice must post once, like
@@ -652,7 +676,7 @@ func (t *Tier[K]) stageFlush(sorted []FlushRecord) (*stagedFlush, error) {
 	dirBuf := s.encode(nil)
 	s.size = int64(len(dirBuf))
 
-	fl := &stagedFlush{s: s}
+	fl := &stagedFlush{s: s, maxID: maxID}
 	var err error
 	if fl.blk, err = stageFile(b.path, flushedBlock, blkBuf); err != nil {
 		return nil, err
@@ -718,6 +742,11 @@ func (t *Tier[K]) installFlushed(fl *stagedFlush) error {
 	t.ensureLevels(1)
 	t.levels[0] = append(t.levels[0], fl.s)
 	t.mu.Unlock()
+	// Raised before the commit that installs the segment and never
+	// lowered: a failed commit only leaves a gap in the ID space.
+	if fl.maxID > t.maxID.Load() {
+		t.maxID.Store(fl.maxID)
+	}
 	if err := t.commitManifest(); err != nil {
 		t.mu.Lock()
 		t.levels[0] = removeSegment(t.levels[0], fl.s)
@@ -1149,38 +1178,13 @@ func (t *Tier[K]) Stats() Stats {
 	return st
 }
 
-// ResizeCache retunes the record cache's total byte budget live,
-// evicting LRU entries on shrink. The cache structure itself is shared
-// with concurrent readers and mutated shard-by-shard under shard locks,
-// so no search is ever blocked for the whole resize. Returns the budget
-// actually applied (0 when the cache is disabled — a disabled cache
-// cannot be enabled after open, so the call is a no-op).
-func (t *Tier[K]) ResizeCache(total int64) int64 {
-	if t.cache == nil || total <= 0 {
-		return 0
-	}
-	return t.cache.setBudget(total)
-}
-
-// CacheBudgetBytes returns the record cache's current total byte
-// budget (0 when the cache is disabled) — the value a live resize most
-// recently applied.
-func (t *Tier[K]) CacheBudgetBytes() int64 {
-	if t.cache == nil {
-		return 0
-	}
-	return t.cache.budgetBytes()
-}
-
-// CacheCounters returns the record cache's hit/miss totals without the
-// cost of a full Stats snapshot: two atomic loads, cheap enough for a
-// controller sampling loop.
-func (t *Tier[K]) CacheCounters() (hits, misses int64) {
-	if t.cache == nil {
-		return 0, 0
-	}
-	return t.cache.hits.Load(), t.cache.misses.Load()
-}
+// MaxRecordID returns the highest record ID any segment this tier ever
+// installed holds, across restarts: the manifest carries it, and a
+// directory without a version-2 manifest has it read back from the
+// blocks at Open. The tier keeps every evicted record and search
+// deduplicates memory ∪ disk by ID, so the engine must never assign an
+// ID at or below it again.
+func (t *Tier[K]) MaxRecordID() uint64 { return t.maxID.Load() }
 
 // Close stops the background compactor and releases the tier's
 // references to all segments; handles close once in-flight searches

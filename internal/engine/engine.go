@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	rtrace "runtime/trace"
 	"strings"
 	"sync"
@@ -35,7 +34,6 @@ import (
 	"kflushing/internal/ranking"
 	"kflushing/internal/store"
 	"kflushing/internal/trace"
-	"kflushing/internal/tuner"
 	"kflushing/internal/types"
 	"kflushing/internal/wal"
 )
@@ -120,16 +118,6 @@ type Config[K comparable] struct {
 	// the encoded keys — in the flight recorder. 0 disables. A search
 	// below the threshold pays one comparison.
 	SlowQueryNanos int64
-	// AdaptiveMemory enables the feedback memory tuner: a deterministic
-	// controller that retunes the flush budget B, the flush trigger
-	// watermark, and the disk record cache size from observed flush and
-	// miss costs, applied only between flush cycles. Off by default;
-	// with TunerLimits pinned to the static values the engine is
-	// bit-equivalent to a static configuration.
-	AdaptiveMemory bool
-	// TunerLimits bounds the tuner when AdaptiveMemory is set; zero
-	// values select the tuner package defaults.
-	TunerLimits tuner.Limits
 }
 
 // Engine is one attribute's complete data management system. All
@@ -192,17 +180,6 @@ type Engine[K comparable] struct {
 	// scratch pools per-batch ingest scratch slices across IngestBatch
 	// calls. Nil under AllocPolicy=heap.
 	scratch *sync.Pool
-
-	// tun is the adaptive memory controller (nil when AdaptiveMemory is
-	// off). Applied targets are mirrored into the atomics below so the
-	// ingest and flush hot paths read them lock-free; they only change
-	// under flushMu (see tuner.go).
-	tun            *tuner.Tuner
-	tunedWatermark atomic.Int64
-	tunedFraction  atomic.Uint64 // math.Float64bits of the tuned B
-	tunedCache     atomic.Int64
-	tunStop        chan struct{}
-	tunWG          sync.WaitGroup
 }
 
 // ingestScratch is the reusable per-batch working set of IngestBatch:
@@ -269,6 +246,10 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		return nil, err
 	}
 	e.tier = tier
+	// The tier keeps every evicted record and search deduplicates memory ∪
+	// disk by ID: start past the highest ID it holds (replay may raise
+	// the counter further).
+	e.ids.Store(tier.MaxRecordID())
 	if !cfg.SyncFlush {
 		e.pipe = newFlushPipeline(e)
 	}
@@ -314,31 +295,6 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 	blackbox.RegisterDumper(cfg.DiskDir, func(reason string) (string, error) {
 		return e.bbox.Dump(cfg.DiskDir, reason)
 	})
-	if cfg.AdaptiveMemory {
-		// Anchor the controller at the effective static values (the
-		// disk package applies the cache default itself, so mirror it).
-		cacheBytes := cfg.DiskCacheBytes
-		if cacheBytes == 0 {
-			cacheBytes = disk.DefaultCacheBytes
-		}
-		if cacheBytes < 0 {
-			cacheBytes = 0
-		}
-		e.tun = tuner.New(tuner.Config{
-			MemoryBudget:  cfg.MemoryBudget,
-			FlushFraction: cfg.FlushFraction,
-			CacheBytes:    cacheBytes,
-			Limits:        cfg.TunerLimits,
-		})
-		e.tunedWatermark.Store(cfg.MemoryBudget)
-		e.tunedFraction.Store(math.Float64bits(cfg.FlushFraction))
-		e.tunedCache.Store(cacheBytes)
-		if !cfg.SyncFlush {
-			e.tunStop = make(chan struct{})
-			e.tunWG.Add(1)
-			go e.tunerLoop()
-		}
-	}
 	return e, nil
 }
 
@@ -353,10 +309,11 @@ const recoverChunk = 4096
 // record framed twice (snapshot/log overlap, a relocation the crash
 // caught before the source was unlinked) keeps one wrapper and moves
 // its claim to the newer frame. The ID counter resumes past the highest
-// ID seen. Memory stays bounded throughout: records reach the policy in
-// chunks, and whenever memory reaches the flush watermark a cycle runs
-// inline, under the gate, before the next frame is read — its releases
-// may unlink files already replayed.
+// ID replayed (New started it past the highest ID flushed). Memory stays
+// bounded throughout: records reach the policy in chunks, and whenever
+// memory reaches the flush watermark a cycle runs inline, under the
+// gate, before the next frame is read — its releases may unlink files
+// already replayed.
 func (e *Engine[K]) recoverFromWAL() error {
 	e.recovering = true
 	defer func() { e.recovering = false }()
@@ -574,7 +531,6 @@ func (e *Engine[K]) AllocStats() (alloc.SliceStats, alloc.RecyclerStats) {
 // new flush is therefore allowed only after memory grew by at least
 // 0.5% of the budget since the previous one ended.
 func (e *Engine[K]) maybeFlush(trigger blackbox.Trigger) {
-	e.maybeTune() // adaptive memory: tick rides the ingest path
 	if !e.flushDue() {
 		return
 	}
@@ -592,7 +548,7 @@ func (e *Engine[K]) maybeFlush(trigger blackbox.Trigger) {
 // grown past the hysteresis margin since the last cycle ended.
 func (e *Engine[K]) flushDue() bool {
 	used := e.mem.Used()
-	wm := e.watermarkBytes()
+	wm := e.cfg.MemoryBudget
 	return used >= wm && used >= e.lastFlushUsed.Load()+wm/200
 }
 
@@ -606,9 +562,6 @@ func (e *Engine[K]) runFlushLocked(trigger blackbox.Trigger) {
 		slog.Error("engine: background flush failed",
 			"policy", e.pol.Name(), "trigger", trigger, "error", err)
 	}
-	// Retune between cycles, still under the gate: the cycle that just
-	// ran used the old targets; the next one sees the new.
-	e.tuneTickLocked()
 }
 
 // flushCycle runs one flush cycle: the policy evicts at the configured
@@ -625,7 +578,7 @@ func (e *Engine[K]) flushCycle(trigger blackbox.Trigger) (int64, error) {
 	// regions (and any GC or scheduler interference) under one span.
 	ctx, task := rtrace.NewTask(context.Background(), "flush-cycle")
 	defer task.End()
-	target := int64(e.flushFraction() * float64(e.cfg.MemoryBudget))
+	target := int64(e.cfg.FlushFraction * float64(e.cfg.MemoryBudget))
 	e.bbox.RecordID(blackbox.SubFlush, blackbox.EvFlushBegin, id, 0, int64(trigger), target, e.mem.Used())
 	var freed int64
 	err := failpoint.Eval(failpoint.FlushBegin)
@@ -759,12 +712,7 @@ func (e *Engine[K]) FlushNow() (int64, error) {
 	}
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
-	freed, err := e.flushCycle(blackbox.TriggerManual)
-	// Manual cycles retune like budget cycles do: between cycles, under
-	// the gate. Without this a FlushNow-driven workload that keeps the
-	// gate saturated would starve the controller entirely.
-	e.tuneTickLocked()
-	return freed, err
+	return e.flushCycle(blackbox.TriggerManual)
 }
 
 // Search evaluates one basic top-k search query (Section II-B). The
@@ -1135,10 +1083,6 @@ type Stats struct {
 	// is the error that entered it.
 	Degraded       bool
 	DegradedReason string
-	// TunerEnabled / Tuner report the adaptive memory controller (zero
-	// when AdaptiveMemory is off).
-	TunerEnabled bool
-	Tuner        tuner.State
 }
 
 // Stats gathers a snapshot. Taking a census scans the index; avoid
@@ -1164,8 +1108,6 @@ func (e *Engine[K]) Stats() Stats {
 		Census:         e.idx.TakeCensus(),
 		Metrics:        e.reg.Snap(),
 		Disk:           e.tier.Stats(),
-		TunerEnabled:   e.tun != nil,
-		Tuner:          e.tun.State(),
 	}
 }
 
@@ -1177,10 +1119,6 @@ func (e *Engine[K]) Close() error {
 		return nil
 	}
 	blackbox.UnregisterDumper(e.cfg.DiskDir)
-	if e.tunStop != nil {
-		close(e.tunStop)
-		e.tunWG.Wait()
-	}
 	// Drain any in-flight background flush first (closed is set, so no
 	// new cycle can start once the gate is observed free), then drain
 	// the pipeline WITHOUT holding the gate — completions take it to

@@ -80,14 +80,6 @@ const (
 	RecoverReplayRecord = "engine/recover/record" // evaluated per replayed WAL record
 	RecoverAfterReplay  = "engine/recover/done"   // replay complete, recovery flush not yet run
 
-	// Tuner site (internal/engine): the adaptive memory tuner is about
-	// to apply a decision (retuned flush budget, watermark, and a live
-	// record-cache resize) under the flush gate. Tuner state is
-	// deliberately not persisted, so a kill here must be recoverable as
-	// a plain crash between flush cycles; an injected error skips the
-	// adjustment and leaves the previous targets in force.
-	TunerApply = "engine/tuner/apply"
-
 	// Error-injection-only sites: fallible I/O that must surface (or
 	// tolerate) failure cleanly but where a process kill is either
 	// pre-durability or equivalent to an already-covered crash site.
@@ -126,7 +118,6 @@ func CrashSites() []string {
 		FlushBegin, FlushAfterPhase1, FlushAfterPhase2,
 		FlushAfterEvict, FlushAfterWrite,
 		RecoverReplayRecord, RecoverAfterReplay,
-		TunerApply,
 	}
 }
 

@@ -43,10 +43,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the cumulative observed nanoseconds: the cost signal the
-// adaptive memory tuner samples, without the price of a full snapshot.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // Mean returns the mean observation, or 0 with no data.
 func (h *Histogram) Mean() time.Duration {
 	c := h.count.Load()

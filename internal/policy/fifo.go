@@ -48,20 +48,6 @@ func NewFIFO[K comparable](segmentBytes int64) *FIFO[K] {
 // Name implements Policy.
 func (f *FIFO[K]) Name() string { return "fifo" }
 
-// SetSegmentBytes retunes the segment seal threshold at run time — the
-// adaptive memory tuner calls it when the flush budget B changes, so
-// FIFO's flush unit tracks the budget the same way the target passed to
-// Flush does. Already-sealed segments keep their size; only future
-// seals use the new threshold.
-func (f *FIFO[K]) SetSegmentBytes(n int64) {
-	if n <= 0 {
-		return
-	}
-	f.mu.Lock()
-	f.SegmentBytes = n
-	f.mu.Unlock()
-}
-
 // Attach implements Policy.
 func (f *FIFO[K]) Attach(r *Resources[K]) { f.r = r }
 

@@ -25,7 +25,6 @@ type storeAPI interface {
 	Ready() map[string]string
 	DiskHealth() map[string]kflushing.DiskHealth
 	SetK(k int)
-	TunerStates() map[string]TunerStatus
 	Stats() map[string]kflushing.Stats
 	Close() error
 	Handler() http.Handler
@@ -59,7 +58,6 @@ func TestAttributeTable(t *testing.T) {
 	for name, m := range map[string]any{
 		"BlackboxEvents": st.BlackboxEvents(),
 		"DiskHealth":     st.DiskHealth(),
-		"TunerStates":    st.TunerStates(),
 		"Stats":          st.Stats(),
 	} {
 		if got, want := keysOf(m), []string{"keyword", "spatial", "user"}; !reflect.DeepEqual(got, want) {

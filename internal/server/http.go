@@ -41,7 +41,6 @@ type HandlerOptions struct {
 //	                            [?attr=keyword|spatial|user]
 //	                            [&subsystem=ingest|wal|flush|...]
 //	                            [&id=<cycle or query ID>][&n=256]
-//	GET  /debug/tuner           adaptive memory tuner state
 //	GET  /healthz               liveness probe
 //	GET  /readyz                readiness probe (disk + WAL writable,
 //	                            plus per-level disk health and flush
@@ -64,7 +63,6 @@ func (s *Store) HandlerWithOptions(o HandlerOptions) http.Handler {
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/debug/blackbox", s.handleBlackbox)
-	mux.HandleFunc("/debug/tuner", s.handleTuner)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -379,17 +377,6 @@ func (s *Store) handleBlackbox(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleTuner serves the adaptive memory tuner's per-attribute state:
-// the targets in force, tick/adjustment/sign-flip counters, the last
-// pressure reading, and the configured bounds. Attributes running
-// without the tuner report enabled=false. ?attr restricts to one
-// attribute system.
-func (s *Store) handleTuner(w http.ResponseWriter, r *http.Request) {
-	if states, ok := onlyAttr(w, r, s.TunerStates()); ok {
-		writeJSON(w, states)
-	}
-}
-
 // handleReady is the readiness probe: it verifies every attribute
 // system can actually write (disk tier dir writable, WAL appendable
 // when durable) and answers 503 with the failing attributes otherwise.
@@ -504,23 +491,6 @@ func (s *Store) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(st kflushing.Stats) float64 { return float64(st.WAL.RelocatedRecords) })
 	emit("wal_reclaimed_bytes_total", "counter", "bytes of write-ahead log files unlinked once nothing claimed them",
 		func(st kflushing.Stats) float64 { return float64(st.WAL.ReclaimedBytes) })
-	emit("tuner_enabled", "gauge", "1 while the adaptive memory tuner is on for the attribute system",
-		func(st kflushing.Stats) float64 {
-			if st.TunerEnabled {
-				return 1
-			}
-			return 0
-		})
-	emit("tuner_flush_fraction", "gauge", "adaptive flush budget B currently in force (0 when the tuner is off)",
-		func(st kflushing.Stats) float64 { return st.Tuner.FlushFraction })
-	emit("tuner_watermark_bytes", "gauge", "adaptive flush trigger watermark currently in force (0 when the tuner is off)",
-		func(st kflushing.Stats) float64 { return float64(st.Tuner.WatermarkBytes) })
-	emit("tuner_cache_bytes", "gauge", "adaptive disk record cache budget currently in force (0 when the tuner is off)",
-		func(st kflushing.Stats) float64 { return float64(st.Tuner.CacheBytes) })
-	emit("tuner_adjustments_total", "counter", "tuner decisions that changed at least one knob",
-		func(st kflushing.Stats) float64 { return float64(st.Tuner.Adjusts) })
-	emit("tuner_sign_flips_total", "counter", "tuner direction reversals actually applied (oscillation indicator)",
-		func(st kflushing.Stats) float64 { return float64(st.Tuner.SignFlips) })
 	emit("degraded", "gauge", "1 while the attribute system is in degraded read-only mode (tier writes failing)",
 		func(st kflushing.Stats) float64 {
 			if st.Degraded {

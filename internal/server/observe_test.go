@@ -74,16 +74,6 @@ func TestMetricsExpositionLints(t *testing.T) {
 		`kflushing_query_stage_duration_seconds_bucket{attr="keyword",policy="kflushing",stage="index"`,
 		`kflushing_query_stage_duration_seconds_bucket{attr="keyword",policy="kflushing",stage="heap"`,
 		`kflushing_query_stage_duration_seconds_bucket{attr="keyword",policy="kflushing",stage="disk"`,
-		// Adaptive memory tuner (PR 10): the targets in force and the
-		// adjustment/oscillation counters scrape even when the tuner is
-		// off, so dashboards can alert on tuner_enabled itself.
-		"# TYPE kflushing_tuner_enabled gauge",
-		`kflushing_tuner_enabled{attr="keyword"`,
-		"# TYPE kflushing_tuner_flush_fraction gauge",
-		"# TYPE kflushing_tuner_watermark_bytes gauge",
-		"# TYPE kflushing_tuner_cache_bytes gauge",
-		"# TYPE kflushing_tuner_adjustments_total counter",
-		"# TYPE kflushing_tuner_sign_flips_total counter",
 		// Online log reclaim (PR 19): the log's size against the budget,
 		// and the relocation and unlink work that keeps it there.
 		"# TYPE kflushing_wal_bytes gauge",
@@ -246,83 +236,6 @@ func TestFlushLogEndpoint(t *testing.T) {
 		if rw := do(t, h, http.MethodGet, gone, ""); rw.Code != http.StatusNotFound {
 			t.Fatalf("%s still served: %d", gone, rw.Code)
 		}
-	}
-}
-
-// TestTunerEndpoint verifies /debug/tuner reports per-attribute tuner
-// state: enabled flags, the targets in force, and the configured
-// bounds; ?attr filters and rejects unknown attributes.
-func TestTunerEndpoint(t *testing.T) {
-	st, err := OpenStore(t.TempDir(), kflushing.Options{
-		MemoryBudget:   8 << 20,
-		K:              5,
-		SyncFlush:      true,
-		AdaptiveMemory: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := st.Close(); err != nil {
-			t.Errorf("Close: %v", err)
-		}
-	})
-	h := st.Handler()
-
-	rw := do(t, h, http.MethodGet, "/debug/tuner", "")
-	if rw.Code != http.StatusOK {
-		t.Fatalf("/debug/tuner status %d", rw.Code)
-	}
-	var states map[string]struct {
-		Enabled bool                 `json:"enabled"`
-		State   kflushing.TunerState `json:"state"`
-	}
-	if err := json.Unmarshal(rw.Body.Bytes(), &states); err != nil {
-		t.Fatal(err)
-	}
-	for _, attr := range []string{"keyword", "spatial", "user"} {
-		ts, found := states[attr]
-		if !found {
-			t.Fatalf("/debug/tuner missing attribute %q: %s", attr, rw.Body)
-		}
-		if !ts.Enabled {
-			t.Fatalf("%s tuner reported off despite AdaptiveMemory", attr)
-		}
-		if ts.State.FlushFraction <= 0 || ts.State.WatermarkBytes <= 0 {
-			t.Fatalf("%s targets unset: %+v", attr, ts.State)
-		}
-		if ts.State.Limits.MinFlushFraction <= 0 || ts.State.Limits.MaxFlushFraction < ts.State.Limits.MinFlushFraction {
-			t.Fatalf("%s bounds unset: %+v", attr, ts.State.Limits)
-		}
-	}
-
-	rw = do(t, h, http.MethodGet, "/debug/tuner?attr=keyword", "")
-	if rw.Code != http.StatusOK {
-		t.Fatalf("filtered tuner status %d", rw.Code)
-	}
-	states = nil
-	if err := json.Unmarshal(rw.Body.Bytes(), &states); err != nil {
-		t.Fatal(err)
-	}
-	if len(states) != 1 {
-		t.Fatalf("attr filter ignored: %s", rw.Body)
-	}
-	if rw = do(t, h, http.MethodGet, "/debug/tuner?attr=bogus", ""); rw.Code != http.StatusBadRequest {
-		t.Fatalf("bogus attr accepted: %d", rw.Code)
-	}
-
-	// A static store still serves the endpoint with enabled=false.
-	off := newTestStore(t)
-	rw = do(t, off.Handler(), http.MethodGet, "/debug/tuner", "")
-	if rw.Code != http.StatusOK {
-		t.Fatalf("static /debug/tuner status %d", rw.Code)
-	}
-	states = nil
-	if err := json.Unmarshal(rw.Body.Bytes(), &states); err != nil {
-		t.Fatal(err)
-	}
-	if states["keyword"].Enabled {
-		t.Fatal("static store reports the tuner on")
 	}
 }
 

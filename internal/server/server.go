@@ -30,7 +30,6 @@ type attrSystem interface {
 	Ready() error
 	DiskHealth() kflushing.DiskHealth
 	SetK(k int)
-	TunerState() (kflushing.TunerState, bool)
 	Stats() kflushing.Stats
 	Close() error
 }
@@ -234,21 +233,6 @@ func (s *Store) SetK(k int) {
 	for _, a := range s.attrs {
 		a.SetK(k)
 	}
-}
-
-// TunerStatus is one attribute system's adaptive-memory report.
-type TunerStatus struct {
-	Enabled bool                 `json:"enabled"`
-	State   kflushing.TunerState `json:"state"`
-}
-
-// TunerStates reports the adaptive memory tuner per attribute; systems
-// running without the tuner report Enabled false and a zero state.
-func (s *Store) TunerStates() map[string]TunerStatus {
-	return perAttr(s, func(a attrSystem) TunerStatus {
-		st, ok := a.TunerState()
-		return TunerStatus{Enabled: ok, State: st}
-	})
 }
 
 // Stats returns per-attribute snapshots.

@@ -41,7 +41,6 @@ import (
 	"kflushing/internal/query"
 	"kflushing/internal/ranking"
 	"kflushing/internal/trace"
-	"kflushing/internal/tuner"
 	"kflushing/internal/types"
 	"kflushing/internal/wal"
 )
@@ -91,12 +90,6 @@ type (
 	// SlowQuery is one search that reached Options.SlowQueryNanos, with
 	// its stage timings and keys; see System.SlowQueries.
 	SlowQuery = blackbox.SlowQuery
-	// TunerLimits bounds the adaptive memory tuner; see
-	// Options.AdaptiveMemory.
-	TunerLimits = tuner.Limits
-	// TunerState is the adaptive memory tuner's snapshot; see
-	// System.TunerState and the server's /debug/tuner.
-	TunerState = tuner.State
 )
 
 // ErrDegraded reports the system is in degraded read-only mode: a flush
@@ -176,11 +169,6 @@ type Options struct {
 	// DiskLevelFanout bounds the disk tier's per-level segment count
 	// before the level merges into the next (0 selects the default of 4).
 	DiskLevelFanout int
-	// DiskMaxSegments: only the sign matters. Negative disables disk
-	// compaction, so every flush stays its own segment — the naive
-	// layout the equivalence tests and allocation benchmarks use as a
-	// reference; zero or positive leaves DiskLevelFanout in charge.
-	DiskMaxSegments int
 	// DiskCacheBytes bounds the disk tier's decoded-record read cache,
 	// which spares hot memory-missing keys repeated file reads (0
 	// selects the default of 8 MiB; negative disables).
@@ -213,17 +201,6 @@ type Options struct {
 	// everything from the Go heap — the baseline pooling is
 	// benchmarked against.
 	AllocPolicy string
-	// AdaptiveMemory enables the feedback memory tuner: a deterministic
-	// controller that observes flush cost and memory-miss cost and
-	// retunes the flush budget B, the flush trigger watermark, and the
-	// disk record cache size within Tuner's bounds, applied only
-	// between flush cycles. Off by default. With every bound pinned to
-	// the static value the system is bit-equivalent to a static
-	// configuration (the tuner ticks but never emits a change).
-	AdaptiveMemory bool
-	// Tuner bounds the adaptive memory tuner when AdaptiveMemory is
-	// set; zero values select the defaults documented on TunerLimits.
-	Tuner TunerLimits
 }
 
 func (o *Options) fill() {
@@ -258,6 +235,13 @@ type AttrSystem[K comparable] struct {
 // open maps the facade options onto one attribute's engine — the only
 // place Options meets engine.Config.
 func open[K comparable](dir string, opt Options, spec attr.Spec[K]) (AttrSystem[K], error) {
+	return openTier(dir, opt, spec, 0)
+}
+
+// openTier is open with the disk tier's compaction switch exposed: a
+// negative diskMaxSegments never compacts, so every flush stays its own
+// segment — the reference layout of the equivalence tests (export_test.go).
+func openTier[K comparable](dir string, opt Options, spec attr.Spec[K], diskMaxSegments int) (AttrSystem[K], error) {
 	opt.fill()
 	pc, err := core.Choose[K](string(opt.Policy), int64(opt.FlushFraction*float64(opt.MemoryBudget)))
 	if err != nil {
@@ -283,7 +267,7 @@ func open[K comparable](dir string, opt Options, spec attr.Spec[K]) (AttrSystem[
 		Clock:           opt.Clock,
 		DiskDir:         dir,
 		DiskLevelFanout: opt.DiskLevelFanout,
-		DiskMaxSegments: opt.DiskMaxSegments,
+		DiskMaxSegments: diskMaxSegments,
 		DiskCacheBytes:  opt.DiskCacheBytes,
 		DiskRetry:       opt.DiskRetry,
 		WALDir:          walDir,
@@ -294,8 +278,6 @@ func open[K comparable](dir string, opt Options, spec attr.Spec[K]) (AttrSystem[
 		SyncFlush:       opt.SyncFlush,
 		AllocPolicy:     ap,
 		SlowQueryNanos:  opt.SlowQueryNanos,
-		AdaptiveMemory:  opt.AdaptiveMemory,
-		TunerLimits:     opt.Tuner,
 	})
 	return AttrSystem[K]{spec: spec, eng: eng}, err
 }
@@ -384,10 +366,6 @@ func (s *AttrSystem[K]) CompactAll() error { return s.eng.CompactAll() }
 
 // Stats returns a snapshot of gauges, counters, and the index census.
 func (s *AttrSystem[K]) Stats() Stats { return s.eng.Stats() }
-
-// TunerState reports the adaptive memory tuner's snapshot; ok is false
-// when Options.AdaptiveMemory is off.
-func (s *AttrSystem[K]) TunerState() (TunerState, bool) { return s.eng.TunerState() }
 
 // Err returns the most recent background flush error, if any.
 func (s *AttrSystem[K]) Err() error { return s.eng.Err() }

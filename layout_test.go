@@ -34,14 +34,12 @@ func runLayoutEquivalence(t *testing.T, ap string) {
 		SyncFlush:    true,
 		AllocPolicy:  ap,
 	}
-	refOpt := base
-	refOpt.DiskMaxSegments = -1 // never compact
 	levOpt := base
 	levOpt.DiskLevelFanout = 3
 	pipeOpt := base
 	pipeOpt.SyncFlush = false
 
-	ref, err := kflushing.Open(t.TempDir(), refOpt)
+	ref, err := kflushing.OpenNeverCompact(t.TempDir(), base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,8 @@
 //
 //	kflushctl segments <dir>       list segments (version, records, bloom,
 //	                               directory size) and the record blocks
-//	                               each one names
+//	                               each one names, with each block's
+//	                               format version and bytes per record
 //	kflushctl levels <dir>         decode the disk tier's manifest and
 //	                               print per-level occupancy, retired
 //	                               inputs, and unreferenced files
@@ -166,13 +167,19 @@ func cmdSegments(dir string) error {
 		recs += int64(info.Records)
 		bytes += info.Bytes
 		shadowed += info.ShadowedBytes
+		// Each block with its format version and the bytes its records
+		// and offsets take per record.
+		parts := make([]string, len(info.Blocks))
+		for i, b := range info.Blocks {
+			parts[i] = fmt.Sprintf("%s v%d %.1fB/rec", b.Name, b.Version, float64(b.Bytes)/float64(max(b.Records, 1)))
+		}
+		fmt.Printf("  blocks: %s\n", strings.Join(parts, ", "))
 		if info.BlockBytes == 0 {
 			continue // a legacy segment: its records are in its own file
 		}
-		fmt.Printf("  blocks: %s\n", strings.Join(info.Blocks, " "))
-		for _, name := range info.Blocks {
+		for _, b := range info.Blocks {
 			// A set: adoption can leave two directories naming one block.
-			blocks[name] = true
+			blocks[b.Name] = true
 		}
 	}
 	blockBytes, err := fileBytes(dir, blocks)

@@ -13,34 +13,36 @@ import (
 	"kflushing/internal/failpoint"
 )
 
-// Record block file layout (all integers little-endian):
+// Record block file layout, version 4 (all integers little-endian):
 //
-//	header : magic "KFBK" | u16 version | u16 reserved | u32 count
-//	records: count serialized records, back to back, best score first
-//	offsets: count × u64 file offset of each record (ordinal order)
+//	header : magic "KFBK" | u16 version | u16 offset width (4 or 8)
+//	         | u32 count
+//	records: count CodecCompact records, back to back, best score first
+//	offsets: count × u32 (u64 at width 8) file offset of each record,
+//	         in ordinal order
 //	footer : u64 offsetsPos | "KFBE"
 //
 // A block is what a flush writes once and nothing ever writes again:
 // microblogs are immutable and never deleted, so a block holds no
 // garbage for a merge to reclaim. Directories (segment.go) address its
 // records by ordinal; level merges rewrite directories, never blocks.
+// The writer uses 8-byte offsets only once the record area reaches
+// 4 GiB, so no flush size overflows the table.
 //
-// A legacy v2 segment file (records, offsets, directory, Bloom and a
-// footer in one file) opens as a block too — its header and offsets
-// table sit where a block's do — so a merge over old files leaves their
-// bytes in place and simply names them in the new directory's table.
+// Older files are read where they are and never rewritten: a v3 block
+// (the same layout with CodecFixed records, u64 offsets and a zero
+// width field) and a legacy v2 segment file (records, offsets,
+// directory, Bloom and a footer in one file), which opens as a block
+// too — its header and offsets table sit where a v3 block's do — so a
+// merge over old files leaves their bytes in place and simply names
+// them in the new directory's table.
 const (
 	blkMagic      = "KFBK"
 	blkEndMagic   = "KFBE"
+	blkVersionV3  = 3 // CodecFixed records, u64 offsets: read only
+	blkVersion    = 4 // the one write version
 	blkHeaderSize = 4 + 2 + 2 + 4
 	blkFooterSize = 8 + 4
-
-	// Fixed positions inside an encoded record (see appendRecord): a
-	// merge ranks and deduplicates on these two fields alone, so it
-	// never decodes a record.
-	recIDPos    = 0
-	recScorePos = 8 + 8 + 8 + 4 + 1
-	recFixedLen = recScorePos + 8
 )
 
 // nextBlockID hands out process-unique block identities, the record
@@ -57,6 +59,8 @@ type block struct {
 	id      uint64 // process-unique cache identity
 	path    string
 	f       *os.File
+	version uint16 // blkVersion; blkVersionV3; segVersionV2 for a legacy segment file
+	width   int64  // bytes per on-disk offsets table entry
 	offsets []uint64
 	end     uint64 // file offset just past the last record
 	size    int64  // whole-file byte length
@@ -67,6 +71,14 @@ type block struct {
 func (b *block) name() string  { return filepath.Base(b.path) }
 func (b *block) count() uint32 { return uint32(len(b.offsets)) }
 func (b *block) acquire()      { b.refs.Add(1) }
+
+// codec is the encoding of the block's records.
+func (b *block) codec() Codec {
+	if b.version == blkVersion {
+		return CodecCompact
+	}
+	return CodecFixed
+}
 
 // release drops a reference, closing the file handle with the last one
 // (a block whose flush never went live has none).
@@ -79,37 +91,49 @@ func (b *block) release() {
 }
 
 // encodeBlock appends the block file holding recs (already sorted best
-// score first) to buf and returns it with the records' offsets and the
-// offset just past the last record.
-func encodeBlock(buf []byte, recs []FlushRecord) (out []byte, offsets []uint64, end uint64) {
+// score first) to buf, which must be empty, and returns it with the
+// block it describes, to live at path; the block has no file handle
+// until its flush installs it.
+func encodeBlock(buf []byte, path string, recs []FlushRecord) ([]byte, *block) {
+	le := binary.LittleEndian
 	buf = append(buf, blkMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, segVersion)
-	buf = append(buf, 0, 0)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
-	offsets = make([]uint64, len(recs))
+	buf = le.AppendUint16(buf, blkVersion)
+	buf = append(buf, 0, 0) // offset width, set once the records are written
+	buf = le.AppendUint32(buf, uint32(len(recs)))
+	offsets := make([]uint64, len(recs))
 	for i, fr := range recs {
 		offsets[i] = uint64(len(buf))
 		buf = appendRecord(buf, fr)
 	}
-	end = uint64(len(buf))
-	for _, off := range offsets {
-		buf = binary.LittleEndian.AppendUint64(buf, off)
+	end := uint64(len(buf))
+	width := int64(4)
+	if end > math.MaxUint32 {
+		width = 8
 	}
-	buf = binary.LittleEndian.AppendUint64(buf, end)
+	le.PutUint16(buf[6:], uint16(width))
+	for _, off := range offsets {
+		if width == 4 {
+			buf = le.AppendUint32(buf, uint32(off))
+		} else {
+			buf = le.AppendUint64(buf, off)
+		}
+	}
+	buf = le.AppendUint64(buf, end)
 	buf = append(buf, blkEndMagic...)
-	return buf, offsets, end
+	return buf, newBlock(&block{path: path, version: blkVersion, width: width,
+		offsets: offsets, end: end, size: int64(len(buf))})
 }
 
-// newBlock wraps an open handle on a block file whose offsets table the
-// caller already holds. The caller owns the first reference.
-func newBlock(path string, f *os.File, offsets []uint64, end uint64, size int64) *block {
-	b := &block{id: nextBlockID.Add(1), path: path, f: f, offsets: offsets, end: end, size: size}
+// newBlock gives b its cache identity and hands the caller its first
+// reference.
+func newBlock(b *block) *block {
+	b.id = nextBlockID.Add(1)
 	b.refs.Store(1)
 	return b
 }
 
-// openBlock reads back a block's offsets table: a blk-* file, or a
-// legacy v2 segment file serving as one. The caller owns the first
+// openBlock reads back a block's offsets table: a v4 or v3 blk-* file,
+// or a legacy v2 segment file serving as one. The caller owns the first
 // reference.
 func openBlock(path string) (*block, error) {
 	f, err := os.Open(path)
@@ -128,16 +152,21 @@ func openBlock(path string) (*block, error) {
 	if err != nil {
 		return nil, err
 	}
+	le := binary.LittleEndian
 	head := make([]byte, blkHeaderSize)
 	if _, err := f.ReadAt(head, 0); err != nil {
 		return nil, corruptIfShort(err)
 	}
-	count := int64(binary.LittleEndian.Uint32(head[8:]))
-	var footerSize int64
-	var endMagic string
-	switch magic, version := string(head[:4]), binary.LittleEndian.Uint16(head[4:]); {
-	case magic == blkMagic && version == segVersion:
-		footerSize, endMagic = blkFooterSize, blkEndMagic
+	count := int64(le.Uint32(head[8:]))
+	version := le.Uint16(head[4:])
+	width := int64(8)
+	footerSize, endMagic := int64(blkFooterSize), blkEndMagic
+	switch magic := string(head[:4]); {
+	case magic == blkMagic && version == blkVersion:
+		if width = int64(le.Uint16(head[6:])); width != 4 && width != 8 {
+			return nil, ErrCorrupt
+		}
+	case magic == blkMagic && version == blkVersionV3:
 	case magic == segMagic && version == segVersionV2:
 		footerSize, endMagic = segFooterSize, segEndMagic
 	default:
@@ -146,8 +175,8 @@ func openBlock(path string) (*block, error) {
 	if st.Size() < blkHeaderSize+footerSize {
 		return nil, ErrCorrupt
 	}
-	// Both footers lead with the offsets table's position and end with
-	// their magic.
+	// Every footer leads with the offsets table's position and ends with
+	// its magic.
 	foot := make([]byte, footerSize)
 	if _, err := f.ReadAt(foot, st.Size()-footerSize); err != nil {
 		return nil, err
@@ -155,25 +184,31 @@ func openBlock(path string) (*block, error) {
 	if string(foot[footerSize-4:]) != endMagic {
 		return nil, ErrCorrupt
 	}
-	end := binary.LittleEndian.Uint64(foot)
-	if end < blkHeaderSize || int64(end)+8*count > st.Size()-footerSize {
+	end := le.Uint64(foot)
+	if end < blkHeaderSize || end > uint64(st.Size()) || int64(end)+width*count > st.Size()-footerSize {
 		return nil, ErrCorrupt
 	}
-	table := make([]byte, 8*count)
+	table := make([]byte, width*count)
 	if _, err := f.ReadAt(table, int64(end)); err != nil {
 		return nil, err
 	}
 	offsets := make([]uint64, count)
 	prev := uint64(blkHeaderSize)
 	for i := range offsets {
-		off := binary.LittleEndian.Uint64(table[i*8:])
+		var off uint64
+		if width == 4 {
+			off = uint64(le.Uint32(table[i*4:]))
+		} else {
+			off = le.Uint64(table[i*8:])
+		}
 		if off < prev || off > end {
 			return nil, ErrCorrupt
 		}
 		offsets[i], prev = off, off
 	}
 	ok = true
-	return newBlock(path, f, offsets, end, st.Size()), nil
+	return newBlock(&block{path: path, f: f, version: version, width: width,
+		offsets: offsets, end: end, size: st.Size()}), nil
 }
 
 // corruptIfShort maps a read that ran off the end of a file to
@@ -206,7 +241,7 @@ func (b *block) readRecord(ord uint32) (FlushRecord, error) {
 	if _, err := b.f.ReadAt(buf, int64(b.offsets[ord])); err != nil && err != io.EOF {
 		return FlushRecord{}, err
 	}
-	fr, _, err := decodeRecord(buf)
+	fr, _, err := decodeRecord(buf, b.codec())
 	return fr, err
 }
 
@@ -237,15 +272,16 @@ func (b *block) scan(fn func(ord uint32, rec []byte) error) error {
 }
 
 // scanRanks fills ids and scores (one slot per record, ordinal order)
-// from the fixed-position fields of each encoded record — all a merge
-// needs to rank postings across blocks and to spot a record stored twice.
+// from the rank prefix of each encoded record — all a merge needs to
+// rank postings across blocks and to spot a record stored twice.
 func (b *block) scanRanks(ids []uint64, scores []float64) error {
+	c := b.codec()
 	return b.scan(func(ord uint32, rec []byte) error {
-		if len(rec) < recFixedLen {
-			return fmt.Errorf("disk: scan %s ordinal %d: %w", b.name(), ord, ErrCorrupt)
+		id, score, err := decodeRank(rec, c)
+		if err != nil {
+			return fmt.Errorf("disk: scan %s ordinal %d: %w", b.name(), ord, err)
 		}
-		ids[ord] = binary.LittleEndian.Uint64(rec[recIDPos:])
-		scores[ord] = math.Float64frombits(binary.LittleEndian.Uint64(rec[recScorePos:]))
+		ids[ord], scores[ord] = id, score
 		return nil
 	})
 }

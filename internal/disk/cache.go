@@ -29,7 +29,7 @@ const (
 	cacheShardCount = 8
 	// cacheEntryOverhead approximates the per-entry bookkeeping cost
 	// (map slot, list element, decoded Microblog header) on top of the
-	// record's on-disk size.
+	// record's fields (fixedLen).
 	cacheEntryOverhead = 160
 )
 
@@ -89,9 +89,12 @@ func (c *recordCache) get(k cacheKey) (FlushRecord, bool) {
 }
 
 // put inserts the record, evicting least-recently-used entries until the
-// shard fits its budget. diskSize is the record's on-disk length.
-func (c *recordCache) put(k cacheKey, fr FlushRecord, diskSize int64) {
-	size := diskSize + cacheEntryOverhead
+// shard fits its budget. An entry is charged by what the decoded record
+// holds — its fields at fixed width plus the bookkeeping — not by its
+// on-disk length, so the same reads leave the same cache contents
+// whichever block format served them.
+func (c *recordCache) put(k cacheKey, fr FlushRecord) {
+	size := fixedLen(fr) + cacheEntryOverhead
 	if size > c.shardBudget {
 		return // larger than a whole shard: never admit
 	}

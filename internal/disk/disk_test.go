@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -218,21 +219,55 @@ func TestCorruptSegmentRejected(t *testing.T) {
 // damage must surface as an error (or, for a flip in a record body,
 // decode to something), never as a panic or an over-read. The rename
 // protocol never leaves a torn file under a final name, but bit rot can.
+//
+// The block is checked at both offset widths: as written (u32) and as a
+// block past 4 GiB would be laid out (u64).
 func TestDamagedFilesRejectedNotPanicked(t *testing.T) {
+	for _, width := range []int64{4, 8} {
+		t.Run(fmt.Sprintf("width%d", width), func(t *testing.T) { checkDamagedFiles(t, width) })
+	}
+}
+
+func checkDamagedFiles(t *testing.T, width int64) {
 	dir := t.TempDir()
 	tier := fastTier(t, Config[string]{Dir: dir})
 	if err := tier.Flush([]FlushRecord{fr(1, 1, "a", "b"), fr(2, 2, "a"), fr(3, 3, "c")}); err != nil {
 		t.Fatal(err)
 	}
 	blkPath, segPath := filepath.Join(dir, "blk-00000001.kfs"), filepath.Join(dir, "seg-00000001.kfs")
+	if width == 8 {
+		img, err := os.ReadFile(blkPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(blkPath, widenBlock(img), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := openBlock(blkPath)
+	if err != nil || b.width != width {
+		t.Fatalf("block opens with err %v; want width %d", err, width)
+	}
+	if rec, err := b.readRecord(0); err != nil || rec.MB.ID != 3 {
+		t.Fatalf("best record of the width-%d block: %+v, %v", width, rec, err)
+	}
+	b.release()
 	open := func() error {
 		bs := blockSet{}
 		defer bs.release()
 		s, err := openSegment(segPath, bs)
-		if err == nil {
-			s.release()
+		if err != nil {
+			return err
 		}
-		return err
+		defer s.release()
+		// Decode every record as well: a flip in a record body reaches the
+		// codec, which may refuse it but must not panic.
+		for _, b := range s.blocks {
+			for ord := uint32(0); ord < b.count(); ord++ {
+				_, _ = b.readRecord(ord)
+			}
+		}
+		return nil
 	}
 	if err := open(); err != nil {
 		t.Fatalf("intact files: %v", err)
@@ -274,45 +309,72 @@ func TestEmptyFlushIsNoop(t *testing.T) {
 	}
 }
 
-// Property: any record encodes and decodes identically.
+// Property: any record encodes and decodes identically, in either codec.
 func TestRecordCodecProperty(t *testing.T) {
-	f := func(id uint64, ts int64, user uint64, fol uint32, lat, lon float64, geo bool, kw1, kw2, text string) bool {
-		if len(kw1) > 60000 || len(kw2) > 60000 || len(text) > 1<<20 {
-			return true // outside format limits
+	for _, tc := range testCodecs {
+		f := func(id uint64, ts int64, user uint64, fol uint32, lat, lon, score float64, geo, tsScore bool, kw1, kw2, text string) bool {
+			if len(kw1) > 60000 || len(kw2) > 60000 || len(text) > 1<<20 {
+				return true // outside format limits
+			}
+			if tsScore {
+				score = float64(ts)
+			}
+			in := FlushRecord{
+				MB: &types.Microblog{
+					ID: types.ID(id), Timestamp: types.Timestamp(ts),
+					UserID: user, Followers: fol, Lat: lat, Lon: lon,
+					HasGeo: geo, Keywords: []string{kw1, kw2}, Text: text,
+				},
+				Score: score,
+			}
+			buf := tc.enc(nil, in)
+			out, n, err := decodeRecord(buf, tc.c)
+			if err != nil || n != len(buf) {
+				return false
+			}
+			m := out.MB
+			return m.ID == in.MB.ID && m.Timestamp == in.MB.Timestamp &&
+				m.UserID == in.MB.UserID && m.Followers == in.MB.Followers &&
+				m.Lat == in.MB.Lat && m.Lon == in.MB.Lon && m.HasGeo == in.MB.HasGeo &&
+				len(m.Keywords) == 2 && m.Keywords[0] == kw1 && m.Keywords[1] == kw2 &&
+				m.Text == text && out.Score == in.Score
 		}
-		in := FlushRecord{
-			MB: &types.Microblog{
-				ID: types.ID(id), Timestamp: types.Timestamp(ts),
-				UserID: user, Followers: fol, Lat: lat, Lon: lon,
-				HasGeo: geo, Keywords: []string{kw1, kw2}, Text: text,
-			},
-			Score: float64(ts),
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		buf := appendRecord(nil, in)
-		out, n, err := decodeRecord(buf)
-		if err != nil || n != len(buf) {
-			return false
-		}
-		m := out.MB
-		return m.ID == in.MB.ID && m.Timestamp == in.MB.Timestamp &&
-			m.UserID == in.MB.UserID && m.Followers == in.MB.Followers &&
-			m.Lat == in.MB.Lat && m.Lon == in.MB.Lon && m.HasGeo == in.MB.HasGeo &&
-			len(m.Keywords) == 2 && m.Keywords[0] == kw1 && m.Keywords[1] == kw2 &&
-			m.Text == text && out.Score == in.Score
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 
+// TestTruncatedRecordDetected: every strict prefix of a record is
+// refused by its codec, and the rank prefix reads back from the front.
 func TestTruncatedRecordDetected(t *testing.T) {
-	buf := appendRecord(nil, fr(1, 1, "abc"))
-	for cut := 1; cut < len(buf); cut += 7 {
-		if _, _, err := decodeRecord(buf[:cut]); err == nil {
-			// Some prefixes may decode if the text length field is
-			// satisfied early; the only hard requirement is no panic
-			// and no over-read, which reaching here demonstrates.
-			continue
+	in := fr(1, 1, "abc", "de")
+	for _, tc := range testCodecs {
+		buf := tc.enc(nil, in)
+		for cut := 0; cut < len(buf); cut++ {
+			if _, _, err := decodeRecord(buf[:cut], tc.c); err == nil {
+				t.Fatalf("%s: %d-byte prefix of a %d-byte record decoded", tc.name, cut, len(buf))
+			}
 		}
+		if id, score, err := decodeRank(buf, tc.c); err != nil || id != 1 || score != 1 {
+			t.Fatalf("%s: rank prefix = %d, %v, %v", tc.name, id, score, err)
+		}
+	}
+}
+
+// TestCompactCodecSize pins what the compact codec saves on a typical
+// record: the score under Temporal ranking, the width of small integers,
+// and a zero location.
+func TestCompactCodecSize(t *testing.T) {
+	in := fr(1000, 1e6, "kw1", "kw2")
+	in.MB.Lat, in.MB.Lon, in.MB.HasGeo = 0, 0, false
+	fixed, compact := appendFixedRecord(nil, in), appendRecord(nil, in)
+	// flags 1, ID 2, timestamp 3, user 2, followers 2, nkw 1, keywords
+	// 2×4, text 1+14.
+	if len(compact) != 34 || len(fixed) != fixedLenBase+2*5+14 {
+		t.Fatalf("compact %d bytes (want 34), fixed %d", len(compact), len(fixed))
+	}
+	if got := fixedLen(in); got != int64(len(fixed)) {
+		t.Fatalf("fixedLen = %d, want the fixed encoding's %d", got, len(fixed))
 	}
 }

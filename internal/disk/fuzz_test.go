@@ -1,30 +1,50 @@
 package disk
 
 import (
+	"math"
 	"testing"
 
 	"kflushing/internal/types"
 )
 
-// FuzzDecodeRecord throws arbitrary bytes at the record decoder: it must
-// never panic or over-read, only return ErrCorrupt-style failures.
+// FuzzDecodeRecord throws arbitrary bytes at both record decoders: they
+// must never panic or over-read, only return ErrCorrupt-style failures,
+// and whatever either accepts must survive the compact codec unchanged.
 func FuzzDecodeRecord(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(appendRecord(nil, FlushRecord{
+	rec := FlushRecord{
 		MB:    &types.Microblog{ID: 1, Keywords: []string{"a"}, Text: "t"},
 		Score: 1,
-	}))
+	}
+	f.Add([]byte{})
+	f.Add(appendRecord(nil, rec))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(appendFixedRecord(nil, rec))
+	rec.Score = math.NaN()
+	f.Add(appendRecord(nil, rec))
+	f.Add([]byte{flagsKnown, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, n, err := decodeRecord(data)
-		if err != nil {
-			return
-		}
-		if n > len(data) {
-			t.Fatalf("decoder consumed %d of %d bytes", n, len(data))
-		}
-		if fr.MB == nil {
-			t.Fatal("nil microblog without error")
+		for _, tc := range testCodecs {
+			fr, n, err := decodeRecord(data, tc.c)
+			if err != nil {
+				continue
+			}
+			if n > len(data) {
+				t.Fatalf("%s decoder consumed %d of %d bytes", tc.name, n, len(data))
+			}
+			if fr.MB == nil {
+				t.Fatalf("%s: nil microblog without error", tc.name)
+			}
+			if id, score, err := decodeRank(data, tc.c); err != nil || id != uint64(fr.MB.ID) ||
+				math.Float64bits(score) != math.Float64bits(fr.Score) {
+				t.Fatalf("%s: rank prefix %d, %v, %v disagrees with the record", tc.name, id, score, err)
+			}
+			// Anything readable is writable: the compact codec loses no
+			// field, NaN and -0 included.
+			buf := appendRecord(nil, fr)
+			again, m, err := decodeRecord(buf, CodecCompact)
+			if err != nil || m != len(buf) || string(appendRecord(nil, again)) != string(buf) {
+				t.Fatalf("%s: decoded record does not survive the compact codec: %v", tc.name, err)
+			}
 		}
 	})
 }
@@ -61,41 +81,62 @@ func FuzzBloomDecode(f *testing.F) {
 	})
 }
 
-// FuzzRecordRoundTrip checks encode→decode identity over fuzzed fields.
+// FuzzRecordRoundTrip checks encode→decode identity over fuzzed fields
+// in both codecs, bit for bit: a score that is not the timestamp, NaN
+// and -0 scores and coordinates, coordinates without HasGeo, and up to
+// 255 keywords.
 func FuzzRecordRoundTrip(f *testing.F) {
-	f.Add(uint64(1), int64(2), uint64(3), uint32(4), 1.5, -2.5, true, "kw", "text")
-	f.Fuzz(func(t *testing.T, id uint64, ts int64, user uint64, fol uint32,
-		lat, lon float64, geo bool, kw, text string) {
+	f.Add(uint64(1), int64(2), uint64(3), uint32(4), 0.0, true, 1.5, -2.5, true, uint8(1), "kw", "text")
+	f.Add(uint64(1), int64(2), uint64(3), uint32(4), math.NaN(), false, 1.5, -2.5, true, uint8(1), "kw", "text")
+	f.Add(uint64(1), int64(0), uint64(3), uint32(4), math.Copysign(0, -1), false, 0.0, 0.0, false, uint8(1), "kw", "text")
+	f.Add(uint64(1<<63), int64(-7), uint64(0), uint32(math.MaxUint32), 7.25, false, 0.0, 0.0, true, uint8(2), "", "")
+	f.Add(uint64(9), int64(9), uint64(9), uint32(9), 0.0, true, 40.5, math.Copysign(0, -1), false, uint8(0), "kw", "no keywords")
+	f.Add(uint64(9), int64(1e15), uint64(9), uint32(9), 0.0, true, 10.0, 20.0, false, uint8(255), "k", "many keywords")
+	f.Fuzz(func(t *testing.T, id uint64, ts int64, user uint64, fol uint32, score float64, tsScore bool,
+		lat, lon float64, geo bool, nkw uint8, kw, text string) {
 		if len(kw) > 1<<16-1 || len(text) > 1<<20 {
 			t.Skip()
+		}
+		if tsScore {
+			score = float64(ts)
+		}
+		var kws []string
+		for i := 0; i < int(nkw); i++ {
+			kws = append(kws, kw[:i%(len(kw)+1)])
 		}
 		in := FlushRecord{
 			MB: &types.Microblog{
 				ID: types.ID(id), Timestamp: types.Timestamp(ts),
 				UserID: user, Followers: fol, Lat: lat, Lon: lon,
-				HasGeo: geo, Keywords: []string{kw}, Text: text,
+				HasGeo: geo, Keywords: kws, Text: text,
 			},
-			Score: float64(ts),
+			Score: score,
 		}
-		buf := appendRecord(nil, in)
-		out, n, err := decodeRecord(buf)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if n != len(buf) {
-			t.Fatalf("consumed %d of %d", n, len(buf))
-		}
-		m := out.MB
-		if m.ID != in.MB.ID || m.Timestamp != in.MB.Timestamp ||
-			m.UserID != user || m.Followers != fol ||
-			m.HasGeo != geo || m.Keywords[0] != kw || m.Text != text {
-			t.Fatal("round trip mismatch")
-		}
-		// NaN lat/lon compare unequal to themselves; compare bits via
-		// re-encode instead.
-		buf2 := appendRecord(nil, out)
-		if string(buf) != string(buf2) {
-			t.Fatal("re-encode mismatch")
+		for _, tc := range testCodecs {
+			buf := tc.enc(nil, in)
+			out, n, err := decodeRecord(buf, tc.c)
+			if err != nil {
+				t.Fatalf("%s decode: %v", tc.name, err)
+			}
+			if n != len(buf) {
+				t.Fatalf("%s consumed %d of %d", tc.name, n, len(buf))
+			}
+			m := out.MB
+			bits := math.Float64bits
+			if m.ID != in.MB.ID || m.Timestamp != in.MB.Timestamp ||
+				m.UserID != user || m.Followers != fol || m.HasGeo != geo ||
+				bits(out.Score) != bits(score) || bits(m.Lat) != bits(lat) || bits(m.Lon) != bits(lon) ||
+				len(m.Keywords) != len(kws) || m.Text != text {
+				t.Fatalf("%s round trip mismatch: %+v score %v, want %+v score %v", tc.name, m, out.Score, in.MB, score)
+			}
+			for i := range kws {
+				if m.Keywords[i] != kws[i] {
+					t.Fatalf("%s keyword %d = %q, want %q", tc.name, i, m.Keywords[i], kws[i])
+				}
+			}
+			if string(tc.enc(nil, out)) != string(buf) {
+				t.Fatalf("%s re-encode mismatch", tc.name)
+			}
 		}
 	})
 }

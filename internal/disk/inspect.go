@@ -14,8 +14,9 @@ import (
 type SegmentInfo struct {
 	// Path is the directory's file name (not the full path).
 	Path string
-	// Version is the format version: 3 = a directory over separate block
-	// files, 2 = a legacy file holding its one block itself.
+	// Version is the directory format version: 3 = a directory over
+	// separate block files, 2 = a legacy file holding its one block
+	// itself.
 	Version int
 	// Records is the number of live records: stored in a named block and
 	// posted from it.
@@ -30,15 +31,29 @@ type SegmentInfo struct {
 	Bytes int64
 	// BloomBytes is the serialized Bloom filter size.
 	BloomBytes int
-	// Blocks names the record block files the directory addresses, in
-	// table order (oldest first); a legacy segment names itself.
-	Blocks []string
+	// Blocks describes the record block files the directory addresses,
+	// in table order (oldest first); a legacy segment names itself.
+	Blocks []BlockInfo
 	// BlockBytes is the total size of those files, the segment's own
 	// excluded.
 	BlockBytes int64
 	// ShadowedBytes is the size of records in those blocks that a newer
 	// block also holds and that are therefore posted from there.
 	ShadowedBytes int64
+}
+
+// BlockInfo describes one record block a directory names.
+type BlockInfo struct {
+	// Name is the block's file name.
+	Name string
+	// Version is the block format version: 4 = CodecCompact records and a
+	// u32 (or u64) offsets table, 3 = CodecFixed records and u64 offsets,
+	// 2 = a legacy segment file, laid out like a v3 block.
+	Version int
+	// Records is the number of records stored, posted or not.
+	Records int
+	// Bytes is the size of the block's records and offsets table.
+	Bytes int64
 }
 
 // openDir opens every segment under dir the way a tier would see it —
@@ -122,7 +137,12 @@ func Inspect(dir string) ([]SegmentInfo, error) {
 			ShadowedBytes: s.shadowed,
 		}
 		for _, b := range s.blocks {
-			info.Blocks = append(info.Blocks, b.name())
+			info.Blocks = append(info.Blocks, BlockInfo{
+				Name:    b.name(),
+				Version: int(b.version),
+				Records: int(b.count()),
+				Bytes:   int64(b.end) - blkHeaderSize + b.width*int64(b.count()),
+			})
 		}
 		infos = append(infos, info)
 	}
@@ -138,7 +158,7 @@ func DumpSegment(path string, fn func(FlushRecord) error) error {
 			if !posted(ord) {
 				return nil
 			}
-			fr, _, err := decodeRecord(rec)
+			fr, _, err := decodeRecord(rec, b.codec())
 			if err != nil {
 				return fmt.Errorf("disk: dump %s ordinal %d: %w", b.name(), ord, err)
 			}
@@ -200,8 +220,9 @@ func (s *segment) verify() error {
 	scores := make([]float64, total)
 	for i, b := range s.blocks {
 		base := s.base[i]
+		c := b.codec()
 		err := b.scan(func(ord uint32, rec []byte) error {
-			fr, n, err := decodeRecord(rec)
+			fr, n, err := decodeRecord(rec, c)
 			if err != nil || n != len(rec) {
 				return fmt.Errorf("block %s ordinal %d: %w", b.name(), ord, ErrCorrupt)
 			}

@@ -89,104 +89,270 @@ type FlushRecord struct {
 	LogSeq uint32
 }
 
-// EncodeRecord appends the binary encoding of fr to buf and returns the
-// extended slice. The format is shared with the write-ahead log.
+// Codec names a record encoding. Record blocks and log files are
+// versioned; the version says which codec their records use.
+type Codec uint8
+
+const (
+	// CodecFixed is the fixed-width encoding of v2 segment files, v3
+	// blocks and version-1 log files. It is read, never written:
+	//
+	//	u64 ID | i64 timestamp | u64 user | u32 followers | u8 geo
+	//	| f64 score | f64 lat | f64 lon | u16 nkw, (u16 len, bytes)*
+	//	| u32 textLen, text
+	CodecFixed Codec = 1
+	// CodecCompact is the one write encoding, for v4 blocks and
+	// version-2 log files (see appendRecord).
+	CodecCompact Codec = 2
+)
+
+// Flag bits of a CodecCompact record.
+const (
+	flagGeo     = 1 << 0 // HasGeo
+	flagTSScore = 1 << 1 // the score is float64(timestamp), bit for bit, and is not stored
+	flagCoords  = 1 << 2 // lat and lon are stored (either is not +0)
+	flagsKnown  = flagGeo | flagTSScore | flagCoords
+)
+
+// fixedLenBase is the CodecFixed length of a record with no keywords
+// and no text.
+const fixedLenBase = 8 + 8 + 8 + 4 + 1 + 8 + 8 + 8 + 2 + 4
+
+// EncodeRecord appends the CodecCompact encoding of fr to buf and
+// returns the extended slice. The write-ahead log frames the same
+// encoding.
 func EncodeRecord(buf []byte, fr FlushRecord) []byte { return appendRecord(buf, fr) }
 
-// DecodeRecord decodes one record from the front of b, returning it and
-// the number of bytes consumed.
-func DecodeRecord(b []byte) (FlushRecord, int, error) { return decodeRecord(b) }
+// DecodeRecord decodes one record in codec c from the front of b,
+// returning it and the number of bytes consumed.
+func DecodeRecord(b []byte, c Codec) (FlushRecord, int, error) { return decodeRecord(b, c) }
 
+// appendRecord writes CodecCompact:
+//
+//	flags u8 | uvarint ID | varint timestamp | [f64 score]
+//	| uvarint user | uvarint followers | [f64 lat, f64 lon]
+//	| uvarint nkw, (uvarint len, bytes)* | uvarint textLen, text
+//
+// ID and score lead (the rank prefix), so a merge ranks a block by
+// decoding a few bytes per record. Under the Temporal ranker the score
+// is the timestamp and is elided.
 func appendRecord(buf []byte, fr FlushRecord) []byte {
 	m := fr.MB
-	var tmp [8]byte
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf = append(buf, tmp[:8]...)
-	}
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(tmp[:4], v)
-		buf = append(buf, tmp[:4]...)
-	}
-	put16 := func(v uint16) {
-		binary.LittleEndian.PutUint16(tmp[:2], v)
-		buf = append(buf, tmp[:2]...)
-	}
-	put64(uint64(m.ID))
-	put64(uint64(m.Timestamp))
-	put64(m.UserID)
-	put32(m.Followers)
+	le := binary.LittleEndian
+	var flags byte
 	if m.HasGeo {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+		flags |= flagGeo
 	}
-	put64(math.Float64bits(fr.Score))
-	put64(math.Float64bits(m.Lat))
-	put64(math.Float64bits(m.Lon))
-	put16(uint16(len(m.Keywords)))
+	score := math.Float64bits(fr.Score)
+	if score == math.Float64bits(float64(m.Timestamp)) {
+		flags |= flagTSScore
+	}
+	lat, lon := math.Float64bits(m.Lat), math.Float64bits(m.Lon)
+	if lat|lon != 0 {
+		flags |= flagCoords
+	}
+	buf = append(buf, flags)
+	buf = binary.AppendUvarint(buf, uint64(m.ID))
+	buf = binary.AppendVarint(buf, int64(m.Timestamp))
+	if flags&flagTSScore == 0 {
+		buf = le.AppendUint64(buf, score)
+	}
+	buf = binary.AppendUvarint(buf, m.UserID)
+	buf = binary.AppendUvarint(buf, uint64(m.Followers))
+	if flags&flagCoords != 0 {
+		buf = le.AppendUint64(buf, lat)
+		buf = le.AppendUint64(buf, lon)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(m.Keywords)))
 	for _, kw := range m.Keywords {
-		put16(uint16(len(kw)))
+		buf = binary.AppendUvarint(buf, uint64(len(kw)))
 		buf = append(buf, kw...)
 	}
-	put32(uint32(len(m.Text)))
-	buf = append(buf, m.Text...)
-	return buf
+	buf = binary.AppendUvarint(buf, uint64(len(m.Text)))
+	return append(buf, m.Text...)
 }
 
-func decodeRecord(b []byte) (FlushRecord, int, error) {
-	var fr FlushRecord
-	m := &types.Microblog{}
-	pos := 0
-	need := func(n int) bool { return pos+n <= len(b) }
-	if !need(8*2 + 8 + 4 + 1 + 8*3 + 2) {
-		return fr, 0, ErrCorrupt
+// fixedLen is fr's length under CodecFixed: a function of the decoded
+// record alone, whichever codec it was read from.
+func fixedLen(fr FlushRecord) int64 {
+	n := int64(fixedLenBase + len(fr.MB.Text))
+	for _, kw := range fr.MB.Keywords {
+		n += int64(2 + len(kw))
 	}
-	m.ID = types.ID(binary.LittleEndian.Uint64(b[pos:]))
-	pos += 8
-	m.Timestamp = types.Timestamp(binary.LittleEndian.Uint64(b[pos:]))
-	pos += 8
-	m.UserID = binary.LittleEndian.Uint64(b[pos:])
-	pos += 8
-	m.Followers = binary.LittleEndian.Uint32(b[pos:])
-	pos += 4
-	m.HasGeo = b[pos] == 1
-	pos++
-	fr.Score = math.Float64frombits(binary.LittleEndian.Uint64(b[pos:]))
-	pos += 8
-	m.Lat = math.Float64frombits(binary.LittleEndian.Uint64(b[pos:]))
-	pos += 8
-	m.Lon = math.Float64frombits(binary.LittleEndian.Uint64(b[pos:]))
-	pos += 8
-	nkw := int(binary.LittleEndian.Uint16(b[pos:]))
-	pos += 2
+	return n
+}
+
+// recReader is a bounds-checked cursor over one encoded record. Every
+// read checks the bytes left first; the first failure sticks, and the
+// reads after it return zero values.
+type recReader struct {
+	b   []byte
+	pos int
+	bad bool
+}
+
+func (r *recReader) take(n uint64) []byte {
+	if r.bad || n > uint64(len(r.b)-r.pos) {
+		r.bad = true
+		return nil
+	}
+	p := r.b[r.pos : r.pos+int(n)]
+	r.pos += int(n)
+	return p
+}
+
+func (r *recReader) u8() byte {
+	if p := r.take(1); p != nil {
+		return p[0]
+	}
+	return 0
+}
+
+func (r *recReader) u16() uint16 {
+	if p := r.take(2); p != nil {
+		return binary.LittleEndian.Uint16(p)
+	}
+	return 0
+}
+
+func (r *recReader) u32() uint32 {
+	if p := r.take(4); p != nil {
+		return binary.LittleEndian.Uint32(p)
+	}
+	return 0
+}
+
+func (r *recReader) u64() uint64 {
+	if p := r.take(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
+}
+
+func (r *recReader) uvarint() uint64 {
+	if r.bad {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b[r.pos:])
+	if n <= 0 {
+		r.bad = true
+		return 0
+	}
+	r.pos += n
+	return v
+}
+
+func (r *recReader) varint() int64 {
+	if r.bad {
+		return 0
+	}
+	v, n := binary.Varint(r.b[r.pos:])
+	if n <= 0 {
+		r.bad = true
+		return 0
+	}
+	r.pos += n
+	return v
+}
+
+// str reads n bytes as a string.
+func (r *recReader) str(n uint64) string { return string(r.take(n)) }
+
+// compactRank reads a CodecCompact rank prefix: flags, ID, timestamp
+// and the score, stored or implied.
+func (r *recReader) compactRank() (flags byte, id uint64, ts int64, score float64) {
+	flags = r.u8()
+	if flags&^flagsKnown != 0 {
+		r.bad = true
+	}
+	id = r.uvarint()
+	ts = r.varint()
+	if flags&flagTSScore != 0 {
+		score = float64(ts)
+	} else {
+		score = math.Float64frombits(r.u64())
+	}
+	return flags, id, ts, score
+}
+
+func decodeRecord(b []byte, c Codec) (FlushRecord, int, error) {
+	r := recReader{b: b}
+	m := &types.Microblog{}
+	fr := FlushRecord{MB: m}
+	var nkw uint64
+	switch c {
+	case CodecFixed:
+		m.ID = types.ID(r.u64())
+		m.Timestamp = types.Timestamp(r.u64())
+		m.UserID = r.u64()
+		m.Followers = r.u32()
+		m.HasGeo = r.u8() == 1
+		fr.Score = math.Float64frombits(r.u64())
+		m.Lat = math.Float64frombits(r.u64())
+		m.Lon = math.Float64frombits(r.u64())
+		nkw = uint64(r.u16())
+	case CodecCompact:
+		flags, id, ts, score := r.compactRank()
+		m.ID, m.Timestamp, fr.Score = types.ID(id), types.Timestamp(ts), score
+		m.HasGeo = flags&flagGeo != 0
+		m.UserID = r.uvarint()
+		followers := r.uvarint()
+		if followers > math.MaxUint32 {
+			r.bad = true
+		}
+		m.Followers = uint32(followers)
+		if flags&flagCoords != 0 {
+			m.Lat = math.Float64frombits(r.u64())
+			m.Lon = math.Float64frombits(r.u64())
+		}
+		nkw = r.uvarint()
+	default:
+		return FlushRecord{}, 0, ErrCorrupt
+	}
+	// Every keyword takes at least one byte: a count that cannot fit is
+	// a hostile length, refused before the allocation.
+	if r.bad || nkw > uint64(len(b)-r.pos) {
+		return FlushRecord{}, 0, ErrCorrupt
+	}
 	if nkw > 0 {
 		m.Keywords = make([]string, nkw)
-		for i := 0; i < nkw; i++ {
-			if !need(2) {
-				return fr, 0, ErrCorrupt
+		for i := range m.Keywords {
+			if c == CodecFixed {
+				m.Keywords[i] = r.str(uint64(r.u16()))
+			} else {
+				m.Keywords[i] = r.str(r.uvarint())
 			}
-			l := int(binary.LittleEndian.Uint16(b[pos:]))
-			pos += 2
-			if !need(l) {
-				return fr, 0, ErrCorrupt
-			}
-			m.Keywords[i] = string(b[pos : pos+l])
-			pos += l
 		}
 	}
-	if !need(4) {
-		return fr, 0, ErrCorrupt
+	if c == CodecFixed {
+		m.Text = r.str(uint64(r.u32()))
+	} else {
+		m.Text = r.str(r.uvarint())
 	}
-	tl := int(binary.LittleEndian.Uint32(b[pos:]))
-	pos += 4
-	if !need(tl) {
-		return fr, 0, ErrCorrupt
+	if r.bad {
+		return FlushRecord{}, 0, ErrCorrupt
 	}
-	m.Text = string(b[pos : pos+tl])
-	pos += tl
-	fr.MB = m
-	return fr, pos, nil
+	return fr, r.pos, nil
+}
+
+// decodeRank reads only the ID and score of the record at the front of
+// b — all a merge ranks by, and all the ID high-water read-back needs.
+func decodeRank(b []byte, c Codec) (id uint64, score float64, err error) {
+	r := recReader{b: b}
+	switch c {
+	case CodecFixed:
+		id = r.u64()
+		r.take(8 + 8 + 4 + 1) // timestamp, user, followers, geo
+		score = math.Float64frombits(r.u64())
+	case CodecCompact:
+		_, id, _, score = r.compactRank()
+	default:
+		r.bad = true
+	}
+	if r.bad {
+		return 0, 0, ErrCorrupt
+	}
+	return id, score, nil
 }
 
 // stageKind says which of the tier's three written files a staged file

@@ -651,9 +651,8 @@ type stagedFlush struct {
 // hold flushMu (it reuses the encode scratch).
 func (t *Tier[K]) stageFlush(sorted []FlushRecord) (*stagedFlush, error) {
 	seq := t.seq.Add(1)
-	blkBuf, offsets, end := encodeBlock(t.encScratch[:0], sorted)
+	blkBuf, b := encodeBlock(t.encScratch[:0], filepath.Join(t.cfg.Dir, fmt.Sprintf("blk-%08d.kfs", seq)), sorted)
 	t.encScratch = blkBuf
-	b := newBlock(filepath.Join(t.cfg.Dir, fmt.Sprintf("blk-%08d.kfs", seq)), nil, offsets, end, int64(len(blkBuf)))
 	s := newSegment(filepath.Join(t.cfg.Dir, fmt.Sprintf("seg-%08d.kfs", seq)), []*block{b})
 	s.count = uint32(len(sorted))
 	s.maxScore = sorted[0].Score
@@ -1021,7 +1020,7 @@ func (t *Tier[K]) readRecordCached(b *block, ord uint32) (FlushRecord, bool, err
 	if err != nil {
 		return fr, false, err
 	}
-	t.cache.put(key, fr, b.recordSize(ord))
+	t.cache.put(key, fr)
 	return fr, false, nil
 }
 

@@ -24,6 +24,18 @@ func appendN(t *testing.T, l *Log, from, to uint64) []disk.FlushRecord {
 	return out
 }
 
+// appendUntilFile appends ids from 1 up, one record per batch, until a
+// frame lands in file seq, and returns the frames as the log stamped
+// them: a layout that does not depend on the frame size.
+func appendUntilFile(t *testing.T, l *Log, seq uint32) []disk.FlushRecord {
+	t.Helper()
+	var out []disk.FlushRecord
+	for id := uint64(1); len(out) == 0 || out[len(out)-1].LogSeq < seq; id++ {
+		out = append(out, appendN(t, l, id, id)...)
+	}
+	return out
+}
+
 func exists(dir string, seq uint32) bool {
 	l := &Log{dir: dir}
 	_, err := os.Stat(l.path(seq))
@@ -152,7 +164,9 @@ func TestRelocateMovesClaims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frs := appendN(t, l, 1, 60)
+	// Files 1 to 3 sealed, 1 KiB each, so the two not relocated span the
+	// 512-byte keep below.
+	frs := appendUntilFile(t, l, 4)
 	if _, ok := l.ReclaimCandidate(1 << 20); ok {
 		t.Fatal("candidate offered while the log is smaller than keep")
 	}

@@ -28,6 +28,7 @@ func FuzzReplayFile(f *testing.F) {
 	}
 	f.Add([]byte("KFWL"), false)
 	f.Add([]byte{}, true)
+	f.Add(v1File([]disk.FlushRecord{fr(1, "a"), fr(2, "b")}), false)
 
 	f.Fuzz(func(t *testing.T, data []byte, last bool) {
 		path := filepath.Join(t.TempDir(), "wal-00000001.kfw")
@@ -43,18 +44,20 @@ func FuzzReplayFile(f *testing.F) {
 	})
 }
 
-// FuzzTornTail takes a well-formed multi-record log, tears it at an
-// arbitrary offset with an optional bit flip inside the tail, and
-// checks replay never errors, never resurrects a partial record, and
-// reports a valid prefix that itself replays cleanly (truncation
-// idempotence).
+// FuzzTornTail takes a well-formed multi-record log — written by the
+// log, or a version-1 file from before PR 25 — tears it at an arbitrary
+// offset with an optional bit flip inside the tail, and checks replay
+// never errors, never resurrects a partial record, and reports a valid
+// prefix that itself replays cleanly (truncation idempotence).
 func FuzzTornTail(f *testing.F) {
 	dir := f.TempDir()
 	l, err := Open(dir, Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
+	var seeds []disk.FlushRecord
 	for i := uint64(1); i <= 8; i++ {
+		seeds = append(seeds, fr(i, "seed"))
 		if err := l.Append(fr(i, "seed")); err != nil {
 			f.Fatal(err)
 		}
@@ -63,16 +66,23 @@ func FuzzTornTail(f *testing.F) {
 		f.Fatal(err)
 	}
 	files, _ := filepath.Glob(filepath.Join(dir, "wal-*.kfw"))
-	intact, err := os.ReadFile(files[0])
+	current, err := os.ReadFile(files[0])
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(len(intact)-1, -1)
-	f.Add(headerSize+3, -1)
-	f.Add(len(intact), len(intact)-2)
-	f.Add(len(intact)/2, len(intact)/2+1)
+	v1 := v1File(seeds)
+	f.Add(len(current)-1, -1, false)
+	f.Add(headerSize+3, -1, false)
+	f.Add(len(current), len(current)-2, false)
+	f.Add(len(current)/2, len(current)/2+1, false)
+	f.Add(len(v1)-1, -1, true)
+	f.Add(len(v1)/2, len(v1)/2+1, true)
 
-	f.Fuzz(func(t *testing.T, cut, flip int) {
+	f.Fuzz(func(t *testing.T, cut, flip int, old bool) {
+		intact := current
+		if old {
+			intact = v1
+		}
 		if cut < 0 || cut > len(intact) {
 			t.Skip()
 		}

@@ -15,12 +15,17 @@
 //	                   file sequence, 1 and up. The newest is active,
 //	                   the others are sealed.
 //
-// Record framing: u32 payload length | u32 CRC32C of payload | payload,
-// where the payload is the disk tier's record encoding (it already
-// carries the assigned ID, timestamp and ranking score). A torn final
-// record — the expected crash artifact — is detected by the CRC/length
-// check and replay stops there; corruption in the middle of the log is
-// reported as an error.
+// Every file starts with magic "KFWL" and a u16 version, then frames:
+// u32 payload length | u32 CRC32C of payload | payload, where the
+// payload is one record in the disk tier's encoding (it already carries
+// the assigned ID, timestamp and ranking score). Version 2 files — the
+// only ones written — frame disk.CodecCompact records, the encoding of
+// the tier's record blocks; version 1 files, written before PR 25, frame
+// disk.CodecFixed records and are still replayed, and reclaimed like any
+// other file once their last claim goes. Any other version is
+// ErrCorrupt. A torn final record — the expected crash artifact — is
+// detected by the CRC/length check and replay stops there; corruption
+// in the middle of the log is reported as an error.
 //
 // # Claims
 //
@@ -81,16 +86,49 @@ import (
 var walCommitLabels = pprof.Labels("kflushing", "wal-group-commit")
 
 const (
-	fileMagic    = "KFWL"
-	fileVersion  = 1
-	headerSize   = 6 // magic + u16 version
-	snapshotName = "snapshot.kfw"
+	fileMagic     = "KFWL"
+	fileVersion   = 2 // disk.CodecCompact frames; the one write version
+	fileVersionV1 = 1 // disk.CodecFixed frames: read only
+	headerSize    = 6 // magic + u16 version
+	snapshotName  = "snapshot.kfw"
 )
 
 // ErrCorrupt reports log corruption before the final record.
 var ErrCorrupt = errors.New("wal: corrupt log")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// appendHeader appends a file header naming the write version: every
+// file the log writes starts here.
+func appendHeader(buf []byte) []byte {
+	buf = append(buf, fileMagic...)
+	return binary.LittleEndian.AppendUint16(buf, fileVersion)
+}
+
+// appendFrames appends one frame per record: every frame the log writes
+// is built here.
+func appendFrames(buf []byte, frs []disk.FlushRecord) []byte {
+	for _, fr := range frs {
+		start := len(buf)
+		buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
+		buf = disk.EncodeRecord(buf, fr)
+		payload := buf[start+8:]
+		binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
+	}
+	return buf
+}
+
+// fileCodec is the record encoding a file of the given version frames.
+func fileCodec(version uint16) (disk.Codec, bool) {
+	switch version {
+	case fileVersion:
+		return disk.CodecCompact, true
+	case fileVersionV1:
+		return disk.CodecFixed, true
+	}
+	return 0, false
+}
 
 // encodeBufs recycles AppendBatch encode buffers across calls when
 // Options.PooledBuffers is set. Buffers are only handed to File.Write,
@@ -279,10 +317,7 @@ func (l *Log) rotateLocked() error {
 		l.seq--
 		return err
 	}
-	var hdr [headerSize]byte
-	copy(hdr[:4], fileMagic)
-	binary.LittleEndian.PutUint16(hdr[4:], fileVersion)
-	whdr, fperr := failpoint.EvalWrite(failpoint.WALRotateHeader, hdr[:])
+	whdr, fperr := failpoint.EvalWrite(failpoint.WALRotateHeader, appendHeader(nil))
 	if _, err := f.Write(whdr); err != nil {
 		// The header write already failed; the Write error is the one
 		// to surface, not the cleanup's.
@@ -337,14 +372,7 @@ func (l *Log) AppendBatch(frs []disk.FlushRecord) error {
 	} else {
 		buf = make([]byte, 0, 96*len(frs))
 	}
-	for _, fr := range frs {
-		start := len(buf)
-		buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
-		buf = disk.EncodeRecord(buf, fr)
-		payload := buf[start+8:]
-		binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
-	}
+	buf = appendFrames(buf, frs)
 	if err := failpoint.Eval(failpoint.WALAppend); err != nil {
 		return err
 	}
@@ -568,21 +596,28 @@ func truncateTornTail(path string, valid int64) error {
 	return os.Truncate(path, valid)
 }
 
-// replayFile reads one framed file and reports the byte length of the
-// valid prefix it replayed. Truncation at EOF is always tolerated;
-// complete-but-invalid frames only when lastFile is set. A tolerated
-// torn tail yields (valid-prefix, nil) with the tail NOT replayed; the
-// caller is expected to truncate the file to that length.
+// replayFile reads one framed file, decoding its records with the codec
+// its version names, and reports the byte length of the valid prefix it
+// replayed. Truncation at EOF is always tolerated; complete-but-invalid
+// frames only when lastFile is set. A tolerated torn tail yields
+// (valid-prefix, nil) with the tail NOT replayed; the caller is expected
+// to truncate the file to that length. An unknown version is
+// ErrCorrupt: its frames cannot be read with a codec it does not name.
 func replayFile(path string, lastFile bool, fn func(disk.FlushRecord) error) (int64, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
-	if len(b) < headerSize || string(b[:4]) != fileMagic {
-		if len(b) < headerSize {
-			return 0, nil // torn before the header was complete
-		}
+	if len(b) < headerSize {
+		return 0, nil // torn before the header was complete
+	}
+	if string(b[:4]) != fileMagic {
 		return 0, fmt.Errorf("%w: bad header in %s", ErrCorrupt, filepath.Base(path))
+	}
+	version := binary.LittleEndian.Uint16(b[4:])
+	codec, ok := fileCodec(version)
+	if !ok {
+		return 0, fmt.Errorf("%w: unknown version %d in %s", ErrCorrupt, version, filepath.Base(path))
 	}
 	pos := headerSize
 	for pos < len(b) {
@@ -608,7 +643,7 @@ func replayFile(path string, lastFile bool, fn func(disk.FlushRecord) error) (in
 			}
 			return int64(pos), fmt.Errorf("%w: bad checksum in %s", ErrCorrupt, filepath.Base(path))
 		}
-		fr, used, err := disk.DecodeRecord(payload)
+		fr, used, err := disk.DecodeRecord(payload, codec)
 		if err != nil || used != n {
 			if lastFile {
 				slog.Warn("wal: tolerating undecodable final frame",
@@ -855,17 +890,7 @@ func (l *Log) WriteSnapshot(recs []disk.FlushRecord) error {
 			_ = f.Close()
 		}
 	}()
-	buf := make([]byte, 0, headerSize+96*len(recs))
-	buf = append(buf, fileMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, fileVersion)
-	for _, fr := range recs {
-		start := len(buf)
-		buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
-		buf = disk.EncodeRecord(buf, fr)
-		payload := buf[start+8:]
-		binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
-	}
+	buf := appendFrames(appendHeader(make([]byte, 0, headerSize+96*len(recs))), recs)
 	wbuf, fperr := failpoint.EvalWrite(failpoint.WALSnapshotWrite, buf)
 	if _, err := f.Write(wbuf); err != nil {
 		return err

@@ -3,24 +3,30 @@
 // write-ahead-log files without starting a system.
 //
 //	kflushctl segments <dir>       list segments (version, records, bloom,
-//	                               directory size) and the record blocks
-//	                               each one names, with each block's
-//	                               format version and bytes per record
+//	                               directory size) and the record files
+//	                               each one names: record blocks with
+//	                               their format version and bytes per
+//	                               record, log files with their version,
+//	                               frames, bytes per record and drained
+//	                               mark
 //	kflushctl levels <dir>         decode the disk tier's manifest and
 //	                               print per-level occupancy, retired
 //	                               inputs, and unreferenced files
-//	kflushctl dump <file>          print the records of a blk-* block, or
-//	                               the live records of a seg-*/lvl-*
-//	                               directory, as JSON lines
+//	kflushctl dump <file>          print the records of a blk-* block or
+//	                               a sealed wal-* log file, or the live
+//	                               records of a seg-*/lvl-* directory, as
+//	                               JSON lines
 //	kflushctl verify <dir>         decode every record, resolve every
 //	                               posting, check every list's ranking;
 //	                               fail on corruption
 //	kflushctl compact <dir>        merge every segment's directory into
-//	                               one (record blocks are not rewritten)
+//	                               one (record files are not rewritten)
 //	kflushctl probe <dir> <key> [k]  run one disk search and report the
 //	                               miss fast-path counters (Bloom skips,
 //	                               directory probes, cache hits)
-//	kflushctl wal <wal-dir>        summarize a write-ahead log
+//	kflushctl wal <dir>            summarize the write-ahead log in a
+//	                               store directory, and the legacy log
+//	                               in <dir>/wal if one is left
 //
 // Two subcommands talk to a RUNNING kflushd instead of files:
 //
@@ -157,7 +163,7 @@ func cmdSegments(dir string) error {
 		return err
 	}
 	fmt.Printf("%-20s %4s %10s %10s %10s %12s %8s %7s %12s %10s\n",
-		"segment", "ver", "records", "keys", "postings", "dirBytes", "bloomB", "blocks", "blockBytes", "shadowedB")
+		"segment", "ver", "records", "keys", "postings", "dirBytes", "bloomB", "files", "fileBytes", "shadowedB")
 	var recs, bytes, shadowed int64
 	blocks := map[string]bool{}
 	for _, info := range infos {
@@ -167,13 +173,23 @@ func cmdSegments(dir string) error {
 		recs += int64(info.Records)
 		bytes += info.Bytes
 		shadowed += info.ShadowedBytes
-		// Each block with its format version and the bytes its records
-		// and offsets take per record.
+		// Each record file with its format version and the bytes its
+		// records and offsets (frame headers and index) take per record;
+		// a log file also with its frame count and drained mark.
 		parts := make([]string, len(info.Blocks))
 		for i, b := range info.Blocks {
-			parts[i] = fmt.Sprintf("%s v%d %.1fB/rec", b.Name, b.Version, float64(b.Bytes)/float64(max(b.Records, 1)))
+			perRec := float64(b.Bytes) / float64(max(b.Records, 1))
+			if !b.Log {
+				parts[i] = fmt.Sprintf("%s v%d %.1fB/rec", b.Name, b.Version, perRec)
+				continue
+			}
+			mark := "undrained"
+			if b.Drained {
+				mark = "drained"
+			}
+			parts[i] = fmt.Sprintf("%s log v%d %d frames %.1fB/rec %s", b.Name, b.Version, b.Records, perRec, mark)
 		}
-		fmt.Printf("  blocks: %s\n", strings.Join(parts, ", "))
+		fmt.Printf("  files: %s\n", strings.Join(parts, ", "))
 		if info.BlockBytes == 0 {
 			continue // a legacy segment: its records are in its own file
 		}
@@ -186,7 +202,7 @@ func cmdSegments(dir string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d segments, %d records, %d directory bytes; %d record blocks, %d bytes (%d shadowed)\n",
+	fmt.Printf("%d segments, %d records, %d directory bytes; %d record files, %d bytes (%d shadowed)\n",
 		len(infos), recs, bytes, len(blocks), blockBytes, shadowed)
 	return nil
 }
@@ -441,29 +457,47 @@ func cmdVerify(dir string) error {
 	return nil
 }
 
+// cmdWAL summarizes the log files of a store directory — each with its
+// version, frames, whether it is sealed and whether the manifest marks it
+// drained (a record file of the tier, not replayed) — and, when a legacy
+// log directory is left in <dir>/wal, that one too. It changes nothing.
 func cmdWAL(dir string) error {
-	l, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		return err
+	m, _ := disk.ReadManifest(dir) // no manifest: nothing is drained
+	drained := make(map[string]bool, len(m.Drained))
+	for _, name := range m.Drained {
+		drained[name] = true
 	}
-	defer l.Close()
-	count := 0
-	var minID, maxID uint64
-	err = l.Replay(func(fr disk.FlushRecord) error {
-		id := uint64(fr.MB.ID)
-		if count == 0 || id < minID {
-			minID = id
+	for _, d := range []string{dir, filepath.Join(dir, "wal")} {
+		if _, err := os.Stat(d); err != nil {
+			continue
 		}
-		if id > maxID {
-			maxID = id
+		files, err := wal.Inspect(d)
+		if err != nil {
+			return fmt.Errorf("wal %s: %w", d, err)
 		}
-		count++
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("wal replay FAILED after %d records: %w", count, err)
+		fmt.Printf("%s:\n", d)
+		var replay, frames int
+		var minID, maxID uint64
+		for _, f := range files {
+			state := "active or unsealed"
+			if f.Sealed {
+				state = "sealed"
+			}
+			if drained[f.Name] && d == dir {
+				state += ", drained"
+			} else {
+				replay += f.Frames
+				if f.Frames > 0 && (minID == 0 || f.MinID < minID) {
+					minID = f.MinID
+				}
+				maxID = max(maxID, f.MaxID)
+			}
+			frames += f.Frames
+			fmt.Printf("  %-20s v%d %8d frames %10d bytes  ids [%d, %d]  %s\n",
+				f.Name, f.Version, f.Frames, f.Bytes, f.MinID, f.MaxID, state)
+		}
+		fmt.Printf("ok: %d files, %d frames, %d replayable, id range [%d, %d]\n", len(files), frames, replay, minID, maxID)
 	}
-	fmt.Printf("ok: %d records replayable, id range [%d, %d]\n", count, minID, maxID)
 	return nil
 }
 
@@ -796,7 +830,7 @@ usage:
   kflushctl compact <dir>
   kflushctl probe <dir> <key> [k]
   kflushctl probe <base-url>
-  kflushctl wal <wal-dir>
+  kflushctl wal <dir>
   kflushctl trace <base-url> <q> [k]
   kflushctl flushlog <base-url> [n]
   kflushctl top <base-url> [interval] [count]

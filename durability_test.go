@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"kflushing"
+	"kflushing/internal/disk"
+	"kflushing/internal/wal"
 )
 
 func durableOpts() kflushing.Options {
@@ -80,9 +84,8 @@ func TestDurableCrashRecoveryFromTornWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Simulate a crash: no Close (no snapshot); tear the newest WAL
-	// file mid-record.
-	files, err := filepath.Glob(filepath.Join(dir, "wal", "wal-*.kfw"))
+	// Simulate a crash: no Close; tear the newest log file mid-record.
+	files, err := filepath.Glob(filepath.Join(dir, "wal-*.kfw"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("wal files: %v err=%v", files, err)
 	}
@@ -230,4 +233,93 @@ func TestIDsNeverReusedAcrossReopen(t *testing.T) {
 			}
 		}
 	}
+
+	// The log keeps no file for the sake of the highest ID: the file
+	// framing it drains like any other — here every file does, after
+	// relocations moved long-lived records out of theirs — and the
+	// reopen, which then replays nothing, resumes past the manifest's
+	// high-water mark.
+	t.Run("durable=true/temporal/kflushing/high-water-file-drained", func(t *testing.T) {
+		opt := kflushing.Options{K: 2, MemoryBudget: 24 << 10, FlushFraction: 0.25, SyncFlush: true, Durable: true}
+		rec := func(keys ...string) *kflushing.Microblog {
+			return &kflushing.Microblog{Keywords: keys, Text: strings.Repeat("x", 200)}
+		}
+		dir := t.TempDir()
+		sys, err := kflushing.Open(dir, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A pair of records under a key of its own every 16 records, every
+		// such key searched after every ingest: full entries, always the
+		// most recently queried, so they outlive the files they were
+		// framed in and the log relocates them.
+		var sticky []string
+		var last kflushing.ID
+		for i := 1; i <= 1200; i++ {
+			if i%16 == 1 {
+				sticky = append(sticky, fmt.Sprintf("s%d", i))
+				for j := 0; j < 2; j++ {
+					if _, err := sys.Ingest(rec("all", sticky[len(sticky)-1])); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if last, err = sys.Ingest(rec("all", fmt.Sprintf("u%d", i))); err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range sticky {
+				if _, err := sys.SearchKeyword(key, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if n := sys.Stats().WAL.RelocatedRecords; n == 0 {
+			t.Fatal("the run never relocated a record")
+		}
+		for i := 0; i < 100 && sys.Stats().StoreRecords > 0; i++ {
+			if _, err := sys.FlushNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := sys.Stats().StoreRecords; n != 0 {
+			t.Fatalf("%d records still resident", n)
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		m, err := disk.ReadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files, err := wal.Inspect(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		framed := false
+		for _, f := range files {
+			if !slices.Contains(m.Drained, f.Name) {
+				t.Fatalf("%s is not drained with nothing in memory", f.Name)
+			}
+			framed = framed || f.MaxID == uint64(last)
+		}
+		if !framed {
+			t.Fatalf("no log file on disk frames the highest ID %d", last)
+		}
+
+		re, err := kflushing.Open(dir, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		if n := re.Stats().StoreRecords; n != 0 {
+			t.Fatalf("reopen replayed %d records from drained files", n)
+		}
+		id, err := re.Ingest(rec("k1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id <= last {
+			t.Fatalf("ID %d handed out again after reopen (highest before: %d)", id, last)
+		}
+	})
 }

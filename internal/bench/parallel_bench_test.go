@@ -16,8 +16,8 @@ import (
 
 // benchEngine builds a keyword engine for throughput measurement.
 // workers configures kFlushing's flush parallelism (0 = auto, 1 =
-// forced sequential); walDir enables durability.
-func benchEngine(b *testing.B, budget int64, walDir string, workers int) *engine.Engine[string] {
+// forced sequential); durable turns the write-ahead log on.
+func benchEngine(b *testing.B, budget int64, durable bool, workers int) *engine.Engine[string] {
 	b.Helper()
 	eng, err := engine.New(engine.Config[string]{
 		K:            20,
@@ -27,7 +27,7 @@ func benchEngine(b *testing.B, budget int64, walDir string, workers int) *engine
 		KeyLen:       attr.KeywordLen,
 		EncodeKey:    attr.KeywordEncode,
 		DiskDir:      b.TempDir(),
-		WALDir:       walDir,
+		Durable:      durable,
 		Policy:       core.New(core.WithParallelism[string](workers)),
 		TrackOverK:   true,
 		SyncFlush:    true,
@@ -59,7 +59,7 @@ func benchRecords(n int) []*types.Microblog {
 func BenchmarkIngestBatch(b *testing.B) {
 	for _, size := range []int{1, 16, 64, 256} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
-			eng := benchEngine(b, 1<<40, b.TempDir(), 1)
+			eng := benchEngine(b, 1<<40, true, 1)
 			recs := benchRecords(b.N)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -94,7 +94,7 @@ func BenchmarkFlushCycle(b *testing.B) {
 		{"parallel4", 4},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			eng := benchEngine(b, budget, "", bc.workers)
+			eng := benchEngine(b, budget, false, bc.workers)
 			cfg := gen.DefaultConfig()
 			cfg.Vocab = 20_000
 			cfg.GeoFraction = 0

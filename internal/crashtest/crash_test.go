@@ -5,6 +5,7 @@ package crashtest
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"os/exec"
@@ -40,12 +41,15 @@ func childOptions() kflushing.Options {
 }
 
 // TestCrashChild is the workload the matrix crashes: it is only run as a
-// re-exec'd child process with the failpoint environment inherited. Two
-// store sessions back to back exercise ingest, inline flushing,
-// compaction, close (WAL snapshot), and reopen (WAL recovery); after
-// every acknowledged batch the returned IDs are appended and fsynced to
-// the ack file, so the parent knows exactly which records the store
-// promised to keep.
+// re-exec'd child process with the failpoint environment inherited. The
+// first run finds a log directory in the format of the previous release
+// (migration); two durable store sessions back to back exercise ingest,
+// inline flushing, log sealing and draining, compaction, close, and
+// reopen (log recovery); after every acknowledged batch the returned IDs
+// are appended and fsynced to the ack file, so the parent knows exactly
+// which records the store promised to keep. A last, non-durable session
+// in a directory of its own exercises the record-block flush, which a
+// durable store no longer writes; it promises nothing across a crash.
 func TestCrashChild(t *testing.T) {
 	if os.Getenv("CRASHTEST_CHILD") != "1" {
 		t.Skip("crash-matrix child workload; driven by TestCrashMatrix")
@@ -55,8 +59,72 @@ func TestCrashChild(t *testing.T) {
 	if dir == "" || ackPath == "" {
 		t.Fatal("CRASHTEST_DIR / CRASHTEST_ACK not set")
 	}
+	if _, err := os.Stat(dir); os.IsNotExist(err) {
+		writeLegacyLog(t, dir, ackPath)
+	}
 	for session, n := range []int{900, 300} {
 		ingestSession(t, dir, ackPath, session, n)
+	}
+	plainSession(t, plainDir(dir), 300)
+}
+
+// plainDir is where the non-durable session keeps its store.
+func plainDir(dir string) string { return dir + "-plain" }
+
+// legacyRecords is how many records the previous release's log holds.
+const legacyRecords = 6
+
+// writeLegacyLog leaves what a durable store of the previous release
+// left behind: a version-2 log file in <dir>/wal, whose records it
+// acknowledged. The first open moves them into the store's own log.
+func writeLegacyLog(t *testing.T, dir, ackPath string) {
+	t.Helper()
+	legacy := filepath.Join(dir, "wal")
+	if err := os.MkdirAll(legacy, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	img := binary.LittleEndian.AppendUint16([]byte(disk.LogMagic), disk.LogVersionV2)
+	var acks bytes.Buffer
+	for id := 1; id <= legacyRecords; id++ {
+		mb := &kflushing.Microblog{
+			ID: kflushing.ID(id), Timestamp: kflushing.Timestamp(id),
+			Keywords: []string{"all", "legacy"}, Text: strings.Repeat("l", 120),
+		}
+		img = disk.AppendFrames(img, []disk.FlushRecord{{MB: mb, Score: float64(id)}})
+		fmt.Fprintln(&acks, id)
+	}
+	if err := os.WriteFile(filepath.Join(legacy, disk.LogName(1)), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ackPath, acks.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// plainSession ingests n records into a non-durable store, whose flushes
+// write record blocks.
+func plainSession(t *testing.T, dir string, n int) {
+	t.Helper()
+	opt := childOptions()
+	opt.Durable, opt.WALSyncEvery = false, 0
+	sys, err := kflushing.Open(dir, opt)
+	if err != nil {
+		t.Fatalf("plain session: open: %v", err)
+	}
+	for i := 0; i < n; i += 8 {
+		var mbs []*kflushing.Microblog
+		for j := i; j < i+8; j++ {
+			mbs = append(mbs, &kflushing.Microblog{
+				Keywords: []string{"all", "b" + strconv.Itoa(j%8), "u" + strconv.Itoa(j)},
+				Text:     strings.Repeat("p", 120),
+			})
+		}
+		if _, err := sys.IngestBatch(mbs); err != nil {
+			t.Fatalf("plain session: ingest at %d: %v", i, err)
+		}
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatalf("plain session: close: %v", err)
 	}
 }
 
@@ -65,13 +133,15 @@ func TestCrashChild(t *testing.T) {
 // key (8-way bucket) and one unique key, so flushes exercise both the
 // over-k trimming of Phase 1 and the under-filled eviction of Phase 2.
 //
-// Each session also opens with two "sticky" records under a key of
-// their own that is searched after every batch: a full entry (k=2), and
-// always the most recently queried, so Phase 3 evicts it last and the
-// pair outlives rotation after rotation of the 24 KiB log files. They
-// are the survivors that make the log's relocation path — and its crash
-// sites — reachable; everything else is flushed before its file is the
-// oldest.
+// Every 16 batches the session also ingests two "sticky" records under
+// a key of their own, and every sticky key is searched after every
+// batch: a full entry (k=2), and always among the most recently
+// queried, so Phase 3 evicts it last and the pair outlives cycle after
+// cycle. Each pair pins the log file it was framed in — the log seals a
+// file per flush cycle — until the pinned files outgrow the 24 KiB
+// budget and the log relocates their survivors. They are what makes
+// the relocation path, and its crash sites, reachable; everything else
+// is flushed within a cycle or two.
 func ingestSession(t *testing.T, dir, ackPath string, session, n int) {
 	t.Helper()
 	sys, err := kflushing.Open(dir, childOptions())
@@ -84,14 +154,17 @@ func ingestSession(t *testing.T, dir, ackPath string, session, n int) {
 	}
 	defer ack.Close()
 	const batchSize = 8
-	sticky := "sticky" + strconv.Itoa(session)
+	var sticky []string
 	for i := 0; i < n; i += batchSize {
 		mbs := make([]*kflushing.Microblog, 0, batchSize+2)
-		for j := 0; i == 0 && j < 2; j++ {
-			mbs = append(mbs, &kflushing.Microblog{
-				Keywords: []string{"all", sticky},
-				Text:     strings.Repeat("s", 120),
-			})
+		if i%(16*batchSize) == 0 {
+			sticky = append(sticky, fmt.Sprintf("sticky%d-%d", session, len(sticky)))
+			for j := 0; j < 2; j++ {
+				mbs = append(mbs, &kflushing.Microblog{
+					Keywords: []string{"all", sticky[len(sticky)-1]},
+					Text:     strings.Repeat("s", 120),
+				})
+			}
 		}
 		for j := i; j < i+batchSize && j < n; j++ {
 			mbs = append(mbs, &kflushing.Microblog{
@@ -119,8 +192,10 @@ func ingestSession(t *testing.T, dir, ackPath string, session, n int) {
 		if err := ack.Sync(); err != nil {
 			t.Fatalf("session %d: sync acks: %v", session, err)
 		}
-		if _, err := sys.SearchKeyword(sticky, 2); err != nil {
-			t.Fatalf("session %d: search %s: %v", session, sticky, err)
+		for _, key := range sticky {
+			if _, err := sys.SearchKeyword(key, 2); err != nil {
+				t.Fatalf("session %d: search %s: %v", session, key, err)
+			}
 		}
 	}
 	if err := sys.Close(); err != nil {
@@ -206,7 +281,9 @@ func runChild(t *testing.T, dataDir, ackPath, spec string) (int, string) {
 
 // verifyRecovered reopens the crashed store with failpoints disarmed and
 // checks the zero-data-loss contract, twice, so recovery itself is shown
-// to be idempotent.
+// to be idempotent. An undrained log file unlinked anywhere in the runs
+// shows up here as a lost acknowledged record: its frames were the only
+// copy of records not yet flushed.
 func verifyRecovered(t *testing.T, dataDir, ackPath string) {
 	t.Helper()
 	acked := readAcked(t, ackPath)
@@ -237,7 +314,65 @@ func verifyRecovered(t *testing.T, dataDir, ackPath string) {
 			segs, recs, err)
 	}
 	verifyManifest(t, dataDir)
+	verifyLogFiles(t, dataDir)
 	verifyCompactionPreservesDiskSet(t, dataDir)
+	if _, err := os.Stat(filepath.Join(dataDir, "wal")); !os.IsNotExist(err) {
+		t.Fatalf("the legacy log directory outlived a clean open: %v", err)
+	}
+
+	// The non-durable store: structure only, nothing was promised.
+	plain := plainDir(dataDir)
+	if _, err := os.Stat(plain); os.IsNotExist(err) {
+		return
+	}
+	opt := childOptions()
+	opt.Durable = false
+	sys, err := kflushing.Open(plain, opt)
+	if err != nil {
+		t.Fatalf("plain store: reopen: %v", err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatalf("plain store: close: %v", err)
+	}
+	if segs, recs, err := disk.Verify(plain); err != nil {
+		t.Fatalf("plain store: verification failed after %d segments / %d records: %v", segs, recs, err)
+	}
+	verifyManifest(t, plain)
+	verifyCompactionPreservesDiskSet(t, plain)
+}
+
+// verifyLogFiles checks the log files a durable store's directories
+// name: every one exists and is the sealed file the directory counted
+// frames in (disk.Inspect opens each and checks its frame count against
+// the table), and every file the manifest lists drained is on disk.
+func verifyLogFiles(t *testing.T, dataDir string) {
+	t.Helper()
+	infos, err := disk.Inspect(dataDir)
+	if err != nil {
+		t.Fatalf("a directory names a missing or truncated file: %v", err)
+	}
+	for _, info := range infos {
+		for _, b := range info.Blocks {
+			if !b.Log {
+				t.Fatalf("durable store's %s names record block %s", info.Path, b.Name)
+			}
+			if _, err := os.Stat(filepath.Join(dataDir, b.Name)); err != nil {
+				t.Fatalf("%s names %s: %v", info.Path, b.Name, err)
+			}
+		}
+	}
+	m, err := disk.ReadManifest(dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range m.Drained {
+		if _, err := os.Stat(filepath.Join(dataDir, name)); err != nil {
+			t.Fatalf("manifest lists %s drained, but it is gone: %v", name, err)
+		}
+	}
+	if blocks, _ := filepath.Glob(filepath.Join(dataDir, "blk-*.kfs")); len(blocks) != 0 {
+		t.Fatalf("durable store wrote record blocks %v", blocks)
+	}
 }
 
 // verifyManifest checks the leveled tier's manifest after recovery: the

@@ -36,6 +36,11 @@ import (
 // too — its header and offsets table sit where a v3 block's do — so a
 // merge over old files leaves their bytes in place and simply names
 // them in the new directory's table.
+//
+// A sealed log file (logfile.go) opens as a block as well: its frame
+// index is the offsets table, and a frame's header sits in front of
+// each record. On a durable store those are the only record files a
+// flush names.
 const (
 	blkMagic      = "KFBK"
 	blkEndMagic   = "KFBE"
@@ -59,10 +64,11 @@ type block struct {
 	id      uint64 // process-unique cache identity
 	path    string
 	f       *os.File
-	version uint16 // blkVersion; blkVersionV3; segVersionV2 for a legacy segment file
+	version uint16 // blkVersion; blkVersionV3; segVersionV2 for a legacy segment file; LogVersion for a log file
+	log     bool   // a sealed log file: every record is the payload of a checksummed frame
 	width   int64  // bytes per on-disk offsets table entry
 	offsets []uint64
-	end     uint64 // file offset just past the last record
+	end     uint64 // file offset just past the last record (a log file's frame index starts there)
 	size    int64  // whole-file byte length
 
 	refs atomic.Int32
@@ -74,10 +80,33 @@ func (b *block) acquire()      { b.refs.Add(1) }
 
 // codec is the encoding of the block's records.
 func (b *block) codec() Codec {
-	if b.version == blkVersion {
+	if b.version == blkVersion || b.log {
 		return CodecCompact
 	}
 	return CodecFixed
+}
+
+// frameHeader is the gap in front of each record: a log file's frame
+// header, nothing in a record block.
+func (b *block) frameHeader() int64 {
+	if b.log {
+		return FrameHeaderSize
+	}
+	return 0
+}
+
+// tryAcquire takes a reference unless the last one is already gone: the
+// tier's open-file registry hands out a block only while it is live.
+func (b *block) tryAcquire() bool {
+	for {
+		n := b.refs.Load()
+		if n <= 0 {
+			return false
+		}
+		if b.refs.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
 }
 
 // release drops a reference, closing the file handle with the last one
@@ -133,8 +162,8 @@ func newBlock(b *block) *block {
 }
 
 // openBlock reads back a block's offsets table: a v4 or v3 blk-* file,
-// or a legacy v2 segment file serving as one. The caller owns the first
-// reference.
+// a legacy v2 segment file serving as one, or a sealed log file. The
+// caller owns the first reference.
 func openBlock(path string) (*block, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -153,6 +182,15 @@ func openBlock(path string) (*block, error) {
 		return nil, err
 	}
 	le := binary.LittleEndian
+	magic := make([]byte, 4)
+	if _, err := f.ReadAt(magic, 0); err != nil {
+		return nil, corruptIfShort(err)
+	}
+	if string(magic) == LogMagic {
+		b, err := openLogBlock(path, f, st.Size())
+		ok = err == nil
+		return b, err
+	}
 	head := make([]byte, blkHeaderSize)
 	if _, err := f.ReadAt(head, 0); err != nil {
 		return nil, corruptIfShort(err)
@@ -220,16 +258,18 @@ func corruptIfShort(err error) error {
 	return err
 }
 
-// recordSize returns the on-disk byte length of the record at ord.
+// recordSize returns the on-disk byte length of the record at ord, its
+// frame header (if any) not included.
 func (b *block) recordSize(ord uint32) int64 {
 	start := b.offsets[ord]
 	if int(ord)+1 < len(b.offsets) {
-		return int64(b.offsets[ord+1] - start)
+		return int64(b.offsets[ord+1]-start) - b.frameHeader()
 	}
 	return int64(b.end - start)
 }
 
-// readRecord loads the record with the given ordinal.
+// readRecord loads the record with the given ordinal. A log file's
+// record is read with its frame header and checked against it.
 func (b *block) readRecord(ord uint32) (FlushRecord, error) {
 	if int(ord) >= len(b.offsets) {
 		return FlushRecord{}, ErrCorrupt
@@ -237,26 +277,44 @@ func (b *block) readRecord(ord uint32) (FlushRecord, error) {
 	if err := failpoint.Eval(failpoint.DiskPread); err != nil {
 		return FlushRecord{}, err
 	}
-	buf := make([]byte, b.recordSize(ord))
-	if _, err := b.f.ReadAt(buf, int64(b.offsets[ord])); err != nil && err != io.EOF {
+	hdr := b.frameHeader()
+	buf := make([]byte, hdr+b.recordSize(ord))
+	if _, err := b.f.ReadAt(buf, int64(b.offsets[ord])-hdr); err != nil && err != io.EOF {
 		return FlushRecord{}, err
 	}
-	fr, _, err := decodeRecord(buf, b.codec())
+	rec := buf[hdr:]
+	if b.log {
+		payload, ok := CheckFrame(buf)
+		if !ok || len(payload) != len(rec) {
+			return FlushRecord{}, fmt.Errorf("disk: %s frame %d: %w", b.name(), ord, ErrCorrupt)
+		}
+	}
+	fr, _, err := decodeRecord(rec, b.codec())
 	return fr, err
 }
 
-// scan reads the block's record area once, front to back, handing fn
-// each record's encoded bytes in ordinal order. The slice is only valid
-// during the call.
-func (b *block) scan(fn func(ord uint32, rec []byte) error) error {
+// scan reads the block's record area front to back, handing fn each
+// record's encoded bytes in ordinal order — only those want marks, when
+// want is not nil; the others are skipped, and a long run of them is
+// not read at all. The slice is only valid during the call.
+func (b *block) scan(want []bool, fn func(ord uint32, rec []byte) error) error {
 	if len(b.offsets) == 0 {
 		return nil
 	}
-	start := int64(b.offsets[0])
-	r := bufio.NewReaderSize(io.NewSectionReader(b.f, start, int64(b.end)-start), 256<<10)
+	const bufSize = 256 << 10
+	pos := int64(b.offsets[0]) - b.frameHeader() // the file offset r reads next
+	r := bufio.NewReaderSize(io.NewSectionReader(b.f, pos, int64(b.end)-pos), bufSize)
 	var rec []byte
 	for ord := range b.offsets {
-		n := int(b.recordSize(uint32(ord)))
+		if want != nil && !want[ord] {
+			continue
+		}
+		at, n := int64(b.offsets[ord]), int(b.recordSize(uint32(ord)))
+		if gap := at - pos; gap > int64(r.Buffered())+bufSize {
+			r.Reset(io.NewSectionReader(b.f, at, int64(b.end)-at))
+		} else if _, err := r.Discard(int(gap)); err != nil {
+			return fmt.Errorf("disk: scan %s ordinal %d: %w", b.name(), ord, corruptIfShort(err))
+		}
 		if cap(rec) < n {
 			rec = make([]byte, n)
 		}
@@ -264,6 +322,7 @@ func (b *block) scan(fn func(ord uint32, rec []byte) error) error {
 		if _, err := io.ReadFull(r, rec); err != nil {
 			return fmt.Errorf("disk: scan %s ordinal %d: %w", b.name(), ord, corruptIfShort(err))
 		}
+		pos = at + int64(n)
 		if err := fn(uint32(ord), rec); err != nil {
 			return err
 		}
@@ -273,10 +332,12 @@ func (b *block) scan(fn func(ord uint32, rec []byte) error) error {
 
 // scanRanks fills ids and scores (one slot per record, ordinal order)
 // from the rank prefix of each encoded record — all a merge needs to
-// rank postings across blocks and to spot a record stored twice.
-func (b *block) scanRanks(ids []uint64, scores []float64) error {
+// rank postings across blocks and to spot a record stored twice. Only
+// the records want marks are decoded (all, when want is nil): a log file
+// frames many records a merge's directories do not post.
+func (b *block) scanRanks(ids []uint64, scores []float64, want []bool) error {
 	c := b.codec()
-	return b.scan(func(ord uint32, rec []byte) error {
+	return b.scan(want, func(ord uint32, rec []byte) error {
 		id, score, err := decodeRank(rec, c)
 		if err != nil {
 			return fmt.Errorf("disk: scan %s ordinal %d: %w", b.name(), ord, err)

@@ -169,7 +169,9 @@ func (t *Tier[K]) CompactAll() error {
 //	unlink inputs                             (crash: retired files
 //	                                           remain, deleted at open)
 //	unlink fully shadowed blocks              (crash: unnamed blk files
-//	                                           remain, deleted at open)
+//	                                           remain, deleted at open;
+//	                                           a log file goes only once
+//	                                           drained, see DrainLog)
 //
 // No block is read-modify-written or unlinked before the commit, so
 // every window before it leaves the inputs exactly as they were.
@@ -281,7 +283,18 @@ func (t *Tier[K]) compactLevel(lvl int, force bool) error {
 	// gone: the inputs just were, and a directory outside this merge
 	// (adoption can leave two naming one block) keeps it.
 	for _, b := range dropped {
-		if t.namesBlock(b) {
+		if b.log {
+			// A log file's records may still be claimed by memory: it
+			// goes only once drained.
+			if err := t.removeDrained(b.name()); err != nil {
+				return err
+			}
+			continue
+		}
+		t.mu.RLock()
+		named := t.namesFileLocked(b.name())
+		t.mu.RUnlock()
+		if named {
 			continue
 		}
 		if err := os.Remove(b.path); err != nil && !os.IsNotExist(err) {
@@ -289,20 +302,6 @@ func (t *Tier[K]) compactLevel(lvl int, force bool) error {
 		}
 	}
 	return nil
-}
-
-// namesBlock reports whether any live segment names b.
-func (t *Tier[K]) namesBlock(b *block) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, lv := range t.levels {
-		for _, s := range lv {
-			if s.names(b) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // removeSegments returns segs minus the members of gone (pointer
@@ -357,14 +356,17 @@ func removeNames(names []string, gone []string) []string {
 // theirs, and each key's postings their lists merged by rank. Keys and
 // postings are carried over, not recomputed, so the merge is
 // attribute-agnostic and preserves whatever keys the writer indexed. No
-// record is decoded: rank and identity come from two fixed-position
-// fields read in one sequential pass per block.
+// record is decoded: rank and identity come from the rank prefix read
+// in one sequential pass per block.
 //
-// A record ID stored in several blocks is posted from the newest only —
-// postings of the older copies are rewritten to it — and a block left
-// with no record of its own is not named by the output; those come back
-// as dropped. The returned segment holds its own block references and
-// is not yet on disk.
+// Only posted records count. A record block's records are all posted by
+// the directories naming it, but a log file also frames records still in
+// memory, or posted by directories outside the merge. A record ID posted
+// from several frames is posted from the newest only — postings of the
+// older copies are rewritten to it — and a block left with no posted
+// record of its own is not named by the output; those come back as
+// dropped. The returned segment holds its own block references and is
+// not yet on disk.
 func mergeSegments(inputs []*segment, path string) (merged *segment, dropped []*block, err error) {
 	var union []*block
 	at := make(map[*block]int) // block → index in union
@@ -381,19 +383,45 @@ func mergeSegments(inputs []*segment, path string) (merged *segment, dropped []*
 		ubase[i+1] = ubase[i] + b.count()
 	}
 	total := ubase[len(union)]
+	// cposts[i][k] is the union ordinal of inputs[i]'s k-th posting and,
+	// once canon is known, the ordinal that stands for it.
+	cposts := make([][]uint32, len(inputs))
+	posted := make([]bool, total)
+	nposted := 0
+	for i, in := range inputs {
+		from := make([]uint32, len(in.blocks))
+		for j, b := range in.blocks {
+			from[j] = ubase[at[b]]
+		}
+		cp := make([]uint32, len(in.posts))
+		for k, p := range in.posts {
+			j := in.slot(p)
+			u := from[j] + p - in.base[j]
+			if !posted[u] {
+				posted[u] = true
+				nposted++
+			}
+			cp[k] = u
+		}
+		cposts[i] = cp
+	}
 	ids := make([]uint64, total)
 	scores := make([]float64, total)
 	for i, b := range union {
-		if err := b.scanRanks(ids[ubase[i]:ubase[i+1]], scores[ubase[i]:ubase[i+1]]); err != nil {
+		from, to := ubase[i], ubase[i+1]
+		if err := b.scanRanks(ids[from:to], scores[from:to], posted[from:to]); err != nil {
 			return nil, nil, fmt.Errorf("disk: compact: %w", err)
 		}
 	}
-	// canon[o] is the ordinal that stands for record o: the copy of its
-	// ID in the newest block (copies are identical).
+	// canon[o] is the ordinal that stands for posted record o: the copy
+	// of its ID in the newest block (copies are identical).
 	canon := make([]uint32, total)
-	newest := make(map[uint64]uint32, total)
+	newest := make(map[uint64]uint32, nposted)
 	for o := total; o > 0; {
 		o--
+		if !posted[o] {
+			continue
+		}
 		if c, dup := newest[ids[o]]; dup {
 			canon[o] = c
 		} else {
@@ -402,7 +430,9 @@ func mergeSegments(inputs []*segment, path string) (merged *segment, dropped []*
 		}
 	}
 	// out[o] is canon[o] renumbered for the output's block table, which
-	// leaves out the blocks none of whose records stand for themselves.
+	// leaves out the blocks none of whose posted records stand for
+	// themselves. What else a record block holds is dead weight, counted
+	// as shadowed; what else a log file frames is the log's.
 	var kept []*block
 	var live uint32
 	var shadowed int64
@@ -413,9 +443,9 @@ func mergeSegments(inputs []*segment, path string) (merged *segment, dropped []*
 		var dead int64
 		for o := ubase[i]; o < ubase[i+1]; o++ {
 			out[o] = o - gone
-			if canon[o] == o {
+			if posted[o] && canon[o] == o {
 				n++
-			} else {
+			} else if !b.log {
 				dead += b.recordSize(o - ubase[i])
 			}
 		}
@@ -440,22 +470,18 @@ func mergeSegments(inputs []*segment, path string) (merged *segment, dropped []*
 	merged.shadowed = shadowed
 	merged.maxScore = math.Inf(-1)
 	nkeys, nposts := 0, 0
-	// cursors[i] walks inputs[i]: its next key, and the translation of
-	// its postings (ordinals in its own block table) to the union
-	// ordinals that stand for them.
+	// cursors[i] walks inputs[i]: its next key, and its postings as the
+	// union ordinals that stand for them.
 	type cursor struct {
-		in      *segment
-		next    int
-		toCanon []uint32
+		in    *segment
+		next  int
+		posts []uint32
 	}
 	cursors := make([]cursor, len(inputs))
 	for i, in := range inputs {
-		c := cursor{in: in, toCanon: make([]uint32, in.base[len(in.blocks)])}
-		for j, b := range in.blocks {
-			from := ubase[at[b]]
-			for q := in.base[j]; q < in.base[j+1]; q++ {
-				c.toCanon[q] = canon[from+q-in.base[j]]
-			}
+		c := cursor{in: in, posts: cposts[i]}
+		for k, u := range c.posts {
+			c.posts[k] = canon[u]
 		}
 		cursors[i] = c
 		merged.maxScore = math.Max(merged.maxScore, in.maxScore)
@@ -471,12 +497,7 @@ func mergeSegments(inputs []*segment, path string) (merged *segment, dropped []*
 	merged.keys = make([]string, 0, nkeys)
 	merged.start = make([]uint32, 1, nkeys+1)
 	merged.posts = make([]uint32, 0, nposts)
-	type list struct {
-		posts   []uint32 // the input's postings still to merge
-		toCanon []uint32
-	}
-	head := func(l list) uint32 { return l.toCanon[l.posts[0]] }
-	var lists []list
+	var lists [][]uint32 // each input's postings of the key still to merge
 	for {
 		// The smallest key any input has not yet given, and every
 		// input's list for it.
@@ -493,7 +514,7 @@ func mergeSegments(inputs []*segment, path string) (merged *segment, dropped []*
 		for i := range cursors {
 			c := &cursors[i]
 			if c.next < len(c.in.keys) && c.in.keys[c.next] == key {
-				lists = append(lists, list{c.in.posts[c.in.start[c.next]:c.in.start[c.next+1]], c.toCanon})
+				lists = append(lists, c.posts[c.in.start[c.next]:c.in.start[c.next+1]])
 				c.next++
 			}
 		}
@@ -503,15 +524,15 @@ func mergeSegments(inputs []*segment, path string) (merged *segment, dropped []*
 		for {
 			best := -1
 			for i, l := range lists {
-				if len(l.posts) > 0 && (best < 0 || better(head(l), head(lists[best]))) {
+				if len(l) > 0 && (best < 0 || better(l[0], lists[best][0])) {
 					best = i
 				}
 			}
 			if best < 0 {
 				break
 			}
-			o := out[head(lists[best])]
-			lists[best].posts = lists[best].posts[1:]
+			o := out[lists[best][0]]
+			lists[best] = lists[best][1:]
 			if n := len(merged.posts); n == from || merged.posts[n-1] != o {
 				merged.posts = append(merged.posts, o)
 			}

@@ -254,4 +254,27 @@ func TestErrorOnlySitesLive(t *testing.T) {
 	if err := tier.Flush([]FlushRecord{fr(2, 2, "a")}); err != nil {
 		t.Fatalf("Flush after disarm = %v", err)
 	}
+
+	// DiskDrainUnlink: a drained log file no directory names outlives a
+	// failed unlink — the commit carrying its mark still succeeds — and
+	// the next open deletes it.
+	dir := t.TempDir()
+	writeLogFile(t, dir, 1, fr(1, 1, "a"))
+	logged := loggedTier(t, dir, 0)
+	if err := failpoint.Enable(failpoint.DiskDrainUnlink, "error"); err != nil {
+		t.Fatal(err)
+	}
+	if err := logged.DrainLog(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := logged.Close(); err != nil {
+		t.Fatalf("Close with %s armed = %v: the commit must not fail", failpoint.DiskDrainUnlink, err)
+	}
+	if !fileExists(filepath.Join(dir, LogName(1))) || failpoint.Hits(failpoint.DiskDrainUnlink) == 0 {
+		t.Fatal("the armed unlink did not stop the removal")
+	}
+	failpoint.Disable(failpoint.DiskDrainUnlink)
+	if reopened := loggedTier(t, dir, 0); reopened.LogDrained(1) || fileExists(filepath.Join(dir, LogName(1))) {
+		t.Fatal("the next open kept a drained log file no directory names")
+	}
 }

@@ -42,18 +42,27 @@ type SegmentInfo struct {
 	ShadowedBytes int64
 }
 
-// BlockInfo describes one record block a directory names.
+// BlockInfo describes one record file a directory names: a record block,
+// or a sealed log file.
 type BlockInfo struct {
-	// Name is the block's file name.
+	// Name is the file's name.
 	Name string
-	// Version is the block format version: 4 = CodecCompact records and a
-	// u32 (or u64) offsets table, 3 = CodecFixed records and u64 offsets,
-	// 2 = a legacy segment file, laid out like a v3 block.
+	// Log marks a log file (wal-*.kfw) rather than a record block.
+	Log bool
+	// Version is the file's format version. For a block: 4 = CodecCompact
+	// records and a u32 (or u64) offsets table, 3 = CodecFixed records and
+	// u64 offsets, 2 = a legacy segment file, laid out like a v3 block.
+	// For a log file: 3, CodecCompact frames and a frame index.
 	Version int
-	// Records is the number of records stored, posted or not.
+	// Records is the number of records stored (frames, for a log file),
+	// posted or not.
 	Records int
-	// Bytes is the size of the block's records and offsets table.
+	// Bytes is the size of the records and the offsets table or frame
+	// index, frame headers included.
 	Bytes int64
+	// Drained marks a log file the manifest lists drained: no record in
+	// memory claims it, and the log no longer replays it.
+	Drained bool
 }
 
 // openDir opens every segment under dir the way a tier would see it —
@@ -122,6 +131,11 @@ func Inspect(dir string) ([]SegmentInfo, error) {
 		return nil, err
 	}
 	defer releaseAll(segs)
+	m, _ := ReadManifest(dir) // a missing or corrupt manifest marks nothing drained
+	drained := make(map[string]bool, len(m.Drained))
+	for _, name := range m.Drained {
+		drained[name] = true
+	}
 	infos := make([]SegmentInfo, 0, len(segs))
 	for _, s := range segs {
 		info := SegmentInfo{
@@ -137,12 +151,18 @@ func Inspect(dir string) ([]SegmentInfo, error) {
 			ShadowedBytes: s.shadowed,
 		}
 		for _, b := range s.blocks {
-			info.Blocks = append(info.Blocks, BlockInfo{
+			bi := BlockInfo{
 				Name:    b.name(),
+				Log:     b.log,
 				Version: int(b.version),
 				Records: int(b.count()),
 				Bytes:   int64(b.end) - blkHeaderSize + b.width*int64(b.count()),
-			})
+				Drained: drained[b.name()],
+			}
+			if b.log {
+				bi.Bytes = b.size - LogHeaderSize
+			}
+			info.Blocks = append(info.Blocks, bi)
 		}
 		infos = append(infos, info)
 	}
@@ -150,11 +170,12 @@ func Inspect(dir string) ([]SegmentInfo, error) {
 }
 
 // DumpSegment streams the records of one file to fn: every record of a
-// blk-* block in stored (ranked) order, or the live records of a
-// directory — those it posts — block by block in table order.
+// blk-* block in stored (ranked) order, every frame of a sealed log file
+// in append order, or the live records of a directory — those it posts —
+// block by block in table order.
 func DumpSegment(path string, fn func(FlushRecord) error) error {
 	emit := func(b *block, posted func(ord uint32) bool) error {
-		return b.scan(func(ord uint32, rec []byte) error {
+		return b.scan(nil, func(ord uint32, rec []byte) error {
 			if !posted(ord) {
 				return nil
 			}
@@ -165,7 +186,7 @@ func DumpSegment(path string, fn func(FlushRecord) error) error {
 			return fn(fr)
 		})
 	}
-	if strings.HasPrefix(filepath.Base(path), "blk-") {
+	if name := filepath.Base(path); strings.HasPrefix(name, "blk-") || strings.HasPrefix(name, "wal-") {
 		b, err := openBlock(path)
 		if err != nil {
 			return err
@@ -221,7 +242,7 @@ func (s *segment) verify() error {
 	for i, b := range s.blocks {
 		base := s.base[i]
 		c := b.codec()
-		err := b.scan(func(ord uint32, rec []byte) error {
+		err := b.scan(nil, func(ord uint32, rec []byte) error {
 			fr, n, err := decodeRecord(rec, c)
 			if err != nil || n != len(rec) {
 				return fmt.Errorf("block %s ordinal %d: %w", b.name(), ord, ErrCorrupt)

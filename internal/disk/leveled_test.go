@@ -627,6 +627,83 @@ func TestLeveledAdoptionRules(t *testing.T) {
 			t.Fatalf("%d live segments, want 1", got)
 		}
 	})
+
+	// Rule 6: a log file belongs to the write-ahead log until the
+	// manifest lists it drained. Named or not, an undrained one is kept —
+	// the log replays it.
+	t.Run("unnamed undrained log file kept", func(t *testing.T) {
+		dir := t.TempDir()
+		writeLogFile(t, dir, 3, fr(1, 1, "k"))
+		tier := loggedTier(t, dir, 4)
+		if !fileExists(filepath.Join(dir, LogName(3))) || tier.LogDrained(3) {
+			t.Fatal("an undrained log file did not survive open")
+		}
+	})
+
+	t.Run("drained unnamed log file deleted", func(t *testing.T) {
+		dir := t.TempDir()
+		writeLogFile(t, dir, 3, fr(1, 1, "k"))
+		writeLogFile(t, dir, 4, fr(2, 2, "k"))
+		// File 4 is named by a flush that missed its commit; the drain
+		// marks of files 3, 4 and 9 (gone) did not.
+		tier := loggedTier(t, dir, 4)
+		if err := tier.Flush([]FlushRecord{{MB: fr(2, 2, "k").MB, Score: 2, LogSeq: 4}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tier.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeManifest(dir, Manifest{NextSeq: 2, Drained: []string{LogName(3), LogName(4), LogName(9)}}); err != nil {
+			t.Fatal(err)
+		}
+		reopened := loggedTier(t, dir, 4)
+		if fileExists(filepath.Join(dir, LogName(3))) {
+			t.Fatal("a drained log file no directory names survived open")
+		}
+		if !fileExists(filepath.Join(dir, LogName(4))) {
+			t.Fatal("a drained log file an adopted directory names was deleted")
+		}
+		if got := answerIDs(t, reopened, "k", 5); got != "[2]" {
+			t.Fatalf("answers %s", got)
+		}
+		m, err := ReadManifest(dir)
+		if err != nil || fmt.Sprint(m.Drained) != "["+LogName(4)+"]" {
+			t.Fatalf("healed drained list %v, %v", m.Drained, err)
+		}
+	})
+
+	// Rule 2 over log files: a durable store's flush whose directory
+	// went live without its commit is adopted with the sealed files it
+	// names.
+	t.Run("uncommitted directory naming sealed log files adopted", func(t *testing.T) {
+		dir := t.TempDir()
+		a := writeLogFile(t, dir, 1, fr(1, 1, "k"), fr(2, 2, "k"))
+		b := writeLogFile(t, dir, 2, fr(3, 3, "k"))
+		tier := loggedTier(t, dir, 4)
+		before, err := os.ReadFile(filepath.Join(dir, manifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tier.Flush([]FlushRecord{a[1], b[0]}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tier.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, manifestName), before, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reopened := loggedTier(t, dir, 4)
+		if got := len(reopened.Segments()); got != 1 {
+			t.Fatalf("%d live segments after adoption, want 1", got)
+		}
+		if got := answerIDs(t, reopened, "k", 5); got != "[3 2]" {
+			t.Fatalf("adopted directory answers %s", got)
+		}
+		if reopened.MaxRecordID() != 3 {
+			t.Fatalf("high-water mark %d after adoption, want 3", reopened.MaxRecordID())
+		}
+	})
 }
 
 // TestLeveledCompactAll folds an arbitrary level tree down to one

@@ -28,16 +28,20 @@ import (
 //	         u64 maxRecordID (version 2; absent in version 1)
 //	live   : u32 n, then per entry: u32 level | u16 nameLen | name
 //	retired: u32 n, then per entry: u16 nameLen | name
+//	drained: u32 n, then per entry: u16 nameLen | name (version 3)
 //	footer : u32 crc32-IEEE of everything above | magic "KFMN"
 //
 // Version 1 manifests (written before the record-ID high-water mark was
 // persisted) still decode, with MaxRecordID zero; Open recomputes it
-// from the blocks and the next commit writes version 2.
+// from the blocks. Version 2 manifests (before the log became the record
+// store) decode with no drained log file. The next commit writes
+// version 3.
 const (
 	manifestName      = "manifest.kfm"
 	manifestMagic     = "KFMF"
 	manifestEndMagic  = "KFMN"
-	manifestVersion   = 2
+	manifestVersion   = 3
+	manifestVersionV2 = 2
 	manifestVersionV1 = 1
 	// manifestMaxName bounds a decoded entry name; segment names are
 	// short ("seg-00000001.kfs"), so anything longer is corruption.
@@ -76,6 +80,10 @@ type Manifest struct {
 	// segment; their files are deleted at the next opportunity and
 	// must never be adopted as live data.
 	Retired []string
+	// Drained lists the log files no memory-resident record claims any
+	// more: they are record files of the tier alone, never replayed, and
+	// a drained file no live directory names is deleted.
+	Drained []string
 }
 
 // encodeManifest appends m's binary encoding to buf.
@@ -102,10 +110,12 @@ func encodeManifest(buf []byte, m Manifest) []byte {
 		put16(uint16(len(e.Name)))
 		buf = append(buf, e.Name...)
 	}
-	put32(uint32(len(m.Retired)))
-	for _, name := range m.Retired {
-		put16(uint16(len(name)))
-		buf = append(buf, name...)
+	for _, names := range [][]string{m.Retired, m.Drained} {
+		put32(uint32(len(names)))
+		for _, name := range names {
+			put16(uint16(len(name)))
+			buf = append(buf, name...)
+		}
 	}
 	put32(crc32.ChecksumIEEE(buf))
 	buf = append(buf, manifestEndMagic...)
@@ -136,16 +146,17 @@ func decodeManifest(b []byte) (Manifest, error) {
 	m.NextSeq = binary.LittleEndian.Uint64(b[8:])
 	pos := headerSizeV1
 	need := func(n int) bool { return pos+n <= crcPos }
-	switch v := binary.LittleEndian.Uint16(b[4:]); v {
+	version := binary.LittleEndian.Uint16(b[4:])
+	switch version {
 	case manifestVersionV1:
-	case manifestVersion:
+	case manifestVersionV2, manifestVersion:
 		if !need(8) {
 			return Manifest{}, fmt.Errorf("%w: truncated header", ErrCorruptManifest)
 		}
 		m.MaxRecordID = binary.LittleEndian.Uint64(b[pos:])
 		pos += 8
 	default:
-		return Manifest{}, fmt.Errorf("%w: unsupported version %d", ErrCorruptManifest, v)
+		return Manifest{}, fmt.Errorf("%w: unsupported version %d", ErrCorruptManifest, version)
 	}
 	if !need(4) {
 		return Manifest{}, fmt.Errorf("%w: truncated live count", ErrCorruptManifest)
@@ -171,25 +182,38 @@ func decodeManifest(b []byte) (Manifest, error) {
 		m.Live = append(m.Live, ManifestEntry{Name: string(b[pos : pos+nameLen]), Level: level})
 		pos += nameLen
 	}
-	if !need(4) {
-		return Manifest{}, fmt.Errorf("%w: truncated retired count", ErrCorruptManifest)
-	}
-	nRetired := int(binary.LittleEndian.Uint32(b[pos:]))
-	pos += 4
-	if nRetired < 0 || nRetired > (crcPos-pos)/2 {
-		return Manifest{}, fmt.Errorf("%w: implausible retired count %d", ErrCorruptManifest, nRetired)
-	}
-	for i := 0; i < nRetired; i++ {
-		if !need(2) {
-			return Manifest{}, fmt.Errorf("%w: truncated retired entry %d", ErrCorruptManifest, i)
+	names := func(what string) ([]string, error) {
+		if !need(4) {
+			return nil, fmt.Errorf("%w: truncated %s count", ErrCorruptManifest, what)
 		}
-		nameLen := int(binary.LittleEndian.Uint16(b[pos:]))
-		pos += 2
-		if nameLen > manifestMaxName || !need(nameLen) {
-			return Manifest{}, fmt.Errorf("%w: bad retired entry %d", ErrCorruptManifest, i)
+		n := int(binary.LittleEndian.Uint32(b[pos:]))
+		pos += 4
+		if n < 0 || n > (crcPos-pos)/2 {
+			return nil, fmt.Errorf("%w: implausible %s count %d", ErrCorruptManifest, what, n)
 		}
-		m.Retired = append(m.Retired, string(b[pos:pos+nameLen]))
-		pos += nameLen
+		var out []string
+		for i := 0; i < n; i++ {
+			if !need(2) {
+				return nil, fmt.Errorf("%w: truncated %s entry %d", ErrCorruptManifest, what, i)
+			}
+			nameLen := int(binary.LittleEndian.Uint16(b[pos:]))
+			pos += 2
+			if nameLen > manifestMaxName || !need(nameLen) {
+				return nil, fmt.Errorf("%w: bad %s entry %d", ErrCorruptManifest, what, i)
+			}
+			out = append(out, string(b[pos:pos+nameLen]))
+			pos += nameLen
+		}
+		return out, nil
+	}
+	var err error
+	if m.Retired, err = names("retired"); err != nil {
+		return Manifest{}, err
+	}
+	if version == manifestVersion {
+		if m.Drained, err = names("drained"); err != nil {
+			return Manifest{}, err
+		}
 	}
 	if pos != crcPos {
 		return Manifest{}, fmt.Errorf("%w: %d trailing bytes", ErrCorruptManifest, crcPos-pos)

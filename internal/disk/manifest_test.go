@@ -52,14 +52,44 @@ func normalizeManifest(m Manifest) Manifest {
 }
 
 // encodeManifestV1 renders m the way builds before the record-ID
-// high-water mark wrote it: version 1, no MaxRecordID word.
+// high-water mark wrote it: version 1, no MaxRecordID word and no
+// drained list (m must have none).
 func encodeManifestV1(m Manifest) []byte {
-	b := encodeManifest(nil, m)
+	b := encodeManifestV2(m)
 	const maxIDPos = 4 + 2 + 2 + 8
 	b = append(b[:maxIDPos:maxIDPos], b[maxIDPos+8:len(b)-8]...)
 	binary.LittleEndian.PutUint16(b[4:], manifestVersionV1)
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 	return append(b, manifestEndMagic...)
+}
+
+// encodeManifestV2 renders m the way builds before the log became the
+// record store wrote it: version 2, no drained list (m must have none).
+func encodeManifestV2(m Manifest) []byte {
+	b := encodeManifest(nil, m)
+	b = b[: len(b)-8-4 : len(b)-8-4]
+	binary.LittleEndian.PutUint16(b[4:], manifestVersionV2)
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	return append(b, manifestEndMagic...)
+}
+
+// TestManifestV2Compat: a version-2 manifest decodes with no drained
+// log file, and a version-3 one carries its drained list through.
+func TestManifestV2Compat(t *testing.T) {
+	m := Manifest{
+		NextSeq:     9,
+		MaxRecordID: 77,
+		Live:        []ManifestEntry{{Name: "seg-00000007.kfs", Level: 0}},
+		Retired:     []string{"seg-00000001.kfs"},
+	}
+	got, err := DecodeManifest(encodeManifestV2(m))
+	if err != nil || !reflect.DeepEqual(got, m) {
+		t.Fatalf("v2 decode = %+v, %v; want %+v", got, err, m)
+	}
+	m.Drained = []string{LogName(3), LogName(4)}
+	if got, err := DecodeManifest(encodeManifest(nil, m)); err != nil || !reflect.DeepEqual(got, m) {
+		t.Fatalf("v3 decode = %+v, %v; want %+v", got, err, m)
+	}
 }
 
 // TestManifestV1Compat: a version-1 manifest decodes to the same levels

@@ -82,11 +82,12 @@ type FlushRecord struct {
 	MB    *types.Microblog
 	Score float64
 	// LogSeq names the write-ahead-log file holding the record's newest
-	// frame (0 = the snapshot, or no log). The tier neither reads nor
-	// persists it: it rides along so the log can tell the engine where a
-	// frame landed (append, replay) and a failed flush can hand the
-	// record's claim on that file to the wrapper it restores.
-	LogSeq uint32
+	// frame (0 = a legacy snapshot, or no log), and LogOrd the frame's
+	// ordinal in it. The log stamps both (append, replay, relocation); a
+	// failed flush hands the record's claim on that file to the wrapper it
+	// restores; and a Logged tier's flush posts the record at that frame
+	// instead of writing it again.
+	LogSeq, LogOrd uint32
 }
 
 // Codec names a record encoding. Record blocks and log files are
@@ -581,7 +582,13 @@ func (s *segment) postings(key string) []uint32 {
 
 // locate resolves a posting to its block and the ordinal inside it.
 func (s *segment) locate(p uint32) (*block, uint32) {
-	// The last i with base[i] <= p.
+	i := s.slot(p)
+	return s.blocks[i], p - s.base[i]
+}
+
+// slot returns the index of the block table entry covering posting p:
+// the last i with base[i] <= p.
+func (s *segment) slot(p uint32) int {
 	lo, hi := 0, len(s.blocks)-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
@@ -591,7 +598,7 @@ func (s *segment) locate(p uint32) (*block, uint32) {
 			hi = mid - 1
 		}
 	}
-	return s.blocks[lo], p - s.base[lo]
+	return lo
 }
 
 // encode appends the directory's file image to buf.

@@ -1,11 +1,15 @@
 // Package disk implements the disk tier microblogs are flushed to and
 // that memory misses fall back to (Figure 2).
 //
-// Every flush writes two immutable files: a record block holding the
-// evicted records, ranked best-score-first (block.go), and a segment — a
-// per-key directory of ranked postings into that block (segment.go) — so
-// disk search touches only the matching records. A memory miss searches
-// segments newest-first with a max-score bound for early termination.
+// A flush writes a segment — a per-key directory of ranked postings
+// (segment.go) — over the record files holding the evicted records, so
+// disk search touches only the matching records. On a store without a
+// write-ahead log the flush first writes those records once, as a record
+// block ranked best-score-first (block.go). On a durable store they are
+// already on disk, framed in the log's files, which the tier reads in
+// place (logfile.go): the flush writes only the directory. A memory miss
+// searches segments newest-first with a max-score bound for early
+// termination.
 //
 // Segments are organized into size-tiered levels — L0 holds fresh
 // flushes, each deeper level holds geometrically larger merged segments
@@ -30,6 +34,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -92,6 +97,11 @@ type Config[K comparable] struct {
 	// retry events on the engine's flight recorder. (Flush stage events
 	// are the engine's: it has FlushStats and the cycle's ID.)
 	Recorder *blackbox.Recorder
+	// Logged makes every flush a directory over the sealed log files its
+	// records' frames sit in (FlushRecord.LogSeq, LogOrd) instead of a
+	// record block and a directory: the store's write-ahead log is its
+	// record store.
+	Logged bool
 }
 
 // RetryPolicy bounds a retry loop around transient disk errors.
@@ -211,6 +221,12 @@ type Tier[K comparable] struct {
 	mu      sync.RWMutex
 	levels  [][]*segment // levels[i] oldest-first
 	retired []string     // manifest-retired inputs not yet unlinked
+	// drained holds the log files no memory-resident record claims any
+	// more (DrainLog), each true once a manifest commit carries it; logs
+	// is the one open block per log file a directory names, looked up by
+	// name and valid while its references last (block.tryAcquire).
+	drained map[string]bool
+	logs    map[string]*block
 
 	// seq is the last assigned segment sequence number; never reused,
 	// even across restarts (persisted via the manifest and re-derived
@@ -308,7 +324,7 @@ func Open[K comparable](cfg Config[K]) (*Tier[K], error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	t := &Tier[K]{cfg: cfg}
+	t := &Tier[K]{cfg: cfg, drained: make(map[string]bool), logs: make(map[string]*block)}
 	cacheBytes := cfg.CacheBytes
 	if cacheBytes == 0 {
 		cacheBytes = DefaultCacheBytes
@@ -376,6 +392,12 @@ func Open[K comparable](cfg Config[K]) (*Tier[K], error) {
 //     no directory names is an uncommitted flush's orphan (crash
 //     between the block's rename and its directory's) or a fully
 //     shadowed block whose unlink a crash cut short: delete it.
+//  6. Log files (wal-*.kfw) belong to the write-ahead log until the
+//     manifest lists them drained: an undrained one is never deleted
+//     here, named or not — its records may exist nowhere else. A
+//     drained one no directory names is deleted (its unlink was cut
+//     short); a drained one a directory names is a record file. A
+//     drained name whose file is gone leaves the list.
 //
 // Afterwards a fresh manifest is committed so the next crash window
 // starts from a clean baseline, and the sequence counter resumes past
@@ -391,6 +413,10 @@ func (t *Tier[K]) openLeveled() (err error) {
 		return err
 	}
 	blkPaths, err := filepath.Glob(filepath.Join(t.cfg.Dir, "blk-*.kfs"))
+	if err != nil {
+		return err
+	}
+	logPaths, err := filepath.Glob(filepath.Join(t.cfg.Dir, "wal-*.kfw"))
 	if err != nil {
 		return err
 	}
@@ -510,11 +536,31 @@ func (t *Tier[K]) openLeveled() (err error) {
 			_ = os.Remove(p)
 		}
 	}
+	for _, name := range m.Drained {
+		if valid && fileExists(filepath.Join(t.cfg.Dir, name)) {
+			t.drained[name] = true
+		}
+	}
+	for _, p := range logPaths {
+		name := filepath.Base(p)
+		_, isNamed := named[name]
+		if t.drained[name] && !isNamed && sweepBlocks {
+			slog.Warn("disk: removing drained log file no directory names", "path", p)
+			if os.Remove(p) == nil {
+				delete(t.drained, name)
+			}
+		}
+	}
+	for name, b := range bs {
+		if b.log {
+			t.logs[name] = b
+		}
+	}
 	maxID := m.MaxRecordID
 	if rescanIDs {
 		for _, b := range bs {
 			ids, scores := make([]uint64, b.count()), make([]float64, b.count())
-			if err := b.scanRanks(ids, scores); err != nil {
+			if err := b.scanRanks(ids, scores, nil); err != nil {
 				return err
 			}
 			for _, id := range ids {
@@ -549,10 +595,12 @@ func (t *Tier[K]) ensureLevels(n int) {
 }
 
 // commitManifest atomically rewrites the manifest from the current
-// level lists and retired set. Caller must hold manifestMu (it takes mu
-// itself, read-side).
+// level lists, retired set and drained log files. A drain mark it is
+// the first commit to carry unlinks the file, when no live directory
+// names it. Caller must hold manifestMu (it takes mu itself).
 func (t *Tier[K]) commitManifest() error {
 	m := Manifest{NextSeq: t.seq.Load() + 1, MaxRecordID: t.maxID.Load()}
+	var marked []string
 	t.mu.RLock()
 	for lvl, segs := range t.levels {
 		for _, s := range segs {
@@ -560,14 +608,46 @@ func (t *Tier[K]) commitManifest() error {
 		}
 	}
 	m.Retired = append(m.Retired, t.retired...)
+	for name, committed := range t.drained {
+		m.Drained = append(m.Drained, name)
+		if !committed {
+			marked = append(marked, name)
+		}
+	}
 	t.mu.RUnlock()
-	return writeManifest(t.cfg.Dir, m)
+	sort.Strings(m.Drained)
+	if err := writeManifest(t.cfg.Dir, m); err != nil {
+		return err
+	}
+	if len(marked) == 0 {
+		return nil
+	}
+	t.mu.Lock()
+	for _, name := range marked {
+		t.drained[name] = true
+	}
+	t.mu.Unlock()
+	// The crash window this site names: the marks committed, the files
+	// still there. Recovery neither replays them nor, while a directory
+	// names one, deletes it. What goes wrong past the commit does not
+	// fail it: a file left behind is deleted by the next open (rule 6).
+	err := failpoint.Eval(failpoint.DiskDrainCommitted)
+	for _, name := range marked {
+		if err == nil {
+			err = t.removeDrained(name)
+		}
+	}
+	if err != nil {
+		slog.Warn("disk: cannot remove a drained log file", "dir", t.cfg.Dir, "error", err)
+	}
+	return nil
 }
 
-// Flush durably writes the evicted records as one new record block and
-// a segment over it. The input order is irrelevant; the tier ranks
-// records by score before writing. See FlushStaged for the stage
-// structure.
+// Flush durably writes the evicted records as one new segment: a record
+// block and a directory over it, or, on a Logged tier, a directory over
+// the log files already holding them. The input order is irrelevant;
+// the tier ranks records by score before writing. See FlushStaged for
+// the stage structure.
 func (t *Tier[K]) Flush(recs []FlushRecord) error {
 	_, err := t.FlushStaged(recs)
 	return err
@@ -595,7 +675,7 @@ func (t *Tier[K]) FlushStaged(recs []FlushRecord) (FlushStats, error) {
 		}
 		return sorted[i].MB.ID > sorted[j].MB.ID
 	})
-	// Build stage: everything up to two durable staged files, off mu.
+	// Build stage: everything up to durable staged files, off mu.
 	fl, err := t.stageFlush(sorted)
 	// Drop the record pointers so the reusable buffer does not pin
 	// evicted microblogs in memory between flushes.
@@ -620,7 +700,10 @@ func (t *Tier[K]) FlushStaged(recs []FlushRecord) (FlushStats, error) {
 	t.flushMu.Unlock()
 
 	fs.Records = n
-	fs.Bytes = fl.blk.size + fl.dir.size
+	fs.Bytes = fl.dir.size
+	if fl.blk != nil {
+		fs.Bytes += fl.blk.size
+	}
 	t.recordsWritten.Add(int64(n))
 	t.bytesWritten.Add(fs.Bytes)
 	t.buildNanos.Add(fs.BuildNanos)
@@ -637,74 +720,244 @@ func (t *Tier[K]) FlushStaged(recs []FlushRecord) (FlushStats, error) {
 	return fs, nil
 }
 
-// stagedFlush is one flush between its two stages: a record block and
-// the directory over it, both durable at their staging paths, and the
-// segment they will be once live.
+// stagedFlush is one flush between its two stages: a record block (nil
+// on a Logged tier) and the directory over it, durable at their staging
+// paths, and the segment they will be once live.
 type stagedFlush struct {
 	blk, dir *stagedFile
-	s        *segment // s.blocks[0] is the new block; install opens its handle
-	maxID    uint64   // highest record ID in the block
+	s        *segment // with a block, s.blocks[0] is it; install opens its handle
+	maxID    uint64   // highest record ID the directory posts
 }
 
 // stageFlush runs the build stage over records already in rank order:
-// encode the block and its directory, stage both files. Caller must
-// hold flushMu (it reuses the encode scratch).
+// encode the directory and, unless the tier is Logged, the record block
+// it posts into; stage both. On a Logged tier the records are already
+// durable, framed in sealed log files, so the directory's block table
+// names those files and a record's posting is its frame's ordinal in the
+// concatenation. Caller must hold flushMu (it reuses the encode scratch).
 func (t *Tier[K]) stageFlush(sorted []FlushRecord) (*stagedFlush, error) {
 	seq := t.seq.Add(1)
-	blkBuf, b := encodeBlock(t.encScratch[:0], filepath.Join(t.cfg.Dir, fmt.Sprintf("blk-%08d.kfs", seq)), sorted)
-	t.encScratch = blkBuf
-	s := newSegment(filepath.Join(t.cfg.Dir, fmt.Sprintf("seg-%08d.kfs", seq)), []*block{b})
-	s.count = uint32(len(sorted))
-	s.maxScore = sorted[0].Score
-	dir := make(map[string][]uint32)
-	var maxID uint64
-	for ord, fr := range sorted {
-		maxID = max(maxID, uint64(fr.MB.ID))
-		for _, key := range t.cfg.KeysOf(fr.MB) {
-			ek := t.cfg.Encode(key)
-			// A record naming the same key twice must post once, like
-			// compaction's merged directories — AND intersections count
-			// postings per key.
-			if l := dir[ek]; len(l) > 0 && l[len(l)-1] == uint32(ord) {
-				continue
-			}
-			dir[ek] = append(dir[ek], uint32(ord))
+	var blkBuf []byte
+	var blocks []*block
+	posting := func(i int) uint32 { return uint32(i) }
+	if t.cfg.Logged {
+		var err error
+		if blocks, posting, err = t.logBlocks(sorted); err != nil {
+			return nil, err
 		}
+	} else {
+		var b *block
+		blkBuf, b = encodeBlock(t.encScratch[:0], filepath.Join(t.cfg.Dir, fmt.Sprintf("blk-%08d.kfs", seq)), sorted)
+		t.encScratch = blkBuf
+		blocks = []*block{b}
 	}
-	s.setKeys(dir)
+	s := newSegment(filepath.Join(t.cfg.Dir, fmt.Sprintf("seg-%08d.kfs", seq)), blocks)
+	fl := &stagedFlush{s: s, maxID: t.index(s, sorted, posting)}
 	dirBuf := s.encode(nil)
 	s.size = int64(len(dirBuf))
-
-	fl := &stagedFlush{s: s, maxID: maxID}
 	var err error
-	if fl.blk, err = stageFile(b.path, flushedBlock, blkBuf); err != nil {
-		return nil, err
+	if blkBuf != nil {
+		if fl.blk, err = stageFile(blocks[0].path, flushedBlock, blkBuf); err != nil {
+			s.release()
+			return nil, err
+		}
 	}
 	if fl.dir, err = stageFile(s.path, flushedDir, dirBuf); err != nil {
-		fl.blk.discard()
+		if fl.blk != nil {
+			fl.blk.discard()
+		}
+		s.release()
 		return nil, err
 	}
 	return fl, nil
 }
 
-// install renames both files live, the block first and durably, so a
+// logBlocks opens the sealed log files framing sorted, oldest first,
+// with a reference each, and returns them with each record's posting:
+// its frame's ordinal in their concatenation.
+func (t *Tier[K]) logBlocks(sorted []FlushRecord) ([]*block, func(i int) uint32, error) {
+	seqs := make([]uint32, 0, 4)
+	for _, fr := range sorted {
+		if fr.LogSeq == 0 {
+			return nil, nil, fmt.Errorf("disk: logged flush of record %d, which names no log file", fr.MB.ID)
+		}
+		if i, found := slices.BinarySearch(seqs, fr.LogSeq); !found {
+			seqs = slices.Insert(seqs, i, fr.LogSeq)
+		}
+	}
+	blocks := make([]*block, 0, len(seqs))
+	base := make([]uint32, len(seqs))
+	fail := func(err error) ([]*block, func(int) uint32, error) {
+		for _, b := range blocks {
+			b.release()
+		}
+		return nil, nil, err
+	}
+	for i, sq := range seqs {
+		b, err := t.logBlock(sq)
+		if err != nil {
+			return fail(err)
+		}
+		blocks = append(blocks, b)
+		if i > 0 {
+			base[i] = base[i-1] + blocks[i-1].count()
+		}
+	}
+	for _, fr := range sorted {
+		if i, _ := slices.BinarySearch(seqs, fr.LogSeq); fr.LogOrd >= blocks[i].count() {
+			return fail(fmt.Errorf("disk: record %d names frame %d of %s, which frames %d: %w",
+				fr.MB.ID, fr.LogOrd, blocks[i].name(), blocks[i].count(), ErrCorrupt))
+		}
+	}
+	return blocks, func(i int) uint32 {
+		j, _ := slices.BinarySearch(seqs, sorted[i].LogSeq)
+		return base[j] + sorted[i].LogOrd
+	}, nil
+}
+
+// index fills in a flush's directory: each record of sorted, in rank
+// order, is posted at posting(i) under every key it carries. It returns
+// the highest record ID posted.
+func (t *Tier[K]) index(s *segment, sorted []FlushRecord, posting func(i int) uint32) uint64 {
+	s.count = uint32(len(sorted))
+	s.maxScore = sorted[0].Score
+	dir := make(map[string][]uint32)
+	var maxID uint64
+	for i, fr := range sorted {
+		maxID = max(maxID, uint64(fr.MB.ID))
+		p := posting(i)
+		for _, key := range t.cfg.KeysOf(fr.MB) {
+			ek := t.cfg.Encode(key)
+			// A record naming the same key twice must post once, like
+			// compaction's merged directories — AND intersections count
+			// postings per key.
+			if l := dir[ek]; len(l) > 0 && l[len(l)-1] == p {
+				continue
+			}
+			dir[ek] = append(dir[ek], p)
+		}
+	}
+	s.setKeys(dir)
+	return maxID
+}
+
+// logBlock returns sealed log file seq as a block, with a reference for
+// the caller: the one open block of the file while anything holds it,
+// so every directory naming the file shares its handle and its record
+// cache entries. Only flushes open log files, and they serialize.
+func (t *Tier[K]) logBlock(seq uint32) (*block, error) {
+	name := LogName(seq)
+	t.mu.RLock()
+	b := t.logs[name]
+	t.mu.RUnlock()
+	if b != nil && b.tryAcquire() {
+		return b, nil
+	}
+	b, err := openBlock(filepath.Join(t.cfg.Dir, name))
+	if err != nil {
+		return nil, fmt.Errorf("disk: log file %s: %w", name, err)
+	}
+	t.mu.Lock()
+	t.logs[name] = b
+	t.mu.Unlock()
+	return b, nil
+}
+
+// LogDrained reports whether log file seq is drained: no memory-resident
+// record claims it, so the write-ahead log neither replays it nor tracks
+// it.
+func (t *Tier[K]) LogDrained(seq uint32) bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	_, ok := t.drained[LogName(seq)]
+	return ok
+}
+
+// DrainLog marks log file seq drained — no memory-resident record
+// claims it any more, every record it frames is in an installed segment
+// or framed again in a newer file. The next manifest commit carries the
+// mark (a flush's install, a merge, Close); from then on the file is a
+// record file of the tier alone: never replayed, and unlinked once no
+// live directory names it. Until a commit carries it the file replays,
+// which can only bring back records the tier already holds.
+func (t *Tier[K]) DrainLog(seq uint32) error {
+	// The crash window this site names: every claim on the file is gone
+	// and the directories naming its records installed, the mark not yet
+	// committed. Recovery replays the file.
+	if err := failpoint.Eval(failpoint.DiskDrainMark); err != nil {
+		return err
+	}
+	t.mu.Lock()
+	t.drained[LogName(seq)] = false
+	t.mu.Unlock()
+	return nil
+}
+
+// removeDrained unlinks a log file a committed manifest lists drained
+// and no live directory names — every record it framed was relocated, or
+// is shadowed by a newer copy — unless a retired directory file is still
+// on disk, which a manifest fallback would adopt; the next open's sweep
+// takes it then. The name leaves the drained set, and the next commit's
+// list.
+func (t *Tier[K]) removeDrained(name string) error {
+	t.mu.RLock()
+	keep := !t.drained[name] || len(t.retired) > 0 || t.namesFileLocked(name)
+	t.mu.RUnlock()
+	if keep {
+		return nil
+	}
+	// A file left behind here is deleted by the next open (rule 6).
+	if err := failpoint.Eval(failpoint.DiskDrainUnlink); err != nil {
+		return err
+	}
+	if err := os.Remove(filepath.Join(t.cfg.Dir, name)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("disk: remove drained log file: %w", err)
+	}
+	t.mu.Lock()
+	delete(t.drained, name)
+	delete(t.logs, name)
+	t.mu.Unlock()
+	return nil
+}
+
+// namesFileLocked reports whether any live segment's block table names
+// the file. Caller must hold mu.
+func (t *Tier[K]) namesFileLocked(name string) bool {
+	for _, lv := range t.levels {
+		for _, s := range lv {
+			for _, b := range s.blocks {
+				if b.name() == name {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// install renames the files live, the block first and durably, so a
 // directory that has its final name always finds its block. After any
 // error the caller discards.
 func (fl *stagedFlush) install() error {
-	if err := fl.blk.install(); err != nil {
-		return err
-	}
-	// The crash window this site names: block live, its directory not.
-	// Recovery deletes the block as an orphan; the records are still in
-	// the WAL.
-	if err := failpoint.Eval(failpoint.DiskBlockAfterRename); err != nil {
-		return err
+	if fl.blk != nil {
+		if err := fl.blk.install(); err != nil {
+			return err
+		}
+		// The crash window this site names: block live, its directory
+		// not. Recovery deletes the block as an orphan; the records are
+		// still in the WAL.
+		if err := failpoint.Eval(failpoint.DiskBlockAfterRename); err != nil {
+			return err
+		}
 	}
 	if err := fl.dir.install(); err != nil {
 		return err
 	}
 	if err := failpoint.Eval(failpoint.DiskSegmentAfterRename); err != nil {
 		return err
+	}
+	if fl.blk == nil {
+		return nil
 	}
 	f, err := os.Open(fl.blk.path)
 	if err != nil {
@@ -714,10 +967,12 @@ func (fl *stagedFlush) install() error {
 	return nil
 }
 
-// discard undoes a flush that will not be committed: both files go,
-// under whichever names they have, and the block's handle closes.
+// discard undoes a flush that will not be committed: the files it wrote
+// go, under whichever names they have, and its block references drop.
 func (fl *stagedFlush) discard() {
-	fl.blk.discard()
+	if fl.blk != nil {
+		fl.blk.discard()
+	}
 	fl.dir.discard()
 	fl.s.release()
 }
@@ -1185,18 +1440,31 @@ func (t *Tier[K]) Stats() Stats {
 // ID at or below it again.
 func (t *Tier[K]) MaxRecordID() uint64 { return t.maxID.Load() }
 
-// Close stops the background compactor and releases the tier's
-// references to all segments; handles close once in-flight searches
-// drain.
+// Close stops the background compactor, commits drain marks no commit
+// has carried yet, and releases the tier's references to all segments;
+// handles close once in-flight searches drain.
 func (t *Tier[K]) Close() error {
 	if t.compactStop != nil {
 		t.stopOnce.Do(func() { close(t.compactStop) })
 		t.compactWG.Wait()
 	}
+	// Drain marks no commit has carried yet go out with a last one.
+	pending := false
+	t.mu.RLock()
+	for _, committed := range t.drained {
+		pending = pending || !committed
+	}
+	t.mu.RUnlock()
+	var err error
+	if pending {
+		t.manifestMu.Lock()
+		err = t.commitManifest()
+		t.manifestMu.Unlock()
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.releaseLevels()
-	return nil
+	return err
 }
 
 // releaseLevels drops the tier's reference on every live segment.

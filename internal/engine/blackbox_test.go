@@ -28,7 +28,7 @@ func newObservedEngine(t *testing.T, slowQueryNanos int64) *Engine[string] {
 		EncodeKey:      attr.KeywordEncode,
 		Clock:          clock.NewLogical(1, 1),
 		DiskDir:        dir,
-		WALDir:         dir + "/wal",
+		Durable:        true,
 		WALOptions:     wal.Options{SyncEvery: 1},
 		Policy:         core.New[string](),
 		TrackOverK:     true,

@@ -39,7 +39,7 @@ func (e *Engine[K]) restoreEvicted(failed []disk.FlushRecord) {
 			continue
 		}
 		rec := e.newRecord(fr.MB, fr.Score)
-		e.admit(rec, fr.LogSeq, keys)
+		e.admit(rec, fr.LogSeq, fr.LogOrd, keys)
 		claimed.add(fr.LogSeq)
 		recs = append(recs, rec)
 		recKeys = append(recKeys, keys)

@@ -82,7 +82,7 @@ func TestEvictionRollbackSurvivesRestart(t *testing.T) {
 			EncodeKey:     attr.KeywordEncode,
 			Clock:         clock.NewLogical(1, 1),
 			DiskDir:       dir,
-			WALDir:        dir + "/wal",
+			Durable:       true,
 			Policy:        core.New[string](),
 			TrackOverK:    true,
 			SyncFlush:     true,
@@ -125,7 +125,7 @@ func TestEvictionRollbackSurvivesRestart(t *testing.T) {
 func TestInlineCompactionFailureDoesNotFailFlush(t *testing.T) {
 	failpoint.DisableAll()
 	t.Cleanup(failpoint.DisableAll)
-	cfg := reclaimConfig(t.TempDir(), t.TempDir(), 1<<30, true, alloc.PolicyPooled)
+	cfg := reclaimConfig(t.TempDir(), 1<<30, true, alloc.PolicyPooled)
 	cfg.DiskLevelFanout = 2
 	eng, err := New(cfg)
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"path/filepath"
 	rtrace "runtime/trace"
 	"strings"
 	"sync"
@@ -86,12 +87,15 @@ type Config[K comparable] struct {
 	// before failing (and, for writes, before the engine enters
 	// degraded read-only mode). The zero value disables retrying.
 	DiskRetry disk.RetryPolicy
-	// WALDir enables write-ahead logging of ingested records into the
-	// given directory: memory contents survive restarts (replayed on
-	// New) and crashes (torn tails are tolerated). Empty disables
-	// durability for memory contents, the paper's model.
-	WALDir string
-	// WALOptions tunes the write-ahead log when WALDir is set.
+	// Durable keeps a write-ahead log of ingested records in DiskDir:
+	// memory contents survive restarts (replayed on New) and crashes
+	// (torn tails are tolerated), and the log's files are the tier's
+	// record files, so a flush writes only a directory over frames the
+	// log already holds. A log a previous version kept in DiskDir/wal is
+	// moved in on the first open. False keeps only flushed records, the
+	// paper's model.
+	Durable bool
+	// WALOptions tunes the write-ahead log when Durable is set.
 	WALOptions wal.Options
 	// Policy is the flushing policy instance.
 	Policy policy.Policy[K]
@@ -241,6 +245,7 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		CacheBytes:           cfg.DiskCacheBytes,
 		Retry:                cfg.DiskRetry,
 		Recorder:             e.bbox,
+		Logged:               cfg.Durable,
 	})
 	if err != nil {
 		return nil, err
@@ -264,7 +269,7 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		Metrics: &e.reg,
 		OnPhase: e.recordPhase,
 	})
-	if cfg.WALDir != "" {
+	if cfg.Durable {
 		wopt := cfg.WALOptions
 		if wopt.MaxFileBytes <= 0 {
 			// A log file never outgrows the memory it covers, so small
@@ -275,7 +280,10 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 			wopt.PooledBuffers = true
 		}
 		wopt.Recorder = e.bbox
-		w, err := wal.Open(cfg.WALDir, wopt)
+		wopt.Drained = tier.LogDrained
+		wopt.OnDrained = e.drainLog
+		wopt.LegacyDir = filepath.Join(cfg.DiskDir, "wal")
+		w, err := wal.Open(cfg.DiskDir, wopt)
 		if err != nil {
 			// Construction failed; the open error is the one to
 			// surface, not the cleanup's.
@@ -303,13 +311,13 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 // between chunks.
 const recoverChunk = 4096
 
-// recoverFromWAL rebuilds memory contents from the snapshot and log.
-// Replayed records keep their original IDs, timestamps and scores, and
-// each holds the claim Replay took on the file its frame came from; a
-// record framed twice (snapshot/log overlap, a relocation the crash
-// caught before the source was unlinked) keeps one wrapper and moves
-// its claim to the newer frame. The ID counter resumes past the highest
-// ID replayed (New started it past the highest ID flushed). Memory stays
+// recoverFromWAL rebuilds memory contents from the log's undrained
+// files. Replayed records keep their original IDs, timestamps and
+// scores, and each holds the claim Replay took on the frame it came
+// from; a record framed twice (a relocation the crash caught before the
+// source drained, a legacy log migrated twice) keeps one wrapper and
+// moves its claim to the newer frame. The ID counter resumes past the
+// highest ID replayed (New started it past the highest ID flushed). Memory stays
 // bounded throughout: records reach the policy in chunks, and whenever
 // memory reaches the flush watermark a cycle runs inline, under the
 // gate, before the next frame is read — its releases may unlink files
@@ -322,8 +330,10 @@ func (e *Engine[K]) recoverFromWAL() error {
 	var recKeys [][]K
 	total := 0
 	handOver := func() {
-		// Replay preserves arrival order, so each chunk is one ingestion
-		// batch as far as the policy is concerned.
+		// Each chunk is one ingestion batch as far as the policy is
+		// concerned. Replay is in file order, not arrival order: a
+		// relocated record comes back from its newest frame, after
+		// records that arrived later (wal.Log.Replay).
 		e.pol.OnIngest(recs, recKeys)
 		total += len(recs)
 		recs, recKeys = recs[:0], recKeys[:0]
@@ -338,7 +348,7 @@ func (e *Engine[K]) recoverFromWAL() error {
 		}
 		if held := e.store.Get(mb.ID); held != nil {
 			e.wal.Release(held.LogSeq, 1)
-			held.LogSeq = fr.LogSeq
+			held.LogSeq, held.LogOrd = fr.LogSeq, fr.LogOrd
 			return nil
 		}
 		keys := e.cfg.KeysOf(mb)
@@ -347,7 +357,7 @@ func (e *Engine[K]) recoverFromWAL() error {
 			return nil
 		}
 		rec := e.newRecord(mb, fr.Score)
-		e.admit(rec, fr.LogSeq, keys)
+		e.admit(rec, fr.LogSeq, fr.LogOrd, keys)
 		recs = append(recs, rec)
 		recKeys = append(recKeys, keys)
 		if due := e.flushDue(); due || len(recs) == recoverChunk {
@@ -473,11 +483,11 @@ func (e *Engine[K]) IngestBatch(mbs []*types.Microblog) ([]types.ID, error) {
 		}
 	}
 	for i, rec := range recs {
-		var logSeq uint32
+		var logSeq, logOrd uint32
 		if e.wal != nil {
-			logSeq = frames[i].LogSeq // the claim AppendBatch took for it
+			logSeq, logOrd = frames[i].LogSeq, frames[i].LogOrd // the claim AppendBatch took for it
 		}
-		e.admit(rec, logSeq, recKeys[i])
+		e.admit(rec, logSeq, logOrd, recKeys[i])
 	}
 	e.pol.OnIngest(recs, recKeys)
 	e.reg.Ingested.Add(int64(len(recs)))
@@ -499,13 +509,14 @@ func (e *Engine[K]) newRecord(m *types.Microblog, score float64) *store.Record {
 }
 
 // admit makes rec memory-resident: stored, charged to the budget and
-// linked under every key, holding the log claim logSeq names (0 without
-// a log). The references are charged in full before the first link, so
-// a concurrent flush unlinking an early key can never see the count
-// reach zero while later keys are still being linked. The caller
+// linked under every key, holding the log claim on file logSeq, whose
+// frame logOrd is its (both 0 without a log). The references are
+// charged in full before the first link, so a concurrent flush
+// unlinking an early key can never see the count reach zero while later
+// keys are still being linked. The caller
 // reports the record to the policy (OnIngest) once its batch is in.
-func (e *Engine[K]) admit(rec *store.Record, logSeq uint32, keys []K) {
-	rec.LogSeq = logSeq
+func (e *Engine[K]) admit(rec *store.Record, logSeq, logOrd uint32, keys []K) {
+	rec.LogSeq, rec.LogOrd = logSeq, logOrd
 	rec.Ref(int32(len(keys)))
 	e.store.Put(rec)
 	e.mem.AddData(rec.Bytes)
@@ -598,6 +609,17 @@ func (e *Engine[K]) flushCycle(trigger blackbox.Trigger) (int64, error) {
 	// — so the batch walks the same stages here, under the gate.
 	batch := e.fsink.take()
 	batch.cycle = id
+	if e.wal != nil {
+		// The log files the batch's directory will name stay in the log
+		// until it is installed: a record evicted from one key only may
+		// be relocated away from its frame meanwhile.
+		for _, fr := range batch.recs {
+			batch.pins.add(fr.LogSeq)
+		}
+		for _, c := range batch.pins {
+			e.wal.Claim(c.seq, c.n)
+		}
+	}
 	durable := false
 	switch {
 	case len(batch.recs) == 0 && len(batch.dead) == 0: // nothing was evicted
@@ -665,7 +687,18 @@ func (e *Engine[K]) reclaimWAL() {
 		return
 	}
 	for i, rec := range recs {
-		rec.LogSeq = frames[i].LogSeq
+		rec.LogSeq, rec.LogOrd = frames[i].LogSeq, frames[i].LogOrd
+	}
+}
+
+// drainLog is the log's OnDrained: file seq holds no claim any more, so
+// the tier marks it drained, for its next manifest commit, and keeps it
+// while a directory names it. A failure only means the file replays at
+// the next open, bringing back records the tier already holds; it is
+// logged, not fatal.
+func (e *Engine[K]) drainLog(seq uint32) {
+	if err := e.tier.DrainLog(seq); err != nil {
+		slog.Error("engine: cannot mark a log file drained", "file_seq", seq, "error", err)
 	}
 }
 
@@ -677,6 +710,11 @@ func (e *Engine[K]) releaseClaims(dead []*store.Record) {
 	for _, rec := range dead {
 		t.add(rec.LogSeq)
 	}
+	e.releaseTally(t)
+}
+
+// releaseTally gives back the claims a tally counts.
+func (e *Engine[K]) releaseTally(t seqTally) {
 	for _, c := range t {
 		e.wal.Release(c.seq, c.n)
 	}
@@ -1111,9 +1149,9 @@ func (e *Engine[K]) Stats() Stats {
 	}
 }
 
-// Close drains in-flight flushing and the flush pipeline, snapshots
-// memory contents to the write-ahead log (when enabled) so the next
-// open recovers instantly, and releases the disk tier.
+// Close drains in-flight flushing and the flush pipeline, seals the
+// write-ahead log's active file (when durable) — the next open replays
+// the log's undrained files — and releases the disk tier.
 func (e *Engine[K]) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
@@ -1122,32 +1160,22 @@ func (e *Engine[K]) Close() error {
 	// Drain any in-flight background flush first (closed is set, so no
 	// new cycle can start once the gate is observed free), then drain
 	// the pipeline WITHOUT holding the gate — completions take it to
-	// conclude. Queued batches are out of memory, so
-	// they must reach the tier (or be restored) before the snapshot
-	// below is cut; otherwise the snapshot would be their only grave.
+	// conclude. Queued batches reach the tier (or memory) before the log
+	// closes, and the tier's last commit carries the drains their
+	// releases cause.
 	e.flushMu.Lock()
 	e.flushMu.Unlock() //nolint:staticcheck // empty critical section = drain
 	if e.pipe != nil {
 		e.pipe.close()
 	}
 	// The gate is held for the rest of shutdown, so a straggling flush
-	// can neither start after the snapshot is cut nor write to the
-	// closing disk tier.
+	// can neither start after the log is sealed nor write to the closing
+	// disk tier.
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
 	var firstErr error
 	if e.wal != nil {
-		var recs []disk.FlushRecord
-		e.store.Range(func(rec *store.Record) bool {
-			recs = append(recs, disk.FlushRecord{MB: rec.MB, Score: rec.Score})
-			return true
-		})
-		if err := e.wal.WriteSnapshot(recs); err != nil {
-			firstErr = err
-		}
-		if err := e.wal.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		firstErr = e.wal.Close()
 	}
 	if err := e.tier.Close(); err != nil && firstErr == nil {
 		firstErr = err

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"kflushing/internal/attr"
@@ -11,12 +12,12 @@ import (
 	"kflushing/internal/wal"
 )
 
-func newDurableEngine(t *testing.T, diskDir, walDir string) *Engine[string] {
+func newDurableEngine(t *testing.T, dir string) *Engine[string] {
 	t.Helper()
-	return newDurableEngineBudget(t, diskDir, walDir, 1<<20)
+	return newDurableEngineBudget(t, dir, 1<<20)
 }
 
-func newDurableEngineBudget(t *testing.T, diskDir, walDir string, budget int64) *Engine[string] {
+func newDurableEngineBudget(t *testing.T, dir string, budget int64) *Engine[string] {
 	t.Helper()
 	eng, err := New(Config[string]{
 		K:             5,
@@ -26,8 +27,8 @@ func newDurableEngineBudget(t *testing.T, diskDir, walDir string, budget int64) 
 		KeyHash:       attr.HashString,
 		KeyLen:        attr.KeywordLen,
 		EncodeKey:     attr.KeywordEncode,
-		DiskDir:       diskDir,
-		WALDir:        walDir,
+		DiskDir:       dir,
+		Durable:       true,
 		WALOptions:    wal.Options{MaxFileBytes: 4 << 10},
 		Policy:        core.New[string](),
 		TrackOverK:    true,
@@ -40,8 +41,8 @@ func newDurableEngineBudget(t *testing.T, diskDir, walDir string, budget int64) 
 }
 
 func TestWALRecoveryPreservesScoresAndOrder(t *testing.T) {
-	diskDir, walDir := t.TempDir(), t.TempDir()
-	eng := newDurableEngine(t, diskDir, walDir)
+	dir := t.TempDir()
+	eng := newDurableEngine(t, dir)
 	for i := 1; i <= 30; i++ {
 		ingest(t, eng, int64(i*10), "key")
 	}
@@ -49,7 +50,7 @@ func TestWALRecoveryPreservesScoresAndOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re := newDurableEngine(t, diskDir, walDir)
+	re := newDurableEngine(t, dir)
 	defer re.Close()
 	res, err := re.Search(query.Request[string]{Keys: []string{"key"}, K: 5})
 	if err != nil {
@@ -71,20 +72,20 @@ func TestWALRecoveryPreservesScoresAndOrder(t *testing.T) {
 }
 
 func TestWALRecoveryTriggersFlushWhenOverBudget(t *testing.T) {
-	diskDir, walDir := t.TempDir(), t.TempDir()
-	eng := newDurableEngine(t, diskDir, walDir)
+	dir := t.TempDir()
+	eng := newDurableEngine(t, dir)
 	// Flushing (and log reclaim) happens during this loop; what is left
 	// in the log is a bounded multiple of the budget.
 	for i := 1; i <= 9000; i++ {
 		ingest(t, eng, int64(i), fmt.Sprintf("k%d", i%31))
 	}
-	// Crash: skip Close (no snapshot).
+	// Crash: skip Close.
 
 	// Reopen with a quarter of the budget, so the log certainly replays
 	// more than memory may hold: recovery must flush as it goes, never
 	// not once at the end.
 	const budget = 256 << 10
-	re := newDurableEngineBudget(t, diskDir, walDir, budget)
+	re := newDurableEngineBudget(t, dir, budget)
 	defer re.Close()
 	if used := re.Mem().Used(); used > budget {
 		t.Fatalf("recovered memory %d above the %d budget", used, budget)
@@ -99,9 +100,11 @@ func TestWALRecoveryTriggersFlushWhenOverBudget(t *testing.T) {
 func TestWALDisabledHasNoFiles(t *testing.T) {
 	eng := newKeywordEngine(t, 1<<30, core.New[string](), false)
 	ingest(t, eng, 1, "a")
-	// Nothing to assert beyond absence of panics: the engine was built
-	// without a WAL directory, and Close must not attempt a snapshot.
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// Without a log the flush writes record blocks and no log file.
+	if logs, _ := filepath.Glob(filepath.Join(eng.cfg.DiskDir, "wal-*.kfw")); len(logs) != 0 {
+		t.Fatalf("a non-durable engine left log files %v", logs)
 	}
 }

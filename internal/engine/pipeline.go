@@ -27,11 +27,14 @@ var pipelineLabels = pprof.Labels("kflushing", "flush-pipeline-worker")
 // wrappers hold their claims until the batch has settled. cycle is the
 // ID of the flush cycle that evicted it: whoever completes the batch
 // stamps the stages with it, so a cycle's events share one ID whether
-// the flusher or the pipeline worker ran them.
+// the flusher or the pipeline worker ran them. pins are the claims the
+// cycle took on the log files the batch's directory will name, given
+// back once it is installed (or the batch restored).
 type flushBatch struct {
 	recs  []disk.FlushRecord
 	dead  []*store.Record
 	cycle uint64
+	pins  seqTally
 }
 
 // flushSink is the policies' sink: it parks the cycle's batch for
@@ -63,8 +66,8 @@ func (s *flushSink) take() flushBatch {
 // A crash with batches queued loses nothing — recovery replays them
 // from the log — and a build or install FAILURE on the worker rolls the
 // eviction back and degrades the engine exactly as it does inline, just
-// later. Close drains the queue before the shutdown snapshot is cut, so
-// queued batches always reach the tier or memory, never the void.
+// later. Close drains the queue before it seals the log, so queued
+// batches always reach the tier or memory, never the void.
 //
 // The queue is bounded; a cycle that finds it full completes its batch
 // inline instead (counted in PipelineFallbacks), so eviction can never
@@ -250,6 +253,14 @@ func (e *Engine[K]) persist(b flushBatch, ordered bool) *flushCompletion {
 	c := &flushCompletion{batch: b, ordered: ordered}
 	if len(b.recs) > 0 {
 		c.err = failpoint.Eval(failpoint.FlushAfterEvict)
+		var seal time.Duration
+		if c.err == nil && e.wal != nil {
+			// The directory names only sealed, fsynced log files: seal the
+			// one the newest victims may sit in. Booked to build.
+			start := time.Now()
+			c.err = e.wal.Seal()
+			seal = time.Since(start)
+		}
 		if c.err == nil {
 			c.err = e.cfg.DiskRetry.Do(func() error {
 				var werr error
@@ -257,6 +268,9 @@ func (e *Engine[K]) persist(b flushBatch, ordered bool) *flushCompletion {
 				return werr
 			})
 			c.durable = c.err == nil
+			if c.durable {
+				c.fs.BuildNanos += seal.Nanoseconds()
+			}
 		}
 		if c.durable {
 			// A failure from here on fails the cycle but restores
@@ -308,6 +322,9 @@ func (e *Engine[K]) release(c *flushCompletion) {
 	}
 	if !c.ordered || !e.pipe.deferRelease(c.batch.dead, c.installed) {
 		e.settle(c.batch.dead, c.installed)
+	}
+	if e.wal != nil {
+		e.releaseTally(c.batch.pins)
 	}
 	c.release = time.Since(start)
 }

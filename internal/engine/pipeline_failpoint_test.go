@@ -36,7 +36,7 @@ func TestFlushCompletionMatrix(t *testing.T) {
 		{name: "transient-masked-by-retry", retry: disk.RetryPolicy{Attempts: 3, Backoff: time.Millisecond},
 			site: failpoint.DiskSegmentCreate, spec: "error(2)", minHits: 3, wrote: true},
 		{name: "persistent-write-failure", retry: disk.RetryPolicy{Attempts: 1},
-			site: failpoint.DiskSegmentWrite, spec: "error", fails: true, persists: true},
+			site: failpoint.DiskSegmentCreate, spec: "error", fails: true, persists: true},
 		{name: "after-evict", site: failpoint.FlushAfterEvict, spec: "error(1)", fails: true},
 		{name: "after-write", site: failpoint.FlushAfterWrite, spec: "error(1)", wrote: true, fails: true},
 	}
@@ -50,7 +50,7 @@ func TestFlushCompletionMatrix(t *testing.T) {
 			t.Run(mode+"/"+oc.name, func(t *testing.T) {
 				failpoint.DisableAll()
 				t.Cleanup(failpoint.DisableAll)
-				cfg := reclaimConfig(t.TempDir(), t.TempDir(), 1<<30, mode == inline, alloc.PolicyPooled)
+				cfg := reclaimConfig(t.TempDir(), 1<<30, mode == inline, alloc.PolicyPooled)
 				cfg.DiskRetry = oc.retry
 				eng, err := New(cfg)
 				if err != nil {
@@ -267,7 +267,7 @@ func TestFlushCompletionMatrix(t *testing.T) {
 func TestDeadOnlyCycleWaitsForQueuedBatch(t *testing.T) {
 	failpoint.DisableAll()
 	t.Cleanup(failpoint.DisableAll)
-	cfg := reclaimConfig(t.TempDir(), t.TempDir(), 1<<30, false, alloc.PolicyPooled)
+	cfg := reclaimConfig(t.TempDir(), 1<<30, false, alloc.PolicyPooled)
 	eng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -285,14 +285,14 @@ func TestDeadOnlyCycleWaitsForQueuedBatch(t *testing.T) {
 	var dead []*store.Record
 	for id := types.ID(1); id <= 10; id++ {
 		rec := eng.store.Get(id)
-		recs = append(recs, disk.FlushRecord{MB: rec.MB, Score: rec.Score, LogSeq: rec.LogSeq})
+		recs = append(recs, disk.FlushRecord{MB: rec.MB, Score: rec.Score, LogSeq: rec.LogSeq, LogOrd: rec.LogOrd})
 		if id < 10 {
 			dead = append(dead, rec)
 		}
 	}
 	late := eng.store.Get(10)
 
-	mustEnable(t, failpoint.DiskSegmentWrite, "sleep(400)")
+	mustEnable(t, failpoint.DiskSegmentDirWrite, "sleep(400)")
 	eng.flushMu.Lock()
 	if !eng.pipe.tryEnqueue(flushBatch{recs: recs, dead: dead}) {
 		t.Fatal("batch N not enqueued")

@@ -19,7 +19,7 @@ import (
 // and a budget small enough that flushes happen constantly under the
 // stress load below, around the named policy built the way the facade
 // builds it.
-func raceEngine(t *testing.T, policyName, walDir string, ap alloc.Policy, opts ...core.Option[string]) *Engine[string] {
+func raceEngine(t *testing.T, policyName string, durable bool, ap alloc.Policy, opts ...core.Option[string]) *Engine[string] {
 	t.Helper()
 	const budget, flushFraction = 96 << 10, 0.25
 	pc, err := core.Choose(policyName, int64(flushFraction*budget), opts...)
@@ -36,7 +36,7 @@ func raceEngine(t *testing.T, policyName, walDir string, ap alloc.Policy, opts .
 		EncodeKey:     attr.KeywordEncode,
 		Clock:         clock.NewLogical(1, 1),
 		DiskDir:       t.TempDir(),
-		WALDir:        walDir,
+		Durable:       durable,
 		Policy:        pc.Policy,
 		TrackTopK:     pc.TrackTopK,
 		TrackOverK:    pc.TrackOverK,
@@ -271,7 +271,7 @@ func stressBothAllocPolicies(t *testing.T, mk func(t *testing.T, ap alloc.Policy
 
 func TestConcurrentStressKFlushing(t *testing.T) {
 	stressBothAllocPolicies(t, func(t *testing.T, ap alloc.Policy) *Engine[string] {
-		return raceEngine(t, core.NameKFlushing, "", ap)
+		return raceEngine(t, core.NameKFlushing, false, ap)
 	})
 }
 
@@ -279,25 +279,25 @@ func TestConcurrentStressKFlushingParallel(t *testing.T) {
 	// Forced multi-worker Phase 1 / victim scanning, so the parallel
 	// paths get race coverage even on single-core CI runners.
 	stressBothAllocPolicies(t, func(t *testing.T, ap alloc.Policy) *Engine[string] {
-		return raceEngine(t, core.NameKFlushing, "", ap, core.WithParallelism[string](4))
+		return raceEngine(t, core.NameKFlushing, false, ap, core.WithParallelism[string](4))
 	})
 }
 
 func TestConcurrentStressMK(t *testing.T) {
 	stressBothAllocPolicies(t, func(t *testing.T, ap alloc.Policy) *Engine[string] {
-		return raceEngine(t, core.NameKFlushingMK, "", ap)
+		return raceEngine(t, core.NameKFlushingMK, false, ap)
 	})
 }
 
 func TestConcurrentStressFIFO(t *testing.T) {
 	stressBothAllocPolicies(t, func(t *testing.T, ap alloc.Policy) *Engine[string] {
-		return raceEngine(t, core.NameFIFO, "", ap)
+		return raceEngine(t, core.NameFIFO, false, ap)
 	})
 }
 
 func TestConcurrentStressLRU(t *testing.T) {
 	stressBothAllocPolicies(t, func(t *testing.T, ap alloc.Policy) *Engine[string] {
-		return raceEngine(t, core.NameLRU, "", ap)
+		return raceEngine(t, core.NameLRU, false, ap)
 	})
 }
 
@@ -311,7 +311,7 @@ func TestConcurrentStressDurable(t *testing.T) {
 			for _, name := range []string{core.NameKFlushing, core.NameKFlushingMK, core.NameFIFO, core.NameLRU} {
 				name := name
 				t.Run("policy="+name, func(t *testing.T) {
-					stress(t, raceEngine(t, name, t.TempDir(), ap))
+					stress(t, raceEngine(t, name, true, ap))
 				})
 			}
 		})

@@ -16,13 +16,14 @@ import (
 	"kflushing/internal/blackbox"
 	"kflushing/internal/clock"
 	"kflushing/internal/core"
+	"kflushing/internal/disk"
 	"kflushing/internal/query"
 	"kflushing/internal/types"
 )
 
 // reclaimConfig is a durable keyword engine whose log rotates — and so
 // reclaims — every budget's worth of frames.
-func reclaimConfig(diskDir, walDir string, budget int64, syncFlush bool, ap alloc.Policy) Config[string] {
+func reclaimConfig(dir string, budget int64, syncFlush bool, ap alloc.Policy) Config[string] {
 	return Config[string]{
 		K:             3,
 		MemoryBudget:  budget,
@@ -32,8 +33,8 @@ func reclaimConfig(diskDir, walDir string, budget int64, syncFlush bool, ap allo
 		KeyLen:        attr.KeywordLen,
 		EncodeKey:     attr.KeywordEncode,
 		Clock:         clock.NewLogical(1, 1),
-		DiskDir:       diskDir,
-		WALDir:        walDir,
+		DiskDir:       dir,
+		Durable:       true,
 		Policy:        core.New[string](),
 		TrackOverK:    true,
 		SyncFlush:     syncFlush,
@@ -59,14 +60,21 @@ func soakBatch(i, n int) []*types.Microblog {
 	return mbs
 }
 
-func dirUsage(t *testing.T, dir string) (files int, bytes int64) {
+// undrainedUsage sums the log files on disk the tier has not marked
+// drained: the files the log still replays, which its table must match
+// file for file.
+func undrainedUsage(t *testing.T, eng *Engine[string]) (files int, bytes int64) {
 	t.Helper()
-	ents, err := os.ReadDir(dir)
+	paths, err := filepath.Glob(filepath.Join(eng.cfg.DiskDir, "wal-*.kfw"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range ents {
-		info, err := e.Info()
+	for _, p := range paths {
+		seq, ok := disk.ParseLogName(p)
+		if !ok || eng.tier.LogDrained(seq) {
+			continue
+		}
+		info, err := os.Stat(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,6 +82,15 @@ func dirUsage(t *testing.T, dir string) (files int, bytes int64) {
 		bytes += info.Size()
 	}
 	return files, bytes
+}
+
+// checkNoBlocks fails if a durable engine wrote a record block: its
+// flushes name log files.
+func checkNoBlocks(t *testing.T, dir string) {
+	t.Helper()
+	if blocks, _ := filepath.Glob(filepath.Join(dir, "blk-*.kfs")); len(blocks) != 0 {
+		t.Fatalf("a durable engine wrote record blocks %v", blocks)
+	}
 }
 
 func copyTree(t *testing.T, src, dst string) {
@@ -106,15 +123,14 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-// checkCrashCopy opens an engine on a copy of the directories — what a
+// checkCrashCopy opens an engine on a copy of the directory — what a
 // kill -9 at this instant would leave — and requires every acknowledged
 // ID back, once.
 func checkCrashCopy(t *testing.T, cfg Config[string], acked int) {
 	t.Helper()
-	diskCopy, walCopy := t.TempDir(), t.TempDir()
-	copyTree(t, cfg.DiskDir, diskCopy)
-	copyTree(t, cfg.WALDir, walCopy)
-	cfg.DiskDir, cfg.WALDir = diskCopy, walCopy
+	dirCopy := t.TempDir()
+	copyTree(t, cfg.DiskDir, dirCopy)
+	cfg.DiskDir = dirCopy
 	cfg.Clock = clock.NewLogical(1, 1)
 	cfg.Policy = core.New[string]()
 	re, err := New(cfg)
@@ -145,10 +161,13 @@ func checkCrashCopy(t *testing.T, cfg Config[string], acked int) {
 
 // TestWALReclaimSoak ingests two hundred budgets' worth of payload
 // through a small, deterministic engine and checks, batch by batch,
-// that the log stays within three budgets, that the claims table and
-// the directory agree file for file (a claimed file is never missing,
-// an unclaimed sealed one never lingers), that claims equal memory, and
-// — on copies taken mid-run — that a crash loses nothing.
+// that the undrained log — what a recovery replays — stays within three
+// budgets, that the claims table and the undrained files on disk agree
+// file for file (a claimed file is never missing, an unclaimed sealed
+// one never stays undrained), that claims equal memory, that no record
+// block is written, and — on copies taken mid-run — that a crash loses
+// nothing. The whole log grows with history, by design: it is the
+// record store.
 func TestWALReclaimSoak(t *testing.T) {
 	for _, ap := range []alloc.Policy{alloc.PolicyPooled, alloc.PolicyHeap} {
 		ap := ap
@@ -161,7 +180,7 @@ func TestWALReclaimSoak(t *testing.T) {
 			if testing.Short() {
 				total /= 8
 			}
-			cfg := reclaimConfig(t.TempDir(), t.TempDir(), budget, true, ap)
+			cfg := reclaimConfig(t.TempDir(), budget, true, ap)
 			eng, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -172,10 +191,10 @@ func TestWALReclaimSoak(t *testing.T) {
 				if _, err := eng.IngestBatch(soakBatch(i, batch)); err != nil {
 					t.Fatal(err)
 				}
-				files, bytes := dirUsage(t, cfg.WALDir)
+				files, bytes := undrainedUsage(t, eng)
 				peak = max(peak, bytes)
 				if bytes > 3*budget {
-					t.Fatalf("after %d records the log holds %d bytes in %d files, over 3x the %d budget",
+					t.Fatalf("after %d records the undrained log holds %d bytes in %d files, over 3x the %d budget",
 						i+batch, bytes, files, budget)
 				}
 				st := eng.wal.Stats()
@@ -194,6 +213,7 @@ func TestWALReclaimSoak(t *testing.T) {
 			if err := eng.Err(); err != nil {
 				t.Fatal(err)
 			}
+			checkNoBlocks(t, cfg.DiskDir)
 			st := eng.wal.Stats()
 			if st.RelocatedRecords == 0 || st.ReclaimedBytes == 0 {
 				t.Fatalf("soak never reclaimed: %+v", st)
@@ -223,7 +243,7 @@ func TestWALReclaimSoak(t *testing.T) {
 					t.Fatalf("soak cycle %+v, want a complete budget cycle with its phases", c)
 				}
 			}
-			t.Logf("records=%d peak_log=%d (%.2fx budget) relocated=%d reclaimed=%d",
+			t.Logf("records=%d peak_undrained=%d (%.2fx budget) relocated=%d drained=%d",
 				total, peak, float64(peak)/budget, st.RelocatedRecords, st.ReclaimedBytes)
 			checkCrashCopy(t, cfg, total/batch*batch)
 		})
@@ -250,7 +270,7 @@ func TestWALReclaimConcurrent(t *testing.T) {
 			if testing.Short() {
 				perWriter = 1024
 			}
-			cfg := reclaimConfig(t.TempDir(), t.TempDir(), budget, false, alloc.PolicyPooled)
+			cfg := reclaimConfig(t.TempDir(), budget, false, alloc.PolicyPooled)
 			eng, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -317,7 +337,7 @@ func TestWALReclaimConcurrent(t *testing.T) {
 			if st.ReclaimedBytes == 0 {
 				t.Fatalf("nothing reclaimed under load: %+v", st)
 			}
-			files, bytes := dirUsage(t, cfg.WALDir)
+			files, bytes := undrainedUsage(t, eng)
 			if st.Files != files || st.Bytes != bytes {
 				t.Fatalf("table says %d files / %d bytes, directory %d / %d", st.Files, st.Bytes, files, bytes)
 			}

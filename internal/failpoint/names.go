@@ -37,16 +37,13 @@ const (
 	WALAppendWrite      = "wal/append/write"       // the frame write itself (torn-write capable)
 	WALAppendAfterWrite = "wal/append/after-write" // frames written, before sync/rotate bookkeeping
 	WALSync             = "wal/sync"               // any active-file fsync
-	WALRotateSeal       = "wal/rotate/seal"        // previous file synced+closed, next not yet created
+	WALRotateSeal       = "wal/rotate/seal"        // the next file about to be created, the active one still taking appends
 	WALRotateCreate     = "wal/rotate/create"      // creating the next log file
 	WALRotateHeader     = "wal/rotate/header"      // writing the next file's header (torn-write capable)
-	WALSnapshotWrite    = "wal/snapshot/write"     // writing the snapshot temp file (torn-write capable)
-	WALSnapshotSync     = "wal/snapshot/sync"      // syncing the snapshot temp file
-	WALSnapshotRename   = "wal/snapshot/rename"    // temp file durable, rename not yet done
-	WALSnapshotCleanup  = "wal/snapshot/cleanup"   // snapshot renamed, old log files not yet deleted
+	WALSealSync         = "wal/seal/sync"          // a file taken out of service, its frame index not yet written and fsynced
 	WALRelocateAppended = "wal/relocate/appended"  // a sealed file's survivors re-appended, not yet fsynced
 	WALRelocateSynced   = "wal/relocate/synced"    // relocated frames durable, source file still claimed
-	WALReclaimUnlink    = "wal/reclaim/unlink"     // an unclaimed sealed file is about to be unlinked
+	WALMigrateRemove    = "wal/migrate/remove"     // a legacy log's records re-framed in a new fsynced file, the legacy files not yet removed
 
 	// Disk-tier sites (internal/disk).
 	DiskSegmentCreate      = "disk/segment/create"       // creating a staged file (block, directory, merged directory)
@@ -68,6 +65,8 @@ const (
 	DiskManifestRename = "disk/manifest/rename" // temp manifest durable, rename not yet done
 	DiskLevelInstall   = "disk/level/install"   // flushed block and directory renamed live, manifest not yet committed
 	DiskCompactInstall = "disk/compact/install" // merged directory renamed live, manifest not yet committed
+	DiskDrainMark      = "disk/drain/mark"      // a log file's last claim gone (its directories installed), the drained mark not yet committed
+	DiskDrainCommitted = "disk/drain/committed" // the drained mark committed, nothing else done to the file yet
 
 	// Flush-cycle sites (internal/engine, internal/core, internal/policy).
 	FlushBegin       = "flush/begin"        // flush cycle entered, nothing evicted yet
@@ -93,9 +92,11 @@ const (
 	WALReadySync        = "wal/ready/sync"        // the /readyz probe fsync; failure flips readiness
 	WALReplayTruncate   = "wal/replay/truncate"   // truncating a tolerated torn tail during replay
 	WALCloseSync        = "wal/close/sync"        // the final fsync in Close
+	WALReclaimUnlink    = "wal/reclaim/unlink"    // unlinking a log file with no frames, or any unclaimed file of a log no tier owns
 	DiskOpenMkdir       = "disk/open/mkdir"       // creating the tier directory (no segments exist yet)
 	DiskDirSync         = "disk/dir/sync"         // directory fsync after a rename (rename sites cover the crash)
 	DiskAdoptRemove     = "disk/adopt/remove"     // deleting retired inputs during manifest recovery (best-effort)
+	DiskDrainUnlink     = "disk/drain/unlink"     // unlinking a drained log file no directory names (open deletes it too)
 )
 
 // CrashSites returns every site at which a crash must be recoverable:
@@ -107,14 +108,13 @@ func CrashSites() []string {
 	return []string{
 		WALAppend, WALAppendWrite, WALAppendAfterWrite,
 		WALSync,
-		WALRotateSeal, WALRotateCreate, WALRotateHeader,
-		WALSnapshotWrite, WALSnapshotSync, WALSnapshotRename, WALSnapshotCleanup,
-		WALRelocateAppended, WALRelocateSynced, WALReclaimUnlink,
+		WALRotateSeal, WALRotateCreate, WALRotateHeader, WALSealSync,
+		WALRelocateAppended, WALRelocateSynced, WALMigrateRemove,
 		DiskSegmentCreate, DiskSegmentWrite, DiskSegmentDirWrite,
 		DiskSegmentSync, DiskSegmentRename, DiskBlockAfterRename, DiskSegmentAfterRename,
 		DiskCompactRename, DiskCompactRemove,
 		DiskManifestWrite, DiskManifestSync, DiskManifestRename,
-		DiskLevelInstall, DiskCompactInstall,
+		DiskLevelInstall, DiskCompactInstall, DiskDrainMark, DiskDrainCommitted,
 		FlushBegin, FlushAfterPhase1, FlushAfterPhase2,
 		FlushAfterEvict, FlushAfterWrite,
 		RecoverReplayRecord, RecoverAfterReplay,

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -118,39 +119,6 @@ func TestClaimsReleaseUnlinksSealedFile(t *testing.T) {
 	l.Release(last, inLast)
 	if !exists(dir, last) {
 		t.Fatal("active file unlinked at zero claims")
-	}
-}
-
-// TestHighWaterFrameKept: recovery resumes the ID counter from the
-// frames it replays, so the only file framing the highest ID outlives
-// its claims until a newer frame supersedes it. (Concurrent batches
-// reach the log out of ID order, so the newest file need not hold the
-// highest ID.)
-func TestHighWaterFrameKept(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{MaxFileBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	// File 1 frames ID 100 and low-ID filler until it rotates; file 2
-	// then starts with an ID below 100.
-	inFirst := len(appendN(t, l, 100, 100))
-	for id := uint64(1); l.Stats().Files == 1; id++ {
-		inFirst += len(appendN(t, l, id, id))
-	}
-	late := appendN(t, l, 50, 50)[0]
-	if late.LogSeq != 2 {
-		t.Fatalf("late frame landed in file %d, want 2", late.LogSeq)
-	}
-	l.Release(1, inFirst)
-	if !exists(dir, 1) {
-		t.Fatal("the only file framing the highest ID was unlinked")
-	}
-	appendN(t, l, 101, 101) // supersedes it; the sweep rides the next release
-	l.Release(late.LogSeq, 1)
-	if exists(dir, 1) {
-		t.Fatal("superseded, unclaimed file still on disk")
 	}
 }
 
@@ -322,36 +290,31 @@ func TestReplayRebuildsClaims(t *testing.T) {
 	}
 }
 
-// TestSnapshotIsFileZero: the clean-shutdown snapshot takes over every
-// claim as file 0 and is reclaimed by the same rule.
+// TestSnapshotIsFileZero: the clean-shutdown snapshot a log directory
+// written before the log became the record store may hold replays as
+// file 0 and is reclaimed by the same rule as any other file.
 func TestSnapshotIsFileZero(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, l, 1, 20)
 	snap := []disk.FlushRecord{fr(18), fr(19), fr(20)}
-	if err := l.WriteSnapshot(snap); err != nil {
+	img := disk.AppendFrames(binary.LittleEndian.AppendUint16([]byte(disk.LogMagic), disk.LogVersionV2), snap)
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if st := l.Stats(); st.LiveRecords != 3 || st.Files != 2 {
-		t.Fatalf("after snapshot: %+v", st)
-	}
-	checkStatsMatchDir(t, l, dir)
-	l.Close()
-
 	re, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	for _, r := range replayAll(t, re) {
-		if r.LogSeq != 0 {
-			t.Fatalf("snapshot frame %d names file %d", r.MB.ID, r.LogSeq)
+	got := replayAll(t, re)
+	if len(got) != len(snap) {
+		t.Fatalf("replayed %d snapshot records, want %d", len(got), len(snap))
+	}
+	for i, r := range got {
+		if r.LogSeq != 0 || r.LogOrd != uint32(i) {
+			t.Fatalf("snapshot frame %d names file %d frame %d", r.MB.ID, r.LogSeq, r.LogOrd)
 		}
 	}
-	appendN(t, re, 21, 21) // a higher ID elsewhere, so file 0 is not the high-water holder
+	checkStatsMatchDir(t, re, dir)
 	re.Release(0, 2)
 	if _, err := os.Stat(filepath.Join(dir, snapshotName)); err != nil {
 		t.Fatal("snapshot unlinked while claimed")

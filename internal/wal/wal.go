@@ -1,31 +1,38 @@
-// Package wal is the write-ahead log of an engine's memory contents,
-// reclaimed online so it stays proportional to memory, not to uptime.
+// Package wal is the write-ahead log of an engine's memory contents and,
+// on a durable store, its record store: the log's files are the files
+// the disk tier's directories address, so a record is written once.
 //
 // The paper's system model keeps recent microblogs only in memory until
 // a flush moves them to disk; a crash would lose everything since the
 // last flush. A production store needs better: every ingested record is
 // appended to the log before it is acknowledged, and on restart the log
-// is replayed to rebuild memory.
+// is replayed to rebuild memory. A flush then has nothing left to write
+// but a directory over the frames the log already holds (disk.Tier with
+// Config.Logged).
 //
-// Files live in one directory:
+// Files live in one directory — on a durable store, the tier's own:
 //
-//	snapshot.kfw     — optional; memory contents at the last clean
-//	                   shutdown. File 0 of the scheme below.
-//	wal-XXXXXXXX.kfw — the log proper, rotated by size; XXXXXXXX is the
-//	                   file sequence, 1 and up. The newest is active,
-//	                   the others are sealed.
+//	wal-XXXXXXXX.kfw — the log proper; XXXXXXXX is the file sequence, 1
+//	                   and up. The newest is active, the others sealed.
+//	snapshot.kfw     — only in a log directory written before the log
+//	                   became the record store: memory contents at that
+//	                   store's last clean shutdown, file 0 of the scheme
+//	                   below. Nothing writes one any more.
 //
-// Every file starts with magic "KFWL" and a u16 version, then frames:
-// u32 payload length | u32 CRC32C of payload | payload, where the
-// payload is one record in the disk tier's encoding (it already carries
-// the assigned ID, timestamp and ranking score). Version 2 files — the
-// only ones written — frame disk.CodecCompact records, the encoding of
-// the tier's record blocks; version 1 files, written before PR 25, frame
-// disk.CodecFixed records and are still replayed, and reclaimed like any
-// other file once their last claim goes. Any other version is
-// ErrCorrupt. A torn final record — the expected crash artifact — is
-// detected by the CRC/length check and replay stops there; corruption
-// in the middle of the log is reported as an error.
+// The file format is the disk package's (disk/logfile.go): a header
+// naming the version, then frames — u32 payload length | u32 CRC32C |
+// one record in the codec the version names — and, once the file is
+// sealed, a frame index. The log seals the active file and starts the
+// next when it reaches Options.MaxFileBytes, and whenever the owner asks
+// (Seal: a flush seals the file its victims' frames may sit in, because
+// a directory names only sealed files). Sealing writes the frame index
+// and fsyncs; Seal does that off the log's lock, so ingestion never
+// waits on it. Version 3 files are the only ones written; version 2
+// (compact frames, no index) and version 1 (fixed-width frames) files
+// are still replayed and reclaimed. Any other version is ErrCorrupt. A
+// torn final record — the expected crash artifact — is detected by the
+// CRC/length check and replay stops there; corruption in the middle of
+// the log is reported as an error.
 //
 // # Claims
 //
@@ -37,26 +44,32 @@
 // its flush pipeline's release stage, after the segment carrying the
 // record is installed. The invariant everything else hangs on:
 //
-//	a file is unlinked only at zero claims, and a claim comes down only
-//	after the record is durable somewhere else — in an installed
-//	segment, or in a relocated frame that has been fsynced.
+//	a file leaves the log only sealed and at zero claims, and a claim
+//	comes down only after the record is durable somewhere else — posted
+//	by an installed segment, or in a relocated frame that has been
+//	fsynced.
+//
+// A file that leaves the log is drained: replay will not read it again.
+// With Options.OnDrained set the log hands it to its owner — the engine
+// passes it to the tier, whose next manifest commit carries the drained
+// mark and which keeps the file for as long as a directory names it —
+// and otherwise unlinks it.
+// A file with no frames at all is unlinked either way.
 //
 // A flushing policy that evicts by usefulness rather than by age never
 // drains an old file on its own: a few long-lived records pin it. So
 // the owner asks ReclaimCandidate which sealed file to retire, hands
 // Relocate the file's memory-resident survivors, and Relocate re-appends
 // them to the active file, fsyncs (whatever Options.SyncEvery says),
-// moves their claims, and lets the zero-claims rule delete the source —
+// moves their claims, and lets the zero-claims rule drain the source —
 // discard-count-driven log GC with memory as the source of survivors,
 // so the old file is never read. Crash windows: before the fsync the
 // source is intact and the copies are at worst a torn tail; between
-// fsync and unlink both files hold the frame and replay names the newer
-// one; the unlink itself is atomic. One further condition guards the ID
-// counter, which recovery resumes from the highest ID it replays: a
-// file is kept while no other file frames an ID at least as high.
-//
-// The clean-shutdown snapshot (WriteSnapshot) still replaces the whole
-// log at once; it is no longer the only thing that truncates it.
+// fsync and the drain both files hold the frame and replay names the
+// newer one; the drain takes effect with one manifest commit. The file
+// holding the highest record ID may drain like any other: the tier's
+// manifest keeps the record-ID high-water mark of every installed
+// segment, and a relocated record is framed again in an undrained file.
 package wal
 
 import (
@@ -64,11 +77,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -77,7 +90,6 @@ import (
 	"kflushing/internal/blackbox"
 	"kflushing/internal/disk"
 	"kflushing/internal/failpoint"
-	"kflushing/internal/types"
 )
 
 // walCommitLabels attributes the group-commit slow path (fsync,
@@ -86,49 +98,13 @@ import (
 var walCommitLabels = pprof.Labels("kflushing", "wal-group-commit")
 
 const (
-	fileMagic     = "KFWL"
-	fileVersion   = 2 // disk.CodecCompact frames; the one write version
-	fileVersionV1 = 1 // disk.CodecFixed frames: read only
-	headerSize    = 6 // magic + u16 version
-	snapshotName  = "snapshot.kfw"
+	fileVersion  = disk.LogVersion // the one write version
+	headerSize   = disk.LogHeaderSize
+	snapshotName = "snapshot.kfw" // a legacy log directory's file 0
 )
 
 // ErrCorrupt reports log corruption before the final record.
 var ErrCorrupt = errors.New("wal: corrupt log")
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// appendHeader appends a file header naming the write version: every
-// file the log writes starts here.
-func appendHeader(buf []byte) []byte {
-	buf = append(buf, fileMagic...)
-	return binary.LittleEndian.AppendUint16(buf, fileVersion)
-}
-
-// appendFrames appends one frame per record: every frame the log writes
-// is built here.
-func appendFrames(buf []byte, frs []disk.FlushRecord) []byte {
-	for _, fr := range frs {
-		start := len(buf)
-		buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
-		buf = disk.EncodeRecord(buf, fr)
-		payload := buf[start+8:]
-		binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
-	}
-	return buf
-}
-
-// fileCodec is the record encoding a file of the given version frames.
-func fileCodec(version uint16) (disk.Codec, bool) {
-	switch version {
-	case fileVersion:
-		return disk.CodecCompact, true
-	case fileVersionV1:
-		return disk.CodecFixed, true
-	}
-	return 0, false
-}
 
 // encodeBufs recycles AppendBatch encode buffers across calls when
 // Options.PooledBuffers is set. Buffers are only handed to File.Write,
@@ -141,7 +117,7 @@ type Options struct {
 	// 0 selects DefaultMaxFileBytes.
 	MaxFileBytes int64
 	// SyncEvery fsyncs after this many appends; 0 relies on OS
-	// buffering (fsync still happens on rotation and close).
+	// buffering (fsync still happens when a file is sealed).
 	SyncEvery int
 	// PooledBuffers reuses the per-batch encode buffer across
 	// AppendBatch calls via a sync.Pool instead of allocating each time
@@ -150,6 +126,19 @@ type Options struct {
 	// Recorder, when non-nil, receives append/sync/rotate events on the
 	// engine's flight recorder. Recording is allocation-free.
 	Recorder *blackbox.Recorder
+	// Drained, when set, names the files Open must leave alone: drained
+	// earlier, they are the tier's record files now and hold nothing to
+	// replay.
+	Drained func(seq uint32) bool
+	// OnDrained, when set, takes every sealed file with frames whose last
+	// claim went, in place of the unlink: the owner records the drain
+	// and decides when the file goes.
+	OnDrained func(seq uint32)
+	// LegacyDir, when set, is a log directory in the format the store
+	// used before its log moved into the tier directory. Open re-frames
+	// its records into a new sealed file of this log, fsyncs it, and only
+	// then removes LegacyDir.
+	LegacyDir string
 }
 
 // DefaultMaxFileBytes is the rotation size when Options leaves it zero.
@@ -162,65 +151,84 @@ const relocateChunk = 256
 
 // logFile is one file of the log as the claims table sees it.
 type logFile struct {
-	seq   uint32 // 0 is the snapshot
+	seq   uint32 // 0 is a legacy snapshot
 	bytes int64
 	// frames counts the records framed in the file, live the claims on
 	// it (see the package comment): live/frames is how much of the file
 	// a relocation would have to copy.
 	frames int64
 	live   int64
-	// maxID is the highest record ID framed in the file.
-	maxID uint64
 	// pinned marks a file found by Open and not yet replayed: its claims
 	// are unknown, so it must not be reclaimed.
 	pinned bool
-	// drained marks a file whose survivors Relocate moved out; what is
+	// sealed marks a file that is complete: frame index written and
+	// fsynced (or an old-version file, which has none and is only read).
+	// Only a sealed file may be named by a directory, relocated out of,
+	// or drained.
+	sealed bool
+	// relocated marks a file whose survivors Relocate moved out; what is
 	// left of live are records in flight to the tier.
-	drained bool
+	relocated bool
 	// survivors and relocNanos describe that relocation for the
 	// wal_reclaim event.
 	survivors  int64
 	relocNanos int64
+	// offsets holds the start of every frame while the file is active:
+	// its frame index, written when it is sealed.
+	offsets []uint32
 }
 
-// count registers one more claimed frame, of record id, in the file.
-func (f *logFile) count(id types.ID) {
+// count registers one more claimed frame in the file.
+func (f *logFile) count() {
 	f.frames++
 	f.live++
-	f.maxID = max(f.maxID, uint64(id))
+}
+
+// pendingSeal is a file taken out of service whose frame index is not
+// yet written and fsynced: its handle is still open for that.
+type pendingSeal struct {
+	f  *os.File
+	lf *logFile
 }
 
 // Stats is a point-in-time view of the log's footprint and reclaim work.
 type Stats struct {
-	// Bytes and Files cover the snapshot, the sealed files and the active
-	// one.
+	// Bytes and Files cover the files the log still replays: the sealed
+	// undrained files and the active one.
 	Bytes int64
 	Files int
 	// LiveRecords is the sum of all claims.
 	LiveRecords int64
 	// RelocatedRecords and ReclaimedBytes count, since Open, the frames
-	// Relocate re-appended and the bytes of the files unlinked.
+	// Relocate re-appended and the bytes of the files drained.
 	RelocatedRecords int64
 	ReclaimedBytes   int64
 }
 
-// Log is an append-only write-ahead log. Append, AppendBatch, Release,
-// Relocate and Stats are safe for concurrent use; WriteSnapshot must not
-// run concurrently with appends, and Replay runs once, before the first
-// append.
+// Log is an append-only write-ahead log. Append, AppendBatch, Seal,
+// Release, Relocate and Stats are safe for concurrent use; Replay runs
+// once, before the first append.
 type Log struct {
 	dir string
 	opt Options
 
 	mu sync.Mutex
 	f  *os.File
-	// files is the claims table, oldest first: the snapshot (if any),
-	// the sealed files, then active.
+	// files is the claims table, oldest first: the legacy snapshot (if
+	// any), the sealed files, then active.
 	files     []*logFile
 	active    *logFile // nil once the log is closed or sealed by a fault
 	seq       uint32   // highest file sequence handed out
 	sinceSync int
 	relocated int64
+	// sealing holds the files taken out of service and not yet sealed.
+	sealing []*pendingSeal
+
+	// rotMu serializes rotations, which create the next file outside mu;
+	// sealMu serializes sealFiles: one goroutine writes and fsyncs the
+	// pending frame indexes, outside mu.
+	rotMu  sync.Mutex
+	sealMu sync.Mutex
 
 	appended  atomic.Int64
 	reclaimed atomic.Int64
@@ -231,29 +239,31 @@ func Open(dir string, opt Options) (*Log, error) {
 	if opt.MaxFileBytes <= 0 {
 		opt.MaxFileBytes = DefaultMaxFileBytes
 	}
+	// Frame offsets are u32s.
+	opt.MaxFileBytes = min(opt.MaxFileBytes, 1<<31)
 	if err := failpoint.Eval(failpoint.WALOpenMkdir); err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	// A crash during WriteSnapshot can leave a half-written temp file;
-	// it was never renamed into place, so it holds nothing durable.
-	// Removal failure is harmless — the next snapshot recreates it.
-	_ = os.Remove(filepath.Join(dir, snapshotName+".tmp"))
 	l := &Log{dir: dir, opt: opt}
 	// Whatever a previous process left is pinned until Replay has counted
 	// its claims; the new active file continues after the newest of them.
 	if st, err := os.Stat(l.path(0)); err == nil {
 		l.files = append(l.files, &logFile{bytes: st.Size(), pinned: true})
 	}
-	files, err := l.logFiles()
+	files, err := logFiles(dir)
 	if err != nil {
 		return nil, err
 	}
 	for _, p := range files {
-		var seq uint32
-		if _, err := fmt.Sscanf(filepath.Base(p), "wal-%08d.kfw", &seq); err != nil {
+		seq, ok := disk.ParseLogName(p)
+		if !ok {
+			continue
+		}
+		l.seq = max(l.seq, seq)
+		if opt.Drained != nil && opt.Drained(seq) {
 			continue
 		}
 		st, err := os.Stat(p)
@@ -261,11 +271,17 @@ func Open(dir string, opt Options) (*Log, error) {
 			return nil, err
 		}
 		l.files = append(l.files, &logFile{seq: seq, bytes: st.Size(), pinned: true})
-		l.seq = seq
 	}
-	if err := l.rotateLocked(); err != nil {
+	if opt.LegacyDir != "" {
+		if err := l.migrate(opt.LegacyDir); err != nil {
+			return nil, err
+		}
+	}
+	f, err := l.createFile(l.seq + 1)
+	if err != nil {
 		return nil, err
 	}
+	l.startLocked(f, l.seq+1)
 	return l, nil
 }
 
@@ -274,12 +290,12 @@ func (l *Log) path(seq uint32) string {
 	if seq == 0 {
 		return filepath.Join(l.dir, snapshotName)
 	}
-	return filepath.Join(l.dir, fmt.Sprintf("wal-%08d.kfw", seq))
+	return filepath.Join(l.dir, disk.LogName(seq))
 }
 
-// logFiles returns the wal files oldest-first.
-func (l *Log) logFiles() ([]string, error) {
-	files, err := filepath.Glob(filepath.Join(l.dir, "wal-*.kfw"))
+// logFiles returns dir's log files oldest-first.
+func logFiles(dir string) ([]string, error) {
+	files, err := filepath.Glob(filepath.Join(dir, "wal-*.kfw"))
 	if err != nil {
 		return nil, err
 	}
@@ -287,54 +303,75 @@ func (l *Log) logFiles() ([]string, error) {
 	return files, nil
 }
 
-// rotateLocked seals the active file and starts a new one; a sealed
-// file nobody claims goes at once. Callers must hold l.mu (or own the
-// log exclusively).
-func (l *Log) rotateLocked() error {
-	var rotated int64
-	start := time.Now()
-	if l.f != nil {
-		rotated = l.active.bytes
-		if err := l.f.Sync(); err != nil {
-			return err
-		}
-		if err := l.f.Close(); err != nil {
-			return err
-		}
-		l.f, l.active = nil, nil
-	}
+// createFile creates log file seq with its header, ready to become the
+// active file. It touches nothing the log's mutex guards.
+func (l *Log) createFile(seq uint32) (*os.File, error) {
 	if err := failpoint.Eval(failpoint.WALRotateSeal); err != nil {
-		return err
+		return nil, err
 	}
-	l.seq++
-	path := l.path(l.seq)
 	if err := failpoint.Eval(failpoint.WALRotateCreate); err != nil {
-		l.seq--
-		return err
+		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(l.path(seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
 	if err != nil {
-		l.seq--
-		return err
+		return nil, err
 	}
-	whdr, fperr := failpoint.EvalWrite(failpoint.WALRotateHeader, appendHeader(nil))
-	if _, err := f.Write(whdr); err != nil {
-		// The header write already failed; the Write error is the one
-		// to surface, not the cleanup's.
+	whdr, err := failpoint.EvalWrite(failpoint.WALRotateHeader, disk.AppendLogHeader(nil))
+	if _, werr := f.Write(whdr); werr != nil {
+		err = werr
+	}
+	if err != nil {
+		// The write error is the one to surface, not the cleanup's; the
+		// name is freed for the next attempt (replay removes a file left
+		// with no frame anyway).
 		_ = f.Close()
-		return err
+		_ = os.Remove(l.path(seq))
+		return nil, err
 	}
-	if fperr != nil {
-		_ = f.Close()
-		return fperr
-	}
-	l.f = f
-	l.active = &logFile{seq: l.seq, bytes: headerSize}
+	return f, nil
+}
+
+// startLocked makes f, just created as file seq, the active file.
+// Callers must hold l.mu (or own the log exclusively).
+func (l *Log) startLocked(f *os.File, seq uint32) {
+	l.f, l.seq = f, seq
+	l.active = &logFile{seq: seq, bytes: headerSize}
 	l.files = append(l.files, l.active)
 	l.sinceSync = 0
+}
+
+// rotate takes the active file out of service, to be sealed, and makes
+// the next file active — when due says so of the active file. The next
+// file is created before the swap, outside the log's mutex, so appends
+// wait for the swap alone; rotMu serializes rotations, so files become
+// active in sequence order. A failure leaves the active file in service.
+func (l *Log) rotate(due func(active *logFile) bool) error {
+	l.rotMu.Lock()
+	defer l.rotMu.Unlock()
+	start := time.Now()
+	l.mu.Lock()
+	cur, seq := l.active, l.seq+1
+	ok := cur != nil && due(cur)
+	l.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	f, err := l.createFile(seq)
+	if err != nil {
+		return err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.active != cur {
+		// A failed rollback sealed the log meanwhile: it stays closed.
+		_ = f.Close()
+		_ = os.Remove(l.path(seq))
+		return errors.New("wal: closed")
+	}
+	l.sealing = append(l.sealing, &pendingSeal{f: l.f, lf: cur})
+	l.startLocked(f, seq)
 	l.opt.Recorder.Record(blackbox.SubWAL, blackbox.EvWALRotate,
-		int64(l.seq), rotated, time.Since(start).Nanoseconds())
-	l.unlink(l.takeRemovableLocked())
+		int64(seq), cur.bytes, time.Since(start).Nanoseconds())
 	return nil
 }
 
@@ -350,9 +387,10 @@ func (l *Log) Append(fr disk.FlushRecord) error {
 // batched ingestion keep up with high-rate streams.
 //
 // On success every frs[i].LogSeq names the file that now holds the
-// frames, and that file carries one more claim per frame: the caller
-// owns the claims and gives them back with Release. A caller that never
-// does (a probe, a tool) simply keeps every file.
+// frames, frs[i].LogOrd the frame's ordinal in it, and that file carries
+// one more claim per frame: the caller owns the claims and gives them
+// back with Release. A caller that never does (a probe, a tool) simply
+// keeps every file. A batch that fills the file seals it on the way out.
 func (l *Log) AppendBatch(frs []disk.FlushRecord) error {
 	if len(frs) == 0 {
 		return nil
@@ -372,15 +410,33 @@ func (l *Log) AppendBatch(frs []disk.FlushRecord) error {
 	} else {
 		buf = make([]byte, 0, 96*len(frs))
 	}
-	buf = appendFrames(buf, frs)
+	buf = disk.AppendFrames(buf, frs)
 	if err := failpoint.Eval(failpoint.WALAppend); err != nil {
 		return err
 	}
-
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	full, err := l.appendLocked(frs, buf, start)
+	l.mu.Unlock()
+	if full != nil {
+		// Start the next file and seal this one, off the lock.
+		pprof.Do(context.Background(), walCommitLabels, func(context.Context) {
+			serr := l.rotate(func(active *logFile) bool { return active == full })
+			if serr == nil {
+				serr = l.sealFiles()
+			}
+			if err == nil {
+				err = serr
+			}
+		})
+	}
+	return err
+}
+
+// appendLocked writes one encoded batch to the active file and returns
+// the file when the batch filled it. Callers must hold l.mu.
+func (l *Log) appendLocked(frs []disk.FlushRecord, buf []byte, start time.Time) (full *logFile, err error) {
 	if l.f == nil {
-		return errors.New("wal: closed")
+		return nil, errors.New("wal: closed")
 	}
 	// A torn-write failpoint shortens wbuf: the partial frame really
 	// lands in the file — the exact artifact a crash mid-write leaves.
@@ -392,25 +448,31 @@ func (l *Log) AppendBatch(frs []disk.FlushRecord) error {
 		if n > 0 {
 			l.rollbackTailLocked()
 		}
-		return err
+		return nil, err
 	}
 	if fperr != nil {
 		l.rollbackTailLocked()
-		return fperr
+		return nil, fperr
+	}
+	af := l.active
+	// The frames are in the file: index them, even when the failpoint
+	// below fails the append, since they stay there.
+	for pos := 0; pos < len(buf); pos += disk.FrameHeaderSize + int(binary.LittleEndian.Uint32(buf[pos:])) {
+		af.offsets = append(af.offsets, uint32(af.bytes)+uint32(pos))
 	}
 	if err := failpoint.Eval(failpoint.WALAppendAfterWrite); err != nil {
 		// The frames are fully written and valid: leave them. Replay
 		// may resurrect the unacknowledged batch (at-least-once), which
 		// recovery deduplicates; truncating valid frames would risk the
 		// opposite — dropping data a concurrent reader saw acked.
-		l.active.bytes += int64(len(buf))
-		return err
+		af.bytes += int64(len(buf))
+		af.frames += int64(len(frs))
+		return nil, err
 	}
-	af := l.active
 	af.bytes += int64(len(buf))
 	for i := range frs {
-		frs[i].LogSeq = af.seq
-		af.count(frs[i].MB.ID)
+		frs[i].LogSeq, frs[i].LogOrd = af.seq, uint32(af.frames)
+		af.count()
 	}
 	l.appended.Add(int64(len(frs)))
 	l.sinceSync += len(frs)
@@ -433,18 +495,14 @@ func (l *Log) AppendBatch(frs []disk.FlushRecord) error {
 				int64(frames), af.bytes, time.Since(syncStart).Nanoseconds())
 		})
 		if serr != nil {
-			return serr
+			return nil, serr
 		}
 		l.sinceSync = 0
 	}
-	if af.bytes >= l.opt.MaxFileBytes {
-		var rerr error
-		pprof.Do(context.Background(), walCommitLabels, func(context.Context) {
-			rerr = l.rotateLocked()
-		})
-		return rerr
+	if af.bytes < l.opt.MaxFileBytes {
+		return nil, nil
 	}
-	return nil
+	return af, nil
 }
 
 // rollbackTailLocked truncates the active file back to the last
@@ -502,28 +560,240 @@ func (l *Log) Sync() error {
 	return l.f.Sync()
 }
 
-// Replay streams every surviving record — the snapshot first (if any),
-// then the log files in order — to fn, with LogSeq naming the file the
-// frame came from. Each delivered frame becomes a claim on that file,
-// owned by fn's side: the engine releases the ones it does not keep
-// (a duplicate of a frame it already holds, a record without keys) and
-// the ones it later flushes; a caller that releases nothing keeps every
+// syncActive fsyncs the active file, covering at least every frame
+// written before the call, without holding mu: appends carry on
+// meanwhile. Holding sealMu keeps the handle from being sealed and
+// closed under the fsync should a rotation take the file out of service.
+func (l *Log) syncActive() error {
+	l.sealMu.Lock()
+	defer l.sealMu.Unlock()
+	l.mu.Lock()
+	f := l.f
+	l.mu.Unlock()
+	if f == nil {
+		return nil
+	}
+	if err := failpoint.Eval(failpoint.WALSync); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
+// Seal makes every frame appended so far addressable: the active file,
+// unless it holds no frame, is taken out of service — a new file takes
+// the appends from here on — and every file out of service is sealed:
+// its frame index written, then fsynced. Only the swap holds the log's
+// lock; the writes and fsyncs run on the caller, so ingestion does not
+// wait on them. A flush calls it before it stages a directory naming
+// its victims' frames.
+func (l *Log) Seal() error {
+	err := l.rotate(func(active *logFile) bool { return active.frames > 0 })
+	if serr := l.sealFiles(); err == nil {
+		err = serr
+	}
+	return err
+}
+
+// sealFiles seals every file out of service, oldest first. A file that
+// fails stays pending, with those after it, for the next call.
+func (l *Log) sealFiles() error {
+	l.sealMu.Lock()
+	defer l.sealMu.Unlock()
+	l.mu.Lock()
+	todo := l.sealing
+	l.sealing = nil
+	l.mu.Unlock()
+	for i, ps := range todo {
+		retry, err := l.seal(ps)
+		if err == nil {
+			continue
+		}
+		rest := todo[i+1:]
+		if retry {
+			rest = todo[i:]
+		}
+		l.mu.Lock()
+		l.sealing = append(append([]*pendingSeal(nil), rest...), l.sealing...)
+		l.mu.Unlock()
+		return fmt.Errorf("wal: seal %s: %w", disk.LogName(ps.lf.seq), err)
+	}
+	return nil
+}
+
+// seal writes a pending file's frame index, fsyncs and closes it: from
+// here on a directory may name the file, and once nothing claims it, it
+// drains. A file a crash left unsealed comes without a handle and is
+// opened here. On failure the file is cut back to its frames and retry
+// says so; when even that fails the handle is given up and the file
+// stays unsealed until a replay seals it.
+func (l *Log) seal(ps *pendingSeal) (retry bool, err error) {
+	start := time.Now()
+	lf := ps.lf
+	l.mu.Lock()
+	end, offsets := lf.bytes, lf.offsets
+	l.mu.Unlock()
+	idx := disk.AppendFrameIndex(nil, offsets)
+	// The crash window this site names: the file out of service, its
+	// index not yet durable. No directory names it; replay seals it.
+	err = failpoint.Eval(failpoint.WALSealSync)
+	if err == nil && ps.f == nil {
+		ps.f, err = os.OpenFile(l.path(lf.seq), os.O_WRONLY|os.O_APPEND, 0)
+	}
+	if ps.f == nil {
+		return false, err
+	}
+	if err == nil {
+		_, err = ps.f.Write(idx)
+	}
+	if err == nil {
+		err = ps.f.Sync()
+	}
+	if err != nil {
+		if terr := ps.f.Truncate(end); terr != nil {
+			slog.Error("wal: cannot cut a failed frame index away; the file stays unsealed",
+				"file_seq", lf.seq, "err", terr)
+			_ = ps.f.Close() // the write error is the one that matters
+			return false, err
+		}
+		return true, err
+	}
+	if cerr := ps.f.Close(); cerr != nil {
+		// Written and fsynced: the file is sealed whatever Close says.
+		slog.Warn("wal: close of a sealed file failed", "file_seq", lf.seq, "err", cerr)
+	}
+	l.mu.Lock()
+	lf.sealed = true
+	lf.bytes += int64(len(idx))
+	lf.offsets = nil
+	victims := l.takeRemovableLocked()
+	l.mu.Unlock()
+	l.opt.Recorder.Record(blackbox.SubWAL, blackbox.EvWALSync,
+		int64(len(offsets)), end, time.Since(start).Nanoseconds())
+	l.retire(victims)
+	return false, nil
+}
+
+// parsedFile is one log file as replay reads it.
+type parsedFile struct {
+	recs    []disk.FlushRecord
+	offsets []uint32 // where each record's frame starts
+	valid   int64    // length of the valid prefix, a frame index included
+	indexed bool     // the prefix ends with a frame index over its frames
+	version uint16
+}
+
+// parseFile reads one log file, decoding its records with the codec its
+// version names. Truncation at EOF is always tolerated; complete but
+// invalid frames — and a frame index that does not match the frames
+// before it — only when lastFile is set. A tolerated torn tail yields
+// the valid prefix and nil; the caller is expected to truncate the file
+// to it. An unknown version is ErrCorrupt: its frames cannot be read
+// with a codec it does not name.
+func parseFile(path string, lastFile bool) (parsedFile, error) {
+	var p parsedFile
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return p, err
+	}
+	if len(b) < headerSize {
+		return p, nil // torn before the header was complete
+	}
+	if string(b[:4]) != disk.LogMagic {
+		return p, fmt.Errorf("%w: bad header in %s", ErrCorrupt, filepath.Base(path))
+	}
+	p.version = binary.LittleEndian.Uint16(b[4:])
+	codec, ok := disk.LogCodec(p.version)
+	if !ok {
+		return p, fmt.Errorf("%w: unknown version %d in %s", ErrCorrupt, p.version, filepath.Base(path))
+	}
+	pos := headerSize
+	// stop ends the parse at pos: a torn tail when tolerable, else
+	// corruption.
+	stop := func(what string, tolerable bool) (parsedFile, error) {
+		p.valid = int64(pos)
+		if !tolerable {
+			return p, fmt.Errorf("%w: %s in %s", ErrCorrupt, what, filepath.Base(path))
+		}
+		slog.Warn("wal: tolerating "+what+" at end of file", "file", filepath.Base(path), "offset", pos)
+		return p, nil
+	}
+	for pos < len(b) {
+		if pos+disk.FrameHeaderSize > len(b) {
+			return stop("torn frame header", true)
+		}
+		if n := binary.LittleEndian.Uint32(b[pos:]); uint64(n) > uint64(len(b)-pos-disk.FrameHeaderSize) {
+			return stop("torn payload", true)
+		}
+		payload, ok := disk.CheckFrame(b[pos:])
+		if !ok {
+			return stop("bad checksum", lastFile)
+		}
+		end := pos + disk.FrameHeaderSize + len(payload)
+		if p.version == fileVersion && disk.IsFrameIndex(payload) {
+			offsets, ok := disk.DecodeFrameIndex(payload)
+			if !ok || !slices.Equal(offsets, p.offsets) || end != len(b) {
+				return stop("frame index not matching its file", lastFile)
+			}
+			p.indexed = true
+			p.valid = int64(end)
+			return p, nil
+		}
+		fr, used, err := disk.DecodeRecord(payload, codec)
+		if err != nil || used != len(payload) {
+			return stop("undecodable frame", lastFile)
+		}
+		p.recs = append(p.recs, fr)
+		p.offsets = append(p.offsets, uint32(pos))
+		pos = end
+	}
+	p.valid = int64(pos)
+	return p, nil
+}
+
+// replayFile reads one log file and hands fn its records, reporting the
+// byte length of the valid prefix (see parseFile for what it tolerates).
+func replayFile(path string, lastFile bool, fn func(disk.FlushRecord) error) (int64, error) {
+	p, err := parseFile(path, lastFile)
+	if err != nil {
+		return p.valid, err
+	}
+	for _, fr := range p.recs {
+		if err := fn(fr); err != nil {
+			return p.valid, err
+		}
+	}
+	return p.valid, nil
+}
+
+// Replay streams every surviving record — a legacy snapshot first (if
+// any), then the log files in sequence order, each file's frames in
+// append order — to fn, with LogSeq and LogOrd naming the frame. Files
+// the owner marked drained were never opened (Options.Drained), so
+// their records are not delivered: they are in installed segments, or
+// framed again in a newer file. Replay does not restore arrival order:
+// a relocated record is delivered from its newest frame, after records
+// that arrived later. Each delivered frame becomes a claim on its file,
+// owned by fn's side: the engine releases the ones it does not keep (a
+// duplicate of a frame it already holds, a record without keys) and the
+// ones it later flushes; a caller that releases nothing keeps every
 // file. When a file has been replayed its Open-time pin is dropped, so
-// a file nothing claims — a header-only leftover of an earlier open,
-// or one whose records fn flushed while later files replayed — is
-// unlinked on the spot.
+// a file nothing claims — a header-only leftover, or one whose records
+// fn flushed while later files replayed — drains on the spot.
 //
 // Tolerance matches what crashes actually produce: a truncated frame at
 // the END of any file is accepted (a crash tears the tail of whichever
-// file was active; reopening rotates to a new file, so the torn one
-// need not be the newest). A failed checksum inside a complete frame is
-// tolerated only in the newest file (a partially overwritten final
-// frame); anywhere else it is real corruption and returns ErrCorrupt.
+// file was active, or was being sealed). A failed checksum inside a
+// complete frame is tolerated only in the newest file; anywhere else it
+// is real corruption and returns ErrCorrupt.
 //
 // Tolerated torn tails are physically truncated away (with a logged
-// warning). That is load-bearing, not cosmetic: a torn tail left in
-// place stops being "the end of the file" once the log grows or
-// rotates, and the next recovery would refuse it as mid-log corruption.
+// warning), and a file the crash left unsealed is sealed — both before
+// its frames reach fn, since a flush those frames set off may name the
+// file. That is load-bearing, not cosmetic: a torn tail left in place
+// stops being "the end of the file" once the log grows or rotates, and
+// the next recovery would refuse it as mid-log corruption. Neither ever
+// touches a file a directory names: a directory names only files sealed
+// and fsynced before it was written.
 func (l *Log) Replay(fn func(disk.FlushRecord) error) error {
 	l.mu.Lock()
 	files := make([]*logFile, 0, len(l.files))
@@ -537,38 +807,52 @@ func (l *Log) Replay(fn func(disk.FlushRecord) error) error {
 	// holding any payload — NOT necessarily the last file: Open rotates
 	// to a fresh (header-only) file before Replay runs, and that empty
 	// file sits after the one that was active when the process died.
-	// The snapshot is never it: it is renamed into place complete.
 	tail := crashTail(files)
 	for _, f := range files {
 		path := l.path(f.seq)
-		valid, err := replayFile(path, f == tail, func(fr disk.FlushRecord) error {
-			fr.LogSeq = f.seq
-			l.mu.Lock()
-			f.count(fr.MB.ID)
-			l.mu.Unlock()
-			return fn(fr)
-		})
-		if err != nil && !os.IsNotExist(err) {
+		p, err := parseFile(path, f == tail)
+		switch {
+		case os.IsNotExist(err):
+		case err != nil:
 			return err
+		case f.pinned:
+			if err := truncateTornTail(path, p.valid); err != nil {
+				return err
+			}
+			l.mu.Lock()
+			f.bytes, f.offsets = p.valid, p.offsets
+			f.sealed = p.indexed || p.version != fileVersion
+			unsealed := !f.sealed && len(p.recs) > 0
+			l.mu.Unlock()
+			if unsealed {
+				ps := &pendingSeal{lf: f}
+				if _, err := l.seal(ps); err != nil {
+					if ps.f != nil {
+						_ = ps.f.Close() // the seal error is the one to surface
+					}
+					return err
+				}
+			}
 		}
-		if err == nil {
-			if err := truncateTornTail(path, valid); err != nil {
+		for i, fr := range p.recs {
+			fr.LogSeq, fr.LogOrd = f.seq, uint32(i)
+			l.mu.Lock()
+			f.count()
+			l.mu.Unlock()
+			if err := fn(fr); err != nil {
 				return err
 			}
 		}
 		l.mu.Lock()
 		f.pinned = false
-		if err == nil && valid < f.bytes {
-			f.bytes = valid
-		}
 		victims := l.takeRemovableLocked()
 		l.mu.Unlock()
-		l.unlink(victims)
+		l.retire(victims)
 	}
 	return nil
 }
 
-// crashTail returns the newest log file (never the snapshot) with
+// crashTail returns the newest log file (never a legacy snapshot) with
 // payload beyond the header — the file that was active at crash time —
 // or nil when every file is empty.
 func crashTail(files []*logFile) *logFile {
@@ -596,76 +880,12 @@ func truncateTornTail(path string, valid int64) error {
 	return os.Truncate(path, valid)
 }
 
-// replayFile reads one framed file, decoding its records with the codec
-// its version names, and reports the byte length of the valid prefix it
-// replayed. Truncation at EOF is always tolerated; complete-but-invalid
-// frames only when lastFile is set. A tolerated torn tail yields
-// (valid-prefix, nil) with the tail NOT replayed; the caller is expected
-// to truncate the file to that length. An unknown version is
-// ErrCorrupt: its frames cannot be read with a codec it does not name.
-func replayFile(path string, lastFile bool, fn func(disk.FlushRecord) error) (int64, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	if len(b) < headerSize {
-		return 0, nil // torn before the header was complete
-	}
-	if string(b[:4]) != fileMagic {
-		return 0, fmt.Errorf("%w: bad header in %s", ErrCorrupt, filepath.Base(path))
-	}
-	version := binary.LittleEndian.Uint16(b[4:])
-	codec, ok := fileCodec(version)
-	if !ok {
-		return 0, fmt.Errorf("%w: unknown version %d in %s", ErrCorrupt, version, filepath.Base(path))
-	}
-	pos := headerSize
-	for pos < len(b) {
-		if pos+8 > len(b) {
-			// Truncated frame header at EOF: the expected crash artifact.
-			slog.Warn("wal: tolerating torn frame header at end of file",
-				"file", filepath.Base(path), "offset", pos)
-			return int64(pos), nil
-		}
-		n := int(binary.LittleEndian.Uint32(b[pos:]))
-		crc := binary.LittleEndian.Uint32(b[pos+4:])
-		if n < 0 || pos+8+n > len(b) {
-			slog.Warn("wal: tolerating torn payload at end of file",
-				"file", filepath.Base(path), "offset", pos)
-			return int64(pos), nil
-		}
-		payload := b[pos+8 : pos+8+n]
-		if crc32.Checksum(payload, crcTable) != crc {
-			if lastFile {
-				slog.Warn("wal: tolerating bad checksum in final frame",
-					"file", filepath.Base(path), "offset", pos)
-				return int64(pos), nil
-			}
-			return int64(pos), fmt.Errorf("%w: bad checksum in %s", ErrCorrupt, filepath.Base(path))
-		}
-		fr, used, err := disk.DecodeRecord(payload, codec)
-		if err != nil || used != n {
-			if lastFile {
-				slog.Warn("wal: tolerating undecodable final frame",
-					"file", filepath.Base(path), "offset", pos)
-				return int64(pos), nil
-			}
-			return int64(pos), fmt.Errorf("%w: undecodable record in %s", ErrCorrupt, filepath.Base(path))
-		}
-		if err := fn(fr); err != nil {
-			return int64(pos), err
-		}
-		pos += 8 + n
-	}
-	return int64(pos), nil
-}
-
 // Release gives back n claims on file seq: the records that held them
-// are durable elsewhere. A sealed file whose last claim goes is
-// unlinked before Release returns.
+// are durable elsewhere. A sealed file whose last claim goes drains
+// before Release returns.
 func (l *Log) Release(seq uint32, n int) {
 	if n > 0 {
-		l.unlink(l.release(seq, int64(n), nil))
+		l.retire(l.release(seq, int64(n), nil))
 	}
 }
 
@@ -683,7 +903,8 @@ func (l *Log) release(seq uint32, n int64, mark func(*logFile)) []*logFile {
 
 // Claim adds n claims on file seq for a holder taking over records the
 // file already frames — a failed flush restoring evicted records while
-// the wrappers they replace still hold theirs, so the file exists.
+// the wrappers they replace still hold theirs, or a flush keeping the
+// files its directory will name — so the file exists.
 func (l *Log) Claim(seq uint32, n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -701,6 +922,12 @@ func (l *Log) Claim(seq uint32, n int) {
 // held is a bookkeeping bug upstream: fault-injection builds stop on
 // it; production builds keep the file (the safe direction) and say so.
 func (l *Log) releaseLocked(seq uint32, n int64) {
+	if n == 0 {
+		// Nothing held, so nothing to check: a relocation that found no
+		// survivor may find the file already drained by in-flight
+		// releases.
+		return
+	}
 	f := l.fileLocked(seq)
 	if f == nil || f.live < n {
 		if failpoint.Enabled {
@@ -724,16 +951,14 @@ func (l *Log) fileLocked(seq uint32) *logFile {
 	return nil
 }
 
-// takeRemovableLocked removes from the table, and returns, every sealed
-// file that may go: replayed, unclaimed, and not the only file framing
-// the highest record ID — recovery resumes the ID counter from the
-// frames it replays, so the log must always hold one at the high-water
-// mark. (The next append to the active file supersedes it.)
+// takeRemovableLocked removes from the table, and returns, every file
+// that may leave the log: not active, replayed, unclaimed, and sealed —
+// or holding no frame at all.
 func (l *Log) takeRemovableLocked() []*logFile {
 	var victims []*logFile
 	for i := 0; i < len(l.files); {
 		f := l.files[i]
-		if f == l.active || f.pinned || f.live != 0 || !l.supersededLocked(f) {
+		if f == l.active || f.pinned || f.live != 0 || !(f.sealed || f.frames == 0) {
 			i++
 			continue
 		}
@@ -743,29 +968,24 @@ func (l *Log) takeRemovableLocked() []*logFile {
 	return victims
 }
 
-// supersededLocked reports whether some other file frames an ID at
-// least as high as f's highest.
-func (l *Log) supersededLocked(f *logFile) bool {
-	for _, g := range l.files {
-		if g != f && g.maxID >= f.maxID {
-			return true
-		}
-	}
-	return false
-}
-
-// unlink deletes files already taken out of the table. A failure leaves
-// an orphan the next Open replays like any other file — wasteful, never
-// lossy — so it is logged, not returned.
-func (l *Log) unlink(victims []*logFile) {
+// retire hands files already taken out of the table to the owner's
+// OnDrained, or unlinks them: a file without frames, and every file of a
+// log no owner keeps. A failed unlink leaves an orphan the next Open
+// replays like any other file — wasteful, never lossy — so it is
+// logged, not returned.
+func (l *Log) retire(victims []*logFile) {
 	for _, f := range victims {
-		err := failpoint.Eval(failpoint.WALReclaimUnlink)
-		if err == nil {
-			err = os.Remove(l.path(f.seq))
-		}
-		if err != nil && !os.IsNotExist(err) {
-			slog.Warn("wal: cannot unlink reclaimed file", "file_seq", f.seq, "err", err)
-			continue
+		if f.frames > 0 && l.opt.OnDrained != nil {
+			l.opt.OnDrained(f.seq)
+		} else {
+			err := failpoint.Eval(failpoint.WALReclaimUnlink)
+			if err == nil {
+				err = os.Remove(l.path(f.seq))
+			}
+			if err != nil && !os.IsNotExist(err) {
+				slog.Warn("wal: cannot unlink reclaimed file", "file_seq", f.seq, "err", err)
+				continue
+			}
 		}
 		l.reclaimed.Add(f.bytes)
 		l.opt.Recorder.Record(blackbox.SubWAL, blackbox.EvWALReclaim,
@@ -777,17 +997,17 @@ func (l *Log) unlink(victims []*logFile) {
 // one with the smallest live share, provided at least half of it is
 // dead (copying a mostly-live file buys nothing) and the other sealed
 // files by themselves span keep bytes (a log no larger than the memory
-// it covers is left alone). Files still pinned by Open, or already
-// drained and waiting only for in-flight flushes, are not candidates.
-// With no candidate the sealed files hold under keep bytes plus one
-// file, or under twice the live frames.
+// it covers is left alone). Files still pinned by Open, not yet sealed,
+// or already relocated and waiting only for in-flight flushes, are not
+// candidates. With no candidate the sealed files hold under keep bytes
+// plus one file, or under twice the live frames.
 func (l *Log) ReclaimCandidate(keep int64) (seq uint32, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var best *logFile
 	var sealed int64
 	for _, f := range l.files {
-		if f == l.active || f.pinned || f.drained {
+		if f == l.active || f.pinned || f.relocated || !f.sealed {
 			continue
 		}
 		sealed += f.bytes
@@ -806,9 +1026,9 @@ func (l *Log) ReclaimCandidate(keep int64) (seq uint32, ok bool) {
 // Relocate retires sealed file from: frs — its survivors, the records
 // still in memory whose newest frame it holds — are re-appended to the
 // active file in small chunks and fsynced whatever Options.SyncEvery
-// says; only then do their claims leave from, which is unlinked once
-// nothing in flight claims it either. On success every frs[i].LogSeq
-// names the frame's new file. On failure from keeps all its claims and
+// says; only then do their claims leave from, which drains once nothing
+// in flight claims it either. On success every frs[i].LogSeq and LogOrd
+// name the frame's new place. On failure from keeps all its claims and
 // the copies already written are unclaimed duplicates.
 func (l *Log) Relocate(from uint32, frs []disk.FlushRecord) error {
 	start := time.Now()
@@ -817,8 +1037,8 @@ func (l *Log) Relocate(from uint32, frs []disk.FlushRecord) error {
 			return err
 		}
 	}
-	l.unlink(l.release(from, int64(len(frs)), func(f *logFile) {
-		f.drained = true
+	l.retire(l.release(from, int64(len(frs)), func(f *logFile) {
+		f.relocated = true
 		f.survivors = int64(len(frs))
 		f.relocNanos = time.Since(start).Nanoseconds()
 		l.relocated += int64(len(frs))
@@ -841,9 +1061,14 @@ func (l *Log) copyOut(frs []disk.FlushRecord) error {
 		err = failpoint.Eval(failpoint.WALRelocateAppended)
 	}
 	if err == nil {
-		// A chunk that crossed a rotation was fsynced by it; this covers
-		// the rest.
-		err = l.Sync()
+		// A chunk that filled a file sealed it; a Seal running elsewhere
+		// may have taken the active file out of service with copies in
+		// it. Both are covered by sealing what is pending, the rest by
+		// the active file's fsync.
+		err = l.sealFiles()
+	}
+	if err == nil {
+		err = l.syncActive()
 	}
 	if err == nil {
 		err = failpoint.Eval(failpoint.WALRelocateSynced)
@@ -873,99 +1098,158 @@ func (l *Log) Stats() Stats {
 	return st
 }
 
-// WriteSnapshot atomically replaces the snapshot with the given records
-// and deletes all sealed log files, restarting the log. Must not run
-// concurrently with Append.
-func (l *Log) WriteSnapshot(recs []disk.FlushRecord) error {
-	tmp := filepath.Join(l.dir, snapshotName+".tmp")
-	f, err := os.Create(tmp)
+// Close seals the active file — one that holds no frame is removed
+// instead — and every other file out of service. Files nothing claims
+// drain on the way.
+func (l *Log) Close() error {
+	l.rotMu.Lock()
+	defer l.rotMu.Unlock()
+	l.mu.Lock()
+	if l.f != nil {
+		if err := failpoint.Eval(failpoint.WALCloseSync); err != nil {
+			l.mu.Unlock()
+			return err
+		}
+		if l.active.frames > 0 {
+			l.sealing = append(l.sealing, &pendingSeal{f: l.f, lf: l.active})
+		} else {
+			// Nothing framed: nothing to keep. A file left behind by a
+			// failure here holds no frame, and replay removes it.
+			_ = l.f.Close()
+			_ = os.Remove(l.path(l.active.seq))
+			l.files = slices.DeleteFunc(l.files, func(f *logFile) bool { return f == l.active })
+		}
+		l.f, l.active = nil, nil
+	}
+	l.mu.Unlock()
+	return l.sealFiles()
+}
+
+// FileInfo describes one log file for tooling.
+type FileInfo struct {
+	Name    string
+	Version int
+	// Frames is the number of valid records; Bytes the file size.
+	Frames int
+	Bytes  int64
+	// Sealed reports a frame index over the frames.
+	Sealed bool
+	// MinID and MaxID bound the record IDs framed (0 without frames).
+	MinID, MaxID uint64
+}
+
+// readDir hands fn the log files under dir — a legacy snapshot first,
+// then wal-*.kfw in sequence order — as replay would read them,
+// tolerating a torn tail in the newest, and changing nothing on disk.
+func readDir(dir string, fn func(path string, p parsedFile) error) error {
+	paths, err := logFiles(dir)
 	if err != nil {
 		return err
 	}
-	// On any failure before the explicit Close, drop the handle; the
-	// write/sync error is the one to surface, not the cleanup's.
-	closed := false
-	defer func() {
-		if !closed {
-			_ = f.Close()
+	if _, err := os.Stat(filepath.Join(dir, snapshotName)); err == nil {
+		paths = append([]string{filepath.Join(dir, snapshotName)}, paths...)
+	}
+	for i, path := range paths {
+		p, err := parseFile(path, i == len(paths)-1)
+		if err != nil {
+			return fmt.Errorf("%s: %w", filepath.Base(path), err)
 		}
-	}()
-	buf := appendFrames(appendHeader(make([]byte, 0, headerSize+96*len(recs))), recs)
-	wbuf, fperr := failpoint.EvalWrite(failpoint.WALSnapshotWrite, buf)
-	if _, err := f.Write(wbuf); err != nil {
+		if err := fn(path, p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Inspect summarizes the log files under dir without opening a Log: the
+// offline tools' view, read only.
+func Inspect(dir string) ([]FileInfo, error) {
+	var out []FileInfo
+	err := readDir(dir, func(path string, p parsedFile) error {
+		fi := FileInfo{Name: filepath.Base(path), Version: int(p.version), Frames: len(p.recs), Sealed: p.indexed}
+		if st, err := os.Stat(path); err == nil {
+			fi.Bytes = st.Size()
+		}
+		for i, fr := range p.recs {
+			id := uint64(fr.MB.ID)
+			if i == 0 || id < fi.MinID {
+				fi.MinID = id
+			}
+			fi.MaxID = max(fi.MaxID, id)
+		}
+		out = append(out, fi)
+		return nil
+	})
+	return out, err
+}
+
+// migrate re-frames the records of a legacy log directory — its
+// snapshot, then its files in order — into one new sealed file of this
+// log, fsyncs it and the directory, and only then removes the legacy
+// directory. A crash before the removal migrates again at the next
+// open: the records are then framed twice, and recovery keeps one copy
+// per ID. The new file is pinned for Replay like every file Open found.
+func (l *Log) migrate(legacy string) error {
+	if _, err := os.Stat(legacy); os.IsNotExist(err) {
+		return nil
+	}
+	var frs []disk.FlushRecord
+	if err := readDir(legacy, func(_ string, p parsedFile) error {
+		frs = append(frs, p.recs...)
+		return nil
+	}); err != nil {
+		return fmt.Errorf("wal: migrate %s: %w", legacy, err)
+	}
+	if len(frs) > 0 {
+		buf := disk.AppendLogHeader(nil)
+		offsets := make([]uint32, 0, len(frs))
+		for i := range frs {
+			offsets = append(offsets, uint32(len(buf)))
+			buf = disk.AppendFrames(buf, frs[i:i+1])
+		}
+		buf = disk.AppendFrameIndex(buf, offsets)
+		l.seq++
+		if err := writeSynced(l.path(l.seq), buf); err != nil {
+			return fmt.Errorf("wal: migrate %s: %w", legacy, err)
+		}
+		l.files = append(l.files, &logFile{seq: l.seq, bytes: int64(len(buf)), pinned: true})
+		slog.Info("wal: migrated a legacy log", "dir", legacy, "records", len(frs), "file", disk.LogName(l.seq))
+	}
+	// The crash window this site names: the records durable in the new
+	// file, the legacy files still there.
+	if err := failpoint.Eval(failpoint.WALMigrateRemove); err != nil {
 		return err
 	}
-	if fperr != nil {
-		return fperr
+	return os.RemoveAll(legacy)
+}
+
+// writeSynced creates path holding data, fsyncs it and its directory.
+func writeSynced(path string, data []byte) error {
+	if err := failpoint.Eval(failpoint.WALRotateCreate); err != nil {
+		return err
 	}
-	if err := failpoint.Eval(failpoint.WALSnapshotSync); err != nil {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		_ = f.Close() // the write error is the one to surface
 		return err
 	}
 	if err := f.Sync(); err != nil {
+		_ = f.Close() // the sync error is the one to surface
 		return err
 	}
-	closed = true
 	if err := f.Close(); err != nil {
 		return err
 	}
-	// The temp file is durable; until the rename lands the old snapshot
-	// plus the sealed logs still describe the same state, so a crash on
-	// either side of this point recovers identically.
-	if err := failpoint.Eval(failpoint.WALSnapshotRename); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, snapshotName)); err != nil {
-		return err
-	}
-
-	// The snapshot now covers everything; retire the old log and start
-	// a fresh file. A crash before the removals finish merely leaves
-	// log files whose records the snapshot already holds — replay
-	// deduplicates them.
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f != nil {
-		err := l.f.Close()
-		l.f, l.active = nil, nil
-		if err != nil {
-			return err
-		}
-	}
-	if err := failpoint.Eval(failpoint.WALSnapshotCleanup); err != nil {
-		return err
-	}
-	files, err := l.logFiles()
+	d, err := os.Open(filepath.Dir(path))
 	if err != nil {
 		return err
 	}
-	for _, p := range files {
-		if err := os.Remove(p); err != nil {
-			return err
-		}
-	}
-	// Every claim moves to the snapshot with its record.
-	snap := &logFile{bytes: int64(len(buf))}
-	for _, fr := range recs {
-		snap.count(fr.MB.ID)
-	}
-	l.files = []*logFile{snap}
-	return l.rotateLocked()
-}
-
-// Close seals the active file.
-func (l *Log) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	if err := failpoint.Eval(failpoint.WALCloseSync); err != nil {
+	if err := d.Sync(); err != nil {
+		_ = d.Close() // the sync error is the one to surface
 		return err
 	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	err := l.f.Close()
-	l.f, l.active = nil, nil
-	return err
+	return d.Close()
 }

@@ -29,7 +29,6 @@ package kflushing
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"kflushing/internal/alloc"
 	"kflushing/internal/attr"
@@ -179,9 +178,11 @@ type Options struct {
 	// degraded read-only mode — see ErrDegraded). The zero value
 	// disables retrying.
 	DiskRetry RetryPolicy
-	// Durable enables a write-ahead log under the system directory:
-	// memory contents survive restarts and crashes. Off by default,
-	// matching the paper's model where only flushed data is on disk.
+	// Durable enables a write-ahead log in the system directory: memory
+	// contents survive restarts and crashes, and the log's files are the
+	// disk tier's record files, so a flush writes each record's frame
+	// nowhere else. Off by default, matching the paper's model where only
+	// flushed data is on disk.
 	Durable bool
 	// WALSyncEvery fsyncs the write-ahead log after this many ingests
 	// when Durable is set; 0 relies on OS buffering.
@@ -251,10 +252,6 @@ func openTier[K comparable](dir string, opt Options, spec attr.Spec[K], diskMaxS
 	if err != nil {
 		return AttrSystem[K]{}, err
 	}
-	walDir := "" // durability off: only flushed data is on disk
-	if opt.Durable {
-		walDir = filepath.Join(dir, "wal")
-	}
 	eng, err := engine.New(engine.Config[K]{
 		K:               opt.K,
 		MemoryBudget:    opt.MemoryBudget,
@@ -270,7 +267,7 @@ func openTier[K comparable](dir string, opt Options, spec attr.Spec[K], diskMaxS
 		DiskMaxSegments: diskMaxSegments,
 		DiskCacheBytes:  opt.DiskCacheBytes,
 		DiskRetry:       opt.DiskRetry,
-		WALDir:          walDir,
+		Durable:         opt.Durable,
 		WALOptions:      wal.Options{SyncEvery: opt.WALSyncEvery},
 		Policy:          pc.Policy,
 		TrackTopK:       pc.TrackTopK,

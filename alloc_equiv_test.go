@@ -26,19 +26,18 @@ func forEachAllocPolicy(t *testing.T, name string, fn func(t *testing.T, ap stri
 
 // TestAllocPolicyEquivalence runs one seeded mixed stream — batched
 // ingests, forced flushes, compactions — through two systems that differ
-// only in Options.AllocPolicy and requires byte-identical answers (IDs
+// only in the allocation policy (OpenAlloc) and requires byte-identical answers (IDs
 // and scores) for every query shape at several points in the stream.
 // The allocator is pure mechanism: where a posting array or record
 // wrapper came from must be invisible to results.
 func TestAllocPolicyEquivalence(t *testing.T) {
 	mk := func(ap string) *kflushing.System {
-		sys, err := kflushing.Open(t.TempDir(), kflushing.Options{
+		sys, err := kflushing.OpenAlloc(t.TempDir(), kflushing.Options{
 			Policy:       kflushing.PolicyKFlushing,
 			K:            4,
 			MemoryBudget: 48 << 10,
 			SyncFlush:    true,
-			AllocPolicy:  ap,
-		})
+		}, ap)
 		if err != nil {
 			t.Fatal(err)
 		}

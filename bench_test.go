@@ -137,7 +137,8 @@ func BenchmarkIngestPipeline(b *testing.B) {
 // BenchmarkIngestBatchAlloc compares the allocator policies on the
 // batched digestion path (batch=16, flushing inside the loop). Run with
 // -benchmem: the headline is allocs/op — pooled must stay at least 2x
-// under heap (results/pr7_ingest_bench.txt records the published run).
+// under heap (EXPERIMENTS.md "Allocation-flat ingestion" records the
+// published run).
 // The record stream is pre-generated so the measured numbers are the
 // engine's own allocations, not the workload generator's.
 func BenchmarkIngestBatchAlloc(b *testing.B) {
@@ -153,8 +154,7 @@ func BenchmarkIngestBatchAlloc(b *testing.B) {
 				Policy:       kflushing.PolicyKFlushing,
 				MemoryBudget: 4 << 20,
 				SyncFlush:    true,
-				AllocPolicy:  ap,
-			})
+			}, ap)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -194,11 +194,10 @@ func BenchmarkIngestBatchAlloc(b *testing.B) {
 func BenchmarkSustainedIngestUnderQueries(b *testing.B) {
 	for _, ap := range []string{"heap", "pooled"} {
 		b.Run("alloc="+ap, func(b *testing.B) {
-			sys, err := kflushing.Open(b.TempDir(), kflushing.Options{
+			sys, err := kflushing.OpenAlloc(b.TempDir(), kflushing.Options{
 				Policy:       kflushing.PolicyKFlushing,
 				MemoryBudget: 4 << 20,
-				AllocPolicy:  ap,
-			})
+			}, ap)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,6 +2,10 @@
 // data directories. It operates directly on segment, record-block and
 // write-ahead-log files without starting a system.
 //
+//	kflushctl upgrade <dir>        rewrite the files an older release
+//	                               wrote (v3 blocks, v2 segment files,
+//	                               manifest v1/v2, <dir>/wal) in current
+//	                               formats, which alone are read
 //	kflushctl segments <dir>       list segments (version, records, bloom,
 //	                               directory size) and the record files
 //	                               each one names: record blocks with
@@ -11,7 +15,8 @@
 //	                               mark
 //	kflushctl levels <dir>         decode the disk tier's manifest and
 //	                               print per-level occupancy, retired
-//	                               inputs, and unreferenced files
+//	                               inputs, drained log files, and
+//	                               unreferenced files
 //	kflushctl dump <file>          print the records of a blk-* block or
 //	                               a sealed wal-* log file, or the live
 //	                               records of a seg-*/lvl-* directory, as
@@ -25,8 +30,7 @@
 //	                               miss fast-path counters (Bloom skips,
 //	                               directory probes, cache hits)
 //	kflushctl wal <dir>            summarize the write-ahead log in a
-//	                               store directory, and the legacy log
-//	                               in <dir>/wal if one is left
+//	                               store directory
 //
 // Two subcommands talk to a RUNNING kflushd instead of files:
 //
@@ -81,10 +85,14 @@ func main() {
 	}
 	var err error
 	switch args[0] {
+	case "upgrade":
+		if err = wal.Upgrade(args[1]); err == nil {
+			err = disk.Upgrade(args[1])
+		}
 	case "segments":
 		err = cmdSegments(args[1])
 	case "levels":
-		err = cmdLevels(args[1])
+		err = cmdLevels(os.Stdout, args[1])
 	case "dump":
 		err = cmdDump(args[1])
 	case "verify":
@@ -190,9 +198,6 @@ func cmdSegments(dir string) error {
 			parts[i] = fmt.Sprintf("%s log v%d %d frames %.1fB/rec %s", b.Name, b.Version, b.Records, perRec, mark)
 		}
 		fmt.Printf("  files: %s\n", strings.Join(parts, ", "))
-		if info.BlockBytes == 0 {
-			continue // a legacy segment: its records are in its own file
-		}
 		for _, b := range info.Blocks {
 			// A set: adoption can leave two directories naming one block.
 			blocks[b.Name] = true
@@ -223,12 +228,11 @@ func fileBytes(dir string, names map[string]bool) (int64, error) {
 // cmdLevels decodes a tier's manifest and joins it against the
 // segment files actually present: per-level occupancy (segments,
 // records, bytes of the directories and the blocks they name), retired
-// compaction inputs awaiting unlink, and segment files the manifest does
-// not reference (they would be adopted at the next open). Record blocks
-// are not in the manifest; a legacy file a directory names as its block
-// is that, not an unreferenced segment. A missing or corrupt manifest is surfaced but survivable —
-// open falls back to adoption.
-func cmdLevels(dir string) error {
+// compaction inputs awaiting unlink, drained log files, and segment files
+// the manifest does not reference (they would be adopted at the next
+// open). Record blocks are not in the manifest. A missing or corrupt
+// manifest is surfaced but survivable — open falls back to adoption.
+func cmdLevels(w io.Writer, dir string) error {
 	infos, err := disk.Inspect(dir)
 	if err != nil {
 		return err
@@ -240,7 +244,7 @@ func cmdLevels(dir string) error {
 	m, err := disk.ReadManifest(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			fmt.Printf("no manifest: files will be adopted at the next open, %d segment(s)\n", len(infos))
+			fmt.Fprintf(w, "no manifest: files will be adopted at the next open, %d segment(s)\n", len(infos))
 			return nil
 		}
 		return fmt.Errorf("%w (an open would fall back to adopting all %d segment file(s))", err, len(infos))
@@ -272,22 +276,30 @@ func cmdLevels(dir string) error {
 		ls.records += info.Records
 		ls.bytes += info.Bytes + info.BlockBytes
 	}
-	fmt.Printf("manifest: next_seq=%d max_record_id=%d live=%d retired=%d\n", m.NextSeq, m.MaxRecordID, len(m.Live), len(m.Retired))
-	fmt.Printf("%-6s %10s %10s %12s\n", "level", "segments", "records", "bytes")
+	fmt.Fprintf(w, "manifest: next_seq=%d max_record_id=%d live=%d retired=%d drained=%d\n",
+		m.NextSeq, m.MaxRecordID, len(m.Live), len(m.Retired), len(m.Drained))
+	fmt.Fprintf(w, "%-6s %10s %10s %12s\n", "level", "segments", "records", "bytes")
 	for lvl := 0; lvl <= maxLevel; lvl++ {
 		ls := levels[lvl]
 		if ls == nil {
 			ls = &levelSum{}
 		}
-		fmt.Printf("L%-5d %10d %10d %12d\n", lvl, ls.segments, ls.records, ls.bytes)
+		fmt.Fprintf(w, "L%-5d %10d %10d %12d\n", lvl, ls.segments, ls.records, ls.bytes)
 	}
 	for _, name := range m.Retired {
 		referenced[name] = true
-		fmt.Printf("retired %s (awaiting unlink)\n", name)
+		fmt.Fprintf(w, "retired %s (awaiting unlink)\n", name)
+	}
+	for _, name := range m.Drained {
+		note := ""
+		if _, err := os.Stat(filepath.Join(dir, name)); os.IsNotExist(err) {
+			note = " (gone; pruned at next open)"
+		}
+		fmt.Fprintf(w, "drained %s%s\n", name, note)
 	}
 	for _, info := range infos {
 		if !referenced[info.Path] {
-			fmt.Printf("unreferenced %s (%d records; adopted at next open)\n", info.Path, info.Records)
+			fmt.Fprintf(w, "unreferenced %s (%d records; adopted at next open)\n", info.Path, info.Records)
 		}
 	}
 	if missing > 0 {
@@ -459,45 +471,38 @@ func cmdVerify(dir string) error {
 
 // cmdWAL summarizes the log files of a store directory — each with its
 // version, frames, whether it is sealed and whether the manifest marks it
-// drained (a record file of the tier, not replayed) — and, when a legacy
-// log directory is left in <dir>/wal, that one too. It changes nothing.
+// drained (a record file of the tier, not replayed). It changes nothing.
 func cmdWAL(dir string) error {
 	m, _ := disk.ReadManifest(dir) // no manifest: nothing is drained
 	drained := make(map[string]bool, len(m.Drained))
 	for _, name := range m.Drained {
 		drained[name] = true
 	}
-	for _, d := range []string{dir, filepath.Join(dir, "wal")} {
-		if _, err := os.Stat(d); err != nil {
-			continue
-		}
-		files, err := wal.Inspect(d)
-		if err != nil {
-			return fmt.Errorf("wal %s: %w", d, err)
-		}
-		fmt.Printf("%s:\n", d)
-		var replay, frames int
-		var minID, maxID uint64
-		for _, f := range files {
-			state := "active or unsealed"
-			if f.Sealed {
-				state = "sealed"
-			}
-			if drained[f.Name] && d == dir {
-				state += ", drained"
-			} else {
-				replay += f.Frames
-				if f.Frames > 0 && (minID == 0 || f.MinID < minID) {
-					minID = f.MinID
-				}
-				maxID = max(maxID, f.MaxID)
-			}
-			frames += f.Frames
-			fmt.Printf("  %-20s v%d %8d frames %10d bytes  ids [%d, %d]  %s\n",
-				f.Name, f.Version, f.Frames, f.Bytes, f.MinID, f.MaxID, state)
-		}
-		fmt.Printf("ok: %d files, %d frames, %d replayable, id range [%d, %d]\n", len(files), frames, replay, minID, maxID)
+	files, err := wal.Inspect(dir)
+	if err != nil {
+		return fmt.Errorf("wal %s: %w", dir, err)
 	}
+	var replay, frames int
+	var minID, maxID uint64
+	for _, f := range files {
+		state := "active or unsealed"
+		if f.Sealed {
+			state = "sealed"
+		}
+		if drained[f.Name] {
+			state += ", drained"
+		} else {
+			replay += f.Frames
+			if f.Frames > 0 && (minID == 0 || f.MinID < minID) {
+				minID = f.MinID
+			}
+			maxID = max(maxID, f.MaxID)
+		}
+		frames += f.Frames
+		fmt.Printf("  %-20s v%d %8d frames %10d bytes  ids [%d, %d]  %s\n",
+			f.Name, f.Version, f.Frames, f.Bytes, f.MinID, f.MaxID, state)
+	}
+	fmt.Printf("ok: %d files, %d frames, %d replayable, id range [%d, %d]\n", len(files), frames, replay, minID, maxID)
 	return nil
 }
 
@@ -823,6 +828,7 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `kflushctl administers kflushing data directories offline.
 
 usage:
+  kflushctl upgrade <dir>
   kflushctl segments <dir>
   kflushctl levels <dir>
   kflushctl dump <segment-or-block-file>

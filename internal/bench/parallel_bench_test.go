@@ -1,6 +1,7 @@
 // Microbenchmarks for this package's two throughput levers: batched
 // ingestion (WAL group commit amortization) and shard-parallel flush
-// execution. Results are recorded in results/pr1_batch_flush_bench.txt.
+// execution. Results are recorded in EXPERIMENTS.md "Early
+// micro-benchmarks".
 package bench
 
 import (

@@ -5,7 +5,6 @@ package crashtest
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"os/exec"
@@ -41,9 +40,8 @@ func childOptions() kflushing.Options {
 }
 
 // TestCrashChild is the workload the matrix crashes: it is only run as a
-// re-exec'd child process with the failpoint environment inherited. The
-// first run finds a log directory in the format of the previous release
-// (migration); two durable store sessions back to back exercise ingest,
+// re-exec'd child process with the failpoint environment inherited. Two
+// durable store sessions back to back exercise ingest,
 // inline flushing, log sealing and draining, compaction, close, and
 // reopen (log recovery); after every acknowledged batch the returned IDs
 // are appended and fsynced to the ack file, so the parent knows exactly
@@ -59,9 +57,6 @@ func TestCrashChild(t *testing.T) {
 	if dir == "" || ackPath == "" {
 		t.Fatal("CRASHTEST_DIR / CRASHTEST_ACK not set")
 	}
-	if _, err := os.Stat(dir); os.IsNotExist(err) {
-		writeLegacyLog(t, dir, ackPath)
-	}
 	for session, n := range []int{900, 300} {
 		ingestSession(t, dir, ackPath, session, n)
 	}
@@ -70,36 +65,6 @@ func TestCrashChild(t *testing.T) {
 
 // plainDir is where the non-durable session keeps its store.
 func plainDir(dir string) string { return dir + "-plain" }
-
-// legacyRecords is how many records the previous release's log holds.
-const legacyRecords = 6
-
-// writeLegacyLog leaves what a durable store of the previous release
-// left behind: a version-2 log file in <dir>/wal, whose records it
-// acknowledged. The first open moves them into the store's own log.
-func writeLegacyLog(t *testing.T, dir, ackPath string) {
-	t.Helper()
-	legacy := filepath.Join(dir, "wal")
-	if err := os.MkdirAll(legacy, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	img := binary.LittleEndian.AppendUint16([]byte(disk.LogMagic), disk.LogVersionV2)
-	var acks bytes.Buffer
-	for id := 1; id <= legacyRecords; id++ {
-		mb := &kflushing.Microblog{
-			ID: kflushing.ID(id), Timestamp: kflushing.Timestamp(id),
-			Keywords: []string{"all", "legacy"}, Text: strings.Repeat("l", 120),
-		}
-		img = disk.AppendFrames(img, []disk.FlushRecord{{MB: mb, Score: float64(id)}})
-		fmt.Fprintln(&acks, id)
-	}
-	if err := os.WriteFile(filepath.Join(legacy, disk.LogName(1)), img, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(ackPath, acks.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // plainSession ingests n records into a non-durable store, whose flushes
 // write record blocks.
@@ -316,9 +281,6 @@ func verifyRecovered(t *testing.T, dataDir, ackPath string) {
 	verifyManifest(t, dataDir)
 	verifyLogFiles(t, dataDir)
 	verifyCompactionPreservesDiskSet(t, dataDir)
-	if _, err := os.Stat(filepath.Join(dataDir, "wal")); !os.IsNotExist(err) {
-		t.Fatalf("the legacy log directory outlived a clean open: %v", err)
-	}
 
 	// The non-durable store: structure only, nothing was promised.
 	plain := plainDir(dataDir)

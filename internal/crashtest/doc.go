@@ -1,9 +1,9 @@
 // Package crashtest is the crash-recovery test harness: it re-execs the
 // test binary as a child process, kills the child at every registered
-// crash failpoint (failpoint.CrashSites covers the WAL — sealing and
-// migration included — segment-write, compaction, drain, flush-cycle,
-// and recovery paths), reopens the store over the wreckage, and asserts
-// the durability invariants:
+// crash failpoint (failpoint.CrashSites covers the WAL — sealing
+// included — segment-write, compaction, drain, flush-cycle, and recovery
+// paths; disk.TestUpgradeResumes cuts the offline upgrade), reopens the
+// store over the wreckage, and asserts the durability invariants:
 //
 //   - no acknowledged ingest is lost — every ID a completed IngestBatch
 //     returned is found by a post-crash search;
@@ -16,9 +16,8 @@
 //   - the leveled manifest healed by recovery decodes, references only
 //     files that exist, and never lists a file twice (live+retired, or
 //     on two levels);
-//   - no directory names a missing or truncated log file, a durable
-//     store wrote no record block, and a legacy log directory is gone
-//     after a clean open;
+//   - no directory names a missing or truncated log file, and a durable
+//     store wrote no record block;
 //   - compacting the recovered tier preserves the disk ID set exactly —
 //     duplicates a WAL replay legitimately re-flushed are deduplicated,
 //     never dropped or doubled;

@@ -62,30 +62,27 @@ func BenchmarkFlush(b *testing.B) {
 }
 
 // BenchmarkCodec measures encoding and decoding one record of the
-// benchmark's shape (three keywords, ≈ 80 bytes of text) in each codec:
-// the per-record CPU that ingest (log append, flush) and a record-cache
-// miss pay.
+// benchmark's shape (three keywords, ≈ 80 bytes of text): the per-record
+// CPU that ingest (log append, flush) and a record-cache miss pay.
 func BenchmarkCodec(b *testing.B) {
 	rec := fr(123456, 1.7e15, "tag1a574", "tag06840", "tag00085")
 	rec.MB.Text = "e quick onyx goblin jumps over a lazy dwarf while vexed zombies quietly patrol the "
-	for _, tc := range testCodecs {
-		buf := tc.enc(nil, rec)
-		b.Run("encode/"+tc.name, func(b *testing.B) {
-			out := make([]byte, 0, 256)
-			for i := 0; i < b.N; i++ {
-				out = tc.enc(out[:0], rec)
+	buf := appendRecord(nil, rec)
+	b.Run("encode", func(b *testing.B) {
+		out := make([]byte, 0, 256)
+		for i := 0; i < b.N; i++ {
+			out = appendRecord(out[:0], rec)
+		}
+		b.SetBytes(int64(len(out)))
+	})
+	b.Run("decode", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := decodeRecord(buf); err != nil {
+				b.Fatal(err)
 			}
-			b.SetBytes(int64(len(out)))
-		})
-		b.Run("decode/"+tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := decodeRecord(buf, tc.c); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(int64(len(buf)))
-		})
-	}
+		}
+		b.SetBytes(int64(len(buf)))
+	})
 }
 
 // BenchmarkSearchHot measures a miss-path query on a popular key that

@@ -17,7 +17,8 @@ import (
 //
 //	header : magic "KFBK" | u16 version | u16 offset width (4 or 8)
 //	         | u32 count
-//	records: count CodecCompact records, back to back, best score first
+//	records: count records (see appendRecord), back to back, best score
+//	         first
 //	offsets: count × u32 (u64 at width 8) file offset of each record,
 //	         in ordinal order
 //	footer : u64 offsetsPos | "KFBE"
@@ -29,14 +30,6 @@ import (
 // The writer uses 8-byte offsets only once the record area reaches
 // 4 GiB, so no flush size overflows the table.
 //
-// Older files are read where they are and never rewritten: a v3 block
-// (the same layout with CodecFixed records, u64 offsets and a zero
-// width field) and a legacy v2 segment file (records, offsets,
-// directory, Bloom and a footer in one file), which opens as a block
-// too — its header and offsets table sit where a v3 block's do — so a
-// merge over old files leaves their bytes in place and simply names
-// them in the new directory's table.
-//
 // A sealed log file (logfile.go) opens as a block as well: its frame
 // index is the offsets table, and a frame's header sits in front of
 // each record. On a durable store those are the only record files a
@@ -44,8 +37,7 @@ import (
 const (
 	blkMagic      = "KFBK"
 	blkEndMagic   = "KFBE"
-	blkVersionV3  = 3 // CodecFixed records, u64 offsets: read only
-	blkVersion    = 4 // the one write version
+	blkVersion    = 4
 	blkHeaderSize = 4 + 2 + 2 + 4
 	blkFooterSize = 8 + 4
 )
@@ -64,9 +56,8 @@ type block struct {
 	id      uint64 // process-unique cache identity
 	path    string
 	f       *os.File
-	version uint16 // blkVersion; blkVersionV3; segVersionV2 for a legacy segment file; LogVersion for a log file
-	log     bool   // a sealed log file: every record is the payload of a checksummed frame
-	width   int64  // bytes per on-disk offsets table entry
+	log     bool  // a sealed log file: every record is the payload of a checksummed frame
+	width   int64 // bytes per on-disk offsets table entry
 	offsets []uint64
 	end     uint64 // file offset just past the last record (a log file's frame index starts there)
 	size    int64  // whole-file byte length
@@ -77,14 +68,6 @@ type block struct {
 func (b *block) name() string  { return filepath.Base(b.path) }
 func (b *block) count() uint32 { return uint32(len(b.offsets)) }
 func (b *block) acquire()      { b.refs.Add(1) }
-
-// codec is the encoding of the block's records.
-func (b *block) codec() Codec {
-	if b.version == blkVersion || b.log {
-		return CodecCompact
-	}
-	return CodecFixed
-}
 
 // frameHeader is the gap in front of each record: a log file's frame
 // header, nothing in a record block.
@@ -149,7 +132,7 @@ func encodeBlock(buf []byte, path string, recs []FlushRecord) ([]byte, *block) {
 	}
 	buf = le.AppendUint64(buf, end)
 	buf = append(buf, blkEndMagic...)
-	return buf, newBlock(&block{path: path, version: blkVersion, width: width,
+	return buf, newBlock(&block{path: path, width: width,
 		offsets: offsets, end: end, size: int64(len(buf))})
 }
 
@@ -161,9 +144,8 @@ func newBlock(b *block) *block {
 	return b
 }
 
-// openBlock reads back a block's offsets table: a v4 or v3 blk-* file,
-// a legacy v2 segment file serving as one, or a sealed log file. The
-// caller owns the first reference.
+// openBlock reads back a block's offsets table: a blk-* file or a sealed
+// log file. The caller owns the first reference.
 func openBlock(path string) (*block, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -181,49 +163,48 @@ func openBlock(path string) (*block, error) {
 	if err != nil {
 		return nil, err
 	}
-	le := binary.LittleEndian
-	magic := make([]byte, 4)
-	if _, err := f.ReadAt(magic, 0); err != nil {
+	head := make([]byte, blkHeaderSize)
+	if _, err := f.ReadAt(head[:LogHeaderSize], 0); err != nil {
 		return nil, corruptIfShort(err)
 	}
-	if string(magic) == LogMagic {
-		b, err := openLogBlock(path, f, st.Size())
+	le := binary.LittleEndian
+	size, version := st.Size(), le.Uint16(head[4:])
+	switch string(head[:4]) {
+	case LogMagic:
+		if err := checkVersion("log file", version, LogVersion); err != nil {
+			return nil, err
+		}
+		b, err := openLogBlock(path, f, size)
 		ok = err == nil
 		return b, err
-	}
-	head := make([]byte, blkHeaderSize)
-	if _, err := f.ReadAt(head, 0); err != nil {
-		return nil, corruptIfShort(err)
-	}
-	count := int64(le.Uint32(head[8:]))
-	version := le.Uint16(head[4:])
-	width := int64(8)
-	footerSize, endMagic := int64(blkFooterSize), blkEndMagic
-	switch magic := string(head[:4]); {
-	case magic == blkMagic && version == blkVersion:
-		if width = int64(le.Uint16(head[6:])); width != 4 && width != 8 {
-			return nil, ErrCorrupt
+	case segMagic: // a directory is never a block (an older one held its records)
+		if err := checkVersion("directory", version, segVersion); err != nil {
+			return nil, err
 		}
-	case magic == blkMagic && version == blkVersionV3:
-	case magic == segMagic && version == segVersionV2:
-		footerSize, endMagic = segFooterSize, segEndMagic
+		return nil, ErrCorrupt
+	case blkMagic:
+		if err := checkVersion("block", version, blkVersion); err != nil {
+			return nil, err
+		}
 	default:
 		return nil, ErrCorrupt
 	}
-	if st.Size() < blkHeaderSize+footerSize {
+	if _, err := f.ReadAt(head, 0); err != nil {
+		return nil, corruptIfShort(err)
+	}
+	width, count := int64(le.Uint16(head[6:])), int64(le.Uint32(head[8:]))
+	if (width != 4 && width != 8) || size < blkHeaderSize+blkFooterSize {
 		return nil, ErrCorrupt
 	}
-	// Every footer leads with the offsets table's position and ends with
-	// its magic.
-	foot := make([]byte, footerSize)
-	if _, err := f.ReadAt(foot, st.Size()-footerSize); err != nil {
+	foot := make([]byte, blkFooterSize)
+	if _, err := f.ReadAt(foot, size-blkFooterSize); err != nil {
 		return nil, err
 	}
-	if string(foot[footerSize-4:]) != endMagic {
+	if string(foot[blkFooterSize-4:]) != blkEndMagic {
 		return nil, ErrCorrupt
 	}
 	end := le.Uint64(foot)
-	if end < blkHeaderSize || end > uint64(st.Size()) || int64(end)+width*count > st.Size()-footerSize {
+	if end < blkHeaderSize || end > uint64(size) || int64(end)+width*count > size-blkFooterSize {
 		return nil, ErrCorrupt
 	}
 	table := make([]byte, width*count)
@@ -245,8 +226,7 @@ func openBlock(path string) (*block, error) {
 		offsets[i], prev = off, off
 	}
 	ok = true
-	return newBlock(&block{path: path, f: f, version: version, width: width,
-		offsets: offsets, end: end, size: st.Size()}), nil
+	return newBlock(&block{path: path, f: f, width: width, offsets: offsets, end: end, size: size}), nil
 }
 
 // corruptIfShort maps a read that ran off the end of a file to
@@ -289,7 +269,7 @@ func (b *block) readRecord(ord uint32) (FlushRecord, error) {
 			return FlushRecord{}, fmt.Errorf("disk: %s frame %d: %w", b.name(), ord, ErrCorrupt)
 		}
 	}
-	fr, _, err := decodeRecord(rec, b.codec())
+	fr, _, err := decodeRecord(rec)
 	return fr, err
 }
 
@@ -336,9 +316,8 @@ func (b *block) scan(want []bool, fn func(ord uint32, rec []byte) error) error {
 // the records want marks are decoded (all, when want is nil): a log file
 // frames many records a merge's directories do not post.
 func (b *block) scanRanks(ids []uint64, scores []float64, want []bool) error {
-	c := b.codec()
 	return b.scan(want, func(ord uint32, rec []byte) error {
-		id, score, err := decodeRank(rec, c)
+		id, score, err := decodeRank(rec)
 		if err != nil {
 			return fmt.Errorf("disk: scan %s ordinal %d: %w", b.name(), ord, err)
 		}

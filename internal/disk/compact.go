@@ -214,14 +214,10 @@ func (t *Tier[K]) compactLevel(lvl int, force bool) error {
 		return err
 	}
 
-	// The input files the commit retires: all of them, except a legacy
-	// file the output still names as a block — that one stays, now
-	// reached through the output's block table alone.
-	var names []string
-	for _, in := range inputs {
-		if !(in.legacy() && merged.names(in.blocks[0])) {
-			names = append(names, in.name())
-		}
+	// The input files the commit retires.
+	names := make([]string, len(inputs))
+	for i, in := range inputs {
+		names[i] = in.name()
 	}
 	t.manifestMu.Lock()
 	t.mu.Lock()

@@ -1,9 +1,11 @@
 package disk
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -34,6 +36,33 @@ func fr(id uint64, score float64, kws ...string) FlushRecord {
 		},
 		Score: score,
 	}
+}
+
+// rankOrder returns recs sorted best first, as every writer stores them.
+func rankOrder(recs []FlushRecord) []FlushRecord {
+	sorted := append([]FlushRecord(nil), recs...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].Score != sorted[j].Score {
+			return sorted[i].Score > sorted[j].Score
+		}
+		return sorted[i].MB.ID > sorted[j].MB.ID
+	})
+	return sorted
+}
+
+// widenBlock rewrites a v4 block image with 8-byte offsets, as the
+// writer lays out a block whose record area reaches 4 GiB.
+func widenBlock(img []byte) []byte {
+	le := binary.LittleEndian
+	count := int(le.Uint32(img[8:]))
+	end := le.Uint64(img[len(img)-blkFooterSize:])
+	out := append([]byte(nil), img[:end]...)
+	le.PutUint16(out[6:], 8)
+	for i := 0; i < count; i++ {
+		out = le.AppendUint64(out, uint64(le.Uint32(img[int(end)+4*i:])))
+	}
+	out = le.AppendUint64(out, end)
+	return append(out, blkEndMagic...)
 }
 
 func TestFlushAndSingleSearch(t *testing.T) {
@@ -309,56 +338,51 @@ func TestEmptyFlushIsNoop(t *testing.T) {
 	}
 }
 
-// Property: any record encodes and decodes identically, in either codec.
+// Property: any record encodes and decodes identically.
 func TestRecordCodecProperty(t *testing.T) {
-	for _, tc := range testCodecs {
-		f := func(id uint64, ts int64, user uint64, fol uint32, lat, lon, score float64, geo, tsScore bool, kw1, kw2, text string) bool {
-			if len(kw1) > 60000 || len(kw2) > 60000 || len(text) > 1<<20 {
-				return true // outside format limits
-			}
-			if tsScore {
-				score = float64(ts)
-			}
-			in := FlushRecord{
-				MB: &types.Microblog{
-					ID: types.ID(id), Timestamp: types.Timestamp(ts),
-					UserID: user, Followers: fol, Lat: lat, Lon: lon,
-					HasGeo: geo, Keywords: []string{kw1, kw2}, Text: text,
-				},
-				Score: score,
-			}
-			buf := tc.enc(nil, in)
-			out, n, err := decodeRecord(buf, tc.c)
-			if err != nil || n != len(buf) {
-				return false
-			}
-			m := out.MB
-			return m.ID == in.MB.ID && m.Timestamp == in.MB.Timestamp &&
-				m.UserID == in.MB.UserID && m.Followers == in.MB.Followers &&
-				m.Lat == in.MB.Lat && m.Lon == in.MB.Lon && m.HasGeo == in.MB.HasGeo &&
-				len(m.Keywords) == 2 && m.Keywords[0] == kw1 && m.Keywords[1] == kw2 &&
-				m.Text == text && out.Score == in.Score
+	f := func(id uint64, ts int64, user uint64, fol uint32, lat, lon, score float64, geo, tsScore bool, kw1, kw2, text string) bool {
+		if len(kw1) > 60000 || len(kw2) > 60000 || len(text) > 1<<20 {
+			return true // outside format limits
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		if tsScore {
+			score = float64(ts)
 		}
+		in := FlushRecord{
+			MB: &types.Microblog{
+				ID: types.ID(id), Timestamp: types.Timestamp(ts),
+				UserID: user, Followers: fol, Lat: lat, Lon: lon,
+				HasGeo: geo, Keywords: []string{kw1, kw2}, Text: text,
+			},
+			Score: score,
+		}
+		buf := appendRecord(nil, in)
+		out, n, err := decodeRecord(buf)
+		if err != nil || n != len(buf) {
+			return false
+		}
+		m := out.MB
+		return m.ID == in.MB.ID && m.Timestamp == in.MB.Timestamp &&
+			m.UserID == in.MB.UserID && m.Followers == in.MB.Followers &&
+			m.Lat == in.MB.Lat && m.Lon == in.MB.Lon && m.HasGeo == in.MB.HasGeo &&
+			len(m.Keywords) == 2 && m.Keywords[0] == kw1 && m.Keywords[1] == kw2 &&
+			m.Text == text && out.Score == in.Score
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestTruncatedRecordDetected: every strict prefix of a record is
-// refused by its codec, and the rank prefix reads back from the front.
+// refused, and the rank prefix reads back from the front.
 func TestTruncatedRecordDetected(t *testing.T) {
-	in := fr(1, 1, "abc", "de")
-	for _, tc := range testCodecs {
-		buf := tc.enc(nil, in)
-		for cut := 0; cut < len(buf); cut++ {
-			if _, _, err := decodeRecord(buf[:cut], tc.c); err == nil {
-				t.Fatalf("%s: %d-byte prefix of a %d-byte record decoded", tc.name, cut, len(buf))
-			}
+	buf := appendRecord(nil, fr(1, 1, "abc", "de"))
+	for cut := 0; cut < len(buf); cut++ {
+		if _, _, err := decodeRecord(buf[:cut]); err == nil {
+			t.Fatalf("%d-byte prefix of a %d-byte record decoded", cut, len(buf))
 		}
-		if id, score, err := decodeRank(buf, tc.c); err != nil || id != 1 || score != 1 {
-			t.Fatalf("%s: rank prefix = %d, %v, %v", tc.name, id, score, err)
-		}
+	}
+	if id, score, err := decodeRank(buf); err != nil || id != 1 || score != 1 {
+		t.Fatalf("rank prefix = %d, %v, %v", id, score, err)
 	}
 }
 
@@ -371,10 +395,38 @@ func TestCompactCodecSize(t *testing.T) {
 	fixed, compact := appendFixedRecord(nil, in), appendRecord(nil, in)
 	// flags 1, ID 2, timestamp 3, user 2, followers 2, nkw 1, keywords
 	// 2×4, text 1+14.
-	if len(compact) != 34 || len(fixed) != fixedLenBase+2*5+14 {
-		t.Fatalf("compact %d bytes (want 34), fixed %d", len(compact), len(fixed))
+	if len(compact) != 34 || len(fixed) != fixedLenBase+2*5+14 || fixedLen(in) != int64(len(fixed)) {
+		t.Fatalf("compact %d bytes (want 34), fixed %d, fixedLen %d", len(compact), len(fixed), fixedLen(in))
 	}
-	if got := fixedLen(in); got != int64(len(fixed)) {
-		t.Fatalf("fixedLen = %d, want the fixed encoding's %d", got, len(fixed))
+}
+
+// TestRecordCacheChargeIndependentOfFormat: the cache charges a record
+// its fixed-width length (fixedLen) plus bookkeeping, however its file
+// lays it out — a v4 block, or a sealed log file whose frames put eight
+// more bytes in front of it — so a smaller encoding lets no more decoded
+// records in under a budget.
+func TestRecordCacheChargeIndependentOfFormat(t *testing.T) {
+	dir := t.TempDir()
+	rec := fr(1, 1, "a", "kw")
+	img, _ := encodeBlock(nil, "", []FlushRecord{rec})
+	blkPath := filepath.Join(dir, "blk-00000001.kfs")
+	if err := os.WriteFile(blkPath, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writeLogFile(t, dir, 1, rec)
+	want := int64(len(appendFixedRecord(nil, rec))) + cacheEntryOverhead
+	for _, path := range []string{blkPath, filepath.Join(dir, LogName(1))} {
+		b, err := openBlock(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tier := &Tier[string]{cache: newRecordCache(1<<20, nil)}
+		if _, _, err := tier.readRecordCached(b, 0); err != nil {
+			t.Fatal(err)
+		}
+		b.release()
+		if got := tier.cache.resident(); got != want {
+			t.Fatalf("%s: a record is charged %d bytes, want its fixed-width length plus bookkeeping, %d", filepath.Base(path), got, want)
+		}
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"kflushing/internal/types"
 )
 
-// FuzzDecodeRecord throws arbitrary bytes at both record decoders: they
-// must never panic or over-read, only return ErrCorrupt-style failures,
-// and whatever either accepts must survive the compact codec unchanged.
+// FuzzDecodeRecord throws arbitrary bytes at the record decoder: it must
+// never panic or over-read, only return ErrCorrupt-style failures, and
+// whatever it accepts must survive a re-encode unchanged.
 func FuzzDecodeRecord(f *testing.F) {
 	rec := FlushRecord{
 		MB:    &types.Microblog{ID: 1, Keywords: []string{"a"}, Text: "t"},
@@ -18,33 +18,32 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendRecord(nil, rec))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add(appendFixedRecord(nil, rec))
+	rec.MB.Lat, rec.MB.Lon = 40.5, -74.2
+	f.Add(appendRecord(nil, rec))
 	rec.Score = math.NaN()
 	f.Add(appendRecord(nil, rec))
 	f.Add([]byte{flagsKnown, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, tc := range testCodecs {
-			fr, n, err := decodeRecord(data, tc.c)
-			if err != nil {
-				continue
-			}
-			if n > len(data) {
-				t.Fatalf("%s decoder consumed %d of %d bytes", tc.name, n, len(data))
-			}
-			if fr.MB == nil {
-				t.Fatalf("%s: nil microblog without error", tc.name)
-			}
-			if id, score, err := decodeRank(data, tc.c); err != nil || id != uint64(fr.MB.ID) ||
-				math.Float64bits(score) != math.Float64bits(fr.Score) {
-				t.Fatalf("%s: rank prefix %d, %v, %v disagrees with the record", tc.name, id, score, err)
-			}
-			// Anything readable is writable: the compact codec loses no
-			// field, NaN and -0 included.
-			buf := appendRecord(nil, fr)
-			again, m, err := decodeRecord(buf, CodecCompact)
-			if err != nil || m != len(buf) || string(appendRecord(nil, again)) != string(buf) {
-				t.Fatalf("%s: decoded record does not survive the compact codec: %v", tc.name, err)
-			}
+		fr, n, err := decodeRecord(data)
+		if err != nil {
+			return
+		}
+		if n > len(data) {
+			t.Fatalf("decoder consumed %d of %d bytes", n, len(data))
+		}
+		if fr.MB == nil {
+			t.Fatal("nil microblog without error")
+		}
+		if id, score, err := decodeRank(data); err != nil || id != uint64(fr.MB.ID) ||
+			math.Float64bits(score) != math.Float64bits(fr.Score) {
+			t.Fatalf("rank prefix %d, %v, %v disagrees with the record", id, score, err)
+		}
+		// Anything readable is writable: the encoding loses no field, NaN
+		// and -0 included.
+		buf := appendRecord(nil, fr)
+		again, m, err := decodeRecord(buf)
+		if err != nil || m != len(buf) || string(appendRecord(nil, again)) != string(buf) {
+			t.Fatalf("decoded record does not survive a re-encode: %v", err)
 		}
 	})
 }
@@ -81,8 +80,8 @@ func FuzzBloomDecode(f *testing.F) {
 	})
 }
 
-// FuzzRecordRoundTrip checks encode→decode identity over fuzzed fields
-// in both codecs, bit for bit: a score that is not the timestamp, NaN
+// FuzzRecordRoundTrip checks encode→decode identity over fuzzed fields,
+// bit for bit: a score that is not the timestamp, NaN
 // and -0 scores and coordinates, coordinates without HasGeo, and up to
 // 255 keywords.
 func FuzzRecordRoundTrip(f *testing.F) {
@@ -112,31 +111,29 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			},
 			Score: score,
 		}
-		for _, tc := range testCodecs {
-			buf := tc.enc(nil, in)
-			out, n, err := decodeRecord(buf, tc.c)
-			if err != nil {
-				t.Fatalf("%s decode: %v", tc.name, err)
+		buf := appendRecord(nil, in)
+		out, n, err := decodeRecord(buf)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if n != len(buf) {
+			t.Fatalf("consumed %d of %d", n, len(buf))
+		}
+		m := out.MB
+		bits := math.Float64bits
+		if m.ID != in.MB.ID || m.Timestamp != in.MB.Timestamp ||
+			m.UserID != user || m.Followers != fol || m.HasGeo != geo ||
+			bits(out.Score) != bits(score) || bits(m.Lat) != bits(lat) || bits(m.Lon) != bits(lon) ||
+			len(m.Keywords) != len(kws) || m.Text != text {
+			t.Fatalf("round trip mismatch: %+v score %v, want %+v score %v", m, out.Score, in.MB, score)
+		}
+		for i := range kws {
+			if m.Keywords[i] != kws[i] {
+				t.Fatalf("keyword %d = %q, want %q", i, m.Keywords[i], kws[i])
 			}
-			if n != len(buf) {
-				t.Fatalf("%s consumed %d of %d", tc.name, n, len(buf))
-			}
-			m := out.MB
-			bits := math.Float64bits
-			if m.ID != in.MB.ID || m.Timestamp != in.MB.Timestamp ||
-				m.UserID != user || m.Followers != fol || m.HasGeo != geo ||
-				bits(out.Score) != bits(score) || bits(m.Lat) != bits(lat) || bits(m.Lon) != bits(lon) ||
-				len(m.Keywords) != len(kws) || m.Text != text {
-				t.Fatalf("%s round trip mismatch: %+v score %v, want %+v score %v", tc.name, m, out.Score, in.MB, score)
-			}
-			for i := range kws {
-				if m.Keywords[i] != kws[i] {
-					t.Fatalf("%s keyword %d = %q, want %q", tc.name, i, m.Keywords[i], kws[i])
-				}
-			}
-			if string(tc.enc(nil, out)) != string(buf) {
-				t.Fatalf("%s re-encode mismatch", tc.name)
-			}
+		}
+		if string(appendRecord(nil, out)) != string(buf) {
+			t.Fatal("re-encode mismatch")
 		}
 	})
 }

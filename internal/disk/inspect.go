@@ -14,9 +14,7 @@ import (
 type SegmentInfo struct {
 	// Path is the directory's file name (not the full path).
 	Path string
-	// Version is the directory format version: 3 = a directory over
-	// separate block files, 2 = a legacy file holding its one block
-	// itself.
+	// Version is the directory format version.
 	Version int
 	// Records is the number of live records: stored in a named block and
 	// posted from it.
@@ -32,10 +30,9 @@ type SegmentInfo struct {
 	// BloomBytes is the serialized Bloom filter size.
 	BloomBytes int
 	// Blocks describes the record block files the directory addresses,
-	// in table order (oldest first); a legacy segment names itself.
+	// in table order (oldest first).
 	Blocks []BlockInfo
-	// BlockBytes is the total size of those files, the segment's own
-	// excluded.
+	// BlockBytes is the total size of those files.
 	BlockBytes int64
 	// ShadowedBytes is the size of records in those blocks that a newer
 	// block also holds and that are therefore posted from there.
@@ -49,10 +46,7 @@ type BlockInfo struct {
 	Name string
 	// Log marks a log file (wal-*.kfw) rather than a record block.
 	Log bool
-	// Version is the file's format version. For a block: 4 = CodecCompact
-	// records and a u32 (or u64) offsets table, 3 = CodecFixed records and
-	// u64 offsets, 2 = a legacy segment file, laid out like a v3 block.
-	// For a log file: 3, CodecCompact frames and a frame index.
+	// Version is the file's format version.
 	Version int
 	// Records is the number of records stored (frames, for a log file),
 	// posted or not.
@@ -65,10 +59,8 @@ type BlockInfo struct {
 	Drained bool
 }
 
-// openDir opens every segment under dir the way a tier would see it —
-// with a valid manifest, a legacy file that is not live and that a
-// directory names is that directory's block, not a segment of its own —
-// without changing anything on disk. The caller releases the segments.
+// openDir opens every segment under dir without changing anything on
+// disk. The caller releases the segments.
 func openDir(dir string) (segs []*segment, err error) {
 	segPaths, lvlPaths, err := segmentGlobs(dir)
 	if err != nil {
@@ -78,42 +70,15 @@ func openDir(dir string) (segs []*segment, err error) {
 	sortBySeqOrder(paths)
 	bs := blockSet{}
 	defer bs.release()
-	defer func() {
-		if err != nil {
-			releaseAll(segs)
-		}
-	}()
-	named := make(map[string]struct{})
 	for _, p := range paths {
 		s, err := openSegment(p, bs)
 		if err != nil {
-			return segs, fmt.Errorf("disk: inspect %s: %w", filepath.Base(p), err)
+			releaseAll(segs)
+			return nil, fmt.Errorf("disk: inspect %s: %w", filepath.Base(p), err)
 		}
 		segs = append(segs, s)
-		if !s.legacy() {
-			for _, b := range s.blocks {
-				named[b.name()] = struct{}{}
-			}
-		}
 	}
-	m, merr := ReadManifest(dir)
-	if merr != nil {
-		return segs, nil
-	}
-	live := make(map[string]struct{}, len(m.Live))
-	for _, e := range m.Live {
-		live[e.Name] = struct{}{}
-	}
-	kept := segs[:0]
-	for _, s := range segs {
-		_, isLive := live[s.name()]
-		if _, isBlock := named[s.name()]; isBlock && !isLive {
-			s.release()
-			continue
-		}
-		kept = append(kept, s)
-	}
-	return kept, nil
+	return segs, nil
 }
 
 func releaseAll(segs []*segment) {
@@ -140,7 +105,7 @@ func Inspect(dir string) ([]SegmentInfo, error) {
 	for _, s := range segs {
 		info := SegmentInfo{
 			Path:          s.name(),
-			Version:       int(s.version),
+			Version:       segVersion,
 			Records:       int(s.count),
 			Keys:          len(s.keys),
 			Postings:      len(s.posts),
@@ -154,13 +119,13 @@ func Inspect(dir string) ([]SegmentInfo, error) {
 			bi := BlockInfo{
 				Name:    b.name(),
 				Log:     b.log,
-				Version: int(b.version),
+				Version: blkVersion,
 				Records: int(b.count()),
 				Bytes:   int64(b.end) - blkHeaderSize + b.width*int64(b.count()),
 				Drained: drained[b.name()],
 			}
 			if b.log {
-				bi.Bytes = b.size - LogHeaderSize
+				bi.Version, bi.Bytes = LogVersion, b.size-LogHeaderSize
 			}
 			info.Blocks = append(info.Blocks, bi)
 		}
@@ -179,7 +144,7 @@ func DumpSegment(path string, fn func(FlushRecord) error) error {
 			if !posted(ord) {
 				return nil
 			}
-			fr, _, err := decodeRecord(rec, b.codec())
+			fr, _, err := decodeRecord(rec)
 			if err != nil {
 				return fmt.Errorf("disk: dump %s ordinal %d: %w", b.name(), ord, err)
 			}
@@ -241,9 +206,8 @@ func (s *segment) verify() error {
 	scores := make([]float64, total)
 	for i, b := range s.blocks {
 		base := s.base[i]
-		c := b.codec()
 		err := b.scan(nil, func(ord uint32, rec []byte) error {
-			fr, n, err := decodeRecord(rec, c)
+			fr, n, err := decodeRecord(rec)
 			if err != nil || n != len(rec) {
 				return fmt.Errorf("block %s ordinal %d: %w", b.name(), ord, ErrCorrupt)
 			}
@@ -263,11 +227,6 @@ func (s *segment) verify() error {
 				continue
 			}
 			q := list[j-1]
-			// Legacy files may post a record twice in a row under one key
-			// (written before flush dedup); searches skip the repeat.
-			if s.legacy() && p == q {
-				continue
-			}
 			if scores[q] < scores[p] || (scores[q] == scores[p] && ids[q] <= ids[p]) {
 				return fmt.Errorf("key %q: posting %d outranks posting %d before it: %w", key, p, q, ErrCorrupt)
 			}

@@ -42,8 +42,8 @@ func layoutBenchTier(b *testing.B, segments, recsPerSeg int) *Tier[string] {
 // BenchmarkMissBySegmentCount measures the memory-miss query latency as
 // the number of flushed batches grows: the candidate set grows with the
 // logarithmic level count, not the flush count. (The flat-layout arm
-// this was first measured against is in results/pr6_leveled_bench.txt;
-// the sub-benchmark names keep that file's layout= prefix.) Three probe
+// this was first measured against is in EXPERIMENTS.md "Leveled disk
+// tier"; the sub-benchmark names keep its layout= prefix.) Three probe
 // shapes per point: a unique key living in exactly one segment, a key
 // absent from every segment (pure Bloom-scan cost), and the shared hot
 // key (early-termination path).

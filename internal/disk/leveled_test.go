@@ -275,8 +275,9 @@ func TestLeveledAdoptionRules(t *testing.T) {
 		}
 	})
 
-	// What the flat layout (deleted in PR 18) left on disk: one seg-*
-	// file per flush and no manifest.
+	// The shape the deleted flat layout left on disk — one
+	// seg-* file per flush and no manifest — in current formats, as an
+	// upgrade of such a directory without a manifest leaves it.
 	t.Run("legacy manifest-less seg directory", func(t *testing.T) {
 		dir := t.TempDir()
 		cfg := Config[string]{

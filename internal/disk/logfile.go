@@ -15,9 +15,9 @@ import (
 //
 //	header : magic "KFWL" | u16 version
 //	frames : per record: u32 payload length | u32 CRC32C of payload
-//	         | payload (one record in the version's codec)
-//	index  : version 3, once the file is sealed: one frame whose payload
-//	         is 0xFF | count × u32 frame offset | u32 count | "KFWX"
+//	         | payload (one record, see appendRecord)
+//	index  : once the file is sealed: one frame whose payload is
+//	         0xFF | count × u32 frame offset | u32 count | "KFWX"
 //
 // The frame index is the log file's counterpart of a record block's
 // offsets table: the offset of each frame, in append order, so a
@@ -26,13 +26,10 @@ import (
 // file, and then fsynced; a directory names only sealed files, so a
 // named file is complete and never grows again. Its marker byte is not a
 // valid record flags byte, and its fixed tail lets a reader find it from
-// the end of the file. Version 2 files (compact frames) and version 1 files
-// (fixed-width records) carry no index; they are replayed, never named.
+// the end of the file.
 const (
 	LogMagic        = "KFWL"
-	LogVersion      = 3 // CodecCompact frames and, once sealed, a frame index
-	LogVersionV2    = 2 // CodecCompact frames, no index: read only
-	LogVersionV1    = 1 // CodecFixed frames, no index: read only
+	LogVersion      = 3
 	LogHeaderSize   = 4 + 2
 	FrameHeaderSize = 4 + 4
 
@@ -52,17 +49,6 @@ func ParseLogName(name string) (uint32, bool) {
 		return 0, false
 	}
 	return seq, true
-}
-
-// LogCodec is the record encoding a log file of the given version frames.
-func LogCodec(version uint16) (Codec, bool) {
-	switch version {
-	case LogVersion, LogVersionV2:
-		return CodecCompact, true
-	case LogVersionV1:
-		return CodecFixed, true
-	}
-	return 0, false
 }
 
 // AppendLogHeader appends the header of a log file of the write version.
@@ -122,8 +108,8 @@ func AppendFrameIndex(buf []byte, offsets []uint32) []byte {
 	return buf
 }
 
-// IsFrameIndex reports whether a version-3 frame payload is the frame
-// index rather than a record.
+// IsFrameIndex reports whether a frame payload is the frame index rather
+// than a record.
 func IsFrameIndex(payload []byte) bool {
 	return len(payload) > 0 && payload[0] == frameIndexMarker
 }
@@ -146,17 +132,10 @@ func DecodeFrameIndex(payload []byte) ([]uint32, bool) {
 
 // openLogBlock reads back a sealed log file's frame index as a block:
 // ordinal i is frame i, its record the frame's payload. A file without
-// a valid index is not sealed, and no directory may name it. The caller
-// owns f until this succeeds.
+// a valid index is not sealed, and no directory may name it. openBlock
+// has checked the header; the caller owns f.
 func openLogBlock(path string, f *os.File, size int64) (*block, error) {
 	le := binary.LittleEndian
-	head := make([]byte, LogHeaderSize)
-	if _, err := f.ReadAt(head, 0); err != nil {
-		return nil, corruptIfShort(err)
-	}
-	if string(head[:4]) != LogMagic || le.Uint16(head[4:]) != LogVersion {
-		return nil, ErrCorrupt
-	}
 	if size < LogHeaderSize+FrameHeaderSize+1+8 {
 		return nil, fmt.Errorf("log file not sealed: %w", ErrCorrupt)
 	}
@@ -195,6 +174,5 @@ func openLogBlock(path string, f *os.File, size int64) (*block, error) {
 		offsets[i] = uint64(s) + FrameHeaderSize
 		prev = int64(s) + FrameHeaderSize
 	}
-	return newBlock(&block{path: path, f: f, version: LogVersion, log: true,
-		offsets: offsets, end: uint64(at), size: size}), nil
+	return newBlock(&block{path: path, f: f, log: true, offsets: offsets, end: uint64(at), size: size}), nil
 }

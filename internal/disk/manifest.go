@@ -20,29 +20,22 @@ import (
 // leave the PREVIOUS manifest plus staged orphans, never a half-written
 // one. Torn or bit-rotted manifests are still handled: the decoder
 // never panics, and Open falls back to adopting the segment files it
-// finds (see the recovery rules on openLeveled).
+// finds (see the recovery rules on openLeveled). A manifest of an older
+// version is not adopted around: it is ErrNeedsUpgrade.
 //
 // Manifest file layout (all integers little-endian):
 //
 //	header : magic "KFMF" | u16 version | u16 reserved | u64 nextSeq |
-//	         u64 maxRecordID (version 2; absent in version 1)
+//	         u64 maxRecordID
 //	live   : u32 n, then per entry: u32 level | u16 nameLen | name
 //	retired: u32 n, then per entry: u16 nameLen | name
-//	drained: u32 n, then per entry: u16 nameLen | name (version 3)
+//	drained: u32 n, then per entry: u16 nameLen | name
 //	footer : u32 crc32-IEEE of everything above | magic "KFMN"
-//
-// Version 1 manifests (written before the record-ID high-water mark was
-// persisted) still decode, with MaxRecordID zero; Open recomputes it
-// from the blocks. Version 2 manifests (before the log became the record
-// store) decode with no drained log file. The next commit writes
-// version 3.
 const (
-	manifestName      = "manifest.kfm"
-	manifestMagic     = "KFMF"
-	manifestEndMagic  = "KFMN"
-	manifestVersion   = 3
-	manifestVersionV2 = 2
-	manifestVersionV1 = 1
+	manifestName     = "manifest.kfm"
+	manifestMagic    = "KFMF"
+	manifestEndMagic = "KFMN"
+	manifestVersion  = 3
 	// manifestMaxName bounds a decoded entry name; segment names are
 	// short ("seg-00000001.kfs"), so anything longer is corruption.
 	manifestMaxName = 255
@@ -72,7 +65,7 @@ type Manifest struct {
 	// MaxRecordID is the highest record ID any segment the tier ever
 	// installed holds, committed by the edit that installs the segment:
 	// the engine resumes its ID counter past it, so the ID of an evicted
-	// record is never handed out again. Zero in a version-1 manifest.
+	// record is never handed out again.
 	MaxRecordID uint64
 	// Live lists every committed segment with its level.
 	Live []ManifestEntry
@@ -125,12 +118,13 @@ func encodeManifest(buf []byte, m Manifest) []byte {
 // decodeManifest parses a manifest file's bytes. It is defensive end to
 // end — truncations, bit flips, and hostile length fields return
 // ErrCorruptManifest, never panic — because Open feeds it whatever a
-// crash (or FuzzManifestDecode) left on disk.
+// crash (or FuzzManifestDecode) left on disk. An intact manifest of an
+// older version is ErrNeedsUpgrade.
 func decodeManifest(b []byte) (Manifest, error) {
 	var m Manifest
-	const headerSizeV1 = 4 + 2 + 2 + 8
 	const footerSize = 4 + 4
-	if len(b) < headerSizeV1+4+4+footerSize {
+	// Every version starts magic | version and ends with the footer.
+	if len(b) < 8+footerSize {
 		return m, fmt.Errorf("%w: %d bytes is too short", ErrCorruptManifest, len(b))
 	}
 	if string(b[:4]) != manifestMagic {
@@ -143,80 +137,32 @@ func decodeManifest(b []byte) (Manifest, error) {
 	if got, want := crc32.ChecksumIEEE(b[:crcPos]), binary.LittleEndian.Uint32(b[crcPos:]); got != want {
 		return m, fmt.Errorf("%w: checksum mismatch (got %08x want %08x)", ErrCorruptManifest, got, want)
 	}
-	m.NextSeq = binary.LittleEndian.Uint64(b[8:])
-	pos := headerSizeV1
-	need := func(n int) bool { return pos+n <= crcPos }
-	version := binary.LittleEndian.Uint16(b[4:])
-	switch version {
-	case manifestVersionV1:
-	case manifestVersionV2, manifestVersion:
-		if !need(8) {
-			return Manifest{}, fmt.Errorf("%w: truncated header", ErrCorruptManifest)
-		}
-		m.MaxRecordID = binary.LittleEndian.Uint64(b[pos:])
-		pos += 8
-	default:
-		return Manifest{}, fmt.Errorf("%w: unsupported version %d", ErrCorruptManifest, version)
+	switch version := binary.LittleEndian.Uint16(b[4:]); {
+	case version > 0 && version < manifestVersion:
+		return m, fmt.Errorf("manifest version %d: %w", version, ErrNeedsUpgrade)
+	case version != manifestVersion:
+		return m, fmt.Errorf("%w: unsupported version %d", ErrCorruptManifest, version)
 	}
-	if !need(4) {
-		return Manifest{}, fmt.Errorf("%w: truncated live count", ErrCorruptManifest)
+	// Every entry takes at least 2 bytes (6 live), so a hostile count
+	// ends its loop at the first truncation, allocating nothing more.
+	r := recReader{b: b[:crcPos], pos: 8}
+	m.NextSeq, m.MaxRecordID = r.u64(), r.u64()
+	for n := r.u32(); n > 0 && !r.bad; n-- {
+		level, name := r.u32(), r.str(uint64(r.u16()))
+		r.bad = r.bad || level > manifestMaxLevel || len(name) > manifestMaxName
+		m.Live = append(m.Live, ManifestEntry{Name: name, Level: int(level)})
 	}
-	nLive := int(binary.LittleEndian.Uint32(b[pos:]))
-	pos += 4
-	// Each live entry takes at least 6 bytes; an nLive that cannot fit
-	// is a hostile length field, rejected before any allocation.
-	if nLive < 0 || nLive > (crcPos-pos)/6 {
-		return Manifest{}, fmt.Errorf("%w: implausible live count %d", ErrCorruptManifest, nLive)
+	names := func() (out []string) {
+		for n := r.u32(); n > 0 && !r.bad; n-- {
+			name := r.str(uint64(r.u16()))
+			r.bad = r.bad || len(name) > manifestMaxName
+			out = append(out, name)
+		}
+		return out
 	}
-	for i := 0; i < nLive; i++ {
-		if !need(6) {
-			return Manifest{}, fmt.Errorf("%w: truncated live entry %d", ErrCorruptManifest, i)
-		}
-		level := int(binary.LittleEndian.Uint32(b[pos:]))
-		pos += 4
-		nameLen := int(binary.LittleEndian.Uint16(b[pos:]))
-		pos += 2
-		if level > manifestMaxLevel || nameLen > manifestMaxName || !need(nameLen) {
-			return Manifest{}, fmt.Errorf("%w: bad live entry %d", ErrCorruptManifest, i)
-		}
-		m.Live = append(m.Live, ManifestEntry{Name: string(b[pos : pos+nameLen]), Level: level})
-		pos += nameLen
-	}
-	names := func(what string) ([]string, error) {
-		if !need(4) {
-			return nil, fmt.Errorf("%w: truncated %s count", ErrCorruptManifest, what)
-		}
-		n := int(binary.LittleEndian.Uint32(b[pos:]))
-		pos += 4
-		if n < 0 || n > (crcPos-pos)/2 {
-			return nil, fmt.Errorf("%w: implausible %s count %d", ErrCorruptManifest, what, n)
-		}
-		var out []string
-		for i := 0; i < n; i++ {
-			if !need(2) {
-				return nil, fmt.Errorf("%w: truncated %s entry %d", ErrCorruptManifest, what, i)
-			}
-			nameLen := int(binary.LittleEndian.Uint16(b[pos:]))
-			pos += 2
-			if nameLen > manifestMaxName || !need(nameLen) {
-				return nil, fmt.Errorf("%w: bad %s entry %d", ErrCorruptManifest, what, i)
-			}
-			out = append(out, string(b[pos:pos+nameLen]))
-			pos += nameLen
-		}
-		return out, nil
-	}
-	var err error
-	if m.Retired, err = names("retired"); err != nil {
-		return Manifest{}, err
-	}
-	if version == manifestVersion {
-		if m.Drained, err = names("drained"); err != nil {
-			return Manifest{}, err
-		}
-	}
-	if pos != crcPos {
-		return Manifest{}, fmt.Errorf("%w: %d trailing bytes", ErrCorruptManifest, crcPos-pos)
+	m.Retired, m.Drained = names(), names()
+	if r.bad || r.pos != crcPos {
+		return Manifest{}, fmt.Errorf("%w: truncated entries or trailing bytes", ErrCorruptManifest)
 	}
 	return m, nil
 }
@@ -226,8 +172,8 @@ func decodeManifest(b []byte) (Manifest, error) {
 func DecodeManifest(b []byte) (Manifest, error) { return decodeManifest(b) }
 
 // ReadManifest loads and decodes dir's manifest. os.ErrNotExist when no
-// manifest file exists (a directory no tier has opened since PR 6);
-// ErrCorruptManifest when the file fails validation.
+// manifest file exists; ErrCorruptManifest when the file fails
+// validation; ErrNeedsUpgrade when it is of an older version.
 func ReadManifest(dir string) (Manifest, error) {
 	b, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -283,5 +229,5 @@ func writeManifest(dir string, m Manifest) error {
 		return fmt.Errorf("disk: rename manifest: %w", err)
 	}
 	ok = true
-	return syncDir(dir)
+	return SyncDir(dir)
 }

@@ -25,6 +25,25 @@ func inode(t *testing.T, path string) uint64 {
 
 func sum(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
 
+// fileIdentity is what must not change about a file nothing rewrote.
+func fileIdentity(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%d bytes, inode %d, sum %x", len(b), inode(t, path), sum(b))
+}
+
+// blockVersions renders a segment's block table as name/version pairs.
+func blockVersions(info SegmentInfo) string {
+	out := ""
+	for _, b := range info.Blocks {
+		out += fmt.Sprintf("%s/v%d ", b.Name, b.Version)
+	}
+	return out
+}
+
 // dirFiles maps every file under dir matching pattern to its identity
 // (size, inode, checksum).
 func dirFiles(t *testing.T, dir, pattern string) map[string]string {

@@ -14,10 +14,10 @@ import (
 	"kflushing/internal/types"
 )
 
-// syncDir fsyncs a directory so a just-renamed file's entry is durable:
+// SyncDir fsyncs a directory so a just-renamed file's entry is durable:
 // without it a crash can forget the rename even though the file data
 // itself was synced.
-func syncDir(dir string) error {
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("disk: open directory for sync: %w", err)
@@ -57,24 +57,34 @@ func syncDir(dir string) error {
 // A record ID stored in two blocks (a crash-recovery re-flush) is posted
 // from the newest block only; the older copy stays in its block as dead
 // weight, totalled in shadowedBytes.
-//
-// Legacy v2 files — records, offsets, an unsorted key section, Bloom and
-// footer in one file, written before PR 22 — still open, as a block and
-// a directory over it in one file, and are never rewritten:
-//
-//	v2 footer: u64 offsetsPos | u64 keysPos | u64 bloomPos
-//	           | f64 maxScore | "KFND"
 const (
 	segMagic      = "KFSG"
 	segEndMagic   = "KFND"
-	segVersionV2  = 2
-	segVersion    = 3 // the one write version
+	segVersion    = 3
 	segHeaderSize = 4 + 2 + 2 + 4
-	segFooterSize = 8 + 8 + 8 + 8 + 4 // v2 and v3 alike
+	segFooterSize = 8 + 8 + 8 + 8 + 4
 )
 
 // ErrCorrupt reports a malformed or truncated segment file.
 var ErrCorrupt = errors.New("disk: corrupt segment")
+
+// ErrNeedsUpgrade reports a file this build no longer reads — an older
+// version of a known file kind, or a log in <dir>/wal — which the offline
+// upgrade rewrites in current formats.
+var ErrNeedsUpgrade = errors.New("retired file format: run `kflushctl upgrade <dir>` on the store directory first")
+
+// checkVersion accepts the one version a reader knows. An older version
+// of the same file kind needs the upgrade; any other is corruption.
+func checkVersion(kind string, got, want uint16) error {
+	if got == want {
+		return nil
+	}
+	err := ErrCorrupt
+	if got > 0 && got < want {
+		err = ErrNeedsUpgrade
+	}
+	return fmt.Errorf("%s version %d: %w", kind, got, err)
+}
 
 // FlushRecord is one record handed to the disk tier: the microblog and
 // the ranking score computed at its arrival.
@@ -82,7 +92,7 @@ type FlushRecord struct {
 	MB    *types.Microblog
 	Score float64
 	// LogSeq names the write-ahead-log file holding the record's newest
-	// frame (0 = a legacy snapshot, or no log), and LogOrd the frame's
+	// frame (0 = no log), and LogOrd the frame's
 	// ordinal in it. The log stamps both (append, replay, relocation); a
 	// failed flush hands the record's claim on that file to the wrapper it
 	// restores; and a Logged tier's flush posts the record at that frame
@@ -90,24 +100,7 @@ type FlushRecord struct {
 	LogSeq, LogOrd uint32
 }
 
-// Codec names a record encoding. Record blocks and log files are
-// versioned; the version says which codec their records use.
-type Codec uint8
-
-const (
-	// CodecFixed is the fixed-width encoding of v2 segment files, v3
-	// blocks and version-1 log files. It is read, never written:
-	//
-	//	u64 ID | i64 timestamp | u64 user | u32 followers | u8 geo
-	//	| f64 score | f64 lat | f64 lon | u16 nkw, (u16 len, bytes)*
-	//	| u32 textLen, text
-	CodecFixed Codec = 1
-	// CodecCompact is the one write encoding, for v4 blocks and
-	// version-2 log files (see appendRecord).
-	CodecCompact Codec = 2
-)
-
-// Flag bits of a CodecCompact record.
+// Flag bits of an encoded record.
 const (
 	flagGeo     = 1 << 0 // HasGeo
 	flagTSScore = 1 << 1 // the score is float64(timestamp), bit for bit, and is not stored
@@ -115,20 +108,19 @@ const (
 	flagsKnown  = flagGeo | flagTSScore | flagCoords
 )
 
-// fixedLenBase is the CodecFixed length of a record with no keywords
-// and no text.
+// fixedLenBase is the length of a record with no keywords and no text in
+// the fixed-width encoding the record cache's size model is based on.
 const fixedLenBase = 8 + 8 + 8 + 4 + 1 + 8 + 8 + 8 + 2 + 4
 
-// EncodeRecord appends the CodecCompact encoding of fr to buf and
-// returns the extended slice. The write-ahead log frames the same
-// encoding.
+// EncodeRecord appends the encoding of fr to buf and returns the
+// extended slice. The write-ahead log frames the same encoding.
 func EncodeRecord(buf []byte, fr FlushRecord) []byte { return appendRecord(buf, fr) }
 
-// DecodeRecord decodes one record in codec c from the front of b,
-// returning it and the number of bytes consumed.
-func DecodeRecord(b []byte, c Codec) (FlushRecord, int, error) { return decodeRecord(b, c) }
+// DecodeRecord decodes one record from the front of b, returning it and
+// the number of bytes consumed.
+func DecodeRecord(b []byte) (FlushRecord, int, error) { return decodeRecord(b) }
 
-// appendRecord writes CodecCompact:
+// appendRecord writes the record encoding:
 //
 //	flags u8 | uvarint ID | varint timestamp | [f64 score]
 //	| uvarint user | uvarint followers | [f64 lat, f64 lon]
@@ -173,8 +165,9 @@ func appendRecord(buf []byte, fr FlushRecord) []byte {
 	return append(buf, m.Text...)
 }
 
-// fixedLen is fr's length under CodecFixed: a function of the decoded
-// record alone, whichever codec it was read from.
+// fixedLen is fr's length in the fixed-width encoding: a function of the
+// decoded record alone, which the record cache charges so that its
+// behaviour does not move with the on-disk encoding.
 func fixedLen(fr FlushRecord) int64 {
 	n := int64(fixedLenBase + len(fr.MB.Text))
 	for _, kw := range fr.MB.Keywords {
@@ -209,6 +202,13 @@ func (r *recReader) u8() byte {
 	return 0
 }
 
+func (r *recReader) u64() uint64 {
+	if p := r.take(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
+}
+
 func (r *recReader) u16() uint16 {
 	if p := r.take(2); p != nil {
 		return binary.LittleEndian.Uint16(p)
@@ -219,13 +219,6 @@ func (r *recReader) u16() uint16 {
 func (r *recReader) u32() uint32 {
 	if p := r.take(4); p != nil {
 		return binary.LittleEndian.Uint32(p)
-	}
-	return 0
-}
-
-func (r *recReader) u64() uint64 {
-	if p := r.take(8); p != nil {
-		return binary.LittleEndian.Uint64(p)
 	}
 	return 0
 }
@@ -259,8 +252,8 @@ func (r *recReader) varint() int64 {
 // str reads n bytes as a string.
 func (r *recReader) str(n uint64) string { return string(r.take(n)) }
 
-// compactRank reads a CodecCompact rank prefix: flags, ID, timestamp
-// and the score, stored or implied.
+// compactRank reads a record's rank prefix: flags, ID, timestamp and the
+// score, stored or implied.
 func (r *recReader) compactRank() (flags byte, id uint64, ts int64, score float64) {
 	flags = r.u8()
 	if flags&^flagsKnown != 0 {
@@ -276,40 +269,24 @@ func (r *recReader) compactRank() (flags byte, id uint64, ts int64, score float6
 	return flags, id, ts, score
 }
 
-func decodeRecord(b []byte, c Codec) (FlushRecord, int, error) {
+func decodeRecord(b []byte) (FlushRecord, int, error) {
 	r := recReader{b: b}
 	m := &types.Microblog{}
 	fr := FlushRecord{MB: m}
-	var nkw uint64
-	switch c {
-	case CodecFixed:
-		m.ID = types.ID(r.u64())
-		m.Timestamp = types.Timestamp(r.u64())
-		m.UserID = r.u64()
-		m.Followers = r.u32()
-		m.HasGeo = r.u8() == 1
-		fr.Score = math.Float64frombits(r.u64())
+	flags, id, ts, score := r.compactRank()
+	m.ID, m.Timestamp, fr.Score = types.ID(id), types.Timestamp(ts), score
+	m.HasGeo = flags&flagGeo != 0
+	m.UserID = r.uvarint()
+	followers := r.uvarint()
+	if followers > math.MaxUint32 {
+		r.bad = true
+	}
+	m.Followers = uint32(followers)
+	if flags&flagCoords != 0 {
 		m.Lat = math.Float64frombits(r.u64())
 		m.Lon = math.Float64frombits(r.u64())
-		nkw = uint64(r.u16())
-	case CodecCompact:
-		flags, id, ts, score := r.compactRank()
-		m.ID, m.Timestamp, fr.Score = types.ID(id), types.Timestamp(ts), score
-		m.HasGeo = flags&flagGeo != 0
-		m.UserID = r.uvarint()
-		followers := r.uvarint()
-		if followers > math.MaxUint32 {
-			r.bad = true
-		}
-		m.Followers = uint32(followers)
-		if flags&flagCoords != 0 {
-			m.Lat = math.Float64frombits(r.u64())
-			m.Lon = math.Float64frombits(r.u64())
-		}
-		nkw = r.uvarint()
-	default:
-		return FlushRecord{}, 0, ErrCorrupt
 	}
+	nkw := r.uvarint()
 	// Every keyword takes at least one byte: a count that cannot fit is
 	// a hostile length, refused before the allocation.
 	if r.bad || nkw > uint64(len(b)-r.pos) {
@@ -318,18 +295,10 @@ func decodeRecord(b []byte, c Codec) (FlushRecord, int, error) {
 	if nkw > 0 {
 		m.Keywords = make([]string, nkw)
 		for i := range m.Keywords {
-			if c == CodecFixed {
-				m.Keywords[i] = r.str(uint64(r.u16()))
-			} else {
-				m.Keywords[i] = r.str(r.uvarint())
-			}
+			m.Keywords[i] = r.str(r.uvarint())
 		}
 	}
-	if c == CodecFixed {
-		m.Text = r.str(uint64(r.u32()))
-	} else {
-		m.Text = r.str(r.uvarint())
-	}
+	m.Text = r.str(r.uvarint())
 	if r.bad {
 		return FlushRecord{}, 0, ErrCorrupt
 	}
@@ -338,18 +307,9 @@ func decodeRecord(b []byte, c Codec) (FlushRecord, int, error) {
 
 // decodeRank reads only the ID and score of the record at the front of
 // b — all a merge ranks by, and all the ID high-water read-back needs.
-func decodeRank(b []byte, c Codec) (id uint64, score float64, err error) {
+func decodeRank(b []byte) (id uint64, score float64, err error) {
 	r := recReader{b: b}
-	switch c {
-	case CodecFixed:
-		id = r.u64()
-		r.take(8 + 8 + 4 + 1) // timestamp, user, followers, geo
-		score = math.Float64frombits(r.u64())
-	case CodecCompact:
-		_, id, _, score = r.compactRank()
-	default:
-		r.bad = true
-	}
+	_, id, _, score = r.compactRank()
 	if r.bad {
 		return 0, 0, ErrCorrupt
 	}
@@ -447,7 +407,7 @@ func (st *stagedFile) install() error {
 	if err := os.Rename(st.tmpPath, st.path); err != nil {
 		return fmt.Errorf("disk: rename %s: %w", filepath.Base(st.path), err)
 	}
-	return syncDir(filepath.Dir(st.path))
+	return SyncDir(filepath.Dir(st.path))
 }
 
 // discard removes the file under whichever name it currently has.
@@ -467,9 +427,8 @@ func (st *stagedFile) discard() {
 // without yanking it — or the blocks it holds references on — from
 // under concurrent readers.
 type segment struct {
-	path    string
-	version uint16
-	count   uint32 // live records: stored in a named block and posted from it
+	path  string
+	count uint32 // live records: stored in a named block and posted from it
 
 	blocks []*block
 	base   []uint32 // base[i] = first ordinal of blocks[i]; base[len(blocks)] = total
@@ -491,7 +450,7 @@ type segment struct {
 // taken one reference each on; the segment keeps them until its own last
 // reference goes. The caller owns the segment's first reference.
 func newSegment(path string, blocks []*block) *segment {
-	s := &segment{path: path, version: segVersion, blocks: blocks, base: make([]uint32, len(blocks)+1)}
+	s := &segment{path: path, blocks: blocks, base: make([]uint32, len(blocks)+1)}
 	for i, b := range blocks {
 		s.base[i+1] = s.base[i] + b.count()
 	}
@@ -502,10 +461,6 @@ func newSegment(path string, blocks []*block) *segment {
 // name returns the segment's file name, its identity in traces and
 // admin output.
 func (s *segment) name() string { return filepath.Base(s.path) }
-
-// legacy reports whether the directory lives in the same (v2) file as
-// its one block.
-func (s *segment) legacy() bool { return s.version == segVersionV2 }
 
 // acquire takes a reference for a reader.
 func (s *segment) acquire() { s.refs.Add(1) }
@@ -519,23 +474,11 @@ func (s *segment) release() {
 	}
 }
 
-// names reports whether b is in the segment's block table.
-func (s *segment) names(b *block) bool {
-	for _, have := range s.blocks {
-		if have == b {
-			return true
-		}
-	}
-	return false
-}
-
 // dataBytes is the directory file plus every block it names.
 func (s *segment) dataBytes() int64 {
 	n := s.size
 	for _, b := range s.blocks {
-		if b.path != s.path {
-			n += b.size
-		}
+		n += b.size
 	}
 	return n
 }
@@ -635,51 +578,36 @@ func (s *segment) encode(buf []byte) []byte {
 	return append(buf, segEndMagic...)
 }
 
-// decodeKeys parses a key section into resident form. Every posting
-// must be below limit; the parse is bounds-checked end to end because
-// Open feeds it whatever a crash or bit rot left on disk.
+// decodeKeys parses a key section into resident form: keys ascending,
+// every posting below limit, no list posting one ordinal twice in a row
+// (a ranked list cannot). It is bounds-checked end to end because Open
+// feeds it whatever a crash or bit rot left on disk.
 func decodeKeys(b []byte, limit uint32) (keys []string, start, posts []uint32, err error) {
-	le := binary.LittleEndian
-	if len(b) < 4 {
-		return nil, nil, nil, ErrCorrupt
-	}
-	nkeys := int(le.Uint32(b))
-	pos := 4
+	r := recReader{b: b}
 	// Each key takes at least 6 bytes: a count that cannot fit is a
 	// hostile length field, rejected before any allocation.
-	if nkeys > (len(b)-pos)/6 {
+	nkeys := int(r.u32())
+	if r.bad || nkeys > (len(b)-4)/6 {
 		return nil, nil, nil, ErrCorrupt
 	}
 	start = make([]uint32, 1, nkeys+1)
-	posts = make([]uint32, 0, (len(b)-pos-6*nkeys)/4)
+	posts = make([]uint32, 0, (len(b)-4-6*nkeys)/4)
 	ends := make([]int, 0, nkeys)
 	var keyBytes []byte
-	for i := 0; i < nkeys; i++ {
-		if len(b)-pos < 2 {
-			return nil, nil, nil, ErrCorrupt
-		}
-		kl := int(le.Uint16(b[pos:]))
-		pos += 2
-		if len(b)-pos < kl+4 {
-			return nil, nil, nil, ErrCorrupt
-		}
-		keyBytes = append(keyBytes, b[pos:pos+kl]...)
+	for i := 0; i < nkeys && !r.bad; i++ {
+		keyBytes = append(keyBytes, r.take(uint64(r.u16()))...)
 		ends = append(ends, len(keyBytes))
-		pos += kl
-		n := int(le.Uint32(b[pos:]))
-		pos += 4
-		if n > (len(b)-pos)/4 {
-			return nil, nil, nil, ErrCorrupt
-		}
-		for j := 0; j < n; j++ {
-			p := le.Uint32(b[pos:])
-			pos += 4
-			if p >= limit {
-				return nil, nil, nil, ErrCorrupt
-			}
+		n := int(r.u32())
+		r.bad = r.bad || n > (len(b)-r.pos)/4
+		for j := 0; j < n && !r.bad; j++ {
+			p := r.u32()
+			r.bad = r.bad || p >= limit || j > 0 && p == posts[len(posts)-1]
 			posts = append(posts, p)
 		}
 		start = append(start, uint32(len(posts)))
+	}
+	if r.bad {
+		return nil, nil, nil, ErrCorrupt
 	}
 	// One backing string for every key: a directory holds tens of
 	// thousands, and Open decodes all of them.
@@ -690,29 +618,10 @@ func decodeKeys(b []byte, limit uint32) (keys []string, start, posts []uint32, e
 		keys[i] = all[from:to]
 		from = to
 	}
+	if !sort.StringsAreSorted(keys) {
+		return nil, nil, nil, ErrCorrupt
+	}
 	return keys, start, posts, nil
-}
-
-// sortKeys puts a legacy (unsorted) key section into ascending key
-// order, carrying each key's posting list along.
-func sortKeys(keys []string, start, posts []uint32) ([]string, []uint32, []uint32) {
-	if sort.StringsAreSorted(keys) {
-		return keys, start, posts
-	}
-	order := make([]int, len(keys))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-	outKeys := make([]string, 0, len(keys))
-	outStart := make([]uint32, 1, len(start))
-	outPosts := make([]uint32, 0, len(posts))
-	for _, i := range order {
-		outKeys = append(outKeys, keys[i])
-		outPosts = append(outPosts, posts[start[i]:start[i+1]]...)
-		outStart = append(outStart, uint32(len(outPosts)))
-	}
-	return outKeys, outStart, outPosts
 }
 
 // blockSet shares one open block per file among the directories naming
@@ -736,6 +645,21 @@ func (bs blockSet) get(dir, name string) (*block, error) {
 	return b, nil
 }
 
+// maxRecordID reads the highest record ID back from the blocks' records.
+func (bs blockSet) maxRecordID() (uint64, error) {
+	var maxID uint64
+	for _, b := range bs {
+		ids, scores := make([]uint64, b.count()), make([]float64, b.count())
+		if err := b.scanRanks(ids, scores, nil); err != nil {
+			return 0, err
+		}
+		for _, id := range ids {
+			maxID = max(maxID, id)
+		}
+	}
+	return maxID, nil
+}
+
 func (bs blockSet) release() {
 	for _, b := range bs {
 		b.release()
@@ -745,81 +669,31 @@ func (bs blockSet) release() {
 // openSegment reads a directory file back into resident form, resolving
 // the blocks it names through bs. The caller owns the first reference.
 func openSegment(path string, bs blockSet) (*segment, error) {
-	f, err := os.Open(path)
+	img, err := os.ReadFile(path) // everything needed is resident on return
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close() // read-only, and everything needed is resident on return
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	size := st.Size()
-	if size < segHeaderSize+segFooterSize {
+	size, le := len(img), binary.LittleEndian
+	if size < segHeaderSize+segFooterSize || string(img[:4]) != segMagic || string(img[size-4:]) != segEndMagic {
 		return nil, ErrCorrupt
 	}
-	le := binary.LittleEndian
-	head := make([]byte, segHeaderSize)
-	foot := make([]byte, segFooterSize)
-	if _, err := f.ReadAt(head, 0); err != nil {
+	if err := checkVersion("directory", le.Uint16(img[4:]), segVersion); err != nil {
 		return nil, err
 	}
-	if _, err := f.ReadAt(foot, size-segFooterSize); err != nil {
-		return nil, err
-	}
-	if string(head[:4]) != segMagic || string(foot[segFooterSize-4:]) != segEndMagic {
+	foot := img[size-segFooterSize:]
+	keysPos, bloomPos := le.Uint64(foot[0:]), le.Uint64(foot[8:])
+	if keysPos < segHeaderSize || keysPos > bloomPos || bloomPos > uint64(size-segFooterSize) {
 		return nil, ErrCorrupt
 	}
-	version := le.Uint16(head[4:])
-	maxScore := math.Float64frombits(le.Uint64(foot[24:]))
-
-	// buf holds the file from bufPos up to the footer: all of a v3
-	// directory, only the key section and Bloom of a legacy file.
-	var bufPos, keysPos, bloomPos uint64
-	var shadowed int64
-	switch version {
-	case segVersionV2:
-		keysPos, bloomPos = le.Uint64(foot[8:]), le.Uint64(foot[16:])
-		bufPos = keysPos
-	case segVersion:
-		keysPos, bloomPos = le.Uint64(foot[0:]), le.Uint64(foot[8:])
-		shadowed = int64(le.Uint64(foot[16:]))
-		bufPos = segHeaderSize
-	default:
-		return nil, ErrCorrupt
-	}
-	if keysPos < bufPos || keysPos > bloomPos || bloomPos > uint64(size-segFooterSize) {
-		return nil, ErrCorrupt
-	}
-	buf := make([]byte, uint64(size-segFooterSize)-bufPos)
-	if _, err := f.ReadAt(buf, int64(bufPos)); err != nil {
-		return nil, err
-	}
-
+	table := recReader{b: img[:keysPos], pos: segHeaderSize}
 	var names []string
 	var counts []uint32
-	if version == segVersionV2 {
-		// The file is its own one block; the header count is the block's.
-		names, counts = []string{filepath.Base(path)}, []uint32{le.Uint32(head[8:])}
-	} else {
-		table := buf[:keysPos-bufPos]
-		if len(table) < 4 {
-			return nil, ErrCorrupt
-		}
-		n := int(le.Uint32(table))
-		table = table[4:]
-		for i := 0; i < n; i++ {
-			if len(table) < 2 {
-				return nil, ErrCorrupt
-			}
-			nl := int(le.Uint16(table))
-			if nl > manifestMaxName || len(table) < 2+nl+4 {
-				return nil, ErrCorrupt
-			}
-			names = append(names, string(table[2:2+nl]))
-			counts = append(counts, le.Uint32(table[2+nl:]))
-			table = table[2+nl+4:]
-		}
+	for n := table.u32(); n > 0 && !table.bad; n-- {
+		name := table.str(uint64(table.u16()))
+		names, counts = append(names, name), append(counts, table.u32())
+	}
+	if table.bad {
+		return nil, ErrCorrupt
 	}
 	dir := filepath.Dir(path)
 	blocks := make([]*block, 0, len(names))
@@ -846,20 +720,14 @@ func openSegment(path string, bs blockSet) (*segment, error) {
 		}
 	}
 	s := newSegment(path, blocks)
-	s.version = version
-	s.maxScore = maxScore
-	s.shadowed = shadowed
-	s.size = size
-	s.count = le.Uint32(head[8:])
-	if s.keys, s.start, s.posts, err = decodeKeys(buf[keysPos-bufPos:bloomPos-bufPos], s.base[len(blocks)]); err != nil {
+	s.maxScore = math.Float64frombits(le.Uint64(foot[24:]))
+	s.shadowed = int64(le.Uint64(foot[16:]))
+	s.size = int64(size)
+	s.count = le.Uint32(img[8:])
+	if s.keys, s.start, s.posts, err = decodeKeys(img[keysPos:bloomPos], s.base[len(blocks)]); err != nil {
 		return nil, err
 	}
-	if version == segVersionV2 {
-		s.keys, s.start, s.posts = sortKeys(s.keys, s.start, s.posts)
-	} else if !sort.StringsAreSorted(s.keys) {
-		return nil, ErrCorrupt
-	}
-	if s.bloom, _, err = decodeBloom(buf[bloomPos-bufPos:]); err != nil {
+	if s.bloom, _, err = decodeBloom(img[bloomPos : size-segFooterSize]); err != nil {
 		return nil, err
 	}
 	s.sealKeys()

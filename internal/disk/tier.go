@@ -23,13 +23,13 @@
 // History: until PR 6 the tier was one ever-growing flat list of seg-*
 // files with oldest-half compaction and no manifest; that layout shipped
 // beside this one behind a knob until PR 18 deleted it. Its measurements
-// are in results/pr6_leveled_bench.txt, its files still open (adoption
-// rule 4 of openLeveled), and a tier with compaction disabled searches
-// exactly as it did, which is what the equivalence tests use as their
-// reference.
+// are in EXPERIMENTS.md "Leveled disk tier", and a tier with compaction
+// disabled searches exactly as it did, which is what the equivalence
+// tests use as their reference.
 package disk
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"os"
@@ -383,15 +383,13 @@ func Open[K comparable](cfg Config[K]) (*Tier[K], error) {
 //     rewrite never tears it itself): adopt everything, seg-* at L0
 //     and lvl-* at L1. Retired-but-undeleted inputs resurface as
 //     duplicates; tolerated, because search deduplicates by ID and
-//     the next compaction merges them away. Nothing is ever lost.
-//     This is also how a directory written by the deleted flat
-//     layout (seg-* files, no manifest) opens.
+//     the next compaction merges them away. Nothing is ever lost. An
+//     older manifest version is refused (ErrNeedsUpgrade), not adopted.
 //  5. Blocks are not in the manifest; they are whatever the live
-//     directories name. A legacy seg-*/lvl-* file a live directory
-//     names is a block, so rules 2 and 3 leave it alone. A blk-* file
-//     no directory names is an uncommitted flush's orphan (crash
-//     between the block's rename and its directory's) or a fully
-//     shadowed block whose unlink a crash cut short: delete it.
+//     directories name. A blk-* file no directory names is an
+//     uncommitted flush's orphan (crash between the block's rename and
+//     its directory's) or a fully shadowed block whose unlink a crash
+//     cut short: delete it.
 //  6. Log files (wal-*.kfw) belong to the write-ahead log until the
 //     manifest lists them drained: an undrained one is never deleted
 //     here, named or not — its records may exist nowhere else. A
@@ -429,6 +427,9 @@ func (t *Tier[K]) openLeveled() (err error) {
 		}
 	}
 	m, merr := ReadManifest(t.cfg.Dir)
+	if errors.Is(merr, ErrNeedsUpgrade) {
+		return fmt.Errorf("disk: %s: %w", t.cfg.Dir, merr)
+	}
 	valid := merr == nil
 	if merr != nil && !os.IsNotExist(merr) {
 		slog.Warn("disk: manifest unreadable, adopting segment files",
@@ -459,8 +460,8 @@ func (t *Tier[K]) openLeveled() (err error) {
 	sweepBlocks := true
 	// The manifest's record-ID high-water mark covers the segments it
 	// lists; anything adopted beyond it (and everything, without a
-	// version-2 manifest) is read back from the blocks below.
-	rescanIDs := !valid || (m.MaxRecordID == 0 && len(m.Live) > 0)
+	// manifest) is read back from the blocks below.
+	rescanIDs := !valid
 	if valid {
 		listed := make(map[string]struct{}, len(m.Live)+len(m.Retired))
 		for _, name := range m.Retired {
@@ -494,9 +495,6 @@ func (t *Tier[K]) openLeveled() (err error) {
 		for _, p := range append(append([]string(nil), segPaths...), lvlPaths...) {
 			name := filepath.Base(p)
 			if _, ok := listed[name]; ok {
-				continue
-			}
-			if _, isBlock := named[name]; isBlock {
 				continue
 			}
 			if strings.HasPrefix(name, "seg-") {
@@ -558,14 +556,8 @@ func (t *Tier[K]) openLeveled() (err error) {
 	}
 	maxID := m.MaxRecordID
 	if rescanIDs {
-		for _, b := range bs {
-			ids, scores := make([]uint64, b.count()), make([]float64, b.count())
-			if err := b.scanRanks(ids, scores, nil); err != nil {
-				return err
-			}
-			for _, id := range ids {
-				maxID = max(maxID, id)
-			}
+		if maxID, err = bs.maxRecordID(); err != nil {
+			return err
 		}
 	}
 	t.maxID.Store(maxID)
@@ -1198,11 +1190,9 @@ func (t *Tier[K]) searchSegment(s *segment, keys []string, op query.Op, k int, d
 		// Read in file order, whatever order the keys came in.
 		sort.Slice(posts, func(i, j int) bool { return posts[i] < posts[j] })
 	case query.OpAnd:
-		// Intersect by counting; lists are short (per-key, per-segment).
-		// A duplicate posting (a record naming one key twice, possible
-		// in segments written before flush dedup) is adjacent — count it
-		// once or the intersection false-positives. Walking the first
-		// list keeps the survivors in rank order.
+		// Intersect by counting; lists are short (per-key, per-segment)
+		// and post a record at most once (decodeKeys checks). Walking the
+		// first list keeps the survivors in rank order.
 		counts := make(map[uint32]int)
 		var first []uint32
 		for i, key := range keys {
@@ -1211,18 +1201,12 @@ func (t *Tier[K]) searchSegment(s *segment, keys []string, op query.Op, k int, d
 			if i == 0 {
 				first = list
 			}
-			prev := int64(-1)
 			for _, p := range list {
-				if int64(p) == prev {
-					continue
-				}
-				prev = int64(p)
 				counts[p]++
 			}
 		}
 		for _, p := range first {
 			if counts[p] == len(keys) {
-				counts[p] = 0 // a duplicate posting must not match twice
 				if posts = append(posts, p); len(posts) == k {
 					break
 				}
@@ -1434,8 +1418,7 @@ func (t *Tier[K]) Stats() Stats {
 
 // MaxRecordID returns the highest record ID any segment this tier ever
 // installed holds, across restarts: the manifest carries it, and a
-// directory without a version-2 manifest has it read back from the
-// blocks at Open. The tier keeps every evicted record and search
+// directory without a manifest has it read back from the blocks at Open. The tier keeps every evicted record and search
 // deduplicates memory ∪ disk by ID, so the engine must never assign an
 // ID at or below it again.
 func (t *Tier[K]) MaxRecordID() uint64 { return t.maxID.Load() }

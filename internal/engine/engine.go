@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"path/filepath"
 	rtrace "runtime/trace"
 	"strings"
 	"sync"
@@ -233,6 +232,9 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		Shards:     cfg.Shards,
 		Pool:       alloc.NewSlicePool[*store.Record](cfg.AllocPolicy),
 	})
+	if err := wal.CheckDir(cfg.DiskDir); cfg.Durable && err != nil {
+		return nil, err
+	}
 	tier, err := disk.Open(disk.Config[K]{
 		Dir:    cfg.DiskDir,
 		KeysOf: cfg.KeysOf,
@@ -282,7 +284,6 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		wopt.Recorder = e.bbox
 		wopt.Drained = tier.LogDrained
 		wopt.OnDrained = e.drainLog
-		wopt.LegacyDir = filepath.Join(cfg.DiskDir, "wal")
 		w, err := wal.Open(cfg.DiskDir, wopt)
 		if err != nil {
 			// Construction failed; the open error is the one to
@@ -315,7 +316,7 @@ const recoverChunk = 4096
 // files. Replayed records keep their original IDs, timestamps and
 // scores, and each holds the claim Replay took on the frame it came
 // from; a record framed twice (a relocation the crash caught before the
-// source drained, a legacy log migrated twice) keeps one wrapper and
+// source drained, a log upgraded twice) keeps one wrapper and
 // moves its claim to the newer frame. The ID counter resumes past the
 // highest ID replayed (New started it past the highest ID flushed). Memory stays
 // bounded throughout: records reach the policy in chunks, and whenever

@@ -5,7 +5,7 @@
 // "disk/segment/rename" — where a test can inject a failure. In the
 // default build (no tags) every site compiles to an inlinable no-op: the
 // production binary carries zero overhead, which the benchmark in
-// results/pr5_failpoint_overhead.txt verifies. Under `-tags failpoint`
+// EXPERIMENTS.md "Fault injection" verifies. Under `-tags failpoint`
 // each site consults a process-global registry of armed actions:
 //
 //	off          disarmed (same as never enabled)
@@ -43,7 +43,6 @@ const (
 	WALSealSync         = "wal/seal/sync"          // a file taken out of service, its frame index not yet written and fsynced
 	WALRelocateAppended = "wal/relocate/appended"  // a sealed file's survivors re-appended, not yet fsynced
 	WALRelocateSynced   = "wal/relocate/synced"    // relocated frames durable, source file still claimed
-	WALMigrateRemove    = "wal/migrate/remove"     // a legacy log's records re-framed in a new fsynced file, the legacy files not yet removed
 
 	// Disk-tier sites (internal/disk).
 	DiskSegmentCreate      = "disk/segment/create"       // creating a staged file (block, directory, merged directory)
@@ -93,6 +92,7 @@ const (
 	WALReplayTruncate   = "wal/replay/truncate"   // truncating a tolerated torn tail during replay
 	WALCloseSync        = "wal/close/sync"        // the final fsync in Close
 	WALReclaimUnlink    = "wal/reclaim/unlink"    // unlinking a log file with no frames, or any unclaimed file of a log no tier owns
+	WALMigrateRemove    = "wal/migrate/remove"    // the offline upgrade: a log left in <dir>/wal re-framed in a new fsynced file, <dir>/wal not yet removed
 	DiskOpenMkdir       = "disk/open/mkdir"       // creating the tier directory (no segments exist yet)
 	DiskDirSync         = "disk/dir/sync"         // directory fsync after a rename (rename sites cover the crash)
 	DiskAdoptRemove     = "disk/adopt/remove"     // deleting retired inputs during manifest recovery (best-effort)
@@ -109,7 +109,7 @@ func CrashSites() []string {
 		WALAppend, WALAppendWrite, WALAppendAfterWrite,
 		WALSync,
 		WALRotateSeal, WALRotateCreate, WALRotateHeader, WALSealSync,
-		WALRelocateAppended, WALRelocateSynced, WALMigrateRemove,
+		WALRelocateAppended, WALRelocateSynced,
 		DiskSegmentCreate, DiskSegmentWrite, DiskSegmentDirWrite,
 		DiskSegmentSync, DiskSegmentRename, DiskBlockAfterRename, DiskSegmentAfterRename,
 		DiskCompactRename, DiskCompactRemove,

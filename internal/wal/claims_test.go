@@ -1,9 +1,7 @@
 package wal
 
 import (
-	"encoding/binary"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"kflushing/internal/disk"
@@ -287,41 +285,6 @@ func TestReplayRebuildsClaims(t *testing.T) {
 	re.Release(1, perFile[1])
 	if exists(dir, 1) {
 		t.Fatal("replayed file survives its last claim")
-	}
-}
-
-// TestSnapshotIsFileZero: the clean-shutdown snapshot a log directory
-// written before the log became the record store may hold replays as
-// file 0 and is reclaimed by the same rule as any other file.
-func TestSnapshotIsFileZero(t *testing.T) {
-	dir := t.TempDir()
-	snap := []disk.FlushRecord{fr(18), fr(19), fr(20)}
-	img := disk.AppendFrames(binary.LittleEndian.AppendUint16([]byte(disk.LogMagic), disk.LogVersionV2), snap)
-	if err := os.WriteFile(filepath.Join(dir, snapshotName), img, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	got := replayAll(t, re)
-	if len(got) != len(snap) {
-		t.Fatalf("replayed %d snapshot records, want %d", len(got), len(snap))
-	}
-	for i, r := range got {
-		if r.LogSeq != 0 || r.LogOrd != uint32(i) {
-			t.Fatalf("snapshot frame %d names file %d frame %d", r.MB.ID, r.LogSeq, r.LogOrd)
-		}
-	}
-	checkStatsMatchDir(t, re, dir)
-	re.Release(0, 2)
-	if _, err := os.Stat(filepath.Join(dir, snapshotName)); err != nil {
-		t.Fatal("snapshot unlinked while claimed")
-	}
-	re.Release(0, 1)
-	if _, err := os.Stat(filepath.Join(dir, snapshotName)); !os.IsNotExist(err) {
-		t.Fatal("snapshot survives its last claim")
 	}
 }
 

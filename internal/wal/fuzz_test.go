@@ -28,7 +28,7 @@ func FuzzReplayFile(f *testing.F) {
 	}
 	f.Add([]byte("KFWL"), false)
 	f.Add([]byte{}, true)
-	f.Add(v1File([]disk.FlushRecord{fr(1, "a"), fr(2, "b")}), false)
+	f.Add(disk.AppendFrames(disk.AppendLogHeader(nil), []disk.FlushRecord{fr(1, "a"), fr(2, "b")}), false)
 
 	f.Fuzz(func(t *testing.T, data []byte, last bool) {
 		path := filepath.Join(t.TempDir(), "wal-00000001.kfw")
@@ -37,16 +37,15 @@ func FuzzReplayFile(f *testing.F) {
 		}
 		// Must not panic; errors are fine. The reported valid prefix
 		// must stay inside the file: Replay truncates to it.
-		valid, _ := replayFile(path, last, func(disk.FlushRecord) error { return nil })
-		if valid < 0 || valid > int64(len(data)) {
+		p, _ := parseFile(path, last)
+		if valid := p.valid; valid < 0 || valid > int64(len(data)) {
 			t.Fatalf("valid prefix %d outside file of %d bytes", valid, len(data))
 		}
 	})
 }
 
-// FuzzTornTail takes a well-formed multi-record log — written by the
-// log, or a version-1 file from before PR 25 — tears it at an arbitrary
-// offset with an optional bit flip inside the tail, and checks replay
+// FuzzTornTail takes a well-formed multi-record log file written by the
+// log, tears it at an arbitrary offset with an optional bit flip inside the tail, and checks replay
 // never errors, never resurrects a partial record, and reports a valid
 // prefix that itself replays cleanly (truncation idempotence).
 func FuzzTornTail(f *testing.F) {
@@ -55,9 +54,7 @@ func FuzzTornTail(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var seeds []disk.FlushRecord
 	for i := uint64(1); i <= 8; i++ {
-		seeds = append(seeds, fr(i, "seed"))
 		if err := l.Append(fr(i, "seed")); err != nil {
 			f.Fatal(err)
 		}
@@ -70,19 +67,15 @@ func FuzzTornTail(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	v1 := v1File(seeds)
-	f.Add(len(current)-1, -1, false)
-	f.Add(headerSize+3, -1, false)
-	f.Add(len(current), len(current)-2, false)
-	f.Add(len(current)/2, len(current)/2+1, false)
-	f.Add(len(v1)-1, -1, true)
-	f.Add(len(v1)/2, len(v1)/2+1, true)
+	f.Add(len(current)-1, -1)
+	f.Add(headerSize+3, -1)
+	f.Add(len(current), len(current)-2)
+	f.Add(len(current)/2, len(current)/2+1)
+	f.Add(len(current)-12, -1)
+	f.Add(headerSize+disk.FrameHeaderSize+1, headerSize+2)
 
-	f.Fuzz(func(t *testing.T, cut, flip int, old bool) {
+	f.Fuzz(func(t *testing.T, cut, flip int) {
 		intact := current
-		if old {
-			intact = v1
-		}
 		if cut < 0 || cut > len(intact) {
 			t.Skip()
 		}
@@ -97,11 +90,8 @@ func FuzzTornTail(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		var got []disk.FlushRecord
-		valid, err := replayFile(path, true, func(r disk.FlushRecord) error {
-			got = append(got, r)
-			return nil
-		})
+		p, err := parseFile(path, true)
+		got, valid := p.recs, p.valid
 		if err != nil {
 			t.Fatalf("torn/flipped tail must be tolerated in last-file mode, got %v", err)
 		}
@@ -119,11 +109,8 @@ func FuzzTornTail(f *testing.F) {
 		if err := os.Truncate(path, valid); err != nil {
 			t.Fatal(err)
 		}
-		var again []disk.FlushRecord
-		valid2, err := replayFile(path, false, func(r disk.FlushRecord) error {
-			again = append(again, r)
-			return nil
-		})
+		p, err = parseFile(path, false)
+		again, valid2 := p.recs, p.valid
 		if err != nil {
 			t.Fatalf("truncated file must be fully valid, got %v", err)
 		}

@@ -104,7 +104,7 @@ func TestTornTailMatrix(t *testing.T) {
 
 		// The torn tail must be physically gone: the file replays
 		// cleanly even in strict (non-tail) mode.
-		if _, err := replayFile(path, false, func(disk.FlushRecord) error { return nil }); err != nil {
+		if _, err := parseFile(path, false); err != nil {
 			t.Fatalf("%s: torn tail not truncated away: %v", label, err)
 		}
 

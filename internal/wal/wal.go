@@ -10,27 +10,20 @@
 // but a directory over the frames the log already holds (disk.Tier with
 // Config.Logged).
 //
-// Files live in one directory — on a durable store, the tier's own:
-//
-//	wal-XXXXXXXX.kfw — the log proper; XXXXXXXX is the file sequence, 1
-//	                   and up. The newest is active, the others sealed.
-//	snapshot.kfw     — only in a log directory written before the log
-//	                   became the record store: memory contents at that
-//	                   store's last clean shutdown, file 0 of the scheme
-//	                   below. Nothing writes one any more.
+// Files live in one directory — on a durable store, the tier's own — as
+// wal-XXXXXXXX.kfw, XXXXXXXX the file sequence, 1 and up. The newest is
+// active, the others sealed.
 //
 // The file format is the disk package's (disk/logfile.go): a header
 // naming the version, then frames — u32 payload length | u32 CRC32C |
-// one record in the codec the version names — and, once the file is
+// one record — and, once the file is
 // sealed, a frame index. The log seals the active file and starts the
 // next when it reaches Options.MaxFileBytes, and whenever the owner asks
 // (Seal: a flush seals the file its victims' frames may sit in, because
 // a directory names only sealed files). Sealing writes the frame index
 // and fsyncs; Seal does that off the log's lock, so ingestion never
-// waits on it. Version 3 files are the only ones written; version 2
-// (compact frames, no index) and version 1 (fixed-width frames) files
-// are still replayed and reclaimed. Any other version is ErrCorrupt. A
-// torn final record — the expected crash artifact — is detected by the
+// waits on it. An older file version is disk.ErrNeedsUpgrade (see
+// Upgrade), any other ErrCorrupt. A torn final record — the expected crash artifact — is detected by the
 // CRC/length check and replay stops there; corruption in the middle of
 // the log is reported as an error.
 //
@@ -98,9 +91,8 @@ import (
 var walCommitLabels = pprof.Labels("kflushing", "wal-group-commit")
 
 const (
-	fileVersion  = disk.LogVersion // the one write version
-	headerSize   = disk.LogHeaderSize
-	snapshotName = "snapshot.kfw" // a legacy log directory's file 0
+	fileVersion = disk.LogVersion
+	headerSize  = disk.LogHeaderSize
 )
 
 // ErrCorrupt reports log corruption before the final record.
@@ -134,11 +126,6 @@ type Options struct {
 	// claim went, in place of the unlink: the owner records the drain
 	// and decides when the file goes.
 	OnDrained func(seq uint32)
-	// LegacyDir, when set, is a log directory in the format the store
-	// used before its log moved into the tier directory. Open re-frames
-	// its records into a new sealed file of this log, fsyncs it, and only
-	// then removes LegacyDir.
-	LegacyDir string
 }
 
 // DefaultMaxFileBytes is the rotation size when Options leaves it zero.
@@ -151,7 +138,7 @@ const relocateChunk = 256
 
 // logFile is one file of the log as the claims table sees it.
 type logFile struct {
-	seq   uint32 // 0 is a legacy snapshot
+	seq   uint32
 	bytes int64
 	// frames counts the records framed in the file, live the claims on
 	// it (see the package comment): live/frames is how much of the file
@@ -162,8 +149,7 @@ type logFile struct {
 	// are unknown, so it must not be reclaimed.
 	pinned bool
 	// sealed marks a file that is complete: frame index written and
-	// fsynced (or an old-version file, which has none and is only read).
-	// Only a sealed file may be named by a directory, relocated out of,
+	// fsynced. Only a sealed file may be named by a directory, relocated out of,
 	// or drained.
 	sealed bool
 	// relocated marks a file whose survivors Relocate moved out; what is
@@ -214,8 +200,8 @@ type Log struct {
 
 	mu sync.Mutex
 	f  *os.File
-	// files is the claims table, oldest first: the legacy snapshot (if
-	// any), the sealed files, then active.
+	// files is the claims table, oldest first: the sealed files, then
+	// active.
 	files     []*logFile
 	active    *logFile // nil once the log is closed or sealed by a fault
 	seq       uint32   // highest file sequence handed out
@@ -250,9 +236,6 @@ func Open(dir string, opt Options) (*Log, error) {
 	l := &Log{dir: dir, opt: opt}
 	// Whatever a previous process left is pinned until Replay has counted
 	// its claims; the new active file continues after the newest of them.
-	if st, err := os.Stat(l.path(0)); err == nil {
-		l.files = append(l.files, &logFile{bytes: st.Size(), pinned: true})
-	}
 	files, err := logFiles(dir)
 	if err != nil {
 		return nil, err
@@ -272,11 +255,6 @@ func Open(dir string, opt Options) (*Log, error) {
 		}
 		l.files = append(l.files, &logFile{seq: seq, bytes: st.Size(), pinned: true})
 	}
-	if opt.LegacyDir != "" {
-		if err := l.migrate(opt.LegacyDir); err != nil {
-			return nil, err
-		}
-	}
 	f, err := l.createFile(l.seq + 1)
 	if err != nil {
 		return nil, err
@@ -286,12 +264,7 @@ func Open(dir string, opt Options) (*Log, error) {
 }
 
 // path returns the file holding sequence seq.
-func (l *Log) path(seq uint32) string {
-	if seq == 0 {
-		return filepath.Join(l.dir, snapshotName)
-	}
-	return filepath.Join(l.dir, disk.LogName(seq))
-}
+func (l *Log) path(seq uint32) string { return filepath.Join(l.dir, disk.LogName(seq)) }
 
 // logFiles returns dir's log files oldest-first.
 func logFiles(dir string) ([]string, error) {
@@ -679,42 +652,46 @@ type parsedFile struct {
 	offsets []uint32 // where each record's frame starts
 	valid   int64    // length of the valid prefix, a frame index included
 	indexed bool     // the prefix ends with a frame index over its frames
-	version uint16
 }
 
-// parseFile reads one log file, decoding its records with the codec its
-// version names. Truncation at EOF is always tolerated; complete but
-// invalid frames — and a frame index that does not match the frames
-// before it — only when lastFile is set. A tolerated torn tail yields
-// the valid prefix and nil; the caller is expected to truncate the file
-// to it. An unknown version is ErrCorrupt: its frames cannot be read
-// with a codec it does not name.
+// parseFile reads one log file as replay does. Truncation at EOF is
+// always tolerated; complete but invalid frames — and a frame index that
+// does not match the frames before it — only when lastFile is set. A tolerated torn tail
+// yields the valid prefix and nil; the caller is expected to truncate the
+// file to it. A file of an older version is disk.ErrNeedsUpgrade, of an
+// unknown one ErrCorrupt: its frames are not read.
 func parseFile(path string, lastFile bool) (parsedFile, error) {
-	var p parsedFile
 	b, err := os.ReadFile(path)
-	if err != nil {
-		return p, err
+	if err != nil || len(b) < headerSize {
+		return parsedFile{}, err // a file torn before its header was complete is empty
 	}
-	if len(b) < headerSize {
-		return p, nil // torn before the header was complete
-	}
+	name := filepath.Base(path)
 	if string(b[:4]) != disk.LogMagic {
-		return p, fmt.Errorf("%w: bad header in %s", ErrCorrupt, filepath.Base(path))
+		return parsedFile{}, fmt.Errorf("%w: bad header in %s", ErrCorrupt, name)
 	}
-	p.version = binary.LittleEndian.Uint16(b[4:])
-	codec, ok := disk.LogCodec(p.version)
-	if !ok {
-		return p, fmt.Errorf("%w: unknown version %d in %s", ErrCorrupt, p.version, filepath.Base(path))
+	switch v := binary.LittleEndian.Uint16(b[4:]); {
+	case v > 0 && v < fileVersion:
+		return parsedFile{}, fmt.Errorf("%s is log version %d: %w", name, v, disk.ErrNeedsUpgrade)
+	case v != fileVersion:
+		return parsedFile{}, fmt.Errorf("%w: unknown version %d in %s", ErrCorrupt, v, name)
 	}
+	return parseFrames(b, name, lastFile, true, disk.DecodeRecord)
+}
+
+// parseFrames reads the frames of a log file image b past its header,
+// decoding each payload with decode. A frame index ends the file when
+// indexed says the version has one.
+func parseFrames(b []byte, name string, lastFile, indexed bool, decode func([]byte) (disk.FlushRecord, int, error)) (parsedFile, error) {
+	var p parsedFile
 	pos := headerSize
 	// stop ends the parse at pos: a torn tail when tolerable, else
 	// corruption.
 	stop := func(what string, tolerable bool) (parsedFile, error) {
 		p.valid = int64(pos)
 		if !tolerable {
-			return p, fmt.Errorf("%w: %s in %s", ErrCorrupt, what, filepath.Base(path))
+			return p, fmt.Errorf("%w: %s in %s", ErrCorrupt, what, name)
 		}
-		slog.Warn("wal: tolerating "+what+" at end of file", "file", filepath.Base(path), "offset", pos)
+		slog.Warn("wal: tolerating "+what+" at end of file", "file", name, "offset", pos)
 		return p, nil
 	}
 	for pos < len(b) {
@@ -729,7 +706,7 @@ func parseFile(path string, lastFile bool) (parsedFile, error) {
 			return stop("bad checksum", lastFile)
 		}
 		end := pos + disk.FrameHeaderSize + len(payload)
-		if p.version == fileVersion && disk.IsFrameIndex(payload) {
+		if indexed && disk.IsFrameIndex(payload) {
 			offsets, ok := disk.DecodeFrameIndex(payload)
 			if !ok || !slices.Equal(offsets, p.offsets) || end != len(b) {
 				return stop("frame index not matching its file", lastFile)
@@ -738,7 +715,7 @@ func parseFile(path string, lastFile bool) (parsedFile, error) {
 			p.valid = int64(end)
 			return p, nil
 		}
-		fr, used, err := disk.DecodeRecord(payload, codec)
+		fr, used, err := decode(payload)
 		if err != nil || used != len(payload) {
 			return stop("undecodable frame", lastFile)
 		}
@@ -750,24 +727,8 @@ func parseFile(path string, lastFile bool) (parsedFile, error) {
 	return p, nil
 }
 
-// replayFile reads one log file and hands fn its records, reporting the
-// byte length of the valid prefix (see parseFile for what it tolerates).
-func replayFile(path string, lastFile bool, fn func(disk.FlushRecord) error) (int64, error) {
-	p, err := parseFile(path, lastFile)
-	if err != nil {
-		return p.valid, err
-	}
-	for _, fr := range p.recs {
-		if err := fn(fr); err != nil {
-			return p.valid, err
-		}
-	}
-	return p.valid, nil
-}
-
-// Replay streams every surviving record — a legacy snapshot first (if
-// any), then the log files in sequence order, each file's frames in
-// append order — to fn, with LogSeq and LogOrd naming the frame. Files
+// Replay streams every surviving record — the log files in sequence
+// order, each file's frames in append order — to fn, with LogSeq and LogOrd naming the frame. Files
 // the owner marked drained were never opened (Options.Drained), so
 // their records are not delivered: they are in installed segments, or
 // framed again in a newer file. Replay does not restore arrival order:
@@ -821,7 +782,7 @@ func (l *Log) Replay(fn func(disk.FlushRecord) error) error {
 			}
 			l.mu.Lock()
 			f.bytes, f.offsets = p.valid, p.offsets
-			f.sealed = p.indexed || p.version != fileVersion
+			f.sealed = p.indexed
 			unsealed := !f.sealed && len(p.recs) > 0
 			l.mu.Unlock()
 			if unsealed {
@@ -852,12 +813,12 @@ func (l *Log) Replay(fn func(disk.FlushRecord) error) error {
 	return nil
 }
 
-// crashTail returns the newest log file (never a legacy snapshot) with
-// payload beyond the header — the file that was active at crash time —
-// or nil when every file is empty.
+// crashTail returns the newest log file with payload beyond the header —
+// the file that was active at crash time — or nil when every file is
+// empty.
 func crashTail(files []*logFile) *logFile {
 	for i := len(files) - 1; i >= 0; i-- {
-		if f := files[i]; f.seq != 0 && f.bytes > headerSize {
+		if f := files[i]; f.bytes > headerSize {
 			return f
 		}
 	}
@@ -1138,19 +1099,21 @@ type FileInfo struct {
 	MinID, MaxID uint64
 }
 
-// readDir hands fn the log files under dir — a legacy snapshot first,
-// then wal-*.kfw in sequence order — as replay would read them,
-// tolerating a torn tail in the newest, and changing nothing on disk.
-func readDir(dir string, fn func(path string, p parsedFile) error) error {
-	paths, err := logFiles(dir)
-	if err != nil {
-		return err
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotName)); err == nil {
-		paths = append([]string{filepath.Join(dir, snapshotName)}, paths...)
-	}
+// readFiles parses paths in order with parse and hands fn each result. A
+// bad-checksum tail is tolerated where Replay tolerates it: in the
+// newest file with payload (crashTail), which need not be the last file.
+func readFiles(paths []string, parse func(string, bool) (parsedFile, error), fn func(string, parsedFile) error) error {
+	files := make([]*logFile, len(paths))
 	for i, path := range paths {
-		p, err := parseFile(path, i == len(paths)-1)
+		st, err := os.Stat(path)
+		if err != nil {
+			return err
+		}
+		files[i] = &logFile{bytes: st.Size()}
+	}
+	tail := crashTail(files)
+	for i, path := range paths {
+		p, err := parse(path, files[i] == tail)
 		if err != nil {
 			return fmt.Errorf("%s: %w", filepath.Base(path), err)
 		}
@@ -1164,9 +1127,13 @@ func readDir(dir string, fn func(path string, p parsedFile) error) error {
 // Inspect summarizes the log files under dir without opening a Log: the
 // offline tools' view, read only.
 func Inspect(dir string) ([]FileInfo, error) {
+	paths, err := logFiles(dir)
+	if err != nil {
+		return nil, err
+	}
 	var out []FileInfo
-	err := readDir(dir, func(path string, p parsedFile) error {
-		fi := FileInfo{Name: filepath.Base(path), Version: int(p.version), Frames: len(p.recs), Sealed: p.indexed}
+	err = readFiles(paths, parseFile, func(path string, p parsedFile) error {
+		fi := FileInfo{Name: filepath.Base(path), Version: fileVersion, Frames: len(p.recs), Sealed: p.indexed}
 		if st, err := os.Stat(path); err == nil {
 			fi.Bytes = st.Size()
 		}
@@ -1181,75 +1148,4 @@ func Inspect(dir string) ([]FileInfo, error) {
 		return nil
 	})
 	return out, err
-}
-
-// migrate re-frames the records of a legacy log directory — its
-// snapshot, then its files in order — into one new sealed file of this
-// log, fsyncs it and the directory, and only then removes the legacy
-// directory. A crash before the removal migrates again at the next
-// open: the records are then framed twice, and recovery keeps one copy
-// per ID. The new file is pinned for Replay like every file Open found.
-func (l *Log) migrate(legacy string) error {
-	if _, err := os.Stat(legacy); os.IsNotExist(err) {
-		return nil
-	}
-	var frs []disk.FlushRecord
-	if err := readDir(legacy, func(_ string, p parsedFile) error {
-		frs = append(frs, p.recs...)
-		return nil
-	}); err != nil {
-		return fmt.Errorf("wal: migrate %s: %w", legacy, err)
-	}
-	if len(frs) > 0 {
-		buf := disk.AppendLogHeader(nil)
-		offsets := make([]uint32, 0, len(frs))
-		for i := range frs {
-			offsets = append(offsets, uint32(len(buf)))
-			buf = disk.AppendFrames(buf, frs[i:i+1])
-		}
-		buf = disk.AppendFrameIndex(buf, offsets)
-		l.seq++
-		if err := writeSynced(l.path(l.seq), buf); err != nil {
-			return fmt.Errorf("wal: migrate %s: %w", legacy, err)
-		}
-		l.files = append(l.files, &logFile{seq: l.seq, bytes: int64(len(buf)), pinned: true})
-		slog.Info("wal: migrated a legacy log", "dir", legacy, "records", len(frs), "file", disk.LogName(l.seq))
-	}
-	// The crash window this site names: the records durable in the new
-	// file, the legacy files still there.
-	if err := failpoint.Eval(failpoint.WALMigrateRemove); err != nil {
-		return err
-	}
-	return os.RemoveAll(legacy)
-}
-
-// writeSynced creates path holding data, fsyncs it and its directory.
-func writeSynced(path string, data []byte) error {
-	if err := failpoint.Eval(failpoint.WALRotateCreate); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close() // the write error is the one to surface
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close() // the sync error is the one to surface
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		_ = d.Close() // the sync error is the one to surface
-		return err
-	}
-	return d.Close()
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -270,53 +271,6 @@ func TestReplayOrder(t *testing.T) {
 	}
 }
 
-// TestMigrateLegacyLog: a log directory in the format used before the
-// log moved into the tier directory — a snapshot and sealed files —
-// is re-framed into one sealed file of the new log and then removed;
-// its records replay with every field intact.
-func TestMigrateLegacyLog(t *testing.T) {
-	dir := t.TempDir()
-	legacy := filepath.Join(dir, "wal")
-	if err := os.MkdirAll(legacy, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	snap := []disk.FlushRecord{fr(1, "a"), fr(2, "b")}
-	old := []disk.FlushRecord{fr(3, "c"), fr(4, "d")}
-	old[1].Score = 0.5
-	v2 := func(recs []disk.FlushRecord) []byte {
-		return disk.AppendFrames(binary.LittleEndian.AppendUint16([]byte(disk.LogMagic), disk.LogVersionV2), recs)
-	}
-	if err := os.WriteFile(filepath.Join(legacy, snapshotName), v1File(snap), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(legacy, disk.LogName(7)), v2(old), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, err := Open(dir, Options{LegacyDir: legacy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := replayAll(t, l)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Fatalf("legacy log directory still there after migration: %v", err)
-	}
-	want := append(append([]disk.FlushRecord(nil), snap...), old...)
-	if len(got) != len(want) {
-		t.Fatalf("replayed %d records, want %d", len(got), len(want))
-	}
-	for i, r := range got {
-		if r.MB.ID != want[i].MB.ID || r.Score != want[i].Score || r.MB.Keywords[0] != want[i].MB.Keywords[0] || r.LogSeq != 1 {
-			t.Fatalf("record %d replayed as %+v score %v from file %d", i, r.MB, r.Score, r.LogSeq)
-		}
-	}
-	if v := fileVersionOf(t, filepath.Join(dir, disk.LogName(1))); v != fileVersion {
-		t.Fatalf("migrated file is version %d", v)
-	}
-}
-
 func TestEmptyDirReplaysNothing(t *testing.T) {
 	l, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -336,5 +290,67 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	l.Close()
 	if err := l.Append(fr(1)); err == nil {
 		t.Fatal("append after close succeeded")
+	}
+}
+
+// TestReplayRefusesUnknownVersion: a file of an older version is
+// disk.ErrNeedsUpgrade, one of an unknown version ErrCorrupt — in the
+// crash-tail file too — and neither is decoded.
+func TestReplayRefusesUnknownVersion(t *testing.T) {
+	for _, version := range []uint16{0, 1, 2, 4, 0xFFFF} {
+		want := ErrCorrupt
+		if version == 1 || version == 2 {
+			want = disk.ErrNeedsUpgrade
+		}
+		dir := t.TempDir()
+		img := binary.LittleEndian.AppendUint16([]byte(disk.LogMagic), version)
+		img = disk.AppendFrames(img, []disk.FlushRecord{fr(1, "k")})
+		path := filepath.Join(dir, "wal-00000001.kfw")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, last := range []bool{false, true} {
+			p, err := parseFile(path, last)
+			if n := len(p.recs); !errors.Is(err, want) || n != 0 {
+				t.Fatalf("version %d (last=%v): %d records, err %v; want %v and none", version, last, n, err, want)
+			}
+		}
+		l, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Replay(func(disk.FlushRecord) error { return nil }); !errors.Is(err, want) {
+			t.Fatalf("version %d: Replay returned %v, want %v", version, err, want)
+		}
+		l.Close()
+	}
+}
+
+// TestInspectToleratesCrashTail: Inspect reads a log as Replay does. A
+// process killed during recovery leaves the file it was replaying torn —
+// its last frame's checksum bad — and, after it, the header-only file
+// Open had just created; the torn file is the crash tail although it is
+// not the last file.
+func TestInspectToleratesCrashTail(t *testing.T) {
+	dir := t.TempDir()
+	img := disk.AppendFrames(disk.AppendLogHeader(nil), []disk.FlushRecord{fr(1), fr(2), fr(3), fr(4), fr(5)})
+	img[len(img)-1] ^= 0xFF // in the last frame's payload: its checksum fails
+	if err := os.WriteFile(filepath.Join(dir, disk.LogName(1)), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, disk.LogName(2)), disk.AppendLogHeader(nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	files, err := Inspect(dir)
+	if err != nil || len(files) != 2 || files[0].Frames != 4 || files[1].Frames != 0 {
+		t.Fatalf("Inspect = %+v, %v; want 4 frames and an empty file", files, err)
+	}
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if got := len(replayAll(t, l)); got != 4 {
+		t.Fatalf("replayed %d records, want 4", got)
 	}
 }

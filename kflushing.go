@@ -195,13 +195,6 @@ type Options struct {
 	// per-segment detail of a captured one is a re-run of its keys
 	// through a *Traced search away.
 	SlowQueryNanos int64
-	// AllocPolicy selects how the hot ingest path allocates: "pooled"
-	// (the default, also selected by "") recycles posting arrays,
-	// record wrappers and per-batch scratch through slab pools so
-	// sustained ingestion is allocation-flat; "heap" allocates
-	// everything from the Go heap — the baseline pooling is
-	// benchmarked against.
-	AllocPolicy string
 }
 
 func (o *Options) fill() {
@@ -236,21 +229,17 @@ type AttrSystem[K comparable] struct {
 // open maps the facade options onto one attribute's engine — the only
 // place Options meets engine.Config.
 func open[K comparable](dir string, opt Options, spec attr.Spec[K]) (AttrSystem[K], error) {
-	return openTier(dir, opt, spec, 0)
+	return openWith(dir, opt, spec, 0, alloc.PolicyPooled)
 }
 
-// openTier is open with the disk tier's compaction switch exposed: a
-// negative diskMaxSegments never compacts, so every flush stays its own
-// segment — the reference layout of the equivalence tests (export_test.go).
-func openTier[K comparable](dir string, opt Options, spec attr.Spec[K], diskMaxSegments int) (AttrSystem[K], error) {
+// openWith is open with the reference arms of the equivalence tests
+// (export_test.go): a negative diskMaxSegments never compacts, and
+// alloc.PolicyHeap allocates the hot path from the Go heap, not pools.
+func openWith[K comparable](dir string, opt Options, spec attr.Spec[K], diskMaxSegments int, ap alloc.Policy) (AttrSystem[K], error) {
 	opt.fill()
 	pc, err := core.Choose[K](string(opt.Policy), int64(opt.FlushFraction*float64(opt.MemoryBudget)))
 	if err != nil {
 		return AttrSystem[K]{}, fmt.Errorf("kflushing: %w", err)
-	}
-	ap, err := alloc.ParsePolicy(opt.AllocPolicy)
-	if err != nil {
-		return AttrSystem[K]{}, err
 	}
 	eng, err := engine.New(engine.Config[K]{
 		K:               opt.K,

@@ -32,24 +32,23 @@ func runLayoutEquivalence(t *testing.T, ap string) {
 		K:            4,
 		MemoryBudget: 48 << 10,
 		SyncFlush:    true,
-		AllocPolicy:  ap,
 	}
 	levOpt := base
 	levOpt.DiskLevelFanout = 3
 	pipeOpt := base
 	pipeOpt.SyncFlush = false
 
-	ref, err := kflushing.OpenNeverCompact(t.TempDir(), base)
+	ref, err := kflushing.OpenNeverCompact(t.TempDir(), base, ap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	leveled, err := kflushing.Open(t.TempDir(), levOpt)
+	leveled, err := kflushing.OpenAlloc(t.TempDir(), levOpt, ap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer leveled.Close()
-	piped, err := kflushing.Open(t.TempDir(), pipeOpt)
+	piped, err := kflushing.OpenAlloc(t.TempDir(), pipeOpt, ap)
 	if err != nil {
 		t.Fatal(err)
 	}

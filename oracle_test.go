@@ -82,13 +82,12 @@ func TestEngineMatchesOracle(t *testing.T) {
 	} {
 		forEachAllocPolicy(t, string(pol), func(t *testing.T, ap string) {
 			rng := rand.New(rand.NewSource(42))
-			sys, err := kflushing.Open(t.TempDir(), kflushing.Options{
+			sys, err := kflushing.OpenAlloc(t.TempDir(), kflushing.Options{
 				Policy:       pol,
 				K:            4,
 				MemoryBudget: 48 << 10,
 				SyncFlush:    true,
-				AllocPolicy:  ap,
-			})
+			}, ap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,13 +167,12 @@ func TestRandomizedModelBased(t *testing.T) {
 		forEachAllocPolicy(t, string(pol), func(t *testing.T, ap string) {
 			t.Logf("replay with rand.NewSource(%d)", seed)
 			rng := rand.New(rand.NewSource(seed))
-			sys, err := kflushing.Open(t.TempDir(), kflushing.Options{
+			sys, err := kflushing.OpenAlloc(t.TempDir(), kflushing.Options{
 				Policy:       pol,
 				K:            4,
 				MemoryBudget: 48 << 10,
 				SyncFlush:    true,
-				AllocPolicy:  ap,
-			})
+			}, ap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -314,14 +312,13 @@ func TestBatchedIngestEquivalence(t *testing.T) {
 				K:            4,
 				MemoryBudget: 48 << 10,
 				SyncFlush:    true,
-				AllocPolicy:  ap,
 			}
-			single, err := kflushing.Open(t.TempDir(), opt)
+			single, err := kflushing.OpenAlloc(t.TempDir(), opt, ap)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer single.Close()
-			batched, err := kflushing.Open(t.TempDir(), opt)
+			batched, err := kflushing.OpenAlloc(t.TempDir(), opt, ap)
 			if err != nil {
 				t.Fatal(err)
 			}

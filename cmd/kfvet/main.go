@@ -1,31 +1,21 @@
 // Command kfvet runs the kflushing static analysis suite
 // (internal/analyze) over the module: the per-package analyzers —
 // locksafe (lock release on all paths, no blocking under hot locks,
-// lock-order DAG), atomiccheck (no mixed plain/atomic field access),
-// nilrecv (//kfvet:nilsafe nil-receiver guards), errlint (no discarded
-// durability errors) — and the cross-package protocol analyzers —
-// allocfree (//kfvet:noalloc hot paths stay allocation-free through the
-// call graph), failpointcov (fallible I/O sits adjacent to a cataloged
-// failpoint), lockinfer (lock-order inversions through call chains),
-// seqlockcheck (//kfvet:seqlock writer/reader protocol shapes), and
-// epochcheck (//kfvet:epoch guard roles and pin-domination).
+// lock-order DAG) and errlint (no discarded durability errors) — and
+// the cross-package protocol analyzers — allocfree (//kfvet:noalloc hot
+// paths stay allocation-free through the call graph), failpointcov
+// (fallible I/O sits adjacent to a cataloged failpoint), lockinfer
+// (lock-order inversions through call chains) and seqlockcheck
+// (//kfvet:seqlock writer/reader protocol shapes).
 //
 // Usage:
 //
-//	kfvet [-json] [-coverage] [packages]
+//	kfvet [packages]
 //
 // Packages follow the go tool's pattern syntax; the default is ./...
 // from the current directory. Findings print as
 // file:line:col: [analyzer] message, one per line, and a non-empty
-// report exits 1. With -json each finding is one JSON object per line
-// ({"file":..,"line":..,"col":..,"analyzer":..,"message":..}) for
-// tooling to consume. With -coverage the findings are replaced by the
-// annotation and failpoint coverage summary: annotated-function counts
-// per marker and the declared-vs-evaluated failpoint catalog diff;
-// exit status still reflects the finding count, so CI can print
-// coverage and gate in one invocation. Suppress a reviewed finding
-// with a `//kfvet:allow <analyzer>` comment on the flagged line or the
-// line above it.
+// report exits 1.
 //
 // kfvet is part of the tier-1 loop — run it with vet before
 // committing:
@@ -37,7 +27,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -45,18 +34,7 @@ import (
 	"kflushing/internal/analyze"
 )
 
-// jsonFinding is the -json wire form of one finding.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as JSON, one object per line")
-	coverage := flag.Bool("coverage", false, "print annotation and failpoint coverage instead of findings")
 	flag.Parse()
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -67,50 +45,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "kfvet:", err)
 		os.Exit(2)
 	}
-	cfg := analyze.DefaultConfig()
-	findings := analyze.Run(pkgs, cfg)
-	switch {
-	case *coverage:
-		printCoverage(analyze.Coverage(pkgs, cfg))
-	case *jsonOut:
-		enc := json.NewEncoder(os.Stdout)
-		for _, f := range findings {
-			jf := jsonFinding{
-				File: f.Pos.Filename, Line: f.Pos.Line, Col: f.Pos.Column,
-				Analyzer: f.Analyzer, Message: f.Message,
-			}
-			if err := enc.Encode(jf); err != nil {
-				fmt.Fprintln(os.Stderr, "kfvet:", err)
-				os.Exit(2)
-			}
-		}
-	default:
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	findings := analyze.Run(pkgs, analyze.DefaultConfig())
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "kfvet: %d finding(s)\n", len(findings))
 		os.Exit(1)
-	}
-}
-
-// printCoverage renders the annotation surface and the failpoint
-// catalog diff in the fixed-order form the CI coverage step archives.
-func printCoverage(r analyze.CoverageReport) {
-	section := func(title string, entries []string) {
-		fmt.Printf("%s: %d\n", title, len(entries))
-		for _, e := range entries {
-			fmt.Printf("  %s\n", e)
-		}
-	}
-	section("noalloc functions", r.Noalloc)
-	section("seqlock functions", r.Seqlock)
-	section("epoch functions", r.Epoch)
-	fmt.Printf("failpoint sites declared: %d, evaluated: %d\n", len(r.Declared), len(r.Evaluated))
-	if len(r.Dead) == 0 {
-		fmt.Println("failpoint catalog diff: empty (every declared site is evaluated)")
-	} else {
-		section("failpoint sites declared but never evaluated", r.Dead)
 	}
 }

@@ -1,8 +1,11 @@
 package alloc
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestParsePolicy(t *testing.T) {
@@ -371,5 +374,45 @@ func TestEpochGuardAdvance(t *testing.T) {
 	}
 	if got := g.global.Load(); got != 2 {
 		t.Fatalf("global = %d, want 2", got)
+	}
+}
+
+// TestEpochPinBoundsAdvance races pin against an advancer that never
+// stops trying. pin re-reads the global epoch after registering, so a
+// reader pinned at e registered while the global was e, and the advance
+// from e+1 waits for it: while it is pinned the global is e or e+1.
+// Drop the re-read and the epoch can move between pin's load and its
+// registration; the registration then lands in a parity an in-flight
+// advance has already checked, two advances pass under the reader, and
+// a record it copied is reclaimed while it still holds it. The bound is
+// what this test checks; on two CPUs the unvalidated pin breaks it
+// within a few thousand passes.
+func TestEpochPinBoundsAdvance(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the pin/advance race needs two CPUs")
+	}
+	var g epochGuard
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			g.tryAdvance()
+		}
+	}()
+	defer func() {
+		stop.Store(true)
+		<-done
+	}()
+	for g.global.Load() == 0 {
+		runtime.Gosched() // wait for the advancer to run
+	}
+	deadline := time.Now().Add(500 * time.Millisecond)
+	for i := 0; i&1023 != 0 || time.Now().Before(deadline); i++ {
+		e := g.pin()
+		if now := g.global.Load(); now > e+1 {
+			t.Fatalf("pass %d: pin returned epoch %d with the global already at %d", i, e, now)
+		}
+		g.unpin(e)
 	}
 }

@@ -24,7 +24,6 @@ type epochGuard struct {
 
 // pin registers a reader in the current epoch and returns it.
 //
-//kfvet:epoch pin
 //kfvet:noalloc
 func (g *epochGuard) pin() uint64 {
 	for {
@@ -41,14 +40,11 @@ func (g *epochGuard) pin() uint64 {
 
 // unpin deregisters a reader pinned at epoch e.
 //
-//kfvet:epoch unpin
 //kfvet:noalloc
 func (g *epochGuard) unpin(e uint64) { g.active[e&1].Add(-1) }
 
 // tryAdvance bumps the global epoch when no reader from the previous
 // epoch remains, reporting whether it (or a racing caller) advanced.
-//
-//kfvet:epoch advance
 func (g *epochGuard) tryAdvance() bool {
 	e := g.global.Load()
 	if g.active[(e+1)&1].Load() != 0 {
@@ -126,8 +122,6 @@ func (r *Recycler[T]) Unpin(e uint64) {
 // been unlinked from every shared structure: after this call the only
 // valid pointers to it are those readers copied out while it was still
 // linked, and the quarantine outlives all of them.
-//
-//kfvet:epoch free
 func (r *Recycler[T]) Free(vs []T) {
 	if r == nil || len(vs) == 0 {
 		return
@@ -168,8 +162,6 @@ func (r *Recycler[T]) Get() (T, bool) {
 // epoch f with the global now at f+2 or later) onto the free list,
 // advancing the epoch when the head of the queue is what blocks it.
 // Callers hold r.mu.
-//
-//kfvet:epoch reclaim
 func (r *Recycler[T]) reclaimLocked() {
 	for attempt := 0; attempt < 3; attempt++ {
 		g := r.ep.global.Load()

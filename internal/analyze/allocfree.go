@@ -84,18 +84,74 @@ func runAllocFree(m *module) {
 // with a terminating nil-receiver guard, so the nil (disabled) call
 // allocates nothing. The enabled path is exempt by annotation.
 func (c *allocChecker) checkWhenNil(fi *funcInfo) {
-	p := &pass{pkg: fi.pkg}
-	recv := pointerRecvObj(p, fi.decl)
+	recv := pointerRecvObj(fi.pkg, fi.decl)
 	if recv == nil {
 		c.m.report("allocfree", fi.decl.Pos(),
 			"%s is marked %s whennil but has no named pointer receiver to guard", fi.decl.Name.Name, noallocMarker)
 		return
 	}
-	if !nilGuarded(p, fi.decl.Body, recv) {
+	if !nilGuarded(fi.pkg, fi.decl.Body, recv) {
 		c.m.report("allocfree", fi.decl.Pos(),
 			"%s is marked %s whennil but does not open with a terminating `if %s == nil` guard",
 			fi.decl.Name.Name, noallocMarker, recv.Name())
 	}
+}
+
+// pointerRecvObj returns the named pointer-receiver object of a method
+// declaration, or nil for plain functions, value receivers, and
+// anonymous receivers.
+func pointerRecvObj(pkg *Package, decl *ast.FuncDecl) *types.Var {
+	if decl.Recv == nil || len(decl.Recv.List) != 1 || len(decl.Recv.List[0].Names) != 1 {
+		return nil
+	}
+	name := decl.Recv.List[0].Names[0]
+	if name.Name == "_" {
+		return nil
+	}
+	obj, ok := pkg.Info.Defs[name].(*types.Var)
+	if !ok {
+		return nil
+	}
+	if _, isPtr := types.Unalias(obj.Type()).(*types.Pointer); !isPtr {
+		return nil
+	}
+	return obj
+}
+
+// nilGuarded reports whether the method body begins with a terminating
+// nil guard on the receiver.
+func nilGuarded(pkg *Package, body *ast.BlockStmt, recv *types.Var) bool {
+	if len(body.List) == 0 {
+		return false
+	}
+	ifStmt, ok := body.List[0].(*ast.IfStmt)
+	if !ok || ifStmt.Init != nil {
+		return false
+	}
+	return leadingNilCheck(pkg, ifStmt.Cond, recv) && terminates(ifStmt.Body.List)
+}
+
+// leadingNilCheck accepts `recv == nil`, `nil == recv`, and any `||`
+// chain whose leftmost operand is such a comparison — short-circuit
+// evaluation keeps the later operands nil-safe.
+func leadingNilCheck(pkg *Package, cond ast.Expr, recv *types.Var) bool {
+	bin, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok {
+		return false
+	}
+	switch bin.Op {
+	case token.LOR:
+		return leadingNilCheck(pkg, bin.X, recv)
+	case token.EQL:
+		return isRecvNilPair(pkg, bin.X, bin.Y, recv) || isRecvNilPair(pkg, bin.Y, bin.X, recv)
+	}
+	return false
+}
+
+// isRecvNilPair reports whether a is the receiver and b is nil.
+func isRecvNilPair(pkg *Package, a, b ast.Expr, recv *types.Var) bool {
+	id, ok := ast.Unparen(a).(*ast.Ident)
+	return ok && pkg.Info.Uses[id] == recv && isNilExpr(pkg.Info, b)
 }
 
 // verdict computes (memoized) whether an unannotated module function

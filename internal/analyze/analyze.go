@@ -3,27 +3,18 @@
 // detector cannot check before code runs. It parses and type-checks the
 // whole module on the stdlib go/ast + go/types toolchain (following the
 // hand-written internal/promlint precedent — no external analysis
-// framework) and runs nine analyzers. Four are intraprocedural (v1):
+// framework) and runs six analyzers. Two are intraprocedural:
 //
 //   - locksafe: every Lock() is released on all return paths (paired or
 //     deferred), no blocking operation runs while a declared hot mutex
 //     is held, and nested acquisitions respect the lock-order DAG
 //     (engine → policy → index → entry → store → disk → wal), making
 //     intra-function deadlocks impossible by construction.
-//   - atomiccheck: a struct field accessed through sync/atomic anywhere
-//     must be accessed atomically everywhere — mixed plain/atomic
-//     access is the classic race the detector only catches when the
-//     schedule cooperates.
-//   - nilrecv: packages opted in with a `//kfvet:nilsafe` marker must
-//     guard every pointer-receiver method with a `receiver == nil`
-//     check before touching fields, enforcing the documented
-//     nil-receiver-safe contracts of internal/trace and
-//     internal/blackbox.
 //   - errlint: no discarded error from Write/Sync/Close in the
 //     durability-bearing packages (wal, disk, engine) — an unchecked
 //     Close is a silent torn segment.
 //
-// Five are interprocedural and annotation-driven (v2), built on a
+// Four are interprocedural and annotation-driven, built on a
 // module-wide function index and static call graph (module.go):
 //
 //   - allocfree: `//kfvet:noalloc` functions contain no allocating
@@ -40,14 +31,10 @@
 //   - seqlockcheck: the flight recorder's invalidate→fill→publish
 //     writer and load→copy→recheck reader shapes, enforced on every
 //     function that touches a slot (`//kfvet:seqlock writer|reader`).
-//   - epochcheck: the allocator's 2-parity epoch guard arithmetic
-//     (`//kfvet:epoch pin|unpin|advance|free|reclaim`) plus the rule
-//     that posting-copy calls are dominated by a recycler pin.
 //
-// A finding is suppressed by a `//kfvet:allow <analyzer>` comment on
-// the flagged line or the line above it; suppressions are deliberate,
-// reviewable artifacts. kfvet runs as a package test (TestModuleClean),
-// as the cmd/kfvet binary, and as the CI static-analysis job.
+// There is no suppression comment: a false positive is fixed in the
+// analyzer or in Config. kfvet runs as a package test (TestModuleClean)
+// and as the cmd/kfvet binary.
 package analyze
 
 import (
@@ -55,7 +42,6 @@ import (
 	"go/ast"
 	"go/token"
 	"sort"
-	"strings"
 )
 
 // Finding is one analyzer diagnostic.
@@ -140,16 +126,6 @@ type Config struct {
 	// sequence field name; seqlockcheck closes these types' fields to
 	// annotated writers/readers.
 	SeqlockSlotTypes map[string]string
-
-	// EpochGuardTypes are the epoch-guard structs ("pkg.epochGuard")
-	// whose field accesses epochcheck closes to annotated roles.
-	EpochGuardTypes map[string]bool
-	// EpochCopyFuncs are the posting-copy entry-points that must be
-	// dominated by a pin; EpochPinFuncs/EpochUnpinFuncs name the
-	// pin/unpin API.
-	EpochCopyFuncs  map[string]bool
-	EpochPinFuncs   map[string]bool
-	EpochUnpinFuncs map[string]bool
 }
 
 // DefaultConfig returns the declared invariants of this codebase.
@@ -168,12 +144,15 @@ type Config struct {
 //	36 alloc.Recycler.mu (record recycler; leaf)
 //	40 store.shard.mu
 //	50 policy.VictimBuffer.mu
+//	59 disk.Tier.compactMu (one compaction pass at a time)
 //	60 disk.Tier.flushMu
+//	61 disk.Tier.manifestMu (manifest commits; takes Tier.mu inside)
 //	62 disk.Tier.mu
 //	64 disk.cacheShard.mu
+//	68 wal.Log.rotMu (rotations; creates the next file outside mu)
+//	69 wal.Log.sealMu (seals and frame-index writes)
 //	70 wal.Log.mu (appends, rotation and the claims table; file I/O runs
 //	   under it by design, so it is ranked but not a no-block lock)
-//	80 trace.Trace.mu / 81 trace.DiskProbe.mu
 func DefaultConfig() Config {
 	return Config{
 		LockRank: map[string]int{
@@ -189,12 +168,14 @@ func DefaultConfig() Config {
 			"kflushing/internal/alloc.Recycler.mu":       36,
 			"kflushing/internal/store.shard.mu":          40,
 			"kflushing/internal/policy.VictimBuffer.mu":  50,
+			"kflushing/internal/disk.Tier.compactMu":     59,
 			"kflushing/internal/disk.Tier.flushMu":       60,
+			"kflushing/internal/disk.Tier.manifestMu":    61,
 			"kflushing/internal/disk.Tier.mu":            62,
 			"kflushing/internal/disk.cacheShard.mu":      64,
+			"kflushing/internal/wal.Log.rotMu":           68,
+			"kflushing/internal/wal.Log.sealMu":          69,
 			"kflushing/internal/wal.Log.mu":              70,
-			"kflushing/internal/trace.Trace.mu":          80,
-			"kflushing/internal/trace.DiskProbe.mu":      81,
 		},
 		NoBlockLocks: map[string]bool{
 			"kflushing/internal/index.Index.overMu":    true,
@@ -265,19 +246,6 @@ func DefaultConfig() Config {
 		SeqlockSlotTypes: map[string]string{
 			"kflushing/internal/blackbox.slot": "seq",
 		},
-		EpochGuardTypes: map[string]bool{
-			"kflushing/internal/alloc.epochGuard": true,
-		},
-		EpochCopyFuncs: map[string]bool{
-			"kflushing/internal/index.Entry.TopK": true,
-			"kflushing/internal/index.Entry.All":  true,
-		},
-		EpochPinFuncs: map[string]bool{
-			"kflushing/internal/alloc.Recycler.Pin": true,
-		},
-		EpochUnpinFuncs: map[string]bool{
-			"kflushing/internal/alloc.Recycler.Unpin": true,
-		},
 	}
 }
 
@@ -300,10 +268,10 @@ func FixtureConfig(pkgPath string) Config {
 		pkgPath + ".Policy": true,
 	}
 	cfg.ErrlintPkgs = map[string]bool{pkgPath: true}
-	// v2 analyzers, keyed to the fixture package's own types. The
-	// annotation-driven passes (allocfree, lockorder-infer) are safe to
-	// arm everywhere; the type/package-scoped ones (failpointcov,
-	// seqlockcheck, epochcheck) arm only in their own fixture so e.g.
+	// Interprocedural analyzers, keyed to the fixture package's own
+	// types. The annotation-driven passes (allocfree, lockorder-infer)
+	// are safe to arm everywhere; the type/package-scoped ones
+	// (failpointcov, seqlockcheck) arm only in their own fixture so e.g.
 	// the locksafe fixture's deliberate os.File traffic doesn't trip
 	// failpoint coverage.
 	cfg.NoallocPoolFuncs = map[string]bool{
@@ -317,8 +285,6 @@ func FixtureConfig(pkgPath string) Config {
 	cfg.FailpointEvalFuncs = nil
 	cfg.FailpointCovPkgs = nil
 	cfg.SeqlockSlotTypes = nil
-	cfg.EpochGuardTypes = nil
-	cfg.EpochCopyFuncs, cfg.EpochPinFuncs, cfg.EpochUnpinFuncs = nil, nil, nil
 	switch pkgPath {
 	case "failpointcov":
 		cfg.FailpointSitePkg = pkgPath
@@ -329,11 +295,6 @@ func FixtureConfig(pkgPath string) Config {
 		cfg.FailpointCovPkgs = map[string]bool{pkgPath: true}
 	case "seqlockcheck":
 		cfg.SeqlockSlotTypes = map[string]string{pkgPath + ".slot": "seq"}
-	case "epochcheck":
-		cfg.EpochGuardTypes = map[string]bool{pkgPath + ".guard": true}
-		cfg.EpochCopyFuncs = map[string]bool{pkgPath + ".Entry.TopK": true}
-		cfg.EpochPinFuncs = map[string]bool{pkgPath + ".Recycler.Pin": true}
-		cfg.EpochUnpinFuncs = map[string]bool{pkgPath + ".Recycler.Unpin": true}
 	}
 	return cfg
 }
@@ -355,28 +316,22 @@ func (p *pass) report(pos token.Pos, format string, args ...interface{}) {
 	})
 }
 
-// Run executes every analyzer over pkgs and returns the surviving
-// findings sorted by position. Findings suppressed by `//kfvet:allow`
-// comments are dropped.
+// Run executes every analyzer over pkgs and returns the findings
+// sorted by position.
 func Run(pkgs []*Package, cfg Config) []Finding {
 	var findings []Finding
-	atomicFields := collectAtomicFields(pkgs)
 	for _, pkg := range pkgs {
 		runLocksafe(&pass{pkg: pkg, cfg: cfg, findings: &findings, analyzer: "locksafe"})
-		runAtomicCheck(&pass{pkg: pkg, cfg: cfg, findings: &findings, analyzer: "atomiccheck"}, atomicFields)
-		runNilRecv(&pass{pkg: pkg, cfg: cfg, findings: &findings, analyzer: "nilrecv"})
 		runErrlint(&pass{pkg: pkg, cfg: cfg, findings: &findings, analyzer: "errlint"})
 	}
-	// The v2 analyzers are interprocedural: they share one module-wide
-	// function index and annotation table built over every package of
-	// the load, so cross-package call chains resolve by object identity.
+	// The interprocedural analyzers share one module-wide function index
+	// and annotation table built over every package of the load, so
+	// cross-package call chains resolve by object identity.
 	m := buildModule(pkgs, cfg, &findings)
 	runAllocFree(m)
 	runFailpointCov(m)
 	runLockInfer(m)
 	runSeqlockCheck(m)
-	runEpochCheck(m)
-	findings = applySuppressions(pkgs, findings)
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -388,51 +343,6 @@ func Run(pkgs []*Package, cfg Config) []Finding {
 		return a.Analyzer < b.Analyzer
 	})
 	return findings
-}
-
-// allowMarker is the suppression comment prefix.
-const allowMarker = "//kfvet:allow "
-
-// applySuppressions drops findings covered by an allow comment on the
-// same line or the line directly above.
-func applySuppressions(pkgs []*Package, findings []Finding) []Finding {
-	// allowed[file][line] holds the analyzer names allowed there.
-	allowed := make(map[string]map[int]map[string]bool)
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					rest, ok := strings.CutPrefix(c.Text, allowMarker)
-					if !ok {
-						continue
-					}
-					pos := pkg.Fset.Position(c.Pos())
-					lines := allowed[pos.Filename]
-					if lines == nil {
-						lines = make(map[int]map[string]bool)
-						allowed[pos.Filename] = lines
-					}
-					names := lines[pos.Line]
-					if names == nil {
-						names = make(map[string]bool)
-						lines[pos.Line] = names
-					}
-					for _, name := range strings.Split(rest, ",") {
-						names[strings.TrimSpace(name)] = true
-					}
-				}
-			}
-		}
-	}
-	kept := findings[:0]
-	for _, f := range findings {
-		lines := allowed[f.Pos.Filename]
-		if lines != nil && (lines[f.Pos.Line][f.Analyzer] || lines[f.Pos.Line-1][f.Analyzer]) {
-			continue
-		}
-		kept = append(kept, f)
-	}
-	return kept
 }
 
 // funcBodies yields every function or method body in the package along

@@ -2,9 +2,12 @@ package analyze
 
 import (
 	"fmt"
+	"go/types"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -16,8 +19,7 @@ import (
 // detection.
 func TestFixtures(t *testing.T) {
 	for _, name := range []string{
-		"locksafe", "atomiccheck", "nilrecv", "errlint",
-		"allocfree", "failpointcov", "lockinfer", "seqlockcheck", "epochcheck",
+		"locksafe", "errlint", "allocfree", "failpointcov", "lockinfer", "seqlockcheck",
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join("testdata", name)
@@ -76,16 +78,33 @@ func parseWants(t *testing.T, pkg *Package) map[string]string {
 	return wants
 }
 
-// TestModuleClean is the gate the CI static-analysis job enforces: the
-// committed tree must produce zero findings under the real config.
-func TestModuleClean(t *testing.T) {
+// loaded holds the one module type-check the module-wide tests share.
+var loaded struct {
+	once sync.Once
+	pkgs []*Package
+	err  error
+}
+
+// loadModule type-checks the whole module on first use and hands every
+// later caller the same packages.
+func loadModule(t *testing.T) []*Package {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("module-wide type-check is slow; skipped with -short")
 	}
-	pkgs, err := LoadModule("../..", []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
+	loaded.once.Do(func() {
+		loaded.pkgs, loaded.err = LoadModule("../..", []string{"./..."})
+	})
+	if loaded.err != nil {
+		t.Fatal(loaded.err)
 	}
+	return loaded.pkgs
+}
+
+// TestModuleClean is the gate the CI static-analysis job enforces: the
+// committed tree must produce zero findings under the real config.
+func TestModuleClean(t *testing.T) {
+	pkgs := loadModule(t)
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages; module discovery is broken", len(pkgs))
 	}
@@ -95,19 +114,12 @@ func TestModuleClean(t *testing.T) {
 }
 
 // TestProtocolAnnotationsPresent pins the module's annotation surface:
-// the hot paths, seqlock halves and epoch roles the v2 analyzers verify
+// the hot paths and seqlock halves the interprocedural analyzers verify
 // must stay annotated, or the verification silently switches off. It
 // also pins the failpoint catalog diff at empty — every declared site
 // reachable by the crash matrix.
 func TestProtocolAnnotationsPresent(t *testing.T) {
-	if testing.Short() {
-		t.Skip("module-wide type-check is slow; skipped with -short")
-	}
-	pkgs, err := LoadModule("../..", []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cov := Coverage(pkgs, DefaultConfig())
+	cov := Coverage(loadModule(t), DefaultConfig())
 	has := func(list []string, entry string) bool {
 		for _, e := range list {
 			if e == entry {
@@ -139,17 +151,6 @@ func TestProtocolAnnotationsPresent(t *testing.T) {
 			t.Errorf("seqlock annotation missing: %s", entry)
 		}
 	}
-	for _, entry := range []string{
-		"kflushing/internal/alloc.epochGuard.pin (pin)",
-		"kflushing/internal/alloc.epochGuard.unpin (unpin)",
-		"kflushing/internal/alloc.epochGuard.tryAdvance (advance)",
-		"kflushing/internal/alloc.Recycler.Free (free)",
-		"kflushing/internal/alloc.Recycler.reclaimLocked (reclaim)",
-	} {
-		if !has(cov.Epoch, entry) {
-			t.Errorf("epoch annotation missing: %s", entry)
-		}
-	}
 	if len(cov.Dead) > 0 {
 		t.Errorf("failpoint sites declared but never evaluated: %v", cov.Dead)
 	}
@@ -159,20 +160,64 @@ func TestProtocolAnnotationsPresent(t *testing.T) {
 	}
 }
 
-// TestNilsafeMarkersPresent pins the packages whose nil-receiver
-// contract the module relies on: losing a marker would silently turn
-// nilrecv off for them.
-func TestNilsafeMarkersPresent(t *testing.T) {
-	if testing.Short() {
-		t.Skip("module-wide type-check is slow; skipped with -short")
+// TestConfigNamesResolve checks that every module name DefaultConfig
+// declares is still a field, type or function of the module. A mutex,
+// interface or pool method that is renamed or deleted leaves its entry
+// matching nothing, and the check the entry drives goes quiet without a
+// finding.
+func TestConfigNamesResolve(t *testing.T) {
+	byPath := make(map[string]*types.Package)
+	for _, p := range loadModule(t) {
+		byPath[p.Path] = p.Types
 	}
-	pkgs, err := LoadModule("../..", []string{"./internal/trace", "./internal/blackbox"})
-	if err != nil {
-		t.Fatal(err)
+	cfg := DefaultConfig()
+	var names []string
+	for name := range cfg.LockRank {
+		names = append(names, name)
 	}
-	for _, pkg := range pkgs {
-		if !hasMarker(pkg, nilsafeMarker) {
-			t.Errorf("%s: missing %s marker", pkg.Path, nilsafeMarker)
+	for _, set := range []map[string]bool{
+		cfg.NoBlockLocks, cfg.CallbackIfaces, cfg.NoallocPoolFuncs,
+		cfg.NoallocExemptCallees, cfg.FailpointEvalFuncs,
+	} {
+		for name := range set {
+			names = append(names, name)
 		}
 	}
+	for typ, field := range cfg.SeqlockSlotTypes {
+		names = append(names, typ, typ+"."+field)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if !resolves(byPath, name) {
+			t.Errorf("DefaultConfig names %s, which the module does not declare", name)
+		}
+	}
+}
+
+// resolves reports whether name — "pkgpath.Name" or
+// "pkgpath.Type.member" — is a package-level object, or a field or
+// method of a named type, in one of the packages.
+func resolves(byPath map[string]*types.Package, name string) bool {
+	slash := strings.LastIndex(name, "/")
+	path, rest, ok := strings.Cut(name[slash+1:], ".")
+	if !ok {
+		return false
+	}
+	pkg := byPath[name[:slash+1]+path]
+	if pkg == nil {
+		return false
+	}
+	ident, member, _ := strings.Cut(rest, ".")
+	obj := pkg.Scope().Lookup(ident)
+	if obj == nil {
+		return false
+	}
+	if member == "" {
+		return true
+	}
+	if _, isType := obj.(*types.TypeName); !isType {
+		return false
+	}
+	found, _, _ := types.LookupFieldOrMethod(obj.Type(), true, pkg, member)
+	return found != nil
 }

@@ -3,17 +3,17 @@ package analyze
 import "sort"
 
 // CoverageReport summarizes the module's verified-protocol surface: how
-// many functions carry each kfvet annotation and how the failpoint
-// catalog lines up with the sites actually evaluated. CI prints it so a
-// shrinking annotation surface or a growing catalog diff is visible in
-// the job log even while the gate itself stays green.
+// which functions carry each kfvet annotation and how the failpoint
+// catalog lines up with the sites actually evaluated.
+// TestProtocolAnnotationsPresent pins it, so a shrinking annotation
+// surface or a growing catalog diff fails a test even while Run stays
+// silent.
 type CoverageReport struct {
-	// Noalloc, Seqlock and Epoch list the annotated functions by
-	// funcKey ("pkgpath.Type.method"), each with its annotation
-	// argument where one applies ("whennil", "writer", "pin", ...).
+	// Noalloc and Seqlock list the annotated functions by funcKey
+	// ("pkgpath.Type.method"), each with its annotation argument where
+	// one applies ("whennil", "writer", "reader").
 	Noalloc []string
 	Seqlock []string
-	Epoch   []string
 	// Declared is the failpoint catalog; Evaluated the sites reached by
 	// an Eval/EvalWrite call; Dead the difference (declared, never
 	// evaluated). A non-empty Dead means runFailpointCov reports it.
@@ -41,9 +41,6 @@ func Coverage(pkgs []*Package, cfg Config) CoverageReport {
 		if fi.ann.seqlock != "" {
 			r.Seqlock = append(r.Seqlock, key+" ("+fi.ann.seqlock+")")
 		}
-		if fi.ann.epoch != "" {
-			r.Epoch = append(r.Epoch, key+" ("+fi.ann.epoch+")")
-		}
 	}
 	declared := declaredSites(pkgs, cfg)
 	evaluated := evaluatedSites(pkgs, cfg, declared, nil)
@@ -58,7 +55,6 @@ func Coverage(pkgs []*Package, cfg Config) CoverageReport {
 	}
 	sort.Strings(r.Noalloc)
 	sort.Strings(r.Seqlock)
-	sort.Strings(r.Epoch)
 	sort.Strings(r.Declared)
 	sort.Strings(r.Evaluated)
 	sort.Strings(r.Dead)

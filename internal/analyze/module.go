@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the shared substrate of the kfvet v2 interprocedural
-// analyzers (allocfree, failpointcov, lockorder-infer, seqlockcheck,
-// epochcheck): a module-wide index of every function declaration keyed
+// analyzers (allocfree, failpointcov, lockorder-infer, seqlockcheck): a
+// module-wide index of every function declaration keyed
 // by its *types.Func object, the `//kfvet:` annotation grammar parsed
 // off declaration doc comments, and static call-target resolution.
 //
@@ -32,14 +32,6 @@ type annotation struct {
 	// seqlock names the function's role in the seqlock slot protocol:
 	// "writer" or "reader".
 	seqlock string
-	// epoch names the function's role in the 2-parity epoch guard
-	// protocol: "pin", "unpin", "advance", "free", or "reclaim".
-	epoch string
-}
-
-// annotated reports whether any kfvet contract is declared.
-func (a annotation) annotated() bool {
-	return a.noalloc || a.seqlock != "" || a.epoch != ""
 }
 
 // funcInfo is one module function declaration plus everything the
@@ -112,7 +104,6 @@ func buildModule(pkgs []*Package, cfg Config, findings *[]Finding) *module {
 const (
 	noallocMarker = "//kfvet:noalloc" // optional arg: whennil
 	seqlockMarker = "//kfvet:seqlock" // arg: writer | reader
-	epochMarker   = "//kfvet:epoch"   // arg: pin | unpin | advance | free | reclaim
 )
 
 // parseAnnotations reads the kfvet markers off a declaration's doc
@@ -143,13 +134,6 @@ func (m *module) parseAnnotations(decl *ast.FuncDecl) annotation {
 				ann.seqlock = rest
 			default:
 				m.report("annotation", c.Pos(), "malformed %s argument %q (want \"writer\" or \"reader\")", seqlockMarker, rest)
-			}
-		case epochMarker:
-			switch rest {
-			case "pin", "unpin", "advance", "free", "reclaim":
-				ann.epoch = rest
-			default:
-				m.report("annotation", c.Pos(), "malformed %s argument %q (want pin|unpin|advance|free|reclaim)", epochMarker, rest)
 			}
 		}
 	}

@@ -43,8 +43,3 @@ func (Quiet) Close() {}
 func UseQuiet(q Quiet) {
 	q.Close()
 }
-
-// Suppressed is a reviewed discard silenced with an allow comment.
-func (s *Seg) Suppressed() {
-	s.f.Close() //kfvet:allow errlint
-}

@@ -179,9 +179,3 @@ func CleanTryLock(e *Engine) bool {
 	}()
 	return true
 }
-
-// CleanSuppressed is a real leak silenced by a reviewed allow comment.
-func CleanSuppressed(e *Engine) {
-	//kfvet:allow locksafe
-	e.mu.Lock()
-}

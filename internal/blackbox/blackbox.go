@@ -16,9 +16,8 @@
 // snapshot is a contiguous run of tickets (see ringEvents).
 //
 // A nil *Recorder is the disabled recorder: every method is safe to call
-// on it and does nothing, so call sites need no guards.
-//
-//kfvet:nilsafe
+// on it and does nothing, so call sites need no guards
+// (TestNilRecorderSafe calls every exported method on nil).
 package blackbox
 
 import (

@@ -41,6 +41,34 @@ func TestNilRecorderSafe(t *testing.T) {
 	if q := SlowQueries(r.Events(), 0); len(q) != 0 {
 		t.Fatalf("nil recorder SlowQueries = %v, want none", q)
 	}
+	callAllOnNil(t, r)
+}
+
+// callAllOnNil calls every exported method of the nil pointer v with
+// zero-valued arguments. A method added later is covered without being
+// listed; one that touches a field before checking its receiver fails.
+func callAllOnNil(t *testing.T, v any) {
+	t.Helper()
+	rv := reflect.ValueOf(v)
+	for i := 0; i < rv.NumMethod(); i++ {
+		m := rv.Type().Method(i)
+		args := make([]reflect.Value, m.Type.NumIn()-1)
+		for j := range args {
+			args[j] = reflect.Zero(m.Type.In(j + 1))
+		}
+		call := rv.Method(i).Call
+		if m.Type.IsVariadic() {
+			call = rv.Method(i).CallSlice
+		}
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("nil %s.%s panics: %v", rv.Type(), m.Name, p)
+				}
+			}()
+			call(args)
+		}()
+	}
 }
 
 // TestRecordAllocs pins the hot-path contract the acceptance criteria

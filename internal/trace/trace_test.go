@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -18,6 +19,35 @@ func TestNilTraceIsNoOp(t *testing.T) {
 		t.Fatal("nil trace returned a disk probe")
 	}
 	dp.AddSegment(SegmentProbe{Segment: "seg"})
+	callAllOnNil(t, tr)
+	callAllOnNil(t, dp)
+}
+
+// callAllOnNil calls every exported method of the nil pointer v with
+// zero-valued arguments. A method added later is covered without being
+// listed; one that touches a field before checking its receiver fails.
+func callAllOnNil(t *testing.T, v any) {
+	t.Helper()
+	rv := reflect.ValueOf(v)
+	for i := 0; i < rv.NumMethod(); i++ {
+		m := rv.Type().Method(i)
+		args := make([]reflect.Value, m.Type.NumIn()-1)
+		for j := range args {
+			args[j] = reflect.Zero(m.Type.In(j + 1))
+		}
+		call := rv.Method(i).Call
+		if m.Type.IsVariadic() {
+			call = rv.Method(i).CallSlice
+		}
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("nil %s.%s panics: %v", rv.Type(), m.Name, p)
+				}
+			}()
+			call(args)
+		}()
+	}
 }
 
 func TestNilTraceAllocFree(t *testing.T) {

@@ -3,8 +3,9 @@
 // write-ahead-log files without starting a system.
 //
 //	kflushctl upgrade <dir>        rewrite the files an older release
-//	                               wrote (v3 blocks, v2 segment files,
-//	                               manifest v1/v2, <dir>/wal) in current
+//	                               wrote (v3 blocks and directories, v2
+//	                               segment files, manifest v1/v2,
+//	                               <dir>/wal) in current
 //	                               formats, which alone are read
 //	kflushctl segments <dir>       list segments (version, records, bloom,
 //	                               directory size) and the record files

@@ -1,10 +1,14 @@
 package disk
 
 import (
+	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
+	"kflushing/internal/gen"
 	"kflushing/internal/query"
 	"kflushing/internal/types"
 )
@@ -158,6 +162,98 @@ func BenchmarkSearchConcurrentDuplicateMiss(b *testing.B) {
 		}
 		wg.Wait()
 	}
+}
+
+// BenchmarkOpenDirectory measures what Open pays, per posting, to bring a
+// merge-sized directory back into resident form: the file read, the key
+// section, the Bloom filter and the key index. The directory merges four
+// flushes of 38 000 generator records (≈ 1.5 MB in format v3).
+// format=v4 is openSegment itself; format=v3 takes the same steps with
+// the v3 key decoder the upgrade keeps, since openSegment refuses v3.
+func BenchmarkOpenDirectory(b *testing.B) {
+	dir := b.TempDir()
+	tier, err := Open(Config[string]{
+		Dir:         dir,
+		KeysOf:      func(m *types.Microblog) []string { return m.Keywords },
+		Encode:      func(s string) string { return s },
+		MaxSegments: -1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := gen.New(gen.DefaultConfig())
+	for id := 0; id < 4*38_000; {
+		recs := make([]FlushRecord, 38_000)
+		for i := range recs {
+			id++
+			m := g.Next()
+			m.ID = types.ID(id)
+			recs[i] = FlushRecord{MB: m, Score: float64(m.Timestamp)}
+		}
+		if err := tier.Flush(recs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := tier.CompactAll(); err != nil {
+		b.Fatal(err)
+	}
+	if err := tier.Close(); err != nil {
+		b.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "lvl-*.kfs"))
+	if err != nil || len(paths) != 1 {
+		b.Fatalf("merged directories %v, %v", paths, err)
+	}
+	bs := blockSet{} // opened once here: the loops time the directory alone
+	defer bs.release()
+	s, err := openSegment(paths[0], bs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nposts, limit := len(s.posts), s.base[len(s.blocks)]
+	v3 := filepath.Join(dir, "v3.kfs")
+	if err := os.WriteFile(v3, encodeDirectoryV3(s), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	s.release()
+	report := func(b *testing.B, path string) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nposts), "ns/posting")
+		st, err := os.Stat(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(st.Size())/float64(nposts), "B/posting")
+	}
+	b.Run("format=v4", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s, err := openSegment(paths[0], bs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.release()
+		}
+		report(b, paths[0])
+	})
+	b.Run("format=v3", func(b *testing.B) {
+		le := binary.LittleEndian
+		for i := 0; i < b.N; i++ {
+			img, err := os.ReadFile(v3)
+			if err != nil {
+				b.Fatal(err)
+			}
+			foot := img[len(img)-segFooterSize:]
+			keysPos, bloomPos := le.Uint64(foot[0:]), le.Uint64(foot[8:])
+			s := &segment{}
+			if s.keys, s.start, s.posts, err = decodeKeysV3(img[keysPos:bloomPos], limit); err != nil {
+				b.Fatal(err)
+			}
+			if s.bloom, _, err = decodeBloom(img[bloomPos : len(img)-segFooterSize]); err != nil {
+				b.Fatal(err)
+			}
+			s.sealKeys()
+		}
+		report(b, v3)
+	})
 }
 
 // BenchmarkCompact measures merging 8 segments of 500 records.

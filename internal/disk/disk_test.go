@@ -257,6 +257,56 @@ func TestDamagedFilesRejectedNotPanicked(t *testing.T) {
 	}
 }
 
+// TestDamagedMultiBlockDirectory is the directory half of
+// TestDamagedFilesRejectedNotPanicked over a key section of several key
+// blocks and their fence: every truncation is refused, and a bit flip at
+// any offset is refused or decodes, never panics.
+func TestDamagedMultiBlockDirectory(t *testing.T) {
+	dir := t.TempDir()
+	tier := fastTier(t, Config[string]{Dir: dir})
+	var recs []FlushRecord
+	for i := uint64(1); i <= 500; i++ {
+		recs = append(recs, fr(i, float64(i), "common",
+			fmt.Sprintf("kw%04d-%08x", i, i*2654435761), fmt.Sprintf("kw%04d", i+1000)))
+	}
+	if err := tier.Flush(recs); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "seg-00000001.kfs")
+	intact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	foot := intact[len(intact)-segFooterSize:]
+	keys := intact[le.Uint64(foot):le.Uint64(foot[8:])]
+	if n, _ := binary.Uvarint(keys[le.Uint64(keys[len(keys)-8:]):]); n < 3 {
+		t.Fatalf("the key section spans %d key blocks, want at least 3", n)
+	}
+	bs := blockSet{}
+	defer bs.release()
+	open := func(img []byte) error {
+		s, err := decodeSegment(path, img, bs)
+		if err == nil {
+			s.release()
+		}
+		return err
+	}
+	if err := open(intact); err != nil {
+		t.Fatalf("intact directory: %v", err)
+	}
+	for cut := 0; cut < len(intact); cut++ {
+		if err := open(intact[:cut]); err == nil {
+			t.Fatalf("directory truncated to %d of %d bytes opened cleanly", cut, len(intact))
+		}
+	}
+	for off := range intact {
+		mutated := append([]byte(nil), intact...)
+		mutated[off] ^= 1 << (uint(off) % 8)
+		_ = open(mutated) // must not panic; a flip in a key's bytes may still decode
+	}
+}
+
 func checkDamagedFiles(t *testing.T, width int64) {
 	dir := t.TempDir()
 	tier := fastTier(t, Config[string]{Dir: dir})

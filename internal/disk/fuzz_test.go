@@ -1,7 +1,10 @@
 package disk
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"kflushing/internal/types"
@@ -76,6 +79,62 @@ func FuzzBloomDecode(f *testing.F) {
 			if b.mayContain(probe) != re.mayContain(probe) {
 				t.Fatalf("membership changed across re-encode for %q", probe)
 			}
+		}
+	})
+}
+
+// keySection encodes lists, keyed and ranked as a directory holds them,
+// as a key section.
+func keySection(lists map[string][]uint32) []byte {
+	s := &segment{}
+	s.setKeys(lists)
+	return appendKeys(nil, s.keys, s.start, s.posts)
+}
+
+// FuzzDecodeKeys throws arbitrary bytes at the key-section decoder: it
+// must never panic, never allocate more than the input's length bounds,
+// and whatever it accepts must re-encode to the same bytes.
+func FuzzDecodeKeys(f *testing.F) {
+	f.Add(keySection(map[string][]uint32{"a": {0, 2}, "ab": {1}, "b": {2, 0, 1}}), uint32(3))
+	many := make(map[string][]uint32)
+	for i := 0; i < 2000; i++ {
+		// Ordinals ascend in a record block's lists and mostly descend in a
+		// log file's.
+		p, q := uint32(i%500), uint32(i%500+3)
+		if i%2 == 1 {
+			p, q = q, p
+		}
+		many[fmt.Sprintf("tag%05x", i*7919)] = []uint32{p, q}
+	}
+	f.Add(keySection(many), uint32(503))
+	f.Add(keySection(map[string][]uint32{"only": {41}}), uint32(42))
+	f.Add(keySection(map[string][]uint32{strings.Repeat("x", 70_000): {0}, "short": {0}}), uint32(1))
+	f.Add(keySection(nil), uint32(0))
+	f.Fuzz(func(t *testing.T, data []byte, limit uint32) {
+		keys, start, posts, err := decodeKeys(data, limit)
+		if err != nil {
+			return
+		}
+		// Counts are bounded by the bytes that carry them, and a key by
+		// the bytes of its key block: a block closes at keyBlockSize, and
+		// a key takes at least three bytes of it.
+		keyBytes := 0
+		for _, k := range keys {
+			keyBytes += len(k)
+		}
+		if cap(start) > len(data)/3+1 || cap(posts) > len(data) || keyBytes > (keyBlockSize/3+1)*len(data) {
+			t.Fatalf("%d bytes decoded into %d starts, %d postings, %d key bytes", len(data), cap(start), cap(posts), keyBytes)
+		}
+		if len(start) != len(keys)+1 || int(start[len(keys)]) != len(posts) {
+			t.Fatalf("%d keys, %d starts, %d postings", len(keys), len(start), len(posts))
+		}
+		for _, p := range posts {
+			if p >= limit {
+				t.Fatalf("posting %d accepted at limit %d", p, limit)
+			}
+		}
+		if again := appendKeys(nil, keys, start, posts); !bytes.Equal(again, data) {
+			t.Fatalf("accepted section does not re-encode to its own bytes:\n%x\n%x", data, again)
 		}
 	})
 }

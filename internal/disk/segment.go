@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -33,23 +34,39 @@ func SyncDir(dir string) error {
 	return d.Close()
 }
 
-// Directory file layout, format v3 (all integers little-endian):
+// Directory file layout, format v4 (fixed-width integers little-endian):
 //
 //	header : magic "KFSG" | u16 version | u16 reserved | u32 live records
 //	blocks : u32 nblocks, then per block:
 //	         u16 nameLen | block file name | u32 record count
-//	keys   : u32 nkeys, then per key, in ascending key order:
-//	         u16 keyLen | key bytes | u32 n | n × u32 posting
+//	keys   : uvarint nkeys | uvarint nposts | key blocks | fence
+//	         | u64 fencePos
 //	bloom  : serialized key Bloom filter, see bloom.go
 //	footer : u64 keysPos | u64 bloomPos | u64 shadowedBytes
 //	         | f64 maxScore | "KFND"
+//
+// The keys, strictly ascending, are cut into key blocks of about
+// keyBlockSize bytes: a block closes after the key whose postings carry
+// it to keyBlockSize or past, so a key and its list never split. Per key:
+//
+//	uvarint shared | uvarint suffixLen | suffix | uvarint n
+//	| uvarint first posting | (n−1) × varint delta from the previous one
+//
+// where shared is the length of the prefix the key has in common with
+// the key before it — 0 for the first key of a block, which is stored
+// whole. Deltas are zigzag-coded (binary.AppendVarint) because their sign
+// depends on the record file: a block's ordinals ascend with rank, a log
+// file's mostly descend. The fence, at fencePos bytes into the section,
+// is uvarint nblocks, then per block uvarint keyLen | its first key |
+// uvarint its offset into the section, so a reader can find the block
+// that holds a key without decoding the others.
 //
 // A directory is the searchable half of the tier: sorted keys, each with
 // its postings ranked best first (score descending, then ID descending),
 // so a reader stops after k hits. A posting is an ordinal into the
 // concatenation of the block table — table entry i covers ordinals
-// [base[i], base[i]+count[i]) — which keeps it at four bytes however
-// many blocks a merged directory spans; the table is tens of entries, so
+// [base[i], base[i]+count[i]) — which keeps it one number however many
+// blocks a merged directory spans; the table is tens of entries, so
 // resolving a posting is a short binary search. A flush writes one block
 // and a seg-* directory over it; a level merge writes only a lvl-*
 // directory over the union of its inputs' blocks (compact.go).
@@ -60,9 +77,10 @@ func SyncDir(dir string) error {
 const (
 	segMagic      = "KFSG"
 	segEndMagic   = "KFND"
-	segVersion    = 3
+	segVersion    = 4
 	segHeaderSize = 4 + 2 + 2 + 4
 	segFooterSize = 8 + 8 + 8 + 8 + 4
+	keyBlockSize  = 4 << 10
 )
 
 // ErrCorrupt reports a malformed or truncated segment file.
@@ -233,6 +251,18 @@ func (r *recReader) uvarint() uint64 {
 		return 0
 	}
 	r.pos += n
+	return v
+}
+
+// cuvarint is uvarint that also refuses a non-minimal encoding (a last
+// byte of zero after the first), so that every value has one encoding
+// and whatever the key decoder accepts re-encodes to the same bytes.
+func (r *recReader) cuvarint() uint64 {
+	from := r.pos
+	v := r.uvarint()
+	if !r.bad && r.pos-from > 1 && r.b[r.pos-1] == 0 {
+		r.bad = true
+	}
 	return v
 }
 
@@ -559,16 +589,7 @@ func (s *segment) encode(buf []byte) []byte {
 		buf = le.AppendUint32(buf, b.count())
 	}
 	keysPos := uint64(len(buf))
-	buf = le.AppendUint32(buf, uint32(len(s.keys)))
-	for i, key := range s.keys {
-		buf = le.AppendUint16(buf, uint16(len(key)))
-		buf = append(buf, key...)
-		posts := s.posts[s.start[i]:s.start[i+1]]
-		buf = le.AppendUint32(buf, uint32(len(posts)))
-		for _, p := range posts {
-			buf = le.AppendUint32(buf, p)
-		}
-	}
+	buf = appendKeys(buf, s.keys, s.start, s.posts)
 	bloomPos := uint64(len(buf))
 	buf = s.bloom.encode(buf)
 	buf = le.AppendUint64(buf, keysPos)
@@ -578,35 +599,135 @@ func (s *segment) encode(buf []byte) []byte {
 	return append(buf, segEndMagic...)
 }
 
-// decodeKeys parses a key section into resident form: keys ascending,
-// every posting below limit, no list posting one ordinal twice in a row
-// (a ranked list cannot). It is bounds-checked end to end because Open
-// feeds it whatever a crash or bit rot left on disk.
+// keyBlock is a fence entry: the index of a key block's first key and
+// the block's offset into the key section.
+type keyBlock struct{ first, off int }
+
+// appendKeys appends the key section of keys (ascending) and their
+// lists, posts[start[i]:start[i+1]], to buf.
+func appendKeys(buf []byte, keys []string, start, posts []uint32) []byte {
+	sec := len(buf)
+	buf = binary.AppendUvarint(buf, uint64(len(keys)))
+	buf = binary.AppendUvarint(buf, uint64(len(posts)))
+	var fence []keyBlock
+	open := -1 // where the open key block starts; -1 when none is open
+	for i, key := range keys {
+		shared := 0
+		if open < 0 {
+			open = len(buf)
+			fence = append(fence, keyBlock{i, open - sec})
+		} else {
+			prev := keys[i-1]
+			for shared < len(prev) && shared < len(key) && prev[shared] == key[shared] {
+				shared++
+			}
+		}
+		buf = binary.AppendUvarint(buf, uint64(shared))
+		buf = binary.AppendUvarint(buf, uint64(len(key)-shared))
+		buf = append(buf, key[shared:]...)
+		list := posts[start[i]:start[i+1]]
+		buf = binary.AppendUvarint(buf, uint64(len(list)))
+		for j, p := range list {
+			if j == 0 {
+				buf = binary.AppendUvarint(buf, uint64(p))
+			} else {
+				buf = binary.AppendVarint(buf, int64(p)-int64(list[j-1]))
+			}
+		}
+		if len(buf)-open >= keyBlockSize {
+			open = -1
+		}
+	}
+	fencePos := len(buf) - sec
+	buf = appendFence(buf, keys, fence)
+	return binary.LittleEndian.AppendUint64(buf, uint64(fencePos))
+}
+
+// appendFence appends the fence over key blocks to buf.
+func appendFence(buf []byte, keys []string, fence []keyBlock) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(fence)))
+	for _, kb := range fence {
+		buf = binary.AppendUvarint(buf, uint64(len(keys[kb.first])))
+		buf = append(buf, keys[kb.first]...)
+		buf = binary.AppendUvarint(buf, uint64(kb.off))
+	}
+	return buf
+}
+
+// decodeKeys parses a key section into resident form. It is
+// bounds-checked end to end because Open feeds it whatever a crash or bit
+// rot left on disk, and it accepts only what appendKeys writes: keys
+// strictly ascending, every posting below limit, no list posting one
+// ordinal twice in a row (a ranked list cannot), minimal varints, shared
+// prefixes at their full length, key blocks cut where the writer cuts
+// them, and the fence the writer puts after them — so no byte goes
+// unchecked, and what it accepts re-encodes to the same bytes.
 func decodeKeys(b []byte, limit uint32) (keys []string, start, posts []uint32, err error) {
-	r := recReader{b: b}
-	// Each key takes at least 6 bytes: a count that cannot fit is a
-	// hostile length field, rejected before any allocation.
-	nkeys := int(r.u32())
-	if r.bad || nkeys > (len(b)-4)/6 {
+	if len(b) < 8 {
+		return nil, nil, nil, ErrCorrupt
+	}
+	fencePos := binary.LittleEndian.Uint64(b[len(b)-8:])
+	if fencePos > uint64(len(b)-8) {
+		return nil, nil, nil, ErrCorrupt
+	}
+	r := recReader{b: b[:fencePos]}
+	nkeys, nposts := r.cuvarint(), r.cuvarint()
+	// A key takes at least three bytes and a posting one: counts that
+	// cannot fit are hostile, refused before any allocation.
+	left := uint64(len(r.b) - r.pos)
+	if r.bad || nkeys > left/3 || nposts > left {
 		return nil, nil, nil, ErrCorrupt
 	}
 	start = make([]uint32, 1, nkeys+1)
-	posts = make([]uint32, 0, (len(b)-4-6*nkeys)/4)
-	ends := make([]int, 0, nkeys)
+	posts = make([]uint32, 0, nposts)
+	ends := make([]int, 0, nkeys) // keys[i] ends at keyBytes[ends[i]]
 	var keyBytes []byte
-	for i := 0; i < nkeys && !r.bad; i++ {
-		keyBytes = append(keyBytes, r.take(uint64(r.u16()))...)
+	var fence []keyBlock
+	open, prevFrom := -1, 0
+	for i := 0; i < int(nkeys) && !r.bad; i++ {
+		from, prev := len(keyBytes), keyBytes[prevFrom:]
+		at := r.pos
+		shared := r.cuvarint()
+		suffix := r.take(r.cuvarint())
+		if open < 0 {
+			// A block's first key is stored whole and sorts after the
+			// previous block's last.
+			open = at
+			fence = append(fence, keyBlock{i, at})
+			r.bad = r.bad || shared != 0 || i > 0 && bytes.Compare(suffix, prev) <= 0
+		} else {
+			// shared is the whole prefix in common with the previous key,
+			// and the byte after it sorts higher (or the key is longer).
+			r.bad = r.bad || shared > uint64(len(prev)) || len(suffix) == 0 ||
+				shared < uint64(len(prev)) && suffix[0] <= prev[shared]
+		}
+		if r.bad {
+			break
+		}
+		keyBytes = append(append(keyBytes, prev[:shared]...), suffix...)
 		ends = append(ends, len(keyBytes))
-		n := int(r.u32())
-		r.bad = r.bad || n > (len(b)-r.pos)/4
-		for j := 0; j < n && !r.bad; j++ {
-			p := r.u32()
-			r.bad = r.bad || p >= limit || j > 0 && p == posts[len(posts)-1]
-			posts = append(posts, p)
+		prevFrom = from
+		n := r.cuvarint()
+		r.bad = r.bad || n > nposts-uint64(len(posts))
+		var p uint64
+		for j := uint64(0); j < n && !r.bad; j++ {
+			u := r.cuvarint()
+			if j == 0 {
+				p = u
+			} else {
+				d := int64(u>>1) ^ -int64(u&1)
+				r.bad = r.bad || d == 0 // the same record twice in a row
+				p += uint64(d)          // a negative result wraps far above limit
+			}
+			r.bad = r.bad || p >= uint64(limit)
+			posts = append(posts, uint32(p))
 		}
 		start = append(start, uint32(len(posts)))
+		if r.pos-open >= keyBlockSize {
+			open = -1
+		}
 	}
-	if r.bad {
+	if r.bad || r.pos != len(r.b) || uint64(len(posts)) != nposts {
 		return nil, nil, nil, ErrCorrupt
 	}
 	// One backing string for every key: a directory holds tens of
@@ -618,7 +739,7 @@ func decodeKeys(b []byte, limit uint32) (keys []string, start, posts []uint32, e
 		keys[i] = all[from:to]
 		from = to
 	}
-	if !sort.StringsAreSorted(keys) {
+	if !bytes.Equal(appendFence(nil, keys, fence), b[fencePos:len(b)-8]) {
 		return nil, nil, nil, ErrCorrupt
 	}
 	return keys, start, posts, nil
@@ -673,6 +794,12 @@ func openSegment(path string, bs blockSet) (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeSegment(path, img, bs)
+}
+
+// decodeSegment is openSegment on the file image img of path.
+func decodeSegment(path string, img []byte, bs blockSet) (*segment, error) {
+	var err error
 	size, le := len(img), binary.LittleEndian
 	if size < segHeaderSize+segFooterSize || string(img[:4]) != segMagic || string(img[size-4:]) != segEndMagic {
 		return nil, ErrCorrupt

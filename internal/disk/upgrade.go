@@ -17,28 +17,33 @@ import (
 
 // The retired formats (DESIGN.md §7.1), read only here and in package
 // wal's upgrade.go. A v3 block is a v4 block with fixed-width records,
-// u64 offsets and no width; a v2 segment file is such a block and an
-// unsorted directory over it in one file, its footer u64 offsetsPos |
-// u64 keysPos | u64 bloomPos | f64 maxScore | "KFND".
+// u64 offsets and no width; a v3 directory is a v4 directory whose key
+// section is u32 nkeys, then per key u16 keyLen | key | u32 n | n × u32
+// posting; a v2 segment file is a v3 block and an unsorted directory
+// over it in one file, its footer u64 offsetsPos | u64 keysPos | u64
+// bloomPos | f64 maxScore | "KFND".
 const (
 	LogVersionV1      = 1
 	LogVersionV2      = 2
 	blkVersionV3      = 3
 	segVersionV2      = 2
+	segVersionV3      = 3
 	manifestVersionV1 = 1
 	manifestVersionV2 = 2
 )
 
 // Upgrade rewrites the tier files under dir in current formats, offline,
 // each under its own name, so the manifest's lists stand: a v3 block as a
-// v4 block, records in the same ordinal order; a v2 file's records as a
-// new v4 block, every directory naming the v2 file re-pointed at it, and
-// the v2 file as a directory over it (keys sorted, a record posted once
-// per list) — or removed, if only a directory named it; a version-1 or -2
-// manifest as version 3, the record-ID mark read back if missing. Each
-// file is staged, fsynced, renamed, its directory fsynced, and each step
-// leaves a directory the next Upgrade completes. Retired files are left
-// to the next open; a directory in current formats is left as it is.
+// v4 block, records in the same ordinal order; a v3 directory as a v4
+// one, its key section re-encoded and every other byte kept; a v2 file's
+// records as a new v4 block, every directory naming the v2 file
+// re-pointed at it, and the v2 file as a directory over it (keys sorted,
+// a record posted once per list) — or removed, if only a directory named
+// it; a version-1 or -2 manifest as version 3, the record-ID mark read
+// back if missing. Each file is staged, fsynced, renamed, its directory
+// fsynced, and each step leaves a directory the next Upgrade completes.
+// Retired files are left to the next open; a directory in current
+// formats is left as it is.
 func Upgrade(dir string) error {
 	if _, err := os.Stat(dir); err != nil {
 		return err
@@ -66,6 +71,11 @@ func Upgrade(dir string) error {
 			}
 		case magic == segMagic && version == segVersionV2:
 			oldSegs = append(oldSegs, p)
+		case magic == segMagic && version == segVersionV3:
+			if err := rewriteDirectory(p); err != nil {
+				return err
+			}
+			dirs = append(dirs, p)
 		case magic == segMagic:
 			dirs = append(dirs, p)
 		}
@@ -231,6 +241,93 @@ func rewriteBlock(from, to string) error {
 	}
 	img, _ = encodeBlock(nil, to, recs)
 	return replaceFile(to, flushedBlock, img)
+}
+
+// rewriteDirectory rewrites the v3 directory at path as v4, in place: the
+// header, block table, Bloom filter and footer are copied, the key
+// section is re-encoded, and the footer's bloomPos moves with it. The
+// block table's record counts bound the postings; the blocks themselves
+// are not opened.
+func rewriteDirectory(path string) error {
+	img, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	corrupt := fmt.Errorf("disk: upgrade %s: %w", filepath.Base(path), ErrCorrupt)
+	size, le := len(img), binary.LittleEndian
+	if size < segHeaderSize+segFooterSize || string(img[size-4:]) != segEndMagic {
+		return corrupt
+	}
+	foot := img[size-segFooterSize:]
+	keysPos, bloomPos := le.Uint64(foot[0:]), le.Uint64(foot[8:])
+	if keysPos < segHeaderSize || keysPos > bloomPos || bloomPos > uint64(size-segFooterSize) {
+		return corrupt
+	}
+	table := recReader{b: img[:keysPos], pos: segHeaderSize}
+	var limit uint64
+	for n := table.u32(); n > 0 && !table.bad; n-- {
+		table.take(uint64(table.u16()))
+		limit += uint64(table.u32())
+	}
+	if table.bad || limit > math.MaxUint32 {
+		return corrupt
+	}
+	keys, start, posts, err := decodeKeysV3(img[keysPos:bloomPos], uint32(limit))
+	if err != nil {
+		return corrupt
+	}
+	out := append([]byte(nil), img[:keysPos]...)
+	le.PutUint16(out[4:], segVersion)
+	out = appendKeys(out, keys, start, posts)
+	newBloomPos := uint64(len(out))
+	out = append(out, img[bloomPos:]...)
+	le.PutUint64(out[len(out)-segFooterSize+8:], newBloomPos)
+	return replaceFile(path, mergedDir, out)
+}
+
+// decodeKeysV3 parses a v3 key section into resident form, with the
+// checks the v4 reader makes of its content: keys strictly ascending
+// (v3 readers let equal neighbours pass, though no writer produced
+// them), every posting below limit, no list posting one ordinal twice in
+// a row.
+func decodeKeysV3(b []byte, limit uint32) (keys []string, start, posts []uint32, err error) {
+	r := recReader{b: b}
+	// Each key takes at least 6 bytes: a count that cannot fit is a
+	// hostile length field, rejected before any allocation.
+	nkeys := int(r.u32())
+	if r.bad || nkeys > (len(b)-4)/6 {
+		return nil, nil, nil, ErrCorrupt
+	}
+	start = make([]uint32, 1, nkeys+1)
+	posts = make([]uint32, 0, (len(b)-4-6*nkeys)/4)
+	ends := make([]int, 0, nkeys)
+	var keyBytes []byte
+	for i := 0; i < nkeys && !r.bad; i++ {
+		keyBytes = append(keyBytes, r.take(uint64(r.u16()))...)
+		ends = append(ends, len(keyBytes))
+		n := int(r.u32())
+		r.bad = r.bad || n > (len(b)-r.pos)/4
+		for j := 0; j < n && !r.bad; j++ {
+			p := r.u32()
+			r.bad = r.bad || p >= limit || j > 0 && p == posts[len(posts)-1]
+			posts = append(posts, p)
+		}
+		start = append(start, uint32(len(posts)))
+	}
+	if r.bad {
+		return nil, nil, nil, ErrCorrupt
+	}
+	all := string(keyBytes)
+	keys = make([]string, nkeys)
+	from := 0
+	for i, to := range ends {
+		keys[i] = all[from:to]
+		from = to
+		if i > 0 && keys[i-1] >= keys[i] {
+			return nil, nil, nil, ErrCorrupt
+		}
+	}
+	return keys, start, posts, nil
 }
 
 // legacySegment reads the directory half of the v2 segment file at path

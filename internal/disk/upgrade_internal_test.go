@@ -113,10 +113,36 @@ func writeV3Block(t *testing.T, path string, recs []FlushRecord) {
 	writeFile(t, path, append(buf, blkEndMagic...))
 }
 
-// writeDirectory writes a v3 directory at path over the block files
-// names, holding blocks[i] in ordinal order, posting every record under
-// each of its keywords in rank order.
-func writeDirectory(t *testing.T, path string, names []string, blocks ...[]FlushRecord) {
+// encodeDirectoryV3 is s's file image in directory format v3: the v4
+// image with its key section in the v3 layout.
+func encodeDirectoryV3(s *segment) []byte {
+	le := binary.LittleEndian
+	v4 := s.encode(nil)
+	foot := v4[len(v4)-segFooterSize:]
+	keysPos, bloomPos := le.Uint64(foot[0:]), le.Uint64(foot[8:])
+	img := append([]byte(nil), v4[:keysPos]...)
+	le.PutUint16(img[4:], segVersionV3)
+	img = le.AppendUint32(img, uint32(len(s.keys)))
+	for i, key := range s.keys {
+		img = le.AppendUint16(img, uint16(len(key)))
+		img = append(img, key...)
+		posts := s.posts[s.start[i]:s.start[i+1]]
+		img = le.AppendUint32(img, uint32(len(posts)))
+		for _, p := range posts {
+			img = le.AppendUint32(img, p)
+		}
+	}
+	newBloomPos := uint64(len(img))
+	img = append(img, v4[bloomPos:]...)
+	le.PutUint64(img[len(img)-segFooterSize+8:], newBloomPos)
+	return img
+}
+
+// writeDirectory writes a directory of the given version (v3 or the
+// current one) at path over the block files names, holding blocks[i] in
+// ordinal order, posting every record under each of its keywords in rank
+// order.
+func writeDirectory(t *testing.T, version uint16, path string, names []string, blocks ...[]FlushRecord) {
 	t.Helper()
 	type posted struct {
 		ord uint32
@@ -147,7 +173,11 @@ func writeDirectory(t *testing.T, path string, names []string, blocks ...[]Flush
 		}
 	}
 	s.setKeys(lists)
-	writeFile(t, s.path, s.encode(nil))
+	img := s.encode(nil)
+	if version == segVersionV3 {
+		img = encodeDirectoryV3(s)
+	}
+	writeFile(t, s.path, img)
 }
 
 // encodeManifestV1 renders m as version 1: no MaxRecordID word and no
@@ -202,7 +232,7 @@ func writeFile(t *testing.T, path string, b []byte) {
 //	seg-1  v2 file, a block of lvl-5 only (a merge left it)
 //	seg-2  v2 file, live at L0; record 4 names "zz" twice
 //	blk-3  v3 block, named by lvl-5
-//	seg-4  v3 directory over blk-4, a v4 block: current
+//	seg-4  v4 directory over blk-4, a v4 block: current
 //	lvl-5  v3 directory at L1 over seg-1 and blk-3
 //	seg-6  v3 directory over blk-6, a v3 block
 //	wal/   snapshot.kfw and wal-1 (version 1), wal-2 (version 2,
@@ -227,10 +257,10 @@ func buildLegacyDir(t *testing.T, dir string, manifestVersion int) (tier, log []
 	writeV3Block(t, at("blk-00000003.kfs"), blk3)
 	img, _ := encodeBlock(nil, "", blk4)
 	writeFile(t, at("blk-00000004.kfs"), img)
-	writeDirectory(t, at("seg-00000004.kfs"), []string{"blk-00000004.kfs"}, blk4)
-	writeDirectory(t, at("lvl-00000005.kfs"), []string{"seg-00000001.kfs", "blk-00000003.kfs"}, seg1, blk3)
+	writeDirectory(t, segVersion, at("seg-00000004.kfs"), []string{"blk-00000004.kfs"}, blk4)
+	writeDirectory(t, segVersionV3, at("lvl-00000005.kfs"), []string{"seg-00000001.kfs", "blk-00000003.kfs"}, seg1, blk3)
 	writeV3Block(t, at("blk-00000006.kfs"), blk6)
-	writeDirectory(t, at("seg-00000006.kfs"), []string{"blk-00000006.kfs"}, blk6)
+	writeDirectory(t, segVersionV3, at("seg-00000006.kfs"), []string{"blk-00000006.kfs"}, blk6)
 	m := Manifest{
 		NextSeq:     7,
 		MaxRecordID: 60,
@@ -272,7 +302,7 @@ func TestMixedVersionTier(t *testing.T) {
 	offTime.MB.Timestamp = 50
 	blk3 := rankOrder([]FlushRecord{fr(5, 5, "mid", "both"), offTime})
 	writeV3Block(t, filepath.Join(dir, "blk-00000003.kfs"), blk3)
-	writeDirectory(t, filepath.Join(dir, "seg-00000003.kfs"), []string{"blk-00000003.kfs"}, blk3)
+	writeDirectory(t, segVersionV3, filepath.Join(dir, "seg-00000003.kfs"), []string{"blk-00000003.kfs"}, blk3)
 
 	cfg := Config[string]{
 		Dir:         dir,

@@ -2,6 +2,7 @@ package kflushing_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"kflushing"
@@ -59,6 +60,43 @@ func TestSystemBasicSearch(t *testing.T) {
 		want := kflushing.Timestamp(int64(50 - i))
 		if it.MB.Timestamp != want {
 			t.Errorf("item %d: timestamp = %d, want %d", i, it.MB.Timestamp, want)
+		}
+	}
+}
+
+// TestLongKeywordSurvivesReopen: nothing bounds a client keyword's
+// length, and a directory once wrote key lengths as u16, so a keyword of
+// 64 KiB or more made the store fail its next open as corrupt.
+func TestLongKeywordSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	opt := kflushing.Options{K: 2, SyncFlush: true}
+	sys, err := kflushing.Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("x", 70_000)
+	id, err := sys.Ingest(mb(1, long, "short"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.FlushNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := kflushing.Open(dir, opt)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	for _, key := range []string{long, "short"} {
+		res, err := re.SearchKeyword(key, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Items) != 1 || res.Items[0].MB.ID != id {
+			t.Fatalf("search for a %d-byte key after the reopen: %d items, want record %d", len(key), len(res.Items), id)
 		}
 	}
 }

@@ -18,20 +18,24 @@
 //	                               print per-level occupancy, retired
 //	                               inputs, drained log files, and
 //	                               unreferenced files
-//	kflushctl dump <file>          print the records of a blk-* block or
-//	                               a sealed wal-* log file, or the live
-//	                               records of a seg-*/lvl-* directory, as
-//	                               JSON lines
+//	kflushctl dump <file>          print the records of a blk-* block,
+//	                               the frames of a wal-* log file (a
+//	                               reference frame as one line listing
+//	                               its frames), or the live records of a
+//	                               seg-*/lvl-* directory, as JSON lines
 //	kflushctl verify <dir>         decode every record, resolve every
-//	                               posting, check every list's ranking;
-//	                               fail on corruption
+//	                               posting, check every list's ranking,
+//	                               resolve every reference frame of an
+//	                               undrained log file; fail on corruption
 //	kflushctl compact <dir>        merge every segment's directory into
 //	                               one (record files are not rewritten)
 //	kflushctl probe <dir> <key> [k]  run one disk search and report the
 //	                               miss fast-path counters (Bloom skips,
 //	                               directory probes, cache hits)
 //	kflushctl wal <dir>            summarize the write-ahead log in a
-//	                               store directory
+//	                               store directory: per file the records
+//	                               it frames and those its reference
+//	                               frames list
 //
 // Two subcommands talk to a RUNNING kflushd instead of files:
 //
@@ -95,9 +99,9 @@ func main() {
 	case "levels":
 		err = cmdLevels(os.Stdout, args[1])
 	case "dump":
-		err = cmdDump(args[1])
+		err = cmdDump(os.Stdout, args[1])
 	case "verify":
-		err = cmdVerify(args[1])
+		err = cmdVerify(os.Stdout, args[1])
 	case "compact":
 		err = disk.CompactDir(args[1])
 		if err == nil {
@@ -122,7 +126,7 @@ func main() {
 		}
 		err = cmdProbe(args[1], args[2], k)
 	case "wal":
-		err = cmdWAL(args[1])
+		err = cmdWAL(os.Stdout, args[1])
 	case "trace":
 		if len(args) < 3 {
 			usage()
@@ -409,11 +413,11 @@ func cmdProbeServer(base string) error {
 		DegradedReason string
 		MemoryBudget   int64
 		WAL            struct {
-			Bytes            int64
-			Files            int
-			LiveRecords      int64
-			RelocatedRecords int64
-			ReclaimedBytes   int64
+			Bytes             int64
+			Files             int
+			LiveRecords       int64
+			ReferencedRecords int64
+			ReclaimedBytes    int64
 		}
 	}
 	if err := getJSON(base, "/stats", &stats); err != nil {
@@ -431,12 +435,12 @@ func cmdProbeServer(base string) error {
 		} else {
 			fmt.Printf("%-8s writable\n", a)
 		}
-		// The log is reclaimed online; its size against the memory
-		// budget shows whether reclaim keeps up.
+		// The log is reclaimed online; what a recovery would read against
+		// the memory budget shows whether reclaim keeps up.
 		if w := st.WAL; w.Files > 0 {
-			fmt.Printf("%-8s wal %d file(s) %d bytes (%.2fx budget) live=%d relocated=%d reclaimed_bytes=%d\n",
+			fmt.Printf("%-8s wal %d file(s) %d bytes (%.2fx budget) live=%d referenced=%d reclaimed_bytes=%d\n",
 				a, w.Files, w.Bytes, float64(w.Bytes)/float64(max(st.MemoryBudget, 1)),
-				w.LiveRecords, w.RelocatedRecords, w.ReclaimedBytes)
+				w.LiveRecords, w.ReferencedRecords, w.ReclaimedBytes)
 		}
 	}
 	if !ready.Ready {
@@ -445,11 +449,11 @@ func cmdProbeServer(base string) error {
 	return nil
 }
 
-func cmdDump(path string) error {
-	w := bufio.NewWriterSize(os.Stdout, 1<<20)
-	defer w.Flush()
-	enc := json.NewEncoder(w)
-	return disk.DumpSegment(path, func(fr disk.FlushRecord) error {
+func cmdDump(w io.Writer, path string) error {
+	bw := bufio.NewWriterSize(w, 1<<20)
+	defer bw.Flush()
+	enc := json.NewEncoder(bw)
+	record := func(fr disk.FlushRecord) error {
 		return enc.Encode(map[string]any{
 			"id":        fr.MB.ID,
 			"timestamp": fr.MB.Timestamp,
@@ -458,22 +462,49 @@ func cmdDump(path string) error {
 			"text":      fr.MB.Text,
 			"score":     fr.Score,
 		})
+	}
+	if !strings.HasPrefix(filepath.Base(path), "wal-") {
+		return disk.DumpSegment(path, record)
+	}
+	// A log file frame by frame: a reference frame is one line, its
+	// frames grouped by the file framing them.
+	type group struct {
+		File     string   `json:"file"`
+		Ordinals []uint32 `json:"ordinals"`
+	}
+	return wal.DumpFile(path, record, func(refs []disk.LogRef) error {
+		var groups []group
+		for _, r := range refs {
+			if n := len(groups); n == 0 || groups[n-1].File != disk.LogName(r.Seq) {
+				groups = append(groups, group{File: disk.LogName(r.Seq)})
+			}
+			g := &groups[len(groups)-1]
+			g.Ordinals = append(g.Ordinals, r.Ord)
+		}
+		return enc.Encode(map[string]any{"references": groups})
 	})
 }
 
-func cmdVerify(dir string) error {
+func cmdVerify(w io.Writer, dir string) error {
 	segs, recs, err := disk.Verify(dir)
 	if err != nil {
 		return fmt.Errorf("verification FAILED after %d segments / %d records: %w", segs, recs, err)
 	}
-	fmt.Printf("ok: %d segments, %d records verified\n", segs, recs)
+	refs, err := wal.Verify(dir)
+	if err != nil {
+		return fmt.Errorf("verification FAILED after %d log references: %w", refs, err)
+	}
+	fmt.Fprintf(w, "ok: %d segments, %d records verified, %d log references resolved\n", segs, recs, refs)
 	return nil
 }
 
 // cmdWAL summarizes the log files of a store directory — each with its
-// version, frames, whether it is sealed and whether the manifest marks it
-// drained (a record file of the tier, not replayed). It changes nothing.
-func cmdWAL(dir string) error {
+// version, the records it frames and those its reference frames list,
+// whether it is sealed and whether the manifest marks it drained (a
+// record file of the tier, not scanned by a replay). The summary's
+// replayable count is what a recovery delivers: the frames and
+// references of the undrained files. It changes nothing.
+func cmdWAL(w io.Writer, dir string) error {
 	m, _ := disk.ReadManifest(dir) // no manifest: nothing is drained
 	drained := make(map[string]bool, len(m.Drained))
 	for _, name := range m.Drained {
@@ -483,7 +514,8 @@ func cmdWAL(dir string) error {
 	if err != nil {
 		return fmt.Errorf("wal %s: %w", dir, err)
 	}
-	var replay, frames int
+	var replay, frames, refs int
+	var refBytes int64
 	var minID, maxID uint64
 	for _, f := range files {
 		state := "active or unsealed"
@@ -493,17 +525,20 @@ func cmdWAL(dir string) error {
 		if drained[f.Name] {
 			state += ", drained"
 		} else {
-			replay += f.Frames
+			replay += f.Frames + f.References
 			if f.Frames > 0 && (minID == 0 || f.MinID < minID) {
 				minID = f.MinID
 			}
 			maxID = max(maxID, f.MaxID)
 		}
 		frames += f.Frames
-		fmt.Printf("  %-20s v%d %8d frames %10d bytes  ids [%d, %d]  %s\n",
-			f.Name, f.Version, f.Frames, f.Bytes, f.MinID, f.MaxID, state)
+		refs += f.References
+		refBytes += f.ReferenceBytes
+		fmt.Fprintf(w, "  %-20s v%d %8d frames %8d refs %10d bytes  ids [%d, %d]  %s\n",
+			f.Name, f.Version, f.Frames, f.References, f.Bytes, f.MinID, f.MaxID, state)
 	}
-	fmt.Printf("ok: %d files, %d frames, %d replayable, id range [%d, %d]\n", len(files), frames, replay, minID, maxID)
+	fmt.Fprintf(w, "ok: %d files, %d frames, %d references in %d bytes, %d replayable, id range [%d, %d]\n",
+		len(files), frames, refs, refBytes, replay, minID, maxID)
 	return nil
 }
 

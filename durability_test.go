@@ -236,7 +236,7 @@ func TestIDsNeverReusedAcrossReopen(t *testing.T) {
 
 	// The log keeps no file for the sake of the highest ID: the file
 	// framing it drains like any other — here every file does, after
-	// relocations moved long-lived records out of theirs — and the
+	// reference frames took long-lived records' replay over — and the
 	// reopen, which then replays nothing, resumes past the manifest's
 	// high-water mark.
 	t.Run("durable=true/temporal/kflushing/high-water-file-drained", func(t *testing.T) {
@@ -252,7 +252,7 @@ func TestIDsNeverReusedAcrossReopen(t *testing.T) {
 		// A pair of records under a key of its own every 16 records, every
 		// such key searched after every ingest: full entries, always the
 		// most recently queried, so they outlive the files they were
-		// framed in and the log relocates them.
+		// framed in and the log references them.
 		var sticky []string
 		var last kflushing.ID
 		for i := 1; i <= 1200; i++ {
@@ -273,8 +273,8 @@ func TestIDsNeverReusedAcrossReopen(t *testing.T) {
 				}
 			}
 		}
-		if n := sys.Stats().WAL.RelocatedRecords; n == 0 {
-			t.Fatal("the run never relocated a record")
+		if n := sys.Stats().WAL.ReferencedRecords; n == 0 {
+			t.Fatal("the run never referenced a record")
 		}
 		for i := 0; i < 100 && sys.Stats().StoreRecords > 0; i++ {
 			if _, err := sys.FlushNow(); err != nil {

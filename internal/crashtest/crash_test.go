@@ -19,6 +19,7 @@ import (
 	"kflushing/internal/disk"
 	"kflushing/internal/failpoint"
 	"kflushing/internal/index"
+	"kflushing/internal/wal"
 )
 
 // childOptions is the configuration both the crashing child and the
@@ -104,9 +105,10 @@ func plainSession(t *testing.T, dir string, n int) {
 // queried, so Phase 3 evicts it last and the pair outlives cycle after
 // cycle. Each pair pins the log file it was framed in — the log seals a
 // file per flush cycle — until the pinned files outgrow the 24 KiB
-// budget and the log relocates their survivors. They are what makes
-// the relocation path, and its crash sites, reachable; everything else
-// is flushed within a cycle or two.
+// budget and a reference frame in the active file takes their
+// survivors' replay over. They are what makes the reference path, and
+// its crash sites, reachable; everything else is flushed within a cycle
+// or two.
 func ingestSession(t *testing.T, dir, ackPath string, session, n int) {
 	t.Helper()
 	sys, err := kflushing.Open(dir, childOptions())
@@ -216,6 +218,9 @@ func TestCrashMatrix(t *testing.T) {
 					code, failpoint.CrashExitCode, out)
 			}
 			verifyRecovered(t, dataDir, ackPath)
+			if strings.HasPrefix(site, "wal/reference/") {
+				verifyReferenced(t, dataDir)
+			}
 		})
 	}
 }
@@ -306,7 +311,8 @@ func verifyRecovered(t *testing.T, dataDir, ackPath string) {
 // verifyLogFiles checks the log files a durable store's directories
 // name: every one exists and is the sealed file the directory counted
 // frames in (disk.Inspect opens each and checks its frame count against
-// the table), and every file the manifest lists drained is on disk.
+// the table), every file the manifest lists drained is on disk, and every
+// reference frame of an undrained file lists frames that are.
 func verifyLogFiles(t *testing.T, dataDir string) {
 	t.Helper()
 	infos, err := disk.Inspect(dataDir)
@@ -334,6 +340,27 @@ func verifyLogFiles(t *testing.T, dataDir string) {
 	}
 	if blocks, _ := filepath.Glob(filepath.Join(dataDir, "blk-*.kfs")); len(blocks) != 0 {
 		t.Fatalf("durable store wrote record blocks %v", blocks)
+	}
+	if _, err := wal.Verify(dataDir); err != nil {
+		t.Fatalf("a reference frame of an undrained log file does not resolve: %v", err)
+	}
+}
+
+// verifyReferenced checks that the runs reclaimed through reference
+// frames, whose records verifyRecovered found: the log lists records of
+// other files.
+func verifyReferenced(t *testing.T, dataDir string) {
+	t.Helper()
+	files, err := wal.Inspect(dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := 0
+	for _, f := range files {
+		refs += f.References
+	}
+	if refs == 0 {
+		t.Fatal("no log file holds a reference frame")
 	}
 }
 

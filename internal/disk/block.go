@@ -239,7 +239,9 @@ func corruptIfShort(err error) error {
 }
 
 // recordSize returns the on-disk byte length of the record at ord, its
-// frame header (if any) not included.
+// frame header (if any) not included. In a log file it is an upper bound:
+// a reference frame may sit between two record frames (logfile.go), and
+// reads with the record before it, which its frame header bounds.
 func (b *block) recordSize(ord uint32) int64 {
 	start := b.offsets[ord]
 	if int(ord)+1 < len(b.offsets) {
@@ -248,29 +250,39 @@ func (b *block) recordSize(ord uint32) int64 {
 	return int64(b.end - start)
 }
 
-// readRecord loads the record with the given ordinal. A log file's
-// record is read with its frame header and checked against it.
+// readRecord loads the record with the given ordinal.
 func (b *block) readRecord(ord uint32) (FlushRecord, error) {
+	rec, err := b.readPayload(ord)
+	if err != nil {
+		return FlushRecord{}, err
+	}
+	fr, _, err := decodeRecord(rec)
+	return fr, err
+}
+
+// readPayload reads the encoded record at ord with one pread. A log
+// file's record is read with its frame header and checked against it:
+// the header bounds it, since a reference frame may follow it.
+func (b *block) readPayload(ord uint32) ([]byte, error) {
 	if int(ord) >= len(b.offsets) {
-		return FlushRecord{}, ErrCorrupt
+		return nil, ErrCorrupt
 	}
 	if err := failpoint.Eval(failpoint.DiskPread); err != nil {
-		return FlushRecord{}, err
+		return nil, err
 	}
 	hdr := b.frameHeader()
 	buf := make([]byte, hdr+b.recordSize(ord))
 	if _, err := b.f.ReadAt(buf, int64(b.offsets[ord])-hdr); err != nil && err != io.EOF {
-		return FlushRecord{}, err
+		return nil, err
 	}
-	rec := buf[hdr:]
-	if b.log {
-		payload, ok := CheckFrame(buf)
-		if !ok || len(payload) != len(rec) {
-			return FlushRecord{}, fmt.Errorf("disk: %s frame %d: %w", b.name(), ord, ErrCorrupt)
-		}
+	if !b.log {
+		return buf, nil
 	}
-	fr, _, err := decodeRecord(rec)
-	return fr, err
+	payload, ok := CheckFrame(buf)
+	if !ok {
+		return nil, fmt.Errorf("disk: %s frame %d: %w", b.name(), ord, ErrCorrupt)
+	}
+	return payload, nil
 }
 
 // scan reads the block's record area front to back, handing fn each
@@ -282,27 +294,39 @@ func (b *block) scan(want []bool, fn func(ord uint32, rec []byte) error) error {
 		return nil
 	}
 	const bufSize = 256 << 10
-	pos := int64(b.offsets[0]) - b.frameHeader() // the file offset r reads next
+	hdr := b.frameHeader()
+	pos := int64(b.offsets[0]) - hdr // the file offset r reads next
 	r := bufio.NewReaderSize(io.NewSectionReader(b.f, pos, int64(b.end)-pos), bufSize)
-	var rec []byte
+	var buf []byte
 	for ord := range b.offsets {
 		if want != nil && !want[ord] {
 			continue
 		}
-		at, n := int64(b.offsets[ord]), int(b.recordSize(uint32(ord)))
+		at, n := int64(b.offsets[ord])-hdr, int(hdr+b.recordSize(uint32(ord)))
 		if gap := at - pos; gap > int64(r.Buffered())+bufSize {
 			r.Reset(io.NewSectionReader(b.f, at, int64(b.end)-at))
 		} else if _, err := r.Discard(int(gap)); err != nil {
 			return fmt.Errorf("disk: scan %s ordinal %d: %w", b.name(), ord, corruptIfShort(err))
 		}
-		if cap(rec) < n {
-			rec = make([]byte, n)
+		if cap(buf) < n {
+			buf = make([]byte, n)
 		}
-		rec = rec[:n]
-		if _, err := io.ReadFull(r, rec); err != nil {
+		buf = buf[:n]
+		if _, err := io.ReadFull(r, buf); err != nil {
 			return fmt.Errorf("disk: scan %s ordinal %d: %w", b.name(), ord, corruptIfShort(err))
 		}
 		pos = at + int64(n)
+		rec := buf
+		if b.log {
+			// The frame header bounds the record: a reference frame may
+			// follow it. A scan reads rank prefixes in bulk and leaves the
+			// checksum to the pread of a search.
+			m := binary.LittleEndian.Uint32(buf)
+			if uint64(m) > uint64(n-FrameHeaderSize) {
+				return fmt.Errorf("disk: scan %s ordinal %d: %w", b.name(), ord, ErrCorrupt)
+			}
+			rec = buf[FrameHeaderSize : FrameHeaderSize+int(m)]
+		}
 		if err := fn(uint32(ord), rec); err != nil {
 			return err
 		}

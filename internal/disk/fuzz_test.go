@@ -196,3 +196,38 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeReferences feeds arbitrary payloads to the reference frame
+// decoder: it must never panic, allocate no more than one reference per
+// input byte — the result's exact length, counted first — and accept
+// only the canonical encoding, so what it accepts re-encodes to the same
+// bytes, ascending, every file below the frame's own.
+func FuzzDecodeReferences(f *testing.F) {
+	f.Add(appendReferencePayload(nil, []LogRef{{Seq: 1}, {Seq: 1, Ord: 5}, {Seq: 3, Ord: 2}}), uint32(4))
+	f.Add(appendReferencePayload(nil, []LogRef{{Seq: 7, Ord: math.MaxUint32}}), uint32(8))
+	f.Add([]byte{referenceMarker, 1, 1, 1, 0}, uint32(2))
+	f.Add([]byte{referenceMarker, 1, 0x81, 0x00, 1, 0}, uint32(9)) // a varint not minimal
+	f.Add([]byte{referenceMarker, 0xff, 0xff, 0xff, 0xff, 0x0f}, uint32(9))
+	f.Add([]byte{referenceMarker, 1, 1, 2, 4, 0}, uint32(9)) // an ordinal repeated
+	f.Add([]byte{frameIndexMarker}, uint32(9))
+	f.Fuzz(func(t *testing.T, payload []byte, own uint32) {
+		refs, ok := DecodeReferences(payload, own)
+		if !ok {
+			return
+		}
+		if len(refs) == 0 || len(refs) > len(payload) || cap(refs) != len(refs) {
+			t.Fatalf("%d references in %d bytes, capacity %d", len(refs), len(payload), cap(refs))
+		}
+		for i, r := range refs {
+			if r.Seq == 0 || r.Seq >= own {
+				t.Fatalf("reference %+v in file %d", r, own)
+			}
+			if i > 0 && (r.Seq < refs[i-1].Seq || r.Seq == refs[i-1].Seq && r.Ord <= refs[i-1].Ord) {
+				t.Fatalf("references out of order: %+v after %+v", r, refs[i-1])
+			}
+		}
+		if again := appendReferencePayload(nil, refs); !bytes.Equal(again, payload) {
+			t.Fatalf("decoded %x as %+v, which encodes as %x", payload, refs, again)
+		}
+	})
+}

@@ -631,7 +631,8 @@ func TestLeveledAdoptionRules(t *testing.T) {
 
 	// Rule 6: a log file belongs to the write-ahead log until the
 	// manifest lists it drained. Named or not, an undrained one is kept —
-	// the log replays it.
+	// the log replays it. A drained one goes only in the sweep of a tier
+	// tracking the log (loggedTier tracks one that holds nothing).
 	t.Run("unnamed undrained log file kept", func(t *testing.T) {
 		dir := t.TempDir()
 		writeLogFile(t, dir, 3, fr(1, 1, "k"))

@@ -31,7 +31,8 @@ func writeLogFile(t *testing.T, dir string, seq uint32, recs ...FlushRecord) []F
 	return out
 }
 
-// loggedTier opens a tier whose flushes name log files.
+// loggedTier opens a tier whose flushes name log files, tracking a log
+// that holds none of them: drained files go once no directory names them.
 func loggedTier(t *testing.T, dir string, fanout int) *Tier[string] {
 	t.Helper()
 	tier, err := Open(Config[string]{
@@ -45,6 +46,7 @@ func loggedTier(t *testing.T, dir string, fanout int) *Tier[string] {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tier.Close() })
+	tier.TrackLogs(func(uint32) bool { return false })
 	return tier
 }
 
@@ -149,7 +151,8 @@ func TestLoggedFlushRefusesUnsealedFile(t *testing.T) {
 func TestDrainedLogFileGoesWhenUnnamed(t *testing.T) {
 	dir := t.TempDir()
 	old := writeLogFile(t, dir, 1, fr(1, 1, "k"), fr(2, 2, "k"))
-	// File 2 frames record 1 again: a relocated copy, flushed from there.
+	// File 2 frames record 1 again — a log upgraded twice holds such a
+	// copy — flushed from there.
 	cur := writeLogFile(t, dir, 2, fr(1, 1, "k"), fr(3, 3, "k"))
 	tier := loggedTier(t, dir, 0)
 	if err := tier.Flush(old[:1]); err != nil {

@@ -109,13 +109,14 @@ func checkVersion(kind string, got, want uint16) error {
 type FlushRecord struct {
 	MB    *types.Microblog
 	Score float64
-	// LogSeq names the write-ahead-log file holding the record's newest
-	// frame (0 = no log), and LogOrd the frame's
-	// ordinal in it. The log stamps both (append, replay, relocation); a
-	// failed flush hands the record's claim on that file to the wrapper it
-	// restores; and a Logged tier's flush posts the record at that frame
-	// instead of writing it again.
-	LogSeq, LogOrd uint32
+	// LogSeq names the write-ahead-log file framing the record (0 = no
+	// log), and LogOrd the frame's ordinal in it. The log stamps both
+	// (append, replay), and a Logged tier's flush posts the record at
+	// that frame instead of writing it again. ReplaySeq names the file
+	// whose replay brings the record back: LogSeq, or a newer file whose
+	// reference frame lists it (package wal). A failed flush hands the
+	// record's claims on both to the wrapper it restores.
+	LogSeq, LogOrd, ReplaySeq uint32
 }
 
 // Flag bits of an encoded record.

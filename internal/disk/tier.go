@@ -221,12 +221,15 @@ type Tier[K comparable] struct {
 	mu      sync.RWMutex
 	levels  [][]*segment // levels[i] oldest-first
 	retired []string     // manifest-retired inputs not yet unlinked
-	// drained holds the log files no memory-resident record claims any
-	// more (DrainLog), each true once a manifest commit carries it; logs
-	// is the one open block per log file a directory names, looked up by
-	// name and valid while its references last (block.tryAcquire).
+	// drained holds the log files the write-ahead log no longer replays
+	// (DrainLog), each true once a manifest commit carries it; logs is the
+	// one open block per log file a directory names, looked up by name and
+	// valid while its references last (block.tryAcquire). logHeld is the
+	// log's word on whether memory still holds records framed in a file
+	// (TrackLogs); until it is set no drained file is unlinked.
 	drained map[string]bool
 	logs    map[string]*block
+	logHeld func(seq uint32) bool
 
 	// seq is the last assigned segment sequence number; never reused,
 	// even across restarts (persisted via the manifest and re-derived
@@ -344,7 +347,7 @@ func Open[K comparable](cfg Config[K]) (*Tier[K], error) {
 	// nothing a recovered store needs (their records are still in the
 	// WAL or in the compaction inputs), so remove them. Removal
 	// failures are harmless — the names never collide with live files.
-	for _, pattern := range []string{"blk-*.kfs.*", "seg-*.kfs.*", "lvl-*.kfs.*", manifestName + ".tmp"} {
+	for _, pattern := range []string{"blk-*.kfs.*", "seg-*.kfs.*", "lvl-*.kfs.*", "wal-*.kfw.*", manifestName + ".tmp"} {
 		if orphans, err := filepath.Glob(filepath.Join(cfg.Dir, pattern)); err == nil {
 			for _, p := range orphans {
 				slog.Warn("disk: removing orphaned staged file", "path", p)
@@ -391,10 +394,11 @@ func Open[K comparable](cfg Config[K]) (*Tier[K], error) {
 //     its directory's) or a fully shadowed block whose unlink a crash
 //     cut short: delete it.
 //  6. Log files (wal-*.kfw) belong to the write-ahead log until the
-//     manifest lists them drained: an undrained one is never deleted
-//     here, named or not — its records may exist nowhere else. A
-//     drained one no directory names is deleted (its unlink was cut
-//     short); a drained one a directory names is a record file. A
+//     manifest lists them drained: an undrained one is never deleted,
+//     named or not — its records may exist nowhere else. Nor is a
+//     drained one here: an undrained file's reference frame may still
+//     reach it, which only the log's replay shows. The owner of the log
+//     sweeps them afterwards (TrackLogs); an offline open never does. A
 //     drained name whose file is gone leaves the list.
 //
 // Afterwards a fresh manifest is committed so the next crash window
@@ -411,10 +415,6 @@ func (t *Tier[K]) openLeveled() (err error) {
 		return err
 	}
 	blkPaths, err := filepath.Glob(filepath.Join(t.cfg.Dir, "blk-*.kfs"))
-	if err != nil {
-		return err
-	}
-	logPaths, err := filepath.Glob(filepath.Join(t.cfg.Dir, "wal-*.kfw"))
 	if err != nil {
 		return err
 	}
@@ -539,16 +539,6 @@ func (t *Tier[K]) openLeveled() (err error) {
 			t.drained[name] = true
 		}
 	}
-	for _, p := range logPaths {
-		name := filepath.Base(p)
-		_, isNamed := named[name]
-		if t.drained[name] && !isNamed && sweepBlocks {
-			slog.Warn("disk: removing drained log file no directory names", "path", p)
-			if os.Remove(p) == nil {
-				delete(t.drained, name)
-			}
-		}
-	}
 	for name, b := range bs {
 		if b.log {
 			t.logs[name] = b
@@ -622,7 +612,7 @@ func (t *Tier[K]) commitManifest() error {
 	// The crash window this site names: the marks committed, the files
 	// still there. Recovery neither replays them nor, while a directory
 	// names one, deletes it. What goes wrong past the commit does not
-	// fail it: a file left behind is deleted by the next open (rule 6).
+	// fail it: a file left behind is deleted by the owner's next sweep.
 	err := failpoint.Eval(failpoint.DiskDrainCommitted)
 	for _, name := range marked {
 		if err == nil {
@@ -855,9 +845,8 @@ func (t *Tier[K]) logBlock(seq uint32) (*block, error) {
 	return b, nil
 }
 
-// LogDrained reports whether log file seq is drained: no memory-resident
-// record claims it, so the write-ahead log neither replays it nor tracks
-// it.
+// LogDrained reports whether log file seq is drained: the write-ahead
+// log does not scan it at replay.
 func (t *Tier[K]) LogDrained(seq uint32) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -865,12 +854,13 @@ func (t *Tier[K]) LogDrained(seq uint32) bool {
 	return ok
 }
 
-// DrainLog marks log file seq drained — no memory-resident record
-// claims it any more, every record it frames is in an installed segment
-// or framed again in a newer file. The next manifest commit carries the
-// mark (a flush's install, a merge, Close); from then on the file is a
-// record file of the tier alone: never replayed, and unlinked once no
-// live directory names it. Until a commit carries it the file replays,
+// DrainLog marks log file seq drained — the write-ahead log no longer
+// replays it: every record it frames or references is in an installed
+// segment, or listed by a reference frame in a newer file. The next
+// manifest commit carries the mark (a flush's install, a merge, Close);
+// from then on the file is a record file of the tier: never scanned by a
+// replay, and unlinked once no live directory names it and the log does
+// not hold it (TrackLogs). Until a commit carries it the file replays,
 // which can only bring back records the tier already holds.
 func (t *Tier[K]) DrainLog(seq uint32) error {
 	// The crash window this site names: every claim on the file is gone
@@ -885,20 +875,68 @@ func (t *Tier[K]) DrainLog(seq uint32) error {
 	return nil
 }
 
-// removeDrained unlinks a log file a committed manifest lists drained
-// and no live directory names — every record it framed was relocated, or
-// is shadowed by a newer copy — unless a retired directory file is still
-// on disk, which a manifest fallback would adopt; the next open's sweep
-// takes it then. The name leaves the drained set, and the next commit's
-// list.
+// TrackLogs hands the tier the write-ahead log's view of its files —
+// held reports whether memory still holds records a file frames, or a
+// reference frame the log replays reaches one — once the log's replay
+// has shown it, and sweeps the drained files that view lets go: from
+// here on a drained log file is unlinked once no live directory names it
+// and held says no (open rule 6).
+func (t *Tier[K]) TrackLogs(held func(seq uint32) bool) {
+	t.mu.Lock()
+	t.logHeld = held
+	names := make([]string, 0, len(t.drained))
+	for name := range t.drained {
+		names = append(names, name)
+	}
+	t.mu.Unlock()
+	sort.Strings(names)
+	swept := false
+	for _, name := range names {
+		if err := t.removeDrained(name); err != nil {
+			slog.Warn("disk: cannot remove a drained log file", "name", name, "error", err)
+		}
+		t.mu.RLock()
+		_, kept := t.drained[name]
+		t.mu.RUnlock()
+		swept = swept || !kept
+	}
+	if swept {
+		// Heal the manifest's drained list down to the files left.
+		t.manifestMu.Lock()
+		err := t.commitManifest()
+		t.manifestMu.Unlock()
+		if err != nil {
+			slog.Warn("disk: cannot commit the manifest after a drained-file sweep", "dir", t.cfg.Dir, "error", err)
+		}
+	}
+}
+
+// ReleaseLog is told that memory holds nothing of log file seq any more:
+// drained and named by no live directory, it goes now.
+func (t *Tier[K]) ReleaseLog(seq uint32) {
+	if err := t.removeDrained(LogName(seq)); err != nil {
+		slog.Warn("disk: cannot remove a drained log file", "file_seq", seq, "error", err)
+	}
+}
+
+// removeDrained unlinks a log file a committed manifest lists drained,
+// no live directory names — every record it framed a merge found shadowed,
+// or none was ever flushed from it — and the log does not hold (TrackLogs),
+// unless a retired directory file is still on disk, which a manifest
+// fallback would adopt; the owner's next sweep takes it then. The name
+// leaves the drained set, and the next commit's list.
 func (t *Tier[K]) removeDrained(name string) error {
 	t.mu.RLock()
-	keep := !t.drained[name] || len(t.retired) > 0 || t.namesFileLocked(name)
+	keep := !t.drained[name] || len(t.retired) > 0 || t.namesFileLocked(name) || t.logHeld == nil
+	held := t.logHeld
 	t.mu.RUnlock()
 	if keep {
 		return nil
 	}
-	// A file left behind here is deleted by the next open (rule 6).
+	if seq, _ := ParseLogName(name); held(seq) {
+		return nil
+	}
+	// A file left behind here is deleted by the owner's next sweep.
 	if err := failpoint.Eval(failpoint.DiskDrainUnlink); err != nil {
 		return err
 	}

@@ -16,7 +16,8 @@ import (
 )
 
 // The retired formats (DESIGN.md §7.1), read only here and in package
-// wal's upgrade.go. A v3 block is a v4 block with fixed-width records,
+// wal's upgrade.go. A v3 log file is a v4 one that holds no reference
+// frame; a v3 block is a v4 block with fixed-width records,
 // u64 offsets and no width; a v3 directory is a v4 directory whose key
 // section is u32 nkeys, then per key u16 keyLen | key | u32 n | n × u32
 // posting; a v2 segment file is a v3 block and an unsorted directory
@@ -25,6 +26,7 @@ import (
 const (
 	LogVersionV1      = 1
 	LogVersionV2      = 2
+	LogVersionV3      = 3
 	blkVersionV3      = 3
 	segVersionV2      = 2
 	segVersionV3      = 3
@@ -40,7 +42,9 @@ const (
 // re-pointed at it, and the v2 file as a directory over it (keys sorted,
 // a record posted once per list) — or removed, if only a directory named
 // it; a version-1 or -2 manifest as version 3, the record-ID mark read
-// back if missing. Each file is staged, fsynced, renamed, its directory
+// back if missing; a v3 log file as v4, only its header's version changed,
+// so its frames, its index and every ordinal a directory posts stay
+// byte for byte. Each file is staged, fsynced, renamed, its directory
 // fsynced, and each step leaves a directory the next Upgrade completes.
 // Retired files are left to the next open; a directory in current
 // formats is left as it is.
@@ -78,6 +82,17 @@ func Upgrade(dir string) error {
 			dirs = append(dirs, p)
 		case magic == segMagic:
 			dirs = append(dirs, p)
+		}
+	}
+	logs, err := filepath.Glob(filepath.Join(dir, "wal-*.kfw"))
+	if err != nil {
+		return err
+	}
+	for _, p := range logs {
+		if magic, version := fileHeader(p); magic == LogMagic && version == LogVersionV3 {
+			if err := rewriteLogHeader(p); err != nil {
+				return err
+			}
 		}
 	}
 	legacyManifest := mversion == manifestVersionV1 || mversion == manifestVersionV2
@@ -210,6 +225,17 @@ func readManifestAnyVersion(dir string) (Manifest, uint16, error) {
 	v3 = binary.LittleEndian.AppendUint32(v3, crc32.ChecksumIEEE(v3))
 	m, err := decodeManifest(append(v3, manifestEndMagic...))
 	return m, version, err
+}
+
+// rewriteLogHeader rewrites the v3 log file at path as v4, in place: the
+// same bytes under the current header.
+func rewriteLogHeader(path string) error {
+	img, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint16(img[4:], LogVersion)
+	return replaceFile(path, flushedBlock, img)
 }
 
 // rewriteBlock writes the records of the v3 block or v2 segment file at

@@ -237,6 +237,7 @@ func writeFile(t *testing.T, path string, b []byte) {
 //	seg-6  v3 directory over blk-6, a v3 block
 //	wal/   snapshot.kfw and wal-1 (version 1), wal-2 (version 2,
 //	       a torn frame at its end)
+//	wal-3  a sealed version-3 log file in the store directory
 //
 // It returns the records the tier holds and those the log holds.
 func buildLegacyDir(t *testing.T, dir string, manifestVersion int) (tier, log []FlushRecord) {
@@ -279,10 +280,81 @@ func buildLegacyDir(t *testing.T, dir string, manifestVersion int) (tier, log []
 	writeFile(t, at("wal/"+LogName(1)), legacyLogFile(LogVersionV1, v1))
 	torn := legacyLogFile(LogVersionV2, append(v2, fr(106, 106, "torn")))
 	writeFile(t, at("wal/"+LogName(2)), torn[:len(torn)-5])
+	v3 := []FlushRecord{fr(107, 107, "log"), fr(108, 108, "new", "log")}
+	writeV3LogFile(t, dir, 3, v3...)
 
 	tier = append(append(append(append(append([]FlushRecord(nil), seg1...), seg2...), blk3...), blk4...), blk6...)
-	log = append(append(append([]FlushRecord(nil), snap...), v1...), v2...)
+	log = append(append(append(append([]FlushRecord(nil), snap...), v1...), v2...), v3...)
 	return tier, log
+}
+
+// writeV3LogFile writes sealed log file seq as version 3 left it: the
+// current layout without a reference frame, under a version-3 header.
+func writeV3LogFile(t *testing.T, dir string, seq uint32, recs ...FlushRecord) []FlushRecord {
+	t.Helper()
+	out := writeLogFile(t, dir, seq, recs...)
+	path := filepath.Join(dir, LogName(seq))
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(img[4:], LogVersionV3)
+	writeFile(t, path, img)
+	return out
+}
+
+// TestUpgradeLogFile: a directory naming a version-3 log file is refused;
+// the upgrade rewrites the file's header alone — frames, frame index and
+// every ordinal the directory posts stay byte for byte — after which the
+// directory answers as before, and a second upgrade changes nothing.
+func TestUpgradeLogFile(t *testing.T) {
+	dir := t.TempDir()
+	recs := writeV3LogFile(t, dir, 1, fr(1, 1, "k"), fr(2, 2, "k", "x"), fr(3, 3, "x"))
+	v3, err := os.ReadFile(filepath.Join(dir, LogName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The directory a parent build flushed over it: unchanged by the
+	// upgrade, whose version it does not carry.
+	binary.LittleEndian.PutUint16(v3[4:], LogVersion)
+	writeFile(t, filepath.Join(dir, LogName(1)), v3)
+	tier := loggedTier(t, dir, 0)
+	if err := tier.Flush([]FlushRecord{recs[0], recs[2]}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tier.Close(); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(v3[4:], LogVersionV3)
+	writeFile(t, filepath.Join(dir, LogName(1)), v3)
+	if _, err := Open(Config[string]{Dir: dir, KeysOf: func(m *types.Microblog) []string { return m.Keywords },
+		Encode: func(s string) string { return s }, Logged: true}); !errors.Is(err, ErrNeedsUpgrade) {
+		t.Fatalf("open over a version-3 log file = %v, want ErrNeedsUpgrade", err)
+	}
+	if err := Upgrade(dir); err != nil {
+		t.Fatal(err)
+	}
+	v4, err := os.ReadFile(filepath.Join(dir, LogName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if binary.LittleEndian.Uint16(v4[4:]) != LogVersion || string(v4[:4]) != string(v3[:4]) || string(v4[6:]) != string(v3[6:]) {
+		t.Fatal("the upgrade changed more than the log file's version")
+	}
+	done := DirFiles(t, dir, "*")
+	if err := Upgrade(dir); err != nil {
+		t.Fatal(err)
+	}
+	if again := DirFiles(t, dir, "*"); fmt.Sprint(again) != fmt.Sprint(done) {
+		t.Fatalf("a second upgrade changed the directory:\n%v\nwas\n%v", again, done)
+	}
+	reopened := loggedTier(t, dir, 0)
+	if got := answerIDs(t, reopened, "k", 5); got != "[1]" {
+		t.Fatalf("answers for k %s, want [1]", got)
+	}
+	if got := answerIDs(t, reopened, "x", 5); got != "[3]" {
+		t.Fatalf("answers for x %s, want [3]", got)
+	}
 }
 
 // TestMixedVersionTier: what a store of several releases could leave

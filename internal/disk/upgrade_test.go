@@ -89,7 +89,7 @@ func checkUpgraded(t *testing.T, dir string, tierRecs, logRecs []disk.FlushRecor
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		want := map[string]string{"blk": "KFBK\x04", "seg": "KFSG\x04", "lvl": "KFSG\x04", "wal": "KFWL\x03", "man": "KFMF\x03"}[e.Name()[:3]]
+		want := map[string]string{"blk": "KFBK\x04", "seg": "KFSG\x04", "lvl": "KFSG\x04", "wal": "KFWL\x04", "man": "KFMF\x03"}[e.Name()[:3]]
 		if b, _ := os.ReadFile(filepath.Join(dir, e.Name())); !slices.Contains(m.Retired, e.Name()) && !strings.HasPrefix(string(b), want) {
 			t.Fatalf("%s starts %q after the upgrade, want %q", e.Name(), b[:min(len(b), 5)], want)
 		}

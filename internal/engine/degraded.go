@@ -19,9 +19,10 @@ var ErrDegraded = errors.New("engine: degraded read-only mode, tier writes faili
 // never became durable are re-stored and re-indexed, and records that
 // stayed memory-resident (partial flushes) lose their on-disk mark so a
 // later flush writes them again. Every evicted record is still
-// WAL-covered — its dead wrapper's claim is not released before this
-// returns — and the wrapper re-created here takes a claim of its own on
-// the same log file, so a crash loses nothing either way. Callers must
+// WAL-covered — its dead wrapper's claims are not released before this
+// returns, and the batch pins the files they name — and the wrapper
+// re-created here takes claims of its own on the same log files, so a
+// crash loses nothing either way. Callers must
 // hold flushMu.
 func (e *Engine[K]) restoreEvicted(failed []disk.FlushRecord) {
 	var recs []*store.Record
@@ -39,14 +40,14 @@ func (e *Engine[K]) restoreEvicted(failed []disk.FlushRecord) {
 			continue
 		}
 		rec := e.newRecord(fr.MB, fr.Score)
-		e.admit(rec, fr.LogSeq, fr.LogOrd, keys)
-		claimed.add(fr.LogSeq)
+		e.admit(rec, fr, keys)
+		claimed.add(fr.ReplaySeq, fr.LogSeq)
 		recs = append(recs, rec)
 		recKeys = append(recKeys, keys)
 	}
 	if e.wal != nil {
 		for _, c := range claimed {
-			e.wal.Claim(c.seq, c.n)
+			e.wal.Claim(c.replay, c.log, c.n)
 		}
 	}
 	if len(recs) > 0 {

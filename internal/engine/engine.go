@@ -148,7 +148,7 @@ type Engine[K comparable] struct {
 
 	wal *wal.Log
 	// recovering is set while New replays the log: files not yet
-	// replayed have no survivors in memory to relocate, so the reclaim
+	// replayed have no survivors in memory to reference, so the reclaim
 	// at the end of a (recovery) flush cycle stands down.
 	recovering bool
 
@@ -284,6 +284,7 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		wopt.Recorder = e.bbox
 		wopt.Drained = tier.LogDrained
 		wopt.OnDrained = e.drainLog
+		wopt.OnReleased = tier.ReleaseLog
 		w, err := wal.Open(cfg.DiskDir, wopt)
 		if err != nil {
 			// Construction failed; the open error is the one to
@@ -297,6 +298,9 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 			_ = tier.Close()
 			return nil, err
 		}
+		// Replay has shown which drained files a reference frame reaches:
+		// only now may the tier unlink the others.
+		tier.TrackLogs(w.Holds)
 	}
 	// Join the process-level dump registry so a panic handler (or
 	// kflushctl-driven DumpAll) can snapshot this engine's rings.
@@ -314,11 +318,11 @@ const recoverChunk = 4096
 
 // recoverFromWAL rebuilds memory contents from the log's undrained
 // files. Replayed records keep their original IDs, timestamps and
-// scores, and each holds the claim Replay took on the frame it came
-// from; a record framed twice (a relocation the crash caught before the
-// source drained, a log upgraded twice) keeps one wrapper and
-// moves its claim to the newer frame. The ID counter resumes past the
-// highest ID replayed (New started it past the highest ID flushed). Memory stays
+// scores, and each holds the claims Replay took on the files delivering
+// and framing it; a record delivered twice (a reference frame the crash
+// caught before its source drained, a log upgraded twice) keeps one
+// wrapper, with the newer delivery's claims. The ID counter resumes past
+// the highest ID replayed (New started it past the highest ID flushed). Memory stays
 // bounded throughout: records reach the policy in chunks, and whenever
 // memory reaches the flush watermark a cycle runs inline, under the
 // gate, before the next frame is read — its releases may unlink files
@@ -333,8 +337,8 @@ func (e *Engine[K]) recoverFromWAL() error {
 	handOver := func() {
 		// Each chunk is one ingestion batch as far as the policy is
 		// concerned. Replay is in file order, not arrival order: a
-		// relocated record comes back from its newest frame, after
-		// records that arrived later (wal.Log.Replay).
+		// referenced record comes back where its reference frame
+		// stands, after records that arrived later (wal.Log.Replay).
 		e.pol.OnIngest(recs, recKeys)
 		total += len(recs)
 		recs, recKeys = recs[:0], recKeys[:0]
@@ -348,17 +352,17 @@ func (e *Engine[K]) recoverFromWAL() error {
 			maxID = uint64(mb.ID)
 		}
 		if held := e.store.Get(mb.ID); held != nil {
-			e.wal.Release(held.LogSeq, 1)
-			held.LogSeq, held.LogOrd = fr.LogSeq, fr.LogOrd
+			e.wal.Release(held.ReplaySeq, held.LogSeq, 1)
+			held.LogSeq, held.LogOrd, held.ReplaySeq = fr.LogSeq, fr.LogOrd, fr.ReplaySeq
 			return nil
 		}
 		keys := e.cfg.KeysOf(mb)
 		if len(keys) == 0 {
-			e.wal.Release(fr.LogSeq, 1)
+			e.wal.Release(fr.ReplaySeq, fr.LogSeq, 1)
 			return nil
 		}
 		rec := e.newRecord(mb, fr.Score)
-		e.admit(rec, fr.LogSeq, fr.LogOrd, keys)
+		e.admit(rec, fr, keys)
 		recs = append(recs, rec)
 		recKeys = append(recKeys, keys)
 		if due := e.flushDue(); due || len(recs) == recoverChunk {
@@ -484,11 +488,11 @@ func (e *Engine[K]) IngestBatch(mbs []*types.Microblog) ([]types.ID, error) {
 		}
 	}
 	for i, rec := range recs {
-		var logSeq, logOrd uint32
+		var at disk.FlushRecord
 		if e.wal != nil {
-			logSeq, logOrd = frames[i].LogSeq, frames[i].LogOrd // the claim AppendBatch took for it
+			at = frames[i] // the claims AppendBatch took for it
 		}
-		e.admit(rec, logSeq, logOrd, recKeys[i])
+		e.admit(rec, at, recKeys[i])
 	}
 	e.pol.OnIngest(recs, recKeys)
 	e.reg.Ingested.Add(int64(len(recs)))
@@ -510,14 +514,15 @@ func (e *Engine[K]) newRecord(m *types.Microblog, score float64) *store.Record {
 }
 
 // admit makes rec memory-resident: stored, charged to the budget and
-// linked under every key, holding the log claim on file logSeq, whose
-// frame logOrd is its (both 0 without a log). The references are
+// linked under every key, holding the log claims at names — on the file
+// framing it (LogSeq, at ordinal LogOrd) and the one delivering it at
+// replay (ReplaySeq), all 0 without a log. The references are
 // charged in full before the first link, so a concurrent flush
 // unlinking an early key can never see the count reach zero while later
 // keys are still being linked. The caller
 // reports the record to the policy (OnIngest) once its batch is in.
-func (e *Engine[K]) admit(rec *store.Record, logSeq, logOrd uint32, keys []K) {
-	rec.LogSeq, rec.LogOrd = logSeq, logOrd
+func (e *Engine[K]) admit(rec *store.Record, at disk.FlushRecord, keys []K) {
+	rec.LogSeq, rec.LogOrd, rec.ReplaySeq = at.LogSeq, at.LogOrd, at.ReplaySeq
 	rec.Ref(int32(len(keys)))
 	e.store.Put(rec)
 	e.mem.AddData(rec.Bytes)
@@ -611,14 +616,15 @@ func (e *Engine[K]) flushCycle(trigger blackbox.Trigger) (int64, error) {
 	batch := e.fsink.take()
 	batch.cycle = id
 	if e.wal != nil {
-		// The log files the batch's directory will name stay in the log
-		// until it is installed: a record evicted from one key only may
-		// be relocated away from its frame meanwhile.
+		// The log files the batch's directory will name, and those that
+		// deliver its records at replay, stay until it is installed: a
+		// record evicted from one key only may be referenced away from its
+		// replay file meanwhile, and a restored one claims that file again.
 		for _, fr := range batch.recs {
-			batch.pins.add(fr.LogSeq)
+			batch.pins.add(fr.ReplaySeq, fr.LogSeq)
 		}
 		for _, c := range batch.pins {
-			e.wal.Claim(c.seq, c.n)
+			e.wal.Claim(c.replay, c.log, c.n)
 		}
 	}
 	durable := false
@@ -651,17 +657,18 @@ func (e *Engine[K]) flushCycle(trigger blackbox.Trigger) (int64, error) {
 	return freed, err
 }
 
-// reclaimWAL keeps the write-ahead log proportional to memory. Eviction
-// by usefulness never drains an old log file — a few long-lived records
-// pin it — so once the log has outgrown the memory budget the sealed
-// file with the fewest survivors has them re-logged (wal.Relocate) and
-// they take their claims with them; the file goes as soon as the
-// batches still in the flush pipeline have released theirs. One file
-// per flush cycle: cycles come several to a rotation, and the gate is
-// held for a bounded copy. Running at the end of a cycle, under
-// flushMu, means nothing is evicted or restored meanwhile, so the
-// survivor set cannot change; ingestion — which only ever claims the
-// active file — carries on.
+// reclaimWAL keeps the write-ahead log's replay proportional to memory.
+// Eviction by usefulness never drains an old log file — a few long-lived
+// records pin it — so once the log's replay has outgrown the memory
+// budget, the sealed file with the fewest survivors has them listed by a
+// reference frame in the active file (wal.Reference), which takes their
+// replay over; the file drains as soon as the batches still in the flush
+// pipeline have released theirs. No record byte moves: the survivors
+// stay framed where they are. One file per flush cycle: cycles come
+// several to a rotation. Running at the end of a cycle, under flushMu,
+// means nothing is evicted or restored meanwhile, so the survivor set
+// cannot change; ingestion — which only ever claims the active file —
+// carries on.
 func (e *Engine[K]) reclaimWAL() {
 	if e.wal == nil || e.recovering {
 		return
@@ -672,31 +679,32 @@ func (e *Engine[K]) reclaimWAL() {
 	}
 	var recs []*store.Record
 	e.store.Range(func(rec *store.Record) bool {
-		if rec.LogSeq == seq {
+		if rec.ReplaySeq == seq {
 			recs = append(recs, rec)
 		}
 		return true
 	})
 	frames := make([]disk.FlushRecord, len(recs))
 	for i, rec := range recs {
-		frames[i] = disk.FlushRecord{MB: rec.MB, Score: rec.Score}
+		frames[i] = disk.FlushRecord{MB: rec.MB, Score: rec.Score, LogSeq: rec.LogSeq, LogOrd: rec.LogOrd}
 	}
-	if err := e.wal.Relocate(seq, frames); err != nil {
-		// The source keeps its claims; the next cycle tries again.
+	to, err := e.wal.Reference(seq, frames)
+	if err != nil {
+		// The source keeps its covers; the next cycle tries again.
 		e.lastError.Store(err)
 		slog.Error("engine: wal reclaim failed", "file_seq", seq, "survivors", len(recs), "error", err)
 		return
 	}
-	for i, rec := range recs {
-		rec.LogSeq, rec.LogOrd = frames[i].LogSeq, frames[i].LogOrd
+	for _, rec := range recs {
+		rec.ReplaySeq = to
 	}
 }
 
-// drainLog is the log's OnDrained: file seq holds no claim any more, so
-// the tier marks it drained, for its next manifest commit, and keeps it
-// while a directory names it. A failure only means the file replays at
-// the next open, bringing back records the tier already holds; it is
-// logged, not fatal.
+// drainLog is the log's OnDrained: file seq covers no record any more,
+// so the tier marks it drained, for its next manifest commit, and keeps
+// it while a directory names it or the log holds it. A failure only
+// means the file replays at the next open, bringing back records the
+// tier already holds; it is logged, not fatal.
 func (e *Engine[K]) drainLog(seq uint32) {
 	if err := e.tier.DrainLog(seq); err != nil {
 		slog.Error("engine: cannot mark a log file drained", "file_seq", seq, "error", err)
@@ -709,7 +717,7 @@ func (e *Engine[K]) drainLog(seq uint32) {
 func (e *Engine[K]) releaseClaims(dead []*store.Record) {
 	var t seqTally
 	for _, rec := range dead {
-		t.add(rec.LogSeq)
+		t.add(rec.ReplaySeq, rec.LogSeq)
 	}
 	e.releaseTally(t)
 }
@@ -717,27 +725,28 @@ func (e *Engine[K]) releaseClaims(dead []*store.Record) {
 // releaseTally gives back the claims a tally counts.
 func (e *Engine[K]) releaseTally(t seqTally) {
 	for _, c := range t {
-		e.wal.Release(c.seq, c.n)
+		e.wal.Release(c.replay, c.log, c.n)
 	}
 }
 
-// seqTally counts records per log file; a batch touches a handful of
-// files at most, so a linear scan beats a map.
+// seqTally counts records per pair of log files — the one delivering
+// them at replay and the one framing them; a batch touches a handful of
+// pairs at most, so a linear scan beats a map.
 type seqTally []seqCount
 
 type seqCount struct {
-	seq uint32
-	n   int
+	replay, log uint32
+	n           int
 }
 
-func (t *seqTally) add(seq uint32) {
+func (t *seqTally) add(replay, log uint32) {
 	for i := range *t {
-		if (*t)[i].seq == seq {
+		if (*t)[i].replay == replay && (*t)[i].log == log {
 			(*t)[i].n++
 			return
 		}
 	}
-	*t = append(*t, seqCount{seq, 1})
+	*t = append(*t, seqCount{replay, log, 1})
 }
 
 // FlushNow synchronously runs one flush cycle regardless of memory

@@ -61,8 +61,8 @@ func soakBatch(i, n int) []*types.Microblog {
 }
 
 // undrainedUsage sums the log files on disk the tier has not marked
-// drained: the files the log still replays, which its table must match
-// file for file.
+// drained: the files the log still scans at replay, which its table must
+// match file for file.
 func undrainedUsage(t *testing.T, eng *Engine[string]) (files int, bytes int64) {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(eng.cfg.DiskDir, "wal-*.kfw"))
@@ -155,19 +155,19 @@ func checkCrashCopy(t *testing.T, cfg Config[string], acked int) {
 		}
 	}
 	if st := re.wal.Stats(); st.LiveRecords != re.store.Len() {
-		t.Fatalf("after recovery %d claims for %d memory-resident records", st.LiveRecords, re.store.Len())
+		t.Fatalf("after recovery %d covers for %d memory-resident records", st.LiveRecords, re.store.Len())
 	}
 }
 
 // TestWALReclaimSoak ingests two hundred budgets' worth of payload
 // through a small, deterministic engine and checks, batch by batch,
-// that the undrained log — what a recovery replays — stays within three
-// budgets, that the claims table and the undrained files on disk agree
-// file for file (a claimed file is never missing, an unclaimed sealed
-// one never stays undrained), that claims equal memory, that no record
-// block is written, and — on copies taken mid-run — that a crash loses
-// nothing. The whole log grows with history, by design: it is the
-// record store.
+// that what a recovery reads — the undrained files and the frames their
+// reference frames list — stays within three budgets, that the claims
+// table and the undrained files on disk agree file for file (a covered
+// file is never missing, an uncovered sealed one never stays undrained),
+// that covers equal memory, that no record block is written, and — on
+// copies taken mid-run — that a crash loses nothing. The whole log grows
+// with history, by design: it is the record store.
 func TestWALReclaimSoak(t *testing.T) {
 	for _, ap := range []alloc.Policy{alloc.PolicyPooled, alloc.PolicyHeap} {
 		ap := ap
@@ -186,24 +186,24 @@ func TestWALReclaimSoak(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer eng.Close()
-			var peak int64
+			var peak, peakRef int64
 			for i := 0; i < total; i += batch {
 				if _, err := eng.IngestBatch(soakBatch(i, batch)); err != nil {
 					t.Fatal(err)
 				}
 				files, bytes := undrainedUsage(t, eng)
-				peak = max(peak, bytes)
-				if bytes > 3*budget {
-					t.Fatalf("after %d records the undrained log holds %d bytes in %d files, over 3x the %d budget",
-						i+batch, bytes, files, budget)
-				}
 				st := eng.wal.Stats()
-				if st.Files != files || st.Bytes != bytes {
+				peak, peakRef = max(peak, st.Bytes), max(peakRef, st.ReferencedBytes)
+				if st.Bytes > 3*budget {
+					t.Fatalf("after %d records a recovery reads %d bytes (%d in %d undrained files), over 3x the %d budget",
+						i+batch, st.Bytes, bytes, files, budget)
+				}
+				if st.Files != files || st.Bytes-st.ReferencedBytes != bytes {
 					t.Fatalf("after %d records the table says %d files / %d bytes, the directory %d / %d",
-						i+batch, st.Files, st.Bytes, files, bytes)
+						i+batch, st.Files, st.Bytes-st.ReferencedBytes, files, bytes)
 				}
 				if st.LiveRecords != eng.store.Len() {
-					t.Fatalf("after %d records %d claims for %d memory-resident records",
+					t.Fatalf("after %d records %d covers for %d memory-resident records",
 						i+batch, st.LiveRecords, eng.store.Len())
 				}
 				if n := i + batch; n == total/3/batch*batch || n == 2*total/3/batch*batch {
@@ -215,11 +215,11 @@ func TestWALReclaimSoak(t *testing.T) {
 			}
 			checkNoBlocks(t, cfg.DiskDir)
 			st := eng.wal.Stats()
-			if st.RelocatedRecords == 0 || st.ReclaimedBytes == 0 {
+			if st.ReferencedRecords == 0 || peakRef == 0 || st.ReclaimedBytes == 0 {
 				t.Fatalf("soak never reclaimed: %+v", st)
 			}
 			// Every reclaimed file leaves one wal_reclaim event naming it
-			// and the survivors relocated out of it.
+			// and the survivors referenced out of it.
 			reclaims := 0
 			for _, ev := range eng.Blackbox().EventsOf(blackbox.SubWAL) {
 				if ev.Event == "wal_reclaim" {
@@ -243,15 +243,15 @@ func TestWALReclaimSoak(t *testing.T) {
 					t.Fatalf("soak cycle %+v, want a complete budget cycle with its phases", c)
 				}
 			}
-			t.Logf("records=%d peak_undrained=%d (%.2fx budget) relocated=%d drained=%d",
-				total, peak, float64(peak)/budget, st.RelocatedRecords, st.ReclaimedBytes)
+			t.Logf("records=%d peak_replay=%d (%.2fx budget) referenced=%d drained=%d",
+				total, peak, float64(peak)/budget, st.ReferencedRecords, st.ReclaimedBytes)
 			checkCrashCopy(t, cfg, total/batch*batch)
 		})
 	}
 }
 
 // TestWALReclaimConcurrent runs writers, readers and background
-// flushing through the pipeline while reclaim relocates and unlinks,
+// flushing through the pipeline while reclaim references and drains,
 // at 1, 2 and 4 Ps. Fault-injection and race builds turn a negative
 // claim count or an unsynchronized LogSeq into a failure on the spot;
 // at quiescence every claim must belong to a memory-resident record.
@@ -332,14 +332,14 @@ func TestWALReclaimConcurrent(t *testing.T) {
 			}
 			st := eng.wal.Stats()
 			if st.LiveRecords != eng.store.Len() {
-				t.Fatalf("at quiescence %d claims for %d memory-resident records", st.LiveRecords, eng.store.Len())
+				t.Fatalf("at quiescence %d covers for %d memory-resident records", st.LiveRecords, eng.store.Len())
 			}
 			if st.ReclaimedBytes == 0 {
 				t.Fatalf("nothing reclaimed under load: %+v", st)
 			}
 			files, bytes := undrainedUsage(t, eng)
-			if st.Files != files || st.Bytes != bytes {
-				t.Fatalf("table says %d files / %d bytes, directory %d / %d", st.Files, st.Bytes, files, bytes)
+			if st.Files != files || st.Bytes-st.ReferencedBytes != bytes {
+				t.Fatalf("table says %d files / %d bytes, directory %d / %d", st.Files, st.Bytes-st.ReferencedBytes, files, bytes)
 			}
 			// Background compaction unlinks segments as it goes; let it
 			// finish so the copy below is one consistent image.

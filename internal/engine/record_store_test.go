@@ -18,12 +18,12 @@ import (
 var tierFile = regexp.MustCompile(`^(wal-\d{8}\.kfw|(seg|lvl)-\d{8}\.kfs|manifest\.kfm)$`)
 
 // TestDurableFlushWritesNoRecordBytes: on a durable engine the log is
-// the record store. Across budget flush cycles (with relocation),
+// the record store. Across budget flush cycles (with reclaim),
 // CompactNow, CompactAll and a reopen, the tier creates only directories
 // and the manifest; every table entry names a sealed log file that is
-// on disk; and the log files hold exactly one frame per ingested record
-// plus one per relocated copy, and their frame index — no record byte is
-// written anywhere else.
+// on disk; and the log files hold exactly one frame per ingested record,
+// the reference frames reclaim wrote, and their frame index — no record
+// byte is written twice, or anywhere else.
 func TestDurableFlushWritesNoRecordBytes(t *testing.T) {
 	const (
 		budget = 24 << 10
@@ -47,8 +47,8 @@ func TestDurableFlushWritesNoRecordBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := eng.Stats()
-	if st.Metrics.Flushes < 20 || st.WAL.RelocatedRecords == 0 {
-		t.Fatalf("%d flush cycles, %d relocated: the run never exercised relocation", st.Metrics.Flushes, st.WAL.RelocatedRecords)
+	if st.Metrics.Flushes < 20 || st.WAL.ReferencedRecords == 0 {
+		t.Fatalf("%d flush cycles, %d referenced: the run never exercised reclaim", st.Metrics.Flushes, st.WAL.ReferencedRecords)
 	}
 	checkRecordFiles(t, cfg.DiskDir)
 	if err := eng.Close(); err != nil {
@@ -72,14 +72,15 @@ func TestDurableFlushWritesNoRecordBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames, size, want := 0, int64(0), int64(0)
+	frames, refs, size, want := 0, 0, int64(0), int64(0)
 	for _, f := range files {
 		if !f.Sealed {
 			t.Fatalf("%s is not sealed after Close", f.Name)
 		}
 		frames += f.Frames
+		refs += f.References
 		size += f.Bytes
-		want += disk.LogHeaderSize + int64(len(disk.AppendFrameIndex(nil, make([]uint32, f.Frames))))
+		want += disk.LogHeaderSize + int64(len(disk.AppendFrameIndex(nil, make([]uint32, f.Frames)))) + f.ReferenceBytes
 		if err := disk.DumpSegment(filepath.Join(cfg.DiskDir, f.Name), func(fr disk.FlushRecord) error {
 			want += int64(len(disk.AppendFrames(nil, []disk.FlushRecord{fr})))
 			return nil
@@ -87,8 +88,11 @@ func TestDurableFlushWritesNoRecordBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if frames != total+int(st.WAL.RelocatedRecords) {
-		t.Fatalf("log files frame %d records, want %d ingested + %d relocated", frames, total, st.WAL.RelocatedRecords)
+	if frames != total {
+		t.Fatalf("log files frame %d records, want the %d ingested", frames, total)
+	}
+	if refs < int(st.WAL.ReferencedRecords) {
+		t.Fatalf("log files list %d references, the run wrote %d", refs, st.WAL.ReferencedRecords)
 	}
 	if size != want {
 		t.Fatalf("log files hold %d bytes, their frames and indexes %d", size, want)

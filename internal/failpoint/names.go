@@ -33,16 +33,16 @@ package failpoint
 // the crash-test harness an authoritative catalog to iterate.
 const (
 	// WAL sites (internal/wal).
-	WALAppend           = "wal/append"             // batch encoded, before the file write
-	WALAppendWrite      = "wal/append/write"       // the frame write itself (torn-write capable)
-	WALAppendAfterWrite = "wal/append/after-write" // frames written, before sync/rotate bookkeeping
-	WALSync             = "wal/sync"               // any active-file fsync
-	WALRotateSeal       = "wal/rotate/seal"        // the next file about to be created, the active one still taking appends
-	WALRotateCreate     = "wal/rotate/create"      // creating the next log file
-	WALRotateHeader     = "wal/rotate/header"      // writing the next file's header (torn-write capable)
-	WALSealSync         = "wal/seal/sync"          // a file taken out of service, its frame index not yet written and fsynced
-	WALRelocateAppended = "wal/relocate/appended"  // a sealed file's survivors re-appended, not yet fsynced
-	WALRelocateSynced   = "wal/relocate/synced"    // relocated frames durable, source file still claimed
+	WALAppend            = "wal/append"             // batch encoded, before the file write
+	WALAppendWrite       = "wal/append/write"       // the frame write itself (torn-write capable)
+	WALAppendAfterWrite  = "wal/append/after-write" // frames written, before sync/rotate bookkeeping
+	WALSync              = "wal/sync"               // any active-file fsync
+	WALRotateSeal        = "wal/rotate/seal"        // the next file about to be created, the active one still taking appends
+	WALRotateCreate      = "wal/rotate/create"      // creating the next log file
+	WALRotateHeader      = "wal/rotate/header"      // writing the next file's header (torn-write capable)
+	WALSealSync          = "wal/seal/sync"          // a file taken out of service, its frame index not yet written and fsynced
+	WALReferenceAppended = "wal/reference/appended" // a reference frame listing a sealed file's survivors appended, not yet fsynced
+	WALReferenceSynced   = "wal/reference/synced"   // the reference frame durable, the source file still covering the survivors
 
 	// Disk-tier sites (internal/disk).
 	DiskSegmentCreate      = "disk/segment/create"       // creating a staged file (block, directory, merged directory)
@@ -109,7 +109,7 @@ func CrashSites() []string {
 		WALAppend, WALAppendWrite, WALAppendAfterWrite,
 		WALSync,
 		WALRotateSeal, WALRotateCreate, WALRotateHeader, WALSealSync,
-		WALRelocateAppended, WALRelocateSynced,
+		WALReferenceAppended, WALReferenceSynced,
 		DiskSegmentCreate, DiskSegmentWrite, DiskSegmentDirWrite,
 		DiskSegmentSync, DiskSegmentRename, DiskBlockAfterRename, DiskSegmentAfterRename,
 		DiskCompactRename, DiskCompactRemove,

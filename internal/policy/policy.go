@@ -146,7 +146,7 @@ func (b *VictimBuffer) Add(rec *store.Record) {
 	b.mu.Lock()
 	b.dead = append(b.dead, rec)
 	if write {
-		b.recs = append(b.recs, disk.FlushRecord{MB: rec.MB, Score: rec.Score, LogSeq: rec.LogSeq, LogOrd: rec.LogOrd})
+		b.recs = append(b.recs, disk.FlushRecord{MB: rec.MB, Score: rec.Score, LogSeq: rec.LogSeq, LogOrd: rec.LogOrd, ReplaySeq: rec.ReplaySeq})
 		b.bytes += rec.Bytes
 	}
 	b.mu.Unlock()
@@ -169,7 +169,7 @@ func (b *VictimBuffer) AddPartial(rec *store.Record) {
 
 func (b *VictimBuffer) append(rec *store.Record) {
 	b.mu.Lock()
-	b.recs = append(b.recs, disk.FlushRecord{MB: rec.MB, Score: rec.Score, LogSeq: rec.LogSeq, LogOrd: rec.LogOrd})
+	b.recs = append(b.recs, disk.FlushRecord{MB: rec.MB, Score: rec.Score, LogSeq: rec.LogSeq, LogOrd: rec.LogOrd, ReplaySeq: rec.ReplaySeq})
 	b.bytes += rec.Bytes
 	b.mu.Unlock()
 	if b.chargeTemp && b.mem != nil {

@@ -481,15 +481,15 @@ func (s *Store) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(st kflushing.Stats) float64 { return float64(st.Disk.CacheEvictions) })
 	emit("disk_cache_bytes", "gauge", "bytes resident in the disk read cache",
 		func(st kflushing.Stats) float64 { return float64(st.Disk.CacheBytes) })
-	emit("wal_bytes", "gauge", "write-ahead log bytes on disk: snapshot, sealed files and the active file (0 without durability)",
+	emit("wal_bytes", "gauge", "bytes a recovery reads: the log files still replayed and the frames their reference frames list (0 without durability)",
 		func(st kflushing.Stats) float64 { return float64(st.WAL.Bytes) })
-	emit("wal_files", "gauge", "write-ahead log files on disk, the snapshot and the active file included",
+	emit("wal_files", "gauge", "write-ahead log files still replayed, the active file included",
 		func(st kflushing.Stats) float64 { return float64(st.WAL.Files) })
-	emit("wal_live_records", "gauge", "records whose newest log frame is still claimed: in memory, or in flight to a segment",
+	emit("wal_live_records", "gauge", "records whose replay still goes through the log: in memory, or in flight to a segment",
 		func(st kflushing.Stats) float64 { return float64(st.WAL.LiveRecords) })
-	emit("wal_relocated_records_total", "counter", "survivors re-logged out of a sealed log file so it could be reclaimed",
-		func(st kflushing.Stats) float64 { return float64(st.WAL.RelocatedRecords) })
-	emit("wal_reclaimed_bytes_total", "counter", "bytes of write-ahead log files unlinked once nothing claimed them",
+	emit("wal_referenced_records_total", "counter", "survivors of a sealed log file listed by a reference frame so the file could drain",
+		func(st kflushing.Stats) float64 { return float64(st.WAL.ReferencedRecords) })
+	emit("wal_reclaimed_bytes_total", "counter", "bytes of write-ahead log files drained: no longer replayed",
 		func(st kflushing.Stats) float64 { return float64(st.WAL.ReclaimedBytes) })
 	emit("degraded", "gauge", "1 while the attribute system is in degraded read-only mode (tier writes failing)",
 		func(st kflushing.Stats) float64 {

@@ -74,13 +74,13 @@ func TestMetricsExpositionLints(t *testing.T) {
 		`kflushing_query_stage_duration_seconds_bucket{attr="keyword",policy="kflushing",stage="index"`,
 		`kflushing_query_stage_duration_seconds_bucket{attr="keyword",policy="kflushing",stage="heap"`,
 		`kflushing_query_stage_duration_seconds_bucket{attr="keyword",policy="kflushing",stage="disk"`,
-		// Online log reclaim (PR 19): the log's size against the budget,
-		// and the relocation and unlink work that keeps it there.
+		// Online log reclaim: what a recovery reads against the budget,
+		// and the reference and drain work that keeps it there.
 		"# TYPE kflushing_wal_bytes gauge",
 		`kflushing_wal_bytes{attr="keyword"`,
 		"# TYPE kflushing_wal_files gauge",
 		"# TYPE kflushing_wal_live_records gauge",
-		"# TYPE kflushing_wal_relocated_records_total counter",
+		"# TYPE kflushing_wal_referenced_records_total counter",
 		"# TYPE kflushing_wal_reclaimed_bytes_total counter",
 	} {
 		if !strings.Contains(body, want) {

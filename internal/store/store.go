@@ -45,15 +45,17 @@ type Record struct {
 	// serialized twice.
 	onDisk atomic.Bool
 
-	// LogSeq is the write-ahead-log file holding the record's newest
-	// frame, and LogOrd the frame's ordinal in it: the record's claim
-	// keeps that file in the log's replay set until the record has left
-	// memory for a durably installed segment, and a durable store's flush
-	// posts the record at that frame. Written before the record is
-	// published and, afterwards, only under the engine's flush gate
-	// (relocation, recovery); read under the gate or after the dead
-	// record was handed over by it.
-	LogSeq, LogOrd uint32
+	// LogSeq is the write-ahead-log file framing the record, and LogOrd
+	// the frame's ordinal in it: a durable store's flush posts the record
+	// at that frame, and the record's hold keeps the file on disk until it
+	// has. ReplaySeq is the log file whose replay brings the record back —
+	// LogSeq, or a newer file whose reference frame lists it — and the
+	// record's cover keeps that file in the log's replay set until the
+	// record has left memory for a durably installed segment. Written
+	// before the record is published and, afterwards, only under the
+	// engine's flush gate (reclaim, recovery); read under the gate or after
+	// the dead record was handed over by it.
+	LogSeq, LogOrd, ReplaySeq uint32
 
 	// LRUPrev and LRUNext are intrusive doubly-linked-list hooks owned
 	// exclusively by the LRU policy; nil under every other policy.
@@ -93,7 +95,7 @@ func ResetRecord(r *Record, m *types.Microblog, score float64) {
 	r.pcount.Store(0)
 	r.topk.Store(0)
 	r.onDisk.Store(false)
-	r.LogSeq, r.LogOrd = 0, 0
+	r.LogSeq, r.LogOrd, r.ReplaySeq = 0, 0, 0
 	r.LRUPrev, r.LRUNext = nil, nil
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"kflushing/internal/disk"
 	"kflushing/internal/failpoint"
+	"kflushing/internal/types"
 )
 
 // appendN appends ids [from, to] one record per batch and returns the
@@ -93,11 +94,11 @@ func TestClaimsReleaseUnlinksSealedFile(t *testing.T) {
 			inFirst++
 		}
 	}
-	l.Release(first, inFirst-1)
+	l.Release(first, first, inFirst-1)
 	if !exists(dir, first) {
 		t.Fatal("file unlinked while one claim was still held")
 	}
-	l.Release(first, 1)
+	l.Release(first, first, 1)
 	if exists(dir, first) {
 		t.Fatal("sealed file survives its last claim")
 	}
@@ -114,24 +115,46 @@ func TestClaimsReleaseUnlinksSealedFile(t *testing.T) {
 			inLast++
 		}
 	}
-	l.Release(last, inLast)
+	l.Release(last, last, inLast)
 	if !exists(dir, last) {
 		t.Fatal("active file unlinked at zero claims")
 	}
 }
 
-// TestRelocateMovesClaims: the relocation protocol end to end — the
-// candidate is the sealed file with the fewest survivors, its survivors
-// are re-framed in the active file, the source goes, and a reopen
-// replays each survivor exactly once from its new file.
-func TestRelocateMovesClaims(t *testing.T) {
+// checkReplaySetMatchesDir compares the table's replay set with the
+// directory, leaving out the drained files named by held: still on disk
+// for what memory holds, but not replayed.
+func checkReplaySetMatchesDir(t *testing.T, l *Log, dir string, held ...uint32) {
+	t.Helper()
+	files, bytes := dirBytes(t, dir)
+	for _, seq := range held {
+		info, err := os.Stat(l.path(seq))
+		if err != nil {
+			t.Fatalf("held file %d: %v", seq, err)
+		}
+		files--
+		bytes -= info.Size()
+	}
+	if st := l.Stats(); st.Files != files || st.Bytes-st.ReferencedBytes != bytes {
+		t.Fatalf("table replays %d files / %d bytes, directory holds %d / %d", st.Files, st.Bytes-st.ReferencedBytes, files, bytes)
+	}
+}
+
+// TestReferenceMovesCovers: the reclaim protocol end to end — the
+// candidate is the sealed file with the fewest survivors; one reference
+// frame in the active file lists them and takes their covers; the source
+// drains but stays on disk, unchanged, while memory holds the survivors'
+// bytes; a reopen that skips it replays each survivor exactly once,
+// through the reference, from its original frame; and the file goes when
+// its last hold does and no file still replayed lists it.
+func TestReferenceMovesCovers(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{MaxFileBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Files 1 to 3 sealed, 1 KiB each, so the two not relocated span the
-	// 512-byte keep below.
+	// Files 1 to 3 sealed, 1 KiB each, so the two not referenced out span
+	// the 512-byte keep below.
 	frs := appendUntilFile(t, l, 4)
 	if _, ok := l.ReclaimCandidate(1 << 20); ok {
 		t.Fatal("candidate offered while the log is smaller than keep")
@@ -147,38 +170,47 @@ func TestRelocateMovesClaims(t *testing.T) {
 			continue
 		}
 		if len(survivors) < 3 {
-			survivors = append(survivors, disk.FlushRecord{MB: f.MB, Score: f.Score})
+			survivors = append(survivors, f)
 		} else {
 			dead++
 		}
 	}
-	l.Release(1, dead)
+	l.Release(1, 1, dead)
 	seq, ok := l.ReclaimCandidate(512)
 	if !ok || seq != 1 {
 		t.Fatalf("candidate = %d, %v; want file 1", seq, ok)
 	}
 	before := l.Stats()
-	if err := l.Relocate(1, survivors); err != nil {
+	img, err := os.ReadFile(l.path(1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if exists(dir, 1) {
-		t.Fatal("relocated file still on disk")
+	to, err := l.Reference(1, survivors)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, s := range survivors {
-		if s.LogSeq <= 1 {
-			t.Fatalf("survivor %d still names file %d", s.MB.ID, s.LogSeq)
-		}
+	if to != 4 {
+		t.Fatalf("survivors referenced into file %d, want the active file 4", to)
+	}
+	if after, err := os.ReadFile(l.path(1)); err != nil || string(after) != string(img) {
+		t.Fatalf("the referenced file changed or went: %v", err)
+	}
+	if !l.Holds(1) {
+		t.Fatal("the log lets go of a file whose records memory holds")
 	}
 	after := l.Stats()
-	if after.LiveRecords != before.LiveRecords || after.RelocatedRecords != 3 || after.Files >= before.Files+1 {
+	if after.LiveRecords != before.LiveRecords || after.ReferencedRecords != 3 || after.Files != before.Files-1 {
 		t.Fatalf("stats before %+v after %+v", before, after)
 	}
-	checkStatsMatchDir(t, l, dir)
+	if after.ReferencedBytes <= 0 || after.Bytes-after.ReferencedBytes <= before.Bytes-int64(len(img)) {
+		t.Fatalf("replay volume %+v: the reference frame and what it lists are not counted", after)
+	}
+	checkReplaySetMatchesDir(t, l, dir, 1)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir, Options{})
+	re, err := Open(dir, Options{Drained: func(seq uint32) bool { return seq == 1 }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,18 +218,39 @@ func TestRelocateMovesClaims(t *testing.T) {
 	seen := map[uint64]int{}
 	for _, r := range replayAll(t, re) {
 		seen[uint64(r.MB.ID)]++
+		if r.LogSeq == 1 && r.ReplaySeq != 4 {
+			t.Fatalf("record %d of file 1 delivered by file %d, want the referencing file 4", r.MB.ID, r.ReplaySeq)
+		}
 	}
 	for _, s := range survivors {
 		if seen[uint64(s.MB.ID)] != 1 {
 			t.Fatalf("survivor %d replayed %d times", s.MB.ID, seen[uint64(s.MB.ID)])
 		}
 	}
+	if !re.Holds(1) || !exists(dir, 1) {
+		t.Fatal("a drained file a replayed reference frame lists is let go")
+	}
+	// The survivors flushed: file 1 is held no more, but file 4 still
+	// replays and lists it. Once file 4 drains too, file 1 goes.
+	re.Release(4, 1, len(survivors))
+	if !re.Holds(1) || !exists(dir, 1) {
+		t.Fatal("file 1 let go while a replayed file lists it")
+	}
+	for _, f := range frs {
+		if f.LogSeq == 4 {
+			re.Release(4, 4, 1)
+		}
+	}
+	if re.Holds(1) || exists(dir, 1) || exists(dir, 4) {
+		t.Fatal("files 1 and 4 survive the drain of the file that listed file 1")
+	}
 }
 
-// TestRelocateKeepsSourceForInFlightClaims: survivors leave, but records
-// still on their way to a segment keep the drained file on disk until
-// they are released; meanwhile it is not offered again.
-func TestRelocateKeepsSourceForInFlightClaims(t *testing.T) {
+// TestReferenceKeepsSourceForInFlightClaims: survivors leave, but records
+// still on their way to a segment keep the file in the replay set until
+// they are released; meanwhile it is not offered again. Drained, it
+// stays on disk for the survivor memory still holds.
+func TestReferenceKeepsSourceForInFlightClaims(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{MaxFileBytes: 1024})
 	if err != nil {
@@ -211,20 +264,26 @@ func TestRelocateKeepsSourceForInFlightClaims(t *testing.T) {
 			inFirst++
 		}
 	}
-	l.Release(1, inFirst-2) // two claims left: one survivor, one in flight
-	survivor := []disk.FlushRecord{{MB: frs[0].MB, Score: frs[0].Score}}
-	if err := l.Relocate(1, survivor); err != nil {
+	l.Release(1, 1, inFirst-2) // two claims left: one survivor, one in flight
+	files := l.Stats().Files
+	to, err := l.Reference(1, frs[:1])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !exists(dir, 1) {
-		t.Fatal("file unlinked under an in-flight claim")
+	if st := l.Stats(); st.Files != files {
+		t.Fatalf("%d files replayed, want %d: file 1 drained under an in-flight claim", st.Files, files)
 	}
 	if seq, ok := l.ReclaimCandidate(0); ok && seq == 1 {
-		t.Fatal("drained file offered for relocation again")
+		t.Fatal("referenced file offered again")
 	}
-	l.Release(1, 1)
-	if exists(dir, 1) {
-		t.Fatal("drained file survives its last in-flight claim")
+	l.Release(1, 1, 1)
+	if st := l.Stats(); st.Files != files-1 || !exists(dir, 1) || !l.Holds(1) {
+		t.Fatalf("after the in-flight release: %d files replayed, file 1 on disk %v; want it drained and kept",
+			st.Files, exists(dir, 1))
+	}
+	l.Release(to, 1, 1)
+	if !exists(dir, 1) {
+		t.Fatal("file 1 unlinked while the active file's reference frame lists it")
 	}
 }
 
@@ -258,7 +317,7 @@ func TestReplayRebuildsClaims(t *testing.T) {
 	}
 	defer re.Close()
 	if _, ok := re.ReclaimCandidate(0); ok {
-		t.Fatal("unreplayed file offered for relocation")
+		t.Fatal("unreplayed file offered for reclaim")
 	}
 	got := map[uint32]int{}
 	if err := re.Replay(func(r disk.FlushRecord) error {
@@ -282,7 +341,7 @@ func TestReplayRebuildsClaims(t *testing.T) {
 	}
 	checkStatsMatchDir(t, re, dir)
 	// Releasing a replayed file's claims unlinks it like any other.
-	re.Release(1, perFile[1])
+	re.Release(1, 1, perFile[1])
 	if exists(dir, 1) {
 		t.Fatal("replayed file survives its last claim")
 	}
@@ -305,7 +364,7 @@ func TestOverReleaseIsCaught(t *testing.T) {
 			inFirst++
 		}
 	}
-	l.Release(1, inFirst-1)
+	l.Release(1, 1, inFirst-1)
 	defer func() {
 		r := recover()
 		if failpoint.Enabled && r == nil {
@@ -320,5 +379,114 @@ func TestOverReleaseIsCaught(t *testing.T) {
 			}
 		}
 	}()
-	l.Release(1, 2)
+	l.Release(1, 1, 2)
+}
+
+// ownedLog opens a tier and a log in dir wired as a durable engine wires
+// them: the tier skips and records drained files, and unlinks one only
+// when the log no longer holds it.
+func ownedLog(t *testing.T, dir string) (*disk.Tier[string], *Log) {
+	t.Helper()
+	tier, err := disk.Open(disk.Config[string]{
+		Dir:    dir,
+		KeysOf: func(m *types.Microblog) []string { return m.Keywords },
+		Encode: func(s string) string { return s },
+		Logged: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(dir, Options{
+		Drained: tier.LogDrained,
+		OnDrained: func(seq uint32) {
+			if err := tier.DrainLog(seq); err != nil {
+				t.Error(err)
+			}
+		},
+		OnReleased: tier.ReleaseLog,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tier, l
+}
+
+// TestReferencedDrainedFileSurvives: a drained log file no directory
+// names, whose record a reference frame of an undrained file lists,
+// stays on disk through a tier's open (rule 6), the log's replay and the
+// tier's sweep after it, a merge, and an offline compaction — and the
+// record it frames replays each time, through the reference.
+func TestReferencedDrainedFileSurvives(t *testing.T) {
+	dir := t.TempDir()
+	tier, l := ownedLog(t, dir)
+	tier.TrackLogs(l.Holds)
+	frs := []disk.FlushRecord{fr(1, "k"), fr(2, "k"), fr(3, "k")}
+	if err := l.AppendBatch(frs); err != nil || l.Seal() != nil {
+		t.Fatal("append and seal", err)
+	}
+	// Records 2 and 3 leave memory without a flush naming file 1 — as
+	// replayed duplicates do — and record 1 is referenced out of it.
+	l.Release(1, 1, 2)
+	if _, err := l.Reference(1, frs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tier.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !tier.LogDrained(1) || !exists(dir, 1) {
+		t.Fatal("file 1 is not drained and kept")
+	}
+
+	reopen := func(stage string) (*disk.Tier[string], *Log) {
+		t.Helper()
+		tier, l := ownedLog(t, dir)
+		if !exists(dir, 1) {
+			t.Fatalf("%s: the tier's open deleted a drained file a reference frame lists", stage)
+		}
+		got := replayAll(t, l)
+		if len(got) != 1 || got[0].MB.ID != 1 || got[0].LogSeq != 1 || got[0].ReplaySeq != 2 {
+			t.Fatalf("%s: replay delivered %+v, want record 1 of file 1 through file 2", stage, got)
+		}
+		tier.TrackLogs(l.Holds)
+		if !exists(dir, 1) {
+			t.Fatalf("%s: the sweep after replay deleted a drained file a reference frame lists", stage)
+		}
+		return tier, l
+	}
+	tier, l = reopen("open")
+	// Two flushes of new records, then a merge of their directories.
+	for id := uint64(10); id < 12; id++ {
+		batch := []disk.FlushRecord{fr(id, "k")}
+		if err := l.AppendBatch(batch); err != nil || l.Seal() != nil {
+			t.Fatal("append and seal", err)
+		}
+		if err := tier.Flush(batch); err != nil {
+			t.Fatal(err)
+		}
+		l.Release(batch[0].ReplaySeq, batch[0].LogSeq, 1)
+	}
+	if err := tier.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if !exists(dir, 1) {
+		t.Fatal("a merge deleted a drained file a reference frame lists")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tier.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.CompactDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if !exists(dir, 1) {
+		t.Fatal("an offline compaction deleted a drained file a reference frame lists")
+	}
+	tier, l = reopen("after compaction")
+	l.Close()
+	tier.Close()
 }

@@ -8,8 +8,9 @@ import (
 	"kflushing/internal/disk"
 )
 
-// FuzzReplayFile feeds arbitrary file contents to the replay parser: it
-// must never panic and must tolerate arbitrary tails in last-file mode.
+// FuzzReplayFile feeds arbitrary file contents to the replay parser — as
+// file 9, so a reference frame may list the files before it: it must
+// never panic and must tolerate arbitrary tails in last-file mode.
 func FuzzReplayFile(f *testing.F) {
 	// Seed with a valid single-record file.
 	dir := f.TempDir()
@@ -29,9 +30,12 @@ func FuzzReplayFile(f *testing.F) {
 	f.Add([]byte("KFWL"), false)
 	f.Add([]byte{}, true)
 	f.Add(disk.AppendFrames(disk.AppendLogHeader(nil), []disk.FlushRecord{fr(1, "a"), fr(2, "b")}), false)
+	withRefs := disk.AppendFrames(disk.AppendLogHeader(nil), []disk.FlushRecord{fr(1, "a")})
+	withRefs = disk.AppendReferences(withRefs, []disk.LogRef{{Seq: 3}, {Seq: 3, Ord: 2}, {Seq: 8, Ord: 1}})
+	f.Add(disk.AppendFrames(withRefs, []disk.FlushRecord{fr(2, "b")}), false)
 
 	f.Fuzz(func(t *testing.T, data []byte, last bool) {
-		path := filepath.Join(t.TempDir(), "wal-00000001.kfw")
+		path := filepath.Join(t.TempDir(), "wal-00000009.kfw")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
@@ -40,6 +44,16 @@ func FuzzReplayFile(f *testing.F) {
 		p, _ := parseFile(path, last)
 		if valid := p.valid; valid < 0 || valid > int64(len(data)) {
 			t.Fatalf("valid prefix %d outside file of %d bytes", valid, len(data))
+		}
+		for _, rf := range p.refs {
+			if rf.at > len(p.recs) || len(rf.refs) == 0 {
+				t.Fatalf("reference frame after %d of %d records lists %d", rf.at, len(p.recs), len(rf.refs))
+			}
+			for _, r := range rf.refs {
+				if r.Seq >= 9 {
+					t.Fatalf("file 9 lists a frame of file %d", r.Seq)
+				}
+			}
 		}
 	})
 }

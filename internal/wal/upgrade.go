@@ -94,5 +94,5 @@ func parseLegacyFile(path string, lastFile bool) (parsedFile, error) {
 	if version == disk.LogVersionV1 {
 		decode = disk.DecodeFixedRecord
 	}
-	return parseFrames(b, filepath.Base(path), lastFile, false, decode)
+	return parseFrames(b, filepath.Base(path), lastFile, 0, decode)
 }

@@ -69,9 +69,9 @@ func writeLegacyLog(t *testing.T, dir string, files map[string][]byte) {
 // version-1 snapshot, a version-1 sealed file and a version-2 file a
 // crash left open — is refused as it stands; after the upgrade it
 // replays in order, every field intact, from one current file, which
-// relocation treats like any other: its survivors move to the active
-// file, it goes with its last claim, and every file left is the current
-// version.
+// reclaim treats like any other: a reference frame in the active file
+// takes its survivors' replay over, it drains but stays for the bytes
+// memory holds, and every file is the current version.
 func TestMixedVersionLog(t *testing.T) {
 	dir := t.TempDir()
 	// Records 1–3 in the snapshot, 4–10 in file 1 (7 carries a score that
@@ -125,37 +125,32 @@ func TestMixedVersionLog(t *testing.T) {
 	}
 
 	// The upgraded file is mostly flushed; its survivors — 4, 7 and the
-	// records of the file the crash left open — are relocated into the
+	// records of the file the crash left open — are referenced from the
 	// active file, file 2.
 	var survivors []disk.FlushRecord
 	for _, r := range got {
 		if id := r.MB.ID; id == 4 || id == 7 || id > 10 {
-			survivors = append(survivors, disk.FlushRecord{MB: r.MB, Score: r.Score})
+			survivors = append(survivors, r)
 		}
 	}
-	l.Release(1, len(got)-len(survivors))
+	l.Release(1, 1, len(got)-len(survivors))
 	if seq, ok := l.ReclaimCandidate(0); !ok || seq != 1 {
 		t.Fatalf("candidate = %d, %v; want file 1", seq, ok)
 	}
-	if err := l.Relocate(1, survivors); err != nil {
-		t.Fatal(err)
+	if to, err := l.Reference(1, survivors); err != nil || to != 2 {
+		t.Fatalf("survivors referenced into file %d, %v; want 2", to, err)
 	}
-	if exists(dir, 1) {
-		t.Fatal("relocated upgraded file still on disk")
+	if !exists(dir, 1) {
+		t.Fatal("the referenced file went while memory holds its records")
 	}
-	for _, s := range survivors {
-		if s.LogSeq != 2 {
-			t.Fatalf("survivor %d relocated to file %d, want 2", s.MB.ID, s.LogSeq)
-		}
-	}
-	checkStatsMatchDir(t, l, dir)
+	checkReplaySetMatchesDir(t, l, dir, 1)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	infos, err := Inspect(dir)
-	if err != nil || len(infos) != 1 {
-		t.Fatalf("%d log files after reclaim, want 1: %v", len(infos), err)
+	if err != nil || len(infos) != 2 || infos[1].References != len(survivors) {
+		t.Fatalf("log files after reclaim %+v, %v; want file 1 and file 2 listing %d", infos, err, len(survivors))
 	}
 	for _, fi := range infos {
 		if fi.Version != fileVersion {
@@ -163,7 +158,7 @@ func TestMixedVersionLog(t *testing.T) {
 		}
 	}
 
-	re, err := Open(dir, Options{})
+	re, err := Open(dir, Options{Drained: func(seq uint32) bool { return seq == 1 }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +167,11 @@ func TestMixedVersionLog(t *testing.T) {
 	for _, r := range replayAll(t, re) {
 		seen[r.MB.ID]++
 		if r.MB.ID == 7 && r.Score != 0.5 {
-			t.Fatalf("relocated record 7 replays with score %v, want 0.5", r.Score)
+			t.Fatalf("referenced record 7 replays with score %v, want 0.5", r.Score)
 		}
 	}
 	if len(seen) != len(survivors) || seen[4] != 1 || seen[7] != 1 || seen[11] != 1 || seen[15] != 1 {
-		t.Fatalf("after relocation replay holds %v", seen)
+		t.Fatalf("after reclaim replay holds %v", seen)
 	}
 }
 
@@ -209,11 +204,11 @@ func TestSnapshotIsFileZero(t *testing.T) {
 		}
 	}
 	checkStatsMatchDir(t, l, dir)
-	l.Release(1, len(got)-1)
+	l.Release(1, 1, len(got)-1)
 	if !exists(dir, 1) {
 		t.Fatal("the snapshot's file unlinked while claimed")
 	}
-	l.Release(1, 1)
+	l.Release(1, 1, 1)
 	if exists(dir, 1) {
 		t.Fatal("the snapshot's file survives its last claim")
 	}
@@ -254,6 +249,7 @@ func TestMigrateLegacyLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeFrames(t, dir, 3)
+	tier.TrackLogs(func(uint32) bool { return false }) // no log holds anything
 	if err := tier.DrainLog(3); err != nil {
 		t.Fatal(err)
 	}

@@ -16,56 +16,73 @@
 //
 // The file format is the disk package's (disk/logfile.go): a header
 // naming the version, then frames — u32 payload length | u32 CRC32C |
-// one record — and, once the file is
-// sealed, a frame index. The log seals the active file and starts the
-// next when it reaches Options.MaxFileBytes, and whenever the owner asks
-// (Seal: a flush seals the file its victims' frames may sit in, because
-// a directory names only sealed files). Sealing writes the frame index
-// and fsyncs; Seal does that off the log's lock, so ingestion never
-// waits on it. An older file version is disk.ErrNeedsUpgrade (see
-// Upgrade), any other ErrCorrupt. A torn final record — the expected crash artifact — is detected by the
-// CRC/length check and replay stops there; corruption in the middle of
-// the log is reported as an error.
+// one record, or a reference frame — and, once the file is sealed, a
+// frame index over its record frames. The log seals the active file and
+// starts the next when it reaches Options.MaxFileBytes, and whenever the
+// owner asks (Seal: a flush seals the file its victims' frames may sit
+// in, because a directory names only sealed files). Sealing writes the
+// frame index and fsyncs; Seal does that off the log's lock, so
+// ingestion never waits on it. An older file version is
+// disk.ErrNeedsUpgrade (see Upgrade), any other ErrCorrupt. A torn final
+// frame — the expected crash artifact — is detected by the CRC/length
+// check and replay stops there; corruption in the middle of the log is
+// reported as an error.
 //
 // # Claims
 //
-// The log keeps one count per file: the claims of the records whose
-// newest frame the file holds and which have not yet left memory for a
-// durably installed segment. AppendBatch (and Replay, per delivered
-// frame) raises the count of the file it names in FlushRecord.LogSeq;
-// the holder of a claim lowers it with Release — the engine does so in
-// its flush pipeline's release stage, after the segment carrying the
-// record is installed. The invariant everything else hangs on:
+// A record's bytes never move: the frame AppendBatch wrote is where
+// directories post it and where replay reads it. Its replay duty may
+// move, so the log keeps two counts per file:
 //
-//	a file leaves the log only sealed and at zero claims, and a claim
-//	comes down only after the record is durable somewhere else — posted
-//	by an installed segment, or in a relocated frame that has been
-//	fsynced.
+//   - covers: the records whose replay goes through the file, because it
+//     frames them or a reference frame of it lists them, and which have
+//     not yet left memory for a durably installed segment;
+//   - holds: the records memory holds (and the owner pins for flushes in
+//     flight) whose bytes the file frames.
 //
-// A file that leaves the log is drained: replay will not read it again.
-// With Options.OnDrained set the log hands it to its owner — the engine
-// passes it to the tier, whose next manifest commit carries the drained
-// mark and which keeps the file for as long as a directory names it —
-// and otherwise unlinks it.
-// A file with no frames at all is unlinked either way.
+// AppendBatch raises both on the active file, Replay raises covers on
+// the file it reads and holds on the one framing each delivered record;
+// FlushRecord.ReplaySeq and LogSeq name the two. The holder lowers both
+// with Release — the engine does so in its flush pipeline's release
+// stage, after the segment carrying the record is installed. The
+// invariants everything else hangs on:
+//
+//	a file leaves the replay set only sealed and at zero covers, and a
+//	cover comes down only after the record is durable somewhere else —
+//	posted by an installed segment, or listed by a reference frame that
+//	has been fsynced;
+//
+//	a file out of the replay set stays on disk while anything holds it,
+//	or a reference frame of a file still replayed lists it.
+//
+// A file that leaves the replay set is drained: replay will not scan it
+// again. With Options.OnDrained set the log hands it to its owner — the
+// engine passes it to the tier, whose next manifest commit carries the
+// drained mark and which keeps the file for as long as a directory names
+// it or the log holds it (Holds, Options.OnReleased) — and otherwise
+// unlinks it once nothing holds it. A file with no frames at all is
+// unlinked either way.
 //
 // A flushing policy that evicts by usefulness rather than by age never
-// drains an old file on its own: a few long-lived records pin it. So
-// the owner asks ReclaimCandidate which sealed file to retire, hands
-// Relocate the file's memory-resident survivors, and Relocate re-appends
-// them to the active file, fsyncs (whatever Options.SyncEvery says),
-// moves their claims, and lets the zero-claims rule drain the source —
-// discard-count-driven log GC with memory as the source of survivors,
-// so the old file is never read. Crash windows: before the fsync the
-// source is intact and the copies are at worst a torn tail; between
-// fsync and the drain both files hold the frame and replay names the
-// newer one; the drain takes effect with one manifest commit. The file
-// holding the highest record ID may drain like any other: the tier's
-// manifest keeps the record-ID high-water mark of every installed
-// segment, and a relocated record is framed again in an undrained file.
+// drains an old file on its own: a few long-lived records pin it. So the
+// owner asks ReclaimCandidate which sealed file to retire and hands
+// Reference the file's memory-resident survivors. Reference appends one
+// reference frame listing where each survivor's bytes are to the active
+// file, fsyncs it (whatever Options.SyncEvery says), and moves their
+// covers there, which lets the zero-covers rule drain the source — no
+// record is written twice, and the old file is never read. Crash
+// windows: before the fsync the source still covers every survivor and
+// the reference frame is at worst a torn tail; between the fsync and the
+// drain both files deliver the survivors and replay keeps one wrapper per
+// ID; the drain takes effect with one manifest commit, after which
+// replay reads each survivor through the reference, with one pread. The
+// file holding the highest record ID may drain like any other: the
+// tier's manifest keeps the record-ID high-water mark of every installed
+// segment, and a referenced record is delivered by an undrained file.
 package wal
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -118,56 +135,82 @@ type Options struct {
 	// Recorder, when non-nil, receives append/sync/rotate events on the
 	// engine's flight recorder. Recording is allocation-free.
 	Recorder *blackbox.Recorder
-	// Drained, when set, names the files Open must leave alone: drained
-	// earlier, they are the tier's record files now and hold nothing to
-	// replay.
+	// Drained, when set, names the files Open must not scan: drained
+	// earlier, they are the tier's record files now, read at replay only
+	// through the reference frames that list them.
 	Drained func(seq uint32) bool
 	// OnDrained, when set, takes every sealed file with frames whose last
-	// claim went, in place of the unlink: the owner records the drain
+	// cover went, in place of the unlink: the owner records the drain
 	// and decides when the file goes.
 	OnDrained func(seq uint32)
+	// OnReleased, when set with OnDrained, is told of every drained file
+	// the log stops holding (Holds turns false): the owner may unlink it
+	// once nothing else needs it.
+	OnReleased func(seq uint32)
 }
 
 // DefaultMaxFileBytes is the rotation size when Options leaves it zero.
 const DefaultMaxFileBytes = 16 << 20
 
-// relocateChunk bounds one relocation append, so Relocate never holds
-// the log's lock (and with it concurrent ingestion) for longer than an
-// ingest batch would.
-const relocateChunk = 256
-
-// logFile is one file of the log as the claims table sees it.
+// logFile is one file of the log as the claims table sees it: a file
+// the log replays, or a drained one it still holds.
 type logFile struct {
-	seq   uint32
-	bytes int64
-	// frames counts the records framed in the file, live the claims on
-	// it (see the package comment): live/frames is how much of the file
-	// a relocation would have to copy.
-	frames int64
-	live   int64
+	seq uint32
+	// bytes is the file's size, what a replay scans; refBytes the size of
+	// the frames its reference frames list in older files, what a replay
+	// reads beside.
+	bytes, refBytes int64
+	// frames counts the records framed in the file and refs those its
+	// reference frames list: what its replay delivers. covers and holds
+	// are its two claim counts (see the package comment): covers/(frames
+	// + refs) is the share of its deliveries still needed.
+	frames, refs  int64
+	covers, holds int64
+	// reach lists, ascending, the files its reference frames list
+	// records of: they stay on disk while this file replays.
+	reach []uint32
 	// pinned marks a file found by Open and not yet replayed: its claims
 	// are unknown, so it must not be reclaimed.
 	pinned bool
 	// sealed marks a file that is complete: frame index written and
-	// fsynced. Only a sealed file may be named by a directory, relocated out of,
+	// fsynced. Only a sealed file may be named by a directory, referenced,
 	// or drained.
 	sealed bool
-	// relocated marks a file whose survivors Relocate moved out; what is
-	// left of live are records in flight to the tier.
-	relocated bool
-	// survivors and relocNanos describe that relocation for the
+	// drained marks a file out of the replay set, in the table only while
+	// something holds it.
+	drained bool
+	// referenced marks a file whose survivors Reference listed elsewhere;
+	// what is left of covers are records in flight to the tier.
+	referenced bool
+	// survivors and reclaimNanos describe that reclaim for the
 	// wal_reclaim event.
-	survivors  int64
-	relocNanos int64
-	// offsets holds the start of every frame while the file is active:
-	// its frame index, written when it is sealed.
+	survivors    int64
+	reclaimNanos int64
+	// offsets holds the start of every record frame while the file is
+	// active: its frame index, written when it is sealed.
 	offsets []uint32
 }
 
-// count registers one more claimed frame in the file.
-func (f *logFile) count() {
-	f.frames++
-	f.live++
+// claim adds n covers and n holds of a record framed in f.
+func (f *logFile) claim(n int64) {
+	f.covers += n
+	f.holds += n
+}
+
+// deliveries is how many records the file's replay delivers.
+func (f *logFile) deliveries() int64 { return f.frames + f.refs }
+
+// replayBytes is how much a replay of the file reads.
+func (f *logFile) replayBytes() int64 { return f.bytes + f.refBytes }
+
+// addReach records that the file's reference frames list records of the
+// files seqs names.
+func (f *logFile) addReach(seqs ...uint32) {
+	for _, seq := range seqs {
+		if i, found := slices.BinarySearch(f.reach, seq); !found {
+			f.reach = slices.Insert(f.reach, i, seq)
+		}
+	}
 }
 
 // pendingSeal is a file taken out of service whose frame index is not
@@ -179,21 +222,25 @@ type pendingSeal struct {
 
 // Stats is a point-in-time view of the log's footprint and reclaim work.
 type Stats struct {
-	// Bytes and Files cover the files the log still replays: the sealed
-	// undrained files and the active one.
-	Bytes int64
-	Files int
-	// LiveRecords is the sum of all claims.
+	// Bytes is what a recovery reads: the files the log still replays —
+	// the sealed undrained files and the active one — and the frames
+	// their reference frames list, ReferencedBytes of it. Files counts
+	// the files.
+	Bytes           int64
+	ReferencedBytes int64
+	Files           int
+	// LiveRecords is the sum of all covers: the records whose replay goes
+	// through the log.
 	LiveRecords int64
-	// RelocatedRecords and ReclaimedBytes count, since Open, the frames
-	// Relocate re-appended and the bytes of the files drained.
-	RelocatedRecords int64
-	ReclaimedBytes   int64
+	// ReferencedRecords and ReclaimedBytes count, since Open, the
+	// survivors Reference listed and the bytes of the files drained.
+	ReferencedRecords int64
+	ReclaimedBytes    int64
 }
 
 // Log is an append-only write-ahead log. Append, AppendBatch, Seal,
-// Release, Relocate and Stats are safe for concurrent use; Replay runs
-// once, before the first append.
+// Claim, Release, Reference, Holds and Stats are safe for concurrent use;
+// Replay runs once, before the first append.
 type Log struct {
 	dir string
 	opt Options
@@ -201,12 +248,12 @@ type Log struct {
 	mu sync.Mutex
 	f  *os.File
 	// files is the claims table, oldest first: the sealed files, then
-	// active.
-	files     []*logFile
-	active    *logFile // nil once the log is closed or sealed by a fault
-	seq       uint32   // highest file sequence handed out
-	sinceSync int
-	relocated int64
+	// active, with the drained files still held among them.
+	files      []*logFile
+	active     *logFile // nil once the log is closed or sealed by a fault
+	seq        uint32   // highest file sequence handed out
+	sinceSync  int
+	referenced int64
 	// sealing holds the files taken out of service and not yet sealed.
 	sealing []*pendingSeal
 
@@ -359,11 +406,12 @@ func (l *Log) Append(fr disk.FlushRecord) error {
 // call — one syscall instead of two per record, which is what lets
 // batched ingestion keep up with high-rate streams.
 //
-// On success every frs[i].LogSeq names the file that now holds the
-// frames, frs[i].LogOrd the frame's ordinal in it, and that file carries
-// one more claim per frame: the caller owns the claims and gives them
-// back with Release. A caller that never does (a probe, a tool) simply
-// keeps every file. A batch that fills the file seals it on the way out.
+// On success every frs[i].LogSeq and ReplaySeq name the file that now
+// holds the frames, frs[i].LogOrd the frame's ordinal in it, and that
+// file carries one more cover and hold per frame: the caller owns the
+// claims and gives them back with Release. A caller that never does (a
+// probe, a tool) simply keeps every file. A batch that fills the file
+// seals it on the way out.
 func (l *Log) AppendBatch(frs []disk.FlushRecord) error {
 	if len(frs) == 0 {
 		return nil
@@ -405,9 +453,9 @@ func (l *Log) AppendBatch(frs []disk.FlushRecord) error {
 	return err
 }
 
-// appendLocked writes one encoded batch to the active file and returns
-// the file when the batch filled it. Callers must hold l.mu.
-func (l *Log) appendLocked(frs []disk.FlushRecord, buf []byte, start time.Time) (full *logFile, err error) {
+// writeLocked writes buf to the active file, rolling a failed or partial
+// write back, and returns the file. Callers must hold l.mu.
+func (l *Log) writeLocked(buf []byte) (*logFile, error) {
 	if l.f == nil {
 		return nil, errors.New("wal: closed")
 	}
@@ -427,7 +475,16 @@ func (l *Log) appendLocked(frs []disk.FlushRecord, buf []byte, start time.Time) 
 		l.rollbackTailLocked()
 		return nil, fperr
 	}
-	af := l.active
+	return l.active, nil
+}
+
+// appendLocked writes one encoded batch to the active file and returns
+// the file when the batch filled it. Callers must hold l.mu.
+func (l *Log) appendLocked(frs []disk.FlushRecord, buf []byte, start time.Time) (full *logFile, err error) {
+	af, err := l.writeLocked(buf)
+	if err != nil {
+		return nil, err
+	}
 	// The frames are in the file: index them, even when the failpoint
 	// below fails the append, since they stay there.
 	for pos := 0; pos < len(buf); pos += disk.FrameHeaderSize + int(binary.LittleEndian.Uint32(buf[pos:])) {
@@ -444,9 +501,10 @@ func (l *Log) appendLocked(frs []disk.FlushRecord, buf []byte, start time.Time) 
 	}
 	af.bytes += int64(len(buf))
 	for i := range frs {
-		frs[i].LogSeq, frs[i].LogOrd = af.seq, uint32(af.frames)
-		af.count()
+		frs[i].LogSeq, frs[i].LogOrd, frs[i].ReplaySeq = af.seq, uint32(af.frames), af.seq
+		af.frames++
 	}
+	af.claim(int64(len(frs)))
 	l.appended.Add(int64(len(frs)))
 	l.sinceSync += len(frs)
 	l.opt.Recorder.Record(blackbox.SubWAL, blackbox.EvWALAppend,
@@ -553,11 +611,11 @@ func (l *Log) syncActive() error {
 }
 
 // Seal makes every frame appended so far addressable: the active file,
-// unless it holds no frame, is taken out of service — a new file takes
-// the appends from here on — and every file out of service is sealed:
-// its frame index written, then fsynced. Only the swap holds the log's
-// lock; the writes and fsyncs run on the caller, so ingestion does not
-// wait on them. A flush calls it before it stages a directory naming
+// unless it holds no record frame, is taken out of service — a new file
+// takes the appends from here on — and every file out of service is
+// sealed: its frame index written, then fsynced. Only the swap holds the
+// log's lock; the writes and fsyncs run on the caller, so ingestion does
+// not wait on them. A flush calls it before it stages a directory naming
 // its victims' frames.
 func (l *Log) Seal() error {
 	err := l.rotate(func(active *logFile) bool { return active.frames > 0 })
@@ -594,7 +652,7 @@ func (l *Log) sealFiles() error {
 }
 
 // seal writes a pending file's frame index, fsyncs and closes it: from
-// here on a directory may name the file, and once nothing claims it, it
+// here on a directory may name the file, and once nothing covers it, it
 // drains. A file a crash left unsealed comes without a handle and is
 // opened here. On failure the file is cut back to its frames and retry
 // says so; when even that fails the handle is given up and the file
@@ -638,20 +696,53 @@ func (l *Log) seal(ps *pendingSeal) (retry bool, err error) {
 	lf.sealed = true
 	lf.bytes += int64(len(idx))
 	lf.offsets = nil
-	victims := l.takeRemovableLocked()
+	drained, released := l.sweepLocked()
 	l.mu.Unlock()
 	l.opt.Recorder.Record(blackbox.SubWAL, blackbox.EvWALSync,
 		int64(len(offsets)), end, time.Since(start).Nanoseconds())
-	l.retire(victims)
+	l.retire(drained, released)
 	return false, nil
+}
+
+// refFrame is one reference frame as replay reads it: the records it
+// lists, after the file's first at records.
+type refFrame struct {
+	at   int
+	refs []disk.LogRef
 }
 
 // parsedFile is one log file as replay reads it.
 type parsedFile struct {
 	recs    []disk.FlushRecord
+	refs    []refFrame
 	offsets []uint32 // where each record's frame starts
 	valid   int64    // length of the valid prefix, a frame index included
 	indexed bool     // the prefix ends with a frame index over its frames
+	// refBytes is the size of its reference frames, headers included.
+	refBytes int64
+}
+
+// walk hands the file's frames to rec — with the record's ordinal — and
+// ref in append order.
+func (p *parsedFile) walk(rec func(int, disk.FlushRecord) error, ref func([]disk.LogRef) error) error {
+	next := 0 // the next reference frame
+	refsUpTo := func(at int) error {
+		for ; next < len(p.refs) && p.refs[next].at <= at; next++ {
+			if err := ref(p.refs[next].refs); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for i, fr := range p.recs {
+		if err := refsUpTo(i); err != nil {
+			return err
+		}
+		if err := rec(i, fr); err != nil {
+			return err
+		}
+	}
+	return refsUpTo(len(p.recs))
 }
 
 // parseFile reads one log file as replay does. Truncation at EOF is
@@ -675,13 +766,15 @@ func parseFile(path string, lastFile bool) (parsedFile, error) {
 	case v != fileVersion:
 		return parsedFile{}, fmt.Errorf("%w: unknown version %d in %s", ErrCorrupt, v, name)
 	}
-	return parseFrames(b, name, lastFile, true, disk.DecodeRecord)
+	own, _ := disk.ParseLogName(name)
+	return parseFrames(b, name, lastFile, own, disk.DecodeRecord)
 }
 
 // parseFrames reads the frames of a log file image b past its header,
-// decoding each payload with decode. A frame index ends the file when
-// indexed says the version has one.
-func parseFrames(b []byte, name string, lastFile, indexed bool, decode func([]byte) (disk.FlushRecord, int, error)) (parsedFile, error) {
+// decoding each record payload with decode. A version with a frame index
+// and reference frames names the file's own seq; without one, own is 0
+// and such frames are undecodable.
+func parseFrames(b []byte, name string, lastFile bool, own uint32, decode func([]byte) (disk.FlushRecord, int, error)) (parsedFile, error) {
 	var p parsedFile
 	pos := headerSize
 	// stop ends the parse at pos: a torn tail when tolerable, else
@@ -706,7 +799,8 @@ func parseFrames(b []byte, name string, lastFile, indexed bool, decode func([]by
 			return stop("bad checksum", lastFile)
 		}
 		end := pos + disk.FrameHeaderSize + len(payload)
-		if indexed && disk.IsFrameIndex(payload) {
+		switch {
+		case own > 0 && disk.IsFrameIndex(payload):
 			offsets, ok := disk.DecodeFrameIndex(payload)
 			if !ok || !slices.Equal(offsets, p.offsets) || end != len(b) {
 				return stop("frame index not matching its file", lastFile)
@@ -714,38 +808,53 @@ func parseFrames(b []byte, name string, lastFile, indexed bool, decode func([]by
 			p.indexed = true
 			p.valid = int64(end)
 			return p, nil
+		case own > 0 && disk.IsReferences(payload):
+			refs, ok := disk.DecodeReferences(payload, own)
+			if !ok {
+				return stop("undecodable reference frame", lastFile)
+			}
+			p.refs = append(p.refs, refFrame{at: len(p.recs), refs: refs})
+			p.refBytes += int64(end - pos)
+		default:
+			fr, used, err := decode(payload)
+			if err != nil || used != len(payload) {
+				return stop("undecodable frame", lastFile)
+			}
+			p.recs = append(p.recs, fr)
+			p.offsets = append(p.offsets, uint32(pos))
 		}
-		fr, used, err := decode(payload)
-		if err != nil || used != len(payload) {
-			return stop("undecodable frame", lastFile)
-		}
-		p.recs = append(p.recs, fr)
-		p.offsets = append(p.offsets, uint32(pos))
 		pos = end
 	}
 	p.valid = int64(pos)
 	return p, nil
 }
 
-// Replay streams every surviving record — the log files in sequence
-// order, each file's frames in append order — to fn, with LogSeq and LogOrd naming the frame. Files
-// the owner marked drained were never opened (Options.Drained), so
-// their records are not delivered: they are in installed segments, or
-// framed again in a newer file. Replay does not restore arrival order:
-// a relocated record is delivered from its newest frame, after records
-// that arrived later. Each delivered frame becomes a claim on its file,
-// owned by fn's side: the engine releases the ones it does not keep (a
-// duplicate of a frame it already holds, a record without keys) and the
-// ones it later flushes; a caller that releases nothing keeps every
-// file. When a file has been replayed its Open-time pin is dropped, so
-// a file nothing claims — a header-only leftover, or one whose records
-// fn flushed while later files replayed — drains on the spot.
+// Replay streams every surviving record to fn: the log files in sequence
+// order, each file's frames in append order, a reference frame
+// delivering the records it lists where it stands — each read with one
+// pread from the file framing it, drained or not. LogSeq and LogOrd name
+// the frame holding a delivered record, ReplaySeq the file delivering
+// it. Files the owner marked drained were never opened
+// (Options.Drained), so they deliver nothing by themselves: their
+// records are in installed segments, or listed by a reference frame of a
+// newer file. Replay does not restore arrival order: a referenced record
+// is delivered after records that arrived later, and, in the window
+// between a reference frame's fsync and its source's drain, twice — the
+// caller keeps one. Each delivered record is a cover on the file
+// delivering it and a hold on the one framing it, owned by fn's side:
+// the engine releases the ones it does not keep (a duplicate, a record
+// without keys) and the ones it later flushes; a caller that releases
+// nothing keeps every file. When a file has been replayed its Open-time
+// pin is dropped, so a file nothing covers — a header-only leftover, or
+// one whose records fn flushed while later files replayed — drains on
+// the spot.
 //
 // Tolerance matches what crashes actually produce: a truncated frame at
 // the END of any file is accepted (a crash tears the tail of whichever
 // file was active, or was being sealed). A failed checksum inside a
 // complete frame is tolerated only in the newest file; anywhere else it
-// is real corruption and returns ErrCorrupt.
+// is real corruption and returns ErrCorrupt, as is a reference to a
+// frame that is not there.
 //
 // Tolerated torn tails are physically truncated away (with a logged
 // warning), and a file the crash left unsealed is sealed — both before
@@ -764,6 +873,8 @@ func (l *Log) Replay(fn func(disk.FlushRecord) error) error {
 		}
 	}
 	l.mu.Unlock()
+	readers := frameReaders{}
+	defer readers.close()
 	// The file that may carry an unsynced crash tail is the newest one
 	// holding any payload — NOT necessarily the last file: Open rotates
 	// to a fresh (header-only) file before Replay runs, and that empty
@@ -783,7 +894,7 @@ func (l *Log) Replay(fn func(disk.FlushRecord) error) error {
 			l.mu.Lock()
 			f.bytes, f.offsets = p.valid, p.offsets
 			f.sealed = p.indexed
-			unsealed := !f.sealed && len(p.recs) > 0
+			unsealed := !f.sealed && len(p.recs)+len(p.refs) > 0
 			l.mu.Unlock()
 			if unsealed {
 				ps := &pendingSeal{lf: f}
@@ -795,22 +906,95 @@ func (l *Log) Replay(fn func(disk.FlushRecord) error) error {
 				}
 			}
 		}
-		for i, fr := range p.recs {
-			fr.LogSeq, fr.LogOrd = f.seq, uint32(i)
+		err = p.walk(func(i int, fr disk.FlushRecord) error {
+			fr.LogSeq, fr.LogOrd, fr.ReplaySeq = f.seq, uint32(i), f.seq
 			l.mu.Lock()
-			f.count()
+			f.frames++
+			f.claim(1)
 			l.mu.Unlock()
-			if err := fn(fr); err != nil {
-				return err
-			}
+			return fn(fr)
+		}, func(refs []disk.LogRef) error {
+			return l.replayRefs(f, refs, readers, fn)
+		})
+		if err != nil {
+			return err
 		}
 		l.mu.Lock()
 		f.pinned = false
-		victims := l.takeRemovableLocked()
+		drained, released := l.sweepLocked()
 		l.mu.Unlock()
-		l.retire(victims)
+		l.retire(drained, released)
 	}
 	return nil
+}
+
+// frameReaders opens each log file reference frames list once, to read
+// the frames they list through its frame index.
+type frameReaders map[uint32]*disk.LogReader
+
+// read returns the record framed at ref in dir, and its frame's size. A
+// frame the file does not have is ErrCorrupt.
+func (rs frameReaders) read(dir string, ref disk.LogRef) (disk.FlushRecord, int64, error) {
+	r := rs[ref.Seq]
+	if r == nil {
+		var err error
+		if r, err = disk.OpenLogReader(filepath.Join(dir, disk.LogName(ref.Seq))); err != nil {
+			return disk.FlushRecord{}, 0, err
+		}
+		rs[ref.Seq] = r
+	}
+	if ref.Ord >= r.Frames() {
+		return disk.FlushRecord{}, 0, fmt.Errorf("%w: the file frames %d", ErrCorrupt, r.Frames())
+	}
+	return r.Read(ref.Ord)
+}
+
+func (rs frameReaders) close() {
+	for _, r := range rs {
+		r.Close()
+	}
+}
+
+// listedFrameError reports a reference of file own to ref that does not
+// read.
+func listedFrameError(own string, ref disk.LogRef, err error) error {
+	return fmt.Errorf("wal: %s lists frame %d of %s: %w", own, ref.Ord, disk.LogName(ref.Seq), err)
+}
+
+// replayRefs delivers the records one reference frame of file f lists,
+// reading each through its file's frame index.
+func (l *Log) replayRefs(f *logFile, refs []disk.LogRef, readers frameReaders, fn func(disk.FlushRecord) error) error {
+	for _, ref := range refs {
+		fr, size, err := readers.read(l.dir, ref)
+		if err != nil {
+			return listedFrameError(disk.LogName(f.seq), ref, err)
+		}
+		fr.LogSeq, fr.LogOrd, fr.ReplaySeq = ref.Seq, ref.Ord, f.seq
+		l.mu.Lock()
+		f.refs++
+		f.refBytes += size
+		f.covers++
+		f.addReach(ref.Seq)
+		l.holdLocked(ref.Seq)
+		l.mu.Unlock()
+		if err := fn(fr); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// holdLocked adds one hold on file seq, entering it in the table as a
+// drained file when replay finds a reference frame listing a record of
+// it. Callers must hold l.mu.
+func (l *Log) holdLocked(seq uint32) {
+	if f := l.fileLocked(seq); f != nil {
+		f.holds++
+		return
+	}
+	f := &logFile{seq: seq, sealed: true, drained: true, holds: 1}
+	i, _ := slices.BinarySearchFunc(l.files, seq, func(f *logFile, seq uint32) int { return cmp.Compare(f.seq, seq) })
+	l.files = slices.Insert(l.files, i, f)
 }
 
 // crashTail returns the newest log file with payload beyond the header —
@@ -841,66 +1025,80 @@ func truncateTornTail(path string, valid int64) error {
 	return os.Truncate(path, valid)
 }
 
-// Release gives back n claims on file seq: the records that held them
-// are durable elsewhere. A sealed file whose last claim goes drains
-// before Release returns.
-func (l *Log) Release(seq uint32, n int) {
+// Release gives back n claims of records delivered by file replay and
+// framed in file log: their covers on the one and holds on the other.
+// The records are durable elsewhere, or their holder gives them up. A
+// sealed file whose last cover goes drains before Release returns.
+func (l *Log) Release(replay, log uint32, n int) {
 	if n > 0 {
-		l.retire(l.release(seq, int64(n), nil))
+		l.retire(l.release(replay, int64(n), log, int64(n), nil))
 	}
 }
 
-// release lowers seq's claim count by n, lets mark annotate the file,
-// and returns the files that became removable, already out of the table.
-func (l *Log) release(seq uint32, n int64, mark func(*logFile)) []*logFile {
+// release lowers replay's covers and log's holds by the counts given,
+// lets mark annotate file replay, and returns what sweepLocked takes out.
+func (l *Log) release(replay uint32, covers int64, log uint32, holds int64, mark func(*logFile)) ([]*logFile, []uint32) {
 	l.mu.Lock()
-	defer l.mu.Unlock() // releaseLocked may panic
-	l.releaseLocked(seq, n)
-	if f := l.fileLocked(seq); f != nil && mark != nil {
+	defer l.mu.Unlock() // lowerLocked may panic
+	l.lowerLocked(replay, covers, "covers", func(f *logFile) *int64 { return &f.covers })
+	l.lowerLocked(log, holds, "holds", func(f *logFile) *int64 { return &f.holds })
+	if f := l.fileLocked(replay); f != nil && mark != nil {
 		mark(f)
 	}
-	return l.takeRemovableLocked()
+	return l.sweepLocked()
 }
 
-// Claim adds n claims on file seq for a holder taking over records the
-// file already frames — a failed flush restoring evicted records while
-// the wrappers they replace still hold theirs, or a flush keeping the
-// files its directory will name — so the file exists.
-func (l *Log) Claim(seq uint32, n int) {
+// Claim adds n claims — covers on file replay, holds on file log — for a
+// holder taking over records the log already delivers: a failed flush
+// restoring evicted records while the wrappers they replace still hold
+// theirs, or a flush keeping the files its directory will name. Both
+// files exist.
+func (l *Log) Claim(replay, log uint32, n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if f := l.fileLocked(seq); f != nil {
-		f.live += int64(n)
-		return
+	if f := l.fileLocked(replay); f != nil && !f.drained {
+		f.covers += int64(n)
+	} else {
+		lostClaim(replay, n)
 	}
+	if f := l.fileLocked(log); f != nil {
+		f.holds += int64(n)
+	} else {
+		lostClaim(log, n)
+	}
+}
+
+// lostClaim reports a claim on a file out of the table: a bookkeeping bug
+// upstream, which fault-injection builds stop on.
+func lostClaim(seq uint32, n int) {
 	if failpoint.Enabled {
 		panic(fmt.Sprintf("wal: claim on file %d, which is gone", seq))
 	}
 	slog.Error("wal: claim on a file that is gone", "file_seq", seq, "claims", n)
 }
 
-// releaseLocked lowers a file's claim count. Releasing more than is
-// held is a bookkeeping bug upstream: fault-injection builds stop on
+// lowerLocked lowers one of a file's claim counts. Releasing more than
+// is held is a bookkeeping bug upstream: fault-injection builds stop on
 // it; production builds keep the file (the safe direction) and say so.
-func (l *Log) releaseLocked(seq uint32, n int64) {
+func (l *Log) lowerLocked(seq uint32, n int64, what string, count func(*logFile) *int64) {
 	if n == 0 {
-		// Nothing held, so nothing to check: a relocation that found no
+		// Nothing held, so nothing to check: a reclaim that found no
 		// survivor may find the file already drained by in-flight
 		// releases.
 		return
 	}
 	f := l.fileLocked(seq)
-	if f == nil || f.live < n {
+	if f == nil || *count(f) < n {
 		if failpoint.Enabled {
-			panic(fmt.Sprintf("wal: release of %d claims on file %d exceeds what is held", n, seq))
+			panic(fmt.Sprintf("wal: release of %d %s on file %d exceeds what is held", n, what, seq))
 		}
-		slog.Error("wal: release exceeds the claims held; keeping the file", "file_seq", seq, "claims", n)
+		slog.Error("wal: release exceeds the claims held; keeping the file", "file_seq", seq, "claims", n, "count", what)
 		if f != nil {
 			f.pinned = true
 		}
 		return
 	}
-	f.live -= n
+	*count(f) -= n
 }
 
 func (l *Log) fileLocked(seq uint32) *logFile {
@@ -912,135 +1110,205 @@ func (l *Log) fileLocked(seq uint32) *logFile {
 	return nil
 }
 
-// takeRemovableLocked removes from the table, and returns, every file
-// that may leave the log: not active, replayed, unclaimed, and sealed —
-// or holding no frame at all.
-func (l *Log) takeRemovableLocked() []*logFile {
-	var victims []*logFile
-	for i := 0; i < len(l.files); {
-		f := l.files[i]
-		if f == l.active || f.pinned || f.live != 0 || !(f.sealed || f.frames == 0) {
-			i++
+// sweepLocked moves every file that may leave the replay set out of it —
+// not active, replayed, uncovered, and sealed or holding no frame at all —
+// and every drained file nothing holds out of the table. It returns the
+// files just drained and the seqs of drained files the log has stopped
+// holding (Holds) since.
+func (l *Log) sweepLocked() (drained []*logFile, released []uint32) {
+	var freed []uint32 // files whose reach went with their drain
+	for _, f := range l.files {
+		if f.drained || f == l.active || f.pinned || f.covers != 0 || !(f.sealed || f.deliveries() == 0) {
 			continue
 		}
-		victims = append(victims, f)
-		l.files = append(l.files[:i], l.files[i+1:]...)
+		f.drained = true
+		drained = append(drained, f)
+		freed = append(freed, f.reach...)
+		f.reach = nil
 	}
-	return victims
+	l.files = slices.DeleteFunc(l.files, func(f *logFile) bool {
+		if !f.drained || f.holds != 0 {
+			return false
+		}
+		if f.deliveries() > 0 { // an empty file goes when it drains
+			freed = append(freed, f.seq)
+		}
+		return true
+	})
+	for _, seq := range freed {
+		if !l.holdsLocked(seq) && !slices.Contains(released, seq) {
+			released = append(released, seq)
+		}
+	}
+	return drained, released
 }
 
-// retire hands files already taken out of the table to the owner's
-// OnDrained, or unlinks them: a file without frames, and every file of a
-// log no owner keeps. A failed unlink leaves an orphan the next Open
-// replays like any other file — wasteful, never lossy — so it is
-// logged, not returned.
-func (l *Log) retire(victims []*logFile) {
-	for _, f := range victims {
-		if f.frames > 0 && l.opt.OnDrained != nil {
+// Holds reports whether file seq must stay on disk for the log's sake: it
+// is replayed, memory holds a record it frames, or a reference frame of a
+// file still replayed lists one. The tier asks before it unlinks a
+// drained file.
+func (l *Log) Holds(seq uint32) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.holdsLocked(seq)
+}
+
+func (l *Log) holdsLocked(seq uint32) bool {
+	for _, f := range l.files {
+		if f.seq == seq || !f.drained && slices.Contains(f.reach, seq) {
+			return true
+		}
+	}
+	return false
+}
+
+// retire hands the files just drained to the owner's OnDrained, and the
+// files the log let go to its OnReleased; a log no owner keeps unlinks
+// the latter itself. A file without frames is unlinked when it drains.
+// A failed unlink leaves an orphan the next Open replays like any other
+// file — wasteful, never lossy — so it is logged, not returned.
+func (l *Log) retire(drained []*logFile, released []uint32) {
+	for _, f := range drained {
+		if f.deliveries() == 0 {
+			l.unlink(f.seq)
+		} else if l.opt.OnDrained != nil {
 			l.opt.OnDrained(f.seq)
-		} else {
-			err := failpoint.Eval(failpoint.WALReclaimUnlink)
-			if err == nil {
-				err = os.Remove(l.path(f.seq))
-			}
-			if err != nil && !os.IsNotExist(err) {
-				slog.Warn("wal: cannot unlink reclaimed file", "file_seq", f.seq, "err", err)
-				continue
-			}
 		}
 		l.reclaimed.Add(f.bytes)
 		l.opt.Recorder.Record(blackbox.SubWAL, blackbox.EvWALReclaim,
-			int64(f.seq), f.survivors, f.relocNanos)
+			int64(f.seq), f.survivors, f.reclaimNanos)
+	}
+	for _, seq := range released {
+		if l.opt.OnDrained == nil {
+			l.unlink(seq)
+		} else if l.opt.OnReleased != nil {
+			l.opt.OnReleased(seq)
+		}
 	}
 }
 
-// ReclaimCandidate names the sealed file to relocate out of next: the
-// one with the smallest live share, provided at least half of it is
-// dead (copying a mostly-live file buys nothing) and the other sealed
-// files by themselves span keep bytes (a log no larger than the memory
-// it covers is left alone). Files still pinned by Open, not yet sealed,
-// or already relocated and waiting only for in-flight flushes, are not
-// candidates. With no candidate the sealed files hold under keep bytes
-// plus one file, or under twice the live frames.
+// unlink removes file seq.
+func (l *Log) unlink(seq uint32) {
+	err := failpoint.Eval(failpoint.WALReclaimUnlink)
+	if err == nil {
+		err = os.Remove(l.path(seq))
+	}
+	if err != nil && !os.IsNotExist(err) {
+		slog.Warn("wal: cannot unlink reclaimed file", "file_seq", seq, "err", err)
+	}
+}
+
+// ReclaimCandidate names the sealed file to reference survivors out of
+// next: the one with the smallest share of its deliveries still covered,
+// provided at least half of them are not (a mostly-live file buys little)
+// and the other sealed files' replay — bytes scanned plus bytes their
+// reference frames list — spans keep bytes by itself (a log no larger
+// than the memory it covers is left alone). Files still pinned by Open,
+// not yet sealed, or already referenced out and waiting only for
+// in-flight flushes, are not candidates. With no candidate the sealed
+// files replay under keep bytes plus one file, or under twice their
+// covered deliveries.
 func (l *Log) ReclaimCandidate(keep int64) (seq uint32, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var best *logFile
-	var sealed int64
+	var replay int64
 	for _, f := range l.files {
-		if f == l.active || f.pinned || f.relocated || !f.sealed {
+		if f == l.active || f.drained || f.pinned || f.referenced || !f.sealed {
 			continue
 		}
-		sealed += f.bytes
-		// live/frames compared by cross-multiplication; ties go to the
-		// older file.
-		if best == nil || f.live*best.frames < best.live*f.frames {
+		replay += f.replayBytes()
+		// covers/deliveries compared by cross-multiplication; ties go to
+		// the older file.
+		if best == nil || f.covers*best.deliveries() < best.covers*f.deliveries() {
 			best = f
 		}
 	}
-	if best == nil || 2*best.live > best.frames || sealed-best.bytes < keep {
+	if best == nil || 2*best.covers > best.deliveries() || replay-best.replayBytes() < keep {
 		return 0, false
 	}
 	return best.seq, true
 }
 
-// Relocate retires sealed file from: frs — its survivors, the records
-// still in memory whose newest frame it holds — are re-appended to the
-// active file in small chunks and fsynced whatever Options.SyncEvery
-// says; only then do their claims leave from, which drains once nothing
-// in flight claims it either. On success every frs[i].LogSeq and LogOrd
-// name the frame's new place. On failure from keeps all its claims and
-// the copies already written are unclaimed duplicates.
-func (l *Log) Relocate(from uint32, frs []disk.FlushRecord) error {
+// Reference retires sealed file from: frs are its survivors, the records
+// still in memory whose replay goes through it, each naming the frame
+// holding it (LogSeq, LogOrd). One reference frame listing those frames
+// is appended to the active file and fsynced whatever Options.SyncEvery
+// says; only then do the survivors' covers leave from, which drains once
+// nothing in flight covers it either. No record byte is written, and
+// holds stay where the bytes are. On success Reference returns the file
+// that now delivers the survivors, their new ReplaySeq. On failure from
+// keeps every cover, and a reference frame already written is an
+// unclaimed duplicate replay tolerates.
+func (l *Log) Reference(from uint32, frs []disk.FlushRecord) (uint32, error) {
 	start := time.Now()
+	var to uint32
 	if len(frs) > 0 {
-		if err := l.copyOut(frs); err != nil {
-			return err
+		var err error
+		if to, err = l.appendReferences(frs); err != nil {
+			return 0, fmt.Errorf("wal: reference: %w", err)
 		}
 	}
-	l.retire(l.release(from, int64(len(frs)), func(f *logFile) {
-		f.relocated = true
+	l.retire(l.release(from, int64(len(frs)), 0, 0, func(f *logFile) {
+		f.referenced = true
 		f.survivors = int64(len(frs))
-		f.relocNanos = time.Since(start).Nanoseconds()
-		l.relocated += int64(len(frs))
+		f.reclaimNanos = time.Since(start).Nanoseconds()
+		l.referenced += int64(len(frs))
 	}))
-	return nil
+	return to, nil
 }
 
-// copyOut appends frs chunk by chunk and makes them durable, taking the
-// new claims back if it cannot.
-func (l *Log) copyOut(frs []disk.FlushRecord) error {
-	done := 0
-	var err error
-	for done < len(frs) && err == nil {
-		end := min(done+relocateChunk, len(frs))
-		if err = l.AppendBatch(frs[done:end]); err == nil {
-			done = end
+// appendReferences writes the reference frame listing frs to the active
+// file, which takes their covers at once — so it cannot drain without
+// them, whatever seals it meanwhile — and makes it durable, giving the
+// covers back if it cannot.
+func (l *Log) appendReferences(frs []disk.FlushRecord) (uint32, error) {
+	refs := make([]disk.LogRef, len(frs))
+	var size int64 // what replay reads through them
+	var scratch []byte
+	for i, fr := range frs {
+		refs[i] = disk.LogRef{Seq: fr.LogSeq, Ord: fr.LogOrd}
+		scratch = disk.AppendFrames(scratch[:0], frs[i:i+1])
+		size += int64(len(scratch))
+	}
+	slices.SortFunc(refs, func(a, b disk.LogRef) int {
+		return cmp.Or(cmp.Compare(a.Seq, b.Seq), cmp.Compare(a.Ord, b.Ord))
+	})
+	buf := disk.AppendReferences(nil, refs)
+	n := int64(len(frs))
+	l.mu.Lock()
+	af, err := l.writeLocked(buf)
+	if err == nil {
+		af.bytes += int64(len(buf))
+		af.refs += n
+		af.refBytes += size
+		af.covers += n
+		for _, r := range refs {
+			af.addReach(r.Seq)
 		}
 	}
-	if err == nil {
-		err = failpoint.Eval(failpoint.WALRelocateAppended)
+	l.mu.Unlock()
+	if err != nil {
+		return 0, err
 	}
+	err = failpoint.Eval(failpoint.WALReferenceAppended)
 	if err == nil {
-		// A chunk that filled a file sealed it; a Seal running elsewhere
-		// may have taken the active file out of service with copies in
-		// it. Both are covered by sealing what is pending, the rest by
-		// the active file's fsync.
+		// A Seal running elsewhere may have taken the active file out of
+		// service with the frame in it: sealing what is pending covers
+		// that, the active file's fsync the rest.
 		err = l.sealFiles()
 	}
 	if err == nil {
 		err = l.syncActive()
 	}
 	if err == nil {
-		err = failpoint.Eval(failpoint.WALRelocateSynced)
+		err = failpoint.Eval(failpoint.WALReferenceSynced)
 	}
 	if err != nil {
-		for _, fr := range frs[:done] {
-			l.Release(fr.LogSeq, 1)
-		}
-		return fmt.Errorf("wal: relocate: %w", err)
+		l.retire(l.release(af.seq, n, 0, 0, nil))
+		return 0, err
 	}
-	return nil
+	return af.seq, nil
 }
 
 // Stats reports the log's footprint and reclaim counters.
@@ -1048,19 +1316,23 @@ func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := Stats{
-		Files:            len(l.files),
-		RelocatedRecords: l.relocated,
-		ReclaimedBytes:   l.reclaimed.Load(),
+		ReferencedRecords: l.referenced,
+		ReclaimedBytes:    l.reclaimed.Load(),
 	}
 	for _, f := range l.files {
-		st.Bytes += f.bytes
-		st.LiveRecords += f.live
+		if f.drained {
+			continue
+		}
+		st.Files++
+		st.Bytes += f.replayBytes()
+		st.ReferencedBytes += f.refBytes
+		st.LiveRecords += f.covers
 	}
 	return st
 }
 
 // Close seals the active file — one that holds no frame is removed
-// instead — and every other file out of service. Files nothing claims
+// instead — and every other file out of service. Files nothing covers
 // drain on the way.
 func (l *Log) Close() error {
 	l.rotMu.Lock()
@@ -1071,7 +1343,7 @@ func (l *Log) Close() error {
 			l.mu.Unlock()
 			return err
 		}
-		if l.active.frames > 0 {
+		if l.active.deliveries() > 0 {
 			l.sealing = append(l.sealing, &pendingSeal{f: l.f, lf: l.active})
 		} else {
 			// Nothing framed: nothing to keep. A file left behind by a
@@ -1093,6 +1365,10 @@ type FileInfo struct {
 	// Frames is the number of valid records; Bytes the file size.
 	Frames int
 	Bytes  int64
+	// References is the number of records its reference frames list,
+	// ReferenceBytes the size of those frames, headers included.
+	References     int
+	ReferenceBytes int64
 	// Sealed reports a frame index over the frames.
 	Sealed bool
 	// MinID and MaxID bound the record IDs framed (0 without frames).
@@ -1133,7 +1409,11 @@ func Inspect(dir string) ([]FileInfo, error) {
 	}
 	var out []FileInfo
 	err = readFiles(paths, parseFile, func(path string, p parsedFile) error {
-		fi := FileInfo{Name: filepath.Base(path), Version: fileVersion, Frames: len(p.recs), Sealed: p.indexed}
+		fi := FileInfo{Name: filepath.Base(path), Version: fileVersion, Frames: len(p.recs),
+			ReferenceBytes: p.refBytes, Sealed: p.indexed}
+		for _, rf := range p.refs {
+			fi.References += len(rf.refs)
+		}
 		if st, err := os.Stat(path); err == nil {
 			fi.Bytes = st.Size()
 		}
@@ -1148,4 +1428,43 @@ func Inspect(dir string) ([]FileInfo, error) {
 		return nil
 	})
 	return out, err
+}
+
+// DumpFile streams the frames of the log file at path in append order:
+// each record to record, each reference frame's list to refs. A torn tail
+// is tolerated.
+func DumpFile(path string, record func(disk.FlushRecord) error, refs func([]disk.LogRef) error) error {
+	p, err := parseFile(path, true)
+	if err != nil {
+		return err
+	}
+	return p.walk(func(_ int, fr disk.FlushRecord) error { return record(fr) }, refs)
+}
+
+// Verify checks that every reference frame of a log file under dir the
+// manifest does not list drained resolves: the file it lists is present
+// and sealed, and frames a readable record at the ordinal. It returns the
+// number of references checked.
+func Verify(dir string) (int, error) {
+	m, _ := disk.ReadManifest(dir) // no manifest: nothing is drained
+	paths, err := logFiles(dir)
+	if err != nil {
+		return 0, err
+	}
+	paths = slices.DeleteFunc(paths, func(p string) bool { return slices.Contains(m.Drained, filepath.Base(p)) })
+	readers := frameReaders{}
+	defer readers.close()
+	checked := 0
+	err = readFiles(paths, parseFile, func(path string, p parsedFile) error {
+		for _, rf := range p.refs {
+			for _, ref := range rf.refs {
+				if _, _, err := readers.read(dir, ref); err != nil {
+					return listedFrameError(filepath.Base(path), ref, err)
+				}
+				checked++
+			}
+		}
+		return nil
+	})
+	return checked, err
 }

@@ -222,8 +222,9 @@ func TestSealWritesFrameIndex(t *testing.T) {
 
 // TestReplayOrder pins what replay guarantees about order, which is not
 // arrival order: files in sequence order, frames in append order within
-// a file, a relocated record from its newest frame — after records that
-// arrived later — and drained files not at all.
+// a file, a referenced record where the reference frame listing it
+// stands — after records that arrived later — and drained files not at
+// all, but for the frames a reference lists.
 func TestReplayOrder(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{MaxFileBytes: 256})
@@ -238,16 +239,16 @@ func TestReplayOrder(t *testing.T) {
 			inFirst++
 		}
 	}
-	l.Release(1, inFirst-1)
-	survivor := []disk.FlushRecord{{MB: frs[0].MB, Score: frs[0].Score}}
-	if err := l.Relocate(1, survivor); err != nil {
+	l.Release(1, 1, inFirst-1)
+	if _, err := l.Reference(1, frs[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// File 2 is drained: the tier holds its records.
-	re, err := Open(dir, Options{Drained: func(seq uint32) bool { return seq == 2 }})
+	// File 1 drained with the reference; file 2 is drained too: the tier
+	// holds its records.
+	re, err := Open(dir, Options{Drained: func(seq uint32) bool { return seq <= 2 }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,19 +256,23 @@ func TestReplayOrder(t *testing.T) {
 	got := replayAll(t, re)
 	for i := 1; i < len(got); i++ {
 		a, b := got[i-1], got[i]
-		if a.LogSeq > b.LogSeq || a.LogSeq == b.LogSeq && a.LogOrd+1 != b.LogOrd {
+		framed := a.LogSeq == a.ReplaySeq && b.LogSeq == b.ReplaySeq
+		if a.ReplaySeq > b.ReplaySeq || a.ReplaySeq == b.ReplaySeq && framed && a.LogOrd+1 != b.LogOrd {
 			t.Fatalf("frame %d/%d delivered before %d/%d", a.LogSeq, a.LogOrd, b.LogSeq, b.LogOrd)
 		}
 	}
 	var ids []uint64
 	for _, r := range got {
-		if r.LogSeq == 2 || r.LogSeq == 1 {
-			t.Fatalf("record %d delivered from file %d, which is drained or relocated away", r.MB.ID, r.LogSeq)
+		if r.ReplaySeq <= 2 || r.LogSeq == 2 || r.LogSeq == 1 && r.MB.ID != 1 {
+			t.Fatalf("record %d delivered by file %d from file %d: drained", r.MB.ID, r.ReplaySeq, r.LogSeq)
 		}
 		ids = append(ids, uint64(r.MB.ID))
 	}
 	if len(ids) == 0 || ids[len(ids)-1] != 1 {
-		t.Fatalf("replay delivered %v; the relocated record 1 comes last, after later arrivals", ids)
+		t.Fatalf("replay delivered %v; the referenced record 1 comes last, after later arrivals", ids)
+	}
+	if last := got[len(got)-1]; last.LogSeq != 1 || last.LogOrd != 0 {
+		t.Fatalf("record 1 delivered from file %d frame %d, want its own frame 1/0", last.LogSeq, last.LogOrd)
 	}
 }
 
@@ -297,9 +302,9 @@ func TestAppendAfterCloseFails(t *testing.T) {
 // disk.ErrNeedsUpgrade, one of an unknown version ErrCorrupt — in the
 // crash-tail file too — and neither is decoded.
 func TestReplayRefusesUnknownVersion(t *testing.T) {
-	for _, version := range []uint16{0, 1, 2, 4, 0xFFFF} {
+	for _, version := range []uint16{0, 1, 2, 3, 5, 0xFFFF} {
 		want := ErrCorrupt
-		if version == 1 || version == 2 {
+		if version >= 1 && version <= 3 {
 			want = disk.ErrNeedsUpgrade
 		}
 		dir := t.TempDir()

@@ -6,7 +6,11 @@
 //	                               wrote (v3 blocks and directories, v2
 //	                               segment files, manifest v1/v2,
 //	                               <dir>/wal) in current
-//	                               formats, which alone are read
+//	                               formats, which alone are read; on a
+//	                               kflushd data directory (keyword/,
+//	                               spatial/, user/) also merge the
+//	                               attributes' logs into the one log in
+//	                               keyword/
 //	kflushctl segments <dir>       list segments (version, records, bloom,
 //	                               directory size) and the record files
 //	                               each one names: record blocks with
@@ -26,7 +30,14 @@
 //	kflushctl verify <dir>         decode every record, resolve every
 //	                               posting, check every list's ranking,
 //	                               resolve every reference frame of an
-//	                               undrained log file; fail on corruption
+//	                               undrained log file; fail on corruption.
+//	                               On a kflushd data directory, every
+//	                               attribute's tier
+//
+// A tier directory of a kflushd data directory other than keyword/
+// names the log files of keyword/, where the store keeps its one log:
+// segments, levels, verify, compact, probe and wal resolve them there.
+//
 //	kflushctl compact <dir>        merge every segment's directory into
 //	                               one (record files are not rewritten)
 //	kflushctl probe <dir> <key> [k]  run one disk search and report the
@@ -76,6 +87,7 @@ import (
 	"kflushing"
 	"kflushing/internal/blackbox"
 	"kflushing/internal/disk"
+	"kflushing/internal/server"
 	"kflushing/internal/wal"
 )
 
@@ -91,11 +103,9 @@ func main() {
 	var err error
 	switch args[0] {
 	case "upgrade":
-		if err = wal.Upgrade(args[1]); err == nil {
-			err = disk.Upgrade(args[1])
-		}
+		err = cmdUpgrade(args[1])
 	case "segments":
-		err = cmdSegments(args[1])
+		err = cmdSegments(os.Stdout, args[1])
 	case "levels":
 		err = cmdLevels(os.Stdout, args[1])
 	case "dump":
@@ -105,7 +115,7 @@ func main() {
 	case "compact":
 		err = disk.CompactDir(args[1])
 		if err == nil {
-			err = cmdSegments(args[1])
+			err = cmdSegments(os.Stdout, args[1])
 		}
 	case "probe":
 		if len(args) == 2 {
@@ -170,17 +180,17 @@ func main() {
 	}
 }
 
-func cmdSegments(dir string) error {
+func cmdSegments(w io.Writer, dir string) error {
 	infos, err := disk.Inspect(dir)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-20s %4s %10s %10s %10s %12s %8s %7s %12s %10s\n",
+	fmt.Fprintf(w, "%-20s %4s %10s %10s %10s %12s %8s %7s %12s %10s\n",
 		"segment", "ver", "records", "keys", "postings", "dirBytes", "bloomB", "files", "fileBytes", "shadowedB")
 	var recs, bytes, shadowed int64
 	blocks := map[string]bool{}
 	for _, info := range infos {
-		fmt.Printf("%-20s %4d %10d %10d %10d %12d %8d %7d %12d %10d\n",
+		fmt.Fprintf(w, "%-20s %4d %10d %10d %10d %12d %8d %7d %12d %10d\n",
 			info.Path, info.Version, info.Records, info.Keys, info.Postings,
 			info.Bytes, info.BloomBytes, len(info.Blocks), info.BlockBytes, info.ShadowedBytes)
 		recs += int64(info.Records)
@@ -202,22 +212,24 @@ func cmdSegments(dir string) error {
 			}
 			parts[i] = fmt.Sprintf("%s log v%d %d frames %.1fB/rec %s", b.Name, b.Version, b.Records, perRec, mark)
 		}
-		fmt.Printf("  files: %s\n", strings.Join(parts, ", "))
+		fmt.Fprintf(w, "  files: %s\n", strings.Join(parts, ", "))
 		for _, b := range info.Blocks {
 			// A set: adoption can leave two directories naming one block.
 			blocks[b.Name] = true
 		}
 	}
-	blockBytes, err := fileBytes(dir, blocks)
+	blockBytes, err := fileBytes(disk.LogHome(dir), blocks)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d segments, %d records, %d directory bytes; %d record files, %d bytes (%d shadowed)\n",
+	fmt.Fprintf(w, "%d segments, %d records, %d directory bytes; %d record files, %d bytes (%d shadowed)\n",
 		len(infos), recs, bytes, len(blocks), blockBytes, shadowed)
 	return nil
 }
 
-// fileBytes totals the sizes of the named files under dir.
+// fileBytes totals the sizes of the named files under dir: the log's
+// home, where the record files a durable tier names live (blocks are
+// only ever in a tier that keeps its own log, or none).
 func fileBytes(dir string, names map[string]bool) (int64, error) {
 	var total int64
 	for name := range names {
@@ -324,6 +336,7 @@ func cmdProbe(dir, key string, k int) error {
 		Dir:    dir,
 		KeysOf: func(*kflushing.Microblog) []string { return nil },
 		Encode: func(s string) string { return s },
+		Logs:   disk.NewLogSet(disk.LogHome(dir)),
 	})
 	if err != nil {
 		return err
@@ -486,16 +499,71 @@ func cmdDump(w io.Writer, path string) error {
 }
 
 func cmdVerify(w io.Writer, dir string) error {
+	tiers := tierDirs(dir)
+	if tiers == nil {
+		return verifyTier(w, dir)
+	}
+	for _, t := range tiers {
+		fmt.Fprintf(w, "%s: ", filepath.Base(t))
+		if err := verifyTier(w, t); err != nil {
+			return fmt.Errorf("%s: %w", t, err)
+		}
+	}
+	return nil
+}
+
+// verifyTier verifies one tier directory: every name its directories
+// carry resolves, in the log's home for a log file.
+func verifyTier(w io.Writer, dir string) error {
 	segs, recs, err := disk.Verify(dir)
 	if err != nil {
 		return fmt.Errorf("verification FAILED after %d segments / %d records: %w", segs, recs, err)
 	}
-	refs, err := wal.Verify(dir)
-	if err != nil {
-		return fmt.Errorf("verification FAILED after %d log references: %w", refs, err)
+	refs := 0
+	if home := disk.LogHome(dir); home == dir {
+		if refs, err = wal.Verify(dir); err != nil {
+			return fmt.Errorf("verification FAILED after %d log references: %w", refs, err)
+		}
 	}
 	fmt.Fprintf(w, "ok: %d segments, %d records verified, %d log references resolved\n", segs, recs, refs)
 	return nil
+}
+
+// tierDirs returns the attribute tiers of a kflushd data directory, its
+// subdirectories holding a manifest, or nil when dir is a tier itself.
+func tierDirs(dir string) []string {
+	if _, err := os.Stat(filepath.Join(dir, "manifest.kfm")); err == nil {
+		return nil
+	}
+	manifests, _ := filepath.Glob(filepath.Join(dir, "*", "manifest.kfm")) // fails only on a bad pattern
+	var tiers []string
+	for _, m := range manifests {
+		tiers = append(tiers, filepath.Dir(m))
+	}
+	return tiers
+}
+
+// cmdUpgrade upgrades a tier directory, or every tier of a kflushd data
+// directory and then its logs: an older kflushd kept one log per
+// attribute, and the store now keeps one (server.Upgrade).
+func cmdUpgrade(dir string) error {
+	tiers := tierDirs(dir)
+	root := tiers != nil
+	if !root {
+		tiers = []string{dir}
+	}
+	for _, t := range tiers {
+		if err := wal.Upgrade(t); err != nil {
+			return err
+		}
+		if err := disk.Upgrade(t); err != nil {
+			return err
+		}
+	}
+	if !root {
+		return nil
+	}
+	return server.Upgrade(dir)
 }
 
 // cmdWAL summarizes the log files of a store directory — each with its
@@ -505,6 +573,10 @@ func cmdVerify(w io.Writer, dir string) error {
 // replayable count is what a recovery delivers: the frames and
 // references of the undrained files. It changes nothing.
 func cmdWAL(w io.Writer, dir string) error {
+	if home := disk.LogHome(dir); home != dir {
+		fmt.Fprintf(w, "log kept in %s\n", home)
+		dir = home
+	}
 	m, _ := disk.ReadManifest(dir) // no manifest: nothing is drained
 	drained := make(map[string]bool, len(m.Drained))
 	for _, name := range m.Drained {

@@ -1,7 +1,10 @@
 // Multiattr: the full microblogs service in one process — a single
 // stream indexed simultaneously under keywords, spatial tiles, and user
 // timelines (the paper's three attributes), each with its own kFlushing
-// policy, plus the HTTP API exercised over a test listener.
+// policy, plus the HTTP API exercised over a test listener. The store is
+// durable: the three attributes share one write-ahead log, kept in the
+// keyword directory, so every microblog is logged once and carries one
+// ID under every attribute that indexes it.
 //
 //	go run ./examples/multiattr
 package main
@@ -14,6 +17,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"kflushing"
@@ -32,6 +36,7 @@ func main() {
 		Policy:       kflushing.PolicyKFlushing,
 		MemoryBudget: 8 << 20,
 		SyncFlush:    true,
+		Durable:      true,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -51,6 +56,19 @@ func main() {
 		if _, err := store.Ingest(mb); err != nil {
 			log.Fatal(err)
 		}
+	}
+
+	// One microblog, one ID, under every attribute that indexes it.
+	res, err := store.Ingest(&kflushing.Microblog{
+		Keywords: []string{"demo"}, UserID: 7, HasGeo: true, Lat: 40.7, Lon: -74.0,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("one post: keyword_id=%d spatial_id=%d user_id=%d\n", res.KeywordID, res.SpatialID, res.UserID)
+	for _, attr := range []string{"keyword", "spatial", "user"} {
+		logs, _ := filepath.Glob(filepath.Join(dir, attr, "wal-*.kfw"))
+		fmt.Printf("%-8s log files: %d\n", attr, len(logs))
 	}
 
 	// Query each attribute natively.

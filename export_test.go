@@ -24,7 +24,7 @@ func openRef(dir string, opt Options, diskMaxSegments int, allocPolicy string) (
 	if err != nil {
 		return nil, err
 	}
-	as, err := openWith(dir, opt, attr.Keyword(), diskMaxSegments, ap)
+	as, err := openWith(dir, opt, attr.Keyword(), diskMaxSegments, ap, nil)
 	if err != nil {
 		return nil, err
 	}

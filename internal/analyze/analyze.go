@@ -133,6 +133,8 @@ type Config struct {
 // The lock-order DAG (acquire downward only):
 //
 //	10 engine.Engine.flushMu
+//	11 engine.Stream.reclaimMu (the stream's reclaim target; taken at
+//	   the end of a flush cycle, asks the log inside)
 //	12 engine.flightGroup.mu
 //	13 engine.flushPipeline.mu (release ordering behind the queue; taken
 //	   under flushMu by the flushing goroutine, alone by the worker)
@@ -148,6 +150,8 @@ type Config struct {
 //	60 disk.Tier.flushMu
 //	61 disk.Tier.manifestMu (manifest commits; takes Tier.mu inside)
 //	62 disk.Tier.mu
+//	63 disk.LogSet.mu (the log files' registry shared by every tier over
+//	   one log; opens a file under it, takes no other lock)
 //	64 disk.cacheShard.mu
 //	68 wal.Log.rotMu (rotations; creates the next file outside mu)
 //	69 wal.Log.sealMu (seals and frame-index writes)
@@ -159,6 +163,7 @@ func DefaultConfig() Config {
 			"kflushing/internal/engine.Engine.flushMu":   10,
 			"kflushing/internal/engine.flightGroup.mu":   12,
 			"kflushing/internal/engine.flushPipeline.mu": 13,
+			"kflushing/internal/engine.Stream.reclaimMu": 11,
 			"kflushing/internal/policy.LRU.mu":           15,
 			"kflushing/internal/policy.FIFO.mu":          15,
 			"kflushing/internal/index.Index.overMu":      20,
@@ -172,6 +177,7 @@ func DefaultConfig() Config {
 			"kflushing/internal/disk.Tier.flushMu":       60,
 			"kflushing/internal/disk.Tier.manifestMu":    61,
 			"kflushing/internal/disk.Tier.mu":            62,
+			"kflushing/internal/disk.LogSet.mu":          63,
 			"kflushing/internal/disk.cacheShard.mu":      64,
 			"kflushing/internal/wal.Log.rotMu":           68,
 			"kflushing/internal/wal.Log.sealMu":          69,

@@ -19,6 +19,7 @@ import (
 	"kflushing/internal/disk"
 	"kflushing/internal/failpoint"
 	"kflushing/internal/index"
+	"kflushing/internal/server"
 	"kflushing/internal/wal"
 )
 
@@ -49,6 +50,11 @@ func childOptions() kflushing.Options {
 // which records the store promised to keep. A last, non-durable session
 // in a directory of its own exercises the record-block flush, which a
 // durable store no longer writes; it promises nothing across a crash.
+// Last, a durable three-attribute store (server.Store) in a directory of
+// its own runs the shared log: one append per batch, admitted by the
+// keyword, spatial and user engines in turn, and every attribute's
+// flushes naming the one log's files; its acknowledgements go to an ack
+// file of their own.
 func TestCrashChild(t *testing.T) {
 	if os.Getenv("CRASHTEST_CHILD") != "1" {
 		t.Skip("crash-matrix child workload; driven by TestCrashMatrix")
@@ -58,10 +64,95 @@ func TestCrashChild(t *testing.T) {
 	if dir == "" || ackPath == "" {
 		t.Fatal("CRASHTEST_DIR / CRASHTEST_ACK not set")
 	}
-	for session, n := range []int{900, 300} {
-		ingestSession(t, dir, ackPath, session, n)
+	if os.Getenv("CRASHTEST_SESSIONS") != "store" {
+		for session, n := range []int{900, 300} {
+			ingestSession(t, dir, ackPath, session, n)
+		}
+		plainSession(t, plainDir(dir), 300)
 	}
-	plainSession(t, plainDir(dir), 300)
+	storeSession(t, storeDir(dir), storeAcks(ackPath), 600)
+}
+
+// storeDir and storeAcks are where the three-attribute session keeps its
+// store and its acknowledgements.
+func storeDir(dir string) string  { return dir + "-store" }
+func storeAcks(ack string) string { return ack + "-store" }
+
+// The store session's records: every one posts from one tile, under
+// one of four users, with the keyword "all" or not, so one search per
+// attribute value finds every record an attribute indexes.
+const storeLat, storeLon = 40.7, -74.0
+
+var storeUsers = []uint64{1, 2, 3, 4}
+
+// storeRecord is record j of the store session: all three attributes,
+// or any one or two of them.
+func storeRecord(session, j int) *kflushing.Microblog {
+	mb := &kflushing.Microblog{Text: strings.Repeat("m", 120)}
+	shape := j % 5
+	if shape != 2 && shape != 3 {
+		mb.Keywords = []string{"all", "u" + strconv.Itoa(session*1_000_000+j)}
+	}
+	if shape != 1 && shape != 4 {
+		mb.HasGeo, mb.Lat, mb.Lon = true, storeLat, storeLon
+	}
+	if shape != 3 {
+		mb.UserID = storeUsers[j%len(storeUsers)]
+	}
+	return mb
+}
+
+// storeSession ingests n records into a durable three-attribute store in
+// batches of 8. After every acknowledged batch each record's ID and the
+// attributes that reported it ("k", "s", "u") are appended to the ack
+// file and fsynced.
+func storeSession(t *testing.T, dir, ackPath string, n int) {
+	t.Helper()
+	st, err := server.OpenStore(dir, childOptions())
+	if err != nil {
+		t.Fatalf("store session: open: %v", err)
+	}
+	ack, err := os.OpenFile(ackPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatalf("store session: open ack file: %v", err)
+	}
+	defer ack.Close()
+	for i := 0; i < n; i += 8 {
+		mbs := make([]*kflushing.Microblog, 0, 8)
+		for j := i; j < i+8; j++ {
+			mbs = append(mbs, storeRecord(2, j))
+		}
+		res, err := st.IngestBatch(mbs)
+		if err != nil {
+			t.Fatalf("store session: ingest batch at %d: %v", i, err)
+		}
+		var buf bytes.Buffer
+		for _, r := range res {
+			id := max(r.KeywordID, r.SpatialID, r.UserID)
+			attrs := ""
+			for _, a := range []struct {
+				id   kflushing.ID
+				name string
+			}{{r.KeywordID, "k"}, {r.SpatialID, "s"}, {r.UserID, "u"}} {
+				if a.id != 0 {
+					if a.id != id {
+						t.Fatalf("store session: attributes report different IDs: %+v", r)
+					}
+					attrs += a.name
+				}
+			}
+			fmt.Fprintln(&buf, uint64(id), attrs)
+		}
+		if _, err := ack.Write(buf.Bytes()); err != nil {
+			t.Fatalf("store session: record acks: %v", err)
+		}
+		if err := ack.Sync(); err != nil {
+			t.Fatalf("store session: sync acks: %v", err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("store session: close: %v", err)
+	}
 }
 
 // plainDir is where the non-durable session keeps its store.
@@ -225,6 +316,52 @@ func TestCrashMatrix(t *testing.T) {
 	}
 }
 
+// TestCrashMatrixStore is TestCrashMatrix with a child that runs the
+// three-attribute store session alone, so every site a durable store
+// passes kills it there first: a crash in the shared log's ingest,
+// seal, flush and recovery paths while all three attributes depend on
+// it. The sites only a keyword system's workload reaches — the record
+// block of a non-durable flush, the reference frames of a reclaim — are
+// left to TestCrashMatrix.
+func TestCrashMatrixStore(t *testing.T) {
+	if os.Getenv("CRASHTEST_CHILD") == "1" {
+		t.Skip("child process runs only TestCrashChild")
+	}
+	if testing.Short() {
+		t.Skip("crash matrix re-execs the test binary; skipped in -short")
+	}
+	t.Setenv("CRASHTEST_SESSIONS", "store")
+	for _, site := range failpoint.CrashSites() {
+		if storeUnreached[site] {
+			continue
+		}
+		t.Run(strings.ReplaceAll(site, "/", "_"), func(t *testing.T) {
+			base := t.TempDir()
+			dataDir := filepath.Join(base, "data")
+			ackPath := filepath.Join(base, "acked")
+			if code, out := runChild(t, dataDir, ackPath, site); code != failpoint.CrashExitCode {
+				t.Fatalf("run 1 exited %d, want %d — site not reached or child failed:\n%s",
+					code, failpoint.CrashExitCode, out)
+			}
+			for _, spec := range []string{site, site + "=crash(5)"} {
+				if code, out := runChild(t, dataDir, ackPath, spec); code != failpoint.CrashExitCode && code != 0 {
+					t.Fatalf("%s: exited %d, want %d or 0:\n%s", spec, code, failpoint.CrashExitCode, out)
+				}
+			}
+			verifyStore(t, storeDir(dataDir), storeAcks(ackPath))
+		})
+	}
+}
+
+// storeUnreached are the crash sites the store session alone never
+// passes on its first run: it reclaims no log file, writes no record
+// block, and starts from an empty directory.
+var storeUnreached = map[string]bool{
+	failpoint.WALReferenceAppended: true, failpoint.WALReferenceSynced: true,
+	failpoint.DiskSegmentWrite: true, failpoint.DiskBlockAfterRename: true,
+	failpoint.RecoverReplayRecord: true,
+}
+
 // runChild re-execs this test binary as a crashing child: only
 // TestCrashChild runs, with the failpoint armed through the environment
 // exactly as a production child process would inherit it. spec is
@@ -306,6 +443,102 @@ func verifyRecovered(t *testing.T, dataDir, ackPath string) {
 	}
 	verifyManifest(t, plain)
 	verifyCompactionPreservesDiskSet(t, plain)
+
+	verifyStore(t, storeDir(dataDir), storeAcks(ackPath))
+}
+
+// verifyStore checks the three-attribute store, twice over: every
+// acknowledged ID is found under each attribute that reported it; the
+// keyword directory is a complete tier with the store's one log, whose
+// files every directory of every tier resolves; and the spatial and user
+// directories hold no log file.
+func verifyStore(t *testing.T, dir, ackPath string) {
+	t.Helper()
+	if _, err := os.Stat(dir); os.IsNotExist(err) {
+		return
+	}
+	acked := readStoreAcks(t, ackPath)
+	for pass := 1; pass <= 2; pass++ {
+		st, err := server.OpenStore(dir, childOptions())
+		if err != nil {
+			t.Fatalf("store pass %d: reopen: %v", pass, err)
+		}
+		found := map[string]map[uint64]bool{"k": {}, "s": {}, "u": {}}
+		collect := func(attr string, res kflushing.Result, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("store pass %d: search: %v", pass, err)
+			}
+			for _, it := range res.Items {
+				id := uint64(it.MB.ID)
+				if found[attr][id] {
+					t.Fatalf("store pass %d: attribute %s answers record %d twice", pass, attr, id)
+				}
+				found[attr][id] = true
+			}
+		}
+		res, err := st.SearchKeywords([]string{"all"}, kflushing.OpSingle, 1<<14)
+		collect("k", res, err)
+		res, err = st.SearchNearby(storeLat, storeLon, 0, 1<<14)
+		collect("s", res, err)
+		for _, u := range storeUsers {
+			res, err = st.SearchUser(u, 1<<14)
+			collect("u", res, err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatalf("store pass %d: close: %v", pass, err)
+		}
+		for id, attrs := range acked {
+			for _, a := range attrs {
+				if !found[string(a)][id] {
+					t.Fatalf("store pass %d: acknowledged record %d lost under attribute %c", pass, id, a)
+				}
+			}
+		}
+	}
+	for _, attr := range []string{"keyword", "spatial", "user"} {
+		tierDir := filepath.Join(dir, attr)
+		if _, err := disk.Inspect(tierDir); err != nil {
+			t.Fatalf("a %s directory names a missing or truncated log file: %v", attr, err)
+		}
+		if segs, recs, err := disk.Verify(tierDir); err != nil {
+			t.Fatalf("%s verification failed after %d segments / %d records: %v", attr, segs, recs, err)
+		}
+		verifyManifest(t, tierDir)
+		if attr == "keyword" {
+			verifyLogFiles(t, tierDir)
+			continue
+		}
+		if logs, _ := filepath.Glob(filepath.Join(tierDir, "wal-*")); len(logs) != 0 {
+			t.Fatalf("%s holds log files %v: the store keeps one log", attr, logs)
+		}
+	}
+}
+
+// readStoreAcks parses the store session's ack file: an ID and the
+// attributes that reported it per line.
+func readStoreAcks(t *testing.T, path string) map[uint64]string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		t.Fatalf("read store ack file: %v", err)
+	}
+	acked := make(map[uint64]string)
+	for _, line := range strings.Split(string(b), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
+		}
+		id, err := strconv.ParseUint(fields[0], 10, 64)
+		if err != nil || len(fields) != 2 {
+			t.Fatalf("bad store ack line %q", line)
+		}
+		acked[id] = fields[1]
+	}
+	return acked
 }
 
 // verifyLogFiles checks the log files a durable store's directories

@@ -204,7 +204,7 @@ func BenchmarkOpenDirectory(b *testing.B) {
 	if err != nil || len(paths) != 1 {
 		b.Fatalf("merged directories %v, %v", paths, err)
 	}
-	bs := blockSet{} // opened once here: the loops time the directory alone
+	bs := newBlockSet(nil) // opened once here: the loops time the directory alone
 	defer bs.release()
 	s, err := openSegment(paths[0], bs)
 	if err != nil {

@@ -283,7 +283,7 @@ func TestDamagedMultiBlockDirectory(t *testing.T) {
 	if n, _ := binary.Uvarint(keys[le.Uint64(keys[len(keys)-8:]):]); n < 3 {
 		t.Fatalf("the key section spans %d key blocks, want at least 3", n)
 	}
-	bs := blockSet{}
+	bs := newBlockSet(nil)
 	defer bs.release()
 	open := func(img []byte) error {
 		s, err := decodeSegment(path, img, bs)
@@ -332,7 +332,7 @@ func checkDamagedFiles(t *testing.T, width int64) {
 	}
 	b.release()
 	open := func() error {
-		bs := blockSet{}
+		bs := newBlockSet(nil)
 		defer bs.release()
 		s, err := openSegment(segPath, bs)
 		if err != nil {

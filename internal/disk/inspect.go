@@ -68,7 +68,7 @@ func openDir(dir string) (segs []*segment, err error) {
 	}
 	paths := append(segPaths, lvlPaths...)
 	sortBySeqOrder(paths)
-	bs := blockSet{}
+	bs := newBlockSet(NewLogSet(LogHome(dir)))
 	defer bs.release()
 	for _, p := range paths {
 		s, err := openSegment(p, bs)
@@ -96,7 +96,7 @@ func Inspect(dir string) ([]SegmentInfo, error) {
 		return nil, err
 	}
 	defer releaseAll(segs)
-	m, _ := ReadManifest(dir) // a missing or corrupt manifest marks nothing drained
+	m, _ := ReadManifest(LogHome(dir)) // a missing or corrupt manifest marks nothing drained
 	drained := make(map[string]bool, len(m.Drained))
 	for _, name := range m.Drained {
 		drained[name] = true
@@ -159,7 +159,7 @@ func DumpSegment(path string, fn func(FlushRecord) error) error {
 		defer b.release()
 		return emit(b, func(uint32) bool { return true })
 	}
-	bs := blockSet{}
+	bs := newBlockSet(NewLogSet(LogHome(filepath.Dir(path))))
 	defer bs.release()
 	s, err := openSegment(path, bs)
 	if err != nil {
@@ -256,6 +256,7 @@ func CompactDir(dir string) error {
 		Encode:      func(s string) string { return s },
 		MaxSegments: -1,
 		CacheBytes:  -1,
+		Logs:        NewLogSet(LogHome(dir)),
 	})
 	if err != nil {
 		return err

@@ -749,19 +749,34 @@ func decodeKeys(b []byte, limit uint32) (keys []string, start, posts []uint32, e
 // blockSet shares one open block per file among the directories naming
 // it while a tier directory is being read. The set holds a reference of
 // its own on every block until release, so a block no directory claimed
-// closes then.
-type blockSet map[string]*block
+// closes then. Log file names resolve through logs, when set: in the
+// log's directory, to the registry's one block per file.
+type blockSet struct {
+	m    map[string]*block
+	logs *LogSet
+}
+
+// newBlockSet returns an empty set resolving log file names through logs
+// (beside the directory naming them, when nil).
+func newBlockSet(logs *LogSet) blockSet {
+	return blockSet{m: make(map[string]*block), logs: logs}
+}
 
 // get returns the named block file under dir with a reference for the
 // caller, opening it on first use.
 func (bs blockSet) get(dir, name string) (*block, error) {
-	b := bs[name]
+	b := bs.m[name]
 	if b == nil {
 		var err error
-		if b, err = openBlock(filepath.Join(dir, name)); err != nil {
+		if _, isLog := ParseLogName(name); isLog && bs.logs != nil {
+			b, err = bs.logs.block(name)
+		} else {
+			b, err = openBlock(filepath.Join(dir, name))
+		}
+		if err != nil {
 			return nil, fmt.Errorf("block %s: %w", name, err)
 		}
-		bs[name] = b
+		bs.m[name] = b
 	}
 	b.acquire()
 	return b, nil
@@ -770,7 +785,7 @@ func (bs blockSet) get(dir, name string) (*block, error) {
 // maxRecordID reads the highest record ID back from the blocks' records.
 func (bs blockSet) maxRecordID() (uint64, error) {
 	var maxID uint64
-	for _, b := range bs {
+	for _, b := range bs.m {
 		ids, scores := make([]uint64, b.count()), make([]float64, b.count())
 		if err := b.scanRanks(ids, scores, nil); err != nil {
 			return 0, err
@@ -783,7 +798,7 @@ func (bs blockSet) maxRecordID() (uint64, error) {
 }
 
 func (bs blockSet) release() {
-	for _, b := range bs {
+	for _, b := range bs.m {
 		b.release()
 	}
 }

@@ -102,6 +102,11 @@ type Config[K comparable] struct {
 	// record block and a directory: the store's write-ahead log is its
 	// record store.
 	Logged bool
+	// Logs is the registry of the log files the tier's directories name,
+	// shared by every tier over one log; nil keeps a registry of the
+	// tier's own. A tier whose Dir is not the registry's resolves log file
+	// names there and never unlinks one (see LogSet).
+	Logs *LogSet
 }
 
 // RetryPolicy bounds a retry loop around transient disk errors.
@@ -222,14 +227,16 @@ type Tier[K comparable] struct {
 	levels  [][]*segment // levels[i] oldest-first
 	retired []string     // manifest-retired inputs not yet unlinked
 	// drained holds the log files the write-ahead log no longer replays
-	// (DrainLog), each true once a manifest commit carries it; logs is the
-	// one open block per log file a directory names, looked up by name and
-	// valid while its references last (block.tryAcquire). logHeld is the
-	// log's word on whether memory still holds records framed in a file
-	// (TrackLogs); until it is set no drained file is unlinked.
+	// (DrainLog), each true once a manifest commit carries it; only the
+	// tier owning the log (ownsLog) has any. logHeld is the log's word on
+	// whether memory still holds records framed in a file (TrackLogs);
+	// until it is set, and once the tier is closed, no drained file is
+	// unlinked. closed makes keepsLog answer yes: a closed tier cannot
+	// vouch for what its directories name.
 	drained map[string]bool
-	logs    map[string]*block
+	ownsLog bool
 	logHeld func(seq uint32) bool
+	closed  bool
 
 	// seq is the last assigned segment sequence number; never reused,
 	// even across restarts (persisted via the manifest and re-derived
@@ -327,7 +334,10 @@ func Open[K comparable](cfg Config[K]) (*Tier[K], error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	t := &Tier[K]{cfg: cfg, drained: make(map[string]bool), logs: make(map[string]*block)}
+	if cfg.Logs == nil {
+		cfg.Logs = NewLogSet(cfg.Dir)
+	}
+	t := &Tier[K]{cfg: cfg, drained: make(map[string]bool), ownsLog: cfg.Logs.owns(cfg.Dir)}
 	cacheBytes := cfg.CacheBytes
 	if cacheBytes == 0 {
 		cacheBytes = DefaultCacheBytes
@@ -358,6 +368,7 @@ func Open[K comparable](cfg Config[K]) (*Tier[K], error) {
 	if err := t.openLeveled(); err != nil {
 		return nil, err
 	}
+	cfg.Logs.join(t, t.ownsLog)
 	if cfg.BackgroundCompaction && t.compactionEnabled() {
 		t.compactKick = make(chan struct{}, 1)
 		t.compactStop = make(chan struct{})
@@ -399,7 +410,9 @@ func Open[K comparable](cfg Config[K]) (*Tier[K], error) {
 //     drained one here: an undrained file's reference frame may still
 //     reach it, which only the log's replay shows. The owner of the log
 //     sweeps them afterwards (TrackLogs); an offline open never does. A
-//     drained name whose file is gone leaves the list.
+//     drained name whose file is gone leaves the list. A tier that does
+//     not own the log it names (Config.Logs) holds no log file and no
+//     drained mark: its log file names resolve in the owner's directory.
 //
 // Afterwards a fresh manifest is committed so the next crash window
 // starts from a clean baseline, and the sequence counter resumes past
@@ -441,7 +454,7 @@ func (t *Tier[K]) openLeveled() (err error) {
 	t.seq.Store(maxSeq)
 
 	// Directories naming the same block share one open block.
-	bs := blockSet{}
+	bs := newBlockSet(t.cfg.Logs)
 	defer bs.release()
 	t.levels = [][]*segment{nil}
 	named := make(map[string]struct{}) // block files the opened directories name
@@ -537,11 +550,6 @@ func (t *Tier[K]) openLeveled() (err error) {
 	for _, name := range m.Drained {
 		if valid && fileExists(filepath.Join(t.cfg.Dir, name)) {
 			t.drained[name] = true
-		}
-	}
-	for name, b := range bs {
-		if b.log {
-			t.logs[name] = b
 		}
 	}
 	maxID := m.MaxRecordID
@@ -824,25 +832,9 @@ func (t *Tier[K]) index(s *segment, sorted []FlushRecord, posting func(i int) ui
 }
 
 // logBlock returns sealed log file seq as a block, with a reference for
-// the caller: the one open block of the file while anything holds it,
-// so every directory naming the file shares its handle and its record
-// cache entries. Only flushes open log files, and they serialize.
+// the caller (LogSet.block).
 func (t *Tier[K]) logBlock(seq uint32) (*block, error) {
-	name := LogName(seq)
-	t.mu.RLock()
-	b := t.logs[name]
-	t.mu.RUnlock()
-	if b != nil && b.tryAcquire() {
-		return b, nil
-	}
-	b, err := openBlock(filepath.Join(t.cfg.Dir, name))
-	if err != nil {
-		return nil, fmt.Errorf("disk: log file %s: %w", name, err)
-	}
-	t.mu.Lock()
-	t.logs[name] = b
-	t.mu.Unlock()
-	return b, nil
+	return t.cfg.Logs.block(LogName(seq))
 }
 
 // LogDrained reports whether log file seq is drained: the write-ahead
@@ -919,21 +911,28 @@ func (t *Tier[K]) ReleaseLog(seq uint32) {
 	}
 }
 
-// removeDrained unlinks a log file a committed manifest lists drained,
-// no live directory names — every record it framed a merge found shadowed,
-// or none was ever flushed from it — and the log does not hold (TrackLogs),
-// unless a retired directory file is still on disk, which a manifest
-// fallback would adopt; the owner's next sweep takes it then. The name
-// leaves the drained set, and the next commit's list.
+// removeDrained unlinks a log file a committed manifest lists drained
+// that the log does not hold (TrackLogs) and no tier over the log needs
+// (keepsLog): no live directory names it — every record it framed a
+// merge found shadowed, or none was ever flushed from it — and no retired
+// directory file that a manifest fallback would adopt is left. The owner's
+// next sweep takes a file kept for the latter. The name leaves the drained
+// set, and the next commit's list. The log's word comes first: a flush
+// names a file before it gives back its hold, so a file found unheld is
+// named by every directory that will ever name it. A tier that does not
+// own the log passes the question to the owner.
 func (t *Tier[K]) removeDrained(name string) error {
+	if !t.ownsLog {
+		return t.cfg.Logs.unnamed(name)
+	}
 	t.mu.RLock()
-	keep := !t.drained[name] || len(t.retired) > 0 || t.namesFileLocked(name) || t.logHeld == nil
 	held := t.logHeld
+	keep := !t.drained[name] || held == nil
 	t.mu.RUnlock()
 	if keep {
 		return nil
 	}
-	if seq, _ := ParseLogName(name); held(seq) {
+	if seq, _ := ParseLogName(name); held(seq) || t.keepsLog(name) || t.cfg.Logs.keptElsewhere(t, name) {
 		return nil
 	}
 	// A file left behind here is deleted by the owner's next sweep.
@@ -945,9 +944,18 @@ func (t *Tier[K]) removeDrained(name string) error {
 	}
 	t.mu.Lock()
 	delete(t.drained, name)
-	delete(t.logs, name)
 	t.mu.Unlock()
+	t.cfg.Logs.forget(name)
 	return nil
+}
+
+// keepsLog reports whether the tier needs log file name on disk: a live
+// directory names it, a retired directory file that a manifest fallback
+// would adopt is still there, or the tier is closed.
+func (t *Tier[K]) keepsLog(name string) bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.closed || len(t.retired) > 0 || t.namesFileLocked(name)
 }
 
 // namesFileLocked reports whether any live segment's block table names
@@ -1484,6 +1492,7 @@ func (t *Tier[K]) Close() error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.closed, t.logHeld = true, nil
 	t.releaseLevels()
 	return err
 }

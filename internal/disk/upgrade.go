@@ -100,7 +100,7 @@ func Upgrade(dir string) error {
 		return nil
 	}
 
-	bs := blockSet{} // a v2 file's name resolves to its new block
+	bs := newBlockSet(nil) // a v2 file's name resolves to its new block
 	defer bs.release()
 	converted := make(map[*block]string, len(oldSegs))
 	for _, p := range oldSegs {
@@ -113,7 +113,7 @@ func Upgrade(dir string) error {
 		if err != nil {
 			return err
 		}
-		bs[filepath.Base(p)], converted[b] = b, filepath.Base(p)
+		bs.m[filepath.Base(p)], converted[b] = b, filepath.Base(p)
 	}
 	named := make(map[string]bool)
 	for _, p := range dirs {
@@ -147,7 +147,7 @@ func Upgrade(dir string) error {
 			}
 			continue
 		}
-		s, err := legacySegment(p, bs[name])
+		s, err := legacySegment(p, bs.m[name])
 		if err != nil {
 			return err
 		}

@@ -121,13 +121,22 @@ type Config[K comparable] struct {
 	// the encoded keys — in the flight recorder. 0 disables. A search
 	// below the threshold pays one comparison.
 	SlowQueryNanos int64
+	// Stream, when set, is the stream the engine joins: its log, IDs and
+	// ingest path are the stream's, shared with the other engines that
+	// join it, and the stream's Open starts them all. The first engine to
+	// join keeps the log in its DiskDir, and its Durable, WALOptions,
+	// Clock, Ranker and AllocPolicy are the stream's. Nil makes the engine
+	// a stream of its own, started by New.
+	Stream *Stream
+	// Name is the attribute's name, for the error a stream of several
+	// engines returns when this one refuses a batch.
+	Name string
 }
 
 // Engine is one attribute's complete data management system. All
 // methods are safe for concurrent use.
 type Engine[K comparable] struct {
 	cfg   Config[K]
-	ids   atomic.Uint64
 	mem   memsize.Tracker
 	store *store.Store
 	idx   *index.Index[K]
@@ -146,11 +155,17 @@ type Engine[K comparable] struct {
 	// under flushMu.
 	cycle uint64
 
-	wal *wal.Log
-	// recovering is set while New replays the log: files not yet
+	// stream fronts the engine's ingestion, log and IDs; slot is the
+	// engine's place in it (0: the log's owner).
+	stream *Stream
+	slot   int
+	wal    *wal.Log
+	// recovering is set while the stream replays the log: files not yet
 	// replayed have no survivors in memory to reference, so the reclaim
-	// at the end of a (recovery) flush cycle stands down.
+	// at the end of a (recovery) flush cycle stands down. replayed holds
+	// the replayed records not yet handed to the policy.
 	recovering bool
+	replayed   replayChunk[K]
 
 	// flights coalesces concurrent identical disk-fallback searches.
 	flights flightGroup
@@ -185,13 +200,24 @@ type Engine[K comparable] struct {
 	scratch *sync.Pool
 }
 
-// ingestScratch is the reusable per-batch working set of IngestBatch:
-// none of these slices outlive the call (policies copy what they keep),
-// so one arena serves batch after batch.
+// ingestScratch is the engine's share of one ingest batch and its
+// reusable working set: none of these slices outlive the batch (policies
+// copy what they keep), so one arena serves batch after batch.
 type ingestScratch[K comparable] struct {
+	e *Engine[K]
+	// at is the frame index of each staged record, recKeys its keys.
+	at      []int
 	recs    []*store.Record
 	recKeys [][]K
-	frames  []disk.FlushRecord
+}
+
+// replayChunk is the replayed records waiting for the policy's OnIngest,
+// and the keys of the record being delivered.
+type replayChunk[K comparable] struct {
+	recs    []*store.Record
+	recKeys [][]K
+	keys    []K
+	total   int
 }
 
 // New builds and wires an engine from cfg.
@@ -232,9 +258,14 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		Shards:     cfg.Shards,
 		Pool:       alloc.NewSlicePool[*store.Record](cfg.AllocPolicy),
 	})
-	if err := wal.CheckDir(cfg.DiskDir); cfg.Durable && err != nil {
+	st := cfg.Stream
+	if st == nil {
+		st = NewStream()
+	}
+	if err := st.checkDir(cfg.DiskDir, cfg.Durable); err != nil {
 		return nil, err
 	}
+	logs := st.logsFor(cfg.DiskDir)
 	tier, err := disk.Open(disk.Config[K]{
 		Dir:    cfg.DiskDir,
 		KeysOf: cfg.KeysOf,
@@ -247,16 +278,14 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		CacheBytes:           cfg.DiskCacheBytes,
 		Retry:                cfg.DiskRetry,
 		Recorder:             e.bbox,
-		Logged:               cfg.Durable,
+		Logged:               st.durable(cfg.Durable),
+		Logs:                 logs,
 	})
 	if err != nil {
 		return nil, err
 	}
 	e.tier = tier
-	// The tier keeps every evicted record and search deduplicates memory ∪
-	// disk by ID: start past the highest ID it holds (replay may raise
-	// the counter further).
-	e.ids.Store(tier.MaxRecordID())
+	e.stream, e.slot = st, st.join(e)
 	if !cfg.SyncFlush {
 		e.pipe = newFlushPipeline(e)
 	}
@@ -271,44 +300,52 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		Metrics: &e.reg,
 		OnPhase: e.recordPhase,
 	})
-	if cfg.Durable {
-		wopt := cfg.WALOptions
-		if wopt.MaxFileBytes <= 0 {
-			// A log file never outgrows the memory it covers, so small
-			// budgets rotate — and reclaim — as large ones do.
-			wopt.MaxFileBytes = min(wal.DefaultMaxFileBytes, cfg.MemoryBudget)
-		}
-		if cfg.AllocPolicy == alloc.PolicyPooled {
-			wopt.PooledBuffers = true
-		}
-		wopt.Recorder = e.bbox
-		wopt.Drained = tier.LogDrained
-		wopt.OnDrained = e.drainLog
-		wopt.OnReleased = tier.ReleaseLog
-		w, err := wal.Open(cfg.DiskDir, wopt)
-		if err != nil {
-			// Construction failed; the open error is the one to
-			// surface, not the cleanup's.
-			_ = tier.Close()
-			return nil, err
-		}
-		e.wal = w
-		if err := e.recoverFromWAL(); err != nil {
-			_ = w.Close()
-			_ = tier.Close()
-			return nil, err
-		}
-		// Replay has shown which drained files a reference frame reaches:
-		// only now may the tier unlink the others.
-		tier.TrackLogs(w.Holds)
-	}
 	// Join the process-level dump registry so a panic handler (or
 	// kflushctl-driven DumpAll) can snapshot this engine's rings.
 	// DiskDir is unique per engine, so it doubles as the key.
 	blackbox.RegisterDumper(cfg.DiskDir, func(reason string) (string, error) {
 		return e.bbox.Dump(cfg.DiskDir, reason)
 	})
+	if cfg.Stream == nil {
+		if err := st.Open(); err != nil {
+			return nil, err
+		}
+	}
 	return e, nil
+}
+
+// cfgOf, maxRecordID, attachLog, setRecovering and trackLogs are the
+// engine's member view for its stream.
+func (e *Engine[K]) cfgOf() memberConfig {
+	return memberConfig{
+		name:    e.cfg.Name,
+		dir:     e.cfg.DiskDir,
+		budget:  e.cfg.MemoryBudget,
+		durable: e.cfg.Durable,
+		walOpt:  e.cfg.WALOptions,
+		pooled:  e.cfg.AllocPolicy == alloc.PolicyPooled,
+	}
+}
+
+// maxRecordID is the highest record ID the engine's tier holds: the
+// stream's IDs start past every member's (replay may raise them further).
+func (e *Engine[K]) maxRecordID() uint64 { return e.tier.MaxRecordID() }
+
+func (e *Engine[K]) attachLog(w *wal.Log) { e.wal = w }
+
+func (e *Engine[K]) setRecovering(on bool) { e.recovering = on }
+
+func (e *Engine[K]) trackLogs(held func(seq uint32) bool) { e.tier.TrackLogs(held) }
+
+// logOptions completes the log's options as the log's owner: its events
+// go to this engine's flight recorder, and its drained files to this
+// engine's tier.
+func (e *Engine[K]) logOptions(wopt wal.Options) wal.Options {
+	wopt.Recorder = e.bbox
+	wopt.Drained = e.tier.LogDrained
+	wopt.OnDrained = e.drainLog
+	wopt.OnReleased = e.tier.ReleaseLog
+	return wopt
 }
 
 // recoverChunk bounds how many replayed records wait for the policy's
@@ -316,76 +353,62 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 // between chunks.
 const recoverChunk = 4096
 
-// recoverFromWAL rebuilds memory contents from the log's undrained
-// files. Replayed records keep their original IDs, timestamps and
-// scores, and each holds the claims Replay took on the files delivering
-// and framing it; a record delivered twice (a reference frame the crash
-// caught before its source drained, a log upgraded twice) keeps one
-// wrapper, with the newer delivery's claims. The ID counter resumes past
-// the highest ID replayed (New started it past the highest ID flushed). Memory stays
+// wants reports whether the engine takes a replayed record: it indexes
+// it, or already holds it. The stream takes one claim per taker.
+func (e *Engine[K]) wants(fr disk.FlushRecord) bool {
+	if e.store.Get(fr.MB.ID) != nil {
+		return true
+	}
+	e.replayed.keys = e.cfg.KeysOf(fr.MB)
+	return len(e.replayed.keys) > 0
+}
+
+// take rebuilds one replayed record in memory, under one claim on the
+// files delivering and framing it. Replayed records keep their original
+// IDs, timestamps and scores. A record delivered twice (a reference frame
+// the crash caught before its source drained, a log upgraded twice)
+// keeps one wrapper, with the newer delivery's claims. Memory stays
 // bounded throughout: records reach the policy in chunks, and whenever
 // memory reaches the flush watermark a cycle runs inline, under the
 // gate, before the next frame is read — its releases may unlink files
 // already replayed.
-func (e *Engine[K]) recoverFromWAL() error {
-	e.recovering = true
-	defer func() { e.recovering = false }()
-	var maxID uint64
-	var recs []*store.Record
-	var recKeys [][]K
-	total := 0
-	handOver := func() {
-		// Each chunk is one ingestion batch as far as the policy is
-		// concerned. Replay is in file order, not arrival order: a
-		// referenced record comes back where its reference frame
-		// stands, after records that arrived later (wal.Log.Replay).
-		e.pol.OnIngest(recs, recKeys)
-		total += len(recs)
-		recs, recKeys = recs[:0], recKeys[:0]
+func (e *Engine[K]) take(fr disk.FlushRecord) {
+	if held := e.store.Get(fr.MB.ID); held != nil {
+		e.wal.Release(held.ReplaySeq, held.LogSeq, 1)
+		held.LogSeq, held.LogOrd, held.ReplaySeq = fr.LogSeq, fr.LogOrd, fr.ReplaySeq
+		return
 	}
-	err := e.wal.Replay(func(fr disk.FlushRecord) error {
-		if err := failpoint.Eval(failpoint.RecoverReplayRecord); err != nil {
-			return err
+	rc := &e.replayed
+	rec := e.newRecord(fr.MB, fr.Score)
+	e.admit(rec, fr, rc.keys)
+	rc.recs = append(rc.recs, rec)
+	rc.recKeys = append(rc.recKeys, rc.keys)
+	if due := e.flushDue(); due || len(rc.recs) == recoverChunk {
+		e.handOver()
+		if due {
+			e.recoveryFlush()
 		}
-		mb := fr.MB
-		if uint64(mb.ID) > maxID {
-			maxID = uint64(mb.ID)
-		}
-		if held := e.store.Get(mb.ID); held != nil {
-			e.wal.Release(held.ReplaySeq, held.LogSeq, 1)
-			held.LogSeq, held.LogOrd, held.ReplaySeq = fr.LogSeq, fr.LogOrd, fr.ReplaySeq
-			return nil
-		}
-		keys := e.cfg.KeysOf(mb)
-		if len(keys) == 0 {
-			e.wal.Release(fr.ReplaySeq, fr.LogSeq, 1)
-			return nil
-		}
-		rec := e.newRecord(mb, fr.Score)
-		e.admit(rec, fr, keys)
-		recs = append(recs, rec)
-		recKeys = append(recKeys, keys)
-		if due := e.flushDue(); due || len(recs) == recoverChunk {
-			handOver()
-			if due {
-				e.recoveryFlush()
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
-	if err := failpoint.Eval(failpoint.RecoverAfterReplay); err != nil {
-		return err
-	}
-	handOver()
-	if maxID > e.ids.Load() {
-		e.ids.Store(maxID)
-	}
+}
+
+// handOver reports the replayed records waiting to the policy. Each
+// chunk is one ingestion batch as far as the policy is concerned. Replay
+// is in file order, not arrival order: a referenced record comes back
+// where its reference frame stands, after records that arrived later
+// (wal.Log.Replay).
+func (e *Engine[K]) handOver() {
+	rc := &e.replayed
+	e.pol.OnIngest(rc.recs, rc.recKeys)
+	rc.total += len(rc.recs)
+	rc.recs, rc.recKeys = rc.recs[:0], rc.recKeys[:0]
+}
+
+// endReplay hands the last chunk over once the log is replayed.
+func (e *Engine[K]) endReplay(maxID uint64) {
+	e.handOver()
 	slog.Info("engine: wal recovery complete",
-		"records", total, "max_id", maxID, "mem_used", e.mem.Used())
-	return nil
+		"attr", e.cfg.Name, "records", e.replayed.total, "max_id", maxID, "mem_used", e.mem.Used())
+	e.replayed = replayChunk[K]{}
 }
 
 // recoveryFlush runs one flush cycle inline during replay. A failing
@@ -416,91 +439,98 @@ func (e *Engine[K]) Ingest(mb *types.Microblog) (types.ID, error) {
 }
 
 // IngestBatch digests a batch of microblogs in arrival order, taking
-// ownership of every record. IDs (and timestamps, when zero) are
-// assigned per record; the whole batch is then group-committed to the
-// write-ahead log under one lock acquisition and one buffered write
-// before any record becomes visible, so durability costs are amortized
-// across the batch — the group commit that lets ingestion scale with
-// the stream rate. Records carrying no keys for this attribute are
-// skipped, reported by a zero ID in the returned slice (which is
-// aligned with mbs). A flush is triggered at most once per batch.
+// ownership of every record, through the engine's stream: IDs (and
+// timestamps, when zero) are assigned per record, and the whole batch is
+// group-committed to the write-ahead log under one lock acquisition and
+// one buffered write before any record becomes visible, so durability
+// costs are amortized across the batch — the group commit that lets
+// ingestion scale with the stream rate. Every engine of the stream that
+// indexes a record takes it, under the one ID. Records no engine of the
+// stream indexes are skipped, reported by a zero ID in the returned slice
+// (which is aligned with mbs); alone in its stream, that is a record
+// carrying no keys for this attribute. A flush is triggered at most once
+// per batch and engine.
 func (e *Engine[K]) IngestBatch(mbs []*types.Microblog) ([]types.ID, error) {
+	return e.stream.IngestBatch(mbs)
+}
+
+// writable reports why the engine refuses records now, or nil.
+func (e *Engine[K]) writable() error {
 	if e.closed.Load() {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	if e.degraded.Load() {
 		reason, _ := e.degradedReason.Load().(string)
-		return nil, fmt.Errorf("%w: %s", ErrDegraded, reason)
+		return fmt.Errorf("%w: %s", ErrDegraded, reason)
 	}
-	batchStart := time.Now()
-	ids := make([]types.ID, len(mbs))
-	var recs []*store.Record
-	var recKeys [][]K
-	var frames []disk.FlushRecord
-	var sc *ingestScratch[K]
+	return nil
+}
+
+// stamp gives mb its timestamp, when zero, and returns its score: the
+// stream asks the log's owner, once per record.
+func (e *Engine[K]) stamp(mb *types.Microblog) float64 {
+	if mb.Timestamp == 0 {
+		mb.Timestamp = e.clk.Now()
+	}
+	return e.cfg.Ranker.Score(mb)
+}
+
+// begin opens the engine's share of one ingest batch, from the arena
+// under the pooled policy.
+func (e *Engine[K]) begin() share {
 	if e.scratch != nil {
-		sc = e.scratch.Get().(*ingestScratch[K])
-		recs, recKeys, frames = sc.recs[:0], sc.recKeys[:0], sc.frames[:0]
-		defer func() {
-			// The batch's working slices hold pointers; zero them so the
-			// arena never pins records or keys across batches.
-			for i := range recs {
-				recs[i] = nil
-			}
-			for i := range recKeys {
-				recKeys[i] = nil
-			}
-			for i := range frames {
-				frames[i] = disk.FlushRecord{}
-			}
-			sc.recs, sc.recKeys, sc.frames = recs[:0], recKeys[:0], frames[:0]
-			e.scratch.Put(sc)
-		}()
-	} else {
-		recs = make([]*store.Record, 0, len(mbs))
-		recKeys = make([][]K, 0, len(mbs))
+		sc := e.scratch.Get().(*ingestScratch[K])
+		sc.e = e
+		return sc
 	}
-	for i, mb := range mbs {
-		keys := e.cfg.KeysOf(mb)
-		if len(keys) == 0 {
-			continue
-		}
-		if mb.Timestamp == 0 {
-			mb.Timestamp = e.clk.Now()
-		}
-		mb.ID = types.ID(e.ids.Add(1))
-		ids[i] = mb.ID
-		recs = append(recs, e.newRecord(mb, e.cfg.Ranker.Score(mb)))
-		recKeys = append(recKeys, keys)
+	return &ingestScratch[K]{e: e}
+}
+
+// offer stages mb as frame k when the engine indexes it.
+func (sc *ingestScratch[K]) offer(k int, mb *types.Microblog) bool {
+	keys := sc.e.cfg.KeysOf(mb)
+	if len(keys) == 0 {
+		return false
 	}
-	if len(recs) == 0 {
-		return ids, nil
+	sc.at = append(sc.at, k)
+	sc.recKeys = append(sc.recKeys, keys)
+	return true
+}
+
+// admit makes the staged records memory-resident, each holding the
+// claims the stream took for it on frames[k], reports them to the policy
+// and triggers a flush when the budget is exhausted. batch is the size
+// of the caller's batch.
+func (sc *ingestScratch[K]) admit(frames []disk.FlushRecord, batch int, start time.Time) {
+	defer sc.discard()
+	e := sc.e
+	if len(sc.at) == 0 {
+		return
 	}
-	if e.wal != nil {
-		if sc == nil {
-			frames = make([]disk.FlushRecord, 0, len(recs))
-		}
-		for _, rec := range recs {
-			frames = append(frames, disk.FlushRecord{MB: rec.MB, Score: rec.Score})
-		}
-		if err := e.wal.AppendBatch(frames); err != nil {
-			return nil, fmt.Errorf("engine: wal append: %w", err)
-		}
+	for i, k := range sc.at {
+		rec := e.newRecord(frames[k].MB, frames[k].Score)
+		e.admit(rec, frames[k], sc.recKeys[i])
+		sc.recs = append(sc.recs, rec)
 	}
-	for i, rec := range recs {
-		var at disk.FlushRecord
-		if e.wal != nil {
-			at = frames[i] // the claims AppendBatch took for it
-		}
-		e.admit(rec, at, recKeys[i])
-	}
-	e.pol.OnIngest(recs, recKeys)
-	e.reg.Ingested.Add(int64(len(recs)))
+	e.pol.OnIngest(sc.recs, sc.recKeys)
+	e.reg.Ingested.Add(int64(len(sc.recs)))
 	e.reg.IngestBatches.Add(1)
 	e.bbox.Record(blackbox.SubIngest, blackbox.EvIngestBatch,
-		int64(len(recs)), int64(len(mbs)-len(recs)), time.Since(batchStart).Nanoseconds())
+		int64(len(sc.recs)), int64(batch-len(sc.recs)), time.Since(start).Nanoseconds())
 	e.maybeFlush(blackbox.TriggerBudget)
-	return ids, nil
+}
+
+// discard ends the share: its working slices hold pointers, so they are
+// zeroed before the arena takes them back, and never pin records or keys
+// across batches.
+func (sc *ingestScratch[K]) discard() {
+	clear(sc.recs)
+	clear(sc.recKeys)
+	sc.at, sc.recs, sc.recKeys = sc.at[:0], sc.recs[:0], sc.recKeys[:0]
+	if e := sc.e; e.scratch != nil {
+		sc.e = nil
+		e.scratch.Put(sc)
+	}
 }
 
 // newRecord builds a record for m, reusing a recycled wrapper whose
@@ -553,6 +583,10 @@ func (e *Engine[K]) maybeFlush(trigger blackbox.Trigger) {
 	}
 	if !e.flushMu.TryLock() {
 		return // a flush is already in flight
+	}
+	if e.closed.Load() {
+		e.flushMu.Unlock()
+		return // shutting down: the log may be sealed already
 	}
 	if e.cfg.SyncFlush {
 		e.runFlushLocked(trigger)
@@ -660,10 +694,12 @@ func (e *Engine[K]) flushCycle(trigger blackbox.Trigger) (int64, error) {
 // reclaimWAL keeps the write-ahead log's replay proportional to memory.
 // Eviction by usefulness never drains an old log file — a few long-lived
 // records pin it — so once the log's replay has outgrown the memory
-// budget, the sealed file with the fewest survivors has them listed by a
-// reference frame in the active file (wal.Reference), which takes their
+// budgets it feeds, the sealed file with the fewest survivors is the
+// stream's reclaim target (Stream.reclaimTarget), and every engine over
+// the log, at the end of its own cycle, has its survivors of it listed by
+// a reference frame in the active file (wal.Reference), which takes their
 // replay over; the file drains as soon as the batches still in the flush
-// pipeline have released theirs. No record byte moves: the survivors
+// pipelines have released theirs. No record byte moves: the survivors
 // stay framed where they are. One file per flush cycle: cycles come
 // several to a rotation. Running at the end of a cycle, under flushMu,
 // means nothing is evicted or restored meanwhile, so the survivor set
@@ -673,7 +709,7 @@ func (e *Engine[K]) reclaimWAL() {
 	if e.wal == nil || e.recovering {
 		return
 	}
-	seq, ok := e.wal.ReclaimCandidate(e.cfg.MemoryBudget)
+	seq, ok := e.stream.reclaimTarget(e.slot)
 	if !ok {
 		return
 	}
@@ -698,6 +734,7 @@ func (e *Engine[K]) reclaimWAL() {
 	for _, rec := range recs {
 		rec.ReplaySeq = to
 	}
+	e.stream.listedSurvivors(e.slot, seq)
 }
 
 // drainLog is the log's OnDrained: file seq covers no record any more,
@@ -760,6 +797,9 @@ func (e *Engine[K]) FlushNow() (int64, error) {
 	}
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
+	if e.closed.Load() {
+		return 0, ErrClosed
+	}
 	return e.flushCycle(blackbox.TriggerManual)
 }
 
@@ -1039,7 +1079,7 @@ func (e *Engine[K]) CheckReady() error {
 		return ErrClosed
 	}
 	probeErr := e.tier.CheckWritable()
-	if probeErr == nil && e.wal != nil {
+	if probeErr == nil && e.wal != nil && e.slot == 0 {
 		probeErr = e.wal.CheckAppendable()
 	}
 	if ok, reason := e.Degraded(); ok {
@@ -1125,8 +1165,11 @@ type Stats struct {
 	Metrics        metrics.Snapshot
 	Disk           disk.Stats
 	// WAL is the write-ahead log's footprint and reclaim counters (zero
-	// without durability).
-	WAL wal.Stats
+	// without durability). The log is the stream's: WALOwner marks the
+	// engine that reports it, the first of its stream, and the other
+	// engines of the stream report a zero WAL.
+	WAL      wal.Stats
+	WALOwner bool
 	// Degraded reports read-only mode (tier writes failing); the reason
 	// is the error that entered it.
 	Degraded       bool
@@ -1138,11 +1181,12 @@ type Stats struct {
 func (e *Engine[K]) Stats() Stats {
 	degraded, reason := e.Degraded()
 	var walStats wal.Stats
-	if e.wal != nil {
+	if e.wal != nil && e.slot == 0 {
 		walStats = e.wal.Stats()
 	}
 	return Stats{
 		WAL:            walStats,
+		WALOwner:       e.slot == 0,
 		Degraded:       degraded,
 		DegradedReason: reason,
 		Policy:         e.pol.Name(),
@@ -1159,36 +1203,34 @@ func (e *Engine[K]) Stats() Stats {
 	}
 }
 
-// Close drains in-flight flushing and the flush pipeline, seals the
-// write-ahead log's active file (when durable) — the next open replays
-// the log's undrained files — and releases the disk tier.
-func (e *Engine[K]) Close() error {
-	if !e.closed.CompareAndSwap(false, true) {
-		return nil
-	}
+// Close closes the engine's stream (Stream.Close): it drains in-flight
+// flushing and the flush pipeline of every engine of the stream, seals
+// the write-ahead log's active file (when durable) — the next open
+// replays the log's undrained files — and releases every engine's disk
+// tier.
+func (e *Engine[K]) Close() error { return e.stream.Close() }
+
+// quiesce is the first half of the engine's shutdown: closed is set, so
+// no new cycle starts once the gate is observed free (maybeFlush and
+// FlushNow look again under it); any in-flight background flush drains,
+// then the pipeline drains WITHOUT holding the gate — completions take
+// it to conclude. Queued batches reach the tier (or memory) before the
+// log closes, and the tier's last commit carries the drains their
+// releases cause.
+func (e *Engine[K]) quiesce() {
+	e.closed.Store(true)
 	blackbox.UnregisterDumper(e.cfg.DiskDir)
-	// Drain any in-flight background flush first (closed is set, so no
-	// new cycle can start once the gate is observed free), then drain
-	// the pipeline WITHOUT holding the gate — completions take it to
-	// conclude. Queued batches reach the tier (or memory) before the log
-	// closes, and the tier's last commit carries the drains their
-	// releases cause.
 	e.flushMu.Lock()
 	e.flushMu.Unlock() //nolint:staticcheck // empty critical section = drain
 	if e.pipe != nil {
 		e.pipe.close()
 	}
-	// The gate is held for the rest of shutdown, so a straggling flush
-	// can neither start after the log is sealed nor write to the closing
-	// disk tier.
+}
+
+// closeTier is the second half, once the log is closed: the disk tier
+// goes, under the gate, so no straggling flush writes to it.
+func (e *Engine[K]) closeTier() error {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
-	var firstErr error
-	if e.wal != nil {
-		firstErr = e.wal.Close()
-	}
-	if err := e.tier.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return e.tier.Close()
 }

@@ -74,6 +74,11 @@ const (
 	FlushAfterEvict  = "flush/after-evict"  // victims evicted from memory, tier write not started
 	FlushAfterWrite  = "flush/after-write"  // tier write done, cycle not yet accounted
 
+	// Shared-log sites (internal/engine): one stream's batch logged once
+	// and admitted by each attribute engine in turn.
+	StreamAppended = "engine/stream/appended" // the batch logged and claimed for every engine, none admitted yet
+	StreamAdmitted = "engine/stream/admitted" // one engine admitted its share of the batch, the next not yet
+
 	// Recovery sites (internal/engine).
 	RecoverReplayRecord = "engine/recover/record" // evaluated per replayed WAL record
 	RecoverAfterReplay  = "engine/recover/done"   // replay complete, recovery flush not yet run
@@ -96,7 +101,7 @@ const (
 	DiskOpenMkdir       = "disk/open/mkdir"       // creating the tier directory (no segments exist yet)
 	DiskDirSync         = "disk/dir/sync"         // directory fsync after a rename (rename sites cover the crash)
 	DiskAdoptRemove     = "disk/adopt/remove"     // deleting retired inputs during manifest recovery (best-effort)
-	DiskDrainUnlink     = "disk/drain/unlink"     // unlinking a drained log file no directory names (open deletes it too)
+	DiskDrainUnlink     = "disk/drain/unlink"     // the log's owner unlinking a drained log file no tier's directory names (its next sweep deletes it too)
 )
 
 // CrashSites returns every site at which a crash must be recoverable:
@@ -117,6 +122,7 @@ func CrashSites() []string {
 		DiskLevelInstall, DiskCompactInstall, DiskDrainMark, DiskDrainCommitted,
 		FlushBegin, FlushAfterPhase1, FlushAfterPhase2,
 		FlushAfterEvict, FlushAfterWrite,
+		StreamAppended, StreamAdmitted,
 		RecoverReplayRecord, RecoverAfterReplay,
 	}
 }

@@ -136,21 +136,22 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestIngestBatchPartialFailure pins Store.IngestBatch's documented
-// partial-failure contract: the attribute systems ingest in the order
-// keyword, spatial, user, and when one rejects the batch the earlier
-// ones keep what they ingested while the later ones never see it. Only
-// the spatial system is driven into degraded mode (geo-only posts under
-// a segment-write fault), then one post carrying all three attributes
-// must answer 503 naming what happened, be searchable by keyword, and be
-// absent from the user timeline.
-func TestIngestBatchPartialFailure(t *testing.T) {
+// TestIngestBatchAllOrNothing pins Store.IngestBatch's all-or-nothing
+// contract: an attribute that cannot take records refuses the whole
+// batch before anything is logged, so no attribute ingests it. Only the
+// spatial system is driven into degraded mode (geo-only posts under a
+// segment-write fault); then one post carrying all three attributes must
+// answer 503 naming the refusing attribute, and be found by none of the
+// three searches. Once a readiness probe clears degraded mode, the same
+// post is ingested once, under one ID, by all three.
+func TestIngestBatchAllOrNothing(t *testing.T) {
 	failpoint.DisableAll()
 	t.Cleanup(failpoint.DisableAll)
 	st, err := OpenStore(t.TempDir(), kflushing.Options{
 		MemoryBudget: 24 << 10,
 		K:            2,
 		SyncFlush:    true,
+		Durable:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +164,7 @@ func TestIngestBatchPartialFailure(t *testing.T) {
 	})
 	h := st.Handler()
 
-	if err := failpoint.Enable(failpoint.DiskSegmentWrite, "error"); err != nil {
+	if err := failpoint.Enable(failpoint.DiskSegmentDirWrite, "error"); err != nil {
 		t.Fatal(err)
 	}
 	degraded := false
@@ -182,10 +183,10 @@ func TestIngestBatchPartialFailure(t *testing.T) {
 	}
 	// The fault is gone; the spatial system stays read-only until a
 	// readiness probe, the keyword and user systems never noticed.
-	failpoint.Disable(failpoint.DiskSegmentWrite)
+	failpoint.Disable(failpoint.DiskSegmentDirWrite)
 
-	rw := do(t, h, http.MethodPost, "/microblogs",
-		`{"keywords":["partialwitness"],"text":"x","user_id":4242,"lat":40.0,"lon":-74.0}`)
+	const post = `{"keywords":["allornothing"],"text":"x","user_id":4242,"lat":40.0,"lon":-74.0}`
+	rw := do(t, h, http.MethodPost, "/microblogs", post)
 	if rw.Code != http.StatusServiceUnavailable {
 		t.Fatalf("three-attribute post answered %d, want 503: %s", rw.Code, rw.Body.String())
 	}
@@ -196,9 +197,8 @@ func TestIngestBatchPartialFailure(t *testing.T) {
 	if err := json.Unmarshal(rw.Body.Bytes(), &rej); err != nil || !rej.Degraded {
 		t.Fatalf("503 body %q (err %v), want degraded=true", rw.Body.String(), err)
 	}
-	if !strings.Contains(rej.Error, "spatial attribute rejected the batch") ||
-		!strings.Contains(rej.Error, "already ingested it, not rolled back: [keyword]") {
-		t.Fatalf("503 error %q does not name the rejecting attribute and the partial ingest", rej.Error)
+	if !strings.Contains(rej.Error, "spatial attribute refused the batch, which no attribute ingested") {
+		t.Fatalf("503 error %q does not name the refusing attribute", rej.Error)
 	}
 
 	count := func(url string) int {
@@ -215,10 +215,32 @@ func TestIngestBatchPartialFailure(t *testing.T) {
 		}
 		return len(sr.Items)
 	}
-	if n := count("/search/keywords?q=partialwitness&k=5"); n != 1 {
-		t.Fatalf("keyword search finds the rejected post %d times, want 1 (ingested before the rejection)", n)
+	searches := []string{"/search/keywords?q=allornothing&k=5", "/search/user?id=4242&k=5"}
+	for _, url := range searches {
+		if n := count(url); n != 0 {
+			t.Fatalf("%s finds the refused post %d times, want 0", url, n)
+		}
 	}
-	if n := count("/search/user?id=4242&k=5"); n != 0 {
-		t.Fatalf("user timeline holds the rejected post %d times, want 0 (never offered)", n)
+
+	if rw := do(t, h, http.MethodGet, "/readyz", ""); rw.Code != http.StatusOK {
+		t.Fatalf("/readyz answered %d after the fault cleared: %s", rw.Code, rw.Body.String())
+	}
+	rw = do(t, h, http.MethodPost, "/microblogs", post)
+	if rw.Code != http.StatusOK {
+		t.Fatalf("retried post answered %d: %s", rw.Code, rw.Body.String())
+	}
+	var ok struct {
+		Ingested []IngestResult `json:"ingested"`
+	}
+	if err := json.Unmarshal(rw.Body.Bytes(), &ok); err != nil || len(ok.Ingested) != 1 {
+		t.Fatalf("retried post body %q (err %v)", rw.Body.String(), err)
+	}
+	if r := ok.Ingested[0]; r.KeywordID == 0 || r.KeywordID != r.SpatialID || r.KeywordID != r.UserID {
+		t.Fatalf("retried post got IDs %+v, want one ID under all three attributes", r)
+	}
+	for _, url := range searches {
+		if n := count(url); n != 1 {
+			t.Fatalf("%s finds the retried post %d times, want 1", url, n)
+		}
 	}
 }

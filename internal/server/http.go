@@ -481,16 +481,6 @@ func (s *Store) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(st kflushing.Stats) float64 { return float64(st.Disk.CacheEvictions) })
 	emit("disk_cache_bytes", "gauge", "bytes resident in the disk read cache",
 		func(st kflushing.Stats) float64 { return float64(st.Disk.CacheBytes) })
-	emit("wal_bytes", "gauge", "bytes a recovery reads: the log files still replayed and the frames their reference frames list (0 without durability)",
-		func(st kflushing.Stats) float64 { return float64(st.WAL.Bytes) })
-	emit("wal_files", "gauge", "write-ahead log files still replayed, the active file included",
-		func(st kflushing.Stats) float64 { return float64(st.WAL.Files) })
-	emit("wal_live_records", "gauge", "records whose replay still goes through the log: in memory, or in flight to a segment",
-		func(st kflushing.Stats) float64 { return float64(st.WAL.LiveRecords) })
-	emit("wal_referenced_records_total", "counter", "survivors of a sealed log file listed by a reference frame so the file could drain",
-		func(st kflushing.Stats) float64 { return float64(st.WAL.ReferencedRecords) })
-	emit("wal_reclaimed_bytes_total", "counter", "bytes of write-ahead log files drained: no longer replayed",
-		func(st kflushing.Stats) float64 { return float64(st.WAL.ReclaimedBytes) })
 	emit("degraded", "gauge", "1 while the attribute system is in degraded read-only mode (tier writes failing)",
 		func(st kflushing.Stats) float64 {
 			if st.Degraded {
@@ -498,6 +488,30 @@ func (s *Store) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			}
 			return 0
 		})
+
+	// The write-ahead log is the store's, not an attribute's: one series
+	// each, from the attribute that carries it (Stats.WALOwner).
+	var wal kflushing.Stats
+	for _, a := range attrs {
+		if stats[a].WALOwner {
+			wal = stats[a]
+		}
+	}
+	emitStore := func(name, typ, help string, value float64) {
+		fmt.Fprintf(w, "# HELP kflushing_%s %s\n", name, help)
+		fmt.Fprintf(w, "# TYPE kflushing_%s %s\n", name, typ)
+		fmt.Fprintf(w, "kflushing_%s %g\n", name, value)
+	}
+	emitStore("wal_bytes", "gauge", "bytes a recovery reads: the log files still replayed and the frames their reference frames list (0 without durability)",
+		float64(wal.WAL.Bytes))
+	emitStore("wal_files", "gauge", "write-ahead log files still replayed, the active file included",
+		float64(wal.WAL.Files))
+	emitStore("wal_live_records", "gauge", "claims of records whose replay still goes through the log, one per attribute indexing the record: in memory, or in flight to a segment",
+		float64(wal.WAL.LiveRecords))
+	emitStore("wal_referenced_records_total", "counter", "survivors of a sealed log file listed by a reference frame so the file could drain",
+		float64(wal.WAL.ReferencedRecords))
+	emitStore("wal_reclaimed_bytes_total", "counter", "bytes of write-ahead log files drained: no longer replayed",
+		float64(wal.WAL.ReclaimedBytes))
 
 	// Per-level occupancy of the disk tier, one series per populated
 	// level.

@@ -4,12 +4,19 @@
 // timelines — each with its own memory budget, flushing policy instance,
 // and disk tier, mirroring how the paper treats attributes as separate
 // index structures (Section IV-A).
+//
+// The attributes share what is the stream's and not an index's: one ID
+// per microblog, one ingest path that takes a batch into every attribute
+// or into none, and, on a durable store, one write-ahead log, so a
+// microblog is framed, fsynced, kept and replayed once however many
+// attributes index it (kflushing.OpenAttributes). The data directory
+// holds one tier per attribute, <dir>/keyword, <dir>/spatial and
+// <dir>/user; the log's files live in <dir>/keyword, which is a complete
+// tier on its own, and the spatial and user directories name them there.
 package server
 
 import (
 	"errors"
-	"fmt"
-	"path/filepath"
 
 	"kflushing"
 	"kflushing/internal/textutil"
@@ -25,13 +32,11 @@ var ErrNotIndexed = errors.New("server: microblog not indexable under any attrib
 type attrSystem interface {
 	Attr() string
 	Indexes(*kflushing.Microblog) bool
-	IngestBatch([]*kflushing.Microblog) ([]kflushing.ID, error)
 	BlackboxEvents() []kflushing.BlackboxEvent
 	Ready() error
 	DiskHealth() kflushing.DiskHealth
 	SetK(k int)
 	Stats() kflushing.Stats
-	Close() error
 }
 
 // attribute is one row of the Store's attribute table.
@@ -49,32 +54,26 @@ type Store struct {
 	sp *kflushing.SpatialSystem
 	us *kflushing.UserSystem
 	// attrs is the attribute table in ingest order: keyword, spatial,
-	// user. The order is part of the IngestBatch contract.
+	// user. The first attribute's directory keeps the log.
 	attrs []attribute
 }
 
-// OpenStore opens (or recovers) the three attribute systems under dir.
-// opt applies per attribute: each system gets its own MemoryBudget and
-// policy instance.
-func OpenStore(dir string, opt kflushing.Options) (_ *Store, err error) {
-	s := &Store{}
-	defer func() {
-		if err != nil {
-			s.Close() // the systems opened before the failing one
-		}
-	}()
-	if s.kw, err = kflushing.Open(filepath.Join(dir, "keyword"), opt); err != nil {
-		return nil, fmt.Errorf("open keyword system: %w", err)
+// OpenStore opens (or recovers) the three attribute systems under dir
+// over one stream. opt applies per attribute: each system gets its own
+// MemoryBudget and policy instance. A data directory an older build
+// wrote, with one log per attribute, is refused with
+// disk.ErrNeedsUpgrade (see Upgrade).
+func OpenStore(dir string, opt kflushing.Options) (*Store, error) {
+	kw, sp, us, err := kflushing.OpenAttributes(dir, opt)
+	if err != nil {
+		return nil, err
 	}
-	s.attrs = append(s.attrs, attribute{s.kw, func(r *IngestResult) *kflushing.ID { return &r.KeywordID }})
-	if s.sp, err = kflushing.OpenSpatial(filepath.Join(dir, "spatial"), nil, opt); err != nil {
-		return nil, fmt.Errorf("open spatial system: %w", err)
+	s := &Store{kw: kw, sp: sp, us: us}
+	s.attrs = []attribute{
+		{kw, func(r *IngestResult) *kflushing.ID { return &r.KeywordID }},
+		{sp, func(r *IngestResult) *kflushing.ID { return &r.SpatialID }},
+		{us, func(r *IngestResult) *kflushing.ID { return &r.UserID }},
 	}
-	s.attrs = append(s.attrs, attribute{s.sp, func(r *IngestResult) *kflushing.ID { return &r.SpatialID }})
-	if s.us, err = kflushing.OpenUser(filepath.Join(dir, "user"), opt); err != nil {
-		return nil, fmt.Errorf("open user system: %w", err)
-	}
-	s.attrs = append(s.attrs, attribute{s.us, func(r *IngestResult) *kflushing.ID { return &r.UserID }})
 	return s, nil
 }
 
@@ -88,7 +87,8 @@ func perAttr[V any](s *Store, f func(attrSystem) V) map[string]V {
 	return out
 }
 
-// IngestResult reports which attributes indexed a record.
+// IngestResult reports which attributes indexed a record: each of them
+// carries the record's one ID, the others zero.
 type IngestResult struct {
 	KeywordID kflushing.ID `json:"keyword_id,omitempty"`
 	SpatialID kflushing.ID `json:"spatial_id,omitempty"`
@@ -109,57 +109,43 @@ func (s *Store) Ingest(mb *kflushing.Microblog) (IngestResult, error) {
 // can index them: keywords when hashtags are present, the spatial grid
 // when geotagged, and the posting user's timeline when a user is set.
 // Records arriving with raw text but no keywords get them extracted
-// (hashtags first, significant terms as fallback). The records are
-// grouped by attribute and each attribute system is handed one batch of
-// its own copies (systems take ownership and assign attribute-local
-// IDs) — so the per-attribute work (and the write-ahead log commit,
-// when durability is on) is amortized across the whole request instead
-// of paid per record. Results are aligned with mbs. A record no
-// attribute can index rejects the whole batch with ErrNotIndexed before
-// anything is ingested: the batch is classified up front, so that
-// rejection is all-or-nothing.
+// (hashtags first, significant terms as fallback). Each record is copied
+// once and gets one ID, which every attribute indexing it reports;
+// the whole batch is one group commit to the store's log (when
+// durability is on), however many attributes index its records. Results
+// are aligned with mbs.
 //
-// A failure inside an attribute system is NOT all-or-nothing. The
-// systems ingest in the fixed order keyword, spatial, user, each with
-// its own store and log: when one rejects its batch (degraded read-only
-// mode, a closed system), the attributes before it have already
-// ingested theirs and are not rolled back, the ones after it are never
-// offered theirs, and no IDs are returned. The error names the
-// rejecting attribute and the ones that had already ingested.
-// A client that retries the request re-ingests the records under the
-// attributes that had succeeded, as new records with new IDs.
+// The batch is all-or-nothing. A record no attribute can index rejects
+// it with ErrNotIndexed before anything is ingested, and so does an
+// attribute that cannot take records (degraded read-only mode, a closed
+// store): every attribute is checked before the batch is logged, and
+// nothing fails after. A client that retries a rejected request ingests
+// its records once.
 func (s *Store) IngestBatch(mbs []*kflushing.Microblog) ([]IngestResult, error) {
-	batches := make([][]*kflushing.Microblog, len(s.attrs))
-	idx := make([][]int, len(s.attrs)) // idx[a][j]: position in mbs of batches[a][j]
+	own := make([]*kflushing.Microblog, len(mbs))
 	for i, mb := range mbs {
 		if len(mb.Keywords) == 0 && mb.Text != "" {
 			mb.Keywords = textutil.Keywords(mb.Text, 5)
 		}
 		indexed := false
-		for a, at := range s.attrs {
-			if at.Indexes(mb) {
-				batches[a] = append(batches[a], mb.Clone())
-				idx[a] = append(idx[a], i)
-				indexed = true
-			}
+		for _, at := range s.attrs {
+			indexed = indexed || at.Indexes(mb)
 		}
 		if !indexed {
 			return nil, ErrNotIndexed
 		}
+		own[i] = mb.Clone()
+	}
+	ids, err := s.kw.IngestBatch(own)
+	if err != nil {
+		return nil, err
 	}
 	results := make([]IngestResult, len(mbs))
-	var done []string // attributes that have ingested records of this batch
-	for a, at := range s.attrs {
-		ids, err := at.IngestBatch(batches[a])
-		if err != nil {
-			return nil, fmt.Errorf("%s attribute rejected the batch (attributes that already ingested it, not rolled back: %v): %w",
-				at.Attr(), done, err)
-		}
-		for j, id := range ids {
-			*at.slot(&results[idx[a][j]]) = id
-		}
-		if len(batches[a]) > 0 {
-			done = append(done, at.Attr())
+	for i, mb := range own {
+		for _, at := range s.attrs {
+			if at.Indexes(mb) {
+				*at.slot(&results[i]) = ids[i]
+			}
 		}
 	}
 	return results, nil
@@ -240,13 +226,6 @@ func (s *Store) Stats() map[string]kflushing.Stats {
 	return perAttr(s, attrSystem.Stats)
 }
 
-// Close shuts down all attribute systems, returning the first error.
-func (s *Store) Close() error {
-	var first error
-	for _, a := range s.attrs {
-		if err := a.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+// Close shuts down all attribute systems and the log they share,
+// returning the first error.
+func (s *Store) Close() error { return s.kw.Close() }

@@ -1230,6 +1230,14 @@ func (l *Log) ReclaimCandidate(keep int64) (seq uint32, ok bool) {
 	return best.seq, true
 }
 
+// Replays reports whether file seq is in the replay set: not drained.
+func (l *Log) Replays(seq uint32) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	f := l.fileLocked(seq)
+	return f != nil && !f.drained
+}
+
 // Reference retires sealed file from: frs are its survivors, the records
 // still in memory whose replay goes through it, each naming the frame
 // holding it (LogSeq, LogOrd). One reference frame listing those frames

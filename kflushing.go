@@ -228,14 +228,16 @@ type AttrSystem[K comparable] struct {
 
 // open maps the facade options onto one attribute's engine — the only
 // place Options meets engine.Config.
-func open[K comparable](dir string, opt Options, spec attr.Spec[K]) (AttrSystem[K], error) {
-	return openWith(dir, opt, spec, 0, alloc.PolicyPooled)
+func open[K comparable](dir string, opt Options, spec attr.Spec[K], st *engine.Stream) (AttrSystem[K], error) {
+	return openWith(dir, opt, spec, 0, alloc.PolicyPooled, st)
 }
 
 // openWith is open with the reference arms of the equivalence tests
 // (export_test.go): a negative diskMaxSegments never compacts, and
 // alloc.PolicyHeap allocates the hot path from the Go heap, not pools.
-func openWith[K comparable](dir string, opt Options, spec attr.Spec[K], diskMaxSegments int, ap alloc.Policy) (AttrSystem[K], error) {
+// A nil st makes the system a stream of its own; otherwise it joins st,
+// which the caller opens once every system has.
+func openWith[K comparable](dir string, opt Options, spec attr.Spec[K], diskMaxSegments int, ap alloc.Policy, st *engine.Stream) (AttrSystem[K], error) {
 	opt.fill()
 	pc, err := core.Choose[K](string(opt.Policy), int64(opt.FlushFraction*float64(opt.MemoryBudget)))
 	if err != nil {
@@ -264,6 +266,8 @@ func openWith[K comparable](dir string, opt Options, spec attr.Spec[K], diskMaxS
 		SyncFlush:       opt.SyncFlush,
 		AllocPolicy:     ap,
 		SlowQueryNanos:  opt.SlowQueryNanos,
+		Stream:          st,
+		Name:            spec.Name,
 	})
 	return AttrSystem[K]{spec: spec, eng: eng}, err
 }
@@ -286,7 +290,10 @@ func (s *AttrSystem[K]) Ingest(mb *Microblog) (ID, error) { return s.eng.Ingest(
 // on) receives the whole batch as one group commit, so batching is the
 // high-throughput ingestion path. Records the attribute cannot index
 // (no keyword, no location, no posting user) are skipped and reported
-// by a zero ID in the returned slice, which is aligned with mbs.
+// by a zero ID in the returned slice, which is aligned with mbs. On a
+// system opened by OpenAttributes the batch goes to all three systems,
+// each record to every one that indexes it under one ID, and a zero ID
+// reports a record none of them indexes.
 func (s *AttrSystem[K]) IngestBatch(mbs []*Microblog) ([]ID, error) { return s.eng.IngestBatch(mbs) }
 
 // Search runs a top-k query over keys of the system's attribute.
@@ -365,7 +372,8 @@ func (s *AttrSystem[K]) Ready() error { return s.eng.CheckReady() }
 // pipeline queue depth without the cost of a full Stats census.
 func (s *AttrSystem[K]) DiskHealth() DiskHealth { return s.eng.DiskHealth() }
 
-// Close drains background work and releases the disk tier.
+// Close drains background work and releases the disk tier. On a system
+// opened by OpenAttributes it closes all three.
 func (s *AttrSystem[K]) Close() error { return s.eng.Close() }
 
 // Engine exposes the underlying generic engine for experiments.
@@ -380,7 +388,7 @@ type System struct {
 
 // Open creates a keyword system whose disk tier lives under dir.
 func Open(dir string, opt Options) (*System, error) {
-	as, err := open(dir, opt, attr.Keyword())
+	as, err := open(dir, opt, attr.Keyword(), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,11 @@
 package kflushing
 
 import (
+	"fmt"
+	"path/filepath"
+
 	"kflushing/internal/attr"
+	"kflushing/internal/engine"
 	"kflushing/internal/spatial"
 )
 
@@ -22,7 +26,7 @@ func OpenSpatial(dir string, grid *spatial.Grid, opt Options) (*SpatialSystem, e
 	if grid == nil {
 		grid = spatial.DefaultGrid()
 	}
-	as, err := open(dir, opt, attr.Spatial(grid))
+	as, err := open(dir, opt, attr.Spatial(grid), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +88,7 @@ type UserSystem struct {
 // OpenUser creates a user-timeline system whose disk tier lives under
 // dir.
 func OpenUser(dir string, opt Options) (*UserSystem, error) {
-	as, err := open(dir, opt, attr.User())
+	as, err := open(dir, opt, attr.User(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -100,4 +104,41 @@ func (s *UserSystem) SearchUser(userID uint64, k int) (Result, error) {
 // the execution trace.
 func (s *UserSystem) SearchUserTraced(userID uint64, k int) (Result, *Trace, error) {
 	return s.SearchTraced([]uint64{userID}, OpSingle, k)
+}
+
+// OpenAttributes opens the keyword, spatial and user systems of one
+// ingested stream under dir — in dir/keyword, dir/spatial (over the
+// default grid) and dir/user — each with its own memory budget, policy
+// instance and disk tier, as opt gives every one. The three share one ID
+// space and one ingest path: IngestBatch on any of them ingests into all
+// three, each record under one ID into every system that indexes it, or,
+// when a system refuses the batch (closed, degraded), into none. With
+// opt.Durable they share one write-ahead log, kept in dir/keyword, so a
+// microblog is logged once however many attributes index it; dir/keyword
+// is then a complete tier by itself, and the other two name its log
+// files. Close on any of them closes all three.
+func OpenAttributes(dir string, opt Options) (_ *System, _ *SpatialSystem, _ *UserSystem, err error) {
+	st := engine.NewStream()
+	defer func() {
+		if err != nil {
+			_ = st.Close() // the systems opened before the failure; the open error is the one to surface
+		}
+	}()
+	kw, err := open(filepath.Join(dir, "keyword"), opt, attr.Keyword(), st)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("open keyword system: %w", err)
+	}
+	grid := spatial.DefaultGrid()
+	sp, err := open(filepath.Join(dir, "spatial"), opt, attr.Spatial(grid), st)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("open spatial system: %w", err)
+	}
+	us, err := open(filepath.Join(dir, "user"), opt, attr.User(), st)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("open user system: %w", err)
+	}
+	if err := st.Open(); err != nil {
+		return nil, nil, nil, err
+	}
+	return &System{kw}, &SpatialSystem{sp, grid}, &UserSystem{us}, nil
 }

@@ -441,6 +441,11 @@ func cmdProbeServer(base string) error {
 		attrs = append(attrs, a)
 	}
 	sort.Strings(attrs)
+	// The store's one log covers every attribute's memory.
+	var budget int64
+	for _, a := range attrs {
+		budget += stats[a].MemoryBudget
+	}
 	for _, a := range attrs {
 		st := stats[a]
 		if st.Degraded {
@@ -449,10 +454,11 @@ func cmdProbeServer(base string) error {
 			fmt.Printf("%-8s writable\n", a)
 		}
 		// The log is reclaimed online; what a recovery would read against
-		// the memory budget shows whether reclaim keeps up.
+		// the memory budgets it covers shows whether reclaim keeps up. The
+		// attribute that carries the log reports it.
 		if w := st.WAL; w.Files > 0 {
 			fmt.Printf("%-8s wal %d file(s) %d bytes (%.2fx budget) live=%d referenced=%d reclaimed_bytes=%d\n",
-				a, w.Files, w.Bytes, float64(w.Bytes)/float64(max(st.MemoryBudget, 1)),
+				a, w.Files, w.Bytes, float64(w.Bytes)/float64(max(budget, 1)),
 				w.LiveRecords, w.ReferencedRecords, w.ReclaimedBytes)
 		}
 	}

@@ -101,8 +101,8 @@ var (
 // attribute names, which are the keys of every per-attribute map the
 // server returns.
 func TestAPISurface(t *testing.T) {
-	if n := reflect.TypeOf(kflushing.Options{}).NumField(); n != 13 {
-		t.Errorf("Options has %d fields, want 13: an option was added or removed", n)
+	if n := reflect.TypeOf(kflushing.Options{}).NumField(); n != 11 {
+		t.Errorf("Options has %d fields, want 11: an option was added or removed", n)
 	}
 	opt := kflushing.Options{SyncFlush: true}
 	kw, err := kflushing.Open(t.TempDir(), opt)

@@ -29,26 +29,25 @@ func TestCmdLevelsShowsDrained(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	logs := disk.NewLogSet(dir)
 	tier, err := disk.Open(disk.Config[string]{
 		Dir:    dir,
 		KeysOf: func(m *kflushing.Microblog) []string { return m.Keywords },
 		Encode: func(s string) string { return s },
 		Logged: true,
+		Logs:   logs,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tier.TrackLogs(func(uint32) bool { return false }) // the log holds neither file
+	logs.Track(func(uint32) bool { return false }) // the log holds neither file
 	// A directory names wal-2; wal-1 is named by none, so draining it
 	// unlinks it while the manifest still lists it.
 	if err := tier.Flush(frs[1:]); err != nil {
 		t.Fatal(err)
 	}
-	for _, seq := range []uint32{1, 2} {
-		if err := tier.DrainLog(seq); err != nil {
-			t.Fatal(err)
-		}
-	}
+	logs.Drain(1)
+	logs.Drain(2)
 	if err := tier.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -17,16 +17,18 @@ import (
 func referencedStore(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
+	logs := disk.NewLogSet(dir)
 	tier, err := disk.Open(disk.Config[string]{
 		Dir:    dir,
 		KeysOf: func(m *kflushing.Microblog) []string { return m.Keywords },
 		Encode: func(s string) string { return s },
 		Logged: true,
+		Logs:   logs,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := wal.Open(dir, wal.Options{Drained: tier.LogDrained, OnDrained: func(seq uint32) { _ = tier.DrainLog(seq) }})
+	l, err := wal.Open(dir, wal.Options{Logs: logs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,8 @@ type Config struct {
 //
 //	10 engine.Engine.flushMu
 //	11 engine.Stream.reclaimMu (the stream's reclaim target; taken at
-//	   the end of a flush cycle, asks the log inside)
+//	   the end of a flush cycle, asks the log inside, and only tries
+//	   other members' flushMu under it, never waits for one)
 //	12 engine.flightGroup.mu
 //	13 engine.flushPipeline.mu (release ordering behind the queue; taken
 //	   under flushMu by the flushing goroutine, alone by the worker)
@@ -146,6 +147,9 @@ type Config struct {
 //	36 alloc.Recycler.mu (record recycler; leaf)
 //	40 store.shard.mu
 //	50 policy.VictimBuffer.mu
+//	57 wal.Log.rotMu (rotations; creates the next file outside mu)
+//	58 wal.Log.sealMu (seals and frame-index writes; the files a seal
+//	   drains or lets go are reported to the disk.LogSet under it)
 //	59 disk.Tier.compactMu (one compaction pass at a time)
 //	60 disk.Tier.flushMu
 //	61 disk.Tier.manifestMu (manifest commits; takes Tier.mu inside)
@@ -153,8 +157,6 @@ type Config struct {
 //	63 disk.LogSet.mu (the log files' registry shared by every tier over
 //	   one log; opens a file under it, takes no other lock)
 //	64 disk.cacheShard.mu
-//	68 wal.Log.rotMu (rotations; creates the next file outside mu)
-//	69 wal.Log.sealMu (seals and frame-index writes)
 //	70 wal.Log.mu (appends, rotation and the claims table; file I/O runs
 //	   under it by design, so it is ranked but not a no-block lock)
 func DefaultConfig() Config {
@@ -179,8 +181,8 @@ func DefaultConfig() Config {
 			"kflushing/internal/disk.Tier.mu":            62,
 			"kflushing/internal/disk.LogSet.mu":          63,
 			"kflushing/internal/disk.cacheShard.mu":      64,
-			"kflushing/internal/wal.Log.rotMu":           68,
-			"kflushing/internal/wal.Log.sealMu":          69,
+			"kflushing/internal/wal.Log.rotMu":           57,
+			"kflushing/internal/wal.Log.sealMu":          58,
 			"kflushing/internal/wal.Log.mu":              70,
 		},
 		NoBlockLocks: map[string]bool{

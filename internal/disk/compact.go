@@ -171,7 +171,7 @@ func (t *Tier[K]) CompactAll() error {
 //	unlink fully shadowed blocks              (crash: unnamed blk files
 //	                                           remain, deleted at open;
 //	                                           a log file goes only once
-//	                                           drained, see DrainLog)
+//	                                           drained, see LogSet.Drain)
 //
 // No block is read-modify-written or unlinked before the commit, so
 // every window before it leaves the inputs exactly as they were.
@@ -282,7 +282,7 @@ func (t *Tier[K]) compactLevel(lvl int, force bool) error {
 		if b.log {
 			// A log file's records may still be claimed by memory: it
 			// goes only once drained.
-			if err := t.removeDrained(b.name()); err != nil {
+			if _, err := t.cfg.Logs.remove(b.name()); err != nil {
 				return err
 			}
 			continue

@@ -264,9 +264,7 @@ func TestErrorOnlySitesLive(t *testing.T) {
 	if err := failpoint.Enable(failpoint.DiskDrainUnlink, "error"); err != nil {
 		t.Fatal(err)
 	}
-	if err := logged.DrainLog(1); err != nil {
-		t.Fatal(err)
-	}
+	logged.cfg.Logs.Drain(1)
 	if err := logged.Close(); err != nil {
 		t.Fatalf("Close with %s armed = %v: the commit must not fail", failpoint.DiskDrainUnlink, err)
 	}
@@ -274,7 +272,31 @@ func TestErrorOnlySitesLive(t *testing.T) {
 		t.Fatal("the armed unlink did not stop the removal")
 	}
 	failpoint.Disable(failpoint.DiskDrainUnlink)
-	if reopened := loggedTier(t, dir, 0); reopened.LogDrained(1) || fileExists(filepath.Join(dir, LogName(1))) {
+	if reopened := loggedTier(t, dir, 0); reopened.cfg.Logs.Drained(1) || fileExists(filepath.Join(dir, LogName(1))) {
 		t.Fatal("the next open kept a drained log file no directory names")
+	}
+}
+
+// TestDrainedLogFileUnlinkFailsElsewhere: with the drained file's unlink
+// failing, the user tier's merge that stops naming it reports the error
+// and leaves the file; the next open's sweep removes it and heals the
+// home manifest's drained list.
+func TestDrainedLogFileUnlinkFailsElsewhere(t *testing.T) {
+	t.Cleanup(failpoint.DisableAll)
+	if err := failpoint.Enable(failpoint.DiskDrainUnlink, "error"); err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	path, err := mergeAwayDrainedFile(t, root)
+	if !errors.Is(err, failpoint.ErrInjected) || !fileExists(path) {
+		t.Fatalf("merge with %s armed = %v, file kept %v", failpoint.DiskDrainUnlink, err, fileExists(path))
+	}
+	failpoint.Disable(failpoint.DiskDrainUnlink)
+	sharedLogTiers(t, root)
+	if fileExists(path) {
+		t.Fatal("the next open kept a drained log file no tier names")
+	}
+	if m, err := ReadManifest(filepath.Join(root, "keyword")); err != nil || len(m.Drained) != 0 {
+		t.Fatalf("healed drained list %v, %v", m.Drained, err)
 	}
 }

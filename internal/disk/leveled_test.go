@@ -637,7 +637,7 @@ func TestLeveledAdoptionRules(t *testing.T) {
 		dir := t.TempDir()
 		writeLogFile(t, dir, 3, fr(1, 1, "k"))
 		tier := loggedTier(t, dir, 4)
-		if !fileExists(filepath.Join(dir, LogName(3))) || tier.LogDrained(3) {
+		if !fileExists(filepath.Join(dir, LogName(3))) || tier.cfg.Logs.Drained(3) {
 			t.Fatal("an undrained log file did not survive open")
 		}
 	})

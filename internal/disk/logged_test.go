@@ -46,7 +46,7 @@ func loggedTier(t *testing.T, dir string, fanout int) *Tier[string] {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tier.Close() })
-	tier.TrackLogs(func(uint32) bool { return false })
+	tier.cfg.Logs.Track(func(uint32) bool { return false })
 	return tier
 }
 
@@ -163,21 +163,17 @@ func TestDrainedLogFileGoesWhenUnnamed(t *testing.T) {
 	}
 	// File 2 holds no memory claim any more: drained, but named. The
 	// merge's commit carries the mark.
-	if err := tier.DrainLog(2); err != nil {
-		t.Fatal(err)
-	}
+	tier.cfg.Logs.Drain(2)
 	if err := tier.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
-	if !fileExists(filepath.Join(dir, LogName(2))) || !tier.LogDrained(2) {
+	if !fileExists(filepath.Join(dir, LogName(2))) || !tier.cfg.Logs.Drained(2) {
 		t.Fatal("a drained file a directory names was removed")
 	}
 	if !fileExists(filepath.Join(dir, LogName(1))) {
 		t.Fatal("an undrained log file was removed when a merge stopped naming it")
 	}
-	if err := tier.DrainLog(1); err != nil {
-		t.Fatal(err)
-	}
+	tier.cfg.Logs.Drain(1)
 	if !fileExists(filepath.Join(dir, LogName(1))) {
 		t.Fatal("a drained log file went before a commit carried its mark")
 	}
@@ -195,5 +191,86 @@ func TestDrainedLogFileGoesWhenUnnamed(t *testing.T) {
 	m, err := ReadManifest(dir)
 	if err != nil || fmt.Sprint(m.Drained) != "["+LogName(2)+"]" {
 		t.Fatalf("manifest drained list %v, %v", m.Drained, err)
+	}
+}
+
+// sharedLogTiers opens, over one LogSet tracking a log that holds none
+// of its files, the log's home tier in root/keyword and a tier in
+// root/user, as a multi-attribute store's keyword and user engines
+// share one log.
+func sharedLogTiers(t *testing.T, root string) (home, user *Tier[string]) {
+	t.Helper()
+	logs := NewLogSet(filepath.Join(root, "keyword"))
+	open := func(attr string) *Tier[string] {
+		tier, err := Open(Config[string]{
+			Dir:    filepath.Join(root, attr),
+			KeysOf: func(m *types.Microblog) []string { return m.Keywords },
+			Encode: func(s string) string { return s },
+			Logged: true,
+			Logs:   logs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tier.Close() })
+		return tier
+	}
+	home, user = open("keyword"), open("user")
+	logs.Track(func(uint32) bool { return false })
+	return home, user
+}
+
+// mergeAwayDrainedFile leaves log file 1 of the store under root drained,
+// its mark committed by the home tier, and named by user-tier
+// directories alone, then merges the user tier, which drops the last of
+// them: every record they post from file 1 has a newer copy in file 2.
+// It closes both tiers and returns file 1's path and the merge's error.
+func mergeAwayDrainedFile(t *testing.T, root string) (string, error) {
+	t.Helper()
+	dir := filepath.Join(root, "keyword")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	old := writeLogFile(t, dir, 1, fr(1, 1, "k"), fr(2, 2, "k"))
+	cur := writeLogFile(t, dir, 2, fr(1, 1, "k"), fr(3, 3, "k"))
+	home, user := sharedLogTiers(t, root)
+	if err := user.Flush(old[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := user.Flush(cur); err != nil {
+		t.Fatal(err)
+	}
+	home.cfg.Logs.Drain(1)
+	// The home tier's flush commits the mark; the user tier keeps the file.
+	if err := home.Flush(cur[1:]); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, LogName(1))
+	if !fileExists(path) {
+		t.Fatal("a drained file another tier's directory names was removed")
+	}
+	if m, err := ReadManifest(dir); err != nil || fmt.Sprint(m.Drained) != "["+LogName(1)+"]" {
+		t.Fatalf("home manifest drained list %v, %v", m.Drained, err)
+	}
+	err := user.CompactAll()
+	for _, tier := range []*Tier[string]{user, home} {
+		if err := tier.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return path, err
+}
+
+// TestDrainedLogFileGoesWhenUnnamedElsewhere: a drained log file whose
+// last naming directory is in a tier other than the log's home goes
+// when a merge of that tier drops the directory, through the same unlink
+// as the home tier's merges.
+func TestDrainedLogFileGoesWhenUnnamedElsewhere(t *testing.T) {
+	path, err := mergeAwayDrainedFile(t, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fileExists(path) {
+		t.Fatal("a drained log file no tier names is still on disk after the merge")
 	}
 }

@@ -105,7 +105,7 @@ type Config[K comparable] struct {
 	// Logs is the registry of the log files the tier's directories name,
 	// shared by every tier over one log; nil keeps a registry of the
 	// tier's own. A tier whose Dir is not the registry's resolves log file
-	// names there and never unlinks one (see LogSet).
+	// names there and carries no drained mark (see LogSet).
 	Logs *LogSet
 }
 
@@ -226,17 +226,9 @@ type Tier[K comparable] struct {
 	mu      sync.RWMutex
 	levels  [][]*segment // levels[i] oldest-first
 	retired []string     // manifest-retired inputs not yet unlinked
-	// drained holds the log files the write-ahead log no longer replays
-	// (DrainLog), each true once a manifest commit carries it; only the
-	// tier owning the log (ownsLog) has any. logHeld is the log's word on
-	// whether memory still holds records framed in a file (TrackLogs);
-	// until it is set, and once the tier is closed, no drained file is
-	// unlinked. closed makes keepsLog answer yes: a closed tier cannot
-	// vouch for what its directories name.
-	drained map[string]bool
-	ownsLog bool
-	logHeld func(seq uint32) bool
-	closed  bool
+	// closed makes keepsLog answer yes: a closed tier cannot vouch for
+	// what its directories name.
+	closed bool
 
 	// seq is the last assigned segment sequence number; never reused,
 	// even across restarts (persisted via the manifest and re-derived
@@ -337,7 +329,7 @@ func Open[K comparable](cfg Config[K]) (*Tier[K], error) {
 	if cfg.Logs == nil {
 		cfg.Logs = NewLogSet(cfg.Dir)
 	}
-	t := &Tier[K]{cfg: cfg, drained: make(map[string]bool), ownsLog: cfg.Logs.owns(cfg.Dir)}
+	t := &Tier[K]{cfg: cfg}
 	cacheBytes := cfg.CacheBytes
 	if cacheBytes == 0 {
 		cacheBytes = DefaultCacheBytes
@@ -368,7 +360,7 @@ func Open[K comparable](cfg Config[K]) (*Tier[K], error) {
 	if err := t.openLeveled(); err != nil {
 		return nil, err
 	}
-	cfg.Logs.join(t, t.ownsLog)
+	cfg.Logs.join(t, cfg.Dir)
 	if cfg.BackgroundCompaction && t.compactionEnabled() {
 		t.compactKick = make(chan struct{}, 1)
 		t.compactStop = make(chan struct{})
@@ -408,11 +400,11 @@ func Open[K comparable](cfg Config[K]) (*Tier[K], error) {
 //     manifest lists them drained: an undrained one is never deleted,
 //     named or not — its records may exist nowhere else. Nor is a
 //     drained one here: an undrained file's reference frame may still
-//     reach it, which only the log's replay shows. The owner of the log
-//     sweeps them afterwards (TrackLogs); an offline open never does. A
-//     drained name whose file is gone leaves the list. A tier that does
-//     not own the log it names (Config.Logs) holds no log file and no
-//     drained mark: its log file names resolve in the owner's directory.
+//     reach it, which only the log's replay shows. The tiers' LogSet
+//     sweeps them afterwards (LogSet.Track); an offline open never does.
+//     A drained name whose file is gone leaves the list. Only the home
+//     tier, the one in the set's directory, holds log files and drained
+//     marks: the other tiers' log file names resolve in its directory.
 //
 // Afterwards a fresh manifest is committed so the next crash window
 // starts from a clean baseline, and the sequence counter resumes past
@@ -547,10 +539,8 @@ func (t *Tier[K]) openLeveled() (err error) {
 			_ = os.Remove(p)
 		}
 	}
-	for _, name := range m.Drained {
-		if valid && fileExists(filepath.Join(t.cfg.Dir, name)) {
-			t.drained[name] = true
-		}
+	if valid {
+		t.cfg.Logs.load(t.cfg.Dir, m.Drained)
 	}
 	maxID := m.MaxRecordID
 	if rescanIDs {
@@ -585,12 +575,14 @@ func (t *Tier[K]) ensureLevels(n int) {
 }
 
 // commitManifest atomically rewrites the manifest from the current
-// level lists, retired set and drained log files. A drain mark it is
-// the first commit to carry unlinks the file, when no live directory
-// names it. Caller must hold manifestMu (it takes mu itself).
+// level lists, retired set and, in the home tier, the LogSet's drained
+// marks. A drain mark it is the first commit to carry unlinks the file,
+// when nothing keeps it. Caller must hold manifestMu (it takes mu
+// itself).
 func (t *Tier[K]) commitManifest() error {
 	m := Manifest{NextSeq: t.seq.Load() + 1, MaxRecordID: t.maxID.Load()}
-	var marked []string
+	var fresh []string
+	m.Drained, fresh = t.cfg.Logs.marks(t.cfg.Dir)
 	t.mu.RLock()
 	for lvl, segs := range t.levels {
 		for _, s := range segs {
@@ -598,39 +590,21 @@ func (t *Tier[K]) commitManifest() error {
 		}
 	}
 	m.Retired = append(m.Retired, t.retired...)
-	for name, committed := range t.drained {
-		m.Drained = append(m.Drained, name)
-		if !committed {
-			marked = append(marked, name)
-		}
-	}
 	t.mu.RUnlock()
-	sort.Strings(m.Drained)
 	if err := writeManifest(t.cfg.Dir, m); err != nil {
 		return err
 	}
-	if len(marked) == 0 {
-		return nil
-	}
-	t.mu.Lock()
-	for _, name := range marked {
-		t.drained[name] = true
-	}
-	t.mu.Unlock()
-	// The crash window this site names: the marks committed, the files
-	// still there. Recovery neither replays them nor, while a directory
-	// names one, deletes it. What goes wrong past the commit does not
-	// fail it: a file left behind is deleted by the owner's next sweep.
-	err := failpoint.Eval(failpoint.DiskDrainCommitted)
-	for _, name := range marked {
-		if err == nil {
-			err = t.removeDrained(name)
-		}
-	}
-	if err != nil {
-		slog.Warn("disk: cannot remove a drained log file", "dir", t.cfg.Dir, "error", err)
-	}
+	t.cfg.Logs.committed(fresh)
 	return nil
+}
+
+// commitMarks commits the manifest out of turn: at Close, with the drain
+// marks no commit has carried yet, and after a LogSet sweep, so its
+// drained list heals down to the files left.
+func (t *Tier[K]) commitMarks() error {
+	t.manifestMu.Lock()
+	defer t.manifestMu.Unlock()
+	return t.commitManifest()
 }
 
 // Flush durably writes the evicted records as one new segment: a record
@@ -835,118 +809,6 @@ func (t *Tier[K]) index(s *segment, sorted []FlushRecord, posting func(i int) ui
 // the caller (LogSet.block).
 func (t *Tier[K]) logBlock(seq uint32) (*block, error) {
 	return t.cfg.Logs.block(LogName(seq))
-}
-
-// LogDrained reports whether log file seq is drained: the write-ahead
-// log does not scan it at replay.
-func (t *Tier[K]) LogDrained(seq uint32) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, ok := t.drained[LogName(seq)]
-	return ok
-}
-
-// DrainLog marks log file seq drained — the write-ahead log no longer
-// replays it: every record it frames or references is in an installed
-// segment, or listed by a reference frame in a newer file. The next
-// manifest commit carries the mark (a flush's install, a merge, Close);
-// from then on the file is a record file of the tier: never scanned by a
-// replay, and unlinked once no live directory names it and the log does
-// not hold it (TrackLogs). Until a commit carries it the file replays,
-// which can only bring back records the tier already holds.
-func (t *Tier[K]) DrainLog(seq uint32) error {
-	// The crash window this site names: every claim on the file is gone
-	// and the directories naming its records installed, the mark not yet
-	// committed. Recovery replays the file.
-	if err := failpoint.Eval(failpoint.DiskDrainMark); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	t.drained[LogName(seq)] = false
-	t.mu.Unlock()
-	return nil
-}
-
-// TrackLogs hands the tier the write-ahead log's view of its files —
-// held reports whether memory still holds records a file frames, or a
-// reference frame the log replays reaches one — once the log's replay
-// has shown it, and sweeps the drained files that view lets go: from
-// here on a drained log file is unlinked once no live directory names it
-// and held says no (open rule 6).
-func (t *Tier[K]) TrackLogs(held func(seq uint32) bool) {
-	t.mu.Lock()
-	t.logHeld = held
-	names := make([]string, 0, len(t.drained))
-	for name := range t.drained {
-		names = append(names, name)
-	}
-	t.mu.Unlock()
-	sort.Strings(names)
-	swept := false
-	for _, name := range names {
-		if err := t.removeDrained(name); err != nil {
-			slog.Warn("disk: cannot remove a drained log file", "name", name, "error", err)
-		}
-		t.mu.RLock()
-		_, kept := t.drained[name]
-		t.mu.RUnlock()
-		swept = swept || !kept
-	}
-	if swept {
-		// Heal the manifest's drained list down to the files left.
-		t.manifestMu.Lock()
-		err := t.commitManifest()
-		t.manifestMu.Unlock()
-		if err != nil {
-			slog.Warn("disk: cannot commit the manifest after a drained-file sweep", "dir", t.cfg.Dir, "error", err)
-		}
-	}
-}
-
-// ReleaseLog is told that memory holds nothing of log file seq any more:
-// drained and named by no live directory, it goes now.
-func (t *Tier[K]) ReleaseLog(seq uint32) {
-	if err := t.removeDrained(LogName(seq)); err != nil {
-		slog.Warn("disk: cannot remove a drained log file", "file_seq", seq, "error", err)
-	}
-}
-
-// removeDrained unlinks a log file a committed manifest lists drained
-// that the log does not hold (TrackLogs) and no tier over the log needs
-// (keepsLog): no live directory names it — every record it framed a
-// merge found shadowed, or none was ever flushed from it — and no retired
-// directory file that a manifest fallback would adopt is left. The owner's
-// next sweep takes a file kept for the latter. The name leaves the drained
-// set, and the next commit's list. The log's word comes first: a flush
-// names a file before it gives back its hold, so a file found unheld is
-// named by every directory that will ever name it. A tier that does not
-// own the log passes the question to the owner.
-func (t *Tier[K]) removeDrained(name string) error {
-	if !t.ownsLog {
-		return t.cfg.Logs.unnamed(name)
-	}
-	t.mu.RLock()
-	held := t.logHeld
-	keep := !t.drained[name] || held == nil
-	t.mu.RUnlock()
-	if keep {
-		return nil
-	}
-	if seq, _ := ParseLogName(name); held(seq) || t.keepsLog(name) || t.cfg.Logs.keptElsewhere(t, name) {
-		return nil
-	}
-	// A file left behind here is deleted by the owner's next sweep.
-	if err := failpoint.Eval(failpoint.DiskDrainUnlink); err != nil {
-		return err
-	}
-	if err := os.Remove(filepath.Join(t.cfg.Dir, name)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("disk: remove drained log file: %w", err)
-	}
-	t.mu.Lock()
-	delete(t.drained, name)
-	t.mu.Unlock()
-	t.cfg.Logs.forget(name)
-	return nil
 }
 
 // keepsLog reports whether the tier needs log file name on disk: a live
@@ -1478,21 +1340,13 @@ func (t *Tier[K]) Close() error {
 		t.compactWG.Wait()
 	}
 	// Drain marks no commit has carried yet go out with a last one.
-	pending := false
-	t.mu.RLock()
-	for _, committed := range t.drained {
-		pending = pending || !committed
-	}
-	t.mu.RUnlock()
 	var err error
-	if pending {
-		t.manifestMu.Lock()
-		err = t.commitManifest()
-		t.manifestMu.Unlock()
+	if _, fresh := t.cfg.Logs.marks(t.cfg.Dir); len(fresh) > 0 {
+		err = t.commitMarks()
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.closed, t.logHeld = true, nil
+	t.closed = true
 	t.releaseLevels()
 	return err
 }

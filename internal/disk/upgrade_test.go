@@ -95,7 +95,9 @@ func checkUpgraded(t *testing.T, dir string, tierRecs, logRecs []disk.FlushRecor
 		}
 	}
 
-	tier, err := disk.Open(tierConfig(dir))
+	cfg := tierConfig(dir)
+	cfg.Logs = disk.NewLogSet(dir)
+	tier, err := disk.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func checkUpgraded(t *testing.T, dir string, tierRecs, logRecs []disk.FlushRecor
 		t.Fatalf("verify: %d segments, %d records, %v", segs, recs, err)
 	}
 
-	l, err := wal.Open(dir, wal.Options{Drained: tier.LogDrained})
+	l, err := wal.Open(dir, wal.Options{Logs: cfg.Logs})
 	if err != nil {
 		t.Fatal(err)
 	}

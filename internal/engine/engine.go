@@ -78,9 +78,6 @@ type Config[K comparable] struct {
 	// compaction (every flush stays its own L0 segment); otherwise
 	// DiskLevelFanout governs.
 	DiskMaxSegments int
-	// DiskCacheBytes bounds the disk tier's decoded-record read cache;
-	// 0 selects the tier default, negative disables caching.
-	DiskCacheBytes int64
 	// DiskRetry bounds transient-disk-error retries: flush-cycle tier
 	// writes and memory-miss record reads are retried with backoff
 	// before failing (and, for writes, before the engine enters
@@ -90,9 +87,10 @@ type Config[K comparable] struct {
 	// memory contents survive restarts (replayed on New) and crashes
 	// (torn tails are tolerated), and the log's files are the tier's
 	// record files, so a flush writes only a directory over frames the
-	// log already holds. A log a previous version kept in DiskDir/wal is
-	// moved in on the first open. False keeps only flushed records, the
-	// paper's model.
+	// log already holds. New refuses a log a previous version kept in
+	// DiskDir/wal with disk.ErrNeedsUpgrade (wal.CheckDir); `kflushctl
+	// upgrade` moves it in. False keeps only flushed records, the paper's
+	// model.
 	Durable bool
 	// WALOptions tunes the write-ahead log when Durable is set.
 	WALOptions wal.Options
@@ -109,8 +107,6 @@ type Config[K comparable] struct {
 	// batch before it returns (no flush pipeline). Deterministic; used
 	// by tests and experiments.
 	SyncFlush bool
-	// Shards overrides the index shard count; 0 selects the default.
-	Shards int
 	// AllocPolicy selects how hot-path structures are allocated: the
 	// zero value (PolicyPooled) recycles posting arrays, record
 	// wrappers and ingest scratch through slab pools; PolicyHeap
@@ -255,7 +251,6 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		TrackTopK:  cfg.TrackTopK,
 		TrackOverK: cfg.TrackOverK,
 		Tracker:    &e.mem,
-		Shards:     cfg.Shards,
 		Pool:       alloc.NewSlicePool[*store.Record](cfg.AllocPolicy),
 	})
 	st := cfg.Stream
@@ -275,7 +270,6 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		BackgroundCompaction: !cfg.SyncFlush,
 		LevelFanout:          cfg.DiskLevelFanout,
 		MaxSegments:          cfg.DiskMaxSegments,
-		CacheBytes:           cfg.DiskCacheBytes,
 		Retry:                cfg.DiskRetry,
 		Recorder:             e.bbox,
 		Logged:               st.durable(cfg.Durable),
@@ -314,16 +308,17 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 	return e, nil
 }
 
-// cfgOf, maxRecordID, attachLog, setRecovering and trackLogs are the
-// engine's member view for its stream.
+// cfgOf, maxRecordID, attachLog and setRecovering are the engine's
+// member view for its stream.
 func (e *Engine[K]) cfgOf() memberConfig {
 	return memberConfig{
-		name:    e.cfg.Name,
-		dir:     e.cfg.DiskDir,
-		budget:  e.cfg.MemoryBudget,
-		durable: e.cfg.Durable,
-		walOpt:  e.cfg.WALOptions,
-		pooled:  e.cfg.AllocPolicy == alloc.PolicyPooled,
+		name:     e.cfg.Name,
+		dir:      e.cfg.DiskDir,
+		budget:   e.cfg.MemoryBudget,
+		durable:  e.cfg.Durable,
+		walOpt:   e.cfg.WALOptions,
+		pooled:   e.cfg.AllocPolicy == alloc.PolicyPooled,
+		recorder: e.bbox,
 	}
 }
 
@@ -334,19 +329,6 @@ func (e *Engine[K]) maxRecordID() uint64 { return e.tier.MaxRecordID() }
 func (e *Engine[K]) attachLog(w *wal.Log) { e.wal = w }
 
 func (e *Engine[K]) setRecovering(on bool) { e.recovering = on }
-
-func (e *Engine[K]) trackLogs(held func(seq uint32) bool) { e.tier.TrackLogs(held) }
-
-// logOptions completes the log's options as the log's owner: its events
-// go to this engine's flight recorder, and its drained files to this
-// engine's tier.
-func (e *Engine[K]) logOptions(wopt wal.Options) wal.Options {
-	wopt.Recorder = e.bbox
-	wopt.Drained = e.tier.LogDrained
-	wopt.OnDrained = e.drainLog
-	wopt.OnReleased = e.tier.ReleaseLog
-	return wopt
-}
 
 // recoverChunk bounds how many replayed records wait for the policy's
 // OnIngest: recovery hands them over in chunks so a flush cycle can run
@@ -695,24 +677,26 @@ func (e *Engine[K]) flushCycle(trigger blackbox.Trigger) (int64, error) {
 // Eviction by usefulness never drains an old log file — a few long-lived
 // records pin it — so once the log's replay has outgrown the memory
 // budgets it feeds, the sealed file with the fewest survivors is the
-// stream's reclaim target (Stream.reclaimTarget), and every engine over
-// the log, at the end of its own cycle, has its survivors of it listed by
-// a reference frame in the active file (wal.Reference), which takes their
-// replay over; the file drains as soon as the batches still in the flush
-// pipelines have released theirs. No record byte moves: the survivors
-// stay framed where they are. One file per flush cycle: cycles come
-// several to a rotation. Running at the end of a cycle, under flushMu,
-// means nothing is evicted or restored meanwhile, so the survivor set
-// cannot change; ingestion — which only ever claims the active file —
-// carries on.
+// stream's reclaim target, and every engine over the log has its
+// survivors of it listed (Stream.reclaim, listSurvivors). The file drains
+// as soon as the batches still in the flush pipelines have released
+// theirs. One file per flush cycle: cycles come several to a rotation.
 func (e *Engine[K]) reclaimWAL() {
 	if e.wal == nil || e.recovering {
 		return
 	}
-	seq, ok := e.stream.reclaimTarget(e.slot)
-	if !ok {
-		return
-	}
+	e.stream.reclaim(e.slot)
+}
+
+// listSurvivors has the engine's survivors of sealed file seq — the
+// memory-resident records whose replay goes through it — listed by a
+// reference frame in the active file (wal.Reference), which takes their
+// replay over. No record byte moves: the survivors stay framed where
+// they are. The caller holds the engine's flush gate, so nothing is
+// evicted or restored meanwhile and the survivor set cannot change;
+// ingestion — which only ever claims the active file — carries on. It
+// reports whether the survivors are listed.
+func (e *Engine[K]) listSurvivors(seq uint32) bool {
 	var recs []*store.Record
 	e.store.Range(func(rec *store.Record) bool {
 		if rec.ReplaySeq == seq {
@@ -729,23 +713,23 @@ func (e *Engine[K]) reclaimWAL() {
 		// The source keeps its covers; the next cycle tries again.
 		e.lastError.Store(err)
 		slog.Error("engine: wal reclaim failed", "file_seq", seq, "survivors", len(recs), "error", err)
-		return
+		return false
 	}
 	for _, rec := range recs {
 		rec.ReplaySeq = to
 	}
-	e.stream.listedSurvivors(e.slot, seq)
+	return true
 }
 
-// drainLog is the log's OnDrained: file seq covers no record any more,
-// so the tier marks it drained, for its next manifest commit, and keeps
-// it while a directory names it or the log holds it. A failure only
-// means the file replays at the next open, bringing back records the
-// tier already holds; it is logged, not fatal.
-func (e *Engine[K]) drainLog(seq uint32) {
-	if err := e.tier.DrainLog(seq); err != nil {
-		slog.Error("engine: cannot mark a log file drained", "file_seq", seq, "error", err)
+// tryListSurvivors is listSurvivors for another member's cycle end: it
+// lists the engine's survivors only if its flush gate is free and it is
+// not shutting down.
+func (e *Engine[K]) tryListSurvivors(seq uint32) bool {
+	if !e.flushMu.TryLock() {
+		return false
 	}
+	defer e.flushMu.Unlock()
+	return !e.closed.Load() && e.listSurvivors(seq)
 }
 
 // releaseClaims gives back the log claims of records that left memory

@@ -71,7 +71,7 @@ func undrainedUsage(t *testing.T, eng *Engine[string]) (files int, bytes int64) 
 	}
 	for _, p := range paths {
 		seq, ok := disk.ParseLogName(p)
-		if !ok || eng.tier.LogDrained(seq) {
+		if !ok || eng.stream.logs.Drained(seq) {
 			continue
 		}
 		info, err := os.Stat(p)

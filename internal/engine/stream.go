@@ -2,10 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"kflushing/internal/blackbox"
 	"kflushing/internal/disk"
 	"kflushing/internal/failpoint"
 	"kflushing/internal/types"
@@ -31,11 +33,11 @@ import (
 // lives in the first member's disk directory, which therefore stays a
 // complete tier on its own; the other members' tiers name its files
 // through one shared registry (disk.LogSet) and hold no log file. The
-// first member's tier owns the drained marks and unlinks drained files
-// no tier names; the first member's flight recorder carries the log's
-// events and its Stats the log's. Engines join with Config.Stream, and
-// Open starts the stream once all have; an engine built without one
-// fronts itself.
+// registry keeps the drained marks, which the first member's tier
+// commits, and unlinks drained files no tier names; the first member's
+// flight recorder carries the log's events and its Stats the log's.
+// Engines join with Config.Stream, and Open starts the stream once all
+// have; an engine built without one fronts itself.
 type Stream struct {
 	members []member
 	logs    *disk.LogSet
@@ -49,8 +51,7 @@ type Stream struct {
 	scratch *sync.Pool
 
 	// reclaimMu guards the reclaim target: the sealed file every member
-	// lists its survivors of, each at the end of its own flush cycle,
-	// before the log picks another (reclaimTarget).
+	// lists its survivors of before the log picks another (reclaim).
 	reclaimMu sync.Mutex
 	target    uint32
 	listed    []bool
@@ -68,11 +69,8 @@ type member interface {
 	// begin opens the engine's share of one ingest batch.
 	begin() share
 	maxRecordID() uint64
-	// The log's owner, the first member, also stamps records, completes
-	// the log's options and sweeps its drained files after replay.
+	// The log's owner, the first member, also stamps records.
 	stamp(mb *types.Microblog) float64
-	logOptions(wal.Options) wal.Options
-	trackLogs(held func(seq uint32) bool)
 	attachLog(w *wal.Log)
 	// Replay: wants says whether the engine indexes (or already holds) a
 	// logged record, take admits it under one claim, endReplay hands the
@@ -81,6 +79,11 @@ type member interface {
 	wants(fr disk.FlushRecord) bool
 	take(fr disk.FlushRecord)
 	endReplay(maxID uint64)
+	// Reclaim: listSurvivors lists the engine's survivors of a log file
+	// under its flush gate, held by the caller; tryListSurvivors takes the
+	// gate first, if it is free. Both report whether they are listed.
+	listSurvivors(seq uint32) bool
+	tryListSurvivors(seq uint32) bool
 	// Shutdown in two halves around the log's close.
 	quiesce()
 	closeTier() error
@@ -94,6 +97,9 @@ type memberConfig struct {
 	durable bool
 	walOpt  wal.Options
 	pooled  bool
+	// recorder is the flight recorder that carries the log's events when
+	// the member owns the log.
+	recorder *blackbox.Recorder
 }
 
 // share is one engine's part of one ingest batch.
@@ -175,7 +181,8 @@ func (s *Stream) Open() error {
 		wopt.MaxFileBytes = min(wal.DefaultMaxFileBytes, s.budget)
 	}
 	wopt.PooledBuffers = wopt.PooledBuffers || owner.pooled
-	w, err := wal.Open(owner.dir, s.members[0].logOptions(wopt))
+	wopt.Recorder, wopt.Logs = owner.recorder, s.logs
+	w, err := wal.Open(owner.dir, wopt)
 	if err == nil {
 		s.wal = w
 		for _, m := range s.members {
@@ -194,8 +201,9 @@ func (s *Stream) Open() error {
 // in one pass: each record goes to every member that indexes it, under a
 // claim of its own — Replay takes one, the stream the others — and a
 // record no member indexes gives its claim back. The ID counter resumes
-// past the highest ID replayed. Then the owner's tier may unlink the
-// drained files replay has shown no reference frame reaches.
+// past the highest ID replayed. Then the tiers' registry of the log's
+// files may unlink the drained files replay has shown no reference frame
+// reaches.
 func (s *Stream) replay() error {
 	for _, m := range s.members {
 		m.setRecovering(true)
@@ -242,8 +250,8 @@ func (s *Stream) replay() error {
 		s.ids.Store(maxID)
 	}
 	// Replay has shown which drained files a reference frame reaches:
-	// only now may the owner's tier unlink the others.
-	s.members[0].trackLogs(s.wal.Holds)
+	// only now may the others be unlinked.
+	s.logs.Track(s.wal.Holds)
 	return nil
 }
 
@@ -331,37 +339,33 @@ func (s *Stream) IngestBatch(mbs []*types.Microblog) ([]types.ID, error) {
 	return ids, nil
 }
 
-// reclaimTarget names the sealed log file member slot lists its
-// survivors of at the end of its flush cycle, if any: the file the log
-// named last, until every member has listed its survivors of it or it
-// has drained, and then the log's next candidate.
-func (s *Stream) reclaimTarget(slot int) (uint32, bool) {
+// reclaim runs at the end of member slot's flush cycle, under its flush
+// gate. The reclaim target is the sealed file the log named last, until
+// every member has listed its survivors of it or it has drained, and
+// then the log's next candidate. Member slot lists its own survivors of
+// it, then those of every member still to list whose flush gate is free:
+// a member that runs no flush cycle of its own — one that indexes too
+// few of the records coming in to fill its budget — must not hold the
+// target back.
+func (s *Stream) reclaim(slot int) {
 	s.reclaimMu.Lock()
 	defer s.reclaimMu.Unlock()
-	if s.target != 0 && s.wal.Replays(s.target) {
-		for _, done := range s.listed {
-			if !done {
-				if s.listed[slot] {
-					return 0, false // the others have yet to list theirs
-				}
-				return s.target, true
-			}
+	if s.target == 0 || !s.wal.Replays(s.target) || !slices.Contains(s.listed, false) {
+		var ok bool
+		if s.target, ok = s.wal.ReclaimCandidate(s.budget); !ok {
+			s.target = 0
+			return
+		}
+		clear(s.listed)
+	}
+	if !s.listed[slot] {
+		s.listed[slot] = s.members[slot].listSurvivors(s.target)
+	}
+	for i, m := range s.members {
+		if i != slot && !s.listed[i] {
+			s.listed[i] = m.tryListSurvivors(s.target)
 		}
 	}
-	seq, ok := s.wal.ReclaimCandidate(s.budget)
-	s.target = seq
-	clear(s.listed)
-	return seq, ok
-}
-
-// listedSurvivors records that member slot has listed its survivors of
-// file seq.
-func (s *Stream) listedSurvivors(slot int, seq uint32) {
-	s.reclaimMu.Lock()
-	if s.target == seq {
-		s.listed[slot] = true
-	}
-	s.reclaimMu.Unlock()
 }
 
 // Close drains every member's flushing and flush pipeline, seals the

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"kflushing/internal/alloc"
@@ -13,11 +14,12 @@ import (
 )
 
 // sharedLogPair opens a keyword engine and a user engine over one
-// stream under root: the keyword engine owns the log.
-func sharedLogPair(t *testing.T, root string, budget int64) (*Stream, *Engine[string], *Engine[uint64]) {
+// stream under root: the keyword engine owns the log. syncFlush is both
+// engines' Config.SyncFlush.
+func sharedLogPair(t *testing.T, root string, budget int64, syncFlush bool) (*Stream, *Engine[string], *Engine[uint64]) {
 	t.Helper()
 	st := NewStream()
-	kcfg := reclaimConfig(filepath.Join(root, "keyword"), budget, true, alloc.PolicyPooled)
+	kcfg := reclaimConfig(filepath.Join(root, "keyword"), budget, syncFlush, alloc.PolicyPooled)
 	kcfg.Stream, kcfg.Name = st, "keyword"
 	kw, err := New(kcfg)
 	if err != nil {
@@ -36,7 +38,7 @@ func sharedLogPair(t *testing.T, root string, budget int64) (*Stream, *Engine[st
 		Durable:       true,
 		Policy:        core.New[uint64](),
 		TrackOverK:    true,
-		SyncFlush:     true,
+		SyncFlush:     syncFlush,
 		Stream:        st,
 		Name:          "user",
 	})
@@ -48,6 +50,107 @@ func sharedLogPair(t *testing.T, root string, budget int64) (*Stream, *Engine[st
 		t.Fatal(err)
 	}
 	return st, kw, us
+}
+
+// TestSharedLogReclaimIdleMember feeds two engines over one log records
+// the user engine indexes one in 300 of: too few ever to fill its budget,
+// so it never runs a flush cycle of its own, yet its records cover files
+// the log would reclaim. Reclaim must not wait for it: the log references
+// survivors out of those files and stays within three times the budgets
+// it feeds.
+func TestSharedLogReclaimIdleMember(t *testing.T) {
+	const (
+		budget = 24 << 10
+		batch  = 8
+	)
+	total := 100 * budget / soakText
+	st, kw, us := sharedLogPair(t, t.TempDir(), budget, true)
+	defer st.Close()
+	for i := 0; i < total; i += batch {
+		mbs := soakBatch(i, batch)
+		for j, mb := range mbs {
+			if (i+j)%300 == 0 {
+				mb.UserID = 1
+			}
+		}
+		if _, err := kw.IngestBatch(mbs); err != nil {
+			t.Fatal(err)
+		}
+		if ws := kw.wal.Stats(); ws.Bytes > 3*2*budget {
+			t.Fatalf("after %d records a recovery reads %d bytes, over 3x the %d the log feeds", i+batch, ws.Bytes, 2*budget)
+		}
+	}
+	if ust := us.Stats(); ust.Metrics.Flushes != 0 || us.store.Len() == 0 {
+		t.Fatalf("the user engine ran %d flush cycles over %d records, want none over some", ust.Metrics.Flushes, us.store.Len())
+	}
+	if err := kw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if ws := kw.wal.Stats(); ws.ReferencedRecords == 0 || ws.ReclaimedBytes == 0 {
+		t.Fatalf("the idle member stalled the shared log's reclaim: %+v", ws)
+	}
+}
+
+// TestSharedLogReclaimConcurrent runs two engines over one log with
+// background flushing and two writers, so the two engines' flush cycles
+// end at once and list each other's survivors while both ingest; run it
+// under -race. At quiescence the log's covers are the two engines'
+// resident records, and files have drained.
+func TestSharedLogReclaimConcurrent(t *testing.T) {
+	const (
+		budget  = 24 << 10
+		writers = 2
+		batch   = 8
+	)
+	perWriter := 50 * budget / soakText
+	st, kw, us := sharedLogPair(t, t.TempDir(), budget, false)
+	defer st.Close()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i += batch {
+				mbs := soakBatch(w*perWriter+i, batch)
+				for j, mb := range mbs {
+					if (i+j)%2 == 1 {
+						mb.UserID = uint64(1 + (i+j)%5)
+					}
+				}
+				if _, err := kw.IngestBatch(mbs); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				// Without a pause flushing is outrun and memory, not the
+				// log, holds everything: each batch waits for one cycle,
+				// of either engine in turn.
+				flush := []func() (int64, error){kw.FlushNow, us.FlushNow}[i/batch%2]
+				if _, err := flush(); err != nil {
+					t.Errorf("writer %d: FlushNow: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, flush := range []func() (int64, error){kw.FlushNow, us.FlushNow} {
+		if _, err := flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "both pipelines to drain", func() bool { return kw.pipe.depth() == 0 && us.pipe.depth() == 0 })
+	for _, err := range []error{kw.Err(), us.Err()} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	ws := kw.wal.Stats()
+	if resident := kw.store.Len() + us.store.Len(); ws.LiveRecords != resident {
+		t.Fatalf("at quiescence %d covers for %d memory-resident records", ws.LiveRecords, resident)
+	}
+	if ws.ReclaimedBytes == 0 {
+		t.Fatalf("nothing reclaimed under load: %+v", ws)
+	}
 }
 
 // TestSharedLogReclaimSoak runs PR-sized soak traffic through two
@@ -68,7 +171,7 @@ func TestSharedLogReclaimSoak(t *testing.T) {
 		total /= 4
 	}
 	root := t.TempDir()
-	st, kw, us := sharedLogPair(t, root, budget)
+	st, kw, us := sharedLogPair(t, root, budget, true)
 	defer st.Close()
 	for i := 0; i < total; i += batch {
 		mbs := soakBatch(i, batch)
@@ -118,7 +221,7 @@ func TestSharedLogReclaimSoak(t *testing.T) {
 	// engine indexing it, once.
 	crash := t.TempDir()
 	copyTree(t, root, crash)
-	st2, kw2, us2 := sharedLogPair(t, crash, budget)
+	st2, kw2, us2 := sharedLogPair(t, crash, budget, true)
 	defer st2.Close()
 	acked := total / batch * batch
 	seen := func(items []query.Item) map[types.ID]bool {

@@ -101,7 +101,7 @@ const (
 	DiskOpenMkdir       = "disk/open/mkdir"       // creating the tier directory (no segments exist yet)
 	DiskDirSync         = "disk/dir/sync"         // directory fsync after a rename (rename sites cover the crash)
 	DiskAdoptRemove     = "disk/adopt/remove"     // deleting retired inputs during manifest recovery (best-effort)
-	DiskDrainUnlink     = "disk/drain/unlink"     // the log's owner unlinking a drained log file no tier's directory names (its next sweep deletes it too)
+	DiskDrainUnlink     = "disk/drain/unlink"     // the LogSet unlinking a drained log file no tier's directory names (its next sweep deletes it too)
 )
 
 // CrashSites returns every site at which a crash must be recoverable:

@@ -73,24 +73,30 @@ func settle[K comparable](dir string, spec attr.Spec[K]) (err error) {
 	if !slices.ContainsFunc(names, func(name string) bool { return !slices.Contains(m.Drained, name) }) {
 		return nil
 	}
+	logs := disk.NewLogSet(dir)
 	tier, err := disk.Open(disk.Config[K]{
 		Dir: dir, KeysOf: spec.KeysOf, Encode: spec.Encode,
-		Logged: true, MaxSegments: -1, CacheBytes: -1,
+		Logged: true, MaxSegments: -1, CacheBytes: -1, Logs: logs,
 	})
 	if err != nil {
 		return err
 	}
-	var drainErr error
-	w, err := wal.Open(dir, wal.Options{
-		Drained:   tier.LogDrained,
-		OnDrained: func(seq uint32) { drainErr = errors.Join(drainErr, tier.DrainLog(seq)) },
-	})
+	w, err := wal.Open(dir, wal.Options{Logs: logs})
 	if err != nil {
 		return errors.Join(err, tier.Close())
 	}
 	defer func() {
 		// The log's close first: the tier's close commits the drain marks.
-		err = errors.Join(err, w.Close(), drainErr, tier.Close())
+		// A file whose mark the set refused fails the upgrade, and the next
+		// run posts its records again.
+		err = errors.Join(err, w.Close())
+		left, _ := disk.LogFileNames(dir) // a glob fails only on a bad pattern
+		for _, name := range left {
+			if seq, _ := disk.ParseLogName(name); err == nil && !logs.Drained(seq) {
+				err = fmt.Errorf("server: upgrade %s: %s still replays", dir, name)
+			}
+		}
+		err = errors.Join(err, tier.Close())
 	}()
 	var recs []disk.FlushRecord
 	at := make(map[types.ID]int)

@@ -210,10 +210,10 @@ func TestReferenceMovesCovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir, Options{Drained: func(seq uint32) bool { return seq == 1 }})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Reopen as a durable store does: the tier's manifest lists file 1
+	// drained.
+	commitDrained(t, dir, 1)
+	tier, logs, re := ownedLog(t, dir)
 	defer re.Close()
 	seen := map[uint64]int{}
 	for _, r := range replayAll(t, re) {
@@ -227,6 +227,7 @@ func TestReferenceMovesCovers(t *testing.T) {
 			t.Fatalf("survivor %d replayed %d times", s.MB.ID, seen[uint64(s.MB.ID)])
 		}
 	}
+	logs.Track(re.Holds)
 	if !re.Holds(1) || !exists(dir, 1) {
 		t.Fatal("a drained file a replayed reference frame lists is let go")
 	}
@@ -240,6 +241,10 @@ func TestReferenceMovesCovers(t *testing.T) {
 		if f.LogSeq == 4 {
 			re.Release(4, 4, 1)
 		}
+	}
+	// The tier's last commit carries file 4's drain mark.
+	if err := tier.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if re.Holds(1) || exists(dir, 1) || exists(dir, 4) {
 		t.Fatal("files 1 and 4 survive the drain of the file that listed file 1")
@@ -382,33 +387,53 @@ func TestOverReleaseIsCaught(t *testing.T) {
 	l.Release(1, 1, 2)
 }
 
-// ownedLog opens a tier and a log in dir wired as a durable engine wires
-// them: the tier skips and records drained files, and unlinks one only
-// when the log no longer holds it.
-func ownedLog(t *testing.T, dir string) (*disk.Tier[string], *Log) {
+// drainedSet returns a registry of dir's log files that lists seqs
+// drained.
+func drainedSet(dir string, seqs ...uint32) *disk.LogSet {
+	logs := disk.NewLogSet(dir)
+	for _, seq := range seqs {
+		logs.Drain(seq)
+	}
+	return logs
+}
+
+// commitDrained has the manifest of a tier in dir list log files seqs
+// drained.
+func commitDrained(t *testing.T, dir string, seqs ...uint32) {
 	t.Helper()
+	tier, logs, l := ownedLog(t, dir)
+	for _, seq := range seqs {
+		logs.Drain(seq)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tier.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// ownedLog opens a tier and a log in dir over one registry of the log's
+// files, as a durable engine wires them: the registry skips and records
+// drained files, and unlinks one only when the log no longer holds it.
+func ownedLog(t *testing.T, dir string) (*disk.Tier[string], *disk.LogSet, *Log) {
+	t.Helper()
+	logs := disk.NewLogSet(dir)
 	tier, err := disk.Open(disk.Config[string]{
 		Dir:    dir,
 		KeysOf: func(m *types.Microblog) []string { return m.Keywords },
 		Encode: func(s string) string { return s },
 		Logged: true,
+		Logs:   logs,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Open(dir, Options{
-		Drained: tier.LogDrained,
-		OnDrained: func(seq uint32) {
-			if err := tier.DrainLog(seq); err != nil {
-				t.Error(err)
-			}
-		},
-		OnReleased: tier.ReleaseLog,
-	})
+	l, err := Open(dir, Options{Logs: logs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tier, l
+	return tier, logs, l
 }
 
 // TestReferencedDrainedFileSurvives: a drained log file no directory
@@ -418,8 +443,8 @@ func ownedLog(t *testing.T, dir string) (*disk.Tier[string], *Log) {
 // record it frames replays each time, through the reference.
 func TestReferencedDrainedFileSurvives(t *testing.T) {
 	dir := t.TempDir()
-	tier, l := ownedLog(t, dir)
-	tier.TrackLogs(l.Holds)
+	tier, logs, l := ownedLog(t, dir)
+	logs.Track(l.Holds)
 	frs := []disk.FlushRecord{fr(1, "k"), fr(2, "k"), fr(3, "k")}
 	if err := l.AppendBatch(frs); err != nil || l.Seal() != nil {
 		t.Fatal("append and seal", err)
@@ -436,13 +461,13 @@ func TestReferencedDrainedFileSurvives(t *testing.T) {
 	if err := tier.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !tier.LogDrained(1) || !exists(dir, 1) {
+	if !logs.Drained(1) || !exists(dir, 1) {
 		t.Fatal("file 1 is not drained and kept")
 	}
 
 	reopen := func(stage string) (*disk.Tier[string], *Log) {
 		t.Helper()
-		tier, l := ownedLog(t, dir)
+		tier, logs, l := ownedLog(t, dir)
 		if !exists(dir, 1) {
 			t.Fatalf("%s: the tier's open deleted a drained file a reference frame lists", stage)
 		}
@@ -450,7 +475,7 @@ func TestReferencedDrainedFileSurvives(t *testing.T) {
 		if len(got) != 1 || got[0].MB.ID != 1 || got[0].LogSeq != 1 || got[0].ReplaySeq != 2 {
 			t.Fatalf("%s: replay delivered %+v, want record 1 of file 1 through file 2", stage, got)
 		}
-		tier.TrackLogs(l.Holds)
+		logs.Track(l.Holds)
 		if !exists(dir, 1) {
 			t.Fatalf("%s: the sweep after replay deleted a drained file a reference frame lists", stage)
 		}

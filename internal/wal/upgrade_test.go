@@ -158,7 +158,7 @@ func TestMixedVersionLog(t *testing.T) {
 		}
 	}
 
-	re, err := Open(dir, Options{Drained: func(seq uint32) bool { return seq == 1 }})
+	re, err := Open(dir, Options{Logs: drainedSet(dir, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,16 +243,15 @@ func TestMigrateLegacyLog(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, disk.LogName(2)), disk.AppendLogHeader(nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	logs := disk.NewLogSet(dir)
 	tier, err := disk.Open(disk.Config[string]{Dir: dir, KeysOf: func(*types.Microblog) []string { return nil },
-		Encode: func(s string) string { return s }, Logged: true})
+		Encode: func(s string) string { return s }, Logged: true, Logs: logs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	writeFrames(t, dir, 3)
-	tier.TrackLogs(func(uint32) bool { return false }) // no log holds anything
-	if err := tier.DrainLog(3); err != nil {
-		t.Fatal(err)
-	}
+	logs.Track(func(uint32) bool { return false }) // no log holds anything
+	logs.Drain(3)
 	if err := tier.Close(); err != nil {
 		t.Fatal(err)
 	}

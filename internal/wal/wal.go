@@ -56,12 +56,13 @@
 //	or a reference frame of a file still replayed lists it.
 //
 // A file that leaves the replay set is drained: replay will not scan it
-// again. With Options.OnDrained set the log hands it to its owner — the
-// engine passes it to the tier, whose next manifest commit carries the
-// drained mark and which keeps the file for as long as a directory names
-// it or the log holds it (Holds, Options.OnReleased) — and otherwise
-// unlinks it once nothing holds it. A file with no frames at all is
-// unlinked either way.
+// again. With Options.Logs set the log reports it to the tiers' registry
+// of its files (disk.LogSet.Drain), whose home tier's next manifest
+// commit carries the drained mark, and reports when it stops holding it
+// (Holds, disk.LogSet.Release); the registry keeps the file for as long
+// as a directory names it or the log holds it. A log without one unlinks
+// a drained file itself once nothing holds it. A file with no frames at
+// all is unlinked either way.
 //
 // A flushing policy that evicts by usefulness rather than by age never
 // drains an old file on its own: a few long-lived records pin it. So the
@@ -135,18 +136,13 @@ type Options struct {
 	// Recorder, when non-nil, receives append/sync/rotate events on the
 	// engine's flight recorder. Recording is allocation-free.
 	Recorder *blackbox.Recorder
-	// Drained, when set, names the files Open must not scan: drained
-	// earlier, they are the tier's record files now, read at replay only
-	// through the reference frames that list them.
-	Drained func(seq uint32) bool
-	// OnDrained, when set, takes every sealed file with frames whose last
-	// cover went, in place of the unlink: the owner records the drain
-	// and decides when the file goes.
-	OnDrained func(seq uint32)
-	// OnReleased, when set with OnDrained, is told of every drained file
-	// the log stops holding (Holds turns false): the owner may unlink it
-	// once nothing else needs it.
-	OnReleased func(seq uint32)
+	// Logs, when set, is the tiers' registry of the log's files: Open
+	// does not scan the files it lists drained — they are the tiers'
+	// record files now, read at replay only through the reference frames
+	// that list them — and the log reports to it, in place of unlinking,
+	// every sealed file with frames whose last cover went and every
+	// drained file it stops holding (Holds turns false).
+	Logs *disk.LogSet
 }
 
 // DefaultMaxFileBytes is the rotation size when Options leaves it zero.
@@ -293,7 +289,7 @@ func Open(dir string, opt Options) (*Log, error) {
 			continue
 		}
 		l.seq = max(l.seq, seq)
-		if opt.Drained != nil && opt.Drained(seq) {
+		if opt.Logs != nil && opt.Logs.Drained(seq) {
 			continue
 		}
 		st, err := os.Stat(p)
@@ -834,10 +830,9 @@ func parseFrames(b []byte, name string, lastFile bool, own uint32, decode func([
 // delivering the records it lists where it stands — each read with one
 // pread from the file framing it, drained or not. LogSeq and LogOrd name
 // the frame holding a delivered record, ReplaySeq the file delivering
-// it. Files the owner marked drained were never opened
-// (Options.Drained), so they deliver nothing by themselves: their
-// records are in installed segments, or listed by a reference frame of a
-// newer file. Replay does not restore arrival order: a referenced record
+// it. Files Options.Logs lists drained were never opened, so they
+// deliver nothing by themselves: their records are in installed
+// segments, or listed by a reference frame of a newer file. Replay does not restore arrival order: a referenced record
 // is delivered after records that arrived later, and, in the window
 // between a reference frame's fsync and its source's drain, twice — the
 // caller keeps one. Each delivered record is a cover on the file
@@ -1145,8 +1140,8 @@ func (l *Log) sweepLocked() (drained []*logFile, released []uint32) {
 
 // Holds reports whether file seq must stay on disk for the log's sake: it
 // is replayed, memory holds a record it frames, or a reference frame of a
-// file still replayed lists one. The tier asks before it unlinks a
-// drained file.
+// file still replayed lists one. The tiers' disk.LogSet asks before it
+// unlinks a drained file (disk.LogSet.Track).
 func (l *Log) Holds(seq uint32) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -1162,27 +1157,27 @@ func (l *Log) holdsLocked(seq uint32) bool {
 	return false
 }
 
-// retire hands the files just drained to the owner's OnDrained, and the
-// files the log let go to its OnReleased; a log no owner keeps unlinks
-// the latter itself. A file without frames is unlinked when it drains.
-// A failed unlink leaves an orphan the next Open replays like any other
-// file — wasteful, never lossy — so it is logged, not returned.
+// retire reports the files just drained, and the files the log let go,
+// to Options.Logs; a log without one unlinks the latter itself. A file
+// without frames is unlinked when it drains. A failed unlink leaves an
+// orphan the next Open replays like any other file — wasteful, never
+// lossy — so it is logged, not returned.
 func (l *Log) retire(drained []*logFile, released []uint32) {
 	for _, f := range drained {
 		if f.deliveries() == 0 {
 			l.unlink(f.seq)
-		} else if l.opt.OnDrained != nil {
-			l.opt.OnDrained(f.seq)
+		} else if l.opt.Logs != nil {
+			l.opt.Logs.Drain(f.seq)
 		}
 		l.reclaimed.Add(f.bytes)
 		l.opt.Recorder.Record(blackbox.SubWAL, blackbox.EvWALReclaim,
 			int64(f.seq), f.survivors, f.reclaimNanos)
 	}
 	for _, seq := range released {
-		if l.opt.OnDrained == nil {
+		if l.opt.Logs == nil {
 			l.unlink(seq)
-		} else if l.opt.OnReleased != nil {
-			l.opt.OnReleased(seq)
+		} else {
+			l.opt.Logs.Release(seq)
 		}
 	}
 }

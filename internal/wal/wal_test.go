@@ -248,7 +248,7 @@ func TestReplayOrder(t *testing.T) {
 	}
 	// File 1 drained with the reference; file 2 is drained too: the tier
 	// holds its records.
-	re, err := Open(dir, Options{Drained: func(seq uint32) bool { return seq <= 2 }})
+	re, err := Open(dir, Options{Logs: drainedSet(dir, 1, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,13 +165,6 @@ type Options struct {
 	// (default: a background flushing thread whose segment writes
 	// overlap ingestion through a bounded pipeline).
 	SyncFlush bool
-	// DiskLevelFanout bounds the disk tier's per-level segment count
-	// before the level merges into the next (0 selects the default of 4).
-	DiskLevelFanout int
-	// DiskCacheBytes bounds the disk tier's decoded-record read cache,
-	// which spares hot memory-missing keys repeated file reads (0
-	// selects the default of 8 MiB; negative disables).
-	DiskCacheBytes int64
 	// DiskRetry bounds transient-disk-error retries with exponential
 	// backoff: flush-cycle segment writes and memory-miss record reads
 	// retry before failing (and, for writes, before the system enters
@@ -229,15 +222,16 @@ type AttrSystem[K comparable] struct {
 // open maps the facade options onto one attribute's engine — the only
 // place Options meets engine.Config.
 func open[K comparable](dir string, opt Options, spec attr.Spec[K], st *engine.Stream) (AttrSystem[K], error) {
-	return openWith(dir, opt, spec, 0, alloc.PolicyPooled, st)
+	return openWith(dir, opt, spec, 0, 0, alloc.PolicyPooled, st)
 }
 
 // openWith is open with the reference arms of the equivalence tests
-// (export_test.go): a negative diskMaxSegments never compacts, and
+// (export_test.go): a negative diskMaxSegments never compacts, a
+// positive diskLevelFanout replaces the disk package's default, and
 // alloc.PolicyHeap allocates the hot path from the Go heap, not pools.
 // A nil st makes the system a stream of its own; otherwise it joins st,
 // which the caller opens once every system has.
-func openWith[K comparable](dir string, opt Options, spec attr.Spec[K], diskMaxSegments int, ap alloc.Policy, st *engine.Stream) (AttrSystem[K], error) {
+func openWith[K comparable](dir string, opt Options, spec attr.Spec[K], diskMaxSegments, diskLevelFanout int, ap alloc.Policy, st *engine.Stream) (AttrSystem[K], error) {
 	opt.fill()
 	pc, err := core.Choose[K](string(opt.Policy), int64(opt.FlushFraction*float64(opt.MemoryBudget)))
 	if err != nil {
@@ -254,9 +248,8 @@ func openWith[K comparable](dir string, opt Options, spec attr.Spec[K], diskMaxS
 		Ranker:          opt.Ranker,
 		Clock:           opt.Clock,
 		DiskDir:         dir,
-		DiskLevelFanout: opt.DiskLevelFanout,
+		DiskLevelFanout: diskLevelFanout,
 		DiskMaxSegments: diskMaxSegments,
-		DiskCacheBytes:  opt.DiskCacheBytes,
 		DiskRetry:       opt.DiskRetry,
 		Durable:         opt.Durable,
 		WALOptions:      wal.Options{SyncEvery: opt.WALSyncEvery},

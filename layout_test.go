@@ -33,8 +33,6 @@ func runLayoutEquivalence(t *testing.T, ap string) {
 		MemoryBudget: 48 << 10,
 		SyncFlush:    true,
 	}
-	levOpt := base
-	levOpt.DiskLevelFanout = 3
 	pipeOpt := base
 	pipeOpt.SyncFlush = false
 
@@ -43,7 +41,7 @@ func runLayoutEquivalence(t *testing.T, ap string) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	leveled, err := kflushing.OpenAlloc(t.TempDir(), levOpt, ap)
+	leveled, err := kflushing.OpenLevelFanout(t.TempDir(), base, 3, ap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -662,8 +662,8 @@ func cmdTrace(base, q string, k int) error {
 		tr.Op, tr.K, strings.Join(tr.Keys, ","), tr.Items, tr.MemoryHit)
 	fmt.Printf("memory: hit=%v candidates=%d\n", tr.MemoryHit, tr.MemoryItems)
 	for _, e := range tr.Entries {
-		fmt.Printf("  entry %-24s found=%-5v postings=%-6d k_filled=%v\n",
-			e.Key, e.Found, e.Postings, e.KFilled)
+		fmt.Printf("  entry %-24s found=%-5v postings=%-6d k_filled=%-5v complete=%v\n",
+			e.Key, e.Found, e.Postings, e.KFilled, e.Complete)
 	}
 	if d := tr.Disk; d != nil {
 		fmt.Printf("disk: %d segments consulted, %d candidates, cache %d hits / %d misses, %d preads\n",
@@ -778,7 +778,7 @@ func scrapeMetrics(base string) (map[string]map[string]float64, error) {
 }
 
 // parseExposition decodes Prometheus text format, keeping one value per
-// (metric, attr) pair.
+// (metric, attr) pair; a family split by reason is summed over it.
 func parseExposition(r io.Reader) (map[string]map[string]float64, error) {
 	out := map[string]map[string]float64{}
 	sc := bufio.NewScanner(r)
@@ -806,7 +806,7 @@ func parseExposition(r io.Reader) (map[string]map[string]float64, error) {
 		if err != nil {
 			continue
 		}
-		attr, skip := "", false
+		attr, skip, sum := "", false, false
 		for _, pair := range strings.Split(labelStr, ",") {
 			k, qv, ok := strings.Cut(pair, "=")
 			if !ok {
@@ -819,6 +819,8 @@ func parseExposition(r io.Reader) (map[string]map[string]float64, error) {
 			switch k {
 			case "attr":
 				attr = uv
+			case "reason":
+				sum = true
 			case "le", "level", "phase", "stage":
 				// One series per (metric, attr) is the contract here;
 				// bucketed and per-dimension families would collide.
@@ -832,6 +834,9 @@ func parseExposition(r io.Reader) (map[string]map[string]float64, error) {
 		if m == nil {
 			m = map[string]float64{}
 			out[name] = m
+		}
+		if sum {
+			v += m[attr]
 		}
 		m[attr] = v
 	}

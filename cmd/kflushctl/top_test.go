@@ -60,3 +60,24 @@ func TestRenderTopNoNaN(t *testing.T) {
 		}
 	}
 }
+
+// TestParseExpositionSumsReasons reads a family split by reason as one
+// value per attribute: the top view's hit ratio counts every hit.
+func TestParseExpositionSumsReasons(t *testing.T) {
+	text := `# TYPE kflushing_query_hits_total counter
+kflushing_query_hits_total{attr="keyword",policy="kflushing",reason="filled"} 3
+kflushing_query_hits_total{attr="keyword",policy="kflushing",reason="complete"} 4
+kflushing_query_hits_total{attr="user",policy="kflushing",reason="filled"} 1
+kflushing_queries_total{attr="keyword",policy="kflushing"} 9
+`
+	got, err := parseExposition(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := got["kflushing_query_hits_total"]; h["keyword"] != 7 || h["user"] != 1 {
+		t.Errorf("hits = %v, want keyword 7 (3 filled + 4 complete), user 1", h)
+	}
+	if q := got["kflushing_queries_total"]["keyword"]; q != 9 {
+		t.Errorf("queries = %v, want 9", q)
+	}
+}

@@ -221,6 +221,7 @@ func DefaultConfig() Config {
 		NoallocAllowedFuncs: map[string]bool{
 			"time.Since":                true,
 			"time.Duration.Nanoseconds": true,
+			"math.Float64bits":          true,
 		},
 		NoallocPoolFuncs: map[string]bool{
 			"kflushing/internal/alloc.SlicePool.Get":  true,

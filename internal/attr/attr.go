@@ -7,6 +7,7 @@ package attr
 
 import (
 	"strconv"
+	"strings"
 
 	"kflushing/internal/spatial"
 	"kflushing/internal/types"
@@ -29,22 +30,29 @@ type Spec[K comparable] struct {
 	Len func(K) int
 	// Encode is the key's disk-directory encoding.
 	Encode func(K) string
+	// Decode inverts Encode, reporting false for a string Encode never
+	// produces. Opening over a disk tier decodes its directories' keys to
+	// seed the index's per-key ceilings.
+	Decode func(string) (K, bool)
 }
 
 // Keyword is the keyword (hashtag) attribute, the paper's primary
 // evaluation target.
 func Keyword() Spec[string] {
-	return Spec[string]{Name: "keyword", KeysOf: KeywordKeys, Hash: HashString, Len: KeywordLen, Encode: KeywordEncode}
+	return Spec[string]{Name: "keyword", KeysOf: KeywordKeys, Hash: HashString, Len: KeywordLen,
+		Encode: KeywordEncode, Decode: KeywordDecode}
 }
 
 // Spatial is the spatial attribute over g's tiles (Section V-D).
 func Spatial(g *spatial.Grid) Spec[spatial.Cell] {
-	return Spec[spatial.Cell]{Name: "spatial", KeysOf: SpatialKeys(g), Hash: HashCell, Len: CellLen, Encode: CellEncode}
+	return Spec[spatial.Cell]{Name: "spatial", KeysOf: SpatialKeys(g), Hash: HashCell, Len: CellLen,
+		Encode: CellEncode, Decode: CellDecode}
 }
 
 // User is the user-timeline attribute (Section V-D).
 func User() Spec[uint64] {
-	return Spec[uint64]{Name: "user", KeysOf: UserKeys, Hash: HashUint64, Len: UserLen, Encode: UserEncode}
+	return Spec[uint64]{Name: "user", KeysOf: UserKeys, Hash: HashUint64, Len: UserLen,
+		Encode: UserEncode, Decode: UserDecode}
 }
 
 // HashString hashes a string key for index sharding (FNV-1a).
@@ -100,6 +108,9 @@ func KeywordLen(s string) int { return len(s) }
 // KeywordEncode is the disk-directory encoding of a keyword key.
 func KeywordEncode(s string) string { return s }
 
+// KeywordDecode inverts KeywordEncode.
+func KeywordDecode(s string) (string, bool) { return s, true }
+
 // UserKeys extracts the user-timeline key of a microblog. User 0 means
 // "no posting user": such a record carries no user key, so anonymous
 // posts are not filed under a phantom user-0 timeline.
@@ -116,6 +127,12 @@ func UserLen(uint64) int { return 0 }
 
 // UserEncode is the disk-directory encoding of a user key.
 func UserEncode(u uint64) string { return strconv.FormatUint(u, 10) }
+
+// UserDecode inverts UserEncode.
+func UserDecode(s string) (uint64, bool) {
+	u, err := strconv.ParseUint(s, 10, 64)
+	return u, err == nil
+}
 
 // SpatialKeys returns a key extractor mapping geotagged microblogs onto
 // the given grid's tiles. Records without a location carry no spatial
@@ -140,4 +157,12 @@ func CellLen(spatial.Cell) int { return 0 }
 // CellEncode is the disk-directory encoding of a tile key.
 func CellEncode(c spatial.Cell) string {
 	return strconv.Itoa(int(c.Row)) + "," + strconv.Itoa(int(c.Col))
+}
+
+// CellDecode inverts CellEncode.
+func CellDecode(s string) (spatial.Cell, bool) {
+	row, col, ok := strings.Cut(s, ",")
+	r, err1 := strconv.ParseInt(row, 10, 32)
+	c, err2 := strconv.ParseInt(col, 10, 32)
+	return spatial.Cell{Row: int32(r), Col: int32(c)}, ok && err1 == nil && err2 == nil
 }

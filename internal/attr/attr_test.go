@@ -124,3 +124,32 @@ func TestSpecsAgreeOnIndexability(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeInvertsEncode round-trips every attribute's keys through
+// the disk directory's encoding, and rejects strings Encode never
+// produces.
+func TestDecodeInvertsEncode(t *testing.T) {
+	for _, kw := range []string{"go", "", "a,b", "#tag"} {
+		if got, ok := KeywordDecode(KeywordEncode(kw)); !ok || got != kw {
+			t.Errorf("keyword %q decodes to %q, %v", kw, got, ok)
+		}
+	}
+	for _, u := range []uint64{1, 68, 1<<64 - 1} {
+		if got, ok := UserDecode(UserEncode(u)); !ok || got != u {
+			t.Errorf("user %d decodes to %d, %v", u, got, ok)
+		}
+	}
+	for _, c := range []spatial.Cell{{}, {Row: 3, Col: -7}, {Row: -2147483648, Col: 2147483647}} {
+		if got, ok := CellDecode(CellEncode(c)); !ok || got != c {
+			t.Errorf("cell %v decodes to %v, %v", c, got, ok)
+		}
+	}
+	for _, bad := range []string{"", "x", "1,", ",2", "1;2", "1,2,3"} {
+		if _, ok := CellDecode(bad); ok {
+			t.Errorf("CellDecode(%q) accepted", bad)
+		}
+	}
+	if _, ok := UserDecode("-1"); ok {
+		t.Error(`UserDecode("-1") accepted`)
+	}
+}

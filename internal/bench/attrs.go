@@ -34,6 +34,7 @@ func newEngine[K comparable](rc RunConfig, spec attr.Spec[K], dir string, syncFl
 		KeyHash:       spec.Hash,
 		KeyLen:        spec.Len,
 		EncodeKey:     spec.Encode,
+		DecodeKey:     spec.Decode,
 		Clock:         clk,
 		DiskDir:       dir,
 		Policy:        pc.Policy,

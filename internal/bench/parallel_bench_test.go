@@ -27,6 +27,7 @@ func benchEngine(b *testing.B, budget int64, durable bool, workers int) *engine.
 		KeyHash:      attr.HashString,
 		KeyLen:       attr.KeywordLen,
 		EncodeKey:    attr.KeywordEncode,
+		DecodeKey:    attr.KeywordDecode,
 		DiskDir:      b.TempDir(),
 		Durable:      durable,
 		Policy:       core.New(core.WithParallelism[string](workers)),

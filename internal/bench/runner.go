@@ -254,20 +254,29 @@ func run[K comparable](rc RunConfig, eng *engine.Engine[K], clk *clock.Logical,
 		P99Miss:       st.Metrics.P99Miss,
 		Elapsed:       time.Since(start),
 	}
-	res.Hits = after.Hits - before.Hits
-	res.Misses = after.Misses - before.Misses
+	// The figures report filled hits, the paper's Section IV-D event: a
+	// complete hit — exact from memory because a key lost nothing — is
+	// counted with the misses.
+	res.Hits = after.FilledHits - before.FilledHits
+	res.Misses = after.Queries - before.Queries - res.Hits
 	if q := res.Hits + res.Misses; q > 0 {
 		res.HitRatio = float64(res.Hits) / float64(q)
 	}
-	res.SingleHitRatio = ratio(after.SingleHits-before.SingleHits, after.SingleMisses-before.SingleMisses)
-	res.OrHitRatio = ratio(after.OrHits-before.OrHits, after.OrMisses-before.OrMisses)
-	res.AndHitRatio = ratio(after.AndHits-before.AndHits, after.AndMisses-before.AndMisses)
+	res.SingleHitRatio = filledRatio(before.SingleHits, before.SingleMisses, before.SingleCompleteHits,
+		after.SingleHits, after.SingleMisses, after.SingleCompleteHits)
+	res.OrHitRatio = filledRatio(before.OrHits, before.OrMisses, before.OrCompleteHits,
+		after.OrHits, after.OrMisses, after.OrCompleteHits)
+	res.AndHitRatio = filledRatio(before.AndHits, before.AndMisses, before.AndCompleteHits,
+		after.AndHits, after.AndMisses, after.AndCompleteHits)
 	return res
 }
 
-func ratio(h, m int64) float64 {
-	if h+m == 0 {
-		return 0
+// filledRatio is one operator's filled hits over its queries between two
+// snapshots of its hits, misses and complete hits.
+func filledRatio(h0, m0, c0, h1, m1, c1 int64) float64 {
+	filled := (h1 - h0) - (c1 - c0)
+	if q := (h1 - h0) + (m1 - m0); q > 0 {
+		return float64(filled) / float64(q)
 	}
-	return float64(h) / float64(h+m)
+	return 0
 }

@@ -130,14 +130,11 @@ func (f *KFlushing[K]) Attach(r *policy.Resources[K]) { f.r = r }
 
 // OnIngest implements policy.Policy. kFlushing needs no per-ingest work
 // beyond what the index already maintains (the over-k list and
-// per-entry arrival timestamps) — batches included.
+// per-entry arrival timestamps) — batches included. Nor per-query work:
+// the query engine writes each entry's last-queried timestamp, and no
+// per-record tracking is needed — the policy's overhead advantage over
+// LRU — so kFlushing is no policy.AccessObserver.
 func (f *KFlushing[K]) OnIngest([]*store.Record, [][]K) {}
-
-// OnAccess implements policy.Policy. Query-time bookkeeping is the
-// per-entry last-queried timestamp, written by the query engine; no
-// per-record tracking is needed — that is the policy's overhead
-// advantage over LRU.
-func (f *KFlushing[K]) OnAccess([]*store.Record) {}
 
 // Flush implements policy.Policy, running the phases in order until the
 // target is met. Each phase's duration and freed bytes are recorded in

@@ -1331,6 +1331,19 @@ func (t *Tier[K]) Stats() Stats {
 // ID at or below it again.
 func (t *Tier[K]) MaxRecordID() uint64 { return t.maxID.Load() }
 
+// RangeKeys calls fn once per key of every live directory, with the
+// directory's best score: no posting of key in that directory outranks
+// it. A key several directories hold is visited once per directory.
+func (t *Tier[K]) RangeKeys(fn func(key string, maxScore float64)) {
+	segs := t.snapshotSegments()
+	for _, s := range segs {
+		for _, key := range s.keys {
+			fn(key, s.maxScore)
+		}
+		s.release()
+	}
+}
+
 // Close stops the background compactor, commits drain marks no commit
 // has carried yet, and releases the tier's references to all segments;
 // handles close once in-flight searches drain.

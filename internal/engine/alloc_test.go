@@ -8,6 +8,7 @@ import (
 	"kflushing/internal/attr"
 	"kflushing/internal/clock"
 	"kflushing/internal/core"
+	"kflushing/internal/query"
 	"kflushing/internal/types"
 )
 
@@ -24,6 +25,7 @@ func allocEngine(t *testing.T, ap alloc.Policy) *Engine[string] {
 		KeyHash:       attr.HashString,
 		KeyLen:        attr.KeywordLen,
 		EncodeKey:     attr.KeywordEncode,
+		DecodeKey:     attr.KeywordDecode,
 		Clock:         clock.NewLogical(1, 1),
 		DiskDir:       t.TempDir(),
 		Policy:        core.New[string](),
@@ -96,5 +98,31 @@ func TestIngestBatchAllocsPooled(t *testing.T) {
 	slices, recs := eng.AllocStats()
 	if slices.Reuses == 0 || recs.Reuses == 0 {
 		t.Fatalf("pools never reused (slices %+v, records %+v): test is not measuring the pooled path", slices, recs)
+	}
+}
+
+// TestSearchHitAllocs pins the allocation ceiling of a kFlushing
+// single-key memory hit. kFlushing observes no query accesses, so the
+// search builds no record map and no touched list for the policy: what
+// is left is the key list, the probed postings and their items.
+func TestSearchHitAllocs(t *testing.T) {
+	eng := allocEngine(t, alloc.PolicyPooled)
+	for ts := int64(1); ts <= 10; ts++ {
+		ingest(t, eng, ts, "hot")
+	}
+	req := query.Request[string]{Keys: []string{"hot"}, K: 5}
+	var res query.Result
+	avg := testing.AllocsPerRun(100, func() {
+		var err error
+		if res, err = eng.Search(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("single-key hit: %.1f allocs/op", avg)
+	if !res.MemoryHit || len(res.Items) != 5 {
+		t.Fatalf("search = %d items, hit %v; want a 5-item memory hit", len(res.Items), res.MemoryHit)
+	}
+	if avg > 3 {
+		t.Errorf("a single-key memory hit allocates %.1f objects, ceiling 3", avg)
 	}
 }

@@ -26,6 +26,7 @@ func newObservedEngine(t *testing.T, slowQueryNanos int64) *Engine[string] {
 		KeyHash:        attr.HashString,
 		KeyLen:         attr.KeywordLen,
 		EncodeKey:      attr.KeywordEncode,
+		DecodeKey:      attr.KeywordDecode,
 		Clock:          clock.NewLogical(1, 1),
 		DiskDir:        dir,
 		Durable:        true,
@@ -168,6 +169,11 @@ func TestBlackboxDisabled(t *testing.T) {
 // timings and keys, on the same sequence as every other event.
 func TestSlowQueryAutoCapture(t *testing.T) {
 	eng := newObservedEngine(t, 1)
+	// zz's one posting goes to disk, so an OR over it is a miss.
+	ingest(t, eng, 1, "zz")
+	if _, err := eng.FlushNow(); err != nil {
+		t.Fatalf("FlushNow: %v", err)
+	}
 	for i := 0; i < 10; i++ {
 		ingest(t, eng, int64(i+1), "a")
 	}
@@ -225,6 +231,7 @@ func BenchmarkIngestBlackboxOverhead(b *testing.B) {
 			KeyHash:       attr.HashString,
 			KeyLen:        attr.KeywordLen,
 			EncodeKey:     attr.KeywordEncode,
+			DecodeKey:     attr.KeywordDecode,
 			Clock:         clock.NewLogical(1, 1),
 			DiskDir:       b.TempDir(),
 			Policy:        core.New[string](),

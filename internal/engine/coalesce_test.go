@@ -99,6 +99,7 @@ func TestDiskSearchAccounting(t *testing.T) {
 				KeyHash:        attr.HashString,
 				KeyLen:         attr.KeywordLen,
 				EncodeKey:      attr.KeywordEncode,
+				DecodeKey:      attr.KeywordDecode,
 				Clock:          clock.NewLogical(1, 1),
 				DiskDir:        t.TempDir(),
 				Policy:         core.New[string](),

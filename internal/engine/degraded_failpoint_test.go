@@ -29,6 +29,7 @@ func newFaultEngine(t *testing.T, retry disk.RetryPolicy) *Engine[string] {
 		KeyHash:       attr.HashString,
 		KeyLen:        attr.KeywordLen,
 		EncodeKey:     attr.KeywordEncode,
+		DecodeKey:     attr.KeywordDecode,
 		Clock:         clock.NewLogical(1, 1),
 		DiskDir:       t.TempDir(),
 		DiskRetry:     retry,
@@ -80,6 +81,7 @@ func TestEvictionRollbackSurvivesRestart(t *testing.T) {
 			KeyHash:       attr.HashString,
 			KeyLen:        attr.KeywordLen,
 			EncodeKey:     attr.KeywordEncode,
+			DecodeKey:     attr.KeywordDecode,
 			Clock:         clock.NewLogical(1, 1),
 			DiskDir:       dir,
 			Durable:       true,

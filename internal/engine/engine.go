@@ -15,7 +15,9 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	rtrace "runtime/trace"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,7 +49,7 @@ var ErrNoKeys = errors.New("engine: microblog has no keys for this attribute")
 var ErrClosed = errors.New("engine: closed")
 
 // Config assembles an engine. KeysOf, KeyHash, KeyLen, EncodeKey,
-// DiskDir and Policy are required.
+// DecodeKey, DiskDir and Policy are required.
 type Config[K comparable] struct {
 	// K is the default top-k result limit (paper default: 20).
 	K int
@@ -64,6 +66,9 @@ type Config[K comparable] struct {
 	KeyLen func(K) int
 	// EncodeKey renders a key for the disk directory.
 	EncodeKey func(K) string
+	// DecodeKey inverts EncodeKey: New reads the keys of the tier's
+	// directories back to seed the index's per-key ceilings.
+	DecodeKey func(string) (K, bool)
 	// Ranker scores records at arrival; nil selects temporal ranking.
 	Ranker ranking.Ranker
 	// Clock is the time source; nil selects an auto-advancing logical
@@ -140,6 +145,9 @@ type Engine[K comparable] struct {
 	pol   policy.Policy[K]
 	reg   metrics.Registry
 	clk   clock.Clock
+	// obs is the policy when it observes query accesses (LRU): only
+	// then does Search collect the memory records an answer used.
+	obs policy.AccessObserver
 
 	// bbox is the always-on flight recorder, the engine's only event
 	// store: per-subsystem event rings stamped with a global sequence,
@@ -218,8 +226,8 @@ type replayChunk[K comparable] struct {
 
 // New builds and wires an engine from cfg.
 func New[K comparable](cfg Config[K]) (*Engine[K], error) {
-	if cfg.KeysOf == nil || cfg.KeyHash == nil || cfg.KeyLen == nil || cfg.EncodeKey == nil {
-		return nil, fmt.Errorf("engine: KeysOf, KeyHash, KeyLen and EncodeKey are required")
+	if cfg.KeysOf == nil || cfg.KeyHash == nil || cfg.KeyLen == nil || cfg.EncodeKey == nil || cfg.DecodeKey == nil {
+		return nil, fmt.Errorf("engine: KeysOf, KeyHash, KeyLen, EncodeKey and DecodeKey are required")
 	}
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("engine: Policy is required")
@@ -252,6 +260,9 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		TrackOverK: cfg.TrackOverK,
 		Tracker:    &e.mem,
 		Pool:       alloc.NewSlicePool[*store.Record](cfg.AllocPolicy),
+		// The departure record is policy bookkeeping, a fixed 1/64 of
+		// the budget outside the modeled memory (Stats.PolicyOverhead).
+		DepartedBytes: cfg.MemoryBudget / 64,
 	})
 	st := cfg.Stream
 	if st == nil {
@@ -279,11 +290,20 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		return nil, err
 	}
 	e.tier = tier
+	// Whatever the tier holds has left memory: its keys start with the
+	// best score of each directory holding them as their ceiling, before
+	// replay or ingest creates an entry.
+	tier.RangeKeys(func(ek string, maxScore float64) {
+		if key, ok := cfg.DecodeKey(ek); ok {
+			e.idx.Depart(key, maxScore)
+		}
+	})
 	e.stream, e.slot = st, st.join(e)
 	if !cfg.SyncFlush {
 		e.pipe = newFlushPipeline(e)
 	}
 	e.pol = cfg.Policy
+	e.obs, _ = cfg.Policy.(policy.AccessObserver)
 	e.pol.Attach(&policy.Resources[K]{
 		Index:   e.idx,
 		Store:   e.store,
@@ -789,7 +809,8 @@ func (e *Engine[K]) FlushNow() (int64, error) {
 
 // Search evaluates one basic top-k search query (Section II-B). The
 // answer is ranked best-first; Result.MemoryHit reports whether memory
-// alone supplied the full k answers — the paper's hit-ratio event.
+// alone supplied it — the paper's hit-ratio event — which it does only
+// when memory provably holds the exact answer (see exactness below).
 //
 // When req.Trace is non-nil the execution is recorded into it: the
 // memory probe outcome per key, per-segment disk activity on a miss,
@@ -831,44 +852,58 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 	ep := e.recycler.Pin()
 	defer e.recycler.Unpin(ep)
 
-	// Gather per-key candidates from memory, touching each entry's
-	// last-queried timestamp (Phase 3 bookkeeping).
-	recsByID := make(map[types.ID]*store.Record)
-	lists := make([][]query.Item, 0, len(req.Keys))
-	everyKeyFilled := true // every queried key contributed >= k candidates
+	// Gather per-key candidates from memory, each with the key's posting
+	// count and ceiling read in the same critical section, touching each
+	// entry's last-queried timestamp (Phase 3 bookkeeping). A key is
+	// exact to depth k when it is complete — its ceiling is −∞: no
+	// posting of it ever left memory, an absent key the departure record
+	// never saw included — or when its k-th posting scores strictly above
+	// its ceiling: whatever left memory ranks below the k in hand.
+	depth := k
+	if op == query.OpAnd {
+		// Intersection needs every posting: under the MK extension
+		// entries may hold beyond-top-k postings kept exactly for AND
+		// queries.
+		depth = -1
+	}
+	var recsByID map[types.ID]*store.Record
+	if e.obs != nil {
+		recsByID = make(map[types.ID]*store.Record)
+	}
+	lists := make([][]query.Item, len(req.Keys))
+	everyKeyFilled, everyKeyExact := true, true
+	ceilings := math.Inf(-1)     // the highest ceiling of the queried keys
+	complete, completeN := -1, 0 // the complete key with the fewest postings
 	for ki, key := range req.Keys {
+		var recs []*store.Record
+		var n int
+		var ceil float64
 		en := e.idx.Entry(key)
 		if en == nil {
-			lists = append(lists, nil)
-			everyKeyFilled = false
-			if tr != nil {
-				tr.AddEntry(trace.EntryProbe{Key: tr.Keys[ki]})
-			}
-			continue
-		}
-		en.Touch(now)
-		var recs []*store.Record
-		if op == query.OpAnd {
-			// Intersection needs every posting: under the MK extension
-			// entries may hold beyond-top-k postings kept exactly for
-			// AND queries.
-			recs = en.All()
+			ceil = e.idx.Departed(key)
 		} else {
-			recs = en.TopK(k)
+			en.Touch(now)
+			recs, n, ceil = en.Probe(depth)
 		}
-		if len(recs) < k {
-			everyKeyFilled = false
+		keyComplete := math.IsInf(ceil, -1)
+		keyFilled := n >= k
+		everyKeyFilled = everyKeyFilled && keyFilled
+		everyKeyExact = everyKeyExact && (keyComplete || keyFilled && recs[k-1].Score > ceil)
+		ceilings = max(ceilings, ceil)
+		if keyComplete && (complete < 0 || n < completeN) {
+			complete, completeN = ki, n
 		}
 		items := make([]query.Item, len(recs))
 		for i, r := range recs {
 			items[i] = query.Item{MB: r.MB, Score: r.Score}
-			recsByID[r.MB.ID] = r
+			if recsByID != nil {
+				recsByID[r.MB.ID] = r
+			}
 		}
-		lists = append(lists, items)
+		lists[ki] = items
 		if tr != nil {
-			n := en.Len()
 			tr.AddEntry(trace.EntryProbe{
-				Key: tr.Keys[ki], Found: true, Postings: n, KFilled: n >= k,
+				Key: tr.Keys[ki], Found: en != nil, Postings: n, KFilled: keyFilled, Complete: keyComplete,
 			})
 		}
 	}
@@ -876,28 +911,39 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 	indexD := gatherEnd.Sub(start)
 	e.reg.ObserveQueryStage(metrics.QStageIndex, indexD)
 
-	// Hit determination follows Section IV-D: a single-key query hits
-	// when its entry holds k postings; an OR query hits only when EVERY
-	// queried key holds k ("if any of the keywords has less than k
-	// microblogs, there is a possibility that Lm may not contain the
-	// final answer"); an AND query hits when the in-memory intersection
-	// reaches k.
+	// A single-key query hits when its key is exact, an OR query when
+	// every key is. The hit is "filled" — Section IV-D's event — when
+	// every key also holds k postings, and "complete" otherwise. An AND
+	// query hits filled when the in-memory intersection reaches k above
+	// every key's ceiling, and complete when some key is complete: that
+	// key's postings are every record carrying it, so the records among
+	// them that carry every queried key are the whole answer, whatever
+	// the other keys lost.
 	var mem []query.Item
-	var hit bool
+	outcome := metrics.Miss
 	switch op {
-	case query.OpSingle:
-		mem = lists[0]
-		if len(mem) > k {
-			mem = mem[:k]
-		}
-		hit = len(mem) >= k
-	case query.OpOr:
-		mem = query.MergeTopK(lists, k)
-		hit = everyKeyFilled && len(mem) >= k
 	case query.OpAnd:
 		mem = query.IntersectTopK(lists, k)
-		hit = len(mem) >= k
+		switch {
+		case len(mem) >= k && mem[k-1].Score > ceilings:
+			outcome = metrics.HitFilled
+		case complete >= 0:
+			mem = e.carryingAll(lists[complete], req.Keys, k)
+			outcome = metrics.HitComplete
+		}
+	default:
+		mem = lists[0]
+		if op == query.OpOr {
+			mem = query.MergeTopK(lists, k)
+		}
+		if everyKeyExact {
+			outcome = metrics.HitComplete
+			if everyKeyFilled {
+				outcome = metrics.HitFilled
+			}
+		}
 	}
+	hit := outcome != metrics.Miss
 	heapD := time.Since(gatherEnd)
 	e.reg.ObserveQueryStage(metrics.QStageHeap, heapD)
 
@@ -924,20 +970,22 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 		e.reg.ObserveQueryStage(metrics.QStageDisk, diskD)
 	}
 
-	// Inform the policy which memory records the answer used (LRU
-	// relinks them; kFlushing and FIFO ignore the call).
-	touched := make([]*store.Record, 0, len(res.Items))
-	for _, it := range res.Items {
-		if r, ok := recsByID[it.MB.ID]; ok {
-			touched = append(touched, r)
+	// Tell an access-ordered policy (LRU relinks them) which memory
+	// records the answer used.
+	if e.obs != nil {
+		touched := make([]*store.Record, 0, len(res.Items))
+		for _, it := range res.Items {
+			if r, ok := recsByID[it.MB.ID]; ok {
+				touched = append(touched, r)
+			}
 		}
-	}
-	if len(touched) > 0 {
-		e.pol.OnAccess(touched)
+		if len(touched) > 0 {
+			e.obs.OnAccess(touched)
+		}
 	}
 
 	elapsed := time.Since(start)
-	e.reg.RecordQuery(op.String(), res.MemoryHit, elapsed)
+	e.reg.RecordQuery(op.String(), outcome, elapsed)
 	if tr != nil {
 		tr.Items = len(res.Items)
 		tr.Stage("total", start)
@@ -951,6 +999,27 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 			diskD.Nanoseconds(), elapsed.Nanoseconds(), strings.Join(keys, " "))
 	}
 	return res, nil
+}
+
+// carryingAll answers an AND query from one complete key's postings,
+// best first: the first k records whose own keys include every queried
+// key. It filters items in place.
+func (e *Engine[K]) carryingAll(items []query.Item, keys []K, k int) []query.Item {
+	out := items[:0]
+	for _, it := range items {
+		if len(out) == k {
+			break
+		}
+		own := e.cfg.KeysOf(it.MB)
+		all := true
+		for _, key := range keys {
+			all = all && slices.Contains(own, key)
+		}
+		if all {
+			out = append(out, it)
+		}
+	}
+	return out
 }
 
 // diskSearch is the memory-miss fallback: it coalesces concurrent
@@ -1143,7 +1212,7 @@ type Stats struct {
 	MemoryUsed     int64
 	DataBytes      int64
 	IndexBytes     int64
-	PolicyOverhead int64
+	PolicyOverhead int64 // the policy's bookkeeping plus the index's departure record
 	StoreRecords   int64
 	Census         index.Census
 	Metrics        metrics.Snapshot
@@ -1179,7 +1248,7 @@ func (e *Engine[K]) Stats() Stats {
 		MemoryUsed:     e.mem.Used(),
 		DataBytes:      e.mem.Data(),
 		IndexBytes:     e.mem.Index(),
-		PolicyOverhead: e.pol.OverheadBytes(),
+		PolicyOverhead: e.pol.OverheadBytes() + e.idx.DepartedBytes(),
 		StoreRecords:   e.store.Len(),
 		Census:         e.idx.TakeCensus(),
 		Metrics:        e.reg.Snap(),

@@ -11,6 +11,7 @@ import (
 	"kflushing/internal/policy"
 	"kflushing/internal/query"
 	"kflushing/internal/ranking"
+	"kflushing/internal/trace"
 	"kflushing/internal/types"
 )
 
@@ -24,6 +25,7 @@ func newKeywordEngine(t *testing.T, budget int64, pol policy.Policy[string], tra
 		KeyHash:       attr.HashString,
 		KeyLen:        attr.KeywordLen,
 		EncodeKey:     attr.KeywordEncode,
+		DecodeKey:     attr.KeywordDecode,
 		Clock:         clock.NewLogical(1, 1),
 		DiskDir:       t.TempDir(),
 		Policy:        pol,
@@ -60,6 +62,7 @@ func TestConfigValidation(t *testing.T) {
 		KeyHash:   attr.HashString,
 		KeyLen:    attr.KeywordLen,
 		EncodeKey: attr.KeywordEncode,
+		DecodeKey: attr.KeywordDecode,
 	}); err == nil {
 		t.Fatal("config without policy accepted")
 	}
@@ -199,6 +202,7 @@ func TestPopularityRanking(t *testing.T) {
 		KeyHash:      attr.HashString,
 		KeyLen:       attr.KeywordLen,
 		EncodeKey:    attr.KeywordEncode,
+		DecodeKey:    attr.KeywordDecode,
 		Ranker:       ranking.Popularity{},
 		DiskDir:      t.TempDir(),
 		Policy:       core.New[string](),
@@ -282,6 +286,7 @@ func TestConcurrentIngestSearchFlush(t *testing.T) {
 		KeyHash:       attr.HashString,
 		KeyLen:        attr.KeywordLen,
 		EncodeKey:     attr.KeywordEncode,
+		DecodeKey:     attr.KeywordDecode,
 		DiskDir:       t.TempDir(),
 		Policy:        core.NewMK[string](),
 		TrackTopK:     true,
@@ -345,5 +350,83 @@ func TestLRUEngineIntegration(t *testing.T) {
 	}
 	if !res.MemoryHit {
 		t.Error("constantly queried key missed memory under LRU")
+	}
+}
+
+// TestHitReasons drives each way a search can be answered: a filled
+// hit (k postings above all the key lost), complete hits (a key that
+// never lost a posting, with fewer than k or none in memory — alone, in
+// an OR, or as the AND key whose postings are filtered by their own
+// keys) and misses (a key whose memory postings rank below what it
+// lost). Answers, the per-reason counters and the trace's entry probes
+// must agree.
+func TestHitReasons(t *testing.T) {
+	eng := newKeywordEngine(t, 1<<30, core.New[string](), false)
+	gone := ingest(t, eng, 100, "old")
+	if _, err := eng.FlushNow(); err != nil {
+		t.Fatal(err)
+	}
+	for ts := int64(1); ts <= 6; ts++ {
+		ingest(t, eng, ts, "hot")
+	}
+	ingest(t, eng, 7, "few")
+	ingest(t, eng, 8, "few")
+	both := ingest(t, eng, 9, "few", "old")
+
+	cases := []struct {
+		keys []string
+		op   query.Op
+		hit  bool
+		n    int
+	}{
+		{[]string{"hot"}, query.OpSingle, true, 5},
+		{[]string{"few"}, query.OpSingle, true, 3},
+		{[]string{"never"}, query.OpSingle, true, 0},
+		{[]string{"old"}, query.OpSingle, false, 2},
+		{[]string{"few", "old"}, query.OpAnd, true, 1},
+		{[]string{"hot", "few"}, query.OpOr, true, 5},
+		{[]string{"hot", "old"}, query.OpOr, false, 5},
+	}
+	for _, c := range cases {
+		tr := trace.New()
+		res, err := eng.Search(query.Request[string]{Keys: c.keys, Op: c.op, K: 5, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.MemoryHit != c.hit || len(res.Items) != c.n {
+			t.Errorf("%v %v: hit %v, %d items; want hit %v, %d items", c.op, c.keys, res.MemoryHit, len(res.Items), c.hit, c.n)
+		}
+		for _, p := range tr.Entries {
+			if complete := p.Key == "few" || p.Key == "never" || p.Key == "hot"; p.Complete != complete {
+				t.Errorf("%v %v: probe %+v, want Complete %v", c.op, c.keys, p, complete)
+			}
+		}
+	}
+	res, _ := eng.Search(query.Request[string]{Keys: []string{"old"}, K: 2})
+	if len(res.Items) != 2 || res.Items[0].MB.ID != gone || res.Items[1].MB.ID != both {
+		t.Errorf("old's top 2: %v, want the flushed t=100 record then t=9", res.Items)
+	}
+	m := eng.Stats().Metrics
+	if m.FilledHits != 1 || m.CompleteHits != 4 || m.Misses != 3 ||
+		m.SingleCompleteHits != 2 || m.OrCompleteHits != 1 || m.AndCompleteHits != 1 {
+		t.Errorf("hits by reason: filled %d complete %d misses %d (single %d or %d and %d complete)",
+			m.FilledHits, m.CompleteHits, m.Misses, m.SingleCompleteHits, m.OrCompleteHits, m.AndCompleteHits)
+	}
+}
+
+// TestDepartureRecordOverhead checks the departure record is charged to
+// the policy overhead, not the budget, and is at most 1/64 of it.
+func TestDepartureRecordOverhead(t *testing.T) {
+	for _, budget := range []int64{48 << 10, 16 << 20, 24 << 20} {
+		eng := newKeywordEngine(t, budget, core.New[string](), false)
+		d := eng.Index().DepartedBytes()
+		if d <= 0 || d > budget/64 || d*2 <= budget/64 {
+			t.Errorf("budget %d: departure record %d bytes, want the largest power of two within %d", budget, d, budget/64)
+		}
+		st := eng.Stats()
+		if st.PolicyOverhead < d || st.MemoryUsed != 0 {
+			t.Errorf("budget %d: overhead %d, memory used %d; want the record's %d bytes in the overhead only",
+				budget, st.PolicyOverhead, st.MemoryUsed, d)
+		}
 	}
 }

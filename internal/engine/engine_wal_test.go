@@ -27,6 +27,7 @@ func newDurableEngineBudget(t *testing.T, dir string, budget int64) *Engine[stri
 		KeyHash:       attr.HashString,
 		KeyLen:        attr.KeywordLen,
 		EncodeKey:     attr.KeywordEncode,
+		DecodeKey:     attr.KeywordDecode,
 		DiskDir:       dir,
 		Durable:       true,
 		WALOptions:    wal.Options{MaxFileBytes: 4 << 10},

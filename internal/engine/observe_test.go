@@ -237,6 +237,7 @@ func benchEngine(b *testing.B) *Engine[string] {
 		KeyHash:       attr.HashString,
 		KeyLen:        attr.KeywordLen,
 		EncodeKey:     attr.KeywordEncode,
+		DecodeKey:     attr.KeywordDecode,
 		Clock:         clock.NewLogical(1, 1),
 		DiskDir:       b.TempDir(),
 		Policy:        core.New[string](),

@@ -26,6 +26,7 @@ func newPipelineEngine(t *testing.T, budget int64) *Engine[string] {
 		KeyHash:       attr.HashString,
 		KeyLen:        attr.KeywordLen,
 		EncodeKey:     attr.KeywordEncode,
+		DecodeKey:     attr.KeywordDecode,
 		Clock:         clock.NewLogical(1, 1),
 		DiskDir:       t.TempDir(),
 		Policy:        core.New[string](),
@@ -238,6 +239,7 @@ func TestCloseDrainsPipeline(t *testing.T) {
 		KeyHash:       attr.HashString,
 		KeyLen:        attr.KeywordLen,
 		EncodeKey:     attr.KeywordEncode,
+		DecodeKey:     attr.KeywordDecode,
 		Clock:         clock.NewLogical(1, 1),
 		DiskDir:       dir,
 		Policy:        core.New[string](),

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"kflushing/internal/alloc"
 	"kflushing/internal/attr"
@@ -34,6 +36,7 @@ func raceEngine(t *testing.T, policyName string, durable bool, ap alloc.Policy, 
 		KeyHash:       attr.HashString,
 		KeyLen:        attr.KeywordLen,
 		EncodeKey:     attr.KeywordEncode,
+		DecodeKey:     attr.KeywordDecode,
 		Clock:         clock.NewLogical(1, 1),
 		DiskDir:       t.TempDir(),
 		Durable:       durable,
@@ -151,6 +154,8 @@ func stress(t *testing.T, eng *Engine[string]) {
 	// head[g] counts the records writer g has handed to IngestBatch, the
 	// batch in flight included: searchers aim at the newest.
 	var head [ingesters]atomic.Int64
+	// ids[g][seq] is the ID writer g's seq-th record was acked under.
+	var ids [ingesters][batches * batchLen]types.ID
 
 	for g := 0; g < ingesters; g++ {
 		writers.Add(1)
@@ -163,12 +168,13 @@ func stress(t *testing.T, eng *Engine[string]) {
 					mbs[i] = &types.Microblog{Keywords: stressKeys(g, seq), Text: stressText(g, seq), Timestamp: stressTimestamp(seq)}
 				}
 				head[g].Add(batchLen)
-				ids, err := eng.IngestBatch(mbs)
+				acked, err := eng.IngestBatch(mbs)
 				if err != nil {
 					t.Errorf("IngestBatch: %v", err)
 					return
 				}
-				for i, id := range ids {
+				for i, id := range acked {
+					ids[g][b*batchLen+i] = id
 					if err := chk.bind(id, stressText(g, b*batchLen+i)); err != nil {
 						t.Error(err)
 						return
@@ -235,6 +241,16 @@ func stress(t *testing.T, eng *Engine[string]) {
 	stop.Store(true)
 	readers.Wait()
 
+	// At quiescence — no cycle running, no batch between memory and the
+	// tier — check memory ∪ disk against the brute-force model.
+	var truth []stressRecord
+	for g := range ids {
+		for seq, id := range ids[g] {
+			truth = append(truth, stressRecord{id: id, keys: stressKeys(g, seq), score: float64(stressTimestamp(seq))})
+		}
+	}
+	quiesce(eng, func() { checkQuiescent(t, eng, truth) })
+
 	// Drain: once every record is evicted the model must read zero. A
 	// record declared dead twice — evicted while ingestion was still
 	// linking it, then again when its last key went — is uncharged twice
@@ -252,6 +268,90 @@ func stress(t *testing.T, eng *Engine[string]) {
 	}
 	if got := eng.Metrics().Ingested.Load(); !t.Failed() && got != int64(ingesters*batches*batchLen) {
 		t.Fatalf("ingested %d records, want %d", got, ingesters*batches*batchLen)
+	}
+}
+
+// stressRecord is one acked stress record as the model knows it.
+type stressRecord struct {
+	id    types.ID
+	keys  []string
+	score float64
+}
+
+// quiesce runs fn holding the flush gate once no evicted batch is left
+// in the pipeline: nothing is between memory and the tier, and nothing
+// leaves memory until fn returns.
+func quiesce(eng *Engine[string], fn func()) {
+	for {
+		eng.flushMu.Lock()
+		if eng.pipe.depth() == 0 {
+			break
+		}
+		eng.flushMu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	defer eng.flushMu.Unlock()
+	fn()
+}
+
+// checkQuiescent checks the two halves of the memory-hit contract on a
+// quiescent engine:
+//   - memory ∪ disk holds every key's true top-k, for the k in force;
+//   - every live entry's ceiling bounds what its key has on disk: a disk
+//     posting that outranks it is one of the entry's own records (copied
+//     to disk when another key evicted it), so an entry whose k-th
+//     posting beats its ceiling holds the key's top k.
+func checkQuiescent(t *testing.T, eng *Engine[string], truth []stressRecord) {
+	t.Helper()
+	k := eng.idx.K()
+	byKey := map[string][]stressRecord{}
+	for _, r := range truth {
+		for _, key := range r.keys {
+			byKey[key] = append(byKey[key], r)
+		}
+	}
+	onDisk := func(key string) map[types.ID]float64 {
+		items, err := eng.tier.Search([]string{key}, query.OpSingle, len(truth))
+		if err != nil {
+			t.Fatalf("disk search %q: %v", key, err)
+		}
+		out := make(map[types.ID]float64, len(items))
+		for _, it := range items {
+			out[it.MB.ID] = it.Score
+		}
+		return out
+	}
+	inMemory := func(key string) (map[types.ID]bool, float64) {
+		out := map[types.ID]bool{}
+		en := eng.idx.Entry(key)
+		if en == nil {
+			return out, eng.idx.Departed(key)
+		}
+		recs, _, ceiling := en.Probe(-1)
+		for _, r := range recs {
+			out[r.MB.ID] = true
+		}
+		return out, ceiling
+	}
+	for key, recs := range byKey {
+		slices.SortFunc(recs, func(a, b stressRecord) int {
+			if a.score != b.score {
+				return cmp.Compare(b.score, a.score)
+			}
+			return cmp.Compare(b.id, a.id)
+		})
+		mem, ceiling := inMemory(key)
+		disk := onDisk(key)
+		for _, r := range recs[:min(k, len(recs))] {
+			if _, ok := disk[r.id]; !ok && !mem[r.id] {
+				t.Errorf("memory ∪ disk lost %q's top-%d record %d", key, k, r.id)
+			}
+		}
+		for id, score := range disk {
+			if score > ceiling && !mem[id] {
+				t.Errorf("%q has record %d (%g) on disk above its ceiling %g and not in memory", key, id, score, ceiling)
+			}
+		}
 	}
 }
 

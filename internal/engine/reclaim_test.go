@@ -32,6 +32,7 @@ func reclaimConfig(dir string, budget int64, syncFlush bool, ap alloc.Policy) Co
 		KeyHash:       attr.HashString,
 		KeyLen:        attr.KeywordLen,
 		EncodeKey:     attr.KeywordEncode,
+		DecodeKey:     attr.KeywordDecode,
 		Clock:         clock.NewLogical(1, 1),
 		DiskDir:       dir,
 		Durable:       true,

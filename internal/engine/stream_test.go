@@ -33,6 +33,7 @@ func sharedLogPair(t *testing.T, root string, budget int64, syncFlush bool) (*St
 		KeyHash:       attr.HashUint64,
 		KeyLen:        attr.UserLen,
 		EncodeKey:     attr.UserEncode,
+		DecodeKey:     attr.UserDecode,
 		Clock:         clock.NewLogical(1, 1),
 		DiskDir:       filepath.Join(root, "user"),
 		Durable:       true,

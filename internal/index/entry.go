@@ -29,6 +29,15 @@ type Entry[K comparable] struct {
 	// pool recycles posting backing arrays; nil means plain heap
 	// allocation (AllocPolicy=heap).
 	pool *alloc.SlicePool[*store.Record]
+	// ceiling is the best score of any posting of the key that left
+	// memory — this entry's or, copied at creation, an earlier dead
+	// entry's. Every removal raises it under mu, in the same critical
+	// section that unlinks the postings, so a reader holding mu never
+	// sees a posting gone without its score counted here.
+	ceiling ceiling
+	// departed receives the ceiling when the entry dies, before anyone
+	// can see it dead; nil only for entries built outside an index.
+	departed *departures[K]
 
 	// lastArrival is the timestamp of the most recent insertion,
 	// the Phase 2 eviction order.
@@ -68,6 +77,42 @@ func (e *Entry[K]) Len() int {
 	n := len(e.postings)
 	e.mu.Unlock()
 	return n
+}
+
+// Probe copies the entry's k best postings (every posting when k < 0),
+// best first, and returns them with the entry's posting count and
+// ceiling, all read under one lock: a search decides whether the copy is
+// the key's exact answer from exactly the state it copied.
+func (e *Entry[K]) Probe(k int) (recs []*store.Record, n int, ceiling float64) {
+	e.mu.Lock()
+	n = len(e.postings)
+	if k < 0 || k > n {
+		k = n
+	}
+	recs = make([]*store.Record, k)
+	for i := range recs {
+		recs[i] = e.postings[n-1-i]
+	}
+	ceiling = e.ceiling.score()
+	e.mu.Unlock()
+	return recs, n, ceiling
+}
+
+// raise counts a removed posting's score in the ceiling. Callers hold
+// e.mu.
+func (e *Entry[K]) raise(score float64) {
+	e.ceiling = max(e.ceiling, ceilingOf(score))
+}
+
+// die marks the entry dead and publishes its ceiling to the index's
+// departure record first, so whoever finds the entry dead — or gone
+// from the map, which only happens once it is dead — and creates the
+// key's next entry starts from it. Callers hold e.mu.
+func (e *Entry[K]) die() {
+	if e.departed != nil {
+		e.departed.publish(e.key, e.ceiling)
+	}
+	e.dead = true
 }
 
 // IsDead reports whether the entry has been detached by a flush. Dead
@@ -158,17 +203,6 @@ func (e *Entry[K]) TopK(k int) []*store.Record {
 	return out
 }
 
-// All returns a copy of every posting in ranking order (highest first).
-func (e *Entry[K]) All() []*store.Record {
-	e.mu.Lock()
-	out := make([]*store.Record, len(e.postings))
-	for i, r := range e.postings {
-		out[len(out)-1-i] = r
-	}
-	e.mu.Unlock()
-	return out
-}
-
 // BeyondTopK returns how many postings rank outside the top-k — the
 // paper's "useless microblogs" for this entry.
 func (e *Entry[K]) BeyondTopK(k int) int {
@@ -205,6 +239,10 @@ func (e *Entry[K]) TrimBeyondTopK(k int, keep func(*store.Record) bool) []*store
 			kept = append(kept, rec)
 		}
 	}
+	if len(removed) > 0 {
+		// Removed in ascending order: the last is the best.
+		e.raise(removed[len(removed)-1].Score)
+	}
 	// Zero the vacated slots so removed records are collectable.
 	for i := len(kept); i < n; i++ {
 		e.postings[i] = nil
@@ -230,8 +268,11 @@ func (e *Entry[K]) TrimBeyondTopK(k int, keep func(*store.Record) bool) []*store
 // counters.
 func (e *Entry[K]) DetachAll(k int) []*store.Record {
 	e.mu.Lock()
-	e.dead = true
 	out := e.postings
+	if len(out) > 0 {
+		e.raise(out[len(out)-1].Score)
+	}
+	e.die()
 	if e.trackTopK {
 		for i := max(0, len(out)-k); i < len(out); i++ {
 			out[i].TopKRef(-1)
@@ -275,6 +316,9 @@ func (e *Entry[K]) DetachExcept(k int, keep func(*store.Record) bool) (removed [
 			}
 		}
 	}
+	if len(removed) > 0 {
+		e.raise(removed[len(removed)-1].Score)
+	}
 	for i := range e.postings {
 		e.postings[i] = nil
 	}
@@ -282,7 +326,7 @@ func (e *Entry[K]) DetachExcept(k int, keep func(*store.Record) bool) (removed [
 	e.postings = kept
 	retained = len(kept)
 	if retained == 0 {
-		e.dead = true
+		e.die()
 		e.pool.Put(e.postings)
 		e.postings = nil
 	}
@@ -334,6 +378,7 @@ func (e *Entry[K]) RemovePosting(rec *store.Record, k int) bool {
 // counters. Callers must hold e.mu.
 func (e *Entry[K]) removeAt(idx, k int) {
 	n := len(e.postings)
+	e.raise(e.postings[idx].Score)
 	if e.trackTopK {
 		boundary := max(0, n-k)
 		if idx >= boundary {
@@ -374,7 +419,7 @@ func (e *Entry[K]) RemovePostingDieIfEmpty(rec *store.Record, k int) (removed, d
 	}
 	e.removeAt(idx, k)
 	if len(e.postings) == 0 && !e.dead {
-		e.dead = true
+		e.die()
 		return true, true
 	}
 	return true, false

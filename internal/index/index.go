@@ -16,7 +16,11 @@
 //     per *key*, not per item — the paper's overhead argument against
 //     LRU), driving Phases 2 and 3;
 //   - optional per-record top-k membership counters for the
-//     kFlushing-MK extension, maintained in O(1) per insertion.
+//     kFlushing-MK extension, maintained in O(1) per insertion;
+//   - per-key ceilings: the best score of any posting of a key that left
+//     memory, kept in its entry while it lives and in a fixed-size
+//     departure record once it dies, so a search can tell when memory
+//     holds a key's exact top-k.
 package index
 
 import (
@@ -53,6 +57,10 @@ type Config[K comparable] struct {
 	// trim shrink, and flush detach. Nil allocates from the heap
 	// (AllocPolicy=heap).
 	Pool *alloc.SlicePool[*store.Record]
+	// DepartedBytes sizes the departure record that keeps the ceilings
+	// of dead entries: rounded down to a power of two, at least 16
+	// bytes. Smaller records only make more searches go to disk.
+	DepartedBytes int64
 }
 
 type shard[K comparable] struct {
@@ -76,6 +84,8 @@ type Index[K comparable] struct {
 	// k postings since the last Phase 1 run.
 	overMu sync.Mutex
 	overK  []*Entry[K]
+
+	departed *departures[K]
 }
 
 // New builds an index from cfg.
@@ -92,7 +102,8 @@ func New[K comparable](cfg Config[K]) *Index[K] {
 	for p < n {
 		p <<= 1
 	}
-	ix := &Index[K]{cfg: cfg, shards: make([]shard[K], p), mask: uint64(p - 1)}
+	ix := &Index[K]{cfg: cfg, shards: make([]shard[K], p), mask: uint64(p - 1),
+		departed: newDepartures(cfg.Hash, cfg.DepartedBytes)}
 	for i := range ix.shards {
 		ix.shards[i].entries = make(map[K]*Entry[K])
 	}
@@ -178,7 +189,8 @@ func (ix *Index[K]) getOrCreate(key K) *Entry[K] {
 		e = nil
 	}
 	if e == nil {
-		e = &Entry[K]{key: key, trackTopK: ix.cfg.TrackTopK, pool: ix.cfg.Pool}
+		e = &Entry[K]{key: key, trackTopK: ix.cfg.TrackTopK, pool: ix.cfg.Pool,
+			departed: ix.departed, ceiling: ix.departed.lookup(key)}
 		sh.entries[key] = e
 		ix.entryCount.Add(1)
 		if ix.cfg.Tracker != nil {
@@ -197,6 +209,22 @@ func (ix *Index[K]) Entry(key K) *Entry[K] {
 	sh.mu.RUnlock()
 	return e
 }
+
+// Departed returns the ceiling a key without a live entry has: the best
+// score of its postings that left memory, or −∞ when the departure
+// record says none did — the key is then complete, with nothing of it
+// anywhere. Search asks it for keys whose Entry is nil.
+func (ix *Index[K]) Departed(key K) float64 { return ix.departed.lookup(key).score() }
+
+// Depart records that postings of key scoring up to score are not in
+// memory, as a dying entry does. Opening over a disk tier seeds the
+// record this way from every key its directories hold.
+func (ix *Index[K]) Depart(key K, score float64) {
+	ix.departed.publish(key, ceilingOf(score))
+}
+
+// DepartedBytes is the departure record's fixed footprint.
+func (ix *Index[K]) DepartedBytes() int64 { return ix.departed.Bytes() }
 
 // registerOverK appends e to the over-k list if not already present.
 func (ix *Index[K]) registerOverK(e *Entry[K]) {

@@ -146,6 +146,22 @@ const (
 // QStage* constants and the QueryStageLatency histograms.
 var QueryStageNames = [QueryStages]string{"parse", "index", "heap", "disk"}
 
+// Outcome is how a query was answered.
+type Outcome int
+
+const (
+	// Miss: memory could not prove its candidates are the answer, so
+	// the disk tier was searched.
+	Miss Outcome = iota
+	// HitFilled: every queried key held k postings ranking above all it
+	// ever lost (an AND query: the intersection did) — the paper's
+	// Section IV-D hit.
+	HitFilled
+	// HitComplete: the answer was exact from memory because a queried
+	// key never lost a posting, with fewer than k in hand.
+	HitComplete
+)
+
 // Registry aggregates one engine's counters. All methods are safe for
 // concurrent use.
 type Registry struct {
@@ -158,10 +174,14 @@ type Registry struct {
 	Hits    atomic.Int64
 	Misses  atomic.Int64
 
-	// Per-operator hit/miss breakdown: single, or, and.
-	SingleHits, SingleMisses atomic.Int64
-	OrHits, OrMisses         atomic.Int64
-	AndHits, AndMisses       atomic.Int64
+	// Hits by reason: FilledHits + CompleteHits == Hits.
+	FilledHits, CompleteHits atomic.Int64
+
+	// Per-operator hit/miss breakdown: single, or, and, and the hits of
+	// each that were complete (the rest were filled).
+	SingleHits, SingleMisses, SingleCompleteHits atomic.Int64
+	OrHits, OrMisses, OrCompleteHits             atomic.Int64
+	AndHits, AndMisses, AndCompleteHits          atomic.Int64
 
 	Flushes       atomic.Int64
 	FlushedBytes  atomic.Int64
@@ -244,36 +264,36 @@ func (r *Registry) HitRatio() float64 {
 	return float64(r.Hits.Load()) / float64(q)
 }
 
-// RecordQuery tallies one query outcome for the given operator hit/miss
+// RecordQuery tallies one query outcome for the given operator's
 // counters.
-func (r *Registry) RecordQuery(op string, hit bool, d time.Duration) {
+func (r *Registry) RecordQuery(op string, o Outcome, d time.Duration) {
 	r.Queries.Add(1)
-	if hit {
-		r.Hits.Add(1)
-		r.HitLatency.Observe(d)
-	} else {
-		r.Misses.Add(1)
-		r.MissLatency.Observe(d)
-	}
+	var other [3]atomic.Int64 // an unknown operator's, counted nowhere
+	hits, misses, complete := &other[0], &other[1], &other[2]
 	switch op {
 	case "single":
-		if hit {
-			r.SingleHits.Add(1)
-		} else {
-			r.SingleMisses.Add(1)
-		}
+		hits, misses, complete = &r.SingleHits, &r.SingleMisses, &r.SingleCompleteHits
 	case "or":
-		if hit {
-			r.OrHits.Add(1)
-		} else {
-			r.OrMisses.Add(1)
-		}
+		hits, misses, complete = &r.OrHits, &r.OrMisses, &r.OrCompleteHits
 	case "and":
-		if hit {
-			r.AndHits.Add(1)
-		} else {
-			r.AndMisses.Add(1)
-		}
+		hits, misses, complete = &r.AndHits, &r.AndMisses, &r.AndCompleteHits
+	}
+	switch o {
+	case Miss:
+		r.Misses.Add(1)
+		misses.Add(1)
+		r.MissLatency.Observe(d)
+	case HitFilled:
+		r.Hits.Add(1)
+		hits.Add(1)
+		r.FilledHits.Add(1)
+		r.HitLatency.Observe(d)
+	case HitComplete:
+		r.Hits.Add(1)
+		hits.Add(1)
+		r.CompleteHits.Add(1)
+		complete.Add(1)
+		r.HitLatency.Observe(d)
 	}
 }
 
@@ -296,14 +316,21 @@ type Snapshot struct {
 	Hits          int64
 	Misses        int64
 	HitRatio      float64
-	SingleHits    int64
-	SingleMisses  int64
-	OrHits        int64
-	OrMisses      int64
-	AndHits       int64
-	AndMisses     int64
-	Flushes       int64
-	FlushedBytes  int64
+	// FilledHits and CompleteHits split Hits by reason (Outcome), in
+	// total and per operator.
+	FilledHits         int64
+	CompleteHits       int64
+	SingleHits         int64
+	SingleMisses       int64
+	SingleCompleteHits int64
+	OrHits             int64
+	OrMisses           int64
+	OrCompleteHits     int64
+	AndHits            int64
+	AndMisses          int64
+	AndCompleteHits    int64
+	Flushes            int64
+	FlushedBytes       int64
 	// DiskSearches/DiskSearchesCoalesced split miss-path disk activity
 	// into executed searches and coalesced duplicate waiters.
 	DiskSearches          int64
@@ -346,12 +373,17 @@ func (r *Registry) Snap() Snapshot {
 		Hits:                  r.Hits.Load(),
 		Misses:                r.Misses.Load(),
 		HitRatio:              r.HitRatio(),
+		FilledHits:            r.FilledHits.Load(),
+		CompleteHits:          r.CompleteHits.Load(),
 		SingleHits:            r.SingleHits.Load(),
 		SingleMisses:          r.SingleMisses.Load(),
+		SingleCompleteHits:    r.SingleCompleteHits.Load(),
 		OrHits:                r.OrHits.Load(),
 		OrMisses:              r.OrMisses.Load(),
+		OrCompleteHits:        r.OrCompleteHits.Load(),
 		AndHits:               r.AndHits.Load(),
 		AndMisses:             r.AndMisses.Load(),
+		AndCompleteHits:       r.AndCompleteHits.Load(),
 		Flushes:               r.Flushes.Load(),
 		FlushedBytes:          r.FlushedBytes.Load(),
 		DiskSearches:          r.DiskSearches.Load(),

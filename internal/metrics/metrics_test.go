@@ -46,18 +46,24 @@ func TestHistogramSubNanosecond(t *testing.T) {
 
 func TestRecordQueryBreakdown(t *testing.T) {
 	var r Registry
-	r.RecordQuery("single", true, time.Microsecond)
-	r.RecordQuery("single", false, time.Millisecond)
-	r.RecordQuery("or", true, time.Microsecond)
-	r.RecordQuery("and", false, time.Millisecond)
+	r.RecordQuery("single", HitFilled, time.Microsecond)
+	r.RecordQuery("single", Miss, time.Millisecond)
+	r.RecordQuery("or", HitFilled, time.Microsecond)
+	r.RecordQuery("and", Miss, time.Millisecond)
+	r.RecordQuery("and", HitComplete, time.Microsecond)
+	r.RecordQuery("single", HitComplete, time.Microsecond)
 	s := r.Snap()
-	if s.Queries != 4 || s.Hits != 2 || s.Misses != 2 {
+	if s.Queries != 6 || s.Hits != 4 || s.Misses != 2 {
 		t.Fatalf("totals: %+v", s)
 	}
-	if s.SingleHits != 1 || s.SingleMisses != 1 || s.OrHits != 1 || s.AndMisses != 1 {
+	if s.FilledHits != 2 || s.CompleteHits != 2 {
+		t.Fatalf("hits by reason: %+v", s)
+	}
+	if s.SingleHits != 2 || s.SingleMisses != 1 || s.SingleCompleteHits != 1 ||
+		s.OrHits != 1 || s.OrCompleteHits != 0 || s.AndHits != 1 || s.AndMisses != 1 || s.AndCompleteHits != 1 {
 		t.Fatalf("breakdown: %+v", s)
 	}
-	if s.HitRatio != 0.5 {
+	if s.HitRatio != 4.0/6 {
 		t.Fatalf("HitRatio = %v", s.HitRatio)
 	}
 	if s.MeanHit == 0 || s.MeanMiss == 0 || s.P99Hit == 0 {
@@ -77,16 +83,16 @@ func TestRegistryConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(hit bool) {
+		go func(o Outcome) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				r.RecordQuery("single", hit, time.Microsecond)
+				r.RecordQuery("single", o, time.Microsecond)
 			}
-		}(w%2 == 0)
+		}(Outcome(w % 3))
 	}
 	wg.Wait()
 	s := r.Snap()
-	if s.Queries != 8000 || s.Hits != 4000 || s.Misses != 4000 {
+	if s.Queries != 8000 || s.Misses != 3000 || s.FilledHits != 3000 || s.CompleteHits != 2000 || s.Hits != 5000 {
 		t.Fatalf("concurrent totals: %+v", s)
 	}
 }

@@ -69,9 +69,6 @@ func (f *FIFO[K]) OnIngest(recs []*store.Record, keys [][]K) {
 	f.mu.Unlock()
 }
 
-// OnAccess implements Policy; FIFO ignores query accesses.
-func (f *FIFO[K]) OnAccess([]*store.Record) {}
-
 // Flush drops the oldest segments until at least target bytes are freed
 // or no sealed data remains. The engine is told of one phase, counting
 // the temporal segments dropped.

@@ -97,9 +97,6 @@ type Policy[K comparable] interface {
 	// batched end to end, so policies take any per-batch lock once —
 	// a per-record ingest arrives as a batch of one.
 	OnIngest(recs []*store.Record, keys [][]K)
-	// OnAccess runs after a query touched the given records from
-	// memory. Only access-ordered policies (LRU) need it.
-	OnAccess(recs []*store.Record)
 	// Flush evicts at least target bytes when possible, returning the
 	// bytes actually freed from the budget-relevant gauges.
 	Flush(target int64) (freed int64, err error)
@@ -107,6 +104,14 @@ type Policy[K comparable] interface {
 	// the quantity of the paper's Figure 10(a) — including the peak
 	// temporary flush buffer.
 	OverheadBytes() int64
+}
+
+// AccessObserver is implemented by access-ordered policies (LRU): the
+// engine reports which memory records each answer used. A policy that
+// does not implement it costs a search no bookkeeping.
+type AccessObserver interface {
+	// OnAccess runs after a query touched the given records from memory.
+	OnAccess(recs []*store.Record)
 }
 
 // VictimBuffer accumulates records whose last reference was trimmed,

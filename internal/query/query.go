@@ -140,8 +140,12 @@ type Result struct {
 	// Items are the ranked answers, best first; may hold fewer than k
 	// when fewer matches exist anywhere in the system.
 	Items []Item
-	// MemoryHit reports whether the full answer came from main-memory
-	// contents without consulting the disk tier.
+	// MemoryHit reports whether the answer came from main memory without
+	// consulting the disk tier. A hit is always the exact answer: memory
+	// answers only when every queried key's postings rank above all it
+	// ever lost (the paper's hit, "filled"), or a key never lost a posting
+	// ("complete": what memory holds of it, even fewer than k or none,
+	// is all there is).
 	MemoryHit bool
 	// DiskChecked reports whether the disk tier was consulted.
 	DiskChecked bool

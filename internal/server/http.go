@@ -435,8 +435,15 @@ func (s *Store) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(st kflushing.Stats) float64 { return float64(st.Metrics.Ingested) })
 	emit("queries_total", "counter", "queries evaluated",
 		func(st kflushing.Stats) float64 { return float64(st.Metrics.Queries) })
-	emit("query_hits_total", "counter", "queries answered entirely from memory",
-		func(st kflushing.Stats) float64 { return float64(st.Metrics.Hits) })
+	// One series per hit reason: filled (every key held k postings above
+	// all it lost, the paper's hit) or complete (a key lost nothing).
+	fmt.Fprintf(w, "# HELP kflushing_query_hits_total queries answered exactly from memory, by reason\n")
+	fmt.Fprintf(w, "# TYPE kflushing_query_hits_total counter\n")
+	for _, a := range attrs {
+		st := stats[a]
+		fmt.Fprintf(w, "kflushing_query_hits_total{attr=%q,policy=%q,reason=\"filled\"} %d\n", a, st.Policy, st.Metrics.FilledHits)
+		fmt.Fprintf(w, "kflushing_query_hits_total{attr=%q,policy=%q,reason=\"complete\"} %d\n", a, st.Policy, st.Metrics.CompleteHits)
+	}
 	emit("flushes_total", "counter", "flush cycles executed",
 		func(st kflushing.Stats) float64 { return float64(st.Metrics.Flushes) })
 	emit("ingest_batches_total", "counter", "batched ingestion calls (per-record ingest is a batch of one)",

@@ -206,6 +206,8 @@ func TestStatsAndMetrics(t *testing.T) {
 		`kflushing_records{attr="keyword",policy="kflushing"} 1`,
 		`kflushing_memory_budget_bytes{attr="user"`,
 		"# TYPE kflushing_queries_total counter",
+		`kflushing_query_hits_total{attr="keyword",policy="kflushing",reason="filled"}`,
+		`kflushing_query_hits_total{attr="user",policy="kflushing",reason="complete"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)

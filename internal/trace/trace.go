@@ -98,9 +98,13 @@ type EntryProbe struct {
 	Found bool `json:"found"`
 	// Postings is the entry's posting count (0 when not found).
 	Postings int `json:"postings"`
-	// KFilled reports whether the entry could serve top-k alone —
-	// the per-entry half of the paper's hit condition.
+	// KFilled reports whether the entry holds k postings — the
+	// per-entry half of the paper's hit condition.
 	KFilled bool `json:"k_filled"`
+	// Complete reports whether no posting of the key ever left memory:
+	// what memory holds of it, fewer than k postings or none, is its
+	// whole answer.
+	Complete bool `json:"complete"`
 }
 
 // DiskProbe is the record of one disk-tier search.

@@ -245,6 +245,7 @@ func openWith[K comparable](dir string, opt Options, spec attr.Spec[K], diskMaxS
 		KeyHash:         spec.Hash,
 		KeyLen:          spec.Len,
 		EncodeKey:       spec.Encode,
+		DecodeKey:       spec.Decode,
 		Ranker:          opt.Ranker,
 		Clock:           opt.Clock,
 		DiskDir:         dir,

@@ -145,31 +145,41 @@ func TestUserSystemSkipsAnonymousPosts(t *testing.T) {
 // TestMKRaisesANDHits verifies the Section IV-D claim end to end: on
 // the same stream and the same AND queries, kFlushing-MK answers more
 // AND queries from memory than base kFlushing.
+//
+// The stream reproduces the paper's Figure 6 situation at scale: for
+// each pair (hotN, nicheN), every "niche" record also carries the "hot"
+// keyword, and a later burst of single-keyword records pushes the shared
+// records beyond hot's top-k. Base kFlushing trims them from the hot
+// entry (AND misses); MK retains them there while they are top-k in the
+// niche entry, and what the hot entry lost — older shared records — ranks
+// below them, so memory's intersection is provably the answer.
+//
+// When the single-keyword records are interleaved with the shared ones
+// instead, hot loses singles that outrank the shared records MK keeps,
+// so no memory answer is provably exact under either policy: both go to
+// disk. MK still keeps the intersection in memory, which the trace shows.
 func TestMKRaisesANDHits(t *testing.T) {
-	// The stream reproduces the paper's Figure 6 situation at scale:
-	// for each pair (hotN, nicheN), every "niche" record also carries
-	// the "hot" keyword, but the hot entry additionally receives many
-	// single-keyword records that push the shared records beyond hot's
-	// top-k. Base kFlushing trims them from the hot entry (AND misses);
-	// MK retains them there while they are top-k in the niche entry.
-	andHits := func(pol kflushing.PolicyKind) int {
+	const pairs, k = 40, 10
+	run := func(pol kflushing.PolicyKind, burst bool) (hits, intersected int) {
 		sys := newSystem(t, pol, 1<<20)
-		const pairs = 40
 		ts := int64(0)
+		ingest := func(kws ...string) {
+			ts++
+			if _, err := sys.Ingest(mb(ts, kws...)); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for round := 0; round < 200; round++ {
 			for p := 0; p < pairs; p++ {
-				hot := fmt.Sprintf("hot%d", p)
-				niche := fmt.Sprintf("niche%d", p)
-				ts++
-				if _, err := sys.Ingest(mb(ts, hot, niche)); err != nil {
-					t.Fatal(err)
+				ingest(fmt.Sprintf("hot%d", p), fmt.Sprintf("niche%d", p))
+				for s := 0; s < 3 && !burst; s++ {
+					ingest(fmt.Sprintf("hot%d", p))
 				}
-				for s := 0; s < 3; s++ {
-					ts++
-					if _, err := sys.Ingest(mb(ts, hot)); err != nil {
-						t.Fatal(err)
-					}
-				}
+			}
+		}
+		for s := 0; s < 15 && burst; s++ {
+			for p := 0; p < pairs; p++ {
+				ingest(fmt.Sprintf("hot%d", p))
 			}
 		}
 		// Query immediately after a flush cycle, the steady state the
@@ -178,25 +188,33 @@ func TestMKRaisesANDHits(t *testing.T) {
 		if _, err := sys.FlushNow(); err != nil {
 			t.Fatal(err)
 		}
-		hits := 0
 		for p := 0; p < pairs; p++ {
-			res, err := sys.Search(
-				[]string{fmt.Sprintf("hot%d", p), fmt.Sprintf("niche%d", p)},
-				kflushing.OpAnd, 10)
+			res, tr, err := sys.SearchTraced(
+				[]string{fmt.Sprintf("hot%d", p), fmt.Sprintf("niche%d", p)}, kflushing.OpAnd, k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.MemoryHit {
 				hits++
 			}
+			if tr.MemoryItems >= k {
+				intersected++
+			}
 		}
-		return hits
+		return hits, intersected
 	}
-	base := andHits(kflushing.PolicyKFlushing)
-	mk := andHits(kflushing.PolicyKFlushingMK)
-	t.Logf("AND memory hits: kflushing=%d kflushing-mk=%d", base, mk)
+	base, _ := run(kflushing.PolicyKFlushing, true)
+	mk, _ := run(kflushing.PolicyKFlushingMK, true)
+	t.Logf("AND memory hits after a burst: kflushing=%d kflushing-mk=%d", base, mk)
 	if mk <= base {
 		t.Errorf("MK extension did not raise AND hits: base=%d mk=%d", base, mk)
+	}
+	base, baseIn := run(kflushing.PolicyKFlushing, false)
+	mk, mkIn := run(kflushing.PolicyKFlushingMK, false)
+	t.Logf("interleaved: AND memory hits kflushing=%d kflushing-mk=%d, intersections reaching k %d / %d",
+		base, mk, baseIn, mkIn)
+	if mkIn <= baseIn {
+		t.Errorf("MK extension did not keep AND intersections in memory: base=%d mk=%d", baseIn, mkIn)
 	}
 }
 

@@ -130,7 +130,7 @@ func TestProtocolAnnotationsPresent(t *testing.T) {
 	}
 	for _, entry := range []string{
 		"kflushing/internal/index.Entry.insert",
-		"kflushing/internal/index.Entry.TrimBeyondTopK",
+		"kflushing/internal/index.Entry.Remove",
 		"kflushing/internal/store.Store.Put",
 		"kflushing/internal/store.Store.Remove",
 		"kflushing/internal/blackbox.Recorder.Record",

@@ -35,7 +35,6 @@ import (
 	"kflushing/internal/blackbox"
 	"kflushing/internal/failpoint"
 	"kflushing/internal/index"
-	"kflushing/internal/memsize"
 	"kflushing/internal/policy"
 	"kflushing/internal/store"
 )
@@ -274,29 +273,12 @@ func (f *KFlushing[K]) phase1(k int, buf *policy.VictimBuffer, pr *phaseRun) int
 }
 
 // trimEntries runs the Phase 1 trim over one worker's slice of the
-// over-k list.
+// over-k list. An entry the MK retention rule leaves above k goes back
+// on L for the next Phase 1.
 func (f *KFlushing[K]) trimEntries(entries []*index.Entry[K], k int, keep func(*store.Record) bool, buf *policy.VictimBuffer) int64 {
 	var freed int64
 	for _, e := range entries {
-		removed := e.TrimBeyondTopK(k, keep)
-		f.r.Index.NotePostingsRemoved(len(removed))
-		freed += int64(len(removed)) * memsize.PostingSize
-		for _, rec := range removed {
-			n := f.r.Unref(rec, buf)
-			freed += n
-			if n == 0 {
-				// Still referenced by other entries: the record stays
-				// in memory, but persist a copy so disk search remains
-				// complete for the key it just left.
-				buf.AddPartial(rec)
-			}
-		}
-		if e.BeyondTopK(k) > 0 {
-			// MK retention left the entry above k; keep it on L so the
-			// next Phase 1 re-examines it.
-			f.r.Index.ReRegisterOverK(e)
-		}
-		f.r.Index.RecyclePostings(removed)
+		freed += f.r.Remove(e, k, index.BeyondTopK, keep, buf)
 	}
 	return freed
 }
@@ -327,7 +309,7 @@ func (f *KFlushing[K]) phase2(k int, target int64, buf *policy.VictimBuffer, pr 
 			victim := e
 			keep = func(rec *store.Record) bool { return f.inFrequentEntryExcept(rec, k, victim) }
 		}
-		freed += f.evictEntry(e, keep, buf)
+		freed += f.r.Remove(e, k, index.AllPostings, keep, buf)
 	}
 	return freed
 }
@@ -336,7 +318,7 @@ func (f *KFlushing[K]) phase2(k int, target int64, buf *policy.VictimBuffer, pr 
 // size. Per Section IV-D, Phase 3 is identical under MK: everything
 // still in memory could cause a hit, so victims are chosen purely by
 // query recency.
-func (f *KFlushing[K]) phase3(_ int, target int64, buf *policy.VictimBuffer, pr *phaseRun) int64 {
+func (f *KFlushing[K]) phase3(k int, target int64, buf *policy.VictimBuffer, pr *phaseRun) int64 {
 	victims := f.selector.Select(f.r.Index, target, func(e *index.Entry[K]) (int64, bool) {
 		if e.Len() == 0 {
 			return 0, false
@@ -349,7 +331,7 @@ func (f *KFlushing[K]) phase3(_ int, target int64, buf *policy.VictimBuffer, pr 
 			break
 		}
 		pr.victims++
-		freed += f.evictEntry(e, nil, buf)
+		freed += f.r.Remove(e, k, index.AllPostings, nil, buf)
 	}
 	return freed
 }
@@ -370,36 +352,6 @@ func (f *KFlushing[K]) inFrequentEntryExcept(rec *store.Record, k int, except *i
 		}
 	}
 	return false
-}
-
-// evictEntry removes e from the index (entirely, or shrunken to its kept
-// postings under the MK rule) and releases the removed records,
-// returning the budget-relevant bytes freed.
-func (f *KFlushing[K]) evictEntry(e *index.Entry[K], keep func(*store.Record) bool, buf *policy.VictimBuffer) int64 {
-	var removed []*store.Record
-	var retained int
-	k := f.r.Index.K()
-	if keep == nil {
-		removed = e.DetachAll(k)
-	} else {
-		removed, retained = e.DetachExcept(k, keep)
-	}
-	var freed int64
-	if retained == 0 {
-		f.r.Index.DetachEntry(e)
-		freed += memsize.EntryBytes(f.r.Index.KeyLen(e.Key()))
-	}
-	f.r.Index.NotePostingsRemoved(len(removed))
-	freed += int64(len(removed)) * memsize.PostingSize
-	for _, rec := range removed {
-		n := f.r.Unref(rec, buf)
-		freed += n
-		if n == 0 {
-			buf.AddPartial(rec)
-		}
-	}
-	f.r.Index.RecyclePostings(removed)
-	return freed
 }
 
 // OverheadBytes reports kFlushing's bookkeeping: one arrival and one

@@ -23,38 +23,45 @@ func (s *memSink) Flush(recs []disk.FlushRecord, _ []*store.Record) {
 	s.recs = append(s.recs, recs...)
 }
 
-// harness wires an index, store, and kFlushing policy without an engine,
+// harness wires an index, store, and flushing policy without an engine,
 // so phases can be exercised directly.
 type harness struct {
 	ix   *index.Index[string]
 	st   *store.Store
 	mem  *memsize.Tracker
 	sink *memSink
-	pol  *KFlushing[string]
+	pol  policy.Policy[string]
 	clk  *clock.Logical
 	next uint64
 }
 
+// newHarness wires kFlushing, or kFlushing-MK when mk is set.
 func newHarness(k int, mk bool, opts ...Option[string]) *harness {
+	c := Choice[string]{Policy: New(opts...), TrackOverK: true}
+	if mk {
+		c = Choice[string]{Policy: NewMK(opts...), TrackTopK: true, TrackOverK: true}
+	}
+	return newHarnessFor(k, c)
+}
+
+// newHarnessFor wires the chosen policy over an index with the features
+// it needs.
+func newHarnessFor(k int, c Choice[string]) *harness {
 	h := &harness{
 		st:   store.New(),
 		mem:  &memsize.Tracker{},
 		sink: &memSink{},
+		pol:  c.Policy,
 		clk:  clock.NewLogical(1, 0),
 	}
 	h.ix = index.New(index.Config[string]{
 		Hash:       attr.HashString,
 		KeyLen:     attr.KeywordLen,
 		K:          k,
-		TrackTopK:  mk,
-		TrackOverK: true,
+		TrackTopK:  c.TrackTopK,
+		TrackOverK: c.TrackOverK,
 		Tracker:    h.mem,
 	})
-	if mk {
-		h.pol = NewMK(opts...)
-	} else {
-		h.pol = New(opts...)
-	}
 	h.pol.Attach(&policy.Resources[string]{
 		Index:  h.ix,
 		Store:  h.st,
@@ -78,9 +85,11 @@ func (h *harness) add(kws ...string) *store.Record {
 	rec := store.NewRecord(mb, float64(mb.Timestamp))
 	h.st.Put(rec)
 	h.mem.AddData(rec.Bytes)
-	for _, kw := range attr.KeywordKeys(mb) {
+	keys := attr.KeywordKeys(mb)
+	for _, kw := range keys {
 		h.ix.Insert(kw, rec)
 	}
+	h.pol.OnIngest([]*store.Record{rec}, [][]string{keys})
 	h.clk.Set(mb.Timestamp)
 	return rec
 }
@@ -285,18 +294,45 @@ func TestOverheadBytesAccounting(t *testing.T) {
 	}
 }
 
+// TestFreedAccountingMatchesGauges flushes each of the four policies
+// until memory is empty: after every flush the bytes it reports freed
+// must be what left the memory gauges, and the index's posting and
+// entry counters must equal a recount. The records mix an over-k key,
+// under-k keys and records shared between keys, so every removal and
+// the partial flush of shared records take part.
 func TestFreedAccountingMatchesGauges(t *testing.T) {
-	h := newHarness(3, false)
-	for i := 0; i < 50; i++ {
-		h.add("hot")
-	}
-	for i := 0; i < 10; i++ {
-		h.add(fmt.Sprintf("cold%d", i))
-	}
-	before := h.mem.Used()
-	freed := h.flush(t, 2000)
-	after := h.mem.Used()
-	if got := before - after; got != freed {
-		t.Fatalf("gauge delta %d != reported freed %d", got, freed)
+	for _, name := range []string{NameFIFO, NameLRU, NameKFlushing, NameKFlushingMK} {
+		t.Run(name, func(t *testing.T) {
+			c, err := Choose[string](name, 2000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := newHarnessFor(3, c)
+			for i := 0; i < 60; i++ {
+				switch i % 3 {
+				case 0:
+					h.add("hot")
+				case 1:
+					h.add(fmt.Sprintf("cold%d", i), "hot")
+				default:
+					h.add(fmt.Sprintf("warm%d", i%4), fmt.Sprintf("cold%d", i-1))
+				}
+			}
+			for flush := 1; h.mem.Used() > 0; flush++ {
+				if flush > 100 {
+					t.Fatalf("memory still holds %d bytes after 100 flushes", h.mem.Used())
+				}
+				before := h.mem.Used()
+				freed := h.flush(t, 2000)
+				if got := before - h.mem.Used(); got != freed {
+					t.Fatalf("flush %d: gauge delta %d != reported freed %d", flush, got, freed)
+				}
+				c := h.ix.TakeCensus()
+				if h.ix.Postings() != int64(c.Postings) || h.ix.Entries() != int64(c.Entries) {
+					t.Fatalf("flush %d: counters say %d postings in %d entries, a recount %d in %d",
+						flush, h.ix.Postings(), h.ix.Entries(), c.Postings, c.Entries)
+				}
+			}
+		})
 	}
 }

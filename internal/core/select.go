@@ -88,7 +88,7 @@ func scanVictims[K comparable](ix *index.Index[K], workers int, classify func(*i
 				if ts, ok := classify(e); ok {
 					key := e.Key()
 					perShard[i] = append(perShard[i], victim[K]{
-						e: e, ts: ts, tie: ix.KeyHash(key), fb: e.FreeableBytes(ix.KeyLen(key)),
+						e: e, ts: ts, tie: ix.KeyHash(key), fb: e.FreeableBytes(),
 					})
 				}
 				return true

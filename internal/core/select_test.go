@@ -59,7 +59,7 @@ func TestSelectorProperties(t *testing.T) {
 		// Total freeable across all candidates.
 		var totalAvail int64
 		ix.Range(func(e *index.Entry[string]) bool {
-			totalAvail += e.FreeableBytes(ix.KeyLen(e.Key()))
+			totalAvail += e.FreeableBytes()
 			return true
 		})
 		target := int64(targetRaw) * 8
@@ -74,7 +74,7 @@ func TestSelectorProperties(t *testing.T) {
 					return false
 				}
 				last = int64(e.LastArrival())
-				sum += e.FreeableBytes(ix.KeyLen(e.Key()))
+				sum += e.FreeableBytes()
 			}
 			if target <= totalAvail && sum < target {
 				t.Logf("%s: freeable %d < achievable target %d", name, sum, target)
@@ -219,9 +219,9 @@ func TestSelectorBudgetExactAtShardBoundary(t *testing.T) {
 	})
 	sort.Slice(byAge, func(i, j int) bool { return byAge[i].LastArrival() < byAge[j].LastArrival() })
 
-	fb := byAge[0].FreeableBytes(ix.KeyLen(byAge[0].Key()))
+	fb := byAge[0].FreeableBytes()
 	for _, e := range byAge {
-		if got := e.FreeableBytes(ix.KeyLen(e.Key())); got != fb {
+		if got := e.FreeableBytes(); got != fb {
 			t.Fatalf("freeable bytes differ (%d vs %d); fixture needs uniform entries", got, fb)
 		}
 	}
@@ -253,7 +253,7 @@ func TestSelectorBudgetExactAtShardBoundary(t *testing.T) {
 			if e != byAge[i] {
 				t.Errorf("%s: victim %d is %q, want oldest-first %q", name, i, e.Key(), byAge[i].Key())
 			}
-			sum += e.FreeableBytes(ix.KeyLen(e.Key()))
+			sum += e.FreeableBytes()
 		}
 		if sum != target {
 			t.Errorf("%s: freeable sum %d, want exactly %d", name, sum, target)
@@ -282,7 +282,7 @@ func TestSelectorTiesIndependentOfWorkers(t *testing.T) {
 		key := fmt.Sprintf("k%d-%s", i, strings.Repeat("x", rng.Intn(24)))
 		mb := &types.Microblog{ID: types.ID(i + 1), Timestamp: types.Timestamp(ts), Keywords: []string{key}}
 		ix.Insert(key, store.NewRecord(mb, float64(ts)))
-		totalAvail += ix.Entry(key).FreeableBytes(ix.KeyLen(key))
+		totalAvail += ix.Entry(key).FreeableBytes()
 	}
 	for _, target := range []int64{1, totalAvail / 7, totalAvail / 2, totalAvail - 1, totalAvail * 2} {
 		want := HeapSelector[string]{Workers: 1}.Select(ix, target, classifyArrival)

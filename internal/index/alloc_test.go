@@ -34,7 +34,13 @@ func newPooledTestIndex(k int, ap alloc.Policy) *Index[string] {
 // here rather than silently regressing ingest.
 func TestEntryInsertSteadyStateAllocs(t *testing.T) {
 	pool := alloc.NewSlicePool[*store.Record](alloc.PolicyPooled)
-	e := &Entry[string]{key: "k", trackTopK: true, pool: pool}
+	ix := New(Config[string]{
+		Hash:      attr.HashString,
+		KeyLen:    func(s string) int { return len(s) },
+		TrackTopK: true,
+		Pool:      pool,
+	})
+	e := ix.getOrCreate("k")
 	const k = 8
 	const step = 16
 
@@ -54,11 +60,11 @@ func TestEntryInsertSteadyStateAllocs(t *testing.T) {
 			ts++
 			r.MB.Timestamp = types.Timestamp(ts)
 			r.Score = float64(ts)
-			if ok, _ := e.insert(r, k, true); !ok {
+			if ok, _ := e.insert(r, k); !ok {
 				t.Fatal("entry unexpectedly dead")
 			}
 		}
-		removed := e.TrimBeyondTopK(k, nil)
+		removed, _ := e.Remove(k, BeyondTopK, nil)
 		pool.Put(removed)
 	}
 	// Warm-up: reach the steady capacity classes and stock the pool.
@@ -103,8 +109,7 @@ func TestIndexConcurrentAllocPolicies(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 200; i++ {
 					for _, e := range ix.TakeOverK() {
-						removed := e.TrimBeyondTopK(10, nil)
-						ix.NotePostingsRemoved(len(removed))
+						removed, _ := e.Remove(10, BeyondTopK, nil)
 						ix.RecyclePostings(removed)
 					}
 				}

@@ -63,8 +63,8 @@ func BenchmarkTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkTrimBeyondTopK measures Phase 1's per-entry work.
-func BenchmarkTrimBeyondTopK(b *testing.B) {
+// BenchmarkRemoveBeyondTopK measures Phase 1's per-entry work.
+func BenchmarkRemoveBeyondTopK(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -74,7 +74,7 @@ func BenchmarkTrimBeyondTopK(b *testing.B) {
 		}
 		e := ix.Entry("hot")
 		b.StartTimer()
-		if removed := e.TrimBeyondTopK(20, nil); len(removed) != 980 {
+		if removed, _ := e.Remove(20, BeyondTopK, nil); len(removed) != 980 {
 			b.Fatal("unexpected trim size")
 		}
 	}

@@ -40,8 +40,7 @@ func (c ceiling) score() float64 {
 // fixed-size and lossy in the safe direction only — a filter false
 // positive or a shared slot can raise a key's ceiling, turning an exact
 // memory answer into a disk search, never the reverse.
-type departures[K comparable] struct {
-	hash  func(K) uint64
+type departures struct {
 	bits  []atomic.Uint64
 	slots []atomic.Uint64 // ceilings; the max over every key mapped here
 }
@@ -51,47 +50,47 @@ const minDepartedBytes = 16
 
 // newDepartures sizes the record to the largest power of two not above
 // bytes (at least minDepartedBytes), half filter, half slots.
-func newDepartures[K comparable](hash func(K) uint64, bytes int64) *departures[K] {
+func newDepartures(bytes int64) *departures {
 	n := int64(minDepartedBytes)
 	for n*2 <= bytes {
 		n *= 2
 	}
 	words := n / 16
-	return &departures[K]{hash: hash, bits: make([]atomic.Uint64, words), slots: make([]atomic.Uint64, words)}
+	return &departures{bits: make([]atomic.Uint64, words), slots: make([]atomic.Uint64, words)}
 }
 
 // Bytes is the record's fixed footprint.
-func (d *departures[K]) Bytes() int64 { return int64(len(d.bits)+len(d.slots)) * 8 }
+func (d *departures) Bytes() int64 { return int64(len(d.bits)+len(d.slots)) * 8 }
 
-// probes derives the key's two filter bits and its slot from the index
-// hash: the filter's first bit from the hash itself, the second bit and
-// the slot from a remix of it, so keys sharing a shard do not share them.
-// Both sizes are powers of two.
-func (d *departures[K]) probes(key K) (b1, b2 uint64, slot int) {
-	h1 := d.hash(key)
+// probes derives a key's two filter bits and its slot from h1, its
+// index hash: the filter's first bit from the hash itself, the second
+// bit and the slot from a remix of it, so keys sharing a shard do not
+// share them. Both sizes are powers of two.
+func (d *departures) probes(h1 uint64) (b1, b2 uint64, slot int) {
 	h2 := h1 * 0x9e3779b97f4a7c15
 	h2 ^= h2 >> 29
 	bitMask := uint64(len(d.bits))*64 - 1
 	return h1 & bitMask, h2 & bitMask, int(h2 >> 32 & uint64(len(d.slots)-1))
 }
 
-// publish records that key's postings up to c left memory. The slot is
-// raised before the filter bits are set, so a reader that sees the bits
-// sees the slot.
-func (d *departures[K]) publish(key K, c ceiling) {
+// publish records that the postings up to c of the key hashing to h
+// left memory. The slot is raised before the filter bits are set, so a
+// reader that sees the bits sees the slot.
+func (d *departures) publish(h uint64, c ceiling) {
 	if c == 0 {
 		return
 	}
-	b1, b2, slot := d.probes(key)
+	b1, b2, slot := d.probes(h)
 	atomicMax(&d.slots[slot], uint64(c))
 	atomicOr(&d.bits[b1/64], 1<<(b1%64))
 	atomicOr(&d.bits[b2/64], 1<<(b2%64))
 }
 
-// lookup returns the ceiling a new entry for key starts from: zero when
-// the filter says the key never departed, its slot otherwise.
-func (d *departures[K]) lookup(key K) ceiling {
-	b1, b2, slot := d.probes(key)
+// lookup returns the ceiling a new entry for the key hashing to h
+// starts from: zero when the filter says the key never departed, its
+// slot otherwise.
+func (d *departures) lookup(h uint64) ceiling {
+	b1, b2, slot := d.probes(h)
 	if d.bits[b1/64].Load()&(1<<(b1%64)) == 0 || d.bits[b2/64].Load()&(1<<(b2%64)) == 0 {
 		return 0
 	}

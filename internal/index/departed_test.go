@@ -55,27 +55,28 @@ func TestCeilingRaisedByEveryRemoval(t *testing.T) {
 	ceilingIs("ingest", math.Inf(-1))
 
 	// Phase 1 keeps 30 (the retention rule) and trims 10 and 20 ... 60.
-	e.TrimBeyondTopK(2, func(r *store.Record) bool { return r.Score == 30 })
+	e.Remove(2, BeyondTopK, func(r *store.Record) bool { return r.Score == 30 })
 	ceilingIs("a trim", 60)
-	if e.RemovePosting(recs[2], 2) { // 30, below the ceiling: no change
+	if e.RemoveRecord(recs[2], 2) > 0 { // 30, below the ceiling: no change
 		ceilingIs("removing a lower posting", 60)
 	} else {
-		t.Fatal("RemovePosting(30) found nothing")
+		t.Fatal("RemoveRecord(30) found nothing")
 	}
-	if removed, died := e.RemovePostingDieIfEmpty(recs[7], 2); !removed || died {
-		t.Fatalf("RemovePostingDieIfEmpty(80) = %v, %v", removed, died)
+	if freed := e.RemoveRecord(recs[7], 2); freed == 0 || e.IsDead() {
+		t.Fatalf("RemoveRecord(80) freed %d, dead %v", freed, e.IsDead())
 	}
 	ceilingIs("removing the best posting", 80)
 	ix.Insert("x", recs[7])
-	if removed, retained := e.DetachExcept(2, func(r *store.Record) bool { return r.Score == 80 }); len(removed) != 1 || retained != 1 {
-		t.Fatalf("DetachExcept removed %d, retained %d; want 1 and 1", len(removed), retained)
+	if removed, _ := e.Remove(2, AllPostings, func(r *store.Record) bool { return r.Score == 80 }); len(removed) != 1 || e.Len() != 1 {
+		t.Fatalf("removing all but 80 removed %d, retained %d; want 1 and 1", len(removed), e.Len())
 	}
-	ceilingIs("DetachExcept", 80)
+	ceilingIs("removing all but one", 80)
 	if !math.IsInf(ix.Departed("x"), -1) {
 		t.Fatal("a live entry published its ceiling")
 	}
-	e.DetachAll(2)
-	ix.DetachEntry(e)
+	if _, freed := e.Remove(2, AllPostings, nil); freed == 0 || !e.IsDead() {
+		t.Fatal("removing every posting left the entry alive")
+	}
 	if c := ix.Departed("x"); c != 80 {
 		t.Fatalf("dead entry left ceiling %g in the departure record, want 80", c)
 	}
@@ -99,12 +100,12 @@ func TestCeilingRaisedByEveryRemoval(t *testing.T) {
 // power of two within the bytes given, split evenly between filter and
 // slots — 2^20 bits and 2^14 slots for a 16 MiB budget's 1/64.
 func TestDepartedSizing(t *testing.T) {
-	d := newDepartures(func(string) uint64 { return 0 }, 16<<20/64)
+	d := newDepartures(16 << 20 / 64)
 	if len(d.bits)*64 != 1<<20 || len(d.slots) != 1<<14 || d.Bytes() != 256<<10 {
 		t.Fatalf("16 MiB budget: %d bits, %d slots, %d bytes", len(d.bits)*64, len(d.slots), d.Bytes())
 	}
 	for _, n := range []int64{0, 15, 16, 17, 1000, 48 << 10 / 64, 64 << 20 / 64} {
-		got := newDepartures(func(string) uint64 { return 0 }, n).Bytes()
+		got := newDepartures(n).Bytes()
 		if got > max(n, minDepartedBytes) || got*2 <= n {
 			t.Errorf("%d bytes given: record takes %d", n, got)
 		}
@@ -117,7 +118,7 @@ func TestDepartedSizing(t *testing.T) {
 // never less than −∞ and never a value no key published.
 func TestDepartedLossyOnlyUpward(t *testing.T) {
 	ix, _ := newTestIndex(2, false)
-	ix.departed = newDepartures(ix.cfg.Hash, 64)
+	ix.departed = newDepartures(64)
 	published := []float64{math.Inf(-1)}
 	for i := 0; i < 200; i++ {
 		key := string(rune('a'+i%26)) + string(rune('a'+i/26))
@@ -168,10 +169,9 @@ func TestConcurrentCeilingCoversDepartures(t *testing.T) {
 				var removed []*store.Record
 				switch i % 7 {
 				case 3:
-					removed = e.TrimBeyondTopK(3, nil)
+					removed, _ = e.Remove(3, BeyondTopK, nil)
 				case 6:
-					removed = e.DetachAll(3)
-					ix.DetachEntry(e)
+					removed, _ = e.Remove(3, AllPostings, nil)
 				}
 				for _, r := range removed {
 					for best := gone[ki].Load(); int64(r.Score) > best && !gone[ki].CompareAndSwap(best, int64(r.Score)); {

@@ -22,22 +22,26 @@ import (
 // opposite ends of the list.
 type Entry[K comparable] struct {
 	key K
+	// ix is the index the entry belongs to: its posting pool, top-k
+	// tracking, departure record and counters.
+	ix *Index[K]
+	// hash is the key's shard-selection hash and headerBytes the
+	// entry's modeled size (memsize.EntryBytes), both fixed at creation:
+	// a removal reaches the entry's shard and departure slot without
+	// calling the index's key functions, which the allocation checker
+	// cannot see through.
+	hash        uint64
+	headerBytes int64
 
 	mu       sync.Mutex
 	postings []*store.Record // ascending (Score, ID)
-	dead     bool            // detached from the index by a flush
-	// pool recycles posting backing arrays; nil means plain heap
-	// allocation (AllocPolicy=heap).
-	pool *alloc.SlicePool[*store.Record]
+	dead     bool            // emptied by a removal; rejects inserts
 	// ceiling is the best score of any posting of the key that left
 	// memory — this entry's or, copied at creation, an earlier dead
 	// entry's. Every removal raises it under mu, in the same critical
 	// section that unlinks the postings, so a reader holding mu never
 	// sees a posting gone without its score counted here.
 	ceiling ceiling
-	// departed receives the ceiling when the entry dies, before anyone
-	// can see it dead; nil only for entries built outside an index.
-	departed *departures[K]
 
 	// lastArrival is the timestamp of the most recent insertion,
 	// the Phase 2 eviction order.
@@ -47,12 +51,13 @@ type Entry[K comparable] struct {
 	// threads; the paper notes all writers store the same "now" so no
 	// synchronization is needed.
 	lastQueried atomic.Int64
-	// inOverK records membership in the index's over-k list L.
-	inOverK bool
-	// trackTopK mirrors the index configuration: when set, every
-	// mutation maintains the per-record top-k membership counters the
-	// kFlushing-MK extension consults.
-	trackTopK bool
+	// countedK is the k the top-k membership counters of the entry's
+	// postings were counted for, when the index tracks them.
+	countedK int
+	// inOverK records membership in the index's over-k list L, and
+	// nextOverK links L through its entries.
+	inOverK   bool
+	nextOverK *Entry[K]
 }
 
 // Key returns the entry's key.
@@ -98,24 +103,16 @@ func (e *Entry[K]) Probe(k int) (recs []*store.Record, n int, ceiling float64) {
 	return recs, n, ceiling
 }
 
-// raise counts a removed posting's score in the ceiling. Callers hold
-// e.mu.
-func (e *Entry[K]) raise(score float64) {
-	e.ceiling = max(e.ceiling, ceilingOf(score))
-}
-
 // die marks the entry dead and publishes its ceiling to the index's
 // departure record first, so whoever finds the entry dead — or gone
 // from the map, which only happens once it is dead — and creates the
 // key's next entry starts from it. Callers hold e.mu.
 func (e *Entry[K]) die() {
-	if e.departed != nil {
-		e.departed.publish(e.key, e.ceiling)
-	}
+	e.ix.departed.publish(e.hash, e.ceiling)
 	e.dead = true
 }
 
-// IsDead reports whether the entry has been detached by a flush. Dead
+// IsDead reports whether the entry has been emptied by a removal. Dead
 // entries reject insertions and are replaced in the index map on the
 // next access to their key.
 func (e *Entry[K]) IsDead() bool {
@@ -134,20 +131,21 @@ func less(a, b *store.Record) bool {
 }
 
 // insert adds rec keeping score order, maintaining top-k membership
-// counters when trackTopK is set. It reports whether the entry accepted
-// the posting (false when the entry was concurrently detached) and
+// counters when the index tracks them. It reports whether the entry
+// accepted the posting (false when the entry concurrently died) and
 // whether the insertion pushed the posting count past k.
 //
 //kfvet:noalloc
-func (e *Entry[K]) insert(rec *store.Record, k int, trackTopK bool) (ok, crossedK bool) {
+func (e *Entry[K]) insert(rec *store.Record, k int) (ok, crossedK bool) {
 	e.mu.Lock()
 	if e.dead {
 		e.mu.Unlock()
 		return false, false
 	}
+	e.countFor(k)
 	n := len(e.postings)
-	if e.pool != nil && n == cap(e.postings) {
-		e.postings = e.pool.Grow(e.postings)
+	if pool := e.ix.cfg.Pool; pool != nil && n == cap(e.postings) {
+		e.postings = pool.Grow(e.postings)
 	}
 	var pos int
 	// Fast path: scores arrive mostly in ranking order under temporal
@@ -173,7 +171,7 @@ func (e *Entry[K]) insert(rec *store.Record, k int, trackTopK bool) (ok, crossed
 	}
 	n++
 	// The new posting is in the top-k iff its insertion index >= n-k.
-	if trackTopK && k > 0 && pos >= n-k {
+	if e.ix.cfg.TrackTopK && k > 0 && pos >= n-k {
 		rec.TopKRef(1)
 		if n > k {
 			// Exactly one previous top-k posting fell out: the one
@@ -215,247 +213,187 @@ func (e *Entry[K]) BeyondTopK(k int) int {
 	return n
 }
 
-// TrimBeyondTopK removes postings ranked outside the top-k for which
-// keep returns false (keep == nil removes all of them). It returns the
-// removed records; the caller handles reference counting and memory
-// accounting. Used by Phase 1; the keep predicate implements the
-// kFlushing-MK retention rule.
+// Scope names the postings a ranged removal considers.
+type Scope int
+
+const (
+	// BeyondTopK is Phase 1's scope: the postings ranked outside the
+	// top-k, the paper's "useless microblogs".
+	BeyondTopK Scope = iota
+	// AllPostings is the scope of Phases 2 and 3, which evict entries.
+	AllPostings
+)
+
+// Remove takes out of the entry the postings in scope for which keep
+// returns false (keep == nil takes every one). The keep predicate is
+// the kFlushing-MK retention rule; it runs under the entry's lock. An
+// entry left empty dies: it rejects further insertions, so a concurrent
+// ingest re-creates the key — the paper's "entry moved from the index
+// to a temporary buffer in a single atomic step" — and it leaves the
+// index map. An entry left above k goes back on the over-k list L, so
+// the next Phase 1 sees it again.
+//
+// It returns the removed records in ascending order, in an array the
+// caller returns through Index.RecyclePostings once it has released
+// them, and the index bytes the removal freed.
 //
 //kfvet:noalloc
-func (e *Entry[K]) TrimBeyondTopK(k int, keep func(*store.Record) bool) []*store.Record {
+func (e *Entry[K]) Remove(k int, scope Scope, keep func(*store.Record) bool) (removed []*store.Record, freed int64) {
 	e.mu.Lock()
+	e.countFor(k)
 	n := len(e.postings)
-	if n <= k {
+	top := max(0, n-k) // postings from top on are the top-k
+	end := n           // postings before end are in scope
+	if scope == BeyondTopK {
+		end = top
+	}
+	if end == 0 {
 		e.mu.Unlock()
-		return nil
+		return nil, 0
 	}
-	beyond := n - k
-	removed := e.pool.Get(beyond)
-	kept := e.postings[:0]
+	pool := e.ix.cfg.Pool
+	removed = pool.Get(end)
+	kept, keptTop := e.postings[:0], 0
 	for i, rec := range e.postings {
-		if i < beyond && (keep == nil || !keep(rec)) {
+		if i < end && (keep == nil || !keep(rec)) {
 			removed = append(removed, rec)
-		} else {
-			kept = append(kept, rec)
-		}
-	}
-	if len(removed) > 0 {
-		// Removed in ascending order: the last is the best.
-		e.raise(removed[len(removed)-1].Score)
-	}
-	// Zero the vacated slots so removed records are collectable.
-	for i := len(kept); i < n; i++ {
-		e.postings[i] = nil
-	}
-	e.postings = kept
-	// Re-pack into a smaller capacity class when the trim freed enough
-	// of the array; the old backing returns to the pool.
-	if e.pool != nil && alloc.ShrinkThreshold(len(kept), cap(kept)) {
-		ns := e.pool.Get(len(kept))
-		ns = append(ns, kept...)
-		e.pool.Put(kept)
-		e.postings = ns
-	}
-	e.mu.Unlock()
-	return removed
-}
-
-// DetachAll marks the entry dead and returns all postings. Once dead the
-// entry rejects further insertions, so a concurrent ingest re-creates a
-// fresh entry — this is the paper's "entry moved from the index to a
-// temporary buffer in a single atomic step". k is the top-k threshold
-// in force, needed to release the removed postings' top-k membership
-// counters.
-func (e *Entry[K]) DetachAll(k int) []*store.Record {
-	e.mu.Lock()
-	out := e.postings
-	if len(out) > 0 {
-		e.raise(out[len(out)-1].Score)
-	}
-	e.die()
-	if e.trackTopK {
-		for i := max(0, len(out)-k); i < len(out); i++ {
-			out[i].TopKRef(-1)
-		}
-	}
-	e.postings = nil
-	e.mu.Unlock()
-	return out
-}
-
-// DetachExcept behaves like DetachAll but retains postings for which
-// keep returns true, leaving the entry alive if any survive. It returns
-// the removed records and the number retained. Used by the extended
-// Phase 2 of kFlushing-MK, which keeps postings that are still top-k
-// material in other, frequent entries.
-func (e *Entry[K]) DetachExcept(k int, keep func(*store.Record) bool) (removed []*store.Record, retained int) {
-	e.mu.Lock()
-	n := len(e.postings)
-	oldBoundary := max(0, n-k) // indices >= oldBoundary were top-k
-	removed = e.pool.Get(n)
-	kept := e.pool.Get(n)
-	var keptOldIdx []int
-	for i, rec := range e.postings {
-		if keep != nil && keep(rec) {
-			kept = append(kept, rec)
-			keptOldIdx = append(keptOldIdx, i)
-		} else {
-			removed = append(removed, rec)
-			if e.trackTopK && i >= oldBoundary {
+			if i >= top && e.ix.cfg.TrackTopK {
 				rec.TopKRef(-1)
 			}
+			continue
+		}
+		kept = append(kept, rec)
+		if i >= top {
+			keptTop++
 		}
 	}
-	if e.trackTopK {
-		// Removals promote kept postings into the top-k; kept postings
-		// that were already top-k stay there.
-		newBoundary := max(0, len(kept)-k)
-		for newIdx, rec := range kept {
-			if newIdx >= newBoundary && keptOldIdx[newIdx] < oldBoundary {
-				rec.TopKRef(1)
-			}
-		}
-	}
-	if len(removed) > 0 {
-		e.raise(removed[len(removed)-1].Score)
-	}
-	for i := range e.postings {
-		e.postings[i] = nil
-	}
-	e.pool.Put(e.postings) // old backing, already zeroed above
+	// Zero the vacated slots so removed records are collectable.
+	clear(e.postings[len(kept):])
 	e.postings = kept
-	retained = len(kept)
-	if retained == 0 {
-		e.die()
-		e.pool.Put(e.postings)
-		e.postings = nil
+	var died bool
+	if len(removed) > 0 {
+		died = e.settle(k, keptTop, removed[len(removed)-1].Score)
 	}
+	// Re-pack into a smaller capacity class when the removal freed
+	// enough of the array; the old backing returns to the pool.
+	if pool != nil && alloc.ShrinkThreshold(len(e.postings), cap(e.postings)) {
+		ns := pool.Get(len(e.postings))
+		ns = append(ns, e.postings...)
+		pool.Put(e.postings)
+		e.postings = ns
+	}
+	left := len(e.postings)
 	e.mu.Unlock()
-	return removed, retained
+	return removed, e.ix.removed(e, len(removed), left, k, died)
 }
 
-// RemovePosting unlinks one record's posting from the entry, reporting
-// whether it was present. The FIFO and LRU baselines use it to evict
-// individual records. The common FIFO case (globally oldest record,
-// hence lowest temporal score) is O(1) at the front.
-func (e *Entry[K]) RemovePosting(rec *store.Record, k int) bool {
+// RemoveRecord takes rec's posting out of the entry, for the FIFO and
+// LRU baselines, which evict record by record; an entry left empty dies
+// as under Remove. It returns the index bytes freed, 0 when the entry
+// holds no posting of rec.
+//
+//kfvet:noalloc
+func (e *Entry[K]) RemoveRecord(rec *store.Record, k int) int64 {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	i := e.find(rec)
+	if i < 0 {
+		e.mu.Unlock()
+		return 0
+	}
+	e.countFor(k)
 	n := len(e.postings)
-	if n == 0 {
-		return false
-	}
-	idx := -1
-	if e.postings[0] == rec {
-		idx = 0
-	} else {
-		// Binary search the score region, then scan for pointer
-		// identity (several postings may share a score).
-		lo, hi := 0, n
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if less(e.postings[mid], rec) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		for i := lo; i < n && !less(rec, e.postings[i]); i++ {
-			if e.postings[i] == rec {
-				idx = i
-				break
-			}
+	keptTop := min(n, k)
+	if i >= n-k {
+		keptTop--
+		if e.ix.cfg.TrackTopK {
+			rec.TopKRef(-1)
 		}
 	}
-	if idx < 0 {
+	copy(e.postings[i:], e.postings[i+1:])
+	e.postings[n-1] = nil
+	e.postings = e.postings[:n-1]
+	died := e.settle(k, keptTop, rec.Score)
+	left := len(e.postings)
+	e.mu.Unlock()
+	return e.ix.removed(e, 1, left, k, died)
+}
+
+// countFor moves the entry's top-k membership counters to k when they
+// were counted for another k, as after SetK: the postings between the
+// two boundaries join or leave the top-k. Callers hold e.mu.
+func (e *Entry[K]) countFor(k int) {
+	if !e.ix.cfg.TrackTopK || e.countedK == k {
+		return
+	}
+	n := len(e.postings)
+	lo, hi, delta := max(0, n-k), max(0, n-e.countedK), int32(1)
+	if lo > hi {
+		lo, hi, delta = hi, lo, -1
+	}
+	for _, rec := range e.postings[lo:hi] {
+		rec.TopKRef(delta)
+	}
+	e.countedK = k
+}
+
+// settle finishes a removal under e.mu, once postings holds the
+// survivors, keptTop of which were in the top-k before it: it raises
+// the ceiling to best, the best score removed; counts the survivors the
+// removal promoted into the top-k; and kills the entry if it emptied,
+// returning its array to the pool.
+func (e *Entry[K]) settle(k, keptTop int, best float64) (died bool) {
+	e.ceiling = max(e.ceiling, ceilingOf(best))
+	if e.ix.cfg.TrackTopK {
+		m := len(e.postings)
+		for _, rec := range e.postings[max(0, m-k) : m-keptTop] {
+			rec.TopKRef(1)
+		}
+	}
+	if len(e.postings) > 0 {
 		return false
 	}
-	e.removeAt(idx, k)
+	e.die()
+	e.ix.cfg.Pool.Put(e.postings)
+	e.postings = nil
 	return true
 }
 
-// removeAt unlinks the posting at idx, maintaining top-k membership
-// counters. Callers must hold e.mu.
-func (e *Entry[K]) removeAt(idx, k int) {
-	n := len(e.postings)
-	e.raise(e.postings[idx].Score)
-	if e.trackTopK {
-		boundary := max(0, n-k)
-		if idx >= boundary {
-			e.postings[idx].TopKRef(-1)
-			if boundary > 0 {
-				// The posting just below the boundary is promoted.
-				e.postings[boundary-1].TopKRef(1)
-			}
+// find returns rec's position among the postings, -1 if it has none:
+// a binary search of the score region, then a scan for pointer
+// identity (several postings may share a score). Callers hold e.mu.
+func (e *Entry[K]) find(rec *store.Record) int {
+	lo, hi := 0, len(e.postings)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if less(e.postings[mid], rec) {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	copy(e.postings[idx:], e.postings[idx+1:])
-	e.postings[n-1] = nil
-	e.postings = e.postings[:n-1]
-}
-
-// RemovePostingDieIfEmpty unlinks one record's posting and, if the entry
-// becomes empty, marks it dead so the caller can detach it from the
-// index. The FIFO and LRU baselines evict individual records and use
-// this to garbage-collect emptied entries without racing concurrent
-// insertions (a dead entry rejects inserts, forcing re-creation).
-func (e *Entry[K]) RemovePostingDieIfEmpty(rec *store.Record, k int) (removed, died bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := len(e.postings)
-	idx := -1
-	for i := 0; i < n; i++ {
+	for i := lo; i < len(e.postings) && !less(rec, e.postings[i]); i++ {
 		if e.postings[i] == rec {
-			idx = i
-			break
-		}
-		// Posting lists are score-ordered; stop once past rec's score.
-		if less(rec, e.postings[i]) {
-			break
+			return i
 		}
 	}
-	if idx < 0 {
-		return false, false
-	}
-	e.removeAt(idx, k)
-	if len(e.postings) == 0 && !e.dead {
-		e.die()
-		return true, true
-	}
-	return true, false
+	return -1
 }
 
 // Contains reports whether the entry currently holds a posting for rec.
 func (e *Entry[K]) Contains(rec *store.Record) bool {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, p := range e.postings {
-		if p == rec {
-			return true
-		}
-		if less(rec, p) {
-			return false
-		}
-	}
-	return false
-}
-
-// MemBytes returns the modeled memory cost of the entry under the given
-// key length: the fixed entry header plus its postings.
-func (e *Entry[K]) MemBytes(keyLen int) int64 {
-	e.mu.Lock()
-	n := len(e.postings)
+	i := e.find(rec)
 	e.mu.Unlock()
-	return memsize.EntryBytes(keyLen) + int64(n)*memsize.PostingSize
+	return i >= 0
 }
 
 // FreeableBytes estimates how much budget-relevant memory evicting the
 // whole entry would free: the entry and its postings, plus each
 // referenced record's bytes amortized over its current reference count.
 // Phase 2 and Phase 3 use this estimate when packing the victim heap.
-func (e *Entry[K]) FreeableBytes(keyLen int) int64 {
+func (e *Entry[K]) FreeableBytes() int64 {
 	e.mu.Lock()
-	total := memsize.EntryBytes(keyLen) + int64(len(e.postings))*memsize.PostingSize
+	total := e.headerBytes + int64(len(e.postings))*memsize.PostingSize
 	for _, rec := range e.postings {
 		pc := int64(rec.PCount())
 		if pc < 1 {

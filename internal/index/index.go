@@ -54,7 +54,7 @@ type Config[K comparable] struct {
 	// Shards is the number of hash shards; 0 selects a default.
 	Shards int
 	// Pool recycles posting-slice backing arrays across entry growth,
-	// trim shrink, and flush detach. Nil allocates from the heap
+	// removal shrink, and entry death. Nil allocates from the heap
 	// (AllocPolicy=heap).
 	Pool *alloc.SlicePool[*store.Record]
 	// DepartedBytes sizes the departure record that keeps the ceilings
@@ -80,12 +80,14 @@ type Index[K comparable] struct {
 	entryCount   atomic.Int64
 	postingCount atomic.Int64
 
-	// overMu guards overK, the paper's list L of entries that exceeded
-	// k postings since the last Phase 1 run.
-	overMu sync.Mutex
-	overK  []*Entry[K]
+	// overMu guards the paper's list L of entries that exceeded k
+	// postings since the last Phase 1 run: linked through the entries,
+	// newest first, so a removal puts an entry back allocating nothing.
+	overMu  sync.Mutex
+	overK   *Entry[K]
+	overLen int
 
-	departed *departures[K]
+	departed *departures
 }
 
 // New builds an index from cfg.
@@ -103,7 +105,7 @@ func New[K comparable](cfg Config[K]) *Index[K] {
 		p <<= 1
 	}
 	ix := &Index[K]{cfg: cfg, shards: make([]shard[K], p), mask: uint64(p - 1),
-		departed: newDepartures(cfg.Hash, cfg.DepartedBytes)}
+		departed: newDepartures(cfg.DepartedBytes)}
 	for i := range ix.shards {
 		ix.shards[i].entries = make(map[K]*Entry[K])
 	}
@@ -121,10 +123,6 @@ func (ix *Index[K]) SetK(k int) { ix.k.Store(int32(k)) }
 // TrackTopK reports whether MK top-k counters are maintained.
 func (ix *Index[K]) TrackTopK() bool { return ix.cfg.TrackTopK }
 
-// KeyLen exposes the key-size model for policies computing freeable
-// bytes.
-func (ix *Index[K]) KeyLen(key K) int { return ix.cfg.KeyLen(key) }
-
 // KeyHash exposes the shard-selection hash: a value that depends on the
 // key alone, which victim selection uses to order entries whose
 // timestamps tie.
@@ -136,7 +134,7 @@ func (ix *Index[K]) shardFor(key K) *shard[K] {
 
 // Insert adds a posting for rec under key, creating the entry if needed,
 // and increments rec's reference count. It retries transparently if the
-// entry is concurrently detached by a flush.
+// entry concurrently dies in a flush.
 func (ix *Index[K]) Insert(key K, rec *store.Record) {
 	rec.Ref(1)
 	ix.Link(key, rec)
@@ -152,9 +150,9 @@ func (ix *Index[K]) Link(key K, rec *store.Record) {
 	k := int(ix.k.Load())
 	for {
 		e := ix.getOrCreate(key)
-		ok, crossedK := e.insert(rec, k, ix.cfg.TrackTopK)
+		ok, crossedK := e.insert(rec, k)
 		if !ok {
-			continue // entry detached under us; re-create and retry
+			continue // entry died under us; re-create and retry
 		}
 		ix.postingCount.Add(1)
 		if ix.cfg.Tracker != nil {
@@ -168,7 +166,8 @@ func (ix *Index[K]) Link(key K, rec *store.Record) {
 }
 
 func (ix *Index[K]) getOrCreate(key K) *Entry[K] {
-	sh := ix.shardFor(key)
+	h := ix.cfg.Hash(key)
+	sh := &ix.shards[h&ix.mask]
 	sh.mu.RLock()
 	e := sh.entries[key]
 	sh.mu.RUnlock()
@@ -178,23 +177,18 @@ func (ix *Index[K]) getOrCreate(key K) *Entry[K] {
 	sh.mu.Lock()
 	e = sh.entries[key]
 	if e != nil && e.IsDead() {
-		// A flush detached this entry but has not (or will not)
-		// removed it from the map yet; replace it so ingestion never
-		// spins on a dead entry.
-		delete(sh.entries, key)
-		ix.entryCount.Add(-1)
-		if ix.cfg.Tracker != nil {
-			ix.cfg.Tracker.AddIndex(-memsize.EntryBytes(ix.cfg.KeyLen(key)))
-		}
+		// The entry died but its remover has not taken it off the map
+		// yet; replace it so ingestion never spins on a dead entry.
+		ix.unmapLocked(sh, e)
 		e = nil
 	}
 	if e == nil {
-		e = &Entry[K]{key: key, trackTopK: ix.cfg.TrackTopK, pool: ix.cfg.Pool,
-			departed: ix.departed, ceiling: ix.departed.lookup(key)}
+		e = &Entry[K]{key: key, ix: ix, hash: h, headerBytes: memsize.EntryBytes(ix.cfg.KeyLen(key)),
+			ceiling: ix.departed.lookup(h)}
 		sh.entries[key] = e
 		ix.entryCount.Add(1)
 		if ix.cfg.Tracker != nil {
-			ix.cfg.Tracker.AddIndex(memsize.EntryBytes(ix.cfg.KeyLen(key)))
+			ix.cfg.Tracker.AddIndex(e.headerBytes)
 		}
 	}
 	sh.mu.Unlock()
@@ -214,19 +208,19 @@ func (ix *Index[K]) Entry(key K) *Entry[K] {
 // score of its postings that left memory, or −∞ when the departure
 // record says none did — the key is then complete, with nothing of it
 // anywhere. Search asks it for keys whose Entry is nil.
-func (ix *Index[K]) Departed(key K) float64 { return ix.departed.lookup(key).score() }
+func (ix *Index[K]) Departed(key K) float64 { return ix.departed.lookup(ix.cfg.Hash(key)).score() }
 
 // Depart records that postings of key scoring up to score are not in
 // memory, as a dying entry does. Opening over a disk tier seeds the
 // record this way from every key its directories hold.
 func (ix *Index[K]) Depart(key K, score float64) {
-	ix.departed.publish(key, ceilingOf(score))
+	ix.departed.publish(ix.cfg.Hash(key), ceilingOf(score))
 }
 
 // DepartedBytes is the departure record's fixed footprint.
 func (ix *Index[K]) DepartedBytes() int64 { return ix.departed.Bytes() }
 
-// registerOverK appends e to the over-k list if not already present.
+// registerOverK puts e on the over-k list if it is not there already.
 func (ix *Index[K]) registerOverK(e *Entry[K]) {
 	if !ix.cfg.TrackOverK {
 		return
@@ -235,61 +229,80 @@ func (ix *Index[K]) registerOverK(e *Entry[K]) {
 	e.mu.Lock()
 	if !e.inOverK && !e.dead {
 		e.inOverK = true
-		ix.overK = append(ix.overK, e)
+		e.nextOverK, ix.overK = ix.overK, e
+		ix.overLen++
 	}
 	e.mu.Unlock()
 	ix.overMu.Unlock()
 }
 
-// TakeOverK returns the current over-k list and resets it (the paper
-// wipes L after Phase 1 completes), clearing each entry's membership
-// flag so subsequent crossings — or the caller via ReRegisterOverK,
-// when the MK retention rule leaves an entry above k — re-register it.
+// TakeOverK returns the over-k list in the order its entries joined it
+// and resets it (the paper wipes L after Phase 1 completes), clearing
+// each entry's membership so a later crossing — or a trim that leaves
+// it above k, when the MK retention rule keeps postings — puts it back.
 func (ix *Index[K]) TakeOverK() []*Entry[K] {
 	ix.overMu.Lock()
-	l := ix.overK
-	ix.overK = nil
-	for _, e := range l {
-		e.mu.Lock()
-		e.inOverK = false
-		e.mu.Unlock()
+	l := make([]*Entry[K], ix.overLen)
+	e := ix.overK
+	for i := len(l) - 1; i >= 0; i-- {
+		l[i], e = e, e.nextOverK
+		l[i].mu.Lock()
+		l[i].inOverK, l[i].nextOverK = false, nil
+		l[i].mu.Unlock()
 	}
+	ix.overK, ix.overLen = nil, 0
 	ix.overMu.Unlock()
 	return l
 }
 
-// ReRegisterOverK re-inserts an entry into L after a trim left it above
-// k postings.
-func (ix *Index[K]) ReRegisterOverK(e *Entry[K]) { ix.registerOverK(e) }
-
 // OverKLen returns the current length of L, for stats and tests.
 func (ix *Index[K]) OverKLen() int {
 	ix.overMu.Lock()
-	n := len(ix.overK)
+	n := ix.overLen
 	ix.overMu.Unlock()
 	return n
 }
 
-// DetachEntry removes the entry for key from the map (if it is the given
-// entry) so a concurrent ingest re-creates a fresh one. The caller must
-// subsequently drain the entry with DetachAll/DetachExcept.
-func (ix *Index[K]) DetachEntry(e *Entry[K]) {
-	sh := ix.shardFor(e.key)
+// removed books a removal of n postings from e, which now holds left
+// and died if the removal emptied it, and returns the index bytes
+// freed: the postings and, once dead, the entry, which leaves the map
+// unless the key's next entry has already replaced it. An entry left
+// above k goes back on L.
+func (ix *Index[K]) removed(e *Entry[K], n, left, k int, died bool) int64 {
+	freed := int64(n) * memsize.PostingSize
+	ix.postingCount.Add(int64(-n))
+	if ix.cfg.Tracker != nil {
+		ix.cfg.Tracker.AddIndex(-freed)
+	}
+	if !died {
+		if left > k {
+			ix.registerOverK(e)
+		}
+		return freed
+	}
+	sh := &ix.shards[e.hash&ix.mask]
 	sh.mu.Lock()
 	if sh.entries[e.key] == e {
-		delete(sh.entries, e.key)
-		ix.entryCount.Add(-1)
-		if ix.cfg.Tracker != nil {
-			ix.cfg.Tracker.AddIndex(-memsize.EntryBytes(ix.cfg.KeyLen(e.key)))
-		}
+		ix.unmapLocked(sh, e)
 	}
 	sh.mu.Unlock()
+	return freed + e.headerBytes
 }
 
-// RecyclePostings returns a posting backing array — handed out by
-// TrimBeyondTopK, DetachAll, or DetachExcept — to the slab pool once
-// the caller has finished dereferencing its records. A no-op under the
-// heap policy. The slice must not be used after the call.
+// unmapLocked takes a dead entry off its shard's map. Callers hold
+// sh.mu for writing.
+func (ix *Index[K]) unmapLocked(sh *shard[K], e *Entry[K]) {
+	delete(sh.entries, e.key)
+	ix.entryCount.Add(-1)
+	if ix.cfg.Tracker != nil {
+		ix.cfg.Tracker.AddIndex(-e.headerBytes)
+	}
+}
+
+// RecyclePostings returns a posting backing array handed out by
+// Entry.Remove to the slab pool once the caller has finished
+// dereferencing its records. A no-op under the heap policy. The slice
+// must not be used after the call.
 func (ix *Index[K]) RecyclePostings(s []*store.Record) {
 	ix.cfg.Pool.Put(s)
 }
@@ -306,20 +319,8 @@ func (ix *Index[K]) PoolIdleBytes() int64 {
 	return ix.cfg.Pool.IdleBytes(memsize.PostingSize)
 }
 
-// NotePostingsRemoved adjusts the posting count and index gauge after a
-// trim removed n postings from an entry.
-func (ix *Index[K]) NotePostingsRemoved(n int) {
-	if n == 0 {
-		return
-	}
-	ix.postingCount.Add(int64(-n))
-	if ix.cfg.Tracker != nil {
-		ix.cfg.Tracker.AddIndex(int64(-n) * memsize.PostingSize)
-	}
-}
-
 // Range calls fn for every live entry until fn returns false. Iteration
-// snapshots one shard at a time; entries detached mid-iteration may
+// snapshots one shard at a time; entries that die mid-iteration may
 // still be visited.
 func (ix *Index[K]) Range(fn func(*Entry[K]) bool) {
 	for i := range ix.shards {

@@ -86,7 +86,7 @@ func TestTrimBeyondTopK(t *testing.T) {
 		ix.Insert("k", recs[i])
 	}
 	e := ix.Entry("k")
-	removed := e.TrimBeyondTopK(2, nil)
+	removed, _ := e.Remove(2, BeyondTopK, nil)
 	if len(removed) != 3 {
 		t.Fatalf("removed %d, want 3", len(removed))
 	}
@@ -112,7 +112,7 @@ func TestTrimKeepPredicate(t *testing.T) {
 		ix.Insert("k", r)
 	}
 	e := ix.Entry("k")
-	removed := e.TrimBeyondTopK(2, func(r *store.Record) bool { return r == keeper })
+	removed, _ := e.Remove(2, BeyondTopK, func(r *store.Record) bool { return r == keeper })
 	if len(removed) != 2 {
 		t.Fatalf("removed %d, want 2 (one kept)", len(removed))
 	}
@@ -150,11 +150,13 @@ func TestDetachAllRejectsInserts(t *testing.T) {
 	r1 := rec(1, 1)
 	ix.Insert("k", r1)
 	e := ix.Entry("k")
-	drained := e.DetachAll(2)
+	drained, _ := e.Remove(2, AllPostings, nil)
 	if len(drained) != 1 {
 		t.Fatalf("drained %d, want 1", len(drained))
 	}
-	ix.DetachEntry(e)
+	if !e.IsDead() || ix.Entry("k") != nil || ix.Entries() != 0 {
+		t.Fatal("emptied entry still alive or mapped")
+	}
 	// New insert must create a fresh entry, not resurrect the dead one.
 	r2 := rec(2, 2)
 	ix.Insert("k", r2)
@@ -171,7 +173,10 @@ func TestDeadEntryReplacedEvenWithoutDetach(t *testing.T) {
 	ix, _ := newTestIndex(2, false)
 	ix.Insert("k", rec(1, 1))
 	e := ix.Entry("k")
-	e.DetachAll(2) // dead but still mapped
+	// Dead but still mapped: the remover has not unmapped it yet.
+	e.mu.Lock()
+	e.die()
+	e.mu.Unlock()
 	ix.Insert("k", rec(2, 2))
 	if ix.Entry("k") == e {
 		t.Fatal("dead entry not replaced on insert")
@@ -185,19 +190,19 @@ func TestDetachExcept(t *testing.T) {
 	ix.Insert("k", keep)
 	ix.Insert("k", rec(3, 3))
 	e := ix.Entry("k")
-	removed, retained := e.DetachExcept(10, func(r *store.Record) bool { return r == keep })
-	if len(removed) != 2 || retained != 1 {
-		t.Fatalf("removed=%d retained=%d, want 2,1", len(removed), retained)
+	removed, _ := e.Remove(10, AllPostings, func(r *store.Record) bool { return r == keep })
+	if len(removed) != 2 || e.Len() != 1 {
+		t.Fatalf("removed=%d retained=%d, want 2,1", len(removed), e.Len())
 	}
-	if e.IsDead() {
-		t.Error("entry with retained postings must stay alive")
+	if e.IsDead() || ix.Entry("k") != e {
+		t.Error("entry with retained postings must stay alive and mapped")
 	}
-	removed, retained = e.DetachExcept(10, func(*store.Record) bool { return false })
-	if len(removed) != 1 || retained != 0 {
-		t.Fatalf("second detach: removed=%d retained=%d, want 1,0", len(removed), retained)
+	removed, _ = e.Remove(10, AllPostings, func(*store.Record) bool { return false })
+	if len(removed) != 1 || e.Len() != 0 {
+		t.Fatalf("second detach: removed=%d retained=%d, want 1,0", len(removed), e.Len())
 	}
-	if !e.IsDead() {
-		t.Error("fully drained entry must die")
+	if !e.IsDead() || ix.Entry("k") != nil {
+		t.Error("fully drained entry must die and leave the map")
 	}
 }
 
@@ -207,14 +212,17 @@ func TestRemovePostingDieIfEmpty(t *testing.T) {
 	ix.Insert("k", r1)
 	ix.Insert("k", r2)
 	e := ix.Entry("k")
-	if removed, died := e.RemovePostingDieIfEmpty(r1, 2); !removed || died {
-		t.Fatalf("first removal: removed=%v died=%v", removed, died)
+	if freed := e.RemoveRecord(r1, 2); freed != memsize.PostingSize || e.IsDead() {
+		t.Fatalf("first removal: freed=%d dead=%v", freed, e.IsDead())
 	}
-	if removed, died := e.RemovePostingDieIfEmpty(r1, 2); removed || died {
-		t.Fatalf("duplicate removal: removed=%v died=%v", removed, died)
+	if freed := e.RemoveRecord(r1, 2); freed != 0 || e.IsDead() {
+		t.Fatalf("duplicate removal: freed=%d dead=%v", freed, e.IsDead())
 	}
-	if removed, died := e.RemovePostingDieIfEmpty(r2, 2); !removed || !died {
-		t.Fatalf("last removal: removed=%v died=%v", removed, died)
+	if freed := e.RemoveRecord(r2, 2); freed != memsize.PostingSize+memsize.EntryBytes(len("k")) || !e.IsDead() {
+		t.Fatalf("last removal: freed=%d dead=%v", freed, e.IsDead())
+	}
+	if ix.Entry("k") != nil || ix.Entries() != 0 || ix.Postings() != 0 {
+		t.Fatal("dead entry left in the map or counted")
 	}
 }
 
@@ -238,17 +246,17 @@ func TestMemoryGaugeBalance(t *testing.T) {
 	}
 	before := tr.Index()
 	e := ix.Entry("k")
-	removed := e.TrimBeyondTopK(2, nil)
-	ix.NotePostingsRemoved(len(removed))
+	removed, freed := e.Remove(2, BeyondTopK, nil)
 	wantDelta := int64(len(removed)) * memsize.PostingSize
-	if got := before - tr.Index(); got != wantDelta {
-		t.Fatalf("index gauge delta after trim = %d, want %d", got, wantDelta)
+	if got := before - tr.Index(); got != wantDelta || freed != wantDelta {
+		t.Fatalf("index gauge delta after trim = %d, reported %d, want %d", got, freed, wantDelta)
 	}
-	// Detaching the entry releases its header bytes too.
-	ix.DetachEntry(e)
-	wantDelta += memsize.EntryBytes(len("k"))
-	if got := before - tr.Index(); got != wantDelta {
-		t.Fatalf("index gauge delta after detach = %d, want %d", got, wantDelta)
+	// Emptying the entry releases its header bytes too.
+	_, freed = e.Remove(2, AllPostings, nil)
+	wantFreed := 2*memsize.PostingSize + memsize.EntryBytes(len("k"))
+	wantDelta += wantFreed
+	if got := before - tr.Index(); got != wantDelta || freed != wantFreed {
+		t.Fatalf("index gauge delta after detach = %d, reported %d; want %d, %d", got, freed, wantDelta, wantFreed)
 	}
 	if ix.Entries() != 0 {
 		t.Fatalf("entries = %d, want 0", ix.Entries())
@@ -286,8 +294,7 @@ func TestConcurrentInsertAndTrim(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			for _, e := range ix.TakeOverK() {
-				removed := e.TrimBeyondTopK(10, nil)
-				ix.NotePostingsRemoved(len(removed))
+				e.Remove(10, BeyondTopK, nil)
 			}
 		}
 	}()
@@ -337,7 +344,8 @@ func TestTopKProperty(t *testing.T) {
 }
 
 // Property: reference counts equal the number of entries referencing
-// each record after arbitrary inserts across multiple keys.
+// each record after arbitrary inserts across multiple keys, and still
+// after arbitrary removals.
 func TestPCountProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -365,6 +373,44 @@ func TestPCountProperty(t *testing.T) {
 				return false
 			}
 		}
+		// Remove through both entry points, unreferencing what left as
+		// the release path does: the counts must still equal the
+		// postings left.
+		for i := 0; i < 100; i++ {
+			e := ix.Entry(fmt.Sprintf("k%d", rng.Intn(10)))
+			if e == nil {
+				continue
+			}
+			var removed []*store.Record
+			switch rng.Intn(4) {
+			case 0:
+				removed, _ = e.Remove(3, BeyondTopK, func(r *store.Record) bool { return r.MB.ID%3 == 0 })
+			case 1:
+				removed, _ = e.Remove(3, AllPostings, nil)
+			case 2:
+				removed, _ = e.Remove(3, AllPostings, func(r *store.Record) bool { return r.MB.ID%2 == 0 })
+			default:
+				if r := recs[uint64(rng.Intn(200)+1)]; e.RemoveRecord(r, 3) > 0 {
+					removed = []*store.Record{r}
+				}
+			}
+			for _, r := range removed {
+				r.Unref()
+			}
+		}
+		held := map[*store.Record]int32{}
+		ix.Range(func(e *Entry[string]) bool {
+			all, _, _ := e.Probe(-1)
+			for _, r := range all {
+				held[r]++
+			}
+			return true
+		})
+		for _, r := range recs {
+			if r.PCount() != held[r] {
+				return false
+			}
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -373,20 +419,23 @@ func TestPCountProperty(t *testing.T) {
 }
 
 // TestTopKCounterConsistencyProperty drives an index with top-k
-// tracking through random inserts, trims, detaches and removals, then
-// verifies every record's top-k membership counter equals the ground
-// truth recomputed from the surviving entries. This is the invariant
-// the kFlushing-MK retention rule depends on.
+// tracking through random inserts, trims, detaches, removals and k
+// changes, then verifies every record's top-k membership counter equals
+// the ground truth recomputed from the surviving entries, each at the k
+// it last worked with. This is the invariant the kFlushing-MK retention
+// rule depends on.
 func TestTopKCounterConsistencyProperty(t *testing.T) {
-	const k = 3
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		ix, _ := newTestIndex(k, true)
+		ix, _ := newTestIndex(3, true)
 		keys := []string{"a", "b", "c", "d"}
 		var live []*store.Record
 		next := uint64(0)
 		for step := 0; step < 300; step++ {
-			switch op := rng.Intn(10); {
+			k := ix.K()
+			switch op := rng.Intn(11); {
+			case op == 10: // SetK between flushes
+				ix.SetK(2 + rng.Intn(3))
 			case op < 6: // insert under 1-2 random keys
 				next++
 				r := rec(next, int64(next))
@@ -399,30 +448,30 @@ func TestTopKCounterConsistencyProperty(t *testing.T) {
 					}
 				}
 				live = append(live, r)
-			case op < 7: // trim one over-k entry
+			case op < 7: // trim one over-k entry, under the MK retention rule or not
 				if e := ix.Entry(keys[rng.Intn(len(keys))]); e != nil {
-					e.TrimBeyondTopK(k, nil)
+					var keep func(*store.Record) bool
+					if rng.Intn(2) == 0 {
+						keep = func(r *store.Record) bool { return r.TopKCount() > 0 }
+					}
+					e.Remove(k, BeyondTopK, keep)
 				}
-			case op < 8: // detach a whole entry
-				if e := ix.Entry(keys[rng.Intn(len(keys))]); e != nil && !e.IsDead() {
-					e.DetachAll(k)
-					ix.DetachEntry(e)
+			case op < 8: // remove a whole entry
+				if e := ix.Entry(keys[rng.Intn(len(keys))]); e != nil {
+					e.Remove(k, AllPostings, nil)
 				}
-			case op < 9: // detach-except with a random keep rule
-				if e := ix.Entry(keys[rng.Intn(len(keys))]); e != nil && !e.IsDead() {
+			case op < 9: // remove an entry's postings but those a random keep rule retains
+				if e := ix.Entry(keys[rng.Intn(len(keys))]); e != nil {
 					bit := rng.Intn(2) == 0
-					_, retained := e.DetachExcept(k, func(r *store.Record) bool {
+					e.Remove(k, AllPostings, func(r *store.Record) bool {
 						return (r.MB.ID%2 == 0) == bit
 					})
-					if retained == 0 {
-						ix.DetachEntry(e)
-					}
 				}
 			default: // remove one random posting
 				if len(live) > 0 {
 					r := live[rng.Intn(len(live))]
 					if e := ix.Entry(keys[rng.Intn(len(keys))]); e != nil {
-						e.RemovePostingDieIfEmpty(r, k)
+						e.RemoveRecord(r, k)
 					}
 				}
 			}
@@ -430,7 +479,7 @@ func TestTopKCounterConsistencyProperty(t *testing.T) {
 		// Ground truth: recount top-k membership from live entries.
 		want := map[types.ID]int32{}
 		ix.Range(func(e *Entry[string]) bool {
-			for _, r := range e.TopK(k) {
+			for _, r := range e.TopK(e.countedK) {
 				want[r.MB.ID]++
 			}
 			return true

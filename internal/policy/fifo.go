@@ -61,7 +61,7 @@ func (f *FIFO[K]) OnIngest(recs []*store.Record, keys [][]K) {
 			f.segs = append(f.segs, f.cur)
 		}
 		f.cur.recs = append(f.cur.recs, rec)
-		f.cur.bytes += rec.Bytes + int64(len(keys[i]))*16
+		f.cur.bytes += rec.Bytes + int64(len(keys[i]))*memsize.PostingSize
 		if f.cur.bytes >= f.SegmentBytes {
 			f.cur = nil // seal; the next record starts a fresh segment
 		}
@@ -88,38 +88,14 @@ func (f *FIFO[K]) Flush(target int64) (int64, error) {
 			f.cur = nil // flushing the in-progress segment; seal it
 		}
 		f.mu.Unlock()
-		freed += f.evictSegment(seg, buf)
+		for _, rec := range seg.recs {
+			freed += f.r.evictRecord(rec, buf)
+		}
 		victims++
 	}
 	buf.Close()
 	f.r.Phase(blackbox.PhaseFIFOSegments, victims, freed, time.Since(start), nil)
 	return freed, nil
-}
-
-// evictSegment unlinks every record of seg from the index and releases
-// it, returning the budget-relevant bytes freed.
-func (f *FIFO[K]) evictSegment(seg *fifoSegment, buf *VictimBuffer) int64 {
-	var freed int64
-	for _, rec := range seg.recs {
-		for _, key := range f.r.KeysOf(rec.MB) {
-			e := f.r.Index.Entry(key)
-			if e == nil {
-				continue
-			}
-			removed, died := e.RemovePostingDieIfEmpty(rec, f.r.Index.K())
-			if !removed {
-				continue
-			}
-			f.r.Index.NotePostingsRemoved(1)
-			freed += 16
-			if died {
-				f.r.Index.DetachEntry(e)
-				freed += memsize.EntryBytes(f.r.Index.KeyLen(key))
-			}
-			freed += f.r.Unref(rec, buf)
-		}
-	}
-	return freed
 }
 
 // OverheadBytes reports the segment directory cost: one pointer per

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"kflushing/internal/blackbox"
-	"kflushing/internal/memsize"
 	"kflushing/internal/store"
 )
 
@@ -113,35 +112,12 @@ func (l *LRU[K]) Flush(target int64) (int64, error) {
 		l.unlink(rec)
 		l.mu.Unlock()
 		l.len.Add(-1)
-		freed += l.evict(rec, buf)
+		freed += l.r.evictRecord(rec, buf)
 		victims++
 	}
 	buf.Close()
 	l.r.Phase(blackbox.PhaseLRUTail, victims, freed, time.Since(start), nil)
 	return freed, nil
-}
-
-// evict removes every index posting of rec and releases it.
-func (l *LRU[K]) evict(rec *store.Record, buf *VictimBuffer) int64 {
-	var freed int64
-	for _, key := range l.r.KeysOf(rec.MB) {
-		e := l.r.Index.Entry(key)
-		if e == nil {
-			continue
-		}
-		removed, died := e.RemovePostingDieIfEmpty(rec, l.r.Index.K())
-		if !removed {
-			continue
-		}
-		l.r.Index.NotePostingsRemoved(1)
-		freed += 16
-		if died {
-			l.r.Index.DetachEntry(e)
-			freed += memsize.EntryBytes(l.r.Index.KeyLen(key))
-		}
-		freed += l.r.Unref(rec, buf)
-	}
-	return freed
 }
 
 // OverheadBytes reports the embedded list-pointer cost: two pointers per

@@ -9,11 +9,13 @@
 package policy
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
 	"kflushing/internal/clock"
 	"kflushing/internal/disk"
+	"kflushing/internal/failpoint"
 	"kflushing/internal/index"
 	"kflushing/internal/memsize"
 	"kflushing/internal/metrics"
@@ -69,17 +71,73 @@ func (r *Resources[K]) Phase(phase int, victims, freed int64, d time.Duration, w
 	}
 }
 
-// Unref releases one index reference on rec. When the count reaches zero
-// the record leaves the raw data store and joins the victim buffer; the
-// returned byte count is the budget-relevant memory this call freed.
-func (r *Resources[K]) Unref(rec *store.Record, buf *VictimBuffer) int64 {
-	if rec.Unref() > 0 {
+// Remove takes e's postings in scope for which keep returns false out
+// of the index (index.Entry.Remove) and releases their records,
+// returning the budget-relevant bytes freed. kFlushing's three phases
+// evict through it.
+func (r *Resources[K]) Remove(e *index.Entry[K], k int, scope index.Scope, keep func(*store.Record) bool, buf *VictimBuffer) int64 {
+	removed, freed := e.Remove(k, scope, keep)
+	for _, rec := range removed {
+		freed += r.release(rec, buf)
+	}
+	r.Index.RecyclePostings(removed)
+	return freed
+}
+
+// evictRecord takes rec's posting under each of its keys out of the
+// index and releases it per posting, returning the budget-relevant
+// bytes freed. FIFO and LRU evict through it.
+func (r *Resources[K]) evictRecord(rec *store.Record, buf *VictimBuffer) int64 {
+	var freed int64
+	for _, key := range r.KeysOf(rec.MB) {
+		if e := r.Index.Entry(key); e != nil {
+			if n := e.RemoveRecord(rec, r.Index.K()); n > 0 {
+				freed += n + r.release(rec, buf)
+			}
+		}
+	}
+	return freed
+}
+
+// release drops the index reference of one posting taken out of the
+// index. The last reference takes the record out of the raw data store
+// into the victim buffer and returns its bytes; until then the buffer
+// persists a copy, so disk search stays complete for the key the
+// posting left.
+func (r *Resources[K]) release(rec *store.Record, buf *VictimBuffer) int64 {
+	left := rec.Unref()
+	if failpoint.Enabled {
+		r.check(rec, left)
+	}
+	if left > 0 {
+		buf.AddPartial(rec)
 		return 0
 	}
 	r.Store.Remove(rec.MB.ID)
 	r.Mem.AddData(-rec.Bytes)
 	buf.Add(rec)
 	return rec.Bytes
+}
+
+// check stops a fault-injection build on a reference count the
+// removals got wrong: a record released more often than it was
+// indexed, a top-k membership counter below zero, or a record released
+// for the last time while a live entry still holds a posting of it.
+func (r *Resources[K]) check(rec *store.Record, left int32) {
+	if left < 0 {
+		panic(fmt.Sprintf("policy: record %d released %d times more than it was indexed", rec.MB.ID, -left))
+	}
+	if c := rec.TopKCount(); c < 0 {
+		panic(fmt.Sprintf("policy: record %d has top-k counter %d", rec.MB.ID, c))
+	}
+	if left > 0 {
+		return
+	}
+	for _, key := range r.KeysOf(rec.MB) {
+		if e := r.Index.Entry(key); e != nil && e.Contains(rec) {
+			panic(fmt.Sprintf("policy: record %d released while entry %v still holds it", rec.MB.ID, key))
+		}
+	}
 }
 
 // Policy selects flush victims when memory fills. Implementations must

@@ -236,16 +236,20 @@ func TestVictimBufferSkipsAlreadyOnDisk(t *testing.T) {
 func TestUnrefFreesOnlyAtZero(t *testing.T) {
 	mem := &memsize.Tracker{}
 	st := store.New()
-	res := &Resources[string]{Store: st, Mem: mem}
+	ix := index.New(index.Config[string]{Hash: attr.HashString, KeyLen: attr.KeywordLen, K: 1})
+	res := &Resources[string]{Index: ix, Store: st, Mem: mem, KeysOf: attr.KeywordKeys}
 	rec := store.NewRecord(&types.Microblog{ID: 1, Keywords: []string{"a"}}, 1)
 	rec.Ref(2)
 	st.Put(rec)
 	mem.AddData(rec.Bytes)
 	buf := NewVictimBuffer(mem, nil, false)
-	if freed := res.Unref(rec, buf); freed != 0 {
+	if freed := res.release(rec, buf); freed != 0 {
 		t.Fatalf("freed %d at pcount 1", freed)
 	}
-	if freed := res.Unref(rec, buf); freed != rec.Bytes {
+	if !rec.OnDisk() {
+		t.Fatal("a record still referenced elsewhere was not persisted")
+	}
+	if freed := res.release(rec, buf); freed != rec.Bytes {
 		t.Fatalf("freed %d at pcount 0, want %d", freed, rec.Bytes)
 	}
 	if st.Get(1) != nil {

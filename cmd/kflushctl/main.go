@@ -70,6 +70,7 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -660,7 +661,7 @@ func cmdTrace(base, q string, k int) error {
 	}
 	fmt.Printf("query op=%s k=%d keys=%s -> %d items, memory_hit=%v\n",
 		tr.Op, tr.K, strings.Join(tr.Keys, ","), tr.Items, tr.MemoryHit)
-	fmt.Printf("memory: hit=%v candidates=%d\n", tr.MemoryHit, tr.MemoryItems)
+	fmt.Printf("memory: hit=%v reason=%s candidates=%d\n", tr.MemoryHit, cmp.Or(tr.HitReason, "-"), tr.MemoryItems)
 	for _, e := range tr.Entries {
 		fmt.Printf("  entry %-24s found=%-5v postings=%-6d k_filled=%-5v complete=%v\n",
 			e.Key, e.Found, e.Postings, e.KFilled, e.Complete)

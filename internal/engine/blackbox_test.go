@@ -169,8 +169,9 @@ func TestBlackboxDisabled(t *testing.T) {
 // timings and keys, on the same sequence as every other event.
 func TestSlowQueryAutoCapture(t *testing.T) {
 	eng := newObservedEngine(t, 1)
-	// zz's one posting goes to disk, so an OR over it is a miss.
-	ingest(t, eng, 1, "zz")
+	// zz's one posting goes to disk ranked above all of a's, so an OR
+	// over both is a miss.
+	ingest(t, eng, 100, "zz")
 	if _, err := eng.FlushNow(); err != nil {
 		t.Fatalf("FlushNow: %v", err)
 	}

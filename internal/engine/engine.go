@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	rtrace "runtime/trace"
 	"slices"
 	"strings"
@@ -291,11 +290,13 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 	}
 	e.tier = tier
 	// Whatever the tier holds has left memory: its keys start with the
-	// best score of each directory holding them as their ceiling, before
-	// replay or ingest creates an entry.
+	// best score of each directory holding them, and the tier's highest
+	// record ID, as their ceiling, before replay or ingest creates an
+	// entry.
+	tierMaxID := types.ID(tier.MaxRecordID())
 	tier.RangeKeys(func(ek string, maxScore float64) {
 		if key, ok := cfg.DecodeKey(ek); ok {
-			e.idx.Depart(key, maxScore)
+			e.idx.Depart(key, maxScore, tierMaxID)
 		}
 	})
 	e.stream, e.slot = st, st.join(e)
@@ -855,10 +856,10 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 	// Gather per-key candidates from memory, each with the key's posting
 	// count and ceiling read in the same critical section, touching each
 	// entry's last-queried timestamp (Phase 3 bookkeeping). A key is
-	// exact to depth k when it is complete — its ceiling is −∞: no
-	// posting of it ever left memory, an absent key the departure record
-	// never saw included — or when its k-th posting scores strictly above
-	// its ceiling: whatever left memory ranks below the k in hand.
+	// complete when no posting of it ever left memory, an absent key the
+	// departure record never saw included, and exact to depth k when it
+	// is complete or its k-th posting ranks strictly above its ceiling:
+	// whatever left memory ranks below the k in hand.
 	depth := k
 	if op == query.OpAnd {
 		// Intersection needs every posting: under the MK extension
@@ -872,12 +873,12 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 	}
 	lists := make([][]query.Item, len(req.Keys))
 	everyKeyFilled, everyKeyExact := true, true
-	ceilings := math.Inf(-1)     // the highest ceiling of the queried keys
+	var ceilings index.Bound     // the highest ceiling of the queried keys
 	complete, completeN := -1, 0 // the complete key with the fewest postings
 	for ki, key := range req.Keys {
 		var recs []*store.Record
 		var n int
-		var ceil float64
+		var ceil index.Bound
 		en := e.idx.Entry(key)
 		if en == nil {
 			ceil = e.idx.Departed(key)
@@ -885,11 +886,13 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 			en.Touch(now)
 			recs, n, ceil = en.Probe(depth)
 		}
-		keyComplete := math.IsInf(ceil, -1)
+		keyComplete := ceil.Complete()
 		keyFilled := n >= k
 		everyKeyFilled = everyKeyFilled && keyFilled
-		everyKeyExact = everyKeyExact && (keyComplete || keyFilled && recs[k-1].Score > ceil)
-		ceilings = max(ceilings, ceil)
+		everyKeyExact = everyKeyExact && (keyComplete || keyFilled && ceil.Below(recs[k-1].Score, recs[k-1].MB.ID))
+		if ki == 0 || ceilings.Below(ceil.Score, ceil.ID) {
+			ceilings = ceil
+		}
 		if keyComplete && (complete < 0 || n < completeN) {
 			complete, completeN = ki, n
 		}
@@ -911,9 +914,11 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 	indexD := gatherEnd.Sub(start)
 	e.reg.ObserveQueryStage(metrics.QStageIndex, indexD)
 
-	// A single-key query hits when its key is exact, an OR query when
-	// every key is. The hit is "filled" — Section IV-D's event — when
-	// every key also holds k postings, and "complete" otherwise. An AND
+	// An OR query — a single key is its one-key case — hits when every
+	// key is complete, or when the merged k-th ranks strictly above the
+	// highest ceiling of its keys: whatever any key lost ranks below the
+	// k in hand. The hit is "filled" — Section IV-D's event — when every
+	// key holds k postings and is exact, and "complete" otherwise. An AND
 	// query hits filled when the in-memory intersection reaches k above
 	// every key's ceiling, and complete when some key is complete: that
 	// key's postings are every record carrying it, so the records among
@@ -925,7 +930,7 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 	case query.OpAnd:
 		mem = query.IntersectTopK(lists, k)
 		switch {
-		case len(mem) >= k && mem[k-1].Score > ceilings:
+		case len(mem) >= k && ceilings.Below(mem[k-1].Score, mem[k-1].MB.ID):
 			outcome = metrics.HitFilled
 		case complete >= 0:
 			mem = e.carryingAll(lists[complete], req.Keys, k)
@@ -936,11 +941,11 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 		if op == query.OpOr {
 			mem = query.MergeTopK(lists, k)
 		}
-		if everyKeyExact {
+		switch {
+		case everyKeyExact && everyKeyFilled:
+			outcome = metrics.HitFilled
+		case ceilings.Complete() || len(mem) >= k && ceilings.Below(mem[k-1].Score, mem[k-1].MB.ID):
 			outcome = metrics.HitComplete
-			if everyKeyFilled {
-				outcome = metrics.HitFilled
-			}
 		}
 	}
 	hit := outcome != metrics.Miss
@@ -949,6 +954,7 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 
 	if tr != nil {
 		tr.MemoryHit = hit
+		tr.HitReason = outcome.Reason()
 		tr.MemoryItems = len(mem)
 		tr.Stage("memory", start)
 	}

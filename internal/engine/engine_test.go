@@ -353,16 +353,19 @@ func TestLRUEngineIntegration(t *testing.T) {
 	}
 }
 
-// TestHitReasons drives each way a search can be answered: a filled
-// hit (k postings above all the key lost), complete hits (a key that
-// never lost a posting, with fewer than k or none in memory — alone, in
-// an OR, or as the AND key whose postings are filtered by their own
-// keys) and misses (a key whose memory postings rank below what it
-// lost). Answers, the per-reason counters and the trace's entry probes
-// must agree.
+// TestHitReasons drives each way a search can be answered: filled hits
+// (k postings above all the key lost, a tie on score broken by a higher
+// ID included), complete hits (a key that never lost a posting, with
+// fewer than k or none in memory — alone, in an OR, or as the AND key
+// whose postings are filtered by their own keys — and an OR whose merged
+// k-th outranks everything its keys lost) and misses (memory's k-th
+// ranks below what a key lost). Answers, the per-reason counters and
+// the trace's entry probes and hit reason must agree.
 func TestHitReasons(t *testing.T) {
 	eng := newKeywordEngine(t, 1<<30, core.New[string](), false)
 	gone := ingest(t, eng, 100, "old")
+	ingest(t, eng, 2, "lag")
+	ingest(t, eng, 50, "tie")
 	if _, err := eng.FlushNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -372,20 +375,28 @@ func TestHitReasons(t *testing.T) {
 	ingest(t, eng, 7, "few")
 	ingest(t, eng, 8, "few")
 	both := ingest(t, eng, 9, "few", "old")
+	ingest(t, eng, 10, "lag")
+	for range 5 {
+		ingest(t, eng, 50, "tie") // ties the flushed t=50 posting, with a higher ID
+	}
 
+	const filled, complete, miss = "filled", "complete", ""
 	cases := []struct {
-		keys []string
-		op   query.Op
-		hit  bool
-		n    int
+		keys   []string
+		op     query.Op
+		reason string
+		n      int
 	}{
-		{[]string{"hot"}, query.OpSingle, true, 5},
-		{[]string{"few"}, query.OpSingle, true, 3},
-		{[]string{"never"}, query.OpSingle, true, 0},
-		{[]string{"old"}, query.OpSingle, false, 2},
-		{[]string{"few", "old"}, query.OpAnd, true, 1},
-		{[]string{"hot", "few"}, query.OpOr, true, 5},
-		{[]string{"hot", "old"}, query.OpOr, false, 5},
+		{[]string{"hot"}, query.OpSingle, filled, 5},
+		{[]string{"few"}, query.OpSingle, complete, 3},
+		{[]string{"never"}, query.OpSingle, complete, 0},
+		{[]string{"old"}, query.OpSingle, miss, 2},
+		{[]string{"tie"}, query.OpSingle, filled, 5},
+		{[]string{"few", "old"}, query.OpAnd, complete, 1},
+		{[]string{"hot", "few"}, query.OpOr, complete, 5},
+		{[]string{"hot", "old"}, query.OpOr, miss, 5},
+		// lag lost only its t=2 posting, below the merged k-th (hot's t=3).
+		{[]string{"hot", "lag"}, query.OpOr, complete, 5},
 	}
 	for _, c := range cases {
 		tr := trace.New()
@@ -393,8 +404,9 @@ func TestHitReasons(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.MemoryHit != c.hit || len(res.Items) != c.n {
-			t.Errorf("%v %v: hit %v, %d items; want hit %v, %d items", c.op, c.keys, res.MemoryHit, len(res.Items), c.hit, c.n)
+		if res.MemoryHit != (c.reason != miss) || tr.HitReason != c.reason || len(res.Items) != c.n {
+			t.Errorf("%v %v: hit %v (%q), %d items; want %q, %d items",
+				c.op, c.keys, res.MemoryHit, tr.HitReason, len(res.Items), c.reason, c.n)
 		}
 		for _, p := range tr.Entries {
 			if complete := p.Key == "few" || p.Key == "never" || p.Key == "hot"; p.Complete != complete {
@@ -407,8 +419,8 @@ func TestHitReasons(t *testing.T) {
 		t.Errorf("old's top 2: %v, want the flushed t=100 record then t=9", res.Items)
 	}
 	m := eng.Stats().Metrics
-	if m.FilledHits != 1 || m.CompleteHits != 4 || m.Misses != 3 ||
-		m.SingleCompleteHits != 2 || m.OrCompleteHits != 1 || m.AndCompleteHits != 1 {
+	if m.FilledHits != 2 || m.CompleteHits != 5 || m.Misses != 3 ||
+		m.SingleCompleteHits != 2 || m.OrCompleteHits != 2 || m.AndCompleteHits != 1 {
 		t.Errorf("hits by reason: filled %d complete %d misses %d (single %d or %d and %d complete)",
 			m.FilledHits, m.CompleteHits, m.Misses, m.SingleCompleteHits, m.OrCompleteHits, m.AndCompleteHits)
 	}

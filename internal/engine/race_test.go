@@ -13,6 +13,7 @@ import (
 	"kflushing/internal/attr"
 	"kflushing/internal/clock"
 	"kflushing/internal/core"
+	"kflushing/internal/index"
 	"kflushing/internal/query"
 	"kflushing/internal/types"
 )
@@ -297,10 +298,11 @@ func quiesce(eng *Engine[string], fn func()) {
 // checkQuiescent checks the two halves of the memory-hit contract on a
 // quiescent engine:
 //   - memory ∪ disk holds every key's true top-k, for the k in force;
-//   - every live entry's ceiling bounds what its key has on disk: a disk
-//     posting that outranks it is one of the entry's own records (copied
-//     to disk when another key evicted it), so an entry whose k-th
-//     posting beats its ceiling holds the key's top k.
+//   - every live entry's ceiling bounds, in (score, ID) rank, what its
+//     key has on disk: a disk posting that outranks it is one of the
+//     entry's own records (copied to disk when another key evicted it),
+//     so an entry whose k-th posting beats its ceiling holds the key's
+//     top k.
 func checkQuiescent(t *testing.T, eng *Engine[string], truth []stressRecord) {
 	t.Helper()
 	k := eng.idx.K()
@@ -321,7 +323,7 @@ func checkQuiescent(t *testing.T, eng *Engine[string], truth []stressRecord) {
 		}
 		return out
 	}
-	inMemory := func(key string) (map[types.ID]bool, float64) {
+	inMemory := func(key string) (map[types.ID]bool, index.Bound) {
 		out := map[types.ID]bool{}
 		en := eng.idx.Entry(key)
 		if en == nil {
@@ -348,8 +350,8 @@ func checkQuiescent(t *testing.T, eng *Engine[string], truth []stressRecord) {
 			}
 		}
 		for id, score := range disk {
-			if score > ceiling && !mem[id] {
-				t.Errorf("%q has record %d (%g) on disk above its ceiling %g and not in memory", key, id, score, ceiling)
+			if ceiling.Below(score, id) && !mem[id] {
+				t.Errorf("%q has record %d (%g) on disk above its ceiling %+v and not in memory", key, id, score, ceiling)
 			}
 		}
 	}

@@ -3,7 +3,29 @@ package index
 import (
 	"math"
 	"sync/atomic"
+
+	"kflushing/internal/types"
 )
+
+// Bound is a key's ceiling as a search reads it: the rank of the best
+// posting of the key that has left memory — its score, ties broken by
+// record ID, in query.Less order — or −∞ with ID 0 when none has.
+type Bound struct {
+	Score float64
+	ID    types.ID
+}
+
+// none is the bound of a complete key.
+var none = Bound{Score: math.Inf(-1)}
+
+// Complete reports whether no posting of the key ever left memory.
+func (b Bound) Complete() bool { return b == none }
+
+// Below reports whether a posting scoring score with record ID id ranks
+// strictly above b: above everything of the key that left memory.
+func (b Bound) Below(score float64, id types.ID) bool {
+	return score > b.Score || score == b.Score && id > b.ID
+}
 
 // ceiling is the best score of any posting of a key that has left
 // memory, encoded so that unsigned order is score order and the zero
@@ -39,7 +61,9 @@ func (c ceiling) score() float64 {
 // filter (two bits per key) and a hashed max-array of ceilings. Both are
 // fixed-size and lossy in the safe direction only — a filter false
 // positive or a shared slot can raise a key's ceiling, turning an exact
-// memory answer into a disk search, never the reverse.
+// memory answer into a disk search, never the reverse. The record keeps
+// scores only; whoever reads a ceiling back stamps it with an ID no
+// departed posting exceeds (Index.ceilingAt).
 type departures struct {
 	bits  []atomic.Uint64
 	slots []atomic.Uint64 // ceilings; the max over every key mapped here
@@ -73,13 +97,14 @@ func (d *departures) probes(h1 uint64) (b1, b2 uint64, slot int) {
 	return h1 & bitMask, h2 & bitMask, int(h2 >> 32 & uint64(len(d.slots)-1))
 }
 
-// publish records that the postings up to c of the key hashing to h
+// publish records that the postings up to b of the key hashing to h
 // left memory. The slot is raised before the filter bits are set, so a
 // reader that sees the bits sees the slot.
-func (d *departures) publish(h uint64, c ceiling) {
-	if c == 0 {
+func (d *departures) publish(h uint64, b Bound) {
+	if b.Complete() {
 		return
 	}
+	c := ceilingOf(b.Score)
 	b1, b2, slot := d.probes(h)
 	atomicMax(&d.slots[slot], uint64(c))
 	atomicOr(&d.bits[b1/64], 1<<(b1%64))

@@ -36,12 +36,12 @@ type Entry[K comparable] struct {
 	mu       sync.Mutex
 	postings []*store.Record // ascending (Score, ID)
 	dead     bool            // emptied by a removal; rejects inserts
-	// ceiling is the best score of any posting of the key that left
-	// memory — this entry's or, copied at creation, an earlier dead
-	// entry's. Every removal raises it under mu, in the same critical
-	// section that unlinks the postings, so a reader holding mu never
-	// sees a posting gone without its score counted here.
-	ceiling ceiling
+	// ceiling ranks the best posting of the key that left memory —
+	// this entry's or, copied at creation, an earlier dead entry's.
+	// Every removal raises it under mu, in the same critical section
+	// that unlinks the postings, so a reader holding mu never sees a
+	// posting gone without its rank counted here.
+	ceiling Bound
 
 	// lastArrival is the timestamp of the most recent insertion,
 	// the Phase 2 eviction order.
@@ -88,7 +88,7 @@ func (e *Entry[K]) Len() int {
 // best first, and returns them with the entry's posting count and
 // ceiling, all read under one lock: a search decides whether the copy is
 // the key's exact answer from exactly the state it copied.
-func (e *Entry[K]) Probe(k int) (recs []*store.Record, n int, ceiling float64) {
+func (e *Entry[K]) Probe(k int) (recs []*store.Record, n int, ceiling Bound) {
 	e.mu.Lock()
 	n = len(e.postings)
 	if k < 0 || k > n {
@@ -98,7 +98,7 @@ func (e *Entry[K]) Probe(k int) (recs []*store.Record, n int, ceiling float64) {
 	for i := range recs {
 		recs[i] = e.postings[n-1-i]
 	}
-	ceiling = e.ceiling.score()
+	ceiling = e.ceiling
 	e.mu.Unlock()
 	return recs, n, ceiling
 }
@@ -272,7 +272,7 @@ func (e *Entry[K]) Remove(k int, scope Scope, keep func(*store.Record) bool) (re
 	e.postings = kept
 	var died bool
 	if len(removed) > 0 {
-		died = e.settle(k, keptTop, removed[len(removed)-1].Score)
+		died = e.settle(k, keptTop, removed[len(removed)-1])
 	}
 	// Re-pack into a smaller capacity class when the removal freed
 	// enough of the array; the old backing returns to the pool.
@@ -312,7 +312,7 @@ func (e *Entry[K]) RemoveRecord(rec *store.Record, k int) int64 {
 	copy(e.postings[i:], e.postings[i+1:])
 	e.postings[n-1] = nil
 	e.postings = e.postings[:n-1]
-	died := e.settle(k, keptTop, rec.Score)
+	died := e.settle(k, keptTop, rec)
 	left := len(e.postings)
 	e.mu.Unlock()
 	return e.ix.removed(e, 1, left, k, died)
@@ -338,11 +338,13 @@ func (e *Entry[K]) countFor(k int) {
 
 // settle finishes a removal under e.mu, once postings holds the
 // survivors, keptTop of which were in the top-k before it: it raises
-// the ceiling to best, the best score removed; counts the survivors the
-// removal promoted into the top-k; and kills the entry if it emptied,
-// returning its array to the pool.
-func (e *Entry[K]) settle(k, keptTop int, best float64) (died bool) {
-	e.ceiling = max(e.ceiling, ceilingOf(best))
+// the ceiling to best, the best posting removed; counts the survivors
+// the removal promoted into the top-k; and kills the entry if it
+// emptied, returning its array to the pool.
+func (e *Entry[K]) settle(k, keptTop int, best *store.Record) (died bool) {
+	if e.ceiling.Below(best.Score, best.MB.ID) {
+		e.ceiling = Bound{Score: best.Score, ID: best.MB.ID}
+	}
 	if e.ix.cfg.TrackTopK {
 		m := len(e.postings)
 		for _, rec := range e.postings[max(0, m-k) : m-keptTop] {

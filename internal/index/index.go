@@ -17,10 +17,10 @@
 //     LRU), driving Phases 2 and 3;
 //   - optional per-record top-k membership counters for the
 //     kFlushing-MK extension, maintained in O(1) per insertion;
-//   - per-key ceilings: the best score of any posting of a key that left
-//     memory, kept in its entry while it lives and in a fixed-size
-//     departure record once it dies, so a search can tell when memory
-//     holds a key's exact top-k.
+//   - per-key ceilings: the rank, by score then record ID, of the best
+//     posting of a key that left memory, kept in its entry while it
+//     lives and, score only, in a fixed-size departure record once it
+//     dies, so a search can tell when memory holds a key's exact top-k.
 package index
 
 import (
@@ -30,6 +30,7 @@ import (
 	"kflushing/internal/alloc"
 	"kflushing/internal/memsize"
 	"kflushing/internal/store"
+	"kflushing/internal/types"
 )
 
 // Config parameterizes an Index.
@@ -88,6 +89,11 @@ type Index[K comparable] struct {
 	overLen int
 
 	departed *departures
+	// maxLinked is the highest record ID linked into an entry, raised
+	// before the posting becomes visible, so it bounds the ID of every
+	// posting that has left memory: the ID a ceiling read back from the
+	// score-only departure record carries. Depart raises it too.
+	maxLinked atomic.Uint64
 }
 
 // New builds an index from cfg.
@@ -150,6 +156,9 @@ func (ix *Index[K]) Link(key K, rec *store.Record) {
 	k := int(ix.k.Load())
 	for {
 		e := ix.getOrCreate(key)
+		// After getOrCreate: a ceiling the new entry copied covers what
+		// departed before it, which this record has not.
+		atomicMax(&ix.maxLinked, uint64(rec.MB.ID))
 		ok, crossedK := e.insert(rec, k)
 		if !ok {
 			continue // entry died under us; re-create and retry
@@ -184,7 +193,7 @@ func (ix *Index[K]) getOrCreate(key K) *Entry[K] {
 	}
 	if e == nil {
 		e = &Entry[K]{key: key, ix: ix, hash: h, headerBytes: memsize.EntryBytes(ix.cfg.KeyLen(key)),
-			ceiling: ix.departed.lookup(h)}
+			ceiling: ix.ceilingAt(h)}
 		sh.entries[key] = e
 		ix.entryCount.Add(1)
 		if ix.cfg.Tracker != nil {
@@ -205,16 +214,29 @@ func (ix *Index[K]) Entry(key K) *Entry[K] {
 }
 
 // Departed returns the ceiling a key without a live entry has: the best
-// score of its postings that left memory, or −∞ when the departure
-// record says none did — the key is then complete, with nothing of it
-// anywhere. Search asks it for keys whose Entry is nil.
-func (ix *Index[K]) Departed(key K) float64 { return ix.departed.lookup(ix.cfg.Hash(key)).score() }
+// rank of its postings that left memory, or the complete bound when the
+// departure record says none did — the key then has nothing anywhere.
+// Search asks it for keys whose Entry is nil.
+func (ix *Index[K]) Departed(key K) Bound { return ix.ceilingAt(ix.cfg.Hash(key)) }
 
-// Depart records that postings of key scoring up to score are not in
-// memory, as a dying entry does. Opening over a disk tier seeds the
-// record this way from every key its directories hold.
-func (ix *Index[K]) Depart(key K, score float64) {
-	ix.departed.publish(ix.cfg.Hash(key), ceilingOf(score))
+// ceilingAt reads the departure record for the key hashing to h. The
+// record keeps scores only, so a ceiling read back carries the highest
+// ID linked, read after the record: every posting whose departure the
+// read saw was linked, and counted there, before it departed.
+func (ix *Index[K]) ceilingAt(h uint64) Bound {
+	c := ix.departed.lookup(h)
+	if c == 0 {
+		return none
+	}
+	return Bound{Score: c.score(), ID: types.ID(ix.maxLinked.Load())}
+}
+
+// Depart records that postings of key up to score, with IDs up to id,
+// are not in memory, as a dying entry does. Opening over a disk tier
+// seeds the record this way from every key its directories hold.
+func (ix *Index[K]) Depart(key K, score float64, id types.ID) {
+	atomicMax(&ix.maxLinked, uint64(id))
+	ix.departed.publish(ix.cfg.Hash(key), Bound{Score: score, ID: id})
 }
 
 // DepartedBytes is the departure record's fixed footprint.

@@ -157,10 +157,24 @@ const (
 	// ever lost (an AND query: the intersection did) — the paper's
 	// Section IV-D hit.
 	HitFilled
-	// HitComplete: the answer was exact from memory because a queried
-	// key never lost a posting, with fewer than k in hand.
+	// HitComplete: any other exact answer from memory. A queried key
+	// never lost a posting, or (single key, OR) the merged k-th ranks
+	// above everything its keys lost while some key holds fewer than k
+	// or lost postings ranked above its own k-th.
 	HitComplete
 )
+
+// Reason names a hit's reason as /metrics labels it: "filled",
+// "complete", or "" for a miss.
+func (o Outcome) Reason() string {
+	switch o {
+	case HitFilled:
+		return "filled"
+	case HitComplete:
+		return "complete"
+	}
+	return ""
+}
 
 // Registry aggregates one engine's counters. All methods are safe for
 // concurrent use.

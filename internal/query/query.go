@@ -142,10 +142,11 @@ type Result struct {
 	Items []Item
 	// MemoryHit reports whether the answer came from main memory without
 	// consulting the disk tier. A hit is always the exact answer: memory
-	// answers only when every queried key's postings rank above all it
-	// ever lost (the paper's hit, "filled"), or a key never lost a posting
-	// ("complete": what memory holds of it, even fewer than k or none,
-	// is all there is).
+	// answers only when every queried key's k postings rank above all it
+	// ever lost (the paper's hit, "filled"), or otherwise provably
+	// ("complete"): a key never lost a posting, so what memory holds of
+	// it, even fewer than k or none, is all there is; or, for one key or
+	// OR, memory's k-th answer ranks above everything the keys lost.
 	MemoryHit bool
 	// DiskChecked reports whether the disk tier was consulted.
 	DiskChecked bool

@@ -436,13 +436,13 @@ func (s *Store) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	emit("queries_total", "counter", "queries evaluated",
 		func(st kflushing.Stats) float64 { return float64(st.Metrics.Queries) })
 	// One series per hit reason: filled (every key held k postings above
-	// all it lost, the paper's hit) or complete (a key lost nothing).
+	// all it lost, the paper's hit) or complete (any other exact hit).
 	fmt.Fprintf(w, "# HELP kflushing_query_hits_total queries answered exactly from memory, by reason\n")
 	fmt.Fprintf(w, "# TYPE kflushing_query_hits_total counter\n")
 	for _, a := range attrs {
 		st := stats[a]
-		fmt.Fprintf(w, "kflushing_query_hits_total{attr=%q,policy=%q,reason=\"filled\"} %d\n", a, st.Policy, st.Metrics.FilledHits)
-		fmt.Fprintf(w, "kflushing_query_hits_total{attr=%q,policy=%q,reason=\"complete\"} %d\n", a, st.Policy, st.Metrics.CompleteHits)
+		fmt.Fprintf(w, "kflushing_query_hits_total{attr=%q,policy=%q,reason=%q} %d\n", a, st.Policy, metrics.HitFilled.Reason(), st.Metrics.FilledHits)
+		fmt.Fprintf(w, "kflushing_query_hits_total{attr=%q,policy=%q,reason=%q} %d\n", a, st.Policy, metrics.HitComplete.Reason(), st.Metrics.CompleteHits)
 	}
 	emit("flushes_total", "counter", "flush cycles executed",
 		func(st kflushing.Stats) float64 { return float64(st.Metrics.Flushes) })

@@ -32,6 +32,11 @@ type Trace struct {
 	Entries []EntryProbe `json:"entries"`
 	// MemoryHit reports whether memory alone supplied the full answer.
 	MemoryHit bool `json:"memory_hit"`
+	// HitReason is why memory's answer is exact: "filled" (every key
+	// holds k postings above all it lost, the paper's hit), "complete"
+	// (any other provable hit: a key lost nothing, or the merged k-th
+	// outranks all the keys lost), or empty on a miss.
+	HitReason string `json:"hit_reason,omitempty"`
 	// MemoryItems is the number of candidates memory contributed.
 	MemoryItems int `json:"memory_items"`
 

@@ -206,11 +206,19 @@ func TestRandomizedModelBased(t *testing.T) {
 	all := []kflushing.PolicyKind{
 		kflushing.PolicyFIFO, kflushing.PolicyLRU, kflushing.PolicyKFlushing, kflushing.PolicyKFlushingMK,
 	}
+	// OR hits only the merged k-th proves: some key is neither complete
+	// nor k-filled. The oracle must see some, or it never checks them.
+	mergedHits := 0
+	defer func() {
+		if mergedHits == 0 && !t.Failed() {
+			t.Error("no OR hit rested on the merged k-th alone: the oracle checked none")
+		}
+	}()
 	for pi, pol := range all[:3] {
 		pol := pol
 		seed := int64(pi+1) * 7919
 		forEachAllocPolicy(t, string(pol), func(t *testing.T, ap string) {
-			runModel(t, modelArm{ops: 10_000}, pol, ap, seed)
+			mergedHits += runModel(t, modelArm{ops: 10_000}, pol, ap, seed)
 		})
 	}
 	for _, arm := range []modelArm{
@@ -221,7 +229,7 @@ func TestRandomizedModelBased(t *testing.T) {
 		for pi, pol := range all {
 			arm, pol, seed := arm, pol, int64(pi+1)*104729
 			t.Run(arm.name+"/"+string(pol), func(t *testing.T) {
-				runModel(t, arm, pol, "pooled", seed)
+				mergedHits += runModel(t, arm, pol, "pooled", seed)
 			})
 		}
 	}
@@ -240,7 +248,9 @@ type modelArm struct {
 	durable bool
 }
 
-func runModel(t *testing.T, arm modelArm, pol kflushing.PolicyKind, ap string, seed int64) {
+// runModel drives one arm and returns how many checked OR hits rested
+// on the merged k-th alone.
+func runModel(t *testing.T, arm modelArm, pol kflushing.PolicyKind, ap string, seed int64) (mergedHits int) {
 	t.Logf("replay with rand.NewSource(%d)", seed)
 	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
@@ -300,7 +310,9 @@ func runModel(t *testing.T, arm modelArm, pol kflushing.PolicyKind, ap string, s
 				orc.add(batch[j])
 			}
 		case r < 0.92: // search, checked against the model
-			checkQuery(t, sys, orc, rng, kw, vocabSize)
+			if checkQuery(t, sys, orc, rng, kw, vocabSize) {
+				mergedHits++
+			}
 		case r < 0.96: // forced flush at a random point in the stream
 			if _, err := sys.FlushNow(); err != nil {
 				t.Fatalf("seed %d op %d: FlushNow: %v", seed, op, err)
@@ -342,8 +354,12 @@ func runModel(t *testing.T, arm modelArm, pol kflushing.PolicyKind, ap string, s
 		}
 	}
 	for q := 0; q < 200; q++ {
-		checkQuery(t, sys, orc, rng, kw, vocabSize)
+		if checkQuery(t, sys, orc, rng, kw, vocabSize) {
+			mergedHits++
+		}
 	}
+	t.Logf("%d OR hits rested on the merged k-th alone", mergedHits)
+	return mergedHits
 }
 
 // checkFlushInvariants forces one flush cycle and verifies the
@@ -506,9 +522,11 @@ func TestBatchedIngestEquivalence(t *testing.T) {
 // exact whatever the policy, and a miss merges memory ∪ disk, which
 // holds everything. One key in eight is one no record carries. A
 // single-key query is asked twice, at k and at 1: the best item must be
-// the same (a metamorphic check needing no model).
+// the same (a metamorphic check needing no model). An OR query is
+// traced, and checkQuery reports whether it hit with some key neither
+// complete nor k-filled: a hit only the merged k-th proves.
 func checkQuery(t *testing.T, sys *kflushing.System, orc *oracle,
-	rng *rand.Rand, kw func(int) string, vocabSize int) {
+	rng *rand.Rand, kw func(int) string, vocabSize int) (mergedHit bool) {
 	t.Helper()
 	op := kflushing.Op(rng.Intn(3))
 	nKeys := 1
@@ -529,7 +547,14 @@ func checkQuery(t *testing.T, sys *kflushing.System, orc *oracle,
 	}
 	k := rng.Intn(6) + 1
 
-	res, err := sys.Search(keys, op, k)
+	var res kflushing.Result
+	var tr *kflushing.Trace
+	var err error
+	if op == kflushing.OpOr {
+		res, tr, err = sys.SearchTraced(keys, op, k)
+	} else {
+		res, err = sys.Search(keys, op, k)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,8 +569,13 @@ func checkQuery(t *testing.T, sys *kflushing.System, orc *oracle,
 				keys, op, k, i, it.MB.ID, want[i], res.MemoryHit, res.DiskChecked, sys.Stats().K)
 		}
 	}
+	if tr != nil && res.MemoryHit {
+		for _, p := range tr.Entries {
+			mergedHit = mergedHit || !p.Complete && !p.KFilled
+		}
+	}
 	if op != kflushing.OpSingle {
-		return
+		return mergedHit
 	}
 	top1, err := sys.Search(keys, op, 1)
 	if err != nil {
@@ -555,6 +585,7 @@ func checkQuery(t *testing.T, sys *kflushing.System, orc *oracle,
 		t.Fatalf("query %v: top-1 %v (hit=%v) is not top-%d's first %v (hit=%v)",
 			keys, ids(top1.Items), top1.MemoryHit, k, ids(res.Items), res.MemoryHit)
 	}
+	return false
 }
 
 // ids lists an answer's record IDs.

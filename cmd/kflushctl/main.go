@@ -2,15 +2,15 @@
 // data directories. It operates directly on segment, record-block and
 // write-ahead-log files without starting a system.
 //
-//	kflushctl upgrade <dir>        rewrite the files an older release
-//	                               wrote (v3 blocks and directories, v2
-//	                               segment files, manifest v1/v2,
-//	                               <dir>/wal) in current
+//	kflushctl upgrade <dir>        rewrite the files an older build of
+//	                               the support window wrote (v3
+//	                               directories, v3 log files) in current
 //	                               formats, which alone are read; on a
 //	                               kflushd data directory (keyword/,
 //	                               spatial/, user/) also merge the
 //	                               attributes' logs into the one log in
-//	                               keyword/
+//	                               keyword/. Older formats are refused,
+//	                               naming the commit that converts them
 //	kflushctl segments <dir>       list segments (version, records, bloom,
 //	                               directory size) and the record files
 //	                               each one names: record blocks with
@@ -550,25 +550,11 @@ func tierDirs(dir string) []string {
 	return tiers
 }
 
-// cmdUpgrade upgrades a tier directory, or every tier of a kflushd data
-// directory and then its logs: an older kflushd kept one log per
-// attribute, and the store now keeps one (server.Upgrade).
+// cmdUpgrade upgrades a tier directory (disk.Upgrade), or a kflushd data
+// directory: every tier, then its logs (server.Upgrade).
 func cmdUpgrade(dir string) error {
-	tiers := tierDirs(dir)
-	root := tiers != nil
-	if !root {
-		tiers = []string{dir}
-	}
-	for _, t := range tiers {
-		if err := wal.Upgrade(t); err != nil {
-			return err
-		}
-		if err := disk.Upgrade(t); err != nil {
-			return err
-		}
-	}
-	if !root {
-		return nil
+	if tierDirs(dir) == nil {
+		return disk.Upgrade(dir)
 	}
 	return server.Upgrade(dir)
 }

@@ -168,25 +168,16 @@ func openBlock(path string) (*block, error) {
 		return nil, corruptIfShort(err)
 	}
 	le := binary.LittleEndian
-	size, version := st.Size(), le.Uint16(head[4:])
+	size := st.Size()
+	if err := checkHeader(filepath.Base(path), head); err != nil {
+		return nil, err
+	}
 	switch string(head[:4]) {
 	case LogMagic:
-		if err := checkVersion("log file", version, LogVersion); err != nil {
-			return nil, err
-		}
 		b, err := openLogBlock(path, f, size)
 		ok = err == nil
 		return b, err
 	case segMagic: // a directory is never a block (an older one held its records)
-		if err := checkVersion("directory", version, segVersion); err != nil {
-			return nil, err
-		}
-		return nil, ErrCorrupt
-	case blkMagic:
-		if err := checkVersion("block", version, blkVersion); err != nil {
-			return nil, err
-		}
-	default:
 		return nil, ErrCorrupt
 	}
 	if _, err := f.ReadAt(head, 0); err != nil {

@@ -297,10 +297,7 @@ func LogFileNames(dir string) ([]string, error) {
 // the layout before attributes shared one log.
 func CheckLogFree(dir string) error {
 	if names, _ := LogFileNames(dir); len(names) > 0 {
-		return fmt.Errorf("disk: %s holds log files of its own, but the store keeps one log: %w", dir, ErrNeedsUpgrade)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "wal")); err == nil {
-		return fmt.Errorf("disk: %s holds a log: %w", filepath.Join(dir, "wal"), ErrNeedsUpgrade)
+		return needsUpgrade("disk: " + dir + " holds log files of its own, but the store keeps one log")
 	}
 	return nil
 }

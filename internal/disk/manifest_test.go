@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"kflushing/internal/query"
@@ -52,8 +53,8 @@ func normalizeManifest(m Manifest) Manifest {
 }
 
 // TestManifestV2Compat: a version-2 manifest is ErrNeedsUpgrade, not
-// corrupt; the upgrade rewrites it as version 3 with its levels, retired
-// list and record-ID mark unchanged and no drained log file, and a
+// corrupt, and older than the support window: the upgrade refuses it,
+// naming the commit that converts it, and leaves it as it is; a
 // version-3 manifest carries its drained list through.
 func TestManifestV2Compat(t *testing.T) {
 	m := Manifest{
@@ -67,16 +68,11 @@ func TestManifestV2Compat(t *testing.T) {
 	}
 	dir := t.TempDir()
 	writeFile(t, filepath.Join(dir, manifestName), encodeManifestV2(m))
-	if err := Upgrade(dir); err != nil {
-		t.Fatal(err)
+	if err := Upgrade(dir); !errors.Is(err, errBeforeWindow) || !strings.Contains(err.Error(), upgradedBy) {
+		t.Fatalf("upgrade = %v, want ErrNeedsUpgrade naming commit %s", err, upgradedBy)
 	}
-	got, err := ReadManifest(dir)
-	if err != nil || got.NextSeq < m.NextSeq {
-		t.Fatalf("upgraded manifest %+v, %v; want NextSeq at least %d", got, err, m.NextSeq)
-	}
-	got.NextSeq = m.NextSeq
-	if !reflect.DeepEqual(got, m) {
-		t.Fatalf("upgraded manifest = %+v; want %+v", got, m)
+	if b, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || !bytes.Equal(b, encodeManifestV2(m)) {
+		t.Fatalf("the refused upgrade changed the manifest: %v", err)
 	}
 	m.Drained = []string{LogName(3), LogName(4)}
 	if got, err := DecodeManifest(encodeManifest(nil, m)); err != nil || !reflect.DeepEqual(got, m) {
@@ -86,9 +82,9 @@ func TestManifestV2Compat(t *testing.T) {
 
 // TestManifestV1Compat: a manifest of an older version — 1, without the
 // record-ID mark, or 2, without the drained list — is not corrupt: it is
-// ErrNeedsUpgrade, and Open refuses the directory rather than adopt
-// around it. Upgrade rewrites it as version 3, reading the mark back
-// from the records where version 1 lacks it.
+// ErrNeedsUpgrade, and Open and Upgrade refuse the directory rather than
+// adopt around it, leaving every file as it is. Put back, the current
+// manifest opens the directory with every record and the mark.
 func TestManifestV1Compat(t *testing.T) {
 	dir, intact, records := buildLeveledDir(t)
 	live, err := DecodeManifest(intact)
@@ -103,18 +99,29 @@ func TestManifestV1Compat(t *testing.T) {
 			t.Fatalf("v%d decode: %v, want ErrNeedsUpgrade", v, err)
 		}
 		writeFile(t, filepath.Join(dir, manifestName), old)
+		before := dirFiles(t, dir, "*")
 		if _, err := Open(cfg); !errors.Is(err, ErrNeedsUpgrade) {
 			t.Fatalf("v%d: Open = %v, want ErrNeedsUpgrade", v, err)
 		}
-		if err := Upgrade(dir); err != nil {
-			t.Fatal(err)
+		if err := Upgrade(dir); !errors.Is(err, ErrNeedsUpgrade) {
+			t.Fatalf("v%d: Upgrade = %v, want ErrNeedsUpgrade", v, err)
 		}
+		if after := dirFiles(t, dir, "*"); !reflect.DeepEqual(after, before) {
+			t.Fatalf("v%d: a refusal changed the directory:\n%v\nwas\n%v", v, after, before)
+		}
+		writeFile(t, filepath.Join(dir, manifestName), intact)
 		tier := leveledTier(t, dir, 2)
 		items, err := tier.Search([]string{"k"}, query.OpSingle, records+5)
 		if tier.MaxRecordID() != uint64(records) || err != nil || len(items) != records {
 			t.Fatalf("v%d: MaxRecordID %d, %d of %d records answered, err=%v", v, tier.MaxRecordID(), len(items), records, err)
 		}
 		if err := tier.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if intact, err = os.ReadFile(filepath.Join(dir, manifestName)); err != nil {
+			t.Fatal(err)
+		}
+		if live, err = DecodeManifest(intact); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -86,24 +86,6 @@ const (
 // ErrCorrupt reports a malformed or truncated segment file.
 var ErrCorrupt = errors.New("disk: corrupt segment")
 
-// ErrNeedsUpgrade reports a file this build no longer reads — an older
-// version of a known file kind, or a log in <dir>/wal — which the offline
-// upgrade rewrites in current formats.
-var ErrNeedsUpgrade = errors.New("retired file format: run `kflushctl upgrade <dir>` on the store directory first")
-
-// checkVersion accepts the one version a reader knows. An older version
-// of the same file kind needs the upgrade; any other is corruption.
-func checkVersion(kind string, got, want uint16) error {
-	if got == want {
-		return nil
-	}
-	err := ErrCorrupt
-	if got > 0 && got < want {
-		err = ErrNeedsUpgrade
-	}
-	return fmt.Errorf("%s version %d: %w", kind, got, err)
-}
-
 // FlushRecord is one record handed to the disk tier: the microblog and
 // the ranking score computed at its arrival.
 type FlushRecord struct {
@@ -820,7 +802,7 @@ func decodeSegment(path string, img []byte, bs blockSet) (*segment, error) {
 	if size < segHeaderSize+segFooterSize || string(img[:4]) != segMagic || string(img[size-4:]) != segEndMagic {
 		return nil, ErrCorrupt
 	}
-	if err := checkVersion("directory", le.Uint16(img[4:]), segVersion); err != nil {
+	if err := checkVersion(filepath.Base(path), "directory", le.Uint16(img[4:]), segVersion, segVersionV3); err != nil {
 		return nil, err
 	}
 	foot := img[size-segFooterSize:]

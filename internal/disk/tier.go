@@ -326,6 +326,9 @@ func Open[K comparable](cfg Config[K]) (*Tier[K], error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
+	if err := checkNoLogDir(cfg.Dir); err != nil {
+		return nil, fmt.Errorf("disk: %w", err)
+	}
 	if cfg.Logs == nil {
 		cfg.Logs = NewLogSet(cfg.Dir)
 	}

@@ -16,8 +16,8 @@ import (
 func TestUpgradeResumes(t *testing.T) {
 	failpoint.DisableAll()
 	t.Cleanup(failpoint.DisableAll)
-	sites := append(failpoint.CrashSites(), failpoint.DiskDirSync, failpoint.WALMigrateRemove)
-	for _, mv := range []int{1, 0} {
+	sites := append(failpoint.CrashSites(), failpoint.DiskDirSync)
+	for _, mv := range []int{3, 0} {
 		// A clean run counts the hits of every site.
 		for _, site := range sites {
 			if err := failpoint.Enable(site, "sleep(0)"); err != nil {
@@ -25,8 +25,8 @@ func TestUpgradeResumes(t *testing.T) {
 			}
 		}
 		dir := t.TempDir()
-		disk.BuildLegacyDir(t, dir, mv)
-		if err := upgrade(dir); err != nil {
+		disk.BuildWindowDir(t, dir, mv != 0)
+		if err := disk.Upgrade(dir); err != nil {
 			t.Fatal(err)
 		}
 		hits := make(map[string]int64)
@@ -41,16 +41,16 @@ func TestUpgradeResumes(t *testing.T) {
 			for n := int64(1); n <= hits[site]; n++ {
 				t.Run(fmt.Sprintf("manifest=v%d/%s#%d", mv, site, n), func(t *testing.T) {
 					dir := t.TempDir()
-					tierRecs, logRecs := disk.BuildLegacyDir(t, dir, mv)
+					tierRecs, logRecs := disk.BuildWindowDir(t, dir, mv != 0)
 					if err := failpoint.Enable(site, fmt.Sprintf("errevery(%d)", n)); err != nil {
 						t.Fatal(err)
 					}
-					err := upgrade(dir)
+					err := disk.Upgrade(dir)
 					failpoint.DisableAll()
 					if err == nil {
 						t.Fatal("the upgrade ran through the armed site")
 					}
-					if err := upgrade(dir); err != nil {
+					if err := disk.Upgrade(dir); err != nil {
 						t.Fatalf("the rerun after a cut: %v", err)
 					}
 					checkUpgraded(t, dir, tierRecs, logRecs)

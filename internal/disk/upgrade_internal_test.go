@@ -17,9 +17,11 @@ import (
 )
 
 // Writers of the retired formats, which production no longer has: byte
-// for byte what earlier releases left on disk, for the upgrade tests.
+// for byte what earlier builds left on disk, for the upgrade and refusal
+// tests.
 
-// appendFixedRecord is the fixed-width record writer.
+// appendFixedRecord is the fixed-width record writer of v1 log files, v3
+// blocks and v2 segment files; fixedLen is its length.
 func appendFixedRecord(buf []byte, fr FlushRecord) []byte {
 	le := binary.LittleEndian
 	m := fr.MB
@@ -52,7 +54,7 @@ func writeV2Segment(t *testing.T, dir, name string, recs []FlushRecord) {
 	t.Helper()
 	sorted := rankOrder(recs)
 	le := binary.LittleEndian
-	buf := append([]byte(segMagic), segVersionV2, 0, 0, 0)
+	buf := append([]byte(segMagic), 2, 0, 0, 0)
 	buf = le.AppendUint32(buf, uint32(len(sorted)))
 	offsets := make([]uint64, len(sorted))
 	maxScore := math.Inf(-1)
@@ -98,7 +100,7 @@ func writeV2Segment(t *testing.T, dir, name string, recs []FlushRecord) {
 func writeV3Block(t *testing.T, path string, recs []FlushRecord) {
 	t.Helper()
 	le := binary.LittleEndian
-	buf := append([]byte(blkMagic), blkVersionV3, 0, 0, 0)
+	buf := append([]byte(blkMagic), 3, 0, 0, 0)
 	buf = le.AppendUint32(buf, uint32(len(recs)))
 	offsets := make([]uint64, len(recs))
 	for i, fr := range recs {
@@ -186,7 +188,7 @@ func encodeManifestV1(m Manifest) []byte {
 	b := encodeManifestV2(m)
 	const maxIDPos = 4 + 2 + 2 + 8
 	b = append(b[:maxIDPos:maxIDPos], b[maxIDPos+8:len(b)-8]...)
-	binary.LittleEndian.PutUint16(b[4:], manifestVersionV1)
+	binary.LittleEndian.PutUint16(b[4:], 1)
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 	return append(b, manifestEndMagic...)
 }
@@ -196,7 +198,7 @@ func encodeManifestV1(m Manifest) []byte {
 func encodeManifestV2(m Manifest) []byte {
 	b := encodeManifest(nil, m)
 	b = b[: len(b)-8-4 : len(b)-8-4]
-	binary.LittleEndian.PutUint16(b[4:], manifestVersionV2)
+	binary.LittleEndian.PutUint16(b[4:], 2)
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 	return append(b, manifestEndMagic...)
 }
@@ -204,7 +206,7 @@ func encodeManifestV2(m Manifest) []byte {
 // legacyLogFile is a log file of version 1 (fixed-width frames) or 2.
 func legacyLogFile(version uint16, recs []FlushRecord) []byte {
 	buf := binary.LittleEndian.AppendUint16([]byte(LogMagic), version)
-	if version == LogVersionV2 {
+	if version == 2 {
 		return AppendFrames(buf, recs)
 	}
 	for _, fr := range recs {
@@ -225,67 +227,101 @@ func writeFile(t *testing.T, path string, b []byte) {
 	}
 }
 
-// buildLegacyDir fills dir with what a durable store of the releases
-// before the log became the record store could leave, every retired
-// format at once, under a manifest of the given version (0: none):
+// writeV4Block writes recs, in rank order, as the block at path.
+func writeV4Block(t *testing.T, path string, recs []FlushRecord) {
+	t.Helper()
+	img, _ := encodeBlock(nil, "", recs)
+	writeFile(t, path, img)
+}
+
+// buildWindowDir fills dir with what a store of the builds in the
+// support window could leave, every format Upgrade converts at once,
+// under a current manifest or none:
 //
-//	seg-1  v2 file, a block of lvl-5 only (a merge left it)
-//	seg-2  v2 file, live at L0; record 4 names "zz" twice
-//	blk-3  v3 block, named by lvl-5
-//	seg-4  v4 directory over blk-4, a v4 block: current
-//	lvl-5  v3 directory at L1 over seg-1 and blk-3
-//	seg-6  v3 directory over blk-6, a v3 block
-//	wal/   snapshot.kfw and wal-1 (version 1), wal-2 (version 2,
-//	       a torn frame at its end)
-//	wal-3  a sealed version-3 log file in the store directory
+//	blk-1  v4 block, named by lvl-4 only (a merge retired seg-1)
+//	blk-2  v4 block under seg-2, a v4 directory: current
+//	blk-3  v4 block, named by lvl-4
+//	lvl-4  v3 directory at L1 over blk-1 and blk-3
+//	wal-5  sealed v3 log file under seg-5, a v3 directory (a durable flush)
+//	wal-6  sealed v3 log file no directory names
 //
 // It returns the records the tier holds and those the log holds.
-func buildLegacyDir(t *testing.T, dir string, manifestVersion int) (tier, log []FlushRecord) {
+func buildWindowDir(t *testing.T, dir string, manifest bool) (tier, log []FlushRecord) {
 	t.Helper()
 	stamped := func(id uint64, score float64, ts int64, kws ...string) FlushRecord {
 		r := fr(id, score, kws...)
 		r.MB.Timestamp = types.Timestamp(ts)
 		return r
 	}
-	seg1 := rankOrder([]FlushRecord{fr(1, 1, "old"), fr(2, 2, "both")})
-	seg2 := []FlushRecord{fr(3, 3, "old"), fr(4, 4, "both", "zz", "zz")}
+	blk1 := rankOrder([]FlushRecord{fr(1, 1, "old"), fr(2, 2, "both")})
+	blk2 := rankOrder([]FlushRecord{fr(7, 7, "new", "both"), stamped(8, 6.5, 99, "new")})
 	blk3 := rankOrder([]FlushRecord{fr(5, 5, "mid", "both"), stamped(60, 4.5, 50, "mid")})
-	blk4 := rankOrder([]FlushRecord{fr(7, 7, "new", "both"), stamped(8, 6.5, 99, "new")})
-	blk6 := rankOrder([]FlushRecord{fr(9, 9, "old", "new"), fr(10, 0.5, "zz")})
 	at := func(name string) string { return filepath.Join(dir, name) }
-	writeV2Segment(t, dir, "seg-00000001.kfs", seg1)
-	writeV2Segment(t, dir, "seg-00000002.kfs", seg2)
-	writeV3Block(t, at("blk-00000003.kfs"), blk3)
-	img, _ := encodeBlock(nil, "", blk4)
-	writeFile(t, at("blk-00000004.kfs"), img)
-	writeDirectory(t, segVersion, at("seg-00000004.kfs"), []string{"blk-00000004.kfs"}, blk4)
-	writeDirectory(t, segVersionV3, at("lvl-00000005.kfs"), []string{"seg-00000001.kfs", "blk-00000003.kfs"}, seg1, blk3)
-	writeV3Block(t, at("blk-00000006.kfs"), blk6)
-	writeDirectory(t, segVersionV3, at("seg-00000006.kfs"), []string{"blk-00000006.kfs"}, blk6)
-	m := Manifest{
-		NextSeq:     7,
-		MaxRecordID: 60,
-		Live: []ManifestEntry{{Name: "seg-00000002.kfs"}, {Name: "seg-00000004.kfs"}, {Name: "seg-00000006.kfs"},
-			{Name: "lvl-00000005.kfs", Level: 1}},
-		Retired: []string{"seg-00000003.kfs"},
+	writeV4Block(t, at("blk-00000001.kfs"), blk1)
+	writeV4Block(t, at("blk-00000002.kfs"), blk2)
+	writeDirectory(t, segVersion, at("seg-00000002.kfs"), []string{"blk-00000002.kfs"}, blk2)
+	writeV4Block(t, at("blk-00000003.kfs"), blk3)
+	writeDirectory(t, segVersionV3, at("lvl-00000004.kfs"), []string{"blk-00000001.kfs", "blk-00000003.kfs"}, blk1, blk3)
+	wal5 := writeV3LogFile(t, dir, 5, fr(9, 9, "old", "new"), stamped(10, 0.5, 10, "zz"))
+	writeDirectory(t, segVersionV3, at("seg-00000005.kfs"), []string{LogName(5)}, wal5)
+	wal6 := writeV3LogFile(t, dir, 6, fr(107, 107, "log"), fr(108, 108, "new", "log"))
+	if manifest {
+		m := Manifest{
+			NextSeq:     7,
+			MaxRecordID: 60,
+			Live: []ManifestEntry{{Name: "seg-00000002.kfs"}, {Name: "seg-00000005.kfs"},
+				{Name: "lvl-00000004.kfs", Level: 1}},
+			Retired: []string{"seg-00000001.kfs"},
+		}
+		writeFile(t, at(manifestName), encodeManifest(nil, m))
 	}
-	if encode := map[int]func(Manifest) []byte{1: encodeManifestV1, 2: encodeManifestV2}[manifestVersion]; encode != nil {
-		writeFile(t, at(manifestName), encode(m))
+	tier = append(append(append(append([]FlushRecord(nil), blk1...), blk2...), blk3...), wal5...)
+	return tier, append(wal5, wal6...)
+}
+
+// outOfWindow fabricates directories each holding one format older than
+// the support window beside current files: File names it.
+var outOfWindow = []struct {
+	Name, File string
+	Build      func(t *testing.T, dir string)
+}{
+	{"seg-v2", "seg-00000002.kfs", func(t *testing.T, dir string) {
+		writeV2Segment(t, dir, "seg-00000002.kfs", []FlushRecord{fr(3, 3, "old"), fr(4, 4, "both", "zz", "zz")})
+		currentTier(t, dir, encodeManifest, "seg-00000002.kfs")
+	}},
+	{"blk-v3", "blk-00000002.kfs", func(t *testing.T, dir string) {
+		blk2 := rankOrder([]FlushRecord{fr(3, 3, "old"), fr(4, 4, "both")})
+		writeV3Block(t, filepath.Join(dir, "blk-00000002.kfs"), blk2)
+		writeDirectory(t, segVersion, filepath.Join(dir, "seg-00000002.kfs"), []string{"blk-00000002.kfs"}, blk2)
+		currentTier(t, dir, encodeManifest, "seg-00000002.kfs")
+	}},
+	{"manifest=v1", manifestName, func(t *testing.T, dir string) {
+		currentTier(t, dir, func(_ []byte, m Manifest) []byte { return encodeManifestV1(m) })
+	}},
+	{"manifest=v2", manifestName, func(t *testing.T, dir string) {
+		currentTier(t, dir, func(_ []byte, m Manifest) []byte { return encodeManifestV2(m) })
+	}},
+	{"wal-dir", "wal", func(t *testing.T, dir string) {
+		writeFile(t, filepath.Join(dir, "wal", "snapshot.kfw"), legacyLogFile(1, []FlushRecord{fr(101, 101, "log")}))
+		writeFile(t, filepath.Join(dir, "wal", LogName(1)), legacyLogFile(1, []FlushRecord{fr(102, 102, "log")}))
+		writeFile(t, filepath.Join(dir, "wal", LogName(2)), legacyLogFile(2, []FlushRecord{fr(103, 103, "log")}))
+		currentTier(t, dir, encodeManifest)
+	}},
+}
+
+// currentTier writes a flush in current formats — blk-1 under seg-1 —
+// and a manifest, encoded by encode, listing seg-1 and the directories
+// more live.
+func currentTier(t *testing.T, dir string, encode func([]byte, Manifest) []byte, more ...string) {
+	t.Helper()
+	blk1 := rankOrder([]FlushRecord{fr(1, 1, "old"), fr(2, 2, "both")})
+	writeV4Block(t, filepath.Join(dir, "blk-00000001.kfs"), blk1)
+	writeDirectory(t, segVersion, filepath.Join(dir, "seg-00000001.kfs"), []string{"blk-00000001.kfs"}, blk1)
+	m := Manifest{NextSeq: 3, MaxRecordID: 4, Live: []ManifestEntry{{Name: "seg-00000001.kfs"}}}
+	for _, name := range more {
+		m.Live = append(m.Live, ManifestEntry{Name: name})
 	}
-
-	snap := []FlushRecord{fr(101, 101, "old", "log"), fr(102, 102, "log")}
-	v1 := []FlushRecord{stamped(103, 0.25, 103, "new", "log")}
-	v2 := []FlushRecord{fr(104, 104, "log"), fr(105, 105, "zz", "log")}
-	writeFile(t, at("wal/snapshot.kfw"), legacyLogFile(LogVersionV1, snap))
-	writeFile(t, at("wal/"+LogName(1)), legacyLogFile(LogVersionV1, v1))
-	torn := legacyLogFile(LogVersionV2, append(v2, fr(106, 106, "torn")))
-	writeFile(t, at("wal/"+LogName(2)), torn[:len(torn)-5])
-	v3 := []FlushRecord{fr(107, 107, "log"), fr(108, 108, "new", "log")}
-	writeV3LogFile(t, dir, 3, v3...)
-
-	tier = append(append(append(append(append([]FlushRecord(nil), seg1...), seg2...), blk3...), blk4...), blk6...)
-	log = append(append(append(append([]FlushRecord(nil), snap...), v1...), v2...), v3...)
-	return tier, log
+	writeFile(t, filepath.Join(dir, manifestName), encode(nil, m))
 }
 
 // writeV3LogFile writes sealed log file seq as version 3 left it: the
@@ -298,7 +334,7 @@ func writeV3LogFile(t *testing.T, dir string, seq uint32, recs ...FlushRecord) [
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint16(img[4:], LogVersionV3)
+	binary.LittleEndian.PutUint16(img[4:], logVersionV3)
 	writeFile(t, path, img)
 	return out
 }
@@ -325,7 +361,7 @@ func TestUpgradeLogFile(t *testing.T) {
 	if err := tier.Close(); err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint16(v3[4:], LogVersionV3)
+	binary.LittleEndian.PutUint16(v3[4:], logVersionV3)
 	writeFile(t, filepath.Join(dir, LogName(1)), v3)
 	if _, err := Open(Config[string]{Dir: dir, KeysOf: func(m *types.Microblog) []string { return m.Keywords },
 		Encode: func(s string) string { return s }, Logged: true}); !errors.Is(err, ErrNeedsUpgrade) {
@@ -357,24 +393,29 @@ func TestUpgradeLogFile(t *testing.T) {
 	}
 }
 
-// TestMixedVersionTier: what a store of several releases could leave
-// without a manifest — two v2 segment files and a v3 flush (a v3 block
-// and a directory over it) — is refused as it stands; once upgraded it
-// recovers beside a new flush, answers searches from every file, merges
-// into one directory naming the upgraded blocks and the new one with
-// their bytes untouched, recovers again in that shape, and reads its
-// record-ID mark back from the blocks when the manifest is gone.
+// TestMixedVersionTier: what a store of the support window's builds
+// could leave without a manifest — three flushes, each a v4 block under
+// a v3 directory — is refused as it stands; once upgraded it recovers
+// beside a new flush, answers searches from every file, merges into one
+// directory naming the blocks with their bytes untouched, recovers again
+// in that shape, and reads its record-ID mark back from the blocks when
+// the manifest is gone.
 func TestMixedVersionTier(t *testing.T) {
 	dir := t.TempDir()
-	// The v3 block holds the highest ID and a record whose score is not
-	// its timestamp.
-	writeV2Segment(t, dir, "seg-00000001.kfs", []FlushRecord{fr(1, 1, "old"), fr(2, 2, "both")})
-	writeV2Segment(t, dir, "seg-00000002.kfs", []FlushRecord{fr(3, 3, "old"), fr(4, 4, "both", "zz")})
+	// The third block holds the highest ID and a record whose score is
+	// not its timestamp.
 	offTime := fr(60, 4.5, "mid")
 	offTime.MB.Timestamp = 50
-	blk3 := rankOrder([]FlushRecord{fr(5, 5, "mid", "both"), offTime})
-	writeV3Block(t, filepath.Join(dir, "blk-00000003.kfs"), blk3)
-	writeDirectory(t, segVersionV3, filepath.Join(dir, "seg-00000003.kfs"), []string{"blk-00000003.kfs"}, blk3)
+	for i, recs := range [][]FlushRecord{
+		{fr(1, 1, "old"), fr(2, 2, "both")},
+		{fr(3, 3, "old"), fr(4, 4, "both", "zz")},
+		{fr(5, 5, "mid", "both"), offTime},
+	} {
+		blk := fmt.Sprintf("blk-%08d.kfs", i+1)
+		recs = rankOrder(recs)
+		writeV4Block(t, filepath.Join(dir, blk), recs)
+		writeDirectory(t, segVersionV3, filepath.Join(dir, fmt.Sprintf("seg-%08d.kfs", i+1)), []string{blk}, recs)
+	}
 
 	cfg := Config[string]{
 		Dir:         dir,
@@ -402,7 +443,7 @@ func TestMixedVersionTier(t *testing.T) {
 		t.Fatalf("recovered %d segments over %d blocks, want 3 over 3", got.Segments, got.Blocks)
 	}
 	if got := tier.MaxRecordID(); got != 60 {
-		t.Fatalf("MaxRecordID = %d read back from the upgraded blocks, want 60", got)
+		t.Fatalf("MaxRecordID = %d read back from the blocks, want 60", got)
 	}
 
 	// A new flush writes a block and a directory alongside; one of its
@@ -423,13 +464,12 @@ func TestMixedVersionTier(t *testing.T) {
 		}
 		tables = append(tables, info.Path+": "+blockVersions(info))
 	}
-	if got, want := fmt.Sprint(tables), "[seg-00000001.kfs: blk-00000004.kfs/v4  seg-00000002.kfs: blk-00000005.kfs/v4  "+
-		"seg-00000003.kfs: blk-00000003.kfs/v4  seg-00000006.kfs: blk-00000006.kfs/v4 ]"; got != want {
+	if got, want := fmt.Sprint(tables), "[seg-00000001.kfs: blk-00000001.kfs/v4  seg-00000002.kfs: blk-00000002.kfs/v4  "+
+		"seg-00000003.kfs: blk-00000003.kfs/v4  seg-00000004.kfs: blk-00000004.kfs/v4 ]"; got != want {
 		t.Fatalf("segments and their blocks:\n got %s\nwant %s", got, want)
 	}
 
-	// Searches span the upgraded files and the new one, the v2 files'
-	// unsorted key sections included.
+	// Searches span the upgraded directories and the new one.
 	searchAll := func(on *Tier[string], label string) {
 		t.Helper()
 		for _, c := range []struct {
@@ -488,12 +528,12 @@ func TestMixedVersionTier(t *testing.T) {
 	if len(infos) != 1 || infos[0].BloomBytes == 0 || infos[0].Records != 8 {
 		t.Fatalf("after compaction: %+v, want one directory of 8 records", infos)
 	}
-	if got, want := blockVersions(infos[0]), "blk-00000004.kfs/v4 blk-00000005.kfs/v4 blk-00000003.kfs/v4 blk-00000006.kfs/v4 "; got != want {
+	if got, want := blockVersions(infos[0]), "blk-00000001.kfs/v4 blk-00000002.kfs/v4 blk-00000003.kfs/v4 blk-00000004.kfs/v4 "; got != want {
 		t.Fatalf("merged directory names %q, want %q", got, want)
 	}
 	unchanged("under the merge")
 	if m, err := ReadManifest(dir); err != nil || len(m.Live) != 1 ||
-		fmt.Sprint(m.Retired) != "[seg-00000001.kfs seg-00000002.kfs seg-00000003.kfs seg-00000006.kfs]" {
+		fmt.Sprint(m.Retired) != "[seg-00000001.kfs seg-00000002.kfs seg-00000003.kfs seg-00000004.kfs]" {
 		t.Fatalf("manifest after merge: %+v, err=%v; want the merged directory live and every input retired", m, err)
 	}
 	searchAll(tier, "merged")
@@ -534,8 +574,9 @@ func TestMixedVersionTier(t *testing.T) {
 }
 
 // Fabricators and helpers for the upgrade battery, which runs outside
-// the package so that it can upgrade a log too.
+// the package so that it can open a durable store too.
 var (
-	BuildLegacyDir = buildLegacyDir
+	BuildWindowDir = buildWindowDir
+	OutOfWindow    = outOfWindow
 	DirFiles       = dirFiles
 )

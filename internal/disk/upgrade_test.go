@@ -18,14 +18,6 @@ import (
 	"kflushing/internal/wal"
 )
 
-// upgrade is what `kflushctl upgrade` runs.
-func upgrade(dir string) error {
-	if err := wal.Upgrade(dir); err != nil {
-		return err
-	}
-	return disk.Upgrade(dir)
-}
-
 func tierConfig(dir string) disk.Config[string] {
 	return disk.Config[string]{
 		Dir:         dir,
@@ -35,17 +27,18 @@ func tierConfig(dir string) disk.Config[string] {
 	}
 }
 
-// TestUpgrade: a directory holding every retired format at once (see
-// disk.BuildLegacyDir), under a version-1, a version-2 or no manifest, is
-// refused by the tier and by a durable store without a file changing; after the
-// upgrade every file is of the current version, every search answers what
-// a brute force over the records answers, Verify passes, the log replays
-// every record it held — and a second upgrade changes nothing.
+// TestUpgrade: a directory holding every format of the support window
+// at once (see disk.BuildWindowDir), under a current manifest or none,
+// is refused by the tier and by a durable store without a file
+// changing; after the upgrade every file is of the current version,
+// every search answers what a brute force over the records answers,
+// Verify passes, the log replays every record it held — and a second
+// upgrade changes nothing.
 func TestUpgrade(t *testing.T) {
-	for _, mv := range []int{1, 2, 0} {
+	for _, mv := range []int{3, 0} {
 		t.Run(fmt.Sprintf("manifest=v%d", mv), func(t *testing.T) {
 			dir := t.TempDir()
-			tierRecs, logRecs := disk.BuildLegacyDir(t, dir, mv)
+			tierRecs, logRecs := disk.BuildWindowDir(t, dir, mv != 0)
 			before := disk.DirFiles(t, dir, "*.kf?")
 			if _, err := disk.Open(tierConfig(dir)); !errors.Is(err, disk.ErrNeedsUpgrade) {
 				t.Fatalf("tier open = %v, want ErrNeedsUpgrade", err)
@@ -56,12 +49,12 @@ func TestUpgrade(t *testing.T) {
 			if after := disk.DirFiles(t, dir, "*.kf?"); !reflect.DeepEqual(after, before) {
 				t.Fatalf("a refused open changed the directory:\n%v\nwas\n%v", after, before)
 			}
-			if err := upgrade(dir); err != nil {
+			if err := disk.Upgrade(dir); err != nil {
 				t.Fatal(err)
 			}
 			checkUpgraded(t, dir, tierRecs, logRecs)
 			done := disk.DirFiles(t, dir, "*")
-			if err := upgrade(dir); err != nil {
+			if err := disk.Upgrade(dir); err != nil {
 				t.Fatal(err)
 			}
 			if again := disk.DirFiles(t, dir, "*"); !reflect.DeepEqual(again, done) {
@@ -71,14 +64,61 @@ func TestUpgrade(t *testing.T) {
 	}
 }
 
+// TestUpgradeRefusesOutOfWindow: a directory holding one format older
+// than the support window (see disk.OutOfWindow) is refused by the tier,
+// by a durable store and by the upgrade alike — ErrNeedsUpgrade naming
+// the file and the commit whose upgrade converts it — and no file under
+// it changes.
+func TestUpgradeRefusesOutOfWindow(t *testing.T) {
+	for _, row := range disk.OutOfWindow {
+		t.Run(row.Name, func(t *testing.T) {
+			dir := t.TempDir()
+			row.Build(t, dir)
+			before := treeFiles(t, dir)
+			for what, run := range map[string]func() error{
+				"tier open": func() error { _, err := disk.Open(tierConfig(dir)); return err },
+				"durable open": func() error {
+					_, err := kflushing.Open(dir, kflushing.Options{Durable: true})
+					return err
+				},
+				"upgrade": func() error { return disk.Upgrade(dir) },
+			} {
+				err := run()
+				if !errors.Is(err, disk.ErrNeedsUpgrade) || !strings.Contains(fmt.Sprint(err), "ff40e7c") ||
+					!strings.Contains(fmt.Sprint(err), row.File+" ") {
+					t.Fatalf("%s = %v; want ErrNeedsUpgrade naming %s and commit ff40e7c", what, err, row.File)
+				}
+				if after := treeFiles(t, dir); !reflect.DeepEqual(after, before) {
+					t.Fatalf("a refused %s changed the directory:\n%v\nwas\n%v", what, after, before)
+				}
+			}
+		})
+	}
+}
+
+// treeFiles lists every file under dir with its size and content.
+func treeFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(p)
+		out[p] = fmt.Sprintf("%d %x", len(b), b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // checkUpgraded checks an upgraded directory: current formats only, the
 // tier's answers against a brute force over tierRecs, Verify, and the
 // log's records against logRecs.
 func checkUpgraded(t *testing.T, dir string, tierRecs, logRecs []disk.FlushRecord) {
 	t.Helper()
-	if _, err := os.Stat(filepath.Join(dir, "wal")); !os.IsNotExist(err) {
-		t.Fatalf("the old log directory is still there: %v", err)
-	}
 	// A file the manifest retires goes at the next open, unread.
 	m, err := disk.ReadManifest(dir)
 	if err != nil && !os.IsNotExist(err) {

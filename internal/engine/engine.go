@@ -91,10 +91,10 @@ type Config[K comparable] struct {
 	// memory contents survive restarts (replayed on New) and crashes
 	// (torn tails are tolerated), and the log's files are the tier's
 	// record files, so a flush writes only a directory over frames the
-	// log already holds. New refuses a log a previous version kept in
-	// DiskDir/wal with disk.ErrNeedsUpgrade (wal.CheckDir); `kflushctl
-	// upgrade` moves it in. False keeps only flushed records, the paper's
-	// model.
+	// log already holds. The tier's open refuses a log a build before
+	// the support window (DESIGN.md §7.1) kept in DiskDir/wal with
+	// disk.ErrNeedsUpgrade, naming the commit whose `kflushctl upgrade`
+	// moves it in. False keeps only flushed records, the paper's model.
 	Durable bool
 	// WALOptions tunes the write-ahead log when Durable is set.
 	WALOptions wal.Options
@@ -267,7 +267,7 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 	if st == nil {
 		st = NewStream()
 	}
-	if err := st.checkDir(cfg.DiskDir, cfg.Durable); err != nil {
+	if err := st.checkDir(cfg.DiskDir); err != nil {
 		return nil, err
 	}
 	logs := st.logsFor(cfg.DiskDir)

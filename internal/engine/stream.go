@@ -147,13 +147,10 @@ func (s *Stream) join(m member) (slot int) {
 	return len(s.members) - 1
 }
 
-// checkDir refuses a member directory the stream cannot use: a log in
-// a retired place (the owner's), or a log of its own (any other member).
-func (s *Stream) checkDir(dir string, durable bool) error {
+// checkDir refuses a member directory the stream cannot use: one
+// holding a log of its own, when another member owns the log.
+func (s *Stream) checkDir(dir string) error {
 	if s.logs == nil {
-		if durable {
-			return wal.CheckDir(dir)
-		}
 		return nil
 	}
 	return disk.CheckLogFree(dir)

@@ -97,7 +97,6 @@ const (
 	WALReplayTruncate   = "wal/replay/truncate"   // truncating a tolerated torn tail during replay
 	WALCloseSync        = "wal/close/sync"        // the final fsync in Close
 	WALReclaimUnlink    = "wal/reclaim/unlink"    // unlinking a log file with no frames, or any unclaimed file of a log no tier owns
-	WALMigrateRemove    = "wal/migrate/remove"    // the offline upgrade: a log left in <dir>/wal re-framed in a new fsynced file, <dir>/wal not yet removed
 	DiskOpenMkdir       = "disk/open/mkdir"       // creating the tier directory (no segments exist yet)
 	DiskDirSync         = "disk/dir/sync"         // directory fsync after a rename (rename sites cover the crash)
 	DiskAdoptRemove     = "disk/adopt/remove"     // deleting retired inputs during manifest recovery (best-effort)

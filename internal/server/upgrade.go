@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
 
@@ -13,12 +14,14 @@ import (
 	"kflushing/internal/wal"
 )
 
-// Upgrade turns a kflushd data directory an older build wrote, whose
-// attributes kept one log each in their own directories, into one whose
-// attributes share the log in dir/keyword, offline. First each
-// attribute's records its log still replays are posted in a directory of
-// that attribute, and every one of its log files is marked drained, so
-// no old file replays again; then the spatial and user log files move
+// Upgrade turns a kflushd data directory an older build of the support
+// window (DESIGN.md §7.1) wrote into the current layout, offline. First
+// each attribute's tier files are rewritten in current formats
+// (disk.Upgrade). Then, when the attributes kept one log each in their
+// own directories, they come to share the log in dir/keyword: each
+// attribute's records its log still replays are posted in a directory
+// of that attribute, and every one of its log files is marked drained,
+// so no old file replays again; then the spatial and user log files move
 // into dir/keyword under fresh sequence numbers, their directories
 // re-pointed at the new names and the keyword manifest listing them
 // drained (disk.MoveLogs). The store's IDs resume past the highest mark
@@ -28,6 +31,11 @@ import (
 func Upgrade(dir string) error {
 	owner := filepath.Join(dir, "keyword")
 	others := []string{filepath.Join(dir, "spatial"), filepath.Join(dir, "user")}
+	for _, d := range append([]string{owner}, others...) {
+		if err := disk.Upgrade(d); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
 	split := false
 	for _, d := range others {
 		names, err := disk.LogFileNames(d)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +12,7 @@ import (
 
 	"kflushing"
 	"kflushing/internal/disk"
+	"kflushing/internal/wal"
 )
 
 // splitOptions is the configuration of the split-log stores the upgrade
@@ -190,4 +192,118 @@ func TestUpgradeSplitLogs(t *testing.T) {
 	if res.KeywordID <= maxOld || res.KeywordID != res.SpatialID || res.KeywordID != res.UserID {
 		t.Fatalf("a record after the upgrade got %+v, want one ID past %d", res, maxOld)
 	}
+}
+
+// TestUpgradeWindowEdge: a data directory as the oldest builds of the
+// support window left it — one log per attribute, its files of version 3,
+// and version-3 directories in every tier — is refused as it stands; one
+// upgrade both rewrites the formats and merges the logs, after which the
+// store answers every query as the split store did, and a second upgrade
+// changes no file.
+func TestUpgradeWindowEdge(t *testing.T) {
+	dir := t.TempDir()
+	want := buildSplitDir(t, dir)
+	downgradeToWindowEdge(t, dir)
+	if _, err := OpenStore(dir, splitOptions()); !errors.Is(err, disk.ErrNeedsUpgrade) {
+		t.Fatalf("open before the upgrade: %v, want ErrNeedsUpgrade", err)
+	}
+	if err := Upgrade(dir); err != nil {
+		t.Fatal(err)
+	}
+	checkUpgradedStore(t, dir, want)
+	before := snapshot(t, dir)
+	if err := Upgrade(dir); err != nil {
+		t.Fatal(err)
+	}
+	if after := snapshot(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatal("a second upgrade changed files")
+	}
+}
+
+// downgradeToWindowEdge rewrites what buildSplitDir left in the formats
+// of the support window's oldest builds: every log file as version 3,
+// which had no reference frame, and every directory as version 3.
+func downgradeToWindowEdge(t *testing.T, dir string) {
+	t.Helper()
+	for _, attr := range []string{"keyword", "spatial", "user"} {
+		d := filepath.Join(dir, attr)
+		files, err := wal.Inspect(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			if f.References > 0 {
+				t.Fatalf("%s/%s holds a reference frame, which version 3 did not have", attr, f.Name)
+			}
+		}
+		paths, err := filepath.Glob(filepath.Join(d, "*.kf[sw]"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds := map[string]int{}
+		for _, p := range paths {
+			img, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch kind := string(img[:4]); kind {
+			case disk.LogMagic:
+				binary.LittleEndian.PutUint16(img[4:], 3)
+				kinds[kind]++
+			case "KFSG":
+				img = directoryV3(img)
+				kinds[kind]++
+			}
+			if err := os.WriteFile(p, img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(kinds) != 2 {
+			t.Fatalf("%s holds %v: want log files and directories", attr, kinds)
+		}
+	}
+}
+
+// directoryV3 re-encodes the key section of directory image img in the
+// version-3 layout — u32 nkeys, then per key u16 keyLen | key | u32 n |
+// n × u32 posting — keeping every other byte but the version and the
+// footer's Bloom filter position.
+func directoryV3(img []byte) []byte {
+	const footer = 8 + 8 + 8 + 8 + 4 // keysPos | bloomPos | shadowed | maxScore | magic
+	le := binary.LittleEndian
+	foot := img[len(img)-footer:]
+	keysPos, bloomPos := le.Uint64(foot), le.Uint64(foot[8:])
+	sec := img[keysPos:bloomPos]
+	uvarint := func() uint64 {
+		v, n := binary.Uvarint(sec)
+		sec = sec[n:]
+		return v
+	}
+	nkeys := uvarint()
+	uvarint() // the posting count
+	out := le.AppendUint16(append([]byte(nil), img[:4]...), 3)
+	out = le.AppendUint32(append(out, img[6:keysPos]...), uint32(nkeys))
+	var key []byte
+	for ; nkeys > 0; nkeys-- {
+		shared, n := uvarint(), uvarint()
+		key = append(key[:shared], sec[:n]...)
+		sec = sec[n:]
+		out = append(le.AppendUint16(out, uint16(len(key))), key...)
+		posts := uvarint()
+		out = le.AppendUint32(out, uint32(posts))
+		var p int64
+		for i := uint64(0); i < posts; i++ {
+			if i == 0 {
+				p = int64(uvarint())
+			} else {
+				d, n := binary.Varint(sec)
+				sec, p = sec[n:], p+d
+			}
+			out = le.AppendUint32(out, uint32(p))
+		}
+	}
+	bloom := uint64(len(out))
+	out = append(out, img[bloomPos:]...)
+	le.PutUint64(out[len(out)-footer+8:], bloom)
+	return out
 }

@@ -23,7 +23,7 @@
 // in, because a directory names only sealed files). Sealing writes the
 // frame index and fsyncs; Seal does that off the log's lock, so
 // ingestion never waits on it. An older file version is
-// disk.ErrNeedsUpgrade (see Upgrade), any other ErrCorrupt. A torn final
+// disk.ErrNeedsUpgrade (see disk.Upgrade), any other ErrCorrupt. A torn final
 // frame — the expected crash artifact — is detected by the CRC/length
 // check and replay stops there; corruption in the middle of the log is
 // reported as an error.
@@ -756,21 +756,13 @@ func parseFile(path string, lastFile bool) (parsedFile, error) {
 	if string(b[:4]) != disk.LogMagic {
 		return parsedFile{}, fmt.Errorf("%w: bad header in %s", ErrCorrupt, name)
 	}
-	switch v := binary.LittleEndian.Uint16(b[4:]); {
-	case v > 0 && v < fileVersion:
-		return parsedFile{}, fmt.Errorf("%s is log version %d: %w", name, v, disk.ErrNeedsUpgrade)
-	case v != fileVersion:
+	v := binary.LittleEndian.Uint16(b[4:])
+	if err := disk.CheckLogVersion(name, v); errors.Is(err, disk.ErrNeedsUpgrade) {
+		return parsedFile{}, err
+	} else if err != nil {
 		return parsedFile{}, fmt.Errorf("%w: unknown version %d in %s", ErrCorrupt, v, name)
 	}
 	own, _ := disk.ParseLogName(name)
-	return parseFrames(b, name, lastFile, own, disk.DecodeRecord)
-}
-
-// parseFrames reads the frames of a log file image b past its header,
-// decoding each record payload with decode. A version with a frame index
-// and reference frames names the file's own seq; without one, own is 0
-// and such frames are undecodable.
-func parseFrames(b []byte, name string, lastFile bool, own uint32, decode func([]byte) (disk.FlushRecord, int, error)) (parsedFile, error) {
 	var p parsedFile
 	pos := headerSize
 	// stop ends the parse at pos: a torn tail when tolerable, else
@@ -796,7 +788,7 @@ func parseFrames(b []byte, name string, lastFile bool, own uint32, decode func([
 		}
 		end := pos + disk.FrameHeaderSize + len(payload)
 		switch {
-		case own > 0 && disk.IsFrameIndex(payload):
+		case disk.IsFrameIndex(payload):
 			offsets, ok := disk.DecodeFrameIndex(payload)
 			if !ok || !slices.Equal(offsets, p.offsets) || end != len(b) {
 				return stop("frame index not matching its file", lastFile)
@@ -804,7 +796,7 @@ func parseFrames(b []byte, name string, lastFile bool, own uint32, decode func([
 			p.indexed = true
 			p.valid = int64(end)
 			return p, nil
-		case own > 0 && disk.IsReferences(payload):
+		case disk.IsReferences(payload):
 			refs, ok := disk.DecodeReferences(payload, own)
 			if !ok {
 				return stop("undecodable reference frame", lastFile)
@@ -812,7 +804,7 @@ func parseFrames(b []byte, name string, lastFile bool, own uint32, decode func([
 			p.refs = append(p.refs, refFrame{at: len(p.recs), refs: refs})
 			p.refBytes += int64(end - pos)
 		default:
-			fr, used, err := decode(payload)
+			fr, used, err := disk.DecodeRecord(payload)
 			if err != nil || used != len(payload) {
 				return stop("undecodable frame", lastFile)
 			}
@@ -1378,10 +1370,10 @@ type FileInfo struct {
 	MinID, MaxID uint64
 }
 
-// readFiles parses paths in order with parse and hands fn each result. A
+// readFiles parses paths in order and hands fn each result. A
 // bad-checksum tail is tolerated where Replay tolerates it: in the
 // newest file with payload (crashTail), which need not be the last file.
-func readFiles(paths []string, parse func(string, bool) (parsedFile, error), fn func(string, parsedFile) error) error {
+func readFiles(paths []string, fn func(string, parsedFile) error) error {
 	files := make([]*logFile, len(paths))
 	for i, path := range paths {
 		st, err := os.Stat(path)
@@ -1392,7 +1384,7 @@ func readFiles(paths []string, parse func(string, bool) (parsedFile, error), fn 
 	}
 	tail := crashTail(files)
 	for i, path := range paths {
-		p, err := parse(path, files[i] == tail)
+		p, err := parseFile(path, files[i] == tail)
 		if err != nil {
 			return fmt.Errorf("%s: %w", filepath.Base(path), err)
 		}
@@ -1411,7 +1403,7 @@ func Inspect(dir string) ([]FileInfo, error) {
 		return nil, err
 	}
 	var out []FileInfo
-	err = readFiles(paths, parseFile, func(path string, p parsedFile) error {
+	err = readFiles(paths, func(path string, p parsedFile) error {
 		fi := FileInfo{Name: filepath.Base(path), Version: fileVersion, Frames: len(p.recs),
 			ReferenceBytes: p.refBytes, Sealed: p.indexed}
 		for _, rf := range p.refs {
@@ -1458,7 +1450,7 @@ func Verify(dir string) (int, error) {
 	readers := frameReaders{}
 	defer readers.close()
 	checked := 0
-	err = readFiles(paths, parseFile, func(path string, p parsedFile) error {
+	err = readFiles(paths, func(path string, p parsedFile) error {
 		for _, rf := range p.refs {
 			for _, ref := range rf.refs {
 				if _, _, err := readers.read(dir, ref); err != nil {

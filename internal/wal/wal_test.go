@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"kflushing/internal/disk"
@@ -299,8 +300,9 @@ func TestAppendAfterCloseFails(t *testing.T) {
 }
 
 // TestReplayRefusesUnknownVersion: a file of an older version is
-// disk.ErrNeedsUpgrade, one of an unknown version ErrCorrupt — in the
-// crash-tail file too — and neither is decoded.
+// disk.ErrNeedsUpgrade — naming, when it is older than the support
+// window, the commit whose upgrade converts it — one of an unknown
+// version ErrCorrupt, in the crash-tail file too, and neither is decoded.
 func TestReplayRefusesUnknownVersion(t *testing.T) {
 	for _, version := range []uint16{0, 1, 2, 3, 5, 0xFFFF} {
 		want := ErrCorrupt
@@ -318,6 +320,9 @@ func TestReplayRefusesUnknownVersion(t *testing.T) {
 			p, err := parseFile(path, last)
 			if n := len(p.recs); !errors.Is(err, want) || n != 0 {
 				t.Fatalf("version %d (last=%v): %d records, err %v; want %v and none", version, last, n, err, want)
+			}
+			if named := strings.Contains(fmt.Sprint(err), "ff40e7c"); named != (version == 1 || version == 2) {
+				t.Fatalf("version %d: %v names commit ff40e7c: %v", version, err, named)
 			}
 		}
 		l, err := Open(dir, Options{})

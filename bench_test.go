@@ -387,11 +387,11 @@ func selectorIndex(n int) *index.Index[string] {
 // (DESIGN.md ablation 1) on a 100K-entry index.
 func BenchmarkAblationPhase2Select(b *testing.B) {
 	ix := selectorIndex(100_000)
-	classify := func(e *index.Entry[string]) (int64, bool) {
+	classify := func(e *index.Entry[string]) (int, int64, bool) {
 		if e.Len() >= ix.K() {
-			return 0, false
+			return 0, 0, false
 		}
-		return int64(e.LastArrival()), true
+		return 0, int64(e.LastArrival()), true
 	}
 	const target = 1 << 20
 	b.Run("heap", func(b *testing.B) {

@@ -12,10 +12,14 @@
 //	phase never scans the whole key space.
 //
 //	Phase 2 — aggressive flushing (Section III-B): evict whole entries
-//	holding fewer than k postings — queries on them would miss anyway,
-//	so evicting them cannot add disk accesses. Victims are the least
-//	recently *arrived* entries, selected by a single-pass O(n) heap
-//	algorithm rather than an O(n log n) sort.
+//	holding fewer than k postings. The paper's premise is that queries
+//	on them would miss anyway; under exact hits that holds only for an
+//	entry whose key already lost a posting, since a complete entry
+//	answers every query from memory. So the phase takes first the
+//	stale non-complete entries — those that gained no posting since
+//	the previous Phase 2 scan — and only then the rest. Inside each
+//	class victims are the least recently *arrived* entries, selected
+//	by a single-pass O(n) heap algorithm rather than an O(n log n) sort.
 //
 //	Phase 3 — forced flushing (Section III-C): every remaining entry
 //	holds exactly k postings and anything flushed may now cost hits, so
@@ -30,6 +34,7 @@ package core
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kflushing/internal/blackbox"
@@ -53,6 +58,9 @@ type KFlushing[K comparable] struct {
 	// parallelism caps the flush worker pool; 0 selects
 	// min(GOMAXPROCS, index shards). 1 forces sequential flushing.
 	parallelism int
+	// frontier is the newest arrival the last Phase 2 scan saw: an
+	// under-k entry that arrived no later is stale (see phase2).
+	frontier atomic.Int64
 
 	r *policy.Resources[K]
 }
@@ -172,10 +180,22 @@ func (f *KFlushing[K]) Flush(target int64) (int64, error) {
 }
 
 // phaseRun is what a phase reports besides the bytes it freed: its
-// victim count and, when it ran in parallel, each worker's duration.
+// victim count, how many victims were complete entries and, when it ran
+// in parallel, each worker's duration.
 type phaseRun struct {
 	victims     int64
+	complete    atomic.Int64 // Phase 1 workers add concurrently
 	workerNanos []int64
+}
+
+// remove evicts through the shared release path and counts a victim
+// that was complete.
+func (f *KFlushing[K]) remove(e *index.Entry[K], k int, scope index.Scope, keep func(*store.Record) bool, buf *policy.VictimBuffer, pr *phaseRun) int64 {
+	freed, complete := f.r.Remove(e, k, scope, keep, buf)
+	if complete {
+		pr.complete.Add(1)
+	}
+	return freed
 }
 
 // timedPhase runs one phase, feeds its duration and freed bytes to the
@@ -186,7 +206,7 @@ func (f *KFlushing[K]) timedPhase(phase int, run func(*phaseRun) int64) int64 {
 	freed := run(&pr)
 	d := time.Since(start)
 	if f.r.Metrics != nil {
-		f.r.Metrics.ObservePhase(phase, d, freed)
+		f.r.Metrics.ObservePhase(phase, d, freed, pr.complete.Load())
 	}
 	f.r.Phase(phase, pr.victims, freed, d, pr.workerNanos)
 	return freed
@@ -241,7 +261,7 @@ func (f *KFlushing[K]) phase1(k int, buf *policy.VictimBuffer, pr *phaseRun) int
 	pr.victims = int64(len(entries))
 	workers := f.workers(len(entries))
 	if workers <= 1 {
-		return f.trimEntries(entries, k, keep, buf)
+		return f.trimEntries(entries, k, keep, buf, pr)
 	}
 	freedBy := make([]int64, workers)
 	shardNanos := make([]int64, workers)
@@ -259,7 +279,7 @@ func (f *KFlushing[K]) phase1(k int, buf *policy.VictimBuffer, pr *phaseRun) int
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			ws := time.Now()
-			freedBy[w] = f.trimEntries(entries[lo:hi], k, keep, buf)
+			freedBy[w] = f.trimEntries(entries[lo:hi], k, keep, buf, pr)
 			shardNanos[w] = time.Since(ws).Nanoseconds()
 		}(w, lo, hi)
 	}
@@ -275,23 +295,52 @@ func (f *KFlushing[K]) phase1(k int, buf *policy.VictimBuffer, pr *phaseRun) int
 // trimEntries runs the Phase 1 trim over one worker's slice of the
 // over-k list. An entry the MK retention rule leaves above k goes back
 // on L for the next Phase 1.
-func (f *KFlushing[K]) trimEntries(entries []*index.Entry[K], k int, keep func(*store.Record) bool, buf *policy.VictimBuffer) int64 {
+func (f *KFlushing[K]) trimEntries(entries []*index.Entry[K], k int, keep func(*store.Record) bool, buf *policy.VictimBuffer, pr *phaseRun) int64 {
 	var freed int64
 	for _, e := range entries {
-		freed += f.r.Remove(e, k, index.BeyondTopK, keep, buf)
+		freed += f.remove(e, k, index.BeyondTopK, keep, buf, pr)
 	}
 	return freed
 }
 
-// phase2 evicts whole under-k entries, least recently arrived first,
-// until target bytes are freed.
+// Phase 2 victim classes, taken in this order.
+const (
+	// classStale: a non-complete under-k entry that gained no posting
+	// since the previous Phase 2 scan. Its key lost a posting, so the
+	// entry answers only the queries its postings fill, and nothing is
+	// refilling it.
+	classStale = iota
+	// classOther: every other under-k entry. A complete one answers
+	// every query from memory; a refilling one is on its way back to k.
+	classOther
+)
+
+// phase2 evicts whole under-k entries until target bytes are freed:
+// stale non-complete entries first, then the rest, least recently
+// arrived first inside each class.
+//
+// Staleness is measured against the frontier, the newest arrival the
+// previous scan saw; every scan raises it by atomic max, so its value
+// depends on the entries alone, not on scan order or worker count. The
+// guard keeps a hot key that was evicted once from starving: its next
+// entry is non-complete, but it gains postings between scans, so it
+// ranks with the complete entries until it refills to k.
 func (f *KFlushing[K]) phase2(k int, target int64, buf *policy.VictimBuffer, pr *phaseRun) int64 {
-	victims := f.selector.Select(f.r.Index, target, func(e *index.Entry[K]) (int64, bool) {
-		n := e.Len()
-		if n == 0 || n >= k {
-			return 0, false
+	prev := f.frontier.Load()
+	victims := f.selector.Select(f.r.Index, target, func(e *index.Entry[K]) (int, int64, bool) {
+		_, n, ceiling := e.Probe(0)
+		if n == 0 {
+			return 0, 0, false
 		}
-		return int64(e.LastArrival()), true
+		ts := int64(e.LastArrival())
+		f.raiseFrontier(ts)
+		if n >= k {
+			return 0, 0, false
+		}
+		if !ceiling.Complete() && ts <= prev {
+			return classStale, ts, true
+		}
+		return classOther, ts, true
 	})
 	var freed int64
 	for _, e := range victims {
@@ -309,9 +358,18 @@ func (f *KFlushing[K]) phase2(k int, target int64, buf *policy.VictimBuffer, pr 
 			victim := e
 			keep = func(rec *store.Record) bool { return f.inFrequentEntryExcept(rec, k, victim) }
 		}
-		freed += f.r.Remove(e, k, index.AllPostings, keep, buf)
+		freed += f.remove(e, k, index.AllPostings, keep, buf, pr)
 	}
 	return freed
+}
+
+// raiseFrontier lifts the frontier to ts by atomic max.
+func (f *KFlushing[K]) raiseFrontier(ts int64) {
+	for cur := f.frontier.Load(); ts > cur; cur = f.frontier.Load() {
+		if f.frontier.CompareAndSwap(cur, ts) {
+			return
+		}
+	}
 }
 
 // phase3 evicts entries in least-recently-queried order regardless of
@@ -319,11 +377,11 @@ func (f *KFlushing[K]) phase2(k int, target int64, buf *policy.VictimBuffer, pr 
 // still in memory could cause a hit, so victims are chosen purely by
 // query recency.
 func (f *KFlushing[K]) phase3(k int, target int64, buf *policy.VictimBuffer, pr *phaseRun) int64 {
-	victims := f.selector.Select(f.r.Index, target, func(e *index.Entry[K]) (int64, bool) {
+	victims := f.selector.Select(f.r.Index, target, func(e *index.Entry[K]) (int, int64, bool) {
 		if e.Len() == 0 {
-			return 0, false
+			return 0, 0, false
 		}
-		return int64(e.LastQueried()), true
+		return 0, int64(e.LastQueried()), true
 	})
 	var freed int64
 	for _, e := range victims {
@@ -331,7 +389,7 @@ func (f *KFlushing[K]) phase3(k int, target int64, buf *policy.VictimBuffer, pr 
 			break
 		}
 		pr.victims++
-		freed += f.r.Remove(e, k, index.AllPostings, nil, buf)
+		freed += f.remove(e, k, index.AllPostings, nil, buf, pr)
 	}
 	return freed
 }

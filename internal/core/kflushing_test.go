@@ -167,6 +167,82 @@ func TestPhase2EvictsLeastRecentlyArrived(t *testing.T) {
 	}
 }
 
+// evictOne runs a flush whose one-byte target Phase 2 meets with its
+// first victim (nothing is over k, so Phase 1 frees nothing).
+func (h *harness) evictOne(t *testing.T) {
+	t.Helper()
+	if h.ix.OverKLen() != 0 {
+		t.Fatal("fixture has an over-k entry: Phase 1 would run first")
+	}
+	h.flush(t, 1)
+}
+
+// TestPhase2StaleBeforeOlderComplete: an under-k entry whose key lost a
+// posting, and that gained none since the previous Phase 2 scan, is
+// evicted ahead of a complete under-k entry that arrived before it. The
+// paper's order alone would take the older, complete entry, which
+// answers every query from memory.
+func TestPhase2StaleBeforeOlderComplete(t *testing.T) {
+	h := newHarness(3, false)
+	h.add("lost") // ts 1
+	h.add("sac")  // ts 2
+	h.add("old")  // ts 3
+	h.evictOne(t) // takes "lost", the least recently arrived
+	if h.ix.Entry("lost") != nil {
+		t.Fatal("first cycle kept the least recently arrived entry")
+	}
+	h.add("lost") // ts 4: re-created, its ceiling copied from the departure record
+	if _, _, c := h.ix.Entry("lost").Probe(0); c.Complete() {
+		t.Fatal("re-created entry is complete; the departure record lost its ceiling")
+	}
+	// "lost" gained a posting since the last scan: it is refilling and
+	// ranks by arrival, after "sac" (ts 2).
+	h.evictOne(t)
+	if h.ix.Entry("sac") != nil || h.ix.Entry("lost") == nil {
+		t.Fatal("second cycle: a refilling entry went ahead of an older complete one")
+	}
+	// Nothing arrived since: "lost" is stale and goes before "old" (ts 3).
+	h.evictOne(t)
+	if h.ix.Entry("lost") != nil {
+		t.Fatal("stale non-complete entry survived Phase 2")
+	}
+	if h.ix.Entry("old") == nil {
+		t.Fatal("older complete entry evicted ahead of a stale non-complete one")
+	}
+}
+
+// TestPhase2RefillingKeyNotStarved is the starvation case of a hot key:
+// evicted once, its next entry is non-complete, and it would miss every
+// query until it held k postings again. Because it gains a posting
+// between cycles it ranks with the complete entries, by arrival, so each
+// cycle takes the older complete entry instead and the key refills to k.
+// Taking every non-complete under-k entry first would evict it every
+// cycle, and it would never hit again.
+func TestPhase2RefillingKeyNotStarved(t *testing.T) {
+	const k = 3
+	h := newHarness(k, false)
+	h.add("gopher")
+	h.evictOne(t)
+	for i := 0; i < k; i++ {
+		h.add(fmt.Sprintf("cold%d", i)) // complete, older than gopher's next posting
+		h.add("gopher")
+		h.evictOne(t)
+		e := h.ix.Entry("gopher")
+		if e == nil {
+			t.Fatalf("cycle %d: the refilling key was evicted ahead of complete entry cold%d", i, i)
+		}
+		if h.ix.Entry(fmt.Sprintf("cold%d", i)) != nil {
+			t.Fatalf("cycle %d: cold%d survived", i, i)
+		}
+		if _, _, c := e.Probe(0); c.Complete() {
+			t.Fatalf("cycle %d: gopher's entry is complete; the fixture lost its ceiling", i)
+		}
+	}
+	if n := h.ix.Entry("gopher").Len(); n != k {
+		t.Fatalf("gopher holds %d postings, want k=%d", n, k)
+	}
+}
+
 func TestPhase3EvictsLeastRecentlyQueried(t *testing.T) {
 	h := newHarness(1, false)
 	h.add("a")

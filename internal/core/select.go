@@ -10,22 +10,28 @@ import (
 	"kflushing/internal/index"
 )
 
-// Selector picks the victim entries for Phases 2 and 3. classify maps an
-// entry to its eviction timestamp (arrival time for Phase 2, query time
-// for Phase 3) and reports whether it is a candidate at all. The
-// returned victims are ordered least-recent first and their estimated
-// freeable bytes sum to at least target when enough candidates exist.
+// Selector picks the victim entries for Phases 2 and 3 among the
+// candidates classify accepts. The returned victims are ordered by
+// class, lowest first, and least recent first inside a class; their
+// estimated freeable bytes sum to at least target when enough
+// candidates exist.
 type Selector[K comparable] interface {
-	Select(ix *index.Index[K], target int64, classify func(*index.Entry[K]) (ts int64, ok bool)) []*index.Entry[K]
+	Select(ix *index.Index[K], target int64, classify Classifier[K]) []*index.Entry[K]
 }
 
+// Classifier maps an entry to its eviction class and timestamp (arrival
+// time for Phase 2, query time for Phase 3), and reports whether the
+// entry is a victim candidate at all.
+type Classifier[K comparable] func(*index.Entry[K]) (class int, ts int64, ok bool)
+
 type victim[K comparable] struct {
-	e  *index.Entry[K]
-	ts int64
+	e     *index.Entry[K]
+	class int
+	ts    int64
 	// tie is the entry's key hash. Timestamps tie routinely (one record
 	// creating two entries stamps both with the same arrival time), so
-	// victims are ordered by (ts, tie): a total order that depends on
-	// the keys alone, not on map iteration or goroutine scheduling.
+	// victims are ordered by (class, ts, tie): a total order that depends
+	// on the keys alone, not on map iteration or goroutine scheduling.
 	// (Two tied keywords with colliding 64-bit FNV hashes would still
 	// fall back to scan order; integer and cell hashes are bijective.)
 	tie uint64
@@ -34,6 +40,9 @@ type victim[K comparable] struct {
 
 // before reports whether v is evicted ahead of o.
 func (v victim[K]) before(o victim[K]) bool {
+	if v.class != o.class {
+		return v.class < o.class
+	}
 	if v.ts != o.ts {
 		return v.ts < o.ts
 	}
@@ -57,7 +66,7 @@ func (h *victimHeap[K]) Pop() interface{} {
 }
 
 // scanVictims collects every classify-accepted entry with its eviction
-// timestamp and freeable-byte estimate. The scan — the O(n) part of
+// class, timestamp and freeable-byte estimate. The scan — the O(n) part of
 // victim selection that walks every entry and takes its lock to size it
 // — is fanned out over the index shards with a bounded worker pool of
 // min(GOMAXPROCS, shards) goroutines (or `workers`, when positive);
@@ -66,7 +75,7 @@ func (h *victimHeap[K]) Pop() interface{} {
 // concatenated in shard order, so which worker scanned a shard never
 // shows in the result; the order inside a shard is map iteration order,
 // which the selectors remove by ordering victims totally (see victim).
-func scanVictims[K comparable](ix *index.Index[K], workers int, classify func(*index.Entry[K]) (int64, bool)) []victim[K] {
+func scanVictims[K comparable](ix *index.Index[K], workers int, classify Classifier[K]) []victim[K] {
 	shards := ix.ShardCount()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -85,10 +94,10 @@ func scanVictims[K comparable](ix *index.Index[K], workers int, classify func(*i
 				return
 			}
 			ix.RangeShard(i, func(e *index.Entry[K]) bool {
-				if ts, ok := classify(e); ok {
+				if class, ts, ok := classify(e); ok {
 					key := e.Key()
 					perShard[i] = append(perShard[i], victim[K]{
-						e: e, ts: ts, tie: ix.KeyHash(key), fb: e.FreeableBytes(),
+						e: e, class: class, ts: ts, tie: ix.KeyHash(key), fb: e.FreeableBytes(),
 					})
 				}
 				return true
@@ -116,9 +125,9 @@ func scanVictims[K comparable](ix *index.Index[K], workers int, classify func(*i
 // HeapSelector is the paper's single-pass O(n) victim selection: one
 // traversal over the candidate entries maintaining an on-the-go buffer
 // (a max-heap on eviction order) that always holds exactly the shortest
-// least-recent prefix of the candidates seen so far whose freeable bytes
-// reach the target. That invariant makes the result a function of the
-// candidate set alone — scan order does not matter.
+// prefix, in eviction order, of the candidates seen so far whose
+// freeable bytes reach the target. That invariant makes the result a
+// function of the candidate set alone — scan order does not matter.
 //
 // The candidate *scan* runs shard-parallel (see scanVictims); the heap
 // pass itself is kept sequential — it is O(n) with a heap bounded by the
@@ -130,7 +139,7 @@ type HeapSelector[K comparable] struct {
 }
 
 // Select implements Selector.
-func (s HeapSelector[K]) Select(ix *index.Index[K], target int64, classify func(*index.Entry[K]) (int64, bool)) []*index.Entry[K] {
+func (s HeapSelector[K]) Select(ix *index.Index[K], target int64, classify Classifier[K]) []*index.Entry[K] {
 	var h victimHeap[K]
 	var total int64
 	for _, v := range scanVictims(ix, s.Workers, classify) {
@@ -159,9 +168,9 @@ func (s HeapSelector[K]) Select(ix *index.Index[K], target int64, classify func(
 }
 
 // SortSelector is the straightforward O(n log n) alternative the paper
-// rejects: sort every candidate by recency, then take the least recent
-// prefix whose freeable bytes reach the target. Kept as the ablation
-// baseline for the selection benchmarks. It shares the shard-parallel
+// rejects: sort every candidate in eviction order, then take the
+// shortest prefix whose freeable bytes reach the target. Kept as the
+// ablation baseline for the selection benchmarks. It shares the shard-parallel
 // candidate scan so the ablation isolates the selection algorithm.
 type SortSelector[K comparable] struct {
 	// Workers caps the scan worker pool; 0 selects
@@ -170,7 +179,7 @@ type SortSelector[K comparable] struct {
 }
 
 // Select implements Selector.
-func (s SortSelector[K]) Select(ix *index.Index[K], target int64, classify func(*index.Entry[K]) (int64, bool)) []*index.Entry[K] {
+func (s SortSelector[K]) Select(ix *index.Index[K], target int64, classify Classifier[K]) []*index.Entry[K] {
 	all := scanVictims(ix, s.Workers, classify)
 	sort.Slice(all, func(i, j int) bool { return all[i].before(all[j]) })
 	var total int64

@@ -34,8 +34,8 @@ func buildSelectorIndex(ts []int64) *index.Index[string] {
 	return ix
 }
 
-func classifyArrival(e *index.Entry[string]) (int64, bool) {
-	return int64(e.LastArrival()), true
+func classifyArrival(e *index.Entry[string]) (int, int64, bool) {
+	return 0, int64(e.LastArrival()), true
 }
 
 // TestSelectorProperties checks the invariants both victim selectors
@@ -123,13 +123,13 @@ func TestSelectorEmptyIndex(t *testing.T) {
 
 // phase2Classify is the real Phase 2 predicate: an entry is a victim
 // candidate only while it holds fewer than k postings (and is alive).
-func phase2Classify(k int) func(e *index.Entry[string]) (int64, bool) {
-	return func(e *index.Entry[string]) (int64, bool) {
+func phase2Classify(k int) Classifier[string] {
+	return func(e *index.Entry[string]) (int, int64, bool) {
 		n := e.Len()
 		if n == 0 || n >= k {
-			return 0, false
+			return 0, 0, false
 		}
-		return int64(e.LastArrival()), true
+		return 0, int64(e.LastArrival()), true
 	}
 }
 
@@ -267,8 +267,9 @@ func TestSelectorBudgetExactAtShardBoundary(t *testing.T) {
 // estimates differ. Selection must be a function of the candidate set
 // alone: a sequential scan, a 4-worker scan and the sort baseline return
 // the identical victim list at every target, whatever order map
-// iteration and scheduling delivered the candidates in. Run with
-// -count=20.
+// iteration and scheduling delivered the candidates in — with one class,
+// and with two classes that cut across the tied timestamps, as Phase 2's
+// stale and other classes do. Run with -count=20.
 func TestSelectorTiesIndependentOfWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	ix := index.New(index.Config[string]{
@@ -284,25 +285,45 @@ func TestSelectorTiesIndependentOfWorkers(t *testing.T) {
 		ix.Insert(key, store.NewRecord(mb, float64(ts)))
 		totalAvail += ix.Entry(key).FreeableBytes()
 	}
-	for _, target := range []int64{1, totalAvail / 7, totalAvail / 2, totalAvail - 1, totalAvail * 2} {
-		want := HeapSelector[string]{Workers: 1}.Select(ix, target, classifyArrival)
-		if len(want) == 0 {
-			t.Fatalf("target %d: sequential scan selected nothing", target)
-		}
-		for name, sel := range map[string]Selector[string]{
-			"heap/workers=4": HeapSelector[string]{Workers: 4},
-			"heap/workers=1": HeapSelector[string]{Workers: 1}, // a second map-iteration order
-			"sort/workers=4": SortSelector[string]{Workers: 4},
-		} {
-			got := sel.Select(ix, target, classifyArrival)
-			if len(got) != len(want) {
-				t.Fatalf("target %d %s: %d victims, sequential %d", target, name, len(got), len(want))
+	// Every third key, by its number, is in the first class.
+	mixed := func(e *index.Entry[string]) (int, int64, bool) {
+		var n int
+		fmt.Sscanf(e.Key(), "k%d-", &n)
+		return min(n%3, 1), int64(e.LastArrival()), true
+	}
+	for cname, classify := range map[string]Classifier[string]{"one-class": classifyArrival, "mixed": mixed} {
+		for _, target := range []int64{1, totalAvail / 7, totalAvail / 2, totalAvail - 1, totalAvail * 2} {
+			want := HeapSelector[string]{Workers: 1}.Select(ix, target, classify)
+			if len(want) == 0 {
+				t.Fatalf("%s target %d: sequential scan selected nothing", cname, target)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("target %d %s: victim %d is %q, sequential %q",
-						target, name, i, got[i].Key(), want[i].Key())
+			for name, sel := range map[string]Selector[string]{
+				"heap/workers=4": HeapSelector[string]{Workers: 4},
+				"heap/workers=1": HeapSelector[string]{Workers: 1}, // a second map-iteration order
+				"sort/workers=4": SortSelector[string]{Workers: 4},
+			} {
+				got := sel.Select(ix, target, classify)
+				if len(got) != len(want) {
+					t.Fatalf("%s target %d %s: %d victims, sequential %d", cname, target, name, len(got), len(want))
 				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s target %d %s: victim %d is %q, sequential %q",
+							cname, target, name, i, got[i].Key(), want[i].Key())
+					}
+				}
+			}
+			if cname != "mixed" {
+				continue
+			}
+			// The first class comes out whole before the second begins.
+			seenSecond := false
+			for i, e := range want {
+				class, _, _ := mixed(e)
+				if class == 0 && seenSecond {
+					t.Fatalf("mixed target %d: victim %d (%q) is first-class after a second-class victim", target, i, e.Key())
+				}
+				seenSecond = seenSecond || class == 1
 			}
 		}
 	}

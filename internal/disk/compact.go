@@ -2,6 +2,7 @@ package disk
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -226,7 +227,8 @@ func (t *Tier[K]) compactLevel(lvl int, force bool) error {
 	t.levels[lvl+1] = append(t.levels[lvl+1], merged)
 	t.retired = append(t.retired, names...)
 	t.mu.Unlock()
-	if err := t.commitManifest(); err != nil {
+	err = t.commitManifest()
+	if err != nil && !errors.Is(err, ErrCommitUnsynced) {
 		// Roll back the swap: the inputs were the level's oldest prefix
 		// (only flush appends, only serialized compaction removes), so
 		// restoring them at the front preserves order.
@@ -250,8 +252,13 @@ func (t *Tier[K]) compactLevel(lvl int, force bool) error {
 	// Unlink the retired inputs. The committed manifest already lists
 	// them, so a crash anywhere below just leaves files the next open
 	// deletes. Unlinking while readers still hold the files open is safe
-	// (the inode survives until the last close).
-	if err := failpoint.Eval(failpoint.DiskCompactRemove); err != nil {
+	// (the inode survives until the last close). A commit that stands
+	// unsynced unlinks nothing: a crash may bring back the manifest that
+	// names the inputs live. They stay retired, for the next open.
+	if err == nil {
+		err = failpoint.Eval(failpoint.DiskCompactRemove)
+	}
+	if err != nil {
 		for _, s := range inputs {
 			s.release()
 		}

@@ -182,12 +182,22 @@ func ReadManifest(dir string) (Manifest, error) {
 	return decodeManifest(b)
 }
 
+// ErrCommitUnsynced marks a manifest commit that took effect without
+// being durable: the rename made the new manifest live, then the
+// directory fsync failed. Whoever reads the directory now reads the new
+// manifest, so the committer keeps the state it describes and every
+// file it names, and surfaces the error; unlinking what the commit
+// stopped naming waits for a commit that syncs, since a crash may still
+// bring the previous manifest back.
+var ErrCommitUnsynced = errors.New("disk: manifest committed, directory not synced")
+
 // writeManifest atomically replaces dir's manifest with m: stage at a
 // temp path, fsync, rename into place, fsync the directory. A crash at
 // any instruction leaves either the old or the new manifest live —
 // never a torn one — which is the property the level install and
 // compaction commit protocols build on. Each instruction carries a
 // failpoint site so the crash matrix can kill the process exactly there.
+// An error after the rename wraps ErrCommitUnsynced: the commit stands.
 func writeManifest(dir string, m Manifest) error {
 	buf := encodeManifest(nil, m)
 	path := filepath.Join(dir, manifestName)
@@ -229,5 +239,8 @@ func writeManifest(dir string, m Manifest) error {
 		return fmt.Errorf("disk: rename manifest: %w", err)
 	}
 	ok = true
-	return SyncDir(dir)
+	if err := SyncDir(dir); err != nil {
+		return fmt.Errorf("%w: %w", ErrCommitUnsynced, err)
+	}
+	return nil
 }

@@ -580,8 +580,9 @@ func (t *Tier[K]) ensureLevels(n int) {
 // commitManifest atomically rewrites the manifest from the current
 // level lists, retired set and, in the home tier, the LogSet's drained
 // marks. A drain mark it is the first commit to carry unlinks the file,
-// when nothing keeps it. Caller must hold manifestMu (it takes mu
-// itself).
+// when nothing keeps it — not after ErrCommitUnsynced: the marks stay
+// fresh until a commit that syncs. Caller must hold manifestMu (it
+// takes mu itself).
 func (t *Tier[K]) commitManifest() error {
 	m := Manifest{NextSeq: t.seq.Load() + 1, MaxRecordID: t.maxID.Load()}
 	var fresh []string
@@ -657,8 +658,11 @@ func (t *Tier[K]) FlushStaged(recs []FlushRecord) (FlushStats, error) {
 	fs.BuildNanos = time.Since(buildStart).Nanoseconds()
 
 	// Install stage: rename live, publish to L0, commit the manifest.
+	// A commit that stands unsynced installed the segment: it is
+	// accounted as installed, and its error surfaces at the end.
 	installStart := time.Now()
-	if err := t.installFlushed(fl); err != nil {
+	err = t.installFlushed(fl)
+	if err != nil && !errors.Is(err, ErrCommitUnsynced) {
 		fl.discard()
 		t.flushMu.Unlock()
 		return fs, err
@@ -684,7 +688,7 @@ func (t *Tier[K]) FlushStaged(recs []FlushRecord) (FlushStats, error) {
 	} else {
 		t.compactPass("inline")
 	}
-	return fs, nil
+	return fs, err
 }
 
 // stagedFlush is one flush between its two stages: a record block (nil
@@ -881,9 +885,10 @@ func (fl *stagedFlush) discard() {
 }
 
 // installFlushed makes a staged flush live: atomic renames, L0 append,
-// and manifest commit — the commit point. On any failure the level is
-// left untouched and the caller discards the files, so the engine can
-// roll the eviction back.
+// and manifest commit — the commit point. On any failure before the
+// commit takes effect the level is left untouched and the caller
+// discards the files, so the engine can roll the eviction back; after
+// ErrCommitUnsynced the segment stays installed.
 func (t *Tier[K]) installFlushed(fl *stagedFlush) error {
 	t.manifestMu.Lock()
 	defer t.manifestMu.Unlock()
@@ -905,9 +910,11 @@ func (t *Tier[K]) installFlushed(fl *stagedFlush) error {
 		t.maxID.Store(fl.maxID)
 	}
 	if err := t.commitManifest(); err != nil {
-		t.mu.Lock()
-		t.levels[0] = removeSegment(t.levels[0], fl.s)
-		t.mu.Unlock()
+		if !errors.Is(err, ErrCommitUnsynced) {
+			t.mu.Lock()
+			t.levels[0] = removeSegment(t.levels[0], fl.s)
+			t.mu.Unlock()
+		}
 		return err
 	}
 	return nil

@@ -3,6 +3,8 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"kflushing/internal/alloc"
@@ -176,5 +178,110 @@ func TestInlineCompactionFailureDoesNotFailFlush(t *testing.T) {
 	}
 	if len(res.Items) != acked {
 		t.Fatalf("%d of %d acked records answerable", len(res.Items), acked)
+	}
+}
+
+// TestUnsyncedManifestCommitStands fails the directory fsync at each of
+// its hits in one flush — the segment install's and the manifest
+// commit's, after its rename has made the new manifest live — and
+// reopens, both a copy of the directory taken right after the flush (the
+// process died there) and the directory after Close. The flush may
+// surface the error, but a commit that took effect stands: nothing the
+// live manifest names is deleted, so the next open succeeds and answers
+// every acknowledged record exactly once, whether the cycle restored its
+// batch or installed it.
+func TestUnsyncedManifestCommitStands(t *testing.T) {
+	failpoint.DisableAll()
+	t.Cleanup(failpoint.DisableAll)
+	open := func(dir string) (*Engine[string], error) {
+		return New(Config[string]{
+			K:             3,
+			MemoryBudget:  1 << 30,
+			FlushFraction: 0.5,
+			KeysOf:        attr.KeywordKeys,
+			KeyHash:       attr.HashString,
+			KeyLen:        attr.KeywordLen,
+			EncodeKey:     attr.KeywordEncode,
+			DecodeKey:     attr.KeywordDecode,
+			Clock:         clock.NewLogical(1, 1),
+			DiskDir:       dir,
+			Durable:       true,
+			Policy:        core.New[string](),
+			TrackOverK:    true,
+			SyncFlush:     true,
+		})
+	}
+	// run ingests three rounds, flushing after each, with spec armed on
+	// the directory fsync for the last flush only, and copies dir to
+	// image right after that flush. It returns the acked IDs, the armed
+	// site's hits and the last flush's error.
+	run := func(dir, image, spec string) ([]types.ID, int64, error) {
+		eng, err := open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var acked []types.ID
+		for round := 0; round < 3; round++ {
+			for i := 0; i < 20; i++ {
+				ts := int64(round*20 + i + 1)
+				acked = append(acked, ingest(t, eng, ts, "all", fmt.Sprintf("k%d", i%4)))
+			}
+			if round < 2 {
+				if _, err := eng.FlushNow(); err != nil {
+					t.Fatalf("round %d flush: %v", round, err)
+				}
+			}
+		}
+		mustEnable(t, failpoint.DiskDirSync, spec)
+		_, ferr := eng.FlushNow()
+		hits := failpoint.Hits(failpoint.DiskDirSync)
+		failpoint.Disable(failpoint.DiskDirSync)
+		copyTree(t, dir, image)
+		if err := eng.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		return acked, hits, ferr
+	}
+	check := func(t *testing.T, dir string, acked []types.ID) {
+		t.Helper()
+		eng, err := open(dir)
+		if err != nil {
+			t.Fatalf("reopen after the failed fsync: %v", err)
+		}
+		defer eng.Close()
+		res, err := eng.Search(query.Request[string]{Keys: []string{"all"}, K: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[types.ID]int, len(res.Items))
+		for _, it := range res.Items {
+			seen[it.MB.ID]++
+		}
+		for _, id := range acked {
+			if seen[id] != 1 {
+				t.Fatalf("acked record %d answered %d times", id, seen[id])
+			}
+		}
+		if len(res.Items) != len(acked) {
+			t.Fatalf("%d items answered, %d acked", len(res.Items), len(acked))
+		}
+	}
+	_, hits, err := run(t.TempDir(), t.TempDir(), "sleep(0)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits < 2 {
+		t.Fatalf("a flush passed %d directory fsyncs, want the install's and the commit's", hits)
+	}
+	for n := int64(1); n <= hits; n++ {
+		t.Run(fmt.Sprintf("fail-every-%d", n), func(t *testing.T) {
+			dir, image := t.TempDir(), t.TempDir()
+			acked, _, ferr := run(dir, image, fmt.Sprintf("errevery(%d)", n))
+			if ferr != nil && !errors.Is(ferr, failpoint.ErrInjected) {
+				t.Fatalf("flush error %v is not the injected one", ferr)
+			}
+			check(t, image, acked)
+			check(t, dir, acked)
+		})
 	}
 }

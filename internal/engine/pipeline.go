@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"log/slog"
 	"runtime/pprof"
 	rtrace "runtime/trace"
@@ -261,10 +262,16 @@ func (e *Engine[K]) persist(b flushBatch, ordered bool) *flushCompletion {
 			c.err = e.wal.Seal()
 			seal = time.Since(start)
 		}
+		var unsynced error
 		if c.err == nil {
 			c.err = e.cfg.DiskRetry.Do(func() error {
 				var werr error
 				c.fs, werr = e.tier.FlushStaged(b.recs)
+				if errors.Is(werr, disk.ErrCommitUnsynced) {
+					// Installed all the same: a retry would write the
+					// batch twice.
+					unsynced, werr = werr, nil
+				}
 				return werr
 			})
 			c.durable = c.err == nil
@@ -277,6 +284,9 @@ func (e *Engine[K]) persist(b flushBatch, ordered bool) *flushCompletion {
 			// nothing: the segment is live, and records brought back
 			// beside it would be answered twice.
 			c.err = failpoint.Eval(failpoint.FlushAfterWrite)
+			if c.err == nil {
+				c.err = unsynced
+			}
 		}
 	}
 	c.installed = c.durable || len(b.recs) == 0

@@ -64,7 +64,7 @@ func TestEntryInsertSteadyStateAllocs(t *testing.T) {
 				t.Fatal("entry unexpectedly dead")
 			}
 		}
-		removed, _ := e.Remove(k, BeyondTopK, nil)
+		removed, _, _ := e.Remove(k, BeyondTopK, nil)
 		pool.Put(removed)
 	}
 	// Warm-up: reach the steady capacity classes and stock the pool.
@@ -109,7 +109,7 @@ func TestIndexConcurrentAllocPolicies(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 200; i++ {
 					for _, e := range ix.TakeOverK() {
-						removed, _ := e.Remove(10, BeyondTopK, nil)
+						removed, _, _ := e.Remove(10, BeyondTopK, nil)
 						ix.RecyclePostings(removed)
 					}
 				}

@@ -74,7 +74,7 @@ func BenchmarkRemoveBeyondTopK(b *testing.B) {
 		}
 		e := ix.Entry("hot")
 		b.StartTimer()
-		if removed, _ := e.Remove(20, BeyondTopK, nil); len(removed) != 980 {
+		if removed, _, _ := e.Remove(20, BeyondTopK, nil); len(removed) != 980 {
 			b.Fatal("unexpected trim size")
 		}
 	}

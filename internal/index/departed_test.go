@@ -68,14 +68,14 @@ func TestCeilingRaisedByEveryRemoval(t *testing.T) {
 	}
 	ceilingIs("removing the best posting", Bound{80, 8})
 	ix.Insert("x", recs[7])
-	if removed, _ := e.Remove(2, AllPostings, func(r *store.Record) bool { return r.Score == 80 }); len(removed) != 1 || e.Len() != 1 {
+	if removed, _, _ := e.Remove(2, AllPostings, func(r *store.Record) bool { return r.Score == 80 }); len(removed) != 1 || e.Len() != 1 {
 		t.Fatalf("removing all but 80 removed %d, retained %d; want 1 and 1", len(removed), e.Len())
 	}
 	ceilingIs("removing all but one", Bound{80, 8})
 	if !ix.Departed("x").Complete() {
 		t.Fatal("a live entry published its ceiling")
 	}
-	if _, freed := e.Remove(2, AllPostings, nil); freed == 0 || !e.IsDead() {
+	if _, freed, _ := e.Remove(2, AllPostings, nil); freed == 0 || !e.IsDead() {
 		t.Fatal("removing every posting left the entry alive")
 	}
 	if c := ix.Departed("x"); c.Score != 80 {
@@ -108,7 +108,7 @@ func TestCeilingBreaksTiesByID(t *testing.T) {
 		ix.Insert("x", rec(id, 10))
 	}
 	e := ix.Entry("x")
-	if removed, _ := e.Remove(2, BeyondTopK, nil); len(removed) != 1 || removed[0].MB.ID != 1 {
+	if removed, _, _ := e.Remove(2, BeyondTopK, nil); len(removed) != 1 || removed[0].MB.ID != 1 {
 		t.Fatalf("trim removed %v, want record 1", removed)
 	}
 	top, _, c := e.Probe(2)
@@ -118,7 +118,7 @@ func TestCeilingBreaksTiesByID(t *testing.T) {
 
 	// The entry dies; the record keeps score 10 only. Records linked
 	// elsewhere since raise the ID a copy is stamped with.
-	if _, freed := e.Remove(2, AllPostings, nil); freed == 0 || !e.IsDead() {
+	if _, freed, _ := e.Remove(2, AllPostings, nil); freed == 0 || !e.IsDead() {
 		t.Fatal("removing every posting left the entry alive")
 	}
 	ix.Insert("y", rec(50, 99))
@@ -220,9 +220,9 @@ func TestConcurrentCeilingCoversDepartures(t *testing.T) {
 				var removed []*store.Record
 				switch i % 7 {
 				case 3:
-					removed, _ = e.Remove(3, BeyondTopK, nil)
+					removed, _, _ = e.Remove(3, BeyondTopK, nil)
 				case 6:
-					removed, _ = e.Remove(3, AllPostings, nil)
+					removed, _, _ = e.Remove(3, AllPostings, nil)
 				}
 				goneMu.Lock()
 				for _, r := range removed {

@@ -235,10 +235,11 @@ const (
 //
 // It returns the removed records in ascending order, in an array the
 // caller returns through Index.RecyclePostings once it has released
-// them, and the index bytes the removal freed.
+// them, the index bytes the removal freed, and whether the removal took
+// postings from a complete entry, one whose key had never lost one.
 //
 //kfvet:noalloc
-func (e *Entry[K]) Remove(k int, scope Scope, keep func(*store.Record) bool) (removed []*store.Record, freed int64) {
+func (e *Entry[K]) Remove(k int, scope Scope, keep func(*store.Record) bool) (removed []*store.Record, freed int64, complete bool) {
 	e.mu.Lock()
 	e.countFor(k)
 	n := len(e.postings)
@@ -249,8 +250,9 @@ func (e *Entry[K]) Remove(k int, scope Scope, keep func(*store.Record) bool) (re
 	}
 	if end == 0 {
 		e.mu.Unlock()
-		return nil, 0
+		return nil, 0, false
 	}
+	complete = e.ceiling.Complete()
 	pool := e.ix.cfg.Pool
 	removed = pool.Get(end)
 	kept, keptTop := e.postings[:0], 0
@@ -284,7 +286,7 @@ func (e *Entry[K]) Remove(k int, scope Scope, keep func(*store.Record) bool) (re
 	}
 	left := len(e.postings)
 	e.mu.Unlock()
-	return removed, e.ix.removed(e, len(removed), left, k, died)
+	return removed, e.ix.removed(e, len(removed), left, k, died), complete && len(removed) > 0
 }
 
 // RemoveRecord takes rec's posting out of the entry, for the FIFO and

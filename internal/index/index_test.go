@@ -86,7 +86,7 @@ func TestTrimBeyondTopK(t *testing.T) {
 		ix.Insert("k", recs[i])
 	}
 	e := ix.Entry("k")
-	removed, _ := e.Remove(2, BeyondTopK, nil)
+	removed, _, _ := e.Remove(2, BeyondTopK, nil)
 	if len(removed) != 3 {
 		t.Fatalf("removed %d, want 3", len(removed))
 	}
@@ -112,7 +112,7 @@ func TestTrimKeepPredicate(t *testing.T) {
 		ix.Insert("k", r)
 	}
 	e := ix.Entry("k")
-	removed, _ := e.Remove(2, BeyondTopK, func(r *store.Record) bool { return r == keeper })
+	removed, _, _ := e.Remove(2, BeyondTopK, func(r *store.Record) bool { return r == keeper })
 	if len(removed) != 2 {
 		t.Fatalf("removed %d, want 2 (one kept)", len(removed))
 	}
@@ -150,7 +150,7 @@ func TestDetachAllRejectsInserts(t *testing.T) {
 	r1 := rec(1, 1)
 	ix.Insert("k", r1)
 	e := ix.Entry("k")
-	drained, _ := e.Remove(2, AllPostings, nil)
+	drained, _, _ := e.Remove(2, AllPostings, nil)
 	if len(drained) != 1 {
 		t.Fatalf("drained %d, want 1", len(drained))
 	}
@@ -190,14 +190,14 @@ func TestDetachExcept(t *testing.T) {
 	ix.Insert("k", keep)
 	ix.Insert("k", rec(3, 3))
 	e := ix.Entry("k")
-	removed, _ := e.Remove(10, AllPostings, func(r *store.Record) bool { return r == keep })
+	removed, _, _ := e.Remove(10, AllPostings, func(r *store.Record) bool { return r == keep })
 	if len(removed) != 2 || e.Len() != 1 {
 		t.Fatalf("removed=%d retained=%d, want 2,1", len(removed), e.Len())
 	}
 	if e.IsDead() || ix.Entry("k") != e {
 		t.Error("entry with retained postings must stay alive and mapped")
 	}
-	removed, _ = e.Remove(10, AllPostings, func(*store.Record) bool { return false })
+	removed, _, _ = e.Remove(10, AllPostings, func(*store.Record) bool { return false })
 	if len(removed) != 1 || e.Len() != 0 {
 		t.Fatalf("second detach: removed=%d retained=%d, want 1,0", len(removed), e.Len())
 	}
@@ -246,13 +246,13 @@ func TestMemoryGaugeBalance(t *testing.T) {
 	}
 	before := tr.Index()
 	e := ix.Entry("k")
-	removed, freed := e.Remove(2, BeyondTopK, nil)
+	removed, freed, _ := e.Remove(2, BeyondTopK, nil)
 	wantDelta := int64(len(removed)) * memsize.PostingSize
 	if got := before - tr.Index(); got != wantDelta || freed != wantDelta {
 		t.Fatalf("index gauge delta after trim = %d, reported %d, want %d", got, freed, wantDelta)
 	}
 	// Emptying the entry releases its header bytes too.
-	_, freed = e.Remove(2, AllPostings, nil)
+	_, freed, _ = e.Remove(2, AllPostings, nil)
 	wantFreed := 2*memsize.PostingSize + memsize.EntryBytes(len("k"))
 	wantDelta += wantFreed
 	if got := before - tr.Index(); got != wantDelta || freed != wantFreed {
@@ -384,11 +384,11 @@ func TestPCountProperty(t *testing.T) {
 			var removed []*store.Record
 			switch rng.Intn(4) {
 			case 0:
-				removed, _ = e.Remove(3, BeyondTopK, func(r *store.Record) bool { return r.MB.ID%3 == 0 })
+				removed, _, _ = e.Remove(3, BeyondTopK, func(r *store.Record) bool { return r.MB.ID%3 == 0 })
 			case 1:
-				removed, _ = e.Remove(3, AllPostings, nil)
+				removed, _, _ = e.Remove(3, AllPostings, nil)
 			case 2:
-				removed, _ = e.Remove(3, AllPostings, func(r *store.Record) bool { return r.MB.ID%2 == 0 })
+				removed, _, _ = e.Remove(3, AllPostings, func(r *store.Record) bool { return r.MB.ID%2 == 0 })
 			default:
 				if r := recs[uint64(rng.Intn(200)+1)]; e.RemoveRecord(r, 3) > 0 {
 					removed = []*store.Record{r}

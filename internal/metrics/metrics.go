@@ -215,6 +215,10 @@ type Registry struct {
 	// each phase's contribution observable at /metrics.
 	PhaseLatency [FlushPhases]Histogram
 	PhaseFreed   [FlushPhases]atomic.Int64
+	// PhaseCompleteVictims counts each phase's victims that were
+	// complete entries: keys that had never lost a posting, which
+	// answered every query from memory until the phase took them.
+	PhaseCompleteVictims [FlushPhases]atomic.Int64
 
 	// StageLatency breaks a flush down by pipeline stage (index = the
 	// Stage* constants): prepare runs under the flush gate, build and
@@ -239,15 +243,16 @@ type Registry struct {
 	MissLatency Histogram
 }
 
-// ObservePhase records one kFlushing phase execution: its duration and
-// the budget-relevant bytes it freed. phase is 1-based; out-of-range
-// phases are ignored.
-func (r *Registry) ObservePhase(phase int, d time.Duration, freed int64) {
+// ObservePhase records one kFlushing phase execution: its duration, the
+// budget-relevant bytes it freed and how many of its victims were
+// complete. phase is 1-based; out-of-range phases are ignored.
+func (r *Registry) ObservePhase(phase int, d time.Duration, freed, completeVictims int64) {
 	if phase < 1 || phase > FlushPhases {
 		return
 	}
 	r.PhaseLatency[phase-1].Observe(d)
 	r.PhaseFreed[phase-1].Add(freed)
+	r.PhaseCompleteVictims[phase-1].Add(completeVictims)
 }
 
 // ObserveStage records one flush pipeline stage execution. stage is one
@@ -315,8 +320,11 @@ func (r *Registry) RecordQuery(op string, o Outcome, d time.Duration) {
 type PhaseSnapshot struct {
 	Runs       int64
 	FreedBytes int64
-	Mean       time.Duration
-	P99        time.Duration
+	// CompleteVictims counts the phase's victims that were complete
+	// entries (flush phases only).
+	CompleteVictims int64 `json:",omitempty"`
+	Mean            time.Duration
+	P99             time.Duration
 	// Hist carries the full phase-latency distribution for the
 	// Prometheus exposition; excluded from /stats JSON.
 	Hist HistogramSnapshot `json:"-"`
@@ -414,11 +422,12 @@ func (r *Registry) Snap() Snapshot {
 	}
 	for i := range s.Phases {
 		s.Phases[i] = PhaseSnapshot{
-			Runs:       r.PhaseLatency[i].Count(),
-			FreedBytes: r.PhaseFreed[i].Load(),
-			Mean:       r.PhaseLatency[i].Mean(),
-			P99:        r.PhaseLatency[i].Quantile(0.99),
-			Hist:       r.PhaseLatency[i].Snap(),
+			Runs:            r.PhaseLatency[i].Count(),
+			FreedBytes:      r.PhaseFreed[i].Load(),
+			CompleteVictims: r.PhaseCompleteVictims[i].Load(),
+			Mean:            r.PhaseLatency[i].Mean(),
+			P99:             r.PhaseLatency[i].Quantile(0.99),
+			Hist:            r.PhaseLatency[i].Snap(),
 		}
 	}
 	for i := range s.Stages {

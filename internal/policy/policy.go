@@ -73,15 +73,15 @@ func (r *Resources[K]) Phase(phase int, victims, freed int64, d time.Duration, w
 
 // Remove takes e's postings in scope for which keep returns false out
 // of the index (index.Entry.Remove) and releases their records,
-// returning the budget-relevant bytes freed. kFlushing's three phases
-// evict through it.
-func (r *Resources[K]) Remove(e *index.Entry[K], k int, scope index.Scope, keep func(*store.Record) bool, buf *VictimBuffer) int64 {
-	removed, freed := e.Remove(k, scope, keep)
+// returning the budget-relevant bytes freed and whether the postings
+// came from a complete entry. kFlushing's three phases evict through it.
+func (r *Resources[K]) Remove(e *index.Entry[K], k int, scope index.Scope, keep func(*store.Record) bool, buf *VictimBuffer) (int64, bool) {
+	removed, freed, complete := e.Remove(k, scope, keep)
 	for _, rec := range removed {
 		freed += r.release(rec, buf)
 	}
 	r.Index.RecyclePostings(removed)
-	return freed
+	return freed, complete
 }
 
 // evictRecord takes rec's posting under each of its keys out of the

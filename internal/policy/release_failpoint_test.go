@@ -22,7 +22,7 @@ func TestReleaseChecksCounts(t *testing.T) {
 		spoil func(t *testing.T, res *Resources[string], rec *store.Record, buf *VictimBuffer)
 	}{
 		{"released twice", func(t *testing.T, res *Resources[string], rec *store.Record, buf *VictimBuffer) {
-			if freed := res.Remove(res.Index.Entry("a"), 2, index.AllPostings, nil, buf); freed == 0 {
+			if freed, _ := res.Remove(res.Index.Entry("a"), 2, index.AllPostings, nil, buf); freed == 0 {
 				t.Fatal("the first release freed nothing")
 			}
 		}},

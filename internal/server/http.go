@@ -570,6 +570,8 @@ func (s *Store) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(st kflushing.Stats, p int) float64 { return float64(st.Metrics.Phases[p].Runs) })
 	emitPhase("flush_phase_freed_bytes_total", "counter", "budget-relevant bytes freed by each kFlushing phase",
 		func(st kflushing.Stats, p int) float64 { return float64(st.Metrics.Phases[p].FreedBytes) })
+	emitPhase("flush_phase_complete_victims_total", "counter", "victims of each kFlushing phase that were complete entries, answering every query from memory",
+		func(st kflushing.Stats, p int) float64 { return float64(st.Metrics.Phases[p].CompleteVictims) })
 	fmt.Fprintf(w, "# HELP kflushing_flush_phase_duration_seconds duration of each kFlushing phase\n")
 	fmt.Fprintf(w, "# TYPE kflushing_flush_phase_duration_seconds histogram\n")
 	for _, a := range attrs {

@@ -83,6 +83,17 @@ func TestMetricsExpositionLints(t *testing.T) {
 		"# TYPE kflushing_wal_live_records gauge",
 		"# TYPE kflushing_wal_referenced_records_total counter",
 		"# TYPE kflushing_wal_reclaimed_bytes_total counter",
+		"# TYPE kflushing_flush_phase_complete_victims_total counter",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+	// The flush trimmed the seven keyword entries, each complete until
+	// then: Phase 1 counts them as complete victims.
+	for _, want := range []string{
+		`kflushing_flush_phase_complete_victims_total{attr="keyword",policy="kflushing",phase="1"} 7` + "\n",
+		`kflushing_flush_phase_complete_victims_total{attr="keyword",policy="kflushing",phase="3"} 0` + "\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)

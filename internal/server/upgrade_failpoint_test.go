@@ -14,13 +14,13 @@ import (
 // again, which must complete the job with the answers of the split store.
 // A hit whose failure the upgrade tolerates (a drained file's unlink past
 // its commit) must leave it complete as it is. The sites are the crash
-// matrix's: the error-only directory fsync after a manifest's rename fails
-// a commit the live manifest already carries, which is the tier's own
-// open problem (ROADMAP), not the upgrade's.
+// matrix's and the error-only ones the upgrade passes: a directory fsync
+// that fails after a manifest's rename surfaces, but the commit the live
+// manifest carries stands.
 func TestUpgradeSplitLogsResumes(t *testing.T) {
 	failpoint.DisableAll()
 	t.Cleanup(failpoint.DisableAll)
-	sites := failpoint.CrashSites()
+	sites := append(failpoint.CrashSites(), failpoint.DiskDirSync, failpoint.WALCloseSync)
 	for _, site := range sites {
 		if err := failpoint.Enable(site, "sleep(0)"); err != nil {
 			t.Fatal(err)

@@ -143,6 +143,8 @@ type Config struct {
 //	20 index.Index.overMu
 //	22 index.shard.mu
 //	30 index.Entry.mu
+//	31 index.departures.mu (the departure record's publishers; a dying
+//	   entry publishes under its Entry.mu, takes no other lock)
 //	35 alloc.SlicePool.mu (posting-array pool; taken under Entry.mu)
 //	36 alloc.Recycler.mu (record recycler; leaf)
 //	40 store.shard.mu
@@ -171,6 +173,7 @@ func DefaultConfig() Config {
 			"kflushing/internal/index.Index.overMu":      20,
 			"kflushing/internal/index.shard.mu":          22,
 			"kflushing/internal/index.Entry.mu":          30,
+			"kflushing/internal/index.departures.mu":     31,
 			"kflushing/internal/alloc.SlicePool.mu":      35,
 			"kflushing/internal/alloc.Recycler.mu":       36,
 			"kflushing/internal/store.shard.mu":          40,
@@ -189,6 +192,7 @@ func DefaultConfig() Config {
 			"kflushing/internal/index.Index.overMu":    true,
 			"kflushing/internal/index.shard.mu":        true,
 			"kflushing/internal/index.Entry.mu":        true,
+			"kflushing/internal/index.departures.mu":   true,
 			"kflushing/internal/alloc.SlicePool.mu":    true,
 			"kflushing/internal/alloc.Recycler.mu":     true,
 			"kflushing/internal/store.shard.mu":        true,

@@ -260,7 +260,8 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		Tracker:    &e.mem,
 		Pool:       alloc.NewSlicePool[*store.Record](cfg.AllocPolicy),
 		// The departure record is policy bookkeeping, a fixed 1/64 of
-		// the budget outside the modeled memory (Stats.PolicyOverhead).
+		// the budget up to its cap, outside the modeled memory
+		// (Stats.PolicyOverhead).
 		DepartedBytes: cfg.MemoryBudget / 64,
 	})
 	st := cfg.Stream
@@ -881,7 +882,9 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 		var ceil index.Bound
 		en := e.idx.Entry(key)
 		if en == nil {
-			ceil = e.idx.Departed(key)
+			var src index.Source
+			ceil, src = e.idx.DepartedFrom(key)
+			e.reg.DepartedReads[src].Add(1)
 		} else {
 			en.Touch(now)
 			recs, n, ceil = en.Probe(depth)
@@ -1233,6 +1236,10 @@ type Stats struct {
 	// is the error that entered it.
 	Degraded       bool
 	DegradedReason string
+
+	// DepartedGhostLoad is the fraction of the departure record's ghost
+	// slots holding a departed key's own ceiling.
+	DepartedGhostLoad float64
 }
 
 // Stats gathers a snapshot. Taking a census scans the index; avoid
@@ -1259,6 +1266,8 @@ func (e *Engine[K]) Stats() Stats {
 		Census:         e.idx.TakeCensus(),
 		Metrics:        e.reg.Snap(),
 		Disk:           e.tier.Stats(),
+
+		DepartedGhostLoad: e.idx.DepartedGhostLoad(),
 	}
 }
 

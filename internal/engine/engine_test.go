@@ -8,6 +8,8 @@ import (
 	"kflushing/internal/attr"
 	"kflushing/internal/clock"
 	"kflushing/internal/core"
+	"kflushing/internal/index"
+	"kflushing/internal/metrics"
 	"kflushing/internal/policy"
 	"kflushing/internal/query"
 	"kflushing/internal/ranking"
@@ -440,5 +442,26 @@ func TestDepartureRecordOverhead(t *testing.T) {
 			t.Errorf("budget %d: overhead %d, memory used %d; want the record's %d bytes in the overhead only",
 				budget, st.PolicyOverhead, st.MemoryUsed, d)
 		}
+	}
+}
+
+// TestDepartedReadsBySource checks that a search for a key without an
+// entry counts its departure-record read under the source that served
+// it, and that the index's sources and the metric's labels line up.
+func TestDepartedReadsBySource(t *testing.T) {
+	for src, want := range map[index.Source]string{index.SourceNone: "none", index.SourceGhost: "ghost", index.SourceFloor: "floor"} {
+		if got := metrics.DepartedSourceNames[src]; got != want {
+			t.Errorf("source %d labelled %q, want %q", src, got, want)
+		}
+	}
+	eng := newKeywordEngine(t, 16<<20, core.New[string](), false)
+	eng.Index().Depart("gone", 7, 1)
+	for _, key := range []string{"never", "gone", "gone"} {
+		if _, err := eng.Search(query.Request[string]{Keys: []string{key}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := eng.Stats().Metrics.DepartedReads; got != [metrics.DepartedSources]int64{1, 2, 0} {
+		t.Fatalf("departed reads by source %v, want [1 2 0]", got)
 	}
 }

@@ -1,12 +1,15 @@
 package index
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"kflushing/internal/attr"
 	"kflushing/internal/store"
 	"kflushing/internal/types"
 )
@@ -148,12 +151,12 @@ func TestCeilingBreaksTiesByID(t *testing.T) {
 }
 
 // TestDepartedSizing pins the departure record's footprint: the largest
-// power of two within the bytes given, split evenly between filter and
-// slots — 2^20 bits and 2^14 slots for a 16 MiB budget's 1/64.
+// power of two within the bytes given — 256 KiB for a 16 MiB budget's
+// 1/64.
 func TestDepartedSizing(t *testing.T) {
 	d := newDepartures(16 << 20 / 64)
-	if len(d.bits)*64 != 1<<20 || len(d.slots) != 1<<14 || d.Bytes() != 256<<10 {
-		t.Fatalf("16 MiB budget: %d bits, %d slots, %d bytes", len(d.bits)*64, len(d.slots), d.Bytes())
+	if d.Bytes() != 256<<10 {
+		t.Fatalf("16 MiB budget: %d bytes", d.Bytes())
 	}
 	for _, n := range []int64{0, 15, 16, 17, 1000, 48 << 10 / 64, 64 << 20 / 64} {
 		got := newDepartures(n).Bytes()
@@ -169,7 +172,7 @@ func TestDepartedSizing(t *testing.T) {
 // never less than −∞ and never a value no key published.
 func TestDepartedLossyOnlyUpward(t *testing.T) {
 	ix, _ := newTestIndex(2, false)
-	ix.departed = newDepartures(64)
+	ix.departed = newDepartures(128)
 	published := []float64{math.Inf(-1)}
 	for i := 0; i < 200; i++ {
 		key := string(rune('a'+i%26)) + string(rune('a'+i/26))
@@ -260,6 +263,227 @@ func TestConcurrentCeilingCoversDepartures(t *testing.T) {
 		}()
 	}
 	writers.Wait()
+	stop.Store(true)
+	readers.Wait()
+}
+
+// departOp publishes one departure: key number key at score, with the
+// next record ID.
+type departOp struct {
+	key   int
+	score float64
+}
+
+// checkDepartedShadow publishes ops into a fresh index whose departure
+// record is recBytes, against an exact shadow of every key's true
+// bound. After each publish, every key of nkeys reads at or above its
+// true (score, ID) bound. While nothing has been folded into a floor and
+// no two departed keys share a fingerprint in one bucket, every
+// read is exact: a departed key reads its own score, stamped with the
+// highest ID linked, and a key that never departed reads complete. It
+// returns how many publishes were checked exactly and whether the
+// record ended folded.
+func checkDepartedShadow(t testing.TB, recBytes int64, nkeys int, ops []departOp) (exactOps int, folded bool) {
+	ix, _ := newTestIndex(2, false)
+	ix.departed = newDepartures(recBytes)
+	d := ix.departed
+	key := func(i int) string { return fmt.Sprintf("key%d", i) }
+	probes := make([]probe, nkeys)
+	for i := range probes {
+		probes[i] = d.probes(attr.HashString(key(i)))
+	}
+	// sharing[i] counts the departed keys other than i that carry i's
+	// fingerprint in i's bucket: any of them can raise i's read.
+	sharing := make([]int, nkeys)
+	anyShared := false
+	shadow := make(map[int]Bound)
+	for n, op := range ops {
+		id := types.ID(n + 1)
+		ix.Depart(key(op.key), op.score, id)
+		b, ok := shadow[op.key]
+		if !ok {
+			for i, p := range probes {
+				if i != op.key && p.sharesFingerprint(probes[op.key]) {
+					sharing[i]++
+					_, departed := shadow[i]
+					anyShared = anyShared || departed
+				}
+			}
+		}
+		if !ok || b.Below(op.score, id) {
+			shadow[op.key] = Bound{op.score, id}
+		}
+		exact := !d.folded() && !anyShared
+		if exact {
+			exactOps++
+		}
+		for i := 0; i < nkeys; i++ {
+			got := ix.Departed(key(i))
+			want, departed := shadow[i]
+			if !departed {
+				want = none
+			}
+			if got.Below(want.Score, want.ID) {
+				t.Fatalf("%d-byte record, op %d: key %d reads %+v below its bound %+v", recBytes, n, i, got, want)
+			}
+			if !exact || sharing[i] > 0 {
+				continue
+			}
+			if departed && got != (Bound{want.Score, id}) || !departed && !got.Complete() {
+				t.Fatalf("%d-byte record, op %d: key %d reads %+v, want exactly %+v (departed %v)", recBytes, n, i, got, want, departed)
+			}
+		}
+	}
+	return exactOps, d.folded()
+}
+
+// folded reports whether any floor has been raised.
+func (d *departures) folded() bool {
+	for base := 0; base < len(d.ghosts); base += bucketWords {
+		if d.ghosts[base].Load() != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// sharesFingerprint reports whether p and q have a fingerprint and a
+// bucket in common.
+func (p probe) sharesFingerprint(q probe) bool { return q.fp == p.fp && q.g == p.g }
+
+// TestDepartedNeverBelowShadow runs randomized departures — repeated
+// keys, score ties, negative scores — through records of 64 B to 1 KiB,
+// which the distinct keys saturate: every read is at or above the key's
+// true bound, and exact while the departed keys fit in the ghosts.
+func TestDepartedNeverBelowShadow(t *testing.T) {
+	exactOps, folds := 0, 0
+	for seed := int64(1); seed <= 4; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		for _, size := range []int64{64, 128, 256, 512, 1024} {
+			nkeys := 8 + r.Intn(120)
+			ops := make([]departOp, 400)
+			for i := range ops {
+				ops[i] = departOp{key: r.Intn(nkeys), score: float64(r.Intn(40) - 10)}
+			}
+			exact, folded := checkDepartedShadow(t, size, nkeys, ops)
+			exactOps += exact
+			if folded {
+				folds++
+			}
+		}
+	}
+	if exactOps == 0 || folds == 0 {
+		t.Fatalf("%d publishes checked exactly, %d records folded: want both regimes", exactOps, folds)
+	}
+}
+
+// TestDepartedExactWhileGhostsFit departs fewer distinct keys than one
+// 1 KiB record's ghosts hold, so nothing folds: every read is exact.
+func TestDepartedExactWhileGhostsFit(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	ops := make([]departOp, 300)
+	for i := range ops {
+		ops[i] = departOp{key: r.Intn(20), score: float64(r.Intn(1000))}
+	}
+	if exact, _ := checkDepartedShadow(t, 1024, 24, ops); exact != len(ops) {
+		t.Fatalf("%d of %d publishes checked exactly", exact, len(ops))
+	}
+}
+
+// FuzzDepartedNeverBelow drives checkDepartedShadow from arbitrary
+// bytes: the first picks the record's size (64 B to 1 KiB), then each
+// pair is a key (of 64) and a small signed score.
+func FuzzDepartedNeverBelow(f *testing.F) {
+	f.Add([]byte{0, 1, 5, 1, 5, 2, 5})
+	f.Add([]byte{4, 3, 200, 3, 100, 9, 0, 9, 255})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) == 0 {
+			return
+		}
+		size := int64(64) << (b[0] % 5)
+		b = b[1:]
+		ops := make([]departOp, 0, len(b)/2)
+		for i := 0; i+1 < len(b) && len(ops) < 512; i += 2 {
+			ops = append(ops, departOp{key: int(b[i] % 64), score: float64(int8(b[i+1]))})
+		}
+		checkDepartedShadow(t, size, 64, ops)
+	})
+}
+
+// TestDepartedCapped: a record asked for 16 GiB — a 1 TiB budget's
+// 1/64 — takes no more than the cap.
+func TestDepartedCapped(t *testing.T) {
+	ix := New(Config[string]{Hash: attr.HashString, KeyLen: func(s string) int { return len(s) }, K: 2, DepartedBytes: 1 << 34})
+	if got := ix.DepartedBytes(); got > maxDepartedBytes || got != 16<<20 {
+		t.Fatalf("DepartedBytes() = %d, want the %d-byte cap", got, maxDepartedBytes)
+	}
+}
+
+// TestGhostCeilingRoundsUp checks that a ghost reads back at or above
+// the ceiling it was made from, exactly for scores with few mantissa
+// bits, and that ghosts order as their ceilings do.
+func TestGhostCeilingRoundsUp(t *testing.T) {
+	scores := []float64{math.Inf(-1), -1e300, -1760000000000001, -56, -3, -0.1, 0, 0.1, 3, 56, 1760000000000001, 1e300, math.Inf(1)}
+	var prev uint64
+	for _, s := range scores {
+		c := ceilingOf(s)
+		g := ghostOf(c)
+		back := ceilingOfGhost(g)
+		if g == 0 || g <= prev || back < c {
+			t.Fatalf("score %g: ceiling %#x, ghost %#x (previous %#x), read back %#x", s, c, g, prev, back)
+		}
+		if s == math.Trunc(s) && math.Abs(s) < 1<<37 && back != c {
+			t.Fatalf("score %g reads back as %g", s, back.score())
+		}
+		prev = g
+	}
+}
+
+// TestDepartedConcurrentFolds races publishers that overflow a
+// one-bucket record — every publish past the seventh key folds a ghost
+// into the floor — against lock-free readers: once a publish has
+// returned, every read of its key is at or above it.
+func TestDepartedConcurrentFolds(t *testing.T) {
+	ix, _ := newTestIndex(2, false)
+	ix.departed = newDepartures(minDepartedBytes)
+	const writers, keys = 3, 20
+	var done [writers][keys]atomic.Int64 // the score a returned publish left, 0 for none
+	key := func(w, j int) string { return fmt.Sprintf("w%d-%d", w, j) }
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 1; i <= 3000; i++ {
+				j := (i * 7) % keys
+				ix.Depart(key(w, j), float64(i), types.ID(w*10000+i))
+				done[w][j].Store(int64(i))
+			}
+		}(w)
+	}
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for !stop.Load() {
+				for w := 0; w < writers; w++ {
+					for j := 0; j < keys; j++ {
+						want := done[w][j].Load()
+						if want == 0 {
+							continue
+						}
+						if c := ix.Departed(key(w, j)); c.Score < float64(want) {
+							t.Errorf("key %s reads %+v below the %d a returned publish left", key(w, j), c, want)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 	stop.Store(true)
 	readers.Wait()
 }

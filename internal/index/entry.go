@@ -27,7 +27,7 @@ type Entry[K comparable] struct {
 	ix *Index[K]
 	// hash is the key's shard-selection hash and headerBytes the
 	// entry's modeled size (memsize.EntryBytes), both fixed at creation:
-	// a removal reaches the entry's shard and departure slot without
+	// a removal reaches the entry's shard and departure bucket without
 	// calling the index's key functions, which the allocation checker
 	// cannot see through.
 	hash        uint64

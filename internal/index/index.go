@@ -19,8 +19,9 @@
 //     kFlushing-MK extension, maintained in O(1) per insertion;
 //   - per-key ceilings: the rank, by score then record ID, of the best
 //     posting of a key that left memory, kept in its entry while it
-//     lives and, score only, in a fixed-size departure record once it
-//     dies, so a search can tell when memory holds a key's exact top-k.
+//     lives and, score only, in a fixed-size departure record of per-key
+//     ghosts once it dies, so a search can tell when memory holds a
+//     key's exact top-k.
 package index
 
 import (
@@ -59,8 +60,9 @@ type Config[K comparable] struct {
 	// (AllocPolicy=heap).
 	Pool *alloc.SlicePool[*store.Record]
 	// DepartedBytes sizes the departure record that keeps the ceilings
-	// of dead entries: rounded down to a power of two, at least 16
-	// bytes. Smaller records only make more searches go to disk.
+	// of dead entries: rounded down to a power of two, at least 128
+	// bytes and at most 16 MiB. Smaller records only make more searches
+	// go to disk.
 	DepartedBytes int64
 }
 
@@ -192,8 +194,9 @@ func (ix *Index[K]) getOrCreate(key K) *Entry[K] {
 		e = nil
 	}
 	if e == nil {
+		ceiling, _ := ix.ceilingAt(h)
 		e = &Entry[K]{key: key, ix: ix, hash: h, headerBytes: memsize.EntryBytes(ix.cfg.KeyLen(key)),
-			ceiling: ix.ceilingAt(h)}
+			ceiling: ceiling}
 		sh.entries[key] = e
 		ix.entryCount.Add(1)
 		if ix.cfg.Tracker != nil {
@@ -216,19 +219,25 @@ func (ix *Index[K]) Entry(key K) *Entry[K] {
 // Departed returns the ceiling a key without a live entry has: the best
 // rank of its postings that left memory, or the complete bound when the
 // departure record says none did — the key then has nothing anywhere.
-// Search asks it for keys whose Entry is nil.
-func (ix *Index[K]) Departed(key K) Bound { return ix.ceilingAt(ix.cfg.Hash(key)) }
+func (ix *Index[K]) Departed(key K) Bound {
+	b, _ := ix.DepartedFrom(key)
+	return b
+}
+
+// DepartedFrom is Departed, and says what in the departure record served
+// the ceiling. Search asks it for keys whose Entry is nil.
+func (ix *Index[K]) DepartedFrom(key K) (Bound, Source) { return ix.ceilingAt(ix.cfg.Hash(key)) }
 
 // ceilingAt reads the departure record for the key hashing to h. The
 // record keeps scores only, so a ceiling read back carries the highest
 // ID linked, read after the record: every posting whose departure the
 // read saw was linked, and counted there, before it departed.
-func (ix *Index[K]) ceilingAt(h uint64) Bound {
-	c := ix.departed.lookup(h)
+func (ix *Index[K]) ceilingAt(h uint64) (Bound, Source) {
+	c, src := ix.departed.lookup(h)
 	if c == 0 {
-		return none
+		return none, src
 	}
-	return Bound{Score: c.score(), ID: types.ID(ix.maxLinked.Load())}
+	return Bound{Score: c.score(), ID: types.ID(ix.maxLinked.Load())}, src
 }
 
 // Depart records that postings of key up to score, with IDs up to id,
@@ -241,6 +250,10 @@ func (ix *Index[K]) Depart(key K, score float64, id types.ID) {
 
 // DepartedBytes is the departure record's fixed footprint.
 func (ix *Index[K]) DepartedBytes() int64 { return ix.departed.Bytes() }
+
+// DepartedGhostLoad is the fraction of the departure record's ghost
+// slots holding a departed key's ceiling.
+func (ix *Index[K]) DepartedGhostLoad() float64 { return ix.departed.GhostLoad() }
 
 // registerOverK puts e on the over-k list if it is not there already.
 func (ix *Index[K]) registerOverK(e *Entry[K]) {

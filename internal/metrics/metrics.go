@@ -146,6 +146,16 @@ const (
 // QStage* constants and the QueryStageLatency histograms.
 var QueryStageNames = [QueryStages]string{"parse", "index", "heap", "disk"}
 
+// DepartedSources is the number of ways a search's read of the
+// departure record, for a key without an index entry, can be served:
+// none (the key never departed), a ghost (its own ceiling) or a floor
+// (a ceiling shared with the keys folded into it).
+const DepartedSources = 3
+
+// DepartedSourceNames labels the departure-record sources,
+// index-aligned with index.Source and the DepartedReads counters.
+var DepartedSourceNames = [DepartedSources]string{"none", "ghost", "floor"}
+
 // Outcome is how a query was answered.
 type Outcome int
 
@@ -200,6 +210,10 @@ type Registry struct {
 	Flushes       atomic.Int64
 	FlushedBytes  atomic.Int64
 	FlushedIntoOp atomic.Int64 // cumulative records handed to the sink
+
+	// DepartedReads counts a search's departure-record reads for keys
+	// without an entry, by source (index = index.Source).
+	DepartedReads [DepartedSources]atomic.Int64
 
 	// Disk fallback activity: DiskSearches counts searches actually
 	// executed against the disk tier; DiskSearchesCoalesced counts
@@ -353,6 +367,9 @@ type Snapshot struct {
 	AndCompleteHits    int64
 	Flushes            int64
 	FlushedBytes       int64
+	// DepartedReads counts departure-record reads by source (names in
+	// DepartedSourceNames).
+	DepartedReads [DepartedSources]int64
 	// DiskSearches/DiskSearchesCoalesced split miss-path disk activity
 	// into executed searches and coalesced duplicate waiters.
 	DiskSearches          int64
@@ -445,6 +462,9 @@ func (r *Registry) Snap() Snapshot {
 			P99:  r.QueryStageLatency[i].Quantile(0.99),
 			Hist: r.QueryStageLatency[i].Snap(),
 		}
+	}
+	for i := range s.DepartedReads {
+		s.DepartedReads[i] = r.DepartedReads[i].Load()
 	}
 	s.PipelineDepth = r.PipelineDepth.Load()
 	s.PipelineEnqueued = r.PipelineEnqueued.Load()

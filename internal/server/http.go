@@ -444,6 +444,19 @@ func (s *Store) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "kflushing_query_hits_total{attr=%q,policy=%q,reason=%q} %d\n", a, st.Policy, metrics.HitFilled.Reason(), st.Metrics.FilledHits)
 		fmt.Fprintf(w, "kflushing_query_hits_total{attr=%q,policy=%q,reason=%q} %d\n", a, st.Policy, metrics.HitComplete.Reason(), st.Metrics.CompleteHits)
 	}
+	// One series per source of a search's departure-record read for a
+	// key without an entry: none (never departed), ghost (the key's own
+	// ceiling) or floor (a ceiling shared by the keys folded into it).
+	fmt.Fprintf(w, "# HELP kflushing_departed_reads_total departure-record reads for keys without an index entry, by what served the ceiling\n")
+	fmt.Fprintf(w, "# TYPE kflushing_departed_reads_total counter\n")
+	for _, a := range attrs {
+		st := stats[a]
+		for src, name := range metrics.DepartedSourceNames {
+			fmt.Fprintf(w, "kflushing_departed_reads_total{attr=%q,policy=%q,source=%q} %d\n", a, st.Policy, name, st.Metrics.DepartedReads[src])
+		}
+	}
+	emit("departed_ghost_load", "gauge", "fraction of the departure record's ghost slots holding a departed key's ceiling",
+		func(st kflushing.Stats) float64 { return st.DepartedGhostLoad })
 	emit("flushes_total", "counter", "flush cycles executed",
 		func(st kflushing.Stats) float64 { return float64(st.Metrics.Flushes) })
 	emit("ingest_batches_total", "counter", "batched ingestion calls (per-record ingest is a batch of one)",

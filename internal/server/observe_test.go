@@ -34,6 +34,11 @@ func TestMetricsExpositionLints(t *testing.T) {
 	if _, err := st.kw.FlushNow(); err != nil {
 		t.Fatal(err)
 	}
+	// A key nothing carried reads the departure record, which says it
+	// never departed.
+	if _, err := st.SearchKeywords([]string{"absent"}, kflushing.OpSingle, 5); err != nil {
+		t.Fatal(err)
+	}
 	rw := do(t, st.Handler(), http.MethodGet, "/metrics", "")
 	if rw.Code != http.StatusOK {
 		t.Fatalf("/metrics status %d", rw.Code)
@@ -84,6 +89,10 @@ func TestMetricsExpositionLints(t *testing.T) {
 		"# TYPE kflushing_wal_referenced_records_total counter",
 		"# TYPE kflushing_wal_reclaimed_bytes_total counter",
 		"# TYPE kflushing_flush_phase_complete_victims_total counter",
+		// How a departed ceiling was served, and how full the ghosts are.
+		"# TYPE kflushing_departed_reads_total counter",
+		"# TYPE kflushing_departed_ghost_load gauge",
+		`kflushing_departed_ghost_load{attr="keyword",policy="kflushing"} `,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
@@ -94,6 +103,9 @@ func TestMetricsExpositionLints(t *testing.T) {
 	for _, want := range []string{
 		`kflushing_flush_phase_complete_victims_total{attr="keyword",policy="kflushing",phase="1"} 7` + "\n",
 		`kflushing_flush_phase_complete_victims_total{attr="keyword",policy="kflushing",phase="3"} 0` + "\n",
+		`kflushing_departed_reads_total{attr="keyword",policy="kflushing",source="none"} 1` + "\n",
+		`kflushing_departed_reads_total{attr="keyword",policy="kflushing",source="ghost"} 0` + "\n",
+		`kflushing_departed_reads_total{attr="keyword",policy="kflushing",source="floor"} 0` + "\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)

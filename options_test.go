@@ -37,6 +37,26 @@ func TestZeroOptionsGetPaperDefaults(t *testing.T) {
 	}
 }
 
+// TestHugeBudgetOpens opens a store with a 1 TiB budget: the departure
+// record, a budget share, stops at its cap instead of asking for 16 GiB
+// up front, and the store ingests and answers.
+func TestHugeBudgetOpens(t *testing.T) {
+	sys, err := kflushing.Open(t.TempDir(), kflushing.Options{MemoryBudget: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if _, err := sys.Ingest(&kflushing.Microblog{Keywords: []string{"a"}, UserID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := sys.SearchKeyword("a", 5); err != nil || len(res.Items) != 1 {
+		t.Fatalf("search: %d items, %v", len(res.Items), err)
+	}
+	if st := sys.Stats(); st.PolicyOverhead > 32<<20 {
+		t.Fatalf("policy overhead %d bytes at a 1 TiB budget", st.PolicyOverhead)
+	}
+}
+
 // TestDynamicKAcrossFlushes exercises Section IV-C: k changes take
 // effect for queries immediately and for flushing on the next cycle;
 // decreasing k lets existing memory serve the smaller answers, and

@@ -64,7 +64,7 @@
 //	                               /metrics twice per refresh and render
 //	                               per-attribute ingest rate, QPS, memory
 //	                               and disk-cache hit ratios, flush
-//	                               pipeline depth, compaction backlog,
+//	                               batches in flight, compaction backlog,
 //	                               and the degraded flag
 package main
 
@@ -394,8 +394,8 @@ func cmdProbeServer(base string) error {
 	}
 
 	// Disk health per attribute: level occupancy, compaction backlog,
-	// and flush pipeline queue depth — a wedged compactor shows up here
-	// as a persistently positive backlog.
+	// and the batch in flight (pipeline_depth, 0 or 1) — a wedged
+	// compactor shows up here as a persistently positive backlog.
 	attrs = attrs[:0]
 	for a := range ready.Disk {
 		attrs = append(attrs, a)
@@ -674,8 +674,8 @@ func cmdTrace(base, q string, k int) error {
 
 // cmdFlushLog fetches the flight recorder's flush events from a running
 // kflushd, folds them into cycles (blackbox.FlushCycles) and prints the
-// most recent n per attribute: one line per cycle — its stages on it,
-// the pipeline worker's marked * — then its per-phase victim/freed
+// most recent n per attribute: one line per cycle — its stages on it —
+// then its per-phase victim/freed
 // breakdown. The policy column comes from /stats: the events do not
 // name it.
 func cmdFlushLog(base string, n int) error {
@@ -720,11 +720,7 @@ func cmdFlushLog(base string, n int) error {
 			}
 			var stages []string
 			for _, st := range ev.Stages {
-				mark := ""
-				if st.Worker {
-					mark = "*"
-				}
-				stages = append(stages, fmt.Sprintf("%s%s=%s", st.Name, mark, time.Duration(st.Nanos)))
+				stages = append(stages, fmt.Sprintf("%s=%s", st.Name, time.Duration(st.Nanos)))
 			}
 			fmt.Printf("  #%-6d %-12s %-8s target=%-10d freed=%-10d mem %d->%d %s %s [%s]\n",
 				ev.ID, stats[a].Policy, ev.Trigger, ev.Target, ev.Freed,
@@ -833,7 +829,7 @@ func parseExposition(r io.Reader) (map[string]map[string]float64, error) {
 // cmdTop is a live watch over a running kflushd: each refresh scrapes
 // /metrics twice (interval apart) and renders per-attribute rates and
 // deltas — ingest rate, QPS, memory and disk-cache hit ratios over the
-// window, flush pipeline depth, compaction backlog, and the degraded
+// window, flush batches in flight, compaction backlog, and the degraded
 // flag. count bounds the refreshes so the command terminates in scripts.
 func cmdTop(base string, interval time.Duration, count int) error {
 	// The CLI parser rejects non-positive intervals too, but cmdTop is

@@ -137,8 +137,6 @@ type Config struct {
 //	   the end of a flush cycle, asks the log inside, and only tries
 //	   other members' flushMu under it, never waits for one)
 //	12 engine.flightGroup.mu
-//	13 engine.flushPipeline.mu (release ordering behind the queue; taken
-//	   under flushMu by the flushing goroutine, alone by the worker)
 //	15 policy.LRU.mu / policy.FIFO.mu
 //	20 index.Index.overMu
 //	22 index.shard.mu
@@ -166,7 +164,6 @@ func DefaultConfig() Config {
 		LockRank: map[string]int{
 			"kflushing/internal/engine.Engine.flushMu":   10,
 			"kflushing/internal/engine.flightGroup.mu":   12,
-			"kflushing/internal/engine.flushPipeline.mu": 13,
 			"kflushing/internal/engine.Stream.reclaimMu": 11,
 			"kflushing/internal/policy.LRU.mu":           15,
 			"kflushing/internal/policy.FIFO.mu":          15,

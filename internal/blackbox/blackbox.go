@@ -105,8 +105,6 @@ const (
 	EvFlushPhase
 	EvFlushPhaseWorker
 	EvFlushPrepare
-	EvFlushEnqueue
-	EvFlushFallback
 	EvFlushBuild
 	EvFlushInstall
 	EvFlushRelease
@@ -131,8 +129,6 @@ var codeNames = [numCodes]string{
 	EvFlushPhase:       "flush_phase",
 	EvFlushPhaseWorker: "flush_phase_worker",
 	EvFlushPrepare:     "flush_prepare",
-	EvFlushEnqueue:     "flush_enqueue",
-	EvFlushFallback:    "flush_fallback",
 	EvFlushBuild:       "flush_build",
 	EvFlushInstall:     "flush_install",
 	EvFlushRelease:     "flush_release",
@@ -159,11 +155,9 @@ var codeArgNames = [numCodes][4]string{
 	EvFlushPhase:       {"victims", "freed_bytes", "nanos", "phase"},
 	EvFlushPhaseWorker: {"phase", "worker", "nanos"},
 	EvFlushPrepare:     {"target_bytes", "freed_bytes", "nanos"},
-	EvFlushEnqueue:     {"records", "queue_depth"},
-	EvFlushFallback:    {"records"},
-	EvFlushBuild:       {"records", "bytes", "nanos", "worker"},
-	EvFlushInstall:     {"records", "bytes", "nanos", "worker"},
-	EvFlushRelease:     {"records", "bytes", "nanos", "worker"},
+	EvFlushBuild:       {"records", "bytes", "nanos"},
+	EvFlushInstall:     {"records", "bytes", "nanos"},
+	EvFlushRelease:     {"records", "bytes", "nanos"},
 	EvFlushEnd:         {"freed_bytes", "mem_after_bytes", "nanos", "durable"},
 	EvCompactPass:      {"level", "segments_in", "nanos"},
 	EvCacheEvict:       {"evicted", "resident_bytes"},

@@ -63,15 +63,12 @@ type FlushPhase struct {
 	ShardNanos []int64 `json:"shard_nanos,omitempty"`
 }
 
-// FlushStage is one pipeline stage of a flush cycle.
+// FlushStage is one stage of a flush cycle.
 type FlushStage struct {
 	// Name is the stage ("prepare", "build", "install", "release").
 	Name string `json:"name"`
 	// Nanos is the stage duration.
 	Nanos int64 `json:"nanos"`
-	// Worker reports the stage ran on the pipeline worker, after the
-	// cycle had given the flush gate back; false means inline, under it.
-	Worker bool `json:"worker,omitempty"`
 }
 
 // FlushCycle is one flush cycle, reassembled from the events that carry
@@ -94,23 +91,23 @@ type FlushCycle struct {
 	// Satisfied reports Freed >= Target — the saturation signal of the
 	// paper's Figure 5(a) regime when persistently false.
 	Satisfied bool `json:"satisfied"`
-	// Nanos is the cycle's duration under the flush gate; stages the
-	// pipeline worker ran come after it.
+	// Nanos is the cycle's duration under the flush gate, every stage
+	// included.
 	Nanos int64 `json:"nanos"`
 	// MemBefore/MemAfter bracket the cycle's memory gauge.
 	MemBefore int64 `json:"mem_before_bytes"`
 	MemAfter  int64 `json:"mem_after_bytes"`
-	// Err is the flush error, if any: the cycle's own, or the one its
-	// completion met on the worker.
+	// Err is the flush error, if any: the policy's, or the one the
+	// cycle's batch met on its way to disk.
 	Err string `json:"error,omitempty"`
-	// Complete reports the cycle has ended and its batch has been
-	// released; false while the flusher is still in the cycle or the
-	// completion is still queued or running on the worker.
+	// Complete reports the cycle has ended, its batch installed or
+	// restored; false while the flusher is still in the cycle.
 	Complete bool `json:"complete"`
 	// Phases are the executed phases in order.
 	Phases []FlushPhase `json:"phases"`
-	// Stages are the cycle's stages in the order they ran: prepare under
-	// the gate, then build, install and release wherever they ran.
+	// Stages are the cycle's stages in the order they ran: prepare, then
+	// build and install when the batch had records to write, and release
+	// when the cycle evicted anything.
 	Stages []FlushStage `json:"stages,omitempty"`
 }
 
@@ -121,8 +118,7 @@ type FlushCycle struct {
 // already recycled is left out whole.
 func FlushCycles(events []Event, epochUnixNanos int64) []FlushCycle {
 	var out []FlushCycle
-	at := map[uint64]int{}      // cycle ID → index in out
-	queued := map[uint64]bool{} // the cycle's batch went to the worker
+	at := map[uint64]int{} // cycle ID → index in out
 	for _, ev := range events {
 		if ev.Subsystem != SubFlush.String() || ev.ID == 0 {
 			continue
@@ -161,48 +157,36 @@ func FlushCycles(events []Event, epochUnixNanos int64) []FlushCycle {
 			}
 		case EvFlushPrepare.String():
 			c.Stages = append(c.Stages, FlushStage{Name: "prepare", Nanos: nanos})
-		case EvFlushEnqueue.String():
-			queued[c.ID] = true
 		case EvFlushBuild.String(), EvFlushInstall.String(), EvFlushRelease.String():
-			worker := ev.Args["worker"] != 0
-			c.Stages = append(c.Stages, FlushStage{Name: ev.Event[len("flush_"):], Nanos: nanos, Worker: worker})
-			if ev.Event == EvFlushRelease.String() && worker {
-				c.Complete = true
-				if c.Err == "" {
-					c.Err = ev.Note
-				}
-			}
+			c.Stages = append(c.Stages, FlushStage{Name: ev.Event[len("flush_"):], Nanos: nanos})
 		case EvFlushEnd.String():
 			c.Freed = ev.Args["freed_bytes"]
 			c.Satisfied = c.Freed >= c.Target
 			c.MemAfter = ev.Args["mem_after_bytes"]
 			c.Nanos = nanos
 			c.Err = ev.Note
-			c.Complete = !queued[c.ID]
+			c.Complete = true
 		}
 	}
 	return out
 }
 
 // CheckTimings verifies that the cycle's parts add up: the phases fit in
-// the prepare stage, and the stages that ran inline (prepare always
-// does) fit in the cycle's time under the gate. A cycle still in
-// progress is checked as far as its events go.
+// the prepare stage, and the stages fit in the cycle's time under the
+// gate. A cycle still in progress is checked as far as its events go.
 func (c FlushCycle) CheckTimings() error {
-	var phases, inline int64
+	var phases, stages int64
 	for _, p := range c.Phases {
 		phases += p.Nanos
 	}
 	for _, st := range c.Stages {
-		if !st.Worker {
-			inline += st.Nanos
-		}
+		stages += st.Nanos
 	}
 	if len(c.Stages) > 0 && phases > c.Stages[0].Nanos {
 		return fmt.Errorf("cycle %d: phases take %d ns of a %d ns prepare stage", c.ID, phases, c.Stages[0].Nanos)
 	}
-	if c.Nanos > 0 && inline > c.Nanos {
-		return fmt.Errorf("cycle %d: inline stages take %d ns of a %d ns cycle", c.ID, inline, c.Nanos)
+	if c.Nanos > 0 && stages > c.Nanos {
+		return fmt.Errorf("cycle %d: stages take %d ns of a %d ns cycle", c.ID, stages, c.Nanos)
 	}
 	return nil
 }

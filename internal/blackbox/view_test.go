@@ -9,15 +9,13 @@ import (
 	"kflushing/internal/query"
 )
 
-// cycleScript is the event sequence of one pipelined kFlushing cycle as
-// the engine emits it: the flusher's seven events, then — once the
-// flusher has given the gate back — the worker's three.
+// cycleScript is the event sequence of one kFlushing cycle as the
+// engine emits it, all under the flush gate: begin, three phases, the
+// four stages, end.
 var cycleScript = []Code{
-	EvFlushBegin, EvFlushPhase, EvFlushPhase, EvFlushPhase, EvFlushPrepare, EvFlushEnqueue, EvFlushEnd,
-	EvFlushBuild, EvFlushInstall, EvFlushRelease,
+	EvFlushBegin, EvFlushPhase, EvFlushPhase, EvFlushPhase, EvFlushPrepare,
+	EvFlushBuild, EvFlushInstall, EvFlushRelease, EvFlushEnd,
 }
-
-const flusherEvents = 7
 
 // emit records step i of cycleScript for cycle id. Every argument is a
 // function of id, so a view that mixed two cycles up would show it.
@@ -30,12 +28,10 @@ func emit(r *Recorder, id uint64, i int) {
 		r.RecordID(SubFlush, code, id, int64(i), v, 10*v, 1) // i is 1..3: the phase number
 	case EvFlushPrepare:
 		r.RecordID(SubFlush, code, id, 0, 100*v, 30*v, 5)
-	case EvFlushEnqueue:
-		r.RecordID(SubFlush, code, id, 0, v, 1, 0)
 	case EvFlushEnd:
-		r.RecordID(SubFlush, code, id, 0, 30*v, 900*v, 9)
+		r.RecordID(SubFlush, code, id, 1, 30*v, 900*v, 20)
 	default:
-		r.RecordID(SubFlush, code, id, 1, v, 64*v, 2)
+		r.RecordID(SubFlush, code, id, 0, v, 64*v, 2)
 	}
 }
 
@@ -53,12 +49,12 @@ func checkScriptPrefix(t *testing.T, c FlushCycle) (events int) {
 			t.Errorf("cycle %d: phase %d = %+v", c.ID, i, p)
 		}
 	}
-	wantStages := []FlushStage{{"prepare", 5, false}, {"build", 2, true}, {"install", 2, true}, {"release", 2, true}}
+	wantStages := []FlushStage{{"prepare", 5}, {"build", 2}, {"install", 2}, {"release", 2}}
 	if n := len(c.Stages); n > len(wantStages) || n > 0 && !reflect.DeepEqual(c.Stages, wantStages[:n]) {
 		t.Errorf("cycle %d: stages = %+v", c.ID, c.Stages)
 	}
 	ended := c.Nanos != 0
-	if ended && (c.Nanos != 9 || c.Freed != 30*v || c.MemAfter != 900*v || c.Satisfied) {
+	if ended && (c.Nanos != 20 || c.Freed != 30*v || c.MemAfter != 900*v || c.Satisfied) {
 		t.Errorf("cycle %d: end = %+v", c.ID, c)
 	}
 	if len(c.Stages) > 0 && len(c.Phases) != 3 {
@@ -67,23 +63,21 @@ func checkScriptPrefix(t *testing.T, c FlushCycle) (events int) {
 	if ended && len(c.Stages) == 0 {
 		t.Errorf("cycle %d: flush_end shown without prepare", c.ID)
 	}
-	if len(c.Stages) > 1 && !ended {
-		t.Errorf("cycle %d: worker stages shown without flush_end", c.ID)
+	if ended && len(c.Stages) != 4 {
+		t.Errorf("cycle %d: flush_end shown without every stage", c.ID)
 	}
-	if c.Complete != (len(c.Stages) == 4) {
+	if c.Complete != ended {
 		t.Errorf("cycle %d: complete = %v with stages %+v", c.ID, c.Complete, c.Stages)
 	}
 	if err := c.CheckTimings(); err != nil {
 		t.Error(err)
 	}
-	return 1 + len(c.Phases) + len(c.Stages) // begin, phases, stages (enqueue and end not counted)
+	return 1 + len(c.Phases) + len(c.Stages) // begin, phases, stages (end not counted)
 }
 
-// TestFlushCyclesView interleaves the events of a pipelined budget
-// cycle with those of a manual LRU cycle that runs inline while the
-// first one's batch is still on the worker, among events that belong to
-// no cycle: each cycle comes back as one record, its phases and stages
-// in emission order.
+// TestFlushCyclesView records a budget cycle and a manual LRU cycle
+// among events that belong to no cycle: each cycle comes back as one
+// record, its phases and stages in emission order.
 func TestFlushCyclesView(t *testing.T) {
 	r := newSized(64)
 	const a, b = 11, 12
@@ -94,15 +88,14 @@ func TestFlushCyclesView(t *testing.T) {
 	r.RecordID(SubFlush, EvFlushPhaseWorker, a, 0, PhaseRegular, 1, 400)
 	r.RecordID(SubFlush, EvFlushPhase, a, PhaseAggressive, 7, 1500, 200)
 	r.RecordID(SubFlush, EvFlushPrepare, a, 0, 4096, 4500, 1000)
-	r.RecordID(SubFlush, EvFlushEnqueue, a, 0, 47, 1, 0)
-	r.RecordID(SubFlush, EvFlushEnd, a, 0, 4500, 45_500, 1100)
+	r.Record(SubWAL, EvWALSync, 3, 4096, 700)
+	r.RecordID(SubFlush, EvFlushBuild, a, 0, 47, 9000, 5000)
+	r.RecordID(SubFlush, EvFlushInstall, a, 0, 47, 9000, 800)
+	r.RecordID(SubFlush, EvFlushRelease, a, 0, 47, 9000, 90)
+	r.RecordID(SubFlush, EvFlushEnd, a, 1, 4500, 45_500, 7000)
 	r.RecordID(SubFlush, EvFlushBegin, b, 0, int64(TriggerManual), 100, 45_500)
-	r.RecordID(SubFlush, EvFlushBuild, a, 1, 47, 9000, 5000)
 	r.RecordID(SubFlush, EvFlushPhase, b, PhaseLRUTail, 9, 120, 60)
-	r.RecordID(SubFlush, EvFlushInstall, a, 1, 47, 9000, 800)
 	r.RecordID(SubFlush, EvFlushPrepare, b, 0, 100, 120, 70)
-	r.RecordID(SubFlush, EvFlushFallback, b, 0, 9, 0, 0)
-	r.RecordID(SubFlush, EvFlushRelease, a, 1, 47, 9000, 90)
 	r.RecordID(SubFlush, EvFlushBuild, b, 0, 9, 700, 10)
 	r.RecordID(SubFlush, EvFlushInstall, b, 0, 9, 700, 10)
 	r.RecordID(SubFlush, EvFlushRelease, b, 0, 9, 700, 5)
@@ -119,16 +112,16 @@ func TestFlushCyclesView(t *testing.T) {
 	}
 	want := []FlushCycle{
 		{ID: a, Start: 1_000_000 + begins[a], Trigger: "budget", Target: 4096, Freed: 4500, Satisfied: true,
-			Nanos: 1100, MemBefore: 50_000, MemAfter: 45_500, Complete: true,
+			Nanos: 7000, MemBefore: 50_000, MemAfter: 45_500, Complete: true,
 			Phases: []FlushPhase{
 				{Phase: 1, Name: "regular", Victims: 40, Freed: 3000, Nanos: 700, ShardNanos: []int64{300, 400}},
 				{Phase: 2, Name: "aggressive", Victims: 7, Freed: 1500, Nanos: 200},
 			},
-			Stages: []FlushStage{{"prepare", 1000, false}, {"build", 5000, true}, {"install", 800, true}, {"release", 90, true}}},
+			Stages: []FlushStage{{"prepare", 1000}, {"build", 5000}, {"install", 800}, {"release", 90}}},
 		{ID: b, Start: 1_000_000 + begins[b], Trigger: "manual", Target: 100, Freed: 120, Satisfied: true,
 			Nanos: 100, MemBefore: 45_500, MemAfter: 45_380, Complete: true,
 			Phases: []FlushPhase{{Phase: 0, Name: "lru-tail", Victims: 9, Freed: 120, Nanos: 60}},
-			Stages: []FlushStage{{"prepare", 70, false}, {"build", 10, false}, {"install", 10, false}, {"release", 5, false}}},
+			Stages: []FlushStage{{"prepare", 70}, {"build", 10}, {"install", 10}, {"release", 5}}},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("FlushCycles =\n%+v\nwant\n%+v", got, want)
@@ -156,7 +149,7 @@ func TestFlushCyclesRingWrap(t *testing.T) {
 		}
 	}
 	got := FlushCycles(r.Events(), 0)
-	// 64 slots hold six whole 10-event cycles and the tail of a seventh.
+	// 64 slots hold seven whole 9-event cycles and the tail of an eighth.
 	if want := size / len(cycleScript); len(got) != want {
 		t.Fatalf("view holds %d cycles, want %d", len(got), want)
 	}
@@ -170,10 +163,10 @@ func TestFlushCyclesRingWrap(t *testing.T) {
 	}
 }
 
-// TestFlushCyclesIncomplete follows one pipelined cycle through the
-// view as its events arrive: it is listed from flush_begin on, with what
-// it has so far, and reads complete only once the worker has released
-// its batch — flush_end alone does not make it so.
+// TestFlushCyclesIncomplete follows one cycle through the view as its
+// events arrive: it is listed from flush_begin on, with what it has so
+// far, and reads complete only once flush_end is in, not at its last
+// stage.
 func TestFlushCyclesIncomplete(t *testing.T) {
 	r := newSized(32)
 	for i := range cycleScript {
@@ -203,38 +196,36 @@ func TestFlushCyclesOrphanEventsDropped(t *testing.T) {
 }
 
 // TestFlushCyclesUnsatisfiedAndError: a cycle that freed less than its
-// target reads SHORT, and a failed one carries its error — flush_end's
-// note, or, when the completion failed on the worker after the cycle had
-// ended cleanly, flush_release's.
+// target reads SHORT, and a failed one carries flush_end's note as its
+// error.
 func TestFlushCyclesUnsatisfiedAndError(t *testing.T) {
 	r := newSized(32)
 	r.RecordID(SubFlush, EvFlushBegin, 1, 0, int64(TriggerRecovery), 1000, 5000)
 	r.RecordID(SubFlush, EvFlushPrepare, 1, 0, 1000, 400, 50)
-	r.RecordNote(SubFlush, EvFlushRelease, 1, 0, 3, 0, 10, "disk full")
+	r.RecordID(SubFlush, EvFlushRelease, 1, 0, 3, 0, 10)
 	r.RecordNote(SubFlush, EvFlushEnd, 1, 0, 400, 5000, 80, "disk full")
 	r.RecordID(SubFlush, EvFlushBegin, 2, 0, int64(TriggerBudget), 1000, 5000)
 	r.RecordID(SubFlush, EvFlushPrepare, 2, 0, 1000, 1000, 50)
-	r.RecordID(SubFlush, EvFlushEnqueue, 2, 0, 3, 1, 0)
-	r.RecordID(SubFlush, EvFlushEnd, 2, 0, 1000, 4000, 60)
-	r.RecordNote(SubFlush, EvFlushRelease, 2, 1, 3, 0, 10, "rename failed")
+	r.RecordID(SubFlush, EvFlushRelease, 2, 0, 3, 0, 10)
+	r.RecordID(SubFlush, EvFlushEnd, 2, 1, 1000, 4000, 60)
 	got := FlushCycles(r.Events(), 0)
 	if len(got) != 2 {
 		t.Fatalf("got %d cycles, want 2", len(got))
 	}
 	if c := got[0]; c.Trigger != "recovery" || c.Satisfied || c.Err != "disk full" || !c.Complete {
-		t.Fatalf("failed inline cycle = %+v", c)
+		t.Fatalf("failed cycle = %+v", c)
 	}
-	if c := got[1]; !c.Satisfied || c.Err != "rename failed" || !c.Complete {
-		t.Fatalf("cycle whose completion failed on the worker = %+v", c)
+	if c := got[1]; !c.Satisfied || c.Err != "" || !c.Complete {
+		t.Fatalf("clean cycle = %+v", c)
 	}
 }
 
-// TestFlushCyclesConcurrentReaders is the race battery for the view: a
-// flusher and a pipeline worker — the two goroutines that write the
-// flush ring in the engine — wrap a small ring many times over while
-// readers build views. Every cycle a view shows must be a prefix of its
-// own emission: whole, or still in progress, never missing an event
-// from its middle or carrying another cycle's.
+// TestFlushCyclesConcurrentReaders is the race battery for the view:
+// two flushing goroutines taking turns, as background cycles and
+// FlushNow callers do behind the flush gate, wrap a small ring many
+// times over while readers build views. Every cycle a view shows must be
+// a prefix of its own emission: whole, or still in progress, never
+// missing an event from its middle or carrying another cycle's.
 func TestFlushCyclesConcurrentReaders(t *testing.T) {
 	r := newSized(64)
 	const views = 600 // the writers keep wrapping until this many have been built
@@ -266,29 +257,27 @@ func TestFlushCyclesConcurrentReaders(t *testing.T) {
 			}
 		}()
 	}
-	// The worker gets a cycle once the flusher has recorded its
-	// flush_end, as the flush gate arranges in the engine.
-	queue := make(chan uint64, 4)
+	// A writer runs a whole cycle, then hands the next ID — the flush
+	// gate — to the other.
+	gate := make(chan uint64, 1)
+	gate <- 1
 	var writeWG sync.WaitGroup
-	writeWG.Add(2)
-	go func() {
-		defer writeWG.Done()
-		defer close(queue)
-		for id := uint64(1); built.Load() < views && !t.Failed(); id++ {
-			for i := 0; i < flusherEvents; i++ {
-				emit(r, id, i)
+	for w := 0; w < 2; w++ {
+		writeWG.Add(1)
+		go func() {
+			defer writeWG.Done()
+			for id := range gate {
+				if built.Load() >= views || t.Failed() {
+					close(gate)
+					return
+				}
+				for i := range cycleScript {
+					emit(r, id, i)
+				}
+				gate <- id + 1
 			}
-			queue <- id
-		}
-	}()
-	go func() {
-		defer writeWG.Done()
-		for id := range queue {
-			for i := flusherEvents; i < len(cycleScript); i++ {
-				emit(r, id, i)
-			}
-		}
-	}()
+		}()
+	}
 	writeWG.Wait()
 	close(stop)
 	readWG.Wait()

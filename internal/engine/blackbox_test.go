@@ -14,7 +14,7 @@ import (
 
 // newObservedEngine builds a durable keyword engine whose flight
 // recorder sees all three instrumented layers: ingest batches, WAL
-// appends and syncs (SyncEvery=1), and flush pipeline stages.
+// appends and syncs (SyncEvery=1), and flush stages.
 func newObservedEngine(t *testing.T, slowQueryNanos int64) *Engine[string] {
 	t.Helper()
 	dir := t.TempDir()

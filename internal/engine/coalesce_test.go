@@ -149,7 +149,7 @@ func TestDiskSearchAccounting(t *testing.T) {
 			// flight is held open here, so the join is certain, not a race
 			// the scheduler may or may not stage.
 			coalescedBefore := eng.Metrics().Snap().DiskSearchesCoalesced
-			key := "filler7\x00" + string([]byte{byte(query.OpSingle), 5, 0, 0})
+			key := eng.flightKey(miss.Keys, miss.Op, miss.K)
 			inFlight, release := make(chan struct{}), make(chan struct{})
 			wg.Add(2)
 			go func() {
@@ -209,5 +209,40 @@ func TestDiskSearchAccounting(t *testing.T) {
 	if len(hitAllocs) == 2 && hitAllocs[0] != hitAllocs[time.Hour.Nanoseconds()] {
 		t.Fatalf("a memory-hit search allocates %.1f objects without a slow-query threshold, %.1f with one",
 			hitAllocs[0], hitAllocs[time.Hour.Nanoseconds()])
+	}
+}
+
+// TestFlightKeysInjective: two searches share a flight only when they
+// ask the same (keys, op, k). Keywords are client bytes, 0x00 included
+// (ingest takes them verbatim and /search URL-decodes %00), and k is any
+// int, so neither a separator byte nor a truncated k may name a flight.
+func TestFlightKeysInjective(t *testing.T) {
+	eng := newBackgroundEngine(t, 1<<20)
+	type search struct {
+		keys []string
+		op   query.Op
+		k    int
+	}
+	searches := []search{
+		{[]string{"a\x00b", "c"}, query.OpOr, 5},
+		{[]string{"a", "b\x00c"}, query.OpOr, 5},
+		{[]string{"a", "b", "c"}, query.OpOr, 5},
+		{[]string{"a", "b", "c"}, query.OpAnd, 5},
+		{[]string{"a"}, query.OpSingle, 20},
+		{[]string{"a"}, query.OpSingle, 20 + 1<<24},
+		{[]string{"a", ""}, query.OpOr, 20},
+		{[]string{"", "a"}, query.OpOr, 20},
+	}
+	seen := map[string]int{}
+	for i, s := range searches {
+		key := eng.flightKey(s.keys, s.op, s.k)
+		if j, dup := seen[key]; dup {
+			t.Errorf("%q %v k=%d shares a flight with %q %v k=%d",
+				s.keys, s.op, s.k, searches[j].keys, searches[j].op, searches[j].k)
+		}
+		seen[key] = i
+		if again := eng.flightKey(s.keys, s.op, s.k); again != key {
+			t.Errorf("%q %v k=%d names two flights", s.keys, s.op, s.k)
+		}
 	}
 }

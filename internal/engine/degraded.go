@@ -61,11 +61,11 @@ func (e *Engine[K]) restoreEvicted(failed []disk.FlushRecord) {
 // failure enters degraded mode, and only a segment made durable by that
 // very completion is evidence the fault cleared. cycle is the ID of the
 // flush cycle whose batch it was. Callers hold flushMu.
-func (e *Engine[K]) flushOutcome(err error, durable bool, cycle uint64, via string) {
+func (e *Engine[K]) flushOutcome(err error, durable bool, cycle uint64) {
 	if err != nil {
 		e.enterDegraded(err, cycle)
 	} else if durable {
-		e.exitDegraded(via)
+		e.exitDegraded("flush")
 	}
 }
 

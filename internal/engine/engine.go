@@ -12,9 +12,11 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime/pprof"
 	rtrace "runtime/trace"
 	"slices"
 	"strings"
@@ -107,9 +109,8 @@ type Config[K comparable] struct {
 	// kFlushing variants; FIFO and LRU leave it off).
 	TrackOverK bool
 	// SyncFlush runs flushes inline on the ingesting goroutine instead
-	// of a background flushing thread, and every cycle completes its
-	// batch before it returns (no flush pipeline). Deterministic; used
-	// by tests and experiments.
+	// of a background flushing thread, and compacts inline too.
+	// Deterministic; used by tests and experiments.
 	SyncFlush bool
 	// AllocPolicy selects how hot-path structures are allocated: the
 	// zero value (PolicyPooled) recycles posting arrays, record
@@ -185,9 +186,6 @@ type Engine[K comparable] struct {
 	// fsink is the policies' sink: it parks the batch a cycle evicted
 	// until flushCycle takes it.
 	fsink flushSink
-	// pipe queues budget-triggered cycles' batches for the background
-	// worker so ingestion overlaps segment I/O; nil under SyncFlush.
-	pipe *flushPipeline[K]
 	// degraded is the read-only mode entered when tier writes fail
 	// persistently; degradedReason holds the entering error's message.
 	degraded       atomic.Bool
@@ -301,9 +299,6 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		}
 	})
 	e.stream, e.slot = st, st.join(e)
-	if !cfg.SyncFlush {
-		e.pipe = newFlushPipeline(e)
-	}
 	e.pol = cfg.Policy
 	e.obs, _ = cfg.Policy.(policy.AccessObserver)
 	e.pol.Attach(&policy.Resources[K]{
@@ -596,8 +591,14 @@ func (e *Engine[K]) maybeFlush(trigger blackbox.Trigger) {
 		e.runFlushLocked(trigger)
 		return
 	}
-	go e.runFlushLocked(trigger)
+	go pprof.Do(context.Background(), flusherLabels, func(context.Context) {
+		e.runFlushLocked(trigger)
+	})
 }
+
+// flusherLabels attributes a background flush cycle's CPU (eviction,
+// segment encode, fsync, manifest commits) to its subsystem in profiles.
+var flusherLabels = pprof.Labels("kflushing", "flusher")
 
 // flushDue reports whether memory has reached the flush watermark and
 // grown past the hysteresis margin since the last cycle ended.
@@ -611,6 +612,14 @@ func (e *Engine[K]) flushDue() bool {
 // which is released on return.
 func (e *Engine[K]) runFlushLocked(trigger blackbox.Trigger) {
 	defer e.flushMu.Unlock()
+	defer func() {
+		if r := recover(); r != nil {
+			// Last chance to preserve the evidence: the rings hold the
+			// events leading up to whatever went wrong.
+			e.dumpBlackbox("panic")
+			panic(r)
+		}
+	}()
 	_, err := e.flushCycle(trigger)
 	if err != nil {
 		e.lastError.Store(err)
@@ -620,11 +629,11 @@ func (e *Engine[K]) runFlushLocked(trigger blackbox.Trigger) {
 }
 
 // flushCycle runs one flush cycle: the policy evicts at the configured
-// target (prepare), then the evicted batch is either handed to the
-// pipeline worker or completed here, and the cycle is counted. Every
-// event between flush_begin and flush_end — the policy's phases, the
-// stages, wherever they run — carries the cycle's ID, which rides on
-// the batch. Callers must hold flushMu.
+// target (prepare), the evicted batch is completed (build, install,
+// release), and the cycle is counted. Every event between flush_begin
+// and flush_end — the policy's phases and the stages — carries the
+// cycle's ID. Callers must hold flushMu: whichever goroutine runs the
+// cycle, its batch is installed or restored before the gate is free.
 func (e *Engine[K]) flushCycle(trigger blackbox.Trigger) (int64, error) {
 	start := time.Now()
 	id := blackbox.NextSeq()
@@ -646,35 +655,34 @@ func (e *Engine[K]) flushCycle(trigger blackbox.Trigger) (int64, error) {
 	e.reg.ObserveStage(metrics.StagePrepare, prepare)
 	e.bbox.RecordID(blackbox.SubFlush, blackbox.EvFlushPrepare, id, 0, target, freed, prepare.Nanoseconds())
 	// The policy only evicted: its batch is out of memory and not yet on
-	// disk. A budget-triggered cycle hands it to the pipeline worker and
-	// gives the gate back. Every other cycle is complete when it returns
-	// — as is one that finds the queue full, or whose policy failed after
-	// evicting: what it evicted is persisted before the error is reported
-	// — so the batch walks the same stages here, under the gate.
+	// disk. It walks the remaining stages here, under the gate — also
+	// when the policy failed after evicting: what it evicted is persisted
+	// before the error is reported.
 	batch := e.fsink.take()
-	batch.cycle = id
-	if e.wal != nil {
-		// The log files the batch's directory will name, and those that
-		// deliver its records at replay, stay until it is installed: a
-		// record evicted from one key only may be referenced away from its
-		// replay file meanwhile, and a restored one claims that file again.
-		for _, fr := range batch.recs {
-			batch.pins.add(fr.ReplaySeq, fr.LogSeq)
-		}
-		for _, c := range batch.pins {
-			e.wal.Claim(c.replay, c.log, c.n)
-		}
-	}
 	durable := false
-	switch {
-	case len(batch.recs) == 0 && len(batch.dead) == 0: // nothing was evicted
-	case err == nil && trigger == blackbox.TriggerBudget && e.pipe.tryEnqueue(batch):
-	default:
-		c := e.persist(batch, true)
-		e.conclude(c)
-		durable = c.durable
-		if c.err != nil {
-			err = c.err
+	if len(batch.recs) > 0 || len(batch.dead) > 0 {
+		batch.cycle = id
+		e.reg.PipelineDepth.Store(1)
+		if e.wal != nil {
+			// The log files the batch's directory will name, and those that
+			// deliver its records at replay, stay until it is installed: a
+			// record evicted from one key only may be referenced away from
+			// its replay file meanwhile, and a restored one claims that
+			// file again.
+			for _, fr := range batch.recs {
+				batch.pins.add(fr.ReplaySeq, fr.LogSeq)
+			}
+			for _, c := range batch.pins {
+				e.wal.Claim(c.replay, c.log, c.n)
+			}
+		}
+		var cerr error
+		rtrace.WithRegion(ctx, "flush-complete", func() {
+			durable, cerr = e.completeBatch(batch)
+		})
+		e.reg.PipelineDepth.Store(0)
+		if cerr != nil {
+			err = cerr
 		}
 	}
 	d := time.Since(start)
@@ -685,7 +693,7 @@ func (e *Engine[K]) flushCycle(trigger blackbox.Trigger) (int64, error) {
 	e.lastFlushUsed.Store(used)
 	e.bbox.RecordNote(blackbox.SubFlush, blackbox.EvFlushEnd, id, flag(durable),
 		freed, used, d.Nanoseconds(), errText(err))
-	e.flushOutcome(err, durable, id, "flush")
+	e.flushOutcome(err, durable, id)
 	slog.Debug("engine: flush cycle",
 		"policy", e.pol.Name(), "trigger", trigger, "id", id,
 		"target", target, "freed", freed, "duration", d)
@@ -701,8 +709,8 @@ func (e *Engine[K]) flushCycle(trigger blackbox.Trigger) (int64, error) {
 // budgets it feeds, the sealed file with the fewest survivors is the
 // stream's reclaim target, and every engine over the log has its
 // survivors of it listed (Stream.reclaim, listSurvivors). The file drains
-// as soon as the batches still in the flush pipelines have released
-// theirs. One file per flush cycle: cycles come several to a rotation.
+// once no memory-resident record and no batch in flight claims it. One
+// file per flush cycle: cycles come several to a rotation.
 func (e *Engine[K]) reclaimWAL() {
 	if e.wal == nil || e.recovering {
 		return
@@ -1046,13 +1054,7 @@ func (e *Engine[K]) diskSearch(keys []K, op query.Op, k int, tr *trace.Trace) ([
 		e.reg.DiskSearches.Add(1)
 		return e.tier.SearchTraced(keys, op, k, tr.BeginDisk())
 	}
-	var sb []byte
-	for _, key := range keys {
-		sb = append(sb, e.cfg.EncodeKey(key)...)
-		sb = append(sb, 0)
-	}
-	sb = append(sb, byte(op), byte(k), byte(k>>8), byte(k>>16))
-	items, shared, err := e.flights.do(string(sb), func() ([]query.Item, error) {
+	items, shared, err := e.flights.do(e.flightKey(keys, op, k), func() ([]query.Item, error) {
 		return e.tier.Search(keys, op, k)
 	})
 	if shared {
@@ -1061,6 +1063,20 @@ func (e *Engine[K]) diskSearch(keys []K, op query.Op, k int, tr *trace.Trace) ([
 		e.reg.DiskSearches.Add(1)
 	}
 	return items, err
+}
+
+// flightKey names a disk search for coalescing, one name per (keys, op,
+// k): the op, k as a uvarint, then each encoded key behind its length.
+// Keys are client bytes — a keyword may hold any byte, 0x00 included —
+// so only length prefixes keep two key lists from sharing a name.
+func (e *Engine[K]) flightKey(keys []K, op query.Op, k int) string {
+	b := binary.AppendUvarint([]byte{byte(op)}, uint64(k))
+	for _, key := range keys {
+		ek := e.cfg.EncodeKey(key)
+		b = binary.AppendUvarint(b, uint64(len(ek)))
+		b = append(b, ek...)
+	}
+	return string(b)
 }
 
 // SetK changes the default top-k threshold at run time (Section IV-C).
@@ -1165,25 +1181,26 @@ func (e *Engine[K]) CheckReady() error {
 func (e *Engine[K]) Policy() policy.Policy[K] { return e.pol }
 
 // DiskHealth is a cheap point-in-time view of the disk tier's leveled
-// layout and the flush pipeline: enough for a readiness endpoint to
-// show a wedged compactor (persistent backlog) or a saturated pipeline
-// without paying for a full Stats census.
+// layout and the flush in progress: enough for a readiness endpoint to
+// show a wedged compactor (persistent backlog) or a flush stuck on the
+// disk without paying for a full Stats census.
 type DiskHealth struct {
 	Layout            string            `json:"layout"`
 	Levels            []disk.LevelStats `json:"levels"`
 	CompactionBacklog int               `json:"compaction_backlog"`
-	PipelineDepth     int               `json:"pipeline_depth"`
+	// PipelineDepth counts batches evicted and not yet installed or
+	// restored: 1 while a flush cycle completes its batch, else 0.
+	PipelineDepth int `json:"pipeline_depth"`
 }
 
-// DiskHealth summarizes the disk tier's levels and the flush pipeline
-// queue. Unlike Stats it takes no index census, so it is safe on probe
-// paths.
+// DiskHealth summarizes the disk tier's levels and the batch in flight.
+// Unlike Stats it takes no index census, so it is safe on probe paths.
 func (e *Engine[K]) DiskHealth() DiskHealth {
 	return DiskHealth{
 		Layout:            disk.LayoutLeveled.String(),
 		Levels:            e.tier.Levels(),
 		CompactionBacklog: e.tier.CompactionBacklog(),
-		PipelineDepth:     e.pipe.depth(),
+		PipelineDepth:     int(e.reg.PipelineDepth.Load()),
 	}
 }
 
@@ -1272,7 +1289,7 @@ func (e *Engine[K]) Stats() Stats {
 }
 
 // Close closes the engine's stream (Stream.Close): it drains in-flight
-// flushing and the flush pipeline of every engine of the stream, seals
+// flushing of every engine of the stream, seals
 // the write-ahead log's active file (when durable) — the next open
 // replays the log's undrained files — and releases every engine's disk
 // tier.
@@ -1280,19 +1297,14 @@ func (e *Engine[K]) Close() error { return e.stream.Close() }
 
 // quiesce is the first half of the engine's shutdown: closed is set, so
 // no new cycle starts once the gate is observed free (maybeFlush and
-// FlushNow look again under it); any in-flight background flush drains,
-// then the pipeline drains WITHOUT holding the gate — completions take
-// it to conclude. Queued batches reach the tier (or memory) before the
-// log closes, and the tier's last commit carries the drains their
-// releases cause.
+// FlushNow look again under it), and any in-flight background cycle
+// drains. Its batch reaches the tier (or memory) before the log closes,
+// and the tier's last commit carries the drains its release causes.
 func (e *Engine[K]) quiesce() {
 	e.closed.Store(true)
 	blackbox.UnregisterDumper(e.cfg.DiskDir)
 	e.flushMu.Lock()
 	e.flushMu.Unlock() //nolint:staticcheck // empty critical section = drain
-	if e.pipe != nil {
-		e.pipe.close()
-	}
 }
 
 // closeTier is the second half, once the log is closed: the disk tier

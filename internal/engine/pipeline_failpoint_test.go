@@ -14,14 +14,14 @@ import (
 	"kflushing/internal/failpoint"
 	"kflushing/internal/metrics"
 	"kflushing/internal/query"
-	"kflushing/internal/store"
 	"kflushing/internal/types"
 )
 
 // TestFlushCompletionMatrix drives the five ways a batch's completion
-// can end through the three ways a batch gets completed, on a durable
-// engine, and holds every cell to the same observables: there is one
-// completion routine, so who runs it must not show.
+// can end through the three ways a cycle gets run, on a durable engine,
+// and holds every cell to the same observables: there is one completion
+// routine, run by the cycle that evicted the batch, so who runs the
+// cycle must not show.
 func TestFlushCompletionMatrix(t *testing.T) {
 	outcomes := []struct {
 		name       string
@@ -41,16 +41,16 @@ func TestFlushCompletionMatrix(t *testing.T) {
 		{name: "after-write", site: failpoint.FlushAfterWrite, spec: "error(1)", wrote: true, fails: true},
 	}
 	const (
-		inline    = "inline"    // SyncFlush engine, FlushNow
-		pipelined = "pipelined" // budget cycle enqueues, the worker completes
-		fallback  = "fallback"  // worker parked, queue full: budget cycle completes inline
+		background = "background" // budget cycle on the flusher's own goroutine
+		syncBudget = "sync"       // SyncFlush engine: budget cycle on the caller's goroutine
+		flushNow   = "flushnow"   // FlushNow on a background engine
 	)
-	for _, mode := range []string{inline, pipelined, fallback} {
+	for _, mode := range []string{background, syncBudget, flushNow} {
 		for _, oc := range outcomes {
 			t.Run(mode+"/"+oc.name, func(t *testing.T) {
 				failpoint.DisableAll()
 				t.Cleanup(failpoint.DisableAll)
-				cfg := reclaimConfig(t.TempDir(), 1<<30, mode == inline, alloc.PolicyPooled)
+				cfg := reclaimConfig(t.TempDir(), 1<<30, mode == syncBudget, alloc.PolicyPooled)
 				cfg.DiskRetry = oc.retry
 				eng, err := New(cfg)
 				if err != nil {
@@ -69,7 +69,6 @@ func TestFlushCompletionMatrix(t *testing.T) {
 				// belongs to a memory-resident record.
 				checkQuiescent := func() {
 					t.Helper()
-					waitPipelineIdle(t, eng)
 					res, err := eng.Search(query.Request[string]{Keys: []string{"all"}, K: acked + 100})
 					if err != nil {
 						t.Fatal(err)
@@ -89,56 +88,36 @@ func TestFlushCompletionMatrix(t *testing.T) {
 					}
 				}
 
-				// Every cycle below evicts all of memory (the budget dwarfs
-				// what is loaded), so each completes exactly one batch.
-				var batches int64
-				segments := 0
-				if mode == fallback {
-					// Park the worker: it needs the gate to conclude its
-					// first batch. Once that batch's dead have settled it
-					// is past both failpoint sites and the write, so what
-					// is armed below can only hit the batch under test.
-					eng.flushMu.Lock()
-					for i := 0; i <= pipelineDepth; i++ {
-						load(8)
-						budgetCycleLocked(t, eng)
-						batches++
-						if i == 0 {
-							waitFor(t, "the worker to take the first batch", func() bool {
-								return eng.recycler.Stats().Frees > 0
-							})
-							segments = 1
-						}
-					}
-				}
 				if oc.site != "" {
 					mustEnable(t, oc.site, oc.spec)
 				}
+				// The cycle evicts all of memory (the budget dwarfs what is
+				// loaded), so it completes exactly one batch.
 				const n = 20
 				load(n)
 				var cycleErr error
 				switch mode {
-				case inline:
+				case background, syncBudget:
+					// As maybeFlush runs a budget cycle: the gate taken by
+					// the trigger, the cycle on a goroutine of its own or
+					// on the caller's, its error left for Err.
+					eng.flushMu.Lock()
+					if mode == background {
+						done := make(chan struct{})
+						go func() { defer close(done); eng.runFlushLocked(blackbox.TriggerBudget) }()
+						<-done
+					} else {
+						eng.runFlushLocked(blackbox.TriggerBudget)
+					}
+					cycleErr = eng.Err()
+				case flushNow:
 					_, cycleErr = eng.FlushNow()
-				case pipelined:
-					budgetCycle(t, eng)
-					waitPipelineIdle(t, eng)
-				case fallback:
-					_, cycleErr = eng.flushCycle(blackbox.TriggerBudget)
 				}
-				batches++
-				if (cycleErr != nil) != (oc.fails && mode != pipelined) {
+				if (cycleErr != nil) != oc.fails {
 					t.Fatalf("cycle error = %v", cycleErr)
 				}
-				wantEnq, wantFall := int64(0), int64(0)
-				switch mode {
-				case pipelined:
-					wantEnq = 1
-				case fallback:
-					wantEnq, wantFall = pipelineDepth+1, 1
-				}
-				if enq, fall := eng.reg.PipelineEnqueued.Load(), eng.reg.PipelineFallbacks.Load(); enq != wantEnq || fall != wantFall {
-					t.Fatalf("enqueued=%d fallbacks=%d, want %d and %d", enq, fall, wantEnq, wantFall)
+				if d := eng.DiskHealth().PipelineDepth; d != 0 {
+					t.Fatalf("PipelineDepth = %d once the cycle gave the gate back", d)
 				}
 				if hits := failpoint.Hits(oc.site); hits < oc.minHits {
 					t.Fatalf("%s evaluated %d times, want >= %d", oc.site, hits, oc.minHits)
@@ -146,6 +125,7 @@ func TestFlushCompletionMatrix(t *testing.T) {
 
 				// The batch is restored iff its segment never became
 				// durable; a post-write failure degrades without restoring.
+				segments := 0
 				if oc.wrote {
 					segments++
 				}
@@ -175,35 +155,25 @@ func TestFlushCompletionMatrix(t *testing.T) {
 					}
 				}
 				failpoint.DisableAll()
-				if mode == fallback {
-					eng.flushMu.Unlock()
-				}
 				checkQuiescent()
 
-				// Each completed batch observed the release stage once, and
-				// no cycle books more inline stage time than it took
-				// (flushLog checks). The cycle under test — the last one
-				// begun so far — is one record carrying the stages that
-				// ran under its own ID: all inline, or, pipelined, prepare
-				// inline and the completion on the worker.
-				if runs := eng.reg.Snap().Stages[metrics.StageRelease].Runs; runs != batches {
-					t.Fatalf("release stage observed %d times over %d completed batches", runs, batches)
+				// The batch observed the release stage once, and the cycle
+				// books no more stage time than it took (flushLog checks).
+				// It is one complete record carrying the stages under its
+				// own ID.
+				if runs := eng.reg.Snap().Stages[metrics.StageRelease].Runs; runs != 1 {
+					t.Fatalf("release stage observed %d times over one completed batch", runs)
 				}
 				want := []blackbox.FlushStage{{Name: "prepare"}}
 				if oc.wrote {
 					want = append(want, blackbox.FlushStage{Name: "build"}, blackbox.FlushStage{Name: "install"})
 				}
 				want = append(want, blackbox.FlushStage{Name: "release"})
-				for i := range want[1:] {
-					want[1+i].Worker = mode == pipelined
-				}
 				log := flushLog(t, eng)
-				for _, c := range log {
-					if !c.Complete {
-						t.Fatalf("cycle %d incomplete with the pipeline idle: %+v", c.ID, c)
-					}
+				if len(log) != 1 || !log[0].Complete {
+					t.Fatalf("flush log = %+v, want one complete cycle", log)
 				}
-				cycle := log[len(log)-1]
+				cycle := log[0]
 				got := slices.Clone(cycle.Stages)
 				for i := range got {
 					got[i].Nanos = 0
@@ -230,8 +200,7 @@ func TestFlushCompletionMatrix(t *testing.T) {
 					t.Fatalf("degraded_enter = %+v, want cycle %d and cause %q", entered[0], cycle.ID, cycle.Err)
 				}
 
-				// The fault is gone: a readiness probe (or, in fallback
-				// mode, the fillers' durable installs) restores write
+				// The fault is gone: a readiness probe restores write
 				// service, and the restored records flush.
 				if err := eng.CheckReady(); err != nil {
 					t.Fatalf("CheckReady after the fault cleared: %v", err)
@@ -257,60 +226,65 @@ func TestFlushCompletionMatrix(t *testing.T) {
 	}
 }
 
-// TestDeadOnlyCycleWaitsForQueuedBatch: a record partially flushed in
-// batch N and dying in cycle N+1 contributes no payload to N+1 — its
-// bytes ride N, which may still be building. Its log claim (and its
-// wrapper) must therefore not be released when the dead-only cycle
-// ends, only when N has installed: released early, the log file could
-// hit zero claims and be unlinked, and a crash before N installs would
-// lose an acknowledged record.
-func TestDeadOnlyCycleWaitsForQueuedBatch(t *testing.T) {
+// TestBudgetCycleCompletesUnderGate holds a background budget cycle
+// between eviction and build: its batch counts as in flight, and a
+// FlushNow waits behind it rather than overtaking the batch. Once the
+// cycle gives the gate back, the batch is installed and the cycle's
+// record carries every stage under its ID.
+func TestBudgetCycleCompletesUnderGate(t *testing.T) {
 	failpoint.DisableAll()
 	t.Cleanup(failpoint.DisableAll)
-	cfg := reclaimConfig(t.TempDir(), 1<<30, false, alloc.PolicyPooled)
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	eng := newBackgroundEngine(t, 1<<30)
+	ingestP(t, eng, 1, 20)
+	mustEnable(t, failpoint.FlushAfterEvict, "sleep(200)")
+
+	// As maybeFlush starts a budget cycle: gate taken by the trigger, the
+	// cycle on a goroutine of its own.
+	eng.flushMu.Lock()
+	cycleDone := make(chan struct{})
+	go func() { defer close(cycleDone); eng.runFlushLocked(blackbox.TriggerBudget) }()
+	waitFor(t, "the cycle to evict", func() bool { return eng.DiskHealth().PipelineDepth == 1 })
+	flushed := make(chan error, 1)
+	go func() { _, err := eng.FlushNow(); flushed <- err }()
+	select {
+	case err := <-flushed:
+		t.Fatalf("FlushNow returned (%v) while the budget cycle's batch was in flight", err)
+	case <-time.After(50 * time.Millisecond):
 	}
-	t.Cleanup(func() { _ = eng.Close() })
-	if _, err := eng.IngestBatch(soakBatch(0, 20)); err != nil {
-		t.Fatal(err)
+	if d := eng.DiskHealth().PipelineDepth; d != 1 {
+		t.Fatalf("PipelineDepth = %d while the batch sits between eviction and build, want 1", d)
 	}
-	if live := eng.wal.Stats().LiveRecords; live != 20 {
-		t.Fatalf("claims after ingest = %d", live)
+	<-cycleDone
+	if err := <-flushed; err != nil {
+		t.Fatalf("FlushNow: %v", err)
 	}
-	// Batch N: the payload of records 1..10; 1..9 die with it, record 10
-	// stays memory-resident (a partial flush).
-	var recs []disk.FlushRecord
-	var dead []*store.Record
-	for id := types.ID(1); id <= 10; id++ {
-		rec := eng.store.Get(id)
-		recs = append(recs, disk.FlushRecord{MB: rec.MB, Score: rec.Score, LogSeq: rec.LogSeq, LogOrd: rec.LogOrd})
-		if id < 10 {
-			dead = append(dead, rec)
+	if err := eng.Err(); err != nil {
+		t.Fatalf("budget cycle: %v", err)
+	}
+
+	if d := eng.DiskHealth().PipelineDepth; d != 0 {
+		t.Fatalf("PipelineDepth = %d after the cycles", d)
+	}
+	if segs := eng.Stats().Disk.Segments; segs != 1 {
+		t.Fatalf("%d segments installed, want the budget cycle's one", segs)
+	}
+	var budget []blackbox.FlushCycle
+	for _, c := range flushLog(t, eng) {
+		if c.Trigger == "budget" {
+			budget = append(budget, c)
 		}
 	}
-	late := eng.store.Get(10)
-
-	mustEnable(t, failpoint.DiskSegmentDirWrite, "sleep(400)")
-	eng.flushMu.Lock()
-	if !eng.pipe.tryEnqueue(flushBatch{recs: recs, dead: dead}) {
-		t.Fatal("batch N not enqueued")
+	if len(budget) != 1 || !budget[0].Complete {
+		t.Fatalf("budget cycles in the flush log = %+v, want one complete", budget)
 	}
-	// Cycle N+1: record 10 dies, nothing to write.
-	eng.conclude(eng.persist(flushBatch{dead: []*store.Record{late}}, true))
-	eng.flushMu.Unlock()
-	if live := eng.wal.Stats().LiveRecords; live != 20 {
-		t.Fatalf("claims = %d while batch N is still building, want all 20 held", live)
+	var stages []string
+	for _, st := range budget[0].Stages {
+		stages = append(stages, st.Name)
 	}
-	if frees := eng.recycler.Stats().Frees; frees != 0 {
-		t.Fatalf("%d wrappers recycled while batch N is still building", frees)
+	if want := []string{"prepare", "build", "install", "release"}; !slices.Equal(stages, want) {
+		t.Fatalf("budget cycle %d stages = %v, want %v", budget[0].ID, stages, want)
 	}
-	waitPipelineIdle(t, eng)
-	if live := eng.wal.Stats().LiveRecords; live != 10 {
-		t.Fatalf("claims = %d after batch N installed, want 10", live)
-	}
-	if frees := eng.recycler.Stats().Frees; frees != 10 {
-		t.Fatalf("%d wrappers recycled after batch N installed, want 10", frees)
+	if err := budget[0].CheckTimings(); err != nil {
+		t.Fatal(err)
 	}
 }

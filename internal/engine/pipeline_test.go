@@ -14,11 +14,20 @@ import (
 	"kflushing/internal/query"
 )
 
-// newPipelineEngine builds a keyword engine with the flush pipeline
-// enabled (SyncFlush off).
-func newPipelineEngine(t *testing.T, budget int64) *Engine[string] {
+// newBackgroundEngine builds a keyword engine that flushes on a
+// background goroutine (SyncFlush off).
+func newBackgroundEngine(t *testing.T, budget int64) *Engine[string] {
 	t.Helper()
-	eng, err := New(Config[string]{
+	eng, err := New(backgroundConfig(t.TempDir(), budget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = eng.Close() })
+	return eng
+}
+
+func backgroundConfig(dir string, budget int64) Config[string] {
+	return Config[string]{
 		K:             5,
 		MemoryBudget:  budget,
 		FlushFraction: 0.2,
@@ -28,21 +37,15 @@ func newPipelineEngine(t *testing.T, budget int64) *Engine[string] {
 		EncodeKey:     attr.KeywordEncode,
 		DecodeKey:     attr.KeywordDecode,
 		Clock:         clock.NewLogical(1, 1),
-		DiskDir:       t.TempDir(),
+		DiskDir:       dir,
 		Policy:        core.New[string](),
 		TrackOverK:    true,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = eng.Close() })
-	return eng
 }
 
-// budgetCycleLocked runs one flush cycle as the background flusher
-// does on a budget trigger — the only kind that may enqueue its batch.
-// With a budget far above what the tests ingest, the cycle's target
-// evicts everything in memory. The caller holds flushMu.
+// budgetCycleLocked runs one flush cycle as the flusher does on a budget
+// trigger. With a budget far above what the tests ingest, the cycle's
+// target evicts everything in memory. The caller holds flushMu.
 func budgetCycleLocked(t *testing.T, e *Engine[string]) {
 	t.Helper()
 	if _, err := e.flushCycle(blackbox.TriggerBudget); err != nil {
@@ -77,184 +80,138 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// waitPipelineIdle polls until every queued batch has completed.
-func waitPipelineIdle(t *testing.T, e *Engine[string]) {
-	t.Helper()
-	waitFor(t, "the pipeline to drain", func() bool { return e.pipe.depth() == 0 })
-}
-
-// TestPipelineEnqueueAndComplete drives one batch through the pipeline
-// exactly as a budget-triggered cycle does: the cycle enqueues instead
-// of writing, the worker builds and installs the segment, and the
-// cycle's one record in the flush log holds prepare, run inline, and
-// build, install and release, run on the worker.
-func TestPipelineEnqueueAndComplete(t *testing.T) {
-	eng := newPipelineEngine(t, 1<<30)
+// TestBudgetCycleCompletes drives one budget cycle on a background
+// engine: when it gives the gate back its batch is installed, and the
+// cycle's one record in the flush log holds prepare, build, install and
+// release.
+func TestBudgetCycleCompletes(t *testing.T) {
+	eng := newBackgroundEngine(t, 1<<30)
 	ingestP(t, eng, 1, 20)
 	budgetCycle(t, eng)
-	if got := eng.reg.PipelineEnqueued.Load(); got != 1 {
-		t.Fatalf("PipelineEnqueued = %d, want 1 (batch should have queued, not written inline)", got)
+	if d := eng.DiskHealth().PipelineDepth; d != 0 {
+		t.Fatalf("PipelineDepth = %d after the cycle returned", d)
 	}
-	waitPipelineIdle(t, eng)
 
 	// The segment is durable and searchable through the normal path.
 	if n := eng.store.Len(); n != 0 {
 		t.Fatalf("%d records still in memory after a cycle that evicts everything", n)
+	}
+	if eng.Stats().Disk.Segments != 1 {
+		t.Fatal("budget cycle installed no segment")
 	}
 	res, err := eng.Search(query.Request[string]{Keys: []string{"p"}, K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Items) != 5 {
-		t.Fatalf("search after pipelined flush: %d items, want 5", len(res.Items))
+		t.Fatalf("search after budget flush: %d items, want 5", len(res.Items))
 	}
 	if res.Items[0].MB.ID != 20 {
 		t.Fatalf("top item ID = %d, want 20 (highest score)", res.Items[0].MB.ID)
 	}
 	if degraded, reason := eng.Degraded(); degraded {
-		t.Fatalf("degraded after successful pipelined flush: %s", reason)
+		t.Fatalf("degraded after successful budget flush: %s", reason)
 	}
 
 	// The completion is on the cycle's own record, with its timings.
 	log := flushLog(t, eng)
 	if len(log) != 1 || !log[0].Complete {
-		t.Fatalf("flush log after one drained cycle = %+v, want one complete cycle", log)
+		t.Fatalf("flush log after one cycle = %+v, want one complete cycle", log)
 	}
 	var stages []string
 	for _, st := range log[0].Stages {
-		if st.Worker != (st.Name != "prepare") || st.Nanos <= 0 {
-			t.Fatalf("stage %+v of a pipelined cycle: only prepare runs inline, and every stage takes time", st)
+		if st.Nanos <= 0 {
+			t.Fatalf("stage %+v of a budget cycle took no time", st)
 		}
 		stages = append(stages, st.Name)
 	}
 	if want := []string{"prepare", "build", "install", "release"}; !slices.Equal(stages, want) {
-		t.Fatalf("pipelined cycle's stages = %v, want %v", stages, want)
+		t.Fatalf("budget cycle's stages = %v, want %v", stages, want)
 	}
 
-	// Stage histograms observed the async build and install.
+	// Stage histograms observed the build and install.
 	snap := eng.reg.Snap()
 	if snap.Stages[metrics.StageBuild].Runs == 0 || snap.Stages[metrics.StageInstall].Runs == 0 {
-		t.Fatalf("stage histograms empty after pipelined flush: %+v", snap.Stages)
+		t.Fatalf("stage histograms empty after budget flush: %+v", snap.Stages)
 	}
-	if snap.PipelineDepth != 0 {
-		t.Fatalf("PipelineDepth = %d after drain", snap.PipelineDepth)
-	}
-}
-
-// TestPipelineFallbackWhenFull proves the bounded-queue contract: with
-// the worker blocked on the flush gate and the queue full, a budget
-// cycle completes its batch inline instead of blocking or dropping, and
-// every batch still reaches the tier.
-func TestPipelineFallbackWhenFull(t *testing.T) {
-	eng := newPipelineEngine(t, 1<<30)
-
-	// The worker needs flushMu to conclude a completion; holding it parks
-	// the worker on its first batch, so the queue behind it stays full:
-	// one batch in the worker's hands, pipelineDepth queued, the rest
-	// must fall back.
-	eng.flushMu.Lock()
-	const cycles = pipelineDepth + 3
-	for i := 0; i < cycles; i++ {
-		ingestP(t, eng, 1+10*i, 10)
-		budgetCycleLocked(t, eng)
-	}
-	fallbacks := eng.reg.PipelineFallbacks.Load()
-	enqueued := eng.reg.PipelineEnqueued.Load()
-	eng.flushMu.Unlock()
-	if fallbacks == 0 || enqueued > pipelineDepth+1 || fallbacks+enqueued != cycles {
-		t.Fatalf("%d cycles against a parked worker: %d enqueued, %d fell back (queue depth %d)",
-			cycles, enqueued, fallbacks, pipelineDepth)
-	}
-	waitPipelineIdle(t, eng)
-
-	// No batch was lost to the full queue: every record answers.
-	res, err := eng.Search(query.Request[string]{Keys: []string{"p"}, K: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Items) != cycles*10 {
-		t.Fatalf("%d records after fallback, want %d", len(res.Items), cycles*10)
+	if snap.PipelineDepth != 0 || snap.PipelineFallbacks != 0 {
+		t.Fatalf("PipelineDepth = %d, PipelineFallbacks = %d after the cycle", snap.PipelineDepth, snap.PipelineFallbacks)
 	}
 }
 
-// TestManualFlushStaysSynchronous: FlushNow and other non-budget
-// triggers must not enqueue — their outcome is determined when they
-// return, so the batch has to be durable before FlushNow comes back.
+// TestManualFlushStaysSynchronous: the batch of a FlushNow is durable
+// before FlushNow comes back, and its stages are booked once.
 func TestManualFlushStaysSynchronous(t *testing.T) {
-	eng := newPipelineEngine(t, 1<<30)
+	eng := newBackgroundEngine(t, 1<<30)
 	for i := 0; i < 40; i++ {
 		ingest(t, eng, int64(i+1), "q", "all")
 	}
 	if _, err := eng.FlushNow(); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.reg.PipelineEnqueued.Load(); got != 0 {
-		t.Fatalf("manual flush enqueued %d batches, want 0 (must stay synchronous)", got)
-	}
 	if eng.Stats().Disk.Segments == 0 {
 		t.Fatal("manual flush wrote no segment")
 	}
-	// An inline completion reports the same stage breakdown, once.
 	snap := eng.reg.Snap()
 	for i, st := range snap.Stages {
 		if st.Runs != 1 {
-			t.Fatalf("stage %s ran %d times over one inline cycle: %+v", metrics.StageNames[i], st.Runs, snap.Stages)
+			t.Fatalf("stage %s ran %d times over one cycle: %+v", metrics.StageNames[i], st.Runs, snap.Stages)
 		}
 	}
 }
 
-// TestBudgetFlushUsesPipeline exercises the real trigger path end to
-// end: ingest past the budget on a pipeline-enabled engine and the
-// background cycle must enqueue its batch rather than write inline.
-func TestBudgetFlushUsesPipeline(t *testing.T) {
-	eng := newPipelineEngine(t, 64<<10)
+// TestBudgetFlushCompletesInBackground exercises the real trigger path
+// end to end: ingest past the budget on a background engine, and the
+// cycles the flusher ran have installed their batches by the time the
+// flush gate is free again.
+func TestBudgetFlushCompletesInBackground(t *testing.T) {
+	eng := newBackgroundEngine(t, 64<<10)
 	deadline := time.Now().Add(10 * time.Second)
 	i := 0
-	for eng.reg.PipelineEnqueued.Load() == 0 {
+	for eng.reg.Flushes.Load() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("budget-triggered flushes never used the pipeline")
+			t.Fatal("no budget-triggered flush ran")
 		}
 		i++
 		ingest(t, eng, int64(i), "w", "all")
 	}
-	waitPipelineIdle(t, eng)
+	func() {
+		eng.flushMu.Lock()
+		defer eng.flushMu.Unlock()
+		if segments, depth := eng.Stats().Disk.Segments, eng.DiskHealth().PipelineDepth; segments == 0 || depth != 0 {
+			t.Fatalf("after a budget cycle: %d segments, PipelineDepth %d", segments, depth)
+		}
+		for _, c := range flushLog(t, eng) {
+			if c.Trigger != "budget" || !c.Complete {
+				t.Fatalf("cycle %+v: want complete budget cycles only", c)
+			}
+		}
+	}()
 	if degraded, reason := eng.Degraded(); degraded {
-		t.Fatalf("degraded under pipelined budget flushes: %s", reason)
+		t.Fatalf("degraded under background budget flushes: %s", reason)
 	}
 	if _, err := eng.Search(query.Request[string]{Keys: []string{"all"}, K: 5}); err != nil {
-		t.Fatalf("search during pipelined ingest: %v", err)
+		t.Fatalf("search after background flushes: %v", err)
 	}
 }
 
-// TestCloseDrainsPipeline: a batch queued but not yet installed when
-// Close is called must reach the tier before the engine shuts down —
-// queued batches never fall into the void.
+// TestCloseDrainsPipeline: a batch a background cycle evicted but has
+// not yet installed when Close is called must reach the tier before the
+// engine shuts down — an evicted batch never falls into the void.
 func TestCloseDrainsPipeline(t *testing.T) {
 	dir := t.TempDir()
-	eng, err := New(Config[string]{
-		K:             5,
-		MemoryBudget:  1 << 30,
-		FlushFraction: 0.2,
-		KeysOf:        attr.KeywordKeys,
-		KeyHash:       attr.HashString,
-		KeyLen:        attr.KeywordLen,
-		EncodeKey:     attr.KeywordEncode,
-		DecodeKey:     attr.KeywordDecode,
-		Clock:         clock.NewLogical(1, 1),
-		DiskDir:       dir,
-		Policy:        core.New[string](),
-		TrackOverK:    true,
-	})
+	eng, err := New(backgroundConfig(dir, 1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ingestP(t, eng, 1, 15)
-	budgetCycle(t, eng)
-	if got := eng.reg.PipelineEnqueued.Load(); got != 1 {
-		t.Fatalf("PipelineEnqueued = %d, want 1", got)
-	}
+	// As maybeFlush starts a budget cycle: the gate is taken here and the
+	// cycle runs, and gives it back, on a goroutine of its own, so it is
+	// in flight when Close begins.
+	eng.flushMu.Lock()
+	go eng.runFlushLocked(blackbox.TriggerBudget)
 	if err := eng.Close(); err != nil {
-		t.Fatalf("close with queued batch: %v", err)
+		t.Fatalf("close with a cycle in flight: %v", err)
 	}
 
 	// Reopen the directory cold: the batch must be on disk.
@@ -272,6 +229,6 @@ func TestCloseDrainsPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(items) != 15 {
-		t.Fatalf("reopened tier answers %d of 15 queued records", len(items))
+		t.Fatalf("reopened tier answers %d of 15 evicted records", len(items))
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"kflushing/internal/alloc"
 	"kflushing/internal/attr"
@@ -279,18 +278,11 @@ type stressRecord struct {
 	score float64
 }
 
-// quiesce runs fn holding the flush gate once no evicted batch is left
-// in the pipeline: nothing is between memory and the tier, and nothing
-// leaves memory until fn returns.
+// quiesce runs fn holding the flush gate: every cycle completes its
+// batch before it gives the gate back, so nothing is between memory and
+// the tier, and nothing leaves memory until fn returns.
 func quiesce(eng *Engine[string], fn func()) {
-	for {
-		eng.flushMu.Lock()
-		if eng.pipe.depth() == 0 {
-			break
-		}
-		eng.flushMu.Unlock()
-		time.Sleep(time.Millisecond)
-	}
+	eng.flushMu.Lock()
 	defer eng.flushMu.Unlock()
 	fn()
 }

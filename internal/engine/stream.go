@@ -365,7 +365,7 @@ func (s *Stream) reclaim(slot int) {
 	}
 }
 
-// Close drains every member's flushing and flush pipeline, seals the
+// Close drains every member's flushing, seals the
 // log — the next open replays its undrained files — and releases every
 // member's disk tier. Only the first call does anything.
 func (s *Stream) Close() error {

@@ -139,7 +139,6 @@ func TestSharedLogReclaimConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "both pipelines to drain", func() bool { return kw.pipe.depth() == 0 && us.pipe.depth() == 0 })
 	for _, err := range []error{kw.Err(), us.Err()} {
 		if err != nil {
 			t.Fatal(err)

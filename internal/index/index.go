@@ -348,12 +348,6 @@ func (ix *Index[K]) PoolStats() alloc.SliceStats {
 	return ix.cfg.Pool.Stats()
 }
 
-// PoolIdleBytes reports the memory parked in the posting slab pool's
-// free lists.
-func (ix *Index[K]) PoolIdleBytes() int64 {
-	return ix.cfg.Pool.IdleBytes(memsize.PostingSize)
-}
-
 // Range calls fn for every live entry until fn returns false. Iteration
 // snapshots one shard at a time; entries that die mid-iteration may
 // still be visited.

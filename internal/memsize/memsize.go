@@ -55,7 +55,6 @@ func EntryBytes(keyLen int) int64 {
 type Tracker struct {
 	data     atomic.Int64 // raw data store bytes
 	index    atomic.Int64 // index entries + postings
-	overhead atomic.Int64 // policy bookkeeping bytes (current)
 	peakTemp atomic.Int64 // high-water mark of the flush buffer
 	temp     atomic.Int64 // current flush buffer bytes
 }
@@ -65,9 +64,6 @@ func (t *Tracker) AddData(delta int64) { t.data.Add(delta) }
 
 // AddIndex adjusts the index gauge by delta bytes.
 func (t *Tracker) AddIndex(delta int64) { t.index.Add(delta) }
-
-// AddOverhead adjusts the policy-overhead gauge by delta bytes.
-func (t *Tracker) AddOverhead(delta int64) { t.overhead.Add(delta) }
 
 // AddTemp adjusts the temporary flush-buffer gauge, maintaining its peak.
 func (t *Tracker) AddTemp(delta int64) {
@@ -86,19 +82,12 @@ func (t *Tracker) Data() int64 { return t.data.Load() }
 // Index returns the index bytes (entries plus postings).
 func (t *Tracker) Index() int64 { return t.index.Load() }
 
-// Overhead returns the current policy bookkeeping bytes.
-func (t *Tracker) Overhead() int64 { return t.overhead.Load() }
-
 // PeakTemp returns the high-water mark of the temporary flush buffer.
 func (t *Tracker) PeakTemp() int64 { return t.peakTemp.Load() }
 
 // Used returns the budget-relevant total: data plus index. Policy
 // overhead and the flush buffer are excluded from the budget (as in the
-// paper, which reports them separately as "flushing overhead") but are
-// available through Overhead and PeakTemp.
+// paper, which reports them separately as "flushing overhead"): the
+// policies report their bookkeeping through OverheadBytes, and the flush
+// buffer's high-water mark is PeakTemp.
 func (t *Tracker) Used() int64 { return t.data.Load() + t.index.Load() }
-
-// OverheadWithPeak returns the figure reported by the paper's
-// Figure 10(a): steady-state policy bookkeeping plus the peak temporary
-// buffer used to collect scattered flush victims.
-func (t *Tracker) OverheadWithPeak() int64 { return t.overhead.Load() + t.peakTemp.Load() }

@@ -34,11 +34,10 @@ func TestTrackerGauges(t *testing.T) {
 	var tr Tracker
 	tr.AddData(100)
 	tr.AddIndex(50)
-	tr.AddOverhead(7)
 	if tr.Used() != 150 {
 		t.Fatalf("Used = %d", tr.Used())
 	}
-	if tr.Data() != 100 || tr.Index() != 50 || tr.Overhead() != 7 {
+	if tr.Data() != 100 || tr.Index() != 50 {
 		t.Fatal("gauge mismatch")
 	}
 	tr.AddData(-100)
@@ -56,9 +55,6 @@ func TestPeakTemp(t *testing.T) {
 	tr.AddTemp(5)
 	if tr.PeakTemp() != 30 {
 		t.Fatalf("PeakTemp = %d, want 30", tr.PeakTemp())
-	}
-	if tr.OverheadWithPeak() != 30 {
-		t.Fatalf("OverheadWithPeak = %d", tr.OverheadWithPeak())
 	}
 }
 

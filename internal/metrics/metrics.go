@@ -244,14 +244,10 @@ type Registry struct {
 	// without requiring trace=1.
 	QueryStageLatency [QueryStages]Histogram
 
-	// Flush pipeline activity: PipelineDepth is the current number of
-	// evicted batches queued or building (a gauge); PipelineEnqueued
-	// counts batches handed to the background builder; PipelineFallbacks
-	// counts batches written synchronously because the queue was full
-	// (or the pipeline disabled mid-flight).
-	PipelineDepth     atomic.Int64
-	PipelineEnqueued  atomic.Int64
-	PipelineFallbacks atomic.Int64
+	// PipelineDepth is the number of evicted batches not yet installed
+	// or restored (a gauge): 1 while a flush cycle completes its batch,
+	// else 0.
+	PipelineDepth atomic.Int64
 
 	HitLatency  Histogram
 	MissLatency Histogram
@@ -385,10 +381,11 @@ type Snapshot struct {
 	// QueryStages attributes query latency by stage (index = the QStage*
 	// constants; names in QueryStageNames).
 	QueryStages [QueryStages]PhaseSnapshot
-	// Pipeline activity: current queue depth, total batches built in the
-	// background, total synchronous fallbacks.
+	// PipelineDepth is the batches evicted and not yet installed or
+	// restored (0 or 1). PipelineFallbacks is always 0: no cycle hands
+	// its batch on, so none falls back; it stays for the benchmark
+	// harness, which still reads it.
 	PipelineDepth     int64
-	PipelineEnqueued  int64
 	PipelineFallbacks int64
 	MeanHit           time.Duration
 	MeanMiss          time.Duration
@@ -467,7 +464,5 @@ func (r *Registry) Snap() Snapshot {
 		s.DepartedReads[i] = r.DepartedReads[i].Load()
 	}
 	s.PipelineDepth = r.PipelineDepth.Load()
-	s.PipelineEnqueued = r.PipelineEnqueued.Load()
-	s.PipelineFallbacks = r.PipelineFallbacks.Load()
 	return s
 }

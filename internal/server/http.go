@@ -43,8 +43,8 @@ type HandlerOptions struct {
 //	                            [&id=<cycle or query ID>][&n=256]
 //	GET  /healthz               liveness probe
 //	GET  /readyz                readiness probe (disk + WAL writable,
-//	                            plus per-level disk health and flush
-//	                            pipeline queue depth)
+//	                            plus per-level disk health and the
+//	                            flush batches in flight)
 //
 // trace=1 attaches a per-query execution trace to the JSON response:
 // the memory probe per key and, on a miss, every disk segment consulted
@@ -326,7 +326,7 @@ func onlyAttr[V any](w http.ResponseWriter, r *http.Request, byAttr map[string]V
 
 // handleBlackbox serves the flight recorder's merged timeline: every
 // attribute system's per-subsystem event rings interleaved in global
-// sequence order, so one flush cycle's WAL, pipeline-stage, and disk
+// sequence order, so one flush cycle's WAL, flush-stage, and disk
 // events read as a single causal story. ?attr restricts to one attribute
 // system; ?subsystem filters by subsystem name (see blackbox.Subsystems);
 // ?id keeps the events of one flush cycle or slow query, whichever
@@ -381,8 +381,8 @@ func (s *Store) handleBlackbox(w http.ResponseWriter, r *http.Request) {
 // system can actually write (disk tier dir writable, WAL appendable
 // when durable) and answers 503 with the failing attributes otherwise.
 // Both verdicts carry each attribute's disk health — per-level segment
-// counts, compaction backlog, and pipeline queue depth — so a wedged
-// compactor or saturated flush pipeline shows up in the probe body.
+// counts, compaction backlog, and flush batches in flight — so a wedged
+// compactor or a flush stuck on the disk shows up in the probe body.
 func (s *Store) handleReady(w http.ResponseWriter, _ *http.Request) {
 	failures := s.Ready()
 	disk := s.DiskHealth()
@@ -475,12 +475,8 @@ func (s *Store) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(st kflushing.Stats) float64 { return float64(st.Disk.CompactionBacklog) })
 	emit("disk_retired_segments", "gauge", "compaction inputs superseded by a merged segment but not yet unlinked",
 		func(st kflushing.Stats) float64 { return float64(st.Disk.PendingRetired) })
-	emit("flush_pipeline_depth", "gauge", "evicted batches queued or building in the staged flush pipeline",
+	emit("flush_pipeline_depth", "gauge", "evicted batches not yet installed or restored (0 or 1: the batch of the flush cycle in progress)",
 		func(st kflushing.Stats) float64 { return float64(st.Metrics.PipelineDepth) })
-	emit("flush_pipeline_enqueued_total", "counter", "evicted batches handed to the background flush builder",
-		func(st kflushing.Stats) float64 { return float64(st.Metrics.PipelineEnqueued) })
-	emit("flush_pipeline_fallbacks_total", "counter", "evicted batches written synchronously because the pipeline queue was full",
-		func(st kflushing.Stats) float64 { return float64(st.Metrics.PipelineFallbacks) })
 	emit("disk_record_reads_total", "counter", "record preads served by the disk tier",
 		func(st kflushing.Stats) float64 { return float64(st.Disk.RecordReads) })
 	emit("disk_searches_total", "counter", "disk searches actually executed on memory misses",
@@ -594,9 +590,9 @@ func (s *Store) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 
-	// Per-stage breakdown of the flush pipeline (prepare under the gate,
-	// build/install off it, release on completion).
-	fmt.Fprintf(w, "# HELP kflushing_flush_stage_duration_seconds duration of each flush pipeline stage\n")
+	// Per-stage breakdown of a flush cycle (prepare, build, install,
+	// release, all under the flush gate).
+	fmt.Fprintf(w, "# HELP kflushing_flush_stage_duration_seconds duration of each flush stage\n")
 	fmt.Fprintf(w, "# TYPE kflushing_flush_stage_duration_seconds histogram\n")
 	for _, a := range attrs {
 		for i, stage := range metrics.StageNames {

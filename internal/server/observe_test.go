@@ -57,8 +57,8 @@ func TestMetricsExpositionLints(t *testing.T) {
 		"# TYPE kflushing_flushes_total counter",
 		"kflushing_goroutines ",
 		"kflushing_heap_alloc_bytes ",
-		// Leveled-tier and pipeline observability (PR 6): a wedged
-		// compactor or saturated flush pipeline must be visible here.
+		// Leveled-tier and flush observability: a wedged compactor or a
+		// flush stuck on the disk must be visible here.
 		"# TYPE kflushing_compaction_backlog gauge",
 		`kflushing_compaction_backlog{attr="keyword"`,
 		"# TYPE kflushing_disk_compactions_total counter",
@@ -68,8 +68,6 @@ func TestMetricsExpositionLints(t *testing.T) {
 		"# TYPE kflushing_disk_level_bytes gauge",
 		"# TYPE kflushing_disk_level_records gauge",
 		"# TYPE kflushing_flush_pipeline_depth gauge",
-		"# TYPE kflushing_flush_pipeline_enqueued_total counter",
-		"# TYPE kflushing_flush_pipeline_fallbacks_total counter",
 		"# TYPE kflushing_flush_stage_duration_seconds histogram",
 		`kflushing_flush_stage_duration_seconds_bucket{attr="keyword",policy="kflushing",stage="build"`,
 		// Query-stage latency attribution (PR 8): parse/index/heap/disk
@@ -111,9 +109,10 @@ func TestMetricsExpositionLints(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	for _, gone := range []string{"flush_seconds_mean", "flush_seconds_p99", "flush_phase_seconds_mean", "kflushing_wal_bytes{"} {
+	for _, gone := range []string{"flush_seconds_mean", "flush_seconds_p99", "flush_phase_seconds_mean", "kflushing_wal_bytes{",
+		"flush_pipeline_enqueued_total", "flush_pipeline_fallbacks_total"} {
 		if strings.Contains(body, gone) {
-			t.Errorf("legacy summary gauge %q still emitted", gone)
+			t.Errorf("retired series %q still emitted", gone)
 		}
 	}
 }

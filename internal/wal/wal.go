@@ -259,7 +259,6 @@ type Log struct {
 	rotMu  sync.Mutex
 	sealMu sync.Mutex
 
-	appended  atomic.Int64
 	reclaimed atomic.Int64
 }
 
@@ -501,7 +500,6 @@ func (l *Log) appendLocked(frs []disk.FlushRecord, buf []byte, start time.Time) 
 		af.frames++
 	}
 	af.claim(int64(len(frs)))
-	l.appended.Add(int64(len(frs)))
 	l.sinceSync += len(frs)
 	l.opt.Recorder.Record(blackbox.SubWAL, blackbox.EvWALAppend,
 		int64(len(frs)), int64(len(buf)), time.Since(start).Nanoseconds())
@@ -552,9 +550,6 @@ func (l *Log) rollbackTailLocked() {
 		l.f, l.active = nil, nil
 	}
 }
-
-// Appended returns the number of records appended by this process.
-func (l *Log) Appended() int64 { return l.appended.Load() }
 
 // CheckAppendable verifies the log can still accept appends: the active
 // file must be open and syncable. It is the WAL half of the /readyz

@@ -77,7 +77,7 @@ type (
 	// Options.DiskRetry.
 	RetryPolicy = disk.RetryPolicy
 	// DiskHealth is a cheap probe-path view of the disk tier's levels
-	// and the flush pipeline queue; see the DiskHealth system methods.
+	// and the flush batch in flight; see the DiskHealth system methods.
 	DiskHealth = engine.DiskHealth
 	// LevelStats summarizes one level of a leveled disk tier.
 	LevelStats = disk.LevelStats
@@ -160,10 +160,10 @@ type Options struct {
 	// Clock is the time source (default: auto-advancing logical
 	// clock; servers should pass WallClock()).
 	Clock Clock
-	// SyncFlush runs flushes inline with ingestion, each cycle durable
-	// before it returns, for deterministic tests and experiments
-	// (default: a background flushing thread whose segment writes
-	// overlap ingestion through a bounded pipeline).
+	// SyncFlush runs flushes and compactions inline with ingestion, for
+	// deterministic tests and experiments (default: a budget-triggered
+	// flush cycle, segment write included, runs on a background
+	// goroutine, and ingestion carries on beside it).
 	SyncFlush bool
 	// DiskRetry bounds transient-disk-error retries with exponential
 	// backoff: flush-cycle segment writes and memory-miss record reads
@@ -310,9 +310,8 @@ func (s *AttrSystem[K]) SearchTraced(keys []K, op Op, k int) (Result, *Trace, er
 // FlushLog returns the most recent n flush cycles the flight recorder
 // retains, oldest-first (all of them when n <= 0). It is a view over
 // BlackboxEvents: each cycle is its ID's events — phases, then prepare,
-// build, install and release wherever they ran — folded into one record;
-// a cycle whose batch the pipeline worker has not finished shows the
-// stages it has and Complete false.
+// build, install and release — folded into one record; a cycle still
+// running shows the stages it has and Complete false.
 func (s *AttrSystem[K]) FlushLog(n int) []FlushEvent {
 	cycles := blackbox.FlushCycles(s.eng.Blackbox().EventsOf(blackbox.SubFlush), blackbox.EpochUnixNanos())
 	if n > 0 && len(cycles) > n {
@@ -363,7 +362,7 @@ func (s *AttrSystem[K]) Err() error { return s.eng.Err() }
 func (s *AttrSystem[K]) Ready() error { return s.eng.CheckReady() }
 
 // DiskHealth reports the disk tier's per-level layout and the flush
-// pipeline queue depth without the cost of a full Stats census.
+// batch in flight without the cost of a full Stats census.
 func (s *AttrSystem[K]) DiskHealth() DiskHealth { return s.eng.DiskHealth() }
 
 // Close drains background work and releases the disk tier. On a system

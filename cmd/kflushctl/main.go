@@ -2,15 +2,13 @@
 // data directories. It operates directly on segment, record-block and
 // write-ahead-log files without starting a system.
 //
-//	kflushctl upgrade <dir>        rewrite the files an older build of
-//	                               the support window wrote (v3
-//	                               directories, v3 log files) in current
-//	                               formats, which alone are read; on a
-//	                               kflushd data directory (keyword/,
-//	                               spatial/, user/) also merge the
-//	                               attributes' logs into the one log in
-//	                               keyword/. Older formats are refused,
-//	                               naming the commit that converts them
+//	kflushctl upgrade <dir>        check a tier or a kflushd data
+//	                               directory before this build opens it:
+//	                               every format it reads is the one it
+//	                               writes, so nothing is converted; a
+//	                               retired format is refused, naming the
+//	                               file and the commit whose upgrade
+//	                               converts it, and no file changes
 //	kflushctl segments <dir>       list segments (version, records, bloom,
 //	                               directory size) and the record files
 //	                               each one names: record blocks with
@@ -88,7 +86,6 @@ import (
 	"kflushing"
 	"kflushing/internal/blackbox"
 	"kflushing/internal/disk"
-	"kflushing/internal/server"
 	"kflushing/internal/wal"
 )
 
@@ -104,7 +101,7 @@ func main() {
 	var err error
 	switch args[0] {
 	case "upgrade":
-		err = cmdUpgrade(args[1])
+		err = disk.Upgrade(args[1])
 	case "segments":
 		err = cmdSegments(os.Stdout, args[1])
 	case "levels":
@@ -548,15 +545,6 @@ func tierDirs(dir string) []string {
 		tiers = append(tiers, filepath.Dir(m))
 	}
 	return tiers
-}
-
-// cmdUpgrade upgrades a tier directory (disk.Upgrade), or a kflushd data
-// directory: every tier, then its logs (server.Upgrade).
-func cmdUpgrade(dir string) error {
-	if tierDirs(dir) == nil {
-		return disk.Upgrade(dir)
-	}
-	return server.Upgrade(dir)
 }
 
 // cmdWAL summarizes the log files of a store directory — each with its

@@ -20,6 +20,13 @@
 // trace=1 returns a per-query execution trace alongside the results;
 // -pprof mounts net/http/pprof; -log-level tunes diagnostic logging.
 //
+// SIGINT or SIGTERM stops kflushd cleanly: the listener closes, requests
+// in flight get up to ten seconds to finish, then the store closes
+// (the flush cycle in flight completes and a durable store seals its
+// log), one "kflushd: stopped cleanly" line is logged and the process
+// exits 0.
+// The next start replays only what a crash would have left it.
+//
 // Example:
 //
 //	kflushd -addr :8080 -data /var/lib/kflushd -policy kflushing -budget 64
@@ -30,16 +37,25 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"log"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"kflushing"
 	"kflushing/internal/blackbox"
 	"kflushing/internal/server"
 )
+
+// shutdownTimeout bounds how long a stopping kflushd waits for requests
+// in flight before it closes the store under them.
+const shutdownTimeout = 10 * time.Second
 
 func main() {
 	// A crash must not take the flight recorder's evidence with it: dump
@@ -82,11 +98,34 @@ func main() {
 	if err != nil {
 		log.Fatalf("open store: %v", err)
 	}
-	defer store.Close()
-
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		_ = store.Close() // the listen error is the one to report
+		log.Fatalf("listen: %v", err)
+	}
+	srv := &http.Server{Handler: store.HandlerWithOptions(server.HandlerOptions{EnablePprof: *enablePprof})}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
 	log.Printf("kflushd listening on %s (policy=%s budget=%dMiB/attr k=%d durable=%v pprof=%v)",
-		*addr, *policy, *budgetMiB, *k, *durable, *enablePprof)
-	log.Fatal(http.ListenAndServe(*addr, store.HandlerWithOptions(server.HandlerOptions{
-		EnablePprof: *enablePprof,
-	})))
+		ln.Addr(), *policy, *budgetMiB, *k, *durable, *enablePprof)
+
+	select {
+	case err := <-served:
+		_ = store.Close() // the serve error is the one to report
+		log.Fatalf("serve: %v", err)
+	case <-ctx.Done():
+	}
+	stop() // a second signal kills the process the default way
+	start := time.Now()
+	shutdown, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer cancel()
+	if err := srv.Shutdown(shutdown); err != nil {
+		log.Printf("kflushd: requests still in flight after %v: %v", shutdownTimeout, err)
+	}
+	if err := store.Close(); err != nil {
+		log.Fatalf("close store: %v", err)
+	}
+	log.Printf("kflushd: stopped cleanly in %v", time.Since(start).Round(time.Millisecond))
 }

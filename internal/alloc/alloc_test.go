@@ -58,7 +58,7 @@ func TestSlicePoolNilIsHeap(t *testing.T) {
 	if len(s) != 3 || s[0] != 1 || s[2] != 3 {
 		t.Fatalf("nil Grow lost elements: %v", s)
 	}
-	if p.IdleBytes(8) != 0 || (p.Stats() != SliceStats{}) {
+	if (p.Stats() != SliceStats{}) {
 		t.Fatal("nil pool must report zero stats")
 	}
 	if NewSlicePool[int](PolicyHeap) != nil {

@@ -175,16 +175,6 @@ func ShrinkThreshold(n, c int) bool {
 	return classCaps[ci]*4 <= c
 }
 
-// IdleBytes estimates the memory parked in the free lists given the
-// per-element size — the pool's contribution to the policy-overhead
-// accounting.
-func (p *SlicePool[T]) IdleBytes(elemSize int64) int64 {
-	if p == nil {
-		return 0
-	}
-	return p.idleElems.Load() * elemSize
-}
-
 // Stats snapshots the pool's counters.
 func (p *SlicePool[T]) Stats() SliceStats {
 	if p == nil {

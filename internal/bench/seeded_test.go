@@ -17,16 +17,39 @@ import (
 // suffix property by design, and of the old-rule hits the run lost, 11
 // had answered wrong from memory (10 AND under MK, 1 single under LRU)
 // and 3 were right but not provable (AND); every other row is unchanged.
+//
+// Every row moved when memsize.RecordHeader went from 160 to 144 B (the
+// engine dropped its ID map, the record wrapper shrank to 48 B): the
+// same budget holds about 5 % more records. With 160 restored the
+// refactored engine reproduces the earlier rows exactly. Per row:
+//   - census: each row's postings rose 4.2–4.8 % (keyword/kflushing
+//     18035 → 18797, user/kflushing 16410 → 17115) and its entries with
+//     them — the records the larger capacity keeps;
+//   - flushed: within 1.3 % of before — the flush target B is a fraction
+//     of the budget, which did not change;
+//   - hit: the 800 measured queries start after the second flush, which
+//     now comes later in the stream, so each row samples a different
+//     window (one query is 0.125 points). keyword/fifo 0.3113 → 0.3337,
+//     keyword/kflushing 0.3425 → 0.3412, keyword/kflushing-mk 0.3488 →
+//     0.3137, keyword/lru 0.3150 → 0.3237, spatial/fifo 0.2500 → 0.2362,
+//     spatial/kflushing 0.2313 → 0.2375, user/fifo 0.4363 → 0.4375,
+//     user/kflushing unchanged at 0.4738.
+//
+// The policies' order on keyword and spatial is not a property of this
+// scale: with RecordHeader at 136, 144, 152, 160 and 168 B the keyword
+// leader is LRU, kFlushing, FIFO, kFlushing-MK and kFlushing, and
+// spatial puts kFlushing ahead of FIFO at every value but 160
+// (EXPERIMENTS.md, "Resident records at 48 B over the microblog").
 func TestSeededRunsPinned(t *testing.T) {
 	want := map[string]string{
-		"keyword/fifo":         "hit=0.3113 flushes=2 flushed=1420229 census={Entries:7737 KFilled:210 Postings:21777 BeyondTopK:9823}",
-		"keyword/kflushing":    "hit=0.3425 flushes=2 flushed=3333019 census={Entries:11068 KFilled:300 Postings:18035 BeyondTopK:568}",
-		"keyword/kflushing-mk": "hit=0.3488 flushes=2 flushed=3273964 census={Entries:11033 KFilled:296 Postings:20826 BeyondTopK:3415}",
-		"keyword/lru":          "hit=0.3150 flushes=2 flushed=1258522 census={Entries:7830 KFilled:220 Postings:22383 BeyondTopK:10118}",
-		"spatial/fifo":         "hit=0.2500 flushes=2 flushed=1418733 census={Entries:8414 KFilled:213 Postings:17027 BeyondTopK:3495}",
-		"spatial/kflushing":    "hit=0.2313 flushes=2 flushed=1780921 census={Entries:9849 KFilled:276 Postings:16847 BeyondTopK:262}",
-		"user/fifo":            "hit=0.4363 flushes=2 flushed=1363724 census={Entries:6741 KFilled:172 Postings:17623 BeyondTopK:6157}",
-		"user/kflushing":       "hit=0.4738 flushes=2 flushed=2823922 census={Entries:8810 KFilled:259 Postings:16410 BeyondTopK:378}",
+		"keyword/fifo":         "hit=0.3337 flushes=2 flushed=1427448 census={Entries:8054 KFilled:226 Postings:22761 BeyondTopK:10213}",
+		"keyword/kflushing":    "hit=0.3412 flushes=2 flushed=3337586 census={Entries:11508 KFilled:314 Postings:18797 BeyondTopK:608}",
+		"keyword/kflushing-mk": "hit=0.3137 flushes=2 flushed=3271086 census={Entries:11459 KFilled:311 Postings:21708 BeyondTopK:3603}",
+		"keyword/lru":          "hit=0.3237 flushes=2 flushed=1258476 census={Entries:8148 KFilled:235 Postings:23392 BeyondTopK:10507}",
+		"spatial/fifo":         "hit=0.2362 flushes=2 flushed=1425198 census={Entries:8743 KFilled:224 Postings:17841 BeyondTopK:3732}",
+		"spatial/kflushing":    "hit=0.2375 flushes=2 flushed=1798325 census={Entries:10255 KFilled:285 Postings:17616 BeyondTopK:306}",
+		"user/fifo":            "hit=0.4375 flushes=2 flushed=1368649 census={Entries:6971 KFilled:179 Postings:18469 BeyondTopK:6531}",
+		"user/kflushing":       "hit=0.4738 flushes=2 flushed=2859905 census={Entries:9155 KFilled:274 Postings:17115 BeyondTopK:372}",
 	}
 	runners := map[string]func(RunConfig) RunResult{
 		"keyword": RunKeyword, "spatial": RunSpatial, "user": RunUser,

@@ -418,7 +418,7 @@ func (f *KFlushing[K]) inFrequentEntryExcept(rec *store.Record, k int, except *i
 func (f *KFlushing[K]) OverheadBytes() int64 {
 	n := f.r.Index.Entries()*16 + int64(f.r.Index.OverKLen())*8
 	if f.mk {
-		n += f.r.Store.Len() * 4 // one top-k membership counter per record
+		n += f.r.Mem.Records() * 4 // one top-k membership counter per record
 	}
 	return n + f.r.Mem.PeakTemp()
 }

@@ -19,15 +19,14 @@ type memSink struct {
 	recs []disk.FlushRecord
 }
 
-func (s *memSink) Flush(recs []disk.FlushRecord, _ []*store.Record) {
+func (s *memSink) Flush(recs []disk.FlushRecord, _, _ []*store.Record) {
 	s.recs = append(s.recs, recs...)
 }
 
-// harness wires an index, store, and flushing policy without an engine,
-// so phases can be exercised directly.
+// harness wires an index, a memory tracker and a flushing policy
+// without an engine, so phases can be exercised directly.
 type harness struct {
 	ix   *index.Index[string]
-	st   *store.Store
 	mem  *memsize.Tracker
 	sink *memSink
 	pol  policy.Policy[string]
@@ -48,7 +47,6 @@ func newHarness(k int, mk bool, opts ...Option[string]) *harness {
 // it needs.
 func newHarnessFor(k int, c Choice[string]) *harness {
 	h := &harness{
-		st:   store.New(),
 		mem:  &memsize.Tracker{},
 		sink: &memSink{},
 		pol:  c.Policy,
@@ -64,7 +62,6 @@ func newHarnessFor(k int, c Choice[string]) *harness {
 	})
 	h.pol.Attach(&policy.Resources[string]{
 		Index:  h.ix,
-		Store:  h.st,
 		Mem:    h.mem,
 		Sink:   h.sink,
 		KeysOf: attr.KeywordKeys,
@@ -83,8 +80,7 @@ func (h *harness) add(kws ...string) *store.Record {
 		Text:      "text",
 	}
 	rec := store.NewRecord(mb, float64(mb.Timestamp))
-	h.st.Put(rec)
-	h.mem.AddData(rec.Bytes)
+	h.mem.AddRecords(1, rec.Bytes())
 	keys := attr.KeywordKeys(mb)
 	for _, kw := range keys {
 		h.ix.Insert(kw, rec)
@@ -92,6 +88,17 @@ func (h *harness) add(kws ...string) *store.Record {
 	h.pol.OnIngest([]*store.Record{rec}, [][]string{keys})
 	h.clk.Set(mb.Timestamp)
 	return rec
+}
+
+// stored reports whether memory still holds rec: whether some entry
+// posts it.
+func (h *harness) stored(rec *store.Record) bool {
+	found := false
+	h.ix.Range(func(e *index.Entry[string]) bool {
+		found = e.Contains(rec)
+		return !found
+	})
+	return found
 }
 
 func (h *harness) flush(t *testing.T, target int64) int64 {
@@ -121,8 +128,8 @@ func TestPhase1TrimsBeyondTopK(t *testing.T) {
 	if len(h.sink.recs) != 7 {
 		t.Errorf("flushed %d records, want 7", len(h.sink.recs))
 	}
-	if h.st.Len() != 4 {
-		t.Errorf("store len = %d, want 4", h.st.Len())
+	if h.mem.Records() != 4 {
+		t.Errorf("resident records = %d, want 4", h.mem.Records())
 	}
 }
 
@@ -138,7 +145,7 @@ func TestPhase1KeepsSharedRecordsUntilUnreferenced(t *testing.T) {
 	if shared.PCount() != 1 {
 		t.Fatalf("shared pcount = %d, want 1", shared.PCount())
 	}
-	if h.st.Get(shared.MB.ID) == nil {
+	if !h.stored(shared) {
 		t.Fatal("shared record evicted from store while still referenced")
 	}
 	// It must have been persisted (partial flush) so disk stays
@@ -303,7 +310,7 @@ func TestMKPhase1RetainsTopKElsewhere(t *testing.T) {
 	if shared.PCount() != 0 {
 		t.Errorf("shared pcount = %d, want 0", shared.PCount())
 	}
-	if h.st.Get(shared.MB.ID) != nil {
+	if h.stored(shared) {
 		t.Error("fully trimmed record still in store")
 	}
 }

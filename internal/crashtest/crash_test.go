@@ -31,9 +31,13 @@ import (
 // definition, and synchronous flushing so every run is deterministic.
 func childOptions() kflushing.Options {
 	return kflushing.Options{
-		Policy:        kflushing.PolicyKFlushing,
-		K:             2,
-		MemoryBudget:  24 << 10,
+		Policy: kflushing.PolicyKFlushing,
+		K:      2,
+		// Small enough that the log outgrows memory and its reclaim lists
+		// survivors by reference frame (the wal/reference/* sites) three
+		// times a run; at 24 KiB, once a record was charged 144 B rather
+		// than 160, it never did.
+		MemoryBudget:  20 << 10,
 		FlushFraction: 0.9,
 		SyncFlush:     true,
 		Durable:       true,

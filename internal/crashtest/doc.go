@@ -2,8 +2,8 @@
 // test binary as a child process, kills the child at every registered
 // crash failpoint (failpoint.CrashSites covers the WAL — sealing
 // included — segment-write, compaction, drain, flush-cycle, and recovery
-// paths; disk.TestUpgradeResumes cuts the offline upgrade), reopens the
-// store over the wreckage, and asserts the durability invariants:
+// paths), reopens the store over the wreckage, and asserts the
+// durability invariants:
 //
 //   - no acknowledged ingest is lost — every ID a completed IngestBatch
 //     returned is found by a post-crash search;

@@ -1,7 +1,6 @@
 package disk
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -165,11 +164,9 @@ func BenchmarkSearchConcurrentDuplicateMiss(b *testing.B) {
 }
 
 // BenchmarkOpenDirectory measures what Open pays, per posting, to bring a
-// merge-sized directory back into resident form: the file read, the key
-// section, the Bloom filter and the key index. The directory merges four
-// flushes of 38 000 generator records (≈ 1.5 MB in format v3).
-// format=v4 is openSegment itself; format=v3 takes the same steps with
-// the v3 key decoder the upgrade keeps, since openSegment refuses v3.
+// merge-sized directory back into resident form (openSegment): the file
+// read, the key section, the Bloom filter and the key index. The
+// directory merges four flushes of 38 000 generator records.
 func BenchmarkOpenDirectory(b *testing.B) {
 	dir := b.TempDir()
 	tier, err := Open(Config[string]{
@@ -210,11 +207,7 @@ func BenchmarkOpenDirectory(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nposts, limit := len(s.posts), s.base[len(s.blocks)]
-	v3 := filepath.Join(dir, "v3.kfs")
-	if err := os.WriteFile(v3, encodeDirectoryV3(s), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	nposts := len(s.posts)
 	s.release()
 	report := func(b *testing.B, path string) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nposts), "ns/posting")
@@ -233,26 +226,6 @@ func BenchmarkOpenDirectory(b *testing.B) {
 			s.release()
 		}
 		report(b, paths[0])
-	})
-	b.Run("format=v3", func(b *testing.B) {
-		le := binary.LittleEndian
-		for i := 0; i < b.N; i++ {
-			img, err := os.ReadFile(v3)
-			if err != nil {
-				b.Fatal(err)
-			}
-			foot := img[len(img)-segFooterSize:]
-			keysPos, bloomPos := le.Uint64(foot[0:]), le.Uint64(foot[8:])
-			s := &segment{}
-			if s.keys, s.start, s.posts, err = decodeKeysV3(img[keysPos:bloomPos], limit); err != nil {
-				b.Fatal(err)
-			}
-			if s.bloom, _, err = decodeBloom(img[bloomPos : len(img)-segFooterSize]); err != nil {
-				b.Fatal(err)
-			}
-			s.sealKeys()
-		}
-		report(b, v3)
 	})
 }
 

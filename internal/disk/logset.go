@@ -297,7 +297,7 @@ func LogFileNames(dir string) ([]string, error) {
 // the layout before attributes shared one log.
 func CheckLogFree(dir string) error {
 	if names, _ := LogFileNames(dir); len(names) > 0 {
-		return needsUpgrade("disk: " + dir + " holds log files of its own, but the store keeps one log")
+		return retired("disk: "+dir+" holds log files of its own, but the store keeps one log", roundUpgrade)
 	}
 	return nil
 }

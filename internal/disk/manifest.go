@@ -139,7 +139,7 @@ func decodeManifest(b []byte) (Manifest, error) {
 	}
 	switch version := binary.LittleEndian.Uint16(b[4:]); {
 	case version > 0 && version < manifestVersion:
-		return m, beforeWindow(fmt.Sprintf("%s is version %d", manifestName, version))
+		return m, retired(fmt.Sprintf("%s is version %d", manifestName, version), olderUpgrade)
 	case version != manifestVersion:
 		return m, fmt.Errorf("%w: unsupported version %d", ErrCorruptManifest, version)
 	}

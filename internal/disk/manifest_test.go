@@ -53,7 +53,7 @@ func normalizeManifest(m Manifest) Manifest {
 }
 
 // TestManifestV2Compat: a version-2 manifest is ErrNeedsUpgrade, not
-// corrupt, and older than the support window: the upgrade refuses it,
+// corrupt, and retired before the previous round: the upgrade refuses it,
 // naming the commit that converts it, and leaves it as it is; a
 // version-3 manifest carries its drained list through.
 func TestManifestV2Compat(t *testing.T) {
@@ -68,8 +68,8 @@ func TestManifestV2Compat(t *testing.T) {
 	}
 	dir := t.TempDir()
 	writeFile(t, filepath.Join(dir, manifestName), encodeManifestV2(m))
-	if err := Upgrade(dir); !errors.Is(err, errBeforeWindow) || !strings.Contains(err.Error(), upgradedBy) {
-		t.Fatalf("upgrade = %v, want ErrNeedsUpgrade naming commit %s", err, upgradedBy)
+	if err := Upgrade(dir); !errors.Is(err, ErrNeedsUpgrade) || !strings.Contains(err.Error(), olderUpgrade) {
+		t.Fatalf("upgrade = %v, want ErrNeedsUpgrade naming commit %s", err, olderUpgrade)
 	}
 	if b, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || !bytes.Equal(b, encodeManifestV2(m)) {
 		t.Fatalf("the refused upgrade changed the manifest: %v", err)

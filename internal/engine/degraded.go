@@ -16,21 +16,23 @@ import (
 var ErrDegraded = errors.New("engine: degraded read-only mode, tier writes failing")
 
 // restoreEvicted rolls a failed eviction back into memory: records that
-// never became durable are re-stored and re-indexed, and records that
+// never became durable are re-admitted and re-indexed, and records that
 // stayed memory-resident (partial flushes) lose their on-disk mark so a
-// later flush writes them again. Every evicted record is still
+// later flush writes them again. from[i] is the wrapper failed[i] was
+// taken from: it is still resident exactly when it still holds a
+// posting, since nothing evicts while the caller holds the gate. Every evicted record is still
 // WAL-covered — its dead wrapper's claims are not released before this
 // returns, and the batch pins the files they name — and the wrapper
 // re-created here takes claims of its own on the same log files, so a
 // crash loses nothing either way. Callers must
 // hold flushMu.
-func (e *Engine[K]) restoreEvicted(failed []disk.FlushRecord) {
+func (e *Engine[K]) restoreEvicted(failed []disk.FlushRecord, from []*store.Record) {
 	var recs []*store.Record
 	var recKeys [][]K
 	var claimed seqTally
 	unmarked := 0
-	for _, fr := range failed {
-		if rec := e.store.Get(fr.MB.ID); rec != nil {
+	for i, fr := range failed {
+		if rec := from[i]; rec.PCount() > 0 {
 			rec.UnmarkOnDisk()
 			unmarked++
 			continue

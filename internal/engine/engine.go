@@ -11,6 +11,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -93,10 +94,10 @@ type Config[K comparable] struct {
 	// memory contents survive restarts (replayed on New) and crashes
 	// (torn tails are tolerated), and the log's files are the tier's
 	// record files, so a flush writes only a directory over frames the
-	// log already holds. The tier's open refuses a log a build before
-	// the support window (DESIGN.md §7.1) kept in DiskDir/wal with
-	// disk.ErrNeedsUpgrade, naming the commit whose `kflushctl upgrade`
-	// moves it in. False keeps only flushed records, the paper's model.
+	// log already holds. The tier's open refuses a log an older build
+	// kept in DiskDir/wal with disk.ErrNeedsUpgrade, naming the commit
+	// whose `kflushctl upgrade` moves it in (DESIGN.md §7.1). False
+	// keeps only flushed records, the paper's model.
 	Durable bool
 	// WALOptions tunes the write-ahead log when Durable is set.
 	WALOptions wal.Options
@@ -137,10 +138,13 @@ type Config[K comparable] struct {
 // Engine is one attribute's complete data management system. All
 // methods are safe for concurrent use.
 type Engine[K comparable] struct {
-	cfg   Config[K]
-	mem   memsize.Tracker
-	store *store.Store
-	idx   *index.Index[K]
+	cfg Config[K]
+	mem memsize.Tracker
+	idx *index.Index[K]
+	// store is the raw data store: the records idx posts, counted by
+	// mem. It is a view, not a map; the engine finds its records
+	// through the index.
+	store Resident[K]
 	tier  *disk.Tier[K]
 	pol   policy.Policy[K]
 	reg   metrics.Registry
@@ -244,7 +248,7 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.NewLogical(1, 1)
 	}
-	e := &Engine[K]{cfg: cfg, store: store.New(), clk: cfg.Clock, bbox: blackbox.New()}
+	e := &Engine[K]{cfg: cfg, clk: cfg.Clock, bbox: blackbox.New()}
 	e.recycler = alloc.NewRecycler[*store.Record](cfg.AllocPolicy)
 	if cfg.AllocPolicy == alloc.PolicyPooled {
 		e.scratch = &sync.Pool{New: func() any { return &ingestScratch[K]{} }}
@@ -262,6 +266,7 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		// (Stats.PolicyOverhead).
 		DepartedBytes: cfg.MemoryBudget / 64,
 	})
+	e.store = Resident[K]{mem: &e.mem, idx: e.idx}
 	st := cfg.Stream
 	if st == nil {
 		st = NewStream()
@@ -303,7 +308,6 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 	e.obs, _ = cfg.Policy.(policy.AccessObserver)
 	e.pol.Attach(&policy.Resources[K]{
 		Index:   e.idx,
-		Store:   e.store,
 		Mem:     &e.mem,
 		Sink:    &e.fsink,
 		KeysOf:  cfg.KeysOf,
@@ -352,32 +356,43 @@ func (e *Engine[K]) setRecovering(on bool) { e.recovering = on }
 // between chunks.
 const recoverChunk = 4096
 
-// wants reports whether the engine takes a replayed record: it indexes
-// it, or already holds it. The stream takes one claim per taker.
+// wants reports whether the engine takes a replayed record: whether it
+// indexes it (a record it already holds it indexes too). The stream
+// takes one claim per taker.
 func (e *Engine[K]) wants(fr disk.FlushRecord) bool {
-	if e.store.Get(fr.MB.ID) != nil {
-		return true
-	}
 	e.replayed.keys = e.cfg.KeysOf(fr.MB)
 	return len(e.replayed.keys) > 0
+}
+
+// held returns the wrapper memory holds for the record at fr, or nil. A
+// resident record is posted under at least one of its keys, at its
+// (score, ID).
+func (e *Engine[K]) held(fr disk.FlushRecord, keys []K) *store.Record {
+	for _, key := range keys {
+		if en := e.idx.Entry(key); en != nil {
+			if rec := en.Lookup(fr.Score, fr.MB.ID); rec != nil {
+				return rec
+			}
+		}
+	}
+	return nil
 }
 
 // take rebuilds one replayed record in memory, under one claim on the
 // files delivering and framing it. Replayed records keep their original
 // IDs, timestamps and scores. A record delivered twice (a reference frame
-// the crash caught before its source drained, a log upgraded twice)
-// keeps one wrapper, with the newer delivery's claims. Memory stays
-// bounded throughout: records reach the policy in chunks, and whenever
-// memory reaches the flush watermark a cycle runs inline, under the
-// gate, before the next frame is read — its releases may unlink files
-// already replayed.
+// the crash caught before its source drained) keeps one wrapper, with the
+// newer delivery's claims. Memory stays bounded throughout: records reach
+// the policy in chunks, and whenever memory reaches the flush watermark a
+// cycle runs inline, under the gate, before the next frame is read — its
+// releases may unlink files already replayed.
 func (e *Engine[K]) take(fr disk.FlushRecord) {
-	if held := e.store.Get(fr.MB.ID); held != nil {
+	rc := &e.replayed
+	if held := e.held(fr, rc.keys); held != nil {
 		e.wal.Release(held.ReplaySeq, held.LogSeq, 1)
 		held.LogSeq, held.LogOrd, held.ReplaySeq = fr.LogSeq, fr.LogOrd, fr.ReplaySeq
 		return
 	}
-	rc := &e.replayed
 	rec := e.newRecord(fr.MB, fr.Score)
 	e.admit(rec, fr, rc.keys)
 	rc.recs = append(rc.recs, rec)
@@ -542,7 +557,7 @@ func (e *Engine[K]) newRecord(m *types.Microblog, score float64) *store.Record {
 	return store.NewRecord(m, score)
 }
 
-// admit makes rec memory-resident: stored, charged to the budget and
+// admit makes rec memory-resident: counted, charged to the budget and
 // linked under every key, holding the log claims at names — on the file
 // framing it (LogSeq, at ordinal LogOrd) and the one delivering it at
 // replay (ReplaySeq), all 0 without a log. The references are
@@ -553,8 +568,7 @@ func (e *Engine[K]) newRecord(m *types.Microblog, score float64) *store.Record {
 func (e *Engine[K]) admit(rec *store.Record, at disk.FlushRecord, keys []K) {
 	rec.LogSeq, rec.LogOrd, rec.ReplaySeq = at.LogSeq, at.LogOrd, at.ReplaySeq
 	rec.Ref(int32(len(keys)))
-	e.store.Put(rec)
-	e.mem.AddData(rec.Bytes)
+	e.mem.AddRecords(1, rec.Bytes())
 	for _, key := range keys {
 		e.idx.Link(key, rec)
 	}
@@ -727,13 +741,7 @@ func (e *Engine[K]) reclaimWAL() {
 // ingestion — which only ever claims the active file — carries on. It
 // reports whether the survivors are listed.
 func (e *Engine[K]) listSurvivors(seq uint32) bool {
-	var recs []*store.Record
-	e.store.Range(func(rec *store.Record) bool {
-		if rec.ReplaySeq == seq {
-			recs = append(recs, rec)
-		}
-		return true
-	})
+	recs := e.survivors(seq)
 	frames := make([]disk.FlushRecord, len(recs))
 	for i, rec := range recs {
 		frames[i] = disk.FlushRecord{MB: rec.MB, Score: rec.Score, LogSeq: rec.LogSeq, LogOrd: rec.LogOrd}
@@ -749,6 +757,26 @@ func (e *Engine[K]) listSurvivors(seq uint32) bool {
 		rec.ReplaySeq = to
 	}
 	return true
+}
+
+// survivors returns the resident records whose replay goes through log
+// file seq, in ID order. Memory holds exactly what the index posts, and
+// a record posted under several keys is found once per key. The caller
+// holds the flush gate: no posting of a resident record leaves the index
+// meanwhile.
+func (e *Engine[K]) survivors(seq uint32) []*store.Record {
+	var recs []*store.Record
+	e.idx.Range(func(en *index.Entry[K]) bool {
+		posted, _, _ := en.Probe(-1)
+		for _, rec := range posted {
+			if rec.ReplaySeq == seq {
+				recs = append(recs, rec)
+			}
+		}
+		return true
+	})
+	slices.SortFunc(recs, func(a, b *store.Record) int { return cmp.Compare(a.MB.ID, b.MB.ID) })
+	return slices.Compact(recs)
 }
 
 // tryListSurvivors is listSurvivors for another member's cycle end: it
@@ -1094,8 +1122,37 @@ func (e *Engine[K]) K() int { return e.idx.K() }
 // Index exposes the underlying index for experiments and tests.
 func (e *Engine[K]) Index() *index.Index[K] { return e.idx }
 
-// Store exposes the raw data store for experiments and tests.
-func (e *Engine[K]) Store() *store.Store { return e.store }
+// Store exposes the raw data store — the records memory holds — for
+// experiments and tests.
+func (e *Engine[K]) Store() Resident[K] { return e.store }
+
+// Resident is an engine's raw data store as a view: the records its
+// index posts, counted by its memory tracker. The engine keeps no
+// ID→record map; Get searches the index.
+type Resident[K comparable] struct {
+	mem *memsize.Tracker
+	idx *index.Index[K]
+}
+
+// Len returns the number of resident records.
+func (r Resident[K]) Len() int64 { return r.mem.Records() }
+
+// Get returns the resident record with the given ID, or nil. It walks
+// the whole index: a tool for tests and inspection, not a hot path.
+func (r Resident[K]) Get(id types.ID) *store.Record {
+	var found *store.Record
+	r.idx.Range(func(en *index.Entry[K]) bool {
+		posted, _, _ := en.Probe(-1)
+		for _, rec := range posted {
+			if rec.MB.ID == id {
+				found = rec
+				return false
+			}
+		}
+		return true
+	})
+	return found
+}
 
 // Mem exposes the memory tracker for experiments and tests.
 func (e *Engine[K]) Mem() *memsize.Tracker { return &e.mem }

@@ -11,8 +11,9 @@ import (
 	"kflushing/internal/store"
 )
 
-// flushBatch is what one flush cycle evicted: the payloads to persist
-// and the dead wrappers whose log claims come down — and which may be
+// flushBatch is what one flush cycle evicted: the payloads to persist,
+// each with the wrapper it came from, and the dead wrappers whose log
+// claims come down — and which may be
 // recycled — once the payloads are durable. From the policy's return to
 // the end of the cycle it is out of memory and not yet on disk, but
 // still fully covered by the write-ahead log: the dead wrappers hold
@@ -22,6 +23,7 @@ import (
 // name, given back once it is installed (or the batch restored).
 type flushBatch struct {
 	recs  []disk.FlushRecord
+	from  []*store.Record // from[i] is the wrapper recs[i] came from
 	dead  []*store.Record
 	cycle uint64
 	pins  seqTally
@@ -34,8 +36,8 @@ type flushBatch struct {
 // it, under flushMu.
 type flushSink struct{ parked flushBatch }
 
-func (s *flushSink) Flush(recs []disk.FlushRecord, dead []*store.Record) {
-	s.parked = flushBatch{recs: recs, dead: dead}
+func (s *flushSink) Flush(recs []disk.FlushRecord, from, dead []*store.Record) {
+	s.parked = flushBatch{recs: recs, from: from, dead: dead}
 }
 
 // take returns the parked batch (empty when the policy evicted nothing).
@@ -99,7 +101,7 @@ func (e *Engine[K]) completeBatch(b flushBatch) (durable bool, err error) {
 	start := time.Now()
 	installed := durable || len(b.recs) == 0
 	if !installed {
-		e.restoreEvicted(b.recs)
+		e.restoreEvicted(b.recs, b.from)
 	}
 	e.settle(b.dead, installed)
 	if e.wal != nil {

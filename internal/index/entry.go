@@ -366,21 +366,40 @@ func (e *Entry[K]) settle(k, keptTop int, best *store.Record) (died bool) {
 // a binary search of the score region, then a scan for pointer
 // identity (several postings may share a score). Callers hold e.mu.
 func (e *Entry[K]) find(rec *store.Record) int {
-	lo, hi := 0, len(e.postings)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if less(e.postings[mid], rec) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	for i := lo; i < len(e.postings) && !less(rec, e.postings[i]); i++ {
+	for i := e.search(rec.Score, rec.MB.ID); i < len(e.postings) && !less(rec, e.postings[i]); i++ {
 		if e.postings[i] == rec {
 			return i
 		}
 	}
 	return -1
+}
+
+// search returns the position of the first posting that does not rank
+// below (score, id). Callers hold e.mu.
+func (e *Entry[K]) search(score float64, id types.ID) int {
+	lo, hi := 0, len(e.postings)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if p := e.postings[mid]; p.Score < score || p.Score == score && p.MB.ID < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// Lookup returns the record the entry posts at (score, id), or nil: how
+// recovery finds a record memory already holds.
+func (e *Entry[K]) Lookup(score float64, id types.ID) *store.Record {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if i := e.search(score, id); i < len(e.postings) {
+		if rec := e.postings[i]; rec.Score == score && rec.MB.ID == id {
+			return rec
+		}
+	}
+	return nil
 }
 
 // Contains reports whether the entry currently holds a posting for rec.
@@ -403,7 +422,7 @@ func (e *Entry[K]) FreeableBytes() int64 {
 		if pc < 1 {
 			pc = 1
 		}
-		total += rec.Bytes / pc
+		total += rec.Bytes() / pc
 	}
 	e.mu.Unlock()
 	return total

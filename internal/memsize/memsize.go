@@ -16,13 +16,20 @@ import "sync/atomic"
 // from the actual Go struct layouts (pointer = 8 bytes on the evaluation
 // platform) and kept as named constants so the model is auditable.
 const (
-	// RecordHeader covers the fixed part of a stored record: the
-	// Microblog struct header (ID, timestamp, user, followers, geo,
-	// slice/string headers ≈ 96 B) plus the store's record wrapper
-	// (refcount, score, list hooks ≈ 48 B) and map-slot overhead.
-	RecordHeader = 160
-	// PostingSize is one index posting: a record pointer plus the
-	// pre-computed ranking score.
+	// RecordHeader covers the two fixed-size structs of a resident
+	// record: the types.Microblog (ID, timestamp, user, followers,
+	// location, keyword-slice and text headers: 96 B) and its
+	// store.Record wrapper (microblog pointer, score, reference and
+	// top-k counters, on-disk mark, log position, LRU node pointer:
+	// 48 B), each exactly one Go allocation size class. No ID map slot
+	// is charged: the engine finds its records through the index. The
+	// keyword strings and the text are charged by RecordBytes.
+	RecordHeader = 144
+	// PostingSize is charged per index posting. A posting is one
+	// *store.Record (8 B) in its entry's pooled posting array, whose
+	// capacity is a class of 4, 16, 64, 256 or 1024 postings; the score
+	// it ranks by lives in the record. The constant is twice the
+	// pointer, and the unused slack of the array's class is not charged.
 	PostingSize = 16
 	// EntryHeader is the fixed cost of one index entry: key header,
 	// mutex, last-arrival and last-queried timestamps, slice header,
@@ -53,14 +60,22 @@ func EntryBytes(keyLen int) int64 {
 // methods are safe for concurrent use. Gauges never go negative in a
 // correct system; the invariant is enforced by tests, not at runtime.
 type Tracker struct {
+	records  atomic.Int64 // resident records
 	data     atomic.Int64 // raw data store bytes
 	index    atomic.Int64 // index entries + postings
 	peakTemp atomic.Int64 // high-water mark of the flush buffer
 	temp     atomic.Int64 // current flush buffer bytes
 }
 
-// AddData adjusts the raw data store gauge by delta bytes.
-func (t *Tracker) AddData(delta int64) { t.data.Add(delta) }
+// AddRecords adjusts the resident-record count by n and the raw data
+// store gauge by bytes, which are those records' modeled cost.
+func (t *Tracker) AddRecords(n, bytes int64) {
+	t.records.Add(n)
+	t.data.Add(bytes)
+}
+
+// Records returns the number of resident records.
+func (t *Tracker) Records() int64 { return t.records.Load() }
 
 // AddIndex adjusts the index gauge by delta bytes.
 func (t *Tracker) AddIndex(delta int64) { t.index.Add(delta) }

@@ -32,18 +32,18 @@ func TestEntryBytes(t *testing.T) {
 
 func TestTrackerGauges(t *testing.T) {
 	var tr Tracker
-	tr.AddData(100)
+	tr.AddRecords(2, 100)
 	tr.AddIndex(50)
 	if tr.Used() != 150 {
 		t.Fatalf("Used = %d", tr.Used())
 	}
-	if tr.Data() != 100 || tr.Index() != 50 {
+	if tr.Records() != 2 || tr.Data() != 100 || tr.Index() != 50 {
 		t.Fatal("gauge mismatch")
 	}
-	tr.AddData(-100)
+	tr.AddRecords(-2, -100)
 	tr.AddIndex(-50)
-	if tr.Used() != 0 {
-		t.Fatalf("Used after release = %d", tr.Used())
+	if tr.Used() != 0 || tr.Records() != 0 {
+		t.Fatalf("Used after release = %d, %d records", tr.Used(), tr.Records())
 	}
 }
 

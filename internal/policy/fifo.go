@@ -61,7 +61,7 @@ func (f *FIFO[K]) OnIngest(recs []*store.Record, keys [][]K) {
 			f.segs = append(f.segs, f.cur)
 		}
 		f.cur.recs = append(f.cur.recs, rec)
-		f.cur.bytes += rec.Bytes + int64(len(keys[i]))*memsize.PostingSize
+		f.cur.bytes += rec.Bytes() + int64(len(keys[i]))*memsize.PostingSize
 		if f.cur.bytes >= f.SegmentBytes {
 			f.cur = nil // seal; the next record starts a fresh segment
 		}

@@ -11,9 +11,11 @@ import (
 
 // LRU is the anti-caching baseline modeled on H-Store (Section V setup):
 // a single global doubly-linked list orders every in-memory record by
-// last use; eviction pops from the tail. The list pointers are embedded
-// in the records themselves — as the paper notes H-Store does to reduce
-// memory overhead — but the list head is still a global hot spot: every
+// last use; eviction pops from the tail. Each record points at its own
+// list node (store.LRUNode), which the policy allocates at ingest and a
+// recycled wrapper keeps — H-Store embeds its LRU pointers in the
+// per-microblog state to reduce overhead; here only LRU's records pay
+// for them — but the list head is still a global hot spot: every
 // ingestion pushes to it and every query relinks the records it touched,
 // which is exactly the contention that caps LRU's digestion rate in
 // Figure 10(b).
@@ -36,16 +38,22 @@ func (l *LRU[K]) Name() string { return "lru" }
 func (l *LRU[K]) Attach(r *Resources[K]) { l.r = r }
 
 // linked reports whether rec is currently on the list. Callers must hold
-// l.mu. Unlinked records have both hooks nil and are not the head.
+// l.mu. Unlinked records have no node, or an empty one, and are not the
+// head.
 func (l *LRU[K]) linked(rec *store.Record) bool {
-	return rec.LRUPrev != nil || rec.LRUNext != nil || l.head == rec
+	n := rec.LRU
+	return n != nil && (n.Prev != nil || n.Next != nil) || l.head == rec
 }
 
+// pushHead links rec in as the most recently used record, giving it a
+// node if it has none. Callers must hold l.mu.
 func (l *LRU[K]) pushHead(rec *store.Record) {
-	rec.LRUPrev = nil
-	rec.LRUNext = l.head
+	if rec.LRU == nil {
+		rec.LRU = new(store.LRUNode)
+	}
+	rec.LRU.Prev, rec.LRU.Next = nil, l.head
 	if l.head != nil {
-		l.head.LRUPrev = rec
+		l.head.LRU.Prev = rec
 	}
 	l.head = rec
 	if l.tail == nil {
@@ -53,18 +61,21 @@ func (l *LRU[K]) pushHead(rec *store.Record) {
 	}
 }
 
+// unlink takes rec off the list, leaving its node empty. Callers must
+// hold l.mu.
 func (l *LRU[K]) unlink(rec *store.Record) {
-	if rec.LRUPrev != nil {
-		rec.LRUPrev.LRUNext = rec.LRUNext
+	n := rec.LRU
+	if n.Prev != nil {
+		n.Prev.LRU.Next = n.Next
 	} else if l.head == rec {
-		l.head = rec.LRUNext
+		l.head = n.Next
 	}
-	if rec.LRUNext != nil {
-		rec.LRUNext.LRUPrev = rec.LRUPrev
+	if n.Next != nil {
+		n.Next.LRU.Prev = n.Prev
 	} else if l.tail == rec {
-		l.tail = rec.LRUPrev
+		l.tail = n.Prev
 	}
-	rec.LRUPrev, rec.LRUNext = nil, nil
+	*n = store.LRUNode{}
 }
 
 // OnIngest pushes the batch to the list head under one lock acquisition
@@ -120,7 +131,7 @@ func (l *LRU[K]) Flush(target int64) (int64, error) {
 	return freed, nil
 }
 
-// OverheadBytes reports the embedded list-pointer cost: two pointers per
+// OverheadBytes reports the list's cost: one two-pointer node per
 // tracked record, plus the flush buffer's peak.
 func (l *LRU[K]) OverheadBytes() int64 {
 	return l.len.Load()*16 + l.r.Mem.PeakTemp()

@@ -28,23 +28,24 @@ import (
 // is choosing and unlinking victims; persisting them is the engine's.
 type Sink interface {
 	// Flush hands over the cycle's batch: recs are the payloads to
-	// persist, dead the records that died during the cycle — fully
-	// released, off the store, memory already refunded — whose wrappers
-	// may be recycled once recs are durable. dead may outnumber recs: a
-	// record whose payload an earlier partial flush already persisted
-	// dies without contributing a FlushRecord. Ownership of both slices
-	// transfers to the sink; the caller keeps no reference. Flush runs
-	// under the engine's flush gate and must not block.
-	Flush(recs []disk.FlushRecord, dead []*store.Record)
+	// persist and from[i] the wrapper recs[i] was taken from, which a
+	// failed flush restores or unmarks; dead are the records that died
+	// during the cycle — fully released, out of memory, their bytes
+	// already refunded — whose wrappers may be recycled once recs are
+	// durable. dead may outnumber recs: a record whose payload an
+	// earlier partial flush already persisted dies without contributing
+	// a FlushRecord. Ownership of the slices transfers to the sink; the
+	// caller keeps no reference. Flush runs under the engine's flush
+	// gate and must not block.
+	Flush(recs []disk.FlushRecord, from, dead []*store.Record)
 }
 
 // Resources grants a policy access to the engine's shared structures. A
 // policy receives it once via Attach before any other call.
 type Resources[K comparable] struct {
-	// Index is the in-memory inverted index for the attribute.
+	// Index is the in-memory inverted index for the attribute. The raw
+	// data store is the records its postings reference; Mem counts them.
 	Index *index.Index[K]
-	// Store is the raw data store.
-	Store *store.Store
 	// Mem is the engine's memory tracker.
 	Mem *memsize.Tracker
 	// Sink receives evicted records.
@@ -100,10 +101,10 @@ func (r *Resources[K]) evictRecord(rec *store.Record, buf *VictimBuffer) int64 {
 }
 
 // release drops the index reference of one posting taken out of the
-// index. The last reference takes the record out of the raw data store
-// into the victim buffer and returns its bytes; until then the buffer
-// persists a copy, so disk search stays complete for the key the
-// posting left.
+// index. The last reference takes the record out of memory — its count
+// and bytes off the tracker — into the victim buffer and returns its
+// bytes; until then the buffer persists a copy, so disk search stays
+// complete for the key the posting left.
 func (r *Resources[K]) release(rec *store.Record, buf *VictimBuffer) int64 {
 	left := rec.Unref()
 	if failpoint.Enabled {
@@ -113,10 +114,10 @@ func (r *Resources[K]) release(rec *store.Record, buf *VictimBuffer) int64 {
 		buf.AddPartial(rec)
 		return 0
 	}
-	r.Store.Remove(rec.MB.ID)
-	r.Mem.AddData(-rec.Bytes)
+	bytes := rec.Bytes()
+	r.Mem.AddRecords(-1, -bytes)
 	buf.Add(rec)
-	return rec.Bytes
+	return bytes
 }
 
 // check stops a fault-injection build on a reference count the
@@ -189,6 +190,7 @@ type VictimBuffer struct {
 
 	mu    sync.Mutex
 	recs  []disk.FlushRecord
+	from  []*store.Record // from[i] is the wrapper recs[i] was taken from
 	dead  []*store.Record
 	bytes int64
 }
@@ -202,19 +204,14 @@ func NewVictimBuffer(mem *memsize.Tracker, sink Sink, chargeTemp bool) *VictimBu
 // Add appends a fully-released record. If an earlier partial flush
 // already wrote the record's payload to disk, the buffer skips the
 // duplicate write; the memory was still freed either way. Either way
-// the record is dead — unreferenced and off the store — so it joins
+// the record is dead — unreferenced and out of memory — so it joins
 // the dead list handed to the sink on Close.
 func (b *VictimBuffer) Add(rec *store.Record) {
-	write := rec.MarkOnDisk()
 	b.mu.Lock()
 	b.dead = append(b.dead, rec)
-	if write {
-		b.recs = append(b.recs, disk.FlushRecord{MB: rec.MB, Score: rec.Score, LogSeq: rec.LogSeq, LogOrd: rec.LogOrd, ReplaySeq: rec.ReplaySeq})
-		b.bytes += rec.Bytes
-	}
 	b.mu.Unlock()
-	if write && b.chargeTemp && b.mem != nil {
-		b.mem.AddTemp(rec.Bytes)
+	if rec.MarkOnDisk() {
+		b.append(rec)
 	}
 }
 
@@ -231,12 +228,14 @@ func (b *VictimBuffer) AddPartial(rec *store.Record) {
 }
 
 func (b *VictimBuffer) append(rec *store.Record) {
+	bytes := rec.Bytes()
 	b.mu.Lock()
 	b.recs = append(b.recs, disk.FlushRecord{MB: rec.MB, Score: rec.Score, LogSeq: rec.LogSeq, LogOrd: rec.LogOrd, ReplaySeq: rec.ReplaySeq})
-	b.bytes += rec.Bytes
+	b.from = append(b.from, rec)
+	b.bytes += bytes
 	b.mu.Unlock()
 	if b.chargeTemp && b.mem != nil {
-		b.mem.AddTemp(rec.Bytes)
+		b.mem.AddTemp(bytes)
 	}
 }
 
@@ -258,11 +257,11 @@ func (b *VictimBuffer) Bytes() int64 {
 // sink and releases the temporary-buffer charge.
 func (b *VictimBuffer) Close() {
 	b.mu.Lock()
-	recs, bytes, dead := b.recs, b.bytes, b.dead
-	b.recs, b.bytes, b.dead = nil, 0, nil
+	recs, from, bytes, dead := b.recs, b.from, b.bytes, b.dead
+	b.recs, b.from, b.bytes, b.dead = nil, nil, 0, nil
 	b.mu.Unlock()
 	if b.sink != nil && (len(recs) > 0 || len(dead) > 0) {
-		b.sink.Flush(recs, dead)
+		b.sink.Flush(recs, from, dead)
 	}
 	if b.chargeTemp && b.mem != nil {
 		b.mem.AddTemp(-bytes)

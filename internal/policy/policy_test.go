@@ -19,15 +19,15 @@ type memSink struct {
 	flushes int
 }
 
-func (s *memSink) Flush(recs []disk.FlushRecord, _ []*store.Record) {
+func (s *memSink) Flush(recs []disk.FlushRecord, _, _ []*store.Record) {
 	s.recs = append(s.recs, recs...)
 	s.flushes++
 }
 
-// rig wires an index, store and policy for direct flush testing.
+// rig wires an index, a memory tracker and a policy for direct flush
+// testing.
 type rig struct {
 	ix   *index.Index[string]
-	st   *store.Store
 	mem  *memsize.Tracker
 	sink *memSink
 	pol  Policy[string]
@@ -35,7 +35,7 @@ type rig struct {
 }
 
 func newRig(k int, pol Policy[string]) *rig {
-	r := &rig{st: store.New(), mem: &memsize.Tracker{}, sink: &memSink{}, pol: pol}
+	r := &rig{mem: &memsize.Tracker{}, sink: &memSink{}, pol: pol}
 	r.ix = index.New(index.Config[string]{
 		Hash:    attr.HashString,
 		KeyLen:  attr.KeywordLen,
@@ -44,7 +44,6 @@ func newRig(k int, pol Policy[string]) *rig {
 	})
 	pol.Attach(&Resources[string]{
 		Index:  r.ix,
-		Store:  r.st,
 		Mem:    r.mem,
 		Sink:   r.sink,
 		KeysOf: attr.KeywordKeys,
@@ -61,13 +60,18 @@ func (r *rig) add(kws ...string) *store.Record {
 		Keywords:  kws,
 		Text:      "text",
 	}
-	rec := store.NewRecord(mb, float64(mb.Timestamp))
-	r.st.Put(rec)
-	r.mem.AddData(rec.Bytes)
-	for _, kw := range attr.KeywordKeys(mb) {
-		r.ix.Insert(kw, rec)
+	return r.admit(store.NewRecord(mb, float64(mb.Timestamp)))
+}
+
+// admit makes rec resident: counted, indexed, reported to the policy.
+func (r *rig) admit(rec *store.Record) *store.Record {
+	keys := attr.KeywordKeys(rec.MB)
+	rec.Ref(int32(len(keys)))
+	r.mem.AddRecords(1, rec.Bytes())
+	for _, kw := range keys {
+		r.ix.Link(kw, rec)
 	}
-	r.pol.OnIngest([]*store.Record{rec}, [][]string{attr.KeywordKeys(mb)})
+	r.pol.OnIngest([]*store.Record{rec}, [][]string{keys})
 	return rec
 }
 
@@ -86,10 +90,10 @@ func TestFIFOEvictsOldestFirst(t *testing.T) {
 		t.Fatalf("freed %d < target", freed)
 	}
 	// The oldest records must be gone, the newest must remain.
-	if r.st.Get(recs[0].MB.ID) != nil {
+	if recs[0].PCount() > 0 {
 		t.Error("oldest record survived FIFO flush")
 	}
-	if r.st.Get(recs[11].MB.ID) == nil {
+	if recs[11].PCount() == 0 {
 		t.Error("newest record evicted by FIFO flush")
 	}
 	// Flushed-out entries must be detached from the index.
@@ -164,11 +168,53 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	if freed == 0 {
 		t.Fatal("freed nothing")
 	}
-	if r.st.Get(b.MB.ID) != nil {
+	if b.PCount() > 0 {
 		t.Error("least recently used record survived")
 	}
-	if r.st.Get(a.MB.ID) == nil || r.st.Get(c.MB.ID) == nil {
+	if a.PCount() == 0 || c.PCount() == 0 {
 		t.Error("recently used records evicted")
+	}
+}
+
+// TestLRURelinkAndRecycle: each record has its own list node, which
+// OnAccess relinks in place; the tail goes first; and a wrapper recycled
+// after its eviction keeps its node, emptied, and links again as the
+// newest record without a second one.
+func TestLRURelinkAndRecycle(t *testing.T) {
+	l := NewLRU[string]()
+	r := newRig(5, l)
+	a, b, c := r.add("a"), r.add("b"), r.add("c")
+	nodes := []*store.LRUNode{a.LRU, b.LRU, c.LRU}
+	order := func() []*store.Record {
+		var out []*store.Record
+		for rec := l.head; rec != nil; rec = rec.LRU.Next {
+			out = append(out, rec)
+		}
+		return out
+	}
+	l.OnAccess([]*store.Record{a, c, a}) // c, b, a → a, c, b → c, a, b → a, c, b
+	if got := order(); len(got) != 3 || got[0] != a || got[1] != c || got[2] != b || l.tail != b {
+		t.Fatalf("list after access = %v, want a, c, b", got)
+	}
+	if a.LRU != nodes[0] || b.LRU != nodes[1] || c.LRU != nodes[2] || a.LRU.Prev != nil || b.LRU.Next != nil {
+		t.Fatal("relinking replaced or mislinked a node")
+	}
+	if _, err := l.Flush(1); err != nil {
+		t.Fatal(err)
+	}
+	if b.PCount() != 0 || a.PCount() == 0 || c.PCount() == 0 || l.tail != c {
+		t.Fatalf("flush took the wrong record: pcounts a=%d b=%d c=%d", a.PCount(), b.PCount(), c.PCount())
+	}
+	store.ResetRecord(b, &types.Microblog{ID: 9, Timestamp: 9, Keywords: []string{"d"}, Text: "text"}, 9)
+	if b.LRU != nodes[1] || *b.LRU != (store.LRUNode{}) {
+		t.Fatal("the recycled wrapper lost its node or kept its links")
+	}
+	r.admit(b)
+	if got := order(); len(got) != 3 || got[0] != b || got[1] != a || got[2] != c || b.LRU != nodes[1] {
+		t.Fatalf("list after re-admission = %v, want b, a, c on b's old node", got)
+	}
+	if got := l.OverheadBytes() - r.mem.PeakTemp(); got != 3*16 {
+		t.Fatalf("list bytes = %d, want 3 nodes of 16", got)
 	}
 }
 
@@ -210,10 +256,10 @@ func TestVictimBufferChargesAndReleasesTemp(t *testing.T) {
 	buf := NewVictimBuffer(mem, sink, true)
 	rec := store.NewRecord(&types.Microblog{ID: 1, Keywords: []string{"a"}}, 1)
 	buf.Add(rec)
-	if buf.Len() != 1 || buf.Bytes() != rec.Bytes {
+	if buf.Len() != 1 || buf.Bytes() != rec.Bytes() {
 		t.Fatal("buffer accounting")
 	}
-	if mem.PeakTemp() != rec.Bytes {
+	if mem.PeakTemp() != rec.Bytes() {
 		t.Fatal("temp not charged")
 	}
 	buf.Close()
@@ -235,13 +281,11 @@ func TestVictimBufferSkipsAlreadyOnDisk(t *testing.T) {
 
 func TestUnrefFreesOnlyAtZero(t *testing.T) {
 	mem := &memsize.Tracker{}
-	st := store.New()
 	ix := index.New(index.Config[string]{Hash: attr.HashString, KeyLen: attr.KeywordLen, K: 1})
-	res := &Resources[string]{Index: ix, Store: st, Mem: mem, KeysOf: attr.KeywordKeys}
+	res := &Resources[string]{Index: ix, Mem: mem, KeysOf: attr.KeywordKeys}
 	rec := store.NewRecord(&types.Microblog{ID: 1, Keywords: []string{"a"}}, 1)
 	rec.Ref(2)
-	st.Put(rec)
-	mem.AddData(rec.Bytes)
+	mem.AddRecords(1, rec.Bytes())
 	buf := NewVictimBuffer(mem, nil, false)
 	if freed := res.release(rec, buf); freed != 0 {
 		t.Fatalf("freed %d at pcount 1", freed)
@@ -249,10 +293,10 @@ func TestUnrefFreesOnlyAtZero(t *testing.T) {
 	if !rec.OnDisk() {
 		t.Fatal("a record still referenced elsewhere was not persisted")
 	}
-	if freed := res.release(rec, buf); freed != rec.Bytes {
-		t.Fatalf("freed %d at pcount 0, want %d", freed, rec.Bytes)
+	if freed := res.release(rec, buf); freed != rec.Bytes() {
+		t.Fatalf("freed %d at pcount 0, want %d", freed, rec.Bytes())
 	}
-	if st.Get(1) != nil {
-		t.Fatal("record still stored after last unref")
+	if mem.Records() != 0 || mem.Data() != 0 {
+		t.Fatalf("%d records, %d bytes still resident after last unref", mem.Records(), mem.Data())
 	}
 }

@@ -34,9 +34,9 @@ func TestReleaseChecksCounts(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ix := index.New(index.Config[string]{Hash: attr.HashString, KeyLen: attr.KeywordLen, K: 2, TrackTopK: true})
-			res := &Resources[string]{Index: ix, Store: store.New(), Mem: &memsize.Tracker{}, KeysOf: attr.KeywordKeys}
+			res := &Resources[string]{Index: ix, Mem: &memsize.Tracker{}, KeysOf: attr.KeywordKeys}
 			rec := store.NewRecord(&types.Microblog{ID: 1, Keywords: []string{"a"}}, 1)
-			res.Store.Put(rec)
+			res.Mem.AddRecords(1, rec.Bytes())
 			ix.Insert("a", rec)
 			buf := NewVictimBuffer(res.Mem, nil, false)
 			tc.spoil(t, res, rec, buf)

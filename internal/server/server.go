@@ -62,7 +62,8 @@ type Store struct {
 // over one stream. opt applies per attribute: each system gets its own
 // MemoryBudget and policy instance. A data directory an older build
 // wrote, with one log per attribute, is refused with
-// disk.ErrNeedsUpgrade (see Upgrade).
+// disk.ErrNeedsUpgrade, naming the commit whose `kflushctl upgrade`
+// converts it (DESIGN.md §7.1).
 func OpenStore(dir string, opt kflushing.Options) (*Store, error) {
 	kw, sp, us, err := kflushing.OpenAttributes(dir, opt)
 	if err != nil {

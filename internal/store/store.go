@@ -5,10 +5,14 @@
 // carries a reference count (the paper's pcount) equal to the number of
 // index entries currently referencing it. When a flushing phase trims the
 // last reference, the record leaves the store and enters the flush
-// buffer. Records also embed the intrusive hooks the LRU baseline needs
-// (the paper notes H-Store embeds its LRU pointers in the per-microblog
-// state to reduce overhead) and the top-k membership counter used by the
-// kFlushing-MK extension.
+// buffer. Records also carry the top-k membership counter used by the
+// kFlushing-MK extension and, under the LRU baseline only, a pointer to
+// the policy's list node.
+//
+// A Record is 48 B, exactly one Go allocation size class, and
+// memsize.RecordHeader charges it with its microblog (TestRecordSizeClass
+// pins both). The engine keeps no ID→record map: the records memory
+// holds are the ones its index posts.
 package store
 
 import (
@@ -28,9 +32,6 @@ type Record struct {
 	MB *types.Microblog
 	// Score is the ranking score computed at arrival (Section IV-B).
 	Score float64
-	// Bytes is the modeled memory cost of this record in the raw data
-	// store.
-	Bytes int64
 
 	// pcount is the number of index entries referencing this record.
 	pcount atomic.Int32
@@ -57,10 +58,20 @@ type Record struct {
 	// the dead record was handed over by it.
 	LogSeq, LogOrd, ReplaySeq uint32
 
-	// LRUPrev and LRUNext are intrusive doubly-linked-list hooks owned
-	// exclusively by the LRU policy; nil under every other policy.
-	LRUPrev, LRUNext *Record
+	// LRU is the record's node on the LRU policy's list, allocated by
+	// that policy and nil under every other one.
+	LRU *LRUNode
 }
+
+// LRUNode links a record into the LRU policy's doubly-linked list. The
+// policy owns it; a recycled wrapper keeps its node, emptied.
+type LRUNode struct {
+	Prev, Next *Record
+}
+
+// Bytes returns the modeled memory cost of the record in the raw data
+// store, derived from its immutable microblog.
+func (r *Record) Bytes() int64 { return memsize.RecordBytes(len(r.MB.Text), r.MB.Keywords) }
 
 // MarkOnDisk atomically claims the right to serialize this record to
 // disk, returning true exactly once.
@@ -74,14 +85,9 @@ func (r *Record) OnDisk() bool { return r.onDisk.Load() }
 // later flush must be allowed to write it again.
 func (r *Record) UnmarkOnDisk() { r.onDisk.Store(false) }
 
-// NewRecord builds a record for m with the given pre-computed score,
-// charging its modeled size.
+// NewRecord builds a record for m with the given pre-computed score.
 func NewRecord(m *types.Microblog, score float64) *Record {
-	return &Record{
-		MB:    m,
-		Score: score,
-		Bytes: memsize.RecordBytes(len(m.Text), m.Keywords),
-	}
+	return &Record{MB: m, Score: score}
 }
 
 // ResetRecord reinitializes a recycled record for a new microblog,
@@ -91,12 +97,13 @@ func NewRecord(m *types.Microblog, score float64) *Record {
 func ResetRecord(r *Record, m *types.Microblog, score float64) {
 	r.MB = m
 	r.Score = score
-	r.Bytes = memsize.RecordBytes(len(m.Text), m.Keywords)
 	r.pcount.Store(0)
 	r.topk.Store(0)
 	r.onDisk.Store(false)
 	r.LogSeq, r.LogOrd, r.ReplaySeq = 0, 0, 0
-	r.LRUPrev, r.LRUNext = nil, nil
+	if r.LRU != nil {
+		*r.LRU = LRUNode{}
+	}
 }
 
 // Ref increments the reference count by n and returns the new value.
@@ -127,9 +134,9 @@ type shard struct {
 	recs map[types.ID]*Record
 }
 
-// Store is a sharded ID→record map. It tracks the modeled byte size of
-// its contents through the engine's Tracker (the caller adjusts gauges;
-// the store itself only counts records and bytes for introspection).
+// Store is a sharded ID→record map that counts the records and modeled
+// bytes it holds. The engine keeps no such map; Store remains for the
+// benchmark harness's put/get probe.
 type Store struct {
 	shards [shardCount]shard
 	count  atomic.Int64
@@ -161,10 +168,10 @@ func (s *Store) Put(rec *Record) {
 	sh.recs[rec.MB.ID] = rec
 	sh.mu.Unlock()
 	s.count.Add(1)
-	s.bytes.Add(rec.Bytes)
+	s.bytes.Add(rec.Bytes())
 	if existed {
 		s.count.Add(-1)
-		s.bytes.Add(-prev.Bytes)
+		s.bytes.Add(-prev.Bytes())
 	}
 }
 
@@ -191,7 +198,7 @@ func (s *Store) Remove(id types.ID) *Record {
 	sh.mu.Unlock()
 	if ok {
 		s.count.Add(-1)
-		s.bytes.Add(-rec.Bytes)
+		s.bytes.Add(-rec.Bytes())
 	}
 	return rec
 }

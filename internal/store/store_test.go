@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"kflushing/internal/memsize"
 	"kflushing/internal/types"
@@ -28,8 +29,8 @@ func TestPutGetRemove(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if s.Bytes() != r.Bytes {
-		t.Fatalf("Bytes = %d, want %d", s.Bytes(), r.Bytes)
+	if s.Bytes() != r.Bytes() {
+		t.Fatalf("Bytes = %d, want %d", s.Bytes(), r.Bytes())
 	}
 	if got := s.Remove(1); got != r {
 		t.Fatal("Remove returned wrong record")
@@ -50,16 +51,31 @@ func TestPutReplaceAccountsOnce(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d after replace", s.Len())
 	}
-	if s.Bytes() != b.Bytes {
-		t.Fatalf("Bytes = %d, want %d", s.Bytes(), b.Bytes)
+	if s.Bytes() != b.Bytes() {
+		t.Fatalf("Bytes = %d, want %d", s.Bytes(), b.Bytes())
 	}
 }
 
 func TestRecordBytesMatchModel(t *testing.T) {
 	r := rec(1)
 	want := memsize.RecordBytes(10, []string{"kw"})
-	if r.Bytes != want {
-		t.Fatalf("Bytes = %d, want %d", r.Bytes, want)
+	if r.Bytes() != want {
+		t.Fatalf("Bytes = %d, want %d", r.Bytes(), want)
+	}
+}
+
+// TestRecordSizeClass pins what memsize.RecordHeader charges to the two
+// structs it stands for: a types.Microblog of 96 B and a Record of 48 B,
+// each one Go allocation size class. A field that pushes either past its
+// class (the next are 112 B and 64 B) fails here, before the model's
+// per-record charge silently stops matching the heap.
+func TestRecordSizeClass(t *testing.T) {
+	mb, rec := unsafe.Sizeof(types.Microblog{}), unsafe.Sizeof(Record{})
+	if mb > 96 || rec > 48 {
+		t.Fatalf("Microblog is %d B (class 96), Record %d B (class 48)", mb, rec)
+	}
+	if memsize.RecordHeader != 96+48 {
+		t.Fatalf("memsize.RecordHeader = %d, want the two classes, %d", memsize.RecordHeader, 96+48)
 	}
 }
 
@@ -170,7 +186,7 @@ func TestAccountingProperty(t *testing.T) {
 		}
 		var bytes int64
 		for _, r := range live {
-			bytes += r.Bytes
+			bytes += r.Bytes()
 		}
 		return s.Len() == int64(len(live)) && s.Bytes() == bytes
 	}

@@ -53,6 +53,10 @@ func TestModelTracksHeapPerResidentRecord(t *testing.T) {
 	if r := heap / model; r < 0.85 || r > 1.35 {
 		t.Fatalf("per resident record: %.0f B heap vs %.0f B model, ratio %.3f outside [0.85, 1.35]", heap, model, r)
 	}
+	// The generator's keyword and Zipf tables are live at before: they
+	// must stay live through after, or the heap they free is subtracted
+	// from the records'.
+	runtime.KeepAlive(g)
 	runtime.KeepAlive(sys)
 }
 

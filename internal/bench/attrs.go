@@ -30,16 +30,10 @@ func newEngine[K comparable](rc RunConfig, spec attr.Spec[K], dir string, syncFl
 		K:             rc.K,
 		MemoryBudget:  rc.Budget,
 		FlushFraction: rc.FlushFrac,
-		KeysOf:        spec.KeysOf,
-		KeyHash:       spec.Hash,
-		KeyLen:        spec.Len,
-		EncodeKey:     spec.Encode,
-		DecodeKey:     spec.Decode,
+		Attr:          spec,
 		Clock:         clk,
 		DiskDir:       dir,
-		Policy:        pc.Policy,
-		TrackTopK:     pc.TrackTopK,
-		TrackOverK:    pc.TrackOverK,
+		Policy:        pc,
 		SyncFlush:     syncFlush,
 	})
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"kflushing/internal/core"
 	"kflushing/internal/engine"
 	"kflushing/internal/gen"
+	"kflushing/internal/policy"
 	"kflushing/internal/types"
 )
 
@@ -23,15 +24,10 @@ func benchEngine(b *testing.B, budget int64, durable bool, workers int) *engine.
 	eng, err := engine.New(engine.Config[string]{
 		K:            20,
 		MemoryBudget: budget,
-		KeysOf:       attr.KeywordKeys,
-		KeyHash:      attr.HashString,
-		KeyLen:       attr.KeywordLen,
-		EncodeKey:    attr.KeywordEncode,
-		DecodeKey:    attr.KeywordDecode,
+		Attr:         attr.Keyword(),
 		DiskDir:      b.TempDir(),
 		Durable:      durable,
-		Policy:       core.New(core.WithParallelism[string](workers)),
-		TrackOverK:   true,
+		Policy:       policy.Choice[string]{Policy: core.New(core.WithParallelism[string](workers)), TrackOverK: true},
 		SyncFlush:    true,
 	})
 	if err != nil {

@@ -14,29 +14,21 @@ const (
 	NameLRU         = "lru"
 )
 
-// Choice is a constructed flushing policy with the index features it
-// needs: the three engine.Config fields a policy name decides.
-type Choice[K comparable] struct {
-	Policy     policy.Policy[K]
-	TrackTopK  bool
-	TrackOverK bool
-}
-
 // Choose constructs the policy called name — the one place a policy
 // name becomes a policy, shared by the public facade and the experiment
 // harness. segmentBytes sizes FIFO's temporal segments (the flushing
 // budget B in bytes); opts apply to the two kFlushing variants.
-func Choose[K comparable](name string, segmentBytes int64, opts ...Option[K]) (Choice[K], error) {
+func Choose[K comparable](name string, segmentBytes int64, opts ...Option[K]) (policy.Choice[K], error) {
 	switch name {
 	case NameKFlushing:
-		return Choice[K]{Policy: New(opts...), TrackOverK: true}, nil
+		return policy.Choice[K]{Policy: New(opts...), TrackOverK: true}, nil
 	case NameKFlushingMK:
-		return Choice[K]{Policy: NewMK(opts...), TrackTopK: true, TrackOverK: true}, nil
+		return policy.Choice[K]{Policy: NewMK(opts...), TrackTopK: true, TrackOverK: true}, nil
 	case NameFIFO:
-		return Choice[K]{Policy: policy.NewFIFO[K](segmentBytes)}, nil
+		return policy.Choice[K]{Policy: policy.NewFIFO[K](segmentBytes)}, nil
 	case NameLRU:
-		return Choice[K]{Policy: policy.NewLRU[K]()}, nil
+		return policy.Choice[K]{Policy: policy.NewLRU[K]()}, nil
 	default:
-		return Choice[K]{}, fmt.Errorf("unknown flushing policy %q", name)
+		return policy.Choice[K]{}, fmt.Errorf("unknown flushing policy %q", name)
 	}
 }

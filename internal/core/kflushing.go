@@ -144,39 +144,35 @@ func (f *KFlushing[K]) Attach(r *policy.Resources[K]) { f.r = r }
 func (f *KFlushing[K]) OnIngest([]*store.Record, [][]K) {}
 
 // Flush implements policy.Policy, running the phases in order until the
-// target is met. Each phase's duration and freed bytes are recorded in
-// the engine's metrics registry and reported to its flight recorder when
-// attached.
-func (f *KFlushing[K]) Flush(target int64) (int64, error) {
+// target is met. Each phase's victims, duration and freed bytes are
+// reported to the engine when attached.
+func (f *KFlushing[K]) Flush(target int64) (policy.Batch, error) {
 	k := f.r.Index.K()
-	buf := policy.NewVictimBuffer(f.r.Mem, f.r.Sink, true)
+	buf := policy.NewVictimBuffer(f.r.Mem, true)
 	freed := f.timedPhase(blackbox.PhaseRegular, func(pr *phaseRun) int64 {
 		return f.phase1(k, buf, pr)
 	})
 	// The inter-phase failpoints model a failure (or crash) with the
 	// victim buffer partially filled: everything evicted so far must
-	// still reach the sink, where the engine persists it or rolls it
-	// back, so Close runs on the error path too.
-	if err := failpoint.Eval(failpoint.FlushAfterPhase1); err != nil {
-		buf.Close()
-		return freed, err
-	}
-	if freed < target && f.maxPhase >= 2 {
+	// still reach the engine, which persists it or rolls it back, so the
+	// batch is returned on the error path too.
+	err := failpoint.Eval(failpoint.FlushAfterPhase1)
+	if err == nil && freed < target && f.maxPhase >= 2 {
 		freed += f.timedPhase(blackbox.PhaseAggressive, func(pr *phaseRun) int64 {
 			return f.phase2(k, target-freed, buf, pr)
 		})
 	}
-	if err := failpoint.Eval(failpoint.FlushAfterPhase2); err != nil {
-		buf.Close()
-		return freed, err
+	if err == nil {
+		err = failpoint.Eval(failpoint.FlushAfterPhase2)
 	}
-	if freed < target && f.maxPhase >= 3 {
+	if err == nil && freed < target && f.maxPhase >= 3 {
 		freed += f.timedPhase(blackbox.PhaseForced, func(pr *phaseRun) int64 {
 			return f.phase3(k, target-freed, buf, pr)
 		})
 	}
-	buf.Close()
-	return freed, nil
+	b := buf.Close()
+	b.Freed = freed
+	return b, err
 }
 
 // phaseRun is what a phase reports besides the bytes it freed: its
@@ -198,17 +194,12 @@ func (f *KFlushing[K]) remove(e *index.Entry[K], k int, scope index.Scope, keep 
 	return freed
 }
 
-// timedPhase runs one phase, feeds its duration and freed bytes to the
-// per-phase histograms, and reports the phase to the engine.
+// timedPhase runs one phase and reports it to the engine.
 func (f *KFlushing[K]) timedPhase(phase int, run func(*phaseRun) int64) int64 {
 	start := time.Now()
 	var pr phaseRun
 	freed := run(&pr)
-	d := time.Since(start)
-	if f.r.Metrics != nil {
-		f.r.Metrics.ObservePhase(phase, d, freed, pr.complete.Load())
-	}
-	f.r.Phase(phase, pr.victims, freed, d, pr.workerNanos)
+	f.r.Phase(phase, pr.victims, pr.complete.Load(), freed, time.Since(start), pr.workerNanos)
 	return freed
 }
 

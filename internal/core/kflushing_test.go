@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"kflushing/internal/attr"
-	"kflushing/internal/clock"
 	"kflushing/internal/disk"
 	"kflushing/internal/index"
 	"kflushing/internal/memsize"
@@ -14,44 +13,30 @@ import (
 	"kflushing/internal/types"
 )
 
-// memSink collects flushed records in memory for assertions.
-type memSink struct {
-	recs []disk.FlushRecord
-}
-
-func (s *memSink) Flush(recs []disk.FlushRecord, _, _ []*store.Record) {
-	s.recs = append(s.recs, recs...)
-}
-
 // harness wires an index, a memory tracker and a flushing policy
 // without an engine, so phases can be exercised directly.
 type harness struct {
-	ix   *index.Index[string]
-	mem  *memsize.Tracker
-	sink *memSink
-	pol  policy.Policy[string]
-	clk  *clock.Logical
-	next uint64
+	ix  *index.Index[string]
+	mem *memsize.Tracker
+	pol policy.Policy[string]
+	// flushed collects the records every flush returned.
+	flushed []disk.FlushRecord
+	next    uint64
 }
 
 // newHarness wires kFlushing, or kFlushing-MK when mk is set.
 func newHarness(k int, mk bool, opts ...Option[string]) *harness {
-	c := Choice[string]{Policy: New(opts...), TrackOverK: true}
+	c := policy.Choice[string]{Policy: New(opts...), TrackOverK: true}
 	if mk {
-		c = Choice[string]{Policy: NewMK(opts...), TrackTopK: true, TrackOverK: true}
+		c = policy.Choice[string]{Policy: NewMK(opts...), TrackTopK: true, TrackOverK: true}
 	}
 	return newHarnessFor(k, c)
 }
 
 // newHarnessFor wires the chosen policy over an index with the features
 // it needs.
-func newHarnessFor(k int, c Choice[string]) *harness {
-	h := &harness{
-		mem:  &memsize.Tracker{},
-		sink: &memSink{},
-		pol:  c.Policy,
-		clk:  clock.NewLogical(1, 0),
-	}
+func newHarnessFor(k int, c policy.Choice[string]) *harness {
+	h := &harness{mem: &memsize.Tracker{}, pol: c.Policy}
 	h.ix = index.New(index.Config[string]{
 		Hash:       attr.HashString,
 		KeyLen:     attr.KeywordLen,
@@ -63,9 +48,7 @@ func newHarnessFor(k int, c Choice[string]) *harness {
 	h.pol.Attach(&policy.Resources[string]{
 		Index:  h.ix,
 		Mem:    h.mem,
-		Sink:   h.sink,
 		KeysOf: attr.KeywordKeys,
-		Clock:  h.clk,
 	})
 	return h
 }
@@ -86,7 +69,6 @@ func (h *harness) add(kws ...string) *store.Record {
 		h.ix.Insert(kw, rec)
 	}
 	h.pol.OnIngest([]*store.Record{rec}, [][]string{keys})
-	h.clk.Set(mb.Timestamp)
 	return rec
 }
 
@@ -103,11 +85,12 @@ func (h *harness) stored(rec *store.Record) bool {
 
 func (h *harness) flush(t *testing.T, target int64) int64 {
 	t.Helper()
-	freed, err := h.pol.Flush(target)
+	b, err := h.pol.Flush(target)
 	if err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	return freed
+	h.flushed = append(h.flushed, b.Recs...)
+	return b.Freed
 }
 
 func TestPhase1TrimsBeyondTopK(t *testing.T) {
@@ -125,8 +108,8 @@ func TestPhase1TrimsBeyondTopK(t *testing.T) {
 		t.Errorf("cold entry len = %d, want 1 (phase 2 not needed)", got)
 	}
 	// 7 single-keyword records fully evicted.
-	if len(h.sink.recs) != 7 {
-		t.Errorf("flushed %d records, want 7", len(h.sink.recs))
+	if len(h.flushed) != 7 {
+		t.Errorf("flushed %d records, want 7", len(h.flushed))
 	}
 	if h.mem.Records() != 4 {
 		t.Errorf("resident records = %d, want 4", h.mem.Records())
@@ -352,7 +335,7 @@ func TestVictimBufferWritesOnceAndBalancesTemp(t *testing.T) {
 	}
 	h.flush(t, 1) // partial-flushes shared once (trimmed from both... )
 	count := 0
-	for _, fr := range h.sink.recs {
+	for _, fr := range h.flushed {
 		if fr.MB.ID == shared.MB.ID {
 			count++
 		}

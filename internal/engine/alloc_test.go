@@ -8,6 +8,7 @@ import (
 	"kflushing/internal/attr"
 	"kflushing/internal/clock"
 	"kflushing/internal/core"
+	"kflushing/internal/policy"
 	"kflushing/internal/query"
 	"kflushing/internal/types"
 )
@@ -21,15 +22,10 @@ func allocEngine(t *testing.T, ap alloc.Policy) *Engine[string] {
 		K:             5,
 		MemoryBudget:  256 << 10,
 		FlushFraction: 0.25,
-		KeysOf:        attr.KeywordKeys,
-		KeyHash:       attr.HashString,
-		KeyLen:        attr.KeywordLen,
-		EncodeKey:     attr.KeywordEncode,
-		DecodeKey:     attr.KeywordDecode,
+		Attr:          attr.Keyword(),
 		Clock:         clock.NewLogical(1, 1),
 		DiskDir:       t.TempDir(),
-		Policy:        core.New[string](),
-		TrackOverK:    true,
+		Policy:        policy.Choice[string]{Policy: core.New[string](), TrackOverK: true},
 		SyncFlush:     true,
 		AllocPolicy:   ap,
 	})

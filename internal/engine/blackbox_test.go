@@ -7,6 +7,7 @@ import (
 	"kflushing/internal/blackbox"
 	"kflushing/internal/clock"
 	"kflushing/internal/core"
+	"kflushing/internal/policy"
 	"kflushing/internal/query"
 	"kflushing/internal/types"
 	"kflushing/internal/wal"
@@ -22,17 +23,12 @@ func newObservedEngine(t *testing.T, slowQueryNanos int64) *Engine[string] {
 		K:              5,
 		MemoryBudget:   1 << 30,
 		FlushFraction:  0.5,
-		KeysOf:         attr.KeywordKeys,
-		KeyHash:        attr.HashString,
-		KeyLen:         attr.KeywordLen,
-		EncodeKey:      attr.KeywordEncode,
-		DecodeKey:      attr.KeywordDecode,
+		Attr:           attr.Keyword(),
 		Clock:          clock.NewLogical(1, 1),
 		DiskDir:        dir,
 		Durable:        true,
 		WALOptions:     wal.Options{SyncEvery: 1},
-		Policy:         core.New[string](),
-		TrackOverK:     true,
+		Policy:         policy.Choice[string]{Policy: core.New[string](), TrackOverK: true},
 		SyncFlush:      true,
 		SlowQueryNanos: slowQueryNanos,
 	})
@@ -228,15 +224,10 @@ func BenchmarkIngestBlackboxOverhead(b *testing.B) {
 			K:             5,
 			MemoryBudget:  1 << 40, // never flush: isolate the ingest path
 			FlushFraction: 0.2,
-			KeysOf:        attr.KeywordKeys,
-			KeyHash:       attr.HashString,
-			KeyLen:        attr.KeywordLen,
-			EncodeKey:     attr.KeywordEncode,
-			DecodeKey:     attr.KeywordDecode,
+			Attr:          attr.Keyword(),
 			Clock:         clock.NewLogical(1, 1),
 			DiskDir:       b.TempDir(),
-			Policy:        core.New[string](),
-			TrackOverK:    true,
+			Policy:        policy.Choice[string]{Policy: core.New[string](), TrackOverK: true},
 			SyncFlush:     true,
 		})
 		if err != nil {

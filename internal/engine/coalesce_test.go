@@ -9,6 +9,7 @@ import (
 	"kflushing/internal/attr"
 	"kflushing/internal/clock"
 	"kflushing/internal/core"
+	"kflushing/internal/policy"
 	"kflushing/internal/query"
 	"kflushing/internal/types"
 )
@@ -95,15 +96,10 @@ func TestDiskSearchAccounting(t *testing.T) {
 				K:              5,
 				MemoryBudget:   8 << 10,
 				FlushFraction:  0.2,
-				KeysOf:         attr.KeywordKeys,
-				KeyHash:        attr.HashString,
-				KeyLen:         attr.KeywordLen,
-				EncodeKey:      attr.KeywordEncode,
-				DecodeKey:      attr.KeywordDecode,
+				Attr:           attr.Keyword(),
 				Clock:          clock.NewLogical(1, 1),
 				DiskDir:        t.TempDir(),
-				Policy:         core.New[string](),
-				TrackOverK:     true,
+				Policy:         policy.Choice[string]{Policy: core.New[string](), TrackOverK: true},
 				SyncFlush:      true,
 				SlowQueryNanos: threshold,
 			})

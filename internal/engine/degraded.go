@@ -37,7 +37,7 @@ func (e *Engine[K]) restoreEvicted(failed []disk.FlushRecord, from []*store.Reco
 			unmarked++
 			continue
 		}
-		keys := e.cfg.KeysOf(fr.MB)
+		keys := e.cfg.Attr.KeysOf(fr.MB)
 		if len(keys) == 0 {
 			continue
 		}

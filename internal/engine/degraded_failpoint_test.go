@@ -13,6 +13,7 @@ import (
 	"kflushing/internal/core"
 	"kflushing/internal/disk"
 	"kflushing/internal/failpoint"
+	"kflushing/internal/policy"
 	"kflushing/internal/query"
 	"kflushing/internal/types"
 )
@@ -27,16 +28,11 @@ func newFaultEngine(t *testing.T, retry disk.RetryPolicy) *Engine[string] {
 		K:             3,
 		MemoryBudget:  1 << 30,
 		FlushFraction: 0.5,
-		KeysOf:        attr.KeywordKeys,
-		KeyHash:       attr.HashString,
-		KeyLen:        attr.KeywordLen,
-		EncodeKey:     attr.KeywordEncode,
-		DecodeKey:     attr.KeywordDecode,
+		Attr:          attr.Keyword(),
 		Clock:         clock.NewLogical(1, 1),
 		DiskDir:       t.TempDir(),
 		DiskRetry:     retry,
-		Policy:        core.New[string](),
-		TrackOverK:    true,
+		Policy:        policy.Choice[string]{Policy: core.New[string](), TrackOverK: true},
 		SyncFlush:     true,
 	})
 	if err != nil {
@@ -79,16 +75,11 @@ func TestEvictionRollbackSurvivesRestart(t *testing.T) {
 			K:             3,
 			MemoryBudget:  1 << 30,
 			FlushFraction: 0.5,
-			KeysOf:        attr.KeywordKeys,
-			KeyHash:       attr.HashString,
-			KeyLen:        attr.KeywordLen,
-			EncodeKey:     attr.KeywordEncode,
-			DecodeKey:     attr.KeywordDecode,
+			Attr:          attr.Keyword(),
 			Clock:         clock.NewLogical(1, 1),
 			DiskDir:       dir,
 			Durable:       true,
-			Policy:        core.New[string](),
-			TrackOverK:    true,
+			Policy:        policy.Choice[string]{Policy: core.New[string](), TrackOverK: true},
 			SyncFlush:     true,
 		})
 		if err != nil {
@@ -198,16 +189,11 @@ func TestUnsyncedManifestCommitStands(t *testing.T) {
 			K:             3,
 			MemoryBudget:  1 << 30,
 			FlushFraction: 0.5,
-			KeysOf:        attr.KeywordKeys,
-			KeyHash:       attr.HashString,
-			KeyLen:        attr.KeywordLen,
-			EncodeKey:     attr.KeywordEncode,
-			DecodeKey:     attr.KeywordDecode,
+			Attr:          attr.Keyword(),
 			Clock:         clock.NewLogical(1, 1),
 			DiskDir:       dir,
 			Durable:       true,
-			Policy:        core.New[string](),
-			TrackOverK:    true,
+			Policy:        policy.Choice[string]{Policy: core.New[string](), TrackOverK: true},
 			SyncFlush:     true,
 		})
 	}

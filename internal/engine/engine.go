@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"kflushing/internal/alloc"
+	"kflushing/internal/attr"
 	"kflushing/internal/blackbox"
 	"kflushing/internal/clock"
 	"kflushing/internal/disk"
@@ -50,8 +51,7 @@ var ErrNoKeys = errors.New("engine: microblog has no keys for this attribute")
 // ErrClosed reports use after Close.
 var ErrClosed = errors.New("engine: closed")
 
-// Config assembles an engine. KeysOf, KeyHash, KeyLen, EncodeKey,
-// DecodeKey, DiskDir and Policy are required.
+// Config assembles an engine. Attr, DiskDir and Policy are required.
 type Config[K comparable] struct {
 	// K is the default top-k result limit (paper default: 20).
 	K int
@@ -60,17 +60,10 @@ type Config[K comparable] struct {
 	// FlushFraction is the budget ratio B flushed per invocation
 	// (paper default: 0.10).
 	FlushFraction float64
-	// KeysOf extracts the attribute keys of a microblog.
-	KeysOf func(*types.Microblog) []K
-	// KeyHash maps a key to a hash for index sharding.
-	KeyHash func(K) uint64
-	// KeyLen returns a key's encoded size for the memory model.
-	KeyLen func(K) int
-	// EncodeKey renders a key for the disk directory.
-	EncodeKey func(K) string
-	// DecodeKey inverts EncodeKey: New reads the keys of the tier's
-	// directories back to seed the index's per-key ceilings.
-	DecodeKey func(string) (K, bool)
+	// Attr is the search attribute: its keys, their hash, size model and
+	// disk encoding, and its name, which a stream of several engines
+	// puts on the error it returns when this one refuses a batch.
+	Attr attr.Spec[K]
 	// Ranker scores records at arrival; nil selects temporal ranking.
 	Ranker ranking.Ranker
 	// Clock is the time source; nil selects an auto-advancing logical
@@ -101,14 +94,9 @@ type Config[K comparable] struct {
 	Durable bool
 	// WALOptions tunes the write-ahead log when Durable is set.
 	WALOptions wal.Options
-	// Policy is the flushing policy instance.
-	Policy policy.Policy[K]
-	// TrackTopK enables per-record top-k membership counters (required
-	// by kFlushing-MK).
-	TrackTopK bool
-	// TrackOverK enables the index's over-k list L (required by the
-	// kFlushing variants; FIFO and LRU leave it off).
-	TrackOverK bool
+	// Policy is the flushing policy instance with the index features it
+	// needs.
+	Policy policy.Choice[K]
 	// SyncFlush runs flushes inline on the ingesting goroutine instead
 	// of a background flushing thread, and compacts inline too.
 	// Deterministic; used by tests and experiments.
@@ -130,9 +118,6 @@ type Config[K comparable] struct {
 	// Clock, Ranker and AllocPolicy are the stream's. Nil makes the engine
 	// a stream of its own, started by New.
 	Stream *Stream
-	// Name is the attribute's name, for the error a stream of several
-	// engines returns when this one refuses a batch.
-	Name string
 }
 
 // Engine is one attribute's complete data management system. All
@@ -187,9 +172,6 @@ type Engine[K comparable] struct {
 	lastError atomic.Value // error
 	closed    atomic.Bool
 
-	// fsink is the policies' sink: it parks the batch a cycle evicted
-	// until flushCycle takes it.
-	fsink flushSink
 	// degraded is the read-only mode entered when tier writes fail
 	// persistently; degradedReason holds the entering error's message.
 	degraded       atomic.Bool
@@ -227,10 +209,10 @@ type replayChunk[K comparable] struct {
 
 // New builds and wires an engine from cfg.
 func New[K comparable](cfg Config[K]) (*Engine[K], error) {
-	if cfg.KeysOf == nil || cfg.KeyHash == nil || cfg.KeyLen == nil || cfg.EncodeKey == nil || cfg.DecodeKey == nil {
-		return nil, fmt.Errorf("engine: KeysOf, KeyHash, KeyLen, EncodeKey and DecodeKey are required")
+	if a := cfg.Attr; a.KeysOf == nil || a.Hash == nil || a.Len == nil || a.Encode == nil || a.Decode == nil {
+		return nil, fmt.Errorf("engine: Attr is required, with KeysOf, Hash, Len, Encode and Decode")
 	}
-	if cfg.Policy == nil {
+	if cfg.Policy.Policy == nil {
 		return nil, fmt.Errorf("engine: Policy is required")
 	}
 	if cfg.K <= 0 {
@@ -254,11 +236,11 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 		e.scratch = &sync.Pool{New: func() any { return &ingestScratch[K]{} }}
 	}
 	e.idx = index.New(index.Config[K]{
-		Hash:       cfg.KeyHash,
-		KeyLen:     cfg.KeyLen,
+		Hash:       cfg.Attr.Hash,
+		KeyLen:     cfg.Attr.Len,
 		K:          cfg.K,
-		TrackTopK:  cfg.TrackTopK,
-		TrackOverK: cfg.TrackOverK,
+		TrackTopK:  cfg.Policy.TrackTopK,
+		TrackOverK: cfg.Policy.TrackOverK,
 		Tracker:    &e.mem,
 		Pool:       alloc.NewSlicePool[*store.Record](cfg.AllocPolicy),
 		// The departure record is policy bookkeeping, a fixed 1/64 of
@@ -277,8 +259,8 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 	logs := st.logsFor(cfg.DiskDir)
 	tier, err := disk.Open(disk.Config[K]{
 		Dir:    cfg.DiskDir,
-		KeysOf: cfg.KeysOf,
-		Encode: cfg.EncodeKey,
+		KeysOf: cfg.Attr.KeysOf,
+		Encode: cfg.Attr.Encode,
 		// Deterministic modes (SyncFlush) compact inline on the flushing
 		// goroutine; otherwise the tier compacts in the background.
 		BackgroundCompaction: !cfg.SyncFlush,
@@ -299,20 +281,17 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 	// entry.
 	tierMaxID := types.ID(tier.MaxRecordID())
 	tier.RangeKeys(func(ek string, maxScore float64) {
-		if key, ok := cfg.DecodeKey(ek); ok {
+		if key, ok := cfg.Attr.Decode(ek); ok {
 			e.idx.Depart(key, maxScore, tierMaxID)
 		}
 	})
 	e.stream, e.slot = st, st.join(e)
-	e.pol = cfg.Policy
-	e.obs, _ = cfg.Policy.(policy.AccessObserver)
+	e.pol = cfg.Policy.Policy
+	e.obs, _ = e.pol.(policy.AccessObserver)
 	e.pol.Attach(&policy.Resources[K]{
 		Index:   e.idx,
 		Mem:     &e.mem,
-		Sink:    &e.fsink,
-		KeysOf:  cfg.KeysOf,
-		Clock:   cfg.Clock,
-		Metrics: &e.reg,
+		KeysOf:  cfg.Attr.KeysOf,
 		OnPhase: e.recordPhase,
 	})
 	// Join the process-level dump registry so a panic handler (or
@@ -333,7 +312,7 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 // member view for its stream.
 func (e *Engine[K]) cfgOf() memberConfig {
 	return memberConfig{
-		name:     e.cfg.Name,
+		name:     e.cfg.Attr.Name,
 		dir:      e.cfg.DiskDir,
 		budget:   e.cfg.MemoryBudget,
 		durable:  e.cfg.Durable,
@@ -360,7 +339,7 @@ const recoverChunk = 4096
 // indexes it (a record it already holds it indexes too). The stream
 // takes one claim per taker.
 func (e *Engine[K]) wants(fr disk.FlushRecord) bool {
-	e.replayed.keys = e.cfg.KeysOf(fr.MB)
+	e.replayed.keys = e.cfg.Attr.KeysOf(fr.MB)
 	return len(e.replayed.keys) > 0
 }
 
@@ -421,7 +400,7 @@ func (e *Engine[K]) handOver() {
 func (e *Engine[K]) endReplay(maxID uint64) {
 	e.handOver()
 	slog.Info("engine: wal recovery complete",
-		"attr", e.cfg.Name, "records", e.replayed.total, "max_id", maxID, "mem_used", e.mem.Used())
+		"attr", e.cfg.Attr.Name, "records", e.replayed.total, "max_id", maxID, "mem_used", e.mem.Used())
 	e.replayed = replayChunk[K]{}
 }
 
@@ -502,7 +481,7 @@ func (e *Engine[K]) begin() share {
 
 // offer stages mb as frame k when the engine indexes it.
 func (sc *ingestScratch[K]) offer(k int, mb *types.Microblog) bool {
-	keys := sc.e.cfg.KeysOf(mb)
+	keys := sc.e.cfg.Attr.KeysOf(mb)
 	if len(keys) == 0 {
 		return false
 	}
@@ -658,13 +637,14 @@ func (e *Engine[K]) flushCycle(trigger blackbox.Trigger) (int64, error) {
 	defer task.End()
 	target := int64(e.cfg.FlushFraction * float64(e.cfg.MemoryBudget))
 	e.bbox.RecordID(blackbox.SubFlush, blackbox.EvFlushBegin, id, 0, int64(trigger), target, e.mem.Used())
-	var freed int64
+	var batch flushBatch
 	err := failpoint.Eval(failpoint.FlushBegin)
 	if err == nil {
 		rtrace.WithRegion(ctx, "flush-prepare", func() {
-			freed, err = e.pol.Flush(target)
+			batch.Batch, err = e.pol.Flush(target)
 		})
 	}
+	freed := batch.Freed
 	prepare := time.Since(start)
 	e.reg.ObserveStage(metrics.StagePrepare, prepare)
 	e.bbox.RecordID(blackbox.SubFlush, blackbox.EvFlushPrepare, id, 0, target, freed, prepare.Nanoseconds())
@@ -672,9 +652,8 @@ func (e *Engine[K]) flushCycle(trigger blackbox.Trigger) (int64, error) {
 	// disk. It walks the remaining stages here, under the gate — also
 	// when the policy failed after evicting: what it evicted is persisted
 	// before the error is reported.
-	batch := e.fsink.take()
 	durable := false
-	if len(batch.recs) > 0 || len(batch.dead) > 0 {
+	if len(batch.Recs) > 0 || len(batch.Dead) > 0 {
 		batch.cycle = id
 		e.reg.PipelineDepth.Store(1)
 		if e.wal != nil {
@@ -683,7 +662,7 @@ func (e *Engine[K]) flushCycle(trigger blackbox.Trigger) (int64, error) {
 			// record evicted from one key only may be referenced away from
 			// its replay file meanwhile, and a restored one claims that
 			// file again.
-			for _, fr := range batch.recs {
+			for _, fr := range batch.Recs {
 				batch.pins.add(fr.ReplaySeq, fr.LogSeq)
 			}
 			for _, c := range batch.pins {
@@ -877,7 +856,7 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 		tr.K = k
 		tr.Keys = make([]string, len(req.Keys))
 		for i, key := range req.Keys {
-			tr.Keys[i] = e.cfg.EncodeKey(key)
+			tr.Keys[i] = e.cfg.Attr.Encode(key)
 		}
 	}
 	start := time.Now()
@@ -1038,7 +1017,7 @@ func (e *Engine[K]) Search(req query.Request[K]) (query.Result, error) {
 	if thr := e.cfg.SlowQueryNanos; thr > 0 && elapsed.Nanoseconds() >= thr {
 		keys := make([]string, len(req.Keys))
 		for i, key := range req.Keys {
-			keys[i] = e.cfg.EncodeKey(key)
+			keys[i] = e.cfg.Attr.Encode(key)
 		}
 		e.bbox.RecordSlowQuery(op, k, len(keys), hit, indexD.Nanoseconds(), heapD.Nanoseconds(),
 			diskD.Nanoseconds(), elapsed.Nanoseconds(), strings.Join(keys, " "))
@@ -1055,7 +1034,7 @@ func (e *Engine[K]) carryingAll(items []query.Item, keys []K, k int) []query.Ite
 		if len(out) == k {
 			break
 		}
-		own := e.cfg.KeysOf(it.MB)
+		own := e.cfg.Attr.KeysOf(it.MB)
 		all := true
 		for _, key := range keys {
 			all = all && slices.Contains(own, key)
@@ -1100,7 +1079,7 @@ func (e *Engine[K]) diskSearch(keys []K, op query.Op, k int, tr *trace.Trace) ([
 func (e *Engine[K]) flightKey(keys []K, op query.Op, k int) string {
 	b := binary.AppendUvarint([]byte{byte(op)}, uint64(k))
 	for _, key := range keys {
-		ek := e.cfg.EncodeKey(key)
+		ek := e.cfg.Attr.Encode(key)
 		b = binary.AppendUvarint(b, uint64(len(ek)))
 		b = append(b, ek...)
 	}
@@ -1167,9 +1146,12 @@ func (e *Engine[K]) Metrics() *metrics.Registry { return &e.reg }
 func (e *Engine[K]) Blackbox() *blackbox.Recorder { return e.bbox }
 
 // recordPhase is the policies' phase hook (policy.Resources.OnPhase):
-// one flush_phase event under the running cycle's ID, followed by one
-// flush_phase_worker per worker the phase fanned out over.
-func (e *Engine[K]) recordPhase(phase int, victims, freed, nanos int64, workerNanos []int64) {
+// the per-phase series (kFlushing's three phases; the baselines' phases
+// leave them at zero), then one flush_phase event under the running
+// cycle's ID, followed by one flush_phase_worker per worker the phase
+// fanned out over.
+func (e *Engine[K]) recordPhase(phase int, victims, complete, freed, nanos int64, workerNanos []int64) {
+	e.reg.ObservePhase(phase, time.Duration(nanos), freed, complete)
 	e.bbox.RecordID(blackbox.SubFlush, blackbox.EvFlushPhase, e.cycle, int64(phase), victims, freed, nanos)
 	for w, n := range workerNanos {
 		e.bbox.RecordID(blackbox.SubFlush, blackbox.EvFlushPhaseWorker, e.cycle, 0, int64(phase), int64(w), n)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -23,16 +24,10 @@ func newKeywordEngine(t *testing.T, budget int64, pol policy.Policy[string], tra
 		K:             5,
 		MemoryBudget:  budget,
 		FlushFraction: 0.2,
-		KeysOf:        attr.KeywordKeys,
-		KeyHash:       attr.HashString,
-		KeyLen:        attr.KeywordLen,
-		EncodeKey:     attr.KeywordEncode,
-		DecodeKey:     attr.KeywordDecode,
+		Attr:          attr.Keyword(),
 		Clock:         clock.NewLogical(1, 1),
 		DiskDir:       t.TempDir(),
-		Policy:        pol,
-		TrackTopK:     trackTopK,
-		TrackOverK:    true,
+		Policy:        policy.Choice[string]{Policy: pol, TrackTopK: trackTopK, TrackOverK: true},
 		SyncFlush:     true,
 	})
 	if err != nil {
@@ -56,17 +51,56 @@ func ingest(t *testing.T, e *Engine[string], ts int64, kws ...string) types.ID {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config[string]{}); err == nil {
-		t.Fatal("empty config accepted")
+	kf := core.New[string]()
+	for _, tc := range []struct {
+		name  string
+		cfg   Config[string]
+		field string
+	}{
+		{"empty", Config[string]{}, "Attr"},
+		{"without policy", Config[string]{Attr: attr.Keyword(), Policy: policy.Choice[string]{TrackOverK: true}}, "Policy"},
+		{"zero Attr", Config[string]{Policy: policy.Choice[string]{Policy: kf, TrackOverK: true}}, "Attr"},
+		{"zero Choice", Config[string]{Attr: attr.Keyword(), Policy: policy.Choice[string]{}}, "Policy"},
+	} {
+		_, err := New(tc.cfg)
+		if err == nil {
+			t.Fatalf("%s: config accepted", tc.name)
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Fatalf("%s: error %q does not name %s", tc.name, err, tc.field)
+		}
 	}
-	if _, err := New(Config[string]{
-		KeysOf:    attr.KeywordKeys,
-		KeyHash:   attr.HashString,
-		KeyLen:    attr.KeywordLen,
-		EncodeKey: attr.KeywordEncode,
-		DecodeKey: attr.KeywordDecode,
-	}); err == nil {
-		t.Fatal("config without policy accepted")
+}
+
+// TestChoiceSetsIndexFeatures: the index features an engine keeps are
+// the ones its policy Choice names — kFlushing-MK's top-k counters and
+// over-k list, and neither for FIFO.
+func TestChoiceSetsIndexFeatures(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		topK, overK bool
+	}{
+		{core.NameKFlushingMK, true, true},
+		{core.NameFIFO, false, false},
+	} {
+		c, err := core.Choose[string](tc.name, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := New(Config[string]{K: 5, Attr: attr.Keyword(), DiskDir: t.TempDir(), Policy: c, SyncFlush: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		for i := 0; i < 7; i++ { // over k = 5
+			ingest(t, eng, int64(i+1), "hot")
+		}
+		if got := eng.Index().TrackTopK(); got != tc.topK {
+			t.Errorf("%s: TrackTopK = %v, want %v", tc.name, got, tc.topK)
+		}
+		if got := eng.Index().OverKLen() > 0; got != tc.overK {
+			t.Errorf("%s: over-k list holds an entry = %v, want %v", tc.name, got, tc.overK)
+		}
 	}
 }
 
@@ -200,15 +234,10 @@ func TestPopularityRanking(t *testing.T) {
 	eng, err := New(Config[string]{
 		K:            3,
 		MemoryBudget: 1 << 30,
-		KeysOf:       attr.KeywordKeys,
-		KeyHash:      attr.HashString,
-		KeyLen:       attr.KeywordLen,
-		EncodeKey:    attr.KeywordEncode,
-		DecodeKey:    attr.KeywordDecode,
+		Attr:         attr.Keyword(),
 		Ranker:       ranking.Popularity{},
 		DiskDir:      t.TempDir(),
-		Policy:       core.New[string](),
-		TrackOverK:   true,
+		Policy:       policy.Choice[string]{Policy: core.New[string](), TrackOverK: true},
 		SyncFlush:    true,
 	})
 	if err != nil {
@@ -284,15 +313,9 @@ func TestConcurrentIngestSearchFlush(t *testing.T) {
 		K:             5,
 		MemoryBudget:  128 << 10,
 		FlushFraction: 0.2,
-		KeysOf:        attr.KeywordKeys,
-		KeyHash:       attr.HashString,
-		KeyLen:        attr.KeywordLen,
-		EncodeKey:     attr.KeywordEncode,
-		DecodeKey:     attr.KeywordDecode,
+		Attr:          attr.Keyword(),
 		DiskDir:       t.TempDir(),
-		Policy:        core.NewMK[string](),
-		TrackTopK:     true,
-		TrackOverK:    true,
+		Policy:        policy.Choice[string]{Policy: core.NewMK[string](), TrackTopK: true, TrackOverK: true},
 		SyncFlush:     false, // background flushing goroutine
 	})
 	if err != nil {

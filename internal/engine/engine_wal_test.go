@@ -7,6 +7,7 @@ import (
 
 	"kflushing/internal/attr"
 	"kflushing/internal/core"
+	"kflushing/internal/policy"
 	"kflushing/internal/query"
 	"kflushing/internal/types"
 	"kflushing/internal/wal"
@@ -23,16 +24,11 @@ func newDurableEngineBudget(t *testing.T, dir string, budget int64) *Engine[stri
 		K:             5,
 		MemoryBudget:  budget,
 		FlushFraction: 0.2,
-		KeysOf:        attr.KeywordKeys,
-		KeyHash:       attr.HashString,
-		KeyLen:        attr.KeywordLen,
-		EncodeKey:     attr.KeywordEncode,
-		DecodeKey:     attr.KeywordDecode,
+		Attr:          attr.Keyword(),
 		DiskDir:       dir,
 		Durable:       true,
 		WALOptions:    wal.Options{MaxFileBytes: 4 << 10},
-		Policy:        core.New[string](),
-		TrackOverK:    true,
+		Policy:        policy.Choice[string]{Policy: core.New[string](), TrackOverK: true},
 		SyncFlush:     true,
 	})
 	if err != nil {

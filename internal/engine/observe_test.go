@@ -233,15 +233,10 @@ func benchEngine(b *testing.B) *Engine[string] {
 		K:             5,
 		MemoryBudget:  1 << 30,
 		FlushFraction: 0.2,
-		KeysOf:        attr.KeywordKeys,
-		KeyHash:       attr.HashString,
-		KeyLen:        attr.KeywordLen,
-		EncodeKey:     attr.KeywordEncode,
-		DecodeKey:     attr.KeywordDecode,
+		Attr:          attr.Keyword(),
 		Clock:         clock.NewLogical(1, 1),
 		DiskDir:       b.TempDir(),
-		Policy:        core.New[string](),
-		TrackOverK:    true,
+		Policy:        policy.Choice[string]{Policy: core.New[string](), TrackOverK: true},
 		SyncFlush:     true,
 	})
 	if err != nil {

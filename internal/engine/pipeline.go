@@ -8,43 +8,22 @@ import (
 	"kflushing/internal/disk"
 	"kflushing/internal/failpoint"
 	"kflushing/internal/metrics"
+	"kflushing/internal/policy"
 	"kflushing/internal/store"
 )
 
-// flushBatch is what one flush cycle evicted: the payloads to persist,
-// each with the wrapper it came from, and the dead wrappers whose log
-// claims come down — and which may be
-// recycled — once the payloads are durable. From the policy's return to
-// the end of the cycle it is out of memory and not yet on disk, but
-// still fully covered by the write-ahead log: the dead wrappers hold
-// their claims until the batch has settled. cycle is the ID of the
-// flush cycle that evicted it, stamped on its stage events. pins are the
-// claims the cycle took on the log files the batch's directory will
-// name, given back once it is installed (or the batch restored).
+// flushBatch is what one flush cycle evicted: the policy's batch, out
+// of memory and not yet on disk from the policy's return to the end of
+// the cycle, but still fully covered by the write-ahead log: the dead
+// wrappers hold their claims until the batch has settled. cycle is the
+// ID of the flush cycle that evicted it, stamped on its stage events.
+// pins are the claims the cycle took on the log files the batch's
+// directory will name, given back once it is installed (or the batch
+// restored).
 type flushBatch struct {
-	recs  []disk.FlushRecord
-	from  []*store.Record // from[i] is the wrapper recs[i] came from
-	dead  []*store.Record
+	policy.Batch
 	cycle uint64
 	pins  seqTally
-}
-
-// flushSink is the policies' sink: it parks the cycle's batch for
-// flushCycle to pick up when the policy returns. Eviction is the
-// policy's job and ends here; every step from here to durable (or back
-// into memory) is completeBatch's. Only the flushing goroutine touches
-// it, under flushMu.
-type flushSink struct{ parked flushBatch }
-
-func (s *flushSink) Flush(recs []disk.FlushRecord, from, dead []*store.Record) {
-	s.parked = flushBatch{recs: recs, from: from, dead: dead}
-}
-
-// take returns the parked batch (empty when the policy evicted nothing).
-func (s *flushSink) take() flushBatch {
-	b := s.parked
-	s.parked = flushBatch{}
-	return b
 }
 
 // completeBatch walks one evicted batch from "out of memory" to
@@ -62,7 +41,7 @@ func (s *flushSink) take() flushBatch {
 // cycle.
 func (e *Engine[K]) completeBatch(b flushBatch) (durable bool, err error) {
 	var fs disk.FlushStats
-	if len(b.recs) > 0 {
+	if len(b.Recs) > 0 {
 		err = failpoint.Eval(failpoint.FlushAfterEvict)
 		var seal time.Duration
 		if err == nil && e.wal != nil {
@@ -76,7 +55,7 @@ func (e *Engine[K]) completeBatch(b flushBatch) (durable bool, err error) {
 		if err == nil {
 			err = e.cfg.DiskRetry.Do(func() error {
 				var werr error
-				fs, werr = e.tier.FlushStaged(b.recs)
+				fs, werr = e.tier.FlushStaged(b.Recs)
 				if errors.Is(werr, disk.ErrCommitUnsynced) {
 					// Installed all the same: a retry would write the
 					// batch twice.
@@ -99,17 +78,17 @@ func (e *Engine[K]) completeBatch(b flushBatch) (durable bool, err error) {
 	}
 
 	start := time.Now()
-	installed := durable || len(b.recs) == 0
+	installed := durable || len(b.Recs) == 0
 	if !installed {
-		e.restoreEvicted(b.recs, b.from)
+		e.restoreEvicted(b.Recs, b.From)
 	}
-	e.settle(b.dead, installed)
+	e.settle(b.Dead, installed)
 	if e.wal != nil {
 		e.releaseTally(b.pins)
 	}
 	release := time.Since(start)
 
-	recs := int64(len(b.recs))
+	recs := int64(len(b.Recs))
 	if fs.BuildNanos > 0 {
 		e.reg.ObserveStage(metrics.StageBuild, time.Duration(fs.BuildNanos))
 		e.reg.ObserveStage(metrics.StageInstall, time.Duration(fs.InstallNanos))

@@ -11,6 +11,7 @@ import (
 	"kflushing/internal/core"
 	"kflushing/internal/disk"
 	"kflushing/internal/metrics"
+	"kflushing/internal/policy"
 	"kflushing/internal/query"
 )
 
@@ -31,15 +32,10 @@ func backgroundConfig(dir string, budget int64) Config[string] {
 		K:             5,
 		MemoryBudget:  budget,
 		FlushFraction: 0.2,
-		KeysOf:        attr.KeywordKeys,
-		KeyHash:       attr.HashString,
-		KeyLen:        attr.KeywordLen,
-		EncodeKey:     attr.KeywordEncode,
-		DecodeKey:     attr.KeywordDecode,
+		Attr:          attr.Keyword(),
 		Clock:         clock.NewLogical(1, 1),
 		DiskDir:       dir,
-		Policy:        core.New[string](),
-		TrackOverK:    true,
+		Policy:        policy.Choice[string]{Policy: core.New[string](), TrackOverK: true},
 	}
 }
 

@@ -32,17 +32,11 @@ func raceEngine(t *testing.T, policyName string, durable bool, ap alloc.Policy, 
 		K:             5,
 		MemoryBudget:  budget,
 		FlushFraction: flushFraction,
-		KeysOf:        attr.KeywordKeys,
-		KeyHash:       attr.HashString,
-		KeyLen:        attr.KeywordLen,
-		EncodeKey:     attr.KeywordEncode,
-		DecodeKey:     attr.KeywordDecode,
+		Attr:          attr.Keyword(),
 		Clock:         clock.NewLogical(1, 1),
 		DiskDir:       t.TempDir(),
 		Durable:       durable,
-		Policy:        pc.Policy,
-		TrackTopK:     pc.TrackTopK,
-		TrackOverK:    pc.TrackOverK,
+		Policy:        pc,
 		AllocPolicy:   ap,
 	})
 	if err != nil {

@@ -17,6 +17,7 @@ import (
 	"kflushing/internal/clock"
 	"kflushing/internal/core"
 	"kflushing/internal/disk"
+	"kflushing/internal/policy"
 	"kflushing/internal/query"
 	"kflushing/internal/types"
 )
@@ -28,16 +29,11 @@ func reclaimConfig(dir string, budget int64, syncFlush bool, ap alloc.Policy) Co
 		K:             3,
 		MemoryBudget:  budget,
 		FlushFraction: 0.25,
-		KeysOf:        attr.KeywordKeys,
-		KeyHash:       attr.HashString,
-		KeyLen:        attr.KeywordLen,
-		EncodeKey:     attr.KeywordEncode,
-		DecodeKey:     attr.KeywordDecode,
+		Attr:          attr.Keyword(),
 		Clock:         clock.NewLogical(1, 1),
 		DiskDir:       dir,
 		Durable:       true,
-		Policy:        core.New[string](),
-		TrackOverK:    true,
+		Policy:        policy.Choice[string]{Policy: core.New[string](), TrackOverK: true},
 		SyncFlush:     syncFlush,
 		AllocPolicy:   ap,
 	}
@@ -133,7 +129,7 @@ func checkCrashCopy(t *testing.T, cfg Config[string], acked int) {
 	copyTree(t, cfg.DiskDir, dirCopy)
 	cfg.DiskDir = dirCopy
 	cfg.Clock = clock.NewLogical(1, 1)
-	cfg.Policy = core.New[string]()
+	cfg.Policy.Policy = core.New[string]()
 	re, err := New(cfg)
 	if err != nil {
 		t.Fatalf("reopen on a mid-run copy: %v", err)

@@ -55,7 +55,7 @@ func TestDurableFlushWritesNoRecordBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg.Clock, cfg.Policy = clock.NewLogical(1, 1), core.New[string]()
+	cfg.Clock, cfg.Policy.Policy = clock.NewLogical(1, 1), core.New[string]()
 	re, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"kflushing/internal/attr"
 	"kflushing/internal/clock"
 	"kflushing/internal/core"
+	"kflushing/internal/policy"
 	"kflushing/internal/query"
 	"kflushing/internal/types"
 )
@@ -20,7 +21,7 @@ func sharedLogPair(t *testing.T, root string, budget int64, syncFlush bool) (*St
 	t.Helper()
 	st := NewStream()
 	kcfg := reclaimConfig(filepath.Join(root, "keyword"), budget, syncFlush, alloc.PolicyPooled)
-	kcfg.Stream, kcfg.Name = st, "keyword"
+	kcfg.Stream = st
 	kw, err := New(kcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -29,19 +30,13 @@ func sharedLogPair(t *testing.T, root string, budget int64, syncFlush bool) (*St
 		K:             3,
 		MemoryBudget:  budget,
 		FlushFraction: 0.25,
-		KeysOf:        attr.UserKeys,
-		KeyHash:       attr.HashUint64,
-		KeyLen:        attr.UserLen,
-		EncodeKey:     attr.UserEncode,
-		DecodeKey:     attr.UserDecode,
+		Attr:          attr.User(),
 		Clock:         clock.NewLogical(1, 1),
 		DiskDir:       filepath.Join(root, "user"),
 		Durable:       true,
-		Policy:        core.New[uint64](),
-		TrackOverK:    true,
+		Policy:        policy.Choice[uint64]{Policy: core.New[uint64](), TrackOverK: true},
 		SyncFlush:     syncFlush,
 		Stream:        st,
-		Name:          "user",
 	})
 	if err != nil {
 		_ = st.Close()

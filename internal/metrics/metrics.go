@@ -207,9 +207,8 @@ type Registry struct {
 	OrHits, OrMisses, OrCompleteHits             atomic.Int64
 	AndHits, AndMisses, AndCompleteHits          atomic.Int64
 
-	Flushes       atomic.Int64
-	FlushedBytes  atomic.Int64
-	FlushedIntoOp atomic.Int64 // cumulative records handed to the sink
+	Flushes      atomic.Int64
+	FlushedBytes atomic.Int64
 
 	// DepartedReads counts a search's departure-record reads for keys
 	// without an entry, by source (index = index.Source).

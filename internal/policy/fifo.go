@@ -72,9 +72,9 @@ func (f *FIFO[K]) OnIngest(recs []*store.Record, keys [][]K) {
 // Flush drops the oldest segments until at least target bytes are freed
 // or no sealed data remains. The engine is told of one phase, counting
 // the temporal segments dropped.
-func (f *FIFO[K]) Flush(target int64) (int64, error) {
+func (f *FIFO[K]) Flush(target int64) (Batch, error) {
 	start := time.Now()
-	buf := NewVictimBuffer(f.r.Mem, f.r.Sink, false)
+	buf := NewVictimBuffer(f.r.Mem, false)
 	var freed, victims int64
 	for freed < target {
 		f.mu.Lock()
@@ -93,9 +93,10 @@ func (f *FIFO[K]) Flush(target int64) (int64, error) {
 		}
 		victims++
 	}
-	buf.Close()
-	f.r.Phase(blackbox.PhaseFIFOSegments, victims, freed, time.Since(start), nil)
-	return freed, nil
+	b := buf.Close()
+	b.Freed = freed
+	f.r.Phase(blackbox.PhaseFIFOSegments, victims, 0, freed, time.Since(start), nil)
+	return b, nil
 }
 
 // OverheadBytes reports the segment directory cost: one pointer per

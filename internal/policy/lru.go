@@ -109,9 +109,9 @@ func (l *LRU[K]) OnAccess(recs []*store.Record) {
 // Flush evicts records from the list tail until at least target bytes
 // are freed or the list empties. The engine is told of one phase,
 // counting the records evicted.
-func (l *LRU[K]) Flush(target int64) (int64, error) {
+func (l *LRU[K]) Flush(target int64) (Batch, error) {
 	start := time.Now()
-	buf := NewVictimBuffer(l.r.Mem, l.r.Sink, true)
+	buf := NewVictimBuffer(l.r.Mem, true)
 	var freed, victims int64
 	for freed < target {
 		l.mu.Lock()
@@ -126,9 +126,10 @@ func (l *LRU[K]) Flush(target int64) (int64, error) {
 		freed += l.r.evictRecord(rec, buf)
 		victims++
 	}
-	buf.Close()
-	l.r.Phase(blackbox.PhaseLRUTail, victims, freed, time.Since(start), nil)
-	return freed, nil
+	b := buf.Close()
+	b.Freed = freed
+	l.r.Phase(blackbox.PhaseLRUTail, victims, 0, freed, time.Since(start), nil)
+	return b, nil
 }
 
 // OverheadBytes reports the list's cost: one two-pointer node per

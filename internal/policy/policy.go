@@ -13,31 +13,38 @@ import (
 	"sync"
 	"time"
 
-	"kflushing/internal/clock"
 	"kflushing/internal/disk"
 	"kflushing/internal/failpoint"
 	"kflushing/internal/index"
 	"kflushing/internal/memsize"
-	"kflushing/internal/metrics"
 	"kflushing/internal/store"
 	"kflushing/internal/types"
 )
 
-// Sink receives the one batch a flush cycle evicts. In production it is
-// the engine, which only parks the batch — the policy's part of a cycle
-// is choosing and unlinking victims; persisting them is the engine's.
-type Sink interface {
-	// Flush hands over the cycle's batch: recs are the payloads to
-	// persist and from[i] the wrapper recs[i] was taken from, which a
-	// failed flush restores or unmarks; dead are the records that died
-	// during the cycle — fully released, out of memory, their bytes
-	// already refunded — whose wrappers may be recycled once recs are
-	// durable. dead may outnumber recs: a record whose payload an
-	// earlier partial flush already persisted dies without contributing
-	// a FlushRecord. Ownership of the slices transfers to the sink; the
-	// caller keeps no reference. Flush runs under the engine's flush
-	// gate and must not block.
-	Flush(recs []disk.FlushRecord, from, dead []*store.Record)
+// Batch is what one flush cycle evicted, handed back to the engine by
+// Policy.Flush: Recs are the payloads to persist and From[i] the wrapper
+// Recs[i] was taken from, which a failed flush restores or unmarks; Dead
+// are the records that died during the cycle — fully released, out of
+// memory, their bytes already refunded — whose wrappers may be recycled
+// once Recs are durable. Dead may outnumber Recs: a record whose payload
+// an earlier partial flush already persisted dies without contributing a
+// FlushRecord. Freed is the budget-relevant bytes the cycle freed.
+// Ownership of the slices passes to the caller.
+type Batch struct {
+	Recs  []disk.FlushRecord
+	From  []*store.Record
+	Dead  []*store.Record
+	Freed int64
+}
+
+// Choice is a constructed flushing policy with the index features it
+// needs: TrackTopK enables per-record top-k membership counters
+// (kFlushing-MK), TrackOverK the index's over-k list L (both kFlushing
+// variants; FIFO and LRU leave it off).
+type Choice[K comparable] struct {
+	Policy     Policy[K]
+	TrackTopK  bool
+	TrackOverK bool
 }
 
 // Resources grants a policy access to the engine's shared structures. A
@@ -48,27 +55,21 @@ type Resources[K comparable] struct {
 	Index *index.Index[K]
 	// Mem is the engine's memory tracker.
 	Mem *memsize.Tracker
-	// Sink receives evicted records.
-	Sink Sink
 	// KeysOf extracts the attribute keys of a microblog.
 	KeysOf func(*types.Microblog) []K
-	// Clock is the engine time source.
-	Clock clock.Clock
-	// Metrics receives per-phase flushing instrumentation; may be nil
-	// (direct policy tests).
-	Metrics *metrics.Registry
 	// OnPhase receives each executed phase of a flush cycle — its
-	// blackbox.Phase* number, eviction units, bytes freed, duration and,
-	// when the phase fanned out over workers, each worker's duration —
-	// for the engine's flight recorder; may be nil (direct policy
-	// tests). Policies report through Phase.
-	OnPhase func(phase int, victims, freed, nanos int64, workerNanos []int64)
+	// blackbox.Phase* number, eviction units, how many of them were
+	// complete entries, bytes freed, duration and, when the phase fanned
+	// out over workers, each worker's duration — for the engine's
+	// metrics and flight recorder; may be nil (direct policy tests).
+	// Policies report through Phase.
+	OnPhase func(phase int, victims, complete, freed, nanos int64, workerNanos []int64)
 }
 
 // Phase reports one executed flush phase to the engine, if one listens.
-func (r *Resources[K]) Phase(phase int, victims, freed int64, d time.Duration, workerNanos []int64) {
+func (r *Resources[K]) Phase(phase int, victims, complete, freed int64, d time.Duration, workerNanos []int64) {
 	if r.OnPhase != nil {
-		r.OnPhase(phase, victims, freed, d.Nanoseconds(), workerNanos)
+		r.OnPhase(phase, victims, complete, freed, d.Nanoseconds(), workerNanos)
 	}
 }
 
@@ -156,9 +157,11 @@ type Policy[K comparable] interface {
 	// batched end to end, so policies take any per-batch lock once —
 	// a per-record ingest arrives as a batch of one.
 	OnIngest(recs []*store.Record, keys [][]K)
-	// Flush evicts at least target bytes when possible, returning the
-	// bytes actually freed from the budget-relevant gauges.
-	Flush(target int64) (freed int64, err error)
+	// Flush evicts at least target bytes when possible and returns what
+	// it evicted, Freed counting the bytes actually freed from the
+	// budget-relevant gauges. A policy that fails after evicting still
+	// returns the batch, for the engine to persist or restore.
+	Flush(target int64) (Batch, error)
 	// OverheadBytes reports the policy's current bookkeeping memory —
 	// the quantity of the paper's Figure 10(a) — including the peak
 	// temporary flush buffer.
@@ -174,7 +177,7 @@ type AccessObserver interface {
 }
 
 // VictimBuffer accumulates records whose last reference was trimmed,
-// then hands them to the sink in one batch — the paper's temporary
+// then hands them back in one batch — the paper's temporary
 // main-memory buffer that reduces the number of I/O operations. When
 // chargeTemp is set its occupancy is charged to the tracker's temporary
 // gauge (FIFO flushes whole segments and needs no such buffer, so it
@@ -185,30 +188,26 @@ type AccessObserver interface {
 // must not race with further additions.
 type VictimBuffer struct {
 	mem        *memsize.Tracker
-	sink       Sink
 	chargeTemp bool
 
 	mu    sync.Mutex
-	recs  []disk.FlushRecord
-	from  []*store.Record // from[i] is the wrapper recs[i] was taken from
-	dead  []*store.Record
+	batch Batch
 	bytes int64
 }
 
-// NewVictimBuffer returns an empty buffer handing its batch to sink on
-// Close.
-func NewVictimBuffer(mem *memsize.Tracker, sink Sink, chargeTemp bool) *VictimBuffer {
-	return &VictimBuffer{mem: mem, sink: sink, chargeTemp: chargeTemp}
+// NewVictimBuffer returns an empty buffer.
+func NewVictimBuffer(mem *memsize.Tracker, chargeTemp bool) *VictimBuffer {
+	return &VictimBuffer{mem: mem, chargeTemp: chargeTemp}
 }
 
 // Add appends a fully-released record. If an earlier partial flush
 // already wrote the record's payload to disk, the buffer skips the
 // duplicate write; the memory was still freed either way. Either way
 // the record is dead — unreferenced and out of memory — so it joins
-// the dead list handed to the sink on Close.
+// the dead list Close returns.
 func (b *VictimBuffer) Add(rec *store.Record) {
 	b.mu.Lock()
-	b.dead = append(b.dead, rec)
+	b.batch.Dead = append(b.batch.Dead, rec)
 	b.mu.Unlock()
 	if rec.MarkOnDisk() {
 		b.append(rec)
@@ -230,8 +229,8 @@ func (b *VictimBuffer) AddPartial(rec *store.Record) {
 func (b *VictimBuffer) append(rec *store.Record) {
 	bytes := rec.Bytes()
 	b.mu.Lock()
-	b.recs = append(b.recs, disk.FlushRecord{MB: rec.MB, Score: rec.Score, LogSeq: rec.LogSeq, LogOrd: rec.LogOrd, ReplaySeq: rec.ReplaySeq})
-	b.from = append(b.from, rec)
+	b.batch.Recs = append(b.batch.Recs, disk.FlushRecord{MB: rec.MB, Score: rec.Score, LogSeq: rec.LogSeq, LogOrd: rec.LogOrd, ReplaySeq: rec.ReplaySeq})
+	b.batch.From = append(b.batch.From, rec)
 	b.bytes += bytes
 	b.mu.Unlock()
 	if b.chargeTemp && b.mem != nil {
@@ -239,31 +238,15 @@ func (b *VictimBuffer) append(rec *store.Record) {
 	}
 }
 
-// Len returns the number of buffered records.
-func (b *VictimBuffer) Len() int {
+// Close returns the buffered batch — and ownership of its slices — and
+// releases the temporary-buffer charge. The caller sets Freed.
+func (b *VictimBuffer) Close() Batch {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.recs)
-}
-
-// Bytes returns the modeled size of buffered records.
-func (b *VictimBuffer) Bytes() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.bytes
-}
-
-// Close hands the buffered batch — and ownership of its slices — to the
-// sink and releases the temporary-buffer charge.
-func (b *VictimBuffer) Close() {
-	b.mu.Lock()
-	recs, from, bytes, dead := b.recs, b.from, b.bytes, b.dead
-	b.recs, b.from, b.bytes, b.dead = nil, nil, 0, nil
+	out, bytes := b.batch, b.bytes
+	b.batch, b.bytes = Batch{}, 0
 	b.mu.Unlock()
-	if b.sink != nil && (len(recs) > 0 || len(dead) > 0) {
-		b.sink.Flush(recs, from, dead)
-	}
 	if b.chargeTemp && b.mem != nil {
 		b.mem.AddTemp(-bytes)
 	}
+	return out
 }

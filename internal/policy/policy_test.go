@@ -5,37 +5,23 @@ import (
 	"testing"
 
 	"kflushing/internal/attr"
-	"kflushing/internal/clock"
-	"kflushing/internal/disk"
 	"kflushing/internal/index"
 	"kflushing/internal/memsize"
 	"kflushing/internal/store"
 	"kflushing/internal/types"
 )
 
-// memSink collects flushed records for assertions.
-type memSink struct {
-	recs    []disk.FlushRecord
-	flushes int
-}
-
-func (s *memSink) Flush(recs []disk.FlushRecord, _, _ []*store.Record) {
-	s.recs = append(s.recs, recs...)
-	s.flushes++
-}
-
 // rig wires an index, a memory tracker and a policy for direct flush
 // testing.
 type rig struct {
 	ix   *index.Index[string]
 	mem  *memsize.Tracker
-	sink *memSink
 	pol  Policy[string]
 	next uint64
 }
 
 func newRig(k int, pol Policy[string]) *rig {
-	r := &rig{mem: &memsize.Tracker{}, sink: &memSink{}, pol: pol}
+	r := &rig{mem: &memsize.Tracker{}, pol: pol}
 	r.ix = index.New(index.Config[string]{
 		Hash:    attr.HashString,
 		KeyLen:  attr.KeywordLen,
@@ -45,9 +31,7 @@ func newRig(k int, pol Policy[string]) *rig {
 	pol.Attach(&Resources[string]{
 		Index:  r.ix,
 		Mem:    r.mem,
-		Sink:   r.sink,
 		KeysOf: attr.KeywordKeys,
-		Clock:  clock.NewLogical(1, 1),
 	})
 	return r
 }
@@ -82,12 +66,12 @@ func TestFIFOEvictsOldestFirst(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		recs = append(recs, r.add(fmt.Sprintf("k%d", i)))
 	}
-	freed, err := f.Flush(400)
+	batch, err := f.Flush(400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if freed < 400 {
-		t.Fatalf("freed %d < target", freed)
+	if batch.Freed < 400 {
+		t.Fatalf("freed %d < target", batch.Freed)
 	}
 	// The oldest records must be gone, the newest must remain.
 	if recs[0].PCount() > 0 {
@@ -108,14 +92,15 @@ func TestFIFOFlushOrderIsArrivalOrder(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		r.add("shared")
 	}
-	if _, err := f.Flush(1); err != nil {
+	batch, err := f.Flush(1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.sink.recs) == 0 {
+	if len(batch.Recs) == 0 {
 		t.Fatal("nothing flushed")
 	}
-	for i := 1; i < len(r.sink.recs); i++ {
-		if r.sink.recs[i].MB.ID < r.sink.recs[i-1].MB.ID {
+	for i := 1; i < len(batch.Recs); i++ {
+		if batch.Recs[i].MB.ID < batch.Recs[i-1].MB.ID {
 			t.Fatal("flush order not arrival order")
 		}
 	}
@@ -125,19 +110,19 @@ func TestFIFOFlushExhaustion(t *testing.T) {
 	f := NewFIFO[string](100)
 	r := newRig(5, f)
 	r.add("a")
-	freed1, err := f.Flush(1 << 30)
+	first, err := f.Flush(1 << 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if freed1 == 0 {
+	if first.Freed == 0 {
 		t.Fatal("freed nothing")
 	}
-	freed2, err := f.Flush(1 << 30)
+	second, err := f.Flush(1 << 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if freed2 != 0 {
-		t.Fatalf("freed %d from an empty system", freed2)
+	if second.Freed != 0 {
+		t.Fatalf("freed %d from an empty system", second.Freed)
 	}
 }
 
@@ -161,11 +146,11 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	// Touch a: it becomes most recent; b is now the tail... order after
 	// ingest (head→tail): c, b, a. Access a → a, c, b.
 	l.OnAccess([]*store.Record{a})
-	freed, err := l.Flush(200)
+	batch, err := l.Flush(200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if freed == 0 {
+	if batch.Freed == 0 {
 		t.Fatal("freed nothing")
 	}
 	if b.PCount() > 0 {
@@ -236,7 +221,8 @@ func TestLRUEvictsWholeRecordAcrossEntries(t *testing.T) {
 	l := NewLRU[string]()
 	r := newRig(5, l)
 	shared := r.add("x", "y")
-	if _, err := l.Flush(1 << 30); err != nil {
+	batch, err := l.Flush(1 << 30)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if shared.PCount() != 0 {
@@ -245,37 +231,36 @@ func TestLRUEvictsWholeRecordAcrossEntries(t *testing.T) {
 	if r.ix.Entry("x") != nil || r.ix.Entry("y") != nil {
 		t.Error("entries not cleaned up")
 	}
-	if len(r.sink.recs) != 1 {
-		t.Fatalf("flushed %d records, want 1", len(r.sink.recs))
+	if len(batch.Recs) != 1 {
+		t.Fatalf("flushed %d records, want 1", len(batch.Recs))
 	}
 }
 
 func TestVictimBufferChargesAndReleasesTemp(t *testing.T) {
 	mem := &memsize.Tracker{}
-	sink := &memSink{}
-	buf := NewVictimBuffer(mem, sink, true)
+	buf := NewVictimBuffer(mem, true)
 	rec := store.NewRecord(&types.Microblog{ID: 1, Keywords: []string{"a"}}, 1)
 	buf.Add(rec)
-	if buf.Len() != 1 || buf.Bytes() != rec.Bytes() {
-		t.Fatal("buffer accounting")
-	}
 	if mem.PeakTemp() != rec.Bytes() {
 		t.Fatal("temp not charged")
 	}
-	buf.Close()
-	if sink.flushes != 1 || len(sink.recs) != 1 {
-		t.Fatal("sink not written")
+	batch := buf.Close()
+	if len(batch.Recs) != 1 || batch.From[0] != rec || len(batch.Dead) != 1 {
+		t.Fatal("batch not returned")
+	}
+	buf.Add(store.NewRecord(&types.Microblog{ID: 2, Keywords: []string{"a"}}, 2))
+	if mem.PeakTemp() != rec.Bytes() {
+		t.Fatal("temp not released on Close")
 	}
 }
 
 func TestVictimBufferSkipsAlreadyOnDisk(t *testing.T) {
-	sink := &memSink{}
-	buf := NewVictimBuffer(nil, sink, false)
+	buf := NewVictimBuffer(nil, false)
 	rec := store.NewRecord(&types.Microblog{ID: 1, Keywords: []string{"a"}}, 1)
 	buf.AddPartial(rec)
 	buf.Add(rec) // second write suppressed
-	if buf.Len() != 1 {
-		t.Fatalf("buffer holds %d, want 1", buf.Len())
+	if batch := buf.Close(); len(batch.Recs) != 1 {
+		t.Fatalf("buffer holds %d, want 1", len(batch.Recs))
 	}
 }
 
@@ -286,7 +271,7 @@ func TestUnrefFreesOnlyAtZero(t *testing.T) {
 	rec := store.NewRecord(&types.Microblog{ID: 1, Keywords: []string{"a"}}, 1)
 	rec.Ref(2)
 	mem.AddRecords(1, rec.Bytes())
-	buf := NewVictimBuffer(mem, nil, false)
+	buf := NewVictimBuffer(mem, false)
 	if freed := res.release(rec, buf); freed != 0 {
 		t.Fatalf("freed %d at pcount 1", freed)
 	}

@@ -38,7 +38,7 @@ func TestReleaseChecksCounts(t *testing.T) {
 			rec := store.NewRecord(&types.Microblog{ID: 1, Keywords: []string{"a"}}, 1)
 			res.Mem.AddRecords(1, rec.Bytes())
 			ix.Insert("a", rec)
-			buf := NewVictimBuffer(res.Mem, nil, false)
+			buf := NewVictimBuffer(res.Mem, false)
 			tc.spoil(t, res, rec, buf)
 			defer func() {
 				if recover() == nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"testing"
 
+	"kflushing/internal/disk"
 	"kflushing/internal/failpoint"
 )
 
@@ -85,6 +86,37 @@ func TestSyncFaultSurfaces(t *testing.T) {
 	// Fault cleared: appends recover.
 	if err := l.Append(fr(2, "a")); err != nil {
 		t.Fatalf("append after sync fault cleared: %v", err)
+	}
+}
+
+// TestSyncFaultTakesNoClaims: an append whose fsync fails is not
+// acknowledged, so the caller releases none of its frames — the log must
+// not have claimed them. Otherwise the file's covers never reach zero and
+// it never drains.
+func TestSyncFaultTakesNoClaims(t *testing.T) {
+	failpoint.DisableAll()
+	t.Cleanup(failpoint.DisableAll)
+	l, err := Open(t.TempDir(), Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := failpoint.Enable(failpoint.WALSync, "error(1)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendBatch([]disk.FlushRecord{fr(1, "a"), fr(2, "a")}); !errors.Is(err, failpoint.ErrInjected) {
+		t.Fatalf("append with sync fault = %v, want injected", err)
+	}
+	if st := l.Stats(); st.LiveRecords != 0 {
+		t.Fatalf("live records = %d after a failed append, want 0", st.LiveRecords)
+	}
+	acked := []disk.FlushRecord{fr(3, "a")}
+	if err := l.AppendBatch(acked); err != nil {
+		t.Fatalf("append after sync fault cleared: %v", err)
+	}
+	l.Release(acked[0].ReplaySeq, acked[0].LogSeq, 1)
+	if st := l.Stats(); st.LiveRecords != 0 {
+		t.Fatalf("live records = %d once the acked record is released, want 0", st.LiveRecords)
 	}
 }
 

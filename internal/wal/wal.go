@@ -40,7 +40,9 @@
 //   - holds: the records memory holds (and the owner pins for flushes in
 //     flight) whose bytes the file frames.
 //
-// AppendBatch raises both on the active file, Replay raises covers on
+// AppendBatch raises both on the active file once an append has
+// succeeded. A failed append claims nothing, even when its frames stay in
+// the file, so its caller has nothing to release. Replay raises covers on
 // the file it reads and holds on the one framing each delivered record;
 // FlushRecord.ReplaySeq and LogSeq name the two. The holder lowers both
 // with Release — the engine does so in its flush pipeline's release
@@ -405,8 +407,9 @@ func (l *Log) Append(fr disk.FlushRecord) error {
 // holds the frames, frs[i].LogOrd the frame's ordinal in it, and that
 // file carries one more cover and hold per frame: the caller owns the
 // claims and gives them back with Release. A caller that never does (a
-// probe, a tool) simply keeps every file. A batch that fills the file
-// seals it on the way out.
+// probe, a tool) simply keeps every file. A failed append — its write,
+// or the fsync SyncEvery asks for — claims nothing. A batch that fills
+// the file seals it on the way out.
 func (l *Log) AppendBatch(frs []disk.FlushRecord) error {
 	if len(frs) == 0 {
 		return nil
@@ -499,7 +502,6 @@ func (l *Log) appendLocked(frs []disk.FlushRecord, buf []byte, start time.Time) 
 		frs[i].LogSeq, frs[i].LogOrd, frs[i].ReplaySeq = af.seq, uint32(af.frames), af.seq
 		af.frames++
 	}
-	af.claim(int64(len(frs)))
 	l.sinceSync += len(frs)
 	l.opt.Recorder.Record(blackbox.SubWAL, blackbox.EvWALAppend,
 		int64(len(frs)), int64(len(buf)), time.Since(start).Nanoseconds())
@@ -520,10 +522,13 @@ func (l *Log) appendLocked(frs []disk.FlushRecord, buf []byte, start time.Time) 
 				int64(frames), af.bytes, time.Since(syncStart).Nanoseconds())
 		})
 		if serr != nil {
+			// Not acknowledged, so never released: claim nothing, as
+			// after a failed write.
 			return nil, serr
 		}
 		l.sinceSync = 0
 	}
+	af.claim(int64(len(frs)))
 	if af.bytes < l.opt.MaxFileBytes {
 		return nil, nil
 	}

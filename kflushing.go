@@ -241,11 +241,7 @@ func openWith[K comparable](dir string, opt Options, spec attr.Spec[K], diskMaxS
 		K:               opt.K,
 		MemoryBudget:    opt.MemoryBudget,
 		FlushFraction:   opt.FlushFraction,
-		KeysOf:          spec.KeysOf,
-		KeyHash:         spec.Hash,
-		KeyLen:          spec.Len,
-		EncodeKey:       spec.Encode,
-		DecodeKey:       spec.Decode,
+		Attr:            spec,
 		Ranker:          opt.Ranker,
 		Clock:           opt.Clock,
 		DiskDir:         dir,
@@ -254,14 +250,11 @@ func openWith[K comparable](dir string, opt Options, spec attr.Spec[K], diskMaxS
 		DiskRetry:       opt.DiskRetry,
 		Durable:         opt.Durable,
 		WALOptions:      wal.Options{SyncEvery: opt.WALSyncEvery},
-		Policy:          pc.Policy,
-		TrackTopK:       pc.TrackTopK,
-		TrackOverK:      pc.TrackOverK,
+		Policy:          pc,
 		SyncFlush:       opt.SyncFlush,
 		AllocPolicy:     ap,
 		SlowQueryNanos:  opt.SlowQueryNanos,
 		Stream:          st,
-		Name:            spec.Name,
 	})
 	return AttrSystem[K]{spec: spec, eng: eng}, err
 }

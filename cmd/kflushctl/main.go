@@ -391,8 +391,8 @@ func cmdProbeServer(base string) error {
 	}
 
 	// Disk health per attribute: level occupancy, compaction backlog,
-	// and the batch in flight (pipeline_depth, 0 or 1) — a wedged
-	// compactor shows up here as a persistently positive backlog.
+	// and the batch in flight (pipeline_depth, 0 or 1) — failing or
+	// lagging compaction shows up here as a persistently positive backlog.
 	attrs = attrs[:0]
 	for a := range ready.Disk {
 		attrs = append(attrs, a)

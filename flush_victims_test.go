@@ -10,7 +10,7 @@ import (
 
 // TestFlushVictimsDeterministic runs one seeded mixed stream through two
 // static systems that differ only in flush mode — SyncFlush, and the
-// default with its flush pipeline and background compactor — and requires
+// default with its background flusher — and requires
 // identical answers for every query shape, identical flush counters and
 // identical flush-victim journals, phase by phase. Every cycle is a
 // FlushNow at a fixed point of the stream (the budget is never reached:
@@ -145,8 +145,8 @@ func TestFlushVictimsDeterministic(t *testing.T) {
 		t.Fatalf("memory diverged: inline %d bytes/%d records, pipelined %d/%d",
 			sa.MemoryUsed, sa.StoreRecords, sb.MemoryUsed, sb.StoreRecords)
 	}
-	// (Segment counts are not compared: the background compactor merges
-	// when it gets to it.)
+	// (Segment counts are not compared here: records written are the
+	// flush's evidence; merges follow each cycle on its own goroutine.)
 	if sa.Disk.RecordsWritten != sb.Disk.RecordsWritten {
 		t.Fatalf("disk diverged: inline wrote %d records, pipelined %d",
 			sa.Disk.RecordsWritten, sb.Disk.RecordsWritten)

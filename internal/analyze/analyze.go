@@ -136,7 +136,6 @@ type Config struct {
 //	11 engine.Stream.reclaimMu (the stream's reclaim target; taken at
 //	   the end of a flush cycle, asks the log inside, and only tries
 //	   other members' flushMu under it, never waits for one)
-//	12 engine.flightGroup.mu
 //	15 policy.LRU.mu / policy.FIFO.mu
 //	20 index.Index.overMu
 //	22 index.shard.mu
@@ -163,7 +162,6 @@ func DefaultConfig() Config {
 	return Config{
 		LockRank: map[string]int{
 			"kflushing/internal/engine.Engine.flushMu":   10,
-			"kflushing/internal/engine.flightGroup.mu":   12,
 			"kflushing/internal/engine.Stream.reclaimMu": 11,
 			"kflushing/internal/policy.LRU.mu":           15,
 			"kflushing/internal/policy.FIFO.mu":          15,
@@ -186,14 +184,13 @@ func DefaultConfig() Config {
 			"kflushing/internal/wal.Log.mu":              70,
 		},
 		NoBlockLocks: map[string]bool{
-			"kflushing/internal/index.Index.overMu":    true,
-			"kflushing/internal/index.shard.mu":        true,
-			"kflushing/internal/index.Entry.mu":        true,
-			"kflushing/internal/index.departures.mu":   true,
-			"kflushing/internal/alloc.SlicePool.mu":    true,
-			"kflushing/internal/alloc.Recycler.mu":     true,
-			"kflushing/internal/store.shard.mu":        true,
-			"kflushing/internal/engine.flightGroup.mu": true,
+			"kflushing/internal/index.Index.overMu":  true,
+			"kflushing/internal/index.shard.mu":      true,
+			"kflushing/internal/index.Entry.mu":      true,
+			"kflushing/internal/index.departures.mu": true,
+			"kflushing/internal/alloc.SlicePool.mu":  true,
+			"kflushing/internal/alloc.Recycler.mu":   true,
+			"kflushing/internal/store.shard.mu":      true,
 		},
 		BlockingRecvTypes: map[string]bool{
 			"os.File": true,

@@ -1,24 +1,17 @@
 package disk
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
-	"runtime/pprof"
-	rtrace "runtime/trace"
 	"time"
 
 	"kflushing/internal/blackbox"
 	"kflushing/internal/failpoint"
 )
-
-// compactorLabels attributes background compaction CPU to its subsystem
-// in profiles.
-var compactorLabels = pprof.Labels("kflushing", "background-compactor")
 
 // Compaction merges old segments into fewer, larger ones. Every flush
 // writes one segment, so segment counts grow without bound and each
@@ -36,54 +29,6 @@ var compactorLabels = pprof.Labels("kflushing", "background-compactor")
 // unlinked. A crash between any two of those steps recovers cleanly (see
 // openLeveled's rules).
 
-// compactor is the background compaction loop: it waits for a kick
-// (sent after each flush install) and runs passes until no level is
-// over its fanout. One goroutine, one kick buffered — repeated kicks
-// during a pass coalesce.
-func (t *Tier[K]) compactor() {
-	defer t.compactWG.Done()
-	// A compactor panic would silently kill background compaction; dump
-	// the flight recorder next to the data it describes, then crash
-	// loudly — the rings hold the compaction events that led here.
-	defer func() {
-		if p := recover(); p != nil {
-			if path, err := t.cfg.Recorder.Dump(t.cfg.Dir, "panic"); err == nil && path != "" {
-				slog.Error("disk: compactor panic, flight recorder dumped", "dump", path)
-			}
-			panic(p)
-		}
-	}()
-	pprof.Do(context.Background(), compactorLabels, func(ctx context.Context) {
-		for {
-			select {
-			case <-t.compactStop:
-				return
-			case <-t.compactKick:
-				rtrace.WithRegion(ctx, "compaction-pass", func() { t.compactPass("background") })
-			}
-		}
-	})
-}
-
-// compactPass is the compaction a flush install sets off: a failure is
-// counted and logged, and the next install tries again. It never fails
-// the flush — the segment that triggered it is already live.
-func (t *Tier[K]) compactPass(how string) {
-	if err := t.CompactNow(); err != nil {
-		t.compactionFailures.Add(1)
-		slog.Error("disk: compaction failed", "run", how, "dir", t.cfg.Dir, "error", err)
-	}
-}
-
-// kickCompactor nudges the background compactor; a kick already pending
-// is enough.
-func (t *Tier[K]) kickCompactor() {
-	select {
-	case t.compactKick <- struct{}{}:
-	default:
-	}
-}
-
 // overflowLevel returns the shallowest level holding more than fanout
 // segments, or -1 when every level is within bounds.
 func (t *Tier[K]) overflowLevel() int {
@@ -100,23 +45,17 @@ func (t *Tier[K]) overflowLevel() int {
 // CompactNow runs compaction passes until the tier is within bounds:
 // every overflowing level merges into the next (shallowest first, so a
 // cascade L0→L1→L2 resolves in one call). Passes serialize on an
-// internal gate, so concurrent callers (background compactor, sync
-// flush, tooling) cannot double-merge.
+// internal gate, so concurrent callers (the goroutine that ran a flush
+// cycle, tooling) cannot double-merge; a caller that finds a pass in
+// progress waits for it, then merges whatever overflow is left. Once
+// Close has begun, no further pass starts.
 func (t *Tier[K]) CompactNow() error {
 	t.compactMu.Lock()
 	defer t.compactMu.Unlock()
 	if !t.compactionEnabled() {
 		return nil
 	}
-	for {
-		// Shutting down: leave remaining overflow for the next open.
-		if t.compactStop != nil {
-			select {
-			case <-t.compactStop:
-				return nil
-			default:
-			}
-		}
+	for !t.closing.Load() {
 		lvl := t.overflowLevel()
 		if lvl < 0 {
 			return nil
@@ -125,6 +64,7 @@ func (t *Tier[K]) CompactNow() error {
 			return err
 		}
 	}
+	return nil
 }
 
 // CompactAll merges every live segment into a single one — full
@@ -136,8 +76,8 @@ func (t *Tier[K]) CompactAll() error {
 	// Fold the shallowest populated level into the next until one
 	// segment remains. Forced merges accept a single input (its
 	// directory rewritten one level down), so stragglers cascade into
-	// the bottom.
-	for {
+	// the bottom. Once Close has begun, no further pass starts.
+	for !t.closing.Load() {
 		t.mu.RLock()
 		total, shallowest := 0, -1
 		for i, lv := range t.levels {
@@ -156,6 +96,7 @@ func (t *Tier[K]) CompactAll() error {
 			return err
 		}
 	}
+	return nil
 }
 
 // compactLevel merges every segment of level lvl into one segment at
@@ -175,8 +116,14 @@ func (t *Tier[K]) CompactAll() error {
 //	                                           drained, see LogSet.Drain)
 //
 // No block is read-modify-written or unlinked before the commit, so
-// every window before it leaves the inputs exactly as they were.
-func (t *Tier[K]) compactLevel(lvl int, force bool) error {
+// every window before it leaves the inputs exactly as they were. A
+// failed pass is counted (Stats.CompactionFailures), whoever ran it.
+func (t *Tier[K]) compactLevel(lvl int, force bool) (err error) {
+	defer func() {
+		if err != nil {
+			t.compactionFailures.Add(1)
+		}
+	}()
 	t.mu.RLock()
 	if lvl >= len(t.levels) {
 		t.mu.RUnlock()

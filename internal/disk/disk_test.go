@@ -13,9 +13,9 @@ import (
 	"kflushing/internal/types"
 )
 
-// testTier opens the zero-value configuration: inline compaction at the
-// default fanout, the shape production runs minus the background
-// goroutine.
+// testTier opens the zero-value configuration: the default fanout, with
+// Flush running a compaction pass after each install, as the engine
+// does after each flush cycle.
 func testTier(t *testing.T) *Tier[string] {
 	t.Helper()
 	return fastTier(t, Config[string]{})

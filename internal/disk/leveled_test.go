@@ -71,7 +71,7 @@ func TestLeveledStructureUnderFlushes(t *testing.T) {
 		if err := tier.Flush(recs); err != nil {
 			t.Fatal(err)
 		}
-		// Flush compacts inline here (no background compactor), so the
+		// Flush runs a compaction pass after every install, so the
 		// invariants must hold after every single flush.
 		checkLevelInvariants(t, tier, fanout)
 	}
@@ -106,7 +106,7 @@ func TestLeveledStructureUnderFlushes(t *testing.T) {
 // TestLeveledUncompactedEquivalence drives the identical seeded workload
 // into a reference tier that never compacts — every flush stays its own
 // L0 segment, searched newest-first, the naive organization leveling
-// replaced — and a leveled tier (inline compaction), and requires every
+// replaced — and a leveled tier (a pass after every Flush), and requires every
 // query answer to match item-for-item: leveling must be invisible to
 // readers.
 func TestLeveledUncompactedEquivalence(t *testing.T) {
@@ -818,49 +818,5 @@ func TestLeveledPropertyVsModel(t *testing.T) {
 			}
 		}
 		check(step)
-	}
-}
-
-// TestLeveledBackgroundCompactionConverges verifies the dedicated
-// compactor goroutine (the production configuration) brings every level
-// within fanout without losing answers.
-func TestLeveledBackgroundCompactionConverges(t *testing.T) {
-	tier, err := Open(Config[string]{
-		Dir:                  t.TempDir(),
-		KeysOf:               func(m *types.Microblog) []string { return m.Keywords },
-		Encode:               func(s string) string { return s },
-		LevelFanout:          2,
-		BackgroundCompaction: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tier.Close()
-	id := uint64(0)
-	for batch := 0; batch < 10; batch++ {
-		var recs []FlushRecord
-		for i := 0; i < 3; i++ {
-			id++
-			recs = append(recs, fr(id, float64(id), "k"))
-		}
-		if err := tier.Flush(recs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Drain the compactor deterministically: CompactNow shares the
-	// compaction mutex with the background pass, so when it returns with
-	// no overflowing level, the tier is converged.
-	if err := tier.CompactNow(); err != nil {
-		t.Fatal(err)
-	}
-	if backlog := tier.CompactionBacklog(); backlog != 0 {
-		t.Fatalf("backlog %d after explicit CompactNow", backlog)
-	}
-	items, err := tier.Search([]string{"k"}, query.OpSingle, int(id))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(items) != int(id) {
-		t.Fatalf("%d of %d records answered after background compaction", len(items), id)
 	}
 }

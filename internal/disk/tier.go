@@ -83,10 +83,6 @@ type Config[K comparable] struct {
 	// merges into one segment at the next level. 0 selects
 	// DefaultLevelFanout; values below 2 are raised to 2.
 	LevelFanout int
-	// BackgroundCompaction runs compaction on a dedicated goroutine
-	// kicked after each flush instead of inline on the flushing
-	// goroutine.
-	BackgroundCompaction bool
 	// CacheBytes bounds the decoded-record read cache; 0 selects the
 	// default (8 MiB), negative disables caching.
 	CacheBytes int64
@@ -175,11 +171,11 @@ type Stats struct {
 	Compactions         int64
 
 	// CompactionBacklog counts levels currently over their fanout —
-	// work the compactor owes; a persistently positive value means it
-	// is wedged or cannot keep up.
+	// merges owed; a persistently positive value means compaction keeps
+	// failing or cannot keep up with the flushes.
 	CompactionBacklog int
-	// CompactionFailures counts failed compaction passes set off by a
-	// flush install (background, or inline without a compactor).
+	// CompactionFailures counts failed compaction passes, whoever ran
+	// them.
 	CompactionFailures int64
 	// PendingRetired counts compaction inputs superseded by a live
 	// merged segment but not yet unlinked.
@@ -247,14 +243,12 @@ type Tier[K comparable] struct {
 	// manifestMu serializes manifest commits with the level mutations
 	// they publish (flush installs and compaction installs).
 	manifestMu sync.Mutex
-	// compactMu serializes compaction passes.
+	// compactMu serializes compaction passes; Close takes it too, so it
+	// waits for the pass in progress.
 	compactMu sync.Mutex
-
-	// Background compactor plumbing.
-	compactKick chan struct{}
-	compactStop chan struct{}
-	compactWG   sync.WaitGroup
-	stopOnce    sync.Once
+	// closing is set when Close begins: no compaction pass starts after
+	// it.
+	closing atomic.Bool
 
 	recordsWritten     atomic.Int64
 	bytesWritten       atomic.Int64
@@ -364,12 +358,6 @@ func Open[K comparable](cfg Config[K]) (*Tier[K], error) {
 		return nil, err
 	}
 	cfg.Logs.join(t, cfg.Dir)
-	if cfg.BackgroundCompaction && t.compactionEnabled() {
-		t.compactKick = make(chan struct{}, 1)
-		t.compactStop = make(chan struct{})
-		t.compactWG.Add(1)
-		go t.compactor()
-	}
 	return t, nil
 }
 
@@ -615,9 +603,16 @@ func (t *Tier[K]) commitMarks() error {
 // block and a directory over it, or, on a Logged tier, a directory over
 // the log files already holding them. The input order is irrelevant;
 // the tier ranks records by score before writing. See FlushStaged for
-// the stage structure.
+// the stage structure. A compaction pass follows the install; its
+// failure is counted and logged, not the flush's: the segment is live.
 func (t *Tier[K]) Flush(recs []FlushRecord) error {
 	_, err := t.FlushStaged(recs)
+	if err != nil && !errors.Is(err, ErrCommitUnsynced) {
+		return err
+	}
+	if cerr := t.CompactNow(); cerr != nil {
+		slog.Error("disk: compaction failed", "dir", t.cfg.Dir, "error", cerr)
+	}
 	return err
 }
 
@@ -625,7 +620,8 @@ func (t *Tier[K]) Flush(recs []FlushRecord) error {
 // two stages: build (sort, encode, staged writes, fsync) touches no
 // shared segment state, so searches and installs proceed concurrently;
 // install (atomic renames, level append, manifest commit) holds the
-// segment-list lock only for the append.
+// segment-list lock only for the append. It never compacts: the caller
+// runs CompactNow once the flush is done.
 // Flushes serialize on an internal gate so the sort and encode scratch
 // buffers are reused across cycles.
 func (t *Tier[K]) FlushStaged(recs []FlushRecord) (FlushStats, error) {
@@ -679,15 +675,6 @@ func (t *Tier[K]) FlushStaged(recs []FlushRecord) (FlushStats, error) {
 	t.bytesWritten.Add(fs.Bytes)
 	t.buildNanos.Add(fs.BuildNanos)
 	t.installNanos.Add(fs.InstallNanos)
-
-	// The flush is done: its segment is installed. Compaction that
-	// follows — kicked in the background, or inline when there is no
-	// compactor — succeeds or fails on its own account.
-	if t.compactKick != nil {
-		t.kickCompactor()
-	} else {
-		t.compactPass("inline")
-	}
 	return fs, err
 }
 
@@ -1269,7 +1256,7 @@ func (t *Tier[K]) levelStatsLocked() []LevelStats {
 }
 
 // CompactionBacklog counts levels currently over their fanout; 0
-// whenever the compactor is caught up or disabled.
+// whenever compaction is caught up or disabled.
 func (t *Tier[K]) CompactionBacklog() int {
 	if !t.compactionEnabled() {
 		return 0
@@ -1354,14 +1341,14 @@ func (t *Tier[K]) RangeKeys(fn func(key string, maxScore float64)) {
 	}
 }
 
-// Close stops the background compactor, commits drain marks no commit
-// has carried yet, and releases the tier's references to all segments;
-// handles close once in-flight searches drain.
+// Close waits for the compaction pass in progress — none starts after
+// it begins —, commits drain marks no commit has carried yet, and
+// releases the tier's references to all segments; handles close once
+// in-flight searches drain.
 func (t *Tier[K]) Close() error {
-	if t.compactStop != nil {
-		t.stopOnce.Do(func() { close(t.compactStop) })
-		t.compactWG.Wait()
-	}
+	t.closing.Store(true)
+	t.compactMu.Lock()
+	defer t.compactMu.Unlock()
 	// Drain marks no commit has carried yet go out with a last one.
 	var err error
 	if _, fresh := t.cfg.Logs.marks(t.cfg.Dir); len(fresh) > 0 {

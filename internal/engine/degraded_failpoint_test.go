@@ -110,65 +110,72 @@ func TestEvictionRollbackSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestInlineCompactionFailureDoesNotFailFlush: without a background
-// compactor (SyncFlush) the merge a flush sets off runs inline, after
-// the segment is installed. Its failure is the compactor's — counted,
-// logged, retried by the next install — not the flush's: reported as a
-// failed flush, the batch would be restored beside the live segment that
-// already holds it and the engine would degrade over a healthy write
-// path.
-func TestInlineCompactionFailureDoesNotFailFlush(t *testing.T) {
-	failpoint.DisableAll()
-	t.Cleanup(failpoint.DisableAll)
-	cfg := reclaimConfig(t.TempDir(), 1<<30, true, alloc.PolicyPooled)
-	cfg.DiskLevelFanout = 2
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = eng.Close() })
-	acked := 0
-	flush := func() {
-		t.Helper()
-		if _, err := eng.IngestBatch(soakBatch(acked, 10)); err != nil {
-			t.Fatal(err)
-		}
-		acked += 10
-		if _, err := eng.FlushNow(); err != nil {
-			t.Fatalf("FlushNow with its segment installed: %v", err)
-		}
-		if n := eng.store.Len(); n != 0 {
-			t.Fatalf("%d records in memory after a flush that evicts everything: restored beside their segment", n)
-		}
-		if degraded, reason := eng.Degraded(); degraded {
-			t.Fatalf("degraded over a healthy write path: %s", reason)
-		}
-	}
-	flush()
-	flush() // L0 is at its fanout: the next install overflows it
-	mustEnable(t, failpoint.DiskCompactRename, "error")
-	flush()
-	st := eng.Stats().Disk
-	if st.CompactionFailures != 1 || st.Compactions != 0 || st.Segments != 3 {
-		t.Fatalf("after the failed merge: %d failures, %d compactions, %d segments; want 1, 0, 3",
-			st.CompactionFailures, st.Compactions, st.Segments)
-	}
-	if log := flushLog(t, eng); log[len(log)-1].Err != "" {
-		t.Fatalf("the cycle whose merge failed reads as failed: %+v", log[len(log)-1])
-	}
-	failpoint.DisableAll()
-	flush() // the next cycle's merge succeeds
-	st = eng.Stats().Disk
-	if st.CompactionFailures != 1 || st.Compactions == 0 || st.CompactionBacklog != 0 {
-		t.Fatalf("after the retried merge: %d failures, %d compactions, backlog %d; want 1, >0, 0",
-			st.CompactionFailures, st.Compactions, st.CompactionBacklog)
-	}
-	res, err := eng.Search(query.Request[string]{Keys: []string{"all"}, K: acked + 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Items) != acked {
-		t.Fatalf("%d of %d acked records answerable", len(res.Items), acked)
+// TestCompactionFailureDoesNotFailFlush: the merge a flush cycle sets
+// off runs after the cycle, on the goroutine that ran it, whether the
+// engine flushes inline (SyncFlush) or in the background. Its failure is
+// the pass's — counted, logged, retried after the next cycle — not the
+// flush's: reported as a failed flush, the batch would be restored
+// beside the live segment that already holds it and the engine would
+// degrade over a healthy write path.
+func TestCompactionFailureDoesNotFailFlush(t *testing.T) {
+	for _, syncFlush := range []bool{true, false} {
+		t.Run(fmt.Sprintf("sync=%v", syncFlush), func(t *testing.T) {
+			failpoint.DisableAll()
+			t.Cleanup(failpoint.DisableAll)
+			cfg := reclaimConfig(t.TempDir(), 1<<30, syncFlush, alloc.PolicyPooled)
+			cfg.DiskLevelFanout = 2
+			eng, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = eng.Close() })
+			acked := 0
+			flush := func() {
+				t.Helper()
+				if _, err := eng.IngestBatch(soakBatch(acked, 10)); err != nil {
+					t.Fatal(err)
+				}
+				acked += 10
+				if _, err := eng.FlushNow(); err != nil {
+					t.Fatalf("FlushNow with its segment installed: %v", err)
+				}
+				if n := eng.store.Len(); n != 0 {
+					t.Fatalf("%d records in memory after a flush that evicts everything: restored beside their segment", n)
+				}
+				if degraded, reason := eng.Degraded(); degraded {
+					t.Fatalf("degraded over a healthy write path: %s", reason)
+				}
+				if err := eng.Err(); err != nil {
+					t.Fatalf("a failed merge surfaces as the engine's error: %v", err)
+				}
+			}
+			flush()
+			flush() // L0 is at its fanout: the next install overflows it
+			mustEnable(t, failpoint.DiskCompactRename, "error")
+			flush()
+			st := eng.Stats().Disk
+			if st.CompactionFailures != 1 || st.Compactions != 0 || st.Segments != 3 {
+				t.Fatalf("after the failed merge: %d failures, %d compactions, %d segments; want 1, 0, 3",
+					st.CompactionFailures, st.Compactions, st.Segments)
+			}
+			if log := flushLog(t, eng); log[len(log)-1].Err != "" {
+				t.Fatalf("the cycle whose merge failed reads as failed: %+v", log[len(log)-1])
+			}
+			failpoint.DisableAll()
+			flush() // the next cycle's merge succeeds
+			st = eng.Stats().Disk
+			if st.CompactionFailures != 1 || st.Compactions == 0 || st.CompactionBacklog != 0 {
+				t.Fatalf("after the retried merge: %d failures, %d compactions, backlog %d; want 1, >0, 0",
+					st.CompactionFailures, st.Compactions, st.CompactionBacklog)
+			}
+			res, err := eng.Search(query.Request[string]{Keys: []string{"all"}, K: acked + 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Items) != acked {
+				t.Fatalf("%d of %d acked records answerable", len(res.Items), acked)
+			}
+		})
 	}
 }
 

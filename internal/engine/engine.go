@@ -13,7 +13,6 @@ package engine
 import (
 	"cmp"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -97,9 +96,9 @@ type Config[K comparable] struct {
 	// Policy is the flushing policy instance with the index features it
 	// needs.
 	Policy policy.Choice[K]
-	// SyncFlush runs flushes inline on the ingesting goroutine instead
-	// of a background flushing thread, and compacts inline too.
-	// Deterministic; used by tests and experiments.
+	// SyncFlush runs flush cycles, and the compaction pass after each,
+	// inline on the ingesting goroutine instead of a background flushing
+	// thread. Deterministic; used by tests and experiments.
 	SyncFlush bool
 	// AllocPolicy selects how hot-path structures are allocated: the
 	// zero value (PolicyPooled) recycles posting arrays, record
@@ -159,9 +158,6 @@ type Engine[K comparable] struct {
 	// the replayed records not yet handed to the policy.
 	recovering bool
 	replayed   replayChunk[K]
-
-	// flights coalesces concurrent identical disk-fallback searches.
-	flights flightGroup
 
 	lastFlushUsed atomic.Int64
 	// flushMu serializes flush cycles: background flushes take it with
@@ -258,18 +254,15 @@ func New[K comparable](cfg Config[K]) (*Engine[K], error) {
 	}
 	logs := st.logsFor(cfg.DiskDir)
 	tier, err := disk.Open(disk.Config[K]{
-		Dir:    cfg.DiskDir,
-		KeysOf: cfg.Attr.KeysOf,
-		Encode: cfg.Attr.Encode,
-		// Deterministic modes (SyncFlush) compact inline on the flushing
-		// goroutine; otherwise the tier compacts in the background.
-		BackgroundCompaction: !cfg.SyncFlush,
-		LevelFanout:          cfg.DiskLevelFanout,
-		MaxSegments:          cfg.DiskMaxSegments,
-		Retry:                cfg.DiskRetry,
-		Recorder:             e.bbox,
-		Logged:               st.durable(cfg.Durable),
-		Logs:                 logs,
+		Dir:         cfg.DiskDir,
+		KeysOf:      cfg.Attr.KeysOf,
+		Encode:      cfg.Attr.Encode,
+		LevelFanout: cfg.DiskLevelFanout,
+		MaxSegments: cfg.DiskMaxSegments,
+		Retry:       cfg.DiskRetry,
+		Recorder:    e.bbox,
+		Logged:      st.durable(cfg.Durable),
+		Logs:        logs,
 	})
 	if err != nil {
 		return nil, err
@@ -396,21 +389,23 @@ func (e *Engine[K]) handOver() {
 	rc.recs, rc.recKeys = rc.recs[:0], rc.recKeys[:0]
 }
 
-// endReplay hands the last chunk over once the log is replayed.
+// endReplay hands the last chunk over once the log is replayed, then
+// runs the one compaction pass the replay's flush cycles owe.
 func (e *Engine[K]) endReplay(maxID uint64) {
 	e.handOver()
 	slog.Info("engine: wal recovery complete",
 		"attr", e.cfg.Attr.Name, "records", e.replayed.total, "max_id", maxID, "mem_used", e.mem.Used())
 	e.replayed = replayChunk[K]{}
+	e.compact()
 }
 
 // recoveryFlush runs one flush cycle inline during replay. A failing
 // tier puts the engine in degraded mode as it would at run time; replay
-// carries on so no logged record is dropped.
+// carries on so no logged record is dropped. Unlike every other cycle it
+// is not followed by a compaction pass: endReplay runs one for them all,
+// which merges each overflowing level once instead of once per cycle.
 func (e *Engine[K]) recoveryFlush() {
-	e.flushMu.Lock()
-	defer e.flushMu.Unlock()
-	if _, err := e.flushCycle(blackbox.TriggerRecovery); err != nil {
+	if _, err := e.gatedCycle(blackbox.TriggerRecovery); err != nil {
 		e.lastError.Store(err)
 		slog.Error("engine: recovery flush failed", "policy", e.pol.Name(), "error", err)
 	}
@@ -590,8 +585,13 @@ func (e *Engine[K]) maybeFlush(trigger blackbox.Trigger) {
 }
 
 // flusherLabels attributes a background flush cycle's CPU (eviction,
-// segment encode, fsync, manifest commits) to its subsystem in profiles.
-var flusherLabels = pprof.Labels("kflushing", "flusher")
+// segment encode, fsync, manifest commits) to its subsystem in profiles,
+// and compactionLabels the merges of the pass after a cycle, on
+// whichever goroutine ran it.
+var (
+	flusherLabels    = pprof.Labels("kflushing", "flusher")
+	compactionLabels = pprof.Labels("kflushing", "compaction")
+)
 
 // flushDue reports whether memory has reached the flush watermark and
 // grown past the hysteresis margin since the last cycle ended.
@@ -601,24 +601,59 @@ func (e *Engine[K]) flushDue() bool {
 	return used >= wm && used >= e.lastFlushUsed.Load()+wm/200
 }
 
-// runFlushLocked executes one flush cycle; the caller must hold flushMu,
-// which is released on return.
+// runFlushLocked executes one flush cycle and the compaction pass after
+// it; the caller must hold flushMu, which is released when the cycle
+// ends.
 func (e *Engine[K]) runFlushLocked(trigger blackbox.Trigger) {
-	defer e.flushMu.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
 			// Last chance to preserve the evidence: the rings hold the
-			// events leading up to whatever went wrong.
+			// events leading up to whatever went wrong, in the cycle or
+			// in its compaction pass.
 			e.dumpBlackbox("panic")
 			panic(r)
 		}
 	}()
-	_, err := e.flushCycle(trigger)
+	_, err := func() (int64, error) {
+		defer e.flushMu.Unlock()
+		return e.flushCycle(trigger)
+	}()
 	if err != nil {
 		e.lastError.Store(err)
 		slog.Error("engine: background flush failed",
 			"policy", e.pol.Name(), "trigger", trigger, "error", err)
 	}
+	e.compact()
+}
+
+// gatedCycle takes the flush gate and runs one flush cycle under it,
+// unless the engine closed while it waited.
+func (e *Engine[K]) gatedCycle(trigger blackbox.Trigger) (int64, error) {
+	e.flushMu.Lock()
+	defer e.flushMu.Unlock()
+	if e.closed.Load() {
+		return 0, ErrClosed
+	}
+	return e.flushCycle(trigger)
+}
+
+// compact is the compaction pass every flush cycle — budget or
+// FlushNow — is followed by, on the goroutine that ran the cycle, once
+// the flush gate is free: it runs beside the next cycle. Replay runs one
+// after its last cycle (endReplay). It calls
+// disk.Tier.CompactNow, which waits for a pass in progress and then
+// merges whatever overflow is left, so no install is left without a pass
+// that starts after it. A failed pass is counted by the tier and logged
+// here; it never fails the cycle before it, nor degrades the engine: that
+// cycle's segment is live, and the next cycle's pass tries again.
+func (e *Engine[K]) compact() {
+	pprof.Do(context.Background(), compactionLabels, func(ctx context.Context) {
+		rtrace.WithRegion(ctx, "compaction-pass", func() {
+			if err := e.tier.CompactNow(); err != nil {
+				slog.Error("engine: compaction failed", "attr", e.cfg.Attr.Name, "error", err)
+			}
+		})
+	})
 }
 
 // flushCycle runs one flush cycle: the policy evicts at the configured
@@ -808,20 +843,17 @@ func (t *seqTally) add(replay, log uint32) {
 }
 
 // FlushNow synchronously runs one flush cycle regardless of memory
-// pressure, returning the bytes freed. It blocks deterministically on
-// the flush gate — no polling — until any in-flight background cycle
-// completes, then runs its own. Intended for tests, experiments, and
-// administrative draining.
+// pressure, and the compaction pass after it, returning the bytes freed.
+// It blocks deterministically on the flush gate — no polling — until any
+// in-flight background cycle completes, then runs its own. Intended for
+// tests, experiments, and administrative draining.
 func (e *Engine[K]) FlushNow() (int64, error) {
 	if e.closed.Load() {
 		return 0, ErrClosed
 	}
-	e.flushMu.Lock()
-	defer e.flushMu.Unlock()
-	if e.closed.Load() {
-		return 0, ErrClosed
-	}
-	return e.flushCycle(blackbox.TriggerManual)
+	freed, err := e.gatedCycle(blackbox.TriggerManual)
+	e.compact()
+	return freed, err
 }
 
 // Search evaluates one basic top-k search query (Section II-B). The
@@ -1046,44 +1078,10 @@ func (e *Engine[K]) carryingAll(items []query.Item, keys []K, k int) []query.Ite
 	return out
 }
 
-// diskSearch is the memory-miss fallback: it coalesces concurrent
-// identical searches through the flight group so N simultaneous misses
-// for the same (keys, op, k) pay one disk search and share its result.
-// Sharing is safe because query items are immutable once produced and
-// every caller merges them into a fresh result slice.
-//
-// A traced search bypasses coalescing and runs the disk search itself:
-// sharing another caller's in-flight result would leave the trace with
-// no per-segment record — exactly the detail the caller asked for — and
-// traced queries are rare, diagnostic traffic.
+// diskSearch is the memory-miss fallback; a nil trace records nothing.
 func (e *Engine[K]) diskSearch(keys []K, op query.Op, k int, tr *trace.Trace) ([]query.Item, error) {
-	if tr != nil {
-		e.reg.DiskSearches.Add(1)
-		return e.tier.SearchTraced(keys, op, k, tr.BeginDisk())
-	}
-	items, shared, err := e.flights.do(e.flightKey(keys, op, k), func() ([]query.Item, error) {
-		return e.tier.Search(keys, op, k)
-	})
-	if shared {
-		e.reg.DiskSearchesCoalesced.Add(1)
-	} else {
-		e.reg.DiskSearches.Add(1)
-	}
-	return items, err
-}
-
-// flightKey names a disk search for coalescing, one name per (keys, op,
-// k): the op, k as a uvarint, then each encoded key behind its length.
-// Keys are client bytes — a keyword may hold any byte, 0x00 included —
-// so only length prefixes keep two key lists from sharing a name.
-func (e *Engine[K]) flightKey(keys []K, op query.Op, k int) string {
-	b := binary.AppendUvarint([]byte{byte(op)}, uint64(k))
-	for _, key := range keys {
-		ek := e.cfg.Attr.Encode(key)
-		b = binary.AppendUvarint(b, uint64(len(ek)))
-		b = append(b, ek...)
-	}
-	return string(b)
+	e.reg.DiskSearches.Add(1)
+	return e.tier.SearchTraced(keys, op, k, tr.BeginDisk())
 }
 
 // SetK changes the default top-k threshold at run time (Section IV-C).
@@ -1221,8 +1219,8 @@ func (e *Engine[K]) Policy() policy.Policy[K] { return e.pol }
 
 // DiskHealth is a cheap point-in-time view of the disk tier's leveled
 // layout and the flush in progress: enough for a readiness endpoint to
-// show a wedged compactor (persistent backlog) or a flush stuck on the
-// disk without paying for a full Stats census.
+// show compaction falling behind (persistent backlog) or a flush stuck
+// on the disk without paying for a full Stats census.
 type DiskHealth struct {
 	Layout            string            `json:"layout"`
 	Levels            []disk.LevelStats `json:"levels"`

@@ -228,3 +228,47 @@ func TestCloseDrainsPipeline(t *testing.T) {
 		t.Fatalf("reopened tier answers %d of 15 evicted records", len(items))
 	}
 }
+
+// TestBackgroundCompactionConverges: a background engine compacts on the
+// goroutine that ran each flush cycle, after the cycle gives the gate
+// back, so merges run beside the next cycle. Once a FlushNow — whose own
+// pass waits for any pass in progress — returns, no level is over its
+// fanout, and every acked record is answered from memory ∪ disk.
+func TestBackgroundCompactionConverges(t *testing.T) {
+	cfg := backgroundConfig(t.TempDir(), 64<<10)
+	cfg.DiskLevelFanout = 2
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = eng.Close() })
+	acked := 0
+	deadline := time.Now().Add(30 * time.Second)
+	for eng.reg.Flushes.Load() < 10 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d budget cycles ran, want 10", eng.reg.Flushes.Load())
+		}
+		if _, err := eng.IngestBatch(soakBatch(acked, 10)); err != nil {
+			t.Fatal(err)
+		}
+		acked += 10
+	}
+	if _, err := eng.FlushNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Err(); err != nil {
+		t.Fatalf("background cycles: %v", err)
+	}
+	st := eng.Stats().Disk
+	if backlog := eng.DiskHealth().CompactionBacklog; backlog != 0 || st.Compactions == 0 {
+		t.Fatalf("after FlushNow: backlog %d, %d compactions over %d segments; want 0, >0",
+			backlog, st.Compactions, st.Segments)
+	}
+	res, err := eng.Search(query.Request[string]{Keys: []string{"all"}, K: acked + 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Items) != acked {
+		t.Fatalf("%d of %d acked records answered", len(res.Items), acked)
+	}
+}

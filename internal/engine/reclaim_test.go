@@ -338,8 +338,8 @@ func TestWALReclaimConcurrent(t *testing.T) {
 			if st.Files != files || st.Bytes-st.ReferencedBytes != bytes {
 				t.Fatalf("table says %d files / %d bytes, directory %d / %d", st.Files, st.Bytes-st.ReferencedBytes, files, bytes)
 			}
-			// Background compaction unlinks segments as it goes; let it
-			// finish so the copy below is one consistent image.
+			// The pass after a background cycle unlinks segments as it
+			// goes; wait for it so the copy below is one consistent image.
 			if err := eng.CompactNow(); err != nil {
 				t.Fatal(err)
 			}

@@ -214,12 +214,9 @@ type Registry struct {
 	// without an entry, by source (index = index.Source).
 	DepartedReads [DepartedSources]atomic.Int64
 
-	// Disk fallback activity: DiskSearches counts searches actually
-	// executed against the disk tier; DiskSearchesCoalesced counts
-	// concurrent identical misses that shared an in-flight search's
-	// result instead of issuing their own.
-	DiskSearches          atomic.Int64
-	DiskSearchesCoalesced atomic.Int64
+	// DiskSearches counts searches executed against the disk tier: one
+	// per memory miss.
+	DiskSearches atomic.Int64
 
 	// FlushLatency observes whole flush cycles, every policy.
 	FlushLatency Histogram
@@ -365,8 +362,9 @@ type Snapshot struct {
 	// DepartedReads counts departure-record reads by source (names in
 	// DepartedSourceNames).
 	DepartedReads [DepartedSources]int64
-	// DiskSearches/DiskSearchesCoalesced split miss-path disk activity
-	// into executed searches and coalesced duplicate waiters.
+	// DiskSearches counts disk searches, one per memory miss.
+	// DiskSearchesCoalesced is always 0: no miss shares another's disk
+	// search; it stays for the benchmark harness, which still reads it.
 	DiskSearches          int64
 	DiskSearchesCoalesced int64
 	MeanFlush             time.Duration
@@ -402,36 +400,35 @@ type Snapshot struct {
 // Snap returns a snapshot of all counters.
 func (r *Registry) Snap() Snapshot {
 	s := Snapshot{
-		Ingested:              r.Ingested.Load(),
-		IngestBatches:         r.IngestBatches.Load(),
-		Queries:               r.Queries.Load(),
-		Hits:                  r.Hits.Load(),
-		Misses:                r.Misses.Load(),
-		HitRatio:              r.HitRatio(),
-		FilledHits:            r.FilledHits.Load(),
-		CompleteHits:          r.CompleteHits.Load(),
-		SingleHits:            r.SingleHits.Load(),
-		SingleMisses:          r.SingleMisses.Load(),
-		SingleCompleteHits:    r.SingleCompleteHits.Load(),
-		OrHits:                r.OrHits.Load(),
-		OrMisses:              r.OrMisses.Load(),
-		OrCompleteHits:        r.OrCompleteHits.Load(),
-		AndHits:               r.AndHits.Load(),
-		AndMisses:             r.AndMisses.Load(),
-		AndCompleteHits:       r.AndCompleteHits.Load(),
-		Flushes:               r.Flushes.Load(),
-		FlushedBytes:          r.FlushedBytes.Load(),
-		DiskSearches:          r.DiskSearches.Load(),
-		DiskSearchesCoalesced: r.DiskSearchesCoalesced.Load(),
-		MeanFlush:             r.FlushLatency.Mean(),
-		P99Flush:              r.FlushLatency.Quantile(0.99),
-		MeanHit:               r.HitLatency.Mean(),
-		MeanMiss:              r.MissLatency.Mean(),
-		P99Hit:                r.HitLatency.Quantile(0.99),
-		P99Miss:               r.MissLatency.Quantile(0.99),
-		FlushHist:             r.FlushLatency.Snap(),
-		HitHist:               r.HitLatency.Snap(),
-		MissHist:              r.MissLatency.Snap(),
+		Ingested:           r.Ingested.Load(),
+		IngestBatches:      r.IngestBatches.Load(),
+		Queries:            r.Queries.Load(),
+		Hits:               r.Hits.Load(),
+		Misses:             r.Misses.Load(),
+		HitRatio:           r.HitRatio(),
+		FilledHits:         r.FilledHits.Load(),
+		CompleteHits:       r.CompleteHits.Load(),
+		SingleHits:         r.SingleHits.Load(),
+		SingleMisses:       r.SingleMisses.Load(),
+		SingleCompleteHits: r.SingleCompleteHits.Load(),
+		OrHits:             r.OrHits.Load(),
+		OrMisses:           r.OrMisses.Load(),
+		OrCompleteHits:     r.OrCompleteHits.Load(),
+		AndHits:            r.AndHits.Load(),
+		AndMisses:          r.AndMisses.Load(),
+		AndCompleteHits:    r.AndCompleteHits.Load(),
+		Flushes:            r.Flushes.Load(),
+		FlushedBytes:       r.FlushedBytes.Load(),
+		DiskSearches:       r.DiskSearches.Load(),
+		MeanFlush:          r.FlushLatency.Mean(),
+		P99Flush:           r.FlushLatency.Quantile(0.99),
+		MeanHit:            r.HitLatency.Mean(),
+		MeanMiss:           r.MissLatency.Mean(),
+		P99Hit:             r.HitLatency.Quantile(0.99),
+		P99Miss:            r.MissLatency.Quantile(0.99),
+		FlushHist:          r.FlushLatency.Snap(),
+		HitHist:            r.HitLatency.Snap(),
+		MissHist:           r.MissLatency.Snap(),
 	}
 	for i := range s.Phases {
 		s.Phases[i] = PhaseSnapshot{

@@ -381,8 +381,8 @@ func (s *Store) handleBlackbox(w http.ResponseWriter, r *http.Request) {
 // system can actually write (disk tier dir writable, WAL appendable
 // when durable) and answers 503 with the failing attributes otherwise.
 // Both verdicts carry each attribute's disk health — per-level segment
-// counts, compaction backlog, and flush batches in flight — so a wedged
-// compactor or a flush stuck on the disk shows up in the probe body.
+// counts, compaction backlog, and flush batches in flight — so compaction
+// falling behind or a flush stuck on the disk shows up in the probe body.
 func (s *Store) handleReady(w http.ResponseWriter, _ *http.Request) {
 	failures := s.Ready()
 	disk := s.DiskHealth()
@@ -469,9 +469,9 @@ func (s *Store) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(st kflushing.Stats) float64 { return float64(st.Disk.ShadowedRecordBytes) })
 	emit("disk_compactions_total", "counter", "segment merges completed",
 		func(st kflushing.Stats) float64 { return float64(st.Disk.Compactions) })
-	emit("disk_compaction_failures_total", "counter", "background compaction passes that failed",
+	emit("disk_compaction_failures_total", "counter", "compaction passes that failed (each retried by the pass after the next flush cycle)",
 		func(st kflushing.Stats) float64 { return float64(st.Disk.CompactionFailures) })
-	emit("compaction_backlog", "gauge", "tier levels over their fanout awaiting compaction (persistently positive = wedged compactor)",
+	emit("compaction_backlog", "gauge", "tier levels over their fanout awaiting compaction (persistently positive = compaction failing or falling behind)",
 		func(st kflushing.Stats) float64 { return float64(st.Disk.CompactionBacklog) })
 	emit("disk_retired_segments", "gauge", "compaction inputs superseded by a merged segment but not yet unlinked",
 		func(st kflushing.Stats) float64 { return float64(st.Disk.PendingRetired) })
@@ -479,10 +479,8 @@ func (s *Store) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(st kflushing.Stats) float64 { return float64(st.Metrics.PipelineDepth) })
 	emit("disk_record_reads_total", "counter", "record preads served by the disk tier",
 		func(st kflushing.Stats) float64 { return float64(st.Disk.RecordReads) })
-	emit("disk_searches_total", "counter", "disk searches actually executed on memory misses",
+	emit("disk_searches_total", "counter", "disk searches executed, one per memory miss",
 		func(st kflushing.Stats) float64 { return float64(st.Metrics.DiskSearches) })
-	emit("disk_searches_coalesced_total", "counter", "duplicate concurrent misses that shared an in-flight disk search",
-		func(st kflushing.Stats) float64 { return float64(st.Metrics.DiskSearchesCoalesced) })
 	emit("disk_bloom_probes_total", "counter", "per-segment Bloom filter consultations",
 		func(st kflushing.Stats) float64 { return float64(st.Disk.BloomProbes) })
 	emit("disk_bloom_skips_total", "counter", "segment directory probes skipped by Bloom filters",

@@ -57,8 +57,8 @@ func TestMetricsExpositionLints(t *testing.T) {
 		"# TYPE kflushing_flushes_total counter",
 		"kflushing_goroutines ",
 		"kflushing_heap_alloc_bytes ",
-		// Leveled-tier and flush observability: a wedged compactor or a
-		// flush stuck on the disk must be visible here.
+		// Leveled-tier and flush observability: compaction falling behind
+		// or a flush stuck on the disk must be visible here.
 		"# TYPE kflushing_compaction_backlog gauge",
 		`kflushing_compaction_backlog{attr="keyword"`,
 		"# TYPE kflushing_disk_compactions_total counter",

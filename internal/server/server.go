@@ -210,7 +210,7 @@ func (s *Store) Ready() map[string]string {
 // DiskHealth reports each attribute system's disk tier levels and flush
 // batches in flight — cheap enough for the readiness endpoint, where a
 // persistently positive compaction backlog or a batch that stays in
-// flight makes a wedged compactor or a stuck flush visible.
+// flight makes compaction falling behind or a stuck flush visible.
 func (s *Store) DiskHealth() map[string]kflushing.DiskHealth {
 	return perAttr(s, attrSystem.DiskHealth)
 }

@@ -162,8 +162,9 @@ type Options struct {
 	Clock Clock
 	// SyncFlush runs flushes and compactions inline with ingestion, for
 	// deterministic tests and experiments (default: a budget-triggered
-	// flush cycle, segment write included, runs on a background
-	// goroutine, and ingestion carries on beside it).
+	// flush cycle, segment write and the compaction pass after it
+	// included, runs on a background goroutine, and ingestion carries
+	// on beside it).
 	SyncFlush bool
 	// DiskRetry bounds transient-disk-error retries with exponential
 	// backoff: flush-cycle segment writes and memory-miss record reads

@@ -20,12 +20,11 @@ var ErrDegraded = errors.New("engine: degraded read-only mode, tier writes faili
 // stayed memory-resident (partial flushes) lose their on-disk mark so a
 // later flush writes them again. from[i] is the wrapper failed[i] was
 // taken from: it is still resident exactly when it still holds a
-// posting, since nothing evicts while the caller holds the gate. Every evicted record is still
-// WAL-covered — its dead wrapper's claims are not released before this
-// returns, and the batch pins the files they name — and the wrapper
-// re-created here takes claims of its own on the same log files, so a
-// crash loses nothing either way. Callers must
-// hold flushMu.
+// posting, since nothing evicts while the caller holds the gate. Every
+// evicted record is still WAL-covered — its dead wrapper's claims are not
+// released before this returns — and the wrapper re-created here takes
+// claims of its own on the same log files, so a crash loses nothing
+// either way. Callers must hold flushMu.
 func (e *Engine[K]) restoreEvicted(failed []disk.FlushRecord, from []*store.Record) {
 	var recs []*store.Record
 	var recKeys [][]K
@@ -43,14 +42,12 @@ func (e *Engine[K]) restoreEvicted(failed []disk.FlushRecord, from []*store.Reco
 		}
 		rec := e.newRecord(fr.MB, fr.Score)
 		e.admit(rec, fr, keys)
-		claimed.add(fr.ReplaySeq, fr.LogSeq)
+		claimed = claimed.add(fr.ReplaySeq, fr.LogSeq, 1)
 		recs = append(recs, rec)
 		recKeys = append(recKeys, keys)
 	}
 	if e.wal != nil {
-		for _, c := range claimed {
-			e.wal.Claim(c.replay, c.log, c.n)
-		}
+		claimed.settle(e.wal)
 	}
 	if len(recs) > 0 {
 		e.pol.OnIngest(recs, recKeys)

@@ -154,10 +154,8 @@ type Engine[K comparable] struct {
 	wal    *wal.Log
 	// recovering is set while the stream replays the log: files not yet
 	// replayed have no survivors in memory to reference, so the reclaim
-	// at the end of a (recovery) flush cycle stands down. replayed holds
-	// the replayed records not yet handed to the policy.
+	// at the end of a (recovery) flush cycle stands down.
 	recovering bool
-	replayed   replayChunk[K]
 
 	lastFlushUsed atomic.Int64
 	// flushMu serializes flush cycles: background flushes take it with
@@ -192,15 +190,6 @@ type ingestScratch[K comparable] struct {
 	at      []int
 	recs    []*store.Record
 	recKeys [][]K
-}
-
-// replayChunk is the replayed records waiting for the policy's OnIngest,
-// and the keys of the record being delivered.
-type replayChunk[K comparable] struct {
-	recs    []*store.Record
-	recKeys [][]K
-	keys    []K
-	total   int
 }
 
 // New builds and wires an engine from cfg.
@@ -323,79 +312,11 @@ func (e *Engine[K]) attachLog(w *wal.Log) { e.wal = w }
 
 func (e *Engine[K]) setRecovering(on bool) { e.recovering = on }
 
-// recoverChunk bounds how many replayed records wait for the policy's
-// OnIngest: recovery hands them over in chunks so a flush cycle can run
-// between chunks.
-const recoverChunk = 4096
-
-// wants reports whether the engine takes a replayed record: whether it
-// indexes it (a record it already holds it indexes too). The stream
-// takes one claim per taker.
-func (e *Engine[K]) wants(fr disk.FlushRecord) bool {
-	e.replayed.keys = e.cfg.Attr.KeysOf(fr.MB)
-	return len(e.replayed.keys) > 0
-}
-
-// held returns the wrapper memory holds for the record at fr, or nil. A
-// resident record is posted under at least one of its keys, at its
-// (score, ID).
-func (e *Engine[K]) held(fr disk.FlushRecord, keys []K) *store.Record {
-	for _, key := range keys {
-		if en := e.idx.Entry(key); en != nil {
-			if rec := en.Lookup(fr.Score, fr.MB.ID); rec != nil {
-				return rec
-			}
-		}
-	}
-	return nil
-}
-
-// take rebuilds one replayed record in memory, under one claim on the
-// files delivering and framing it. Replayed records keep their original
-// IDs, timestamps and scores. A record delivered twice (a reference frame
-// the crash caught before its source drained) keeps one wrapper, with the
-// newer delivery's claims. Memory stays bounded throughout: records reach
-// the policy in chunks, and whenever memory reaches the flush watermark a
-// cycle runs inline, under the gate, before the next frame is read — its
-// releases may unlink files already replayed.
-func (e *Engine[K]) take(fr disk.FlushRecord) {
-	rc := &e.replayed
-	if held := e.held(fr, rc.keys); held != nil {
-		e.wal.Release(held.ReplaySeq, held.LogSeq, 1)
-		held.LogSeq, held.LogOrd, held.ReplaySeq = fr.LogSeq, fr.LogOrd, fr.ReplaySeq
-		return
-	}
-	rec := e.newRecord(fr.MB, fr.Score)
-	e.admit(rec, fr, rc.keys)
-	rc.recs = append(rc.recs, rec)
-	rc.recKeys = append(rc.recKeys, rc.keys)
-	if due := e.flushDue(); due || len(rc.recs) == recoverChunk {
-		e.handOver()
-		if due {
-			e.recoveryFlush()
-		}
-	}
-}
-
-// handOver reports the replayed records waiting to the policy. Each
-// chunk is one ingestion batch as far as the policy is concerned. Replay
-// is in file order, not arrival order: a referenced record comes back
-// where its reference frame stands, after records that arrived later
-// (wal.Log.Replay).
-func (e *Engine[K]) handOver() {
-	rc := &e.replayed
-	e.pol.OnIngest(rc.recs, rc.recKeys)
-	rc.total += len(rc.recs)
-	rc.recs, rc.recKeys = rc.recs[:0], rc.recKeys[:0]
-}
-
-// endReplay hands the last chunk over once the log is replayed, then
-// runs the one compaction pass the replay's flush cycles owe.
+// endReplay runs, once the log is replayed, the one compaction pass the
+// replay's flush cycles owe. Replayed records count as ingested.
 func (e *Engine[K]) endReplay(maxID uint64) {
-	e.handOver()
 	slog.Info("engine: wal recovery complete",
-		"attr", e.cfg.Attr.Name, "records", e.replayed.total, "max_id", maxID, "mem_used", e.mem.Used())
-	e.replayed = replayChunk[K]{}
+		"attr", e.cfg.Attr.Name, "records", e.reg.Ingested.Load(), "max_id", maxID, "mem_used", e.mem.Used())
 	e.compact()
 }
 
@@ -485,10 +406,13 @@ func (sc *ingestScratch[K]) offer(k int, mb *types.Microblog) bool {
 	return true
 }
 
+// staged returns the frames offer staged, by index.
+func (sc *ingestScratch[K]) staged() []int { return sc.at }
+
 // admit makes the staged records memory-resident, each holding the
-// claims the stream took for it on frames[k], reports them to the policy
-// and triggers a flush when the budget is exhausted. batch is the size
-// of the caller's batch.
+// claims the stream took for it on frames[k], and reports them to the
+// policy. batch is the size of the caller's batch. Whether a flush cycle
+// follows is the caller's call.
 func (sc *ingestScratch[K]) admit(frames []disk.FlushRecord, batch int, start time.Time) {
 	defer sc.discard()
 	e := sc.e
@@ -505,7 +429,6 @@ func (sc *ingestScratch[K]) admit(frames []disk.FlushRecord, batch int, start ti
 	e.reg.IngestBatches.Add(1)
 	e.bbox.Record(blackbox.SubIngest, blackbox.EvIngestBatch,
 		int64(len(sc.recs)), int64(batch-len(sc.recs)), time.Since(start).Nanoseconds())
-	e.maybeFlush(blackbox.TriggerBudget)
 }
 
 // discard ends the share: its working slices hold pointers, so they are
@@ -691,19 +614,6 @@ func (e *Engine[K]) flushCycle(trigger blackbox.Trigger) (int64, error) {
 	if len(batch.Recs) > 0 || len(batch.Dead) > 0 {
 		batch.cycle = id
 		e.reg.PipelineDepth.Store(1)
-		if e.wal != nil {
-			// The log files the batch's directory will name, and those that
-			// deliver its records at replay, stay until it is installed: a
-			// record evicted from one key only may be referenced away from
-			// its replay file meanwhile, and a restored one claims that
-			// file again.
-			for _, fr := range batch.Recs {
-				batch.pins.add(fr.ReplaySeq, fr.LogSeq)
-			}
-			for _, c := range batch.pins {
-				e.wal.Claim(c.replay, c.log, c.n)
-			}
-		}
 		var cerr error
 		rtrace.WithRegion(ctx, "flush-complete", func() {
 			durable, cerr = e.completeBatch(batch)
@@ -810,21 +720,14 @@ func (e *Engine[K]) tryListSurvivors(seq uint32) bool {
 func (e *Engine[K]) releaseClaims(dead []*store.Record) {
 	var t seqTally
 	for _, rec := range dead {
-		t.add(rec.ReplaySeq, rec.LogSeq)
+		t = t.add(rec.ReplaySeq, rec.LogSeq, -1)
 	}
-	e.releaseTally(t)
+	t.settle(e.wal)
 }
 
-// releaseTally gives back the claims a tally counts.
-func (e *Engine[K]) releaseTally(t seqTally) {
-	for _, c := range t {
-		e.wal.Release(c.replay, c.log, c.n)
-	}
-}
-
-// seqTally counts records per pair of log files — the one delivering
-// them at replay and the one framing them; a batch touches a handful of
-// pairs at most, so a linear scan beats a map.
+// seqTally counts claims per pair of log files — the one delivering
+// records at replay and the one framing them; a batch touches a handful
+// of pairs at most, so a linear scan beats a map.
 type seqTally []seqCount
 
 type seqCount struct {
@@ -832,14 +735,28 @@ type seqCount struct {
 	n           int
 }
 
-func (t *seqTally) add(replay, log uint32) {
-	for i := range *t {
-		if (*t)[i].replay == replay && (*t)[i].log == log {
-			(*t)[i].n++
-			return
+// add counts n more claims, or -n fewer, on the pair.
+func (t seqTally) add(replay, log uint32, n int) seqTally {
+	for i := range t {
+		if t[i].replay == replay && t[i].log == log {
+			t[i].n += n
+			return t
 		}
 	}
-	*t = append(*t, seqCount{replay, log, 1})
+	return append(t, seqCount{replay, log, n})
+}
+
+// settle takes the claims the tally counts on w, and gives back those it
+// counts negative.
+func (t seqTally) settle(w *wal.Log) {
+	for _, c := range t {
+		switch {
+		case c.n > 0:
+			w.Claim(c.replay, c.log, c.n)
+		case c.n < 0:
+			w.Release(c.replay, c.log, -c.n)
+		}
+	}
 }
 
 // FlushNow synchronously runs one flush cycle regardless of memory

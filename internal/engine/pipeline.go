@@ -14,16 +14,15 @@ import (
 
 // flushBatch is what one flush cycle evicted: the policy's batch, out
 // of memory and not yet on disk from the policy's return to the end of
-// the cycle, but still fully covered by the write-ahead log: the dead
-// wrappers hold their claims until the batch has settled. cycle is the
-// ID of the flush cycle that evicted it, stamped on its stage events.
-// pins are the claims the cycle took on the log files the batch's
-// directory will name, given back once it is installed (or the batch
-// restored).
+// the cycle, but still fully covered by the write-ahead log: each record
+// keeps its claims on its own wrapper — a partly evicted one is still
+// resident, a dead one holds them until the batch has settled — and
+// nothing moves a cover meanwhile, since reclaim lists survivors under
+// the same flush gate. cycle is the ID of the flush cycle that evicted
+// it, stamped on its stage events.
 type flushBatch struct {
 	policy.Batch
 	cycle uint64
-	pins  seqTally
 }
 
 // completeBatch walks one evicted batch from "out of memory" to
@@ -83,9 +82,6 @@ func (e *Engine[K]) completeBatch(b flushBatch) (durable bool, err error) {
 		e.restoreEvicted(b.Recs, b.From)
 	}
 	e.settle(b.Dead, installed)
-	if e.wal != nil {
-		e.releaseTally(b.pins)
-	}
 	release := time.Since(start)
 
 	recs := int64(len(b.Recs))

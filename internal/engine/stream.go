@@ -25,8 +25,15 @@ import (
 //     engine that will admit the record;
 //   - it hands the framed, numbered batch to every engine that indexes
 //     the record;
-//   - at open it runs the one replay, delivering each logged record to
-//     every engine that indexes it, and coordinates reclaim.
+//   - at open it runs the one replay, which admits the logged records in
+//     small batches the way ingest does, and it coordinates reclaim.
+//
+// Ingest and replay share one admission path: every member opens its
+// share of the batch (begin), stages the frames it indexes (offer), the
+// stream brings the log's claims in line with the takers (claim), and
+// every share makes its frames memory-resident (admit). What follows —
+// a budget cycle after ingest, a recovery cycle during replay — is the
+// caller's.
 //
 // Before anything is logged every member must be writable, so a batch is
 // taken by all the engines that index its records or by none. The log
@@ -72,12 +79,14 @@ type member interface {
 	// The log's owner, the first member, also stamps records.
 	stamp(mb *types.Microblog) float64
 	attachLog(w *wal.Log)
-	// Replay: wants says whether the engine indexes (or already holds) a
-	// logged record, take admits it under one claim, endReplay hands the
-	// last chunk to the policy.
+	// maybeFlush runs a budget cycle after ingest when one is due;
+	// replay runs recoveryFlush inline whenever flushDue says so, with
+	// reclaim stood down while recovering, and endReplay once the log is
+	// replayed.
+	maybeFlush(trigger blackbox.Trigger)
+	flushDue() bool
+	recoveryFlush()
 	setRecovering(bool)
-	wants(fr disk.FlushRecord) bool
-	take(fr disk.FlushRecord)
 	endReplay(maxID uint64)
 	// Reclaim: listSurvivors lists the engine's survivors of a log file
 	// under its flush gate, held by the caller; tryListSurvivors takes the
@@ -102,10 +111,12 @@ type memberConfig struct {
 	recorder *blackbox.Recorder
 }
 
-// share is one engine's part of one ingest batch.
+// share is one engine's part of one batch, ingested or replayed.
 type share interface {
-	// offer stages mb as the batch's frame k if the engine indexes it.
+	// offer stages mb as the batch's frame k if the engine indexes it;
+	// staged returns the frames it staged.
 	offer(k int, mb *types.Microblog) bool
+	staged() []int
 	// admit makes the staged records memory-resident under the frames'
 	// claims and reports the batch; discard drops what was staged.
 	admit(frames []disk.FlushRecord, offered int, start time.Time)
@@ -194,13 +205,19 @@ func (s *Stream) Open() error {
 	return nil
 }
 
+// replayBatch is how many logged frames the stream collects before its
+// members admit them: a member's memory passes the flush watermark by at
+// most one batch before its recovery cycle runs. The benchmark's ingest
+// batch.
+const replayBatch = 16
+
 // replay rebuilds every member's memory from the log's undrained files
-// in one pass: each record goes to every member that indexes it, under a
-// claim of its own — Replay takes one, the stream the others — and a
-// record no member indexes gives its claim back. The ID counter resumes
-// past the highest ID replayed. Then the tiers' registry of the log's
-// files may unlink the drained files replay has shown no reference frame
-// reaches.
+// in one pass, which delivers each logged record once: the records are
+// admitted batch by batch through the shares ingest uses, and a member
+// whose memory reached its flush watermark runs a recovery cycle before
+// the next batch is read. The ID counter resumes past the highest ID
+// replayed. Then the tiers' registry of the log's files may unlink the
+// drained files replay has shown no reference frame reaches.
 func (s *Stream) replay() error {
 	for _, m := range s.members {
 		m.setRecovering(true)
@@ -211,32 +228,22 @@ func (s *Stream) replay() error {
 		}
 	}()
 	var maxID uint64
-	takers := make([]member, 0, len(s.members))
+	frames := make([]disk.FlushRecord, 0, replayBatch)
 	err := s.wal.Replay(func(fr disk.FlushRecord) error {
 		if err := failpoint.Eval(failpoint.RecoverReplayRecord); err != nil {
 			return err
 		}
 		maxID = max(maxID, uint64(fr.MB.ID))
-		takers = takers[:0]
-		for _, m := range s.members {
-			if m.wants(fr) {
-				takers = append(takers, m)
-			}
-		}
-		switch {
-		case len(takers) == 0:
-			s.wal.Release(fr.ReplaySeq, fr.LogSeq, 1)
-		case len(takers) > 1:
-			s.wal.Claim(fr.ReplaySeq, fr.LogSeq, len(takers)-1)
-		}
-		for _, m := range takers {
-			m.take(fr)
+		if frames = append(frames, fr); len(frames) == replayBatch {
+			s.admitReplayed(frames)
+			frames = frames[:0]
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
+	s.admitReplayed(frames)
 	if err := failpoint.Eval(failpoint.RecoverAfterReplay); err != nil {
 		return err
 	}
@@ -250,6 +257,58 @@ func (s *Stream) replay() error {
 	// only now may the others be unlinked.
 	s.logs.Track(s.wal.Holds)
 	return nil
+}
+
+// admitReplayed has every member that indexes them admit replayed frames,
+// each claimed once by the log, then runs a recovery cycle on each member
+// whose memory reached its flush watermark.
+func (s *Stream) admitReplayed(frames []disk.FlushRecord) {
+	if len(frames) == 0 {
+		return
+	}
+	start := time.Now()
+	var sh [3]share
+	shares := s.begin(sh[:0])
+	for k, fr := range frames {
+		for _, p := range shares {
+			p.offer(k, fr.MB)
+		}
+	}
+	s.claim(frames, shares)
+	for i, p := range shares {
+		p.admit(frames, len(frames), start)
+		if m := s.members[i]; m.flushDue() {
+			m.recoveryFlush()
+		}
+	}
+}
+
+// begin opens every member's share of one batch.
+func (s *Stream) begin(shares []share) []share {
+	for _, m := range s.members {
+		shares = append(shares, m.begin())
+	}
+	return shares
+}
+
+// claim brings the log's claims on frames in line with the shares taking
+// them: the log took one claim per frame, so a frame n shares take takes
+// n-1 more, and one no share takes gives its claim back. It counts per
+// pair of files — the one delivering a frame at replay, the one framing
+// it — before any share admits, so no release can drain a file under
+// them.
+func (s *Stream) claim(frames []disk.FlushRecord, shares []share) {
+	var buf [4]seqCount
+	t := seqTally(buf[:0])
+	for _, fr := range frames {
+		t = t.add(fr.ReplaySeq, fr.LogSeq, -1)
+	}
+	for _, p := range shares {
+		for _, k := range p.staged() {
+			t = t.add(frames[k].ReplaySeq, frames[k].LogSeq, 1)
+		}
+	}
+	t.settle(s.wal)
 }
 
 // IngestBatch digests a batch of microblogs into every member that
@@ -287,23 +346,16 @@ func (s *Stream) IngestBatch(mbs []*types.Microblog) ([]types.ID, error) {
 		frames = make([]disk.FlushRecord, 0, len(mbs))
 	}
 	var sh [3]share
-	shares := sh[:0]
-	for _, m := range s.members {
-		shares = append(shares, m.begin())
-	}
+	shares := s.begin(sh[:0])
 	owner := s.members[0]
-	offered := 0
 	for i, mb := range mbs {
-		taken := 0
+		taken := false
 		for _, p := range shares {
-			if p.offer(len(frames), mb) {
-				taken++
-			}
+			taken = p.offer(len(frames), mb) || taken
 		}
-		if taken == 0 {
+		if !taken {
 			continue
 		}
-		offered += taken
 		score := owner.stamp(mb)
 		mb.ID = types.ID(s.ids.Add(1))
 		ids[i] = mb.ID
@@ -316,12 +368,7 @@ func (s *Stream) IngestBatch(mbs []*types.Microblog) ([]types.ID, error) {
 			}
 			return nil, fmt.Errorf("engine: wal append: %w", err)
 		}
-		// AppendBatch took one claim per frame, all on one file: take the
-		// others before any member admits, so no release can drain it
-		// under them.
-		if extra := offered - len(frames); extra > 0 {
-			s.wal.Claim(frames[0].ReplaySeq, frames[0].LogSeq, extra)
-		}
+		s.claim(frames, shares)
 	}
 	// The crash windows these sites name: the batch durable and claimed
 	// for every member, none or some of them holding it in memory. Replay
@@ -332,6 +379,7 @@ func (s *Stream) IngestBatch(mbs []*types.Microblog) ([]types.ID, error) {
 			_ = failpoint.Eval(failpoint.StreamAdmitted)
 		}
 		p.admit(frames, len(mbs), start)
+		s.members[i].maybeFlush(blackbox.TriggerBudget)
 	}
 	return ids, nil
 }

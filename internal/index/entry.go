@@ -389,19 +389,6 @@ func (e *Entry[K]) search(score float64, id types.ID) int {
 	return lo
 }
 
-// Lookup returns the record the entry posts at (score, id), or nil: how
-// recovery finds a record memory already holds.
-func (e *Entry[K]) Lookup(score float64, id types.ID) *store.Record {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if i := e.search(score, id); i < len(e.postings) {
-		if rec := e.postings[i]; rec.Score == score && rec.MB.ID == id {
-			return rec
-		}
-	}
-	return nil
-}
-
 // Contains reports whether the entry currently holds a posting for rec.
 func (e *Entry[K]) Contains(rec *store.Record) bool {
 	e.mu.Lock()

@@ -53,8 +53,6 @@ type Config[K comparable] struct {
 	TrackOverK bool
 	// Tracker receives index memory accounting; may be nil.
 	Tracker *memsize.Tracker
-	// Shards is the number of hash shards; 0 selects a default.
-	Shards int
 	// Pool recycles posting-slice backing arrays across entry growth,
 	// removal shrink, and entry death. Nil allocates from the heap
 	// (AllocPolicy=heap).
@@ -66,6 +64,10 @@ type Config[K comparable] struct {
 	DepartedBytes int64
 }
 
+// shardCount is the number of hash shards, a power of two so a key's
+// hash masks to its shard.
+const shardCount = 64
+
 type shard[K comparable] struct {
 	mu      sync.RWMutex
 	entries map[K]*Entry[K]
@@ -75,8 +77,7 @@ type shard[K comparable] struct {
 // concurrent use.
 type Index[K comparable] struct {
 	cfg    Config[K]
-	shards []shard[K]
-	mask   uint64
+	shards [shardCount]shard[K]
 
 	k atomic.Int32
 
@@ -103,17 +104,7 @@ func New[K comparable](cfg Config[K]) *Index[K] {
 	if cfg.Hash == nil || cfg.KeyLen == nil {
 		panic("index: Hash and KeyLen are required")
 	}
-	n := cfg.Shards
-	if n <= 0 {
-		n = 64
-	}
-	// Round up to a power of two for mask selection.
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	ix := &Index[K]{cfg: cfg, shards: make([]shard[K], p), mask: uint64(p - 1),
-		departed: newDepartures(cfg.DepartedBytes)}
+	ix := &Index[K]{cfg: cfg, departed: newDepartures(cfg.DepartedBytes)}
 	for i := range ix.shards {
 		ix.shards[i].entries = make(map[K]*Entry[K])
 	}
@@ -137,7 +128,7 @@ func (ix *Index[K]) TrackTopK() bool { return ix.cfg.TrackTopK }
 func (ix *Index[K]) KeyHash(key K) uint64 { return ix.cfg.Hash(key) }
 
 func (ix *Index[K]) shardFor(key K) *shard[K] {
-	return &ix.shards[ix.cfg.Hash(key)&ix.mask]
+	return &ix.shards[ix.cfg.Hash(key)%shardCount]
 }
 
 // Insert adds a posting for rec under key, creating the entry if needed,
@@ -178,7 +169,7 @@ func (ix *Index[K]) Link(key K, rec *store.Record) {
 
 func (ix *Index[K]) getOrCreate(key K) *Entry[K] {
 	h := ix.cfg.Hash(key)
-	sh := &ix.shards[h&ix.mask]
+	sh := &ix.shards[h%shardCount]
 	sh.mu.RLock()
 	e := sh.entries[key]
 	sh.mu.RUnlock()
@@ -315,7 +306,7 @@ func (ix *Index[K]) removed(e *Entry[K], n, left, k int, died bool) int64 {
 		}
 		return freed
 	}
-	sh := &ix.shards[e.hash&ix.mask]
+	sh := &ix.shards[e.hash%shardCount]
 	sh.mu.Lock()
 	if sh.entries[e.key] == e {
 		ix.unmapLocked(sh, e)

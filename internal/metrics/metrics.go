@@ -189,9 +189,12 @@ func (o Outcome) Reason() string {
 // Registry aggregates one engine's counters. All methods are safe for
 // concurrent use.
 type Registry struct {
+	// Ingested counts the records admitted to memory, the ones a durable
+	// store replays from its log at open included.
 	Ingested atomic.Int64
 	// IngestBatches counts batched ingestion calls (a per-record Ingest
-	// is a batch of one), so batch amortization is observable.
+	// is a batch of one), so batch amortization is observable, and the
+	// batches replay admits.
 	IngestBatches atomic.Int64
 
 	Queries atomic.Int64

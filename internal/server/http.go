@@ -431,7 +431,7 @@ func (s *Store) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(st kflushing.Stats) float64 { return float64(st.Census.Entries) })
 	emit("kfilled_entries", "gauge", "entries able to serve top-k from memory",
 		func(st kflushing.Stats) float64 { return float64(st.Census.KFilled) })
-	emit("ingested_total", "counter", "records digested",
+	emit("ingested_total", "counter", "records digested, those replayed from the log at startup included",
 		func(st kflushing.Stats) float64 { return float64(st.Metrics.Ingested) })
 	emit("queries_total", "counter", "queries evaluated",
 		func(st kflushing.Stats) float64 { return float64(st.Metrics.Queries) })
@@ -459,7 +459,7 @@ func (s *Store) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(st kflushing.Stats) float64 { return st.DepartedGhostLoad })
 	emit("flushes_total", "counter", "flush cycles executed",
 		func(st kflushing.Stats) float64 { return float64(st.Metrics.Flushes) })
-	emit("ingest_batches_total", "counter", "batched ingestion calls (per-record ingest is a batch of one)",
+	emit("ingest_batches_total", "counter", "batched ingestion calls (per-record ingest is a batch of one) and log replay batches",
 		func(st kflushing.Stats) float64 { return float64(st.Metrics.IngestBatches) })
 	emit("disk_segments", "gauge", "live disk segments",
 		func(st kflushing.Stats) float64 { return float64(st.Disk.Segments) })

@@ -292,6 +292,63 @@ func TestReferenceKeepsSourceForInFlightClaims(t *testing.T) {
 	}
 }
 
+// TestReplayDeliversEachRecordOnce: a crash between a reference frame's
+// fsync and its source's drain leaves two files listing the survivors —
+// the source, kept by a claim still in flight, and the referencing file.
+// Replay delivers each record once, from the source, and claims only
+// what it delivers; the referencing file still reaches the source.
+func TestReplayDeliversEachRecordOnce(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{MaxFileBytes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frs := appendUntilFile(t, l, 2)
+	inFirst := 0
+	for _, f := range frs {
+		if f.LogSeq == 1 {
+			inFirst++
+		}
+	}
+	// Three claims left on file 1: two survivors and one record in flight.
+	l.Release(1, 1, inFirst-3)
+	to, err := l.Reference(1, frs[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !l.Replays(1) {
+		t.Fatal("file 1 drained under an in-flight claim")
+	}
+	// Crash: reopen without Close.
+	re, err := Open(dir, Options{MaxFileBytes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	seen := map[types.ID]int{}
+	for _, r := range replayAll(t, re) {
+		if seen[r.MB.ID]++; seen[r.MB.ID] > 1 {
+			t.Fatalf("record %d delivered twice, the second time by file %d", r.MB.ID, r.ReplaySeq)
+		}
+		if r.MB.ID <= frs[1].MB.ID && r.ReplaySeq != 1 {
+			t.Fatalf("survivor %d delivered by file %d, want its source, file 1", r.MB.ID, r.ReplaySeq)
+		}
+	}
+	if len(seen) != len(frs) {
+		t.Fatalf("%d distinct records delivered, want %d", len(seen), len(frs))
+	}
+	if st := re.Stats(); st.LiveRecords != int64(len(seen)) {
+		t.Fatalf("%d claims after replay for %d records delivered", st.LiveRecords, len(seen))
+	}
+	// File 1 holds every claim of its frames: releasing them drains it,
+	// but the referencing file, still replayed, keeps it on disk.
+	re.Release(1, 1, inFirst)
+	if re.Replays(1) || !re.Holds(1) || !exists(dir, 1) {
+		t.Fatalf("file 1 after its last release: replayed %v, held %v, on disk %v; want drained and kept while file %d lists it",
+			re.Replays(1), re.Holds(1), exists(dir, 1), to)
+	}
+}
+
 // TestReplayRebuildsClaims: a reopened log pins what it finds until
 // Replay has counted it; each delivered frame is a claim on its file;
 // header-only leftovers of earlier opens go as they are replayed.
@@ -450,7 +507,8 @@ func TestReferencedDrainedFileSurvives(t *testing.T) {
 		t.Fatal("append and seal", err)
 	}
 	// Records 2 and 3 leave memory without a flush naming file 1 — as
-	// replayed duplicates do — and record 1 is referenced out of it.
+	// replayed records no engine indexes do — and record 1 is referenced
+	// out of it.
 	l.Release(1, 1, 2)
 	if _, err := l.Reference(1, frs[:1]); err != nil {
 		t.Fatal(err)

@@ -37,8 +37,8 @@
 //   - covers: the records whose replay goes through the file, because it
 //     frames them or a reference frame of it lists them, and which have
 //     not yet left memory for a durably installed segment;
-//   - holds: the records memory holds (and the owner pins for flushes in
-//     flight) whose bytes the file frames.
+//   - holds: the records memory holds (and those of a flush in flight)
+//     whose bytes the file frames.
 //
 // AppendBatch raises both on the active file once an append has
 // succeeded. A failed append claims nothing, even when its frames stay in
@@ -76,8 +76,10 @@
 // record is written twice, and the old file is never read. Crash
 // windows: before the fsync the source still covers every survivor and
 // the reference frame is at worst a torn tail; between the fsync and the
-// drain both files deliver the survivors and replay keeps one wrapper per
-// ID; the drain takes effect with one manifest commit, after which
+// drain both files list the survivors, and replay delivers each once,
+// from the source — the older delivery — skipping the reference frame's
+// entries, which claim nothing; the source then drains at a later
+// reclaim. The drain takes effect with one manifest commit, after which
 // replay reads each survivor through the reference, with one pread. The
 // file holding the highest record ID may drain like any other: the
 // tier's manifest keeps the record-ID high-water mark of every installed
@@ -824,17 +826,20 @@ func parseFile(path string, lastFile bool) (parsedFile, error) {
 // the frame holding a delivered record, ReplaySeq the file delivering
 // it. Files Options.Logs lists drained were never opened, so they
 // deliver nothing by themselves: their records are in installed
-// segments, or listed by a reference frame of a newer file. Replay does not restore arrival order: a referenced record
-// is delivered after records that arrived later, and, in the window
-// between a reference frame's fsync and its source's drain, twice — the
-// caller keeps one. Each delivered record is a cover on the file
-// delivering it and a hold on the one framing it, owned by fn's side:
-// the engine releases the ones it does not keep (a duplicate, a record
-// without keys) and the ones it later flushes; a caller that releases
-// nothing keeps every file. When a file has been replayed its Open-time
-// pin is dropped, so a file nothing covers — a header-only leftover, or
-// one whose records fn flushed while later files replayed — drains on
-// the spot.
+// segments, or listed by a reference frame of a newer file. Replay does
+// not restore arrival order: a referenced record is delivered after
+// records that arrived later. It delivers each frame at most once: a
+// reference frame's entry for a frame this replay has already delivered —
+// its file was walked, or an earlier reference frame listed it, as in the
+// window between a reference frame's fsync and its source's drain — is
+// skipped, and the file keeps reaching the frame's file all the same. Each
+// delivered record is a cover on the file delivering it and a hold on the
+// one framing it, owned by fn's side: the engine releases the ones it
+// does not keep (a record without keys) and the ones it later flushes; a
+// caller that releases nothing keeps every file. When a file has been
+// replayed its Open-time pin is dropped, so a file nothing covers — a
+// header-only leftover, or one whose records fn flushed while later
+// files replayed — drains on the spot.
 //
 // Tolerance matches what crashes actually produce: a truncated frame at
 // the END of any file is accepted (a crash tears the tail of whichever
@@ -862,6 +867,7 @@ func (l *Log) Replay(fn func(disk.FlushRecord) error) error {
 	l.mu.Unlock()
 	readers := frameReaders{}
 	defer readers.close()
+	seen := delivered{walked: map[uint32]uint32{}, listed: map[disk.LogRef]bool{}}
 	// The file that may carry an unsynced crash tail is the newest one
 	// holding any payload — NOT necessarily the last file: Open rotates
 	// to a fresh (header-only) file before Replay runs, and that empty
@@ -901,11 +907,12 @@ func (l *Log) Replay(fn func(disk.FlushRecord) error) error {
 			l.mu.Unlock()
 			return fn(fr)
 		}, func(refs []disk.LogRef) error {
-			return l.replayRefs(f, refs, readers, fn)
+			return l.replayRefs(f, refs, readers, seen, fn)
 		})
 		if err != nil {
 			return err
 		}
+		seen.walked[f.seq] = uint32(len(p.recs))
 		l.mu.Lock()
 		f.pinned = false
 		drained, released := l.sweepLocked()
@@ -948,10 +955,29 @@ func listedFrameError(own string, ref disk.LogRef, err error) error {
 	return fmt.Errorf("wal: %s lists frame %d of %s: %w", own, ref.Ord, disk.LogName(ref.Seq), err)
 }
 
-// replayRefs delivers the records one reference frame of file f lists,
-// reading each through its file's frame index.
-func (l *Log) replayRefs(f *logFile, refs []disk.LogRef, readers frameReaders, fn func(disk.FlushRecord) error) error {
+// delivered is what one Replay has handed over so far: every frame of
+// the files it walked (walked: how many each frames) and the frames
+// reference frames listed.
+type delivered struct {
+	walked map[uint32]uint32
+	listed map[disk.LogRef]bool
+}
+
+// replayRefs delivers the records one reference frame of file f lists
+// that the replay has not delivered yet, reading each through its file's
+// frame index. f reaches every file the frame lists, delivered or not: a
+// later replay may read them through it.
+func (l *Log) replayRefs(f *logFile, refs []disk.LogRef, readers frameReaders, seen delivered, fn func(disk.FlushRecord) error) error {
+	l.mu.Lock()
 	for _, ref := range refs {
+		f.addReach(ref.Seq)
+	}
+	l.mu.Unlock()
+	for _, ref := range refs {
+		if ref.Ord < seen.walked[ref.Seq] || seen.listed[ref] {
+			continue
+		}
+		seen.listed[ref] = true
 		fr, size, err := readers.read(l.dir, ref)
 		if err != nil {
 			return listedFrameError(disk.LogName(f.seq), ref, err)
@@ -961,7 +987,6 @@ func (l *Log) replayRefs(f *logFile, refs []disk.LogRef, readers frameReaders, f
 		f.refs++
 		f.refBytes += size
 		f.covers++
-		f.addReach(ref.Seq)
 		l.holdLocked(ref.Seq)
 		l.mu.Unlock()
 		if err := fn(fr); err != nil {
@@ -1038,8 +1063,8 @@ func (l *Log) release(replay uint32, covers int64, log uint32, holds int64, mark
 // Claim adds n claims — covers on file replay, holds on file log — for a
 // holder taking over records the log already delivers: a failed flush
 // restoring evicted records while the wrappers they replace still hold
-// theirs, or a flush keeping the files its directory will name. Both
-// files exist.
+// theirs, or a further engine admitting a record the log claimed once.
+// Both files exist.
 func (l *Log) Claim(replay, log uint32, n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -1233,8 +1258,8 @@ func (l *Log) Replays(seq uint32) bool {
 // nothing in flight covers it either. No record byte is written, and
 // holds stay where the bytes are. On success Reference returns the file
 // that now delivers the survivors, their new ReplaySeq. On failure from
-// keeps every cover, and a reference frame already written is an
-// unclaimed duplicate replay tolerates.
+// keeps every cover, and a reference frame already written lists frames
+// the source delivers first, which replay skips.
 func (l *Log) Reference(from uint32, frs []disk.FlushRecord) (uint32, error) {
 	start := time.Now()
 	var to uint32

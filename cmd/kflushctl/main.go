@@ -2,33 +2,34 @@
 // data directories. It operates directly on segment, record-block and
 // write-ahead-log files without starting a system.
 //
-//	kflushctl upgrade <dir>        check a tier or a kflushd data
-//	                               directory before this build opens it:
-//	                               every format it reads is the one it
-//	                               writes, so nothing is converted; a
-//	                               retired format is refused, naming the
-//	                               file and the commit whose upgrade
-//	                               converts it, and no file changes
+//	kflushctl upgrade <dir>        convert a tier or a kflushd data
+//	                               directory for this build: every v4
+//	                               block and log file is rewritten as v5,
+//	                               ordinals kept, one file at a time; a
+//	                               format older than that is refused,
+//	                               naming the file and the commit whose
+//	                               upgrade converts it, and no file
+//	                               changes
 //	kflushctl segments <dir>       list segments (version, records, bloom,
 //	                               directory size) and the record files
-//	                               each one names: record blocks with
-//	                               their format version and bytes per
-//	                               record, log files with their version,
-//	                               frames, bytes per record and drained
-//	                               mark
+//	                               each one names, each with its format
+//	                               version, records, pages and on-disk
+//	                               bytes per record; a log file also with
+//	                               its drained mark
 //	kflushctl levels <dir>         decode the disk tier's manifest and
 //	                               print per-level occupancy, retired
 //	                               inputs, drained log files, and
 //	                               unreferenced files
 //	kflushctl dump <file>          print the records of a blk-* block,
-//	                               the frames of a wal-* log file (a
-//	                               reference frame as one line listing
-//	                               its frames), or the live records of a
-//	                               seg-*/lvl-* directory, as JSON lines
+//	                               the pages of a wal-* log file (a
+//	                               reference page as one line listing
+//	                               its records), or the live records of
+//	                               a seg-*/lvl-* directory, as JSON lines
 //	kflushctl verify <dir>         decode every record, resolve every
 //	                               posting, check every list's ranking,
-//	                               resolve every reference frame of an
-//	                               undrained log file; fail on corruption.
+//	                               resolve every reference page of an
+//	                               undrained log file, check the checksum
+//	                               of every page read; fail on corruption.
 //	                               On a kflushd data directory, every
 //	                               attribute's tier
 //
@@ -43,8 +44,8 @@
 //	                               directory probes, cache hits)
 //	kflushctl wal <dir>            summarize the write-ahead log in a
 //	                               store directory: per file the records
-//	                               it frames and those its reference
-//	                               frames list
+//	                               and pages it holds and the records its
+//	                               reference pages list
 //
 // Two subcommands talk to a RUNNING kflushd instead of files:
 //
@@ -194,21 +195,20 @@ func cmdSegments(w io.Writer, dir string) error {
 		recs += int64(info.Records)
 		bytes += info.Bytes
 		shadowed += info.ShadowedBytes
-		// Each record file with its format version and the bytes its
-		// records and offsets (frame headers and index) take per record;
-		// a log file also with its frame count and drained mark.
+		// Each record file with its format version, records, pages and
+		// on-disk bytes per record (page headers and index included); a
+		// log file also with its drained mark.
 		parts := make([]string, len(info.Blocks))
 		for i, b := range info.Blocks {
-			perRec := float64(b.Bytes) / float64(max(b.Records, 1))
-			if !b.Log {
-				parts[i] = fmt.Sprintf("%s v%d %.1fB/rec", b.Name, b.Version, perRec)
-				continue
+			parts[i] = fmt.Sprintf("%s v%d %d recs %d pages %.1fB/rec", b.Name, b.Version, b.Records, b.Pages,
+				float64(b.Bytes)/float64(max(b.Records, 1)))
+			if b.Log {
+				mark := "undrained"
+				if b.Drained {
+					mark = "drained"
+				}
+				parts[i] = strings.Replace(parts[i], " v", " log v", 1) + " " + mark
 			}
-			mark := "undrained"
-			if b.Drained {
-				mark = "drained"
-			}
-			parts[i] = fmt.Sprintf("%s log v%d %d frames %.1fB/rec %s", b.Name, b.Version, b.Records, perRec, mark)
 		}
 		fmt.Fprintf(w, "  files: %s\n", strings.Join(parts, ", "))
 		for _, b := range info.Blocks {
@@ -483,8 +483,9 @@ func cmdDump(w io.Writer, path string) error {
 	if !strings.HasPrefix(filepath.Base(path), "wal-") {
 		return disk.DumpSegment(path, record)
 	}
-	// A log file frame by frame: a reference frame is one line, its
-	// frames grouped by the file framing them.
+	// A log file page by page: a record page is a line per record, a
+	// reference page one line, its records grouped by the file holding
+	// them.
 	type group struct {
 		File     string   `json:"file"`
 		Ordinals []uint32 `json:"ordinals"`
@@ -548,11 +549,11 @@ func tierDirs(dir string) []string {
 }
 
 // cmdWAL summarizes the log files of a store directory — each with its
-// version, the records it frames and those its reference frames list,
-// whether it is sealed and whether the manifest marks it drained (a
-// record file of the tier, not scanned by a replay). The summary's
-// replayable count is what a recovery delivers: the frames and
-// references of the undrained files. It changes nothing.
+// version, the records and pages it holds and the records its reference
+// pages list, whether it is sealed and whether the manifest marks it
+// drained (a record file of the tier, not scanned by a replay). The
+// summary's replayable count is what a recovery delivers: the records
+// and references of the undrained files. It changes nothing.
 func cmdWAL(w io.Writer, dir string) error {
 	if home := disk.LogHome(dir); home != dir {
 		fmt.Fprintf(w, "log kept in %s\n", home)
@@ -567,7 +568,7 @@ func cmdWAL(w io.Writer, dir string) error {
 	if err != nil {
 		return fmt.Errorf("wal %s: %w", dir, err)
 	}
-	var replay, frames, refs int
+	var replay, records, refs int
 	var refBytes int64
 	var minID, maxID uint64
 	for _, f := range files {
@@ -578,20 +579,20 @@ func cmdWAL(w io.Writer, dir string) error {
 		if drained[f.Name] {
 			state += ", drained"
 		} else {
-			replay += f.Frames + f.References
-			if f.Frames > 0 && (minID == 0 || f.MinID < minID) {
+			replay += f.Records + f.References
+			if f.Records > 0 && (minID == 0 || f.MinID < minID) {
 				minID = f.MinID
 			}
 			maxID = max(maxID, f.MaxID)
 		}
-		frames += f.Frames
+		records += f.Records
 		refs += f.References
 		refBytes += f.ReferenceBytes
-		fmt.Fprintf(w, "  %-20s v%d %8d frames %8d refs %10d bytes  ids [%d, %d]  %s\n",
-			f.Name, f.Version, f.Frames, f.References, f.Bytes, f.MinID, f.MaxID, state)
+		fmt.Fprintf(w, "  %-20s v%d %8d records %6d pages %8d refs %10d bytes  ids [%d, %d]  %s\n",
+			f.Name, f.Version, f.Records, f.Pages, f.References, f.Bytes, f.MinID, f.MaxID, state)
 	}
-	fmt.Fprintf(w, "ok: %d files, %d frames, %d references in %d bytes, %d replayable, id range [%d, %d]\n",
-		len(files), frames, refs, refBytes, replay, minID, maxID)
+	fmt.Fprintf(w, "ok: %d files, %d records, %d references in %d bytes, %d replayable, id range [%d, %d]\n",
+		len(files), records, refs, refBytes, replay, minID, maxID)
 	return nil
 }
 

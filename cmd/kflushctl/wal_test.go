@@ -67,8 +67,8 @@ func TestCmdWALShowsReferences(t *testing.T) {
 	}
 	lines := strings.Split(out.String(), "\n")
 	for i, want := range []string{
-		"wal-00000001.kfw     v4        4 frames        0 refs",
-		"wal-00000002.kfw     v4        0 frames        1 refs",
+		"wal-00000001.kfw     v5        4 records      1 pages        0 refs",
+		"wal-00000002.kfw     v5        0 records      1 pages        1 refs",
 	} {
 		if !strings.Contains(lines[i], want) {
 			t.Errorf("line %d is %q, want it to hold %q", i, lines[i], want)
@@ -77,7 +77,7 @@ func TestCmdWALShowsReferences(t *testing.T) {
 	if !strings.HasSuffix(lines[0], "sealed, drained") || !strings.HasSuffix(lines[1], "  sealed") {
 		t.Errorf("states:\n%s", out.String())
 	}
-	if !strings.Contains(lines[2], "ok: 2 files, 4 frames, 1 references in ") || !strings.Contains(lines[2], " bytes, 1 replayable") {
+	if !strings.Contains(lines[2], "ok: 2 files, 4 records, 1 references in ") || !strings.Contains(lines[2], " bytes, 1 replayable") {
 		t.Errorf("summary %q", lines[2])
 	}
 }
@@ -113,13 +113,14 @@ func TestCmdVerifyResolvesReferences(t *testing.T) {
 	if !strings.Contains(out.String(), ", 1 log references resolved") {
 		t.Fatalf("verify: %q", out.String())
 	}
-	// A sealed file 3 listing frame 9 of file 1, which frames 4.
-	img := disk.AppendReferences(disk.AppendLogHeader(nil), []disk.LogRef{{Seq: 1, Ord: 9}})
-	img = disk.AppendFrameIndex(img, nil)
+	// A sealed file 3 listing record 9 of file 1, which holds 4.
+	var index disk.PageIndex
+	img := disk.AppendReferencePage(disk.AppendLogHeader(nil), []disk.LogRef{{Seq: 1, Ord: 9}}, &index)
+	img = disk.AppendPageIndex(img, &index)
 	if err := os.WriteFile(filepath.Join(dir, disk.LogName(3)), img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdVerify(&out, dir); err == nil || !strings.Contains(err.Error(), "lists frame 9 of wal-00000001.kfw") {
+	if err := cmdVerify(&out, dir); err == nil || !strings.Contains(err.Error(), "lists records of wal-00000001.kfw: record 9 of 4") {
 		t.Fatalf("verify over a dangling reference: %v", err)
 	}
 }

@@ -4,78 +4,271 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"kflushing/internal/failpoint"
 )
 
-// Record block file layout, version 4 (all integers little-endian):
+// Record file layout, version 5 — a record block (blk-*.kfs) and a log
+// file (wal-*.kfw, logfile.go) alike; all integers little-endian:
 //
-//	header : magic "KFBK" | u16 version | u16 offset width (4 or 8)
-//	         | u32 count
-//	records: count records (see appendRecord), back to back, best score
-//	         first
-//	offsets: count × u32 (u64 at width 8) file offset of each record,
-//	         in ordinal order
-//	footer : u64 offsetsPos | "KFBE"
+//	header : magic ("KFBK" block, "KFWL" log file) | u16 version
+//	pages  : u32 payload length | u32 CRC32C of payload | payload, where
+//	         the payload is whole records (see appendRecord) back to
+//	         back — no more than PageSize bytes of them, or one record
+//	         larger than that alone — or, in a log file only, a
+//	         reference page (logfile.go)
+//	index  : once the file is sealed, one last page whose payload is
+//	         0xFF | pages × (u64 page offset | u32 first ordinal)
+//	         | u32 records | u32 pages | "KFPX"
+//
+// Ordinal i is the file's i-th record. Page p holds the ordinals from
+// its first up to the next page's first (the file's record count for the
+// last page); a page holding none is a reference page. The index lists
+// every page, so page p runs exactly to the next page's offset (to the
+// index page for the last one), and a reader finds the page holding an
+// ordinal by binary search over the resident first ordinals, preads it,
+// checks its CRC and skips forward to the record. The index's marker
+// byte is not a valid record flags byte, and its fixed tail lets a
+// reader find it from the end of the file.
 //
 // A block is what a flush writes once and nothing ever writes again:
 // microblogs are immutable and never deleted, so a block holds no
-// garbage for a merge to reclaim. Directories (segment.go) address its
-// records by ordinal; level merges rewrite directories, never blocks.
-// The writer uses 8-byte offsets only once the record area reaches
-// 4 GiB, so no flush size overflows the table.
-//
-// A sealed log file (logfile.go) opens as a block as well: its frame
-// index is the offsets table, and a frame's header sits in front of
-// each record. On a durable store those are the only record files a
-// flush names.
+// garbage for a merge to reclaim. Its records are stored best score
+// first, packed greedily into pages, and it is sealed as it is written.
+// Directories (segment.go) address records by ordinal; level merges
+// rewrite directories, never blocks. A log file is written a batch at a
+// time — a batch starts a page — and sealed when the log rotates; on a
+// durable store log files are the only record files a flush names.
 const (
-	blkMagic      = "KFBK"
-	blkEndMagic   = "KFBE"
-	blkVersion    = 4
-	blkHeaderSize = 4 + 2 + 2 + 4
-	blkFooterSize = 8 + 4
+	blkMagic   = "KFBK"
+	blkVersion = 5
+
+	// PageSize bounds a record page's payload: a page closes before the
+	// record that would take it past PageSize bytes. A record larger than
+	// that has a page of its own.
+	PageSize = 4 << 10
+	// HeaderSize is the length of a record file's header, PageHeaderSize
+	// a page's.
+	HeaderSize     = 4 + 2
+	PageHeaderSize = 4 + 4
+
+	indexMarker = 0xFF
+	indexMagic  = "KFPX"
+	indexEntry  = 8 + 4
+	indexTail   = 4 + 4 + 4 // u32 records | u32 pages | magic
 )
+
+var pageCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// PageIndex locates the pages of a record file: page p starts at file
+// offset Off[p] and holds the records with ordinals First[p] up to the
+// next page's first ordinal, Records for the last page. A page holding
+// none is a log file's reference page.
+type PageIndex struct {
+	Off     []uint64
+	First   []uint32
+	Records uint32
+}
+
+// Add indexes a page at off holding n records.
+func (x *PageIndex) Add(off uint64, n uint32) {
+	x.Off = append(x.Off, off)
+	x.First = append(x.First, x.Records)
+	x.Records += n
+}
+
+// Extend indexes y's pages after x's, y's offsets moved up by base: how a
+// log indexes a batch it encoded on its own once it has written it at
+// base.
+func (x *PageIndex) Extend(y *PageIndex, base uint64) {
+	for p, off := range y.Off {
+		x.Off = append(x.Off, base+off)
+		x.First = append(x.First, x.Records+y.First[p])
+	}
+	x.Records += y.Records
+}
+
+// Reset empties x, keeping its arrays.
+func (x *PageIndex) Reset() { x.Off, x.First, x.Records = x.Off[:0], x.First[:0], 0 }
+
+// page returns the page holding ordinal ord, which must be below
+// Records: the last page whose first ordinal is at most ord. A reference
+// page shares its first ordinal with the record page after it, so it is
+// never the one.
+func (x *PageIndex) page(ord uint32) int {
+	p, _ := slices.BinarySearch(x.First, ord+1)
+	return p - 1
+}
+
+// ordinals returns the ordinals page p holds: first up to end.
+func (x *PageIndex) ordinals(p int) (first, end uint32) {
+	if p+1 < len(x.First) {
+		return x.First[p], x.First[p+1]
+	}
+	return x.First[p], x.Records
+}
+
+// sealPage fills in the header of the page at the front of b, whose
+// payload runs to the end of b.
+func sealPage(b []byte) {
+	payload := b[PageHeaderSize:]
+	binary.LittleEndian.PutUint32(b, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(payload, pageCRC))
+}
+
+// CheckPage validates the page at the front of b — its length within b,
+// its checksum — and returns the payload.
+func CheckPage(b []byte) ([]byte, bool) {
+	if len(b) < PageHeaderSize {
+		return nil, false
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if uint64(n) > uint64(len(b)-PageHeaderSize) {
+		return nil, false
+	}
+	payload := b[PageHeaderSize : PageHeaderSize+int(n)]
+	if crc32.Checksum(payload, pageCRC) != binary.LittleEndian.Uint32(b[4:]) {
+		return nil, false
+	}
+	return payload, true
+}
+
+// AppendRecordPages appends frs to buf as record pages, as many whole
+// records to a page as PageSize allows, indexing each page in x at its
+// offset in buf.
+func AppendRecordPages(buf []byte, frs []FlushRecord, x *PageIndex) []byte {
+	return appendPages(buf, len(frs), x, func(buf []byte, i int) []byte { return appendRecord(buf, frs[i]) })
+}
+
+// appendPages appends n records, each appended by put, as record pages.
+func appendPages(buf []byte, n int, x *PageIndex, put func(buf []byte, i int) []byte) []byte {
+	for i := 0; i < n; {
+		start := len(buf)
+		buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // page header placeholder
+		held := uint32(0)
+		for ; i < n; i++ {
+			at := len(buf)
+			buf = put(buf, i)
+			if held > 0 && len(buf)-start-PageHeaderSize > PageSize {
+				buf = buf[:at] // it opens the next page
+				break
+			}
+			held++
+		}
+		sealPage(buf[start:])
+		x.Add(uint64(start), held)
+	}
+	return buf
+}
+
+// AppendPageIndex appends the index page sealing a record file whose
+// pages x lists.
+func AppendPageIndex(buf []byte, x *PageIndex) []byte {
+	le := binary.LittleEndian
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, indexMarker)
+	for p, off := range x.Off {
+		buf = le.AppendUint64(buf, off)
+		buf = le.AppendUint32(buf, x.First[p])
+	}
+	buf = le.AppendUint32(buf, x.Records)
+	buf = le.AppendUint32(buf, uint32(len(x.Off)))
+	buf = append(buf, indexMagic...)
+	sealPage(buf[start:])
+	return buf
+}
+
+// IsPageIndex reports whether a page payload is the index.
+func IsPageIndex(payload []byte) bool {
+	return len(payload) > 0 && payload[0] == indexMarker
+}
+
+// decodePageIndex parses an index payload, accepting only an index whose
+// pages tile the file from its header up to end, the index page's
+// offset: every page at least one byte of payload, first ordinals from 0
+// and never decreasing, a record page of more than one record no larger
+// than PageSize — and, in a block (records), no reference page.
+func decodePageIndex(payload []byte, end uint64, records bool) (PageIndex, bool) {
+	le := binary.LittleEndian
+	n := len(payload)
+	if !IsPageIndex(payload) || n < 1+indexTail || string(payload[n-4:]) != indexMagic {
+		return PageIndex{}, false
+	}
+	pages := uint64(le.Uint32(payload[n-8:]))
+	if uint64(n) != 1+indexEntry*pages+indexTail {
+		return PageIndex{}, false
+	}
+	x := PageIndex{Off: make([]uint64, pages), First: make([]uint32, pages), Records: le.Uint32(payload[n-12:])}
+	for p := range x.Off {
+		e := payload[1+indexEntry*p:]
+		x.Off[p], x.First[p] = le.Uint64(e), le.Uint32(e[8:])
+	}
+	if pages == 0 {
+		return x, x.Records == 0 && end == HeaderSize
+	}
+	if x.Off[0] != HeaderSize || x.First[0] != 0 {
+		return PageIndex{}, false
+	}
+	for p := range x.Off {
+		stop := end
+		if p+1 < len(x.Off) {
+			stop = x.Off[p+1]
+		}
+		first, last := x.ordinals(p)
+		switch {
+		case x.Off[p] >= stop || stop-x.Off[p] <= PageHeaderSize, last < first,
+			last == first && records,
+			last-first > 1 && stop-x.Off[p] > PageHeaderSize+PageSize:
+			return PageIndex{}, false
+		}
+	}
+	return x, true
+}
+
+// fileReader is what a block reads its pages through: the open file, or
+// an image in memory under the page decoder's fuzz test.
+type fileReader interface {
+	io.ReaderAt
+	Close() error
+}
 
 // nextBlockID hands out process-unique block identities, the record
 // cache's key namespace. A block keeps its identity through every merge
 // of the directories naming it, so cached records outlive compaction.
 var nextBlockID atomic.Uint64
 
-// block is one immutable on-disk run of records plus its resident
-// offsets table. Blocks are reference counted by the directories naming
-// them: a directory holds one reference per table entry for as long as
-// any search can still reach it, so a block's handle closes only after
-// its last directory is gone.
+// block is one sealed record file — a record block or a log file — plus
+// its resident page index. Blocks are reference counted by the
+// directories naming them: a directory holds one reference per table
+// entry for as long as any search can still reach it, so a block's
+// handle closes only after its last directory is gone.
 type block struct {
-	id      uint64 // process-unique cache identity
-	path    string
-	f       *os.File
-	log     bool  // a sealed log file: every record is the payload of a checksummed frame
-	width   int64 // bytes per on-disk offsets table entry
-	offsets []uint64
-	end     uint64 // file offset just past the last record (a log file's frame index starts there)
-	size    int64  // whole-file byte length
+	id    uint64 // process-unique cache identity
+	path  string
+	f     fileReader
+	pages PageIndex
+	end   uint64 // file offset just past the last page: where the index page starts
+	size  int64  // whole-file byte length
 
 	refs atomic.Int32
 }
 
 func (b *block) name() string  { return filepath.Base(b.path) }
-func (b *block) count() uint32 { return uint32(len(b.offsets)) }
+func (b *block) count() uint32 { return b.pages.Records }
 func (b *block) acquire()      { b.refs.Add(1) }
 
-// frameHeader is the gap in front of each record: a log file's frame
-// header, nothing in a record block.
-func (b *block) frameHeader() int64 {
-	if b.log {
-		return FrameHeaderSize
-	}
-	return 0
+// isLog reports whether the block is a log file, whose records the log
+// may still claim.
+func (b *block) isLog() bool {
+	_, ok := ParseLogName(b.name())
+	return ok
 }
 
 // tryAcquire takes a reference unless the last one is already gone: the
@@ -107,33 +300,13 @@ func (b *block) release() {
 // block it describes, to live at path; the block has no file handle
 // until its flush installs it.
 func encodeBlock(buf []byte, path string, recs []FlushRecord) ([]byte, *block) {
-	le := binary.LittleEndian
 	buf = append(buf, blkMagic...)
-	buf = le.AppendUint16(buf, blkVersion)
-	buf = append(buf, 0, 0) // offset width, set once the records are written
-	buf = le.AppendUint32(buf, uint32(len(recs)))
-	offsets := make([]uint64, len(recs))
-	for i, fr := range recs {
-		offsets[i] = uint64(len(buf))
-		buf = appendRecord(buf, fr)
-	}
+	buf = binary.LittleEndian.AppendUint16(buf, blkVersion)
+	var x PageIndex
+	buf = AppendRecordPages(buf, recs, &x)
 	end := uint64(len(buf))
-	width := int64(4)
-	if end > math.MaxUint32 {
-		width = 8
-	}
-	le.PutUint16(buf[6:], uint16(width))
-	for _, off := range offsets {
-		if width == 4 {
-			buf = le.AppendUint32(buf, uint32(off))
-		} else {
-			buf = le.AppendUint64(buf, off)
-		}
-	}
-	buf = le.AppendUint64(buf, end)
-	buf = append(buf, blkEndMagic...)
-	return buf, newBlock(&block{path: path, width: width,
-		offsets: offsets, end: end, size: int64(len(buf))})
+	buf = AppendPageIndex(buf, &x)
+	return buf, newBlock(&block{path: path, pages: x, end: end, size: int64(len(buf))})
 }
 
 // newBlock gives b its cache identity and hands the caller its first
@@ -144,80 +317,68 @@ func newBlock(b *block) *block {
 	return b
 }
 
-// openBlock reads back a block's offsets table: a blk-* file or a sealed
-// log file. The caller owns the first reference.
+// openBlock reads back the page index of a sealed record file: a blk-*
+// file or a log file. The caller owns the first reference.
 func openBlock(path string) (*block, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	// Every early return below must drop the handle; the block owns it
-	// only once construction succeeds.
-	ok := false
-	defer func() {
-		if !ok {
-			_ = f.Close()
-		}
-	}()
 	st, err := f.Stat()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		var b *block
+		if b, err = readIndex(f, st.Size(), filepath.Base(path)); err == nil {
+			b.path, b.f = path, f
+			return newBlock(b), nil
+		}
 	}
-	head := make([]byte, blkHeaderSize)
-	if _, err := f.ReadAt(head[:LogHeaderSize], 0); err != nil {
+	_ = f.Close() // read-only; the read error is the one to surface
+	return nil, err
+}
+
+// readIndex checks the header of the record file name, size bytes long
+// in r, and reads back its index. A file without a valid index is not
+// sealed, and no directory may name it.
+func readIndex(r io.ReaderAt, size int64, name string) (*block, error) {
+	head := make([]byte, HeaderSize)
+	if _, err := r.ReadAt(head, 0); err != nil {
 		return nil, corruptIfShort(err)
 	}
-	le := binary.LittleEndian
-	size := st.Size()
-	if err := checkHeader(filepath.Base(path), head); err != nil {
+	if err := checkHeader(name, head); err != nil {
 		return nil, err
 	}
-	switch string(head[:4]) {
-	case LogMagic:
-		b, err := openLogBlock(path, f, size)
-		ok = err == nil
-		return b, err
-	case segMagic: // a directory is never a block (an older one held its records)
+	if string(head[:4]) == segMagic { // a directory is never a block (an older one held its records)
 		return nil, ErrCorrupt
 	}
-	if _, err := f.ReadAt(head, 0); err != nil {
+	unsealed := fmt.Errorf("%s not sealed: %w", name, ErrCorrupt)
+	if size < HeaderSize+PageHeaderSize+1+indexTail {
+		return nil, unsealed
+	}
+	tail := make([]byte, indexTail)
+	if _, err := r.ReadAt(tail, size-indexTail); err != nil {
+		return nil, err
+	}
+	if string(tail[8:]) != indexMagic {
+		return nil, unsealed
+	}
+	n := PageHeaderSize + 1 + indexEntry*int64(binary.LittleEndian.Uint32(tail[4:])) + indexTail
+	at := size - n
+	if at < HeaderSize {
+		return nil, ErrCorrupt
+	}
+	page := make([]byte, n)
+	if _, err := r.ReadAt(page, at); err != nil {
 		return nil, corruptIfShort(err)
 	}
-	width, count := int64(le.Uint16(head[6:])), int64(le.Uint32(head[8:]))
-	if (width != 4 && width != 8) || size < blkHeaderSize+blkFooterSize {
+	payload, ok := CheckPage(page)
+	if !ok || len(payload) != len(page)-PageHeaderSize {
 		return nil, ErrCorrupt
 	}
-	foot := make([]byte, blkFooterSize)
-	if _, err := f.ReadAt(foot, size-blkFooterSize); err != nil {
-		return nil, err
-	}
-	if string(foot[blkFooterSize-4:]) != blkEndMagic {
+	x, ok := decodePageIndex(payload, uint64(at), string(head[:4]) == blkMagic)
+	if !ok {
 		return nil, ErrCorrupt
 	}
-	end := le.Uint64(foot)
-	if end < blkHeaderSize || end > uint64(size) || int64(end)+width*count > size-blkFooterSize {
-		return nil, ErrCorrupt
-	}
-	table := make([]byte, width*count)
-	if _, err := f.ReadAt(table, int64(end)); err != nil {
-		return nil, err
-	}
-	offsets := make([]uint64, count)
-	prev := uint64(blkHeaderSize)
-	for i := range offsets {
-		var off uint64
-		if width == 4 {
-			off = uint64(le.Uint32(table[i*4:]))
-		} else {
-			off = le.Uint64(table[i*8:])
-		}
-		if off < prev || off > end {
-			return nil, ErrCorrupt
-		}
-		offsets[i], prev = off, off
-	}
-	ok = true
-	return newBlock(&block{path: path, f: f, width: width, offsets: offsets, end: end, size: size}), nil
+	return &block{pages: x, end: uint64(at), size: size}, nil
 }
 
 // corruptIfShort maps a read that ran off the end of a file to
@@ -229,97 +390,162 @@ func corruptIfShort(err error) error {
 	return err
 }
 
-// recordSize returns the on-disk byte length of the record at ord, its
-// frame header (if any) not included. In a log file it is an upper bound:
-// a reference frame may sit between two record frames (logfile.go), and
-// reads with the record before it, which its frame header bounds.
-func (b *block) recordSize(ord uint32) int64 {
-	start := b.offsets[ord]
-	if int(ord)+1 < len(b.offsets) {
-		return int64(b.offsets[ord+1]-start) - b.frameHeader()
+// pageSpan returns the file offsets page p runs between.
+func (b *block) pageSpan(p int) (at, end int64) {
+	if p+1 < len(b.pages.Off) {
+		return int64(b.pages.Off[p]), int64(b.pages.Off[p+1])
 	}
-	return int64(b.end - start)
+	return int64(b.pages.Off[p]), int64(b.end)
 }
 
-// readRecord loads the record with the given ordinal.
-func (b *block) readRecord(ord uint32) (FlushRecord, error) {
-	rec, err := b.readPayload(ord)
-	if err != nil {
-		return FlushRecord{}, err
+// recordBytes is the share of its page's payload the record at ord
+// takes: the measure of a dead copy the shadowed-bytes gauge sums.
+func (b *block) recordBytes(ord uint32) int64 {
+	p := b.pages.page(ord)
+	at, end := b.pageSpan(p)
+	first, last := b.pages.ordinals(p)
+	return (end - at - PageHeaderSize) / int64(last-first)
+}
+
+// checkedPayload returns the payload of page image buf, which must be
+// exactly one page whose checksum holds.
+func checkedPayload(buf []byte) ([]byte, bool) {
+	payload, ok := CheckPage(buf)
+	return payload, ok && len(payload) == len(buf)-PageHeaderSize
+}
+
+// pageBufs recycles the page buffers searches read into: a decoded
+// record copies every byte it keeps.
+var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readPage reads page p into buf, grown as needed, with one pread and
+// checks it, returning the page and its payload.
+func (b *block) readPage(p int, buf []byte) (page, payload []byte, err error) {
+	if err := failpoint.Eval(failpoint.DiskPread); err != nil {
+		return buf, nil, err
 	}
-	fr, _, err := decodeRecord(rec)
+	at, end := b.pageSpan(p)
+	buf = slices.Grow(buf[:0], int(end-at))[:end-at]
+	if _, err := b.f.ReadAt(buf, at); err != nil {
+		return buf, nil, corruptIfShort(err)
+	}
+	payload, ok := checkedPayload(buf)
+	if !ok {
+		return buf, nil, ErrCorrupt
+	}
+	return buf, payload, nil
+}
+
+// skipRecords returns what follows the first n records of page payload q.
+func skipRecords(q []byte, n uint32) ([]byte, error) {
+	for ; n > 0; n-- {
+		l, err := recordLen(q)
+		if err != nil {
+			return nil, err
+		}
+		q = q[l:]
+	}
+	return q, nil
+}
+
+// readRecord loads the record with the given ordinal: one pread of the
+// page holding it, whose checksum it checks.
+func (b *block) readRecord(ord uint32) (fr FlushRecord, err error) {
+	err = b.readRecords([]uint32{ord}, func(_ uint32, r FlushRecord, _ int) error {
+		fr = r
+		return nil
+	})
 	return fr, err
 }
 
-// readPayload reads the encoded record at ord with one pread. A log
-// file's record is read with its frame header and checked against it:
-// the header bounds it, since a reference frame may follow it.
-func (b *block) readPayload(ord uint32) ([]byte, error) {
-	if int(ord) >= len(b.offsets) {
-		return nil, ErrCorrupt
+// readRecords hands fn the records at ords, ascending, and the length of
+// each encoding, reading each page that holds one once.
+func (b *block) readRecords(ords []uint32, fn func(ord uint32, fr FlushRecord, size int) error) error {
+	pb := pageBufs.Get().(*[]byte)
+	defer pageBufs.Put(pb)
+	var q []byte
+	page, at := -1, uint32(0) // the page read, and the ordinal q starts at
+	for _, ord := range ords {
+		if ord >= b.count() {
+			return fmt.Errorf("disk: %s ordinal %d of %d: %w", b.name(), ord, b.count(), ErrCorrupt)
+		}
+		var err error
+		if p := b.pages.page(ord); p != page || ord < at {
+			var buf []byte
+			buf, q, err = b.readPage(p, *pb)
+			if *pb = buf[:0]; err != nil {
+				return fmt.Errorf("disk: %s ordinal %d: %w", b.name(), ord, err)
+			}
+			page = p
+			at, _ = b.pages.ordinals(p)
+		}
+		q, err = skipRecords(q, ord-at)
+		var fr FlushRecord
+		var n int
+		if err == nil {
+			fr, n, err = decodeRecord(q)
+		}
+		if err != nil {
+			return fmt.Errorf("disk: %s ordinal %d: %w", b.name(), ord, err)
+		}
+		if err := fn(ord, fr, n); err != nil {
+			return err
+		}
+		q, at = q[n:], ord+1
 	}
-	if err := failpoint.Eval(failpoint.DiskPread); err != nil {
-		return nil, err
-	}
-	hdr := b.frameHeader()
-	buf := make([]byte, hdr+b.recordSize(ord))
-	if _, err := b.f.ReadAt(buf, int64(b.offsets[ord])-hdr); err != nil && err != io.EOF {
-		return nil, err
-	}
-	if !b.log {
-		return buf, nil
-	}
-	payload, ok := CheckFrame(buf)
-	if !ok {
-		return nil, fmt.Errorf("disk: %s frame %d: %w", b.name(), ord, ErrCorrupt)
-	}
-	return payload, nil
+	return nil
 }
 
-// scan reads the block's record area front to back, handing fn each
-// record's encoded bytes in ordinal order — only those want marks, when
-// want is not nil; the others are skipped, and a long run of them is
-// not read at all. The slice is only valid during the call.
+// scan reads the file's record pages front to back, checking each one,
+// and hands fn each record's encoded bytes in ordinal order — only those
+// want marks, when want is not nil; a page holding none is not read,
+// and a long run of them is seeked over. The slice is only valid during
+// the call.
 func (b *block) scan(want []bool, fn func(ord uint32, rec []byte) error) error {
-	if len(b.offsets) == 0 {
-		return nil
-	}
 	const bufSize = 256 << 10
-	hdr := b.frameHeader()
-	pos := int64(b.offsets[0]) - hdr // the file offset r reads next
-	r := bufio.NewReaderSize(io.NewSectionReader(b.f, pos, int64(b.end)-pos), bufSize)
+	var r *bufio.Reader
+	var pos int64 // the file offset r reads next
 	var buf []byte
-	for ord := range b.offsets {
-		if want != nil && !want[ord] {
-			continue
+	for p := range b.pages.Off {
+		first, last := b.pages.ordinals(p)
+		if first == last || want != nil && !slices.Contains(want[first:last], true) {
+			continue // a reference page, or nothing wanted
 		}
-		at, n := int64(b.offsets[ord])-hdr, int(hdr+b.recordSize(uint32(ord)))
-		if gap := at - pos; gap > int64(r.Buffered())+bufSize {
+		at, end := b.pageSpan(p)
+		corrupt := func(err error) error {
+			return fmt.Errorf("disk: scan %s ordinals %d to %d: %w", b.name(), first, last-1, err)
+		}
+		if gap := at - pos; r == nil || gap < 0 || gap > int64(r.Buffered())+bufSize {
+			if r == nil {
+				r = bufio.NewReaderSize(nil, bufSize)
+			}
 			r.Reset(io.NewSectionReader(b.f, at, int64(b.end)-at))
 		} else if _, err := r.Discard(int(gap)); err != nil {
-			return fmt.Errorf("disk: scan %s ordinal %d: %w", b.name(), ord, corruptIfShort(err))
+			return corrupt(corruptIfShort(err))
 		}
-		if cap(buf) < n {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
+		buf = slices.Grow(buf[:0], int(end-at))[:end-at]
 		if _, err := io.ReadFull(r, buf); err != nil {
-			return fmt.Errorf("disk: scan %s ordinal %d: %w", b.name(), ord, corruptIfShort(err))
+			return corrupt(corruptIfShort(err))
 		}
-		pos = at + int64(n)
-		rec := buf
-		if b.log {
-			// The frame header bounds the record: a reference frame may
-			// follow it. A scan reads rank prefixes in bulk and leaves the
-			// checksum to the pread of a search.
-			m := binary.LittleEndian.Uint32(buf)
-			if uint64(m) > uint64(n-FrameHeaderSize) {
-				return fmt.Errorf("disk: scan %s ordinal %d: %w", b.name(), ord, ErrCorrupt)
+		pos = end
+		q, ok := checkedPayload(buf)
+		if !ok {
+			return corrupt(ErrCorrupt)
+		}
+		for ord := first; ord < last; ord++ {
+			n, err := recordLen(q)
+			if err != nil {
+				return fmt.Errorf("disk: scan %s ordinal %d: %w", b.name(), ord, err)
 			}
-			rec = buf[FrameHeaderSize : FrameHeaderSize+int(m)]
+			if want == nil || want[ord] {
+				if err := fn(ord, q[:n]); err != nil {
+					return err
+				}
+			}
+			q = q[n:]
 		}
-		if err := fn(uint32(ord), rec); err != nil {
-			return err
+		if len(q) != 0 {
+			return corrupt(ErrCorrupt) // bytes past the page's last record
 		}
 	}
 	return nil
@@ -329,7 +555,7 @@ func (b *block) scan(want []bool, fn func(ord uint32, rec []byte) error) error {
 // from the rank prefix of each encoded record — all a merge needs to
 // rank postings across blocks and to spot a record stored twice. Only
 // the records want marks are decoded (all, when want is nil): a log file
-// frames many records a merge's directories do not post.
+// holds many records a merge's directories do not post.
 func (b *block) scanRanks(ids []uint64, scores []float64, want []bool) error {
 	return b.scan(want, func(ord uint32, rec []byte) error {
 		id, score, err := decodeRank(rec)

@@ -233,7 +233,7 @@ func (t *Tier[K]) compactLevel(lvl int, force bool) (err error) {
 	// gone: the inputs just were, and a directory outside this merge
 	// (adoption can leave two naming one block) keeps it.
 	for _, b := range dropped {
-		if b.log {
+		if b.isLog() {
 			// A log file's records may still be claimed by memory: it
 			// goes only once drained.
 			if _, err := t.cfg.Logs.remove(b.name()); err != nil {
@@ -391,12 +391,13 @@ func mergeSegments(inputs []*segment, path string) (merged *segment, dropped []*
 	for i, b := range union {
 		n := uint32(0)
 		var dead int64
+		isLog := b.isLog()
 		for o := ubase[i]; o < ubase[i+1]; o++ {
 			out[o] = o - gone
 			if posted[o] && canon[o] == o {
 				n++
-			} else if !b.log {
-				dead += b.recordSize(o - ubase[i])
+			} else if !isLog {
+				dead += b.recordBytes(o - ubase[i])
 			}
 		}
 		if n == 0 {

@@ -1,11 +1,14 @@
 package disk
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -48,21 +51,6 @@ func rankOrder(recs []FlushRecord) []FlushRecord {
 		return sorted[i].MB.ID > sorted[j].MB.ID
 	})
 	return sorted
-}
-
-// widenBlock rewrites a v4 block image with 8-byte offsets, as the
-// writer lays out a block whose record area reaches 4 GiB.
-func widenBlock(img []byte) []byte {
-	le := binary.LittleEndian
-	count := int(le.Uint32(img[8:]))
-	end := le.Uint64(img[len(img)-blkFooterSize:])
-	out := append([]byte(nil), img[:end]...)
-	le.PutUint16(out[6:], 8)
-	for i := 0; i < count; i++ {
-		out = le.AppendUint64(out, uint64(le.Uint32(img[int(end)+4*i:])))
-	}
-	out = le.AppendUint64(out, end)
-	return append(out, blkEndMagic...)
 }
 
 func TestFlushAndSingleSearch(t *testing.T) {
@@ -245,15 +233,15 @@ func TestCorruptSegmentRejected(t *testing.T) {
 
 // TestDamagedFilesRejectedNotPanicked feeds the block and directory
 // readers every truncation and a bit flip at every offset of real files:
-// damage must surface as an error (or, for a flip in a record body,
-// decode to something), never as a panic or an over-read. The rename
-// protocol never leaves a torn file under a final name, but bit rot can.
+// damage must surface as an error, never as a panic or an over-read. The
+// rename protocol never leaves a torn file under a final name, but bit
+// rot can.
 //
-// The block is checked at both offset widths: as written (u32) and as a
-// block past 4 GiB would be laid out (u64).
+// The record file is checked as a record block and as a sealed log file
+// a logged tier's directory names.
 func TestDamagedFilesRejectedNotPanicked(t *testing.T) {
-	for _, width := range []int64{4, 8} {
-		t.Run(fmt.Sprintf("width%d", width), func(t *testing.T) { checkDamagedFiles(t, width) })
+	for _, kind := range []string{"block", "log"} {
+		t.Run(kind, func(t *testing.T) { checkDamagedFiles(t, kind == "log") })
 	}
 }
 
@@ -307,28 +295,24 @@ func TestDamagedMultiBlockDirectory(t *testing.T) {
 	}
 }
 
-func checkDamagedFiles(t *testing.T, width int64) {
+func checkDamagedFiles(t *testing.T, logged bool) {
 	dir := t.TempDir()
-	tier := fastTier(t, Config[string]{Dir: dir})
-	if err := tier.Flush([]FlushRecord{fr(1, 1, "a", "b"), fr(2, 2, "a"), fr(3, 3, "c")}); err != nil {
+	recs := []FlushRecord{fr(3, 3, "c"), fr(2, 2, "a"), fr(1, 1, "a", "b")}
+	blkPath, segPath := filepath.Join(dir, "blk-00000001.kfs"), filepath.Join(dir, "seg-00000001.kfs")
+	tier := fastTier(t, Config[string]{Dir: dir, Logged: logged})
+	if logged {
+		recs = writeLogFile(t, dir, 1, recs...)
+		blkPath = filepath.Join(dir, LogName(1))
+	}
+	if err := tier.Flush(recs); err != nil {
 		t.Fatal(err)
 	}
-	blkPath, segPath := filepath.Join(dir, "blk-00000001.kfs"), filepath.Join(dir, "seg-00000001.kfs")
-	if width == 8 {
-		img, err := os.ReadFile(blkPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(blkPath, widenBlock(img), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	b, err := openBlock(blkPath)
-	if err != nil || b.width != width {
-		t.Fatalf("block opens with err %v; want width %d", err, width)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if rec, err := b.readRecord(0); err != nil || rec.MB.ID != 3 {
-		t.Fatalf("best record of the width-%d block: %+v, %v", width, rec, err)
+		t.Fatalf("first record of %s: %+v, %v", b.name(), rec, err)
 	}
 	b.release()
 	open := func() error {
@@ -339,11 +323,13 @@ func checkDamagedFiles(t *testing.T, width int64) {
 			return err
 		}
 		defer s.release()
-		// Decode every record as well: a flip in a record body reaches the
-		// codec, which may refuse it but must not panic.
+		// Read every record as well: a flip in a page must fail its
+		// checksum, not reach the codec.
 		for _, b := range s.blocks {
 			for ord := uint32(0); ord < b.count(); ord++ {
-				_, _ = b.readRecord(ord)
+				if _, err := b.readRecord(ord); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
@@ -370,7 +356,12 @@ func checkDamagedFiles(t *testing.T, width int64) {
 			if err := os.WriteFile(path, mutated, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_ = open() // must not panic; most flips are caught, some land in payload
+			// Every page of a record file is checksummed: a flip anywhere
+			// in one is refused. A flip in a directory's key bytes may
+			// still decode.
+			if err := open(); err == nil && path == blkPath {
+				t.Fatalf("%s opened and read cleanly with bit %d of byte %d flipped", filepath.Base(path), off%8, off)
+			}
 		}
 		if err := os.WriteFile(path, intact, 0o644); err != nil {
 			t.Fatal(err)
@@ -478,5 +469,70 @@ func TestRecordCacheChargeIndependentOfFormat(t *testing.T) {
 		if got := tier.cache.resident(); got != want {
 			t.Fatalf("%s: a record is charged %d bytes, want its fixed-width length plus bookkeeping, %d", filepath.Base(path), got, want)
 		}
+	}
+}
+
+// TestReadsAreChecksummed flips one text byte inside a record of a block
+// and of a sealed log file: the search that reads the record and Verify
+// must both fail with ErrCorrupt, naming the file and the ordinal.
+func TestReadsAreChecksummed(t *testing.T) {
+	for _, logged := range []bool{false, true} {
+		t.Run(fmt.Sprintf("logged=%v", logged), func(t *testing.T) {
+			dir := t.TempDir()
+			var recs []FlushRecord
+			for i := uint64(1); i <= 40; i++ {
+				r := fr(i, float64(i), "all", fmt.Sprintf("only%d", i))
+				r.MB.Text = fmt.Sprintf("text of record %03d", i)
+				recs = append(recs, r)
+			}
+			path := filepath.Join(dir, "blk-00000001.kfs")
+			if logged {
+				recs = writeLogFile(t, dir, 1, recs...)
+				path = filepath.Join(dir, LogName(1))
+			}
+			tier := fastTier(t, Config[string]{Dir: dir, Logged: logged})
+			if err := tier.Flush(recs); err != nil {
+				t.Fatal(err)
+			}
+			if err := tier.Close(); err != nil {
+				t.Fatal(err)
+			}
+			img, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := bytes.Index(img, []byte("text of record 017"))
+			if at < 0 {
+				t.Fatal("record 17's text is not in the file")
+			}
+			img[at+len("text of record")] ^= 0x20
+			if err := os.WriteFile(path, img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// Record 17's ordinal: rank order in a block, append order in
+			// a log file.
+			ord := uint32(40 - 17)
+			if logged {
+				ord = 16
+			}
+			b, err := openBlock(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := b.pages.page(ord)
+			first, last := b.pages.ordinals(p)
+			b.release()
+
+			again := fastTier(t, Config[string]{Dir: dir, Logged: logged})
+			_, err = again.Search([]string{"only17"}, query.OpSingle, 1)
+			name := filepath.Base(path)
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("%s ordinal %d:", name, ord)) {
+				t.Fatalf("search reading the flipped record: %v; want ErrCorrupt naming %s ordinal %d", err, name, ord)
+			}
+			_, _, err = Verify(dir)
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("%s ordinals %d to %d:", name, first, last-1)) {
+				t.Fatalf("verify: %v; want ErrCorrupt naming %s ordinals %d to %d", err, name, first, last-1)
+			}
+		})
 	}
 }

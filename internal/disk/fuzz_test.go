@@ -2,6 +2,7 @@ package disk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
@@ -12,7 +13,8 @@ import (
 
 // FuzzDecodeRecord throws arbitrary bytes at the record decoder: it must
 // never panic or over-read, only return ErrCorrupt-style failures, and
-// whatever it accepts must survive a re-encode unchanged.
+// whatever it accepts must survive a re-encode unchanged and measure, by
+// its length fields alone (recordLen), as long as the decoder consumed.
 func FuzzDecodeRecord(f *testing.F) {
 	rec := FlushRecord{
 		MB:    &types.Microblog{ID: 1, Keywords: []string{"a"}, Text: "t"},
@@ -27,12 +29,17 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add(appendRecord(nil, rec))
 	f.Add([]byte{flagsKnown, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		l, lerr := recordLen(data) // must not panic on any input
 		fr, n, err := decodeRecord(data)
 		if err != nil {
 			return
 		}
 		if n > len(data) {
 			t.Fatalf("decoder consumed %d of %d bytes", n, len(data))
+		}
+		// A page walk steps over a record by its length fields alone.
+		if lerr != nil || l != n {
+			t.Fatalf("recordLen = %d, %v; the decoder consumed %d", l, lerr, n)
 		}
 		if fr.MB == nil {
 			t.Fatal("nil microblog without error")
@@ -209,7 +216,7 @@ func FuzzDecodeReferences(f *testing.F) {
 	f.Add([]byte{referenceMarker, 1, 0x81, 0x00, 1, 0}, uint32(9)) // a varint not minimal
 	f.Add([]byte{referenceMarker, 0xff, 0xff, 0xff, 0xff, 0x0f}, uint32(9))
 	f.Add([]byte{referenceMarker, 1, 1, 2, 4, 0}, uint32(9)) // an ordinal repeated
-	f.Add([]byte{frameIndexMarker}, uint32(9))
+	f.Add([]byte{indexMarker}, uint32(9))
 	f.Fuzz(func(t *testing.T, payload []byte, own uint32) {
 		refs, ok := DecodeReferences(payload, own)
 		if !ok {
@@ -231,3 +238,95 @@ func FuzzDecodeReferences(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodePage throws arbitrary bytes at the record file reader as a
+// whole file — block or log file — page index and pages: it must never
+// panic or over-read, and a file whose every page it accepts must
+// re-encode, page by page, to the same bytes, with every record reading
+// back by ordinal as the page decodes it.
+func FuzzDecodePage(f *testing.F) {
+	recs := []FlushRecord{fr(3, 3, "a", "b"), fr(2, 2, "a"), fr(1, 1, "c")}
+	img, _ := encodeBlock(nil, "", recs)
+	f.Add(img, false)
+	var many []FlushRecord
+	for i := uint64(1); i <= 120; i++ {
+		r := fr(i, float64(121-i), "k")
+		r.MB.Text = strings.Repeat("x", int(i))
+		many = append(many, r)
+	}
+	img, _ = encodeBlock(nil, "", many)
+	f.Add(img, false)
+	// The same index with its last page past the end of any file.
+	if b, err := readIndex(bytes.NewReader(img), int64(len(img)), "blk-00000001.kfs"); err == nil {
+		hostile := append([]byte(nil), img...)
+		last := b.end + PageHeaderSize + 1 + indexEntry*uint64(len(b.pages.Off)-1)
+		binary.LittleEndian.PutUint64(hostile[last:], 1<<63)
+		sealPage(hostile[b.end:])
+		f.Add(hostile, false)
+	}
+	big := fr(9, 9, "big")
+	big.MB.Text = strings.Repeat("y", PageSize+10)
+	img, _ = encodeBlock(nil, "", []FlushRecord{big, fr(8, 8, "small")})
+	f.Add(img, false)
+	var x PageIndex
+	log := AppendRecordPages(AppendLogHeader(nil), recs[:2], &x)
+	log = AppendReferencePage(log, []LogRef{{Seq: 1}, {Seq: 4, Ord: 7}}, &x)
+	log = AppendRecordPages(log, recs[2:], &x)
+	f.Add(AppendPageIndex(log, &x), true)
+	f.Add(AppendPageIndex(AppendLogHeader(nil), &PageIndex{}), true)
+	f.Add(img[:len(img)-3], false)
+	f.Fuzz(func(t *testing.T, img []byte, isLog bool) {
+		name := "blk-00000001.kfs"
+		if isLog {
+			name = LogName(9)
+		}
+		b, err := readIndex(bytes.NewReader(img), int64(len(img)), name)
+		if err != nil {
+			return
+		}
+		b.f = nopCloser{bytes.NewReader(img)}
+		out := append([]byte(nil), img[:HeaderSize]...)
+		var x PageIndex
+		for p := range b.pages.Off {
+			at, end := b.pageSpan(p)
+			first, last := b.pages.ordinals(p)
+			payload, ok := checkedPayload(img[at:end])
+			if !ok {
+				return
+			}
+			start := len(out)
+			if first == last {
+				refs, ok := DecodeReferences(payload, 9)
+				if !ok {
+					return
+				}
+				out = AppendReferencePage(out, refs, &x)
+				continue
+			}
+			recs, err := DecodePage(nil, payload)
+			if err != nil || len(recs) != int(last-first) {
+				return
+			}
+			out = append(out, 0, 0, 0, 0, 0, 0, 0, 0)
+			for i, fr := range recs {
+				out = appendRecord(out, fr)
+				got, err := b.readRecord(first + uint32(i))
+				if err != nil || !bytes.Equal(appendRecord(nil, got), appendRecord(nil, fr)) {
+					t.Fatalf("ordinal %d reads back %+v, %v; its page decodes %+v", first+uint32(i), got, err, fr)
+				}
+			}
+			sealPage(out[start:])
+			x.Add(uint64(start), uint32(len(recs)))
+		}
+		if err := b.scan(nil, func(uint32, []byte) error { return nil }); err != nil {
+			t.Fatalf("every page decodes, yet the scan fails: %v", err)
+		}
+		if out = AppendPageIndex(out, &x); !bytes.Equal(out, img) {
+			t.Fatalf("accepted %x, which re-encodes as %x", img, out)
+		}
+	})
+}
+
+type nopCloser struct{ *bytes.Reader }
+
+func (nopCloser) Close() error { return nil }

@@ -48,11 +48,11 @@ type BlockInfo struct {
 	Log bool
 	// Version is the file's format version.
 	Version int
-	// Records is the number of records stored (frames, for a log file),
-	// posted or not.
-	Records int
-	// Bytes is the size of the records and the offsets table or frame
-	// index, frame headers included.
+	// Records is the number of records stored, posted or not, and Pages
+	// the number of pages holding them (a log file's reference pages
+	// included).
+	Records, Pages int
+	// Bytes is the file's size: records, page headers, page index.
 	Bytes int64
 	// Drained marks a log file the manifest lists drained: no record in
 	// memory claims it, and the log no longer replays it.
@@ -116,18 +116,15 @@ func Inspect(dir string) ([]SegmentInfo, error) {
 			ShadowedBytes: s.shadowed,
 		}
 		for _, b := range s.blocks {
-			bi := BlockInfo{
+			info.Blocks = append(info.Blocks, BlockInfo{
 				Name:    b.name(),
-				Log:     b.log,
+				Log:     b.isLog(),
 				Version: blkVersion,
 				Records: int(b.count()),
-				Bytes:   int64(b.end) - blkHeaderSize + b.width*int64(b.count()),
+				Pages:   len(b.pages.Off),
+				Bytes:   b.size,
 				Drained: drained[b.name()],
-			}
-			if b.log {
-				bi.Version, bi.Bytes = LogVersion, b.size-LogHeaderSize
-			}
-			info.Blocks = append(info.Blocks, bi)
+			})
 		}
 		infos = append(infos, info)
 	}
@@ -135,8 +132,8 @@ func Inspect(dir string) ([]SegmentInfo, error) {
 }
 
 // DumpSegment streams the records of one file to fn: every record of a
-// blk-* block in stored (ranked) order, every frame of a sealed log file
-// in append order, or the live records of a directory — those it posts —
+// blk-* block in stored (ranked) order, every record of a sealed log
+// file in append order, or the live records of a directory — those it posts —
 // block by block in table order.
 func DumpSegment(path string, fn func(FlushRecord) error) error {
 	emit := func(b *block, posted func(ord uint32) bool) error {

@@ -15,16 +15,14 @@ import (
 // with their frames.
 func writeLogFile(t *testing.T, dir string, seq uint32, recs ...FlushRecord) []FlushRecord {
 	t.Helper()
-	buf := AppendLogHeader(nil)
-	offsets := make([]uint32, len(recs))
+	var x PageIndex
+	buf := AppendRecordPages(AppendLogHeader(nil), recs, &x)
 	out := make([]FlushRecord, len(recs))
 	for i, fr := range recs {
-		offsets[i] = uint32(len(buf))
-		buf = AppendFrames(buf, recs[i:i+1])
 		fr.LogSeq, fr.LogOrd = seq, uint32(i)
 		out[i] = fr
 	}
-	buf = AppendFrameIndex(buf, offsets)
+	buf = AppendPageIndex(buf, &x)
 	if err := os.WriteFile(filepath.Join(dir, LogName(seq)), buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +72,7 @@ func TestLoggedFlushWritesOnlyDirectory(t *testing.T) {
 	b := writeLogFile(t, dir, 2, fr(4, 4, "k"), fr(5, 5, "x"))
 	logs := dirFiles(t, dir, "wal-*.kfw")
 	tier := loggedTier(t, dir, 0)
-	// Batches span both files and leave frames of each unposted, as
+	// Batches span both files and leave records of each unposted, as
 	// records still in memory would.
 	for _, batch := range [][]FlushRecord{{a[0], b[1]}, {a[2], b[0]}} {
 		if err := tier.Flush(batch); err != nil {
@@ -124,13 +122,13 @@ func TestLoggedFlushWritesOnlyDirectory(t *testing.T) {
 }
 
 // TestLoggedFlushRefusesUnsealedFile: a directory names only sealed log
-// files — a file without its frame index fails the flush, which leaves
+// files — a file without its page index fails the flush, which leaves
 // nothing behind.
 func TestLoggedFlushRefusesUnsealedFile(t *testing.T) {
 	dir := t.TempDir()
 	recs := writeLogFile(t, dir, 1, fr(1, 1, "k"))
 	path := filepath.Join(dir, LogName(1))
-	img := AppendFrames(AppendLogHeader(nil), []FlushRecord{fr(1, 1, "k")})
+	img := AppendRecordPages(AppendLogHeader(nil), []FlushRecord{fr(1, 1, "k")}, &PageIndex{})
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}

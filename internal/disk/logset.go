@@ -102,8 +102,8 @@ func (ls *LogSet) Drained(seq uint32) bool {
 }
 
 // Drain marks log file seq drained — the log no longer replays it: every
-// record it frames or references is in an installed segment, or listed
-// by a reference frame in a newer file. The home tier's next manifest
+// record it holds or references is in an installed segment, or listed
+// by a reference page in a newer file. The home tier's next manifest
 // commit carries the mark (a flush's install, a merge, Close); from then
 // on the file is a record file of the tiers, never scanned by a replay.
 // Until a commit carries it the file replays, which can only bring back
@@ -130,7 +130,7 @@ func (ls *LogSet) Release(seq uint32) {
 }
 
 // Track hands the set the log's view of its files — held reports whether
-// memory still holds records a file frames, or a reference frame the log
+// memory still holds records a file holds, or a reference page the log
 // replays reaches one — once the log's replay has shown it, and sweeps
 // the drained files that view lets go (open rule 6); the home tier's
 // manifest then heals its drained list down to the files left.

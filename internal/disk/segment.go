@@ -91,12 +91,12 @@ var ErrCorrupt = errors.New("disk: corrupt segment")
 type FlushRecord struct {
 	MB    *types.Microblog
 	Score float64
-	// LogSeq names the write-ahead-log file framing the record (0 = no
-	// log), and LogOrd the frame's ordinal in it. The log stamps both
+	// LogSeq names the write-ahead-log file holding the record (0 = no
+	// log), and LogOrd the record's ordinal in it. The log stamps both
 	// (append, replay), and a Logged tier's flush posts the record at
-	// that frame instead of writing it again. ReplaySeq names the file
+	// that ordinal instead of writing it again. ReplaySeq names the file
 	// whose replay brings the record back: LogSeq, or a newer file whose
-	// reference frame lists it (package wal). A failed flush hands the
+	// reference page lists it (package wal). A failed flush hands the
 	// record's claims on both to the wrapper it restores.
 	LogSeq, LogOrd, ReplaySeq uint32
 }
@@ -114,7 +114,7 @@ const (
 const fixedLenBase = 8 + 8 + 8 + 4 + 1 + 8 + 8 + 8 + 2 + 4
 
 // EncodeRecord appends the encoding of fr to buf and returns the
-// extended slice. The write-ahead log frames the same encoding.
+// extended slice. The write-ahead log pages the same encoding.
 func EncodeRecord(buf []byte, fr FlushRecord) []byte { return appendRecord(buf, fr) }
 
 // DecodeRecord decodes one record from the front of b, returning it and
@@ -327,6 +327,61 @@ func decodeRank(b []byte) (id uint64, score float64, err error) {
 		return 0, 0, ErrCorrupt
 	}
 	return id, score, nil
+}
+
+// recordLen returns the length of the record at the front of b, reading
+// its length fields and stepping over the rest: how a reader walks a
+// page to the record it wants. The fields it steps over are decoded, and
+// checked, only by the read that wants them.
+func recordLen(b []byte) (int, error) {
+	if len(b) == 0 || b[0]&^flagsKnown != 0 {
+		return 0, ErrCorrupt
+	}
+	flags, pos := b[0], 1
+	pos = skipVarint(b, pos) // ID
+	pos = skipVarint(b, pos) // timestamp
+	if flags&flagTSScore == 0 {
+		pos += 8
+	}
+	pos = skipVarint(b, pos) // user
+	pos = skipVarint(b, pos) // followers
+	if flags&flagCoords != 0 {
+		pos += 16
+	}
+	nkw, pos := lengthAt(b, pos)
+	for ; nkw > 0 && pos <= len(b); nkw-- {
+		var n int
+		n, pos = lengthAt(b, pos)
+		pos += n
+	}
+	text, pos := lengthAt(b, pos)
+	if pos += text; pos > len(b) {
+		return 0, ErrCorrupt
+	}
+	return pos, nil
+}
+
+// skipVarint returns the position past the varint at b[pos:], beyond
+// len(b) when it runs off the end.
+func skipVarint(b []byte, pos int) int {
+	for pos < len(b) && b[pos] >= 0x80 {
+		pos++
+	}
+	return pos + 1
+}
+
+// lengthAt decodes the uvarint length at b[pos:] and returns it with the
+// position past it; a length that cannot fit in b puts the position
+// beyond len(b).
+func lengthAt(b []byte, pos int) (n, next int) {
+	if pos >= len(b) {
+		return 0, len(b) + 1
+	}
+	v, m := binary.Uvarint(b[pos:])
+	if m <= 0 || v > uint64(len(b)) {
+		return 0, len(b) + 1
+	}
+	return int(v), pos + m
 }
 
 // stageKind says which of the tier's three written files a staged file
@@ -802,7 +857,7 @@ func decodeSegment(path string, img []byte, bs blockSet) (*segment, error) {
 	if size < segHeaderSize+segFooterSize || string(img[:4]) != segMagic || string(img[size-4:]) != segEndMagic {
 		return nil, ErrCorrupt
 	}
-	if err := checkVersion(filepath.Base(path), "directory", le.Uint16(img[4:]), segVersion, segVersionV3); err != nil {
+	if err := checkVersion(filepath.Base(path), "directory", le.Uint16(img[4:]), segVersion, segVersion, segVersionV3); err != nil {
 		return nil, err
 	}
 	foot := img[size-segFooterSize:]

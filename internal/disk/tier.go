@@ -6,7 +6,7 @@
 // disk search touches only the matching records. On a store without a
 // write-ahead log the flush first writes those records once, as a record
 // block ranked best-score-first (block.go). On a durable store they are
-// already on disk, framed in the log's files, which the tier reads in
+// already on disk, held in the log's files, which the tier reads in
 // place (logfile.go): the flush writes only the directory. A memory miss
 // searches segments newest-first with a max-score bound for early
 // termination.
@@ -94,7 +94,7 @@ type Config[K comparable] struct {
 	// are the engine's: it has FlushStats and the cycle's ID.)
 	Recorder *blackbox.Recorder
 	// Logged makes every flush a directory over the sealed log files its
-	// records' frames sit in (FlushRecord.LogSeq, LogOrd) instead of a
+	// records sit in (FlushRecord.LogSeq, LogOrd) instead of a
 	// record block and a directory: the store's write-ahead log is its
 	// record store.
 	Logged bool
@@ -690,8 +690,8 @@ type stagedFlush struct {
 // stageFlush runs the build stage over records already in rank order:
 // encode the directory and, unless the tier is Logged, the record block
 // it posts into; stage both. On a Logged tier the records are already
-// durable, framed in sealed log files, so the directory's block table
-// names those files and a record's posting is its frame's ordinal in the
+// durable, held in sealed log files, so the directory's block table
+// names those files and a record's posting is its ordinal in the
 // concatenation. Caller must hold flushMu (it reuses the encode scratch).
 func (t *Tier[K]) stageFlush(sorted []FlushRecord) (*stagedFlush, error) {
 	seq := t.seq.Add(1)
@@ -730,9 +730,9 @@ func (t *Tier[K]) stageFlush(sorted []FlushRecord) (*stagedFlush, error) {
 	return fl, nil
 }
 
-// logBlocks opens the sealed log files framing sorted, oldest first,
+// logBlocks opens the sealed log files holding sorted, oldest first,
 // with a reference each, and returns them with each record's posting:
-// its frame's ordinal in their concatenation.
+// its ordinal in their concatenation.
 func (t *Tier[K]) logBlocks(sorted []FlushRecord) ([]*block, func(i int) uint32, error) {
 	seqs := make([]uint32, 0, 4)
 	for _, fr := range sorted {
@@ -763,7 +763,7 @@ func (t *Tier[K]) logBlocks(sorted []FlushRecord) ([]*block, func(i int) uint32,
 	}
 	for _, fr := range sorted {
 		if i, _ := slices.BinarySearch(seqs, fr.LogSeq); fr.LogOrd >= blocks[i].count() {
-			return fail(fmt.Errorf("disk: record %d names frame %d of %s, which frames %d: %w",
+			return fail(fmt.Errorf("disk: record %d names ordinal %d of %s, which holds %d: %w",
 				fr.MB.ID, fr.LogOrd, blocks[i].name(), blocks[i].count(), ErrCorrupt))
 		}
 	}

@@ -2,11 +2,13 @@ package disk
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -105,7 +107,7 @@ func writeV3Block(t *testing.T, path string, recs []FlushRecord) {
 		buf = le.AppendUint64(buf, off)
 	}
 	buf = le.AppendUint64(buf, end)
-	writeFile(t, path, append(buf, blkEndMagic...))
+	writeFile(t, path, append(buf, blkEndMagicV4...))
 }
 
 // encodeDirectoryV3 is s's file image in directory format v3: the v4
@@ -146,7 +148,7 @@ func writeDirectory(t *testing.T, version uint16, path string, names []string, b
 	var table []*block
 	var byRank []posted
 	for i, recs := range blocks {
-		table = append(table, &block{path: names[i], offsets: make([]uint64, len(recs))})
+		table = append(table, &block{path: names[i], pages: PageIndex{Records: uint32(len(recs))}})
 		for _, r := range recs {
 			byRank = append(byRank, posted{uint32(len(byRank)), r})
 		}
@@ -199,13 +201,12 @@ func encodeManifestV2(m Manifest) []byte {
 // legacyLogFile is a log file of version 1 (fixed-width frames) or 2.
 func legacyLogFile(version uint16, recs []FlushRecord) []byte {
 	buf := binary.LittleEndian.AppendUint16([]byte(LogMagic), version)
-	if version == 2 {
-		return AppendFrames(buf, recs)
-	}
 	for _, fr := range recs {
-		start := len(buf)
-		buf = appendFixedRecord(append(buf, make([]byte, FrameHeaderSize)...), fr)
-		sealFrame(buf[start:])
+		if version == 2 {
+			buf = appendFrameV4(buf, appendRecord(nil, fr))
+		} else {
+			buf = appendFrameV4(buf, appendFixedRecord(nil, fr))
+		}
 	}
 	return buf
 }
@@ -220,8 +221,8 @@ func writeFile(t *testing.T, path string, b []byte) {
 	}
 }
 
-// writeV4Block writes recs, in rank order, as the block at path.
-func writeV4Block(t *testing.T, path string, recs []FlushRecord) {
+// writeBlock writes recs, in rank order, as the block at path.
+func writeBlock(t *testing.T, path string, recs []FlushRecord) {
 	t.Helper()
 	img, _ := encodeBlock(nil, "", recs)
 	writeFile(t, path, img)
@@ -260,7 +261,7 @@ var outOfWindow = []struct {
 	}},
 	{"seg-v3", "seg-00000002.kfs", roundUpgrade, false, func(t *testing.T, dir string) {
 		blk2 := rankOrder([]FlushRecord{fr(3, 3, "old"), fr(4, 4, "both")})
-		writeV4Block(t, filepath.Join(dir, "blk-00000002.kfs"), blk2)
+		writeBlock(t, filepath.Join(dir, "blk-00000002.kfs"), blk2)
 		writeDirectory(t, segVersionV3, filepath.Join(dir, "seg-00000002.kfs"), []string{"blk-00000002.kfs"}, blk2)
 		currentTier(t, dir, encodeManifest, "seg-00000002.kfs")
 	}},
@@ -285,7 +286,7 @@ var outOfWindow = []struct {
 func currentTier(t *testing.T, dir string, encode func([]byte, Manifest) []byte, more ...string) {
 	t.Helper()
 	blk1 := rankOrder([]FlushRecord{fr(1, 1, "old"), fr(2, 2, "both")})
-	writeV4Block(t, filepath.Join(dir, "blk-00000001.kfs"), blk1)
+	writeBlock(t, filepath.Join(dir, "blk-00000001.kfs"), blk1)
 	writeDirectory(t, segVersion, filepath.Join(dir, "seg-00000001.kfs"), []string{"blk-00000001.kfs"}, blk1)
 	m := Manifest{NextSeq: 3, MaxRecordID: 4, Live: []ManifestEntry{{Name: "seg-00000001.kfs"}}}
 	for _, name := range more {
@@ -294,24 +295,146 @@ func currentTier(t *testing.T, dir string, encode func([]byte, Manifest) []byte,
 	writeFile(t, filepath.Join(dir, manifestName), encode(nil, m))
 }
 
-// writeV3LogFile writes sealed log file seq as version 3 left it: the
-// current layout without a reference frame, under a version-3 header.
+// writeV3LogFile writes sealed log file seq as version 3 left it: the v4
+// layout without a reference frame, under a version-3 header.
 func writeV3LogFile(t *testing.T, dir string, seq uint32, recs ...FlushRecord) []FlushRecord {
 	t.Helper()
 	out := writeLogFile(t, dir, seq, recs...)
-	path := filepath.Join(dir, LogName(seq))
-	img, err := os.ReadFile(path)
+	items := make([]logItemV4, len(recs))
+	for i, fr := range recs {
+		items[i].rec = appendRecord(nil, fr)
+	}
+	img := encodeLogV4(items, true)
+	binary.LittleEndian.PutUint16(img[4:], logVersionV3)
+	writeFile(t, filepath.Join(dir, LogName(seq)), img)
+	return out
+}
+
+// appendFrameV4 appends one v4 log frame — u32 length | u32 CRC32C |
+// payload, a v5 page header's layout — holding payload.
+func appendFrameV4(buf, payload []byte) []byte {
+	start := len(buf)
+	buf = append(append(buf, 0, 0, 0, 0, 0, 0, 0, 0), payload...)
+	sealPage(buf[start:])
+	return buf
+}
+
+// encodeBlockV4 is the v4 block holding the encoded records recs, in
+// order, with u32 offsets.
+func encodeBlockV4(recs [][]byte) []byte {
+	le := binary.LittleEndian
+	buf := le.AppendUint16([]byte(blkMagic), recordVersionV4)
+	buf = le.AppendUint16(buf, 4)
+	buf = le.AppendUint32(buf, uint32(len(recs)))
+	offsets := make([]uint32, len(recs))
+	for i, rec := range recs {
+		offsets[i] = uint32(len(buf))
+		buf = append(buf, rec...)
+	}
+	end := uint64(len(buf))
+	for _, off := range offsets {
+		buf = le.AppendUint32(buf, off)
+	}
+	buf = le.AppendUint64(buf, end)
+	return append(buf, blkEndMagicV4...)
+}
+
+// logItemV4 is one frame of a v4 log file: an encoded record, or the
+// references of a reference frame.
+type logItemV4 struct {
+	rec  []byte
+	refs []LogRef
+}
+
+// encodeLogV4 is the v4 log file framing items in order, sealed with a
+// frame index when sealed says so.
+func encodeLogV4(items []logItemV4, sealed bool) []byte {
+	le := binary.LittleEndian
+	buf := le.AppendUint16([]byte(LogMagic), recordVersionV4)
+	var offsets []uint32
+	for _, it := range items {
+		if it.refs != nil {
+			buf = appendFrameV4(buf, appendReferencePayload(nil, it.refs))
+			continue
+		}
+		offsets = append(offsets, uint32(len(buf)))
+		buf = appendFrameV4(buf, it.rec)
+	}
+	if !sealed {
+		return buf
+	}
+	index := []byte{indexMarker}
+	for _, off := range offsets {
+		index = le.AppendUint32(index, off)
+	}
+	index = le.AppendUint32(index, uint32(len(offsets)))
+	return appendFrameV4(buf, append(index, frameIndexMagicV4...))
+}
+
+// downgradeToV4 rewrites every v5 block and log file under dir, at any
+// depth, as the v4 file a build before version 5 would have written
+// holding the same records at the same ordinals: the v4 writer, kept
+// for the upgrade battery.
+func downgradeToV4(t *testing.T, dir string) {
+	t.Helper()
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		seq, isLog := ParseLogName(name)
+		if !isLog && !strings.HasPrefix(name, "blk-") {
+			return nil
+		}
+		img, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		var items []logItemV4
+		sealed := false
+		for pos := HeaderSize; pos < len(img); {
+			payload, ok := CheckPage(img[pos:])
+			if !ok {
+				return fmt.Errorf("%s: bad page at %d", name, pos)
+			}
+			pos += PageHeaderSize + len(payload)
+			switch {
+			case IsPageIndex(payload):
+				sealed = true
+			case IsReferences(payload):
+				refs, _ := DecodeReferences(payload, seq)
+				items = append(items, logItemV4{refs: refs})
+			default:
+				for len(payload) > 0 {
+					n, err := recordLen(payload)
+					if err != nil {
+						return err
+					}
+					items = append(items, logItemV4{rec: payload[:n]})
+					payload = payload[n:]
+				}
+			}
+		}
+		if isLog {
+			img = encodeLogV4(items, sealed)
+		} else {
+			recs := make([][]byte, len(items))
+			for i, it := range items {
+				recs[i] = it.rec
+			}
+			img = encodeBlockV4(recs)
+		}
+		return os.WriteFile(path, img, 0o644)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint16(img[4:], logVersionV3)
-	writeFile(t, path, img)
-	return out
 }
 
 // Fabricators and helpers for the upgrade battery, which runs outside
 // the package so that it can open a durable store too.
 var (
-	OutOfWindow = outOfWindow
-	DirFiles    = dirFiles
+	OutOfWindow   = outOfWindow
+	DirFiles      = dirFiles
+	DowngradeToV4 = downgradeToV4
 )

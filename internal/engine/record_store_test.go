@@ -72,30 +72,38 @@ func TestDurableFlushWritesNoRecordBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames, refs, size, want := 0, 0, int64(0), int64(0)
+	records, refs, size, want := 0, 0, int64(0), int64(0)
 	for _, f := range files {
 		if !f.Sealed {
 			t.Fatalf("%s is not sealed after Close", f.Name)
 		}
-		frames += f.Frames
+		records += f.Records
 		refs += f.References
 		size += f.Bytes
-		want += disk.LogHeaderSize + int64(len(disk.AppendFrameIndex(nil, make([]uint32, f.Frames)))) + f.ReferenceBytes
-		if err := disk.DumpSegment(filepath.Join(cfg.DiskDir, f.Name), func(fr disk.FlushRecord) error {
-			want += int64(len(disk.AppendFrames(nil, []disk.FlushRecord{fr})))
+		// Header, index, reference pages, and per record page its header
+		// and its records' encodings.
+		index := disk.PageIndex{Off: make([]uint64, f.Pages), First: make([]uint32, f.Pages)}
+		want += disk.HeaderSize + int64(len(disk.AppendPageIndex(nil, &index))) + f.ReferenceBytes +
+			disk.PageHeaderSize*int64(f.Pages)
+		err := wal.DumpFile(filepath.Join(cfg.DiskDir, f.Name), func(fr disk.FlushRecord) error {
+			want += int64(len(disk.EncodeRecord(nil, fr)))
 			return nil
-		}); err != nil {
+		}, func([]disk.LogRef) error {
+			want -= disk.PageHeaderSize // counted in ReferenceBytes
+			return nil
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if frames != total {
-		t.Fatalf("log files frame %d records, want the %d ingested", frames, total)
+	if records != total {
+		t.Fatalf("log files hold %d records, want the %d ingested", records, total)
 	}
 	if refs < int(st.WAL.ReferencedRecords) {
 		t.Fatalf("log files list %d references, the run wrote %d", refs, st.WAL.ReferencedRecords)
 	}
 	if size != want {
-		t.Fatalf("log files hold %d bytes, their frames and indexes %d", size, want)
+		t.Fatalf("log files hold %d bytes, their pages and indexes %d", size, want)
 	}
 }
 

@@ -98,12 +98,12 @@ func TestStoreSharedIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := 0
+	records := 0
 	for _, f := range files {
-		frames += f.Frames
+		records += f.Records
 	}
-	if frames != len(mbs) {
-		t.Fatalf("the log frames %d records for %d ingested: one frame per microblog", frames, len(mbs))
+	if records != len(mbs) {
+		t.Fatalf("the log holds %d records for %d ingested: one per microblog", records, len(mbs))
 	}
 
 	st, err = OpenStore(dir, opt)

@@ -14,34 +14,37 @@
 // wal-XXXXXXXX.kfw, XXXXXXXX the file sequence, 1 and up. The newest is
 // active, the others sealed.
 //
-// The file format is the disk package's (disk/logfile.go): a header
-// naming the version, then frames — u32 payload length | u32 CRC32C |
-// one record, or a reference frame — and, once the file is sealed, a
-// frame index over its record frames. The log seals the active file and
-// starts the next when it reaches Options.MaxFileBytes, and whenever the
-// owner asks (Seal: a flush seals the file its victims' frames may sit
-// in, because a directory names only sealed files). Sealing writes the
-// frame index and fsyncs; Seal does that off the log's lock, so
-// ingestion never waits on it. An older file version is
-// disk.ErrNeedsUpgrade (see disk.Upgrade), any other ErrCorrupt. A torn final
-// frame — the expected crash artifact — is detected by the CRC/length
-// check and replay stops there; corruption in the middle of the log is
-// reported as an error.
+// The file format is the disk package's record file (disk/block.go,
+// disk/logfile.go): a header naming the version, then pages — u32
+// payload length | u32 CRC32C | whole records, or a reference list —
+// and, once the file is sealed, a page index. AppendBatch writes each
+// batch as record pages of at most disk.PageSize bytes of records, with
+// one Write, so a record costs its encoding plus its share of one page
+// header and one index entry. The log seals the active file and starts
+// the next when it reaches Options.MaxFileBytes, and whenever the owner
+// asks (Seal: a flush seals the file its victims' records may sit in,
+// because a directory names only sealed files). Sealing writes the page
+// index and fsyncs; Seal does that off the log's lock, so ingestion
+// never waits on it. An older file version is disk.ErrNeedsUpgrade (see
+// disk.Upgrade), any other ErrCorrupt. A torn final page — the expected
+// crash artifact — is detected by the CRC/length check and replay stops
+// there, delivering none of its records; corruption in the middle of the
+// log is reported as an error.
 //
 // # Claims
 //
-// A record's bytes never move: the frame AppendBatch wrote is where
+// A record's bytes never move: the page AppendBatch wrote is where
 // directories post it and where replay reads it. Its replay duty may
 // move, so the log keeps two counts per file:
 //
 //   - covers: the records whose replay goes through the file, because it
-//     frames them or a reference frame of it lists them, and which have
+//     holds them or a reference page of it lists them, and which have
 //     not yet left memory for a durably installed segment;
 //   - holds: the records memory holds (and those of a flush in flight)
-//     whose bytes the file frames.
+//     whose bytes the file holds.
 //
 // AppendBatch raises both on the active file once an append has
-// succeeded. A failed append claims nothing, even when its frames stay in
+// succeeded. A failed append claims nothing, even when its pages stay in
 // the file, so its caller has nothing to release. Replay raises covers on
 // the file it reads and holds on the one framing each delivered record;
 // FlushRecord.ReplaySeq and LogSeq name the two. The holder lowers both
@@ -51,11 +54,11 @@
 //
 //	a file leaves the replay set only sealed and at zero covers, and a
 //	cover comes down only after the record is durable somewhere else —
-//	posted by an installed segment, or listed by a reference frame that
+//	posted by an installed segment, or listed by a reference page that
 //	has been fsynced;
 //
 //	a file out of the replay set stays on disk while anything holds it,
-//	or a reference frame of a file still replayed lists it.
+//	or a reference page of a file still replayed lists it.
 //
 // A file that leaves the replay set is drained: replay will not scan it
 // again. With Options.Logs set the log reports it to the tiers' registry
@@ -70,23 +73,25 @@
 // drains an old file on its own: a few long-lived records pin it. So the
 // owner asks ReclaimCandidate which sealed file to retire and hands
 // Reference the file's memory-resident survivors. Reference appends one
-// reference frame listing where each survivor's bytes are to the active
+// reference page listing where each survivor's bytes are to the active
 // file, fsyncs it (whatever Options.SyncEvery says), and moves their
 // covers there, which lets the zero-covers rule drain the source — no
 // record is written twice, and the old file is never read. Crash
 // windows: before the fsync the source still covers every survivor and
-// the reference frame is at worst a torn tail; between the fsync and the
+// the reference page is at worst a torn tail; between the fsync and the
 // drain both files list the survivors, and replay delivers each once,
-// from the source — the older delivery — skipping the reference frame's
+// from the source — the older delivery — skipping the reference page's
 // entries, which claim nothing; the source then drains at a later
 // reclaim. The drain takes effect with one manifest commit, after which
-// replay reads each survivor through the reference, with one pread. The
+// replay reads each survivor through the reference, one pread per page
+// holding survivors. The
 // file holding the highest record ID may drain like any other: the
 // tier's manifest keeps the record-ID high-water mark of every installed
 // segment, and a referenced record is delivered by an undrained file.
 package wal
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/binary"
@@ -114,16 +119,23 @@ var walCommitLabels = pprof.Labels("kflushing", "wal-group-commit")
 
 const (
 	fileVersion = disk.LogVersion
-	headerSize  = disk.LogHeaderSize
+	headerSize  = disk.HeaderSize
 )
 
 // ErrCorrupt reports log corruption before the final record.
 var ErrCorrupt = errors.New("wal: corrupt log")
 
-// encodeBufs recycles AppendBatch encode buffers across calls when
+// batch is one AppendBatch's encoding: its pages, and their index by
+// offset in buf.
+type batch struct {
+	buf   []byte
+	pages disk.PageIndex
+}
+
+// encodeBufs recycles AppendBatch encodings across calls when
 // Options.PooledBuffers is set. Buffers are only handed to File.Write,
 // which does not retain them.
-var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+var encodeBufs = sync.Pool{New: func() any { return new(batch) }}
 
 // Options tunes a Log.
 type Options struct {
@@ -157,22 +169,22 @@ const DefaultMaxFileBytes = 16 << 20
 type logFile struct {
 	seq uint32
 	// bytes is the file's size, what a replay scans; refBytes the size of
-	// the frames its reference frames list in older files, what a replay
+	// the records its reference pages list in older files, what a replay
 	// reads beside.
 	bytes, refBytes int64
-	// frames counts the records framed in the file and refs those its
-	// reference frames list: what its replay delivers. covers and holds
+	// frames counts the records the file holds and refs those its
+	// reference pages list: what its replay delivers. covers and holds
 	// are its two claim counts (see the package comment): covers/(frames
 	// + refs) is the share of its deliveries still needed.
 	frames, refs  int64
 	covers, holds int64
-	// reach lists, ascending, the files its reference frames list
+	// reach lists, ascending, the files its reference pages list
 	// records of: they stay on disk while this file replays.
 	reach []uint32
 	// pinned marks a file found by Open and not yet replayed: its claims
 	// are unknown, so it must not be reclaimed.
 	pinned bool
-	// sealed marks a file that is complete: frame index written and
+	// sealed marks a file that is complete: page index written and
 	// fsynced. Only a sealed file may be named by a directory, referenced,
 	// or drained.
 	sealed bool
@@ -186,9 +198,9 @@ type logFile struct {
 	// wal_reclaim event.
 	survivors    int64
 	reclaimNanos int64
-	// offsets holds the start of every record frame while the file is
-	// active: its frame index, written when it is sealed.
-	offsets []uint32
+	// index locates the file's pages until it is sealed: its page index,
+	// written when it is.
+	index disk.PageIndex
 }
 
 // claim adds n covers and n holds of a record framed in f.
@@ -213,7 +225,7 @@ func (f *logFile) addReach(seqs ...uint32) {
 	}
 }
 
-// pendingSeal is a file taken out of service whose frame index is not
+// pendingSeal is a file taken out of service whose page index is not
 // yet written and fsynced: its handle is still open for that.
 type pendingSeal struct {
 	f  *os.File
@@ -259,7 +271,7 @@ type Log struct {
 
 	// rotMu serializes rotations, which create the next file outside mu;
 	// sealMu serializes sealFiles: one goroutine writes and fsyncs the
-	// pending frame indexes, outside mu.
+	// pending page indexes, outside mu.
 	rotMu  sync.Mutex
 	sealMu sync.Mutex
 
@@ -271,7 +283,7 @@ func Open(dir string, opt Options) (*Log, error) {
 	if opt.MaxFileBytes <= 0 {
 		opt.MaxFileBytes = DefaultMaxFileBytes
 	}
-	// Frame offsets are u32s.
+	// Ordinals are u32s.
 	opt.MaxFileBytes = min(opt.MaxFileBytes, 1<<31)
 	if err := failpoint.Eval(failpoint.WALOpenMkdir); err != nil {
 		return nil, err
@@ -342,7 +354,7 @@ func (l *Log) createFile(seq uint32) (*os.File, error) {
 	if err != nil {
 		// The write error is the one to surface, not the cleanup's; the
 		// name is freed for the next attempt (replay removes a file left
-		// with no frame anyway).
+		// with no page anyway).
 		_ = f.Close()
 		_ = os.Remove(l.path(seq))
 		return nil, err
@@ -399,15 +411,15 @@ func (l *Log) Append(fr disk.FlushRecord) error {
 	return l.AppendBatch([]disk.FlushRecord{fr})
 }
 
-// AppendBatch group-commits a batch of ingested microblogs: every frame
-// is encoded outside the lock into one contiguous buffer, then the whole
-// batch is written under a single lock acquisition with a single Write
-// call — one syscall instead of two per record, which is what lets
-// batched ingestion keep up with high-rate streams.
+// AppendBatch group-commits a batch of ingested microblogs: the batch is
+// encoded outside the lock into record pages in one contiguous buffer,
+// then written under a single lock acquisition with a single Write call
+// — one syscall per batch, which is what lets batched ingestion keep up
+// with high-rate streams.
 //
 // On success every frs[i].LogSeq and ReplaySeq name the file that now
-// holds the frames, frs[i].LogOrd the frame's ordinal in it, and that
-// file carries one more cover and hold per frame: the caller owns the
+// holds the records, frs[i].LogOrd the record's ordinal in it, and that
+// file carries one more cover and hold per record: the caller owns the
 // claims and gives them back with Release. A caller that never does (a
 // probe, a tool) simply keeps every file. A failed append — its write,
 // or the fsync SyncEvery asks for — claims nothing. A batch that fills
@@ -417,26 +429,23 @@ func (l *Log) AppendBatch(frs []disk.FlushRecord) error {
 		return nil
 	}
 	start := time.Now()
-	var buf []byte
+	var b *batch
 	if l.opt.PooledBuffers {
-		pb := encodeBufs.Get().(*[]byte)
-		defer func() {
-			*pb = buf[:0]
-			encodeBufs.Put(pb)
-		}()
-		buf = (*pb)[:0]
-		if cap(buf) < 96*len(frs) {
-			buf = make([]byte, 0, 96*len(frs))
-		}
+		b = encodeBufs.Get().(*batch)
+		defer encodeBufs.Put(b)
+		b.pages.Reset()
 	} else {
-		buf = make([]byte, 0, 96*len(frs))
+		b = new(batch)
 	}
-	buf = disk.AppendFrames(buf, frs)
+	if cap(b.buf) < 96*len(frs) {
+		b.buf = make([]byte, 0, 96*len(frs))
+	}
+	b.buf = disk.AppendRecordPages(b.buf[:0], frs, &b.pages)
 	if err := failpoint.Eval(failpoint.WALAppend); err != nil {
 		return err
 	}
 	l.mu.Lock()
-	full, err := l.appendLocked(frs, buf, start)
+	full, err := l.appendLocked(frs, b, start)
 	l.mu.Unlock()
 	if full != nil {
 		// Start the next file and seal this one, off the lock.
@@ -459,11 +468,11 @@ func (l *Log) writeLocked(buf []byte) (*logFile, error) {
 	if l.f == nil {
 		return nil, errors.New("wal: closed")
 	}
-	// A torn-write failpoint shortens wbuf: the partial frame really
+	// A torn-write failpoint shortens wbuf: the partial page really
 	// lands in the file — the exact artifact a crash mid-write leaves.
 	// Any failed or partial append is rolled back to the pre-write
 	// offset; otherwise the next successful append would bury a torn
-	// frame mid-file, which replay correctly refuses to tolerate.
+	// page mid-file, which replay correctly refuses to tolerate.
 	wbuf, fperr := failpoint.EvalWrite(failpoint.WALAppendWrite, buf)
 	if n, err := l.f.Write(wbuf); err != nil {
 		if n > 0 {
@@ -480,20 +489,19 @@ func (l *Log) writeLocked(buf []byte) (*logFile, error) {
 
 // appendLocked writes one encoded batch to the active file and returns
 // the file when the batch filled it. Callers must hold l.mu.
-func (l *Log) appendLocked(frs []disk.FlushRecord, buf []byte, start time.Time) (full *logFile, err error) {
+func (l *Log) appendLocked(frs []disk.FlushRecord, b *batch, start time.Time) (full *logFile, err error) {
+	buf := b.buf
 	af, err := l.writeLocked(buf)
 	if err != nil {
 		return nil, err
 	}
-	// The frames are in the file: index them, even when the failpoint
+	// The pages are in the file: index them, even when the failpoint
 	// below fails the append, since they stay there.
-	for pos := 0; pos < len(buf); pos += disk.FrameHeaderSize + int(binary.LittleEndian.Uint32(buf[pos:])) {
-		af.offsets = append(af.offsets, uint32(af.bytes)+uint32(pos))
-	}
+	af.index.Extend(&b.pages, uint64(af.bytes))
 	if err := failpoint.Eval(failpoint.WALAppendAfterWrite); err != nil {
-		// The frames are fully written and valid: leave them. Replay
+		// The pages are fully written and valid: leave them. Replay
 		// may resurrect the unacknowledged batch (at-least-once), which
-		// recovery deduplicates; truncating valid frames would risk the
+		// recovery deduplicates; truncating valid pages would risk the
 		// opposite — dropping data a concurrent reader saw acked.
 		af.bytes += int64(len(buf))
 		af.frames += int64(len(frs))
@@ -608,13 +616,13 @@ func (l *Log) syncActive() error {
 	return f.Sync()
 }
 
-// Seal makes every frame appended so far addressable: the active file,
-// unless it holds no record frame, is taken out of service — a new file
-// takes the appends from here on — and every file out of service is
-// sealed: its frame index written, then fsynced. Only the swap holds the
+// Seal makes every record appended so far addressable: the active file,
+// unless it holds no record, is taken out of service — a new file takes
+// the appends from here on — and every file out of service is sealed:
+// its page index written, then fsynced. Only the swap holds the
 // log's lock; the writes and fsyncs run on the caller, so ingestion does
 // not wait on them. A flush calls it before it stages a directory naming
-// its victims' frames.
+// its victims' records.
 func (l *Log) Seal() error {
 	err := l.rotate(func(active *logFile) bool { return active.frames > 0 })
 	if serr := l.sealFiles(); err == nil {
@@ -649,19 +657,19 @@ func (l *Log) sealFiles() error {
 	return nil
 }
 
-// seal writes a pending file's frame index, fsyncs and closes it: from
+// seal writes a pending file's page index, fsyncs and closes it: from
 // here on a directory may name the file, and once nothing covers it, it
 // drains. A file a crash left unsealed comes without a handle and is
-// opened here. On failure the file is cut back to its frames and retry
+// opened here. On failure the file is cut back to its pages and retry
 // says so; when even that fails the handle is given up and the file
 // stays unsealed until a replay seals it.
 func (l *Log) seal(ps *pendingSeal) (retry bool, err error) {
 	start := time.Now()
 	lf := ps.lf
 	l.mu.Lock()
-	end, offsets := lf.bytes, lf.offsets
+	end, index := lf.bytes, lf.index // out of service: no page joins it
 	l.mu.Unlock()
-	idx := disk.AppendFrameIndex(nil, offsets)
+	idx := disk.AppendPageIndex(nil, &index)
 	// The crash window this site names: the file out of service, its
 	// index not yet durable. No directory names it; replay seals it.
 	err = failpoint.Eval(failpoint.WALSealSync)
@@ -679,7 +687,7 @@ func (l *Log) seal(ps *pendingSeal) (retry bool, err error) {
 	}
 	if err != nil {
 		if terr := ps.f.Truncate(end); terr != nil {
-			slog.Error("wal: cannot cut a failed frame index away; the file stays unsealed",
+			slog.Error("wal: cannot cut a failed page index away; the file stays unsealed",
 				"file_seq", lf.seq, "err", terr)
 			_ = ps.f.Close() // the write error is the one that matters
 			return false, err
@@ -693,18 +701,18 @@ func (l *Log) seal(ps *pendingSeal) (retry bool, err error) {
 	l.mu.Lock()
 	lf.sealed = true
 	lf.bytes += int64(len(idx))
-	lf.offsets = nil
+	lf.index = disk.PageIndex{}
 	drained, released := l.sweepLocked()
 	l.mu.Unlock()
 	l.opt.Recorder.Record(blackbox.SubWAL, blackbox.EvWALSync,
-		int64(len(offsets)), end, time.Since(start).Nanoseconds())
+		int64(index.Records), end, time.Since(start).Nanoseconds())
 	l.retire(drained, released)
 	return false, nil
 }
 
-// refFrame is one reference frame as replay reads it: the records it
+// refPage is one reference page as replay reads it: the records it
 // lists, after the file's first at records.
-type refFrame struct {
+type refPage struct {
 	at   int
 	refs []disk.LogRef
 }
@@ -712,16 +720,16 @@ type refFrame struct {
 // parsedFile is one log file as replay reads it.
 type parsedFile struct {
 	recs    []disk.FlushRecord
-	refs    []refFrame
-	offsets []uint32 // where each record's frame starts
-	valid   int64    // length of the valid prefix, a frame index included
-	indexed bool     // the prefix ends with a frame index over its frames
-	// refBytes is the size of its reference frames, headers included.
+	refs    []refPage
+	index   disk.PageIndex // where each page starts
+	valid   int64          // length of the valid prefix, a page index included
+	indexed bool           // the prefix ends with a page index over its pages
+	// refBytes is the size of its reference pages, headers included.
 	refBytes int64
 }
 
-// walk hands the file's frames to rec — with the record's ordinal — and
-// ref in append order.
+// walk hands the file's records to rec — with the record's ordinal — and
+// its reference pages to ref, in append order.
 func (p *parsedFile) walk(rec func(int, disk.FlushRecord) error, ref func([]disk.LogRef) error) error {
 	next := 0 // the next reference frame
 	refsUpTo := func(at int) error {
@@ -743,12 +751,13 @@ func (p *parsedFile) walk(rec func(int, disk.FlushRecord) error, ref func([]disk
 	return refsUpTo(len(p.recs))
 }
 
-// parseFile reads one log file as replay does. Truncation at EOF is
-// always tolerated; complete but invalid frames — and a frame index that
-// does not match the frames before it — only when lastFile is set. A tolerated torn tail
-// yields the valid prefix and nil; the caller is expected to truncate the
+// parseFile reads one log file as replay does, checking every page.
+// Truncation at EOF is always tolerated; complete but invalid pages — and
+// a page index that does not match the pages before it — only when
+// lastFile is set. A tolerated torn tail yields the valid prefix and nil,
+// none of the torn page's records; the caller is expected to truncate the
 // file to it. A file of an older version is disk.ErrNeedsUpgrade, of an
-// unknown one ErrCorrupt: its frames are not read.
+// unknown one ErrCorrupt: its pages are not read.
 func parseFile(path string, lastFile bool) (parsedFile, error) {
 	b, err := os.ReadFile(path)
 	if err != nil || len(b) < headerSize {
@@ -778,22 +787,21 @@ func parseFile(path string, lastFile bool) (parsedFile, error) {
 		return p, nil
 	}
 	for pos < len(b) {
-		if pos+disk.FrameHeaderSize > len(b) {
-			return stop("torn frame header", true)
+		if pos+disk.PageHeaderSize > len(b) {
+			return stop("torn page header", true)
 		}
-		if n := binary.LittleEndian.Uint32(b[pos:]); uint64(n) > uint64(len(b)-pos-disk.FrameHeaderSize) {
-			return stop("torn payload", true)
+		if n := binary.LittleEndian.Uint32(b[pos:]); uint64(n) > uint64(len(b)-pos-disk.PageHeaderSize) {
+			return stop("torn page", true)
 		}
-		payload, ok := disk.CheckFrame(b[pos:])
+		payload, ok := disk.CheckPage(b[pos:])
 		if !ok {
 			return stop("bad checksum", lastFile)
 		}
-		end := pos + disk.FrameHeaderSize + len(payload)
+		end := pos + disk.PageHeaderSize + len(payload)
 		switch {
-		case disk.IsFrameIndex(payload):
-			offsets, ok := disk.DecodeFrameIndex(payload)
-			if !ok || !slices.Equal(offsets, p.offsets) || end != len(b) {
-				return stop("frame index not matching its file", lastFile)
+		case disk.IsPageIndex(payload):
+			if end != len(b) || !bytes.Equal(b[pos:end], disk.AppendPageIndex(nil, &p.index)) {
+				return stop("page index not matching its file", lastFile)
 			}
 			p.indexed = true
 			p.valid = int64(end)
@@ -801,17 +809,18 @@ func parseFile(path string, lastFile bool) (parsedFile, error) {
 		case disk.IsReferences(payload):
 			refs, ok := disk.DecodeReferences(payload, own)
 			if !ok {
-				return stop("undecodable reference frame", lastFile)
+				return stop("undecodable reference page", lastFile)
 			}
-			p.refs = append(p.refs, refFrame{at: len(p.recs), refs: refs})
+			p.refs = append(p.refs, refPage{at: len(p.recs), refs: refs})
 			p.refBytes += int64(end - pos)
+			p.index.Add(uint64(pos), 0)
 		default:
-			fr, used, err := disk.DecodeRecord(payload)
-			if err != nil || used != len(payload) {
-				return stop("undecodable frame", lastFile)
+			had := len(p.recs)
+			var err error
+			if p.recs, err = disk.DecodePage(p.recs, payload); err != nil {
+				return stop("undecodable page", lastFile)
 			}
-			p.recs = append(p.recs, fr)
-			p.offsets = append(p.offsets, uint32(pos))
+			p.index.Add(uint64(pos), uint32(len(p.recs)-had))
 		}
 		pos = end
 	}
@@ -820,37 +829,37 @@ func parseFile(path string, lastFile bool) (parsedFile, error) {
 }
 
 // Replay streams every surviving record to fn: the log files in sequence
-// order, each file's frames in append order, a reference frame
-// delivering the records it lists where it stands — each read with one
-// pread from the file framing it, drained or not. LogSeq and LogOrd name
-// the frame holding a delivered record, ReplaySeq the file delivering
-// it. Files Options.Logs lists drained were never opened, so they
+// order, each file's records in append order, a reference page
+// delivering the records it lists where it stands — read from the file
+// holding them, drained or not, one pread per page holding any. LogSeq
+// and LogOrd name where a delivered record is held, ReplaySeq the file
+// delivering it. Files Options.Logs lists drained were never opened, so they
 // deliver nothing by themselves: their records are in installed
-// segments, or listed by a reference frame of a newer file. Replay does
+// segments, or listed by a reference page of a newer file. Replay does
 // not restore arrival order: a referenced record is delivered after
-// records that arrived later. It delivers each frame at most once: a
-// reference frame's entry for a frame this replay has already delivered —
-// its file was walked, or an earlier reference frame listed it, as in the
-// window between a reference frame's fsync and its source's drain — is
-// skipped, and the file keeps reaching the frame's file all the same. Each
-// delivered record is a cover on the file delivering it and a hold on the
-// one framing it, owned by fn's side: the engine releases the ones it
+// records that arrived later. It delivers each record at most once: a
+// reference page's entry for a record this replay has already delivered —
+// its file was walked, or an earlier reference page listed it, as in the
+// window between a reference page's fsync and its source's drain — is
+// skipped, and the file keeps reaching the record's file all the same.
+// Each delivered record is a cover on the file delivering it and a hold on
+// the one holding it, owned by fn's side: the engine releases the ones it
 // does not keep (a record without keys) and the ones it later flushes; a
 // caller that releases nothing keeps every file. When a file has been
 // replayed its Open-time pin is dropped, so a file nothing covers — a
 // header-only leftover, or one whose records fn flushed while later
 // files replayed — drains on the spot.
 //
-// Tolerance matches what crashes actually produce: a truncated frame at
+// Tolerance matches what crashes actually produce: a truncated page at
 // the END of any file is accepted (a crash tears the tail of whichever
-// file was active, or was being sealed). A failed checksum inside a
-// complete frame is tolerated only in the newest file; anywhere else it
-// is real corruption and returns ErrCorrupt, as is a reference to a
-// frame that is not there.
+// file was active, or was being sealed), and delivers none of its
+// records. A failed checksum inside a complete page is tolerated only in
+// the newest file; anywhere else it is real corruption and returns
+// ErrCorrupt, as is a reference to a record that is not there.
 //
 // Tolerated torn tails are physically truncated away (with a logged
 // warning), and a file the crash left unsealed is sealed — both before
-// its frames reach fn, since a flush those frames set off may name the
+// its records reach fn, since a flush those records set off may name the
 // file. That is load-bearing, not cosmetic: a torn tail left in place
 // stops being "the end of the file" once the log grows or rotates, and
 // the next recovery would refuse it as mid-log corruption. Neither ever
@@ -865,7 +874,7 @@ func (l *Log) Replay(fn func(disk.FlushRecord) error) error {
 		}
 	}
 	l.mu.Unlock()
-	readers := frameReaders{}
+	readers := logReaders{}
 	defer readers.close()
 	seen := delivered{walked: map[uint32]uint32{}, listed: map[disk.LogRef]bool{}}
 	// The file that may carry an unsynced crash tail is the newest one
@@ -885,7 +894,7 @@ func (l *Log) Replay(fn func(disk.FlushRecord) error) error {
 				return err
 			}
 			l.mu.Lock()
-			f.bytes, f.offsets = p.valid, p.offsets
+			f.bytes, f.index = p.valid, p.index
 			f.sealed = p.indexed
 			unsealed := !f.sealed && len(p.recs)+len(p.refs) > 0
 			l.mu.Unlock()
@@ -922,78 +931,96 @@ func (l *Log) Replay(fn func(disk.FlushRecord) error) error {
 	return nil
 }
 
-// frameReaders opens each log file reference frames list once, to read
-// the frames they list through its frame index.
-type frameReaders map[uint32]*disk.LogReader
+// logReaders opens each log file reference pages list once, to read
+// the records they list through its page index.
+type logReaders map[uint32]*disk.LogReader
 
-// read returns the record framed at ref in dir, and its frame's size. A
-// frame the file does not have is ErrCorrupt.
-func (rs frameReaders) read(dir string, ref disk.LogRef) (disk.FlushRecord, int64, error) {
-	r := rs[ref.Seq]
+// read hands fn the records of log file seq in dir at ords, ascending,
+// and the length of each encoding. A record the file does not have is
+// ErrCorrupt.
+func (rs logReaders) read(dir string, seq uint32, ords []uint32, fn func(ord uint32, fr disk.FlushRecord, size int) error) error {
+	r := rs[seq]
 	if r == nil {
 		var err error
-		if r, err = disk.OpenLogReader(filepath.Join(dir, disk.LogName(ref.Seq))); err != nil {
-			return disk.FlushRecord{}, 0, err
+		if r, err = disk.OpenLogReader(filepath.Join(dir, disk.LogName(seq))); err != nil {
+			return err
 		}
-		rs[ref.Seq] = r
+		rs[seq] = r
 	}
-	if ref.Ord >= r.Frames() {
-		return disk.FlushRecord{}, 0, fmt.Errorf("%w: the file frames %d", ErrCorrupt, r.Frames())
+	if last := ords[len(ords)-1]; last >= r.Records() {
+		return fmt.Errorf("record %d of %d: %w", last, r.Records(), ErrCorrupt)
 	}
-	return r.Read(ref.Ord)
+	return r.Read(ords, fn)
 }
 
-func (rs frameReaders) close() {
+func (rs logReaders) close() {
 	for _, r := range rs {
 		r.Close()
 	}
 }
 
-// listedFrameError reports a reference of file own to ref that does not
-// read.
-func listedFrameError(own string, ref disk.LogRef, err error) error {
-	return fmt.Errorf("wal: %s lists frame %d of %s: %w", own, ref.Ord, disk.LogName(ref.Seq), err)
-}
-
-// delivered is what one Replay has handed over so far: every frame of
-// the files it walked (walked: how many each frames) and the frames
-// reference frames listed.
+// delivered is what one Replay has handed over so far: every record of
+// the files it walked (walked: how many each holds) and the records
+// reference pages listed.
 type delivered struct {
 	walked map[uint32]uint32
 	listed map[disk.LogRef]bool
 }
 
-// replayRefs delivers the records one reference frame of file f lists
-// that the replay has not delivered yet, reading each through its file's
-// frame index. f reaches every file the frame lists, delivered or not: a
-// later replay may read them through it.
-func (l *Log) replayRefs(f *logFile, refs []disk.LogRef, readers frameReaders, seen delivered, fn func(disk.FlushRecord) error) error {
+// readListed hands fn the records under dir refs — sorted by file, then
+// ordinal — lists, file by file, reading each page holding them once; an
+// error reading them names file own, which lists them.
+func readListed(dir string, own uint32, refs []disk.LogRef, readers logReaders, fn func(seq, ord uint32, fr disk.FlushRecord, size int) error) error {
+	var ords []uint32
+	for i, ref := range refs {
+		if ords = append(ords, ref.Ord); i+1 < len(refs) && refs[i+1].Seq == ref.Seq {
+			continue
+		}
+		delivering := false // the error is fn's own
+		err := readers.read(dir, ref.Seq, ords, func(ord uint32, fr disk.FlushRecord, size int) error {
+			err := fn(ref.Seq, ord, fr, size)
+			delivering = err != nil
+			return err
+		})
+		if err != nil && !delivering {
+			return fmt.Errorf("wal: %s lists records of %s: %w", disk.LogName(own), disk.LogName(ref.Seq), err)
+		}
+		if err != nil {
+			return err
+		}
+		ords = ords[:0]
+	}
+	return nil
+}
+
+// replayRefs delivers the records one reference page of file f lists
+// that the replay has not delivered yet, reading each page holding them
+// once, through its file's page index. f reaches every file the page
+// lists, delivered or not: a later replay may read them through it.
+func (l *Log) replayRefs(f *logFile, refs []disk.LogRef, readers logReaders, seen delivered, fn func(disk.FlushRecord) error) error {
 	l.mu.Lock()
 	for _, ref := range refs {
 		f.addReach(ref.Seq)
 	}
 	l.mu.Unlock()
+	var todo []disk.LogRef
 	for _, ref := range refs {
 		if ref.Ord < seen.walked[ref.Seq] || seen.listed[ref] {
 			continue
 		}
 		seen.listed[ref] = true
-		fr, size, err := readers.read(l.dir, ref)
-		if err != nil {
-			return listedFrameError(disk.LogName(f.seq), ref, err)
-		}
-		fr.LogSeq, fr.LogOrd, fr.ReplaySeq = ref.Seq, ref.Ord, f.seq
+		todo = append(todo, ref)
+	}
+	return readListed(l.dir, f.seq, todo, readers, func(seq, ord uint32, fr disk.FlushRecord, size int) error {
+		fr.LogSeq, fr.LogOrd, fr.ReplaySeq = seq, ord, f.seq
 		l.mu.Lock()
 		f.refs++
-		f.refBytes += size
+		f.refBytes += int64(size)
 		f.covers++
-		l.holdLocked(ref.Seq)
+		l.holdLocked(seq)
 		l.mu.Unlock()
-		if err := fn(fr); err != nil {
-			return err
-		}
-	}
-	return nil
+		return fn(fr)
+	})
 }
 
 // holdLocked adds one hold on file seq, entering it in the table as a
@@ -1278,7 +1305,7 @@ func (l *Log) Reference(from uint32, frs []disk.FlushRecord) (uint32, error) {
 	return to, nil
 }
 
-// appendReferences writes the reference frame listing frs to the active
+// appendReferences writes the reference page listing frs to the active
 // file, which takes their covers at once — so it cannot drain without
 // them, whatever seals it meanwhile — and makes it durable, giving the
 // covers back if it cannot.
@@ -1288,17 +1315,19 @@ func (l *Log) appendReferences(frs []disk.FlushRecord) (uint32, error) {
 	var scratch []byte
 	for i, fr := range frs {
 		refs[i] = disk.LogRef{Seq: fr.LogSeq, Ord: fr.LogOrd}
-		scratch = disk.AppendFrames(scratch[:0], frs[i:i+1])
+		scratch = disk.EncodeRecord(scratch[:0], fr)
 		size += int64(len(scratch))
 	}
 	slices.SortFunc(refs, func(a, b disk.LogRef) int {
 		return cmp.Or(cmp.Compare(a.Seq, b.Seq), cmp.Compare(a.Ord, b.Ord))
 	})
-	buf := disk.AppendReferences(nil, refs)
+	var page disk.PageIndex
+	buf := disk.AppendReferencePage(nil, refs, &page)
 	n := int64(len(frs))
 	l.mu.Lock()
 	af, err := l.writeLocked(buf)
 	if err == nil {
+		af.index.Extend(&page, uint64(af.bytes))
 		af.bytes += int64(len(buf))
 		af.refs += n
 		af.refBytes += size
@@ -1366,8 +1395,8 @@ func (l *Log) Close() error {
 		if l.active.deliveries() > 0 {
 			l.sealing = append(l.sealing, &pendingSeal{f: l.f, lf: l.active})
 		} else {
-			// Nothing framed: nothing to keep. A file left behind by a
-			// failure here holds no frame, and replay removes it.
+			// Nothing held: nothing to keep. A file left behind by a
+			// failure here holds no page, and replay removes it.
 			_ = l.f.Close()
 			_ = os.Remove(l.path(l.active.seq))
 			l.files = slices.DeleteFunc(l.files, func(f *logFile) bool { return f == l.active })
@@ -1382,16 +1411,18 @@ func (l *Log) Close() error {
 type FileInfo struct {
 	Name    string
 	Version int
-	// Frames is the number of valid records; Bytes the file size.
-	Frames int
-	Bytes  int64
-	// References is the number of records its reference frames list,
-	// ReferenceBytes the size of those frames, headers included.
+	// Records is the number of valid records and Pages the number of
+	// valid pages, reference pages included, the index not; Bytes the
+	// file size.
+	Records, Pages int
+	Bytes          int64
+	// References is the number of records its reference pages list,
+	// ReferenceBytes the size of those pages, headers included.
 	References     int
 	ReferenceBytes int64
-	// Sealed reports a frame index over the frames.
+	// Sealed reports a page index over the pages.
 	Sealed bool
-	// MinID and MaxID bound the record IDs framed (0 without frames).
+	// MinID and MaxID bound the record IDs held (0 without records).
 	MinID, MaxID uint64
 }
 
@@ -1429,8 +1460,8 @@ func Inspect(dir string) ([]FileInfo, error) {
 	}
 	var out []FileInfo
 	err = readFiles(paths, func(path string, p parsedFile) error {
-		fi := FileInfo{Name: filepath.Base(path), Version: fileVersion, Frames: len(p.recs),
-			ReferenceBytes: p.refBytes, Sealed: p.indexed}
+		fi := FileInfo{Name: filepath.Base(path), Version: fileVersion, Records: len(p.recs),
+			Pages: len(p.index.Off), ReferenceBytes: p.refBytes, Sealed: p.indexed}
 		for _, rf := range p.refs {
 			fi.References += len(rf.refs)
 		}
@@ -1450,8 +1481,8 @@ func Inspect(dir string) ([]FileInfo, error) {
 	return out, err
 }
 
-// DumpFile streams the frames of the log file at path in append order:
-// each record to record, each reference frame's list to refs. A torn tail
+// DumpFile streams the pages of the log file at path in append order:
+// each record to record, each reference page's list to refs. A torn tail
 // is tolerated.
 func DumpFile(path string, record func(disk.FlushRecord) error, refs func([]disk.LogRef) error) error {
 	p, err := parseFile(path, true)
@@ -1461,10 +1492,10 @@ func DumpFile(path string, record func(disk.FlushRecord) error, refs func([]disk
 	return p.walk(func(_ int, fr disk.FlushRecord) error { return record(fr) }, refs)
 }
 
-// Verify checks that every reference frame of a log file under dir the
+// Verify checks that every reference page of a log file under dir the
 // manifest does not list drained resolves: the file it lists is present
-// and sealed, and frames a readable record at the ordinal. It returns the
-// number of references checked.
+// and sealed, and holds a readable record at the ordinal, in a page whose
+// checksum holds. It returns the number of references checked.
 func Verify(dir string) (int, error) {
 	m, _ := disk.ReadManifest(dir) // no manifest: nothing is drained
 	paths, err := logFiles(dir)
@@ -1472,16 +1503,18 @@ func Verify(dir string) (int, error) {
 		return 0, err
 	}
 	paths = slices.DeleteFunc(paths, func(p string) bool { return slices.Contains(m.Drained, filepath.Base(p)) })
-	readers := frameReaders{}
+	readers := logReaders{}
 	defer readers.close()
 	checked := 0
 	err = readFiles(paths, func(path string, p parsedFile) error {
+		own, _ := disk.ParseLogName(path)
 		for _, rf := range p.refs {
-			for _, ref := range rf.refs {
-				if _, _, err := readers.read(dir, ref); err != nil {
-					return listedFrameError(filepath.Base(path), ref, err)
-				}
+			err := readListed(dir, own, rf.refs, readers, func(uint32, uint32, disk.FlushRecord, int) error {
 				checked++
+				return nil
+			})
+			if err != nil {
+				return err
 			}
 		}
 		return nil

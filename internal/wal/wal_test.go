@@ -158,27 +158,27 @@ func TestCorruptMiddleRejected(t *testing.T) {
 	}
 }
 
-// stripIndex returns a sealed log file's image without its frame index:
+// stripIndex returns a sealed log file's image without its page index:
 // what the file held before it was sealed.
-func stripIndex(t *testing.T, b []byte) []byte {
+func stripIndex(t testing.TB, b []byte) []byte {
 	t.Helper()
 	for pos := headerSize; pos < len(b); {
-		payload, ok := disk.CheckFrame(b[pos:])
+		payload, ok := disk.CheckPage(b[pos:])
 		if !ok {
-			t.Fatalf("frame at %d does not parse", pos)
+			t.Fatalf("page at %d does not parse", pos)
 		}
-		if disk.IsFrameIndex(payload) {
+		if disk.IsPageIndex(payload) {
 			return b[:pos]
 		}
-		pos += disk.FrameHeaderSize + len(payload)
+		pos += disk.PageHeaderSize + len(payload)
 	}
-	t.Fatal("file holds no frame index")
+	t.Fatal("file holds no page index")
 	return nil
 }
 
-// TestSealWritesFrameIndex: a sealed file ends in a frame index over
-// its frames, the frames are stamped with their ordinals, and the file
-// opens as a record block of the disk tier.
+// TestSealWritesFrameIndex: a sealed file ends in a page index over its
+// pages, the records are stamped with their ordinals, and the file opens
+// as a record file of the disk tier.
 func TestSealWritesFrameIndex(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
@@ -300,18 +300,19 @@ func TestAppendAfterCloseFails(t *testing.T) {
 }
 
 // TestReplayRefusesUnknownVersion: a file of an older version is
-// disk.ErrNeedsUpgrade — naming, when it is older than the support
-// window, the commit whose upgrade converts it — one of an unknown
-// version ErrCorrupt, in the crash-tail file too, and neither is decoded.
+// disk.ErrNeedsUpgrade — naming this build's upgrade for version 4, the
+// commit whose upgrade converts it for one older than the support window
+// — one of an unknown version ErrCorrupt, in the crash-tail file too,
+// and neither is decoded.
 func TestReplayRefusesUnknownVersion(t *testing.T) {
-	for _, version := range []uint16{0, 1, 2, 3, 5, 0xFFFF} {
+	for _, version := range []uint16{0, 1, 2, 3, 4, 6, 0xFFFF} {
 		want := ErrCorrupt
-		if version >= 1 && version <= 3 {
+		if version >= 1 && version <= 4 {
 			want = disk.ErrNeedsUpgrade
 		}
 		dir := t.TempDir()
 		img := binary.LittleEndian.AppendUint16([]byte(disk.LogMagic), version)
-		img = disk.AppendFrames(img, []disk.FlushRecord{fr(1, "k")})
+		img = disk.AppendRecordPages(img, []disk.FlushRecord{fr(1, "k")}, &disk.PageIndex{})
 		path := filepath.Join(dir, "wal-00000001.kfw")
 		if err := os.WriteFile(path, img, 0o644); err != nil {
 			t.Fatal(err)
@@ -323,6 +324,9 @@ func TestReplayRefusesUnknownVersion(t *testing.T) {
 			}
 			if named := strings.Contains(fmt.Sprint(err), "ff40e7c"); named != (version == 1 || version == 2) {
 				t.Fatalf("version %d: %v names commit ff40e7c: %v", version, err, named)
+			}
+			if named := strings.Contains(fmt.Sprint(err), "this build's `kflushctl upgrade"); named != (version == 4) {
+				t.Fatalf("version %d: %v names this build's upgrade: %v", version, err, named)
 			}
 		}
 		l, err := Open(dir, Options{})
@@ -338,13 +342,16 @@ func TestReplayRefusesUnknownVersion(t *testing.T) {
 
 // TestInspectToleratesCrashTail: Inspect reads a log as Replay does. A
 // process killed during recovery leaves the file it was replaying torn —
-// its last frame's checksum bad — and, after it, the header-only file
+// its last page's checksum bad — and, after it, the header-only file
 // Open had just created; the torn file is the crash tail although it is
 // not the last file.
 func TestInspectToleratesCrashTail(t *testing.T) {
 	dir := t.TempDir()
-	img := disk.AppendFrames(disk.AppendLogHeader(nil), []disk.FlushRecord{fr(1), fr(2), fr(3), fr(4), fr(5)})
-	img[len(img)-1] ^= 0xFF // in the last frame's payload: its checksum fails
+	img := disk.AppendLogHeader(nil)
+	for _, r := range []disk.FlushRecord{fr(1), fr(2), fr(3), fr(4), fr(5)} { // a page each
+		img = disk.AppendRecordPages(img, []disk.FlushRecord{r}, &disk.PageIndex{})
+	}
+	img[len(img)-1] ^= 0xFF // in the last page's payload: its checksum fails
 	if err := os.WriteFile(filepath.Join(dir, disk.LogName(1)), img, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -352,8 +359,8 @@ func TestInspectToleratesCrashTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	files, err := Inspect(dir)
-	if err != nil || len(files) != 2 || files[0].Frames != 4 || files[1].Frames != 0 {
-		t.Fatalf("Inspect = %+v, %v; want 4 frames and an empty file", files, err)
+	if err != nil || len(files) != 2 || files[0].Records != 4 || files[1].Records != 0 {
+		t.Fatalf("Inspect = %+v, %v; want 4 records and an empty file", files, err)
 	}
 	l, err := Open(dir, Options{})
 	if err != nil {

@@ -2,14 +2,14 @@
 // data directories. It operates directly on segment, record-block and
 // write-ahead-log files without starting a system.
 //
-//	kflushctl upgrade <dir>        convert a tier or a kflushd data
-//	                               directory for this build: every v4
-//	                               block and log file is rewritten as v5,
-//	                               ordinals kept, one file at a time; a
-//	                               format older than that is refused,
-//	                               naming the file and the commit whose
-//	                               upgrade converts it, and no file
-//	                               changes
+//	kflushctl upgrade <dir>        check a tier or a kflushd data
+//	                               directory before this build opens it:
+//	                               it reads every format it writes, and
+//	                               v5 record files in place, so nothing
+//	                               is converted; a retired format is
+//	                               refused, naming the file and the
+//	                               commit whose upgrade converts it, and
+//	                               no file changes
 //	kflushctl segments <dir>       list segments (version, records, bloom,
 //	                               directory size) and the record files
 //	                               each one names, each with its format

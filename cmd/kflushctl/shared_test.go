@@ -64,7 +64,7 @@ func TestToolsResolveSharedLog(t *testing.T) {
 		if err := cmdSegments(&out, tier); err != nil {
 			t.Fatalf("segments %s: %v", attr, err)
 		}
-		if !strings.Contains(out.String(), "log v5") {
+		if !strings.Contains(out.String(), "log v6") {
 			t.Fatalf("segments %s names no log file:\n%s", attr, out.String())
 		}
 		out.Reset()

@@ -67,8 +67,8 @@ func TestCmdWALShowsReferences(t *testing.T) {
 	}
 	lines := strings.Split(out.String(), "\n")
 	for i, want := range []string{
-		"wal-00000001.kfw     v5        4 records      1 pages        0 refs",
-		"wal-00000002.kfw     v5        0 records      1 pages        1 refs",
+		"wal-00000001.kfw     v6        4 records      1 pages        0 refs",
+		"wal-00000002.kfw     v6        0 records      1 pages        1 refs",
 	} {
 		if !strings.Contains(lines[i], want) {
 			t.Errorf("line %d is %q, want it to hold %q", i, lines[i], want)

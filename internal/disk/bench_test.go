@@ -70,11 +70,11 @@ func BenchmarkFlush(b *testing.B) {
 func BenchmarkCodec(b *testing.B) {
 	rec := fr(123456, 1.7e15, "tag1a574", "tag06840", "tag00085")
 	rec.MB.Text = "e quick onyx goblin jumps over a lazy dwarf while vexed zombies quietly patrol the "
-	buf := appendRecord(nil, rec)
+	buf := EncodeRecord(nil, rec)
 	b.Run("encode", func(b *testing.B) {
 		out := make([]byte, 0, 256)
 		for i := 0; i < b.N; i++ {
-			out = appendRecord(out[:0], rec)
+			out = EncodeRecord(out[:0], rec)
 		}
 		b.SetBytes(int64(len(out)))
 	})

@@ -15,7 +15,7 @@ import (
 	"kflushing/internal/failpoint"
 )
 
-// Record file layout, version 5 — a record block (blk-*.kfs) and a log
+// Record file layout, version 6 — a record block (blk-*.kfs) and a log
 // file (wal-*.kfw, logfile.go) alike; all integers little-endian:
 //
 //	header : magic ("KFBK" block, "KFWL" log file) | u16 version
@@ -38,6 +38,13 @@ import (
 // byte is not a valid record flags byte, and its fixed tail lets a
 // reader find it from the end of the file.
 //
+// A version 6 writer codes every record relative: its ID and timestamp
+// are deltas from the record before it in the same page, the page's
+// first from (0, 0), so a page decodes on its own and a reader walks it
+// front to back through a pageCursor. Version 5 is the same layout with
+// every record absolute, which the same decoder reads: v5 files are read
+// in place, never rewritten.
+//
 // A block is what a flush writes once and nothing ever writes again:
 // microblogs are immutable and never deleted, so a block holds no
 // garbage for a merge to reclaim. Its records are stored best score
@@ -48,7 +55,10 @@ import (
 // durable store log files are the only record files a flush names.
 const (
 	blkMagic   = "KFBK"
-	blkVersion = 5
+	blkVersion = 6
+	// recordVersionV5 is the oldest record file version this build
+	// reads: a v6 file whose records are all absolute.
+	recordVersionV5 = 5
 
 	// PageSize bounds a record page's payload: a page closes before the
 	// record that would take it past PageSize bytes. A record larger than
@@ -140,24 +150,20 @@ func CheckPage(b []byte) ([]byte, bool) {
 	return payload, true
 }
 
-// AppendRecordPages appends frs to buf as record pages, as many whole
-// records to a page as PageSize allows, indexing each page in x at its
-// offset in buf.
+// AppendRecordPages appends frs to buf as record pages of relative
+// records, as many whole records to a page as PageSize allows, indexing
+// each page in x at its offset in buf.
 func AppendRecordPages(buf []byte, frs []FlushRecord, x *PageIndex) []byte {
-	return appendPages(buf, len(frs), x, func(buf []byte, i int) []byte { return appendRecord(buf, frs[i]) })
-}
-
-// appendPages appends n records, each appended by put, as record pages.
-func appendPages(buf []byte, n int, x *PageIndex, put func(buf []byte, i int) []byte) []byte {
-	for i := 0; i < n; {
+	for i := 0; i < len(frs); {
 		start := len(buf)
 		buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // page header placeholder
+		var base pageBase
 		held := uint32(0)
-		for ; i < n; i++ {
+		for ; i < len(frs); i++ {
 			at := len(buf)
-			buf = put(buf, i)
+			buf = appendRecord(buf, frs[i], &base)
 			if held > 0 && len(buf)-start-PageHeaderSize > PageSize {
-				buf = buf[:at] // it opens the next page
+				buf = buf[:at] // it opens the next page, coded afresh
 				break
 			}
 			held++
@@ -250,12 +256,13 @@ var nextBlockID atomic.Uint64
 // entry for as long as any search can still reach it, so a block's
 // handle closes only after its last directory is gone.
 type block struct {
-	id    uint64 // process-unique cache identity
-	path  string
-	f     fileReader
-	pages PageIndex
-	end   uint64 // file offset just past the last page: where the index page starts
-	size  int64  // whole-file byte length
+	id      uint64 // process-unique cache identity
+	path    string
+	f       fileReader
+	version uint16 // the format version in the file's header
+	pages   PageIndex
+	end     uint64 // file offset just past the last page: where the index page starts
+	size    int64  // whole-file byte length
 
 	refs atomic.Int32
 }
@@ -306,7 +313,7 @@ func encodeBlock(buf []byte, path string, recs []FlushRecord) ([]byte, *block) {
 	buf = AppendRecordPages(buf, recs, &x)
 	end := uint64(len(buf))
 	buf = AppendPageIndex(buf, &x)
-	return buf, newBlock(&block{path: path, pages: x, end: end, size: int64(len(buf))})
+	return buf, newBlock(&block{path: path, version: blkVersion, pages: x, end: end, size: int64(len(buf))})
 }
 
 // newBlock gives b its cache identity and hands the caller its first
@@ -378,7 +385,7 @@ func readIndex(r io.ReaderAt, size int64, name string) (*block, error) {
 	if !ok {
 		return nil, ErrCorrupt
 	}
-	return &block{pages: x, end: uint64(at), size: size}, nil
+	return &block{version: binary.LittleEndian.Uint16(head[4:]), pages: x, end: uint64(at), size: size}, nil
 }
 
 // corruptIfShort maps a read that ran off the end of a file to
@@ -436,18 +443,6 @@ func (b *block) readPage(p int, buf []byte) (page, payload []byte, err error) {
 	return buf, payload, nil
 }
 
-// skipRecords returns what follows the first n records of page payload q.
-func skipRecords(q []byte, n uint32) ([]byte, error) {
-	for ; n > 0; n-- {
-		l, err := recordLen(q)
-		if err != nil {
-			return nil, err
-		}
-		q = q[l:]
-	}
-	return q, nil
-}
-
 // readRecord loads the record with the given ordinal: one pread of the
 // page holding it, whose checksum it checks.
 func (b *block) readRecord(ord uint32) (fr FlushRecord, err error) {
@@ -463,27 +458,25 @@ func (b *block) readRecord(ord uint32) (fr FlushRecord, err error) {
 func (b *block) readRecords(ords []uint32, fn func(ord uint32, fr FlushRecord, size int) error) error {
 	pb := pageBufs.Get().(*[]byte)
 	defer pageBufs.Put(pb)
-	var q []byte
-	page, at := -1, uint32(0) // the page read, and the ordinal q starts at
+	var c pageCursor
+	page, at := -1, uint32(0) // the page read, and the ordinal c is at
 	for _, ord := range ords {
 		if ord >= b.count() {
 			return fmt.Errorf("disk: %s ordinal %d of %d: %w", b.name(), ord, b.count(), ErrCorrupt)
 		}
-		var err error
 		if p := b.pages.page(ord); p != page || ord < at {
-			var buf []byte
-			buf, q, err = b.readPage(p, *pb)
+			buf, payload, err := b.readPage(p, *pb)
 			if *pb = buf[:0]; err != nil {
 				return fmt.Errorf("disk: %s ordinal %d: %w", b.name(), ord, err)
 			}
-			page = p
+			c, page = pageCursor{q: payload}, p
 			at, _ = b.pages.ordinals(p)
 		}
-		q, err = skipRecords(q, ord-at)
+		err := c.skip(ord - at)
 		var fr FlushRecord
 		var n int
 		if err == nil {
-			fr, n, err = decodeRecord(q)
+			fr, n, err = c.next()
 		}
 		if err != nil {
 			return fmt.Errorf("disk: %s ordinal %d: %w", b.name(), ord, err)
@@ -491,17 +484,17 @@ func (b *block) readRecords(ords []uint32, fn func(ord uint32, fr FlushRecord, s
 		if err := fn(ord, fr, n); err != nil {
 			return err
 		}
-		q, at = q[n:], ord+1
+		at = ord + 1
 	}
 	return nil
 }
 
 // scan reads the file's record pages front to back, checking each one,
-// and hands fn each record's encoded bytes in ordinal order — only those
-// want marks, when want is not nil; a page holding none is not read,
-// and a long run of them is seeked over. The slice is only valid during
-// the call.
-func (b *block) scan(want []bool, fn func(ord uint32, rec []byte) error) error {
+// and hands read a cursor on each record in ordinal order — only those
+// want marks, when want is not nil, and the cursor steps over the
+// others; a page holding none is not read, and a long run of them is
+// seeked over. read decodes exactly the one record, by next or rank.
+func (b *block) scan(want []bool, read func(ord uint32, c *pageCursor) error) error {
 	const bufSize = 256 << 10
 	var r *bufio.Reader
 	var pos int64 // the file offset r reads next
@@ -528,23 +521,23 @@ func (b *block) scan(want []bool, fn func(ord uint32, rec []byte) error) error {
 			return corrupt(corruptIfShort(err))
 		}
 		pos = end
-		q, ok := checkedPayload(buf)
+		payload, ok := checkedPayload(buf)
 		if !ok {
 			return corrupt(ErrCorrupt)
 		}
+		c := pageCursor{q: payload}
 		for ord := first; ord < last; ord++ {
-			n, err := recordLen(q)
-			if err != nil {
-				return fmt.Errorf("disk: scan %s ordinal %d: %w", b.name(), ord, err)
-			}
+			var err error
 			if want == nil || want[ord] {
-				if err := fn(ord, q[:n]); err != nil {
-					return err
-				}
+				err = read(ord, &c)
+			} else if err = c.skip(1); err != nil {
+				err = fmt.Errorf("disk: scan %s ordinal %d: %w", b.name(), ord, err)
 			}
-			q = q[n:]
+			if err != nil {
+				return err
+			}
 		}
-		if len(q) != 0 {
+		if len(c.q) != 0 {
 			return corrupt(ErrCorrupt) // bytes past the page's last record
 		}
 	}
@@ -552,17 +545,30 @@ func (b *block) scan(want []bool, fn func(ord uint32, rec []byte) error) error {
 }
 
 // scanRanks fills ids and scores (one slot per record, ordinal order)
-// from the rank prefix of each encoded record — all a merge needs to
-// rank postings across blocks and to spot a record stored twice. Only
-// the records want marks are decoded (all, when want is nil): a log file
-// holds many records a merge's directories do not post.
+// from the rank prefix of each record — all a merge needs to rank
+// postings across blocks and to spot a record stored twice. Only the
+// records want marks are decoded past their ID and timestamp (all, when
+// want is nil): a log file holds many records a merge's directories do
+// not post.
 func (b *block) scanRanks(ids []uint64, scores []float64, want []bool) error {
-	return b.scan(want, func(ord uint32, rec []byte) error {
-		id, score, err := decodeRank(rec)
+	return b.scan(want, func(ord uint32, c *pageCursor) error {
+		id, score, err := c.rank()
 		if err != nil {
 			return fmt.Errorf("disk: scan %s ordinal %d: %w", b.name(), ord, err)
 		}
 		ids[ord], scores[ord] = id, score
 		return nil
+	})
+}
+
+// scanRecords hands fn every record of the file, decoded, in ordinal
+// order.
+func (b *block) scanRecords(fn func(ord uint32, fr FlushRecord) error) error {
+	return b.scan(nil, func(ord uint32, c *pageCursor) error {
+		fr, _, err := c.next()
+		if err != nil {
+			return fmt.Errorf("disk: scan %s ordinal %d: %w", b.name(), ord, err)
+		}
+		return fn(ord, fr)
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -39,6 +40,13 @@ func fr(id uint64, score float64, kws ...string) FlushRecord {
 		},
 		Score: score,
 	}
+}
+
+// decodeRecord decodes the record at the front of b as the first of a
+// page, returning it and the length of its encoding.
+func decodeRecord(b []byte) (FlushRecord, int, error) {
+	c := pageCursor{q: b}
+	return c.next()
 }
 
 // rankOrder returns recs sorted best first, as every writer stores them.
@@ -396,7 +404,7 @@ func TestRecordCodecProperty(t *testing.T) {
 			},
 			Score: score,
 		}
-		buf := appendRecord(nil, in)
+		buf := EncodeRecord(nil, in)
 		out, n, err := decodeRecord(buf)
 		if err != nil || n != len(buf) {
 			return false
@@ -416,14 +424,56 @@ func TestRecordCodecProperty(t *testing.T) {
 // TestTruncatedRecordDetected: every strict prefix of a record is
 // refused, and the rank prefix reads back from the front.
 func TestTruncatedRecordDetected(t *testing.T) {
-	buf := appendRecord(nil, fr(1, 1, "abc", "de"))
+	buf := EncodeRecord(nil, fr(1, 1, "abc", "de"))
 	for cut := 0; cut < len(buf); cut++ {
 		if _, _, err := decodeRecord(buf[:cut]); err == nil {
 			t.Fatalf("%d-byte prefix of a %d-byte record decoded", cut, len(buf))
 		}
 	}
-	if id, score, err := decodeRank(buf); err != nil || id != 1 || score != 1 {
-		t.Fatalf("rank prefix = %d, %v, %v", id, score, err)
+	c := pageCursor{q: buf}
+	if id, score, err := c.rank(); err != nil || id != 1 || score != 1 || len(c.q) != 0 {
+		t.Fatalf("rank prefix = %d, %v, %v, %d bytes left", id, score, err, len(c.q))
+	}
+}
+
+// TestRelativeRecords: in a page, a record stores its ID and timestamp
+// as deltas from the record before it — one byte each for neighbours —
+// and decodes back only through the page's cursor; a delta taking the ID
+// to 0 or past either end of its range is ErrCorrupt, and an ID the
+// delta cannot reach is stored absolute.
+func TestRelativeRecords(t *testing.T) {
+	a, b := fr(1_000_000, 1.7e15, "k"), fr(1_000_001, 1.7e15+40, "k")
+	var base pageBase
+	page := appendRecord(nil, a, &base)
+	first := len(page)
+	page = appendRecord(page, b, &base)
+	if abs := len(appendRecord(nil, b, nil)); len(page)-first != abs-(3-1)-(8-1) {
+		t.Fatalf("the second record takes %d bytes, want %d: an absolute one less 9", len(page)-first, abs-9)
+	}
+	if page[0]&flagRelative == 0 || page[first]&flagRelative == 0 {
+		t.Fatal("a writer left a record absolute")
+	}
+	recs, err := DecodePage(nil, page)
+	if err != nil || len(recs) != 2 || recs[1].MB.ID != b.MB.ID || recs[1].MB.Timestamp != b.MB.Timestamp {
+		t.Fatalf("page decodes %+v, %v", recs, err)
+	}
+	if got, _, err := decodeRecord(page[first:]); err == nil && got.MB.ID == b.MB.ID {
+		t.Fatal("a relative record decoded on its own")
+	}
+	// The second record's ID delta, re-coded to land on 0 and to wrap.
+	for _, d := range []int64{-1_000_000, -1_000_001, math.MinInt64} {
+		bad := append([]byte(nil), page[:first+1]...)
+		bad = binary.AppendVarint(bad, d)
+		bad = append(bad, page[first+2:]...)
+		if _, err := DecodePage(nil, bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("ID delta %d: %v, want ErrCorrupt", d, err)
+		}
+	}
+	for _, id := range []uint64{0, 1<<63 + 1, math.MaxUint64} {
+		base := pageBase{id: 1}
+		if rec := appendRecord(nil, fr(id, 1, "k"), &base); rec[0]&flagRelative != 0 || base.id != id {
+			t.Fatalf("ID %d after 1 coded relative (base moved to %d)", id, base.id)
+		}
 	}
 }
 
@@ -433,7 +483,7 @@ func TestTruncatedRecordDetected(t *testing.T) {
 func TestCompactCodecSize(t *testing.T) {
 	in := fr(1000, 1e6, "kw1", "kw2")
 	in.MB.Lat, in.MB.Lon, in.MB.HasGeo = 0, 0, false
-	fixed, compact := appendFixedRecord(nil, in), appendRecord(nil, in)
+	fixed, compact := appendFixedRecord(nil, in), EncodeRecord(nil, in)
 	// flags 1, ID 2, timestamp 3, user 2, followers 2, nkw 1, keywords
 	// 2×4, text 1+14.
 	if len(compact) != 34 || len(fixed) != fixedLenBase+2*5+14 || fixedLen(in) != int64(len(fixed)) {

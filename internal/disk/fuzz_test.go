@@ -11,51 +11,112 @@ import (
 	"kflushing/internal/types"
 )
 
-// FuzzDecodeRecord throws arbitrary bytes at the record decoder: it must
+// FuzzDecodeRecord throws arbitrary bytes at the record decoder as a
+// page payload, walked record by record through a page cursor: it must
 // never panic or over-read, only return ErrCorrupt-style failures, and
-// whatever it accepts must survive a re-encode unchanged and measure, by
-// its length fields alone (recordLen), as long as the decoder consumed.
+// every record it accepts must measure, stepped over by its rank prefix
+// and length fields alone (rank), as long as the decoder consumed, and
+// survive a re-encode — relative or absolute, as it was stored —
+// unchanged.
 func FuzzDecodeRecord(f *testing.F) {
 	rec := FlushRecord{
 		MB:    &types.Microblog{ID: 1, Keywords: []string{"a"}, Text: "t"},
 		Score: 1,
 	}
 	f.Add([]byte{})
-	f.Add(appendRecord(nil, rec))
+	f.Add(EncodeRecord(nil, rec))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	rec.MB.Lat, rec.MB.Lon = 40.5, -74.2
-	f.Add(appendRecord(nil, rec))
+	f.Add(EncodeRecord(nil, rec))
 	rec.Score = math.NaN()
-	f.Add(appendRecord(nil, rec))
+	f.Add(EncodeRecord(nil, rec))
 	f.Add([]byte{flagsKnown, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
+	stream := []FlushRecord{fr(900, 1.7e15, "a"), fr(901, 1.7e15+300, "b"), fr(899, 1.7e15-20, "c")}
+	// Pages of a v6 writer (every record relative) and of a v5 one
+	// (every record absolute), one mixing both, and a relative record
+	// whose ID delta lands on 0.
+	f.Add(recordPayload(stream, false))
+	f.Add(recordPayload(stream, true))
+	f.Add(mixedPayload(stream))
+	f.Add([]byte{flagRelative, 0x00, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l, lerr := recordLen(data) // must not panic on any input
-		fr, n, err := decodeRecord(data)
-		if err != nil {
-			return
-		}
-		if n > len(data) {
-			t.Fatalf("decoder consumed %d of %d bytes", n, len(data))
-		}
-		// A page walk steps over a record by its length fields alone.
-		if lerr != nil || l != n {
-			t.Fatalf("recordLen = %d, %v; the decoder consumed %d", l, lerr, n)
-		}
-		if fr.MB == nil {
-			t.Fatal("nil microblog without error")
-		}
-		if id, score, err := decodeRank(data); err != nil || id != uint64(fr.MB.ID) ||
-			math.Float64bits(score) != math.Float64bits(fr.Score) {
-			t.Fatalf("rank prefix %d, %v, %v disagrees with the record", id, score, err)
-		}
-		// Anything readable is writable: the encoding loses no field, NaN
-		// and -0 included.
-		buf := appendRecord(nil, fr)
-		again, m, err := decodeRecord(buf)
-		if err != nil || m != len(buf) || string(appendRecord(nil, again)) != string(buf) {
-			t.Fatalf("decoded record does not survive a re-encode: %v", err)
+		c := pageCursor{q: data}
+		for len(c.q) > 0 {
+			stepped := c // must not panic on any input
+			id, score, serr := stepped.rank()
+			before, rel := c.pageBase, c.q[0]&flagRelative != 0
+			fr, n, err := c.next()
+			if err != nil {
+				return
+			}
+			if n > len(data) || fr.MB == nil {
+				t.Fatalf("decoder consumed %d of %d bytes, record %v", n, len(data), fr.MB)
+			}
+			// A page walk steps over a record by its length fields alone.
+			if serr != nil || len(stepped.q) != len(c.q) || stepped.pageBase != c.pageBase {
+				t.Fatalf("rank stepped to %d bytes left, %v; the decoder to %d", len(stepped.q), serr, len(c.q))
+			}
+			if id != uint64(fr.MB.ID) || math.Float64bits(score) != math.Float64bits(fr.Score) {
+				t.Fatalf("rank prefix %d, %v disagrees with the record", id, score)
+			}
+			if rel && fr.MB.ID == 0 {
+				t.Fatal("a relative record decoded to ID 0")
+			}
+			// Anything readable is writable: the encoding loses no field,
+			// NaN and -0 included.
+			buf := reencode(fr, before, rel)
+			again := pageCursor{pageBase: before, q: buf}
+			out, m, err := again.next()
+			if err != nil || m != len(buf) || !bytes.Equal(reencode(out, before, rel), buf) {
+				t.Fatalf("decoded record does not survive a re-encode: %v", err)
+			}
 		}
 	})
+}
+
+// reencode encodes fr after a record leaving base, relative when rel
+// says so, absolute otherwise.
+func reencode(fr FlushRecord, base pageBase, rel bool) []byte {
+	if !rel {
+		return appendRecord(nil, fr, nil)
+	}
+	out := appendRecord(nil, fr, &base)
+	if out[0]&flagRelative == 0 {
+		panic("a relative record's ID is out of its delta's reach")
+	}
+	return out
+}
+
+// recordPayload is the page payload holding recs: every record relative
+// as a v6 writer writes them, or absolute as a v5 writer did.
+func recordPayload(recs []FlushRecord, absolute bool) []byte {
+	var buf []byte
+	var base pageBase
+	for _, r := range recs {
+		if absolute {
+			buf = appendRecord(buf, r, nil)
+		} else {
+			buf = appendRecord(buf, r, &base)
+		}
+	}
+	return buf
+}
+
+// mixedPayload is a page payload of recs alternating absolute and
+// relative records, each relative one coded against the record before
+// it whatever that one's coding.
+func mixedPayload(recs []FlushRecord) []byte {
+	var buf []byte
+	var base pageBase
+	for i, r := range recs {
+		if i%2 == 0 {
+			buf = appendRecord(buf, r, nil)
+			base = pageBase{uint64(r.MB.ID), int64(r.MB.Timestamp)}
+		} else {
+			buf = appendRecord(buf, r, &base)
+		}
+	}
+	return buf
 }
 
 // FuzzBloomDecode throws arbitrary bytes at the Bloom-block decoder: it
@@ -147,18 +208,21 @@ func FuzzDecodeKeys(f *testing.F) {
 }
 
 // FuzzRecordRoundTrip checks encode→decode identity over fuzzed fields,
-// bit for bit: a score that is not the timestamp, NaN
-// and -0 scores and coordinates, coordinates without HasGeo, and up to
-// 255 keywords.
+// bit for bit: a score that is not the timestamp, NaN and -0 scores and
+// coordinates, coordinates without HasGeo, and up to 255 keywords. The
+// record is the second of a page, after one with ID prev and timestamp
+// prevTS, stored relative — unless its ID is out of the delta's reach —
+// or, when absolute says so, as a v5 writer stored it.
 func FuzzRecordRoundTrip(f *testing.F) {
-	f.Add(uint64(1), int64(2), uint64(3), uint32(4), 0.0, true, 1.5, -2.5, true, uint8(1), "kw", "text")
-	f.Add(uint64(1), int64(2), uint64(3), uint32(4), math.NaN(), false, 1.5, -2.5, true, uint8(1), "kw", "text")
-	f.Add(uint64(1), int64(0), uint64(3), uint32(4), math.Copysign(0, -1), false, 0.0, 0.0, false, uint8(1), "kw", "text")
-	f.Add(uint64(1<<63), int64(-7), uint64(0), uint32(math.MaxUint32), 7.25, false, 0.0, 0.0, true, uint8(2), "", "")
-	f.Add(uint64(9), int64(9), uint64(9), uint32(9), 0.0, true, 40.5, math.Copysign(0, -1), false, uint8(0), "kw", "no keywords")
-	f.Add(uint64(9), int64(1e15), uint64(9), uint32(9), 0.0, true, 10.0, 20.0, false, uint8(255), "k", "many keywords")
+	f.Add(uint64(1), int64(2), uint64(3), uint32(4), 0.0, true, 1.5, -2.5, true, uint8(1), "kw", "text", uint64(0), int64(0), false)
+	f.Add(uint64(1), int64(2), uint64(3), uint32(4), math.NaN(), false, 1.5, -2.5, true, uint8(1), "kw", "text", uint64(2), int64(9), false)
+	f.Add(uint64(1), int64(0), uint64(3), uint32(4), math.Copysign(0, -1), false, 0.0, 0.0, false, uint8(1), "kw", "text", uint64(1), int64(0), true)
+	f.Add(uint64(1<<63), int64(-7), uint64(0), uint32(math.MaxUint32), 7.25, false, 0.0, 0.0, true, uint8(2), "", "", uint64(1), int64(math.MaxInt64), false)
+	f.Add(uint64(9), int64(9), uint64(9), uint32(9), 0.0, true, 40.5, math.Copysign(0, -1), false, uint8(0), "kw", "no keywords", uint64(math.MaxUint64), int64(math.MinInt64), false)
+	f.Add(uint64(9), int64(1e15), uint64(9), uint32(9), 0.0, true, 10.0, 20.0, false, uint8(255), "k", "many keywords", uint64(10), int64(1e15-300), false)
+	f.Add(uint64(0), int64(1.7e15), uint64(9), uint32(9), 0.0, true, 10.0, 20.0, false, uint8(1), "k", "ID 0", uint64(1), int64(1.7e15), false)
 	f.Fuzz(func(t *testing.T, id uint64, ts int64, user uint64, fol uint32, score float64, tsScore bool,
-		lat, lon float64, geo bool, nkw uint8, kw, text string) {
+		lat, lon float64, geo bool, nkw uint8, kw, text string, prev uint64, prevTS int64, absolute bool) {
 		if len(kw) > 1<<16-1 || len(text) > 1<<20 {
 			t.Skip()
 		}
@@ -177,13 +241,30 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			},
 			Score: score,
 		}
-		buf := appendRecord(nil, in)
-		out, n, err := decodeRecord(buf)
+		first := fr(prev, float64(prevTS), "p")
+		first.MB.Timestamp = types.Timestamp(prevTS)
+		var base pageBase
+		buf := appendRecord(nil, first, &base)
+		at := len(buf)
+		if absolute {
+			buf = appendRecord(buf, in, nil)
+		} else {
+			buf = appendRecord(buf, in, &base)
+		}
+		reach := id != 0 && (id >= prev) == (int64(id-prev) >= 0)
+		if rel := buf[at]&flagRelative != 0; rel != (reach && !absolute) {
+			t.Fatalf("ID %d after %d stored relative=%v", id, prev, rel)
+		}
+		c := pageCursor{q: buf}
+		if _, _, err := c.next(); err != nil {
+			t.Fatalf("decode the first record: %v", err)
+		}
+		out, n, err := c.next()
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if n != len(buf) {
-			t.Fatalf("consumed %d of %d", n, len(buf))
+		if n != len(buf)-at || len(c.q) != 0 {
+			t.Fatalf("consumed %d of %d", n, len(buf)-at)
 		}
 		m := out.MB
 		bits := math.Float64bits
@@ -198,7 +279,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 				t.Fatalf("keyword %d = %q, want %q", i, m.Keywords[i], kws[i])
 			}
 		}
-		if string(appendRecord(nil, out)) != string(buf) {
+		if !bytes.Equal(reencode(out, pageBase{prev, prevTS}, buf[at]&flagRelative != 0), buf[at:]) {
 			t.Fatal("re-encode mismatch")
 		}
 	})
@@ -240,9 +321,10 @@ func FuzzDecodeReferences(f *testing.F) {
 }
 
 // FuzzDecodePage throws arbitrary bytes at the record file reader as a
-// whole file — block or log file — page index and pages: it must never
-// panic or over-read, and a file whose every page it accepts must
-// re-encode, page by page, to the same bytes, with every record reading
+// whole file — block or log file, v6 or v5 — page index and pages: it
+// must never panic or over-read, and a file whose every page it accepts
+// must re-encode, page by page and record by record in the coding each
+// record was stored in, to the same bytes, with every record reading
 // back by ordinal as the page decodes it.
 func FuzzDecodePage(f *testing.F) {
 	recs := []FlushRecord{fr(3, 3, "a", "b"), fr(2, 2, "a"), fr(1, 1, "c")}
@@ -274,6 +356,16 @@ func FuzzDecodePage(f *testing.F) {
 	log = AppendRecordPages(log, recs[2:], &x)
 	f.Add(AppendPageIndex(log, &x), true)
 	f.Add(AppendPageIndex(AppendLogHeader(nil), &PageIndex{}), true)
+	x = PageIndex{}
+	v5 := appendPagesV5(binary.LittleEndian.AppendUint16([]byte(blkMagic), recordVersionV5), many, &x)
+	f.Add(AppendPageIndex(v5, &x), false)
+	x = PageIndex{}
+	mixed := AppendLogHeader(nil)
+	mixed = append(mixed, 0, 0, 0, 0, 0, 0, 0, 0)
+	mixed = append(mixed, mixedPayload(recs)...)
+	sealPage(mixed[HeaderSize:])
+	x.Add(HeaderSize, uint32(len(recs)))
+	f.Add(AppendPageIndex(mixed, &x), true)
 	f.Add(img[:len(img)-3], false)
 	f.Fuzz(func(t *testing.T, img []byte, isLog bool) {
 		name := "blk-00000001.kfs"
@@ -308,17 +400,22 @@ func FuzzDecodePage(f *testing.F) {
 				return
 			}
 			out = append(out, 0, 0, 0, 0, 0, 0, 0, 0)
+			c := pageCursor{q: payload}
 			for i, fr := range recs {
-				out = appendRecord(out, fr)
+				before, rel := c.pageBase, c.q[0]&flagRelative != 0
+				if _, _, err := c.next(); err != nil {
+					t.Fatalf("the page decodes, yet its record %d does not: %v", i, err)
+				}
+				out = append(out, reencode(fr, before, rel)...)
 				got, err := b.readRecord(first + uint32(i))
-				if err != nil || !bytes.Equal(appendRecord(nil, got), appendRecord(nil, fr)) {
+				if err != nil || !bytes.Equal(EncodeRecord(nil, got), EncodeRecord(nil, fr)) {
 					t.Fatalf("ordinal %d reads back %+v, %v; its page decodes %+v", first+uint32(i), got, err, fr)
 				}
 			}
 			sealPage(out[start:])
 			x.Add(uint64(start), uint32(len(recs)))
 		}
-		if err := b.scan(nil, func(uint32, []byte) error { return nil }); err != nil {
+		if err := b.scanRecords(func(uint32, FlushRecord) error { return nil }); err != nil {
 			t.Fatalf("every page decodes, yet the scan fails: %v", err)
 		}
 		if out = AppendPageIndex(out, &x); !bytes.Equal(out, img) {

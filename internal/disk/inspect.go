@@ -119,7 +119,7 @@ func Inspect(dir string) ([]SegmentInfo, error) {
 			info.Blocks = append(info.Blocks, BlockInfo{
 				Name:    b.name(),
 				Log:     b.isLog(),
-				Version: blkVersion,
+				Version: int(b.version),
 				Records: int(b.count()),
 				Pages:   len(b.pages.Off),
 				Bytes:   b.size,
@@ -137,13 +137,9 @@ func Inspect(dir string) ([]SegmentInfo, error) {
 // block by block in table order.
 func DumpSegment(path string, fn func(FlushRecord) error) error {
 	emit := func(b *block, posted func(ord uint32) bool) error {
-		return b.scan(nil, func(ord uint32, rec []byte) error {
+		return b.scanRecords(func(ord uint32, fr FlushRecord) error {
 			if !posted(ord) {
 				return nil
-			}
-			fr, _, err := decodeRecord(rec)
-			if err != nil {
-				return fmt.Errorf("disk: dump %s ordinal %d: %w", b.name(), ord, err)
 			}
 			return fn(fr)
 		})
@@ -203,11 +199,7 @@ func (s *segment) verify() error {
 	scores := make([]float64, total)
 	for i, b := range s.blocks {
 		base := s.base[i]
-		err := b.scan(nil, func(ord uint32, rec []byte) error {
-			fr, n, err := decodeRecord(rec)
-			if err != nil || n != len(rec) {
-				return fmt.Errorf("block %s ordinal %d: %w", b.name(), ord, ErrCorrupt)
-			}
+		err := b.scanRecords(func(ord uint32, fr FlushRecord) error {
 			ids[base+ord], scores[base+ord] = uint64(fr.MB.ID), fr.Score
 			return nil
 		})

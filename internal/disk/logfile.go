@@ -172,12 +172,12 @@ func walkReferences(payload []byte, own uint32, fn func(LogRef)) (int, bool) {
 // it was.
 func DecodePage(recs []FlushRecord, payload []byte) ([]FlushRecord, error) {
 	had, size := len(recs), len(payload)
-	for len(payload) > 0 {
-		fr, n, err := decodeRecord(payload)
+	for c := (pageCursor{q: payload}); len(c.q) > 0; {
+		fr, _, err := c.next()
 		if err != nil {
 			return recs[:had], err
 		}
-		recs, payload = append(recs, fr), payload[n:]
+		recs = append(recs, fr)
 	}
 	if n := len(recs) - had; n == 0 || n > 1 && size > PageSize {
 		return recs[:had], ErrCorrupt

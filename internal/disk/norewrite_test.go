@@ -312,7 +312,7 @@ func TestShadowedBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 1 || blockVersions(infos[0]) != "blk-00000002.kfs/v5 blk-00000003.kfs/v5 " || infos[0].ShadowedBytes != st.ShadowedRecordBytes {
+	if len(infos) != 1 || blockVersions(infos[0]) != "blk-00000002.kfs/v6 blk-00000003.kfs/v6 " || infos[0].ShadowedBytes != st.ShadowedRecordBytes {
 		t.Fatalf("inspect after the merge: %+v", infos)
 	}
 	if _, recs, err := Verify(dir); err != nil || recs != 5 {

@@ -103,34 +103,51 @@ type FlushRecord struct {
 
 // Flag bits of an encoded record.
 const (
-	flagGeo     = 1 << 0 // HasGeo
-	flagTSScore = 1 << 1 // the score is float64(timestamp), bit for bit, and is not stored
-	flagCoords  = 1 << 2 // lat and lon are stored (either is not +0)
-	flagsKnown  = flagGeo | flagTSScore | flagCoords
+	flagGeo      = 1 << 0 // HasGeo
+	flagTSScore  = 1 << 1 // the score is float64(timestamp), bit for bit, and is not stored
+	flagCoords   = 1 << 2 // lat and lon are stored (either is not +0)
+	flagRelative = 1 << 3 // ID and timestamp are deltas from the page's record before
+	flagsKnown   = flagGeo | flagTSScore | flagCoords | flagRelative
 )
 
 // fixedLenBase is the length of a record with no keywords and no text in
 // the fixed-width encoding the record cache's size model is based on.
 const fixedLenBase = 8 + 8 + 8 + 4 + 1 + 8 + 8 + 8 + 2 + 4
 
-// EncodeRecord appends the encoding of fr to buf and returns the
-// extended slice. The write-ahead log pages the same encoding.
-func EncodeRecord(buf []byte, fr FlushRecord) []byte { return appendRecord(buf, fr) }
+// EncodeRecord appends the encoding fr takes as the first record of a
+// page to buf and returns the extended slice.
+func EncodeRecord(buf []byte, fr FlushRecord) []byte { return appendRecord(buf, fr, &pageBase{}) }
 
-// DecodeRecord decodes one record from the front of b, returning it and
-// the number of bytes consumed.
-func DecodeRecord(b []byte) (FlushRecord, int, error) { return decodeRecord(b) }
+// pageBase is what a page's next relative record is coded against: the
+// ID and timestamp of the record before it in the page, (0, 0) for the
+// page's first.
+type pageBase struct {
+	id uint64
+	ts int64
+}
+
+// stepID returns the ID that delta d takes the base's ID to, and whether
+// that is a record ID: above 0, reached without wrapping.
+func (b *pageBase) stepID(d int64) (uint64, bool) {
+	id := b.id + uint64(d)
+	return id, id != 0 && (d >= 0) == (id >= b.id)
+}
 
 // appendRecord writes the record encoding:
 //
-//	flags u8 | uvarint ID | varint timestamp | [f64 score]
+//	flags u8 | ID | timestamp | [f64 score]
 //	| uvarint user | uvarint followers | [f64 lat, f64 lon]
 //	| uvarint nkw, (uvarint len, bytes)* | uvarint textLen, text
 //
 // ID and score lead (the rank prefix), so a merge ranks a block by
 // decoding a few bytes per record. Under the Temporal ranker the score
-// is the timestamp and is elided.
-func appendRecord(buf []byte, fr FlushRecord) []byte {
+// is the timestamp and is elided. A relative record (flagRelative)
+// stores its ID and timestamp as zigzag varint deltas from the ones base
+// holds; an absolute one, all a v5 file holds, as a uvarint ID and a
+// varint timestamp. Timestamps wrap freely; an ID the delta cannot reach
+// (0, or 2^63 or more from the one before) is stored absolute. With base
+// nil the record is absolute; otherwise base moves on to the record.
+func appendRecord(buf []byte, fr FlushRecord, base *pageBase) []byte {
 	m := fr.MB
 	le := binary.LittleEndian
 	var flags byte
@@ -145,9 +162,23 @@ func appendRecord(buf []byte, fr FlushRecord) []byte {
 	if lat|lon != 0 {
 		flags |= flagCoords
 	}
+	id, ts := uint64(m.ID), int64(m.Timestamp)
+	if base != nil {
+		if _, ok := base.stepID(int64(id - base.id)); ok {
+			flags |= flagRelative
+		}
+	}
 	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(m.ID))
-	buf = binary.AppendVarint(buf, int64(m.Timestamp))
+	if flags&flagRelative != 0 {
+		buf = binary.AppendVarint(buf, int64(id-base.id))
+		buf = binary.AppendVarint(buf, int64(uint64(ts)-uint64(base.ts)))
+	} else {
+		buf = binary.AppendUvarint(buf, id)
+		buf = binary.AppendVarint(buf, ts)
+	}
+	if base != nil {
+		base.id, base.ts = id, ts
+	}
 	if flags&flagTSScore == 0 {
 		buf = le.AppendUint64(buf, score)
 	}
@@ -177,9 +208,9 @@ func fixedLen(fr FlushRecord) int64 {
 	return n
 }
 
-// recReader is a bounds-checked cursor over one encoded record. Every
-// read checks the bytes left first; the first failure sticks, and the
-// reads after it return zero values.
+// recReader is a bounds-checked cursor over encoded bytes. Every read
+// checks the bytes left first; the first failure sticks, and the reads
+// after it return zero values.
 type recReader struct {
 	b   []byte
 	pos int
@@ -194,13 +225,6 @@ func (r *recReader) take(n uint64) []byte {
 	p := r.b[r.pos : r.pos+int(n)]
 	r.pos += int(n)
 	return p
-}
-
-func (r *recReader) u8() byte {
-	if p := r.take(1); p != nil {
-		return p[0]
-	}
-	return 0
 }
 
 func (r *recReader) u64() uint64 {
@@ -249,46 +273,60 @@ func (r *recReader) cuvarint() uint64 {
 	return v
 }
 
-func (r *recReader) varint() int64 {
-	if r.bad {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.pos:])
-	if n <= 0 {
-		r.bad = true
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
 // str reads n bytes as a string.
 func (r *recReader) str(n uint64) string { return string(r.take(n)) }
 
-// compactRank reads a record's rank prefix: flags, ID, timestamp and the
-// score, stored or implied.
-func (r *recReader) compactRank() (flags byte, id uint64, ts int64, score float64) {
-	flags = r.u8()
-	if flags&^flagsKnown != 0 {
-		r.bad = true
-	}
-	id = r.uvarint()
-	ts = r.varint()
-	if flags&flagTSScore != 0 {
-		score = float64(ts)
-	} else {
-		score = math.Float64frombits(r.u64())
-	}
-	return flags, id, ts, score
+// pageCursor walks the records of one page payload front to back. It is
+// how every reader decodes a record — replay, searches, merges, verify
+// and dump — since a relative record decodes only against the base the
+// records before it in its page leave.
+type pageCursor struct {
+	pageBase
+	q []byte // the payload not yet read
 }
 
-func decodeRecord(b []byte) (FlushRecord, int, error) {
-	r := recReader{b: b}
-	m := &types.Microblog{}
-	fr := FlushRecord{MB: m}
-	flags, id, ts, score := r.compactRank()
-	m.ID, m.Timestamp, fr.Score = types.ID(id), types.Timestamp(ts), score
-	m.HasGeo = flags&flagGeo != 0
+// head decodes the flags, ID and timestamp of the record at the cursor,
+// moves the base on to them, and returns them with the offset past the
+// timestamp.
+func (c *pageCursor) head() (flags byte, id uint64, ts int64, pos int, err error) {
+	b := c.q
+	if len(b) == 0 || b[0]&^flagsKnown != 0 {
+		return 0, 0, 0, 0, ErrCorrupt
+	}
+	flags = b[0]
+	u, n := binary.Uvarint(b[1:]) // the ID, or its delta zigzag-coded
+	if n <= 0 {
+		return 0, 0, 0, 0, ErrCorrupt
+	}
+	ts, m := binary.Varint(b[1+n:])
+	if m <= 0 {
+		return 0, 0, 0, 0, ErrCorrupt
+	}
+	id = u
+	if flags&flagRelative != 0 {
+		var ok bool
+		if id, ok = c.stepID(int64(u>>1) ^ -int64(u&1)); !ok {
+			return 0, 0, 0, 0, ErrCorrupt
+		}
+		ts = int64(uint64(c.ts) + uint64(ts))
+	}
+	c.id, c.ts = id, ts
+	return flags, id, ts, 1 + n + m, nil
+}
+
+// next decodes the record at the cursor and moves past it, returning it
+// with the length of its encoding.
+func (c *pageCursor) next() (FlushRecord, int, error) {
+	flags, id, ts, pos, err := c.head()
+	if err != nil {
+		return FlushRecord{}, 0, err
+	}
+	r := recReader{b: c.q, pos: pos}
+	m := &types.Microblog{ID: types.ID(id), Timestamp: types.Timestamp(ts), HasGeo: flags&flagGeo != 0}
+	fr := FlushRecord{MB: m, Score: float64(ts)}
+	if flags&flagTSScore == 0 {
+		fr.Score = math.Float64frombits(r.u64())
+	}
 	m.UserID = r.uvarint()
 	followers := r.uvarint()
 	if followers > math.MaxUint32 {
@@ -302,7 +340,7 @@ func decodeRecord(b []byte) (FlushRecord, int, error) {
 	nkw := r.uvarint()
 	// Every keyword takes at least one byte: a count that cannot fit is
 	// a hostile length, refused before the allocation.
-	if r.bad || nkw > uint64(len(b)-r.pos) {
+	if r.bad || nkw > uint64(len(r.b)-r.pos) {
 		return FlushRecord{}, 0, ErrCorrupt
 	}
 	if nkw > 0 {
@@ -315,32 +353,26 @@ func decodeRecord(b []byte) (FlushRecord, int, error) {
 	if r.bad {
 		return FlushRecord{}, 0, ErrCorrupt
 	}
+	c.q = c.q[r.pos:]
 	return fr, r.pos, nil
 }
 
-// decodeRank reads only the ID and score of the record at the front of
-// b — all a merge ranks by, and all the ID high-water read-back needs.
-func decodeRank(b []byte) (id uint64, score float64, err error) {
-	r := recReader{b: b}
-	_, id, _, score = r.compactRank()
-	if r.bad {
-		return 0, 0, ErrCorrupt
+// rank decodes only the ID and score of the record at the cursor — all a
+// merge ranks by, and all the ID high-water read-back needs — and steps
+// over the rest by its length fields. The fields it steps over are
+// decoded, and checked, only by a read that wants them.
+func (c *pageCursor) rank() (id uint64, score float64, err error) {
+	flags, id, ts, pos, err := c.head()
+	if err != nil {
+		return 0, 0, err
 	}
-	return id, score, nil
-}
-
-// recordLen returns the length of the record at the front of b, reading
-// its length fields and stepping over the rest: how a reader walks a
-// page to the record it wants. The fields it steps over are decoded, and
-// checked, only by the read that wants them.
-func recordLen(b []byte) (int, error) {
-	if len(b) == 0 || b[0]&^flagsKnown != 0 {
-		return 0, ErrCorrupt
-	}
-	flags, pos := b[0], 1
-	pos = skipVarint(b, pos) // ID
-	pos = skipVarint(b, pos) // timestamp
+	b := c.q
+	score = float64(ts)
 	if flags&flagTSScore == 0 {
+		if len(b)-pos < 8 {
+			return 0, 0, ErrCorrupt
+		}
+		score = math.Float64frombits(binary.LittleEndian.Uint64(b[pos:]))
 		pos += 8
 	}
 	pos = skipVarint(b, pos) // user
@@ -356,9 +388,21 @@ func recordLen(b []byte) (int, error) {
 	}
 	text, pos := lengthAt(b, pos)
 	if pos += text; pos > len(b) {
-		return 0, ErrCorrupt
+		return 0, 0, ErrCorrupt
 	}
-	return pos, nil
+	c.q = b[pos:]
+	return id, score, nil
+}
+
+// skip steps over the next n records, as a page walk reaches the record
+// it wants.
+func (c *pageCursor) skip(n uint32) error {
+	for ; n > 0; n-- {
+		if _, _, err := c.rank(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // skipVarint returns the position past the varint at b[pos:], beyond
@@ -857,7 +901,7 @@ func decodeSegment(path string, img []byte, bs blockSet) (*segment, error) {
 	if size < segHeaderSize+segFooterSize || string(img[:4]) != segMagic || string(img[size-4:]) != segEndMagic {
 		return nil, ErrCorrupt
 	}
-	if err := checkVersion(filepath.Base(path), "directory", le.Uint16(img[4:]), segVersion, segVersion, segVersionV3); err != nil {
+	if err := checkVersion(filepath.Base(path), "directory", le.Uint16(img[4:]), segVersion, segVersion, segVersion, segVersionV3); err != nil {
 		return nil, err
 	}
 	foot := img[size-segFooterSize:]

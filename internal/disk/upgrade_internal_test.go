@@ -13,7 +13,19 @@ import (
 )
 
 // Writers of the retired formats, which production no longer has: byte
-// for byte what earlier builds left on disk, for the refusal tests.
+// for byte what earlier builds left on disk, for the refusal tests — and
+// the v5 record file writer, for the tests that read v5 in place.
+
+// The v4 block and log file layouts. A v4 block is KFBK | u16 4 | u16
+// offset width (4 or 8) | u32 count | records | count offsets | u64
+// offsetsPos | "KFBE"; a v4 log file is KFWL | u16 4 | frames, each u32
+// length | u32 CRC32C | payload — one record, a reference list (a v5
+// reference page's payload), or, last in a sealed file, the frame index
+// 0xFF | count × u32 record frame offset | u32 count | "KFWX".
+const (
+	blkEndMagicV4     = "KFBE"
+	frameIndexMagicV4 = "KFWX"
+)
 
 // appendFixedRecord is the fixed-width record writer of v1 log files, v3
 // blocks and v2 segment files; fixedLen is its length.
@@ -203,7 +215,7 @@ func legacyLogFile(version uint16, recs []FlushRecord) []byte {
 	buf := binary.LittleEndian.AppendUint16([]byte(LogMagic), version)
 	for _, fr := range recs {
 		if version == 2 {
-			buf = appendFrameV4(buf, appendRecord(nil, fr))
+			buf = appendFrameV4(buf, appendRecord(nil, fr, nil))
 		} else {
 			buf = appendFrameV4(buf, appendFixedRecord(nil, fr))
 		}
@@ -266,7 +278,22 @@ var outOfWindow = []struct {
 		currentTier(t, dir, encodeManifest, "seg-00000002.kfs")
 	}},
 	{"wal-v3", LogName(2), roundUpgrade, false, func(t *testing.T, dir string) {
-		wal2 := writeV3LogFile(t, dir, 2, fr(3, 3, "old", "new"), fr(4, 4, "zz"))
+		wal2 := writeOldLogFile(t, dir, 2, logVersionV3, fr(3, 3, "old", "new"), fr(4, 4, "zz"))
+		writeDirectory(t, segVersion, filepath.Join(dir, "seg-00000002.kfs"), []string{LogName(2)}, wal2)
+		currentTier(t, dir, encodeManifest, "seg-00000002.kfs")
+	}},
+	{"blk-v4", "blk-00000002.kfs", recordUpgrade, false, func(t *testing.T, dir string) {
+		blk2 := rankOrder([]FlushRecord{fr(3, 3, "old"), fr(4, 4, "both")})
+		recs := make([][]byte, len(blk2))
+		for i, r := range blk2 {
+			recs[i] = appendRecord(nil, r, nil)
+		}
+		writeFile(t, filepath.Join(dir, "blk-00000002.kfs"), encodeBlockV4(recs))
+		writeDirectory(t, segVersion, filepath.Join(dir, "seg-00000002.kfs"), []string{"blk-00000002.kfs"}, blk2)
+		currentTier(t, dir, encodeManifest, "seg-00000002.kfs")
+	}},
+	{"wal-v4", LogName(2), recordUpgrade, false, func(t *testing.T, dir string) {
+		wal2 := writeOldLogFile(t, dir, 2, recordVersionV4, fr(3, 3, "old", "new"), fr(4, 4, "zz"))
 		writeDirectory(t, segVersion, filepath.Join(dir, "seg-00000002.kfs"), []string{LogName(2)}, wal2)
 		currentTier(t, dir, encodeManifest, "seg-00000002.kfs")
 	}},
@@ -295,17 +322,17 @@ func currentTier(t *testing.T, dir string, encode func([]byte, Manifest) []byte,
 	writeFile(t, filepath.Join(dir, manifestName), encode(nil, m))
 }
 
-// writeV3LogFile writes sealed log file seq as version 3 left it: the v4
-// layout without a reference frame, under a version-3 header.
-func writeV3LogFile(t *testing.T, dir string, seq uint32, recs ...FlushRecord) []FlushRecord {
+// writeOldLogFile writes sealed log file seq as version 4 or 3 left it:
+// the v4 layout without a reference frame, under a header of version.
+func writeOldLogFile(t *testing.T, dir string, seq uint32, version uint16, recs ...FlushRecord) []FlushRecord {
 	t.Helper()
 	out := writeLogFile(t, dir, seq, recs...)
-	items := make([]logItemV4, len(recs))
-	for i, fr := range recs {
-		items[i].rec = appendRecord(nil, fr)
+	encoded := make([][]byte, len(out))
+	for i, fr := range out {
+		encoded[i] = appendRecord(nil, fr, nil)
 	}
-	img := encodeLogV4(items, true)
-	binary.LittleEndian.PutUint16(img[4:], logVersionV3)
+	img := encodeLogV4(encoded)
+	binary.LittleEndian.PutUint16(img[4:], version)
 	writeFile(t, filepath.Join(dir, LogName(seq)), img)
 	return out
 }
@@ -339,102 +366,99 @@ func encodeBlockV4(recs [][]byte) []byte {
 	return append(buf, blkEndMagicV4...)
 }
 
-// logItemV4 is one frame of a v4 log file: an encoded record, or the
-// references of a reference frame.
-type logItemV4 struct {
-	rec  []byte
-	refs []LogRef
-}
-
-// encodeLogV4 is the v4 log file framing items in order, sealed with a
-// frame index when sealed says so.
-func encodeLogV4(items []logItemV4, sealed bool) []byte {
+// encodeLogV4 is the sealed v4 log file framing the encoded records
+// recs in order, its frame index last.
+func encodeLogV4(recs [][]byte) []byte {
 	le := binary.LittleEndian
 	buf := le.AppendUint16([]byte(LogMagic), recordVersionV4)
-	var offsets []uint32
-	for _, it := range items {
-		if it.refs != nil {
-			buf = appendFrameV4(buf, appendReferencePayload(nil, it.refs))
-			continue
-		}
-		offsets = append(offsets, uint32(len(buf)))
-		buf = appendFrameV4(buf, it.rec)
-	}
-	if !sealed {
-		return buf
-	}
 	index := []byte{indexMarker}
-	for _, off := range offsets {
-		index = le.AppendUint32(index, off)
+	for _, rec := range recs {
+		index = le.AppendUint32(index, uint32(len(buf)))
+		buf = appendFrameV4(buf, rec)
 	}
-	index = le.AppendUint32(index, uint32(len(offsets)))
+	index = le.AppendUint32(index, uint32(len(recs)))
 	return appendFrameV4(buf, append(index, frameIndexMagicV4...))
 }
 
-// downgradeToV4 rewrites every v5 block and log file under dir, at any
-// depth, as the v4 file a build before version 5 would have written
-// holding the same records at the same ordinals: the v4 writer, kept
-// for the upgrade battery.
-func downgradeToV4(t *testing.T, dir string) {
+// appendPagesV5 appends frs to buf as record pages the way a version 5
+// writer did — every record absolute, packed greedily — indexing each
+// page in x at its offset in buf.
+func appendPagesV5(buf []byte, frs []FlushRecord, x *PageIndex) []byte {
+	for i := 0; i < len(frs); {
+		start := len(buf)
+		buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
+		held := uint32(0)
+		for ; i < len(frs); i++ {
+			at := len(buf)
+			buf = appendRecord(buf, frs[i], nil)
+			if held > 0 && len(buf)-start-PageHeaderSize > PageSize {
+				buf = buf[:at]
+				break
+			}
+			held++
+		}
+		sealPage(buf[start:])
+		x.Add(uint64(start), held)
+	}
+	return buf
+}
+
+// rewriteAsV5 rewrites every block and log file under dir, at any depth,
+// as the version 5 file a build before version 6 would have written
+// holding the same records at the same ordinals: the records of each
+// page re-paged by the v5 writer, each reference page where it stood,
+// the index where there was one. It returns the paths it rewrote.
+func rewriteAsV5(t *testing.T, dir string) []string {
 	t.Helper()
+	var paths []string
 	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
 		}
 		name := d.Name()
-		seq, isLog := ParseLogName(name)
-		if !isLog && !strings.HasPrefix(name, "blk-") {
+		if _, isLog := ParseLogName(name); !isLog && !strings.HasPrefix(name, "blk-") {
 			return nil
 		}
 		img, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		var items []logItemV4
-		sealed := false
+		out := binary.LittleEndian.AppendUint16(append([]byte(nil), img[:4]...), recordVersionV5)
+		var x PageIndex
 		for pos := HeaderSize; pos < len(img); {
 			payload, ok := CheckPage(img[pos:])
 			if !ok {
 				return fmt.Errorf("%s: bad page at %d", name, pos)
 			}
-			pos += PageHeaderSize + len(payload)
+			page := img[pos : pos+PageHeaderSize+len(payload)]
+			pos += len(page)
 			switch {
 			case IsPageIndex(payload):
-				sealed = true
+				out = AppendPageIndex(out, &x)
 			case IsReferences(payload):
-				refs, _ := DecodeReferences(payload, seq)
-				items = append(items, logItemV4{refs: refs})
+				x.Add(uint64(len(out)), 0)
+				out = append(out, page...)
 			default:
-				for len(payload) > 0 {
-					n, err := recordLen(payload)
-					if err != nil {
-						return err
-					}
-					items = append(items, logItemV4{rec: payload[:n]})
-					payload = payload[n:]
+				recs, err := DecodePage(nil, payload)
+				if err != nil {
+					return fmt.Errorf("%s: page at %d: %w", name, pos, err)
 				}
+				out = appendPagesV5(out, recs, &x)
 			}
 		}
-		if isLog {
-			img = encodeLogV4(items, sealed)
-		} else {
-			recs := make([][]byte, len(items))
-			for i, it := range items {
-				recs[i] = it.rec
-			}
-			img = encodeBlockV4(recs)
-		}
-		return os.WriteFile(path, img, 0o644)
+		paths = append(paths, path)
+		return os.WriteFile(path, out, 0o644)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return paths
 }
 
 // Fabricators and helpers for the upgrade battery, which runs outside
 // the package so that it can open a durable store too.
 var (
-	OutOfWindow   = outOfWindow
-	DirFiles      = dirFiles
-	DowngradeToV4 = downgradeToV4
+	OutOfWindow = outOfWindow
+	DirFiles    = dirFiles
+	RewriteAsV5 = rewriteAsV5
 )

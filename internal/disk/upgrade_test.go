@@ -1,12 +1,14 @@
 package disk_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -89,52 +91,178 @@ func treeFiles(t *testing.T, dir string) map[string]string {
 	return out
 }
 
-// TestUpgradeConvertsV4: a tier of record blocks and a durable kflushd
-// data directory, written by this build and then rewritten file by file
-// in v4 by the kept v4 writer (disk.DowngradeToV4), are refused by every
-// open — ErrNeedsUpgrade naming this build's upgrade — without a file
-// changing. The upgrade converts every record file to v5 in place, after
-// which 200 sampled queries answer byte-identically, Verify passes and a
-// second upgrade changes nothing.
-func TestUpgradeConvertsV4(t *testing.T) {
-	for _, fx := range upgradeFixtures(4000) {
+// TestReadsV5InPlace: a tier of record blocks and a durable kflushd data
+// directory, written by this build and then rewritten file by file as
+// v5 by the kept v5 writer (disk.RewriteAsV5), pass the upgrade
+// preflight unchanged and open as they are, answering 200 sampled
+// queries byte-identically. Writing the second half of the stream then
+// mixes v6 files in — the tier merges its v5 and v6 blocks, the store
+// replays v5 and v6 log files — and both still answer as a twin that was
+// never rewritten does. Every v5 file still present is byte-unchanged,
+// every other record file is v6, every tier verifies, and disk.Inspect
+// (`kflushctl segments`) reports each file's own version.
+func TestReadsV5InPlace(t *testing.T) {
+	for _, fx := range storeFixtures(4000) {
 		t.Run(fx.name, func(t *testing.T) {
-			dir := t.TempDir()
-			fx.write(t, dir)
-			checkConversion(t, dir, func() string { return fx.answers(t, dir) }, func() error { return fx.open(dir) })
+			dir, twin := t.TempDir(), t.TempDir()
+			fx.write(t, dir, 0)
+			copyTree(t, dir, twin)
+			v5 := disk.RewriteAsV5(t, dir)
+			if len(v5) == 0 {
+				t.Fatal("the store holds no record file")
+			}
+			rewritten := treeFiles(t, dir)
+			if err := disk.Upgrade(dir); err != nil {
+				t.Fatalf("the preflight refused a v5 store: %v", err)
+			}
+			if after := treeFiles(t, dir); !reflect.DeepEqual(after, rewritten) {
+				t.Fatal("the preflight changed a v5 store")
+			}
+			if got, want := fx.answers(t, dir), fx.answers(t, twin); got != want {
+				t.Fatalf("a v5 store answers\n%s\nits v6 twin\n%s", got, want)
+			}
+			fx.write(t, dir, 1)
+			fx.write(t, twin, 1)
+			if got, want := fx.answers(t, dir), fx.answers(t, twin); got != want {
+				t.Fatalf("a v5 + v6 store answers\n%s\nits v6 twin\n%s", got, want)
+			}
+			versions := checkRecordFiles(t, dir, v5, rewritten)
+			if fx.name == "tier" {
+				if versions[5] == 0 || versions[6] == 0 {
+					t.Fatalf("record file versions %v: want v5 and v6 files in the merged tier", versions)
+				}
+				checkInspectVersions(t, dir)
+			}
 		})
 	}
 }
 
-// upgradeFixture is a store the upgrade battery converts: write fills
-// dir in this build's formats, answers renders 200 sampled queries, and
-// open opens it as its owner does.
-type upgradeFixture struct {
-	name    string
-	write   func(t *testing.T, dir string)
-	answers func(t *testing.T, dir string) string
-	open    func(dir string) error
+// checkRecordFiles checks the record files under dir after more writes
+// over the v5 files v5, whose contents rewritten holds: each of those
+// still present is unchanged, every other one is version 6, and every
+// tier verifies. It counts the record files by version.
+func checkRecordFiles(t *testing.T, dir string, v5 []string, rewritten map[string]string) map[int]int {
+	t.Helper()
+	versions := map[int]int{}
+	tiers := map[string]bool{}
+	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		if d.Name() == "manifest.kfm" {
+			tiers[filepath.Dir(p)] = true
+		}
+		if name := d.Name(); !strings.HasPrefix(name, "blk-") && !strings.HasPrefix(name, "wal-") {
+			return nil
+		}
+		version := fileVersion(t, p)
+		versions[version]++
+		switch {
+		case slices.Contains(v5, p):
+			if b, _ := os.ReadFile(p); fmt.Sprintf("%d %x", len(b), b) != rewritten[p] {
+				t.Errorf("v5 file %s changed", p)
+			}
+		case version != 6:
+			t.Errorf("new record file %s is version %d", p, version)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tier := range tiers {
+		if _, _, err := disk.Verify(tier); err != nil {
+			t.Fatalf("verify %s: %v", tier, err)
+		}
+	}
+	return versions
 }
 
-// upgradeFixtures returns a tier of record blocks and a durable kflushd
+// checkInspectVersions checks that disk.Inspect reports every record
+// file's version as its header holds it.
+func checkInspectVersions(t *testing.T, dir string) {
+	t.Helper()
+	infos, err := disk.Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range infos {
+		for _, b := range info.Blocks {
+			if want := fileVersion(t, filepath.Join(dir, b.Name)); b.Version != want {
+				t.Errorf("Inspect reports %s as version %d, its header says %d", b.Name, b.Version, want)
+			}
+		}
+	}
+}
+
+// fileVersion is the version in the header of the record file at path.
+func fileVersion(t *testing.T, path string) int {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil || len(b) < disk.HeaderSize {
+		t.Fatalf("%s: %d bytes, %v", path, len(b), err)
+	}
+	return int(binary.LittleEndian.Uint16(b[4:]))
+}
+
+// copyTree copies the files under src to dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, p)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		b, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// storeFixture is a store the v5 battery writes and reads: write fills
+// dir with one half of the stream (part 0 or 1) in this build's
+// formats, the tier merging everything after the second, and answers
+// renders 200 sampled queries.
+type storeFixture struct {
+	name    string
+	write   func(t *testing.T, dir string, part int)
+	answers func(t *testing.T, dir string) string
+}
+
+// storeFixtures returns a tier of record blocks and a durable kflushd
 // data directory, each over the same n sampled microblogs.
-func upgradeFixtures(n int) []upgradeFixture {
+func storeFixtures(n int) []storeFixture {
 	mbs := sampleStream(n)
 	queries := sampleQueries(mbs, 200)
+	half := func(part int) []*types.Microblog { return mbs[part*n/2 : (part+1)*n/2] }
 	opt := kflushing.Options{Durable: true, SyncFlush: true, MemoryBudget: 256 << 10}
-	return []upgradeFixture{{
+	return []storeFixture{{
 		name: "tier",
-		write: func(t *testing.T, dir string) {
+		write: func(t *testing.T, dir string, part int) {
 			tier, err := disk.Open(tierConfig(dir))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < len(mbs); i += len(mbs) / 8 {
+			mbs := half(part)
+			for i := 0; i < len(mbs); i += len(mbs) / 4 {
 				var batch []disk.FlushRecord
-				for _, mb := range mbs[i : i+len(mbs)/8] {
+				for _, mb := range mbs[i : i+len(mbs)/4] {
 					batch = append(batch, disk.FlushRecord{MB: mb, Score: float64(mb.Timestamp)})
 				}
 				if err := tier.Flush(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if part == 1 {
+				if err := tier.CompactAll(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -161,17 +289,14 @@ func upgradeFixtures(n int) []upgradeFixture {
 			}
 			return out.String()
 		},
-		open: func(dir string) error {
-			_, err := disk.Open(tierConfig(dir))
-			return err
-		},
 	}, {
 		name: "data",
-		write: func(t *testing.T, dir string) {
+		write: func(t *testing.T, dir string, part int) {
 			kw, _, _, err := kflushing.OpenAttributes(dir, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
+			mbs := half(part)
 			for i := 0; i < len(mbs); i += 16 {
 				if _, err := kw.IngestBatch(mbs[i:min(i+16, len(mbs))]); err != nil {
 					t.Fatal(err)
@@ -210,80 +335,7 @@ func upgradeFixtures(n int) []upgradeFixture {
 			}
 			return out.String()
 		},
-		open: func(dir string) error {
-			_, _, _, err := kflushing.OpenAttributes(dir, opt)
-			return err
-		},
 	}}
-}
-
-// checkConversion runs the v4 round of TestUpgradeConvertsV4 over dir:
-// answers before, the v4 rewrite, the refused opens, the upgrade, and
-// answers after.
-func checkConversion(t *testing.T, dir string, answers func() string, open func() error) {
-	t.Helper()
-	before := answers()
-	disk.DowngradeToV4(t, dir)
-	v4 := treeFiles(t, dir)
-	for what, run := range map[string]func() error{"open": open, "durable open": func() error {
-		_, err := kflushing.Open(filepath.Join(dir, "keyword"), kflushing.Options{Durable: true})
-		return err
-	}} {
-		if what == "durable open" && !strings.Contains(fmt.Sprint(v4), "keyword") {
-			continue
-		}
-		if err := run(); !errors.Is(err, disk.ErrNeedsUpgrade) || !strings.Contains(fmt.Sprint(err), "version 4") ||
-			!strings.Contains(fmt.Sprint(err), "this build's `kflushctl upgrade") {
-			t.Fatalf("%s of a v4 directory = %v; want ErrNeedsUpgrade naming this build's upgrade", what, err)
-		}
-	}
-	if after := treeFiles(t, dir); !reflect.DeepEqual(after, v4) {
-		t.Fatal("a refused open changed the directory")
-	}
-	if err := disk.Upgrade(dir); err != nil {
-		t.Fatal(err)
-	}
-	checkV5(t, dir)
-	done := treeFiles(t, dir)
-	if err := disk.Upgrade(dir); err != nil {
-		t.Fatal(err)
-	}
-	if again := treeFiles(t, dir); !reflect.DeepEqual(again, done) {
-		t.Fatal("a second upgrade changed the directory")
-	}
-	if after := answers(); after != before {
-		t.Fatalf("answers changed across the upgrade:\n%s\nwere\n%s", after, before)
-	}
-}
-
-// checkV5 checks that every record file under dir is version 5 and that
-// every tier verifies.
-func checkV5(t *testing.T, dir string) {
-	t.Helper()
-	tiers := map[string]bool{}
-	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		if name := d.Name(); strings.HasPrefix(name, "blk-") || strings.HasPrefix(name, "wal-") {
-			b, err := os.ReadFile(p)
-			if err != nil || len(b) < 6 || b[4] != 5 || b[5] != 0 {
-				t.Fatalf("%s is not version 5 after the upgrade (%v)", p, err)
-			}
-		}
-		if d.Name() == "manifest.kfm" {
-			tiers[filepath.Dir(p)] = true
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tier := range tiers {
-		if _, _, err := disk.Verify(tier); err != nil {
-			t.Fatalf("verify %s: %v", tier, err)
-		}
-	}
 }
 
 // sampleStream returns n microblogs of the benchmark's shape over a small

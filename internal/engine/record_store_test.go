@@ -80,21 +80,11 @@ func TestDurableFlushWritesNoRecordBytes(t *testing.T) {
 		records += f.Records
 		refs += f.References
 		size += f.Bytes
-		// Header, index, reference pages, and per record page its header
-		// and its records' encodings.
+		// Header, index, reference pages, and each record page as the
+		// page encoder writes its records.
 		index := disk.PageIndex{Off: make([]uint64, f.Pages), First: make([]uint32, f.Pages)}
-		want += disk.HeaderSize + int64(len(disk.AppendPageIndex(nil, &index))) + f.ReferenceBytes +
-			disk.PageHeaderSize*int64(f.Pages)
-		err := wal.DumpFile(filepath.Join(cfg.DiskDir, f.Name), func(fr disk.FlushRecord) error {
-			want += int64(len(disk.EncodeRecord(nil, fr)))
-			return nil
-		}, func([]disk.LogRef) error {
-			want -= disk.PageHeaderSize // counted in ReferenceBytes
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want += disk.HeaderSize + int64(len(disk.AppendPageIndex(nil, &index))) + f.ReferenceBytes
+		want += recordPageBytes(t, filepath.Join(cfg.DiskDir, f.Name))
 	}
 	if records != total {
 		t.Fatalf("log files hold %d records, want the %d ingested", records, total)
@@ -105,6 +95,35 @@ func TestDurableFlushWritesNoRecordBytes(t *testing.T) {
 	if size != want {
 		t.Fatalf("log files hold %d bytes, their pages and indexes %d", size, want)
 	}
+}
+
+// recordPageBytes is what the page encoder writes for the records of
+// each record page of the log file at path, one page each.
+func recordPageBytes(t *testing.T, path string) int64 {
+	t.Helper()
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for pos := disk.HeaderSize; pos < len(img); {
+		payload, ok := disk.CheckPage(img[pos:])
+		if !ok {
+			t.Fatalf("%s: bad page at offset %d", path, pos)
+		}
+		if !disk.IsPageIndex(payload) && !disk.IsReferences(payload) {
+			recs, err := disk.DecodePage(nil, payload)
+			if err != nil {
+				t.Fatalf("%s: page at offset %d: %v", path, pos, err)
+			}
+			var x disk.PageIndex
+			if n += int64(len(disk.AppendRecordPages(nil, recs, &x))); len(x.Off) != 1 {
+				t.Fatalf("%s: the records of the page at offset %d encode as %d pages", path, pos, len(x.Off))
+			}
+		}
+		pos += disk.PageHeaderSize + len(payload)
+	}
+	return n
 }
 
 // checkRecordFiles checks a durable store's directory: only log files,

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,28 +11,47 @@ import (
 	"kflushing/internal/types"
 )
 
-// TestRecordFileBytesPerRecord pins the framing a record file costs
-// beyond its records' own encodings, per record, on benchmark-shaped
-// microblogs: a sealed log file written in 16-record batches at most
-// 1.5 B (one page header and one index entry per batch), a 5 000-record
-// block at most 1 B (one page header and one index entry per 4 KiB of
-// records). A frame and an index slot per record cost 12 B, a u32
-// offset per block record 4 B.
+// TestRecordFileBytesPerRecord pins the bytes a record file takes per
+// record on benchmark-shaped microblogs stamped as a benchmark pass
+// stamps them — IDs one apart and past 16 384, as a pass of a few
+// hundred thousand records has them, timestamps wall-clock µs since the
+// epoch, the generator's 166 µs apart: a
+// sealed log file written in 16-record batches and a 5 000-record block,
+// everything in the file counted. Each must also code its records at
+// least 7 B below absolute coding (flags, uvarint ID, varint timestamp,
+// as version 5 wrote them): relative IDs and timestamps are what the
+// version 6 pages save.
 func TestRecordFileBytesPerRecord(t *testing.T) {
+	const epochUS, firstID = 1_760_000_000_000_000, 200_001
 	g := gen.New(gen.DefaultConfig())
 	frs := make([]disk.FlushRecord, 5000)
-	var recBytes int64
+	var absolute int64 // the records' bytes, every one absolute
 	for i := range frs {
 		mb := g.Next()
+		mb.ID, mb.Timestamp = types.ID(firstID+i), mb.Timestamp+epochUS
 		frs[i] = disk.FlushRecord{MB: mb, Score: float64(mb.Timestamp)}
-		recBytes += int64(len(disk.EncodeRecord(nil, frs[i])))
+		absolute += absoluteLen(frs[i])
 	}
-	framing := func(path string) float64 {
+	// check measures the file at path, of the given pages: its bytes per
+	// record, at most limit, and its records' bytes per record, at least
+	// 7 below absolute coding.
+	check := func(what, path string, pages int, limit float64) {
+		t.Helper()
 		st, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return float64(st.Size()-recBytes) / float64(len(frs))
+		index := disk.PageIndex{Off: make([]uint64, pages), First: make([]uint32, pages)}
+		framing := int64(disk.HeaderSize + disk.PageHeaderSize*pages + len(disk.AppendPageIndex(nil, &index)))
+		n := float64(len(frs))
+		perRecord, saved := float64(st.Size())/n, float64(absolute-(st.Size()-framing))/n
+		t.Logf("%s: %.2f B per record in %d pages, %.2f B below absolute coding", what, perRecord, pages, saved)
+		if perRecord > limit {
+			t.Errorf("%s takes %.2f B per record, want at most %.1f", what, perRecord, limit)
+		}
+		if saved < 7 {
+			t.Errorf("%s codes its records %.2f B below absolute coding, want at least 7", what, saved)
+		}
 	}
 
 	dir := t.TempDir()
@@ -47,11 +67,11 @@ func TestRecordFileBytesPerRecord(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := framing(filepath.Join(dir, disk.LogName(1))); got > 1.5 {
-		t.Errorf("a sealed log file written in 16-record batches frames a record with %.2f B, want at most 1.5", got)
-	} else {
-		t.Logf("log file: %.2f B of framing per record, %d B records on average", got, recBytes/int64(len(frs)))
+	files, err := Inspect(dir)
+	if err != nil || len(files) != 1 || files[0].Records != len(frs) {
+		t.Fatalf("log files %+v, %v", files, err)
 	}
+	check("a sealed log file written in 16-record batches", filepath.Join(dir, files[0].Name), files[0].Pages, 130.1)
 
 	tierDir := t.TempDir()
 	tier, err := disk.Open(disk.Config[string]{
@@ -67,13 +87,20 @@ func TestRecordFileBytesPerRecord(t *testing.T) {
 	if err := tier.Flush(frs); err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := filepath.Glob(filepath.Join(tierDir, "blk-*.kfs"))
-	if err != nil || len(blocks) != 1 {
-		t.Fatalf("blocks %v, %v", blocks, err)
+	infos, err := disk.Inspect(tierDir)
+	if err != nil || len(infos) != 1 || len(infos[0].Blocks) != 1 {
+		t.Fatalf("segments %+v, %v", infos, err)
 	}
-	if got := framing(blocks[0]); got > 1 {
-		t.Errorf("a 5000-record block frames a record with %.2f B, want at most 1", got)
-	} else {
-		t.Logf("block: %.2f B of framing per record", got)
-	}
+	blk := infos[0].Blocks[0]
+	check("a 5000-record block", filepath.Join(tierDir, blk.Name), blk.Pages, 129.2)
+}
+
+// absoluteLen is the length of fr's absolute encoding. disk.EncodeRecord
+// codes a record as a page's first, relative to (0, 0): its timestamp
+// delta is the timestamp's own varint, and its ID delta the zigzag varint
+// of the ID, where absolute coding has the ID's uvarint.
+func absoluteLen(fr disk.FlushRecord) int64 {
+	id := uint64(fr.MB.ID)
+	zigzag, plain := binary.AppendUvarint(nil, 2*id), binary.AppendUvarint(nil, id)
+	return int64(len(disk.EncodeRecord(nil, fr)) - len(zigzag) + len(plain))
 }

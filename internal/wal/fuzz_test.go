@@ -6,13 +6,17 @@ import (
 	"testing"
 
 	"kflushing/internal/disk"
+	"kflushing/internal/types"
 )
 
 // FuzzReplayFile feeds arbitrary file contents to the replay parser — as
-// file 9, so a reference page may list the files before it: it must
-// never panic, must tolerate arbitrary tails in last-file mode, and what
-// it reads is whole pages: its page index tiles the valid prefix, counts
-// every record it delivers, and a page index ends the file.
+// file 9, so a reference page may list the files before it. Seeds are
+// v6 files, whose records code their IDs and timestamps as deltas from
+// the record before them in the page, one of them with wall-clock
+// timestamps and IDs stepping both ways. The parser must never panic,
+// must tolerate arbitrary tails in last-file mode, and what it reads is
+// whole pages: its page index tiles the valid prefix, counts every
+// record it delivers, and a page index ends the file.
 func FuzzReplayFile(f *testing.F) {
 	// Seed with a valid single-record file.
 	dir := f.TempDir()
@@ -38,6 +42,15 @@ func FuzzReplayFile(f *testing.F) {
 	withRefs = disk.AppendReferencePage(withRefs, []disk.LogRef{{Seq: 3}, {Seq: 3, Ord: 2}, {Seq: 8, Ord: 1}}, &x)
 	withRefs = disk.AppendRecordPages(withRefs, []disk.FlushRecord{fr(2, "b")}, &x)
 	f.Add(disk.AppendPageIndex(withRefs, &x), false)
+	x.Reset()
+	var stamped []disk.FlushRecord
+	for i, id := range []uint64{200_001, 200_002, 199_990, 200_003} {
+		r := fr(id, "s")
+		r.MB.Timestamp = types.Timestamp(1_760_000_000_000_000 + 166*i)
+		r.Score = float64(r.MB.Timestamp)
+		stamped = append(stamped, r)
+	}
+	f.Add(disk.AppendPageIndex(disk.AppendRecordPages(disk.AppendLogHeader(nil), stamped, &x), &x), true)
 
 	f.Fuzz(func(t *testing.T, data []byte, last bool) {
 		path := filepath.Join(t.TempDir(), "wal-00000009.kfw")
@@ -72,8 +85,8 @@ func FuzzReplayFile(f *testing.F) {
 	})
 }
 
-// FuzzTornTail takes a well-formed log file written by the log, a batch
-// of three records at a time, tears it at an arbitrary offset with an
+// FuzzTornTail takes a well-formed v6 log file written by the log, a
+// batch of three records at a time, tears it at an arbitrary offset with an
 // optional bit flip inside the tail, and checks replay never errors,
 // delivers every batch whose page lies wholly before the damage, and
 // none of the records of the first damaged page or any after it — no
@@ -99,8 +112,8 @@ func FuzzTornTail(f *testing.F) {
 		f.Fatal(err)
 	}
 	whole, err := parseFile(files[0], false)
-	if err != nil || len(whole.recs) != 24 || len(whole.index.Off) != 8 || !whole.indexed {
-		f.Fatalf("seed file: %d records in %d pages, sealed %v, %v", len(whole.recs), len(whole.index.Off), whole.indexed, err)
+	if err != nil || len(whole.recs) != 24 || len(whole.index.Off) != 8 || !whole.indexed || whole.version != disk.LogVersion {
+		f.Fatalf("seed file: version %d, %d records in %d pages, sealed %v, %v", whole.version, len(whole.recs), len(whole.index.Off), whole.indexed, err)
 	}
 	// pageEnds[p] is where record page p ends.
 	pageEnds := append(append([]uint64(nil), whole.index.Off[1:]...), uint64(len(stripIndex(f, current))))

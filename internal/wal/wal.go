@@ -117,10 +117,7 @@ import (
 // unlabeled: labeling allocates, and appends are the 0-alloc hot path.
 var walCommitLabels = pprof.Labels("kflushing", "wal-group-commit")
 
-const (
-	fileVersion = disk.LogVersion
-	headerSize  = disk.HeaderSize
-)
+const headerSize = disk.HeaderSize
 
 // ErrCorrupt reports log corruption before the final record.
 var ErrCorrupt = errors.New("wal: corrupt log")
@@ -719,6 +716,7 @@ type refPage struct {
 
 // parsedFile is one log file as replay reads it.
 type parsedFile struct {
+	version uint16 // the format version in the file's header
 	recs    []disk.FlushRecord
 	refs    []refPage
 	index   disk.PageIndex // where each page starts
@@ -774,7 +772,7 @@ func parseFile(path string, lastFile bool) (parsedFile, error) {
 		return parsedFile{}, fmt.Errorf("%w: unknown version %d in %s", ErrCorrupt, v, name)
 	}
 	own, _ := disk.ParseLogName(name)
-	var p parsedFile
+	p := parsedFile{version: v}
 	pos := headerSize
 	// stop ends the parse at pos: a torn tail when tolerable, else
 	// corruption.
@@ -1409,7 +1407,8 @@ func (l *Log) Close() error {
 
 // FileInfo describes one log file for tooling.
 type FileInfo struct {
-	Name    string
+	Name string
+	// Version is the format version in the file's header: 5 or 6.
 	Version int
 	// Records is the number of valid records and Pages the number of
 	// valid pages, reference pages included, the index not; Bytes the
@@ -1460,7 +1459,7 @@ func Inspect(dir string) ([]FileInfo, error) {
 	}
 	var out []FileInfo
 	err = readFiles(paths, func(path string, p parsedFile) error {
-		fi := FileInfo{Name: filepath.Base(path), Version: fileVersion, Records: len(p.recs),
+		fi := FileInfo{Name: filepath.Base(path), Version: int(p.version), Records: len(p.recs),
 			Pages: len(p.index.Off), ReferenceBytes: p.refBytes, Sealed: p.indexed}
 		for _, rf := range p.refs {
 			fi.References += len(rf.refs)

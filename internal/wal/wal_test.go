@@ -300,12 +300,11 @@ func TestAppendAfterCloseFails(t *testing.T) {
 }
 
 // TestReplayRefusesUnknownVersion: a file of an older version is
-// disk.ErrNeedsUpgrade — naming this build's upgrade for version 4, the
-// commit whose upgrade converts it for one older than the support window
-// — one of an unknown version ErrCorrupt, in the crash-tail file too,
-// and neither is decoded.
+// disk.ErrNeedsUpgrade naming the commit whose upgrade converts it —
+// 9dc2163 for version 4 — one of an unknown version ErrCorrupt, in the
+// crash-tail file too, and neither is decoded.
 func TestReplayRefusesUnknownVersion(t *testing.T) {
-	for _, version := range []uint16{0, 1, 2, 3, 4, 6, 0xFFFF} {
+	for _, version := range []uint16{0, 1, 2, 3, 4, 7, 0xFFFF} {
 		want := ErrCorrupt
 		if version >= 1 && version <= 4 {
 			want = disk.ErrNeedsUpgrade
@@ -325,8 +324,8 @@ func TestReplayRefusesUnknownVersion(t *testing.T) {
 			if named := strings.Contains(fmt.Sprint(err), "ff40e7c"); named != (version == 1 || version == 2) {
 				t.Fatalf("version %d: %v names commit ff40e7c: %v", version, err, named)
 			}
-			if named := strings.Contains(fmt.Sprint(err), "this build's `kflushctl upgrade"); named != (version == 4) {
-				t.Fatalf("version %d: %v names this build's upgrade: %v", version, err, named)
+			if named := strings.Contains(fmt.Sprint(err), "9dc2163"); named != (version == 4) {
+				t.Fatalf("version %d: %v names commit 9dc2163: %v", version, err, named)
 			}
 		}
 		l, err := Open(dir, Options{})

@@ -443,16 +443,6 @@ func (b *block) readPage(p int, buf []byte) (page, payload []byte, err error) {
 	return buf, payload, nil
 }
 
-// readRecord loads the record with the given ordinal: one pread of the
-// page holding it, whose checksum it checks.
-func (b *block) readRecord(ord uint32) (fr FlushRecord, err error) {
-	err = b.readRecords([]uint32{ord}, func(_ uint32, r FlushRecord, _ int) error {
-		fr = r
-		return nil
-	})
-	return fr, err
-}
-
 // readRecords hands fn the records at ords, ascending, and the length of
 // each encoding, reading each page that holds one once.
 func (b *block) readRecords(ords []uint32, fn func(ord uint32, fr FlushRecord, size int) error) error {

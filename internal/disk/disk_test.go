@@ -303,6 +303,16 @@ func TestDamagedMultiBlockDirectory(t *testing.T) {
 	}
 }
 
+// readRecord loads the record with the given ordinal: one pread of the
+// page holding it, whose checksum it checks.
+func (b *block) readRecord(ord uint32) (fr FlushRecord, err error) {
+	err = b.readRecords([]uint32{ord}, func(_ uint32, r FlushRecord, _ int) error {
+		fr = r
+		return nil
+	})
+	return fr, err
+}
+
 func checkDamagedFiles(t *testing.T, logged bool) {
 	dir := t.TempDir()
 	recs := []FlushRecord{fr(3, 3, "c"), fr(2, 2, "a"), fr(1, 1, "a", "b")}
@@ -512,7 +522,7 @@ func TestRecordCacheChargeIndependentOfFormat(t *testing.T) {
 			t.Fatal(err)
 		}
 		tier := &Tier[string]{cache: newRecordCache(1<<20, nil)}
-		if _, _, err := tier.readRecordCached(b, 0); err != nil {
+		if err := tier.readMisses([]miss{{b: b}}, make([]query.Item, 1)); err != nil {
 			t.Fatal(err)
 		}
 		b.release()

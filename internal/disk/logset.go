@@ -242,10 +242,7 @@ func (ls *LogSet) remove(name string) (bool, error) {
 	if seq, _ := ParseLogName(name); held(seq) || slices.ContainsFunc(tiers, func(t logTier) bool { return t.keepsLog(name) }) {
 		return false, nil
 	}
-	if err := failpoint.Eval(failpoint.DiskDrainUnlink); err != nil {
-		return false, err
-	}
-	if err := os.Remove(filepath.Join(ls.dir, name)); err != nil && !os.IsNotExist(err) {
+	if err := unlink(unlinkDrained, filepath.Join(ls.dir, name)); err != nil && !os.IsNotExist(err) {
 		return false, fmt.Errorf("disk: remove drained log file: %w", err)
 	}
 	ls.mu.Lock()

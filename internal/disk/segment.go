@@ -11,28 +11,8 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"kflushing/internal/failpoint"
 	"kflushing/internal/types"
 )
-
-// SyncDir fsyncs a directory so a just-renamed file's entry is durable:
-// without it a crash can forget the rename even though the file data
-// itself was synced.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("disk: open directory for sync: %w", err)
-	}
-	if err := failpoint.Eval(failpoint.DiskDirSync); err != nil {
-		_ = d.Close()
-		return fmt.Errorf("disk: sync directory: %w", err)
-	}
-	if err := d.Sync(); err != nil {
-		_ = d.Close() // the Sync error is the one to surface
-		return fmt.Errorf("disk: sync directory: %w", err)
-	}
-	return d.Close()
-}
 
 // Directory file layout, format v4 (fixed-width integers little-endian):
 //
@@ -426,109 +406,6 @@ func lengthAt(b []byte, pos int) (n, next int) {
 		return 0, len(b) + 1
 	}
 	return int(v), pos + m
-}
-
-// stageKind says which of the tier's three written files a staged file
-// is, and with that its staging suffix and the failpoint sites its write
-// and rename pass through (sites must be compile-time constants, so they
-// are chosen here rather than passed in).
-type stageKind int
-
-const (
-	flushedBlock stageKind = iota // blk-N.kfs.tmp
-	flushedDir                    // seg-N.kfs.tmp
-	mergedDir                     // lvl-N.kfs.compact
-)
-
-// stagedFile is a fully written, fsynced file still at its staging path
-// — durable content, not yet visible to recovery. It becomes live via
-// install (the atomic rename) or is removed via discard. Open removes a
-// file left at a staging path as an orphan.
-type stagedFile struct {
-	kind    stageKind
-	tmpPath string
-	path    string
-	size    int64
-}
-
-// stageFile writes data to path plus the kind's staging suffix and
-// fsyncs it. A crash or error here leaves at most a staged orphan, never
-// a file under its final name.
-func stageFile(path string, kind stageKind, data []byte) (*stagedFile, error) {
-	if err := failpoint.Eval(failpoint.DiskSegmentCreate); err != nil {
-		return nil, fmt.Errorf("disk: create %s: %w", filepath.Base(path), err)
-	}
-	tmpPath := path + ".tmp"
-	if kind == mergedDir {
-		tmpPath = path + ".compact"
-	}
-	f, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("disk: create %s: %w", filepath.Base(path), err)
-	}
-	// Until staging succeeds any failure removes the staged file; the
-	// original error is the one to surface, not the cleanup's.
-	staged := false
-	defer func() {
-		if !staged {
-			_ = f.Close()
-			_ = os.Remove(tmpPath)
-		}
-	}()
-	// Records and directories are torn by separate sites, so fault
-	// injection can cut either file short independently.
-	var out []byte
-	var fperr error
-	if kind == flushedBlock {
-		out, fperr = failpoint.EvalWrite(failpoint.DiskSegmentWrite, data)
-	} else {
-		out, fperr = failpoint.EvalWrite(failpoint.DiskSegmentDirWrite, data)
-	}
-	if _, err := f.Write(out); err != nil {
-		return nil, fmt.Errorf("disk: write %s: %w", filepath.Base(path), err)
-	}
-	if fperr != nil {
-		return nil, fperr
-	}
-	if err := failpoint.Eval(failpoint.DiskSegmentSync); err != nil {
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		return nil, fmt.Errorf("disk: sync %s: %w", filepath.Base(path), err)
-	}
-	if err := f.Close(); err != nil {
-		return nil, fmt.Errorf("disk: close staged %s: %w", filepath.Base(path), err)
-	}
-	staged = true
-	return &stagedFile{kind: kind, tmpPath: tmpPath, path: path, size: int64(len(data))}, nil
-}
-
-// install atomically renames the staged file to its final name and
-// fsyncs the directory, so a file that HAS its final name is durably
-// complete. After any error the caller discards.
-func (st *stagedFile) install() error {
-	var err error
-	if st.kind == mergedDir {
-		err = failpoint.Eval(failpoint.DiskCompactRename)
-	} else {
-		err = failpoint.Eval(failpoint.DiskSegmentRename)
-	}
-	if err != nil {
-		return err
-	}
-	if err := os.Rename(st.tmpPath, st.path); err != nil {
-		return fmt.Errorf("disk: rename %s: %w", filepath.Base(st.path), err)
-	}
-	return SyncDir(filepath.Dir(st.path))
-}
-
-// discard removes the file under whichever name it currently has.
-// Sequence numbers are never reused, so the final name can only be this
-// file's. Removal failures are harmless: Open sweeps staged orphans and
-// files no manifest or directory references.
-func (st *stagedFile) discard() {
-	_ = os.Remove(st.tmpPath)
-	_ = os.Remove(st.path)
 }
 
 // segment is one directory: the resident keys and postings of an

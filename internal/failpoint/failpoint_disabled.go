@@ -23,6 +23,9 @@ func Eval(site string) error { return nil }
 // EvalWrite is a no-op in the disabled build: the buffer passes through.
 func EvalWrite(site string, buf []byte) ([]byte, error) { return buf, nil }
 
+// NoteFile is a no-op in the disabled build.
+func NoteFile(op FileOp, path string) {}
+
 // Enable reports an error in the disabled build so a test that forgot
 // `-tags failpoint` fails loudly instead of silently testing nothing.
 func Enable(site, spec string) error { return buildErr() }

@@ -46,6 +46,8 @@ var (
 	mu     sync.Mutex
 	armed  = map[string]*action{}
 	exitFn = os.Exit // swapped in registry tests so `crash` is testable
+	// files logs the seam's steps while a RecordFiles is on.
+	files *[]FileStep
 )
 
 func init() {
@@ -171,6 +173,33 @@ func parse(spec string) (*action, error) {
 		return &action{kind: kindCrash}, nil
 	default:
 		return nil, fmt.Errorf("unknown action %q", spec)
+	}
+}
+
+// NoteFile logs one step of the durable-file seam while RecordFiles is
+// on.
+func NoteFile(op FileOp, path string) {
+	mu.Lock()
+	if files != nil {
+		*files = append(*files, FileStep{Op: op, Path: path})
+	}
+	mu.Unlock()
+}
+
+// RecordFiles starts logging the durable-file seam's steps, process-wide;
+// stop ends it and returns the steps in the order they were taken.
+func RecordFiles() (stop func() []FileStep) {
+	log := new([]FileStep)
+	mu.Lock()
+	files = log
+	mu.Unlock()
+	return func() []FileStep {
+		mu.Lock()
+		defer mu.Unlock()
+		if files == log {
+			files = nil
+		}
+		return *log
 	}
 }
 

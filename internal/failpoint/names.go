@@ -96,12 +96,31 @@ const (
 	WALReadySync        = "wal/ready/sync"        // the /readyz probe fsync; failure flips readiness
 	WALReplayTruncate   = "wal/replay/truncate"   // truncating a tolerated torn tail during replay
 	WALCloseSync        = "wal/close/sync"        // the final fsync in Close
+	WALCreateDirSync    = "wal/create/dirsync"    // the directory fsync that makes a new log file's entry durable, before its first append (the create and header sites cover the crash)
 	WALReclaimUnlink    = "wal/reclaim/unlink"    // unlinking a log file with no frames, or any unclaimed file of a log no tier owns
 	DiskOpenMkdir       = "disk/open/mkdir"       // creating the tier directory (no segments exist yet)
 	DiskDirSync         = "disk/dir/sync"         // directory fsync after a rename (rename sites cover the crash)
 	DiskAdoptRemove     = "disk/adopt/remove"     // deleting retired inputs during manifest recovery (best-effort)
 	DiskDrainUnlink     = "disk/drain/unlink"     // the LogSet unlinking a drained log file no tier's directory names (its next sweep deletes it too)
 )
+
+// FileOp is a step the disk package's durable-file seam takes on a
+// name. In a build with the failpoint tag RecordFiles logs the steps, so a
+// test can check which directory entries were durable when.
+type FileOp uint8
+
+const (
+	FileCreated  FileOp = iota // a file took its final name: created there, or renamed into place
+	FileAppended               // a log file took an append that may be acked
+	DirSynced                  // a directory was fsynced: every entry in it is durable
+)
+
+// FileStep is one step of the seam: Path is the file, or for DirSynced
+// the directory.
+type FileStep struct {
+	Op   FileOp
+	Path string
+}
 
 // CrashSites returns every site at which a crash must be recoverable:
 // the contract of the internal/crashtest matrix is that killing the
